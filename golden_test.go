@@ -58,9 +58,26 @@ type goldenFigure struct {
 	Counts  []int         `json:"counts"`
 }
 
+// goldenFatTree pins one A1 strategy's fat-tree run. The section was
+// captured from the stand-alone experiments fat-tree runner before it became
+// a client of the scenario engine, so it proves the two builds of the §3.1
+// deployment were the same deployment.
+type goldenFatTree struct {
+	Strategy         string      `json:"strategy"`
+	Injected         int         `json:"injected"`
+	DownFlows        int         `json:"down_flows"`
+	DownEstimates    int64       `json:"down_estimates"`
+	DownMedianRelErr goldenFloat `json:"down_median_rel_err"`
+	DownP90RelErr    goldenFloat `json:"down_p90_rel_err"`
+	Misattribution   goldenFloat `json:"misattribution"`
+	UpFlows          int         `json:"up_flows"`
+	UpMedianRelErr   goldenFloat `json:"up_median_rel_err"`
+}
+
 type goldenFile struct {
-	Tandems []goldenTandem `json:"tandems"`
-	Figures []goldenFigure `json:"figures"`
+	Tandems  []goldenTandem  `json:"tandems"`
+	Figures  []goldenFigure  `json:"figures"`
+	FatTrees []goldenFatTree `json:"fattrees"`
 }
 
 func goldenTandemConfigs() []struct {
@@ -118,6 +135,22 @@ func captureGolden() goldenFile {
 		gfig.Counts = append(gfig.Counts, s.CDF.N())
 	}
 	out.Figures = append(out.Figures, gfig)
+
+	ftCfg := rlir.DefaultFatTreeConfig()
+	ftCfg.Duration = 120 * time.Millisecond
+	for _, r := range rlir.AblationDemux(ftCfg) {
+		out.FatTrees = append(out.FatTrees, goldenFatTree{
+			Strategy:         r.Config.Strategy.String(),
+			Injected:         r.Injected,
+			DownFlows:        r.Downstream.Flows,
+			DownEstimates:    r.Downstream.Estimates,
+			DownMedianRelErr: gf(r.Downstream.MedianRelErr),
+			DownP90RelErr:    gf(r.Downstream.P90RelErr),
+			Misattribution:   gf(r.Misattribution),
+			UpFlows:          r.Upstream.Flows,
+			UpMedianRelErr:   gf(r.Upstream.MedianRelErr),
+		})
+	}
 	return out
 }
 
@@ -211,6 +244,15 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Errorf("%s series %q median = %v, fixture %v",
 					g.ID, g.Labels[j], g.Medians[j].Value, w.Medians[j].Value)
 			}
+		}
+	}
+
+	if len(got.FatTrees) != len(want.FatTrees) {
+		t.Fatalf("fat-tree count %d != fixture %d", len(got.FatTrees), len(want.FatTrees))
+	}
+	for i, g := range got.FatTrees {
+		if w := want.FatTrees[i]; g != w {
+			t.Errorf("fat-tree %s:\n got     %+v\n fixture %+v", g.Strategy, g, w)
 		}
 	}
 }
