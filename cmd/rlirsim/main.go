@@ -33,7 +33,6 @@ var (
 	validModels     = []string{"random", "bursty", "none"}
 	validScales     = []string{"small", "default", "full"}
 	validEstimators = []string{"linear", "left", "right", "nearest"}
-	validDemuxes    = []string{"none", "marking", "reverse-ecmp", "oracle"}
 )
 
 func main() {
@@ -54,7 +53,7 @@ type options struct {
 	seed       int64
 	estName    string
 	k          int
-	demux      string
+	demux      rlir.DemuxStrategy
 	duration   time.Duration
 	topn       int
 	cpuprofile string
@@ -82,7 +81,7 @@ func parseArgs(args []string) (options, error) {
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&o.estName, "estimator", "linear", strings.Join(validEstimators, " | "))
 	fs.IntVar(&o.k, "k", 4, "fat-tree arity (fattree)")
-	fs.StringVar(&o.demux, "demux", "reverse-ecmp", strings.Join(validDemuxes, " | ")+" (fattree)")
+	demux := fs.String("demux", "reverse-ecmp", "none | marking | reverse-ecmp | oracle (fattree)")
 	fs.DurationVar(&o.duration, "duration", 0, "override trace duration")
 	fs.IntVar(&o.topn, "top", 10, "per-flow rows to print")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
@@ -104,8 +103,10 @@ func parseArgs(args []string) (options, error) {
 		return o, badValue("scale", o.scale, validScales)
 	case !slices.Contains(validEstimators, o.estName):
 		return o, badValue("estimator", o.estName, validEstimators)
-	case !slices.Contains(validDemuxes, o.demux):
-		return o, badValue("demux", o.demux, validDemuxes)
+	}
+	var err error
+	if o.demux, err = rlir.ParseDemuxStrategy(*demux); err != nil {
+		return o, fmt.Errorf("-demux %q: %w", *demux, err)
 	}
 	if o.staticN < 0 {
 		return o, fmt.Errorf("-n %d < 0", o.staticN)
@@ -241,18 +242,7 @@ func runFatTree(o options, out io.Writer) error {
 		cfg.Duration = o.duration
 	}
 	cfg.Scheme = pickScheme(o)
-	switch o.demux {
-	case "none":
-		cfg.Strategy = rlir.DemuxNone
-	case "marking":
-		cfg.Strategy = rlir.DemuxMark
-	case "reverse-ecmp":
-		cfg.Strategy = rlir.DemuxReverseECMP
-	case "oracle":
-		cfg.Strategy = rlir.DemuxOracle
-	default:
-		panic("rlirsim: -demux " + o.demux + " validated but not dispatched")
-	}
+	cfg.Strategy = o.demux
 
 	res := rlir.RunFatTree(cfg)
 	fmt.Fprintf(out, "fat-tree k=%d, demux=%s, injected=%d packets\n", o.k, cfg.Strategy, res.Injected)

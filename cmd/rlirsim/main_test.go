@@ -24,7 +24,7 @@ func TestParseArgsValidation(t *testing.T) {
 		{"bad model", []string{"-model", "fractal"}, `-model "fractal"`, validModels},
 		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, validScales},
 		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, validEstimators},
-		{"bad demux", []string{"-demux", "psychic"}, `-demux "psychic"`, validDemuxes},
+		{"bad demux", []string{"-demux", "psychic"}, `-demux "psychic"`, []string{"none", "marking", "reverse-ecmp", "oracle"}},
 		{"negative gap", []string{"-n", "-3"}, "-n", nil},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate", nil},
 		{"stray args", []string{"extra"}, "unexpected arguments", nil},

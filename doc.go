@@ -49,7 +49,9 @@
 //   - Experiment harnesses (RunTandem, RunFatTree, RunLocalization, the
 //     Fig4*/Fig5/Scalars/Ablation* reproductions) and their Multi* seed
 //     sweeps — every figure and table of §4; EXPERIMENTS.md records the
-//     paper-vs-measured comparison.
+//     paper-vs-measured comparison. RunTandem is the scenario engine's
+//     Figure-3 harness and RunFatTree a spec run on its one fat-tree
+//     runner; neither is a second simulator build.
 //   - The unified estimator layer (MeasureEstimator, EstimatorNames,
 //     CompareEstimators): every measurement mechanism — RLI, LDA, NetFlow
 //     sampling, Multiflow — on one simulation pass, scored against shared

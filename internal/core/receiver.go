@@ -6,7 +6,6 @@ import (
 
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simclock"
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
 )
@@ -58,7 +57,7 @@ type ReceiverConfig struct {
 	// Estimator selects the interpolation variant (default Linear).
 	Estimator Estimator
 	// Clock is the receiver's local clock (default perfect sync).
-	Clock simclock.Source
+	Clock simtime.Clock
 	// MaxPending caps each stream's interpolation buffer (default
 	// DefaultMaxPending; negative means unbounded).
 	MaxPending int
@@ -155,7 +154,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		return nil, fmt.Errorf("core: unknown estimator %d", cfg.Estimator)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = simclock.Perfect{}
+		cfg.Clock = simtime.PerfectClock{}
 	}
 	if cfg.MaxPending == 0 {
 		cfg.MaxPending = DefaultMaxPending

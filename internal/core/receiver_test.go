@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simclock"
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
@@ -298,7 +297,7 @@ func TestInterpolationBufferEviction(t *testing.T) {
 func TestClockOffsetShiftsDelays(t *testing.T) {
 	// Receiver clock 50µs ahead: every reference delay inflates by 50µs,
 	// and so do the estimates.
-	r := newRx(t, ReceiverConfig{Clock: simclock.FixedOffset{Offset: 50 * time.Microsecond}})
+	r := newRx(t, ReceiverConfig{Clock: simtime.FixedOffsetClock{Offset: 50 * time.Microsecond}})
 	r.Observe(refPkt(1, 1, at(0)), at(100))
 	r.Observe(regPkt(1, testKey, at(100)), at(150))
 	r.Observe(refPkt(1, 2, at(100)), at(200))

@@ -5,7 +5,6 @@ import (
 
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simclock"
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
@@ -50,7 +49,7 @@ type SenderConfig struct {
 	// treated as zero utilization (most aggressive adaptive gap).
 	Util UtilizationSource
 	// Clock is the sender's local clock used for hardware timestamps.
-	Clock simclock.Source
+	Clock simtime.Clock
 	// RefSize overrides the reference frame size (default DefaultRefSize).
 	RefSize int
 	// CountKinds selects which transiting packets advance the 1-and-n
@@ -89,7 +88,7 @@ func AttachSender(port *netsim.Port, cfg SenderConfig) (*Sender, error) {
 		return nil, fmt.Errorf("core: sender %d has no receivers", cfg.ID)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = simclock.Perfect{}
+		cfg.Clock = simtime.PerfectClock{}
 	}
 	if cfg.RefSize == 0 {
 		cfg.RefSize = DefaultRefSize

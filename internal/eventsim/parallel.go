@@ -48,6 +48,16 @@
 // Because effects are applied in exactly the order the sequential run would
 // have produced them, even order-sensitive folds (floating-point Welford
 // accumulators) come out bit-identical.
+//
+// # One lane
+//
+// A one-lane Parallel is the sequential engine: there is no neighbour to
+// wait for and no interleaving to reconstruct, so Run hands the whole
+// simulation to the lane's ordinary Engine.Run loop (no goroutines, windows,
+// execution records or barrier) and Emit applies each effect inline, which is
+// by definition global event order. This is the only place the choice is
+// made, and it is made from the lane count alone; callers build every run the
+// same way.
 package eventsim
 
 import (
@@ -197,6 +207,9 @@ func (p *Parallel) Run(lookahead time.Duration) uint64 {
 	for _, l := range p.lanes {
 		l.extK = nil // setup is over; lanes stamp their own schedule indices
 	}
+	if len(p.lanes) == 1 {
+		return p.lanes[0].Run()
+	}
 
 	work := make([]chan simtime.Time, len(p.lanes))
 	done := make(chan struct{}, len(p.lanes))
@@ -277,11 +290,17 @@ func (e *Engine) SendKind(dst *Engine, d time.Duration, kind Kind, a, b any) {
 		xmsg{at: e.now.Add(d), ord: e.ord, k: k, kind: kind, a: a, b: b})
 }
 
-// Emit defers one effect to the coordinator: h(at, a, b) runs at the next
-// barrier, after every effect of globally-earlier events and before every
-// effect of globally-later ones — the exact order a sequential run would
-// have produced. Only call from inside an executing event.
+// Emit hands one effect to the coordinator: h(at, a, b) runs after every
+// effect of globally-earlier events and before every effect of
+// globally-later ones — the exact order a sequential run would have
+// produced. With several lanes that is the next barrier; a lone lane's own
+// order is the global order, so the effect applies at once. Only call from
+// inside an executing event of a Parallel's lane.
 func (e *Engine) Emit(kind EffectKind, at simtime.Time, a, b any) {
+	if len(e.par.lanes) == 1 {
+		e.par.effects[kind](at, a, b)
+		return
+	}
 	e.effs = append(e.effs, effectRec{ord: e.ord, kind: kind, at: at, a: a, b: b})
 }
 

@@ -181,3 +181,84 @@ func TestParallelSendBelowLookahead(t *testing.T) {
 	defer func() { recover() }() // the panic propagates out of the lane goroutine's window
 	pe.Run(tieLookahead)
 }
+
+// tieKey is the heap key one schedule call stamps on its event.
+type tieKey struct {
+	label uint64
+	at    simtime.Time
+	ord   uint64
+	k     uint32
+}
+
+// runTieKeys executes the plan on a single engine — bare, or the lane of a
+// one-lane Parallel — and returns the (at, ord, k) key of every schedule
+// call in call order. observe runs inside each event before its children are
+// scheduled.
+func runTieKeys(seed uint64, eng *Engine, register func(TypedHandler) Kind, run func(), observe func(nd *tieNode)) []tieKey {
+	var keys []tieKey
+	stamp := func(nd *tieNode, at simtime.Time) {
+		k := eng.k
+		if eng.extK != nil {
+			k = *eng.extK
+		}
+		keys = append(keys, tieKey{nd.label, at, eng.ord, k})
+	}
+	var kind Kind
+	kind = register(func(a, _ any) {
+		nd := a.(*tieNode)
+		observe(nd)
+		tieActions(seed, nd, func(child *tieNode, _ int, d time.Duration) {
+			stamp(child, eng.Now().Add(d))
+			eng.AfterKind(d, kind, child, nil)
+		})
+	})
+	tieRoots(seed, func(nd *tieNode, _ int, at simtime.Time) {
+		stamp(nd, at)
+		eng.AtKind(at, kind, nd, nil)
+	})
+	run()
+	return keys
+}
+
+// TestOneLaneIsTheSequentialEngine pins the lane-count selection: a one-lane
+// Parallel stamps every event with exactly the (at, ord, k) key a bare Engine
+// stamps, executes them in the same order, applies each effect inline — so
+// in that same order — and never enters the windowed protocol; and the
+// effect order equals what the windowed protocol produces at two lanes.
+func TestOneLaneIsTheSequentialEngine(t *testing.T) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		var bareLog []tieEntry
+		bare := New()
+		bareKeys := runTieKeys(seed, bare, bare.RegisterKind, func() { bare.Run() }, func(nd *tieNode) {
+			bareLog = append(bareLog, tieEntry{nd.label, bare.Now()})
+		})
+
+		var effLog []tieEntry
+		pe := NewParallel(1)
+		lane := pe.Lane(0)
+		logK := pe.RegisterEffect(func(at simtime.Time, a, _ any) {
+			effLog = append(effLog, tieEntry{a.(*tieNode).label, at})
+		})
+		laneKeys := runTieKeys(seed, lane, pe.RegisterKind, func() { pe.Run(tieLookahead) }, func(nd *tieNode) {
+			before := len(effLog)
+			lane.Emit(logK, lane.Now(), nd, nil)
+			if len(effLog) != before+1 {
+				t.Fatalf("seed %d: one-lane Emit deferred its effect", seed)
+			}
+		})
+
+		if !reflect.DeepEqual(laneKeys, bareKeys) {
+			t.Fatalf("seed %d: one-lane (at, ord, k) keys differ from the bare engine's", seed)
+		}
+		if !reflect.DeepEqual(effLog, bareLog) {
+			t.Fatalf("seed %d: one-lane effect order differs from the bare engine's execution order", seed)
+		}
+		if pe.gexec != 0 || len(lane.recs) != 0 || len(lane.effs) != 0 {
+			t.Fatalf("seed %d: one-lane run entered the windowed protocol (gexec=%d recs=%d effs=%d)",
+				seed, pe.gexec, len(lane.recs), len(lane.effs))
+		}
+		if windowed := runTieParallel(seed, 2); !reflect.DeepEqual(effLog, windowed) {
+			t.Fatalf("seed %d: one-lane effect order differs from the two-lane windowed protocol's", seed)
+		}
+	}
+}

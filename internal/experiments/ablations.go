@@ -9,7 +9,7 @@ import (
 	"github.com/netmeasure/rlir/internal/lda"
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simclock"
+	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
@@ -24,13 +24,13 @@ type EstimatorRow struct {
 // AblationEstimators (A2) compares interpolation variants on an identical
 // workload: RLI's linear interpolation against the left/right/nearest
 // single-endpoint estimators.
-func AblationEstimators(scale Scale, targetUtil float64) []EstimatorRow {
+func AblationEstimators(scale scenario.Scale, targetUtil float64) []EstimatorRow {
 	var out []EstimatorRow
 	for _, e := range []core.Estimator{core.Linear, core.LeftRef, core.RightRef, core.Nearest} {
-		r := RunTandem(TandemConfig{
+		r := scenario.RunTandem(scenario.TandemConfig{
 			Scale:      scale,
 			Scheme:     core.DefaultStatic(),
-			Model:      CrossUniform,
+			Model:      scenario.CrossUniform,
 			TargetUtil: targetUtil,
 			Estimator:  e,
 		})
@@ -65,21 +65,21 @@ type ClockRow struct {
 // AblationClocks (A3) sweeps receiver clock imperfections: RLI assumes
 // IEEE 1588/GPS sync; this quantifies how residual offset and drift bleed
 // into per-flow estimates.
-func AblationClocks(scale Scale, targetUtil float64) []ClockRow {
-	clocks := []simclock.Source{
-		simclock.Perfect{},
-		simclock.FixedOffset{Offset: time.Microsecond},
-		simclock.FixedOffset{Offset: 10 * time.Microsecond},
-		simclock.FixedOffset{Offset: 100 * time.Microsecond},
-		simclock.Drifting{DriftPPM: 10},
-		simclock.PTP{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond, Seed: 3},
+func AblationClocks(scale scenario.Scale, targetUtil float64) []ClockRow {
+	clocks := []simtime.Clock{
+		simtime.PerfectClock{},
+		simtime.FixedOffsetClock{Offset: time.Microsecond},
+		simtime.FixedOffsetClock{Offset: 10 * time.Microsecond},
+		simtime.FixedOffsetClock{Offset: 100 * time.Microsecond},
+		simtime.DriftingClock{DriftPPM: 10},
+		simtime.PTPClock{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond, Seed: 3},
 	}
 	var out []ClockRow
 	for _, c := range clocks {
-		r := RunTandem(TandemConfig{
+		r := scenario.RunTandem(scenario.TandemConfig{
 			Scale:         scale,
 			Scheme:        core.DefaultStatic(),
-			Model:         CrossUniform,
+			Model:         scenario.CrossUniform,
 			TargetUtil:    targetUtil,
 			ReceiverClock: c,
 		})
@@ -139,7 +139,7 @@ type BaselineResult struct {
 
 // RunBaselines (B1) co-locates all four mechanisms on one run through the
 // estimator layer's shared dispatch.
-func RunBaselines(scale Scale, targetUtil float64) BaselineResult {
+func RunBaselines(scale scenario.Scale, targetUtil float64) BaselineResult {
 	// Multiflow runs on NetFlow-realistic millisecond (sysUpTime) stamps —
 	// the principal reason the two-sample estimator is crude for
 	// microsecond data-center latencies ([12]); measure.DefaultQuantize
@@ -152,10 +152,10 @@ func RunBaselines(scale Scale, targetUtil float64) BaselineResult {
 	truth := measure.NewTruth()
 	shared := measure.NewDispatch(truth, ldaEst, mf, samp)
 
-	run := RunTandem(TandemConfig{
+	run := scenario.RunTandem(scenario.TandemConfig{
 		Scale:      scale,
 		Scheme:     core.DefaultStatic(),
-		Model:      CrossUniform,
+		Model:      scenario.CrossUniform,
 		TargetUtil: targetUtil,
 		OnSenderPoint: func(p *packet.Packet, now simtime.Time) {
 			if p.Kind == packet.Regular {

@@ -7,19 +7,20 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
+	"github.com/netmeasure/rlir/internal/scenario"
 )
 
 // testScale is small enough for CI but large enough for stable medians.
-func testScale() Scale {
-	s := SmallScale()
+func testScale() scenario.Scale {
+	s := scenario.SmallScale()
 	return s
 }
 
 func TestRunTandemBasics(t *testing.T) {
-	r := RunTandem(TandemConfig{
+	r := scenario.RunTandem(scenario.TandemConfig{
 		Scale:      testScale(),
 		Scheme:     core.DefaultStatic(),
-		Model:      CrossUniform,
+		Model:      scenario.CrossUniform,
 		TargetUtil: 0.67,
 	})
 	if r.Summary.Flows < 20 {
@@ -47,8 +48,8 @@ func TestTandemUtilizationCalibration(t *testing.T) {
 	// The injector must track different targets, including past the
 	// regular-only baseline.
 	for _, target := range []float64{0.34, 0.93} {
-		r := RunTandem(TandemConfig{
-			Scale: testScale(), Scheme: nil, Model: CrossUniform, TargetUtil: target,
+		r := scenario.RunTandem(scenario.TandemConfig{
+			Scale: testScale(), Scheme: nil, Model: scenario.CrossUniform, TargetUtil: target,
 		})
 		if math.Abs(r.AchievedUtil-target) > 0.12 {
 			t.Fatalf("target %.2f achieved %.2f", target, r.AchievedUtil)
@@ -57,7 +58,7 @@ func TestTandemUtilizationCalibration(t *testing.T) {
 }
 
 func TestTandemNoCrossMatchesBaseUtil(t *testing.T) {
-	r := RunTandem(TandemConfig{Scale: testScale(), Model: CrossNone})
+	r := scenario.RunTandem(scenario.TandemConfig{Scale: testScale(), Model: scenario.CrossNone})
 	if math.Abs(r.AchievedUtil-testScale().BaseUtil) > 0.08 {
 		t.Fatalf("base util %.2f, want ~%.2f", r.AchievedUtil, testScale().BaseUtil)
 	}
@@ -67,11 +68,11 @@ func TestTandemNoCrossMatchesBaseUtil(t *testing.T) {
 }
 
 func TestTandemDeterministicAcrossRuns(t *testing.T) {
-	cfg := TandemConfig{
+	cfg := scenario.TandemConfig{
 		Scale: testScale(), Scheme: core.DefaultStatic(),
-		Model: CrossUniform, TargetUtil: 0.8,
+		Model: scenario.CrossUniform, TargetUtil: 0.8,
 	}
-	a, b := RunTandem(cfg), RunTandem(cfg)
+	a, b := scenario.RunTandem(cfg), scenario.RunTandem(cfg)
 	if a.Summary.MedianRelErr != b.Summary.MedianRelErr ||
 		a.Receiver.Estimated != b.Receiver.Estimated ||
 		a.RegularDropped != b.RegularDropped {
@@ -82,13 +83,13 @@ func TestTandemDeterministicAcrossRuns(t *testing.T) {
 func TestAdaptiveLivePinsAtMinGap(t *testing.T) {
 	// The paper's observation: the sender's own link sits at ~22%, so the
 	// live adaptive scheme injects at its maximum rate — ~10x static's.
-	adaptive := RunTandem(TandemConfig{
+	adaptive := scenario.RunTandem(scenario.TandemConfig{
 		Scale: testScale(), Scheme: core.DefaultAdaptive(), AdaptiveLive: true,
-		Model: CrossUniform, TargetUtil: 0.67,
+		Model: scenario.CrossUniform, TargetUtil: 0.67,
 	})
-	static := RunTandem(TandemConfig{
+	static := scenario.RunTandem(scenario.TandemConfig{
 		Scale: testScale(), Scheme: core.DefaultStatic(),
-		Model: CrossUniform, TargetUtil: 0.67,
+		Model: scenario.CrossUniform, TargetUtil: 0.67,
 	})
 	ratio := float64(adaptive.Sender.Injected) / float64(static.Sender.Injected)
 	if ratio < 7 || ratio > 13 {
@@ -231,7 +232,7 @@ func TestScalars(t *testing.T) {
 }
 
 func TestCrossModelString(t *testing.T) {
-	for _, m := range []CrossModel{CrossUniform, CrossBursty, CrossNone, CrossModel(9)} {
+	for _, m := range []scenario.CrossModel{scenario.CrossUniform, scenario.CrossBursty, scenario.CrossNone, scenario.CrossModel("fractal")} {
 		if m.String() == "" {
 			t.Fatal("empty model name")
 		}
@@ -239,12 +240,12 @@ func TestCrossModelString(t *testing.T) {
 }
 
 func TestScalesSane(t *testing.T) {
-	for _, s := range []Scale{SmallScale(), DefaultScale(), FullScale()} {
+	for _, s := range []scenario.Scale{scenario.SmallScale(), scenario.DefaultScale(), scenario.FullScale()} {
 		if s.LinkBps <= 0 || s.Duration <= 0 || s.BaseUtil <= 0 || s.CrossOfferedUtil <= s.BaseUtil {
 			t.Fatalf("scale %+v invalid", s)
 		}
 	}
-	if FullScale().LinkBps != 10e9 || FullScale().Duration != 60*time.Second {
+	if scenario.FullScale().LinkBps != 10e9 || scenario.FullScale().Duration != 60*time.Second {
 		t.Fatal("full scale should match the paper's OC-192 minute")
 	}
 }

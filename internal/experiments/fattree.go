@@ -1,3 +1,9 @@
+// Package experiments reproduces every table and figure of the paper's
+// evaluation (§4) plus the ablations listed in DESIGN.md. Each experiment
+// describes its workload, runs it on the scenario engine (internal/scenario:
+// the Figure-3 tandem harness and the fat-tree runner), and returns the
+// series the paper plots; the cmd/experiments binary and the repository's
+// benchmarks print them.
 package experiments
 
 import (
@@ -6,11 +12,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
-	"github.com/netmeasure/rlir/internal/eventsim"
-	"github.com/netmeasure/rlir/internal/netsim"
-	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/topo"
-	"github.com/netmeasure/rlir/internal/trace"
+	"github.com/netmeasure/rlir/internal/scenario"
 )
 
 // DemuxStrategy names the downstream demultiplexing options of §3.1.
@@ -29,19 +31,32 @@ const (
 	DemuxOracle
 )
 
+// demuxStrategies gives each strategy its rendered name (the -demux flag
+// and A1 table vocabulary) and its scenario-spec value.
+var demuxStrategies = [...]struct{ name, spec string }{
+	DemuxNone:        {"none", scenario.DemuxNone},
+	DemuxMark:        {"marking", scenario.DemuxMark},
+	DemuxReverseECMP: {"reverse-ecmp", scenario.DemuxReverseECMP},
+	DemuxOracle:      {"oracle", scenario.DemuxOracle},
+}
+
 func (d DemuxStrategy) String() string {
-	switch d {
-	case DemuxNone:
-		return "none"
-	case DemuxMark:
-		return "marking"
-	case DemuxReverseECMP:
-		return "reverse-ecmp"
-	case DemuxOracle:
-		return "oracle"
-	default:
-		return fmt.Sprintf("strategy(%d)", uint8(d))
+	if int(d) < len(demuxStrategies) {
+		return demuxStrategies[d].name
 	}
+	return fmt.Sprintf("strategy(%d)", uint8(d))
+}
+
+// ParseDemuxStrategy is String's inverse; the error lists the valid names.
+func ParseDemuxStrategy(s string) (DemuxStrategy, error) {
+	names := make([]string, len(demuxStrategies))
+	for d, st := range demuxStrategies {
+		if st.name == s {
+			return DemuxStrategy(d), nil
+		}
+		names[d] = st.name
+	}
+	return 0, fmt.Errorf("unknown demux strategy %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // FatTreeConfig is one RLIR deployment run on a k-ary fat-tree: traffic
@@ -90,7 +105,6 @@ type FatTreeResult struct {
 	// Downstream is the per-flow accuracy at the destination ToR (the
 	// segment core->ToR measured with the strategy under test).
 	Downstream core.Summary
-	Results    []core.FlowResult
 	// Misattribution is the fraction of classified packets whose stream
 	// assignment disagrees with ground truth.
 	Misattribution float64
@@ -100,237 +114,57 @@ type FatTreeResult struct {
 	Injected int
 }
 
-// countingDemux wraps a strategy with a ground-truth comparison.
-type countingDemux struct {
-	inner  core.Demux
-	oracle core.Demux
-	agree  uint64
-	total  uint64
-}
-
-func (c *countingDemux) Classify(p *packet.Packet) (core.SenderID, bool) {
-	id, ok := c.inner.Classify(p)
-	if ok {
-		if truth, tok := c.oracle.Classify(p); tok {
-			c.total++
-			if truth == id {
-				c.agree++
-			}
-		}
+// spec maps the config onto the scenario engine's vocabulary: the converging
+// pattern onto one monitored ToR, with RLI as the only estimator.
+func (cfg FatTreeConfig) spec() scenario.Spec {
+	s := scenario.DefaultSpec()
+	s.Name = "fattree-" + cfg.Strategy.String()
+	s.Topology.K = cfg.K
+	s.Topology.LinkBps = cfg.LinkBps
+	s.Topology.QueueBytes = cfg.QueueBytes
+	s.Topology.CoreSkew = cfg.CoreSkew
+	s.Workload = scenario.WorkloadSpec{
+		Pattern:  scenario.PatternConverging,
+		LoadFrac: cfg.LoadFrac,
+		DestPod:  cfg.DestPod,
+		DestToR:  cfg.DestToR,
 	}
-	return id, ok
-}
-
-func (c *countingDemux) Name() string { return "counting(" + c.inner.Name() + ")" }
-
-func (c *countingDemux) misattribution() float64 {
-	if c.total == 0 {
-		return 0
+	s.Deploy = scenario.DeploymentSpec{Estimators: []string{"rli"}}
+	if int(cfg.Strategy) < len(demuxStrategies) {
+		s.Deploy.Demux = demuxStrategies[cfg.Strategy].spec
+	} else {
+		s.Deploy.Demux = cfg.Strategy.String() // rejected by Validate, by name
 	}
-	return 1 - float64(c.agree)/float64(c.total)
-}
-
-// upstreamSenderID identifies the sender at ToR(p,e) uplink j.
-func upstreamSenderID(h, p, e, j int) core.SenderID {
-	return core.SenderID(1000 + ((p*h+e)*h + j))
-}
-
-// downstreamSenderID identifies the sender at core (j,i).
-func downstreamSenderID(h, j, i int) core.SenderID {
-	return core.SenderID(2000 + j*h + i)
-}
-
-// RunFatTree executes one fat-tree RLIR deployment.
-func RunFatTree(cfg FatTreeConfig) FatTreeResult {
-	if cfg.Scheme == nil {
-		cfg.Scheme = core.Static{N: 50}
-	}
-	eng := eventsim.New()
-	nw := netsim.New(eng)
-	tcfg := topo.DefaultConfig()
-	tcfg.K = cfg.K
-	tcfg.LinkBps = cfg.LinkBps
-	tcfg.QueueBytes = cfg.QueueBytes
-	tcfg.MarkAtCores = cfg.Strategy == DemuxMark
-	ft, err := topo.Build(tcfg, nw)
-	if err != nil {
-		panic(err)
-	}
-	// Ground truth path tracing: needed by the oracle and the
-	// misattribution audit.
-	nw.SetTracePaths(true)
-
-	h := ft.Half()
-	q, e0 := cfg.DestPod, cfg.DestToR
-
-	// Physical path differentiation (see CoreSkew).
-	if cfg.CoreSkew > 0 {
-		for j := 0; j < h; j++ {
-			for i := 0; i < h; i++ {
-				port := ft.CoreDownPort(j, i, q)
-				port.SetPropagation(port.Propagation() + time.Duration(j*h+i)*cfg.CoreSkew)
-			}
-		}
-	}
-
-	// --- Upstream instruments: senders at every source ToR uplink,
-	// receivers at every core (prefix demux, the paper's upstream case).
-	for p := 0; p < cfg.K; p++ {
-		if p == q {
-			continue
-		}
-		for e := 0; e < h; e++ {
-			for j := 0; j < h; j++ {
-				dsts := make([]packet.Addr, h)
-				for i := 0; i < h; i++ {
-					dsts[i] = ft.CoreAddr(j, i)
-				}
-				_, err := core.AttachSender(ft.ToRUplink(p, e, j), core.SenderConfig{
-					ID:        upstreamSenderID(h, p, e, j),
-					Addr:      ft.ToRAddr(p, e),
-					Receivers: dsts,
-					Scheme:    cfg.Scheme,
-				})
-				if err != nil {
-					panic(err)
-				}
-			}
-		}
-	}
-	var coreReceivers []*core.Receiver
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			j, i := j, i
-			pd := core.NewPrefixDemux()
-			for p := 0; p < cfg.K; p++ {
-				if p == q {
-					continue
-				}
-				for e := 0; e < h; e++ {
-					// Packets reaching core (j,i) from ToR (p,e) crossed
-					// that ToR's uplink j by construction of core groups.
-					pd.Add(ft.ToRSubnet(p, e), upstreamSenderID(h, p, e, j))
-				}
-			}
-			addr := ft.CoreAddr(j, i)
-			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
-				Demux:     pd,
-				Accept:    func(p *packet.Packet) bool { return p.Kind == packet.Regular },
-				AcceptRef: func(p *packet.Packet) bool { return p.Key.Dst == addr },
-			})
-			if err != nil {
-				panic(err)
-			}
-			coreReceivers = append(coreReceivers, rx)
-		}
-	}
-
-	// --- Downstream instruments: a sender at each core's port toward the
-	// destination pod; one receiver spanning the destination ToR's host
-	// ports, demultiplexing with the strategy under test.
-	refDst := ft.HostAddr(q, e0, 0)
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			_, err := core.AttachSender(ft.CoreDownPort(j, i, q), core.SenderConfig{
-				ID:        downstreamSenderID(h, j, i),
-				Addr:      ft.CoreAddr(j, i),
-				Receivers: []packet.Addr{refDst},
-				Scheme:    cfg.Scheme,
-			})
-			if err != nil {
-				panic(err)
-			}
-		}
-	}
-
-	oracle := core.NewOracleDemux()
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			oracle.Add(ft.Cores[j][i].ID(), downstreamSenderID(h, j, i))
-		}
-	}
-	var strategy core.Demux
-	switch cfg.Strategy {
-	case DemuxNone:
-		strategy = core.SingleDemux{ID: downstreamSenderID(h, 0, 0)}
-	case DemuxMark:
-		md := core.NewMarkDemux()
-		for j := 0; j < h; j++ {
-			for i := 0; i < h; i++ {
-				md.Add(ft.CoreMark(j, i), downstreamSenderID(h, j, i))
-			}
-		}
-		strategy = md
-	case DemuxReverseECMP:
-		strategy = core.FuncDemux{
-			Label: "reverse-ecmp",
-			F: func(p *packet.Packet) (core.SenderID, bool) {
-				j, i, err := ft.ResolveCore(p.Key)
-				if err != nil {
-					return 0, false
-				}
-				return downstreamSenderID(h, j, i), true
-			},
-		}
-	case DemuxOracle:
-		strategy = oracle
+	switch sch := cfg.Scheme.(type) {
+	case nil:
+		s.Deploy.Scheme = scenario.SchemeStatic
+	case core.Static:
+		s.Deploy.Scheme, s.Deploy.StaticN = scenario.SchemeStatic, sch.N
+	case core.Adaptive:
+		// Fat-tree senders run without a utilization meter, so only the gap
+		// bounds of an adaptive scheme are observable.
+		s.Deploy.Scheme, s.Deploy.MinGap, s.Deploy.MaxGap = scenario.SchemeAdaptive, sch.MinGap, sch.MaxGap
 	default:
-		panic(fmt.Sprintf("experiments: unknown strategy %v", cfg.Strategy))
+		panic(fmt.Sprintf("experiments: fat-tree runs take a static or adaptive scheme, not %s", sch.Name()))
 	}
-	counting := &countingDemux{inner: strategy, oracle: oracle}
+	s.Duration = cfg.Duration
+	s.Seed = cfg.Seed
+	return s
+}
 
-	downRx, err := core.NewReceiver(core.ReceiverConfig{
-		Demux:  counting,
-		Accept: func(p *packet.Packet) bool { return p.Kind == packet.Regular },
-	})
+// RunFatTree executes one fat-tree RLIR deployment on the scenario engine.
+func RunFatTree(cfg FatTreeConfig) FatTreeResult {
+	r, err := scenario.Run(cfg.spec())
 	if err != nil {
 		panic(err)
 	}
-	for hh := 0; hh < h; hh++ {
-		ft.ToRHostPort(q, e0, hh).OnTxStart(downRx.Observe)
+	return FatTreeResult{
+		Config:         cfg,
+		Downstream:     r.Overall,
+		Misattribution: r.Misattribution,
+		Upstream:       r.Upstream,
+		Injected:       r.Injected,
 	}
-
-	// --- Workload: flows from every other pod's hosts to the destination
-	// ToR's hosts, remapped from the synthetic generator onto valid hosts.
-	gcfg := trace.DefaultConfig()
-	gcfg.Seed = cfg.Seed
-	gcfg.Duration = cfg.Duration
-	gcfg.TargetBps = cfg.LoadFrac * float64(h) * cfg.LinkBps
-	capFlowLen(&gcfg)
-	gen := trace.NewGenerator(gcfg)
-	injected := 0
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		hash := rec.Key.FastHash()
-		p := int(hash % uint64(cfg.K-1))
-		if p >= q {
-			p++ // skip the destination pod
-		}
-		se := int(hash >> 8 % uint64(h))
-		sh := int(hash >> 16 % uint64(h))
-		dh := int(hash >> 24 % uint64(h))
-		key := rec.Key
-		key.Src = ft.HostAddr(p, se, sh)
-		key.Dst = ft.HostAddr(q, e0, dh)
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[p][se][sh], pk, rec.At)
-		injected++
-	}
-	eng.Run()
-
-	res := FatTreeResult{Config: cfg, Injected: injected}
-	res.Results = downRx.Results(1)
-	res.Downstream = core.Summarize(res.Results)
-	res.Misattribution = counting.misattribution()
-	var upResults []core.FlowResult
-	for _, rx := range coreReceivers {
-		upResults = append(upResults, rx.Results(1)...)
-	}
-	res.Upstream = core.Summarize(upResults)
-	return res
 }
 
 // AblationDemux runs every strategy on the identical workload (A1 in

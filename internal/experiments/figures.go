@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
+	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
@@ -46,20 +47,20 @@ func (f Figure) Render() string {
 // fig4Run executes the four runs shared by Figures 4(a) and 4(b): adaptive
 // and static schemes at two bottleneck utilizations under the random cross
 // traffic model.
-func fig4Runs(scale Scale, utils [2]float64) []TandemResult {
-	var out []TandemResult
+func fig4Runs(scale scenario.Scale, utils [2]float64) []scenario.TandemResult {
+	var out []scenario.TandemResult
 	for _, u := range utils {
-		adaptive := RunTandem(TandemConfig{
+		adaptive := scenario.RunTandem(scenario.TandemConfig{
 			Scale:        scale,
 			Scheme:       core.DefaultAdaptive(),
 			AdaptiveLive: true,
-			Model:        CrossUniform,
+			Model:        scenario.CrossUniform,
 			TargetUtil:   u,
 		})
-		static := RunTandem(TandemConfig{
+		static := scenario.RunTandem(scenario.TandemConfig{
 			Scale:      scale,
 			Scheme:     core.DefaultStatic(),
-			Model:      CrossUniform,
+			Model:      scenario.CrossUniform,
 			TargetUtil: u,
 		})
 		out = append(out, adaptive, static)
@@ -67,7 +68,7 @@ func fig4Runs(scale Scale, utils [2]float64) []TandemResult {
 	return out
 }
 
-func seriesFrom(r TandemResult, cdf *stats.CDF) Series {
+func seriesFrom(r scenario.TandemResult, cdf *stats.CDF) Series {
 	return Series{
 		Label: r.Label(),
 		CDF:   cdf,
@@ -91,7 +92,7 @@ func safeMedian(c *stats.CDF) float64 {
 // Fig4a reproduces Figure 4(a): CDFs of the relative error of per-flow
 // MEAN latency estimates — adaptive vs static injection at ~67% and ~93%
 // bottleneck utilization under the random cross-traffic model.
-func Fig4a(scale Scale) Figure {
+func Fig4a(scale scenario.Scale) Figure {
 	runs := fig4Runs(scale, [2]float64{0.93, 0.67})
 	f := Figure{ID: "fig4a", Title: "Mean estimates, random cross traffic model"}
 	for _, r := range runs {
@@ -105,7 +106,7 @@ func Fig4a(scale Scale) Figure {
 
 // Fig4b reproduces Figure 4(b): the same four runs, CDFs of the relative
 // error of per-flow STANDARD DEVIATION estimates (flows with >= 2 packets).
-func Fig4b(scale Scale) Figure {
+func Fig4b(scale scenario.Scale) Figure {
 	runs := fig4Runs(scale, [2]float64{0.93, 0.67})
 	f := Figure{ID: "fig4b", Title: "Standard deviation estimates, random cross traffic model"}
 	for _, r := range runs {
@@ -121,19 +122,19 @@ func Fig4b(scale Scale) Figure {
 // cross-traffic model vs the random model, at ~34% and ~67% utilization
 // (static injection is held fixed so the models are the only variable; the
 // paper uses the same workload logic).
-func Fig4c(scale Scale) Figure {
+func Fig4c(scale scenario.Scale) Figure {
 	f := Figure{ID: "fig4c", Title: "Mean estimates: bursty vs random cross traffic"}
-	var runs []TandemResult
+	var runs []scenario.TandemResult
 	for _, cfg := range []struct {
-		model CrossModel
+		model scenario.CrossModel
 		util  float64
 	}{
-		{CrossBursty, 0.67},
-		{CrossBursty, 0.34},
-		{CrossUniform, 0.67},
-		{CrossUniform, 0.34},
+		{scenario.CrossBursty, 0.67},
+		{scenario.CrossBursty, 0.34},
+		{scenario.CrossUniform, 0.67},
+		{scenario.CrossUniform, 0.34},
 	} {
-		r := RunTandem(TandemConfig{
+		r := scenario.RunTandem(scenario.TandemConfig{
 			Scale:      scale,
 			Scheme:     core.DefaultStatic(),
 			Model:      cfg.model,
@@ -148,7 +149,7 @@ func Fig4c(scale Scale) Figure {
 	return f
 }
 
-func achieved(runs []TandemResult) string {
+func achieved(runs []scenario.TandemResult) string {
 	parts := make([]string, len(runs))
 	for i, r := range runs {
 		parts[i] = fmt.Sprintf("%.0f%%->%.0f%%", r.Config.TargetUtil*100, r.AchievedUtil*100)
@@ -177,21 +178,21 @@ type Fig5Result struct {
 // bottleneck utilizations, the increase in regular-traffic loss rate caused
 // by reference packets, adaptive vs static. Each point runs the identical
 // workload three times: uninstrumented, static, adaptive.
-func Fig5(scale Scale, utils []float64) Fig5Result {
+func Fig5(scale scenario.Scale, utils []float64) Fig5Result {
 	if len(utils) == 0 {
 		utils = []float64{0.82, 0.86, 0.90, 0.94, 0.98}
 	}
 	var out Fig5Result
 	for _, u := range utils {
-		base := RunTandem(TandemConfig{
-			Scale: scale, Scheme: nil, Model: CrossUniform, TargetUtil: u,
+		base := scenario.RunTandem(scenario.TandemConfig{
+			Scale: scale, Scheme: nil, Model: scenario.CrossUniform, TargetUtil: u,
 		})
-		static := RunTandem(TandemConfig{
-			Scale: scale, Scheme: core.DefaultStatic(), Model: CrossUniform, TargetUtil: u,
+		static := scenario.RunTandem(scenario.TandemConfig{
+			Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: u,
 		})
-		adaptive := RunTandem(TandemConfig{
+		adaptive := scenario.RunTandem(scenario.TandemConfig{
 			Scale: scale, Scheme: core.DefaultAdaptive(), AdaptiveLive: true,
-			Model: CrossUniform, TargetUtil: u,
+			Model: scenario.CrossUniform, TargetUtil: u,
 		})
 		out.Points = append(out.Points, Fig5Point{
 			TargetUtil:   u,
@@ -230,11 +231,11 @@ type Scalars struct {
 }
 
 // RunScalars measures them.
-func RunScalars(scale Scale) Scalars {
-	base := RunTandem(TandemConfig{Scale: scale, Scheme: nil, Model: CrossNone})
-	r67 := RunTandem(TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: CrossUniform, TargetUtil: 0.67})
-	r93 := RunTandem(TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: CrossUniform, TargetUtil: 0.93})
-	b67 := RunTandem(TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: CrossBursty, TargetUtil: 0.67})
+func RunScalars(scale scenario.Scale) Scalars {
+	base := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: nil, Model: scenario.CrossNone})
+	r67 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: 0.67})
+	r93 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: 0.93})
+	b67 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossBursty, TargetUtil: 0.67})
 	return Scalars{
 		BaseUtil:         base.AchievedUtil,
 		AdaptiveGap:      core.DefaultAdaptive().Gap(base.AchievedUtil),

@@ -9,6 +9,7 @@ import (
 	"github.com/netmeasure/rlir/internal/eventsim"
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/topo"
 	"github.com/netmeasure/rlir/internal/trace"
 )
@@ -188,7 +189,7 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 			dsts[i] = ft.CoreAddr(j, i)
 		}
 		if _, err := core.AttachSender(ft.ToRUplink(sp, se, j), core.SenderConfig{
-			ID:        upstreamSenderID(h, sp, se, j),
+			ID:        scenario.UpstreamSenderID(h, sp, se, j),
 			Addr:      ft.ToRAddr(sp, se),
 			Receivers: dsts,
 			Scheme:    cfg.Scheme,
@@ -201,7 +202,7 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 		for i := 0; i < h; i++ {
 			addr := ft.CoreAddr(j, i)
 			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
-				Demux:     core.SingleDemux{ID: upstreamSenderID(h, sp, se, j)},
+				Demux:     core.SingleDemux{ID: scenario.UpstreamSenderID(h, sp, se, j)},
 				Accept:    func(p *packet.Packet) bool { return p.Kind == packet.Regular },
 				AcceptRef: func(p *packet.Packet) bool { return p.Key.Dst == addr },
 			})
@@ -221,14 +222,14 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 		for i := 0; i < h; i++ {
 			j, i := j, i
 			if _, err := core.AttachSender(ft.CoreDownPort(j, i, q), core.SenderConfig{
-				ID:        downstreamSenderID(h, j, i),
+				ID:        scenario.DownstreamSenderID(h, j, i),
 				Addr:      ft.CoreAddr(j, i),
 				Receivers: []packet.Addr{refDst},
 				Scheme:    cfg.Scheme,
 			}); err != nil {
 				panic(err)
 			}
-			sid := downstreamSenderID(h, j, i)
+			sid := scenario.DownstreamSenderID(h, j, i)
 			rx, err := core.NewReceiver(core.ReceiverConfig{
 				// Reverse-ECMP demux restricted to this stream: packets
 				// resolved to other cores are left to their own receivers.
@@ -262,7 +263,7 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 	gcfg.Seed = cfg.Seed
 	gcfg.Duration = cfg.Duration
 	gcfg.TargetBps = cfg.LoadFrac * float64(h) * cfg.LinkBps
-	capFlowLen(&gcfg)
+	gcfg.CapFlowLen()
 	gen := trace.NewGenerator(gcfg)
 	for {
 		rec, ok := gen.Next()

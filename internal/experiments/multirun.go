@@ -10,6 +10,7 @@ import (
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/runner"
+	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
@@ -21,84 +22,28 @@ import (
 // the collector plane, so sweeps also produce the fleet-level flow table an
 // operator would see.
 
-// MultiOpts sizes a multi-seed sweep.
-type MultiOpts struct {
-	// Seeds is the number of independent runs (default 8 — enough for a
-	// meaningful t-interval without exploding CI time).
-	Seeds int
-	// Workers caps parallel runs (default GOMAXPROCS).
-	Workers int
-}
-
-func (o MultiOpts) normalized() MultiOpts {
-	if o.Seeds <= 0 {
-		o.Seeds = 8
-	}
-	o.Workers = runner.Workers(o.Workers)
-	return o
-}
-
-// MetricCI is one metric's across-seed distribution: mean ± 95% CI
-// (Student-t) over N independent runs.
-type MetricCI struct {
-	Mean, CI95 float64
-	Min, Max   float64
-	N          int
-}
-
-// MetricOf folds independent per-seed samples into a mean ± 95% CI metric.
-// Exported so other sweep harnesses (internal/scenario) share one
-// implementation of the across-seed statistic.
-func MetricOf(samples []float64) MetricCI {
-	var w stats.Welford
-	m := MetricCI{}
-	for _, x := range samples {
-		if w.N() == 0 || x < m.Min {
-			m.Min = x
-		}
-		if w.N() == 0 || x > m.Max {
-			m.Max = x
-		}
-		w.Add(x)
-	}
-	m.Mean = w.Mean()
-	m.CI95 = w.CI95()
-	m.N = int(w.N())
-	return m
-}
-
-func (m MetricCI) String() string {
-	if m.N == 0 {
-		return "n/a"
-	}
-	if m.N == 1 {
-		return fmt.Sprintf("%.4f", m.Mean)
-	}
-	return fmt.Sprintf("%.4f ±%.4f", m.Mean, m.CI95)
-}
-
-// column folds column i of per-seed metric rows into a MetricCI.
-func column(rows [][]float64, i int) MetricCI {
+// column folds column i of per-seed metric rows into a stats.MetricCI.
+func column(rows [][]float64, i int) stats.MetricCI {
 	xs := make([]float64, 0, len(rows))
 	for _, r := range rows {
 		if i < len(r) {
 			xs = append(xs, r[i])
 		}
 	}
-	return MetricOf(xs)
+	return stats.MetricOf(xs)
 }
 
 // ---- Multi-seed tandem ----
 
 // MultiTandemResult aggregates one tandem configuration across seeds.
 type MultiTandemResult struct {
-	Config  TandemConfig
+	Config  scenario.TandemConfig
 	Seeds   []int64
 	PerSeed []core.Summary
 	// Across-seed distributions of the run's headline scalars.
-	MedianRelErr, P90RelErr, FracUnder10Pct MetricCI
-	AchievedUtil                            MetricCI
-	TrueMeanDelayUs                         MetricCI
+	MedianRelErr, P90RelErr, FracUnder10Pct stats.MetricCI
+	AchievedUtil                            stats.MetricCI
+	TrueMeanDelayUs                         stats.MetricCI
 	// Merged is the fleet-level per-flow aggregate: each run streams its
 	// estimates into a per-run collector plane; snapshots merge in seed
 	// order (deterministic for any worker count).
@@ -111,9 +56,8 @@ type MultiTandemResult struct {
 // a single-threaded hook — the way the hook is used everywhere else —
 // remains safe under parallel runs; calls may interleave across seeds in a
 // nondeterministic order.
-func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Scale.Seed, opts.Seeds)
+func MultiTandem(cfg scenario.TandemConfig, opts scenario.MultiOpts) MultiTandemResult {
+	seeds := opts.DeriveSeeds(cfg.Scale.Seed)
 	type runOut struct {
 		sum  core.Summary
 		util float64
@@ -136,7 +80,7 @@ func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
 		} else {
 			rc.OnEstimate = sink.Add
 		}
-		r := RunTandem(rc)
+		r := scenario.RunTandem(rc)
 		sink.Flush()
 		snap := c.Snapshot()
 		c.Close()
@@ -168,7 +112,7 @@ func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
 // MultiSeries is one figure curve summarized across seeds.
 type MultiSeries struct {
 	Label                       string
-	Median, P90, FracUnder10Pct MetricCI
+	Median, P90, FracUnder10Pct stats.MetricCI
 }
 
 // MultiFigure is a figure re-recorded as across-seed statistics: instead of
@@ -204,16 +148,15 @@ func (f MultiFigure) Render() string {
 // multiFigure fans a single-seed figure harness across seeds and folds each
 // series' quantiles. Series identity (label, order) is seed-invariant, so
 // series are matched by index.
-func multiFigure(fig func(Scale) Figure, scale Scale, opts MultiOpts) MultiFigure {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func multiFigure(fig func(scenario.Scale) Figure, scale scenario.Scale, opts scenario.MultiOpts) MultiFigure {
+	seeds := opts.DeriveSeeds(scale.Seed)
 	figs := runner.Map(seeds, opts.Workers, func(i int, seed int64) Figure {
 		sc := scale
 		sc.Seed = seed
 		return fig(sc)
 	})
 
-	out := MultiFigure{SeedCount: opts.Seeds}
+	out := MultiFigure{SeedCount: len(seeds)}
 	if len(figs) == 0 {
 		return out
 	}
@@ -232,30 +175,30 @@ func multiFigure(fig func(Scale) Figure, scale Scale, opts MultiOpts) MultiFigur
 		}
 		out.Series = append(out.Series, MultiSeries{
 			Label:          ref.Label,
-			Median:         MetricOf(med),
-			P90:            MetricOf(p90),
-			FracUnder10Pct: MetricOf(under),
+			Median:         stats.MetricOf(med),
+			P90:            stats.MetricOf(p90),
+			FracUnder10Pct: stats.MetricOf(under),
 		})
 	}
 	return out
 }
 
 // Fig4aMulti re-records Figure 4(a) as mean ± CI across seeds.
-func Fig4aMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4aMulti(scale scenario.Scale, opts scenario.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4a, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: higher utilization -> lower relative error; adaptive <= static")
 	return f
 }
 
 // Fig4bMulti re-records Figure 4(b) as mean ± CI across seeds.
-func Fig4bMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4bMulti(scale scenario.Scale, opts scenario.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4b, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: stddev estimates uniformly harder than means")
 	return f
 }
 
 // Fig4cMulti re-records Figure 4(c) as mean ± CI across seeds.
-func Fig4cMulti(scale Scale, opts MultiOpts) MultiFigure {
+func Fig4cMulti(scale scenario.Scale, opts scenario.MultiOpts) MultiFigure {
 	f := multiFigure(Fig4c, scale, opts)
 	f.Notes = append(f.Notes, "paper shape: bursty cross traffic cuts relative error at equal utilization")
 	return f
@@ -266,18 +209,17 @@ func Fig4cMulti(scale Scale, opts MultiOpts) MultiFigure {
 // ScalarsCI re-records the §4.2 quoted numbers across seeds.
 type ScalarsCI struct {
 	SeedCount        int
-	BaseUtil         MetricCI
-	AdaptiveGap      MetricCI
-	TrueMean67Random MetricCI // microseconds
-	TrueMean93Random MetricCI
-	TrueMean67Bursty MetricCI
-	Median93Static   MetricCI
+	BaseUtil         stats.MetricCI
+	AdaptiveGap      stats.MetricCI
+	TrueMean67Random stats.MetricCI // microseconds
+	TrueMean93Random stats.MetricCI
+	TrueMean67Bursty stats.MetricCI
+	Median93Static   stats.MetricCI
 }
 
 // MultiScalars measures the scalar table at every derived seed.
-func MultiScalars(scale Scale, opts MultiOpts) ScalarsCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiScalars(scale scenario.Scale, opts scenario.MultiOpts) ScalarsCI {
+	seeds := opts.DeriveSeeds(scale.Seed)
 	rows := runner.Map(seeds, opts.Workers, func(i int, seed int64) []float64 {
 		sc := scale
 		sc.Seed = seed
@@ -291,7 +233,7 @@ func MultiScalars(scale Scale, opts MultiOpts) ScalarsCI {
 		}
 	})
 	return ScalarsCI{
-		SeedCount:        opts.Seeds,
+		SeedCount:        len(seeds),
 		BaseUtil:         column(rows, 0),
 		AdaptiveGap:      column(rows, 1),
 		TrueMean67Random: column(rows, 2),
@@ -319,13 +261,12 @@ func (s ScalarsCI) Render() string {
 // EstimatorCI is one line of the multi-seed A2 table.
 type EstimatorCI struct {
 	Estimator   core.Estimator
-	Median, P90 MetricCI
+	Median, P90 stats.MetricCI
 }
 
 // MultiEstimators re-records ablation A2 across seeds.
-func MultiEstimators(scale Scale, targetUtil float64, opts MultiOpts) []EstimatorCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiEstimators(scale scenario.Scale, targetUtil float64, opts scenario.MultiOpts) []EstimatorCI {
+	seeds := opts.DeriveSeeds(scale.Seed)
 	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []EstimatorRow {
 		sc := scale
 		sc.Seed = seed
@@ -340,8 +281,8 @@ func MultiEstimators(scale Scale, targetUtil float64, opts MultiOpts) []Estimato
 		}
 		out = append(out, EstimatorCI{
 			Estimator: ref.Estimator,
-			Median:    MetricOf(med),
-			P90:       MetricOf(p90),
+			Median:    stats.MetricOf(med),
+			P90:       stats.MetricOf(p90),
 		})
 	}
 	return out
@@ -361,14 +302,13 @@ func RenderEstimatorsCI(rows []EstimatorCI, seedCount int) string {
 // ClockCI is one line of the multi-seed A3 table.
 type ClockCI struct {
 	Clock      string
-	Median     MetricCI
-	TrueMeanUs MetricCI
+	Median     stats.MetricCI
+	TrueMeanUs stats.MetricCI
 }
 
 // MultiClocks re-records ablation A3 across seeds.
-func MultiClocks(scale Scale, targetUtil float64, opts MultiOpts) []ClockCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiClocks(scale scenario.Scale, targetUtil float64, opts scenario.MultiOpts) []ClockCI {
+	seeds := opts.DeriveSeeds(scale.Seed)
 	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []ClockRow {
 		sc := scale
 		sc.Seed = seed
@@ -402,16 +342,15 @@ func RenderClocksCI(rows []ClockCI, seedCount int) string {
 // BaselineCI re-records B1 across seeds.
 type BaselineCI struct {
 	SeedCount       int
-	RLIRMedian      MetricCI
-	MultiflowMedian MetricCI
-	SampledMedian   MetricCI
-	LDAMeanErr      MetricCI
+	RLIRMedian      stats.MetricCI
+	MultiflowMedian stats.MetricCI
+	SampledMedian   stats.MetricCI
+	LDAMeanErr      stats.MetricCI
 }
 
 // MultiBaselines re-records ablation B1 across seeds.
-func MultiBaselines(scale Scale, targetUtil float64, opts MultiOpts) BaselineCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(scale.Seed, opts.Seeds)
+func MultiBaselines(scale scenario.Scale, targetUtil float64, opts scenario.MultiOpts) BaselineCI {
+	seeds := opts.DeriveSeeds(scale.Seed)
 	rows := runner.Map(seeds, opts.Workers, func(i int, seed int64) []float64 {
 		sc := scale
 		sc.Seed = seed
@@ -419,7 +358,7 @@ func MultiBaselines(scale Scale, targetUtil float64, opts MultiOpts) BaselineCI 
 		return []float64{r.RLIRMedian, r.MultiflowMedian, r.SampledMedian, r.LDAMeanErr}
 	})
 	return BaselineCI{
-		SeedCount:       opts.Seeds,
+		SeedCount:       len(seeds),
 		RLIRMedian:      column(rows, 0),
 		MultiflowMedian: column(rows, 1),
 		SampledMedian:   column(rows, 2),
@@ -442,14 +381,13 @@ func (r BaselineCI) Render() string {
 // DemuxCI is one line of the multi-seed A1 table.
 type DemuxCI struct {
 	Strategy         DemuxStrategy
-	Misattribution   MetricCI
-	DownstreamMedian MetricCI
+	Misattribution   stats.MetricCI
+	DownstreamMedian stats.MetricCI
 }
 
 // MultiDemux re-records ablation A1 across seeds.
-func MultiDemux(cfg FatTreeConfig, opts MultiOpts) []DemuxCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Seed, opts.Seeds)
+func MultiDemux(cfg FatTreeConfig, opts scenario.MultiOpts) []DemuxCI {
+	seeds := opts.DeriveSeeds(cfg.Seed)
 	per := runner.Map(seeds, opts.Workers, func(i int, seed int64) []FatTreeResult {
 		c := cfg
 		c.Seed = seed
@@ -489,13 +427,12 @@ type LocalizationCI struct {
 	SuccessRate float64
 	// FaultyInflation is the across-seed distribution of the mean
 	// faulty/baseline latency ratio over the truly faulty segments.
-	FaultyInflation MetricCI
+	FaultyInflation stats.MetricCI
 }
 
 // MultiLocalization re-records the L1 scenario across seeds.
-func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
-	opts = opts.normalized()
-	seeds := runner.Seeds(cfg.Seed, opts.Seeds)
+func MultiLocalization(cfg LocalizationConfig, opts scenario.MultiOpts) LocalizationCI {
+	seeds := opts.DeriveSeeds(cfg.Seed)
 	type out struct {
 		ok        bool
 		inflation float64
@@ -521,7 +458,7 @@ func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
 		}
 		return out{ok: r.Localized(), inflation: ratio}
 	})
-	res := LocalizationCI{SeedCount: opts.Seeds}
+	res := LocalizationCI{SeedCount: len(seeds)}
 	var inflations []float64
 	for _, o := range outs {
 		if o.ok {
@@ -529,7 +466,7 @@ func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
 		}
 		inflations = append(inflations, o.inflation)
 	}
-	res.FaultyInflation = MetricOf(inflations)
+	res.FaultyInflation = stats.MetricOf(inflations)
 	return res
 }
 

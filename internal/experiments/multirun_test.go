@@ -7,11 +7,13 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
+	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // tinyScale keeps multi-seed sweeps affordable in unit tests.
-func tinyScale() Scale {
-	sc := SmallScale()
+func tinyScale() scenario.Scale {
+	sc := scenario.SmallScale()
 	sc.Duration = 120 * time.Millisecond
 	return sc
 }
@@ -24,14 +26,14 @@ func TestMultiTandemWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation sweep; skipped in -short")
 	}
-	cfg := TandemConfig{
+	cfg := scenario.TandemConfig{
 		Scale:      tinyScale(),
 		Scheme:     core.DefaultStatic(),
-		Model:      CrossUniform,
+		Model:      scenario.CrossUniform,
 		TargetUtil: 0.9,
 	}
-	seq := MultiTandem(cfg, MultiOpts{Seeds: 3, Workers: 1})
-	par := MultiTandem(cfg, MultiOpts{Seeds: 3, Workers: 3})
+	seq := MultiTandem(cfg, scenario.MultiOpts{Seeds: 3, Workers: 1})
+	par := MultiTandem(cfg, scenario.MultiOpts{Seeds: 3, Workers: 3})
 
 	if !reflect.DeepEqual(seq.PerSeed, par.PerSeed) {
 		t.Fatal("per-seed summaries differ across worker counts")
@@ -49,13 +51,13 @@ func TestMultiTandemStatistics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-simulation sweep; skipped in -short")
 	}
-	cfg := TandemConfig{
+	cfg := scenario.TandemConfig{
 		Scale:      tinyScale(),
 		Scheme:     core.DefaultStatic(),
-		Model:      CrossUniform,
+		Model:      scenario.CrossUniform,
 		TargetUtil: 0.9,
 	}
-	r := MultiTandem(cfg, MultiOpts{Seeds: 3})
+	r := MultiTandem(cfg, scenario.MultiOpts{Seeds: 3})
 	if len(r.Seeds) != 3 || len(r.PerSeed) != 3 {
 		t.Fatalf("got %d seeds, %d summaries", len(r.Seeds), len(r.PerSeed))
 	}
@@ -91,11 +93,11 @@ func TestMultiTandemStatistics(t *testing.T) {
 }
 
 func TestMetricOf(t *testing.T) {
-	m := MetricOf([]float64{1, 2, 3})
+	m := stats.MetricOf([]float64{1, 2, 3})
 	if m.N != 3 || m.Mean != 2 || m.Min != 1 || m.Max != 3 {
 		t.Fatalf("metricOf: %+v", m)
 	}
-	if m.String() == "" || MetricOf(nil).String() != "n/a" {
-		t.Fatalf("String rendering broken: %q / %q", m.String(), MetricOf(nil).String())
+	if m.String() == "" || stats.MetricOf(nil).String() != "n/a" {
+		t.Fatalf("String rendering broken: %q / %q", m.String(), stats.MetricOf(nil).String())
 	}
 }

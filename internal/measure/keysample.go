@@ -81,15 +81,22 @@ func (c *pairCore) end(p *packet.Packet, now simtime.Time) {
 	w.Add(float64(now.Sub(start)))
 }
 
-// finalize builds the report.
+// finalize builds the report. Flows fold into the aggregate in key order: a
+// float merge in map-iteration order would differ by a rounding step between
+// two identical runs.
 func (c *pairCore) finalize(name string) Report {
 	rep := Report{Estimator: name, Overhead: c.overhead}
+	keys := make([]packet.FlowKey, 0, len(c.flows))
+	for key := range c.flows {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 	var agg stats.Welford
-	for key, w := range c.flows {
+	for _, key := range keys {
+		w := c.flows[key]
 		rep.Flows = append(rep.Flows, FlowEstimate{Key: key, Mean: time.Duration(w.Mean()), N: w.N()})
 		agg.Merge(w)
 	}
-	sort.Slice(rep.Flows, func(i, j int) bool { return rep.Flows[i].Key.Less(rep.Flows[j].Key) })
 	rep.AggMean = time.Duration(agg.Mean())
 	rep.AggSamples = agg.N()
 	rep.Routers = []RouterReport{{Router: "segment", Flows: len(rep.Flows), Estimates: agg.N()}}

@@ -1,6 +1,8 @@
 package measure
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -206,5 +208,51 @@ func BenchmarkHashSampleTap(b *testing.B) {
 	b.StopTimer()
 	if el := time.Since(start).Seconds(); el > 0 {
 		b.ReportMetric(float64(b.N)/el, "pkts/s")
+	}
+}
+
+// TestPairCoreFinalizeOrderIndependent fills one pairCore with the same
+// per-flow observations in several insertion orders and requires identical
+// reports. The delays are integers whose exact aggregate mean is itself an
+// integer, so a fold that rounds differently — by insertion order, or by
+// Go's randomized map iteration — lands on either side of the Duration
+// truncation and shows up as a 1 ns AggMean difference.
+func TestPairCoreFinalizeOrderIndependent(t *testing.T) {
+	const flows, perFlow = 600, 5
+	type obs struct {
+		key    packet.FlowKey
+		delays [perFlow]int64
+	}
+	rng := rand.New(rand.NewSource(7))
+	all := make([]obs, flows)
+	var sum int64
+	for i := range all {
+		all[i].key = packet.FlowKey{Src: packet.Addr(0x0a000000 + i), Dst: 0x0ac80001, SrcPort: uint16(i), DstPort: 80, Proto: 6}
+		for j := range all[i].delays {
+			all[i].delays[j] = 50_000 + rng.Int63n(900_000)
+			sum += all[i].delays[j]
+		}
+	}
+	all[flows-1].delays[perFlow-1] += flows*perFlow - sum%(flows*perFlow) // exact mean is now an integer
+
+	fill := func(order []int) Report {
+		c := newPairCore()
+		var id uint64
+		for _, i := range order {
+			for _, d := range all[i].delays {
+				id++
+				c.start(id, 0)
+				c.end(&packet.Packet{ID: id, Key: all[i].key}, simtime.Time(d))
+			}
+		}
+		return c.finalize("pair")
+	}
+	order := rng.Perm(flows)
+	want := fill(order)
+	for round := 0; round < 40; round++ {
+		rng.Shuffle(flows, func(a, b int) { order[a], order[b] = order[b], order[a] })
+		if got := fill(order); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: AggMean %v vs %v — the aggregate depends on fold order", round, got.AggMean, want.AggMean)
+		}
 	}
 }

@@ -1,12 +1,8 @@
 package measure
 
 import (
-	"sort"
-	"time"
-
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
-	"github.com/netmeasure/rlir/internal/stats"
 	"github.com/netmeasure/rlir/internal/trace"
 )
 
@@ -26,11 +22,9 @@ const sampleRecordBytes = 16
 // usually contributes no estimate at all, which is exactly the blind spot
 // the paper holds against sampled NetFlow (§5).
 type Sampled struct {
-	rate     uint64
-	seed     uint64
-	inflight map[uint64]simtime.Time
-	flows    map[packet.FlowKey]*stats.Welford
-	overhead Overhead
+	pairCore
+	rate uint64
+	seed uint64
 }
 
 // NewSampled builds the baseline at a 1-in-rate sampling rate (rate < 1
@@ -40,12 +34,7 @@ func NewSampled(rate int, seed int64) *Sampled {
 	if rate < 1 {
 		rate = DefaultSampleRate
 	}
-	return &Sampled{
-		rate:     uint64(rate),
-		seed:     uint64(seed),
-		inflight: make(map[uint64]simtime.Time),
-		flows:    make(map[packet.FlowKey]*stats.Welford),
-	}
+	return &Sampled{pairCore: newPairCore(), rate: uint64(rate), seed: uint64(seed)}
 }
 
 // Name implements Estimator.
@@ -60,46 +49,18 @@ func (s *Sampled) sampled(id uint64) bool {
 // TapStart implements StartTapper: sampled packets are timestamped on
 // entry.
 func (s *Sampled) TapStart(p *packet.Packet, now simtime.Time) {
-	if !s.sampled(p.ID) {
-		return
+	if s.sampled(p.ID) {
+		s.start(p.ID, now)
 	}
-	s.inflight[p.ID] = now
-	s.overhead.SampledRecords++
-	s.overhead.SampledBytes += sampleRecordBytes
 }
 
 // Tap implements Estimator: a sampled packet seen at both points yields one
 // delay sample for its flow.
 func (s *Sampled) Tap(p *packet.Packet, now simtime.Time) {
-	if !s.sampled(p.ID) {
-		return
+	if s.sampled(p.ID) {
+		s.end(p, now)
 	}
-	s.overhead.SampledRecords++
-	s.overhead.SampledBytes += sampleRecordBytes
-	start, ok := s.inflight[p.ID]
-	if !ok {
-		return // entry sample lost (e.g. tapped only downstream)
-	}
-	delete(s.inflight, p.ID)
-	w, ok := s.flows[p.Key]
-	if !ok {
-		w = &stats.Welford{}
-		s.flows[p.Key] = w
-	}
-	w.Add(float64(now.Sub(start)))
 }
 
 // Finalize implements Estimator.
-func (s *Sampled) Finalize() Report {
-	rep := Report{Estimator: s.Name(), Overhead: s.overhead}
-	var agg stats.Welford
-	for key, w := range s.flows {
-		rep.Flows = append(rep.Flows, FlowEstimate{Key: key, Mean: time.Duration(w.Mean()), N: w.N()})
-		agg.Merge(w)
-	}
-	sort.Slice(rep.Flows, func(i, j int) bool { return rep.Flows[i].Key.Less(rep.Flows[j].Key) })
-	rep.AggMean = time.Duration(agg.Mean())
-	rep.AggSamples = agg.N()
-	rep.Routers = []RouterReport{{Router: "segment", Flows: len(rep.Flows), Estimates: agg.N()}}
-	return rep
-}
+func (s *Sampled) Finalize() Report { return s.finalize(s.Name()) }

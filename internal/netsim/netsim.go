@@ -234,11 +234,14 @@ func (n *Node) Network() *Network { return n.net }
 func (n *Node) Engine() *eventsim.Engine { return n.eng }
 
 // NewPacketID returns a fresh packet ID unique across the network. On a
-// sequential network it is the network-wide dense counter (the golden
-// fixtures pin those values). On a partitioned network each node draws from
-// its own ID space — node index in the high bits, a per-node counter below —
-// because instruments on different lanes mint IDs concurrently. Consumers
-// never decode IDs; reference-packet demux keys on (sender, timestamp).
+// network built on a bare Engine (New) it is the network-wide dense counter
+// (the golden tandem fixtures pin those values). On a network built on a
+// Parallel — at any lane count, one included — each node draws from its own
+// ID space — node index in the high bits, a per-node counter below — because
+// instruments on different lanes mint IDs concurrently and the IDs must not
+// depend on how many lanes there are (the link emulator's keyed drop
+// decision reads them). Consumers never decode IDs; reference-packet demux
+// keys on (sender, timestamp).
 func (n *Node) NewPacketID() uint64 {
 	if n.net.par == nil {
 		return n.net.NewPacketID()

@@ -1,21 +1,15 @@
 package scenario
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/crossinject"
-	"github.com/netmeasure/rlir/internal/eventsim"
 	"github.com/netmeasure/rlir/internal/measure"
-	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/runner"
 	"github.com/netmeasure/rlir/internal/simtime"
-	"github.com/netmeasure/rlir/internal/stats"
-	"github.com/netmeasure/rlir/internal/topo"
 	"github.com/netmeasure/rlir/internal/trace"
 )
 
@@ -80,8 +74,8 @@ func (s Spec) scheme() core.InjectionScheme {
 
 // traceConfig builds the workload generator config for the given target
 // rate, applying the spec's flow-shape overrides and the stationary warm-up
-// with flow lengths capped relative to the window (the same calibration the
-// experiments harness uses, so short runs still deliver their offered load).
+// with flow lengths capped relative to the window (so short runs still
+// deliver their offered load).
 func (s Spec) traceConfig(seed int64, targetBps float64) trace.Config {
 	cfg := trace.DefaultConfig()
 	cfg.Seed = seed
@@ -96,14 +90,7 @@ func (s Spec) traceConfig(seed int64, targetBps float64) trace.Config {
 	if s.Workload.MeanGap > 0 {
 		cfg.MeanGap = s.Workload.MeanGap
 	}
-	limit := 2 * int(cfg.Duration/cfg.MeanGap)
-	if limit < 64 {
-		limit = 64
-	}
-	if cfg.FlowLen.Max > limit {
-		cfg.FlowLen.Max = limit
-	}
-	cfg.Warmup = cfg.StationaryWarmup()
+	cfg.CapFlowLen()
 	return cfg
 }
 
@@ -126,723 +113,64 @@ func (s Spec) dutyBoost() float64 {
 	return float64(s.Workload.BurstPeriod) / float64(s.Workload.BurstOn)
 }
 
-// upstreamSenderID identifies the sender at ToR(p,e) uplink j.
-func upstreamSenderID(h, p, e, j int) core.SenderID {
-	return core.SenderID(1000 + ((p*h+e)*h + j))
+// plane is the measurement plane both topologies feed: the sharded collector
+// the RLI estimates stream through, the baseline estimators on one shared
+// dispatch scored against one ground truth, and the optional export capture.
+// A run hands it three things — segment-start observations, segment-end
+// observations and RLI estimates, each in global event order — and finish
+// folds it into the Result.
+type plane struct {
+	cap       *capture // nil unless the export stream is wanted
+	coll      *collector.Collector
+	sink      *runner.Sink
+	baselines []measure.Estimator
+	truth     *measure.Truth
+	shared    *measure.Dispatch
 }
 
-// downstreamSenderID identifies the sender instances at core (j,i).
-func downstreamSenderID(h, j, i int) core.SenderID {
-	return core.SenderID(2000 + j*h + i)
-}
-
-// countingDemux audits a strategy against ground truth.
-type countingDemux struct {
-	inner  core.Demux
-	oracle core.Demux
-	agree  uint64
-	total  uint64
-}
-
-func (c *countingDemux) Classify(p *packet.Packet) (core.SenderID, bool) {
-	id, ok := c.inner.Classify(p)
-	if ok {
-		if truth, tok := c.oracle.Classify(p); tok {
-			c.total++
-			if truth == id {
-				c.agree++
-			}
-		}
-	}
-	return id, ok
-}
-
-func (c *countingDemux) Name() string { return "counting(" + c.inner.Name() + ")" }
-
-// misattribution aggregates the audit across per-receiver counting demuxes
-// (each monitored ToR gets its own instance so partitioned runs never share
-// counters across lanes; the sums are identical either way).
-func misattribution(cs []*countingDemux) float64 {
-	var agree, total uint64
-	for _, c := range cs {
-		agree += c.agree
-		total += c.total
-	}
-	if total == 0 {
-		return 0
-	}
-	return 1 - float64(agree)/float64(total)
-}
-
-// estSample carries one deferred OnEstimate observation from a lane to the
-// barrier's single-threaded apply.
-type estSample struct {
-	key        packet.FlowKey
-	est, truth time.Duration
-}
-
-// routerRx pairs a receiver with its identity and tail accumulators.
-type routerRx struct {
-	name    string
-	segment string
-	rx      *core.Receiver
-	rec     *routerRec
-	// tor is set for downstream receivers: the monitored (pod, tor).
-	tor  [2]int
-	down bool
-}
-
-// runFatTree composes and executes a fat-tree scenario.
-func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
-	var (
-		eng *eventsim.Engine
-		pe  *eventsim.Parallel
-		nw  *netsim.Network
-	)
-	if spec.parallel() {
-		pe = eventsim.NewParallel(spec.partitions())
-		nw = netsim.NewParallel(pe)
-	} else {
-		eng = eventsim.New()
-		nw = netsim.New(eng)
-	}
-	tc := topo.DefaultConfig()
-	tc.K = spec.Topology.K
-	tc.LinkBps = spec.Topology.LinkBps
-	tc.QueueBytes = spec.Topology.QueueBytes
-	if spec.Topology.Propagation > 0 {
-		tc.Propagation = spec.Topology.Propagation
-	}
-	if spec.Topology.ProcDelay > 0 {
-		tc.ProcDelay = spec.Topology.ProcDelay
-	}
-	tc.MarkAtCores = spec.Deploy.Demux == DemuxMark
-	ft, err := topo.Build(tc, nw)
+func newPlane(spec Spec, seed int64, cap *capture) (*plane, error) {
+	baselines, err := measure.NewSet(baselinesOf(spec.EffectiveEstimators()), measure.Config{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	if pe != nil {
-		// Place cores on lane 0 and pods on the remaining lanes before any
-		// instrument or event binds a node to its engine.
-		if err := ft.Partition(); err != nil {
-			return nil, err
-		}
-	}
-	nw.SetTracePaths(true) // oracle demux + misattribution audit
+	p := &plane{cap: cap, baselines: baselines, truth: measure.NewTruth()}
+	p.coll = collector.New(collector.Config{Shards: 4})
+	p.sink = runner.NewSink(p.coll, 0)
+	p.shared = measure.NewDispatch(p.truth, baselines...)
+	return p, nil
+}
 
-	k, h := spec.Topology.K, spec.half()
-	monitored := spec.monitoredToRs()
-	monPods := make([]int, 0, k)
-	seenPod := make(map[int]bool, k)
-	for _, m := range monitored {
-		if !seenPod[m[0]] {
-			seenPod[m[0]] = true
-			monPods = append(monPods, m[0])
-		}
-	}
-	allPairs := spec.Workload.Pattern == PatternAllPairs
+func (p *plane) tapStart(pk *packet.Packet, at simtime.Time) { p.shared.TapStart(pk, at) }
 
-	// Physical path differentiation toward every monitored pod.
-	if skew := spec.Topology.CoreSkew; skew > 0 {
-		for _, p := range monPods {
-			for j := 0; j < h; j++ {
-				for i := 0; i < h; i++ {
-					port := ft.CoreDownPort(j, i, p)
-					port.SetPropagation(port.Propagation() + time.Duration(j*h+i)*skew)
-				}
-			}
-		}
-	}
+func (p *plane) tapEnd(pk *packet.Packet, at simtime.Time) {
+	p.shared.TapEnd(pk, at)
+	p.cap.observe(pk, at)
+}
 
-	scheme := spec.scheme()
+func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
+	p.sink.Add(key, est, truth)
+	p.cap.addSample(key, est, truth)
+}
 
-	// --- Upstream instruments: senders at source-ToR uplinks, receivers at
-	// cores (prefix demux on source subnets).
-	sourcePods := make([]int, 0, k)
-	for p := 0; p < k; p++ {
-		if !allPairs && seenPod[p] {
-			continue // single-destination patterns: the monitored pod only receives
-		}
-		sourcePods = append(sourcePods, p)
-	}
-	for _, p := range sourcePods {
-		for e := 0; e < h; e++ {
-			for j := 0; j < h; j++ {
-				dsts := make([]packet.Addr, h)
-				for i := 0; i < h; i++ {
-					dsts[i] = ft.CoreAddr(j, i)
-				}
-				if _, err := core.AttachSender(ft.ToRUplink(p, e, j), core.SenderConfig{
-					ID:        upstreamSenderID(h, p, e, j),
-					Addr:      ft.ToRAddr(p, e),
-					Receivers: dsts,
-					Scheme:    scheme,
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	var routers []*routerRx
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			pd := core.NewPrefixDemux()
-			for _, p := range sourcePods {
-				for e := 0; e < h; e++ {
-					pd.Add(ft.ToRSubnet(p, e), upstreamSenderID(h, p, e, j))
-				}
-			}
-			addr := ft.CoreAddr(j, i)
-			rec := &routerRec{}
-			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
-				Demux:      pd,
-				Accept:     func(p *packet.Packet) bool { return p.Kind == packet.Regular },
-				AcceptRef:  func(p *packet.Packet) bool { return p.Key.Dst == addr },
-				OnEstimate: func(_ packet.FlowKey, est, truth time.Duration) { rec.record(est, truth) },
-			})
-			if err != nil {
-				return nil, err
-			}
-			routers = append(routers, &routerRx{
-				name:    ft.Cores[j][i].Name(),
-				segment: "tor-uplink->core",
-				rx:      rx,
-				rec:     rec,
-			})
-		}
-	}
-
-	// --- Downstream instruments: a sender at each core down-port toward a
-	// monitored pod (references fanned to one anchor host per monitored ToR
-	// of that pod), and one receiver per monitored ToR spanning its host
-	// ports, demultiplexing with the strategy under test.
-	for _, p := range monPods {
-		var refs []packet.Addr
-		for _, m := range monitored {
-			if m[0] == p {
-				refs = append(refs, ft.HostAddr(m[0], m[1], 0))
-			}
-		}
-		for j := 0; j < h; j++ {
-			for i := 0; i < h; i++ {
-				if _, err := core.AttachSender(ft.CoreDownPort(j, i, p), core.SenderConfig{
-					ID:        downstreamSenderID(h, j, i),
-					Addr:      ft.CoreAddr(j, i),
-					Receivers: refs,
-					Scheme:    scheme,
-				}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	oracle := core.NewOracleDemux()
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			oracle.Add(ft.Cores[j][i].ID(), downstreamSenderID(h, j, i))
-		}
-	}
-	var strategy core.Demux
-	switch spec.Deploy.Demux {
-	case DemuxNone:
-		strategy = core.SingleDemux{ID: downstreamSenderID(h, 0, 0)}
-	case DemuxMark:
-		md := core.NewMarkDemux()
-		for j := 0; j < h; j++ {
-			for i := 0; i < h; i++ {
-				md.Add(ft.CoreMark(j, i), downstreamSenderID(h, j, i))
-			}
-		}
-		strategy = md
-	case DemuxOracle:
-		strategy = oracle
-	default: // "", DemuxReverseECMP
-		strategy = core.FuncDemux{
-			Label: "reverse-ecmp",
-			F: func(p *packet.Packet) (core.SenderID, bool) {
-				j, i, err := ft.ResolveCore(p.Key)
-				if err != nil {
-					return 0, false
-				}
-				return downstreamSenderID(h, j, i), true
-			},
-		}
-	}
-	var countings []*countingDemux
-
-	// The collection plane: downstream estimates stream through the sharded
-	// collector (upstream receivers keep local tails only, so one flow's
-	// fleet aggregate is not a mix of two different segments).
-	coll := collector.New(collector.Config{Shards: 4})
-	sink := runner.NewSink(coll, 0)
-
-	// --- The unified estimator layer. Every mechanism the spec requests
-	// measures the same downstream (core -> monitored ToR) segment on this
-	// single pass: the RLI receivers below implement the measure API
-	// directly, and the baselines (LDA, sampling, Multiflow) hang off one
-	// shared dispatch fed from the segment-start (core down-ports) and
-	// segment-end (monitored ToR host ports) taps. Baselines are passive,
-	// so the RLI results are bit-identical whether or not they attach.
-	estNames := spec.EffectiveEstimators()
-	baselines, err := measure.NewSet(baselinesOf(estNames), measure.Config{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	truth := measure.NewTruth()
-	shared := measure.NewDispatch(truth, baselines...)
-	monSet := make(map[[2]int]bool, len(monitored))
-	for _, m := range monitored {
-		monSet[m] = true
-	}
-	upAccept := func(pk *packet.Packet) bool {
-		if pk.Kind != packet.Regular {
-			return false
-		}
-		dp, de, _, ok := ft.LocateHost(pk.Key.Dst)
-		if !ok || !monSet[[2]int{dp, de}] {
-			return false
-		}
-		sp, _, _, sok := ft.LocateHost(pk.Key.Src)
-		return sok && sp != dp
-	}
-
-	// Replicated workloads record each copy's edge arrival by packet ID.
-	// Both maps are filled at injection time (pre-run, single-threaded);
-	// arrival writes happen inline on sequential runs and only inside the
-	// single-threaded deferred-effect apply on parallel runs, and a write
-	// keyed by the packet's unique ID is order-independent either way.
-	var (
-		repArrivals map[uint64]simtime.Time
-		repWanted   map[uint64]bool
-	)
-
-	// Parallel runs feed the shared measurement plane (dispatch, collector
-	// sink, export capture) through deferred effects: lanes log observations
-	// during a window and the barrier applies them single-threaded in global
-	// event order — exactly the order the sequential engine runs these taps
-	// in. Receiver-local state (rec, rli, counting) stays synchronous on its
-	// lane. The packet fields the deferred consumers read (Key, Size, TOS,
-	// SegmentStart) are all stable between the tap instant and the barrier.
-	var effStart, effEnd, effEst eventsim.EffectKind
-	if pe != nil {
-		effStart = pe.RegisterEffect(func(at simtime.Time, a, _ any) {
-			shared.TapStart(a.(*packet.Packet), at)
-		})
-		effEnd = pe.RegisterEffect(func(at simtime.Time, a, _ any) {
-			pk := a.(*packet.Packet)
-			shared.TapEnd(pk, at)
-			cap.observe(pk, at)
-			if repWanted[pk.ID] {
-				repArrivals[pk.ID] = at
-			}
-		})
-		effEst = pe.RegisterEffect(func(_ simtime.Time, a, _ any) {
-			s := a.(*estSample)
-			sink.Add(s.key, s.est, s.truth)
-			cap.addSample(s.key, s.est, s.truth)
-		})
-	}
-
-	for _, p := range monPods {
-		for j := 0; j < h; j++ {
-			for i := 0; i < h; i++ {
-				port := ft.CoreDownPort(j, i, p)
-				if pe != nil {
-					le := port.Node().Engine()
-					port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-						if upAccept(pk) {
-							le.Emit(effStart, now, pk, nil)
-						}
-					})
-				} else {
-					port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-						if upAccept(pk) {
-							shared.TapStart(pk, now)
-						}
-					})
-				}
-			}
-		}
-	}
-
-	var rlis []*measure.RLI
-	for _, m := range monitored {
-		p, e := m[0], m[1]
-		rec := &routerRec{}
-		counting := &countingDemux{inner: strategy, oracle: oracle}
-		countings = append(countings, counting)
-		accept := func(pk *packet.Packet) bool {
-			// Inter-pod regular traffic only: packets from inside the pod
-			// never cross a core, so no reference stream measures them.
-			sp, _, _, ok := ft.LocateHost(pk.Key.Src)
-			return pk.Kind == packet.Regular && ok && sp != p
-		}
-		onEstimate := func(key packet.FlowKey, est, truth time.Duration) {
-			rec.record(est, truth)
-			sink.Add(key, est, truth)
-			cap.addSample(key, est, truth)
-		}
-		endTap := func(pk *packet.Packet, now simtime.Time) {
-			if accept(pk) {
-				shared.TapEnd(pk, now)
-				cap.observe(pk, now)
-				if repWanted[pk.ID] {
-					repArrivals[pk.ID] = now
-				}
-			}
-		}
-		if pe != nil {
-			le := ft.ToRs[p][e].Engine()
-			onEstimate = func(key packet.FlowKey, est, truth time.Duration) {
-				rec.record(est, truth)
-				le.Emit(effEst, le.Now(), &estSample{key: key, est: est, truth: truth}, nil)
-			}
-			endTap = func(pk *packet.Packet, now simtime.Time) {
-				if accept(pk) {
-					le.Emit(effEnd, now, pk, nil)
-				}
-			}
-		}
-		rli, err := measure.NewRLI(ft.ToRs[p][e].Name(), core.ReceiverConfig{
-			Demux:      counting,
-			Accept:     accept,
-			OnEstimate: onEstimate,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rlis = append(rlis, rli)
-		for hh := 0; hh < h; hh++ {
-			port := ft.ToRHostPort(p, e, hh)
-			port.OnTxStart(rli.Tap)
-			port.OnTxStart(endTap)
-		}
-		routers = append(routers, &routerRx{
-			name:    ft.ToRs[p][e].Name(),
-			segment: "core->tor",
-			rx:      rli.Receiver(),
-			rec:     rec,
-			tor:     m,
-			down:    true,
-		})
-	}
-
-	// --- Faults: scheduled state changes on the running topology. Each
-	// fault runs on the engine of the node whose state it mutates, so a
-	// partitioned run never touches another lane's ports mid-window (on a
-	// sequential network every node's engine is the network's engine).
-	for _, f := range spec.sortedFaults() {
-		f := f
-		switch f.Kind {
-		case FaultLinkDegrade:
-			port := ft.CoreDownPort(f.CoreJ, f.CoreI, f.DownPod)
-			le := port.Node().Engine()
-			healthy := spec.Topology.LinkBps
-			le.At(simtime.FromDuration(f.Start), func() { port.SetRate(healthy * f.RateFactor) })
-			le.At(simtime.FromDuration(f.End), func() { port.SetRate(healthy) })
-		case FaultHopDelay:
-			node := ft.Aggs[f.AggPod][f.AggIdx]
-			le := node.Engine()
-			base := node.ProcDelay()
-			le.At(simtime.FromDuration(f.Start), func() { node.SetProcDelay(base + f.Extra) })
-			le.At(simtime.FromDuration(f.End), func() { node.SetProcDelay(base) })
-		}
-	}
-
-	// --- Adversary: a compromised aggregation switch selectively delaying
-	// the packets it predicts will go unmeasured. The hook is a pure
-	// function of (packet, instant) — the window test reads the tap-time
-	// clock instead of scheduling state changes — so partitioned runs stay
-	// bit-identical to sequential ones.
-	if a := spec.Adversary; a != nil {
-		node := ft.Aggs[a.AggPod][a.AggIdx]
-		start, end := simtime.FromDuration(a.Start), simtime.FromDuration(a.End)
-		extra, rate := a.Extra, a.PredictRate
-		node.SetSelectiveDelay(func(pk *packet.Packet, now simtime.Time) time.Duration {
-			if now.Before(start) || !now.Before(end) {
-				return 0
-			}
-			if pk.Kind != packet.Regular {
-				return 0 // RLI references are identifiable on the wire: fly clean
-			}
-			if measure.PredictPeriodic(pk.ID, rate) {
-				return 0 // spare the periodic sampler's predictable subset
-			}
-			return extra
-		})
-	}
-
-	// --- Link-trace replay: one core down-link's extra delay and loss
-	// driven by a recorded time series. The drop decision is a pure keyed
-	// hash of the packet ID, and the extra delay only ever adds to the
-	// configured propagation, so partitioned lookahead stays valid.
-	var emuPort *netsim.Port
-	var emuTrace *trace.LinkTrace
-	if l := spec.LinkTrace; l != nil {
-		lt, err := l.trace()
-		if err != nil {
-			return nil, err
-		}
-		emuTrace = lt
-		emuPort = ft.CoreDownPort(l.CoreJ, l.CoreI, l.DownPod)
-		emuSeed := trace.SplitMix64(uint64(seed) ^ linkTraceSeedSalt)
-		emuPort.SetEmulator(func(pk *packet.Packet, now simtime.Time) (time.Duration, bool) {
-			return lt.Emulate(pk.ID, emuSeed, now.Duration())
-		})
-	}
-
-	// --- Workload.
-	injected, repPairs := spec.injectWorkload(nw, ft, seed)
-	if spec.Workload.Replicate {
-		repArrivals = make(map[uint64]simtime.Time, 2*len(repPairs))
-		repWanted = make(map[uint64]bool, 2*len(repPairs))
-		for _, pr := range repPairs {
-			repWanted[pr.orig] = true
-			repWanted[pr.rep] = true
-		}
-	}
-	if pe != nil {
-		// The lookahead is the smallest cross-lane propagation delay — with
-		// the pod/core partition map, the core-link propagation (plus any
-		// skew). A single-lane run has no cross traffic; any window works.
-		la, ok := nw.MinCrossPropagation()
-		if !ok {
-			la = time.Millisecond
-		}
-		pe.Run(la)
-	} else {
-		eng.Run()
-	}
-
-	// --- Harvest.
-	res := &Result{Spec: spec, Seed: seed, Injected: injected}
-	var downResults []core.FlowResult
-	var estAll, trueAll stats.Histogram
-	type segKey struct {
-		j, i, p, e int
-	}
-	segFlows := map[segKey][]core.FlowResult{}
-	for _, r := range routers {
-		results := r.rx.Results(1)
-		rs := RouterStats{Router: r.name, Segment: r.segment, Summary: core.Summarize(results)}
-		r.rec.fill(&rs)
-		res.Routers = append(res.Routers, rs)
-		if !r.down {
-			continue
-		}
-		downResults = append(downResults, results...)
-		estAll.Merge(&r.rec.estH)
-		trueAll.Merge(&r.rec.trueH)
-		for _, fr := range results {
-			j, i, err := ft.ResolveCore(fr.Key)
-			if err != nil {
-				continue
-			}
-			sk := segKey{j, i, r.tor[0], r.tor[1]}
-			segFlows[sk] = append(segFlows[sk], fr)
-		}
-	}
-	sort.Slice(res.Routers, func(a, b int) bool { return res.Routers[a].Router < res.Routers[b].Router })
-	res.Overall = core.Summarize(downResults)
-	res.EstP50, res.EstP99 = estAll.Quantile(0.5), estAll.Quantile(0.99)
-	res.TrueP50, res.TrueP99 = trueAll.Quantile(0.5), trueAll.Quantile(0.99)
-	res.Misattribution = misattribution(countings)
-
-	// The estimator comparison table: one fleet-merged RLI report plus one
-	// report per baseline, all scored against the shared ground truth.
-	rliReps := make([]measure.Report, 0, len(rlis))
-	for _, r := range rlis {
-		rliReps = append(rliReps, r.Finalize())
-	}
-	reports := make([]measure.Report, 0, 1+len(baselines))
-	reports = append(reports, measure.MergeReports("rli", rliReps...))
-	for _, b := range baselines {
+// finish builds the estimator comparison table — the run's RLI report plus
+// one report per baseline, all scored against the shared ground truth — with
+// its telemetry-loss and fleet re-scorings, and drains the collector.
+func (p *plane) finish(res *Result, rli measure.Report) {
+	reports := append(make([]measure.Report, 0, 1+len(p.baselines)), rli)
+	for _, b := range p.baselines {
 		reports = append(reports, b.Finalize())
 	}
-	res.Comparison = measure.Compare(truth, reports...)
-	res.Comparison[0].Misattribution = misattribution(countings)
-	res.TrueAggMean = truth.AggMean()
-	if spec.Telemetry != nil {
-		res.Telemetry = applyTelemetry(*spec.Telemetry, seed, truth, res.Comparison, reports)
+	res.Comparison = measure.Compare(p.truth, reports...)
+	res.Comparison[0].Misattribution = res.Misattribution
+	res.TrueAggMean = p.truth.AggMean()
+	if t := res.Spec.Telemetry; t != nil {
+		res.Telemetry = applyTelemetry(*t, res.Seed, p.truth, res.Comparison, reports)
 	}
-
-	for sk, frs := range segFlows {
-		seg := SegmentStats{
-			Name:  fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e),
-			Flows: len(frs),
-		}
-		var estW, trueW float64
-		errs := make([]float64, 0, len(frs))
-		for _, fr := range frs {
-			seg.Estimates += fr.N
-			estW += float64(fr.EstMean) * float64(fr.N)
-			trueW += float64(fr.TrueMean) * float64(fr.N)
-			errs = append(errs, fr.RelErrMean)
-		}
-		if seg.Estimates > 0 {
-			seg.EstMean = time.Duration(estW / float64(seg.Estimates))
-			seg.TrueMean = time.Duration(trueW / float64(seg.Estimates))
-		}
-		seg.MedianRelErr = stats.NewCDF(errs).Median()
-		res.Segments = append(res.Segments, seg)
+	p.sink.Flush()
+	p.coll.Close()
+	res.Fleet = p.coll.Snapshot()
+	res.Samples = p.coll.SamplesIngested()
+	if f := res.Spec.Fleet; f != nil {
+		res.FleetReport = applyFleet(*f, p.cap, p.truth, res.Comparison, reports, res)
 	}
-	sort.Slice(res.Segments, func(a, b int) bool { return res.Segments[a].Name < res.Segments[b].Name })
-
-	// Hottest monitored access link.
-	for _, m := range monitored {
-		for hh := 0; hh < h; hh++ {
-			c := ft.ToRHostPort(m[0], m[1], hh).Counters()
-			u := simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(spec.Duration)) / spec.Topology.LinkBps
-			if u > res.HotLinkUtil {
-				res.HotLinkUtil = u
-			}
-		}
-	}
-
-	sink.Flush()
-	coll.Close()
-	res.Fleet = coll.Snapshot()
-	res.Samples = coll.SamplesIngested()
-	if spec.Fleet != nil {
-		res.FleetReport = applyFleet(*spec.Fleet, cap, truth, res.Comparison, reports, res)
-	}
-	if spec.LinkTrace != nil {
-		res.LinkTrace = buildLinkTraceReport(*spec.LinkTrace, emuTrace, emuPort.Counters().EmuDrops)
-	}
-	if spec.Workload.Replicate {
-		res.RepFlow = buildRepFlow(repPairs, repArrivals)
-	}
-	if spec.Adversary != nil {
-		// Detection needs a paired clean run: the same spec and seed minus
-		// the adversary, so every difference between the two results is the
-		// compromised switch's doing. Telemetry and fleet re-scoring do not
-		// move the comparison table, so the clean run skips them.
-		clean := spec
-		clean.Adversary = nil
-		clean.Telemetry = nil
-		clean.Fleet = nil
-		cleanRes, err := runFatTree(clean, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Detection = buildDetection(*spec.Adversary, res, cleanRes)
-	}
-	return res, nil
-}
-
-// injectWorkload generates the spec's traffic pattern and schedules it into
-// the network, returning the packet count and, for replicated workloads,
-// the injection-time pair log (nil otherwise). Injection happens pre-run on
-// the network-wide ID counter, so packet IDs and the pair log are identical
-// across engines and partition counts.
-func (spec Spec) injectWorkload(nw *netsim.Network, ft *topo.FatTree, seed int64) (int, []repPair) {
-	k, h := spec.Topology.K, spec.half()
-	q, e0 := spec.destPod(), spec.Workload.DestToR
-	lb := spec.Topology.LinkBps
-
-	var targetBps float64
-	switch spec.Workload.Pattern {
-	case PatternIncast:
-		targetBps = spec.Workload.LoadFrac * lb
-	case PatternAllPairs:
-		targetBps = spec.Workload.LoadFrac * lb * float64(h) * float64(k*h)
-	default: // converging, hotspot
-		targetBps = spec.Workload.LoadFrac * lb * float64(h)
-	}
-	gen := spec.burstGate(trace.NewGenerator(spec.traceConfig(seed, targetBps*spec.dutyBoost())), seed)
-
-	// Incast source host list: the first IncastFanIn hosts outside the
-	// destination pod, in (pod, tor, host) order.
-	var incastSrc []packet.Addr
-	if spec.Workload.Pattern == PatternIncast {
-		for p := 0; p < k && len(incastSrc) < spec.Workload.IncastFanIn; p++ {
-			if p == q {
-				continue
-			}
-			for e := 0; e < h && len(incastSrc) < spec.Workload.IncastFanIn; e++ {
-				for hh := 0; hh < h && len(incastSrc) < spec.Workload.IncastFanIn; hh++ {
-					incastSrc = append(incastSrc, ft.HostAddr(p, e, hh))
-				}
-			}
-		}
-	}
-	hotPod := (q + 1) % k // hotspot: every skewed flow sources under this pod's ToR 0
-
-	injected := 0
-	var pairs []repPair
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		hash := rec.Key.FastHash()
-		key := rec.Key
-		switch spec.Workload.Pattern {
-		case PatternAllPairs:
-			sp := int(hash % uint64(k))
-			se := int(hash >> 8 % uint64(h))
-			sh := int(hash >> 16 % uint64(h))
-			dp := int(hash >> 24 % uint64(k-1))
-			if dp >= sp {
-				dp++ // inter-pod only: same-pod pairs never cross a core
-			}
-			de := int(hash >> 32 % uint64(h))
-			dh := int(hash >> 40 % uint64(h))
-			key.Src = ft.HostAddr(sp, se, sh)
-			key.Dst = ft.HostAddr(dp, de, dh)
-		case PatternIncast:
-			key.Src = incastSrc[int(hash%uint64(len(incastSrc)))]
-			key.Dst = ft.HostAddr(q, e0, 0)
-		case PatternHotspot:
-			dh := int(hash >> 24 % uint64(h))
-			key.Dst = ft.HostAddr(q, e0, dh)
-			// A HotspotSkew fraction of flows source under the hot ToR.
-			if float64(hash>>40&0xFFFF)/65536.0 < spec.Workload.HotspotSkew {
-				key.Src = ft.HostAddr(hotPod, 0, int(hash>>16%uint64(h)))
-			} else {
-				sp := int(hash % uint64(k-1))
-				if sp >= q {
-					sp++
-				}
-				key.Src = ft.HostAddr(sp, int(hash>>8%uint64(h)), int(hash>>16%uint64(h)))
-			}
-		default: // converging
-			sp := int(hash % uint64(k-1))
-			if sp >= q {
-				sp++
-			}
-			se := int(hash >> 8 % uint64(h))
-			sh := int(hash >> 16 % uint64(h))
-			dh := int(hash >> 24 % uint64(h))
-			key.Src = ft.HostAddr(sp, se, sh)
-			key.Dst = ft.HostAddr(q, e0, dh)
-		}
-		sp, se, sh, ok := ft.LocateHost(key.Src)
-		if !ok {
-			panic(fmt.Sprintf("scenario: remapped source %v is not a fat-tree host", key.Src))
-		}
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
-		injected++
-		if spec.Workload.Replicate {
-			// RepFlow-style replica: the same payload under a source port
-			// differing in one bit, so ECMP usually hashes the copy onto a
-			// different core path. First arrival wins at harvest.
-			rkey := key
-			rkey.SrcPort ^= 1
-			rp := &packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
-			nw.Inject(ft.Hosts[sp][se][sh], rp, rec.At)
-			injected++
-			oj, oi, oerr := ft.ResolveCore(key)
-			rj, ri, rerr := ft.ResolveCore(rkey)
-			pairs = append(pairs, repPair{
-				orig:     pk.ID,
-				rep:      rp.ID,
-				at:       rec.At,
-				distinct: oerr == nil && rerr == nil && (oj != rj || oi != ri),
-			})
-		}
-	}
-	return injected, pairs
 }

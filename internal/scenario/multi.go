@@ -6,21 +6,28 @@ import (
 	"strings"
 
 	"github.com/netmeasure/rlir/internal/collector"
-	"github.com/netmeasure/rlir/internal/experiments"
 	"github.com/netmeasure/rlir/internal/runner"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
-// MultiOpts sizes a multi-seed scenario sweep.
+// MultiOpts sizes a multi-seed sweep — a scenario's (RunMulti) or a figure
+// harness's.
 type MultiOpts struct {
-	// Seeds is the number of independent runs (default 8).
+	// Seeds is the number of independent runs (default 8 — enough for a
+	// meaningful t-interval without exploding CI time).
 	Seeds int
 	// Workers caps parallel runs (<= 0 uses GOMAXPROCS).
 	Workers int
 }
 
-// Metric is one scalar's across-seed distribution: mean ± 95% CI
-// (Student-t) — the same statistic the figure harnesses report.
-type Metric = experiments.MetricCI
+// DeriveSeeds returns the sweep's per-run seeds, SplitMix64-derived from
+// base.
+func (o MultiOpts) DeriveSeeds(base int64) []int64 {
+	if o.Seeds <= 0 {
+		o.Seeds = 8
+	}
+	return runner.Seeds(base, o.Seeds)
+}
 
 // MultiResult aggregates one scenario across independent seeds.
 type MultiResult struct {
@@ -28,11 +35,11 @@ type MultiResult struct {
 	Seeds   []int64
 	PerSeed []*Result
 	// Across-seed distributions of the headline scalars.
-	MedianRelErr   Metric
-	P90RelErr      Metric
-	Misattribution Metric
-	HotLinkUtil    Metric
-	EstP99Us       Metric
+	MedianRelErr   stats.MetricCI
+	P90RelErr      stats.MetricCI
+	Misattribution stats.MetricCI
+	HotLinkUtil    stats.MetricCI
+	EstP99Us       stats.MetricCI
 	// Estimators aggregates the per-seed comparison tables: one row per
 	// requested mechanism, each metric as its across-seed distribution.
 	Estimators []EstimatorCI
@@ -52,16 +59,16 @@ type MultiResult struct {
 type EstimatorCI struct {
 	Name string
 	// Flows is the mean number of flows the mechanism estimated per seed.
-	Flows Metric
+	Flows stats.MetricCI
 	// MedianRelErr / P99RelErr / AggRelErr are the across-seed
 	// distributions of the per-seed error metrics; N = 0 ("n/a") for
 	// metrics the mechanism does not produce.
-	MedianRelErr Metric
-	P99RelErr    Metric
-	AggRelErr    Metric
+	MedianRelErr stats.MetricCI
+	P99RelErr    stats.MetricCI
+	AggRelErr    stats.MetricCI
 	// InjectedBytes / SampledBytes are the across-seed overhead means.
-	InjectedBytes Metric
-	SampledBytes  Metric
+	InjectedBytes stats.MetricCI
+	SampledBytes  stats.MetricCI
 }
 
 // TelemetryCI is one mechanism's across-seed telemetry-loss row: how its
@@ -70,18 +77,18 @@ type EstimatorCI struct {
 type TelemetryCI struct {
 	Name string
 	// FramesDropped is the across-seed mean of dropped export frames.
-	FramesDropped Metric
+	FramesDropped stats.MetricCI
 	// FlowCoverage is the fraction of lossless-scored flows surviving the
 	// loss.
-	FlowCoverage Metric
+	FlowCoverage stats.MetricCI
 	// BaselineMedianRelErr / DegradedMedianRelErr are the per-flow error
 	// distributions before and after loss; DeltaMedianRelErr is their
 	// per-seed difference (N = 0 for aggregate-only mechanisms).
-	BaselineMedianRelErr Metric
-	DegradedMedianRelErr Metric
-	DeltaMedianRelErr    Metric
+	BaselineMedianRelErr stats.MetricCI
+	DegradedMedianRelErr stats.MetricCI
+	DeltaMedianRelErr    stats.MetricCI
 	// DegradedAggRelErr scores the surviving aggregate estimate.
-	DegradedAggRelErr Metric
+	DegradedAggRelErr stats.MetricCI
 }
 
 // DetectionCI is one mechanism's across-seed adversarial-detection row:
@@ -92,7 +99,7 @@ type DetectionCI struct {
 	Name string
 	// Exposure is the across-seed distribution of the exposed fraction of
 	// the true aggregate shift.
-	Exposure Metric
+	Exposure stats.MetricCI
 	// DetectedFrac is the fraction of seeds on which the mechanism's
 	// exposure cleared DetectionThreshold.
 	DetectedFrac float64
@@ -120,7 +127,7 @@ func detectionCIs(perSeed []*Result) []DetectionCI {
 		}
 		rows[i] = DetectionCI{
 			Name:         first.Estimator,
-			Exposure:     experiments.MetricOf(exp),
+			Exposure:     stats.MetricOf(exp),
 			DetectedFrac: float64(detected) / float64(len(perSeed)),
 		}
 	}
@@ -150,8 +157,8 @@ func telemetryCIs(perSeed []*Result) []TelemetryCI {
 		}
 		rows[i] = TelemetryCI{
 			Name:                 first.Estimator,
-			FramesDropped:        experiments.MetricOf(dropped),
-			FlowCoverage:         experiments.MetricOf(cov),
+			FramesDropped:        stats.MetricOf(dropped),
+			FlowCoverage:         stats.MetricOf(cov),
 			BaselineMedianRelErr: metricOfFinite(base),
 			DegradedMedianRelErr: metricOfFinite(deg),
 			DeltaMedianRelErr:    metricOfFinite(delta),
@@ -161,17 +168,17 @@ func telemetryCIs(perSeed []*Result) []TelemetryCI {
 	return rows
 }
 
-// metricOfFinite folds the non-NaN samples into a Metric: a mechanism that
+// metricOfFinite folds the non-NaN samples into a stats.MetricCI: a mechanism that
 // never produces a metric (LDA per-flow error) yields N = 0, rendered
 // "n/a", rather than a NaN mean.
-func metricOfFinite(samples []float64) Metric {
+func metricOfFinite(samples []float64) stats.MetricCI {
 	finite := make([]float64, 0, len(samples))
 	for _, s := range samples {
 		if !math.IsNaN(s) {
 			finite = append(finite, s)
 		}
 	}
-	return experiments.MetricOf(finite)
+	return stats.MetricOf(finite)
 }
 
 // estimatorCIs folds the per-seed comparison tables into across-seed rows.
@@ -198,12 +205,12 @@ func estimatorCIs(perSeed []*Result) []EstimatorCI {
 		}
 		rows[i] = EstimatorCI{
 			Name:          c.Estimator,
-			Flows:         experiments.MetricOf(flows),
+			Flows:         stats.MetricOf(flows),
 			MedianRelErr:  metricOfFinite(med),
 			P99RelErr:     metricOfFinite(p99),
 			AggRelErr:     metricOfFinite(agg),
-			InjectedBytes: experiments.MetricOf(inj),
-			SampledBytes:  experiments.MetricOf(smp),
+			InjectedBytes: stats.MetricOf(inj),
+			SampledBytes:  stats.MetricOf(smp),
 		}
 	}
 	return rows
@@ -216,10 +223,7 @@ func RunMulti(spec Spec, opts MultiOpts) (*MultiResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Seeds <= 0 {
-		opts.Seeds = 8
-	}
-	seeds := runner.Seeds(spec.Seed, opts.Seeds)
+	seeds := opts.DeriveSeeds(spec.Seed)
 	type out struct {
 		res *Result
 		err error
@@ -243,11 +247,11 @@ func RunMulti(spec Spec, opts MultiOpts) (*MultiResult, error) {
 		p99us = append(p99us, float64(o.res.EstP99)/1e3)
 		snaps = append(snaps, o.res.Fleet)
 	}
-	mr.MedianRelErr = experiments.MetricOf(medians)
-	mr.P90RelErr = experiments.MetricOf(p90s)
-	mr.Misattribution = experiments.MetricOf(misattr)
-	mr.HotLinkUtil = experiments.MetricOf(hot)
-	mr.EstP99Us = experiments.MetricOf(p99us)
+	mr.MedianRelErr = stats.MetricOf(medians)
+	mr.P90RelErr = stats.MetricOf(p90s)
+	mr.Misattribution = stats.MetricOf(misattr)
+	mr.HotLinkUtil = stats.MetricOf(hot)
+	mr.EstP99Us = stats.MetricOf(p99us)
 	mr.Estimators = estimatorCIs(mr.PerSeed)
 	mr.Telemetry = telemetryCIs(mr.PerSeed)
 	mr.Detection = detectionCIs(mr.PerSeed)

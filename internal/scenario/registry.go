@@ -148,18 +148,22 @@ func requireCollector(r *Result) error {
 	return nil
 }
 
-func init() {
-	small := func() TopologySpec {
-		return TopologySpec{
-			Kind:        TopoFatTree,
-			K:           4,
-			LinkBps:     200e6,
-			Propagation: time.Microsecond,
-			ProcDelay:   500 * time.Nanosecond,
-			QueueBytes:  96 << 10,
-		}
+// small is the CI-sized k=4 fat-tree the registered scenarios run on.
+func small() TopologySpec {
+	return TopologySpec{
+		Kind:        TopoFatTree,
+		K:           4,
+		LinkBps:     200e6,
+		Propagation: time.Microsecond,
+		ProcDelay:   500 * time.Nanosecond,
+		QueueBytes:  96 << 10,
 	}
+}
 
+// The registrations, one init per family.
+
+// Tandem accuracy and export loss.
+func init() {
 	// baseline-tandem: the paper's own Figure-3 shape as a scenario — the
 	// regression anchor tying the engine back to §4's evaluation.
 	register(Scenario{
@@ -271,7 +275,10 @@ func init() {
 			return nil
 		},
 	})
+}
 
+// Distributed collection.
+func init() {
 	// fleet-partition: the baseline tandem stream collected by a fleet of
 	// four flow-partitioned instances instead of one node. The invariant is
 	// the distributed tier's whole correctness claim: merging the four
@@ -397,7 +404,10 @@ func init() {
 			return nil
 		},
 	})
+}
 
+// Fat-tree traffic shapes.
+func init() {
 	// fattree-allpairs: uniform inter-pod any-to-any — the "whole fabric
 	// instrumented" deployment with a receiver at every ToR.
 	register(Scenario{
@@ -520,6 +530,46 @@ func init() {
 		},
 	})
 
+	// hotspot: skewed senders concentrating load through one ToR's uplinks
+	// (the survey's "skewed ECMP / elephant concentration" pathology).
+	register(Scenario{
+		Name:      "hotspot",
+		Stresses:  "sender skew: half the flows originate under one hot ToR, concentrating upstream load",
+		Invariant: "the hot ToR's core-facing traffic dominates upstream estimates and accuracy stays bounded",
+		Spec: Spec{
+			Version:  SpecVersion,
+			Topology: small(),
+			Workload: WorkloadSpec{Pattern: PatternHotspot, LoadFrac: 0.55, HotspotSkew: 0.5, DestPod: -1},
+			Deploy:   DeploymentSpec{Scheme: SchemeStatic, StaticN: 50, Demux: DemuxReverseECMP},
+			Duration: 200 * time.Millisecond,
+			Seed:     1,
+		},
+		Check: func(r *Result) error {
+			if err := requireAccuracy(r, 50, 0.80); err != nil {
+				return err
+			}
+			if err := requireCollector(r); err != nil {
+				return err
+			}
+			if err := requireEstimators(r); err != nil {
+				return err
+			}
+			// The hot ToR is pod 0 (dest pod 3 => hot pod (3+1)%4 = 0), ToR 0.
+			// Its flows funnel through the cores; upstream core receivers
+			// must be seeing estimates from every core (the hot traffic is
+			// ECMP-spread, not collapsed onto one path).
+			for _, rs := range r.Routers {
+				if rs.Segment == "tor-uplink->core" && rs.Summary.Estimates == 0 {
+					return fmt.Errorf("core %s saw no upstream estimates; hot traffic is not spreading", rs.Router)
+				}
+			}
+			return nil
+		},
+	})
+}
+
+// Faults and path asymmetry.
+func init() {
 	// degraded-link: one core's down-link loses most of its rate mid-run.
 	// The per-segment view must localize the slowdown to that core's
 	// segment — the operational use the paper motivates (Figure 1's "which
@@ -626,7 +676,10 @@ func init() {
 			return nil
 		},
 	})
+}
 
+// Adversarial and trace-driven runs.
+func init() {
 	// adversarial-delay: a compromised aggregation switch hides extra
 	// latency from the packets it predicts will be measured (RLI references
 	// and the periodic sampler's subset). The detection report pairs the
@@ -802,43 +855,6 @@ func init() {
 			}
 			if r.Misattribution != 0 {
 				return fmt.Errorf("reverse-ECMP misattribution %.4f under replication, want exactly 0", r.Misattribution)
-			}
-			return nil
-		},
-	})
-
-	// hotspot: skewed senders concentrating load through one ToR's uplinks
-	// (the survey's "skewed ECMP / elephant concentration" pathology).
-	register(Scenario{
-		Name:      "hotspot",
-		Stresses:  "sender skew: half the flows originate under one hot ToR, concentrating upstream load",
-		Invariant: "the hot ToR's core-facing traffic dominates upstream estimates and accuracy stays bounded",
-		Spec: Spec{
-			Version:  SpecVersion,
-			Topology: small(),
-			Workload: WorkloadSpec{Pattern: PatternHotspot, LoadFrac: 0.55, HotspotSkew: 0.5, DestPod: -1},
-			Deploy:   DeploymentSpec{Scheme: SchemeStatic, StaticN: 50, Demux: DemuxReverseECMP},
-			Duration: 200 * time.Millisecond,
-			Seed:     1,
-		},
-		Check: func(r *Result) error {
-			if err := requireAccuracy(r, 50, 0.80); err != nil {
-				return err
-			}
-			if err := requireCollector(r); err != nil {
-				return err
-			}
-			if err := requireEstimators(r); err != nil {
-				return err
-			}
-			// The hot ToR is pod 0 (dest pod 3 => hot pod (3+1)%4 = 0), ToR 0.
-			// Its flows funnel through the cores; upstream core receivers
-			// must be seeing estimates from every core (the hot traffic is
-			// ECMP-spread, not collapsed onto one path).
-			for _, rs := range r.Routers {
-				if rs.Segment == "tor-uplink->core" && rs.Summary.Estimates == 0 {
-					return fmt.Errorf("core %s saw no upstream estimates; hot traffic is not spreading", rs.Router)
-				}
 			}
 			return nil
 		},

@@ -53,6 +53,9 @@ type Result struct {
 	Injected int
 	// Overall aggregates every monitored downstream flow.
 	Overall core.Summary
+	// Upstream aggregates every core-resident receiver's flows (the
+	// ToR-uplink -> core segments). Zero on tandem topologies.
+	Upstream core.Summary
 	// EstP50/EstP99/TrueP50/TrueP99 are the downstream per-packet delay
 	// tails across all monitored routers.
 	EstP50, EstP99   time.Duration

@@ -28,13 +28,13 @@ const (
 
 // Simulation engine kinds.
 const (
-	// EngineSequential runs the whole scenario on one event engine — the
-	// default, and the reference semantics.
+	// EngineSequential runs the whole scenario on one lane — a single event
+	// heap, no goroutines — the default, and the reference semantics.
 	EngineSequential = "sequential"
-	// EngineParallel partitions the fat-tree across a conservative parallel
+	// EngineParallel partitions the fat-tree across the lanes of the same
 	// engine (core switches on one lane, pods round-robin across the rest)
-	// with the core-link propagation delay as lookahead. Results are
-	// bit-identical to sequential at any partition count.
+	// under its conservative window protocol, with the core-link propagation
+	// delay as lookahead. Results are bit-identical at any lane count.
 	EngineParallel = "parallel"
 )
 
@@ -80,13 +80,6 @@ const (
 	DemuxMark        = "mark"
 	DemuxOracle      = "oracle"
 	DemuxNone        = "none"
-)
-
-// Cross-traffic models (tandem topology).
-const (
-	CrossUniform = "uniform"
-	CrossBursty  = "bursty"
-	CrossNone    = "none"
 )
 
 // TopologySpec describes the physical network.
@@ -143,8 +136,8 @@ type WorkloadSpec struct {
 	// CrossModel / CrossUtil drive the tandem topology's cross traffic:
 	// the model thins a 1.5x-offered cross trace to hit CrossUtil at the
 	// bottleneck. Ignored on fat-trees.
-	CrossModel string  `json:"cross_model,omitempty"`
-	CrossUtil  float64 `json:"cross_util,omitempty"`
+	CrossModel CrossModel `json:"cross_model,omitempty"`
+	CrossUtil  float64    `json:"cross_util,omitempty"`
 	// Replicate, when true, sends every flow twice (RepFlow-style): the
 	// original plus a replica under a source port differing in one bit, so
 	// ECMP usually spreads the pair across distinct core paths and the
@@ -385,12 +378,14 @@ func DecodeJSON(data []byte) (Spec, error) {
 // half returns K/2, the fat-tree's per-layer fan-out.
 func (s Spec) half() int { return s.Topology.K / 2 }
 
-// parallel reports whether the spec selects the parallel engine.
-func (s Spec) parallel() bool { return s.Engine == EngineParallel }
-
-// partitions resolves the effective lane count for the parallel engine.
-func (s Spec) partitions() int {
-	if s.Partitions == 0 {
+// lanes resolves the run's lane count: one for the sequential engine, and
+// for the parallel engine the partition count (0 = one lane per pod plus the
+// core lane).
+func (s Spec) lanes() int {
+	switch {
+	case s.Engine != EngineParallel:
+		return 1
+	case s.Partitions == 0:
 		return s.Topology.K + 1
 	}
 	return s.Partitions

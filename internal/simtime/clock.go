@@ -1,73 +1,72 @@
-// Package simclock models the measurement-instance clocks.
+// Measurement-instance clock models.
 //
 // RLI requires time synchronization between sender and receiver ("GPS-based
 // clock synchronization or IEEE 1588", paper §2). The paper's evaluation
-// assumes this holds perfectly; this package makes the assumption explicit
-// and falsifiable: instruments read their local clock through a Source, and
+// assumes this holds perfectly; this file makes the assumption explicit
+// and falsifiable: instruments read their local clock through a Clock, and
 // experiments can swap in imperfect clocks to measure how residual sync error
 // propagates into per-flow latency estimates (ablation A3 in DESIGN.md).
 //
-// All sources are pure functions of true simulation time, which keeps runs
+// All clocks are pure functions of true simulation time, which keeps runs
 // deterministic and replayable.
-package simclock
+
+package simtime
 
 import (
 	"fmt"
 	"time"
-
-	"github.com/netmeasure/rlir/internal/simtime"
 )
 
-// Source converts true simulation time into the instant shown by one
+// Clock converts true simulation time into the instant shown by one
 // instance's local clock.
-type Source interface {
+type Clock interface {
 	// Read returns the local clock reading at true instant now.
-	Read(now simtime.Time) simtime.Time
+	Read(now Time) Time
 	Name() string
 }
 
-// Perfect is an exactly synchronized clock, the paper's operating assumption.
-type Perfect struct{}
+// PerfectClock is an exactly synchronized clock, the paper's operating assumption.
+type PerfectClock struct{}
 
 // Read returns now unchanged.
-func (Perfect) Read(now simtime.Time) simtime.Time { return now }
+func (PerfectClock) Read(now Time) Time { return now }
 
-// Name implements Source.
-func (Perfect) Name() string { return "perfect" }
+// Name implements Clock.
+func (PerfectClock) Name() string { return "perfect" }
 
-// FixedOffset is a clock with a constant synchronization error, the residual
+// FixedOffsetClock is a clock with a constant synchronization error, the residual
 // a GPS-disciplined oscillator exhibits.
-type FixedOffset struct {
+type FixedOffsetClock struct {
 	Offset time.Duration
 }
 
 // Read returns now shifted by the fixed offset.
-func (c FixedOffset) Read(now simtime.Time) simtime.Time { return now.Add(c.Offset) }
+func (c FixedOffsetClock) Read(now Time) Time { return now.Add(c.Offset) }
 
-// Name implements Source.
-func (c FixedOffset) Name() string { return fmt.Sprintf("offset(%v)", c.Offset) }
+// Name implements Clock.
+func (c FixedOffsetClock) Name() string { return fmt.Sprintf("offset(%v)", c.Offset) }
 
-// Drifting is a free-running oscillator: offset grows linearly at DriftPPM
+// DriftingClock is a free-running oscillator: offset grows linearly at DriftPPM
 // parts per million starting from Offset at the epoch.
-type Drifting struct {
+type DriftingClock struct {
 	Offset   time.Duration
 	DriftPPM float64
 }
 
 // Read returns the drifted reading.
-func (c Drifting) Read(now simtime.Time) simtime.Time {
+func (c DriftingClock) Read(now Time) Time {
 	drift := time.Duration(float64(now) * c.DriftPPM / 1e6)
 	return now.Add(c.Offset + drift)
 }
 
-// Name implements Source.
-func (c Drifting) Name() string { return fmt.Sprintf("drift(%v,%.2fppm)", c.Offset, c.DriftPPM) }
+// Name implements Clock.
+func (c DriftingClock) Name() string { return fmt.Sprintf("drift(%v,%.2fppm)", c.Offset, c.DriftPPM) }
 
-// PTP models an IEEE 1588-disciplined clock: a drifting oscillator that is
+// PTPClock models an IEEE 1588-disciplined clock: a drifting oscillator that is
 // resynchronized every SyncInterval to within ±SyncJitter of true time. The
 // post-sync residual for each interval is derived deterministically from Seed
 // and the interval index, so replays are exact.
-type PTP struct {
+type PTPClock struct {
 	DriftPPM     float64
 	SyncInterval time.Duration
 	SyncJitter   time.Duration
@@ -75,9 +74,9 @@ type PTP struct {
 }
 
 // Read returns the disciplined reading.
-func (c PTP) Read(now simtime.Time) simtime.Time {
+func (c PTPClock) Read(now Time) Time {
 	if c.SyncInterval <= 0 {
-		panic("simclock: PTP requires a positive SyncInterval")
+		panic("simtime: PTPClock requires a positive SyncInterval")
 	}
 	k := int64(now) / int64(c.SyncInterval)
 	if now < 0 {
@@ -90,7 +89,7 @@ func (c PTP) Read(now simtime.Time) simtime.Time {
 }
 
 // jitterFor maps a sync-interval index to a residual in [-SyncJitter, +SyncJitter].
-func (c PTP) jitterFor(k uint64) time.Duration {
+func (c PTPClock) jitterFor(k uint64) time.Duration {
 	if c.SyncJitter <= 0 {
 		return 0
 	}
@@ -105,14 +104,14 @@ func (c PTP) jitterFor(k uint64) time.Duration {
 	return time.Duration(int64(x%uint64(span))) - c.SyncJitter
 }
 
-// Name implements Source.
-func (c PTP) Name() string {
+// Name implements Clock.
+func (c PTPClock) Name() string {
 	return fmt.Sprintf("ptp(%.2fppm,sync=%v,jitter=%v)", c.DriftPPM, c.SyncInterval, c.SyncJitter)
 }
 
-// OffsetBetween returns the instantaneous clock disagreement b-a at true
+// ClockOffset returns the instantaneous clock disagreement b-a at true
 // instant now: the error a one-way delay measurement taken from a to b
 // incurs at that moment.
-func OffsetBetween(a, b Source, now simtime.Time) time.Duration {
+func ClockOffset(a, b Clock, now Time) time.Duration {
 	return b.Read(now).Sub(a.Read(now))
 }

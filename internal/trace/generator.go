@@ -200,6 +200,19 @@ func (c Config) StationaryWarmup() time.Duration {
 	return time.Duration(c.FlowLen.Max) * c.MeanGap
 }
 
+// CapFlowLen enables the stationary warm-up (flows already mid-flight at
+// t=0, like a slice cut from a live link) and bounds flow lengths so the
+// warm-up region stays affordable at short durations while leaving a heavy
+// in-window tail. A flow can emit at most ~Duration/MeanGap packets inside
+// the window, so capping lengths at twice that leaves in-window statistics
+// intact while bounding the warm-up region to about two window lengths.
+func (c *Config) CapFlowLen() {
+	if limit := max(64, 2*int(c.Duration/c.MeanGap)); c.FlowLen.Max > limit {
+		c.FlowLen.Max = limit
+	}
+	c.Warmup = c.StationaryWarmup()
+}
+
 // expAfter returns t plus an exponential variate with the given mean in
 // seconds.
 func (g *Generator) expAfter(t simtime.Time, meanSec float64) simtime.Time {

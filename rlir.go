@@ -14,7 +14,7 @@ import (
 	"github.com/netmeasure/rlir/internal/runner"
 	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/service"
-	"github.com/netmeasure/rlir/internal/simclock"
+	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
 	"github.com/netmeasure/rlir/internal/swp"
 	"github.com/netmeasure/rlir/internal/topo"
@@ -97,19 +97,19 @@ func SketchFromState(s SketchState) Sketch { return stats.SketchFromState(s) }
 // ---- Clock models ----
 
 // ClockSource converts true simulation time to an instance's local reading.
-type ClockSource = simclock.Source
+type ClockSource = simtime.Clock
 
 // PerfectClock is exact synchronization (the paper's assumption).
-type PerfectClock = simclock.Perfect
+type PerfectClock = simtime.PerfectClock
 
 // FixedOffsetClock has a constant synchronization error.
-type FixedOffsetClock = simclock.FixedOffset
+type FixedOffsetClock = simtime.FixedOffsetClock
 
 // DriftingClock is a free-running oscillator.
-type DriftingClock = simclock.Drifting
+type DriftingClock = simtime.DriftingClock
 
 // PTPClock is an IEEE 1588-disciplined clock.
-type PTPClock = simclock.PTP
+type PTPClock = simtime.PTPClock
 
 // ---- Workload generation ----
 
@@ -129,37 +129,37 @@ func NewTraceGenerator(cfg TraceConfig) *trace.Generator { return trace.NewGener
 // ---- The tandem experiment (paper Figure 3) ----
 
 // Scale sets experiment magnitude; see SmallScale, DefaultScale, FullScale.
-type Scale = experiments.Scale
+type Scale = scenario.Scale
 
 // SmallScale is CI-sized (sub-second traces).
-func SmallScale() Scale { return experiments.SmallScale() }
+func SmallScale() Scale { return scenario.SmallScale() }
 
 // DefaultScale runs in seconds on a laptop.
-func DefaultScale() Scale { return experiments.DefaultScale() }
+func DefaultScale() Scale { return scenario.DefaultScale() }
 
 // FullScale approximates the paper's 60 s of OC-192.
-func FullScale() Scale { return experiments.FullScale() }
+func FullScale() Scale { return scenario.FullScale() }
 
 // CrossModel selects the cross-traffic model.
-type CrossModel = experiments.CrossModel
+type CrossModel = scenario.CrossModel
 
 // Cross-traffic models of §4.1.
 const (
-	CrossUniform = experiments.CrossUniform
-	CrossBursty  = experiments.CrossBursty
-	CrossNone    = experiments.CrossNone
+	CrossUniform = scenario.CrossUniform
+	CrossBursty  = scenario.CrossBursty
+	CrossNone    = scenario.CrossNone
 )
 
 // TandemConfig is one two-switch (Figure 3) run.
-type TandemConfig = experiments.TandemConfig
+type TandemConfig = scenario.TandemConfig
 
 // TandemResult is its outcome.
-type TandemResult = experiments.TandemResult
+type TandemResult = scenario.TandemResult
 
 // RunTandem executes one Figure-3 simulation: regular traffic through an
 // instrumented switch, cross traffic merging at the downstream bottleneck,
 // per-flow latency estimated across both hops.
-func RunTandem(cfg TandemConfig) TandemResult { return experiments.RunTandem(cfg) }
+func RunTandem(cfg TandemConfig) TandemResult { return scenario.RunTandem(cfg) }
 
 // Estimator variants (ablation A2); Linear is the paper's.
 const (
@@ -188,12 +188,17 @@ const (
 	DemuxOracle      = experiments.DemuxOracle
 )
 
+// ParseDemuxStrategy parses a strategy's rendered name (none, marking,
+// reverse-ecmp, oracle); the error lists the valid names.
+func ParseDemuxStrategy(s string) (DemuxStrategy, error) { return experiments.ParseDemuxStrategy(s) }
+
 // DefaultFatTreeConfig returns a k=4 deployment at moderate load.
 func DefaultFatTreeConfig() FatTreeConfig { return experiments.DefaultFatTreeConfig() }
 
 // RunFatTree executes one fat-tree RLIR deployment: upstream senders at
 // source ToR uplinks, receivers at cores (prefix demux), downstream senders
-// at cores and a strategy-demultiplexed receiver at the destination ToR.
+// at cores and a strategy-demultiplexed receiver at the destination ToR. It
+// is a converging-pattern ScenarioSpec run on the scenario engine.
 func RunFatTree(cfg FatTreeConfig) FatTreeResult { return experiments.RunFatTree(cfg) }
 
 // ---- Placement planning (paper §3.1) ----
@@ -316,10 +321,10 @@ func RunLocalization(cfg LocalizationConfig) LocalizationResult {
 
 // MultiOpts sizes a multi-seed sweep (Seeds default 8, Workers default
 // GOMAXPROCS).
-type MultiOpts = experiments.MultiOpts
+type MultiOpts = scenario.MultiOpts
 
 // MetricCI is one metric's across-seed mean ± 95% CI.
-type MetricCI = experiments.MetricCI
+type MetricCI = stats.MetricCI
 
 // DeriveSeeds returns n independent, reproducible seeds derived from base
 // with SplitMix64 — use it instead of base+i arithmetic whenever seeding
@@ -515,8 +520,8 @@ type ScenarioTelemetryReport = scenario.TelemetryReport
 // under telemetry loss.
 type ScenarioTelemetryRow = scenario.TelemetryRow
 
-// ScenarioMultiOpts sizes a multi-seed scenario sweep.
-type ScenarioMultiOpts = scenario.MultiOpts
+// ScenarioMultiOpts sizes a multi-seed scenario sweep; it is MultiOpts.
+type ScenarioMultiOpts = MultiOpts
 
 // ScenarioMultiResult aggregates one scenario across seeds.
 type ScenarioMultiResult = scenario.MultiResult
