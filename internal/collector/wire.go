@@ -46,12 +46,13 @@ const (
 
 	// FrameHeaderSize is the fixed frame prefix.
 	FrameHeaderSize = 8
-	// keyWireSize is the encoded 5-tuple.
-	keyWireSize = 13
+	// KeyWireSize is the encoded 5-tuple (the "key 13" of the layouts above
+	// and of the queryapi snapshot wire).
+	KeyWireSize = 13
 	// SampleWireSize is one encoded Sample.
-	SampleWireSize = keyWireSize + 16
+	SampleWireSize = KeyWireSize + 16
 	// RecordWireSize is one encoded netflow.Record.
-	RecordWireSize = keyWireSize + 32
+	RecordWireSize = KeyWireSize + 32
 	// MaxHelloLen bounds a hello frame's exporter name: identities are
 	// human-chosen labels, and the bound keeps the frame reader's worst-case
 	// allocation for untrusted hello counts trivial.
@@ -77,8 +78,9 @@ func appendHeader(dst []byte, msgType byte, count int) []byte {
 	return append(dst, h[:]...)
 }
 
-func appendKey(dst []byte, k packet.FlowKey) []byte {
-	var b [keyWireSize]byte
+// AppendKey appends the KeyWireSize-byte encoding of k to dst.
+func AppendKey(dst []byte, k packet.FlowKey) []byte {
+	var b [KeyWireSize]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(k.Src))
 	binary.BigEndian.PutUint32(b[4:8], uint32(k.Dst))
 	binary.BigEndian.PutUint16(b[8:10], k.SrcPort)
@@ -87,7 +89,9 @@ func appendKey(dst []byte, k packet.FlowKey) []byte {
 	return append(dst, b[:]...)
 }
 
-func decodeKey(src []byte) packet.FlowKey {
+// DecodeKey decodes a flow key from the first KeyWireSize bytes of src; the
+// caller has checked that many are there.
+func DecodeKey(src []byte) packet.FlowKey {
 	return packet.FlowKey{
 		Src:     packet.Addr(binary.BigEndian.Uint32(src[0:4])),
 		Dst:     packet.Addr(binary.BigEndian.Uint32(src[4:8])),
@@ -108,7 +112,7 @@ func appendInt64(dst []byte, v int64) []byte {
 func AppendSamples(dst []byte, batch []Sample) []byte {
 	dst = appendHeader(dst, MsgSamples, len(batch))
 	for _, s := range batch {
-		dst = appendKey(dst, s.Key)
+		dst = AppendKey(dst, s.Key)
 		dst = appendInt64(dst, int64(s.Est))
 		dst = appendInt64(dst, int64(s.True))
 	}
@@ -120,7 +124,7 @@ func AppendSamples(dst []byte, batch []Sample) []byte {
 func AppendRecords(dst []byte, recs []netflow.Record) []byte {
 	dst = appendHeader(dst, MsgRecords, len(recs))
 	for _, r := range recs {
-		dst = appendKey(dst, r.Key)
+		dst = AppendKey(dst, r.Key)
 		dst = appendInt64(dst, int64(r.First))
 		dst = appendInt64(dst, int64(r.Last))
 		dst = appendInt64(dst, int64(r.Packets))
@@ -201,9 +205,9 @@ func DecodeFrame(src []byte) (Frame, int, error) {
 		for i := range out {
 			rec := body[i*SampleWireSize:]
 			out[i] = Sample{
-				Key:  decodeKey(rec),
-				Est:  time.Duration(int64(binary.BigEndian.Uint64(rec[keyWireSize : keyWireSize+8]))),
-				True: time.Duration(int64(binary.BigEndian.Uint64(rec[keyWireSize+8 : keyWireSize+16]))),
+				Key:  DecodeKey(rec),
+				Est:  time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize : KeyWireSize+8]))),
+				True: time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize+8 : KeyWireSize+16]))),
 			}
 		}
 		return Frame{Samples: out, Type: MsgSamples}, FrameHeaderSize + need, nil
@@ -218,11 +222,11 @@ func DecodeFrame(src []byte) (Frame, int, error) {
 		for i := range out {
 			rec := body[i*RecordWireSize:]
 			out[i] = netflow.Record{
-				Key:     decodeKey(rec),
-				First:   simtime.Time(int64(binary.BigEndian.Uint64(rec[keyWireSize : keyWireSize+8]))),
-				Last:    simtime.Time(int64(binary.BigEndian.Uint64(rec[keyWireSize+8 : keyWireSize+16]))),
-				Packets: binary.BigEndian.Uint64(rec[keyWireSize+16 : keyWireSize+24]),
-				Bytes:   binary.BigEndian.Uint64(rec[keyWireSize+24 : keyWireSize+32]),
+				Key:     DecodeKey(rec),
+				First:   simtime.Time(int64(binary.BigEndian.Uint64(rec[KeyWireSize : KeyWireSize+8]))),
+				Last:    simtime.Time(int64(binary.BigEndian.Uint64(rec[KeyWireSize+8 : KeyWireSize+16]))),
+				Packets: binary.BigEndian.Uint64(rec[KeyWireSize+16 : KeyWireSize+24]),
+				Bytes:   binary.BigEndian.Uint64(rec[KeyWireSize+24 : KeyWireSize+32]),
 			}
 		}
 		return Frame{Records: out, Type: MsgRecords}, FrameHeaderSize + need, nil

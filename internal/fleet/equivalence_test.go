@@ -9,13 +9,18 @@ package fleet_test
 // fleet, and the service tests import scenario).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -449,5 +454,188 @@ func TestFrontendRollupAnnotatesInstances(t *testing.T) {
 	}
 	if tracked != len(tr.Result.Fleet) {
 		t.Fatalf("fleet tracks %d flows across rollups, single node holds %d", tracked, len(tr.Result.Fleet))
+	}
+}
+
+// instanceURLs returns the instances' query-API base URLs in order.
+func (tf *testFleet) instanceURLs() []string {
+	out := make([]string, len(tf.servers))
+	for i, s := range tf.servers {
+		out[i] = "http://" + s.HTTPAddr().String()
+	}
+	return out
+}
+
+// serve runs one request through h in-process and returns the response.
+func serve(h http.Handler, target string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+	return rec
+}
+
+// metricValue reads one sample (name plus any label set, verbatim) from a
+// Prometheus text exposition.
+func metricValue(t testing.TB, exposition, sample string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", sample, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metric %s missing from:\n%s", sample, exposition)
+	return 0
+}
+
+// TestFrontendBadLimitIssuesNoInstanceRequests pins that /flows validates
+// ?limit= before the fan-out: a malformed or negative limit is a 400 that
+// costs the fleet no request at all, where it used to gather, decode and
+// merge every instance's table first.
+func TestFrontendBadLimitIssuesNoInstanceRequests(t *testing.T) {
+	var requests atomic.Int64
+	urls := make([]string, 2)
+	for i := range urls {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			queryapi.WriteJSON(w, http.StatusOK, queryapi.SnapshotOf(nil, 0, 0))
+		}))
+		defer stub.Close()
+		urls[i] = stub.URL
+	}
+	front, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: urls, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"-1", "x", "1.5"} {
+		if rec := serve(front.Handler(), "/flows?limit="+q); rec.Code != http.StatusBadRequest {
+			t.Fatalf("limit=%s: status %d, want 400", q, rec.Code)
+		}
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("bad limits cost the fleet %d instance requests, want 0", n)
+	}
+	if rec := serve(front.Handler(), "/flows?limit=3"); rec.Code != http.StatusOK {
+		t.Fatalf("limit=3: status %d", rec.Code)
+	}
+	if n := requests.Load(); n != int64(len(urls)) {
+		t.Fatalf("a good limit issued %d instance requests, want %d", n, len(urls))
+	}
+}
+
+// TestFrontendMixedRenderings pins the front-end's one format branch: an
+// instance that ignores the Accept header (an older binary; here a proxy
+// that strips it) answers JSON, is decoded as JSON, and the merged /flows
+// is byte-identical to the one served from two binary-speaking instances.
+func TestFrontendMixedRenderings(t *testing.T) {
+	tr := exportBaseline(t)
+	tf := startFleet(t, 2)
+	tf.routeTrace(t, tr)
+	urls := tf.instanceURLs()
+
+	target, err := url.Parse(urls[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	jsonOnly := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		proxy.ServeHTTP(w, r)
+	}))
+	defer jsonOnly.Close()
+
+	fronts := map[string]http.Handler{}
+	for name, instances := range map[string][]string{
+		"binary": urls,
+		"mixed":  {urls[0], jsonOnly.URL},
+	} {
+		f, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: instances, Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fronts[name] = f.Handler()
+	}
+
+	binFlows, mixedFlows := serve(fronts["binary"], "/flows"), serve(fronts["mixed"], "/flows")
+	if binFlows.Code != http.StatusOK || mixedFlows.Code != http.StatusOK {
+		t.Fatalf("/flows status %d (binary fleet) / %d (mixed fleet)", binFlows.Code, mixedFlows.Code)
+	}
+	var rows []queryapi.FlowJSON
+	if err := json.Unmarshal(binFlows.Body.Bytes(), &rows); err != nil || len(rows) != len(tr.Result.Fleet) {
+		t.Fatalf("binary fleet /flows: %d rows (err %v), batch has %d", len(rows), err, len(tr.Result.Fleet))
+	}
+	if !bytes.Equal(binFlows.Body.Bytes(), mixedFlows.Body.Bytes()) {
+		t.Fatal("/flows differs between a binary-speaking fleet and one with a JSON-only instance")
+	}
+	if b, m := serve(fronts["binary"], "/comparison"), serve(fronts["mixed"], "/comparison"); !bytes.Equal(b.Body.Bytes(), m.Body.Bytes()) {
+		t.Fatal("/comparison differs between a binary-speaking fleet and one with a JSON-only instance")
+	}
+
+	// Two merged-table queries each: the mixed fleet fell back once per
+	// query, the binary fleet never, and both counted the bytes they moved.
+	binMetrics, mixedMetrics := serve(fronts["binary"], "/metrics").Body.String(), serve(fronts["mixed"], "/metrics").Body.String()
+	if n := metricValue(t, binMetrics, "rlirfleet_snapshot_json_fallbacks_total"); n != 0 {
+		t.Fatalf("binary fleet counted %v JSON fallbacks", n)
+	}
+	if n := metricValue(t, mixedMetrics, "rlirfleet_snapshot_json_fallbacks_total"); n != 2 {
+		t.Fatalf("mixed fleet counted %v JSON fallbacks, want 2", n)
+	}
+	binBytes, mixedBytes := metricValue(t, binMetrics, "rlirfleet_snapshot_bytes_total"), metricValue(t, mixedMetrics, "rlirfleet_snapshot_bytes_total")
+	if binBytes <= 0 || mixedBytes <= binBytes {
+		t.Fatalf("snapshot bytes: binary fleet %v, mixed fleet %v — the JSON body should be the bigger", binBytes, mixedBytes)
+	}
+}
+
+// TestFrontendPricesItsQuery pins the front-end's own /flows budget: the
+// four stage counters in /metrics advance with every merged-table query,
+// and — the stages being disjoint sections of the handler — their sum stays
+// within the wall time the handler took.
+func TestFrontendPricesItsQuery(t *testing.T) {
+	tr := exportBaseline(t)
+	tf := startFleet(t, 2)
+	tf.routeTrace(t, tr)
+	front, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: tf.instanceURLs(), Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := front.Handler()
+	stages := func() map[string]float64 {
+		exposition := serve(h, "/metrics").Body.String()
+		out := map[string]float64{}
+		for _, stage := range []string{"fetch", "decode", "merge", "render"} {
+			out[stage] = metricValue(t, exposition, fmt.Sprintf("rlirfleet_query_stage_seconds_total{stage=%q}", stage))
+		}
+		return out
+	}
+
+	before := stages()
+	start := time.Now()
+	for i := 0; i < 5; i++ {
+		target := "/flows"
+		if i%2 == 1 {
+			target = "/comparison"
+		}
+		if rec := serve(h, target); rec.Code != http.StatusOK {
+			t.Fatalf("%s status %d", target, rec.Code)
+		}
+	}
+	wall := time.Since(start).Seconds()
+	after := stages()
+
+	var sum float64
+	for stage, v := range after {
+		d := v - before[stage]
+		if d <= 0 {
+			t.Fatalf("stage %s did not advance over five queries (%g -> %g)", stage, before[stage], v)
+		}
+		sum += d
+	}
+	if sum > wall {
+		t.Fatalf("stages sum to %gs, more than the %gs the handler ran", sum, wall)
+	}
+	if sum < wall/2 {
+		t.Fatalf("stages sum to %gs of %gs handler wall time: most of a query is unpriced", sum, wall)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,6 +48,34 @@ type Frontend struct {
 	start   time.Time
 	queries atomic.Uint64
 	gErrs   atomic.Uint64
+
+	// The front-end's own price list for a merged-table query (/flows,
+	// /comparison): nanoseconds spent per stage, snapshot bytes fetched, and
+	// instances that answered /snapshot in JSON although asked for binary.
+	// Plain counters, so pricing a query allocates nothing.
+	stageNs       [numStages]atomic.Int64
+	snapBytes     atomic.Uint64
+	jsonFallbacks atomic.Uint64
+}
+
+// The stages of a merged-table query, in the order they run. They do not
+// overlap, so their sum is at most the handler's wall time.
+const (
+	stageFetch  = iota // fan-out to /snapshot until the slowest body is read
+	stageDecode        // bodies to per-instance aggregates, version-checked
+	stageMerge         // collector.Merge of the per-instance tables
+	stageRender        // rows (or the comparison) and the JSON response
+	numStages
+)
+
+var stageNames = [numStages]string{"fetch", "decode", "merge", "render"}
+
+// since adds the time elapsed from t0 to the stage's counter and returns
+// now, the next stage's t0.
+func (f *Frontend) since(stage int, t0 time.Time) time.Time {
+	now := time.Now()
+	f.stageNs[stage].Add(int64(now.Sub(t0)))
+	return now
 }
 
 // NewFrontend validates the instance URLs and builds the front-end.
@@ -78,17 +105,20 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 // Instances returns the configured instance count.
 func (f *Frontend) Instances() int { return len(f.cfg.Instances) }
 
-// fetch is one instance's response to a fan-out: the decoded body, or the
-// transport/decode error that kept it out of the merge.
+// fetch is one instance's response to a fan-out: the body and the
+// Content-Type it came labelled with, or the transport error that kept it
+// out of the merge.
 type fetch struct {
-	instance string
-	body     []byte
-	err      error
+	instance    string
+	body        []byte
+	contentType string
+	err         error
 }
 
 // gather fans path out to every instance under one Timeout and returns the
-// responses in instance order.
-func (f *Frontend) gather(ctx context.Context, path string) []fetch {
+// responses in instance order. A non-empty accept is sent as the requests'
+// Accept header.
+func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	out := make([]fetch, len(f.cfg.Instances))
@@ -102,6 +132,9 @@ func (f *Frontend) gather(ctx context.Context, path string) []fetch {
 			if err != nil {
 				out[i].err = err
 				return
+			}
+			if accept != "" {
+				req.Header.Set("Accept", accept)
 			}
 			resp, err := f.client.Do(req)
 			if err != nil {
@@ -120,7 +153,7 @@ func (f *Frontend) gather(ctx context.Context, path string) []fetch {
 				out[i].err = fmt.Errorf("%s%s: %s", in, path, resp.Status)
 				return
 			}
-			out[i].body = body
+			out[i].body, out[i].contentType = body, resp.Header.Get("Content-Type")
 		}(i, in)
 	}
 	wg.Wait()
@@ -132,44 +165,67 @@ func (f *Frontend) gather(ctx context.Context, path string) []fetch {
 	return out
 }
 
-// snapshots gathers and decodes every reachable instance's raw flow-table
-// state, rejecting any whose snapshot schema version differs from this
-// binary's (queryapi.Snapshot.Check) — merging a stale instance would
-// silently drop its sketch tier rather than fail. It returns the accepted
-// per-instance snapshots, how many instances answered, and the first error
-// (for the all-down case).
-func (f *Frontend) snapshots(ctx context.Context) (snaps []queryapi.Snapshot, ok int, firstErr error) {
-	for _, g := range f.gather(ctx, "/snapshot") {
-		if g.err == nil {
-			var s queryapi.Snapshot
-			if err := json.Unmarshal(g.body, &s); err != nil {
-				g.err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
-				f.gErrs.Add(1)
-			} else if err := s.Check(); err != nil {
-				g.err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
-				f.gErrs.Add(1)
-			} else {
-				snaps = append(snaps, s)
-				ok++
+// mergedTable is the exact fleet-wide flow table: every reachable
+// instance's raw flow-table state, gathered, decoded and merged.
+// Flow-disjoint partitioning makes the result bit-identical to a single
+// collector over the whole stream.
+//
+// The fan-out asks for the binary snapshot rendering and decodes each body
+// by the Content-Type it came back with — the front-end's only format
+// branch — so an instance that ignores the Accept header is read as JSON.
+// Either way an instance whose snapshot schema version differs from this
+// binary's is rejected (queryapi.Snapshot.Check): merging a stale instance
+// would silently drop its sketch tier rather than fail. An instance that
+// fails to answer or decode is skipped; the error is the first such failure
+// when no instance is left.
+func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error) {
+	t := time.Now()
+	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType)
+	t = f.since(stageFetch, t)
+
+	var parts [][]collector.FlowAgg
+	var firstErr error
+	for _, g := range fetched {
+		err := g.err
+		if err == nil {
+			f.snapBytes.Add(uint64(len(g.body)))
+			var aggs []collector.FlowAgg
+			if aggs, err = f.decodeSnapshot(g); err == nil {
+				parts = append(parts, aggs)
 				continue
 			}
+			err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
+			f.gErrs.Add(1)
 		}
 		if firstErr == nil {
-			firstErr = g.err
+			firstErr = err
 		}
 	}
-	return snaps, ok, firstErr
+	t = f.since(stageDecode, t)
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("no instance reachable: %v", firstErr)
+	}
+	merged := collector.Merge(parts...)
+	f.since(stageMerge, t)
+	return merged, nil
 }
 
-// merged is the exact fleet-wide flow table: instance snapshots decoded to
-// raw aggregates and merged. Flow-disjoint partitioning makes the result
-// bit-identical to a single collector over the whole stream.
-func merged(snaps []queryapi.Snapshot) []collector.FlowAgg {
-	parts := make([][]collector.FlowAgg, len(snaps))
-	for i, s := range snaps {
-		parts[i] = s.Aggs()
+// decodeSnapshot turns one fetched /snapshot body into the instance's flow
+// aggregates, by the rendering its Content-Type names.
+func (f *Frontend) decodeSnapshot(g fetch) ([]collector.FlowAgg, error) {
+	if g.contentType == queryapi.SnapshotContentType {
+		aggs, _, _, err := queryapi.DecodeSnapshot(g.body)
+		return aggs, err
 	}
-	return collector.Merge(parts...)
+	f.jsonFallbacks.Add(1)
+	var s queryapi.Snapshot
+	if err := json.Unmarshal(g.body, &s); err != nil {
+		return nil, err
+	}
+	if err := s.Check(); err != nil {
+		return nil, err
+	}
+	return s.Aggs(), nil
 }
 
 // Handler returns the fleet query API: the same five endpoints a single
@@ -185,41 +241,36 @@ func (f *Frontend) Handler() http.Handler {
 	return mux
 }
 
+// handleFlows serves the merged per-flow table. ?limit=N is validated
+// before the fan-out, so a bad request costs the fleet nothing.
 func (f *Frontend) handleFlows(w http.ResponseWriter, r *http.Request) {
 	f.queries.Add(1)
-	snaps, ok, firstErr := f.snapshots(r.Context())
-	if ok == 0 {
-		http.Error(w, fmt.Sprintf("no instance reachable: %v", firstErr), http.StatusBadGateway)
+	limit, err := queryapi.FlowLimit(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	aggs := merged(snaps)
-	limit := len(aggs)
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
+	aggs, err := f.mergedTable(r.Context())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
 	}
-	rows := make([]queryapi.FlowJSON, 0, limit)
-	for i := 0; i < limit; i++ {
-		rows = append(rows, queryapi.FlowRow(&aggs[i]))
-	}
-	queryapi.WriteJSON(w, http.StatusOK, rows)
+	t := time.Now()
+	queryapi.WriteJSON(w, http.StatusOK, queryapi.FlowRows(aggs, limit))
+	f.since(stageRender, t)
 }
 
 func (f *Frontend) handleComparison(w http.ResponseWriter, r *http.Request) {
 	f.queries.Add(1)
-	snaps, ok, firstErr := f.snapshots(r.Context())
-	if ok == 0 {
-		http.Error(w, fmt.Sprintf("no instance reachable: %v", firstErr), http.StatusBadGateway)
+	aggs, err := f.mergedTable(r.Context())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	cmp := measure.CompareFlowAggs("rli", merged(snaps))
+	t := time.Now()
+	cmp := measure.CompareFlowAggs("rli", aggs)
 	queryapi.WriteJSON(w, http.StatusOK, []queryapi.ComparisonJSON{queryapi.ComparisonRow(cmp)})
+	f.since(stageRender, t)
 }
 
 // handleRollup gathers each instance's /rollup and returns the per-instance
@@ -233,7 +284,7 @@ func (f *Frontend) handleRollup(w http.ResponseWriter, r *http.Request) {
 	var rows []queryapi.RollupJSON
 	anyOK := false
 	var firstErr error
-	for _, g := range f.gather(r.Context(), "/rollup") {
+	for _, g := range f.gather(r.Context(), "/rollup", "") {
 		if g.err != nil {
 			if firstErr == nil {
 				firstErr = g.err
@@ -264,7 +315,7 @@ func (f *Frontend) handleRouters(w http.ResponseWriter, r *http.Request) {
 	var rows []queryapi.RouterJSON
 	anyOK := false
 	var firstErr error
-	for _, g := range f.gather(r.Context(), "/routers") {
+	for _, g := range f.gather(r.Context(), "/routers", "") {
 		if g.err != nil {
 			if firstErr == nil {
 				firstErr = g.err
@@ -339,7 +390,7 @@ func (f *Frontend) fleetHealth(ctx context.Context) HealthJSON {
 		Instances: len(f.cfg.Instances),
 		UptimeS:   time.Since(f.start).Seconds(),
 	}
-	for _, g := range f.gather(ctx, "/healthz") {
+	for _, g := range f.gather(ctx, "/healthz", "") {
 		row := InstanceHealth{Instance: g.instance, Status: "unreachable"}
 		if g.err != nil {
 			row.Error = g.err.Error()
@@ -395,6 +446,14 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("rlirfleet_queries_total %d\n", f.queries.Load())
 	p("# HELP rlirfleet_gather_errors_total Instance fetches that failed or decoded badly.\n# TYPE rlirfleet_gather_errors_total counter\n")
 	p("rlirfleet_gather_errors_total %d\n", f.gErrs.Load())
+	p("# HELP rlirfleet_query_stage_seconds_total Time merged-table queries (/flows, /comparison) spent per stage; the stages do not overlap.\n# TYPE rlirfleet_query_stage_seconds_total counter\n")
+	for i, name := range stageNames {
+		p("rlirfleet_query_stage_seconds_total{stage=%q} %g\n", name, time.Duration(f.stageNs[i].Load()).Seconds())
+	}
+	p("# HELP rlirfleet_snapshot_bytes_total Instance /snapshot body bytes fetched.\n# TYPE rlirfleet_snapshot_bytes_total counter\n")
+	p("rlirfleet_snapshot_bytes_total %d\n", f.snapBytes.Load())
+	p("# HELP rlirfleet_snapshot_json_fallbacks_total Instances that answered /snapshot in JSON although asked for the binary rendering.\n# TYPE rlirfleet_snapshot_json_fallbacks_total counter\n")
+	p("rlirfleet_snapshot_json_fallbacks_total %d\n", f.jsonFallbacks.Load())
 	p("# HELP rlirfleet_flows Distinct flows across answering instances (exact under flow-disjoint partitioning).\n# TYPE rlirfleet_flows gauge\n")
 	p("rlirfleet_flows %d\n", h.Flows)
 	p("# HELP rlirfleet_samples_total Samples ingested across answering instances.\n# TYPE rlirfleet_samples_total counter\n")

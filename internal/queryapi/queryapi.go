@@ -1,30 +1,34 @@
 // Package queryapi holds the JSON row types and renderers of the measurement
 // query API — the /flows, /routers, /comparison and /healthz shapes — plus
-// the raw-state snapshot codec the fleet tier merges through.
+// the raw-state snapshot codec the fleet tier merges through (snapshot.go).
 //
 // The package exists so that a single rlird instance (internal/service) and
 // the scatter-gather front-end (internal/fleet, cmd/rlirfleet) render rows
 // through the same code: a fleet-of-N answer is byte-identical to the
 // single-node answer not by convention but because both call these
-// functions. The snapshot codec is the exact half: FlowState carries the
-// full internal accumulator state (stats.WelfordState, stats.HistogramState,
-// stats.SketchState) rather than derived summaries, and Go's JSON float
-// encoding is shortest round-trip, so instance state crosses the HTTP
-// boundary bit-identically. Snapshots are schema-versioned
-// (SnapshotVersion); merging peers must Check before trusting one.
+// functions. The snapshot codec is the exact half: a snapshot carries every
+// flow's full internal accumulator state (stats.WelfordState,
+// stats.HistogramState, stats.SketchState) rather than derived summaries,
+// in one schema (SnapshotVersion) with two renderings. The binary one
+// (AppendSnapshot / DecodeSnapshot, Content-Type SnapshotContentType) is the
+// instance → front-end wire: float bits and integer fields travel verbatim,
+// and it decodes straight into collector.FlowAgg values. The JSON one
+// (Snapshot, what a plain GET /snapshot serves) is the human/debug view and
+// the reference the binary codec is tested against; it is exact for every
+// finite value because Go's JSON float encoding is shortest round-trip.
+// Either way a merging peer checks the version before trusting a snapshot
+// (Snapshot.Check; DecodeSnapshot does it itself).
 package queryapi
 
 import (
 	"encoding/json"
-	"fmt"
+	"errors"
 	"math"
 	"net/http"
+	"strconv"
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/measure"
-	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simtime"
-	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // FlowJSON is one /flows row: a collector flow aggregate flattened for the
@@ -74,6 +78,34 @@ func FlowRow(a *collector.FlowAgg) FlowJSON {
 		FirstNs:    int64(a.First),
 		LastNs:     int64(a.Last),
 	}
+}
+
+// FlowLimit parses /flows' ?limit=N, the cap on rendered rows: N, or -1
+// when the parameter is absent. Handlers call it before they gather or copy
+// anything, so a malformed or negative limit costs a 400 and nothing else.
+func FlowLimit(r *http.Request) (int, error) {
+	q := r.URL.Query().Get("limit")
+	if q == "" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(q)
+	if err != nil || n < 0 {
+		return 0, errors.New("bad limit")
+	}
+	return n, nil
+}
+
+// FlowRows renders the first limit aggregates (all of them when limit is
+// negative or exceeds the table) as /flows rows.
+func FlowRows(aggs []collector.FlowAgg, limit int) []FlowJSON {
+	if limit < 0 || limit > len(aggs) {
+		limit = len(aggs)
+	}
+	rows := make([]FlowJSON, limit)
+	for i := range rows {
+		rows[i] = FlowRow(&aggs[i])
+	}
+	return rows
 }
 
 // RouterJSON is one /routers row: a connected exporter's aggregate view.
@@ -175,107 +207,6 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
-}
-
-// FlowState is one flow aggregate's complete internal state, the /snapshot
-// wire row. Unlike FlowJSON it loses nothing: the Welford and histogram
-// accumulators travel as their exact field values, and the 5-tuple travels
-// numerically, so DecodeSnapshot rebuilds collector.FlowAgg values
-// bit-identical to the instance's own.
-type FlowState struct {
-	Src     uint32 `json:"src"`
-	Dst     uint32 `json:"dst"`
-	SrcPort uint16 `json:"src_port"`
-	DstPort uint16 `json:"dst_port"`
-	Proto   uint8  `json:"proto"`
-
-	Est    stats.WelfordState   `json:"est"`
-	True   stats.WelfordState   `json:"true"`
-	Hist   stats.HistogramState `json:"hist"`
-	Sketch stats.SketchState    `json:"sketch"`
-
-	Packets uint64 `json:"packets,omitempty"`
-	Bytes   uint64 `json:"bytes,omitempty"`
-	FirstNs int64  `json:"first_ns,omitempty"`
-	LastNs  int64  `json:"last_ns,omitempty"`
-}
-
-// SnapshotVersion is the current /snapshot schema version. Version 2 added
-// the per-flow quantile sketch state; a version-1 instance's snapshot lacks
-// it, and merging such a snapshot would silently produce empty sketch tiers
-// — so Check rejects any version mismatch outright instead.
-const SnapshotVersion = 2
-
-// Snapshot is the /snapshot response: the full flow table as raw state plus
-// the instance's ingest totals, tagged with the schema version that produced
-// it.
-type Snapshot struct {
-	Version int         `json:"version"`
-	Samples uint64      `json:"samples"`
-	Records uint64      `json:"records"`
-	Flows   []FlowState `json:"flows"`
-}
-
-// Check validates the snapshot's schema version against this binary's.
-// A mismatch (including the implicit version 0 of a pre-versioning
-// instance) is an error naming both versions, so a mixed-version fleet
-// fails loudly at gather time rather than merging lossily.
-func (s Snapshot) Check() error {
-	if s.Version != SnapshotVersion {
-		return fmt.Errorf("queryapi: snapshot version %d from peer, this binary speaks version %d (mixed-version fleet?)", s.Version, SnapshotVersion)
-	}
-	return nil
-}
-
-// SnapshotOf packs a collector snapshot (and its ingest totals) for the
-// wire.
-func SnapshotOf(aggs []collector.FlowAgg, samples, records uint64) Snapshot {
-	s := Snapshot{Version: SnapshotVersion, Samples: samples, Records: records, Flows: make([]FlowState, len(aggs))}
-	for i := range aggs {
-		a := &aggs[i]
-		s.Flows[i] = FlowState{
-			Src:     uint32(a.Key.Src),
-			Dst:     uint32(a.Key.Dst),
-			SrcPort: a.Key.SrcPort,
-			DstPort: a.Key.DstPort,
-			Proto:   uint8(a.Key.Proto),
-			Est:     a.Est.State(),
-			True:    a.True.State(),
-			Hist:    a.Hist.State(),
-			Sketch:  a.Sketch.State(),
-			Packets: a.Packets,
-			Bytes:   a.Bytes,
-			FirstNs: int64(a.First),
-			LastNs:  int64(a.Last),
-		}
-	}
-	return s
-}
-
-// Aggs unpacks the snapshot back into collector flow aggregates, in wire
-// order (instances send them sorted by flow key).
-func (s Snapshot) Aggs() []collector.FlowAgg {
-	out := make([]collector.FlowAgg, len(s.Flows))
-	for i, f := range s.Flows {
-		out[i] = collector.FlowAgg{
-			Key: packet.FlowKey{
-				Src:     packet.Addr(f.Src),
-				Dst:     packet.Addr(f.Dst),
-				SrcPort: f.SrcPort,
-				DstPort: f.DstPort,
-				Proto:   packet.Proto(f.Proto),
-			},
-			Est:     stats.WelfordFromState(f.Est),
-			True:    stats.WelfordFromState(f.True),
-			Hist:    stats.HistogramFromState(f.Hist),
-			Sketch:  stats.SketchFromState(f.Sketch),
-			Packets: f.Packets,
-			Bytes:   f.Bytes,
-			First:   simtime.Time(f.FirstNs),
-			Last:    simtime.Time(f.LastNs),
-		}
-	}
-	return out
 }
 
 // RollupRowJSON is one rollup-tier aggregate flattened for the wire: a

@@ -1,11 +1,8 @@
 package queryapi
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"reflect"
-	"strings"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -17,7 +14,7 @@ import (
 
 // buildSnapshot runs a real collector over a random stream and returns its
 // final sorted flow table.
-func buildSnapshot(t *testing.T, seed int64) []collector.FlowAgg {
+func buildSnapshot(t testing.TB, seed int64) []collector.FlowAgg {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]packet.FlowKey, 1+rng.Intn(30))
@@ -55,55 +52,6 @@ func buildSnapshot(t *testing.T, seed int64) []collector.FlowAgg {
 	return coll.Snapshot()
 }
 
-// TestSnapshotRoundTripExact is the fleet wire contract: a collector
-// snapshot, packed, marshalled to JSON, unmarshalled and unpacked, is
-// bit-identical to the original — including the unexported Welford and
-// histogram internals, via their State round-trips.
-func TestSnapshotRoundTripExact(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		aggs := buildSnapshot(t, seed)
-		data, err := json.Marshal(SnapshotOf(aggs, 123, 45))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.Samples != 123 || snap.Records != 45 {
-			t.Fatalf("totals lost: %d/%d", snap.Samples, snap.Records)
-		}
-		got := snap.Aggs()
-		if !reflect.DeepEqual(got, aggs) {
-			t.Fatalf("seed %d: snapshot round-trip diverged (%d flows)", seed, len(aggs))
-		}
-	}
-}
-
-// TestSnapshotMergeMatchesDirectMerge pins that decoded per-instance
-// snapshots merge exactly like the in-process aggregates they came from.
-func TestSnapshotMergeMatchesDirectMerge(t *testing.T) {
-	a := buildSnapshot(t, 3)
-	b := buildSnapshot(t, 4)
-	want := collector.Merge(a, b)
-
-	through := func(aggs []collector.FlowAgg) []collector.FlowAgg {
-		data, err := json.Marshal(SnapshotOf(aggs, 0, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s Snapshot
-		if err := json.Unmarshal(data, &s); err != nil {
-			t.Fatal(err)
-		}
-		return s.Aggs()
-	}
-	got := collector.Merge(through(a), through(b))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("merge through the wire diverged from direct merge")
-	}
-}
-
 // TestFlowRowMatchesAggDerivation spot-checks the row renderer against the
 // aggregate's own accessors.
 func TestFlowRowMatchesAggDerivation(t *testing.T) {
@@ -121,27 +69,36 @@ func TestFlowRowMatchesAggDerivation(t *testing.T) {
 	}
 }
 
-// TestSnapshotVersionCheck pins the schema gate: current snapshots pass,
-// and any other version — older, newer, or the implicit 0 of a
-// pre-versioning peer — fails with an error naming both versions.
-func TestSnapshotVersionCheck(t *testing.T) {
-	if err := SnapshotOf(nil, 0, 0).Check(); err != nil {
-		t.Fatalf("current-version snapshot rejected: %v", err)
-	}
-	// A version-1 peer's body: no version field existed, so it decodes as 0.
-	var stale Snapshot
-	if err := json.Unmarshal([]byte(`{"samples":1,"records":0,"flows":[]}`), &stale); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []int{stale.Version, 1, SnapshotVersion + 1} {
-		s := Snapshot{Version: v}
-		err := s.Check()
-		if err == nil {
-			t.Fatalf("version %d accepted", v)
+// TestFlowLimitAndRows pins the /flows row cap: absent means every row, a
+// number caps (and never over-runs) the table, anything else is an error.
+func TestFlowLimitAndRows(t *testing.T) {
+	aggs := buildSnapshot(t, 5)
+	for _, c := range []struct {
+		query string
+		rows  int // -1: want an error
+	}{
+		{"", len(aggs)}, {"?limit=0", 0}, {"?limit=1", 1},
+		{"?limit=1000000", len(aggs)},
+		{"?limit=-1", -1}, {"?limit=abc", -1}, {"?limit=1.5", -1},
+	} {
+		limit, err := FlowLimit(httptest.NewRequest("GET", "/flows"+c.query, nil))
+		if c.rows < 0 {
+			if err == nil {
+				t.Fatalf("%q accepted as limit %d", c.query, limit)
+			}
+			continue
 		}
-		if !strings.Contains(err.Error(), fmt.Sprint(v)) ||
-			!strings.Contains(err.Error(), fmt.Sprint(SnapshotVersion)) {
-			t.Fatalf("version error must name both versions, got: %v", err)
+		if err != nil {
+			t.Fatalf("%q rejected: %v", c.query, err)
+		}
+		rows := FlowRows(aggs, limit)
+		if len(rows) != c.rows {
+			t.Fatalf("%q rendered %d rows, want %d", c.query, len(rows), c.rows)
+		}
+		for i := range rows {
+			if rows[i] != FlowRow(&aggs[i]) {
+				t.Fatalf("%q row %d is not the table's row %d", c.query, i, i)
+			}
 		}
 	}
 }

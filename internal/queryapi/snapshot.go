@@ -1,0 +1,391 @@
+package queryapi
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
+	"github.com/netmeasure/rlir/internal/collector"
+	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
+)
+
+// FlowState is one flow aggregate's complete internal state, the /snapshot
+// row of the JSON rendering. Unlike FlowJSON it loses nothing: the Welford,
+// histogram and sketch accumulators travel as their exact field values, and
+// the 5-tuple travels numerically, so Snapshot.Aggs rebuilds
+// collector.FlowAgg values bit-identical to the instance's own.
+type FlowState struct {
+	Src     uint32 `json:"src"`
+	Dst     uint32 `json:"dst"`
+	SrcPort uint16 `json:"src_port"`
+	DstPort uint16 `json:"dst_port"`
+	Proto   uint8  `json:"proto"`
+
+	Est    stats.WelfordState   `json:"est"`
+	True   stats.WelfordState   `json:"true"`
+	Hist   stats.HistogramState `json:"hist"`
+	Sketch stats.SketchState    `json:"sketch"`
+
+	Packets uint64 `json:"packets,omitempty"`
+	Bytes   uint64 `json:"bytes,omitempty"`
+	FirstNs int64  `json:"first_ns,omitempty"`
+	LastNs  int64  `json:"last_ns,omitempty"`
+}
+
+// SnapshotVersion is the current /snapshot schema version, shared by both
+// renderings. Version 2 added the per-flow quantile sketch state; a
+// version-1 instance's snapshot lacks it, and merging such a snapshot would
+// silently produce empty sketch tiers — so Check rejects any version
+// mismatch outright instead.
+const SnapshotVersion = 2
+
+// Snapshot is the /snapshot response in its JSON rendering: the full flow
+// table as raw state plus the instance's ingest totals, tagged with the
+// schema version that produced it. It is what a plain GET /snapshot serves
+// (the human/debug view) and the reference the binary rendering below is
+// tested against.
+type Snapshot struct {
+	Version int         `json:"version"`
+	Samples uint64      `json:"samples"`
+	Records uint64      `json:"records"`
+	Flows   []FlowState `json:"flows"`
+}
+
+// Check validates the snapshot's schema version against this binary's.
+// A mismatch (including the implicit version 0 of a pre-versioning
+// instance) is an error naming both versions, so a mixed-version fleet
+// fails loudly at gather time rather than merging lossily.
+func (s Snapshot) Check() error {
+	if s.Version != SnapshotVersion {
+		return fmt.Errorf("queryapi: snapshot version %d from peer, this binary speaks version %d (mixed-version fleet?)", s.Version, SnapshotVersion)
+	}
+	return nil
+}
+
+// SnapshotOf packs a collector snapshot (and its ingest totals) for the
+// JSON rendering.
+func SnapshotOf(aggs []collector.FlowAgg, samples, records uint64) Snapshot {
+	s := Snapshot{Version: SnapshotVersion, Samples: samples, Records: records, Flows: make([]FlowState, len(aggs))}
+	for i := range aggs {
+		a := &aggs[i]
+		s.Flows[i] = FlowState{
+			Src:     uint32(a.Key.Src),
+			Dst:     uint32(a.Key.Dst),
+			SrcPort: a.Key.SrcPort,
+			DstPort: a.Key.DstPort,
+			Proto:   uint8(a.Key.Proto),
+			Est:     a.Est.State(),
+			True:    a.True.State(),
+			Hist:    a.Hist.State(),
+			Sketch:  a.Sketch.State(),
+			Packets: a.Packets,
+			Bytes:   a.Bytes,
+			FirstNs: int64(a.First),
+			LastNs:  int64(a.Last),
+		}
+	}
+	return s
+}
+
+// Aggs unpacks the snapshot back into collector flow aggregates, in wire
+// order (instances send them sorted by flow key). An empty table unpacks to
+// nil, like collector.Collector.Snapshot of an empty collector.
+func (s Snapshot) Aggs() []collector.FlowAgg {
+	if len(s.Flows) == 0 {
+		return nil
+	}
+	out := make([]collector.FlowAgg, len(s.Flows))
+	for i, f := range s.Flows {
+		out[i] = collector.FlowAgg{
+			Key: packet.FlowKey{
+				Src:     packet.Addr(f.Src),
+				Dst:     packet.Addr(f.Dst),
+				SrcPort: f.SrcPort,
+				DstPort: f.DstPort,
+				Proto:   packet.Proto(f.Proto),
+			},
+			Est:     stats.WelfordFromState(f.Est),
+			True:    stats.WelfordFromState(f.True),
+			Hist:    stats.HistogramFromState(f.Hist),
+			Sketch:  stats.SketchFromState(f.Sketch),
+			Packets: f.Packets,
+			Bytes:   f.Bytes,
+			First:   simtime.Time(f.FirstNs),
+			Last:    simtime.Time(f.LastNs),
+		}
+	}
+	return out
+}
+
+// Binary rendering of a snapshot: the instance → front-end wire. An
+// instance answers GET /snapshot with it when the request's Accept header
+// names SnapshotContentType and labels the response with that Content-Type;
+// the front-end picks its decoder by the response label, so a peer that
+// ignores the header is still read as JSON. Same schema, same
+// SnapshotVersion, second rendering:
+//
+//	offset size field
+//	0      4    magic 0x524C5353 ("RLSS", "RLIR Snapshot State")
+//	4      1    schema version (SnapshotVersion)
+//	5      uv   samples ingested
+//	...    uv   records ingested
+//	...    uv   flow count
+//	...    ...  count flow rows
+//
+// Flow row (snapshotMinFlowSize = 76 bytes when every varint is one byte):
+//
+//	key 13  collector wire layout: src 4 | dst 4 | srcPort 2 | dstPort 2 | proto 1
+//	est     n sv | mean f8 | m2 f8
+//	true    n sv | mean f8 | m2 f8
+//	hist    count uv | sum sv | min sv | max sv | k uv (<= stats.HistogramBuckets) | k x bucket uv
+//	sketch  zero uv | count uv | min f8 | max f8 | base sv | k uv | k x bucket uv
+//	        (0 <= base < stats.SketchMaxBuckets, base+k <= stats.SketchMaxBuckets)
+//	netflow packets uv | bytes uv | first ns sv | last ns sv
+//
+// uv is an unsigned LEB128 varint (encoding/binary's Uvarint), sv its
+// zig-zag signed form, f8 the float64's IEEE-754 bits, big endian, verbatim
+// — so NaN payloads, signed zeros, infinities and subnormals all cross
+// unchanged, which JSON cannot promise. Fixed-width fields are big endian
+// like the collector frame. Nothing may follow the last row.
+const (
+	// SnapshotContentType labels the binary rendering, in a request's
+	// Accept header and a response's Content-Type.
+	SnapshotContentType = "application/x-rlir-snapshot"
+
+	snapshotMagic      = 0x524C5353
+	snapshotHeaderSize = 5
+	// snapshotMinFlowSize is the shortest possible flow row: key, two
+	// Welfords (1+8+8 each), histogram (5 varints), sketch (4 varints, two
+	// floats), four NetFlow varints. It bounds an untrusted flow count by
+	// the bytes present before anything is allocated.
+	snapshotMinFlowSize = collector.KeyWireSize + 2*17 + 5 + (4 + 16) + 4
+)
+
+// Errors returned by DecodeSnapshot (a schema version mismatch is
+// Snapshot.Check's error instead).
+var (
+	ErrSnapshotMagic     = errors.New("queryapi: binary snapshot has wrong magic")
+	ErrSnapshotTruncated = errors.New("queryapi: binary snapshot truncated")
+	ErrSnapshotCorrupt   = errors.New("queryapi: binary snapshot corrupt")
+)
+
+// AppendSnapshot appends the binary rendering of a collector snapshot and
+// its ingest totals to dst and returns the extended slice.
+func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
+	dst = append(dst, SnapshotVersion)
+	dst = binary.AppendUvarint(dst, samples)
+	dst = binary.AppendUvarint(dst, records)
+	dst = binary.AppendUvarint(dst, uint64(len(aggs)))
+	for i := range aggs {
+		a := &aggs[i]
+		dst = collector.AppendKey(dst, a.Key)
+		dst = appendWelford(dst, a.Est.State())
+		dst = appendWelford(dst, a.True.State())
+
+		h := a.Hist.State()
+		dst = binary.AppendUvarint(dst, h.Count)
+		dst = binary.AppendVarint(dst, h.Sum)
+		dst = binary.AppendVarint(dst, h.Min)
+		dst = binary.AppendVarint(dst, h.Max)
+		dst = appendBuckets(dst, h.Buckets)
+
+		s := a.Sketch.State()
+		dst = binary.AppendUvarint(dst, s.Zero)
+		dst = binary.AppendUvarint(dst, s.Count)
+		dst = appendFloat(dst, s.Min)
+		dst = appendFloat(dst, s.Max)
+		dst = binary.AppendVarint(dst, int64(s.Base))
+		dst = appendBuckets(dst, s.Buckets)
+
+		dst = binary.AppendUvarint(dst, a.Packets)
+		dst = binary.AppendUvarint(dst, a.Bytes)
+		dst = binary.AppendVarint(dst, int64(a.First))
+		dst = binary.AppendVarint(dst, int64(a.Last))
+	}
+	return dst
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+func appendWelford(dst []byte, w stats.WelfordState) []byte {
+	dst = binary.AppendVarint(dst, w.N)
+	dst = appendFloat(dst, w.Mean)
+	return appendFloat(dst, w.M2)
+}
+
+func appendBuckets(dst []byte, buckets []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
+	for _, c := range buckets {
+		dst = binary.AppendUvarint(dst, c)
+	}
+	return dst
+}
+
+// DecodeSnapshot decodes the binary rendering straight into collector flow
+// aggregates (no intermediate FlowState table) and returns them in wire
+// order with the instance's ingest totals. src is untrusted: every count is
+// bounded by the bytes present before it sizes an allocation, a version
+// other than SnapshotVersion is Snapshot.Check's error, and a body that is
+// truncated, overlong or out of bounds anywhere is an error with no partial
+// table. An empty table decodes to nil, like Snapshot.Aggs.
+func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint64, err error) {
+	if len(src) < snapshotHeaderSize {
+		return nil, 0, 0, fmt.Errorf("%w: %d bytes, header needs %d", ErrSnapshotTruncated, len(src), snapshotHeaderSize)
+	}
+	if binary.BigEndian.Uint32(src) != snapshotMagic {
+		return nil, 0, 0, ErrSnapshotMagic
+	}
+	if err := (Snapshot{Version: int(src[4])}).Check(); err != nil {
+		return nil, 0, 0, err
+	}
+	r := snapshotReader{b: src[snapshotHeaderSize:]}
+	samples, records = r.uvarint(), r.uvarint()
+	count := r.uvarint()
+	if r.err == nil && count > uint64(len(r.b)/snapshotMinFlowSize) {
+		r.fail(fmt.Errorf("%w: %d flows need at least %d bytes each, have %d",
+			ErrSnapshotTruncated, count, snapshotMinFlowSize, len(r.b)))
+	}
+	if r.err != nil {
+		return nil, 0, 0, r.err
+	}
+	if count > 0 {
+		aggs = make([]collector.FlowAgg, count)
+	}
+	// One scratch window for every bucket run: SetState copies out of it.
+	scratch := make([]uint64, 0, stats.SketchMaxBuckets)
+	for i := range aggs {
+		a := &aggs[i]
+		a.Key = r.key()
+		a.Est.SetState(r.welford())
+		a.True.SetState(r.welford())
+
+		h := stats.HistogramState{Count: r.uvarint(), Sum: r.varint(), Min: r.varint(), Max: r.varint()}
+		h.Buckets = r.buckets(scratch, stats.HistogramBuckets)
+		a.Hist.SetState(h)
+
+		s := stats.SketchState{Zero: r.uvarint(), Count: r.uvarint(), Min: r.float(), Max: r.float()}
+		base := r.varint()
+		if r.err == nil && (base < 0 || base >= stats.SketchMaxBuckets) {
+			r.fail(fmt.Errorf("%w: flow %d sketch window base %d outside [0, %d)", ErrSnapshotCorrupt, i, base, stats.SketchMaxBuckets))
+		}
+		s.Base = int32(base)
+		s.Buckets = r.buckets(scratch, stats.SketchMaxBuckets-int(s.Base))
+		a.Sketch.SetState(s)
+
+		a.Packets, a.Bytes = r.uvarint(), r.uvarint()
+		a.First, a.Last = simtime.Time(r.varint()), simtime.Time(r.varint())
+		if r.err != nil {
+			return nil, 0, 0, r.err
+		}
+	}
+	if len(r.b) != 0 {
+		return nil, 0, 0, fmt.Errorf("%w: %d bytes after the last of %d flows", ErrSnapshotCorrupt, len(r.b), count)
+	}
+	return aggs, samples, records, nil
+}
+
+// snapshotReader consumes a binary snapshot body front to back. The first
+// failure sticks in err and empties b, so every later read fails fast and
+// the caller checks once per flow row.
+type snapshotReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapshotReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *snapshotReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.failVarint(n)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapshotReader) varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.failVarint(n)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// failVarint maps encoding/binary's varint failure codes: 0 is a buffer
+// that ended mid-value, negative a value overflowing 64 bits.
+func (r *snapshotReader) failVarint(n int) {
+	if n == 0 {
+		r.fail(ErrSnapshotTruncated)
+	} else {
+		r.fail(fmt.Errorf("%w: varint overflows 64 bits", ErrSnapshotCorrupt))
+	}
+}
+
+// fixed returns the next n bytes, or nil after a failure.
+func (r *snapshotReader) fixed(n int) []byte {
+	if len(r.b) < n {
+		r.fail(ErrSnapshotTruncated)
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *snapshotReader) float() float64 {
+	p := r.fixed(8)
+	if p == nil {
+		return 0
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(p))
+}
+
+func (r *snapshotReader) key() packet.FlowKey {
+	p := r.fixed(collector.KeyWireSize)
+	if p == nil {
+		return packet.FlowKey{}
+	}
+	return collector.DecodeKey(p)
+}
+
+func (r *snapshotReader) welford() stats.WelfordState {
+	return stats.WelfordState{N: r.varint(), Mean: r.float(), M2: r.float()}
+}
+
+// buckets reads one counted bucket run of at most limit counters into
+// scratch's backing array (nil for an empty run). The count is also bounded
+// by the bytes left — a bucket is at least one byte — so a lying count
+// fails before the loop runs.
+func (r *snapshotReader) buckets(scratch []uint64, limit int) []uint64 {
+	k := r.uvarint()
+	if r.err != nil || k == 0 {
+		return nil
+	}
+	if k > uint64(limit) {
+		r.fail(fmt.Errorf("%w: bucket run of %d, limit %d", ErrSnapshotCorrupt, k, limit))
+		return nil
+	}
+	if k > uint64(len(r.b)) {
+		r.fail(ErrSnapshotTruncated)
+		return nil
+	}
+	out := scratch[:k]
+	for i := range out {
+		out[i] = r.uvarint()
+	}
+	return out
+}

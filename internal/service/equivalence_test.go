@@ -9,6 +9,7 @@ import (
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/queryapi"
 	"github.com/netmeasure/rlir/internal/scenario"
 )
 
@@ -86,7 +87,7 @@ func TestServiceMatchesBatchEngine(t *testing.T) {
 		t.Fatalf("/flows has %d rows, batch fleet has %d", len(flows), len(fleet))
 	}
 	for i := range fleet {
-		want := flowJSON(&fleet[i])
+		want := queryapi.FlowRow(&fleet[i])
 		if flows[i] != want {
 			t.Fatalf("flow %d diverged:\nservice %+v\nbatch   %+v", i, flows[i], want)
 		}

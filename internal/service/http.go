@@ -5,9 +5,9 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
-	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/queryapi"
 )
@@ -28,8 +28,6 @@ type (
 	// RollupJSON is the /rollup response.
 	RollupJSON = queryapi.RollupJSON
 )
-
-func flowJSON(a *collector.FlowAgg) FlowJSON { return queryapi.FlowRow(a) }
 
 func comparisonJSON(c measure.Comparison) ComparisonJSON { return queryapi.ComparisonRow(c) }
 
@@ -53,25 +51,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // handleFlows serves the per-flow table, sorted by flow key. ?limit=N caps
-// the row count (the table can hold millions of flows).
+// the row count (the table can hold millions of flows); it is validated
+// before the table is copied.
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	snap := s.coll.Snapshot()
-	limit := len(snap)
-	if q := r.URL.Query().Get("limit"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		if n < limit {
-			limit = n
-		}
+	limit, err := queryapi.FlowLimit(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
-	rows := make([]FlowJSON, 0, limit)
-	for i := 0; i < limit; i++ {
-		rows = append(rows, flowJSON(&snap[i]))
-	}
-	writeJSON(w, http.StatusOK, rows)
+	writeJSON(w, http.StatusOK, queryapi.FlowRows(s.coll.Snapshot(), limit))
 }
 
 func (s *Server) handleRouters(w http.ResponseWriter, r *http.Request) {
@@ -126,11 +114,27 @@ func (s *Server) handleComparison(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the raw flow-table state (full accumulator
 // internals, not derived summaries) — the endpoint the fleet front-end
-// gathers and merges exactly. See queryapi.FlowState.
+// gathers and merges exactly. A request whose Accept header names
+// queryapi.SnapshotContentType gets the compact binary rendering, labelled
+// with that Content-Type; any other request gets indented JSON, the
+// human/debug view of the same value (see queryapi.Snapshot).
+//
+// The ingest totals are read BEFORE the table is cut: SamplesIngested
+// advances only after a batch is queued to its shards, and the cut drains
+// everything queued ahead of it, so the shipped rows hold at least the
+// samples the totals count. Read after the cut, a concurrent Ingest could
+// make the totals exceed what the rows explain.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	samples, records := s.ingestTotals()
 	snap := s.coll.Snapshot()
-	writeJSON(w, http.StatusOK,
-		queryapi.SnapshotOf(snap, s.coll.SamplesIngested(), s.coll.RecordsIngested()))
+	if !strings.Contains(r.Header.Get("Accept"), queryapi.SnapshotContentType) {
+		writeJSON(w, http.StatusOK, queryapi.SnapshotOf(snap, samples, records))
+		return
+	}
+	body := queryapi.AppendSnapshot(nil, snap, samples, records)
+	w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body) // a failed write is the client's disconnect
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -16,12 +16,16 @@ import (
 //
 // The zero value is ready to use.
 type Histogram struct {
-	buckets [64]uint64
+	buckets [HistogramBuckets]uint64
 	count   uint64
 	sum     int64
 	min     int64
 	max     int64
 }
+
+// HistogramBuckets is the histogram's fixed bucket count: one per bit of a
+// non-negative int64 nanosecond duration, rounded up to 64.
+const HistogramBuckets = 64
 
 func bucketOf(d time.Duration) int {
 	if d <= 1 {
@@ -85,8 +89,8 @@ func (h *Histogram) State() HistogramState {
 }
 
 // SetState rebuilds the histogram from exported state, bit-identical to the
-// histogram State was called on. State slices longer than the 64 log2
-// buckets are truncated.
+// histogram State was called on. State slices longer than HistogramBuckets
+// are truncated.
 func (h *Histogram) SetState(s HistogramState) {
 	*h = Histogram{}
 	n := len(s.Buckets)

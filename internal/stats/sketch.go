@@ -234,14 +234,14 @@ func (s *Sketch) State() SketchState {
 }
 
 // SetState rebuilds the sketch from exported state, bit-identical to the
-// sketch State was called on. A wire peer's window that falls outside the
-// structural bucket range is truncated defensively, never trusted to
-// allocate unboundedly.
+// sketch State was called on. A wire peer's window is never trusted to
+// allocate unboundedly or index out of range: one based outside the
+// structural bucket range is dropped, one running past its end truncated.
 func (s *Sketch) SetState(st SketchState) {
 	*s = Sketch{zero: st.Zero, count: st.Count, base: st.Base, min: st.Min, max: st.Max}
 	n := len(st.Buckets)
-	if st.Base < 0 {
-		s.base, n = 0, 0 // nonsense window: drop it rather than index negatively
+	if st.Base < 0 || st.Base >= SketchMaxBuckets {
+		s.base, n = 0, 0 // nonsense window: drop it
 	}
 	if max := SketchMaxBuckets - int(s.base); n > max {
 		n = max

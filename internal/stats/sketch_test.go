@@ -209,6 +209,12 @@ func TestSketchEdgeCases(t *testing.T) {
 	if got := SketchFromState(neg); got.Buckets() != 0 {
 		t.Fatalf("negative-base window kept %d buckets", got.Buckets())
 	}
+	// A base past the bucket range is dropped whole: State of the result
+	// must be something SetState (and the snapshot wire) accepts back.
+	far := SketchState{Count: 1, Base: SketchMaxBuckets + 5, Buckets: []uint64{1}}
+	if got := SketchFromState(far); got.Buckets() != 0 || got.State().Base != 0 {
+		t.Fatalf("out-of-range base kept: %+v", got.State())
+	}
 
 	defer func() {
 		if recover() == nil {

@@ -56,8 +56,9 @@ func (w *Welford) Merge(o *Welford) {
 // WelfordState is the exported internal state of a Welford accumulator —
 // exactly the three fields of the online algorithm. It exists so an
 // accumulator can cross a process boundary (the fleet raw-snapshot wire)
-// and be rebuilt bit-identically; Go's JSON float encoding is shortest
-// round-trip, so State → JSON → WelfordFromState loses nothing.
+// and be rebuilt bit-identically: the binary snapshot rendering ships the
+// float bits verbatim, and Go's JSON float encoding is shortest round-trip,
+// so State → JSON → WelfordFromState loses nothing for finite values either.
 type WelfordState struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
