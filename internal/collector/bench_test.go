@@ -1,11 +1,8 @@
 package collector
 
 import (
-	"container/list"
 	"testing"
 	"time"
-
-	"github.com/netmeasure/rlir/internal/packet"
 )
 
 // BenchmarkIngest measures collector ingest throughput: samples pushed
@@ -32,7 +29,7 @@ func BenchmarkIngest(b *testing.B) {
 func BenchmarkIngestSequentialBaseline(b *testing.B) {
 	stream := genStream(1, 4096, 1<<16)
 	const batch = 512
-	s := &shard{flows: make(map[packet.FlowKey]*flowEntry), lru: list.New()}
+	s := newShard(Config{Shards: 1})
 	now := time.Now()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -55,13 +52,7 @@ func BenchmarkEvictionChurn(b *testing.B) {
 	// Both tiers bounded, as a production cap would set them: with the
 	// class tier unbounded the map grows for the whole run and the
 	// benchmark never reaches a steady state.
-	s := &shard{
-		flows:      make(map[packet.FlowKey]*flowEntry),
-		lru:        list.New(),
-		classes:    make(map[packet.FlowKey]*FlowAgg),
-		maxFlows:   1024,
-		maxClasses: 256,
-	}
+	s := newShard(Config{Shards: 1, MaxFlows: 1024, MaxClasses: 256})
 	now := time.Now()
 	// Fill the table to its cap first so every timed batch evicts — the
 	// steady churn state, even at b.N = 1.

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"container/list"
 	"runtime"
 	"sort"
 	"sync"
@@ -140,12 +139,15 @@ func perShard(total, shards int) int {
 
 // TableStats is the cheap per-scrape view of the bounded flow table:
 // current tier sizes plus lifetime eviction counters. Evicted counts flows
-// displaced by the MaxFlows cap; Expired counts flows aged out by Window.
+// displaced by the MaxFlows cap; Expired counts flows aged out by Window;
+// Recycled counts new flows that reused a displaced flow's entry (and its
+// sketch storage) instead of allocating one.
 type TableStats struct {
-	Flows   int
-	Classes int
-	Evicted uint64
-	Expired uint64
+	Flows    int
+	Classes  int
+	Evicted  uint64
+	Expired  uint64
+	Recycled uint64
 }
 
 func (t *TableStats) add(o TableStats) {
@@ -153,6 +155,7 @@ func (t *TableStats) add(o TableStats) {
 	t.Classes += o.Classes
 	t.Evicted += o.Evicted
 	t.Expired += o.Expired
+	t.Recycled += o.Recycled
 }
 
 // Rollup is the hierarchical tier below individual flows: class-level
@@ -180,22 +183,35 @@ type req struct {
 	roll    chan Rollup
 }
 
-// flowEntry is one tracked flow plus its recency bookkeeping: elem is its
-// position in the shard's LRU list (front = most recently seen).
+// flowEntry is one tracked flow plus its recency bookkeeping: prev/next
+// link it into the shard's LRU ring while the flow is live, and next alone
+// chains it on the shard's free list once the flow has been folded away.
 type flowEntry struct {
-	agg  FlowAgg
-	last time.Time
-	elem *list.Element
+	agg        FlowAgg
+	last       time.Time
+	prev, next *flowEntry
 }
 
+// uncappedFreeEntries bounds the free list of a shard with no MaxFlows cap
+// (a capped shard's list is bounded by the cap itself): an idle-expiry wave
+// on an unbounded table must not pin its peak population forever.
+const uncappedFreeEntries = 1024
+
 // shard owns one partition of the flow space. Only its goroutine touches
-// its maps, LRU and rollup tiers.
+// its maps, LRU, free list and rollup tiers.
 type shard struct {
-	ch    chan req
+	ch chan req
+	// bufs holds processed sample buffers for Ingest to refill, so a batch
+	// in steady state is partitioned into storage the shard already owns.
+	bufs  chan []Sample
 	flows map[packet.FlowKey]*flowEntry
-	// lru orders flows by last touch; Value is *flowEntry. The back is the
-	// eviction/expiry candidate.
-	lru        *list.List
+	// lru is the sentinel of the intrusive recency ring: lru.next is the
+	// most recently seen flow, lru.prev the eviction/expiry candidate.
+	lru flowEntry
+	// free chains displaced entries, reset but still holding their sketch
+	// storage, for agg to hand to the next new flow.
+	free       *flowEntry
+	nfree      int
 	classes    map[packet.FlowKey]*FlowAgg
 	root       FlowAgg
 	maxFlows   int
@@ -204,6 +220,22 @@ type shard struct {
 	clock      func() time.Time
 	evicted    uint64
 	expired    uint64
+	recycled   uint64
+}
+
+func newShard(cfg Config) *shard {
+	s := &shard{
+		ch:         make(chan req, cfg.Depth),
+		bufs:       make(chan []Sample, cfg.Depth+2),
+		flows:      make(map[packet.FlowKey]*flowEntry),
+		classes:    make(map[packet.FlowKey]*FlowAgg),
+		maxFlows:   perShard(cfg.MaxFlows, cfg.Shards),
+		maxClasses: perShard(cfg.MaxClasses, cfg.Shards),
+		window:     cfg.Window,
+		clock:      cfg.Clock,
+	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
 }
 
 func (s *shard) run(wg *sync.WaitGroup) {
@@ -225,28 +257,67 @@ func (s *shard) run(wg *sync.WaitGroup) {
 				s.agg(r.Key, now).addRecord(r)
 			}
 			s.expire(now)
+			if q.samples != nil && cap(q.samples) <= maxPooledSamples {
+				select {
+				case s.bufs <- q.samples[:0]:
+				default: // pool full: let this one go
+				}
+			}
 		}
 	}
 }
 
+// maxPooledSamples is the largest sample buffer a shard keeps for reuse
+// (160 kB): a one-off whole-capture batch is not worth holding on to.
+const maxPooledSamples = 4096
+
+// buffer returns an empty sample buffer for Ingest to fill for this shard:
+// one the shard has finished with when there is one, a fresh one otherwise.
+func (s *shard) buffer() []Sample {
+	select {
+	case b := <-s.bufs:
+		return b
+	default:
+		return make([]Sample, 0, 64)
+	}
+}
+
 // agg returns the flow's aggregate, inserting (and evicting, if the table
-// is at its cap) as needed, and refreshes the flow's LRU recency.
+// is at its cap) as needed, and refreshes the flow's LRU recency. A new
+// flow takes a recycled entry when the free list has one, so a table
+// churning at its cap allocates nothing per flow.
 func (s *shard) agg(key packet.FlowKey, now time.Time) *FlowAgg {
 	e, ok := s.flows[key]
-	if !ok {
+	switch {
+	case !ok:
 		if s.maxFlows > 0 {
 			for len(s.flows) >= s.maxFlows {
 				s.foldOldest(&s.evicted)
 			}
 		}
-		e = &flowEntry{agg: FlowAgg{Key: key}}
-		e.elem = s.lru.PushFront(e)
+		if e = s.free; e != nil {
+			s.free, e.next = e.next, nil
+			s.nfree--
+			s.recycled++
+		} else {
+			e = new(flowEntry)
+		}
+		e.agg.Key = key
 		s.flows[key] = e
-	} else {
-		s.lru.MoveToFront(e.elem)
+		s.pushFront(e)
+	case e != s.lru.next:
+		e.prev.next, e.next.prev = e.next, e.prev
+		s.pushFront(e)
 	}
 	e.last = now
 	return &e.agg
+}
+
+// pushFront links an unlinked entry in as the most recently seen flow.
+func (s *shard) pushFront(e *flowEntry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.next.prev = e
+	s.lru.next = e
 }
 
 // expire folds flows idle longer than the window into the rollup tiers.
@@ -256,10 +327,7 @@ func (s *shard) expire(now time.Time) {
 	if s.window <= 0 {
 		return
 	}
-	for back := s.lru.Back(); back != nil; back = s.lru.Back() {
-		if now.Sub(back.Value.(*flowEntry).last) <= s.window {
-			return
-		}
+	for s.lru.prev != &s.lru && now.Sub(s.lru.prev.last) > s.window {
 		s.foldOldest(&s.expired)
 	}
 }
@@ -267,27 +335,42 @@ func (s *shard) expire(now time.Time) {
 // foldOldest removes the least recently seen flow and folds its aggregate
 // one tier down: into its flow class, or — when the class tier is full and
 // the class is not already tracked — straight into the router-level root.
+// The emptied entry goes on the free list. The fold copies counters out of
+// the entry (FlowAgg.merge never retains its argument's storage), so
+// nothing in the rollup tiers aliases what the next tenant will overwrite.
 func (s *shard) foldOldest(counter *uint64) {
-	back := s.lru.Back()
-	if back == nil {
+	e := s.lru.prev
+	if e == &s.lru {
 		return
 	}
-	e := back.Value.(*flowEntry)
-	s.lru.Remove(back)
+	e.prev.next, e.next.prev = e.next, e.prev
 	delete(s.flows, e.agg.Key)
 	*counter++
 
+	dst := &s.root
 	class := e.agg.Key.Class()
-	c, ok := s.classes[class]
-	if !ok {
-		if s.maxClasses > 0 && len(s.classes) >= s.maxClasses {
-			s.foldInto(&s.root, &e.agg)
-			return
-		}
-		c = &FlowAgg{Key: class}
-		s.classes[class] = c
+	if c, ok := s.classes[class]; ok {
+		dst = c
+	} else if s.maxClasses <= 0 || len(s.classes) < s.maxClasses {
+		dst = &FlowAgg{Key: class}
+		s.classes[class] = dst
 	}
-	s.foldInto(c, &e.agg)
+	s.foldInto(dst, &e.agg)
+	s.release(e)
+}
+
+// release resets a displaced entry and chains it on the free list. The
+// sketch keeps its counter storage across the reset (stats.Sketch.Reset),
+// which is most of what a new flow would otherwise allocate.
+func (s *shard) release(e *flowEntry) {
+	if s.maxFlows <= 0 && s.nfree >= uncappedFreeEntries {
+		return
+	}
+	sk := e.agg.Sketch
+	sk.Reset()
+	*e = flowEntry{agg: FlowAgg{Sketch: sk}, next: s.free}
+	s.free = e
+	s.nfree++
 }
 
 // foldInto merges a displaced aggregate into a rollup tier aggregate,
@@ -300,10 +383,11 @@ func (s *shard) foldInto(dst, src *FlowAgg) {
 
 func (s *shard) stats() TableStats {
 	return TableStats{
-		Flows:   len(s.flows),
-		Classes: len(s.classes),
-		Evicted: s.evicted,
-		Expired: s.expired,
+		Flows:    len(s.flows),
+		Classes:  len(s.classes),
+		Evicted:  s.evicted,
+		Expired:  s.expired,
+		Recycled: s.recycled,
 	}
 }
 
@@ -327,10 +411,11 @@ func (s *shard) rollup() Rollup {
 }
 
 // cloneAgg deep-copies one aggregate. FlowAgg holds a slice (the sketch's
-// counter window), so a plain struct copy would alias live shard state.
+// counter window), so a plain struct copy would alias live shard state —
+// storage a shard grows in place and hands to another flow after eviction.
 func cloneAgg(a *FlowAgg) FlowAgg {
 	cp := *a
-	cp.Sketch = stats.SketchFromState(a.Sketch.State())
+	cp.Sketch = a.Sketch.Clone()
 	return cp
 }
 
@@ -355,16 +440,7 @@ func New(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{shards: make([]*shard, cfg.Shards)}
 	for i := range c.shards {
-		c.shards[i] = &shard{
-			ch:         make(chan req, cfg.Depth),
-			flows:      make(map[packet.FlowKey]*flowEntry),
-			lru:        list.New(),
-			classes:    make(map[packet.FlowKey]*FlowAgg),
-			maxFlows:   perShard(cfg.MaxFlows, cfg.Shards),
-			maxClasses: perShard(cfg.MaxClasses, cfg.Shards),
-			window:     cfg.Window,
-			clock:      cfg.Clock,
-		}
+		c.shards[i] = newShard(cfg)
 		c.wg.Add(1)
 		go c.shards[i].run(&c.wg)
 	}
@@ -378,8 +454,10 @@ func (c *Collector) shardOf(key packet.FlowKey) int {
 }
 
 // Ingest routes one batch of samples to the owning shards. The batch is
-// copied during partitioning; the caller may reuse it immediately. Blocks
-// only when a shard's bounded queue is full (back-pressure).
+// copied during partitioning — into buffers the shards recycle, so a
+// steady-state call allocates nothing — and the caller may reuse it
+// immediately. Blocks only when a shard's bounded queue is full
+// (back-pressure).
 func (c *Collector) Ingest(batch []Sample) {
 	if len(batch) == 0 {
 		return
@@ -389,20 +467,49 @@ func (c *Collector) Ingest(batch []Sample) {
 	if c.closed {
 		panic("collector: Ingest after Close")
 	}
-	parts := make([][]Sample, len(c.shards))
-	for _, s := range batch {
-		i := c.shardOf(s.Key)
-		parts[i] = append(parts[i], s)
+	var stack [stackParts][]Sample
+	parts := c.parts(&stack)
+	for i := range batch {
+		c.place(parts, &batch[i])
 	}
+	c.dispatch(parts, len(batch))
+}
+
+// place appends one sample to its owning shard's partition, taking a buffer
+// from that shard's pool on the partition's first sample.
+func (c *Collector) place(parts [][]Sample, s *Sample) {
+	i := c.shardOf(s.Key)
+	if parts[i] == nil {
+		parts[i] = c.shards[i].buffer()
+	}
+	parts[i] = append(parts[i], *s)
+}
+
+// stackParts is the shard count up to which a partitioning call keeps its
+// per-shard slice headers on the stack.
+const stackParts = 16
+
+// parts returns the zeroed per-shard slice headers one partitioning call
+// fills: the caller's stack array when the shards fit in it.
+func (c *Collector) parts(stack *[stackParts][]Sample) [][]Sample {
+	if n := len(c.shards); n <= stackParts {
+		return stack[:n]
+	}
+	return make([][]Sample, len(c.shards))
+}
+
+// dispatch sends each shard its partition of an n-sample batch; the shard
+// returns the buffer to its pool once the samples are folded.
+func (c *Collector) dispatch(parts [][]Sample, n int) {
 	for i, p := range parts {
-		if len(p) > 0 {
+		if p != nil {
 			c.shards[i].ch <- req{samples: p}
 		}
 	}
 	// Counted only after every shard send: a goroutine that observes
 	// SamplesIngested() == N may Snapshot and see all N samples, because its
 	// snap requests queue behind the already-sent batches.
-	c.samples.Add(uint64(len(batch)))
+	c.samples.Add(uint64(n))
 }
 
 // IngestRecords routes one batch of NetFlow records to the owning shards,
@@ -432,15 +539,41 @@ func (c *Collector) IngestRecords(recs []netflow.Record) {
 
 // IngestFrame decodes one wire frame (samples or records) and ingests it.
 // It returns the number of bytes consumed, so back-to-back frames in one
-// buffer can be drained in a loop.
+// buffer can be drained in a loop. A samples frame is decoded record by
+// record straight into the shards' buffers — no intermediate []Sample — so
+// src may be reused as soon as the call returns.
 func (c *Collector) IngestFrame(src []byte) (int, error) {
-	f, n, err := DecodeFrame(src)
+	msgType, count, body, err := parseHeader(src)
 	if err != nil {
 		return 0, err
 	}
-	c.Ingest(f.Samples)
+	if msgType == MsgSamples {
+		c.ingestWire(body[:count*SampleWireSize])
+		return FrameHeaderSize + count*SampleWireSize, nil
+	}
+	f, n, _ := DecodeFrame(src) // cannot fail: the header just parsed
 	c.IngestRecords(f.Records)
 	return n, nil
+}
+
+// ingestWire is Ingest over the body of a samples frame: whole encoded
+// samples, partitioned as they are decoded.
+func (c *Collector) ingestWire(body []byte) {
+	if len(body) == 0 {
+		return
+	}
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.closed {
+		panic("collector: IngestFrame after Close")
+	}
+	var stack [stackParts][]Sample
+	parts := c.parts(&stack)
+	for off := 0; off < len(body); off += SampleWireSize {
+		s := decodeSample(body[off:])
+		c.place(parts, &s)
+	}
+	c.dispatch(parts, len(body)/SampleWireSize)
 }
 
 // SamplesIngested returns the number of samples enqueued to shards by
@@ -455,6 +588,18 @@ func (c *Collector) RecordsIngested() uint64 { return c.records.Load() }
 
 // Shards returns the shard count.
 func (c *Collector) Shards() int { return len(c.shards) }
+
+// QueueDepths returns each shard's queued request count right now — the
+// length of its bounded channel, read without a request or a table copy. A
+// queue pinned at Config.Depth means the shards bound ingest; one near zero
+// means the producers (the connection read loops) do.
+func (c *Collector) QueueDepths() []int {
+	depths := make([]int, len(c.shards))
+	for i, s := range c.shards {
+		depths[i] = len(s.ch)
+	}
+	return depths
+}
 
 // Snapshot returns a deep copy of every flow aggregate, sorted by flow key.
 // Before Close it is a consistent cut: each shard answers after draining

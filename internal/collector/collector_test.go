@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"container/list"
 	"math"
 	"math/rand"
 	"reflect"
@@ -35,7 +34,7 @@ func genStream(seed int64, nFlows, nSamples int) []Sample {
 // sequentialAggregate is the single-threaded reference the sharded plane
 // must match.
 func sequentialAggregate(stream []Sample, recs []netflow.Record) []FlowAgg {
-	s := &shard{flows: make(map[packet.FlowKey]*flowEntry), lru: list.New()}
+	s := newShard(Config{Shards: 1})
 	var now time.Time
 	for _, smp := range stream {
 		s.agg(smp.Key, now).addSample(smp)

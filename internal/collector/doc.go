@@ -26,7 +26,18 @@
 // DecodeFrame consumes frames from an in-memory buffer; FrameReader
 // (stream.go) consumes them from a socket, validating each header's record
 // count against a bound before committing memory — the ingest front-end of
-// the long-lived service in internal/service.
+// the long-lived service in internal/service. FrameReader.NextRaw hands a
+// frame over undecoded and Collector.IngestFrame decodes a samples frame
+// straight into the shards' batch buffers, the service's hot path.
+//
+// # Steady state allocates nothing
+//
+// Shards hand processed batch buffers back to Ingest, a bounded table
+// reuses the entries (and sketch storage) of the flows it folds away, and
+// the LRU is two pointers inside each entry — so neither a sample nor a
+// churned flow costs an allocation once the table and the pools are warm.
+// The TestZeroAlloc* gates pin it; DESIGN.md "Bounded-memory aggregation"
+// has the life cycle and what it costs in retained memory.
 //
 // Consumers: internal/runner batches per-run estimates into a shared
 // collector for multi-seed sweeps; internal/scenario streams every engine

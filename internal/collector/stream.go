@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"time"
 )
 
 // DefaultMaxFrameRecords bounds how many records one streamed frame may
@@ -55,30 +56,64 @@ func bodyLen(msgType byte, count uint32) (int, error) {
 // a frame. The returned Frame's slices are freshly allocated and remain
 // valid across calls; the internal read buffer is reused.
 func (fr *FrameReader) Next() (Frame, error) {
+	raw, err := fr.NextRaw()
+	if err != nil {
+		return Frame{}, err
+	}
+	f, _, err := DecodeFrame(raw)
+	return f, err
+}
+
+// RawFrame is one whole wire frame, header and body, exactly as it crossed
+// the wire. One returned by FrameReader.NextRaw has a validated header and a
+// complete body, so DecodeFrame and Collector.IngestFrame cannot fail on it.
+type RawFrame []byte
+
+// Type returns the frame's message type (MsgSamples, MsgRecords, MsgHello).
+func (f RawFrame) Type() byte { return f[3] }
+
+// Count returns the header's count field: records in a samples or records
+// frame, name bytes in a hello.
+func (f RawFrame) Count() int { return int(binary.BigEndian.Uint32(f[4:8])) }
+
+// Delays returns the estimated and true delay of record i of a samples
+// frame without decoding its key — what a per-exporter latency summary
+// needs from a frame the collector ingests undecoded.
+func (f RawFrame) Delays(i int) (est, truth time.Duration) {
+	rec := f[FrameHeaderSize+i*SampleWireSize+KeyWireSize:][:16]
+	return time.Duration(int64(binary.BigEndian.Uint64(rec[0:8]))),
+		time.Duration(int64(binary.BigEndian.Uint64(rec[8:16])))
+}
+
+// NextRaw reads one frame like Next but leaves it undecoded, so a samples
+// frame can go to Collector.IngestFrame without an intermediate []Sample.
+// The returned bytes alias the reader's internal buffer and are valid only
+// until the next call.
+func (fr *FrameReader) NextRaw() (RawFrame, error) {
 	var hdr [FrameHeaderSize]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return Frame{}, io.EOF
+			return nil, io.EOF
 		}
 		// The underlying error stays in the chain: a consumer must be able
 		// to tell a force-closed socket (net.ErrClosed) from wire
 		// corruption, both of which surface here.
-		return Frame{}, fmt.Errorf("%w: stream ended inside a frame header: %w", ErrTruncatedFrame, err)
+		return nil, fmt.Errorf("%w: stream ended inside a frame header: %w", ErrTruncatedFrame, err)
 	}
 	if binary.BigEndian.Uint16(hdr[0:2]) != frameMagic {
-		return Frame{}, ErrBadFrameMagic
+		return nil, ErrBadFrameMagic
 	}
 	if hdr[2] != frameVersion {
-		return Frame{}, ErrBadVersion
+		return nil, ErrBadVersion
 	}
 	msgType := hdr[3]
 	count := binary.BigEndian.Uint32(hdr[4:8])
 	if (msgType == MsgSamples || msgType == MsgRecords) && count > fr.maxRecords {
-		return Frame{}, fmt.Errorf("%w: %d records, bound %d", ErrOversizedFrame, count, fr.maxRecords)
+		return nil, fmt.Errorf("%w: %d records, bound %d", ErrOversizedFrame, count, fr.maxRecords)
 	}
 	n, err := bodyLen(msgType, count)
 	if err != nil {
-		return Frame{}, err
+		return nil, err
 	}
 	need := FrameHeaderSize + n
 	if cap(fr.buf) < need {
@@ -87,9 +122,8 @@ func (fr *FrameReader) Next() (Frame, error) {
 	frame := fr.buf[:need]
 	copy(frame, hdr[:])
 	if got, err := io.ReadFull(fr.r, frame[FrameHeaderSize:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: stream ended %d bytes into a %d-byte body: %w",
+		return nil, fmt.Errorf("%w: stream ended %d bytes into a %d-byte body: %w",
 			ErrTruncatedFrame, got, n, err)
 	}
-	f, _, err := DecodeFrame(frame)
-	return f, err
+	return frame, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,72 @@ func TestFrameReaderStream(t *testing.T) {
 	}
 	if _, err = fr.Next(); err != io.EOF {
 		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+}
+
+// TestFrameReaderRaw pins the undecoded face of the reader, the one the
+// service's read loop uses: NextRaw yields the same frames Next decodes,
+// Type/Count/Delays read them in place, and a raw samples frame handed to
+// IngestFrame lands in the collector exactly as its decoded samples would —
+// also when the reader's buffer is overwritten by the next frame right after.
+func TestFrameReaderRaw(t *testing.T) {
+	a, b := genStream(31, 40, 700), genStream(32, 40, 300)
+	var wire []byte
+	wire = AppendHello(wire, "tor3")
+	wire = AppendSamples(wire, a)
+	wire = AppendSamples(wire, b) // shorter: reuses the front of the reader's buffer
+	wire = AppendSamples(wire, nil)
+
+	c := New(Config{Shards: 2})
+	fr := NewFrameReader(bytes.NewReader(wire), 0)
+	wantFrames := []struct {
+		typ     byte
+		samples []Sample
+	}{{MsgHello, nil}, {MsgSamples, a}, {MsgSamples, b}, {MsgSamples, nil}}
+	for i, want := range wantFrames {
+		raw, err := fr.NextRaw()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if raw.Type() != want.typ {
+			t.Fatalf("frame %d: type %d, want %d", i, raw.Type(), want.typ)
+		}
+		if want.typ != MsgSamples {
+			if f, _, err := DecodeFrame(raw); err != nil || f.Hello != "tor3" || raw.Count() != len("tor3") {
+				t.Fatalf("frame %d: hello %+v, count %d, err %v", i, f, raw.Count(), err)
+			}
+			continue
+		}
+		if raw.Count() != len(want.samples) {
+			t.Fatalf("frame %d: count %d, want %d", i, raw.Count(), len(want.samples))
+		}
+		for j, s := range want.samples {
+			if est, truth := raw.Delays(j); est != s.Est || truth != s.True {
+				t.Fatalf("frame %d sample %d: delays (%v, %v), want (%v, %v)", i, j, est, truth, s.Est, s.True)
+			}
+		}
+		if n, err := c.IngestFrame(raw); err != nil || n != len(raw) {
+			t.Fatalf("frame %d: IngestFrame consumed %d of %d bytes, err %v", i, n, len(raw), err)
+		}
+	}
+	if _, err := fr.NextRaw(); err != io.EOF {
+		t.Fatalf("end of stream: %v, want io.EOF", err)
+	}
+	got := c.Snapshot()
+	c.Close()
+	if want := sequentialAggregate(append(a, b...), nil); !reflect.DeepEqual(got, want) {
+		t.Fatal("raw-frame ingest diverges from native aggregation of the same samples")
+	}
+
+	// A frame that fails validation ingests nothing.
+	c = New(Config{Shards: 2})
+	defer c.Close()
+	full := AppendSamples(nil, a)
+	if n, err := c.IngestFrame(full[:len(full)-1]); !errors.Is(err, ErrTruncatedFrame) || n != 0 {
+		t.Fatalf("truncated frame: consumed %d, err %v", n, err)
+	}
+	if c.SamplesIngested() != 0 || c.Flows() != 0 {
+		t.Fatalf("a rejected frame left %d samples, %d flows behind", c.SamplesIngested(), c.Flows())
 	}
 }
 

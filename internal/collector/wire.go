@@ -178,45 +178,18 @@ type Frame struct {
 // with the number of bytes consumed, so concatenated frames stream through
 // repeated calls.
 func DecodeFrame(src []byte) (Frame, int, error) {
-	if len(src) < FrameHeaderSize {
-		return Frame{}, 0, ErrShortFrame
+	msgType, count, body, err := parseHeader(src)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if binary.BigEndian.Uint16(src[0:2]) != frameMagic {
-		return Frame{}, 0, ErrBadFrameMagic
-	}
-	if src[2] != frameVersion {
-		return Frame{}, 0, ErrBadVersion
-	}
-	msgType := src[3]
-	count32 := binary.BigEndian.Uint32(src[4:8])
-	body := src[FrameHeaderSize:]
-	// Bound count against the buffer BEFORE multiplying: count is untrusted
-	// wire data, and count*recordSize could overflow int on 32-bit builds,
-	// turning the truncation check into a makeslice panic.
 	switch msgType {
 	case MsgSamples:
-		if uint64(count32) > uint64(len(body)/SampleWireSize) {
-			return Frame{}, 0, fmt.Errorf("%w: %d records need %d body bytes, have %d",
-				ErrTruncatedFrame, count32, uint64(count32)*SampleWireSize, len(body))
-		}
-		count := int(count32)
-		need := count * SampleWireSize
 		out := make([]Sample, count)
 		for i := range out {
-			rec := body[i*SampleWireSize:]
-			out[i] = Sample{
-				Key:  DecodeKey(rec),
-				Est:  time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize : KeyWireSize+8]))),
-				True: time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize+8 : KeyWireSize+16]))),
-			}
+			out[i] = decodeSample(body[i*SampleWireSize:])
 		}
-		return Frame{Samples: out, Type: MsgSamples}, FrameHeaderSize + need, nil
+		return Frame{Samples: out, Type: MsgSamples}, FrameHeaderSize + count*SampleWireSize, nil
 	case MsgRecords:
-		if uint64(count32) > uint64(len(body)/RecordWireSize) {
-			return Frame{}, 0, fmt.Errorf("%w: %d records need %d body bytes, have %d",
-				ErrTruncatedFrame, count32, uint64(count32)*RecordWireSize, len(body))
-		}
-		count := int(count32)
 		need := count * RecordWireSize
 		out := make([]netflow.Record, count)
 		for i := range out {
@@ -230,16 +203,64 @@ func DecodeFrame(src []byte) (Frame, int, error) {
 			}
 		}
 		return Frame{Records: out, Type: MsgRecords}, FrameHeaderSize + need, nil
+	default: // MsgHello: parseHeader admits no other type
+		return Frame{Hello: string(body[:count]), Type: MsgHello}, FrameHeaderSize + count, nil
+	}
+}
+
+// parseHeader validates the frame at the front of src — magic, version,
+// message type, and that the whole body the count implies is present — and
+// returns the type, the count and the bytes after the header. It is the one
+// place a count off the wire is trusted, so everything downstream indexes
+// body without further checks.
+func parseHeader(src []byte) (msgType byte, count int, body []byte, err error) {
+	if len(src) < FrameHeaderSize {
+		return 0, 0, nil, ErrShortFrame
+	}
+	if binary.BigEndian.Uint16(src[0:2]) != frameMagic {
+		return 0, 0, nil, ErrBadFrameMagic
+	}
+	if src[2] != frameVersion {
+		return 0, 0, nil, ErrBadVersion
+	}
+	msgType = src[3]
+	count32 := binary.BigEndian.Uint32(src[4:8])
+	body = src[FrameHeaderSize:]
+	var recSize int
+	switch msgType {
+	case MsgSamples:
+		recSize = SampleWireSize
+	case MsgRecords:
+		recSize = RecordWireSize
 	case MsgHello:
 		if count32 > MaxHelloLen {
-			return Frame{}, 0, fmt.Errorf("%w: hello name %d bytes, max %d", ErrOversizedFrame, count32, MaxHelloLen)
+			return 0, 0, nil, fmt.Errorf("%w: hello name %d bytes, max %d", ErrOversizedFrame, count32, MaxHelloLen)
 		}
 		if int(count32) > len(body) {
-			return Frame{}, 0, fmt.Errorf("%w: hello needs %d body bytes, have %d",
+			return 0, 0, nil, fmt.Errorf("%w: hello needs %d body bytes, have %d",
 				ErrTruncatedFrame, count32, len(body))
 		}
-		return Frame{Hello: string(body[:count32]), Type: MsgHello}, FrameHeaderSize + int(count32), nil
+		return msgType, int(count32), body, nil
 	default:
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadMessageType, msgType)
+		return 0, 0, nil, fmt.Errorf("%w: %d", ErrBadMessageType, msgType)
+	}
+	// Bound count against the buffer BEFORE multiplying: count is untrusted
+	// wire data, and count*recSize could overflow int on 32-bit builds,
+	// turning the truncation check into a makeslice panic.
+	if uint64(count32) > uint64(len(body)/recSize) {
+		return 0, 0, nil, fmt.Errorf("%w: %d records need %d body bytes, have %d",
+			ErrTruncatedFrame, count32, uint64(count32)*uint64(recSize), len(body))
+	}
+	return msgType, int(count32), body, nil
+}
+
+// decodeSample decodes one sample from the first SampleWireSize bytes of
+// rec; the caller has checked that many are there.
+func decodeSample(rec []byte) Sample {
+	_ = rec[SampleWireSize-1]
+	return Sample{
+		Key:  DecodeKey(rec),
+		Est:  time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize : KeyWireSize+8]))),
+		True: time.Duration(int64(binary.BigEndian.Uint64(rec[KeyWireSize+8 : KeyWireSize+16]))),
 	}
 }

@@ -86,6 +86,10 @@ func TestServiceBoundedFlowTable(t *testing.T) {
 		"rlird_flows_evicted_total ",
 		"rlird_flows_expired_total ",
 		"rlird_flow_classes ",
+		"rlird_flow_entries_recycled_total ",
+		// One gauge per shard; the stream is drained, so every queue is empty.
+		"rlird_shard_queue_depth{shard=\"0\"} 0\n",
+		"rlird_shard_queue_depth{shard=\"1\"} 0\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
@@ -93,6 +97,9 @@ func TestServiceBoundedFlowTable(t *testing.T) {
 	}
 	if strings.Contains(body, "rlird_flows_evicted_total 0\n") {
 		t.Fatal("/metrics reports zero evictions after churn")
+	}
+	if strings.Contains(body, "rlird_flow_entries_recycled_total 0\n") {
+		t.Fatal("/metrics reports no recycled entries after churning a full table")
 	}
 }
 

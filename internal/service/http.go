@@ -271,8 +271,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("rlird_flows_expired_total %d\n", ts.Expired)
 	p("# HELP rlird_flow_classes Class-tier rollup aggregates currently held.\n# TYPE rlird_flow_classes gauge\n")
 	p("rlird_flow_classes %d\n", ts.Classes)
+	p("# HELP rlird_flow_entries_recycled_total New flows that reused a displaced flow's table entry and sketch storage.\n# TYPE rlird_flow_entries_recycled_total counter\n")
+	p("rlird_flow_entries_recycled_total %d\n", ts.Recycled)
 	p("# HELP rlird_shards Collector shard goroutines.\n# TYPE rlird_shards gauge\n")
 	p("rlird_shards %d\n", s.coll.Shards())
+	p("# HELP rlird_shard_queue_depth Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.\n# TYPE rlird_shard_queue_depth gauge\n")
+	for i, d := range s.coll.QueueDepths() {
+		p("rlird_shard_queue_depth{shard=\"%d\"} %d\n", i, d)
+	}
 	p("# HELP rlird_ingest_samples_per_second Rolling-window sample ingest rate.\n# TYPE rlird_ingest_samples_per_second gauge\n")
 	p("rlird_ingest_samples_per_second %g\n", sps)
 	p("# HELP rlird_ingest_records_per_second Rolling-window record ingest rate.\n# TYPE rlird_ingest_records_per_second gauge\n")

@@ -374,7 +374,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	fr := collector.NewFrameReader(src, s.cfg.MaxFrameRecords)
 	for {
-		f, err := fr.Next()
+		raw, err := fr.NextRaw()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.decodeErrs.Add(1)
@@ -383,26 +383,34 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.frames.Add(1)
-		switch f.Type {
+		switch raw.Type() {
+		case collector.MsgSamples:
+			// The hot frame is decoded once, record by record, straight
+			// into the shards' recycled buffers; NextRaw validated it, so
+			// IngestFrame cannot fail. The router lock is taken only after
+			// the ingest, which may block on back-pressure.
+			_, _ = s.coll.IngestFrame(raw)
+			n := raw.Count()
+			r := agg()
+			r.mu.Lock()
+			r.frames++
+			r.samples += uint64(n)
+			for i := 0; i < n; i++ {
+				est, truth := raw.Delays(i)
+				r.est.Add(float64(est))
+				r.truth.Add(float64(truth))
+				r.hist.Record(est)
+			}
+			r.mu.Unlock()
 		case collector.MsgHello:
+			f, _, _ := collector.DecodeFrame(raw)
 			name, router = f.Hello, nil
 			r := agg()
 			r.mu.Lock()
 			r.frames++
 			r.mu.Unlock()
-		case collector.MsgSamples:
-			s.coll.Ingest(f.Samples)
-			r := agg()
-			r.mu.Lock()
-			r.frames++
-			r.samples += uint64(len(f.Samples))
-			for _, smp := range f.Samples {
-				r.est.Add(float64(smp.Est))
-				r.truth.Add(float64(smp.True))
-				r.hist.Record(smp.Est)
-			}
-			r.mu.Unlock()
 		case collector.MsgRecords:
+			f, _, _ := collector.DecodeFrame(raw)
 			s.coll.IngestRecords(f.Records)
 			r := agg()
 			r.mu.Lock()

@@ -98,8 +98,12 @@ func (s *Sketch) Add(x float64) {
 		return
 	}
 	idx := sketchIndex(x)
-	s.ensure(idx, idx)
-	s.buckets[idx-int(s.base)]++
+	i := idx - int(s.base)
+	if uint(i) >= uint(len(s.buckets)) { // outside the window, or no window yet
+		s.ensure(idx, idx)
+		i = idx - int(s.base)
+	}
+	s.buckets[i]++
 }
 
 // Record adds one duration (the time.Duration face of Add).
@@ -108,30 +112,91 @@ func (s *Sketch) Record(d time.Duration) { s.Add(float64(d)) }
 // ensure grows the counter window to cover bucket indices [lo, hi]. The
 // window's ends always hold non-zero counters (counters only grow, and a
 // window only extends to a bucket that is immediately incremented), so the
-// representation is a pure function of the observed multiset — what makes
-// DeepEqual comparisons and bit-exact merges possible.
+// representation — len, base, counters — is a pure function of the observed
+// multiset: what makes DeepEqual comparisons and bit-exact merges possible.
+//
+// Capacity is not representation. The window lives at the front of a
+// backing array whose capacity is rounded up (sketchCap), so most widenings
+// reslice instead of allocating: a high-side widening exposes more of the
+// array, a low-side one first shifts the counters up within it. Storage
+// past len is kept zero (see Reset), so an exposed counter needs no
+// clearing.
 func (s *Sketch) ensure(lo, hi int) {
-	if s.buckets == nil {
+	n := len(s.buckets)
+	if n == 0 {
 		s.base = int32(lo)
-		s.buckets = make([]uint64, hi-lo+1)
+		s.buckets = sketchWindow(s.buckets, hi-lo+1)
 		return
 	}
 	b := int(s.base)
-	end := b + len(s.buckets) - 1
+	end := b + n - 1
 	if lo >= b && hi <= end {
 		return
 	}
-	nb, ne := b, end
-	if lo < nb {
-		nb = lo
+	nb, ne := min(lo, b), max(hi, end)
+	shift := b - nb
+	grown := sketchWindow(s.buckets, ne-nb+1)
+	copy(grown[shift:], s.buckets[:n])
+	if shift > 0 && &grown[0] == &s.buckets[0] {
+		clear(grown[:min(shift, n)]) // vacated by the in-place shift
 	}
-	if hi > ne {
-		ne = hi
-	}
-	grown := make([]uint64, ne-nb+1)
-	copy(grown[b-nb:], s.buckets)
 	s.base = int32(nb)
 	s.buckets = grown
+}
+
+// sketchMinCap is the smallest backing array a window gets: one cache
+// line's worth of counters, so a young flow's first widenings are free.
+const sketchMinCap = 8
+
+// sketchCap rounds a window length up to the capacity it is allocated
+// with: the next power of two, at least sketchMinCap and — because a window
+// never exceeds SketchMaxBuckets, itself a power of two — never beyond
+// SketchMaxBuckets. Slack is therefore under 2x the window.
+func sketchCap(n int) int {
+	c := sketchMinCap
+	for c < n {
+		c <<= 1
+	}
+	return c
+}
+
+// sketchWindow returns a window of n counters: buf resliced when its
+// capacity allows (counters past len(buf) are zero by invariant), otherwise
+// a fresh zeroed array of rounded-up capacity. The caller copies the old
+// counters across.
+func sketchWindow(buf []uint64, n int) []uint64 {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return make([]uint64, n, sketchCap(n))
+}
+
+// Reset empties the sketch for reuse, as if freshly declared, but keeps its
+// counter storage (cleared), so a recycled sketch refills without
+// allocating. The storage only ever grows — a sketch handed from tenant to
+// tenant settles at the widest window any of them reached, rounded up — but
+// never past SketchMaxBuckets counters.
+//
+// A reset sketch that has since observed at least one value >= 1 is
+// reflect.DeepEqual to a fresh sketch fed the same values; before that its
+// empty window is non-nil where a fresh sketch's is nil — State and Clone
+// render both as nil.
+func (s *Sketch) Reset() {
+	clear(s.buckets)
+	*s = Sketch{buckets: s.buckets[:0]}
+}
+
+// Clone returns an independent copy of the sketch in canonical form: one
+// exact-length copy of the counter window, nil for an empty one. The clone
+// shares no storage with s, whatever s's capacity or history.
+func (s *Sketch) Clone() Sketch {
+	cp := *s
+	cp.buckets = nil
+	if len(s.buckets) > 0 {
+		cp.buckets = make([]uint64, len(s.buckets))
+		copy(cp.buckets, s.buckets)
+	}
+	return cp
 }
 
 // Merge folds o into s. Elementwise integer addition over an aligned
@@ -143,9 +208,14 @@ func (s *Sketch) Merge(o *Sketch) {
 		return
 	}
 	if s.count == 0 {
-		s.zero, s.count, s.base = o.zero, o.count, o.base
-		s.min, s.max = o.min, o.max
-		s.buckets = append([]uint64(nil), o.buckets...)
+		buf := s.buckets
+		clear(buf) // empty unless a wire peer sent a window with no count
+		*s = *o
+		s.buckets = buf[:0]
+		if n := len(o.buckets); n > 0 {
+			s.buckets = sketchWindow(s.buckets, n)
+			copy(s.buckets, o.buckets)
+		}
 		return
 	}
 	if o.min < s.min {
@@ -247,7 +317,8 @@ func (s *Sketch) SetState(st SketchState) {
 		n = max
 	}
 	if n > 0 {
-		s.buckets = append([]uint64(nil), st.Buckets[:n]...)
+		s.buckets = make([]uint64, n)
+		copy(s.buckets, st.Buckets)
 	}
 }
 

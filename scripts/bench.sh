@@ -11,7 +11,8 @@
 # BenchmarkSimulatorThroughput, the headline figure metrics from
 # BenchmarkScalars (base utilization, adaptive gap, median relative error
 # for static injection at 93% utilization), collector ingest throughput
-# (BenchmarkIngest in internal/collector), multi-seed runner scaling
+# (BenchmarkIngest in internal/collector, with allocs per 512-sample
+# batch), multi-seed runner scaling
 # (BenchmarkRunnerSweep1 vs BenchmarkRunnerSweep4: an 8-seed sweep at 1 vs
 # 4 workers, with the wall-clock speedup ratio), the estimator layer's
 # shared-tap dispatch overhead (BenchmarkSharedTap in internal/measure:
@@ -28,9 +29,10 @@
 # (BenchmarkFleetScatterGather, ms/query), and the bounded-memory
 # aggregation tier: quantile-sketch ingest (BenchmarkSketchAdd in
 # internal/stats, samples/s) and flow-table eviction throughput under
-# full churn (BenchmarkEvictionChurn in internal/collector, samples/s
-# through a capped LRU table folding into the rollup), and the parallel
-# event engine (BenchmarkScenarioSequential vs BenchmarkScenarioParallel2/4:
+# full churn (BenchmarkEvictionChurn in internal/collector, samples/s and
+# allocs per batch through a capped LRU table folding into the rollup),
+# and the parallel event engine
+# (BenchmarkScenarioSequential vs BenchmarkScenarioParallel2/4:
 # one fat-tree scenario end to end on the sequential vs the conservative
 # parallel engine, with the speedup ratios — honest numbers, so on a
 # single-core runner they sit at or below 1x).
@@ -93,6 +95,7 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     for (i = 1; i < NF; i++) {
       if ($(i + 1) == "samples/s") ingest = $i
       if ($(i + 1) == "ns/op") ingestns = $i
+      if ($(i + 1) == "allocs/op") ingestallocs = $i
     }
   }
   /^BenchmarkRunnerSweep1/ {
@@ -142,6 +145,7 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     for (i = 1; i < NF; i++) {
       if ($(i + 1) == "samples/s") churn = $i
       if ($(i + 1) == "ns/op") churnns = $i
+      if ($(i + 1) == "allocs/op") churnallocs = $i
     }
   }
   /^BenchmarkScenarioSequential/ {
@@ -180,7 +184,8 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     printf "  \"collector_ingest\": {\n"
     printf "    \"cpus\": %s,\n", maxprocs
     printf "    \"samples_per_s\": %s,\n", ingest
-    printf "    \"ns_per_batch\": %s\n", ingestns
+    printf "    \"ns_per_batch\": %s,\n", ingestns
+    printf "    \"allocs_per_batch\": %s\n", ingestallocs
     printf "  },\n"
     printf "  \"shared_tap\": {\n"
     printf "    \"cpus\": %s,\n", maxprocs
@@ -219,7 +224,8 @@ echo "$raw" | awk -v bench="$n" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
     printf "  \"eviction_churn\": {\n"
     printf "    \"cpus\": %s,\n", maxprocs
     printf "    \"samples_per_s\": %s,\n", churn
-    printf "    \"ns_per_batch\": %s\n", churnns
+    printf "    \"ns_per_batch\": %s,\n", churnns
+    printf "    \"allocs_per_batch\": %s\n", churnallocs
     printf "  },\n"
     printf "  \"parallel_sim\": {\n"
     printf "    \"cpus\": %s,\n", maxprocs
