@@ -132,33 +132,33 @@ func BenchmarkScalars(b *testing.B) {
 func BenchmarkAblationDemux(b *testing.B) {
 	cfg := rlir.DefaultFatTreeConfig()
 	cfg.Duration = benchScale().Duration / 2
-	var results []rlir.FatTreeResult
+	var results rlir.DemuxAblation
 	for i := 0; i < b.N; i++ {
 		results = rlir.AblationDemux(cfg)
 	}
-	renderOnce("A1", rlir.RenderAblationDemux(results))
+	renderOnce("A1", results.Render())
 	for _, r := range results {
 		b.ReportMetric(r.Misattribution, "misattrib/"+r.Config.Strategy.String())
 	}
 }
 
 func BenchmarkAblationEstimators(b *testing.B) {
-	var rows []rlir.EstimatorRow
+	var rows rlir.EstimatorAblation
 	for i := 0; i < b.N; i++ {
 		rows = rlir.AblationEstimators(benchScale(), 0.8)
 	}
-	renderOnce("A2", rlir.RenderEstimators(rows))
+	renderOnce("A2", rows.Render())
 	for _, r := range rows {
 		b.ReportMetric(r.MedianRelErr, "medianRelErr/"+r.Estimator.String())
 	}
 }
 
 func BenchmarkAblationClocks(b *testing.B) {
-	var rows []rlir.ClockRow
+	var rows rlir.ClockAblation
 	for i := 0; i < b.N; i++ {
 		rows = rlir.AblationClocks(benchScale(), 0.8)
 	}
-	renderOnce("A3", rlir.RenderClocks(rows))
+	renderOnce("A3", rows.Render())
 	b.ReportMetric(rows[0].MedianRelErr, "medianRelErr/perfect")
 	b.ReportMetric(rows[3].MedianRelErr, "medianRelErr/offset100us")
 }

@@ -20,22 +20,29 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
 	rlir "github.com/netmeasure/rlir"
 )
 
-// validTargets is every -fig value, in -all order. An unknown -fig exits
-// non-zero listing these.
-var validTargets = []string{"placement", "scalars", "4a", "4b", "4c", "5", "A1", "A2", "A3", "B1", "L1"}
+// targetIDs lists every -fig value in -all order (the registry's).
+func targetIDs() []string {
+	var ids []string
+	for _, t := range rlir.ExperimentTargets() {
+		ids = append(ids, t.ID)
+	}
+	return ids
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		fig      = flag.String("fig", "", "which result to regenerate: "+strings.Join(validTargets, " "))
+		fig      = flag.String("fig", "", "which result to regenerate: "+strings.Join(targetIDs(), " "))
 		all      = flag.Bool("all", false, "regenerate everything")
 		scenName = flag.String("scenario", "", "run a registered scenario from the scenario engine (see cmd/scenario -list)")
 		ests     = flag.String("estimators", "", "with -scenario: comma-separated estimator set (rli always included)")
@@ -47,9 +54,14 @@ func main() {
 	)
 	flag.Parse()
 
-	sc := pickScale(*scale)
+	sc, err := rlir.ParseScale(*scale)
+	if err != nil {
+		log.Fatalf("-scale: %v", err)
+	}
 	sc.Seed = *seed
-	csvOut = *csvDir
+	if *seeds < 1 {
+		log.Fatalf("-seeds %d < 1", *seeds)
+	}
 	opts := rlir.MultiOpts{Seeds: *seeds, Workers: *parallel}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -79,11 +91,17 @@ func main() {
 		return
 	}
 
-	targets := []string{}
+	var targets []rlir.ExperimentTarget
 	if *all {
-		targets = validTargets
+		targets = rlir.ExperimentTargets()
 	} else if *fig != "" {
-		targets = strings.Split(*fig, ",")
+		for _, id := range strings.Split(*fig, ",") {
+			t, err := rlir.ParseExperimentTarget(strings.TrimSpace(id))
+			if err != nil {
+				log.Fatal(err)
+			}
+			targets = append(targets, t)
+		}
 	} else {
 		flag.Usage()
 		log.Fatal("need -fig, -all or -scenario")
@@ -91,16 +109,10 @@ func main() {
 
 	for _, t := range targets {
 		start := time.Now()
-		var err error
-		if *seeds > 1 {
-			err = runMulti(strings.TrimSpace(t), sc, opts)
-		} else {
-			err = run(strings.TrimSpace(t), sc)
-		}
-		if err != nil {
+		if err := run(os.Stdout, t, sc, opts, *csvDir); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("[%s done in %v]\n\n", t, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s done in %v]\n\n", t.ID, time.Since(start).Round(time.Millisecond))
 	}
 }
 
@@ -135,124 +147,38 @@ func runScenario(name string, seed int64, haveSeed bool, seeds, parallel int, es
 	return nil
 }
 
-// unknownTarget is the error an unrecognized -fig value produces: non-zero
-// exit, listing every valid target.
-func unknownTarget(target string) error {
-	return fmt.Errorf("unknown -fig target %q (valid: %s)", target, strings.Join(validTargets, " "))
-}
-
-func pickScale(name string) rlir.Scale {
-	switch name {
-	case "small":
-		return rlir.SmallScale()
-	case "default":
-		return rlir.DefaultScale()
-	case "full":
-		return rlir.FullScale()
-	default:
-		log.Fatalf("unknown scale %q", name)
-		panic("unreachable")
-	}
-}
-
-// csvOut, when non-empty, receives figure series as CSV files.
-var csvOut string
-
-func emitFigure(f rlir.Figure) {
-	fmt.Print(f.Render())
-	if csvOut == "" {
-		return
-	}
-	files, err := f.WriteCSV(csvOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d CSV series to %s\n", len(files), csvOut)
-}
-
-func run(target string, sc rlir.Scale) error {
-	switch target {
-	case "4a":
-		emitFigure(rlir.Fig4a(sc))
-	case "4b":
-		emitFigure(rlir.Fig4b(sc))
-	case "4c":
-		emitFigure(rlir.Fig4c(sc))
-	case "5":
-		r := rlir.Fig5(sc, nil)
-		fmt.Print(r.Render())
-		if csvOut != "" {
-			if _, err := r.WriteCSV(csvOut); err != nil {
-				return err
-			}
+// run is the one dispatch every target goes through: a sweep prints the
+// target's across-seed table; a single seed — and a target that is always
+// reported from one run — prints its own rendering and, with -csv, writes
+// its series.
+func run(out io.Writer, t rlir.ExperimentTarget, sc rlir.Scale, opts rlir.MultiOpts, csvDir string) error {
+	if opts.Seeds > 1 && !t.SingleSeed {
+		ci, err := rlir.Sweep(t, sc, opts)
+		if err != nil {
+			return err
 		}
-	case "placement":
-		return runPlacement()
-	case "scalars":
-		fmt.Print(rlir.RunScalars(sc).Render())
-	case "A1":
-		cfg := rlir.DefaultFatTreeConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RenderAblationDemux(rlir.AblationDemux(cfg)))
-	case "A2":
-		fmt.Print(rlir.RenderEstimators(rlir.AblationEstimators(sc, 0.8)))
-	case "A3":
-		fmt.Print(rlir.RenderClocks(rlir.AblationClocks(sc, 0.8)))
-	case "B1":
-		fmt.Print(rlir.RunBaselines(sc, 0.85).Render())
-	case "L1":
-		cfg := rlir.DefaultLocalizationConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RunLocalization(cfg).Render())
-	default:
-		return unknownTarget(target)
+		fmt.Fprint(out, ci.Render())
+		return nil
 	}
-	return nil
-}
-
-// runMulti is the multi-seed dispatch: the same targets, re-recorded as
-// mean ± CI over the derived seeds.
-func runMulti(target string, sc rlir.Scale, opts rlir.MultiOpts) error {
-	switch target {
-	case "4a":
-		fmt.Print(rlir.Fig4aMulti(sc, opts).Render())
-	case "4b":
-		fmt.Print(rlir.Fig4bMulti(sc, opts).Render())
-	case "4c":
-		fmt.Print(rlir.Fig4cMulti(sc, opts).Render())
-	case "5":
-		fmt.Println("fig5 runs single-seed (a within-run differential measurement); rerun without -seeds")
-		return run(target, sc)
-	case "placement":
-		return runPlacement() // exact combinatorics: seed-independent
-	case "scalars":
-		fmt.Print(rlir.MultiScalars(sc, opts).Render())
-	case "A1":
-		cfg := rlir.DefaultFatTreeConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.RenderDemuxCI(rlir.MultiDemux(cfg, opts), opts.Seeds))
-	case "A2":
-		fmt.Print(rlir.RenderEstimatorsCI(rlir.MultiEstimators(sc, 0.8, opts), opts.Seeds))
-	case "A3":
-		fmt.Print(rlir.RenderClocksCI(rlir.MultiClocks(sc, 0.8, opts), opts.Seeds))
-	case "B1":
-		fmt.Print(rlir.MultiBaselines(sc, 0.85, opts).Render())
-	case "L1":
-		cfg := rlir.DefaultLocalizationConfig()
-		cfg.Seed = sc.Seed
-		fmt.Print(rlir.MultiLocalization(cfg, opts).Render())
-	default:
-		return unknownTarget(target)
+	if opts.Seeds > 1 {
+		fmt.Fprintf(out, "%s is reported from a single run; -seeds does not apply\n", t.ID)
 	}
-	return nil
-}
-
-func runPlacement() error {
-	rows, err := rlir.PlacementTable([]int{4, 8, 16, 32, 48})
-	if err != nil {
-		return err
+	res := t.Run(sc)
+	fmt.Fprint(out, res.Render())
+	if csvDir == "" {
+		return nil
 	}
-	fmt.Println("== §3.1: deployment complexity (measurement instances) ==")
-	fmt.Print(rlir.FormatPlacementTable(rows))
+	switch r := res.(type) {
+	case rlir.Figure:
+		files, err := r.WriteCSV(csvDir)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %d CSV series to %s\n", len(files), csvDir)
+	case rlir.Fig5Result:
+		if _, err := r.WriteCSV(csvDir); err != nil {
+			return err
+		}
+	}
 	return nil
 }

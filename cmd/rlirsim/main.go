@@ -24,15 +24,13 @@ import (
 	"github.com/netmeasure/rlir/internal/core"
 )
 
-// Valid values for every enumerated flag. An unknown value exits non-zero
-// listing the valid ones (the same contract cmd/experiments pins for
-// -fig).
+// Valid values of the flags parsed here; -scale, -estimator and -demux have
+// library parsers. An unknown value exits non-zero listing the valid ones
+// (the same contract cmd/experiments pins for -fig).
 var (
 	validTopologies = []string{"tandem", "fattree"}
 	validSchemes    = []string{"static", "adaptive", "none"}
 	validModels     = []string{"random", "bursty", "none"}
-	validScales     = []string{"small", "default", "full"}
-	validEstimators = []string{"linear", "left", "right", "nearest"}
 )
 
 func main() {
@@ -45,13 +43,14 @@ func main() {
 // options is the parsed command line.
 type options struct {
 	topology   string
-	scheme     string
+	injection  rlir.InjectionScheme
+	live       bool // -scheme adaptive also drives the gap from the live utilization meter
 	staticN    int
-	model      string
+	model      rlir.CrossModel
 	util       float64
-	scale      string
+	scale      rlir.Scale
 	seed       int64
-	estName    string
+	estimator  core.Estimator
 	k          int
 	demux      rlir.DemuxStrategy
 	duration   time.Duration
@@ -73,13 +72,13 @@ func parseArgs(args []string) (options, error) {
 	fs := flag.NewFlagSet("rlirsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	fs.StringVar(&o.topology, "topology", "tandem", strings.Join(validTopologies, " | "))
-	fs.StringVar(&o.scheme, "scheme", "static", strings.Join(validSchemes, " | "))
+	scheme := fs.String("scheme", "static", strings.Join(validSchemes, " | "))
 	fs.IntVar(&o.staticN, "n", 100, "static scheme's 1-and-n gap")
-	fs.StringVar(&o.model, "model", "random", strings.Join(validModels, " | ")+" (tandem)")
+	model := fs.String("model", "random", strings.Join(validModels, " | ")+" (tandem)")
 	fs.Float64Var(&o.util, "util", 0.93, "target bottleneck utilization (tandem)")
-	fs.StringVar(&o.scale, "scale", "default", strings.Join(validScales, " | "))
+	scale := fs.String("scale", "default", "small | default | full")
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
-	fs.StringVar(&o.estName, "estimator", "linear", strings.Join(validEstimators, " | "))
+	estimator := fs.String("estimator", "linear", "linear | left | right | nearest")
 	fs.IntVar(&o.k, "k", 4, "fat-tree arity (fattree)")
 	demux := fs.String("demux", "reverse-ecmp", "none | marking | reverse-ecmp | oracle (fattree)")
 	fs.DurationVar(&o.duration, "duration", 0, "override trace duration")
@@ -92,19 +91,35 @@ func parseArgs(args []string) (options, error) {
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	switch {
-	case !slices.Contains(validTopologies, o.topology):
+	if !slices.Contains(validTopologies, o.topology) {
 		return o, badValue("topology", o.topology, validTopologies)
-	case !slices.Contains(validSchemes, o.scheme):
-		return o, badValue("scheme", o.scheme, validSchemes)
-	case !slices.Contains(validModels, o.model):
-		return o, badValue("model", o.model, validModels)
-	case !slices.Contains(validScales, o.scale):
-		return o, badValue("scale", o.scale, validScales)
-	case !slices.Contains(validEstimators, o.estName):
-		return o, badValue("estimator", o.estName, validEstimators)
+	}
+	switch *scheme {
+	case "static":
+		o.injection = rlir.Static{N: o.staticN}
+	case "adaptive":
+		o.injection, o.live = rlir.DefaultAdaptive(), true
+	case "none":
+	default:
+		return o, badValue("scheme", *scheme, validSchemes)
+	}
+	switch *model {
+	case "random":
+		o.model = rlir.CrossUniform
+	case "bursty":
+		o.model = rlir.CrossBursty
+	case "none":
+		o.model = rlir.CrossNone
+	default:
+		return o, badValue("model", *model, validModels)
 	}
 	var err error
+	if o.scale, err = rlir.ParseScale(*scale); err != nil {
+		return o, fmt.Errorf("-scale %q: %w", *scale, err)
+	}
+	if o.estimator, err = rlir.ParseEstimator(*estimator); err != nil {
+		return o, fmt.Errorf("-estimator %q: %w", *estimator, err)
+	}
 	if o.demux, err = rlir.ParseDemuxStrategy(*demux); err != nil {
 		return o, fmt.Errorf("-demux %q: %w", *demux, err)
 	}
@@ -152,72 +167,19 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// The pick* switches are exhaustive over their valid* lists; the panic
-// defaults catch a list updated without its switch (parseArgs would
-// otherwise let the new value silently run the old default).
-func pickScale(o options) rlir.Scale {
-	switch o.scale {
-	case "small":
-		return rlir.SmallScale()
-	case "default":
-		return rlir.DefaultScale()
-	case "full":
-		return rlir.FullScale()
-	default:
-		panic("rlirsim: -scale " + o.scale + " validated but not dispatched")
-	}
-}
-
-func pickScheme(o options) rlir.InjectionScheme {
-	switch o.scheme {
-	case "static":
-		return rlir.Static{N: o.staticN}
-	case "adaptive":
-		return rlir.DefaultAdaptive()
-	case "none":
-		return nil
-	default:
-		panic("rlirsim: -scheme " + o.scheme + " validated but not dispatched")
-	}
-}
-
-func pickEstimator(o options) core.Estimator {
-	switch o.estName {
-	case "linear":
-		return rlir.Linear
-	case "left":
-		return rlir.LeftRef
-	case "right":
-		return rlir.RightRef
-	case "nearest":
-		return rlir.Nearest
-	default:
-		panic("rlirsim: -estimator " + o.estName + " validated but not dispatched")
-	}
-}
-
 func runTandem(o options, out io.Writer) error {
-	sc := pickScale(o)
+	sc := o.scale
 	sc.Seed = o.seed
 	if o.duration > 0 {
 		sc.Duration = o.duration
 	}
 	cfg := rlir.TandemConfig{
 		Scale:        sc,
-		Scheme:       pickScheme(o),
-		AdaptiveLive: o.scheme == "adaptive",
+		Scheme:       o.injection,
+		AdaptiveLive: o.live,
+		Model:        o.model,
 		TargetUtil:   o.util,
-		Estimator:    pickEstimator(o),
-	}
-	switch o.model {
-	case "random":
-		cfg.Model = rlir.CrossUniform
-	case "bursty":
-		cfg.Model = rlir.CrossBursty
-	case "none":
-		cfg.Model = rlir.CrossNone
-	default:
-		panic("rlirsim: -model " + o.model + " validated but not dispatched")
+		Estimator:    o.estimator,
 	}
 
 	res := rlir.RunTandem(cfg)
@@ -241,7 +203,7 @@ func runFatTree(o options, out io.Writer) error {
 	if o.duration > 0 {
 		cfg.Duration = o.duration
 	}
-	cfg.Scheme = pickScheme(o)
+	cfg.Scheme = o.injection
 	cfg.Strategy = o.demux
 
 	res := rlir.RunFatTree(cfg)

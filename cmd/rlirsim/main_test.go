@@ -22,8 +22,8 @@ func TestParseArgsValidation(t *testing.T) {
 		{"bad topology", []string{"-topology", "ring"}, `-topology "ring"`, validTopologies},
 		{"bad scheme", []string{"-scheme", "exotic"}, `-scheme "exotic"`, validSchemes},
 		{"bad model", []string{"-model", "fractal"}, `-model "fractal"`, validModels},
-		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, validScales},
-		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, validEstimators},
+		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, []string{"small", "default", "full"}},
+		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, []string{"linear", "left", "right", "nearest"}},
 		{"bad demux", []string{"-demux", "psychic"}, `-demux "psychic"`, []string{"none", "marking", "reverse-ecmp", "oracle"}},
 		{"negative gap", []string{"-n", "-3"}, "-n", nil},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate", nil},

@@ -48,6 +48,7 @@ type options struct {
 	specFile      string
 	check         bool
 	seed          int64
+	haveSeed      bool // -seed was passed: any value, 0 included, overrides the spec's
 	seeds         int
 	parallel      int
 	estimators    []string
@@ -71,7 +72,7 @@ func parseArgs(args []string) (options, error) {
 	fs.StringVar(&o.describe, "describe", "", "print a registered scenario's spec as JSON")
 	fs.StringVar(&o.specFile, "spec", "", "run an ad-hoc spec from a JSON file")
 	fs.BoolVar(&o.check, "check", false, "apply the scenario's invariant; non-zero exit on violation")
-	fs.Int64Var(&o.seed, "seed", 0, "override the spec seed (0 keeps the spec's)")
+	fs.Int64Var(&o.seed, "seed", 0, "override the spec seed")
 	fs.IntVar(&o.seeds, "seeds", 1, "number of independent derived seeds; > 1 reports mean ± 95% CI")
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent runs for multi-seed sweeps (0 = GOMAXPROCS)")
 	ests := fs.String("estimators", "", "comma-separated estimator set for -run/-spec (rli is always included; empty keeps the spec's)")
@@ -85,6 +86,7 @@ func parseArgs(args []string) (options, error) {
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
+	fs.Visit(func(f *flag.Flag) { o.haveSeed = o.haveSeed || f.Name == "seed" })
 	modes := 0
 	for _, on := range []bool{o.list, o.listEsts, o.runName != "", o.describe != "", o.specFile != ""} {
 		if on {
@@ -214,7 +216,7 @@ func listEstimators(o options, out io.Writer) error {
 
 // execute runs one spec (optionally checked) single- or multi-seed.
 func execute(o options, spec rlir.ScenarioSpec, check func(*rlir.ScenarioResult) error, out io.Writer) error {
-	if o.seed != 0 {
+	if o.haveSeed {
 		spec.Seed = o.seed
 	}
 	if o.engine != "" {

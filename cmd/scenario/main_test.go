@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -168,12 +169,23 @@ func TestSpecFileRuns(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := run([]string{"-spec", path, "-seed", "7"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "scenario adhoc (seed 7)") {
-		t.Fatalf("spec-file run did not honour the seed override:\n%s", buf.String())
+	// -seed overrides the spec's seed whenever it is passed — 0 included —
+	// and only then.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-seed", "7"}, "scenario adhoc (seed 7)"},
+		{[]string{"-seed", "0"}, "scenario adhoc (seed 0)"},
+		{nil, fmt.Sprintf("scenario adhoc (seed %d)", spec.Seed)},
+	} {
+		var buf strings.Builder
+		if err := run(append([]string{"-spec", path}, tc.args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), tc.want) {
+			t.Fatalf("-spec %v did not print %q:\n%s", tc.args, tc.want, buf.String())
+		}
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatal(err)

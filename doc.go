@@ -47,9 +47,10 @@
 //   - Packet and flow identity (FlowKey, Addr, Prefix) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
 //   - Experiment harnesses (RunTandem, RunFatTree, RunLocalization, the
-//     Fig4*/Fig5/Scalars/Ablation* reproductions) and their Multi* seed
-//     sweeps — every figure and table of §4; EXPERIMENTS.md records the
-//     paper-vs-measured comparison. RunTandem is the scenario engine's
+//     Fig4*/Fig5/Scalars/Ablation* reproductions) — every figure and table
+//     of §4 — and their seed sweeps: each is an ExperimentTarget, and Sweep
+//     folds any of them across seeds into a TableCI of mean ± 95% CI cells;
+//     EXPERIMENTS.md records the paper-vs-measured comparison. RunTandem is the scenario engine's
 //     Figure-3 harness and RunFatTree a spec run on its one fat-tree
 //     runner; neither is a second simulator build.
 //   - The unified estimator layer (MeasureEstimator, EstimatorNames,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/netsim"
@@ -41,6 +42,18 @@ func (e Estimator) String() string {
 	default:
 		return fmt.Sprintf("estimator(%d)", uint8(e))
 	}
+}
+
+// ParseEstimator is String's inverse; the error lists the valid names.
+func ParseEstimator(s string) (Estimator, error) {
+	names := make([]string, numEstimators)
+	for e := Linear; e < numEstimators; e++ {
+		if e.String() == s {
+			return e, nil
+		}
+		names[e] = e.String()
+	}
+	return 0, fmt.Errorf("unknown estimator %q (valid: %s)", s, strings.Join(names, ", "))
 }
 
 // DefaultMaxPending bounds the per-stream interpolation buffer. 1-and-300

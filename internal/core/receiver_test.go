@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -397,6 +398,25 @@ func TestEstimatorString(t *testing.T) {
 	for _, e := range []Estimator{Linear, LeftRef, RightRef, Nearest, Estimator(42)} {
 		if e.String() == "" {
 			t.Fatal("empty estimator name")
+		}
+	}
+}
+
+// TestParseEstimator: ParseEstimator inverts String for every variant and
+// rejects anything else with an error listing the valid names.
+func TestParseEstimator(t *testing.T) {
+	for e := Linear; e < numEstimators; e++ {
+		if got, err := ParseEstimator(e.String()); err != nil || got != e {
+			t.Fatalf("ParseEstimator(%q) = %v, %v", e.String(), got, err)
+		}
+	}
+	_, err := ParseEstimator("cubic")
+	if err == nil {
+		t.Fatal("unknown estimator accepted")
+	}
+	for _, want := range []string{`"cubic"`, "linear", "left", "right", "nearest"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %s", err, want)
 		}
 	}
 }

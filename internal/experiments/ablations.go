@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // EstimatorRow is one line of ablation A2.
@@ -24,8 +26,8 @@ type EstimatorRow struct {
 // AblationEstimators (A2) compares interpolation variants on an identical
 // workload: RLI's linear interpolation against the left/right/nearest
 // single-endpoint estimators.
-func AblationEstimators(scale scenario.Scale, targetUtil float64) []EstimatorRow {
-	var out []EstimatorRow
+func AblationEstimators(scale scenario.Scale, targetUtil float64) EstimatorAblation {
+	var out EstimatorAblation
 	for _, e := range []core.Estimator{core.Linear, core.LeftRef, core.RightRef, core.Nearest} {
 		r := scenario.RunTandem(scenario.TandemConfig{
 			Scale:      scale,
@@ -44,8 +46,11 @@ func AblationEstimators(scale scenario.Scale, targetUtil float64) []EstimatorRow
 	return out
 }
 
-// RenderEstimators formats A2.
-func RenderEstimators(rows []EstimatorRow) string {
+// EstimatorAblation is the A2 table.
+type EstimatorAblation []EstimatorRow
+
+// Render formats A2.
+func (rows EstimatorAblation) Render() string {
 	var b strings.Builder
 	b.WriteString("== A2: interpolation estimator variants ==\n")
 	fmt.Fprintf(&b, "%-10s %-8s %-14s %-12s\n", "estimator", "flows", "medianRelErr", "p90RelErr")
@@ -53,6 +58,19 @@ func RenderEstimators(rows []EstimatorRow) string {
 		fmt.Fprintf(&b, "%-10s %-8d %-14.4f %-12.4f\n", r.Estimator, r.Flows, r.MedianRelErr, r.P90RelErr)
 	}
 	return b.String()
+}
+
+// Table is A2 in across-seed form.
+func (rows EstimatorAblation) Table() stats.Table {
+	t := stats.Table{
+		Title:     "A2: interpolation estimator variants",
+		RowHeader: "estimator",
+		Columns:   []string{"medianRelErr", "p90RelErr"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, stats.TableRow{Label: r.Estimator.String(), Cells: []float64{r.MedianRelErr, r.P90RelErr}})
+	}
+	return t
 }
 
 // ClockRow is one line of ablation A3.
@@ -65,7 +83,7 @@ type ClockRow struct {
 // AblationClocks (A3) sweeps receiver clock imperfections: RLI assumes
 // IEEE 1588/GPS sync; this quantifies how residual offset and drift bleed
 // into per-flow estimates.
-func AblationClocks(scale scenario.Scale, targetUtil float64) []ClockRow {
+func AblationClocks(scale scenario.Scale, targetUtil float64) ClockAblation {
 	clocks := []simtime.Clock{
 		simtime.PerfectClock{},
 		simtime.FixedOffsetClock{Offset: time.Microsecond},
@@ -74,7 +92,7 @@ func AblationClocks(scale scenario.Scale, targetUtil float64) []ClockRow {
 		simtime.DriftingClock{DriftPPM: 10},
 		simtime.PTPClock{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond, Seed: 3},
 	}
-	var out []ClockRow
+	var out ClockAblation
 	for _, c := range clocks {
 		r := scenario.RunTandem(scenario.TandemConfig{
 			Scale:         scale,
@@ -92,8 +110,11 @@ func AblationClocks(scale scenario.Scale, targetUtil float64) []ClockRow {
 	return out
 }
 
-// RenderClocks formats A3.
-func RenderClocks(rows []ClockRow) string {
+// ClockAblation is the A3 table.
+type ClockAblation []ClockRow
+
+// Render formats A3.
+func (rows ClockAblation) Render() string {
 	var b strings.Builder
 	b.WriteString("== A3: clock synchronization sensitivity (receiver clock) ==\n")
 	fmt.Fprintf(&b, "%-40s %-14s %-12s\n", "clock", "medianRelErr", "trueMean")
@@ -103,6 +124,19 @@ func RenderClocks(rows []ClockRow) string {
 	b.WriteString("note: one-way estimates absorb the sender-receiver offset directly;\n")
 	b.WriteString("      errors stay small while the offset is small versus true queueing delay\n")
 	return b.String()
+}
+
+// Table is A3 in across-seed form.
+func (rows ClockAblation) Table() stats.Table {
+	t := stats.Table{
+		Title:     "A3: clock synchronization sensitivity (receiver clock)",
+		RowHeader: "clock",
+		Columns:   []string{"medianRelErr", "trueMean(µs)"},
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, stats.TableRow{Label: r.Clock, Cells: []float64{r.MedianRelErr, micros(r.TrueMean)}})
+	}
+	return t
 }
 
 // BaselineResult is B1: RLIR against LDA (aggregate), Multiflow
@@ -213,4 +247,22 @@ func (r BaselineResult) Render() string {
 	b.WriteString("      sampling trades flow coverage for exactness; RLI(R) delivers per-flow fidelity\n")
 	b.WriteString("      at the cost of active probes\n")
 	return b.String()
+}
+
+// Table is B1 in across-seed form: the per-flow mechanisms fill medianRelErr,
+// the aggregate-only LDA fills aggRelErr, and the other cell is NaN — the
+// mechanism does not produce that metric.
+func (r BaselineResult) Table() stats.Table {
+	nan := math.NaN()
+	return stats.Table{
+		Title:     "B1: RLIR vs Multiflow vs sampling vs LDA (same tandem run)",
+		RowHeader: "mechanism",
+		Columns:   []string{"medianRelErr", "aggRelErr"},
+		Rows: []stats.TableRow{
+			{Label: "RLIR", Cells: []float64{r.RLIRMedian, nan}},
+			{Label: "Multiflow (2-sample)", Cells: []float64{r.MultiflowMedian, nan}},
+			{Label: "NetFlow 1-in-32", Cells: []float64{r.SampledMedian, nan}},
+			{Label: "LDA", Cells: []float64{nan, r.LDAMeanErr}},
+		},
+	}
 }

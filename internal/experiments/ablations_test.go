@@ -27,7 +27,7 @@ func TestAblationEstimators(t *testing.T) {
 				lin.MedianRelErr, other, byName[other].MedianRelErr)
 		}
 	}
-	if RenderEstimators(rows) == "" {
+	if rows.Render() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -45,7 +45,7 @@ func TestAblationClocks(t *testing.T) {
 		t.Errorf("offset=100µs median %.4f should exceed perfect %.4f",
 			offset100.MedianRelErr, perfect.MedianRelErr)
 	}
-	out := RenderClocks(rows)
+	out := rows.Render()
 	if !strings.Contains(out, "perfect") {
 		t.Fatal("render missing clocks")
 	}

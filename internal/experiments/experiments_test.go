@@ -248,4 +248,15 @@ func TestScalesSane(t *testing.T) {
 	if scenario.FullScale().LinkBps != 10e9 || scenario.FullScale().Duration != 60*time.Second {
 		t.Fatal("full scale should match the paper's OC-192 minute")
 	}
+	// ParseScale names exactly these three and lists them when it rejects.
+	for name, want := range map[string]scenario.Scale{
+		"small": scenario.SmallScale(), "default": scenario.DefaultScale(), "full": scenario.FullScale(),
+	} {
+		if got, err := scenario.ParseScale(name); err != nil || got != want {
+			t.Fatalf("ParseScale(%q) = %+v, %v", name, got, err)
+		}
+	}
+	if _, err := scenario.ParseScale("galactic"); err == nil || !strings.Contains(err.Error(), "small, default, full") {
+		t.Fatalf("ParseScale(galactic) = %v, want an error listing the valid scales", err)
+	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // DemuxStrategy names the downstream demultiplexing options of §3.1.
@@ -170,9 +171,9 @@ func RunFatTree(cfg FatTreeConfig) FatTreeResult {
 // AblationDemux runs every strategy on the identical workload (A1 in
 // DESIGN.md): it shows prefix/mark/reverse-ECMP matching the oracle and the
 // no-demux baseline degrading, the paper's "totally wrong" claim.
-func AblationDemux(cfg FatTreeConfig) []FatTreeResult {
+func AblationDemux(cfg FatTreeConfig) DemuxAblation {
 	strategies := []DemuxStrategy{DemuxOracle, DemuxReverseECMP, DemuxMark, DemuxNone}
-	out := make([]FatTreeResult, 0, len(strategies))
+	out := make(DemuxAblation, 0, len(strategies))
 	for _, s := range strategies {
 		c := cfg
 		c.Strategy = s
@@ -181,8 +182,11 @@ func AblationDemux(cfg FatTreeConfig) []FatTreeResult {
 	return out
 }
 
-// RenderAblationDemux formats A1 as a table.
-func RenderAblationDemux(results []FatTreeResult) string {
+// DemuxAblation is the A1 table: one fat-tree run per strategy.
+type DemuxAblation []FatTreeResult
+
+// Render formats A1 as a table.
+func (results DemuxAblation) Render() string {
 	var b strings.Builder
 	b.WriteString("== A1: downstream demultiplexing strategies (k-ary fat-tree) ==\n")
 	fmt.Fprintf(&b, "%-14s %-8s %-14s %-14s %-12s %-12s\n",
@@ -194,4 +198,21 @@ func RenderAblationDemux(results []FatTreeResult) string {
 	}
 	b.WriteString("note: paper §3.1 — without demux, estimates at multiplexed receivers 'can be totally wrong'\n")
 	return b.String()
+}
+
+// Table is A1 in across-seed form.
+func (results DemuxAblation) Table() stats.Table {
+	t := stats.Table{
+		Title:     "A1: downstream demultiplexing strategies (k-ary fat-tree)",
+		RowHeader: "strategy",
+		Columns:   []string{"misattribution", "downstreamMedian"},
+		Notes:     []string{"paper §3.1 — without demux, estimates at multiplexed receivers 'can be totally wrong'"},
+	}
+	for _, r := range results {
+		t.Rows = append(t.Rows, stats.TableRow{
+			Label: r.Config.Strategy.String(),
+			Cells: []float64{r.Misattribution, r.Downstream.MedianRelErr},
+		})
+	}
+	return t
 }

@@ -77,7 +77,7 @@ func TestAblationDemuxShape(t *testing.T) {
 		t.Errorf("no-demux median %.4f should exceed oracle %.4f",
 			none.Downstream.MedianRelErr, oracleR.Downstream.MedianRelErr)
 	}
-	out := RenderAblationDemux(results)
+	out := results.Render()
 	if !strings.Contains(out, "reverse-ecmp") {
 		t.Fatal("render missing strategies")
 	}

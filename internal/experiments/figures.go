@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -44,6 +45,26 @@ func (f Figure) Render() string {
 	return b.String()
 }
 
+// Table summarizes the figure for the across-seed fold: each series'
+// headline quantiles. A series whose CDF came out empty contributes NaN —
+// "no value at this seed" — so the fold reports its effective n.
+func (f Figure) Table() stats.Table {
+	t := stats.Table{
+		Title:     f.ID + ": " + f.Title,
+		RowHeader: "series",
+		Columns:   []string{"medianRelErr", "p90RelErr", "fracUnder10%"},
+		Notes:     f.Notes,
+	}
+	for _, s := range f.Series {
+		cells := []float64{math.NaN(), math.NaN(), math.NaN()}
+		if s.CDF.N() > 0 {
+			cells = []float64{s.CDF.Median(), s.CDF.Quantile(0.9), s.CDF.FracBelow(0.10)}
+		}
+		t.Rows = append(t.Rows, stats.TableRow{Label: s.Label, Cells: cells})
+	}
+	return t
+}
+
 // fig4Run executes the four runs shared by Figures 4(a) and 4(b): adaptive
 // and static schemes at two bottleneck utilizations under the random cross
 // traffic model.
@@ -76,11 +97,15 @@ func seriesFrom(r scenario.TandemResult, cdf *stats.CDF) Series {
 			"achievedUtil": r.AchievedUtil,
 			"flows":        float64(r.Summary.Flows),
 			"medianRelErr": safeMedian(cdf),
-			"trueMeanUs":   float64(r.Summary.TrueMeanDelay) / float64(time.Microsecond),
+			"trueMeanUs":   micros(r.Summary.TrueMeanDelay),
 			"refsSeen":     float64(r.Receiver.RefsSeen),
 		},
 	}
 }
+
+// micros converts a duration to float64 microseconds, the unit the paper
+// quotes latencies in.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 func safeMedian(c *stats.CDF) float64 {
 	if c.N() == 0 {
@@ -218,6 +243,22 @@ func (r Fig5Result) Render() string {
 	return b.String()
 }
 
+// Table is Figure 5 in across-seed form, one row per target utilization.
+func (r Fig5Result) Table() stats.Table {
+	t := stats.Table{
+		Title:     "fig5: Reference packet interference (loss rate difference)",
+		RowHeader: "util",
+		Columns:   []string{"achieved", "base-loss", "adaptive", "static"},
+	}
+	for _, p := range r.Points {
+		t.Rows = append(t.Rows, stats.TableRow{
+			Label: fmt.Sprintf("%.2f", p.TargetUtil),
+			Cells: []float64{p.AchievedUtil, p.BaseLoss, p.AdaptiveDiff, p.StaticDiff},
+		})
+	}
+	return t
+}
+
 // Scalars reproduces the evaluation's quoted numbers (§4.2): base
 // utilization from regular traffic alone, the adaptive gap it pins, and
 // the average true latencies at the Figure-4 operating points.
@@ -257,4 +298,24 @@ func (s Scalars) Render() string {
 	fmt.Fprintf(&b, "true mean delay @67%% bursty:       %v (paper: ~117µs)\n", s.TrueMean67Bursty)
 	fmt.Fprintf(&b, "median rel err, static @93%%:       %.3f (paper: ~4.2%%-4.5%%)\n", s.Median93Static)
 	return b.String()
+}
+
+// Table lists the scalars one per row, durations in microseconds.
+func (s Scalars) Table() stats.Table {
+	row := func(label string, v float64) stats.TableRow {
+		return stats.TableRow{Label: label, Cells: []float64{v}}
+	}
+	return stats.Table{
+		Title:     "scalars: §4.2 quoted numbers",
+		RowHeader: "quantity",
+		Columns:   []string{"value"},
+		Rows: []stats.TableRow{
+			row("base utilization, regular only (paper: ~0.22)", s.BaseUtil),
+			row("adaptive gap at base utilization (paper: 10)", float64(s.AdaptiveGap)),
+			row("true mean delay @67% random, µs", micros(s.TrueMean67Random)),
+			row("true mean delay @93% random, µs", micros(s.TrueMean93Random)),
+			row("true mean delay @67% bursty, µs", micros(s.TrueMean67Bursty)),
+			row("median rel err, static @93% (paper: ~0.042-0.045)", s.Median93Static),
+		},
+	}
 }

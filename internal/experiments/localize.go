@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
 	"github.com/netmeasure/rlir/internal/topo"
 	"github.com/netmeasure/rlir/internal/trace"
 )
@@ -112,6 +114,23 @@ func (r LocalizationResult) Localized() bool {
 		}
 	}
 	return true
+}
+
+// FaultyInflation is the mean faulty/baseline latency ratio over the truly
+// faulty segments (0 when none has a baseline).
+func (r LocalizationResult) FaultyInflation() float64 {
+	var ratio float64
+	var n int
+	for i, b := range r.Baseline {
+		if slices.Contains(r.ExpectedSegments, b.Name) && b.Mean > 0 {
+			ratio += float64(r.Faulty[i].Mean) / float64(b.Mean)
+			n++
+		}
+	}
+	if n > 0 {
+		ratio /= float64(n)
+	}
+	return ratio
 }
 
 // RunLocalization runs the healthy calibration pass and the faulty pass,
@@ -302,4 +321,22 @@ func (r LocalizationResult) Render() string {
 	}
 	fmt.Fprintf(&b, "localized correctly: %v (expected %v)\n", r.Localized(), r.ExpectedSegments)
 	return b.String()
+}
+
+// Table is L1 in across-seed form: one row for the injected fault, with the
+// verdict as a 0/1 column so its across-seed mean is the success rate.
+func (r LocalizationResult) Table() stats.Table {
+	localized := 0.0
+	if r.Localized() {
+		localized = 1
+	}
+	return stats.Table{
+		Title:     "L1: latency anomaly localization across segments",
+		RowHeader: "fault",
+		Columns:   []string{"localized", "faultyInflation"},
+		Rows: []stats.TableRow{{
+			Label: fmt.Sprintf("%s agg[%d] +%v", r.Config.Site, r.Config.AggIndex, r.Config.ExtraDelay),
+			Cells: []float64{localized, r.FaultyInflation()},
+		}},
+	}
 }

@@ -1,0 +1,128 @@
+package experiments
+
+import (
+	"fmt"
+	"strings"
+
+	"github.com/netmeasure/rlir/internal/runner"
+	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
+	"github.com/netmeasure/rlir/internal/topo"
+)
+
+// Result is what every target regenerates: its own single-run rendering
+// (the paper's figure or table) and the same metrics as a stats.Table, the
+// form Sweep folds across seeds.
+type Result interface {
+	Render() string
+	Table() stats.Table
+}
+
+// Target is one regenerable result of the evaluation: a figure, a quoted
+// table or an ablation.
+type Target struct {
+	// ID is the name the cmd/experiments -fig flag takes.
+	ID string
+	// SingleSeed marks a target reported from one run even when a sweep is
+	// asked for: placement is exact combinatorics, and Figure 5 is a
+	// within-run differential measurement.
+	SingleSeed bool
+	// Run regenerates the target at the given scale (and scale.Seed).
+	Run func(scale scenario.Scale) Result
+}
+
+// targets is the registry, in cmd/experiments -all order.
+var targets = []Target{
+	{ID: "placement", SingleSeed: true, Run: func(scenario.Scale) Result { return runPlacement() }},
+	{ID: "scalars", Run: func(sc scenario.Scale) Result { return RunScalars(sc) }},
+	{ID: "4a", Run: func(sc scenario.Scale) Result { return Fig4a(sc) }},
+	{ID: "4b", Run: func(sc scenario.Scale) Result { return Fig4b(sc) }},
+	{ID: "4c", Run: func(sc scenario.Scale) Result { return Fig4c(sc) }},
+	{ID: "5", SingleSeed: true, Run: func(sc scenario.Scale) Result { return Fig5(sc, nil) }},
+	{ID: "A1", Run: func(sc scenario.Scale) Result {
+		cfg := DefaultFatTreeConfig()
+		cfg.Seed = sc.Seed
+		return AblationDemux(cfg)
+	}},
+	{ID: "A2", Run: func(sc scenario.Scale) Result { return AblationEstimators(sc, 0.8) }},
+	{ID: "A3", Run: func(sc scenario.Scale) Result { return AblationClocks(sc, 0.8) }},
+	{ID: "B1", Run: func(sc scenario.Scale) Result { return RunBaselines(sc, 0.85) }},
+	{ID: "L1", Run: func(sc scenario.Scale) Result {
+		cfg := DefaultLocalizationConfig()
+		cfg.Seed = sc.Seed
+		return RunLocalization(cfg)
+	}},
+}
+
+// Targets returns the registry in -all order.
+func Targets() []Target { return targets }
+
+// ParseTarget returns the target with the given ID; the error lists the
+// valid ones.
+func ParseTarget(id string) (Target, error) {
+	ids := make([]string, len(targets))
+	for i, t := range targets {
+		if t.ID == id {
+			return t, nil
+		}
+		ids[i] = t.ID
+	}
+	return Target{}, fmt.Errorf("unknown -fig target %q (valid: %s)", id, strings.Join(ids, " "))
+}
+
+// Sweep regenerates the target at opts.Seeds SplitMix64-derived seeds,
+// fanned across opts.Workers, and folds the runs' tables cell by cell into
+// mean ± 95% CI. The result is identical for any worker count. A SingleSeed
+// target is its one run at scale.Seed, folded alone (N = 1). The error is
+// FoldTables': a target whose table shape depends on the seed.
+func Sweep(t Target, scale scenario.Scale, opts scenario.MultiOpts) (stats.TableCI, error) {
+	seeds := []int64{scale.Seed}
+	if !t.SingleSeed {
+		seeds = opts.DeriveSeeds(scale.Seed)
+	}
+	tables := runner.Map(seeds, opts.Workers, func(i int, seed int64) stats.Table {
+		sc := scale
+		sc.Seed = seed
+		return t.Run(sc).Table()
+	})
+	ci, err := stats.FoldTables(tables)
+	if err != nil {
+		return stats.TableCI{}, fmt.Errorf("target %s: %w", t.ID, err)
+	}
+	return ci, nil
+}
+
+// PlacementResult is the §3.1 deployment-complexity table.
+type PlacementResult []topo.Row
+
+// runPlacement computes the table for the arities the paper discusses.
+func runPlacement() PlacementResult {
+	rows, err := topo.Table([]int{4, 8, 16, 32, 48})
+	if err != nil {
+		panic(err) // the arities above are all valid
+	}
+	return rows
+}
+
+const placementTitle = "§3.1: deployment complexity (measurement instances)"
+
+// Render formats the table with its closed forms.
+func (p PlacementResult) Render() string {
+	return "== " + placementTitle + " ==\n" + topo.FormatTable(p)
+}
+
+// Table is the placement table as metrics, one row per arity.
+func (p PlacementResult) Table() stats.Table {
+	t := stats.Table{
+		Title:     placementTitle,
+		RowHeader: "k",
+		Columns:   []string{"pair-of-ifaces", "pair-of-ToRs", "all-ToR-pairs", "full-deploy", "savings(x)"},
+	}
+	for _, r := range p {
+		t.Rows = append(t.Rows, stats.TableRow{
+			Label: fmt.Sprint(r.K),
+			Cells: []float64{float64(r.PairOfInterfaces), float64(r.PairOfToRs), float64(r.AllToRPairs), float64(r.FullDeployment), r.Reduction},
+		})
+	}
+	return t
+}

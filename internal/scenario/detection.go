@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // DetectionThreshold is the exposure fraction above which an estimator
@@ -74,6 +76,29 @@ func (d *DetectionReport) Render() string {
 			r.Estimator, r.CleanAgg, r.AdvAgg, r.Shift, r.Exposure, r.Detected)
 	}
 	return b.String()
+}
+
+// Table is the report in across-seed form: per mechanism, the exposed
+// fraction of the true shift and the verdict as a 0/1 column, so its
+// across-seed mean is the fraction of seeds the mechanism detected on. A nil
+// report — the spec ran without an adversary — is the empty table.
+func (d *DetectionReport) Table() stats.Table {
+	if d == nil {
+		return stats.Table{}
+	}
+	out := stats.Table{
+		Title:     fmt.Sprintf("adversarial delay detection (hidden=%v)", d.HiddenDelay),
+		RowHeader: "estimator",
+		Columns:   []string{"exposure", "detected"},
+	}
+	for _, r := range d.Rows {
+		detected := 0.0
+		if r.Detected {
+			detected = 1
+		}
+		out.Rows = append(out.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{r.Exposure, detected}})
+	}
+	return out
 }
 
 // buildDetection scores the paired runs. adv and clean ran the same spec at

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // TestSinglePassEquivalenceFatTree is the single-pass contract: attaching
@@ -161,18 +163,21 @@ func TestMultiResultEstimatorCIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mr.Estimators) != 6 {
-		t.Fatalf("%d estimator CI rows, want 6", len(mr.Estimators))
+	if len(mr.Estimators.Rows) != 6 {
+		t.Fatalf("%d estimator CI rows, want 6", len(mr.Estimators.Rows))
 	}
-	byName := map[string]EstimatorCI{}
-	for _, e := range mr.Estimators {
-		byName[e.Name] = e
+	cell := func(row, col string) stats.MetricCI {
+		m, ok := mr.Estimators.Cell(row, col)
+		if !ok {
+			t.Fatalf("estimator table has no cell (%s, %s)", row, col)
+		}
+		return m
 	}
-	if rli := byName["rli"]; rli.MedianRelErr.N != 2 || math.IsNaN(rli.MedianRelErr.Mean) {
-		t.Fatalf("rli across-seed metric %+v", rli.MedianRelErr)
+	if m := cell("rli", "medianRelErr"); m.N != 2 || math.IsNaN(m.Mean) {
+		t.Fatalf("rli across-seed metric %+v", m)
 	}
-	if lda := byName["lda"]; lda.MedianRelErr.N != 0 {
-		t.Fatalf("lda per-flow metric folded NaNs: %+v", lda.MedianRelErr)
+	if m := cell("lda", "medianRelErr"); m.N != 0 {
+		t.Fatalf("lda per-flow metric folded NaNs: %+v", m)
 	}
 	out := mr.Render()
 	if !strings.Contains(out, "estimator comparison") || !strings.Contains(out, "netflow-sample") {

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
@@ -56,6 +57,24 @@ func DefaultScale() Scale {
 func FullScale() Scale {
 	return Scale{LinkBps: 10e9, Duration: 60 * time.Second, QueueBytes: 1 << 20,
 		BaseUtil: 0.22, CrossOfferedUtil: 1.5, Seed: 1}
+}
+
+// scales names the three sizes (the CLIs' -scale vocabulary).
+var scales = [...]struct {
+	name string
+	of   func() Scale
+}{{"small", SmallScale}, {"default", DefaultScale}, {"full", FullScale}}
+
+// ParseScale returns the named scale; the error lists the valid names.
+func ParseScale(name string) (Scale, error) {
+	names := make([]string, len(scales))
+	for i, sc := range scales {
+		if sc.name == name {
+			return sc.of(), nil
+		}
+		names[i] = sc.name
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // CrossModel selects the cross-traffic selection model of §4.1. The values

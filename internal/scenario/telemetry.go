@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // DefaultTelemetryFrameRecords is the export-frame granularity when the spec
@@ -81,6 +82,28 @@ func (t *TelemetryReport) Render() string {
 			r.Baseline.AggRelErr, r.Degraded.AggRelErr)
 	}
 	return b.String()
+}
+
+// Table is the report in across-seed form: per mechanism, the dropped
+// frames, the surviving flow coverage and the error before and after loss
+// (NaN for the per-flow metrics of an aggregate-only mechanism). A nil
+// report — the spec ran without telemetry loss — is the empty table.
+func (t *TelemetryReport) Table() stats.Table {
+	if t == nil {
+		return stats.Table{}
+	}
+	out := stats.Table{
+		Title:     fmt.Sprintf("telemetry loss (frame=%d records, p(drop)=%.2f)", t.FrameRecords, t.LossRate),
+		RowHeader: "estimator",
+		Columns:   []string{"dropped", "coverage", "medianRelErr", "degradedMedian", "deltaMedian", "degradedAgg"},
+	}
+	for _, r := range t.Rows {
+		out.Rows = append(out.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{
+			float64(r.FramesDropped), r.FlowCoverage(),
+			r.Baseline.MedianRelErr, r.Degraded.MedianRelErr, r.DeltaMedianRelErr(), r.Degraded.AggRelErr,
+		}})
+	}
+	return out
 }
 
 // telemetryRNG derives one estimator's loss stream: seeded by the run seed

@@ -139,21 +139,27 @@ func TestTelemetryLossScenarioMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mr.Telemetry) == 0 {
+	if len(mr.Telemetry.Rows) == 0 {
 		t.Fatal("multi-seed sweep carries no telemetry fold")
 	}
-	rli := mr.Telemetry[0]
-	if rli.Name != "rli" {
-		t.Fatalf("first telemetry row is %q, want rli", rli.Name)
+	if first := mr.Telemetry.Rows[0].Label; first != "rli" {
+		t.Fatalf("first telemetry row is %q, want rli", first)
 	}
-	if rli.FramesDropped.Mean <= 0 {
-		t.Fatalf("mean dropped frames %v, want > 0", rli.FramesDropped.Mean)
+	mean := func(col string) float64 {
+		m, ok := mr.Telemetry.Cell("rli", col)
+		if !ok {
+			t.Fatalf("telemetry table has no rli %s cell", col)
+		}
+		return m.Mean
 	}
-	if rli.FlowCoverage.Mean <= 0.2 || rli.FlowCoverage.Mean >= 0.95 {
-		t.Fatalf("mean flow coverage %v; 40%% frame loss should land well inside (0.2, 0.95)", rli.FlowCoverage.Mean)
+	if dropped := mean("dropped"); dropped <= 0 {
+		t.Fatalf("mean dropped frames %v, want > 0", dropped)
 	}
-	if math.Abs(rli.DeltaMedianRelErr.Mean) > 0.25 {
-		t.Fatalf("loss shifts the median error by %v; survivors should keep near-lossless accuracy", rli.DeltaMedianRelErr.Mean)
+	if cov := mean("coverage"); cov <= 0.2 || cov >= 0.95 {
+		t.Fatalf("mean flow coverage %v; 40%% frame loss should land well inside (0.2, 0.95)", cov)
+	}
+	if delta := mean("deltaMedian"); math.Abs(delta) > 0.25 {
+		t.Fatalf("loss shifts the median error by %v; survivors should keep near-lossless accuracy", delta)
 	}
 	if !strings.Contains(mr.Render(), "telemetry loss") {
 		t.Fatal("multi-seed render omits the telemetry section")

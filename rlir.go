@@ -140,6 +140,10 @@ func DefaultScale() Scale { return scenario.DefaultScale() }
 // FullScale approximates the paper's 60 s of OC-192.
 func FullScale() Scale { return scenario.FullScale() }
 
+// ParseScale returns the named scale (small, default, full); the error
+// lists the valid names.
+func ParseScale(name string) (Scale, error) { return scenario.ParseScale(name) }
+
 // CrossModel selects the cross-traffic model.
 type CrossModel = scenario.CrossModel
 
@@ -168,6 +172,10 @@ const (
 	RightRef = core.RightRef
 	Nearest  = core.Nearest
 )
+
+// ParseEstimator parses an estimator variant's rendered name (linear, left,
+// right, nearest); the error lists the valid names.
+func ParseEstimator(s string) (core.Estimator, error) { return core.ParseEstimator(s) }
 
 // ---- Fat-tree RLIR deployment (paper Figure 1 / §3.1) ----
 
@@ -243,34 +251,35 @@ type Scalars = experiments.Scalars
 // RunScalars measures them.
 func RunScalars(scale Scale) Scalars { return experiments.RunScalars(scale) }
 
+// DemuxAblation is the A1 table, one FatTreeResult per strategy; Render
+// formats it.
+type DemuxAblation = experiments.DemuxAblation
+
 // AblationDemux runs every downstream demux strategy on an identical
 // fat-tree workload (DESIGN.md A1).
-func AblationDemux(cfg FatTreeConfig) []FatTreeResult { return experiments.AblationDemux(cfg) }
-
-// RenderAblationDemux formats A1.
-func RenderAblationDemux(rs []FatTreeResult) string { return experiments.RenderAblationDemux(rs) }
+func AblationDemux(cfg FatTreeConfig) DemuxAblation { return experiments.AblationDemux(cfg) }
 
 // EstimatorRow is one line of ablation A2.
 type EstimatorRow = experiments.EstimatorRow
 
+// EstimatorAblation is the A2 table; Render formats it.
+type EstimatorAblation = experiments.EstimatorAblation
+
 // AblationEstimators compares interpolation variants (A2).
-func AblationEstimators(scale Scale, util float64) []EstimatorRow {
+func AblationEstimators(scale Scale, util float64) EstimatorAblation {
 	return experiments.AblationEstimators(scale, util)
 }
-
-// RenderEstimators formats A2.
-func RenderEstimators(rows []EstimatorRow) string { return experiments.RenderEstimators(rows) }
 
 // ClockRow is one line of ablation A3.
 type ClockRow = experiments.ClockRow
 
+// ClockAblation is the A3 table; Render formats it.
+type ClockAblation = experiments.ClockAblation
+
 // AblationClocks sweeps clock imperfections (A3).
-func AblationClocks(scale Scale, util float64) []ClockRow {
+func AblationClocks(scale Scale, util float64) ClockAblation {
 	return experiments.AblationClocks(scale, util)
 }
-
-// RenderClocks formats A3.
-func RenderClocks(rows []ClockRow) string { return experiments.RenderClocks(rows) }
 
 // BaselineResult is B1: RLIR vs LDA vs Multiflow.
 type BaselineResult = experiments.BaselineResult
@@ -313,11 +322,12 @@ func RunLocalization(cfg LocalizationConfig) LocalizationResult {
 
 // ---- Multi-seed sweeps (the concurrent measurement plane) ----
 //
-// Every figure and ablation above is a single-seed point estimate. The
-// Multi* variants fan N independent simulations (seeds derived via
-// SplitMix64) across workers and report each headline metric as
-// mean ± 95% CI, merging per-run flow telemetry through the
-// internal/collector plane.
+// Every figure and ablation above is a single-seed point estimate. Each is
+// also a registered ExperimentTarget whose result exposes its metrics as a
+// Table; Sweep fans a target across N independent simulations (seeds derived
+// via SplitMix64) and folds the tables cell by cell into mean ± 95% CI.
+// MultiTandem is the one sweep that is more than a table: it also merges
+// per-run flow telemetry through the internal/collector plane.
 
 // MultiOpts sizes a multi-seed sweep (Seeds default 8, Workers default
 // GOMAXPROCS).
@@ -325,6 +335,33 @@ type MultiOpts = scenario.MultiOpts
 
 // MetricCI is one metric's across-seed mean ± 95% CI.
 type MetricCI = stats.MetricCI
+
+// Table is one run's metrics as labelled rows × named columns; NaN marks a
+// metric the row does not produce.
+type Table = stats.Table
+
+// TableCI is a Table folded across seeds: every cell a MetricCI, looked up
+// with Cell(row, column) and printed with Render.
+type TableCI = stats.TableCI
+
+// ExperimentTarget is one regenerable figure, quoted table or ablation: its
+// cmd/experiments -fig ID and a Run whose result has the single-seed Render
+// and the Table that Sweep folds.
+type ExperimentTarget = experiments.Target
+
+// ExperimentTargets returns every target in cmd/experiments -all order.
+func ExperimentTargets() []ExperimentTarget { return experiments.Targets() }
+
+// ParseExperimentTarget returns the target with the given ID; the error
+// lists the valid ones.
+func ParseExperimentTarget(id string) (ExperimentTarget, error) { return experiments.ParseTarget(id) }
+
+// Sweep regenerates one target at N derived seeds in parallel and reports
+// every metric as mean ± 95% CI. The result carries its own seed count and
+// is identical for any worker count.
+func Sweep(t ExperimentTarget, scale Scale, opts MultiOpts) (TableCI, error) {
+	return experiments.Sweep(t, scale, opts)
+}
 
 // DeriveSeeds returns n independent, reproducible seeds derived from base
 // with SplitMix64 — use it instead of base+i arithmetic whenever seeding
@@ -337,77 +374,6 @@ type MultiTandemResult = experiments.MultiTandemResult
 // MultiTandem runs one tandem configuration at N derived seeds in parallel.
 func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
 	return experiments.MultiTandem(cfg, opts)
-}
-
-// MultiFigure is a figure re-recorded as across-seed statistics.
-type MultiFigure = experiments.MultiFigure
-
-// Fig4aMulti re-records Figure 4(a) as mean ± CI across seeds.
-func Fig4aMulti(scale Scale, opts MultiOpts) MultiFigure { return experiments.Fig4aMulti(scale, opts) }
-
-// Fig4bMulti re-records Figure 4(b) as mean ± CI across seeds.
-func Fig4bMulti(scale Scale, opts MultiOpts) MultiFigure { return experiments.Fig4bMulti(scale, opts) }
-
-// Fig4cMulti re-records Figure 4(c) as mean ± CI across seeds.
-func Fig4cMulti(scale Scale, opts MultiOpts) MultiFigure { return experiments.Fig4cMulti(scale, opts) }
-
-// ScalarsCI re-records the §4.2 scalars across seeds.
-type ScalarsCI = experiments.ScalarsCI
-
-// MultiScalars measures the §4.2 scalar table at every derived seed.
-func MultiScalars(scale Scale, opts MultiOpts) ScalarsCI {
-	return experiments.MultiScalars(scale, opts)
-}
-
-// EstimatorCI is one line of the multi-seed A2 table.
-type EstimatorCI = experiments.EstimatorCI
-
-// MultiEstimators re-records ablation A2 across seeds.
-func MultiEstimators(scale Scale, util float64, opts MultiOpts) []EstimatorCI {
-	return experiments.MultiEstimators(scale, util, opts)
-}
-
-// RenderEstimatorsCI formats multi-seed A2.
-func RenderEstimatorsCI(rows []EstimatorCI, seeds int) string {
-	return experiments.RenderEstimatorsCI(rows, seeds)
-}
-
-// ClockCI is one line of the multi-seed A3 table.
-type ClockCI = experiments.ClockCI
-
-// MultiClocks re-records ablation A3 across seeds.
-func MultiClocks(scale Scale, util float64, opts MultiOpts) []ClockCI {
-	return experiments.MultiClocks(scale, util, opts)
-}
-
-// RenderClocksCI formats multi-seed A3.
-func RenderClocksCI(rows []ClockCI, seeds int) string { return experiments.RenderClocksCI(rows, seeds) }
-
-// BaselineCI re-records B1 across seeds.
-type BaselineCI = experiments.BaselineCI
-
-// MultiBaselines re-records ablation B1 across seeds.
-func MultiBaselines(scale Scale, util float64, opts MultiOpts) BaselineCI {
-	return experiments.MultiBaselines(scale, util, opts)
-}
-
-// DemuxCI is one line of the multi-seed A1 table.
-type DemuxCI = experiments.DemuxCI
-
-// MultiDemux re-records ablation A1 across seeds.
-func MultiDemux(cfg FatTreeConfig, opts MultiOpts) []DemuxCI {
-	return experiments.MultiDemux(cfg, opts)
-}
-
-// RenderDemuxCI formats multi-seed A1.
-func RenderDemuxCI(rows []DemuxCI, seeds int) string { return experiments.RenderDemuxCI(rows, seeds) }
-
-// LocalizationCI re-records L1 across seeds.
-type LocalizationCI = experiments.LocalizationCI
-
-// MultiLocalization re-records the L1 scenario across seeds.
-func MultiLocalization(cfg LocalizationConfig, opts MultiOpts) LocalizationCI {
-	return experiments.MultiLocalization(cfg, opts)
 }
 
 // ---- Unified estimator layer (internal/measure) ----
@@ -592,10 +558,6 @@ type ScenarioDetectionReport = scenario.DetectionReport
 // ScenarioDetectionRow is one estimator's clean-vs-adversarial aggregate
 // shift and detection verdict.
 type ScenarioDetectionRow = scenario.DetectionRow
-
-// ScenarioDetectionCI is one estimator's across-seed detection fold: mean
-// exposure and the fraction of seeds on which it detected the adversary.
-type ScenarioDetectionCI = scenario.DetectionCI
 
 // ScenarioLinkTraceSpec replays a recorded per-link delay/loss time series
 // on one core down-link (ScenarioSpec.LinkTrace).
