@@ -74,3 +74,31 @@ func BenchmarkEvictionChurn(b *testing.B) {
 		b.Fatal("no evictions: churn benchmark not churning")
 	}
 }
+
+// BenchmarkSnapshot measures Collector.Snapshot over 2 shards × ~1100 flows,
+// the read_path fleet instance's table size: the query path's deep copy and
+// sort on a running collector, and the scenario harvest's on a closed one.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, closed := range []bool{false, true} {
+		name := "open"
+		if closed {
+			name = "closed"
+		}
+		b.Run(name, func(b *testing.B) {
+			c := New(Config{Shards: 2})
+			c.Ingest(genStream(1, 2266, 1<<16))
+			if closed {
+				c.Close()
+			} else {
+				defer c.Close()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n := len(c.Snapshot()); n == 0 {
+					b.Fatal("empty snapshot")
+				}
+			}
+		})
+	}
+}

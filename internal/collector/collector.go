@@ -2,7 +2,7 @@ package collector
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -609,10 +609,17 @@ func (c *Collector) QueueDepths() []int {
 func (c *Collector) Snapshot() []FlowAgg {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []FlowAgg
+	var refs []*FlowAgg
 	if c.closed {
+		n := 0
 		for _, s := range c.shards {
-			out = append(out, s.snapshot()...)
+			n += len(s.flows)
+		}
+		refs = make([]*FlowAgg, 0, n)
+		for _, s := range c.shards {
+			for _, e := range s.flows {
+				refs = append(refs, &e.agg)
+			}
 		}
 	} else {
 		replies := make([]chan []FlowAgg, len(c.shards))
@@ -621,10 +628,36 @@ func (c *Collector) Snapshot() []FlowAgg {
 			s.ch <- req{snap: replies[i]}
 		}
 		for _, ch := range replies {
-			out = append(out, <-ch...)
+			part := <-ch
+			for i := range part {
+				refs = append(refs, &part[i])
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	if len(refs) == 0 {
+		return nil // an empty table renders as JSON null; the byte-identity pins hold that
+	}
+	// Closed: refs point into the shards' final state, so clone. Open: they
+	// point into the copies the shards just made for this call.
+	return sortedAggs(refs, c.closed)
+}
+
+// sortedAggs returns the aggregates refs point at in canonical flow-key
+// order. It sorts the pointers and then writes each 704-byte aggregate once,
+// straight into its final slot; sorting the aggregates themselves moves each
+// one log n times. clone deep-copies (refs into live shard state); without it
+// the sketch windows move to the result, so the pointees must be the caller's
+// own copies.
+func sortedAggs(refs []*FlowAgg, clone bool) []FlowAgg {
+	slices.SortFunc(refs, func(a, b *FlowAgg) int { return a.Key.Compare(b.Key) })
+	out := make([]FlowAgg, len(refs))
+	for i, a := range refs {
+		if clone {
+			out[i] = cloneAgg(a)
+		} else {
+			out[i] = *a
+		}
+	}
 	return out
 }
 
@@ -730,12 +763,11 @@ func Merge(snaps ...[]FlowAgg) []FlowAgg {
 			}
 		}
 	}
-	out := make([]FlowAgg, 0, len(m))
+	refs := make([]*FlowAgg, 0, len(m))
 	for _, a := range m {
-		out = append(out, *a)
+		refs = append(refs, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
-	return out
+	return sortedAggs(refs, false)
 }
 
 // MergeRollups combines rollup snapshots (per-shard, per-run or per-fleet-
@@ -761,10 +793,10 @@ func MergeRollups(rolls ...Rollup) Rollup {
 		out.Root.merge(&rootCp)
 		out.Stats.add(r.Stats)
 	}
-	out.Classes = make([]FlowAgg, 0, len(m))
+	refs := make([]*FlowAgg, 0, len(m))
 	for _, a := range m {
-		out.Classes = append(out.Classes, *a)
+		refs = append(refs, a)
 	}
-	sort.Slice(out.Classes, func(i, j int) bool { return out.Classes[i].Key.Less(out.Classes[j].Key) })
+	out.Classes = sortedAggs(refs, false)
 	return out
 }

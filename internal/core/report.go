@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,7 +49,7 @@ func (r *Receiver) Results(minPackets int64) []FlowResult {
 		fr.RelErrStd = stats.RelErr(acc.Est.Std(), acc.True.Std())
 		out = append(out, fr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	slices.SortFunc(out, func(a, b FlowResult) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -29,9 +29,24 @@
 //     funcs, channels, maps). This is the path the packet simulator's
 //     per-packet events use.
 //
-// Internally the queue is a monomorphic 4-ary min-heap over a flat []event
+// Internally the queue has two tiers holding one total order. Events that
+// events schedule go to a monomorphic 4-ary min-heap over a flat []event
 // slice: no container/heap indirection, no interface boxing per element, and
 // a branching factor that keeps parent/child slots on the same cache lines.
+// Events that setup schedules — ord 0: nothing has executed yet — go to the
+// backlog instead, a plain slice that is sorted once by the same (at, ord, k)
+// key (not at all when setup scheduled in time order, as a trace replay does)
+// and then consumed front to back. The next event is the smaller of the
+// backlog's head and the heap's root; keys are unique, so that is exactly the
+// order one heap holding everything would pop. What it buys is a heap whose
+// size is the number of events in flight, not the length of the workload: a
+// run that injects its whole trace up front no longer sifts every push and
+// pop through tens of thousands of events that are not due yet.
+//
+// The rule is the cause word and nothing else. Once any event has executed,
+// ord is non-zero for good, so schedule calls made between two RunUntil
+// calls (or after a Step) go to the heap like any event-scheduled event;
+// there is no size threshold and no second queue kind to choose.
 //
 // An Engine is single-goroutine: network simulation at packet granularity is
 // dominated by the event heap and cache behaviour, and a single timeline
@@ -42,6 +57,7 @@
 package eventsim
 
 import (
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/simtime"
@@ -101,7 +117,12 @@ type Engine struct {
 	now       simtime.Time
 	ord       uint64  // cause word stamped on schedule calls (execution index of the running event)
 	k         uint32  // next schedule-call index of the running event
-	events    []event // 4-ary min-heap ordered by (at, ord, k)
+	events    []event // 4-ary min-heap ordered by (at, ord, k): events scheduled by events
+	backlog   []event // events scheduled by setup (ord 0); sorted by (at, ord, k) before first use
+	head      int     // next unconsumed backlog slot
+	unsorted  bool    // a setup schedule call broke the backlog's append order
+	peakHeap  int     // largest len(events) so far
+	setup     int     // events the backlog was handed in total
 	kinds     []TypedHandler
 	processed uint64
 	stopped   bool
@@ -140,7 +161,16 @@ func (e *Engine) RegisterKind(h TypedHandler) Kind {
 func (e *Engine) Now() simtime.Time { return e.now }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return len(e.backlog) - e.head + len(e.events) }
+
+// PeakHeap returns the largest number of event-scheduled events that were
+// ever queued at once: the run's in-flight high-water mark, and the size the
+// heap's sifts actually worked on.
+func (e *Engine) PeakHeap() int { return e.peakHeap }
+
+// Backlog returns the number of events setup scheduled before the run — the
+// workload the heap never had to hold.
+func (e *Engine) Backlog() int { return e.setup }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -186,6 +216,17 @@ func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 		e.k++
 	}
 	ev := event{at: t, ord: e.ord, kind: kind, k: k, a: a, b: b}
+	if e.ord == 0 {
+		// Setup: nothing has executed, so nothing has been consumed either.
+		// Every backlog event has ord 0 and a smaller k than this one, so
+		// only an earlier instant puts it out of order.
+		if n := len(e.backlog); n > 0 && t < e.backlog[n-1].at {
+			e.unsorted = true
+		}
+		e.backlog = append(e.backlog, ev)
+		e.setup++
+		return
+	}
 	if e.deferPast != 0 && t >= e.deferPast {
 		// Parallel window: the event belongs to a later window. Its cause's
 		// global index is unknown until the barrier, so park it; the barrier
@@ -210,14 +251,16 @@ func (e *Engine) push(ev event) {
 	}
 	h[i] = ev
 	e.events = h
+	if len(h) > e.peakHeap {
+		e.peakHeap = len(h)
+	}
 }
 
-// pop removes and returns the minimum event, sifting the displaced tail
-// element down. The vacated tail slot is zeroed so payload pointers do not
-// outlive their event.
-func (e *Engine) pop() event {
+// pop removes the minimum event, sifting the displaced tail element down.
+// The vacated tail slot is zeroed so payload pointers do not outlive their
+// event.
+func (e *Engine) pop() {
 	h := e.events
-	top := h[0]
 	n := len(h) - 1
 	last := h[n]
 	h[n] = event{}
@@ -248,7 +291,67 @@ func (e *Engine) pop() event {
 		h[i] = last
 	}
 	e.events = h
-	return top
+}
+
+// peek returns the next event in (at, ord, k) order without removing it —
+// the smaller of the backlog's head and the heap's root — or nil when none
+// is pending. It sorts the backlog on first use if setup appended out of
+// order. The pointer is valid until the next schedule call or exec.
+func (e *Engine) peek() *event {
+	if e.head == len(e.backlog) {
+		if len(e.events) == 0 {
+			return nil
+		}
+		return &e.events[0]
+	}
+	if e.unsorted {
+		slices.SortFunc(e.backlog, func(x, y event) int {
+			if x.before(&y) {
+				return -1
+			}
+			return 1
+		})
+		e.unsorted = false
+	}
+	if b := &e.backlog[e.head]; len(e.events) == 0 || b.before(&e.events[0]) {
+		return b
+	}
+	return &e.events[0]
+}
+
+// exec runs the next event if there is one and it is due at or before limit,
+// and reports whether it did. It is the one place an event leaves the queue:
+// Run, RunUntil, Step and a Parallel lane's window all loop over it. The
+// event is copied out of its slot before the slot goes — the heap's root by
+// pop, a backlog slot by zeroing it, like pop zeroes the tail, so payload
+// pointers do not outlive their event; the drained backlog is released whole.
+func (e *Engine) exec(limit simtime.Time) bool {
+	p := e.peek()
+	if p == nil || p.at > limit {
+		return false
+	}
+	ev := *p
+	if len(e.events) > 0 && p == &e.events[0] {
+		e.pop()
+	} else {
+		*p = event{}
+		e.head++
+		if e.head == len(e.backlog) {
+			e.backlog, e.head = nil, 0
+		}
+	}
+	e.now = ev.at
+	e.processed++
+	e.ord = e.processed
+	if e.deferPast != 0 {
+		// Parallel window: the global index is unknown until the barrier, so
+		// stamp the lane-local one and record the key for the barrier merge.
+		e.ord |= flagLocal
+		e.recs = append(e.recs, execRec{at: ev.at, ord: ev.ord, k: ev.k})
+	}
+	e.k = 0
+	e.kinds[ev.kind](ev.a, ev.b)
+	return true
 }
 
 // Stop makes the currently executing Run or RunUntil call return after the
@@ -268,16 +371,7 @@ func (e *Engine) Run() uint64 {
 func (e *Engine) RunUntil(deadline simtime.Time) uint64 {
 	e.stopped = false
 	var n uint64
-	for len(e.events) > 0 && !e.stopped {
-		if e.events[0].at > deadline {
-			break
-		}
-		ev := e.pop()
-		e.now = ev.at
-		e.processed++
-		e.ord = e.processed
-		e.k = 0
-		e.kinds[ev.kind](ev.a, ev.b)
+	for !e.stopped && e.exec(deadline) {
 		n++
 	}
 	if deadline != simtime.Never && deadline > e.now && !e.stopped {
@@ -288,18 +382,7 @@ func (e *Engine) RunUntil(deadline simtime.Time) uint64 {
 
 // Step executes exactly one event if any is pending and reports whether it
 // did so.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := e.pop()
-	e.now = ev.at
-	e.processed++
-	e.ord = e.processed
-	e.k = 0
-	e.kinds[ev.kind](ev.a, ev.b)
-	return true
-}
+func (e *Engine) Step() bool { return e.exec(simtime.Never) }
 
 // Ticker invokes fn every period, starting at start, until fn returns false.
 // It is a convenience for periodic processes such as utilization sampling and

@@ -229,8 +229,8 @@ func (p *Parallel) Run(lookahead time.Duration) uint64 {
 	for {
 		start := simtime.Never
 		for _, l := range p.lanes {
-			if len(l.events) > 0 && l.events[0].at < start {
-				start = l.events[0].at
+			if ev := l.peek(); ev != nil && ev.at < start {
+				start = ev.at
 			}
 		}
 		if start == simtime.Never {
@@ -256,14 +256,7 @@ func (p *Parallel) Run(lookahead time.Duration) uint64 {
 // execution order for the barrier merge. It runs on the lane's goroutine.
 func (e *Engine) runWindow(end simtime.Time) {
 	e.deferPast = end
-	for len(e.events) > 0 && e.events[0].at < end {
-		ev := e.pop()
-		e.now = ev.at
-		e.processed++
-		e.ord = flagLocal | e.processed
-		e.k = 0
-		e.recs = append(e.recs, execRec{at: ev.at, ord: ev.ord, k: ev.k})
-		e.kinds[ev.kind](ev.a, ev.b)
+	for e.exec(end - 1) {
 	}
 	e.deferPast = 0
 }

@@ -284,6 +284,7 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 	gcfg.TargetBps = cfg.LoadFrac * float64(h) * cfg.LinkBps
 	gcfg.CapFlowLen()
 	gen := trace.NewGenerator(gcfg)
+	var slab packet.Slab
 	for {
 		rec, ok := gen.Next()
 		if !ok {
@@ -295,7 +296,8 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 		key := rec.Key
 		key.Src = ft.HostAddr(sp, se, sh)
 		key.Dst = ft.HostAddr(q, e0, dh)
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
+		pk := slab.New()
+		*pk = packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
 		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
 	}
 	eng.Run()

@@ -50,6 +50,7 @@ type Config struct {
 type Meter struct {
 	cfg    Config
 	flows  map[packet.FlowKey]*Record
+	slab   []Record // backing for new flows' records, carved in order
 	seen   uint64
 	expire uint64
 }
@@ -64,7 +65,15 @@ func (m *Meter) Observe(key packet.FlowKey, size int, at simtime.Time) {
 	m.seen++
 	r, ok := m.flows[key]
 	if !ok {
-		r = &Record{Key: key, First: at}
+		// First packet of a flow is a hot event (tens of thousands per run
+		// across a deployment's meters), so records are carved from a slab
+		// instead of allocated one by one. A full slab is abandoned to the
+		// map's pointers and replaced, so carved addresses never move.
+		if len(m.slab) == cap(m.slab) {
+			m.slab = make([]Record, 0, 128)
+		}
+		m.slab = append(m.slab, Record{Key: key, First: at})
+		r = &m.slab[len(m.slab)-1]
 		m.flows[key] = r
 	}
 	r.Last = at

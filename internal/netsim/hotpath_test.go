@@ -60,6 +60,47 @@ func TestSteadyForwardingZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestZeroAllocTracedForwarding is the same gate on a fat-tree-length path
+// with ground-truth path tracing on, as every scenario run has it: seven
+// nodes (host, ToR, agg, core, agg, ToR, host) record seven hops, which fit
+// the packet's inline hop buffer, so tracing adds no allocation either.
+func TestZeroAllocTracedForwarding(t *testing.T) {
+	eng := eventsim.New()
+	nw := New(eng)
+	nw.SetTracePaths(true)
+	const hops = 7
+	nodes := make([]*Node, hops)
+	for i := range nodes {
+		nodes[i] = nw.AddNode(NodeConfig{ProcDelay: 500 * time.Nanosecond})
+		if i > 0 {
+			nw.Connect(nodes[i-1], nodes[i], LinkConfig{RateBps: 1e9, Propagation: time.Microsecond})
+			nodes[i-1].SetForward(func(*Node, *packet.Packet) int { return 0 })
+		}
+	}
+
+	const batch = 200
+	pkts := make([]packet.Packet, batch)
+	inject := func() {
+		base := eng.Now()
+		for i := range pkts {
+			pkts[i] = packet.Packet{ID: uint64(i + 1), Size: 1000} // a fresh packet: no hops yet
+			nw.Inject(nodes[0], &pkts[i], base.Add(time.Duration(i)*5*time.Microsecond))
+		}
+		eng.Run()
+	}
+	inject() // warm-up: grows the event heap and the port fifos
+
+	if allocs := testing.AllocsPerRun(10, inject); allocs != 0 {
+		t.Fatalf("traced forwarding over %d nodes allocated %.1f times per batch of %d packets, want 0", hops, allocs, batch)
+	}
+	if got := nodes[hops-1].Delivered(); got == 0 {
+		t.Fatal("no packets delivered; the zero-alloc run did not exercise the path")
+	}
+	if got := pkts[0].Hops; len(got) != hops || got[0] != 0 || got[hops-1] != hops-1 {
+		t.Fatalf("path trace = %v, want the %d node IDs in order", got, hops)
+	}
+}
+
 // TestTypedDispatchMatchesDirectSemantics re-checks the forwarding timeline
 // through the typed-event path against first principles: one packet's
 // delivery time must be the analytic sum of processing, serialization and

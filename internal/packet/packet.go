@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -56,23 +57,28 @@ func (k FlowKey) String() string {
 	return fmt.Sprintf("%s:%d>%s:%d/%s", k.Src, k.SrcPort, k.Dst, k.DstPort, k.Proto)
 }
 
-// Less orders keys lexicographically by (Src, Dst, SrcPort, DstPort, Proto).
-// It is the canonical ordering for deterministic per-flow output: result
-// tables, collector snapshots and merged aggregates all sort with it.
-func (k FlowKey) Less(o FlowKey) bool {
-	switch {
-	case k.Src != o.Src:
-		return k.Src < o.Src
-	case k.Dst != o.Dst:
-		return k.Dst < o.Dst
-	case k.SrcPort != o.SrcPort:
-		return k.SrcPort < o.SrcPort
-	case k.DstPort != o.DstPort:
-		return k.DstPort < o.DstPort
-	default:
-		return k.Proto < o.Proto
+// Compare orders keys lexicographically by (Src, Dst, SrcPort, DstPort,
+// Proto): negative when k sorts first, zero when equal. It is the canonical
+// ordering for deterministic per-flow output: result tables, collector
+// snapshots and merged aggregates all sort with it.
+func (k FlowKey) Compare(o FlowKey) int {
+	if c := cmp.Compare(k.Src, o.Src); c != 0 {
+		return c
 	}
+	if c := cmp.Compare(k.Dst, o.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.SrcPort, o.SrcPort); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(k.DstPort, o.DstPort); c != 0 {
+		return c
+	}
+	return cmp.Compare(k.Proto, o.Proto)
 }
+
+// Less reports whether k sorts before o in Compare's order.
+func (k FlowKey) Less(o FlowKey) bool { return k.Compare(o) < 0 }
 
 // FastHash returns a 64-bit FNV-1a hash of the key. It is not the ECMP hash
 // (see internal/ecmp for those); it exists for sharding and sampling, and is
@@ -162,8 +168,15 @@ type Packet struct {
 	SegmentStart simtime.Time
 
 	// Hops is the ground-truth list of node IDs traversed, recorded by the
-	// simulator when path tracing is enabled.
+	// simulator when path tracing is enabled. Up to len(hopBuf) hops it is a
+	// slice of the packet's own hopBuf, so a struct copy of a Packet with
+	// recorded hops reads the original's buffer until the copy's next
+	// RecordHop moves it onto its own: do not copy such a packet and then
+	// overwrite or reuse the original. Pass *Packet, as the simulator does.
 	Hops []int32
+	// hopBuf backs Hops inline: a fat-tree path is 7 nodes, so tracing a
+	// packet allocates nothing; longer paths spill to the heap.
+	hopBuf [8]int32
 }
 
 // RefPayload is the information an RLI reference packet carries on the wire.
@@ -185,7 +198,18 @@ func (r RefPayload) Delay(receivedAt simtime.Time) time.Duration {
 
 // RecordHop appends a node to the ground-truth path trace.
 func (p *Packet) RecordHop(node int32) {
-	p.Hops = append(p.Hops, node)
+	n := len(p.Hops)
+	if n >= len(p.hopBuf) {
+		p.Hops = append(p.Hops, node)
+		return
+	}
+	if n > 0 && &p.Hops[0] != &p.hopBuf[0] {
+		// Hops was assigned by the caller, or p is a struct copy whose Hops
+		// still points into the original: bring the trace home first.
+		copy(p.hopBuf[:], p.Hops)
+	}
+	p.hopBuf[n] = node
+	p.Hops = p.hopBuf[:n+1]
 }
 
 // Traversed reports whether ground-truth tracing saw the packet pass node.
@@ -196,6 +220,22 @@ func (p *Packet) Traversed(node int32) bool {
 		}
 	}
 	return false
+}
+
+// Slab hands out Packets carved from chunked backing arrays. A replayed
+// workload's packets all live until the simulation ends anyway, so chunking
+// trades one allocation per packet for one per few thousand, with better
+// locality. The zero value is ready to use.
+type Slab struct{ free []Packet }
+
+// New returns a zero Packet from the slab.
+func (s *Slab) New() *Packet {
+	if len(s.free) == 0 {
+		s.free = make([]Packet, 4096)
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	return p
 }
 
 func (p *Packet) String() string {

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -121,5 +122,83 @@ func TestFlowKeyLess(t *testing.T) {
 	hi := FlowKey{Src: 2}
 	if !lo.Less(hi) || hi.Less(lo) {
 		t.Fatal("Src must dominate later fields")
+	}
+}
+
+// TestRecordHopInlineThenSpill pins the hop buffer's two regimes: a
+// fat-tree-length trace allocates nothing, and a longer one spills to the
+// heap with every hop kept.
+func TestRecordHopInlineThenSpill(t *testing.T) {
+	var p Packet
+	if allocs := testing.AllocsPerRun(100, func() {
+		p = Packet{}
+		for n := int32(0); n < 8; n++ {
+			p.RecordHop(n)
+		}
+	}); allocs != 0 {
+		t.Fatalf("recording 8 hops allocated %.1f times, want 0", allocs)
+	}
+	for n := int32(8); n < 20; n++ {
+		p.RecordHop(n)
+	}
+	if len(p.Hops) != 20 {
+		t.Fatalf("len(Hops) = %d after 20 hops", len(p.Hops))
+	}
+	for i, h := range p.Hops {
+		if h != int32(i) {
+			t.Fatalf("Hops = %v, want 0..19 in order", p.Hops)
+		}
+	}
+}
+
+// TestRecordHopAfterStructCopy is the guard for the inline buffer's one
+// hazard: a struct copy's Hops starts out pointing into the original. The
+// copy's next RecordHop must move the trace onto the copy's own buffer rather
+// than append through the shared one, and a caller-assigned Hops must be
+// adopted the same way.
+func TestRecordHopAfterStructCopy(t *testing.T) {
+	orig := &Packet{ID: 1}
+	orig.RecordHop(1)
+	orig.RecordHop(2)
+	cp := new(Packet)
+	*cp = *orig
+	cp.RecordHop(30)
+	orig.RecordHop(3)
+	orig.RecordHop(4)
+	if want := []int32{1, 2, 30}; !slices.Equal(cp.Hops, want) {
+		t.Fatalf("copy's Hops = %v, want %v", cp.Hops, want)
+	}
+	if want := []int32{1, 2, 3, 4}; !slices.Equal(orig.Hops, want) {
+		t.Fatalf("original's Hops = %v after the copy recorded a hop, want %v", orig.Hops, want)
+	}
+
+	assigned := &Packet{Hops: []int32{7, 8, 9}}
+	assigned.RecordHop(10)
+	if want := []int32{7, 8, 9, 10}; !slices.Equal(assigned.Hops, want) {
+		t.Fatalf("Hops = %v after recording onto an assigned trace, want %v", assigned.Hops, want)
+	}
+}
+
+// TestSlabCarvesDistinctZeroPackets crosses a chunk boundary: every packet
+// is zero, its own, and untouched by later carving.
+func TestSlabCarvesDistinctZeroPackets(t *testing.T) {
+	var s Slab
+	const n = 10000
+	seen := make(map[*Packet]bool, n)
+	for i := 0; i < n; i++ {
+		p := s.New()
+		if seen[p] {
+			t.Fatalf("packet %d handed out twice", i)
+		}
+		if p.ID != 0 || p.Size != 0 || p.Hops != nil {
+			t.Fatalf("packet %d not zero: %+v", i, *p)
+		}
+		seen[p] = true
+		p.ID = uint64(i + 1)
+	}
+	for p := range seen {
+		if p.ID == 0 {
+			t.Fatal("a carved packet was overwritten by later carving")
+		}
 	}
 }

@@ -553,6 +553,7 @@ func (r *fatTreeRun) inject() {
 		}
 	}
 	hotPod := (q + 1) % k // hotspot: every skewed flow sources under this pod's ToR 0
+	var slab packet.Slab
 
 	for {
 		rec, ok := gen.Next()
@@ -605,7 +606,8 @@ func (r *fatTreeRun) inject() {
 		if !ok {
 			panic(fmt.Sprintf("scenario: remapped source %v is not a fat-tree host", key.Src))
 		}
-		pk := &packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
+		pk := slab.New()
+		*pk = packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
 		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
 		r.injected++
 		if spec.Workload.Replicate {
@@ -614,7 +616,8 @@ func (r *fatTreeRun) inject() {
 			// different core path. First arrival wins at harvest.
 			rkey := key
 			rkey.SrcPort ^= 1
-			rp := &packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
+			rp := slab.New()
+			*rp = packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
 			nw.Inject(ft.Hosts[sp][se][sh], rp, rec.At)
 			r.injected++
 			oj, oi, oerr := ft.ResolveCore(key)

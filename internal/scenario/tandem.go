@@ -327,13 +327,9 @@ func measuredRate(cfg trace.Config) float64 {
 
 // replay schedules a trace into a node and returns its mean offered rate
 // over the window. If counter is non-nil it is incremented per packet.
-// Packets are carved out of chunked backing arrays: they all live until the
-// simulation ends anyway, so chunking trades thousands of individual
-// allocations for a handful of slabs with better locality.
 func replay(nw *netsim.Network, into *netsim.Node, src trace.Source, kind packet.Kind, counter *uint64, window time.Duration) float64 {
-	const chunk = 8192
 	var bytes uint64
-	var slab []packet.Packet
+	var slab packet.Slab
 	for {
 		rec, ok := src.Next()
 		if !ok {
@@ -343,11 +339,7 @@ func replay(nw *netsim.Network, into *netsim.Node, src trace.Source, kind packet
 		if counter != nil {
 			*counter++
 		}
-		if len(slab) == 0 {
-			slab = make([]packet.Packet, chunk)
-		}
-		p := &slab[0]
-		slab = slab[1:]
+		p := slab.New()
 		*p = packet.Packet{ID: nw.NewPacketID(), Key: rec.Key, Size: rec.Size, Kind: kind}
 		nw.Inject(into, p, rec.At)
 	}
