@@ -391,13 +391,24 @@ func (s *shard) stats() TableStats {
 	}
 }
 
-// snapshot deep-copies the shard's live flow aggregates (unsorted).
-func (s *shard) snapshot() []FlowAgg {
-	out := make([]FlowAgg, 0, len(s.flows))
+// compareKeys orders aggregates by flow key, the canonical table order.
+func compareKeys(a, b *FlowAgg) int { return a.Key.Compare(b.Key) }
+
+// liveRun returns pointers to the shard's live flow aggregates in flow-key
+// order.
+func (s *shard) liveRun() []*FlowAgg {
+	run := make([]*FlowAgg, 0, len(s.flows))
 	for _, e := range s.flows {
-		out = append(out, cloneAgg(&e.agg))
+		run = append(run, &e.agg)
 	}
-	return out
+	slices.SortFunc(run, compareKeys)
+	return run
+}
+
+// snapshot deep-copies the shard's live flow aggregates in flow-key order:
+// the shard's own sorted run of a Collector.Snapshot.
+func (s *shard) snapshot() []FlowAgg {
+	return mergeRuns([][]*FlowAgg{s.liveRun()}, true)
 }
 
 // rollup deep-copies the shard's class and root tiers.
@@ -609,17 +620,10 @@ func (c *Collector) QueueDepths() []int {
 func (c *Collector) Snapshot() []FlowAgg {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var refs []*FlowAgg
+	var runs [][]*FlowAgg
 	if c.closed {
-		n := 0
 		for _, s := range c.shards {
-			n += len(s.flows)
-		}
-		refs = make([]*FlowAgg, 0, n)
-		for _, s := range c.shards {
-			for _, e := range s.flows {
-				refs = append(refs, &e.agg)
-			}
+			runs = append(runs, s.liveRun())
 		}
 	} else {
 		replies := make([]chan []FlowAgg, len(c.shards))
@@ -627,36 +631,18 @@ func (c *Collector) Snapshot() []FlowAgg {
 			replies[i] = make(chan []FlowAgg, 1)
 			s.ch <- req{snap: replies[i]}
 		}
-		for _, ch := range replies {
-			part := <-ch
-			for i := range part {
-				refs = append(refs, &part[i])
-			}
+		parts := make([][]FlowAgg, len(c.shards))
+		for i, ch := range replies {
+			parts[i] = <-ch
 		}
+		runs = keyRuns(parts)
 	}
-	if len(refs) == 0 {
+	// Closed: the runs point into the shards' final state, so clone. Open:
+	// they point into the sorted copies the shards just made for this call,
+	// which the merge moves into place.
+	out := mergeRuns(runs, c.closed)
+	if len(out) == 0 {
 		return nil // an empty table renders as JSON null; the byte-identity pins hold that
-	}
-	// Closed: refs point into the shards' final state, so clone. Open: they
-	// point into the copies the shards just made for this call.
-	return sortedAggs(refs, c.closed)
-}
-
-// sortedAggs returns the aggregates refs point at in canonical flow-key
-// order. It sorts the pointers and then writes each 704-byte aggregate once,
-// straight into its final slot; sorting the aggregates themselves moves each
-// one log n times. clone deep-copies (refs into live shard state); without it
-// the sketch windows move to the result, so the pointees must be the caller's
-// own copies.
-func sortedAggs(refs []*FlowAgg, clone bool) []FlowAgg {
-	slices.SortFunc(refs, func(a, b *FlowAgg) int { return a.Key.Compare(b.Key) })
-	out := make([]FlowAgg, len(refs))
-	for i, a := range refs {
-		if clone {
-			out[i] = cloneAgg(a)
-		} else {
-			out[i] = *a
-		}
 	}
 	return out
 }
@@ -745,29 +731,95 @@ func (c *Collector) Close() {
 }
 
 // Merge combines flow-aggregate snapshots (for example, per-run collector
-// snapshots of a multi-seed sweep) into one sorted aggregate list. Same-key
-// aggregates merge through the stats accumulators in argument order, so the
-// result is deterministic for a fixed argument order.
+// snapshots of a multi-seed sweep, or a fleet's per-instance tables) into one
+// sorted aggregate list. Same-key aggregates merge through the stats
+// accumulators in argument order, so the result is deterministic for a fixed
+// argument order. The result is a deep copy: it shares no storage with any
+// input, and growing one of its sketches never writes into another's window.
 func Merge(snaps ...[]FlowAgg) []FlowAgg {
-	m := make(map[packet.FlowKey]*FlowAgg)
-	for _, snap := range snaps {
-		for i := range snap {
-			a := &snap[i]
-			if dst, ok := m[a.Key]; ok {
-				dst.merge(a)
-			} else {
-				// Deep copy: merging into a shallow copy would grow the
-				// sketch window through the input snapshot's backing array.
-				cp := cloneAgg(a)
-				m[a.Key] = &cp
+	return mergeRuns(keyRuns(snaps), true)
+}
+
+// keyRuns returns one run of aggregate pointers per table, each in flow-key
+// order. Collector snapshots arrive sorted, which the gathering pass checks
+// as it goes; a table that is not gets its run sorted stably, so aggregates
+// that share a key keep their table order.
+func keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
+	total := 0
+	for _, t := range tables {
+		total += len(t)
+	}
+	refs := make([]*FlowAgg, total)
+	runs := make([][]*FlowAgg, len(tables))
+	for i, t := range tables {
+		run := refs[:len(t):len(t)]
+		refs = refs[len(t):]
+		sorted := true
+		for j := range t {
+			run[j] = &t[j]
+			sorted = sorted && (j == 0 || t[j-1].Key.Compare(t[j].Key) <= 0)
+		}
+		if !sorted {
+			slices.SortStableFunc(run, compareKeys)
+		}
+		runs[i] = run
+	}
+	return runs
+}
+
+// mergeRuns is the k-way merge behind Merge, MergeRollups and
+// Collector.Snapshot: it consumes runs, each in flow-key order, and returns
+// their aggregates in flow-key order with every group of equal keys folded
+// into one — earliest run first, run order within a run, which is the order
+// a loop over the runs would fold them in, so Welford float bits come out
+// the same.
+//
+// With clone the result is a deep copy, paid once: the first pass fixes the
+// merge order and sizes the result and one slab for all its sketch windows,
+// the second writes each aggregate straight into its slot and carves its
+// window capacity-limited from the slab (a window a later fold widens
+// reallocates; it cannot reach its neighbour). Without clone the aggregates
+// are moved: the pointees' sketch windows become the result's, so they must
+// be the caller's own copies.
+func mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	order := make([]*FlowAgg, 0, total)
+	flows, window := 0, 0
+	for len(order) < total {
+		first := -1
+		for i, r := range runs {
+			if len(r) > 0 && (first < 0 || r[0].Key.Compare(runs[first][0].Key) < 0) {
+				first = i // strictly smaller only: a tie stays with the earlier run
 			}
 		}
+		a := runs[first][0]
+		runs[first] = runs[first][1:]
+		if n := len(order); n == 0 || order[n-1].Key != a.Key {
+			flows++
+			window += a.Sketch.Buckets()
+		}
+		order = append(order, a)
 	}
-	refs := make([]*FlowAgg, 0, len(m))
-	for _, a := range m {
-		refs = append(refs, a)
+
+	out := make([]FlowAgg, 0, flows)
+	var slab []uint64
+	if clone {
+		slab = make([]uint64, window)
 	}
-	return sortedAggs(refs, false)
+	for _, a := range order {
+		if n := len(out); n > 0 && out[n-1].Key == a.Key {
+			out[n-1].merge(a)
+			continue
+		}
+		out = append(out, *a)
+		if clone {
+			out[len(out)-1].Sketch, slab = a.Sketch.CloneIn(slab)
+		}
+	}
+	return out
 }
 
 // MergeRollups combines rollup snapshots (per-shard, per-run or per-fleet-
@@ -778,25 +830,12 @@ func Merge(snaps ...[]FlowAgg) []FlowAgg {
 // guaranteed bit-identical across merge orders (see stats.Aggregate).
 func MergeRollups(rolls ...Rollup) Rollup {
 	var out Rollup
-	m := make(map[packet.FlowKey]*FlowAgg)
-	for _, r := range rolls {
-		for i := range r.Classes {
-			a := &r.Classes[i]
-			if dst, ok := m[a.Key]; ok {
-				dst.merge(a)
-			} else {
-				cp := cloneAgg(a)
-				m[a.Key] = &cp
-			}
-		}
-		rootCp := cloneAgg(&r.Root)
-		out.Root.merge(&rootCp)
-		out.Stats.add(r.Stats)
+	classes := make([][]FlowAgg, len(rolls))
+	for i := range rolls {
+		classes[i] = rolls[i].Classes
+		out.Root.merge(&rolls[i].Root) // merge copies counters, never retains its argument's storage
+		out.Stats.add(rolls[i].Stats)
 	}
-	refs := make([]*FlowAgg, 0, len(m))
-	for _, a := range m {
-		refs = append(refs, a)
-	}
-	out.Classes = sortedAggs(refs, false)
+	out.Classes = mergeRuns(keyRuns(classes), true)
 	return out
 }

@@ -1,7 +1,9 @@
 package fleet_test
 
 import (
+	"bufio"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,7 @@ import (
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/fleet"
 	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/service"
 )
 
@@ -90,19 +93,20 @@ func BenchmarkFleetIngest4x(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetScatterGather measures the front-end's /flows query latency
-// over a populated fleet of four instances, reported as ms/query: one
-// fan-out to four /snapshot endpoints, an exact merge, and the render.
-func BenchmarkFleetScatterGather(b *testing.B) {
-	const instances = 4
+// queryFleet boots a fleet of rlird instances, streams samples into it over
+// raw TCP through a fleet.Router, and returns the URL of a scatter-gather
+// front-end over it, served from a real loopback listener.
+func queryFleet(b *testing.B, instances, shards int, samples []collector.Sample) string {
+	b.Helper()
 	servers := make([]*service.Server, instances)
 	urls := make([]string, instances)
 	endpoints := make([]string, instances)
 	for i := range servers {
-		s, err := service.New(service.Config{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: 4})
+		s, err := service.New(service.Config{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 		servers[i] = s
 		endpoints[i] = s.Addr().String()
 		urls[i] = "http://" + s.HTTPAddr().String()
@@ -117,8 +121,7 @@ func BenchmarkFleetScatterGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const nSamples = 1 << 15
-	r.RouteSamples(benchSamples(nSamples, 256))
+	r.RouteSamples(samples)
 	if err := r.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func BenchmarkFleetScatterGather(b *testing.B) {
 		for _, s := range servers {
 			got += s.Collector().SamplesIngested()
 		}
-		if got >= nSamples {
+		if got >= uint64(len(samples)) {
 			break
 		}
 		time.Sleep(50 * time.Microsecond)
@@ -136,26 +139,85 @@ func BenchmarkFleetScatterGather(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Drive the handler through a real HTTP round trip like a client would.
 	ts := httptest.NewServer(front.Handler())
-	defer ts.Close()
+	b.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// BenchmarkFleetScatterGather measures the front-end's /flows query latency
+// over a populated fleet of four instances, reported as ms/query: one
+// fan-out to four /snapshot endpoints, an exact merge, and the render.
+func BenchmarkFleetScatterGather(b *testing.B) {
+	benchQuery(b, queryFleet(b, 4, 4, benchSamples(1<<15, 256)), "/flows")
+}
+
+// readPathFleet is the pipeline benchmark's read_path query stage in
+// isolation: a 50 ms fattree-allpairs capture in two rlird instances of two
+// shards each (uncapped tables). It returns the front-end's URL.
+func readPathFleet(b *testing.B) string {
+	b.Helper()
+	sc, ok := scenario.Get("fattree-allpairs")
+	if !ok {
+		b.Fatal("scenario fattree-allpairs is not registered")
+	}
+	spec := sc.Spec
+	spec.Duration = 50 * time.Millisecond
+	tr, err := scenario.Export(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return queryFleet(b, 2, 2, tr.Samples)
+}
+
+// benchQuery issues b.N closed-loop GETs of base+path and reports ms/query,
+// the response size, and the front-end's own per-stage price of a query (its
+// rlirfleet_query_stage_seconds_total counters over b.N).
+func benchQuery(b *testing.B, base, path string) {
+	b.Helper()
+	url := base + path
+	var size int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := http.Get(ts.URL + "/flows")
+		resp, err := http.Get(url)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		n, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
-		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("/flows status %d", resp.StatusCode)
+			b.Fatalf("%s status %d", url, resp.StatusCode)
 		}
+		size = n
 	}
 	b.StopTimer()
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/query")
-	for _, s := range servers {
-		_ = s.Shutdown(context.Background())
+	b.ReportMetric(float64(size), "bytes")
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer resp.Body.Close()
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var stage string
+		var seconds float64
+		if n, _ := fmt.Sscanf(sc.Text(), "rlirfleet_query_stage_seconds_total{stage=%q} %g", &stage, &seconds); n == 2 {
+			b.ReportMetric(seconds*1e3/float64(b.N), stage+"-ms/query")
+		}
+	}
+}
+
+// BenchmarkFleetFlowsReadPath measures one merged /flows on the read_path
+// fleet: fan-out to two binary /snapshot endpoints, decode, exact merge, and
+// the row encoder.
+func BenchmarkFleetFlowsReadPath(b *testing.B) {
+	benchQuery(b, readPathFleet(b), "/flows")
+}
+
+// BenchmarkFleetComparisonReadPath is the same query without the row
+// encoder: /comparison folds the merged table into one row.
+func BenchmarkFleetComparisonReadPath(b *testing.B) {
+	benchQuery(b, readPathFleet(b), "/comparison")
 }

@@ -14,12 +14,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,6 +34,7 @@ import (
 	"github.com/netmeasure/rlir/internal/queryapi"
 	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/service"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // testFleet is N live rlird instances plus the front-end serving them.
@@ -209,6 +213,135 @@ func TestFleetOfNMatchesSingleNode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFleetFlowsUnderConcurrentIngest is the bar ROADMAP sets for any
+// shortcut on the query path, run under -race in CI: while one export stream
+// is ingested into a fleet of two and into a single rlird, readers keep
+// asking the front-end for /flows. Every answer taken mid-ingest must be a
+// well-formed, strictly key-ordered table no larger than the final one; the
+// answer taken once the stream is in must be the single rlird's, byte for
+// byte, and decode reflect.DeepEqual to the batch engine's rows.
+func TestFleetFlowsUnderConcurrentIngest(t *testing.T) {
+	tr := exportBaseline(t)
+	tf := startFleet(t, 2)
+	single, err := service.New(service.Config{HTTP: "127.0.0.1:0", Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Shutdown(context.Background())
+
+	flows := func(url string) (body []byte, rows []queryapi.FlowJSON, err error) {
+		resp, err := http.Get(url + "/flows")
+		if err != nil {
+			return nil, nil, err
+		}
+		defer resp.Body.Close()
+		if body, err = io.ReadAll(resp.Body); err != nil {
+			return nil, nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, nil, fmt.Errorf("/flows status %d: %s", resp.StatusCode, body)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			return nil, nil, fmt.Errorf("/flows Content-Length %q for %d bytes", cl, len(body))
+		}
+		return body, rows, json.Unmarshal(body, &rows)
+	}
+
+	// Readers query until the stream is in. The feeder waits for a fresh
+	// answer after every chunk, so queries and ingest really interleave.
+	done, aborted, tick := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+	abort := sync.OnceFunc(func() { close(aborted) })
+	var readers sync.WaitGroup
+	var queries atomic.Int64
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				_, rows, err := flows(tf.front.URL)
+				for i := 1; err == nil && i < len(rows); i++ {
+					if rowKey(rows[i-1]) >= rowKey(rows[i]) {
+						err = fmt.Errorf("mid-ingest /flows rows %d and %d are out of key order", i-1, i)
+					}
+				}
+				if err == nil && len(rows) > len(tr.Result.Fleet) {
+					err = fmt.Errorf("mid-ingest /flows has %d rows, the whole stream has %d flows", len(rows), len(tr.Result.Fleet))
+				}
+				if err != nil {
+					t.Error(err)
+					abort()
+					return
+				}
+				queries.Add(1)
+				select {
+				case tick <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	r, err := fleet.NewRouter(fleet.Config{
+		Endpoints: tf.ingestAddrs(),
+		Name:      "replay",
+		Dial: func(endpoint string, conn int) (fleet.Sink, error) {
+			return service.Dial("tcp", endpoint, 0)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 64
+	for off := 0; off < len(tr.Samples); off += chunk {
+		part := tr.Samples[off:min(off+chunk, len(tr.Samples))]
+		r.RouteSamples(part)
+		single.Collector().Ingest(part)
+		select {
+		case <-tick:
+		case <-aborted:
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tf.waitIngested(t, uint64(len(tr.Samples)))
+	close(done)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+	t.Logf("%d /flows answered while %d samples were being ingested", queries.Load(), len(tr.Samples))
+
+	fleetBody, fleetRows, err := flows(tf.front.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	singleBody, singleRows, err := flows("http://" + single.HTTPAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fleetBody, singleBody) {
+		t.Fatalf("fleet /flows (%d bytes) differs from the single rlird's (%d bytes)", len(fleetBody), len(singleBody))
+	}
+	batch := make([]queryapi.FlowJSON, len(tr.Result.Fleet))
+	for i := range batch {
+		batch[i] = queryapi.FlowRow(&tr.Result.Fleet[i])
+	}
+	if !reflect.DeepEqual(fleetRows, batch) || !reflect.DeepEqual(singleRows, batch) {
+		t.Fatalf("decoded /flows diverges from the batch engine's %d rows (fleet %d, single %d)", len(batch), len(fleetRows), len(singleRows))
+	}
+}
+
+// rowKey renders a row's 5-tuple so that string order is flow-key order.
+func rowKey(r queryapi.FlowJSON) string {
+	src, dst := packet.MustParseAddr(r.Src), packet.MustParseAddr(r.Dst)
+	return fmt.Sprintf("%08x %08x %04x %04x %02x", uint32(src), uint32(dst), r.SrcPort, r.DstPort, r.Proto)
 }
 
 // TestFrontendAnnotatesRouters checks /routers carries every exporter
@@ -419,6 +552,62 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("502 body must name %q, got:\n%s", want, body)
 		}
+	}
+}
+
+// TestFrontendNonFiniteIsA500 pins what the front-end does with a value JSON
+// cannot carry. The binary snapshot codec ships float bits verbatim, so a peer
+// can hand the front-end a NaN or infinite mean; both response writers then
+// answer 500 with the reason — the /flows row encoder and, for /comparison,
+// queryapi.WriteJSON — where a committed 200 with an empty or cut-off body
+// went out before. A NaN reaches /comparison only as an undefined (null)
+// error, which is a valid answer.
+func TestFrontendNonFiniteIsA500(t *testing.T) {
+	for _, c := range []struct {
+		name              string
+		mean              float64
+		flows, comparison int
+	}{
+		{"NaN", math.NaN(), http.StatusInternalServerError, http.StatusOK},
+		{"+Inf", math.Inf(1), http.StatusInternalServerError, http.StatusInternalServerError},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			aggs := make([]collector.FlowAgg, 3)
+			for i := range aggs {
+				aggs[i].Key = packet.FlowKey{Src: packet.Addr(0x0a000001 + i), Dst: 0x0a000063, SrcPort: 1000, DstPort: 443, Proto: packet.ProtoTCP}
+				aggs[i].Est.SetState(stats.WelfordState{N: 4, Mean: 2000, M2: 8})
+				aggs[i].True.SetState(stats.WelfordState{N: 4, Mean: 1900})
+			}
+			aggs[1].Est.SetState(stats.WelfordState{N: 4, Mean: c.mean})
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+				_, _ = w.Write(queryapi.AppendSnapshot(nil, aggs, 12, 0))
+			}))
+			defer peer.Close()
+			front, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: []string{peer.URL}, Timeout: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, want := range map[string]int{"/flows": c.flows, "/comparison": c.comparison} {
+				rec := serve(front.Handler(), path)
+				body := rec.Body.String()
+				if rec.Code != want {
+					t.Fatalf("%s answered %d, want %d:\n%s", path, rec.Code, want, body)
+				}
+				if want == http.StatusOK {
+					var rows []queryapi.ComparisonJSON
+					if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil || len(rows) != 1 || rows[0].AggRelErr != nil {
+						t.Fatalf("%s 200 body is not one row with an undefined aggregate error (%v):\n%s", path, err, body)
+					}
+				} else if body == "" || json.Valid(rec.Body.Bytes()) || !strings.Contains(body, c.name) {
+					t.Fatalf("%s 500 body must be the plain-text reason naming %s, got:\n%s", path, c.name, body)
+				}
+			}
+			// A limit that stops short of the bad row renders fine.
+			if rec := serve(front.Handler(), "/flows?limit=1"); rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("/flows?limit=1 answered %d:\n%s", rec.Code, rec.Body.String())
+			}
+		})
 	}
 }
 

@@ -64,7 +64,7 @@ const (
 	stageFetch  = iota // fan-out to /snapshot until the slowest body is read
 	stageDecode        // bodies to per-instance aggregates, version-checked
 	stageMerge         // collector.Merge of the per-instance tables
-	stageRender        // rows (or the comparison) and the JSON response
+	stageRender        // the encoded rows (or the comparison) and the response write
 	numStages
 )
 
@@ -256,7 +256,7 @@ func (f *Frontend) handleFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := time.Now()
-	queryapi.WriteJSON(w, http.StatusOK, queryapi.FlowRows(aggs, limit))
+	queryapi.WriteFlows(w, aggs, limit)
 	f.since(stageRender, t)
 }
 

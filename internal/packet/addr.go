@@ -50,10 +50,21 @@ func (a Addr) Octets() (byte, byte, byte, byte) {
 	return byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)
 }
 
+// AppendTo appends a in dotted-quad notation to dst without allocating.
+func (a Addr) AppendTo(dst []byte) []byte {
+	for shift := 24; shift >= 0; shift -= 8 {
+		dst = strconv.AppendUint(dst, uint64(byte(a>>shift)), 10)
+		if shift > 0 {
+			dst = append(dst, '.')
+		}
+	}
+	return dst
+}
+
 // String formats a in dotted-quad notation.
 func (a Addr) String() string {
-	o1, o2, o3, o4 := a.Octets()
-	return fmt.Sprintf("%d.%d.%d.%d", o1, o2, o3, o4)
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
 }
 
 // Prefix is an IPv4 CIDR prefix. Bits outside the mask are ignored by

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -41,6 +42,34 @@ func TestAddrStringRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAddrAppendToMatchesSprintf holds AppendTo (and String, built on it) to
+// the "%d.%d.%d.%d" formatting it replaced, for every octet width boundary in
+// every position, and pins that it appends in place without allocating.
+func TestAddrAppendToMatchesSprintf(t *testing.T) {
+	corners := []byte{0, 9, 10, 99, 100, 255}
+	buf := make([]byte, 0, 64)
+	for _, a := range corners {
+		for _, b := range corners {
+			for _, c := range corners {
+				for _, d := range corners {
+					addr := AddrFrom4(a, b, c, d)
+					want := fmt.Sprintf("%d.%d.%d.%d", a, b, c, d)
+					if got := addr.String(); got != want {
+						t.Fatalf("String() = %q, want %q", got, want)
+					}
+					if got := string(addr.AppendTo(append(buf[:0], "x="...))); got != "x="+want {
+						t.Fatalf("AppendTo = %q, want %q", got, "x="+want)
+					}
+				}
+			}
+		}
+	}
+	widest := AddrFrom4(255, 255, 255, 255)
+	if n := testing.AllocsPerRun(100, func() { buf = widest.AppendTo(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendTo allocates %v times into a buffer with room", n)
 	}
 }
 

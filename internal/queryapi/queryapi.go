@@ -6,8 +6,11 @@
 // the scatter-gather front-end (internal/fleet, cmd/rlirfleet) render rows
 // through the same code: a fleet-of-N answer is byte-identical to the
 // single-node answer not by convention but because both call these
-// functions. The snapshot codec is the exact half: a snapshot carries every
-// flow's full internal accumulator state (stats.WelfordState,
+// functions. /flows is written by an append encoder (AppendFlowRows,
+// encode.go) that tests hold byte for byte to encoding/json's indented
+// rendering of FlowRow rows; every other response goes through encoding/json
+// itself (WriteJSON). The snapshot codec is the exact half: a snapshot
+// carries every flow's full internal accumulator state (stats.WelfordState,
 // stats.HistogramState, stats.SketchState) rather than derived summaries,
 // in one schema (SnapshotVersion) with two renderings. The binary one
 // (AppendSnapshot / DecodeSnapshot, Content-Type SnapshotContentType) is the
@@ -21,7 +24,6 @@
 package queryapi
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -93,19 +95,6 @@ func FlowLimit(r *http.Request) (int, error) {
 		return 0, errors.New("bad limit")
 	}
 	return n, nil
-}
-
-// FlowRows renders the first limit aggregates (all of them when limit is
-// negative or exceeds the table) as /flows rows.
-func FlowRows(aggs []collector.FlowAgg, limit int) []FlowJSON {
-	if limit < 0 || limit > len(aggs) {
-		limit = len(aggs)
-	}
-	rows := make([]FlowJSON, limit)
-	for i := range rows {
-		rows[i] = FlowRow(&aggs[i])
-	}
-	return rows
 }
 
 // RouterJSON is one /routers row: a connected exporter's aggregate view.
@@ -198,15 +187,6 @@ type HealthJSON struct {
 	TransportDuplicates uint64 `json:"transport_duplicates"`
 	TransportOutOfOrder uint64 `json:"transport_out_of_order"`
 	TransportGaps       uint64 `json:"transport_gaps"`
-}
-
-// WriteJSON writes v as indented JSON with the given status.
-func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }
 
 // RollupRowJSON is one rollup-tier aggregate flattened for the wire: a

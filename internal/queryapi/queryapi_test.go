@@ -1,6 +1,7 @@
 package queryapi
 
 import (
+	"encoding/json"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
@@ -91,7 +92,14 @@ func TestFlowLimitAndRows(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q rejected: %v", c.query, err)
 		}
-		rows := FlowRows(aggs, limit)
+		body, err := AppendFlowRows(nil, aggs, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []FlowJSON
+		if err := json.Unmarshal(body, &rows); err != nil {
+			t.Fatalf("%q: %v", c.query, err)
+		}
 		if len(rows) != c.rows {
 			t.Fatalf("%q rendered %d rows, want %d", c.query, len(rows), c.rows)
 		}

@@ -59,7 +59,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryapi.FlowRows(s.coll.Snapshot(), limit))
+	queryapi.WriteFlows(w, s.coll.Snapshot(), limit)
 }
 
 func (s *Server) handleRouters(w http.ResponseWriter, r *http.Request) {

@@ -75,15 +75,22 @@ type HistogramState struct {
 // State returns the histogram's exact internal state; Buckets is trimmed at
 // the last non-zero bucket.
 func (h *Histogram) State() HistogramState {
-	last := -1
-	for i, c := range h.buckets {
-		if c != 0 {
-			last = i
-		}
+	s := h.StateView()
+	s.Buckets = append([]uint64(nil), s.Buckets...)
+	return s
+}
+
+// StateView is State without the copy: Buckets aliases the histogram's own
+// counters, so the view is read-only and valid only until the histogram is
+// next mutated.
+func (h *Histogram) StateView() HistogramState {
+	n := len(h.buckets)
+	for n > 0 && h.buckets[n-1] == 0 {
+		n--
 	}
 	s := HistogramState{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if last >= 0 {
-		s.Buckets = append([]uint64(nil), h.buckets[:last+1]...)
+	if n > 0 {
+		s.Buckets = h.buckets[:n]
 	}
 	return s
 }

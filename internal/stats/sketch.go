@@ -190,13 +190,36 @@ func (s *Sketch) Reset() {
 // exact-length copy of the counter window, nil for an empty one. The clone
 // shares no storage with s, whatever s's capacity or history.
 func (s *Sketch) Clone() Sketch {
-	cp := *s
-	cp.buckets = nil
-	if len(s.buckets) > 0 {
-		cp.buckets = make([]uint64, len(s.buckets))
-		copy(cp.buckets, s.buckets)
-	}
+	cp, _ := s.CloneIn(nil)
 	return cp
+}
+
+// CloneIn is Clone with the counter window carved off the front of slab
+// instead of allocated, so a table of clones costs one allocation sized by
+// the sum of Buckets() rather than one per sketch. It returns the clone and
+// the rest of slab. The carved window's capacity is its length: widening the
+// clone later reallocates and never writes into what follows it in the slab.
+// A slab too short for the window (nil included) is left alone and the
+// window allocated.
+func (s *Sketch) CloneIn(slab []uint64) (Sketch, []uint64) {
+	cp := *s
+	cp.buckets, slab = carveWindow(slab, len(s.buckets))
+	copy(cp.buckets, s.buckets)
+	return cp, slab
+}
+
+// carveWindow takes a window of n counters off the front of slab,
+// capacity-limited to n, and returns it with the rest of slab: nil for
+// n == 0 (the canonical empty window), a fresh exact-length array when slab
+// is too short. The caller overwrites every counter.
+func carveWindow(slab []uint64, n int) (win, rest []uint64) {
+	switch {
+	case n == 0:
+		return nil, slab
+	case n > len(slab):
+		return make([]uint64, n), slab
+	}
+	return slab[:n:n], slab[n:]
 }
 
 // Merge folds o into s. Elementwise integer addition over an aligned
@@ -296,9 +319,19 @@ type SketchState struct {
 
 // State returns the sketch's exact internal state.
 func (s *Sketch) State() SketchState {
+	st := s.StateView()
+	st.Buckets = append([]uint64(nil), st.Buckets...)
+	return st
+}
+
+// StateView is State without the copy: Buckets aliases the sketch's own
+// counter window, so the view is read-only and valid only until the sketch
+// is next mutated — what an encoder that serializes and drops the state
+// wants.
+func (s *Sketch) StateView() SketchState {
 	st := SketchState{Zero: s.zero, Count: s.count, Base: s.base, Min: s.min, Max: s.max}
 	if len(s.buckets) > 0 {
-		st.Buckets = append([]uint64(nil), s.buckets...)
+		st.Buckets = s.buckets
 	}
 	return st
 }
@@ -307,7 +340,12 @@ func (s *Sketch) State() SketchState {
 // sketch State was called on. A wire peer's window is never trusted to
 // allocate unboundedly or index out of range: one based outside the
 // structural bucket range is dropped, one running past its end truncated.
-func (s *Sketch) SetState(st SketchState) {
+func (s *Sketch) SetState(st SketchState) { s.SetStateIn(st, nil) }
+
+// SetStateIn is SetState with the counter window carved off the front of
+// slab (see CloneIn, whose carving rules it shares); it returns the rest of
+// slab.
+func (s *Sketch) SetStateIn(st SketchState, slab []uint64) []uint64 {
 	*s = Sketch{zero: st.Zero, count: st.Count, base: st.Base, min: st.Min, max: st.Max}
 	n := len(st.Buckets)
 	if st.Base < 0 || st.Base >= SketchMaxBuckets {
@@ -316,10 +354,9 @@ func (s *Sketch) SetState(st SketchState) {
 	if max := SketchMaxBuckets - int(s.base); n > max {
 		n = max
 	}
-	if n > 0 {
-		s.buckets = make([]uint64, n)
-		copy(s.buckets, st.Buckets)
-	}
+	s.buckets, slab = carveWindow(slab, n)
+	copy(s.buckets, st.Buckets)
+	return slab
 }
 
 // SketchFromState rebuilds a sketch from exported state (the generic
