@@ -157,10 +157,12 @@ func TestRunServesMergedAPI(t *testing.T) {
 }
 
 // TestRunSkipsStaleInstance re-executes the test binary as the real
-// front-end process pointed at one current rlird instance and one stale
-// peer whose /snapshot speaks the pre-versioning schema (no "version"
-// field). The spawned front-end must serve the current instance's flows,
-// skip the stale one, and still shut down cleanly on SIGTERM.
+// front-end process pointed at one current rlird instance and two stale
+// peers: one whose /snapshot speaks the pre-versioning schema (no "version"
+// field) and one answering with a version-2 binary body of two flows
+// (captured from the last commit that spoke it). The spawned front-end must
+// serve the current instance's flows, skip the stale ones, and still shut
+// down cleanly on SIGTERM.
 func TestRunSkipsStaleInstance(t *testing.T) {
 	if os.Getenv("RLIRFLEET_STALE_PROBE") == "1" {
 		os.Args = []string{"rlirfleet", "-endpoints", os.Getenv("RLIRFLEET_STALE_ENDPOINTS"), "-listen", "127.0.0.1:0"}
@@ -174,6 +176,15 @@ func TestRunSkipsStaleInstance(t *testing.T) {
 		fmt.Fprint(w, `{"samples":9,"records":0,"flows":[]}`)
 	}))
 	defer stale.Close()
+	v2body, err := os.ReadFile("../../internal/queryapi/testdata/snapshot_v2.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-rlir-snapshot")
+		w.Write(v2body)
+	}))
+	defer v2.Close()
 
 	s, err := rlir.NewMeasurementService(rlir.ServiceConfig{
 		Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: 1,
@@ -209,7 +220,7 @@ func TestRunSkipsStaleInstance(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-test.run", "TestRunSkipsStaleInstance")
 	cmd.Env = append(os.Environ(),
 		"RLIRFLEET_STALE_PROBE=1",
-		"RLIRFLEET_STALE_ENDPOINTS=http://"+s.HTTPAddr().String()+","+stale.URL,
+		"RLIRFLEET_STALE_ENDPOINTS=http://"+s.HTTPAddr().String()+","+stale.URL+","+v2.URL,
 	)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -248,7 +259,7 @@ func TestRunSkipsStaleInstance(t *testing.T) {
 		t.Fatalf("/flows status %d with a stale peer, want 200 degraded", resp.StatusCode)
 	}
 	if len(flows) != 1 {
-		t.Fatalf("/flows has %d rows, want only the current instance's 1", len(flows))
+		t.Fatalf("/flows has %d rows, want only the current instance's 1 (the version-2 peer holds 2)", len(flows))
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

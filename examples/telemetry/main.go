@@ -126,10 +126,11 @@ func main() {
 	// 6. Operator summary to stderr: collector stats, then the estimator
 	// comparison — every mechanism on this one pass, scored against the
 	// same ground truth.
-	var hist stats.Histogram
+	var all stats.Sketch
 	for i := range snapshot {
-		hist.Merge(&snapshot[i].Hist)
+		all.Merge(&snapshot[i].Sketch)
 	}
+	hist := all.Log2Histogram()
 	fmt.Fprintf(os.Stderr, "collector: %d flows, %d samples over %d shards\n",
 		len(snapshot), plane.SamplesIngested(), plane.Shards())
 	fmt.Fprintf(os.Stderr, "segment latency: p50<=%v p99<=%v max=%v\n",

@@ -33,11 +33,10 @@ type FlowAgg struct {
 	Key packet.FlowKey
 	// Est / True accumulate per-packet estimated and ground-truth delays.
 	Est, True stats.Welford
-	// Hist is the log-bucketed histogram of estimated delays.
-	Hist stats.Histogram
-	// Sketch is the bounded-memory quantile sketch of estimated delays —
-	// the field quantile queries read (Hist remains for coarse
-	// distribution rendering). Its merges are bit-exact under any order.
+	// Sketch is the bounded-memory quantile sketch of estimated delays: the
+	// field quantile queries read, and the row's only distribution state (a
+	// coarse log2 histogram is derived from it, stats.Sketch.Log2Histogram).
+	// Its merges are bit-exact under any order.
 	Sketch stats.Sketch
 	// Packets / Bytes / First / Last mirror NetFlow record fields, summed
 	// over ingested records (zero when no record mentioned the flow).
@@ -48,7 +47,6 @@ type FlowAgg struct {
 func (a *FlowAgg) addSample(s Sample) {
 	a.Est.Add(float64(s.Est))
 	a.True.Add(float64(s.True))
-	a.Hist.Record(s.Est)
 	a.Sketch.Record(s.Est)
 }
 
@@ -67,7 +65,6 @@ func (a *FlowAgg) addRecord(r netflow.Record) {
 func (a *FlowAgg) merge(o *FlowAgg) {
 	a.Est.Merge(&o.Est)
 	a.True.Merge(&o.True)
-	a.Hist.Merge(&o.Hist)
 	a.Sketch.Merge(&o.Sketch)
 	if o.Packets > 0 {
 		if a.Packets == 0 || o.First < a.First {
@@ -702,16 +699,6 @@ func (c *Collector) RollupSnapshot() Rollup {
 	return MergeRollups(parts...)
 }
 
-// AggregateHistogram merges every flow's estimate histogram into one
-// operator-facing latency distribution.
-func (c *Collector) AggregateHistogram() stats.Histogram {
-	var h stats.Histogram
-	for _, a := range c.Snapshot() {
-		h.Merge(&a.Hist)
-	}
-	return h
-}
-
 // Close stops the shard goroutines after draining queued batches. The
 // collector's final state remains readable (Snapshot, Flows); further
 // Ingest calls panic.
@@ -824,8 +811,8 @@ func mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 
 // MergeRollups combines rollup snapshots (per-shard, per-run or per-fleet-
 // instance) into one: classes merge by class key and sort canonically, the
-// roots merge, and the table stats sum. Sketch and histogram tiers merge
-// bit-exactly under any merge order; the rollup Welford tiers co-merge
+// roots merge, and the table stats sum. The sketch tiers merge bit-exactly
+// under any merge order; the rollup Welford tiers co-merge
 // non-empty accumulators, so their float sums are exact in value but not
 // guaranteed bit-identical across merge orders (see stats.Aggregate).
 func MergeRollups(rolls ...Rollup) Rollup {

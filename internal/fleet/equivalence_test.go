@@ -19,6 +19,8 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -489,15 +491,24 @@ func TestRouterOverReliableTransport(t *testing.T) {
 // fleet boundary: an instance speaking an older snapshot version is skipped
 // like an unreachable one (degraded service, never silently-wrong merges),
 // and a fleet made only of stale instances turns /flows into a 502 whose
-// body names both versions.
+// body names both versions. The stale peers are a pre-versioning one and a
+// version-2 one (rows still carrying the per-flow histogram) answering in
+// either rendering, its bodies captured from the last commit that spoke it.
 func TestFrontendRejectsStaleSnapshot(t *testing.T) {
-	// A pre-versioning peer: its /snapshot body carries no "version" field,
-	// so it decodes as version 0.
-	stale := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"samples":7,"records":0,"flows":[]}`)
-	}))
-	defer stale.Close()
+	fixture := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("..", "queryapi", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	v2bin, v2json := fixture("snapshot_v2.bin"), fixture("snapshot_v2.json")
+	serveJSON := func(body []byte) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(body)
+		}
+	}
 
 	s, err := service.New(service.Config{Listen: "127.0.0.1:0", HTTP: "127.0.0.1:0", Shards: 1})
 	if err != nil {
@@ -509,49 +520,72 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 		Est: time.Millisecond,
 	}})
 
-	front, err := fleet.NewFrontend(fleet.FrontendConfig{
-		Instances: []string{"http://" + s.HTTPAddr().String(), stale.URL},
-		Timeout:   5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := httptest.NewServer(front.Handler())
-	defer mixed.Close()
+	for _, c := range []struct {
+		name    string
+		version int
+		peer    http.HandlerFunc
+	}{
+		// No "version" field existed, so the body decodes as version 0.
+		{"pre-versioning", 0, serveJSON([]byte(`{"samples":7,"records":0,"flows":[]}`))},
+		{"v2-negotiating", 2, func(w http.ResponseWriter, r *http.Request) {
+			if !strings.Contains(r.Header.Get("Accept"), queryapi.SnapshotContentType) {
+				serveJSON(v2json)(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+			w.Write(v2bin)
+		}},
+		{"v2-json-only", 2, serveJSON(v2json)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stale := httptest.NewServer(c.peer)
+			defer stale.Close()
 
-	var flows []queryapi.FlowJSON
-	if code := getJSON(t, mixed.URL+"/flows", &flows); code != http.StatusOK {
-		t.Fatalf("/flows status %d with one stale instance, want 200 degraded", code)
-	}
-	if len(flows) != 1 {
-		t.Fatalf("/flows has %d rows, want only the current instance's 1", len(flows))
-	}
+			front, err := fleet.NewFrontend(fleet.FrontendConfig{
+				Instances: []string{"http://" + s.HTTPAddr().String(), stale.URL},
+				Timeout:   5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed := httptest.NewServer(front.Handler())
+			defer mixed.Close()
 
-	lone, err := fleet.NewFrontend(fleet.FrontendConfig{
-		Instances: []string{stale.URL},
-		Timeout:   5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loneSrv := httptest.NewServer(lone.Handler())
-	defer loneSrv.Close()
-	resp, err := http.Get(loneSrv.URL + "/flows")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("/flows status %d over an all-stale fleet, want 502", resp.StatusCode)
-	}
-	for _, want := range []string{"version 0", fmt.Sprintf("version %d", queryapi.SnapshotVersion)} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("502 body must name %q, got:\n%s", want, body)
-		}
+			var flows []queryapi.FlowJSON
+			if code := getJSON(t, mixed.URL+"/flows", &flows); code != http.StatusOK {
+				t.Fatalf("/flows status %d with one stale instance, want 200 degraded", code)
+			}
+			if len(flows) != 1 {
+				t.Fatalf("/flows has %d rows, want only the current instance's 1", len(flows))
+			}
+
+			lone, err := fleet.NewFrontend(fleet.FrontendConfig{
+				Instances: []string{stale.URL},
+				Timeout:   5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loneSrv := httptest.NewServer(lone.Handler())
+			defer loneSrv.Close()
+			resp, err := http.Get(loneSrv.URL + "/flows")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("/flows status %d over an all-stale fleet, want 502", resp.StatusCode)
+			}
+			for _, want := range []string{fmt.Sprintf("version %d from peer", c.version), fmt.Sprintf("speaks version %d", queryapi.SnapshotVersion)} {
+				if !strings.Contains(string(body), want) {
+					t.Fatalf("502 body must name %q, got:\n%s", want, body)
+				}
+			}
+		})
 	}
 }
 

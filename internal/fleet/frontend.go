@@ -1,11 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -142,7 +142,7 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := io.ReadAll(resp.Body)
+			body, err := readBody(resp)
 			if err != nil {
 				out[i].err = err
 				return
@@ -163,6 +163,27 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 		}
 	}
 	return out
+}
+
+// maxPresizedBody caps the buffer readBody allocates on an instance's word:
+// a larger declared length is read the way io.ReadAll would, growing only as
+// bytes actually arrive.
+const maxPresizedBody = 64 << 20
+
+// readBody reads an instance's response body whole. When the instance
+// declared a Content-Length (rlird does on /snapshot) the buffer is sized
+// once for it — io.ReadAll would regrow from 512 bytes, copying a 120 kB
+// snapshot body about four times over — with bytes.MinRead to spare so the
+// read that finds EOF does not regrow it either. The length is a hint only: a
+// body that runs past it grows the buffer, one that stops short is the
+// transport's error.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // mergedTable is the exact fleet-wide flow table: every reachable

@@ -15,7 +15,8 @@ import (
 
 // Sink is one export connection as the Router sees it. *service.Client
 // satisfies it over both framings (raw and swp-reliable); tests substitute
-// in-memory fakes.
+// in-memory fakes. Send* must not retain its argument past the call: the
+// router refills the slice's storage with a later batch.
 type Sink interface {
 	Hello(name string) error
 	SendSamples([]collector.Sample) error
@@ -139,6 +140,10 @@ type Router struct {
 	workers []*sinkWorker
 	wg      sync.WaitGroup
 	closed  bool
+	// The per-sink slice headers one Route* call fills; all nil between calls
+	// (single producer, so one set serves every call).
+	sampleParts [][]collector.Sample
+	recordParts [][]netflow.Record
 }
 
 // sinkWorker owns one sink: its queue, its connection, its redial loop.
@@ -150,9 +155,15 @@ type sinkWorker struct {
 	conn     int
 	name     string
 	ch       chan msg
-	sink     Sink
-	dialed   bool // a first dial happened (later successes count as reconnects)
-	err      error
+	// sampleBufs / recordBufs hold the storage of batches this worker has
+	// finished with, for Route* to partition the next ones into: in steady
+	// state a routed batch allocates nothing (the collector's shard-buffer
+	// pattern, one tier up).
+	sampleBufs chan []collector.Sample
+	recordBufs chan []netflow.Record
+	sink       Sink
+	dialed     bool // a first dial happened (later successes count as reconnects)
+	err        error
 }
 
 // NewRouter dials the full sink grid eagerly (fail fast, like loadgen's
@@ -178,6 +189,10 @@ func NewRouter(cfg Config) (*Router, error) {
 				endpoint: ep,
 				conn:     c,
 				ch:       make(chan msg, cfg.Queue),
+				// One buffer per queue slot, plus the one being delivered and
+				// the one being filled.
+				sampleBufs: make(chan []collector.Sample, cfg.Queue+2),
+				recordBufs: make(chan []netflow.Record, cfg.Queue+2),
 			}
 			if cfg.Name != "" {
 				w.name = fmt.Sprintf("%s-%d", cfg.Name, e*cfg.ConnsPerEndpoint+c)
@@ -191,6 +206,8 @@ func NewRouter(cfg Config) (*Router, error) {
 			r.workers = append(r.workers, w)
 		}
 	}
+	r.sampleParts = make([][]collector.Sample, len(r.workers))
+	r.recordParts = make([][]netflow.Record, len(r.workers))
 	for _, w := range r.workers {
 		r.wg.Add(1)
 		go w.run(&r.wg)
@@ -212,19 +229,22 @@ func (r *Router) sinkOf(key packet.FlowKey) int {
 
 // RouteSamples partitions one batch across the sink grid and enqueues each
 // non-empty part, preserving per-flow order. The batch is copied during
-// partitioning; the caller may reuse it. Blocks only on a full sink queue.
+// partitioning — into buffers the sink workers recycle once a part is sent,
+// so a steady-state call allocates nothing — and the caller may reuse it.
+// Blocks only on a full sink queue.
 func (r *Router) RouteSamples(batch []collector.Sample) {
-	if len(batch) == 0 {
-		return
+	parts := r.sampleParts
+	for i := range batch {
+		w := r.sinkOf(batch[i].Key)
+		if parts[w] == nil {
+			parts[w] = takeBuf(r.workers[w].sampleBufs)
+		}
+		parts[w] = append(parts[w], batch[i])
 	}
-	parts := make([][]collector.Sample, len(r.workers))
-	for _, s := range batch {
-		i := r.sinkOf(s.Key)
-		parts[i] = append(parts[i], s)
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			r.enqueue(i, msg{samples: p}, uint64(len(p)))
+	for w, p := range parts {
+		if p != nil {
+			parts[w] = nil
+			r.enqueue(w, msg{samples: p}, uint64(len(p)))
 		}
 	}
 }
@@ -232,18 +252,47 @@ func (r *Router) RouteSamples(batch []collector.Sample) {
 // RouteRecords partitions one NetFlow-record batch like RouteSamples, so a
 // flow's records land on the same instance (and connection) as its samples.
 func (r *Router) RouteRecords(recs []netflow.Record) {
-	if len(recs) == 0 {
+	parts := r.recordParts
+	for i := range recs {
+		w := r.sinkOf(recs[i].Key)
+		if parts[w] == nil {
+			parts[w] = takeBuf(r.workers[w].recordBufs)
+		}
+		parts[w] = append(parts[w], recs[i])
+	}
+	for w, p := range parts {
+		if p != nil {
+			parts[w] = nil
+			r.enqueue(w, msg{records: p}, uint64(len(p)))
+		}
+	}
+}
+
+// maxPooledPart is the largest partition buffer a sink worker keeps for
+// reuse (the collector's bound for its shard buffers): a one-off
+// whole-capture batch is not worth holding on to.
+const maxPooledPart = 4096
+
+// takeBuf returns an empty partition buffer: one the pool's worker has
+// finished with when there is one, a fresh one otherwise.
+func takeBuf[T any](pool chan []T) []T {
+	select {
+	case b := <-pool:
+		return b
+	default:
+		return make([]T, 0, 64)
+	}
+}
+
+// giveBuf hands a finished part's storage back to the pool it was taken
+// from, unless it is oversized or the pool is full.
+func giveBuf[T any](pool chan []T, b []T) {
+	if b == nil || cap(b) > maxPooledPart {
 		return
 	}
-	parts := make([][]netflow.Record, len(r.workers))
-	for _, rec := range recs {
-		i := r.sinkOf(rec.Key)
-		parts[i] = append(parts[i], rec)
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			r.enqueue(i, msg{records: p}, uint64(len(p)))
-		}
+	select {
+	case pool <- b[:0]:
+	default:
 	}
 }
 
@@ -371,10 +420,7 @@ func (w *sinkWorker) run(wg *sync.WaitGroup) {
 		n := uint64(len(m.samples) + len(m.records))
 		if w.err != nil {
 			w.ep.droppedN.Add(n)
-			w.ep.queued.Add(^(n - 1))
-			continue
-		}
-		if err := w.deliver(m); err != nil {
+		} else if err := w.deliver(m); err != nil {
 			w.fail(err)
 			w.ep.droppedN.Add(n)
 		} else {
@@ -382,6 +428,8 @@ func (w *sinkWorker) run(wg *sync.WaitGroup) {
 			w.ep.records.Add(uint64(len(m.records)))
 		}
 		w.ep.queued.Add(^(n - 1))
+		giveBuf(w.sampleBufs, m.samples)
+		giveBuf(w.recordBufs, m.records)
 	}
 }
 

@@ -51,13 +51,18 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"samples":7,"records":0,"flows":[]}`))
+	// A version-2 peer's body in both renderings (captured from the last
+	// commit that spoke it): valid then, a version error now.
+	for _, name := range []string{"snapshot_v2.bin", "snapshot_v2.json"} {
+		f.Add(readFixture(f, name))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		aggs, samples, records, err := DecodeSnapshot(data)
 		runtime.ReadMemStats(&after)
-		// A decoded row is ~9x its shortest encoding and a bucket counter 8x
+		// A decoded row is ~2.3x its shortest encoding and a bucket counter 8x
 		// its byte; 32x plus the fixed scratch window covers both with room
 		// for the fuzz worker's own background allocations.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(data)+(1<<16)); got > limit {

@@ -11,8 +11,8 @@
 // rendering of FlowRow rows; every other response goes through encoding/json
 // itself (WriteJSON). The snapshot codec is the exact half: a snapshot
 // carries every flow's full internal accumulator state (stats.WelfordState,
-// stats.HistogramState, stats.SketchState) rather than derived summaries,
-// in one schema (SnapshotVersion) with two renderings. The binary one
+// stats.SketchState) rather than derived summaries, in one schema
+// (SnapshotVersion) with two renderings. The binary one
 // (AppendSnapshot / DecodeSnapshot, Content-Type SnapshotContentType) is the
 // instance → front-end wire: float bits and integer fields travel verbatim,
 // and it decodes straight into collector.FlowAgg values. The JSON one

@@ -14,8 +14,8 @@ import (
 )
 
 // FlowState is one flow aggregate's complete internal state, the /snapshot
-// row of the JSON rendering. Unlike FlowJSON it loses nothing: the Welford,
-// histogram and sketch accumulators travel as their exact field values, and
+// row of the JSON rendering. Unlike FlowJSON it loses nothing: the Welford
+// and sketch accumulators travel as their exact field values, and
 // the 5-tuple travels numerically, so Snapshot.Aggs rebuilds
 // collector.FlowAgg values bit-identical to the instance's own.
 type FlowState struct {
@@ -25,10 +25,9 @@ type FlowState struct {
 	DstPort uint16 `json:"dst_port"`
 	Proto   uint8  `json:"proto"`
 
-	Est    stats.WelfordState   `json:"est"`
-	True   stats.WelfordState   `json:"true"`
-	Hist   stats.HistogramState `json:"hist"`
-	Sketch stats.SketchState    `json:"sketch"`
+	Est    stats.WelfordState `json:"est"`
+	True   stats.WelfordState `json:"true"`
+	Sketch stats.SketchState  `json:"sketch"`
 
 	Packets uint64 `json:"packets,omitempty"`
 	Bytes   uint64 `json:"bytes,omitempty"`
@@ -37,11 +36,12 @@ type FlowState struct {
 }
 
 // SnapshotVersion is the current /snapshot schema version, shared by both
-// renderings. Version 2 added the per-flow quantile sketch state; a
-// version-1 instance's snapshot lacks it, and merging such a snapshot would
-// silently produce empty sketch tiers — so Check rejects any version
+// renderings. Version 2 added the per-flow quantile sketch state; version 3
+// dropped the per-flow log2 histogram (stats.Sketch.Log2Histogram derives
+// it). Rows of different versions do not line up, and reading one as another
+// would merge garbage or silently empty tiers — so Check rejects any version
 // mismatch outright instead.
-const SnapshotVersion = 2
+const SnapshotVersion = 3
 
 // Snapshot is the /snapshot response in its JSON rendering: the full flow
 // table as raw state plus the instance's ingest totals, tagged with the
@@ -80,7 +80,6 @@ func SnapshotOf(aggs []collector.FlowAgg, samples, records uint64) Snapshot {
 			Proto:   uint8(a.Key.Proto),
 			Est:     a.Est.State(),
 			True:    a.True.State(),
-			Hist:    a.Hist.State(),
 			Sketch:  a.Sketch.State(),
 			Packets: a.Packets,
 			Bytes:   a.Bytes,
@@ -110,7 +109,6 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 			},
 			Est:     stats.WelfordFromState(f.Est),
 			True:    stats.WelfordFromState(f.True),
-			Hist:    stats.HistogramFromState(f.Hist),
 			Sketch:  stats.SketchFromState(f.Sketch),
 			Packets: f.Packets,
 			Bytes:   f.Bytes,
@@ -136,12 +134,11 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 //	...    uv   flow count
 //	...    ...  count flow rows
 //
-// Flow row (snapshotMinFlowSize = 76 bytes when every varint is one byte):
+// Flow row (snapshotMinFlowSize = 71 bytes when every varint is one byte):
 //
 //	key 13  collector wire layout: src 4 | dst 4 | srcPort 2 | dstPort 2 | proto 1
 //	est     n sv | mean f8 | m2 f8
 //	true    n sv | mean f8 | m2 f8
-//	hist    count uv | sum sv | min sv | max sv | k uv (<= stats.HistogramBuckets) | k x bucket uv
 //	sketch  zero uv | count uv | min f8 | max f8 | base sv | k uv | k x bucket uv
 //	        (0 <= base < stats.SketchMaxBuckets, base+k <= stats.SketchMaxBuckets)
 //	netflow packets uv | bytes uv | first ns sv | last ns sv
@@ -159,10 +156,10 @@ const (
 	snapshotMagic      = 0x524C5353
 	snapshotHeaderSize = 5
 	// snapshotMinFlowSize is the shortest possible flow row: key, two
-	// Welfords (1+8+8 each), histogram (5 varints), sketch (4 varints, two
-	// floats), four NetFlow varints. It bounds an untrusted flow count by
-	// the bytes present before anything is allocated.
-	snapshotMinFlowSize = collector.KeyWireSize + 2*17 + 5 + (4 + 16) + 4
+	// Welfords (1+8+8 each), sketch (4 varints, two floats), four NetFlow
+	// varints. It bounds an untrusted flow count by the bytes present before
+	// anything is allocated.
+	snapshotMinFlowSize = collector.KeyWireSize + 2*17 + (4 + 16) + 4
 )
 
 // Errors returned by DecodeSnapshot (a schema version mismatch is
@@ -174,10 +171,10 @@ var (
 )
 
 // AppendSnapshot appends the binary rendering of a collector snapshot and
-// its ingest totals to dst and returns the extended slice. The histogram and
-// sketch counters are encoded from read-only views of the aggregates, and dst
-// is grown once up front (snapshotSizeHint), so encoding a table costs at
-// most one allocation.
+// its ingest totals to dst and returns the extended slice. The sketch
+// counters are encoded from read-only views of the aggregates, and dst is
+// grown once up front (snapshotSizeHint), so encoding a table costs at most
+// one allocation.
 func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
 	dst = slices.Grow(dst, snapshotSizeHint(aggs))
 	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
@@ -190,13 +187,6 @@ func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint6
 		dst = collector.AppendKey(dst, a.Key)
 		dst = appendWelford(dst, a.Est.State())
 		dst = appendWelford(dst, a.True.State())
-
-		h := a.Hist.StateView()
-		dst = binary.AppendUvarint(dst, h.Count)
-		dst = binary.AppendVarint(dst, h.Sum)
-		dst = binary.AppendVarint(dst, h.Min)
-		dst = binary.AppendVarint(dst, h.Max)
-		dst = appendBuckets(dst, h.Buckets)
 
 		s := a.Sketch.StateView()
 		dst = binary.AppendUvarint(dst, s.Zero)
@@ -215,18 +205,23 @@ func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint6
 }
 
 // snapshotSizeHint estimates a table's encoded size from what is cheap to
-// read: per flow the shortest row plus a byte for every histogram bucket
-// (which also covers the scalar varints that run past one byte), and two
-// bytes per sketch counter, which holds counts up to 16 383. It errs high on
-// real tables (about 1.6x on the benchmark's 145 kB bodies); a table that
-// beats it costs append's usual regrowth, nothing else.
+// read: per flow the shortest row plus snapshotRowSlack, and two bytes per
+// sketch counter, which holds counts up to 16 383. It errs high on real
+// tables (about 1.5x on the benchmark's 120 kB bodies, whose windows are
+// mostly zeros of one byte each); a table that beats it costs append's usual
+// regrowth, nothing else.
 func snapshotSizeHint(aggs []collector.FlowAgg) int {
-	n := snapshotHeaderSize + 3*binary.MaxVarintLen64 + len(aggs)*(snapshotMinFlowSize+stats.HistogramBuckets)
+	n := snapshotHeaderSize + 3*binary.MaxVarintLen64 + len(aggs)*(snapshotMinFlowSize+snapshotRowSlack)
 	for i := range aggs {
 		n += 2 * aggs[i].Sketch.Buckets()
 	}
 	return n
 }
+
+// snapshotRowSlack is what the hint allows a row for scalar varints that run
+// past the one byte snapshotMinFlowSize counts them at: sample and packet
+// counts, byte totals, the window base and length, two nanosecond timestamps.
+const snapshotRowSlack = 24
 
 func appendFloat(dst []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
@@ -276,6 +271,8 @@ func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint
 	// Every sketch window is carved from one slab. A counter takes at least a
 	// byte on the wire, so the bytes the shortest rows do not account for
 	// bound all the windows together — and the allocation by the body's size.
+	// With nothing else of variable length in a row the bound is tight: 3 %
+	// over the counters actually held on the benchmark's tables.
 	var slab []uint64
 	if count > 0 {
 		aggs = make([]collector.FlowAgg, count)
@@ -288,10 +285,6 @@ func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint
 		a.Key = r.key()
 		a.Est.SetState(r.welford())
 		a.True.SetState(r.welford())
-
-		h := stats.HistogramState{Count: r.uvarint(), Sum: r.varint(), Min: r.varint(), Max: r.varint()}
-		h.Buckets = r.buckets(scratch, stats.HistogramBuckets)
-		a.Hist.SetState(h)
 
 		s := stats.SketchState{Zero: r.uvarint(), Count: r.uvarint(), Min: r.float(), Max: r.float()}
 		base := r.varint()

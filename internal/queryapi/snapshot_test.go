@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,15 +101,10 @@ func snapshotCases(t testing.TB) []snapshotCase {
 		Sketch: stats.SketchFromState(stats.SketchState{Count: 1, Base: 7, Buckets: []uint64{1}, Min: math.Inf(-1), Max: math.Inf(1)}),
 	}}, false})
 
-	allBuckets := make([]uint64, stats.HistogramBuckets)
-	for i := range allBuckets {
-		allBuckets[i] = math.MaxUint64 - uint64(i)
-	}
 	cases = append(cases, snapshotCase{"integer-extremes", []collector.FlowAgg{{
 		Key:     packet.FlowKey{Src: math.MaxUint32, Dst: math.MaxUint32, SrcPort: math.MaxUint16, DstPort: math.MaxUint16, Proto: 255},
 		Est:     stats.WelfordFromState(stats.WelfordState{N: math.MaxInt64}),
 		True:    stats.WelfordFromState(stats.WelfordState{N: math.MinInt64}),
-		Hist:    stats.HistogramFromState(stats.HistogramState{Buckets: allBuckets, Count: math.MaxUint64, Sum: math.MinInt64, Min: math.MinInt64, Max: math.MaxInt64}),
 		Sketch:  stats.SketchFromState(stats.SketchState{Zero: math.MaxUint64, Count: math.MaxUint64, Base: stats.SketchMaxBuckets - 1, Buckets: []uint64{math.MaxUint64}}),
 		Packets: math.MaxUint64, Bytes: math.MaxUint64,
 		First: math.MinInt64, Last: math.MaxInt64,
@@ -117,9 +114,9 @@ func snapshotCases(t testing.TB) []snapshotCase {
 
 // TestSnapshotRoundTripExact is the fleet wire contract, on both
 // renderings: a collector snapshot packed, shipped and unpacked is
-// bit-identical to the original — including the unexported Welford,
-// histogram and sketch internals, via their State round-trips — and the two
-// renderings agree with each other. The binary rendering is total over
+// bit-identical to the original — including the unexported Welford and
+// sketch internals, via their State round-trips — and the two renderings
+// agree with each other. The binary rendering is total over
 // float64; JSON refuses ±Inf, which is pinned rather than papered over.
 func TestSnapshotRoundTripExact(t *testing.T) {
 	for _, c := range snapshotCases(t) {
@@ -218,7 +215,7 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 		bad[i] ^= 0x40
 		mustFail(fmt.Sprintf("magic byte %d flipped", i), bad, ErrSnapshotMagic)
 	}
-	for _, v := range []byte{0, 1, SnapshotVersion + 1, 255} {
+	for _, v := range []byte{0, 1, 2, SnapshotVersion + 1, 255} {
 		bad := append([]byte(nil), valid...)
 		bad[4] = v
 		err := mustFail(fmt.Sprintf("version %d", v), bad, nil)
@@ -242,8 +239,7 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 	mustFail("flow count 2^64-1", huge, ErrSnapshotTruncated)
 
 	row := flowCount + 1
-	histK := row + collector.KeyWireSize + 2*17 + 4
-	sketchBase := histK + 1 + 2 + 16
+	sketchBase := row + collector.KeyWireSize + 2*17 + 2 + 16
 	// The same row with a one-bucket sketch window ending at the last
 	// structural bucket: base takes two bytes, then k, then the bucket.
 	last := AppendSnapshot(nil, []collector.FlowAgg{{
@@ -256,7 +252,6 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 		at   int
 		v    byte
 	}{
-		{"histogram run past HistogramBuckets", one, histK, stats.HistogramBuckets + 1},
 		{"negative sketch base", one, sketchBase, 1}, // zig-zag 1 = -1
 		{"sketch run past the last bucket", last, sketchBase + 2, 2},
 	} {
@@ -266,6 +261,46 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 		bad = append(bad, make([]byte, 4096)...)
 		mustFail(c.what, bad, ErrSnapshotCorrupt)
 	}
+}
+
+// readFixture returns a file of testdata/: the bodies of peers this binary
+// no longer speaks to, captured from the last commit that produced them.
+func readFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestSnapshotRejectsV2Peer pins the version bump on real version-2 bodies
+// (two flows, with the per-flow histogram this version dropped): both
+// renderings are refused with an error naming both versions, exactly as a
+// version-1 peer's are — a v2 row read as v3 would put histogram bytes where
+// the sketch is expected.
+func TestSnapshotRejectsV2Peer(t *testing.T) {
+	wantNamed := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 2 from peer") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("speaks version %d", SnapshotVersion)) {
+			t.Fatalf("version error must name both versions, got: %v", err)
+		}
+	}
+	aggs, samples, records, err := DecodeSnapshot(readFixture(t, "snapshot_v2.bin"))
+	if aggs != nil || samples != 0 || records != 0 {
+		t.Fatalf("partial result beside error %v", err)
+	}
+	wantNamed(err)
+
+	var s Snapshot
+	if err := json.Unmarshal(readFixture(t, "snapshot_v2.json"), &s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Flows) != 2 {
+		t.Fatalf("fixture decodes to %d flows, want 2", len(s.Flows))
+	}
+	wantNamed(s.Check())
 }
 
 // TestSnapshotVersionCheck pins the schema gate: current snapshots pass,
@@ -280,7 +315,7 @@ func TestSnapshotVersionCheck(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"samples":1,"records":0,"flows":[]}`), &stale); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{stale.Version, 1, SnapshotVersion + 1} {
+	for _, v := range []int{stale.Version, 1, 2, SnapshotVersion + 1} {
 		s := Snapshot{Version: v}
 		err := s.Check()
 		if err == nil {

@@ -62,8 +62,9 @@ func (h *Histogram) Record(d time.Duration) {
 
 // HistogramState is the exported internal state of a Histogram: the prefix
 // of the log2 buckets up to the last non-empty one, plus the exact
-// count/sum/min/max scalars. Like stats.WelfordState it exists for the fleet
-// raw-snapshot wire: State → JSON → HistogramFromState is bit-identical.
+// count/sum/min/max scalars — the Aggregate contract's State, so
+// State → JSON → HistogramFromState is bit-identical. (No wire carries it
+// since flow aggregates stopped holding a Histogram; see Sketch.Log2Histogram.)
 type HistogramState struct {
 	Buckets []uint64 `json:"buckets,omitempty"`
 	Count   uint64   `json:"count"`
@@ -75,22 +76,13 @@ type HistogramState struct {
 // State returns the histogram's exact internal state; Buckets is trimmed at
 // the last non-zero bucket.
 func (h *Histogram) State() HistogramState {
-	s := h.StateView()
-	s.Buckets = append([]uint64(nil), s.Buckets...)
-	return s
-}
-
-// StateView is State without the copy: Buckets aliases the histogram's own
-// counters, so the view is read-only and valid only until the histogram is
-// next mutated.
-func (h *Histogram) StateView() HistogramState {
 	n := len(h.buckets)
 	for n > 0 && h.buckets[n-1] == 0 {
 		n--
 	}
 	s := HistogramState{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
 	if n > 0 {
-		s.Buckets = h.buckets[:n]
+		s.Buckets = append([]uint64(nil), h.buckets[:n]...)
 	}
 	return s
 }

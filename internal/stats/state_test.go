@@ -96,23 +96,15 @@ func TestHistogramFromStateTruncatesOversizedBuckets(t *testing.T) {
 	}
 }
 
-// TestStateViewsMatchState pins the read-only views an encoder serializes
-// from: field for field the State copies, with Buckets aliasing the
-// accumulator's own counters instead of copying them.
+// TestStateViewsMatchState pins the read-only view an encoder serializes
+// from: field for field the State copy, with Buckets aliasing the sketch's
+// own counters instead of copying them.
 func TestStateViewsMatchState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
-		var h Histogram
 		var s Sketch
-		for i, n := 0, rng.Intn(200); i < n; i++ { // n == 0: the empty views
-			d := time.Duration(rng.Int63n(int64(time.Second)))
-			h.Record(d)
-			s.Record(d)
-		}
-		if hv := h.StateView(); !reflect.DeepEqual(hv, h.State()) {
-			t.Fatalf("trial %d: histogram view %+v != state %+v", trial, hv, h.State())
-		} else if len(hv.Buckets) > 0 && &hv.Buckets[0] != &h.buckets[0] {
-			t.Fatalf("trial %d: histogram view copied its buckets", trial)
+		for i, n := 0, rng.Intn(200); i < n; i++ { // n == 0: the empty view
+			s.Record(time.Duration(rng.Int63n(int64(time.Second))))
 		}
 		if sv := s.StateView(); !reflect.DeepEqual(sv, s.State()) {
 			t.Fatalf("trial %d: sketch view %+v != state %+v", trial, sv, s.State())
