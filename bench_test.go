@@ -192,9 +192,9 @@ func BenchmarkLocalization(b *testing.B) {
 // benchmarkRunnerSweep measures the multi-seed runner: an 8-seed tandem
 // sweep (per-run telemetry merged through the collector plane) at the given
 // worker count. BenchmarkRunnerSweep1 vs BenchmarkRunnerSweep4 gives the
-// parallel-scaling ratio scripts/bench.sh records in BENCH_N.json; on a
-// multi-core machine 4 workers should approach 4x, and the ratio degrades
-// to ~1x only when the hardware offers a single core.
+// parallel-scaling ratio; on a multi-core machine 4 workers should approach
+// 4x, and the ratio degrades to ~1x only when the hardware offers a single
+// core.
 func benchmarkRunnerSweep(b *testing.B, workers int) {
 	cfg := rlir.TandemConfig{
 		Scale:      benchScale(),
@@ -218,7 +218,8 @@ func BenchmarkRunnerSweep4(b *testing.B) { benchmarkRunnerSweep(b, 4) }
 // benchmarkScenarioEngine pushes the default fat-tree scenario (converging
 // workload, K=4) end to end through the selected event engine. Sequential vs
 // Parallel2/Parallel4 gives the conservative parallel engine's speedup ratio
-// that scripts/bench.sh records in BENCH_N.json's parallel_sim section. The
+// (CI's parallel-sim job prints it; the pipeline benchmark's
+// eventsim.par2_ratio is the same quantity on its own workload). The
 // engines produce bit-identical Results (internal/scenario
 // TestParallelBitIdenticalRegistry), so the ratio measures pure engine
 // scaling; on a single-core box it degrades to ~1x or below (window-barrier

@@ -14,7 +14,8 @@
 //	experiments -fig 5
 //	experiments -fig A1
 //	experiments -all -seeds 8 -parallel 4
-//	experiments -scenario incast -seeds 8
+//
+// Registered scenarios run through cmd/scenario (-run NAME -seeds N).
 package main
 
 import (
@@ -44,8 +45,6 @@ func main() {
 	var (
 		fig      = flag.String("fig", "", "which result to regenerate: "+strings.Join(targetIDs(), " "))
 		all      = flag.Bool("all", false, "regenerate everything")
-		scenName = flag.String("scenario", "", "run a registered scenario from the scenario engine (see cmd/scenario -list)")
-		ests     = flag.String("estimators", "", "with -scenario: comma-separated estimator set (rli always included)")
 		scale    = flag.String("scale", "default", "small | default | full")
 		seed     = flag.Int64("seed", 1, "deterministic base seed")
 		seeds    = flag.Int("seeds", 1, "number of independent seeds; > 1 reports mean ± 95% CI")
@@ -63,32 +62,10 @@ func main() {
 		log.Fatalf("-seeds %d < 1", *seeds)
 	}
 	opts := rlir.MultiOpts{Seeds: *seeds, Workers: *parallel}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["csv"] && *seeds > 1 {
+	if *csvDir != "" && *seeds > 1 {
 		// The multi-seed harnesses render CI tables, not CDF series; fail
 		// loudly rather than silently write nothing.
 		log.Fatal("-csv applies to single-seed figure runs only; drop -seeds or -csv")
-	}
-
-	if *scenName == "" && *ests != "" {
-		log.Fatal("-estimators applies to -scenario runs only")
-	}
-	if *scenName != "" {
-		// Scenarios are sized by their registered spec (or a cmd/scenario
-		// -spec file), not by the figure harness's scale; fail loudly
-		// rather than silently run something other than what was asked.
-		if set["scale"] || set["csv"] {
-			log.Fatal("-scale/-csv do not apply to -scenario; size scenarios via their spec (see cmd/scenario)")
-		}
-		estimators, err := rlir.ParseEstimatorList(*ests)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := runScenario(*scenName, *seed, set["seed"], *seeds, *parallel, estimators); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	var targets []rlir.ExperimentTarget
@@ -104,7 +81,7 @@ func main() {
 		}
 	} else {
 		flag.Usage()
-		log.Fatal("need -fig, -all or -scenario")
+		log.Fatal("need -fig or -all")
 	}
 
 	for _, t := range targets {
@@ -114,37 +91,6 @@ func main() {
 		}
 		fmt.Printf("[%s done in %v]\n\n", t.ID, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runScenario dispatches the -scenario target onto the scenario engine.
-// The spec's registered seed applies unless the -seed flag was explicitly
-// passed (haveSeed), so any seed value — including 0 — can be forced.
-func runScenario(name string, seed int64, haveSeed bool, seeds, parallel int, estimators []string) error {
-	scen, ok := rlir.ScenarioByName(name)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (registered: %s)", name, strings.Join(rlir.ScenarioNames(), ", "))
-	}
-	spec := scen.Spec
-	if haveSeed {
-		spec.Seed = seed
-	}
-	if len(estimators) > 0 {
-		spec.Deploy.Estimators = estimators
-	}
-	if seeds > 1 {
-		mr, err := rlir.RunScenarioMulti(spec, rlir.ScenarioMultiOpts{Seeds: seeds, Workers: parallel})
-		if err != nil {
-			return err
-		}
-		fmt.Print(mr.Render())
-		return nil
-	}
-	res, err := rlir.RunScenario(spec)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	return nil
 }
 
 // run is the one dispatch every target goes through: a sweep prints the

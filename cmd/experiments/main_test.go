@@ -89,19 +89,6 @@ func TestFigureCSV(t *testing.T) {
 	}
 }
 
-// TestUnknownScenarioRejected pins the -scenario target's rejection path.
-func TestUnknownScenarioRejected(t *testing.T) {
-	err := runScenario("nonexistent", 0, false, 1, 0, nil)
-	if err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-	for _, name := range rlir.ScenarioNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not list scenario %q", err, name)
-		}
-	}
-}
-
 // TestParseEstimatorList pins the shared -estimators validation: unknown
 // names are rejected listing the registry; known names pass through in
 // order.

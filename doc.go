@@ -44,7 +44,7 @@
 //
 // The API groups in rlir.go, in reading order:
 //
-//   - Packet and flow identity (FlowKey, Addr, Prefix) and injection
+//   - Packet and flow identity (FlowKey, Addr) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
 //   - Experiment harnesses (RunTandem, RunFatTree, RunLocalization, the
 //     Fig4*/Fig5/Scalars/Ablation* reproductions) — every figure and table

@@ -7,7 +7,8 @@ import (
 
 // BenchmarkIngest measures collector ingest throughput: samples pushed
 // through the sharded plane per second of wall clock, including partitioning
-// and shard aggregation. scripts/bench.sh records this in BENCH_N.json.
+// and shard aggregation. The pipeline benchmark prices the same loop as
+// collector.ingest_ns_per_sample.
 func BenchmarkIngest(b *testing.B) {
 	stream := genStream(1, 4096, 1<<16)
 	const batch = 512
@@ -44,8 +45,8 @@ func BenchmarkIngestSequentialBaseline(b *testing.B) {
 
 // BenchmarkEvictionChurn measures aggregation throughput while every batch
 // cycles brand-new flow keys through a full bounded table — the worst case
-// where each insert evicts the LRU flow into the rollup tiers.
-// scripts/bench.sh records this in BENCH_N.json.
+// where each insert evicts the LRU flow into the rollup tiers. The pipeline
+// benchmark prices the same loop as collector.ingest_capped_ns_per_sample.
 func BenchmarkEvictionChurn(b *testing.B) {
 	const batch = 512
 	stream := genStream(1, 1<<20, 1<<20) // ~one sample per distinct flow

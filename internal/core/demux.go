@@ -134,37 +134,3 @@ func (d *OracleDemux) Classify(p *packet.Packet) (SenderID, bool) {
 
 // Name implements Demux.
 func (d *OracleDemux) Name() string { return fmt.Sprintf("oracle(%d)", len(d.byNode)) }
-
-// CompositeDemux tries a sequence of demultiplexers in order — e.g. prefix
-// matching for upstream senders first, then reverse ECMP for downstream
-// ones, mirroring §3.1's combined downstream procedure.
-type CompositeDemux struct {
-	chain []Demux
-}
-
-// NewCompositeDemux chains the given demultiplexers.
-func NewCompositeDemux(chain ...Demux) *CompositeDemux {
-	return &CompositeDemux{chain: chain}
-}
-
-// Classify implements Demux: first hit wins.
-func (d *CompositeDemux) Classify(p *packet.Packet) (SenderID, bool) {
-	for _, c := range d.chain {
-		if id, ok := c.Classify(p); ok {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// Name implements Demux.
-func (d *CompositeDemux) Name() string {
-	s := "composite("
-	for i, c := range d.chain {
-		if i > 0 {
-			s += ","
-		}
-		s += c.Name()
-	}
-	return s + ")"
-}

@@ -96,30 +96,12 @@ func TestOracleDemux(t *testing.T) {
 	}
 }
 
-func TestCompositeDemuxOrder(t *testing.T) {
-	prefix := NewPrefixDemux().Add(packet.MustParsePrefix("10.1.0.0/16"), 1)
-	fallback := SingleDemux{ID: 99}
-	d := NewCompositeDemux(prefix, fallback)
-
-	if id, _ := d.Classify(pktFrom("10.1.2.3")); id != 1 {
-		t.Fatalf("first demux should win, got %d", id)
-	}
-	if id, _ := d.Classify(pktFrom("172.16.0.1")); id != 99 {
-		t.Fatalf("fallback should catch, got %d", id)
-	}
-	empty := NewCompositeDemux(prefix)
-	if _, ok := empty.Classify(pktFrom("172.16.0.1")); ok {
-		t.Fatal("no-hit composite should miss")
-	}
-}
-
 func TestDemuxNames(t *testing.T) {
 	ds := []Demux{
 		SingleDemux{ID: 1},
 		NewPrefixDemux(),
 		NewMarkDemux(),
 		NewOracleDemux(),
-		NewCompositeDemux(SingleDemux{ID: 1}, NewMarkDemux()),
 	}
 	for _, d := range ds {
 		if d.Name() == "" {

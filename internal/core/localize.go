@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -118,15 +117,4 @@ func medianMean(reports []SegmentReport) time.Duration {
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 	return ms[len(ms)/2]
-}
-
-// FormatSegments renders segment reports as a table.
-func FormatSegments(segments []Segment) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %10s %12s %12s %12s\n", "segment", "packets", "mean", "p50", "p99")
-	for _, s := range segments {
-		r := s.Report()
-		fmt.Fprintf(&b, "%-16s %10d %12v %12v %12v\n", r.Name, r.Packets, r.Mean, r.P50, r.P99)
-	}
-	return b.String()
 }

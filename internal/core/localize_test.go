@@ -120,10 +120,3 @@ func TestLocalizerThresholdValidation(t *testing.T) {
 	}()
 	NewLocalizer(1)
 }
-
-func TestFormatSegments(t *testing.T) {
-	segs := []Segment{{Name: "x", Receiver: rxWithDelays(t, []time.Duration{time.Microsecond})}}
-	if FormatSegments(segs) == "" {
-		t.Fatal("empty format")
-	}
-}

@@ -10,8 +10,8 @@
 //
 // This package provides a small family of deterministic hash functions in the
 // styles vendors actually use (CRC folding, FNV folding, XOR folding), each
-// seeded per switch, plus the ReverseResolver that performs the paper's
-// reverse computation given topology knowledge.
+// seeded per switch. The reverse computation itself needs the topology and
+// lives with it: topo.FatTree.ResolveCore re-runs a pod's hashers.
 package ecmp
 
 import (

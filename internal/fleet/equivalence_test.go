@@ -589,6 +589,76 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 	}
 }
 
+// TestFrontendRefusesOversizedBody pins the bound on what the front-end
+// reads of one instance: a body past the limit is that instance's gather
+// error — skipped beside a healthy instance, a 502 naming the instance and
+// the limit when it was the only one — whether the peer declares the length
+// (refused on the header, at the real 64 MB limit) or just keeps streaming
+// (cut at a limit lowered to 64 kB; the peer streams until the front-end
+// hangs up, so one that read on would end at its Timeout, not at the limit).
+func TestFrontendRefusesOversizedBody(t *testing.T) {
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		aggs := []collector.FlowAgg{{Key: packet.FlowKey{Src: 0x0a000001, Dst: 0x0a000002, SrcPort: 1000, DstPort: 443, Proto: packet.ProtoTCP}}}
+		aggs[0].Est.SetState(stats.WelfordState{N: 1, Mean: 1000})
+		w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+		_, _ = w.Write(queryapi.AppendSnapshot(nil, aggs, 1, 0))
+	}))
+	defer healthy.Close()
+
+	const lowered = 64 << 10
+	for _, c := range []struct {
+		name  string
+		limit int64 // 0 keeps the front-end's own
+		want  string
+		peer  http.HandlerFunc
+	}{
+		{"declared", 0, "exceeds the 67108864-byte limit", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Length", strconv.Itoa(64<<20+1))
+			_, _ = w.Write([]byte("x"))
+		}},
+		{"streamed", lowered, "exceeds the 65536-byte limit", func(w http.ResponseWriter, r *http.Request) {
+			chunk := bytes.Repeat([]byte("x"), 4<<10)
+			for r.Context().Err() == nil {
+				if _, err := w.Write(chunk); err != nil {
+					return
+				}
+				w.(http.Flusher).Flush()
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hostile := httptest.NewServer(c.peer)
+			defer hostile.Close()
+			front := func(instances ...string) http.Handler {
+				f, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: instances, Timeout: 5 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.limit > 0 {
+					f.SetMaxBody(c.limit)
+				}
+				return f.Handler()
+			}
+
+			rec := serve(front(hostile.URL), "/flows")
+			if rec.Code != http.StatusBadGateway {
+				t.Fatalf("/flows status %d over a lone oversized instance, want 502", rec.Code)
+			}
+			for _, want := range []string{hostile.URL + "/snapshot", c.want} {
+				if !strings.Contains(rec.Body.String(), want) {
+					t.Fatalf("502 body must name %q, got:\n%s", want, rec.Body.String())
+				}
+			}
+
+			rec = serve(front(healthy.URL, hostile.URL), "/flows")
+			var flows []queryapi.FlowJSON
+			if err := json.Unmarshal(rec.Body.Bytes(), &flows); rec.Code != http.StatusOK || err != nil || len(flows) != 1 {
+				t.Fatalf("/flows beside a healthy instance: status %d, %d rows (%v), want 200 with the healthy instance's 1", rec.Code, len(flows), err)
+			}
+		})
+	}
+}
+
 // TestFrontendNonFiniteIsA500 pins what the front-end does with a value JSON
 // cannot carry. The binary snapshot codec ships float bits verbatim, so a peer
 // can hand the front-end a NaN or infinite mean; both response writers then

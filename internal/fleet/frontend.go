@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"sort"
@@ -45,6 +46,7 @@ type FrontendConfig struct {
 type Frontend struct {
 	cfg     FrontendConfig
 	client  *http.Client
+	maxBody int64 // maxInstanceBody; a field only so tests reach the limit with kilobytes
 	start   time.Time
 	queries atomic.Uint64
 	gErrs   atomic.Uint64
@@ -99,7 +101,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Frontend{cfg: cfg, client: client, start: time.Now()}, nil
+	return &Frontend{cfg: cfg, client: client, maxBody: maxInstanceBody, start: time.Now()}, nil
 }
 
 // Instances returns the configured instance count.
@@ -142,9 +144,9 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := readBody(resp)
+			body, err := readBody(resp, f.maxBody)
 			if err != nil {
-				out[i].err = err
+				out[i].err = fmt.Errorf("%s%s: %w", in, path, err)
 				return
 			}
 			// /healthz deliberately answers 503 while draining with a valid
@@ -165,25 +167,42 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 	return out
 }
 
-// maxPresizedBody caps the buffer readBody allocates on an instance's word:
-// a larger declared length is read the way io.ReadAll would, growing only as
-// bytes actually arrive.
-const maxPresizedBody = 64 << 20
+// maxInstanceBody is the most the front-end reads of one instance's
+// response; a body that runs past it is that instance's gather error. The
+// binary /snapshot costs about 110 bytes per flow (2 x 121 kB for the
+// benchmark's 2 266 rows) and the JSON fallback about ten times that, so 64
+// MB carries some 600 000 individually tracked flows per instance — past
+// that an rlird is meant to run capped (-max-flows, the rollup tier keeps
+// the samples) or the fleet to gain an instance. It is a constant, not a
+// setting: what it guards against is an instance URL that points at
+// something that is not an rlird, and one query's memory is then at most
+// instances x this (twice it, transiently, while the buffer of a body that
+// declared no length doubles).
+const maxInstanceBody = 64 << 20
 
-// readBody reads an instance's response body whole. When the instance
-// declared a Content-Length (rlird does on /snapshot) the buffer is sized
-// once for it — io.ReadAll would regrow from 512 bytes, copying a 120 kB
-// snapshot body about four times over — with bytes.MinRead to spare so the
-// read that finds EOF does not regrow it either. The length is a hint only: a
-// body that runs past it grows the buffer, one that stops short is the
-// transport's error.
-func readBody(resp *http.Response) ([]byte, error) {
+// readBody reads an instance's response body whole, up to limit bytes. When
+// the instance declared a Content-Length (rlird does on /snapshot) the
+// buffer is sized once for it — io.ReadAll would regrow from 512 bytes,
+// copying a 120 kB snapshot body about four times over — with bytes.MinRead
+// to spare so the read that finds EOF does not regrow it either; a declared
+// length over the limit is refused before a byte is read. A body that stops
+// short of its declared length is the transport's error.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", resp.ContentLength, limit)
+	}
 	var buf bytes.Buffer
-	if n := resp.ContentLength; n > 0 && n <= maxPresizedBody {
+	if n := resp.ContentLength; n > 0 {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, err := buf.ReadFrom(resp.Body)
-	return buf.Bytes(), err
+	// One byte past the limit tells a body that fits from one that does not.
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("body exceeds the %d-byte limit", limit)
+	}
+	return buf.Bytes(), nil
 }
 
 // mergedTable is the exact fleet-wide flow table: every reachable

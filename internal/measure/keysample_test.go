@@ -176,9 +176,8 @@ func TestPairSamplersEstimateFlows(t *testing.T) {
 
 // BenchmarkHashSampleTap measures the secret-key sampler's per-packet tap
 // cost in steady state: two keyed hash evaluations on the fast path and the
-// pair-matching bookkeeping on the 1-in-32 sampled path. bench.sh records
-// ns/op and allocs/op into BENCH_<N>.json; bench_check.sh gates the cost and
-// pins zero allocations per packet.
+// pair-matching bookkeeping on the 1-in-32 sampled path. That it allocates
+// nothing per packet is a test, TestZeroAllocDispatchSteadyState.
 func BenchmarkHashSampleTap(b *testing.B) {
 	h := NewHashSampled(32, 0x243f6a8885a308d3)
 	const nFlows = 256

@@ -192,32 +192,45 @@ func TestRLITapMatchesReceiverObserve(t *testing.T) {
 	}
 }
 
-// TestDispatchZeroAllocSteadyState is the shared-tap allocation guarantee:
+// TestZeroAllocDispatchSteadyState is the shared-tap allocation guarantee:
 // once every estimator's per-flow state exists, fanning a packet to the
 // full default estimator set (truth + rli + lda + netflow-sample +
-// multiflow) allocates nothing.
-func TestDispatchZeroAllocSteadyState(t *testing.T) {
+// multiflow) plus the secret-key sampler allocates nothing. Two packets
+// per run, so the keyed sampler is held on both of its paths: q is in its
+// 1-in-32 sample set (timestamp, match, fold), p is not (two hash
+// evaluations and out).
+func TestZeroAllocDispatchSteadyState(t *testing.T) {
 	truth := NewTruth()
 	rli, err := NewRLI("seg", core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDispatch(truth, rli, NewLDA(lda.Config{}), NewSampled(4, 7), NewMultiflow(0))
+	const hashKey, hashRate = 0x243f6a8885a308d3, 32
+	d := NewDispatch(truth, rli, NewLDA(lda.Config{}), NewSampled(4, 7), NewMultiflow(0),
+		NewHashSampled(hashRate, hashKey))
 
 	// Warm up: establish flow state, stream state and map capacity.
 	segment(d, 8, 64)
 
 	p := &packet.Packet{ID: 5, Key: key(1), Size: 1000, Kind: packet.Regular}
+	q := &packet.Packet{ID: 6, Key: key(2), Size: 1000, Kind: packet.Regular}
+	for !ShouldSample(hashKey, q.ID, hashRate) {
+		q.ID++
+	}
+	if ShouldSample(hashKey, p.ID, hashRate) {
+		t.Fatalf("packet %d is in the keyed sample set; the unsampled path needs one that is not", p.ID)
+	}
 	at := simtime.Time(1 << 30)
-	p.SegmentStart = at
 	allocs := testing.AllocsPerRun(200, func() {
-		at = at.Add(10 * time.Microsecond)
-		p.SegmentStart = at
-		d.TapStart(p, at)
-		d.TapEnd(p, at.Add(100*time.Microsecond))
+		for _, pkt := range [...]*packet.Packet{p, q} {
+			at = at.Add(10 * time.Microsecond)
+			pkt.SegmentStart = at
+			d.TapStart(pkt, at)
+			d.TapEnd(pkt, at.Add(100*time.Microsecond))
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state shared tap allocated %.2f per packet, want 0", allocs)
+		t.Fatalf("steady-state shared tap allocated %.2f per packet pair, want 0", allocs)
 	}
 }
 

@@ -12,8 +12,7 @@
 // The pieces:
 //
 //   - Map fans job(i, seed) across at most w workers, results in seed
-//     order; SweepInto additionally streams every run's samples into a
-//     shared collector through per-run Sinks.
+//     order.
 //   - Sink batches one run's per-packet estimates into collector ingest
 //     batches (bind Add to a receiver's OnEstimate hook).
 //   - Pacer (pacer.go) is the wall-clock counterpart: a token bucket that

@@ -96,29 +96,3 @@ func (s *Sink) Flush() {
 	s.c.Ingest(s.buf)
 	s.buf = s.buf[:0]
 }
-
-// Run is the context handed to a SweepInto job.
-type Run struct {
-	// Index is the run's position in the seed list.
-	Index int
-	// Seed is the run's derived seed.
-	Seed int64
-	// Sink streams the run's samples into the sweep's shared collector.
-	// The runner flushes it after the job returns.
-	Sink *Sink
-}
-
-// SweepInto fans jobs over seeds with at most workers goroutines, streaming
-// every run's samples into the shared collector c. Results are returned in
-// seed order. The caller owns c (snapshot/close); per-flow aggregates for
-// flows unique to one run are bit-deterministic, while flows appearing in
-// several runs merge in run-completion order (document accordingly or merge
-// per-run snapshots instead).
-func SweepInto[R any](c *collector.Collector, seeds []int64, workers int, job func(Run) R) []R {
-	return Map(seeds, workers, func(i int, seed int64) R {
-		sink := NewSink(c, 0)
-		r := job(Run{Index: i, Seed: seed, Sink: sink})
-		sink.Flush()
-		return r
-	})
-}

@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"github.com/netmeasure/rlir/internal/collector"
-	"github.com/netmeasure/rlir/internal/packet"
 )
 
 // TestMapOrderAndCoverage: results land at their seed's index for any
@@ -44,49 +41,6 @@ func TestMapWorkerCountInvariance(t *testing.T) {
 		if got := Map(seeds, workers, job); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: results differ from sequential run", workers)
 		}
-	}
-}
-
-// TestSweepIntoMergesThroughCollector: per-run sample streams land merged in
-// the shared collector, and per-flow aggregates for run-unique flows match
-// a sequential sweep exactly.
-func TestSweepIntoMergesThroughCollector(t *testing.T) {
-	seeds := Seeds(42, 6)
-	const perRun = 700
-	job := func(r Run) int {
-		rng := rand.New(rand.NewSource(r.Seed))
-		// Flow keys embed the run index -> disjoint across runs.
-		for j := 0; j < perRun; j++ {
-			key := packet.FlowKey{
-				Src: packet.Addr(0x0a000000 + uint32(r.Index)), Dst: packet.Addr(rng.Uint32()%16 + 1),
-				SrcPort: uint16(rng.Intn(4)), DstPort: 80, Proto: packet.ProtoTCP,
-			}
-			r.Sink.Add(key, time.Duration(rng.Int63n(1e6)), time.Duration(rng.Int63n(1e6)))
-		}
-		return r.Index
-	}
-
-	run := func(workers int) ([]collector.FlowAgg, []int) {
-		c := collector.New(collector.Config{Shards: 3, Depth: 4})
-		res := SweepInto(c, seeds, workers, job)
-		snap := c.Snapshot()
-		c.Close()
-		return snap, res
-	}
-	wantSnap, wantRes := run(1)
-	gotSnap, gotRes := run(4)
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("results differ: %v vs %v", gotRes, wantRes)
-	}
-	if !reflect.DeepEqual(gotSnap, wantSnap) {
-		t.Fatalf("collector state differs across worker counts (%d vs %d flows)", len(gotSnap), len(wantSnap))
-	}
-	var n uint64
-	for _, a := range wantSnap {
-		n += uint64(a.Est.N())
-	}
-	if n != uint64(len(seeds)*perRun) {
-		t.Fatalf("collector holds %d samples, want %d", n, len(seeds)*perRun)
 	}
 }
 

@@ -134,11 +134,10 @@ func cmpString(c ComparisonJSON) string {
 		c.Estimator, c.Flows, c.Samples, f(c.MedianRelErr), f(c.P99RelErr), c.AggMeanNs, c.AggSamples, f(c.AggRelErr))
 }
 
-// BenchmarkServiceIngest4Conns is the soak benchmark bench.sh records: four
+// BenchmarkServiceIngest4Conns is the service soak in isolation: four
 // concurrent connections streaming pre-encoded sample frames over loopback
 // TCP into the full service path (frame reader -> router aggregates ->
-// sharded collector). The samples/s metric is the acceptance number for
-// BENCH_4.json.
+// sharded collector), reported as samples/s.
 func BenchmarkServiceIngest4Conns(b *testing.B) {
 	s, err := New(Config{Listen: "127.0.0.1:0", Shards: 4, Depth: 64})
 	if err != nil {

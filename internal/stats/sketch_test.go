@@ -261,8 +261,8 @@ func TestAggregateGenericRoundTrip(t *testing.T) {
 	check("sketch", func() bool { return reflect.DeepEqual(FromState[Sketch](s.State()), s) })
 }
 
-// BenchmarkSketchAdd is the sketch-ingest number bench.sh records: the
-// per-sample cost of folding latency observations into a sketch.
+// BenchmarkSketchAdd is the per-sample cost of folding latency observations
+// into a sketch (stats.sketch_add_ns in the pipeline benchmark).
 func BenchmarkSketchAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]float64, 8192)

@@ -9,7 +9,6 @@ import (
 	"github.com/netmeasure/rlir/internal/experiments"
 	"github.com/netmeasure/rlir/internal/fleet"
 	"github.com/netmeasure/rlir/internal/measure"
-	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/runner"
 	"github.com/netmeasure/rlir/internal/scenario"
@@ -26,9 +25,6 @@ import (
 // Addr is an IPv4 address in host byte order.
 type Addr = packet.Addr
 
-// Prefix is an IPv4 CIDR prefix.
-type Prefix = packet.Prefix
-
 // FlowKey is the comparable 5-tuple identity used for all per-flow state.
 type FlowKey = packet.FlowKey
 
@@ -37,12 +33,6 @@ func ParseAddr(s string) (Addr, error) { return packet.ParseAddr(s) }
 
 // MustParseAddr is ParseAddr that panics on error.
 func MustParseAddr(s string) Addr { return packet.MustParseAddr(s) }
-
-// ParsePrefix parses CIDR notation.
-func ParsePrefix(s string) (Prefix, error) { return packet.ParsePrefix(s) }
-
-// MustParsePrefix is ParsePrefix that panics on error.
-func MustParsePrefix(s string) Prefix { return packet.MustParsePrefix(s) }
 
 // ---- Injection schemes (paper §3.2) ----
 
@@ -63,36 +53,8 @@ func DefaultAdaptive() Adaptive { return core.DefaultAdaptive() }
 
 // ---- Results ----
 
-// FlowResult is one flow's estimated-vs-true statistics.
-type FlowResult = core.FlowResult
-
-// Summary aggregates a result set (median relative error and friends).
-type Summary = core.Summary
-
-// Summarize computes a Summary over per-flow results.
-func Summarize(results []FlowResult) Summary { return core.Summarize(results) }
-
 // MeanErrCDF builds the CDF of per-flow mean relative errors (Fig 4a form).
-func MeanErrCDF(results []FlowResult) *CDF { return core.MeanErrCDF(results) }
-
-// StdErrCDF builds the CDF of per-flow stddev relative errors (Fig 4b form).
-func StdErrCDF(results []FlowResult) *CDF { return core.StdErrCDF(results) }
-
-// CDF is an exact empirical distribution over a finite sample.
-type CDF = stats.CDF
-
-// Sketch is the bounded-memory log-bucketed quantile sketch carried by
-// every flow aggregate: ~1.6% worst-case relative error per quantile,
-// at most a few KB per flow, and exact (bit-identical, order-independent)
-// merges across instances.
-type Sketch = stats.Sketch
-
-// SketchState is a Sketch's portable wire form, carried in query-API
-// snapshots; round-trips exactly.
-type SketchState = stats.SketchState
-
-// SketchFromState rebuilds a Sketch from its portable state.
-func SketchFromState(s SketchState) Sketch { return stats.SketchFromState(s) }
+func MeanErrCDF(results []core.FlowResult) *stats.CDF { return core.MeanErrCDF(results) }
 
 // ---- Clock models ----
 
@@ -105,30 +67,18 @@ type PerfectClock = simtime.PerfectClock
 // FixedOffsetClock has a constant synchronization error.
 type FixedOffsetClock = simtime.FixedOffsetClock
 
-// DriftingClock is a free-running oscillator.
-type DriftingClock = simtime.DriftingClock
-
-// PTPClock is an IEEE 1588-disciplined clock.
-type PTPClock = simtime.PTPClock
-
 // ---- Workload generation ----
 
-// TraceConfig parameterizes the synthetic workload generator that stands in
-// for the paper's CAIDA traces.
-type TraceConfig = trace.Config
-
-// TraceRec is one generated packet release.
-type TraceRec = trace.Rec
-
 // DefaultTraceConfig returns the ~22%-of-1Gbps regular workload.
-func DefaultTraceConfig() TraceConfig { return trace.DefaultConfig() }
+func DefaultTraceConfig() trace.Config { return trace.DefaultConfig() }
 
 // NewTraceGenerator streams a deterministic synthetic trace.
-func NewTraceGenerator(cfg TraceConfig) *trace.Generator { return trace.NewGenerator(cfg) }
+func NewTraceGenerator(cfg trace.Config) *trace.Generator { return trace.NewGenerator(cfg) }
 
 // ---- The tandem experiment (paper Figure 3) ----
 
-// Scale sets experiment magnitude; see SmallScale, DefaultScale, FullScale.
+// Scale sets experiment magnitude; see SmallScale, DefaultScale and
+// ParseScale ("full" approximates the paper's 60 s of OC-192).
 type Scale = scenario.Scale
 
 // SmallScale is CI-sized (sub-second traces).
@@ -136,9 +86,6 @@ func SmallScale() Scale { return scenario.SmallScale() }
 
 // DefaultScale runs in seconds on a laptop.
 func DefaultScale() Scale { return scenario.DefaultScale() }
-
-// FullScale approximates the paper's 60 s of OC-192.
-func FullScale() Scale { return scenario.FullScale() }
 
 // ParseScale returns the named scale (small, default, full); the error
 // lists the valid names.
@@ -157,33 +104,16 @@ const (
 // TandemConfig is one two-switch (Figure 3) run.
 type TandemConfig = scenario.TandemConfig
 
-// TandemResult is its outcome.
-type TandemResult = scenario.TandemResult
-
 // RunTandem executes one Figure-3 simulation: regular traffic through an
 // instrumented switch, cross traffic merging at the downstream bottleneck,
 // per-flow latency estimated across both hops.
-func RunTandem(cfg TandemConfig) TandemResult { return scenario.RunTandem(cfg) }
-
-// Estimator variants (ablation A2); Linear is the paper's.
-const (
-	Linear   = core.Linear
-	LeftRef  = core.LeftRef
-	RightRef = core.RightRef
-	Nearest  = core.Nearest
-)
+func RunTandem(cfg TandemConfig) scenario.TandemResult { return scenario.RunTandem(cfg) }
 
 // ParseEstimator parses an estimator variant's rendered name (linear, left,
 // right, nearest); the error lists the valid names.
 func ParseEstimator(s string) (core.Estimator, error) { return core.ParseEstimator(s) }
 
 // ---- Fat-tree RLIR deployment (paper Figure 1 / §3.1) ----
-
-// FatTreeConfig is one fat-tree RLIR deployment run.
-type FatTreeConfig = experiments.FatTreeConfig
-
-// FatTreeResult is its outcome.
-type FatTreeResult = experiments.FatTreeResult
 
 // DemuxStrategy names the downstream demultiplexing options.
 type DemuxStrategy = experiments.DemuxStrategy
@@ -201,18 +131,17 @@ const (
 func ParseDemuxStrategy(s string) (DemuxStrategy, error) { return experiments.ParseDemuxStrategy(s) }
 
 // DefaultFatTreeConfig returns a k=4 deployment at moderate load.
-func DefaultFatTreeConfig() FatTreeConfig { return experiments.DefaultFatTreeConfig() }
+func DefaultFatTreeConfig() experiments.FatTreeConfig { return experiments.DefaultFatTreeConfig() }
 
 // RunFatTree executes one fat-tree RLIR deployment: upstream senders at
 // source ToR uplinks, receivers at cores (prefix demux), downstream senders
 // at cores and a strategy-demultiplexed receiver at the destination ToR. It
 // is a converging-pattern ScenarioSpec run on the scenario engine.
-func RunFatTree(cfg FatTreeConfig) FatTreeResult { return experiments.RunFatTree(cfg) }
+func RunFatTree(cfg experiments.FatTreeConfig) experiments.FatTreeResult {
+	return experiments.RunFatTree(cfg)
+}
 
 // ---- Placement planning (paper §3.1) ----
-
-// Placement computes deployment-complexity figures for a k-ary fat-tree.
-type Placement = topo.Placement
 
 // PlacementRow is one line of the placement table.
 type PlacementRow = topo.Row
@@ -251,16 +180,15 @@ type Scalars = experiments.Scalars
 // RunScalars measures them.
 func RunScalars(scale Scale) Scalars { return experiments.RunScalars(scale) }
 
-// DemuxAblation is the A1 table, one FatTreeResult per strategy; Render
+// DemuxAblation is the A1 table, one RunFatTree result per strategy; Render
 // formats it.
 type DemuxAblation = experiments.DemuxAblation
 
 // AblationDemux runs every downstream demux strategy on an identical
 // fat-tree workload (DESIGN.md A1).
-func AblationDemux(cfg FatTreeConfig) DemuxAblation { return experiments.AblationDemux(cfg) }
-
-// EstimatorRow is one line of ablation A2.
-type EstimatorRow = experiments.EstimatorRow
+func AblationDemux(cfg experiments.FatTreeConfig) DemuxAblation {
+	return experiments.AblationDemux(cfg)
+}
 
 // EstimatorAblation is the A2 table; Render formats it.
 type EstimatorAblation = experiments.EstimatorAblation
@@ -269,9 +197,6 @@ type EstimatorAblation = experiments.EstimatorAblation
 func AblationEstimators(scale Scale, util float64) EstimatorAblation {
 	return experiments.AblationEstimators(scale, util)
 }
-
-// ClockRow is one line of ablation A3.
-type ClockRow = experiments.ClockRow
 
 // ClockAblation is the A3 table; Render formats it.
 type ClockAblation = experiments.ClockAblation
@@ -291,14 +216,8 @@ func RunBaselines(scale Scale, util float64) BaselineResult {
 
 // ---- Localization (DESIGN.md L1, the paper's Figure 1 narrative) ----
 
-// LocalizationConfig is the T1->T7 per-segment localization scenario.
-type LocalizationConfig = experiments.LocalizationConfig
-
 // LocalizationResult reports calibration, fault run and verdict.
 type LocalizationResult = experiments.LocalizationResult
-
-// AnomalySite places the injected fault.
-type AnomalySite = experiments.AnomalySite
 
 // Fault sites for RunLocalization.
 const (
@@ -309,14 +228,14 @@ const (
 
 // DefaultLocalizationConfig returns the k=4 scenario with a fault at the
 // destination pod's aggregation layer.
-func DefaultLocalizationConfig() LocalizationConfig {
+func DefaultLocalizationConfig() experiments.LocalizationConfig {
 	return experiments.DefaultLocalizationConfig()
 }
 
 // RunLocalization measures per-core segments of one ToR-to-ToR path twice
 // (healthy, then with an injected fault) and reports which segments the
 // localizer flags.
-func RunLocalization(cfg LocalizationConfig) LocalizationResult {
+func RunLocalization(cfg experiments.LocalizationConfig) LocalizationResult {
 	return experiments.RunLocalization(cfg)
 }
 
@@ -336,11 +255,7 @@ type MultiOpts = scenario.MultiOpts
 // MetricCI is one metric's across-seed mean ± 95% CI.
 type MetricCI = stats.MetricCI
 
-// Table is one run's metrics as labelled rows × named columns; NaN marks a
-// metric the row does not produce.
-type Table = stats.Table
-
-// TableCI is a Table folded across seeds: every cell a MetricCI, looked up
+// TableCI is a result's Table folded across seeds: every cell a MetricCI, looked up
 // with Cell(row, column) and printed with Render.
 type TableCI = stats.TableCI
 
@@ -362,11 +277,6 @@ func ParseExperimentTarget(id string) (ExperimentTarget, error) { return experim
 func Sweep(t ExperimentTarget, scale Scale, opts MultiOpts) (TableCI, error) {
 	return experiments.Sweep(t, scale, opts)
 }
-
-// DeriveSeeds returns n independent, reproducible seeds derived from base
-// with SplitMix64 — use it instead of base+i arithmetic whenever seeding
-// separate runs.
-func DeriveSeeds(base int64, n int) []int64 { return trace.DeriveSeeds(base, n) }
 
 // MultiTandemResult aggregates one tandem configuration across seeds.
 type MultiTandemResult = experiments.MultiTandemResult
@@ -400,16 +310,6 @@ type MeasureReport = measure.Report
 // sampled collection bytes.
 type MeasureOverhead = measure.Overhead
 
-// MeasureTruth is the harness-owned ground-truth table estimators are
-// scored against.
-type MeasureTruth = measure.Truth
-
-// MeasureDispatch is the shared per-packet tap fan-out.
-type MeasureDispatch = measure.Dispatch
-
-// EstimatorComparison is one row of the estimator comparison table.
-type EstimatorComparison = measure.Comparison
-
 // EstimatorNames returns the registered estimator names, "rli" first.
 func EstimatorNames() []string { return measure.Names() }
 
@@ -427,22 +327,22 @@ func NewEstimator(name string, cfg MeasureConfig) (MeasureEstimator, error) {
 }
 
 // NewMeasureTruth returns an empty ground-truth table.
-func NewMeasureTruth() *MeasureTruth { return measure.NewTruth() }
+func NewMeasureTruth() *measure.Truth { return measure.NewTruth() }
 
 // NewMeasureDispatch builds the shared tap for a measured segment.
-func NewMeasureDispatch(truth *MeasureTruth, ests ...MeasureEstimator) *MeasureDispatch {
+func NewMeasureDispatch(truth *measure.Truth, ests ...MeasureEstimator) *measure.Dispatch {
 	return measure.NewDispatch(truth, ests...)
 }
 
 // CompareEstimators scores reports against truth, one comparison row per
 // report.
-func CompareEstimators(truth *MeasureTruth, reports ...MeasureReport) []EstimatorComparison {
+func CompareEstimators(truth *measure.Truth, reports ...MeasureReport) []measure.Comparison {
 	return measure.Compare(truth, reports...)
 }
 
 // ReportFromFlowResults builds an RLI-shaped report from per-flow receiver
 // results — for harnesses that own their receiver wiring (RunTandem).
-func ReportFromFlowResults(name, router string, results []FlowResult, overhead MeasureOverhead) MeasureReport {
+func ReportFromFlowResults(name, router string, results []core.FlowResult, overhead MeasureOverhead) MeasureReport {
 	return measure.ReportFromFlowResults(name, router, results, overhead)
 }
 
@@ -451,7 +351,7 @@ func ReportFromFlowResults(name, router string, results []FlowResult, overhead M
 const DefaultRefSize = core.DefaultRefSize
 
 // RenderEstimatorComparison formats the comparison table.
-func RenderEstimatorComparison(rows []EstimatorComparison) string {
+func RenderEstimatorComparison(rows []measure.Comparison) string {
 	return measure.RenderComparisons(rows)
 }
 
@@ -462,9 +362,6 @@ func RenderEstimatorComparison(rows []EstimatorComparison) string {
 // substrate by one engine, plus an invariant check that makes the registry
 // a correctness harness. cmd/scenario is the CLI front-end; the CI
 // scenario-matrix job runs every registered scenario.
-
-// Scenario is one registered named scenario.
-type Scenario = scenario.Scenario
 
 // ScenarioSpec is the declarative scenario description.
 type ScenarioSpec = scenario.Spec
@@ -478,28 +375,17 @@ type ScenarioResult = scenario.Result
 // before scoring.
 type ScenarioTelemetrySpec = scenario.TelemetrySpec
 
-// ScenarioTelemetryReport is a run's estimator accuracy under telemetry
-// loss: one lossless-vs-degraded row per mechanism (ScenarioResult.Telemetry).
-type ScenarioTelemetryReport = scenario.TelemetryReport
-
-// ScenarioTelemetryRow is one estimator's lossless-vs-degraded comparison
-// under telemetry loss.
-type ScenarioTelemetryRow = scenario.TelemetryRow
-
 // ScenarioMultiOpts sizes a multi-seed scenario sweep; it is MultiOpts.
 type ScenarioMultiOpts = MultiOpts
 
-// ScenarioMultiResult aggregates one scenario across seeds.
-type ScenarioMultiResult = scenario.MultiResult
-
 // Scenarios returns every registered scenario in name order.
-func Scenarios() []Scenario { return scenario.All() }
+func Scenarios() []scenario.Scenario { return scenario.All() }
 
 // ScenarioNames returns the registered scenario names, sorted.
 func ScenarioNames() []string { return scenario.Names() }
 
 // ScenarioByName returns one registered scenario.
-func ScenarioByName(name string) (Scenario, bool) { return scenario.Get(name) }
+func ScenarioByName(name string) (scenario.Scenario, bool) { return scenario.Get(name) }
 
 // ScenarioEngineSequential and ScenarioEngineParallel are the valid
 // ScenarioSpec.Engine values: the single-heap event engine versus the
@@ -519,14 +405,9 @@ func DecodeScenarioSpec(data []byte) (ScenarioSpec, error) { return scenario.Dec
 // RunScenario executes one scenario spec at its spec seed.
 func RunScenario(spec ScenarioSpec) (*ScenarioResult, error) { return scenario.Run(spec) }
 
-// RunScenarioSeed executes one scenario spec at an explicit seed.
-func RunScenarioSeed(spec ScenarioSpec, seed int64) (*ScenarioResult, error) {
-	return scenario.RunSeed(spec, seed)
-}
-
 // RunScenarioMulti sweeps one scenario spec across derived seeds in
 // parallel.
-func RunScenarioMulti(spec ScenarioSpec, opts ScenarioMultiOpts) (*ScenarioMultiResult, error) {
+func RunScenarioMulti(spec ScenarioSpec, opts ScenarioMultiOpts) (*scenario.MultiResult, error) {
 	return scenario.RunMulti(spec, opts)
 }
 
@@ -539,26 +420,6 @@ func RunScenarioMulti(spec ScenarioSpec, opts ScenarioMultiOpts) (*ScenarioMulti
 // replication across distinct ECMP paths. The registered scenarios
 // adversarial-delay, trace-replay and repflow exercise them under CI.
 
-// ScenarioAdversarySpec puts a delay-gaming compromised switch into a run
-// (ScenarioSpec.Adversary): it adds Extra hidden delay to every regular
-// packet in [Start, End) except reference packets and packets a 1-in-
-// PredictRate periodic sampler would measure. Estimators keyed on a secret
-// the switch cannot see still expose the delay; predictable ones are blinded.
-type ScenarioAdversarySpec = scenario.AdversarySpec
-
-// ScenarioDetectionThreshold is the exposure fraction at which an estimator
-// counts as having detected hidden adversarial delay.
-const ScenarioDetectionThreshold = scenario.DetectionThreshold
-
-// ScenarioDetectionReport scores every estimator on detecting the hidden
-// delay — a paired clean run at the same seed provides the baseline
-// (ScenarioResult.Detection).
-type ScenarioDetectionReport = scenario.DetectionReport
-
-// ScenarioDetectionRow is one estimator's clean-vs-adversarial aggregate
-// shift and detection verdict.
-type ScenarioDetectionRow = scenario.DetectionRow
-
 // ScenarioLinkTraceSpec replays a recorded per-link delay/loss time series
 // on one core down-link (ScenarioSpec.LinkTrace).
 type ScenarioLinkTraceSpec = scenario.LinkTraceSpec
@@ -566,54 +427,18 @@ type ScenarioLinkTraceSpec = scenario.LinkTraceSpec
 // ScenarioLinkTraceSampleSpec is one inline link-trace row in spec form.
 type ScenarioLinkTraceSampleSpec = scenario.LinkTraceSampleSpec
 
-// ScenarioLinkTraceReport summarizes a replayed link trace's effect on the
-// run (ScenarioResult.LinkTrace).
-type ScenarioLinkTraceReport = scenario.LinkTraceReport
-
-// ScenarioRepFlowReport is the flow-replication outcome: per-pair primary
-// vs replica vs first-arrival delay (ScenarioResult.RepFlow).
-type ScenarioRepFlowReport = scenario.RepFlowReport
-
-// LinkTrace is a parsed per-link delay/loss time series: a step function
-// over offsets from trace start, replayed deterministically by the
-// simulator. The zero value is the identity emulator.
-type LinkTrace = trace.LinkTrace
-
-// LinkSample is one link-trace row: extra delay and drop probability in
-// effect from offset At until the next row.
-type LinkSample = trace.LinkSample
-
 // LinkTraceConfig parameterizes synthetic link-trace generation
 // (cmd/tracegen -emit link).
 type LinkTraceConfig = trace.LinkTraceConfig
 
-// LinkTraceVersion is the link-trace file format version ParseLinkTrace
-// accepts.
-const LinkTraceVersion = trace.LinkTraceVersion
-
 // ParseLinkTrace parses a link trace in either tracegen-producible encoding
 // (JSON sniffed by its leading '{', CSV otherwise). Malformed input is an
 // error naming the offending row — never a panic.
-func ParseLinkTrace(data []byte) (*LinkTrace, error) { return trace.ParseLinkTrace(data) }
-
-// NewLinkTrace builds a link trace from in-memory rows with the same
-// validation as the file parser.
-func NewLinkTrace(samples []LinkSample) (*LinkTrace, error) { return trace.NewLinkTrace(samples) }
+func ParseLinkTrace(data []byte) (*trace.LinkTrace, error) { return trace.ParseLinkTrace(data) }
 
 // GenLinkTrace synthesizes a deterministic link trace from the config — the
 // stand-in for a recorded link time series.
-func GenLinkTrace(c LinkTraceConfig) (*LinkTrace, error) { return trace.GenLinkTrace(c) }
-
-// ShouldSample is the secret-key sampling decision: whether the holder of
-// key measures packet id at a 1-in-rate target. It is uniform over the ID
-// space and unpredictable without the key — the property that defeats the
-// delay-gaming switch (the hash-sample estimator is its registry form).
-func ShouldSample(key, id, rate uint64) bool { return measure.ShouldSample(key, id, rate) }
-
-// PredictPeriodic is the adversary's oracle against the periodic baseline:
-// it reproduces the 1-in-rate periodic sampler's decision from the packet
-// header alone, which is exactly why that baseline is gameable.
-func PredictPeriodic(id uint64, rate int) bool { return measure.PredictPeriodic(id, rate) }
+func GenLinkTrace(c LinkTraceConfig) (*trace.LinkTrace, error) { return trace.GenLinkTrace(c) }
 
 // ---- Measurement service (internal/service, cmd/rlird) ----
 //
@@ -633,14 +458,6 @@ type MeasurementService = service.Server
 // ServiceClient is an exporter-side connection streaming wire frames into a
 // service.
 type ServiceClient = service.Client
-
-// FlowTableRow is one /flows row of the service's HTTP API.
-type FlowTableRow = service.FlowJSON
-
-// RollupTable is the service's /rollup response: the flow-class and
-// router aggregation tiers below the live flow table, plus the eviction
-// and expiry accounting that filled them (memory-bounded mode).
-type RollupTable = service.RollupJSON
 
 // NewMeasurementService starts a service (listeners, collector shards,
 // query API). Stop it with Shutdown.
@@ -665,18 +482,10 @@ func NewServiceClient(conn net.Conn, batch int) *ServiceClient {
 // (sliding-window) framing with a seeded loss model for soaks.
 type ServiceDialOptions = service.DialOptions
 
-// TransportConfig tunes a reliable export connection: window size, segment
-// payload bound, retransmit timeout and backoff, retry budget.
-type TransportConfig = swp.Config
-
 // TransportImpairment is a seeded loss model (drop/duplicate/reorder/delay
 // probabilities) applied to a reliable connection's outbound segments —
 // cmd/loadgen's -loss soak.
 type TransportImpairment = swp.ImpairConfig
-
-// TransportSenderStats counts a reliable sender's first transmissions,
-// retransmits, timeouts and acks.
-type TransportSenderStats = swp.SenderStats
 
 // DialServiceWith connects a client to a service ingest listener per o,
 // retrying failed dials with exponential backoff before giving up.
@@ -687,12 +496,6 @@ func DialServiceWith(o ServiceDialOptions) (*ServiceClient, error) {
 // CollectorSample is one exported per-packet latency estimate (the wire
 // unit RLI receivers stream to the collection tier).
 type CollectorSample = collector.Sample
-
-// NetFlowRecord is one exported flow record.
-type NetFlowRecord = netflow.Record
-
-// FlowAggregate is one flow's merged collector state.
-type FlowAggregate = collector.FlowAgg
 
 // ScenarioTrace is a captured scenario export stream: the replay unit of
 // cmd/loadgen and the service equivalence tests.
@@ -706,76 +509,41 @@ func ExportScenarioTrace(spec ScenarioSpec, seed int64) (*ScenarioTrace, error) 
 
 // CompareStreamedFlows scores a collector flow table against the ground
 // truth it carries in-band — the streaming counterpart of CompareEstimators.
-func CompareStreamedFlows(name string, aggs []FlowAggregate) EstimatorComparison {
+func CompareStreamedFlows(name string, aggs []collector.FlowAgg) measure.Comparison {
 	return measure.CompareFlowAggs(name, aggs)
 }
 
-// Pacer is a wall-clock token bucket for replaying traffic at a target
-// rate.
-type Pacer = runner.Pacer
-
 // NewPacer creates a pacer admitting rate units/second (rate <= 0 returns
 // the nil, unlimited pacer).
-func NewPacer(rate float64) *Pacer { return runner.NewPacer(rate) }
+func NewPacer(rate float64) *runner.Pacer { return runner.NewPacer(rate) }
 
 // ---- Distributed collection tier (internal/fleet, cmd/rlirfleet) ----
 //
 // A fleet is N rlird instances behind one scatter-gather query front-end.
-// Exporters shard their stream with FleetRouter — every flow's traffic
-// lands wholly on one instance (consistent flow-key hashing), so merging
-// the instances' raw snapshots reproduces the single-node flow table
-// bit-for-bit. FleetFrontend serves the same HTTP query API as a single
-// rlird, answered for the whole fleet, degrading gracefully when
-// instances drop out.
+// Exporters shard their stream with a router (NewFleetRouter) — every
+// flow's traffic lands wholly on one instance (consistent flow-key
+// hashing), so merging the instances' raw snapshots reproduces the
+// single-node flow table bit-for-bit. The front-end (NewFleetFrontend)
+// serves the same HTTP query API as a single rlird, answered for the whole
+// fleet, degrading gracefully when instances drop out.
 
-// FleetRouter shards an export stream across N rlird endpoints by flow
-// key, with per-endpoint connection pools, reconnect-with-backoff and
-// delivery counters.
-type FleetRouter = fleet.Router
-
-// FleetRouterConfig configures a FleetRouter: endpoints, connections per
+// FleetRouterConfig configures NewFleetRouter: endpoints, connections per
 // endpoint, batch/queue bounds and the redial budget.
 type FleetRouterConfig = fleet.Config
-
-// FleetEndpointStats is one endpoint's delivery counters.
-type FleetEndpointStats = fleet.EndpointStats
 
 // FleetSink is one wire connection the router shards onto (ServiceClient
 // implements it).
 type FleetSink = fleet.Sink
 
-// FleetDialFunc opens the router's connections; wrap DialServiceWith to
-// choose raw or reliable framing.
-type FleetDialFunc = fleet.DialFunc
-
-// FleetFrontend scatter-gathers a fleet's query API with exact merging.
-type FleetFrontend = fleet.Frontend
-
-// FleetFrontendConfig configures a FleetFrontend: instance base URLs and
+// FleetFrontendConfig configures NewFleetFrontend: instance base URLs and
 // the fan-out timeout.
 type FleetFrontendConfig = fleet.FrontendConfig
 
 // FleetHealth is the front-end's aggregate /healthz response.
 type FleetHealth = fleet.HealthJSON
 
-// FleetInstanceHealth is one instance's row in the fleet health report.
-type FleetInstanceHealth = fleet.InstanceHealth
-
-// ScenarioFleetSpec partitions a scenario's collected stream across an
-// in-process fleet (ScenarioSpec.Fleet), optionally killing one instance.
-type ScenarioFleetSpec = scenario.FleetSpec
-
-// ScenarioFleetReport is a run's distributed-collection outcome: the
-// exact-merge proof plus per-estimator accuracy under instance loss
-// (ScenarioResult.FleetReport).
-type ScenarioFleetReport = scenario.FleetReport
-
-// ScenarioFleetRow is one estimator scored before and after an instance
-// loss.
-type ScenarioFleetRow = scenario.FleetEstimatorRow
-
 // FleetPartition returns which of n instances owns a flow — the consistent
-// assignment FleetRouter, the scenario fleet layer and cmd/loadgen share.
+// assignment the fleet router, the scenario fleet layer and cmd/loadgen share.
 func FleetPartition(key FlowKey, n int) int { return fleet.Partition(key, n) }
 
 // FleetSinkIndex maps a flow onto the (endpoint, connection) grid; with one
@@ -786,11 +554,11 @@ func FleetSinkIndex(key FlowKey, endpoints, connsPerEndpoint int) (endpoint, con
 
 // NewFleetRouter validates the config, dials the whole connection grid
 // eagerly and starts the per-connection senders.
-func NewFleetRouter(cfg FleetRouterConfig) (*FleetRouter, error) { return fleet.NewRouter(cfg) }
+func NewFleetRouter(cfg FleetRouterConfig) (*fleet.Router, error) { return fleet.NewRouter(cfg) }
 
 // NewFleetFrontend validates the instance URLs and builds the
 // scatter-gather front-end (serve its Handler over HTTP).
-func NewFleetFrontend(cfg FleetFrontendConfig) (*FleetFrontend, error) {
+func NewFleetFrontend(cfg FleetFrontendConfig) (*fleet.Frontend, error) {
 	return fleet.NewFrontend(cfg)
 }
 

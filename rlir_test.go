@@ -21,9 +21,6 @@ func TestPublicAPITandem(t *testing.T) {
 	if res.Summary.Flows == 0 {
 		t.Fatal("no flows measured through public API")
 	}
-	if got := rlir.Summarize(res.Results); got.Flows != res.Summary.Flows {
-		t.Fatal("Summarize disagrees with embedded summary")
-	}
 	cdf := rlir.MeanErrCDF(res.Results)
 	if cdf.N() != res.Summary.Flows {
 		t.Fatal("CDF size mismatch")
@@ -40,12 +37,8 @@ func TestPublicAPIParsers(t *testing.T) {
 	if _, err := rlir.ParseAddr("nope"); err == nil {
 		t.Fatal("expected error")
 	}
-	p, err := rlir.ParsePrefix("10.0.0.0/8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.Contains(rlir.MustParseAddr("10.9.9.9")) {
-		t.Fatal("prefix broken through facade")
+	if a, _ := rlir.ParseAddr("10.9.9.9"); a != rlir.MustParseAddr("10.9.9.9") {
+		t.Fatal("ParseAddr and MustParseAddr disagree")
 	}
 }
 
