@@ -215,20 +215,11 @@ func benchmarkRunnerSweep(b *testing.B, workers int) {
 func BenchmarkRunnerSweep1(b *testing.B) { benchmarkRunnerSweep(b, 1) }
 func BenchmarkRunnerSweep4(b *testing.B) { benchmarkRunnerSweep(b, 4) }
 
-// benchmarkScenarioEngine pushes the default fat-tree scenario (converging
-// workload, K=4) end to end through the selected event engine. Sequential vs
-// Parallel2/Parallel4 gives the conservative parallel engine's speedup ratio
-// (CI's parallel-sim job prints it; the pipeline benchmark's
-// eventsim.par2_ratio is the same quantity on its own workload). The
-// engines produce bit-identical Results (internal/scenario
-// TestParallelBitIdenticalRegistry), so the ratio measures pure engine
-// scaling; on a single-core box it degrades to ~1x or below (window-barrier
-// overhead with no parallelism to pay for it).
-func benchmarkScenarioEngine(b *testing.B, engine string, partitions int) {
+// BenchmarkScenarioFatTree pushes the default fat-tree scenario (converging
+// workload, K=4, 60 ms) end to end through the scenario engine.
+func BenchmarkScenarioFatTree(b *testing.B) {
 	spec := scenario.DefaultSpec()
 	spec.Duration = 60 * time.Millisecond
-	spec.Engine = engine
-	spec.Partitions = partitions
 	if err := spec.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -243,12 +234,6 @@ func benchmarkScenarioEngine(b *testing.B, engine string, partitions int) {
 	}
 	b.ReportMetric(float64(injected)/b.Elapsed().Seconds(), "pkts/s")
 }
-
-func BenchmarkScenarioSequential(b *testing.B) {
-	benchmarkScenarioEngine(b, scenario.EngineSequential, 0)
-}
-func BenchmarkScenarioParallel2(b *testing.B) { benchmarkScenarioEngine(b, scenario.EngineParallel, 2) }
-func BenchmarkScenarioParallel4(b *testing.B) { benchmarkScenarioEngine(b, scenario.EngineParallel, 4) }
 
 // BenchmarkSimulatorThroughput measures raw simulator speed: packets pushed
 // through the instrumented tandem per second of wall clock — the

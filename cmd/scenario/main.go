@@ -14,8 +14,6 @@
 //	scenario -run incast -estimators rli,lda   # override the comparison set
 //	scenario -run telemetry-loss -telemetry-loss 0.2  # override the export loss rate
 //	scenario -run trace-replay -link-trace link.json  # replay a recorded link trace file
-//	scenario -run incast -engine parallel          # conservative parallel engine
-//	scenario -run incast -engine parallel -partitions 2
 //	scenario -describe incast      # print the spec as JSON
 //	scenario -spec my.json -seed 7 # run an ad-hoc spec file
 package main
@@ -54,8 +52,6 @@ type options struct {
 	estimators    []string
 	telemetryLoss float64
 	linkTrace     string
-	engine        string
-	partitions    int
 }
 
 // parseArgs parses the command line into options, validating the
@@ -78,8 +74,6 @@ func parseArgs(args []string) (options, error) {
 	ests := fs.String("estimators", "", "comma-separated estimator set for -run/-spec (rli is always included; empty keeps the spec's)")
 	fs.Float64Var(&o.telemetryLoss, "telemetry-loss", -1, "override (or enable) the spec's telemetry export loss rate in [0, 1) for -run/-spec (-1 keeps the spec's)")
 	fs.StringVar(&o.linkTrace, "link-trace", "", "replay a recorded link trace file (JSON or CSV, see cmd/tracegen -emit link) on a core down-link for -run/-spec (replaces the spec's inline rows)")
-	fs.StringVar(&o.engine, "engine", "", "event engine for -run/-spec: sequential | parallel (empty keeps the spec's)")
-	fs.IntVar(&o.partitions, "partitions", 0, "LP count for -engine parallel (0 = one per pod + core partition)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -112,21 +106,6 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.linkTrace != "" && o.runName == "" && o.specFile == "" {
 		return o, fmt.Errorf("-link-trace applies to -run/-spec")
-	}
-	switch o.engine {
-	case "", rlir.ScenarioEngineSequential, rlir.ScenarioEngineParallel:
-	default:
-		return o, fmt.Errorf("unknown -engine %q (valid: %s, %s)", o.engine,
-			rlir.ScenarioEngineSequential, rlir.ScenarioEngineParallel)
-	}
-	if o.engine != "" && o.runName == "" && o.specFile == "" {
-		return o, fmt.Errorf("-engine applies to -run/-spec")
-	}
-	if o.partitions != 0 && o.engine != rlir.ScenarioEngineParallel {
-		return o, fmt.Errorf("-partitions needs -engine parallel")
-	}
-	if o.partitions < 0 {
-		return o, fmt.Errorf("-partitions %d < 0", o.partitions)
 	}
 	if *ests != "" {
 		if o.runName == "" && o.specFile == "" {
@@ -218,13 +197,6 @@ func listEstimators(o options, out io.Writer) error {
 func execute(o options, spec rlir.ScenarioSpec, check func(*rlir.ScenarioResult) error, out io.Writer) error {
 	if o.haveSeed {
 		spec.Seed = o.seed
-	}
-	if o.engine != "" {
-		spec.Engine = o.engine
-		spec.Partitions = o.partitions
-		if err := spec.Validate(); err != nil {
-			return err
-		}
 	}
 	if len(o.estimators) > 0 {
 		spec.Deploy.Estimators = o.estimators

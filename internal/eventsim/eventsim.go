@@ -13,9 +13,8 @@
 // counts that cause's schedule calls. For events at the same instant the
 // lexicographic (ord, k) order equals call order — a cause that executed
 // earlier made all its schedule calls earlier — so the total order is
-// unchanged, but unlike a global counter it can be reconstructed per
-// partition by the conservative parallel engine (parallel.go), which is what
-// makes parallel runs bit-identical to sequential ones.
+// unchanged. The pair is what the queue's two-tier rule below is written
+// on: "scheduled by setup" is ord == 0, read off the event itself.
 //
 // The engine offers two scheduling APIs:
 //
@@ -50,10 +49,9 @@
 //
 // An Engine is single-goroutine: network simulation at packet granularity is
 // dominated by the event heap and cache behaviour, and a single timeline
-// avoids cross-goroutine nondeterminism. Multi-core scale-out is layered on
-// top: Parallel (parallel.go) runs one Engine per logical process under a
-// conservative window synchronization protocol that preserves the exact
-// sequential event order.
+// avoids cross-goroutine nondeterminism. Multi-core scale-out is across
+// independent runs (internal/runner); DESIGN.md "One event engine" records
+// why there is no multi-lane engine.
 package eventsim
 
 import (
@@ -79,15 +77,6 @@ type TypedHandler func(a, b any)
 // kindFunc is the built-in kind backing the At/After closure API: payload
 // word a holds the Handler.
 const kindFunc Kind = 0
-
-// flagLocal marks an ord value as a lane-local execution index that has not
-// yet been resolved to a global one. Sequential engines never set it; in a
-// Parallel lane every in-window cause carries it until the next barrier
-// resolves the cause's global index. The flag occupies the top bit, so an
-// unresolved ord compares after every resolved one — which is also the
-// correct event order, because unresolved causes executed in the current
-// window and resolved ones executed before it.
-const flagLocal = uint64(1) << 63
 
 // event is one heap slot. The payload words a and b are carried by value:
 // popping an event never allocates, and dispatch goes through the engine's
@@ -126,16 +115,6 @@ type Engine struct {
 	kinds     []TypedHandler
 	processed uint64
 	stopped   bool
-
-	// Parallel-lane state; nil/zero on a sequential engine.
-	par       *Parallel
-	laneID    int
-	extK      *uint32      // shared setup counter during Parallel setup
-	deferPast simtime.Time // while a window runs: schedules at/after this go to side
-	side      []event      // events scheduled past the current window
-	recs      []execRec    // events executed in the current window, in order
-	effs      []effectRec  // effects emitted in the current window, in order
-	outbox    [][]xmsg     // cross-lane messages by destination lane
 }
 
 // New returns an engine with its clock at the simulation epoch.
@@ -205,17 +184,8 @@ func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 	if t < e.now {
 		panic("eventsim: scheduling event in the past (" + t.String() + " < " + e.now.String() + ")")
 	}
-	var k uint32
-	if e.extK != nil {
-		// Parallel setup: one counter shared across lanes keeps the global
-		// setup call order, exactly like a single engine's would.
-		k = *e.extK
-		*e.extK = k + 1
-	} else {
-		k = e.k
-		e.k++
-	}
-	ev := event{at: t, ord: e.ord, kind: kind, k: k, a: a, b: b}
+	ev := event{at: t, ord: e.ord, kind: kind, k: e.k, a: a, b: b}
+	e.k++
 	if e.ord == 0 {
 		// Setup: nothing has executed, so nothing has been consumed either.
 		// Every backlog event has ord 0 and a smaller k than this one, so
@@ -225,13 +195,6 @@ func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 		}
 		e.backlog = append(e.backlog, ev)
 		e.setup++
-		return
-	}
-	if e.deferPast != 0 && t >= e.deferPast {
-		// Parallel window: the event belongs to a later window. Its cause's
-		// global index is unknown until the barrier, so park it; the barrier
-		// resolves ord and pushes it.
-		e.side = append(e.side, ev)
 		return
 	}
 	e.push(ev)
@@ -321,10 +284,10 @@ func (e *Engine) peek() *event {
 
 // exec runs the next event if there is one and it is due at or before limit,
 // and reports whether it did. It is the one place an event leaves the queue:
-// Run, RunUntil, Step and a Parallel lane's window all loop over it. The
-// event is copied out of its slot before the slot goes — the heap's root by
-// pop, a backlog slot by zeroing it, like pop zeroes the tail, so payload
-// pointers do not outlive their event; the drained backlog is released whole.
+// Run, RunUntil and Step all loop over it. The event is copied out of its
+// slot before the slot goes — the heap's root by pop, a backlog slot by
+// zeroing it, like pop zeroes the tail, so payload pointers do not outlive
+// their event; the drained backlog is released whole.
 func (e *Engine) exec(limit simtime.Time) bool {
 	p := e.peek()
 	if p == nil || p.at > limit {
@@ -343,12 +306,6 @@ func (e *Engine) exec(limit simtime.Time) bool {
 	e.now = ev.at
 	e.processed++
 	e.ord = e.processed
-	if e.deferPast != 0 {
-		// Parallel window: the global index is unknown until the barrier, so
-		// stamp the lane-local one and record the key for the barrier merge.
-		e.ord |= flagLocal
-		e.recs = append(e.recs, execRec{at: ev.at, ord: ev.ord, k: ev.k})
-	}
 	e.k = 0
 	e.kinds[ev.kind](ev.a, ev.b)
 	return true

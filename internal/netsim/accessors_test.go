@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -92,16 +93,41 @@ func TestNodeNetworkAccessor(t *testing.T) {
 	}
 }
 
+// TestNewPacketIDUnique pins the two ID spaces: the network's counter is
+// dense in call order, and the IDs a node mints are a function of that node's
+// own count alone — whatever other nodes and the network counter did in
+// between — and never collide with the dense ones or with another node's.
 func TestNewPacketIDUnique(t *testing.T) {
-	eng := eventsim.New()
-	nw := New(eng)
-	seen := map[uint64]bool{}
-	for i := 0; i < 1000; i++ {
-		id := nw.NewPacketID()
-		if seen[id] {
-			t.Fatalf("duplicate packet ID %d", id)
+	mint := func(interleave bool) (dense, a, b []uint64) {
+		nw := New(eventsim.New())
+		na, nb := nw.AddNode(NodeConfig{}), nw.AddNode(NodeConfig{})
+		for i := 0; i < 1000; i++ {
+			dense = append(dense, nw.NewPacketID())
+			a = append(a, na.NewPacketID())
+			if interleave {
+				b = append(b, nb.NewPacketID())
+			}
 		}
-		seen[id] = true
+		return dense, a, b
+	}
+	dense, a, b := mint(true)
+	_, alone, _ := mint(false)
+	if !reflect.DeepEqual(a, alone) {
+		t.Fatal("a node's IDs changed with what another node minted in between")
+	}
+	seen := map[uint64]bool{}
+	for i, ids := range [][]uint64{dense, a, b} {
+		for _, id := range ids {
+			if seen[id] {
+				t.Fatalf("duplicate packet ID %#x (space %d)", id, i)
+			}
+			seen[id] = true
+		}
+	}
+	for i, id := range dense {
+		if id != uint64(i)+1 {
+			t.Fatalf("network ID %d is %d, want the dense counter", i, id)
+		}
 	}
 }
 

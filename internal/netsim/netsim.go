@@ -25,26 +25,23 @@ type ForwardFunc func(n *Node, p *packet.Packet) int
 
 // DelayFunc returns an extra per-packet delay a node adds on top of its
 // configured processing delay. It must be a pure function of the packet and
-// the instant (no retained state mutation ordered across lanes), which keeps
-// a partitioned run deterministic: the node evaluates it on its own lane.
-// Scenario fault injection uses it for the compromised-switch mode — a
-// router that games measurement by delaying only the packets it predicts
-// won't be sampled.
+// the instant, so what a node does to a packet never depends on which other
+// packets it saw first. Scenario fault injection uses it for the
+// compromised-switch mode — a router that games measurement by delaying only
+// the packets it predicts won't be sampled.
 type DelayFunc func(p *packet.Packet, now simtime.Time) time.Duration
 
 // EmulateFunc drives one link from recorded behaviour: for a packet about to
 // propagate it returns extra one-way delay to add on top of the configured
 // propagation, and whether the link drops the packet outright. Like
-// DelayFunc it must be pure per (packet, instant) so partitioned runs stay
-// deterministic. Trace-driven link emulation (internal/trace.LinkTrace)
-// plugs in here.
+// DelayFunc it must be pure per (packet, instant). Trace-driven link
+// emulation (internal/trace.LinkTrace) plugs in here.
 type EmulateFunc func(p *packet.Packet, now simtime.Time) (extra time.Duration, drop bool)
 
 // Network is a collection of nodes, ports and links sharing one event
 // engine. Create with New.
 type Network struct {
 	eng        *eventsim.Engine
-	par        *eventsim.Parallel // nil on a sequential network
 	nodes      []*Node
 	tracePaths bool
 	nextPktID  uint64
@@ -68,64 +65,17 @@ func New(eng *eventsim.Engine) *Network {
 	return nw
 }
 
-// NewParallel returns an empty network on a conservative parallel engine.
-// Nodes default to lane 0; place them with Assign before scheduling starts.
-// Any link whose endpoints end up on different lanes becomes a cross-lane
-// handoff and must have propagation >= the lookahead passed to Parallel.Run
-// (MinCrossPropagation reports the largest legal value).
-func NewParallel(p *eventsim.Parallel) *Network {
-	nw := &Network{eng: p.Lane(0), par: p}
-	nw.kReceive = p.RegisterKind(func(a, b any) { a.(*Node).receive(b.(*packet.Packet)) })
-	nw.kDispatch = p.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
-	nw.kTxDone = p.RegisterKind(func(a, b any) { a.(*Port).txDone(b.(*packet.Packet)) })
-	return nw
-}
-
-// Engine returns the event engine the network runs on (lane 0 when the
-// network is partitioned).
+// Engine returns the event engine the network runs on.
 func (nw *Network) Engine() *eventsim.Engine { return nw.eng }
-
-// Parallel returns the parallel engine, or nil on a sequential network.
-func (nw *Network) Parallel() *eventsim.Parallel { return nw.par }
-
-// Assign places n on the given lane of the parallel engine. It panics on a
-// sequential network and must happen before any event involving n is
-// scheduled.
-func (nw *Network) Assign(n *Node, lane int) {
-	if nw.par == nil {
-		panic("netsim: Assign on a sequential network")
-	}
-	n.eng = nw.par.Lane(lane)
-}
-
-// MinCrossPropagation returns the smallest propagation delay among links
-// whose endpoints sit on different lanes, and whether any such link exists.
-// It is the largest lookahead the partitioning supports: a cross-lane
-// message travels at least this far into the future, so windows of this
-// width can run lanes independently without violating timestamp order.
-func (nw *Network) MinCrossPropagation() (time.Duration, bool) {
-	var min time.Duration
-	found := false
-	for _, n := range nw.nodes {
-		for _, pt := range n.ports {
-			if pt.dst.eng == n.eng {
-				continue
-			}
-			if !found || pt.cfg.Propagation < min {
-				min = pt.cfg.Propagation
-				found = true
-			}
-		}
-	}
-	return min, found
-}
 
 // SetTracePaths enables ground-truth path recording: every node appends its
 // ID to Packet.Hops on ingress. Used by validation tests and the oracle
 // demultiplexer only.
 func (nw *Network) SetTracePaths(on bool) { nw.tracePaths = on }
 
-// NewPacketID returns a fresh unique packet ID.
+// NewPacketID returns the next ID of the network-wide dense counter: 1, 2, …
+// in call order. Workloads stamp injected packets from it; packets a node
+// originates mid-run use Node.NewPacketID.
 func (nw *Network) NewPacketID() uint64 {
 	nw.nextPktID++
 	return nw.nextPktID
@@ -145,7 +95,6 @@ type NodeConfig struct {
 func (nw *Network) AddNode(cfg NodeConfig) *Node {
 	n := &Node{
 		net:  nw,
-		eng:  nw.eng,
 		id:   NodeID(len(nw.nodes)),
 		name: cfg.Name,
 		proc: cfg.ProcDelay,
@@ -169,10 +118,9 @@ func (nw *Network) Node(id NodeID) *Node {
 func (nw *Network) Nodes() int { return len(nw.nodes) }
 
 // Inject schedules p to arrive at node n's ingress at instant at. It is how
-// workloads enter the network. On a partitioned network the event lands on
-// n's lane.
+// workloads enter the network.
 func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
-	n.eng.AtKind(at, nw.kReceive, n, p)
+	nw.eng.AtKind(at, nw.kReceive, n, p)
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding
@@ -206,14 +154,13 @@ func (nw *Network) Connect(from, to *Node, cfg LinkConfig) *Port {
 // Node is a switch, router or host.
 type Node struct {
 	net     *Network
-	eng     *eventsim.Engine // the lane this node's events run on
 	id      NodeID
 	name    string
 	proc    time.Duration
 	extra   DelayFunc
 	ports   []*Port
 	forward ForwardFunc
-	refID   uint64 // per-node packet ID counter (partitioned networks)
+	refID   uint64 // packets this node has originated (NewPacketID)
 
 	onReceive []TapFunc
 	onDeliver []TapFunc
@@ -229,23 +176,14 @@ func (n *Node) ID() NodeID { return n.id }
 // Network returns the network the node belongs to.
 func (n *Node) Network() *Network { return n.net }
 
-// Engine returns the lane engine this node's events run on. On a sequential
-// network it is the network's engine.
-func (n *Node) Engine() *eventsim.Engine { return n.eng }
-
-// NewPacketID returns a fresh packet ID unique across the network. On a
-// network built on a bare Engine (New) it is the network-wide dense counter
-// (the golden tandem fixtures pin those values). On a network built on a
-// Parallel — at any lane count, one included — each node draws from its own
-// ID space — node index in the high bits, a per-node counter below — because
-// instruments on different lanes mint IDs concurrently and the IDs must not
-// depend on how many lanes there are (the link emulator's keyed drop
-// decision reads them). Consumers never decode IDs; reference-packet demux
-// keys on (sender, timestamp).
+// NewPacketID returns a fresh ID for a packet this node originates (an RLI
+// sender's reference packets): the node index in the high bits, the node's
+// own count below. An ID therefore depends only on how many packets this
+// node has minted — not on what other nodes did first — and cannot collide
+// with the dense network-wide IDs injected workloads carry; the link
+// emulator's keyed drop decision reads it. Consumers never decode IDs;
+// reference-packet demux keys on (sender, timestamp).
 func (n *Node) NewPacketID() uint64 {
-	if n.net.par == nil {
-		return n.net.NewPacketID()
-	}
 	n.refID++
 	return uint64(n.id+1)<<40 | n.refID
 }
@@ -295,7 +233,7 @@ func (n *Node) Delivered() uint64 { return n.delivered }
 
 // receive handles packet ingress.
 func (n *Node) receive(p *packet.Packet) {
-	now := n.eng.Now()
+	now := n.net.eng.Now()
 	n.received++
 	if n.net.tracePaths {
 		p.RecordHop(int32(n.id))
@@ -312,7 +250,7 @@ func (n *Node) receive(p *packet.Packet) {
 		d += e
 	}
 	if d > 0 {
-		n.eng.AfterKind(d, n.net.kDispatch, n, p)
+		n.net.eng.AfterKind(d, n.net.kDispatch, n, p)
 		return
 	}
 	n.dispatch(p)
@@ -332,7 +270,7 @@ func (n *Node) dispatch(p *packet.Packet) {
 }
 
 func (n *Node) deliver(p *packet.Packet) {
-	now := n.eng.Now()
+	now := n.net.eng.Now()
 	n.delivered++
 	for _, t := range n.onDeliver {
 		t(p, now)
@@ -408,9 +346,8 @@ func (pt *Port) SetPropagation(d time.Duration) {
 
 // SetEmulator installs (or with nil removes) a link emulator evaluated when
 // a packet finishes transmission: extra delay is added on top of the
-// configured propagation (never subtracted, so a partitioned run's
-// cross-lane lookahead — derived from configured propagation — stays valid)
-// and drops discard the packet on the wire, counted in Counters().EmuDrops.
+// configured propagation (never subtracted) and drops discard the packet on
+// the wire, counted in Counters().EmuDrops.
 // A negative extra delay panics.
 func (pt *Port) SetEmulator(f EmulateFunc) { pt.emu = f }
 
@@ -440,7 +377,7 @@ func (pt *Port) Enqueue(p *packet.Packet) {
 	if pt.cfg.QueueBytes > 0 && pt.qBytes+p.Size > pt.cfg.QueueBytes {
 		pt.ctr.Drops++
 		pt.ctr.DropBytes += uint64(p.Size)
-		now := pt.node.eng.Now()
+		now := pt.node.net.eng.Now()
 		for _, t := range pt.onDrop {
 			t(p, now)
 		}
@@ -459,7 +396,7 @@ func (pt *Port) startTx() {
 	p := pt.queue.pop()
 	pt.qBytes -= p.Size
 	pt.busy = true
-	eng := pt.node.eng
+	eng := pt.node.net.eng
 	now := eng.Now()
 	for _, t := range pt.onTxStart {
 		t(p, now)
@@ -473,15 +410,12 @@ func (pt *Port) startTx() {
 // txDone handles wire transfer completion: hand off to propagation, then
 // serve the next queued packet. A busy port therefore has exactly one
 // pending event per in-flight packet — the tx-complete of the packet in
-// service — and re-arms itself from it. When the far end lives on another
-// lane the propagation hop becomes a cross-lane message; SendKind enforces
-// that the delay covers the lookahead.
+// service — and re-arms itself from it.
 func (pt *Port) txDone(p *packet.Packet) {
 	nw := pt.node.net
-	src, dst := pt.node.eng, pt.dst.eng
 	prop := pt.cfg.Propagation
 	if pt.emu != nil {
-		extra, drop := pt.emu(p, src.Now())
+		extra, drop := pt.emu(p, nw.eng.Now())
 		if drop {
 			pt.ctr.EmuDrops++
 			pt.rearm()
@@ -492,12 +426,9 @@ func (pt *Port) txDone(p *packet.Packet) {
 		}
 		prop += extra
 	}
-	switch {
-	case dst != src:
-		src.SendKind(dst, prop, nw.kReceive, pt.dst, p)
-	case prop > 0:
-		src.AfterKind(prop, nw.kReceive, pt.dst, p)
-	default:
+	if prop > 0 {
+		nw.eng.AfterKind(prop, nw.kReceive, pt.dst, p)
+	} else {
 		pt.dst.receive(p)
 	}
 	pt.rearm()

@@ -201,13 +201,13 @@ func TestComparisonTableRunToRunIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeEngine(want) // canonicalizes NaN so DeepEqual can compare
+	canon(want) // NaN is never DeepEqual to itself
 	for i := 0; i < 3; i++ {
 		got, err := RunSeed(spec, 6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		normalizeEngine(got)
+		canon(got)
 		if !reflect.DeepEqual(got.Comparison, want.Comparison) {
 			t.Fatalf("run %d: comparison table differs between identical runs:\n%+v\n%+v", i, got.Comparison, want.Comparison)
 		}

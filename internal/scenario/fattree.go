@@ -19,10 +19,7 @@ import (
 // This file is the one place a fat-tree RLIR deployment (paper §3.1,
 // Figure 1) is built, instrumented, loaded, run and harvested. A run is five
 // stages over one fatTreeRun: build -> instrument -> inject -> run ->
-// harvest. Every run — sequential or partitioned — is constructed on
-// eventsim.Parallel; the sequential engine is its one-lane case, and the
-// choice between the direct single-heap loop and the windowed protocol is
-// made inside eventsim from the lane count, never here.
+// harvest.
 
 // UpstreamSenderID identifies the sender at ToR(p,e) uplink j in a fat-tree
 // of half-arity h.
@@ -58,9 +55,8 @@ func (c *countingDemux) Classify(p *packet.Packet) (core.SenderID, bool) {
 
 func (c *countingDemux) Name() string { return "counting(" + c.inner.Name() + ")" }
 
-// misattribution aggregates the audit across per-receiver counting demuxes
-// (each monitored ToR gets its own instance so partitioned runs never share
-// counters across lanes; the sums are identical either way).
+// misattribution aggregates the audit across the per-receiver counting
+// demuxes.
 func misattribution(cs []*countingDemux) float64 {
 	var agree, total uint64
 	for _, c := range cs {
@@ -71,35 +67,6 @@ func misattribution(cs []*countingDemux) float64 {
 		return 0
 	}
 	return 1 - float64(agree)/float64(total)
-}
-
-// estSample is one OnEstimate observation on its way to the shared
-// measurement plane.
-type estSample struct {
-	key        packet.FlowKey
-	est, truth time.Duration
-}
-
-// estQueue carries one receiver's OnEstimate observations from its lane to
-// the effect apply by value: the receiver pushes and emits one effect per
-// sample, the effect handler pops. Effects of one lane apply in emission
-// order, so the pop always meets the sample its effect was emitted for, and
-// the buffer is reused once drained — no per-estimate allocation at any lane
-// count.
-type estQueue struct {
-	buf  []estSample
-	head int
-}
-
-func (q *estQueue) push(s estSample) { q.buf = append(q.buf, s) }
-
-func (q *estQueue) pop() estSample {
-	s := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return s
 }
 
 // routerRx pairs a receiver with its identity and tail accumulators.
@@ -120,7 +87,6 @@ type fatTreeRun struct {
 	seed int64
 
 	// build: the network under test.
-	pe *eventsim.Parallel
 	nw *netsim.Network
 	ft *topo.FatTree
 	// monitored lists the (pod, tor) pairs carrying downstream receivers;
@@ -140,9 +106,8 @@ type fatTreeRun struct {
 	plane     *plane
 
 	// inject: the offered workload. Replicated workloads record each copy's
-	// edge arrival by packet ID: repWanted is filled at injection time
-	// (pre-run, single-threaded) and repArrivals only inside the effect
-	// apply; a write keyed by the packet's unique ID is order-independent.
+	// edge arrival by packet ID: repWanted is filled at injection time and
+	// repArrivals by the segment-end tap.
 	injected    int
 	repPairs    []repPair
 	repWanted   map[uint64]bool
@@ -163,13 +128,13 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 	return r.harvest()
 }
 
-// buildFatTree is stage one: the engine, the topology placed on its lanes,
-// and everything the spec does to the network itself — path skew, scheduled
-// faults, the compromised switch, link-trace replay.
+// buildFatTree is stage one: the engine, the topology, and everything the
+// spec does to the network itself — path skew, scheduled faults, the
+// compromised switch, link-trace replay.
 func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 	r := &fatTreeRun{spec: spec, seed: seed}
-	r.pe = eventsim.NewParallel(spec.lanes())
-	r.nw = netsim.NewParallel(r.pe)
+	eng := eventsim.New()
+	r.nw = netsim.New(eng)
 	tc := topo.DefaultConfig()
 	tc.K = spec.Topology.K
 	tc.LinkBps = spec.Topology.LinkBps
@@ -186,11 +151,6 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		return nil, err
 	}
 	r.ft = ft
-	// Place cores on lane 0 and pods on the remaining lanes before any
-	// instrument or event binds a node to its engine.
-	if err := ft.Partition(); err != nil {
-		return nil, err
-	}
 	r.nw.SetTracePaths(true) // oracle demux + misattribution audit
 
 	k, h := spec.Topology.K, spec.half()
@@ -221,32 +181,27 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		}
 	}
 
-	// Faults: scheduled state changes on the running topology. Each fault
-	// runs on the engine of the node whose state it mutates, so a
-	// partitioned run never touches another lane's ports mid-window.
+	// Faults: scheduled state changes on the running topology.
 	for _, f := range spec.sortedFaults() {
 		f := f
 		switch f.Kind {
 		case FaultLinkDegrade:
 			port := ft.CoreDownPort(f.CoreJ, f.CoreI, f.DownPod)
-			le := port.Node().Engine()
 			healthy := spec.Topology.LinkBps
-			le.At(simtime.FromDuration(f.Start), func() { port.SetRate(healthy * f.RateFactor) })
-			le.At(simtime.FromDuration(f.End), func() { port.SetRate(healthy) })
+			eng.At(simtime.FromDuration(f.Start), func() { port.SetRate(healthy * f.RateFactor) })
+			eng.At(simtime.FromDuration(f.End), func() { port.SetRate(healthy) })
 		case FaultHopDelay:
 			node := ft.Aggs[f.AggPod][f.AggIdx]
-			le := node.Engine()
 			base := node.ProcDelay()
-			le.At(simtime.FromDuration(f.Start), func() { node.SetProcDelay(base + f.Extra) })
-			le.At(simtime.FromDuration(f.End), func() { node.SetProcDelay(base) })
+			eng.At(simtime.FromDuration(f.Start), func() { node.SetProcDelay(base + f.Extra) })
+			eng.At(simtime.FromDuration(f.End), func() { node.SetProcDelay(base) })
 		}
 	}
 
 	// Adversary: a compromised aggregation switch selectively delaying the
 	// packets it predicts will go unmeasured. The hook is a pure function of
-	// (packet, instant) — the window test reads the tap-time clock instead
-	// of scheduling state changes — so results do not depend on the lane
-	// count.
+	// (packet, instant): the window test reads the tap-time clock instead of
+	// scheduling state changes.
 	if a := spec.Adversary; a != nil {
 		start, end := simtime.FromDuration(a.Start), simtime.FromDuration(a.End)
 		extra, rate := a.Extra, a.PredictRate
@@ -267,7 +222,7 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 	// Link-trace replay: one core down-link's extra delay and loss driven by
 	// a recorded time series. The drop decision is a pure keyed hash of the
 	// packet ID, and the extra delay only ever adds to the configured
-	// propagation, so partitioned lookahead stays valid.
+	// propagation.
 	if l := spec.LinkTrace; l != nil {
 		lt, err := l.trace()
 		if err != nil {
@@ -333,14 +288,6 @@ func (r *fatTreeRun) demux() (strategy, oracle core.Demux) {
 // instrument is stage two: the §3.1 deployment plus the measurement plane
 // (streaming cap's export capture when non-nil), all attached as taps — no
 // event is scheduled here.
-//
-// The plane is shared across lanes, so it is only ever touched through the
-// engine's effects: receivers and taps Emit, and the engine applies the
-// effects single-threaded in global event order — inline on one lane, at the
-// window barrier on several. Receiver-local state (rec, rli, counting) stays
-// synchronous on its lane. The packet fields the effect consumers read (Key,
-// Size, TOS, SegmentStart) are all stable between the tap instant and the
-// barrier.
 func (r *fatTreeRun) instrument(cap *capture) error {
 	ft, h := r.ft, r.spec.half()
 
@@ -407,18 +354,6 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 		return err
 	}
 	r.plane = pl
-	effStart := r.pe.RegisterEffect(func(at simtime.Time, a, _ any) { pl.tapStart(a.(*packet.Packet), at) })
-	effEnd := r.pe.RegisterEffect(func(at simtime.Time, a, _ any) {
-		pk := a.(*packet.Packet)
-		pl.tapEnd(pk, at)
-		if r.repWanted[pk.ID] {
-			r.repArrivals[pk.ID] = at
-		}
-	})
-	effEst := r.pe.RegisterEffect(func(_ simtime.Time, a, _ any) {
-		s := a.(*estQueue).pop()
-		pl.estimate(s.key, s.est, s.truth)
-	})
 
 	// Downstream: a sender at each core down-port toward a monitored pod
 	// (references fanned to one anchor host per monitored ToR of that pod)
@@ -457,10 +392,9 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 				}); err != nil {
 					return err
 				}
-				le := port.Node().Engine()
 				port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
 					if startAccept(pk) {
-						le.Emit(effStart, now, pk, nil)
+						pl.tapStart(pk, now)
 					}
 				})
 			}
@@ -470,8 +404,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 	strategy, oracle := r.demux()
 	for _, m := range r.monitored {
 		p, e := m[0], m[1]
-		le := ft.ToRs[p][e].Engine()
-		rec, queue := &routerRec{}, &estQueue{}
+		rec := &routerRec{}
 		counting := &countingDemux{inner: strategy, oracle: oracle}
 		r.countings = append(r.countings, counting)
 		accept := func(pk *packet.Packet) bool {
@@ -485,8 +418,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			Accept: accept,
 			OnEstimate: func(key packet.FlowKey, est, truth time.Duration) {
 				rec.record(est, truth)
-				queue.push(estSample{key: key, est: est, truth: truth})
-				le.Emit(effEst, le.Now(), queue, nil)
+				pl.estimate(key, est, truth)
 			},
 		})
 		if err != nil {
@@ -498,7 +430,10 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			port.OnTxStart(rli.Tap)
 			port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
 				if accept(pk) {
-					le.Emit(effEnd, now, pk, nil)
+					pl.tapEnd(pk, now)
+					if r.repWanted[pk.ID] {
+						r.repArrivals[pk.ID] = now
+					}
 				}
 			})
 			r.endPorts = append(r.endPorts, port)
@@ -517,9 +452,8 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 
 // inject is stage three: it generates the spec's traffic pattern and
 // schedules it into the network, recording the packet count and, for
-// replicated workloads, the injection-time pair log. Injection happens
-// pre-run on the network-wide ID counter, so packet IDs and the pair log are
-// identical at every lane count.
+// replicated workloads, the injection-time pair log. Packet IDs are the
+// network-wide dense counter, in injection order.
 func (r *fatTreeRun) inject() {
 	spec, nw, ft := r.spec, r.nw, r.ft
 	k, h := spec.Topology.K, spec.half()
@@ -640,16 +574,8 @@ func (r *fatTreeRun) inject() {
 	}
 }
 
-// run is stage four. The lookahead is the smallest cross-lane propagation
-// delay — with the pod/core partition map, the core-link propagation (plus
-// any skew). A single lane has no cross traffic; any positive value works.
-func (r *fatTreeRun) run() {
-	la, ok := r.nw.MinCrossPropagation()
-	if !ok {
-		la = time.Millisecond
-	}
-	r.pe.Run(la)
-}
+// run is stage four.
+func (r *fatTreeRun) run() { r.nw.Engine().Run() }
 
 // harvest is stage five: it folds the receivers, estimators and collector
 // into the Result.

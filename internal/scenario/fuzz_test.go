@@ -1,0 +1,57 @@
+package scenario
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeSpecJSON is the robustness target for the spec file format: on
+// arbitrary bytes DecodeJSON must return a validated Spec or an error, never
+// panic, and a spec it accepts must describe the same scenario after
+// EncodeJSON -> DecodeJSON — the round trip `scenario -describe` followed by
+// `scenario -spec` makes. "The same" is compared on the encodings, which
+// carry every field, because an explicit empty list decodes to an empty
+// slice and re-decodes as a nil one.
+func FuzzDecodeSpecJSON(f *testing.F) {
+	// Spec files written for the deleted multi-lane engine keep decoding.
+	legacy := DefaultSpec()
+	legacy.Engine, legacy.Partitions = EngineParallel, 2
+	seeds := []Spec{legacy}
+	for _, sc := range All() {
+		seeds = append(seeds, sc.Spec)
+	}
+	for _, s := range seeds {
+		data, err := s.EncodeJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// Pod 0 is the value the decoder's -1 "last pod" default must not swallow.
+	f.Add([]byte(`{"version":1,"topology":{"kind":"fattree","k":4,"link_bps":1e9},"workload":{"load_frac":0.5,"dest_pod":0},"deploy":{"scheme":"static"},"duration_ns":1000000,"seed":1,"engine":"sequential"}`))
+	f.Add([]byte(`{"version":1,"topology":{"kind":"tandem","link_bps":1e9},"workload":{"load_frac":0.5},"deploy":{},"duration_ns":1000000,"engine":"parallel"}`))
+	f.Add([]byte(`{"version":1,"faults":[],"estimators":[]}`))
+	f.Add([]byte("{"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeJSON(data)
+		if err != nil {
+			return
+		}
+		enc, err := s.EncodeJSON()
+		if err != nil {
+			t.Fatalf("EncodeJSON of an accepted spec: %v", err)
+		}
+		again, err := DecodeJSON(enc)
+		if err != nil {
+			t.Fatalf("re-decode of an accepted spec's encoding: %v\n%s", err, enc)
+		}
+		enc2, err := again.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the spec:\n%s\n%s", enc, enc2)
+		}
+	})
+}

@@ -24,8 +24,8 @@ func allPairsSpec(tb testing.TB, d time.Duration) Spec {
 
 // BenchmarkExportAllPairs is the simulator stage of the pipeline benchmark's
 // write_path workload in isolation: scenario.Export of fattree-allpairs at
-// 0.2 s on one lane. DESIGN.md's per-packet budget table is read off it
-// (-benchmem for allocs and bytes, -cpuprofile for the shares).
+// 0.2 s. DESIGN.md's per-packet budget table is read off it (-benchmem for
+// allocs and bytes, -cpuprofile for the shares).
 func BenchmarkExportAllPairs(b *testing.B) {
 	spec := allPairsSpec(b, 200*time.Millisecond)
 	var injected int
@@ -83,32 +83,26 @@ func TestZeroAllocMarginalPerPacket(t *testing.T) {
 // engine's backlog, and the heap never holds more than the events in flight —
 // a small fraction of the packet count, where it used to hold all of it.
 func TestPeakHeapIsInFlightOnly(t *testing.T) {
-	for _, lanes := range []int{1, 2} {
-		r, err := buildFatTree(withLanes(allPairsSpec(t, 200*time.Millisecond), lanes), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.instrument(nil); err != nil {
-			t.Fatal(err)
-		}
-		r.inject()
-		r.run()
-		res, err := r.harvest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		backlog, peak := 0, 0
-		for l := 0; l < r.pe.Lanes(); l++ {
-			backlog += r.pe.Lane(l).Backlog()
-			peak += r.pe.Lane(l).PeakHeap()
-		}
-		t.Logf("lanes=%d: injected %d, backlog %d, peak heap (summed over lanes) %d, events %d",
-			lanes, res.Injected, backlog, peak, r.pe.Processed())
-		if backlog != res.Injected {
-			t.Errorf("lanes=%d: backlog took %d events for %d injected packets", lanes, backlog, res.Injected)
-		}
-		if peak == 0 || peak >= res.Injected/10 {
-			t.Errorf("lanes=%d: peak heap %d, want in (0, %d): the heap should hold in-flight events only", lanes, peak, res.Injected/10)
-		}
+	r, err := buildFatTree(allPairsSpec(t, 200*time.Millisecond), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.instrument(nil); err != nil {
+		t.Fatal(err)
+	}
+	r.inject()
+	r.run()
+	res, err := r.harvest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := r.nw.Engine()
+	backlog, peak := eng.Backlog(), eng.PeakHeap()
+	t.Logf("injected %d, backlog %d, peak heap %d, events %d", res.Injected, backlog, peak, eng.Processed())
+	if backlog != res.Injected {
+		t.Errorf("backlog took %d events for %d injected packets", backlog, res.Injected)
+	}
+	if peak == 0 || peak >= res.Injected/10 {
+		t.Errorf("peak heap %d, want in (0, %d): the heap should hold in-flight events only", peak, res.Injected/10)
 	}
 }

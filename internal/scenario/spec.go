@@ -26,15 +26,15 @@ const (
 	TopoFatTree = "fattree"
 )
 
-// Simulation engine kinds.
+// The values Spec.Engine accepts. There is one event engine and every run
+// uses it; the names are what spec files and the pipeline benchmark's
+// parallel leg (bench/, which sets EngineParallel with Partitions = 2) still
+// write.
 const (
-	// EngineSequential runs the whole scenario on one lane — a single event
-	// heap, no goroutines — the default, and the reference semantics.
+	// Deprecated: selects nothing. It goes with Spec.Engine.
 	EngineSequential = "sequential"
-	// EngineParallel partitions the fat-tree across the lanes of the same
-	// engine (core switches on one lane, pods round-robin across the rest)
-	// under its conservative window protocol, with the core-link propagation
-	// delay as lookahead. Results are bit-identical at any lane count.
+	// Deprecated: selects nothing — the multi-lane engine it named is deleted
+	// (DESIGN.md "One event engine"). It goes with Spec.Engine.
 	EngineParallel = "parallel"
 )
 
@@ -130,8 +130,10 @@ type WorkloadSpec struct {
 	BurstOn     time.Duration `json:"burst_on_ns,omitempty"`
 	BurstPeriod time.Duration `json:"burst_period_ns,omitempty"`
 	// DestPod / DestToR locate the monitored ToR for single-destination
-	// patterns (defaults: last pod, ToR 0).
-	DestPod int `json:"dest_pod,omitempty"`
+	// patterns (defaults: last pod, ToR 0). DestPod -1 is the "last pod"
+	// sentinel DecodeJSON gives an omitted dest_pod, so the field is always
+	// encoded: with omitempty, pod 0 would re-decode as the last pod.
+	DestPod int `json:"dest_pod"`
 	DestToR int `json:"dest_tor,omitempty"`
 	// CrossModel / CrossUtil drive the tandem topology's cross traffic:
 	// the model thins a 1.5x-offered cross trace to hit CrossUtil at the
@@ -310,13 +312,15 @@ type Spec struct {
 	// Seed drives every random choice; derived per-run seeds come from it
 	// in multi-seed sweeps.
 	Seed int64 `json:"seed"`
-	// Engine selects the simulation engine: EngineSequential (default) or
-	// EngineParallel. The parallel engine requires a fat-tree topology —
-	// only core links provide the propagation delay it uses as lookahead.
+	// Deprecated: Engine is validated, echoed in Result.Spec and otherwise
+	// ignored: every run uses the one event engine. It remains only because
+	// bench/ sets it and DecodeJSON rejects unknown fields; the
+	// benchmark-type PR that retires sim_par2_pkts_per_s (ROADMAP item 2,
+	// PR B) deletes it with Partitions and both Engine* constants.
 	Engine string `json:"engine,omitempty"`
-	// Partitions is the parallel engine's lane count: 1 core lane plus
-	// pod lanes, at most K+1 total. 0 resolves to K+1 (one lane per pod).
-	// Only meaningful with EngineParallel.
+	// Deprecated: Partitions is inert like Engine, for the same reason and
+	// until the same PR. Validate still holds it to [0, K+1] and to
+	// Engine == EngineParallel.
 	Partitions int `json:"partitions,omitempty"`
 }
 
@@ -377,19 +381,6 @@ func DecodeJSON(data []byte) (Spec, error) {
 
 // half returns K/2, the fat-tree's per-layer fan-out.
 func (s Spec) half() int { return s.Topology.K / 2 }
-
-// lanes resolves the run's lane count: one for the sequential engine, and
-// for the parallel engine the partition count (0 = one lane per pod plus the
-// core lane).
-func (s Spec) lanes() int {
-	switch {
-	case s.Engine != EngineParallel:
-		return 1
-	case s.Partitions == 0:
-		return s.Topology.K + 1
-	}
-	return s.Partitions
-}
 
 // destPod resolves the default destination pod (last pod).
 func (s Spec) destPod() int {
@@ -503,10 +494,10 @@ func (s Spec) Validate() error {
 		}
 	case EngineParallel:
 		if t.Kind != TopoFatTree {
-			return fmt.Errorf("scenario: engine %q requires a fattree topology (core links provide the lookahead); %q has none", EngineParallel, t.Kind)
+			return fmt.Errorf("scenario: engine %q requires a fattree topology; got %q", EngineParallel, t.Kind)
 		}
 		if s.Partitions < 0 || s.Partitions > t.K+1 {
-			return fmt.Errorf("scenario: partitions %d outside [1, K+1=%d]", s.Partitions, t.K+1)
+			return fmt.Errorf("scenario: partitions %d outside [0, K+1=%d]", s.Partitions, t.K+1)
 		}
 	default:
 		return fmt.Errorf("scenario: unknown engine %q (valid: %s, %s)", s.Engine, EngineSequential, EngineParallel)

@@ -113,6 +113,16 @@ func TestValidateRejections(t *testing.T) {
 			s.Topology = TopologySpec{Kind: TopoTandem, LinkBps: 1e9}
 			s.Workload.CrossUtil = 1.2
 		}, "cross utilization"},
+		// The deprecated engine fields select nothing, but they are outside
+		// input until they are deleted.
+		{"unknown engine", func(s *Spec) { s.Engine = "optimistic" }, "unknown engine"},
+		{"partitions without parallel", func(s *Spec) { s.Partitions = 2 }, "requires engine"},
+		{"partitions over K+1", func(s *Spec) { s.Engine, s.Partitions = EngineParallel, 6 }, "partitions 6 outside"},
+		{"negative partitions", func(s *Spec) { s.Engine, s.Partitions = EngineParallel, -1 }, "partitions -1 outside"},
+		{"parallel on tandem", func(s *Spec) {
+			s.Topology = TopologySpec{Kind: TopoTandem, LinkBps: 1e9}
+			s.Engine = EngineParallel
+		}, "requires a fattree"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,21 +160,24 @@ func TestJSONRoundTrip(t *testing.T) {
 	s.Name = "round-trip"
 	s.Faults = []FaultSpec{{Kind: FaultHopDelay, AggPod: 1, AggIdx: 0, Extra: 250 * time.Microsecond,
 		Start: time.Millisecond, End: 2 * time.Millisecond}}
-	data, err := s.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeJSON(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Faults) != 1 {
-		t.Fatalf("round trip changed the spec:\n in: %+v\nout: %+v", s, got)
-	}
-	if got.Name != s.Name || got.Faults[0] != s.Faults[0] || got.Topology != s.Topology ||
-		got.Workload != s.Workload || got.Duration != s.Duration ||
-		!reflect.DeepEqual(got.Deploy, s.Deploy) {
-		t.Fatalf("round trip changed fields:\n in: %+v\nout: %+v", s, got)
+	// Pod 0 is the value the -1 "last pod" decode default must not swallow.
+	pod0 := s
+	pod0.Workload.DestPod = 0
+	for _, s := range []Spec{s, pod0} {
+		data, err := s.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeJSON(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, s) {
+			t.Fatalf("round trip changed the spec:\n in: %+v\nout: %+v", s, got)
+		}
+		if got.destPod() != s.destPod() {
+			t.Fatalf("round trip moved the monitored pod from %d to %d", s.destPod(), got.destPod())
+		}
 	}
 }
 

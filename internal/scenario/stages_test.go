@@ -1,20 +1,16 @@
 package scenario
 
 import (
-	"reflect"
 	"testing"
+	"time"
+
+	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/trace"
 )
 
 // The fat-tree runner is five stages over one run state; these tests drive
 // the stages one at a time, which the single 540-line runner never allowed.
-
-// withLanes selects the engine the way a spec does.
-func withLanes(spec Spec, lanes int) Spec {
-	if lanes > 1 {
-		spec.Engine, spec.Partitions = EngineParallel, lanes
-	}
-	return spec
-}
 
 // TestBuildInstrumentAttachesDeployment checks that build + instrument wire
 // exactly the deployment Spec.Instances budgets — §3.1's senders at ToR
@@ -35,99 +31,113 @@ func TestBuildInstrumentAttachesDeployment(t *testing.T) {
 		// 4 cores + 8 ToRs; 8 x 2 host ports.
 		{"allpairs", allpairs, 16 + 16, 4 + 8, 16},
 	} {
-		for _, lanes := range []int{1, 2} {
-			r, err := buildFatTree(withLanes(tc.spec, lanes), 1)
-			if err != nil {
-				t.Fatalf("%s: build: %v", tc.name, err)
-			}
-			if err := r.instrument(nil); err != nil {
-				t.Fatalf("%s: instrument: %v", tc.name, err)
-			}
-			if len(r.senders) != tc.senders || len(r.routers) != tc.receivers || len(r.endPorts) != tc.endTaps {
-				t.Errorf("%s lanes=%d: senders/receivers/end taps = %d/%d/%d, want %d/%d/%d", tc.name, lanes,
-					len(r.senders), len(r.routers), len(r.endPorts), tc.senders, tc.receivers, tc.endTaps)
-			}
-			if got := len(r.senders) + len(r.routers); got != tc.spec.Instances() {
-				t.Errorf("%s lanes=%d: attached %d instances, Spec.Instances budgets %d", tc.name, lanes, got, tc.spec.Instances())
-			}
-			if len(r.rlis) != len(r.monitored) || len(r.countings) != len(r.monitored) {
-				t.Errorf("%s lanes=%d: %d RLI receivers / %d audits for %d monitored ToRs", tc.name, lanes,
-					len(r.rlis), len(r.countings), len(r.monitored))
-			}
-			for l := 0; l < r.pe.Lanes(); l++ {
-				if n := r.pe.Lane(l).Pending(); n != 0 {
-					t.Errorf("%s lanes=%d: instrumenting scheduled %d events on lane %d", tc.name, lanes, n, l)
-				}
-			}
-			if r.pe.Processed() != 0 {
-				t.Errorf("%s lanes=%d: %d events ran before the run stage", tc.name, lanes, r.pe.Processed())
-			}
+		r, err := buildFatTree(tc.spec, 1)
+		if err != nil {
+			t.Fatalf("%s: build: %v", tc.name, err)
+		}
+		if err := r.instrument(nil); err != nil {
+			t.Fatalf("%s: instrument: %v", tc.name, err)
+		}
+		if len(r.senders) != tc.senders || len(r.routers) != tc.receivers || len(r.endPorts) != tc.endTaps {
+			t.Errorf("%s: senders/receivers/end taps = %d/%d/%d, want %d/%d/%d", tc.name,
+				len(r.senders), len(r.routers), len(r.endPorts), tc.senders, tc.receivers, tc.endTaps)
+		}
+		if got := len(r.senders) + len(r.routers); got != tc.spec.Instances() {
+			t.Errorf("%s: attached %d instances, Spec.Instances budgets %d", tc.name, got, tc.spec.Instances())
+		}
+		if len(r.rlis) != len(r.monitored) || len(r.countings) != len(r.monitored) {
+			t.Errorf("%s: %d RLI receivers / %d audits for %d monitored ToRs", tc.name,
+				len(r.rlis), len(r.countings), len(r.monitored))
+		}
+		if eng := r.nw.Engine(); eng.Pending() != 0 || eng.Processed() != 0 {
+			t.Errorf("%s: instrumenting scheduled %d events and ran %d", tc.name, eng.Pending(), eng.Processed())
 		}
 	}
 }
 
-// TestInjectIdenticalAcrossLanes checks that injection — packet IDs, the
-// replication pair log, and what lands in the event heaps in total — does
-// not depend on how the topology is partitioned.
-func TestInjectIdenticalAcrossLanes(t *testing.T) {
+// TestInjectSchedulesDenseIDs checks the inject stage on a replicated
+// workload: one pending event per injected packet, two packets per pair-log
+// entry, and packet IDs that are the network-wide dense counter in injection
+// order (the adversary's PredictPeriodic and the pair log both read them).
+func TestInjectSchedulesDenseIDs(t *testing.T) {
 	sc, ok := Get("repflow")
 	if !ok {
 		t.Fatal("repflow not registered")
 	}
-	var want *fatTreeRun
-	for _, lanes := range []int{1, 2, 4} {
-		r, err := buildFatTree(withLanes(sc.Spec, lanes), 3)
-		if err != nil {
-			t.Fatal(err)
+	r, err := buildFatTree(sc.Spec, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.inject()
+	if len(r.repPairs) == 0 || r.injected != 2*len(r.repPairs) || len(r.repWanted) != r.injected {
+		t.Fatalf("injected %d packets, %d wanted arrivals, for %d replicated pairs", r.injected, len(r.repWanted), len(r.repPairs))
+	}
+	if pending := r.nw.Engine().Pending(); pending != r.injected {
+		t.Errorf("%d events pending for %d injected packets", pending, r.injected)
+	}
+	for i, pr := range r.repPairs {
+		if pr.orig != uint64(2*i+1) || pr.rep != uint64(2*i+2) {
+			t.Fatalf("pair %d carries IDs %d/%d, want %d/%d: IDs are not the dense injection order", i, pr.orig, pr.rep, 2*i+1, 2*i+2)
 		}
-		r.inject()
-		if len(r.repPairs) == 0 || r.injected != 2*len(r.repPairs) {
-			t.Fatalf("lanes=%d: injected %d packets for %d replicated pairs", lanes, r.injected, len(r.repPairs))
-		}
-		pending := 0
-		for l := 0; l < r.pe.Lanes(); l++ {
-			pending += r.pe.Lane(l).Pending()
-		}
-		if pending != r.injected {
-			t.Errorf("lanes=%d: %d events pending for %d injected packets", lanes, pending, r.injected)
-		}
-		if next := r.nw.NewPacketID(); next != uint64(r.injected)+1 {
-			t.Errorf("lanes=%d: next packet ID %d after %d injections; IDs are not the dense injection order", lanes, next, r.injected)
-		}
-		if want == nil {
-			want = r
-			continue
-		}
-		if r.injected != want.injected || !reflect.DeepEqual(r.repPairs, want.repPairs) ||
-			!reflect.DeepEqual(r.repWanted, want.repWanted) {
-			t.Errorf("lanes=%d: injection differs from lanes=1", lanes)
-		}
+	}
+	if next := r.nw.NewPacketID(); next != uint64(r.injected)+1 {
+		t.Errorf("next packet ID %d after %d injections", next, r.injected)
 	}
 }
 
-// TestLinkTraceDropsIndependentOfLanes pins what building every run on one
-// engine type bought: the link emulator's keyed drop decision reads packet
-// IDs, and reference packets used to draw theirs from a different ID space
-// on the sequential engine than on the partitioned one, so trace-replay
-// diverged between engines at seeds where a reference packet's drop flipped
-// (seed 6 is one).
-func TestLinkTraceDropsIndependentOfLanes(t *testing.T) {
+// TestLinkTraceDropsArePureInPacketID replays trace-replay at a seed where
+// the emulated link drops reference packets as well as regular ones, logs
+// every (packet ID, instant) the link was asked about, and then recomputes
+// the drops from the log alone, in reverse order: the link's behaviour is a
+// function of (ID, seed, instant) and nothing else, for both ID spaces — the
+// dense injected IDs and the per-node IDs RLI senders mint.
+func TestLinkTraceDropsArePureInPacketID(t *testing.T) {
 	sc, ok := Get("trace-replay")
 	if !ok {
 		t.Fatal("trace-replay not registered")
 	}
-	want, err := RunSeed(sc.Spec, 6)
+	const seed = 6
+	r, err := buildFatTree(sc.Spec, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeEngine(want)
-	got, err := RunSeed(withLanes(sc.Spec, 2), 6)
+	if err := r.instrument(nil); err != nil {
+		t.Fatal(err)
+	}
+	type ask struct {
+		id uint64
+		at time.Duration
+	}
+	var asks []ask
+	emuSeed := trace.SplitMix64(uint64(seed) ^ linkTraceSeedSalt)
+	r.emuPort.SetEmulator(func(pk *packet.Packet, now simtime.Time) (time.Duration, bool) {
+		asks = append(asks, ask{pk.ID, now.Duration()})
+		return r.emuTrace.Emulate(pk.ID, emuSeed, now.Duration())
+	})
+	r.inject()
+	r.run()
+	res, err := r.harvest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	normalizeEngine(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("trace-replay at seed 6: two-lane Result differs from one-lane (drops %d vs %d)",
-			got.LinkTrace.Drops, want.LinkTrace.Drops)
+
+	var drops, refDrops, regular uint64
+	for i := len(asks) - 1; i >= 0; i-- {
+		minted := asks[i].id >= 1<<40
+		if !minted {
+			regular++
+		}
+		if _, drop := r.emuTrace.Emulate(asks[i].id, emuSeed, asks[i].at); drop {
+			drops++
+			if minted {
+				refDrops++
+			}
+		}
+	}
+	if drops != res.LinkTrace.Drops {
+		t.Errorf("recomputed %d drops from the (ID, instant) log, the run counted %d", drops, res.LinkTrace.Drops)
+	}
+	if refDrops == 0 || regular == 0 {
+		t.Errorf("link saw %d regular packets and dropped %d reference packets; the seed no longer exercises both ID spaces", regular, refDrops)
 	}
 }

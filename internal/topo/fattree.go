@@ -260,43 +260,6 @@ func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 	return ft, nil
 }
 
-// Partition places the tree's nodes onto the lanes of the network's
-// parallel engine: core switches stay on lane 0 and pod p — its aggregation
-// switches, ToRs and hosts — goes to lane 1 + p mod (lanes-1). With a
-// single lane everything stays on lane 0. Under this map the only links
-// whose endpoints differ are core<->aggregation links, so their fixed
-// propagation delay (uniform by construction) is the engine's lookahead;
-// everything inside a pod, including zero-delay host delivery, remains
-// lane-local. More than K+1 lanes would leave lanes with no pod at all, so
-// that is rejected.
-func (ft *FatTree) Partition() error {
-	nw := ft.Net
-	pe := nw.Parallel()
-	if pe == nil {
-		return fmt.Errorf("topo: Partition requires a partitioned network")
-	}
-	lanes := pe.Lanes()
-	if lanes > ft.Cfg.K+1 {
-		return fmt.Errorf("topo: %d lanes exceeds K+1 = %d (one per pod plus the core lane)", lanes, ft.Cfg.K+1)
-	}
-	if lanes == 1 {
-		return nil // everything already on lane 0
-	}
-	for p := 0; p < ft.Cfg.K; p++ {
-		lane := 1 + p%(lanes-1)
-		for _, n := range ft.Aggs[p] {
-			nw.Assign(n, lane)
-		}
-		for e, tor := range ft.ToRs[p] {
-			nw.Assign(tor, lane)
-			for _, h := range ft.Hosts[p][e] {
-				nw.Assign(h, lane)
-			}
-		}
-	}
-	return nil
-}
-
 // route is an LPM value: candidate output ports (empty = deliver locally).
 type route []int
 

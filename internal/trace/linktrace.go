@@ -57,8 +57,7 @@ func (lt *LinkTrace) At(d time.Duration) LinkSample {
 // Emulate evaluates the trace for one packet: the extra delay in effect at
 // offset d, and a seeded keyed-hash drop decision against the row's loss
 // probability. The decision is a pure function of (pktID, seed, row), so
-// replay is deterministic and independent of evaluation order — safe on any
-// lane of a partitioned simulation.
+// replay is deterministic and independent of evaluation order.
 func (lt *LinkTrace) Emulate(pktID, seed uint64, d time.Duration) (extra time.Duration, drop bool) {
 	s := lt.At(d)
 	if s.Loss > 0 {

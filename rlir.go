@@ -387,14 +387,6 @@ func ScenarioNames() []string { return scenario.Names() }
 // ScenarioByName returns one registered scenario.
 func ScenarioByName(name string) (scenario.Scenario, bool) { return scenario.Get(name) }
 
-// ScenarioEngineSequential and ScenarioEngineParallel are the valid
-// ScenarioSpec.Engine values: the single-heap event engine versus the
-// conservative parallel engine (fat-tree only; bit-identical results).
-const (
-	ScenarioEngineSequential = scenario.EngineSequential
-	ScenarioEngineParallel   = scenario.EngineParallel
-)
-
 // DefaultScenarioSpec returns a valid fat-tree spec to build variations
 // from.
 func DefaultScenarioSpec() ScenarioSpec { return scenario.DefaultSpec() }
