@@ -130,15 +130,18 @@ func BenchmarkScalars(b *testing.B) {
 }
 
 func BenchmarkAblationDemux(b *testing.B) {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Duration = benchScale().Duration / 2
+	spec := rlir.DefaultFatTreeSpec()
+	spec.Duration = benchScale().Duration / 2
 	var results rlir.DemuxAblation
 	for i := 0; i < b.N; i++ {
-		results = rlir.AblationDemux(cfg)
+		var err error
+		if results, err = rlir.AblationDemux(spec); err != nil {
+			b.Fatal(err)
+		}
 	}
 	renderOnce("A1", results.Render())
 	for _, r := range results {
-		b.ReportMetric(r.Misattribution, "misattrib/"+r.Config.Strategy.String())
+		b.ReportMetric(r.Misattribution, "misattrib/"+r.Spec.Deploy.Demux)
 	}
 }
 
@@ -176,10 +179,13 @@ func BenchmarkBaselines(b *testing.B) {
 
 func BenchmarkLocalization(b *testing.B) {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Duration = benchScale().Duration / 2
+	cfg.Spec.Duration = benchScale().Duration / 2
 	var res rlir.LocalizationResult
 	for i := 0; i < b.N; i++ {
-		res = rlir.RunLocalization(cfg)
+		var err error
+		if res, err = rlir.RunLocalization(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 	renderOnce("L1", res.Render())
 	ok := 0.0
@@ -189,25 +195,29 @@ func BenchmarkLocalization(b *testing.B) {
 	b.ReportMetric(ok, "localized")
 }
 
-// benchmarkRunnerSweep measures the multi-seed runner: an 8-seed tandem
-// sweep (per-run telemetry merged through the collector plane) at the given
-// worker count. BenchmarkRunnerSweep1 vs BenchmarkRunnerSweep4 gives the
-// parallel-scaling ratio; on a multi-core machine 4 workers should approach
-// 4x, and the ratio degrades to ~1x only when the hardware offers a single
-// core.
+// benchmarkRunnerSweep measures the multi-seed runner: an 8-seed sweep of the
+// registered baseline-tandem scenario, RLI only (per-run telemetry merged
+// through the collector plane), at the given worker count.
+// BenchmarkRunnerSweep1 vs BenchmarkRunnerSweep4 gives the parallel-scaling
+// ratio; on a multi-core machine 4 workers should approach 4x, and the ratio
+// degrades to ~1x only when the hardware offers a single core.
 func benchmarkRunnerSweep(b *testing.B, workers int) {
-	cfg := rlir.TandemConfig{
-		Scale:      benchScale(),
-		Scheme:     rlir.DefaultStatic(),
-		Model:      rlir.CrossUniform,
-		TargetUtil: 0.93,
+	sc, ok := rlir.ScenarioByName("baseline-tandem")
+	if !ok {
+		b.Fatal("baseline-tandem not registered")
 	}
-	var r rlir.MultiTandemResult
+	spec := sc.Spec
+	spec.Deploy.Estimators = []string{"rli"}
+	spec.Duration = benchScale().Duration
+	var r *scenario.MultiResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r = rlir.MultiTandem(cfg, rlir.MultiOpts{Seeds: 8, Workers: workers})
+		var err error
+		if r, err = rlir.RunScenarioMulti(spec, rlir.MultiOpts{Seeds: 8, Workers: workers}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(float64(len(r.Merged)), "mergedFlows")
+	b.ReportMetric(float64(len(r.Fleet)), "mergedFlows")
 	b.ReportMetric(r.MedianRelErr.Mean, "medianRelErr")
 	b.ReportMetric(r.MedianRelErr.CI95, "medianRelErrCI95")
 }

@@ -24,9 +24,10 @@ import (
 	"github.com/netmeasure/rlir/internal/core"
 )
 
-// Valid values of the flags parsed here; -scale, -estimator and -demux have
-// library parsers. An unknown value exits non-zero listing the valid ones
-// (the same contract cmd/experiments pins for -fig).
+// Valid values of the flags parsed here; -scale and -estimator have library
+// parsers, and a fat-tree run's flags fill a scenario spec whose Validate
+// names them. An unknown value exits non-zero listing the valid ones (the
+// same contract cmd/experiments pins for -fig).
 var (
 	validTopologies = []string{"tandem", "fattree"}
 	validSchemes    = []string{"static", "adaptive", "none"}
@@ -51,8 +52,7 @@ type options struct {
 	scale      rlir.Scale
 	seed       int64
 	estimator  core.Estimator
-	k          int
-	demux      rlir.DemuxStrategy
+	fattree    rlir.ScenarioSpec // the -topology fattree run, validated
 	duration   time.Duration
 	topn       int
 	cpuprofile string
@@ -79,7 +79,7 @@ func parseArgs(args []string) (options, error) {
 	scale := fs.String("scale", "default", "small | default | full")
 	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	estimator := fs.String("estimator", "linear", "linear | left | right | nearest")
-	fs.IntVar(&o.k, "k", 4, "fat-tree arity (fattree)")
+	k := fs.Int("k", 4, "fat-tree arity (fattree)")
 	demux := fs.String("demux", "reverse-ecmp", "none | marking | reverse-ecmp | oracle (fattree)")
 	fs.DurationVar(&o.duration, "duration", 0, "override trace duration")
 	fs.IntVar(&o.topn, "top", 10, "per-flow rows to print")
@@ -120,11 +120,24 @@ func parseArgs(args []string) (options, error) {
 	if o.estimator, err = rlir.ParseEstimator(*estimator); err != nil {
 		return o, fmt.Errorf("-estimator %q: %w", *estimator, err)
 	}
-	if o.demux, err = rlir.ParseDemuxStrategy(*demux); err != nil {
-		return o, fmt.Errorf("-demux %q: %w", *demux, err)
-	}
 	if o.staticN < 0 {
 		return o, fmt.Errorf("-n %d < 0", o.staticN)
+	}
+	if o.topology == "fattree" {
+		// -scheme none is the tandem's no-sender run; a fat-tree deployment
+		// has no such form and Validate says so.
+		o.fattree = rlir.DefaultFatTreeSpec()
+		o.fattree.Topology.K = *k
+		o.fattree.Seed = o.seed
+		if o.duration > 0 {
+			o.fattree.Duration = o.duration
+		}
+		o.fattree.Deploy.Scheme = *scheme
+		o.fattree.Deploy.StaticN = o.staticN
+		o.fattree.Deploy.Demux = *demux
+		if err = o.fattree.Validate(); err != nil {
+			return o, err
+		}
 	}
 	return o, nil
 }
@@ -197,18 +210,12 @@ func runTandem(o options, out io.Writer) error {
 }
 
 func runFatTree(o options, out io.Writer) error {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.K = o.k
-	cfg.Seed = o.seed
-	if o.duration > 0 {
-		cfg.Duration = o.duration
+	res, err := rlir.RunScenario(o.fattree)
+	if err != nil {
+		return err
 	}
-	cfg.Scheme = o.injection
-	cfg.Strategy = o.demux
-
-	res := rlir.RunFatTree(cfg)
-	fmt.Fprintf(out, "fat-tree k=%d, demux=%s, injected=%d packets\n", o.k, cfg.Strategy, res.Injected)
-	fmt.Fprintf(out, "downstream (core->ToR): %s\n", res.Downstream)
+	fmt.Fprintf(out, "fat-tree k=%d, demux=%s, injected=%d packets\n", o.fattree.Topology.K, o.fattree.Deploy.Demux, res.Injected)
+	fmt.Fprintf(out, "downstream (core->ToR): %s\n", res.Overall)
 	fmt.Fprintf(out, "upstream   (ToR->core): %s\n", res.Upstream)
 	fmt.Fprintf(out, "misattribution: %.4f\n", res.Misattribution)
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"strings"
@@ -24,7 +25,9 @@ func TestParseArgsValidation(t *testing.T) {
 		{"bad model", []string{"-model", "fractal"}, `-model "fractal"`, validModels},
 		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, []string{"small", "default", "full"}},
 		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, []string{"linear", "left", "right", "nearest"}},
-		{"bad demux", []string{"-demux", "psychic"}, `-demux "psychic"`, []string{"none", "marking", "reverse-ecmp", "oracle"}},
+		{"bad demux", []string{"-topology", "fattree", "-demux", "psychic"}, `demux strategy "psychic"`, []string{"none", "marking", "reverse-ecmp", "oracle"}},
+		{"fattree without a sender", []string{"-topology", "fattree", "-scheme", "none"}, `injection scheme "none"`, []string{"static", "adaptive"}},
+		{"fattree odd arity", []string{"-topology", "fattree", "-k", "3"}, "K", nil},
 		{"negative gap", []string{"-n", "-3"}, "-n", nil},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate", nil},
 		{"stray args", []string{"extra"}, "unexpected arguments", nil},
@@ -47,6 +50,34 @@ func TestParseArgsValidation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFatTreeFlagsFillTheSpec pins what each fat-tree flag means now that the
+// flags fill a scenario spec directly.
+func TestFatTreeFlagsFillTheSpec(t *testing.T) {
+	o, err := parseArgs([]string{"-topology", "fattree", "-k", "6", "-demux", "marking",
+		"-scheme", "adaptive", "-n", "40", "-seed", "7", "-duration", "30ms"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := o.fattree
+	if s.Topology.K != 6 || s.Deploy.Demux != "marking" || s.Deploy.Scheme != "adaptive" ||
+		s.Deploy.StaticN != 40 || s.Seed != 7 || s.Duration.Milliseconds() != 30 {
+		t.Fatalf("flags filled %+v", s)
+	}
+}
+
+// TestRunWithoutSenderRendersEmptyCDF is the regression test for the crash
+// listed in CHANGES.md PR 15: with -scheme none no sender exists, no estimate
+// is produced, and the closing CDF used to panic on its median.
+func TestRunWithoutSenderRendersEmptyCDF(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-scheme", "none", "-scale", "small"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "flows=0") || !strings.HasSuffix(out.String(), "n=0\n") {
+		t.Fatalf("output:\n%s", out.String())
 	}
 }
 

@@ -46,13 +46,15 @@
 //
 //   - Packet and flow identity (FlowKey, Addr) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
-//   - Experiment harnesses (RunTandem, RunFatTree, RunLocalization, the
+//   - Experiment harnesses (RunTandem, RunLocalization, the
 //     Fig4*/Fig5/Scalars/Ablation* reproductions) — every figure and table
 //     of §4 — and their seed sweeps: each is an ExperimentTarget, and Sweep
 //     folds any of them across seeds into a TableCI of mean ± 95% CI cells;
-//     EXPERIMENTS.md records the paper-vs-measured comparison. RunTandem is the scenario engine's
-//     Figure-3 harness and RunFatTree a spec run on its one fat-tree
-//     runner; neither is a second simulator build.
+//     EXPERIMENTS.md records the paper-vs-measured comparison. RunTandem is
+//     the scenario engine's Figure-3 harness; AblationDemux and
+//     RunLocalization run ScenarioSpecs (DefaultFatTreeSpec, a hotspot spec
+//     with a hop-delay fault) on its one fat-tree runner. Nothing outside
+//     the engine builds a network.
 //   - The unified estimator layer (MeasureEstimator, EstimatorNames,
 //     CompareEstimators): every measurement mechanism — RLI, LDA, NetFlow
 //     sampling, Multiflow — on one simulation pass, scored against shared

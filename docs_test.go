@@ -1,6 +1,7 @@
 package rlir_test
 
-// Documentation enforcement: these tests are the repository's doc lint.
+// Documentation and architecture enforcement: these tests are the
+// repository's doc lint, plus TestOneNetworkBuildSite's structural guard.
 // TestPublicAPIDocumented fails on any undocumented exported identifier in
 // the root package, and TestDocsCoverRegistries fails when a registered
 // scenario or estimator name is missing from the user-facing markdown —
@@ -13,7 +14,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,5 +111,56 @@ func TestReadmeDocumentsEveryCommand(t *testing.T) {
 		if !strings.Contains(text, "./cmd/"+e.Name()) {
 			t.Errorf("README.md has no runnable reference to ./cmd/%s", e.Name())
 		}
+	}
+}
+
+// TestOneNetworkBuildSite is the architecture guard for "one event engine,
+// one builder per topology": outside tests and the benchmark's own module, a
+// simulated network is constructed only by the scenario engine's tandem and
+// fat-tree harnesses, and internal/experiments — a pure client of that engine
+// — imports neither the event engine nor the network simulator. Anything
+// that instruments "the simulator" therefore has one place to attach.
+func TestOneNetworkBuildSite(t *testing.T) {
+	allowed := map[string][]string{
+		"netsim.New(": {"internal/scenario/fattree.go", "internal/scenario/tandem.go"},
+		"topo.Build(": {"internal/scenario/fattree.go"},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for call, files := range allowed {
+			if strings.Contains(string(src), call) && !slices.Contains(files, filepath.ToSlash(path)) {
+				t.Errorf("%s calls %s; only %v may", path, call, files)
+			}
+		}
+		if filepath.Dir(path) == filepath.Join("internal", "experiments") {
+			f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if strings.HasSuffix(imp.Path.Value, `/internal/eventsim"`) || strings.HasSuffix(imp.Path.Value, `/internal/netsim"`) {
+					t.Errorf("%s imports %s; experiments runs everything through internal/scenario", path, imp.Path.Value)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -26,23 +26,29 @@ func ExampleRunTandem() {
 	}
 }
 
-// ExampleRunFatTree deploys RLIR on a k=4 fat-tree: upstream senders at
-// ToR uplinks, receivers at cores, downstream demultiplexing by reverse
+// ExampleDefaultFatTreeSpec deploys RLIR on a k=4 fat-tree: upstream senders
+// at ToR uplinks, receivers at cores, downstream demultiplexing by reverse
 // ECMP computation.
-func ExampleRunFatTree() {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Strategy = rlir.DemuxReverseECMP
-	res := rlir.RunFatTree(cfg)
+func ExampleDefaultFatTreeSpec() {
+	spec := rlir.DefaultFatTreeSpec()
+	spec.Deploy.Demux = "reverse-ecmp"
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("downstream median error %.3f, misattribution %.0f%%\n",
-		res.Downstream.MedianRelErr, res.Misattribution*100)
+		res.Overall.MedianRelErr, res.Misattribution*100)
 }
 
-// ExampleRunLocalization injects a 300µs fault at an aggregation switch
-// and lets the per-segment measurements point at it.
+// ExampleRunLocalization injects a 300µs fault at an aggregation switch of
+// the destination pod and lets the per-segment measurements point at it.
 func ExampleRunLocalization() {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Site = rlir.AnomalyDstAgg
-	res := rlir.RunLocalization(cfg)
+	cfg.Fault.AggIdx = 1
+	res, err := rlir.RunLocalization(cfg)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("localized:", res.Localized())
 	for _, a := range res.Anomalies {
 		fmt.Println(a)

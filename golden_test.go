@@ -105,7 +105,8 @@ func goldenTandemConfigs() []struct {
 	}
 }
 
-func captureGolden() goldenFile {
+func captureGolden(t *testing.T) goldenFile {
+	t.Helper()
 	var out goldenFile
 	for _, tc := range goldenTandemConfigs() {
 		r := rlir.RunTandem(tc.cfg)
@@ -136,16 +137,20 @@ func captureGolden() goldenFile {
 	}
 	out.Figures = append(out.Figures, gfig)
 
-	ftCfg := rlir.DefaultFatTreeConfig()
-	ftCfg.Duration = 120 * time.Millisecond
-	for _, r := range rlir.AblationDemux(ftCfg) {
+	ftSpec := rlir.DefaultFatTreeSpec()
+	ftSpec.Duration = 120 * time.Millisecond
+	a1, err := rlir.AblationDemux(ftSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range a1 {
 		out.FatTrees = append(out.FatTrees, goldenFatTree{
-			Strategy:         r.Config.Strategy.String(),
+			Strategy:         r.Spec.Deploy.Demux,
 			Injected:         r.Injected,
-			DownFlows:        r.Downstream.Flows,
-			DownEstimates:    r.Downstream.Estimates,
-			DownMedianRelErr: gf(r.Downstream.MedianRelErr),
-			DownP90RelErr:    gf(r.Downstream.P90RelErr),
+			DownFlows:        r.Overall.Flows,
+			DownEstimates:    r.Overall.Estimates,
+			DownMedianRelErr: gf(r.Overall.MedianRelErr),
+			DownP90RelErr:    gf(r.Overall.P90RelErr),
 			Misattribution:   gf(r.Misattribution),
 			UpFlows:          r.Upstream.Flows,
 			UpMedianRelErr:   gf(r.Upstream.MedianRelErr),
@@ -159,7 +164,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Skip("golden determinism run is a multi-simulation test; skipped in -short")
 	}
 	path := filepath.Join("testdata", "golden_engine.json")
-	got := captureGolden()
+	got := captureGolden(t)
 
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -220,22 +220,28 @@ func TestTandemEstimateBracketedByRefDelays(t *testing.T) {
 	reg := trace.DefaultConfig()
 	reg.Duration = 100 * time.Millisecond
 	reg.TargetBps = 60e6
+	var n int
+	var maxEst time.Duration
+	td.receiver.cfg.OnEstimate = func(_ packet.FlowKey, est, _ time.Duration) {
+		n++
+		if est > maxEst {
+			maxEst = est
+		}
+	}
 	td.replay(trace.NewGenerator(reg), packet.Regular, td.sw1)
 	td.eng.Run()
 
-	h := td.receiver.AggregateHistogram()
-	if h.Count() == 0 {
+	if n == 0 {
 		t.Fatal("no estimates")
 	}
 	// All reference delays pass through the same span; estimates are
-	// convex combinations, so the histogram extremes cannot exceed the
-	// reference delay extremes. Reconstruct ref delay range via a fresh
-	// run's histogram bounds sanity: min >= 0 and max below the queue
-	// drain bound (queue bytes / rate + serialization + prop + proc).
+	// convex combinations, so the largest estimate cannot exceed the largest
+	// reference delay, which stays below the queue drain bound (queue bytes /
+	// rate + serialization + prop + proc).
 	bound := time.Duration(float64(128<<10*8)/100e6*float64(time.Second)) +
 		2*time.Millisecond // generous slack for serialization chains
-	if h.Max() > bound {
-		t.Fatalf("estimate %v exceeds physical bound %v", h.Max(), bound)
+	if maxEst > bound {
+		t.Fatalf("estimate %v exceeds physical bound %v", maxEst, bound)
 	}
 }
 

@@ -6,37 +6,16 @@ import (
 	"time"
 )
 
-// Segment pairs a name ("T1->C1") with the receiver measuring it. RLIR's
-// value proposition is that a path's segments are measured independently,
-// so a latency anomaly is localized to the segment whose distribution
+// SegmentReport is one independently measured path segment ("T1->C1") as
+// the localizer sees it: how many packets were estimated and their mean
+// latency. RLIR's value proposition is that a path's segments are measured
+// independently, so a latency anomaly is localized to the segment whose mean
 // shifted (§1: partial deployment costs only "an increase in the
 // localization granularity").
-type Segment struct {
-	Name     string
-	Receiver *Receiver
-}
-
-// SegmentReport is one segment's aggregate latency view.
 type SegmentReport struct {
 	Name    string
 	Packets uint64
 	Mean    time.Duration
-	P50     time.Duration
-	P99     time.Duration
-	Max     time.Duration
-}
-
-// Report summarizes a segment from its receiver's aggregate histogram.
-func (s Segment) Report() SegmentReport {
-	h := s.Receiver.AggregateHistogram()
-	return SegmentReport{
-		Name:    s.Name,
-		Packets: h.Count(),
-		Mean:    h.Mean(),
-		P50:     h.Quantile(0.5),
-		P99:     h.Quantile(0.99),
-		Max:     h.Max(),
-	}
 }
 
 // Anomaly is a flagged segment.
@@ -76,18 +55,14 @@ func (l *Localizer) SetBaseline(segment string, mean time.Duration) {
 }
 
 // CalibrateFrom records every segment's current mean as its baseline.
-func (l *Localizer) CalibrateFrom(segments []Segment) {
-	for _, s := range segments {
-		l.SetBaseline(s.Name, s.Report().Mean)
+func (l *Localizer) CalibrateFrom(reports []SegmentReport) {
+	for _, rep := range reports {
+		l.SetBaseline(rep.Name, rep.Mean)
 	}
 }
 
 // Examine reports anomalous segments, most inflated first.
-func (l *Localizer) Examine(segments []Segment) []Anomaly {
-	reports := make([]SegmentReport, len(segments))
-	for i, s := range segments {
-		reports[i] = s.Report()
-	}
+func (l *Localizer) Examine(reports []SegmentReport) []Anomaly {
 	fallback := medianMean(reports)
 	var out []Anomaly
 	for _, rep := range reports {

@@ -141,7 +141,6 @@ type Receiver struct {
 	flows   map[packet.FlowKey]*FlowAcc
 	accSlab []FlowAcc // slab the flow accumulators are carved from
 	ctr     ReceiverCounters
-	segHist stats.Histogram // estimated delays, aggregate view
 }
 
 // newFlowAcc carves one accumulator from the slab: first-packet-of-flow is
@@ -321,7 +320,7 @@ func interpolate(left, right refSample, at simtime.Time) time.Duration {
 	return left.delay + time.Duration(frac*float64(right.delay-left.delay))
 }
 
-// record folds one per-packet estimate into the flow and aggregate state.
+// record folds one per-packet estimate into the flow state.
 func (r *Receiver) record(pp pendingPkt, est time.Duration) {
 	acc, ok := r.flows[pp.key]
 	if !ok {
@@ -330,7 +329,6 @@ func (r *Receiver) record(pp pendingPkt, est time.Duration) {
 	}
 	acc.Est.Add(float64(est))
 	acc.True.Add(float64(pp.trueDelay))
-	r.segHist.Record(est)
 	r.ctr.Estimated++
 	if r.cfg.OnEstimate != nil {
 		r.cfg.OnEstimate(pp.key, est, pp.trueDelay)
@@ -345,11 +343,6 @@ func (r *Receiver) Flow(key packet.FlowKey) (*FlowAcc, bool) {
 	acc, ok := r.flows[key]
 	return acc, ok
 }
-
-// AggregateHistogram returns the log-bucketed histogram of all per-packet
-// estimates, the operator's "what does this segment's latency look like"
-// view.
-func (r *Receiver) AggregateHistogram() *stats.Histogram { return &r.segHist }
 
 // Streams returns the number of reference streams seen.
 func (r *Receiver) Streams() int { return len(r.streams) }

@@ -4,22 +4,33 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/scenario"
 )
 
 // smallFT shrinks the fat-tree run for CI.
-func smallFT() FatTreeConfig {
-	cfg := DefaultFatTreeConfig()
-	cfg.Duration = 120 * time.Millisecond
-	return cfg
+func smallFT() scenario.Spec {
+	spec := DefaultFatTreeSpec()
+	spec.Duration = 120 * time.Millisecond
+	return spec
+}
+
+func runFT(t *testing.T, spec scenario.Spec) *scenario.Result {
+	t.Helper()
+	r, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestRunFatTreeReverseECMP(t *testing.T) {
-	r := RunFatTree(smallFT())
+	r := runFT(t, smallFT())
 	if r.Injected == 0 {
 		t.Fatal("no packets injected")
 	}
-	if r.Downstream.Flows < 10 {
-		t.Fatalf("downstream flows = %d", r.Downstream.Flows)
+	if r.Overall.Flows < 10 {
+		t.Fatalf("downstream flows = %d", r.Overall.Flows)
 	}
 	// Reverse ECMP with vendor-revealed hashes is exact: zero
 	// misattribution.
@@ -32,30 +43,32 @@ func TestRunFatTreeReverseECMP(t *testing.T) {
 }
 
 func TestRunFatTreeMarking(t *testing.T) {
-	cfg := smallFT()
-	cfg.Strategy = DemuxMark
-	r := RunFatTree(cfg)
+	spec := smallFT()
+	spec.Deploy.Demux = scenario.DemuxMark
+	r := runFT(t, spec)
 	if r.Misattribution != 0 {
 		t.Fatalf("marking misattribution = %.4f, want 0", r.Misattribution)
 	}
-	if r.Downstream.Flows == 0 {
+	if r.Overall.Flows == 0 {
 		t.Fatal("no flows measured")
 	}
 }
 
 func TestAblationDemuxShape(t *testing.T) {
-	results := AblationDemux(smallFT())
+	results, err := AblationDemux(smallFT())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) != 4 {
 		t.Fatalf("results = %d", len(results))
 	}
-	byStrategy := map[DemuxStrategy]FatTreeResult{}
+	byStrategy := map[string]*scenario.Result{}
 	for _, r := range results {
-		byStrategy[r.Config.Strategy] = r
+		byStrategy[r.Spec.Deploy.Demux] = r
 	}
-	none := byStrategy[DemuxNone]
-	oracleR := byStrategy[DemuxOracle]
-	recmp := byStrategy[DemuxReverseECMP]
-	mark := byStrategy[DemuxMark]
+	none := byStrategy[scenario.DemuxNone]
+	oracleR := byStrategy[scenario.DemuxOracle]
+	recmp := byStrategy[scenario.DemuxReverseECMP]
 
 	// The no-demux baseline misattributes most packets (3 of 4 cores are
 	// wrong in a k=4 tree) — the paper's "totally wrong".
@@ -63,37 +76,43 @@ func TestAblationDemuxShape(t *testing.T) {
 		t.Errorf("no-demux misattribution = %.3f, expected large", none.Misattribution)
 	}
 	// All real strategies match ground truth exactly.
-	for name, r := range map[string]FatTreeResult{"oracle": oracleR, "reverse-ecmp": recmp, "marking": mark} {
-		if r.Misattribution != 0 {
-			t.Errorf("%s misattribution = %.4f, want 0", name, r.Misattribution)
+	for _, name := range []string{"oracle", "reverse-ecmp", "marking"} {
+		if r := byStrategy[name]; r == nil || r.Misattribution != 0 {
+			t.Errorf("%s: run %v, want one with misattribution 0", name, r)
 		}
 	}
 	// And their accuracy must match the oracle's, while no-demux is worse.
-	if recmp.Downstream.MedianRelErr > oracleR.Downstream.MedianRelErr*1.05+1e-9 {
+	if recmp.Overall.MedianRelErr > oracleR.Overall.MedianRelErr*1.05+1e-9 {
 		t.Errorf("reverse-ecmp median %.4f should match oracle %.4f",
-			recmp.Downstream.MedianRelErr, oracleR.Downstream.MedianRelErr)
+			recmp.Overall.MedianRelErr, oracleR.Overall.MedianRelErr)
 	}
-	if none.Downstream.MedianRelErr <= oracleR.Downstream.MedianRelErr {
+	if none.Overall.MedianRelErr <= oracleR.Overall.MedianRelErr {
 		t.Errorf("no-demux median %.4f should exceed oracle %.4f",
-			none.Downstream.MedianRelErr, oracleR.Downstream.MedianRelErr)
+			none.Overall.MedianRelErr, oracleR.Overall.MedianRelErr)
 	}
+	// The A1 vocabulary is the spec's: the rendered rows carry the four names
+	// the -demux flag takes.
 	out := results.Render()
-	if !strings.Contains(out, "reverse-ecmp") {
-		t.Fatal("render missing strategies")
+	for _, name := range []string{"oracle", "reverse-ecmp", "marking", "none"} {
+		if !strings.Contains(out, "\n"+name+" ") {
+			t.Fatalf("render has no %q row:\n%s", name, out)
+		}
+	}
+}
+
+// TestAblationDemuxRejectsInvalidSpec: a caller's bad spec is an error, not
+// a panic.
+func TestAblationDemuxRejectsInvalidSpec(t *testing.T) {
+	spec := smallFT()
+	spec.Topology.K = 3
+	if _, err := AblationDemux(spec); err == nil {
+		t.Fatal("AblationDemux accepted K=3")
 	}
 }
 
 func TestFatTreeDeterminism(t *testing.T) {
-	a, b := RunFatTree(smallFT()), RunFatTree(smallFT())
-	if a.Downstream.MedianRelErr != b.Downstream.MedianRelErr || a.Injected != b.Injected {
+	a, b := runFT(t, smallFT()), runFT(t, smallFT())
+	if a.Overall.MedianRelErr != b.Overall.MedianRelErr || a.Injected != b.Injected {
 		t.Fatal("fat-tree run not deterministic")
-	}
-}
-
-func TestDemuxStrategyString(t *testing.T) {
-	for _, s := range []DemuxStrategy{DemuxNone, DemuxMark, DemuxReverseECMP, DemuxOracle, DemuxStrategy(9)} {
-		if s.String() == "" {
-			t.Fatal("empty strategy name")
-		}
 	}
 }

@@ -7,61 +7,24 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
-	"github.com/netmeasure/rlir/internal/eventsim"
-	"github.com/netmeasure/rlir/internal/netsim"
-	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/scenario"
 	"github.com/netmeasure/rlir/internal/stats"
-	"github.com/netmeasure/rlir/internal/topo"
-	"github.com/netmeasure/rlir/internal/trace"
 )
-
-// AnomalySite places a latency fault in the localization scenario.
-type AnomalySite uint8
-
-const (
-	// AnomalyNone runs a healthy network.
-	AnomalyNone AnomalySite = iota
-	// AnomalySrcAgg slows an aggregation switch in the source pod: the
-	// fault lands inside the ToR->core segments of one core group.
-	AnomalySrcAgg
-	// AnomalyDstAgg slows an aggregation switch in the destination pod:
-	// the fault lands inside the core->ToR segments of one group.
-	AnomalyDstAgg
-)
-
-func (a AnomalySite) String() string {
-	switch a {
-	case AnomalyNone:
-		return "none"
-	case AnomalySrcAgg:
-		return "src-agg"
-	case AnomalyDstAgg:
-		return "dst-agg"
-	default:
-		return fmt.Sprintf("site(%d)", uint8(a))
-	}
-}
 
 // LocalizationConfig is the paper's running scenario (T1 -> T7 across the
 // cores of Figure 1): one source ToR's flows to one destination ToR,
 // measured as per-core segments, with an optional injected fault.
 type LocalizationConfig struct {
-	K          int
-	LinkBps    float64
-	QueueBytes int
-	Duration   time.Duration
-	Seed       int64
-	Scheme     core.InjectionScheme
-	// SrcPod/SrcToR and DestPod/DestToR pick the endpoints.
-	SrcPod, SrcToR   int
-	DestPod, DestToR int
-	// LoadFrac is offered load relative to one host link.
-	LoadFrac float64
-	// Site / AggIndex / ExtraDelay describe the fault.
-	Site       AnomalySite
-	AggIndex   int
-	ExtraDelay time.Duration
+	// Spec is the healthy calibration pass. The default is the hotspot
+	// pattern at skew 1 — every flow sources under ToR 0 of the pod after the
+	// destination's — measured by RLI alone.
+	Spec scenario.Spec
+	// Fault is what the faulty pass adds to Spec: a FaultHopDelay at an
+	// aggregation switch. In the destination pod it lands inside one core
+	// group's core->ToR segments, in the source pod inside one group's
+	// ToR-uplink->core segments. A zero End holds it to the end of the run;
+	// nil runs the healthy network twice.
+	Fault *scenario.FaultSpec
 	// Threshold is the localizer's anomaly ratio (default 3).
 	Threshold float64
 }
@@ -69,17 +32,53 @@ type LocalizationConfig struct {
 // DefaultLocalizationConfig returns the k=4, T1->T7-style scenario with a
 // 300µs fault at the destination pod's aggregation switch 0.
 func DefaultLocalizationConfig() LocalizationConfig {
-	return LocalizationConfig{
-		K: 4, LinkBps: 1e9, QueueBytes: 256 << 10,
-		Duration: 200 * time.Millisecond, Seed: 1,
-		Scheme: core.Static{N: 40},
-		SrcPod: 0, SrcToR: 0, DestPod: 3, DestToR: 0,
-		LoadFrac:   0.6,
-		Site:       AnomalyDstAgg,
-		AggIndex:   0,
-		ExtraDelay: 300 * time.Microsecond,
-		Threshold:  3,
+	s := scenario.DefaultSpec()
+	s.Name = "localization"
+	s.Workload = scenario.WorkloadSpec{
+		Pattern:     scenario.PatternHotspot,
+		HotspotSkew: 1,
+		LoadFrac:    0.6,
+		DestPod:     3,
 	}
+	s.Deploy.StaticN = 40
+	s.Deploy.Estimators = []string{"rli"}
+	s.Duration = 200 * time.Millisecond
+	return LocalizationConfig{
+		Spec:      s,
+		Fault:     &scenario.FaultSpec{Kind: scenario.FaultHopDelay, AggPod: 3, AggIdx: 0, Extra: 300 * time.Microsecond},
+		Threshold: 3,
+	}
+}
+
+// passes returns the two runs' specs: they differ in Faults only.
+func (cfg LocalizationConfig) passes() (healthy, faulty scenario.Spec) {
+	healthy, faulty = cfg.Spec, cfg.Spec
+	if cfg.Fault != nil {
+		f := *cfg.Fault
+		if f.End == 0 {
+			f.End = cfg.Spec.Duration
+		}
+		faulty.Faults = append(slices.Clone(healthy.Faults), f)
+	}
+	return healthy, faulty
+}
+
+// endpoints resolves the destination ToR (pod, tor) and the pod the hotspot
+// pattern sources its skewed flows under (the one after the destination's).
+func (cfg LocalizationConfig) endpoints() (destPod, destToR, srcPod int) {
+	k := cfg.Spec.Topology.K
+	destPod = cfg.Spec.Workload.DestPod
+	if destPod < 0 {
+		destPod = k - 1
+	}
+	return destPod, cfg.Spec.Workload.DestToR, (destPod + 1) % k
+}
+
+// upSegName and downSegName name the two segments through core (j,i): the
+// core-resident receiver's router stats and the scenario result's segment.
+func upSegName(j, i int) string { return fmt.Sprintf("tor-uplink->core%d.%d", j, i) }
+func downSegName(j, i, destPod, destToR int) string {
+	return fmt.Sprintf("core%d.%d->tor%d.%d", j, i, destPod, destToR)
 }
 
 // LocalizationResult reports the calibration and fault runs.
@@ -133,176 +132,76 @@ func (r LocalizationResult) FaultyInflation() float64 {
 	return ratio
 }
 
-// RunLocalization runs the healthy calibration pass and the faulty pass,
-// then localizes with per-segment baselines — the paper's end-to-end story:
-// RLIR divides the T1->T7 path into segments and the inflated segment
-// identifies the sick router group.
-func RunLocalization(cfg LocalizationConfig) LocalizationResult {
+// RunLocalization runs the healthy calibration pass and the faulty pass on
+// the scenario engine, then localizes with per-segment baselines — the
+// paper's end-to-end story: RLIR divides the T1->T7 path into segments and
+// the inflated segment identifies the sick router group.
+func RunLocalization(cfg LocalizationConfig) (LocalizationResult, error) {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 3
 	}
-	base := runLocalizationPass(cfg, false)
-	faulty := runLocalizationPass(cfg, true)
+	if cfg.Threshold <= 1 {
+		return LocalizationResult{}, fmt.Errorf("experiments: localizer threshold %v must exceed 1", cfg.Threshold)
+	}
+	if f := cfg.Fault; f != nil && f.Kind != scenario.FaultHopDelay {
+		return LocalizationResult{}, fmt.Errorf("experiments: localization injects a %s fault, not %q", scenario.FaultHopDelay, f.Kind)
+	}
+	healthy, faulty := cfg.passes()
+	base, err := scenario.Run(healthy)
+	if err != nil {
+		return LocalizationResult{}, err
+	}
+	sick, err := scenario.Run(faulty)
+	if err != nil {
+		return LocalizationResult{}, err
+	}
 
+	res := LocalizationResult{Config: cfg, Baseline: cfg.segmentReports(base), Faulty: cfg.segmentReports(sick)}
 	loc := core.NewLocalizer(cfg.Threshold)
-	loc.CalibrateFrom(base)
-	res := LocalizationResult{Config: cfg}
-	for _, s := range base {
-		res.Baseline = append(res.Baseline, s.Report())
-	}
-	for _, s := range faulty {
-		res.Faulty = append(res.Faulty, s.Report())
-	}
-	res.Anomalies = loc.Examine(faulty)
+	loc.CalibrateFrom(res.Baseline)
+	res.Anomalies = loc.Examine(res.Faulty)
 
-	h := cfg.K / 2
-	switch cfg.Site {
-	case AnomalySrcAgg:
-		for i := 0; i < h; i++ {
-			res.ExpectedSegments = append(res.ExpectedSegments, upSegName(cfg.AggIndex, i))
-		}
-	case AnomalyDstAgg:
-		for i := 0; i < h; i++ {
-			res.ExpectedSegments = append(res.ExpectedSegments, downSegName(cfg.AggIndex, i))
+	if f := cfg.Fault; f != nil {
+		destPod, destToR, srcPod := cfg.endpoints()
+		for i := 0; i < cfg.Spec.Topology.K/2; i++ {
+			switch f.AggPod {
+			case srcPod:
+				res.ExpectedSegments = append(res.ExpectedSegments, upSegName(f.AggIdx, i))
+			case destPod:
+				res.ExpectedSegments = append(res.ExpectedSegments, downSegName(f.AggIdx, i, destPod, destToR))
+			}
 		}
 	}
-	return res
+	return res, nil
 }
 
-func upSegName(j, i int) string   { return fmt.Sprintf("T1->C(%d,%d)", j, i) }
-func downSegName(j, i int) string { return fmt.Sprintf("C(%d,%d)->T7", j, i) }
-
-// runLocalizationPass builds the fat-tree, instruments per-core segments,
-// optionally injects the fault, replays the workload and returns segments.
-// The returned core.Segment list is ordered: upstream (j,i) then downstream
-// (j,i), row-major.
-func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment {
-	eng := eventsim.New()
-	nw := netsim.New(eng)
-	tcfg := topo.DefaultConfig()
-	tcfg.K = cfg.K
-	tcfg.LinkBps = cfg.LinkBps
-	tcfg.QueueBytes = cfg.QueueBytes
-	ft, err := topo.Build(tcfg, nw)
-	if err != nil {
-		panic(err)
-	}
-	h := ft.Half()
-	sp, se := cfg.SrcPod, cfg.SrcToR
-	q, e0 := cfg.DestPod, cfg.DestToR
-
-	if withFault && cfg.Site != AnomalyNone {
-		pod := sp
-		if cfg.Site == AnomalyDstAgg {
-			pod = q
-		}
-		agg := ft.Aggs[pod][cfg.AggIndex]
-		agg.SetProcDelay(agg.ProcDelay() + cfg.ExtraDelay)
-	}
-
-	// Upstream: senders at the source ToR's uplinks, receivers at core
-	// ingress. Segment (j,i) covers ToR uplink j -> core (j,i).
-	for j := 0; j < h; j++ {
-		dsts := make([]packet.Addr, h)
-		for i := 0; i < h; i++ {
-			dsts[i] = ft.CoreAddr(j, i)
-		}
-		if _, err := core.AttachSender(ft.ToRUplink(sp, se, j), core.SenderConfig{
-			ID:        scenario.UpstreamSenderID(h, sp, se, j),
-			Addr:      ft.ToRAddr(sp, se),
-			Receivers: dsts,
-			Scheme:    cfg.Scheme,
-		}); err != nil {
-			panic(err)
-		}
-	}
-	var segments []core.Segment
+// segmentReports reads one pass's segments off its result, in the same
+// order for every pass: the ToR-uplink->core segment of each core (j,i)
+// row-major, then the core->ToR segments likewise. A segment no flow crossed
+// reports zero packets.
+func (cfg LocalizationConfig) segmentReports(r *scenario.Result) []core.SegmentReport {
+	h := cfg.Spec.Topology.K / 2
+	destPod, destToR, _ := cfg.endpoints()
+	var up, down []core.SegmentReport
 	for j := 0; j < h; j++ {
 		for i := 0; i < h; i++ {
-			addr := ft.CoreAddr(j, i)
-			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
-				Demux:     core.SingleDemux{ID: scenario.UpstreamSenderID(h, sp, se, j)},
-				Accept:    func(p *packet.Packet) bool { return p.Kind == packet.Regular },
-				AcceptRef: func(p *packet.Packet) bool { return p.Key.Dst == addr },
-			})
-			if err != nil {
-				panic(err)
-			}
-			segments = append(segments, core.Segment{Name: upSegName(j, i), Receiver: rx})
+			rs, _ := r.Router(fmt.Sprintf("core%d.%d", j, i))
+			up = append(up, core.SegmentReport{Name: upSegName(j, i), Packets: uint64(rs.Summary.Estimates), Mean: rs.EstMean})
+			name := downSegName(j, i, destPod, destToR)
+			ss, _ := r.Segment(name)
+			down = append(down, core.SegmentReport{Name: name, Packets: uint64(ss.Estimates), Mean: ss.EstMean})
 		}
 	}
+	return append(up, down...)
+}
 
-	// Downstream: senders at core ports toward the destination pod; one
-	// receiver per core stream spanning the destination ToR's host ports,
-	// so each segment has its own latency distribution.
-	refDst := ft.HostAddr(q, e0, 0)
-	var downstream []core.Segment
-	for j := 0; j < h; j++ {
-		for i := 0; i < h; i++ {
-			j, i := j, i
-			if _, err := core.AttachSender(ft.CoreDownPort(j, i, q), core.SenderConfig{
-				ID:        scenario.DownstreamSenderID(h, j, i),
-				Addr:      ft.CoreAddr(j, i),
-				Receivers: []packet.Addr{refDst},
-				Scheme:    cfg.Scheme,
-			}); err != nil {
-				panic(err)
-			}
-			sid := scenario.DownstreamSenderID(h, j, i)
-			rx, err := core.NewReceiver(core.ReceiverConfig{
-				// Reverse-ECMP demux restricted to this stream: packets
-				// resolved to other cores are left to their own receivers.
-				Demux: core.FuncDemux{
-					Label: "reverse-ecmp-" + downSegName(j, i),
-					F: func(p *packet.Packet) (core.SenderID, bool) {
-						rj, ri, err := ft.ResolveCore(p.Key)
-						if err != nil || rj != j || ri != i {
-							return 0, false
-						}
-						return sid, true
-					},
-				},
-				Accept: func(p *packet.Packet) bool { return p.Kind == packet.Regular },
-				AcceptRef: func(p *packet.Packet) bool {
-					return p.Ref.Sender == sid
-				},
-			})
-			if err != nil {
-				panic(err)
-			}
-			for hh := 0; hh < h; hh++ {
-				ft.ToRHostPort(q, e0, hh).OnTxStart(rx.Observe)
-			}
-			downstream = append(downstream, core.Segment{Name: downSegName(j, i), Receiver: rx})
-		}
+// faultLabel names the injected fault for the rendering and the table row.
+func (cfg LocalizationConfig) faultLabel() string {
+	f := cfg.Fault
+	if f == nil {
+		return "none"
 	}
-
-	// Workload: source ToR's hosts to destination ToR's hosts.
-	gcfg := trace.DefaultConfig()
-	gcfg.Seed = cfg.Seed
-	gcfg.Duration = cfg.Duration
-	gcfg.TargetBps = cfg.LoadFrac * float64(h) * cfg.LinkBps
-	gcfg.CapFlowLen()
-	gen := trace.NewGenerator(gcfg)
-	var slab packet.Slab
-	for {
-		rec, ok := gen.Next()
-		if !ok {
-			break
-		}
-		hash := rec.Key.FastHash()
-		sh := int(hash % uint64(h))
-		dh := int(hash >> 8 % uint64(h))
-		key := rec.Key
-		key.Src = ft.HostAddr(sp, se, sh)
-		key.Dst = ft.HostAddr(q, e0, dh)
-		pk := slab.New()
-		*pk = packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
-	}
-	eng.Run()
-
-	return append(segments, downstream...)
+	return fmt.Sprintf("%s agg%d.%d +%v", f.Kind, f.AggPod, f.AggIdx, f.Extra)
 }
 
 // Render formats the localization scenario: both passes' segments and the
@@ -310,10 +209,10 @@ func runLocalizationPass(cfg LocalizationConfig, withFault bool) []core.Segment 
 func (r LocalizationResult) Render() string {
 	var b strings.Builder
 	b.WriteString("== L1: latency anomaly localization across segments ==\n")
-	fmt.Fprintf(&b, "fault: %s agg[%d] +%v\n", r.Config.Site, r.Config.AggIndex, r.Config.ExtraDelay)
-	fmt.Fprintf(&b, "%-14s %12s %12s\n", "segment", "baseline", "faulty")
+	fmt.Fprintf(&b, "fault: %s\n", r.Config.faultLabel())
+	fmt.Fprintf(&b, "%-22s %12s %12s\n", "segment", "baseline", "faulty")
 	for i := range r.Baseline {
-		fmt.Fprintf(&b, "%-14s %12v %12v\n", r.Baseline[i].Name, r.Baseline[i].Mean, r.Faulty[i].Mean)
+		fmt.Fprintf(&b, "%-22s %12v %12v\n", r.Baseline[i].Name, r.Baseline[i].Mean, r.Faulty[i].Mean)
 	}
 	if len(r.Anomalies) == 0 {
 		b.WriteString("verdict: no anomalies flagged\n")
@@ -337,7 +236,7 @@ func (r LocalizationResult) Table() stats.Table {
 		RowHeader: "fault",
 		Columns:   []string{"localized", "faultyInflation"},
 		Rows: []stats.TableRow{{
-			Label: fmt.Sprintf("%s agg[%d] +%v", r.Config.Site, r.Config.AggIndex, r.Config.ExtraDelay),
+			Label: r.Config.faultLabel(),
 			Cells: []float64{localized, r.FaultyInflation()},
 		}},
 	}

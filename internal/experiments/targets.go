@@ -40,18 +40,27 @@ var targets = []Target{
 	{ID: "4c", Run: func(sc scenario.Scale) Result { return Fig4c(sc) }},
 	{ID: "5", SingleSeed: true, Run: func(sc scenario.Scale) Result { return Fig5(sc, nil) }},
 	{ID: "A1", Run: func(sc scenario.Scale) Result {
-		cfg := DefaultFatTreeConfig()
-		cfg.Seed = sc.Seed
-		return AblationDemux(cfg)
+		spec := DefaultFatTreeSpec()
+		spec.Seed = sc.Seed
+		return must(AblationDemux(spec))
 	}},
 	{ID: "A2", Run: func(sc scenario.Scale) Result { return AblationEstimators(sc, 0.8) }},
 	{ID: "A3", Run: func(sc scenario.Scale) Result { return AblationClocks(sc, 0.8) }},
 	{ID: "B1", Run: func(sc scenario.Scale) Result { return RunBaselines(sc, 0.85) }},
 	{ID: "L1", Run: func(sc scenario.Scale) Result {
 		cfg := DefaultLocalizationConfig()
-		cfg.Seed = sc.Seed
-		return RunLocalization(cfg)
+		cfg.Spec.Seed = sc.Seed
+		return must(RunLocalization(cfg))
 	}},
+}
+
+// must unwraps a run of one of this package's own default specs: they
+// validate at any seed, so an error here is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // Targets returns the registry in -all order.

@@ -4,9 +4,18 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
 )
+
+// tinyScale keeps multi-seed sweeps affordable in unit tests.
+func tinyScale() scenario.Scale {
+	sc := scenario.SmallScale()
+	sc.Duration = 120 * time.Millisecond
+	return sc
+}
 
 // TestSweepWorkerInvariance: every registered target's across-seed table
 // must not depend on the worker count. Walking the registry means a newly
@@ -82,5 +91,15 @@ func TestParseTarget(t *testing.T) {
 		if !strings.Contains(err.Error(), target.ID) {
 			t.Fatalf("error %q does not list target %q", err, target.ID)
 		}
+	}
+}
+
+func TestMetricOf(t *testing.T) {
+	m := stats.MetricOf([]float64{1, 2, 3})
+	if m.N != 3 || m.Mean != 2 || m.Min != 1 || m.Max != 3 {
+		t.Fatalf("metricOf: %+v", m)
+	}
+	if m.String() == "" || stats.MetricOf(nil).String() != "n/a" {
+		t.Fatalf("String rendering broken: %q / %q", m.String(), stats.MetricOf(nil).String())
 	}
 }

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -128,31 +130,130 @@ func TestFaultWindowRestores(t *testing.T) {
 	}
 }
 
+// tandemSweepSpec is the registered baseline-tandem scenario shortened for
+// multi-seed tests, RLI only.
+func tandemSweepSpec(t *testing.T) Spec {
+	t.Helper()
+	sc, ok := Get("baseline-tandem")
+	if !ok {
+		t.Fatal("baseline-tandem not registered")
+	}
+	s := sc.Spec
+	s.Duration = 120 * time.Millisecond
+	s.Deploy.Estimators = []string{"rli"}
+	return s
+}
+
 // TestRunMultiWorkerInvariance pins the sweep determinism contract on real
-// scenario runs: sweeping with 1 worker and 4 workers yields identical
-// per-seed results.
+// runs of both topologies: sweeping with 1 worker and with several yields
+// identical per-seed results, across-seed metrics and merged collector
+// snapshot — the runner + collector plane end to end.
 func TestRunMultiWorkerInvariance(t *testing.T) {
-	s := quickSpec()
-	s.Duration = 40 * time.Millisecond
-	seq, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 1})
+	if testing.Short() {
+		t.Skip("multi-simulation sweep; skipped in -short")
+	}
+	fattree := quickSpec()
+	fattree.Duration = 40 * time.Millisecond
+	for name, s := range map[string]Spec{"fattree": fattree, "tandem": tandemSweepSpec(t)} {
+		t.Run(name, func(t *testing.T) {
+			seq, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range seq.PerSeed {
+				if !sameResult(seq.PerSeed[i], par.PerSeed[i]) {
+					t.Fatalf("seed %d differs across worker counts", i)
+				}
+			}
+			if !reflect.DeepEqual(seq.Fleet, par.Fleet) {
+				t.Fatal("merged collector aggregates differ across worker counts")
+			}
+			if seq.MedianRelErr != par.MedianRelErr || seq.P90RelErr != par.P90RelErr || seq.HotLinkUtil != par.HotLinkUtil {
+				t.Fatalf("worker count changed sweep output:\n%s\n%s", seq.Render(), par.Render())
+			}
+			if seq.MedianRelErr.N != 4 {
+				t.Fatalf("metric N = %d, want 4", seq.MedianRelErr.N)
+			}
+		})
+	}
+}
+
+// TestRunMultiStatistics sanity-checks the aggregation itself, on a tandem
+// sweep.
+func TestRunMultiStatistics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-simulation sweep; skipped in -short")
+	}
+	r, err := RunMulti(tandemSweepSpec(t), MultiOpts{Seeds: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunMulti(s, MultiOpts{Seeds: 4, Workers: 4})
+	if len(r.Seeds) != 3 || len(r.PerSeed) != 3 {
+		t.Fatalf("got %d seeds, %d results", len(r.Seeds), len(r.PerSeed))
+	}
+	if r.Seeds[0] == r.Seeds[1] || r.Seeds[1] == r.Seeds[2] {
+		t.Fatalf("derived seeds not distinct: %v", r.Seeds)
+	}
+	if r.MedianRelErr.N != 3 || r.MedianRelErr.CI95 < 0 {
+		t.Fatalf("bad MedianRelErr stats: %+v", r.MedianRelErr)
+	}
+	if r.MedianRelErr.Min > r.MedianRelErr.Mean || r.MedianRelErr.Mean > r.MedianRelErr.Max {
+		t.Fatalf("mean outside [min,max]: %+v", r.MedianRelErr)
+	}
+	// Cross-check the mean against the per-seed results, and the merged plane
+	// against their estimate counts: it must hold every run's estimates.
+	var sum float64
+	var perSeed, merged int64
+	for _, res := range r.PerSeed {
+		sum += res.Overall.MedianRelErr
+		perSeed += res.Overall.Estimates
+	}
+	if want := sum / 3; math.Abs(r.MedianRelErr.Mean-want) > 1e-12 {
+		t.Fatalf("MedianRelErr.Mean = %v, want %v", r.MedianRelErr.Mean, want)
+	}
+	for _, a := range r.Fleet {
+		merged += a.Est.N()
+	}
+	if merged != perSeed || perSeed == 0 {
+		t.Fatalf("merged collector holds %d estimates, per-seed results total %d", merged, perSeed)
+	}
+}
+
+// TestSourcePodHopDelayRaisesCoreEstMean pins RouterStats.EstMean, the
+// ToR-uplink->core half of what the localization experiment reads: with every
+// flow sourced under one ToR, a slow aggregation switch in that pod raises the
+// mean at exactly its own core group's receivers.
+func TestSourcePodHopDelayRaisesCoreEstMean(t *testing.T) {
+	healthy := quickSpec()
+	healthy.Duration = 100 * time.Millisecond
+	healthy.Workload.Pattern, healthy.Workload.HotspotSkew = PatternHotspot, 1 // all flows from tor0.0
+	faulty := healthy
+	faulty.Faults = []FaultSpec{{Kind: FaultHopDelay, AggPod: 0, AggIdx: 1,
+		Extra: 400 * time.Microsecond, Start: 0, End: healthy.Duration}}
+	h, err := Run(healthy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.MedianRelErr != par.MedianRelErr || seq.P90RelErr != par.P90RelErr ||
-		seq.HotLinkUtil != par.HotLinkUtil || len(seq.Fleet) != len(par.Fleet) {
-		t.Fatalf("worker count changed sweep output:\n%s\n%s", seq.Render(), par.Render())
+	f, err := Run(faulty)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range seq.PerSeed {
-		if seq.PerSeed[i].Overall != par.PerSeed[i].Overall {
-			t.Fatalf("seed %d differs across worker counts", i)
+	for _, c := range []struct {
+		router string
+		slow   bool
+	}{{"core0.0", false}, {"core0.1", false}, {"core1.0", true}, {"core1.1", true}} {
+		hr, ok1 := h.Router(c.router)
+		fr, ok2 := f.Router(c.router)
+		if !ok1 || !ok2 || hr.Summary.Estimates == 0 || hr.EstMean <= 0 {
+			t.Fatalf("%s: no upstream estimates (%+v)", c.router, hr)
 		}
-	}
-	if seq.MedianRelErr.N != 4 {
-		t.Fatalf("metric N = %d, want 4", seq.MedianRelErr.N)
+		if rise := fr.EstMean - hr.EstMean; c.slow != (rise > 300*time.Microsecond) || (!c.slow && rise != 0) {
+			t.Errorf("%s: mean %v -> %v under a 400µs fault in group 1", c.router, hr.EstMean, fr.EstMean)
+		}
 	}
 }
 

@@ -21,14 +21,14 @@ import (
 // stages over one fatTreeRun: build -> instrument -> inject -> run ->
 // harvest.
 
-// UpstreamSenderID identifies the sender at ToR(p,e) uplink j in a fat-tree
+// upstreamSenderID identifies the sender at ToR(p,e) uplink j in a fat-tree
 // of half-arity h.
-func UpstreamSenderID(h, p, e, j int) core.SenderID {
+func upstreamSenderID(h, p, e, j int) core.SenderID {
 	return core.SenderID(1000 + ((p*h+e)*h + j))
 }
 
-// DownstreamSenderID identifies the sender instances at core (j,i).
-func DownstreamSenderID(h, j, i int) core.SenderID {
+// downstreamSenderID identifies the sender instances at core (j,i).
+func downstreamSenderID(h, j, i int) core.SenderID {
 	return core.SenderID(2000 + j*h + i)
 }
 
@@ -256,17 +256,17 @@ func (r *fatTreeRun) demux() (strategy, oracle core.Demux) {
 	od := core.NewOracleDemux()
 	for j := 0; j < h; j++ {
 		for i := 0; i < h; i++ {
-			od.Add(ft.Cores[j][i].ID(), DownstreamSenderID(h, j, i))
+			od.Add(ft.Cores[j][i].ID(), downstreamSenderID(h, j, i))
 		}
 	}
 	switch r.spec.Deploy.Demux {
 	case DemuxNone:
-		return core.SingleDemux{ID: DownstreamSenderID(h, 0, 0)}, od
+		return core.SingleDemux{ID: downstreamSenderID(h, 0, 0)}, od
 	case DemuxMark:
 		md := core.NewMarkDemux()
 		for j := 0; j < h; j++ {
 			for i := 0; i < h; i++ {
-				md.Add(ft.CoreMark(j, i), DownstreamSenderID(h, j, i))
+				md.Add(ft.CoreMark(j, i), downstreamSenderID(h, j, i))
 			}
 		}
 		return md, od
@@ -280,7 +280,7 @@ func (r *fatTreeRun) demux() (strategy, oracle core.Demux) {
 			if err != nil {
 				return 0, false
 			}
-			return DownstreamSenderID(h, j, i), true
+			return downstreamSenderID(h, j, i), true
 		},
 	}, od
 }
@@ -301,7 +301,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 					dsts[i] = ft.CoreAddr(j, i)
 				}
 				if err := r.attachSender(ft.ToRUplink(p, e, j), core.SenderConfig{
-					ID:        UpstreamSenderID(h, p, e, j),
+					ID:        upstreamSenderID(h, p, e, j),
 					Addr:      ft.ToRAddr(p, e),
 					Receivers: dsts,
 				}); err != nil {
@@ -317,7 +317,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 				for e := 0; e < h; e++ {
 					// Packets reaching core (j,i) from ToR (p,e) crossed that
 					// ToR's uplink j by construction of core groups.
-					pd.Add(ft.ToRSubnet(p, e), UpstreamSenderID(h, p, e, j))
+					pd.Add(ft.ToRSubnet(p, e), upstreamSenderID(h, p, e, j))
 				}
 			}
 			addr := ft.CoreAddr(j, i)
@@ -386,7 +386,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			for i := 0; i < h; i++ {
 				port := ft.CoreDownPort(j, i, p)
 				if err := r.attachSender(port, core.SenderConfig{
-					ID:        DownstreamSenderID(h, j, i),
+					ID:        downstreamSenderID(h, j, i),
 					Addr:      ft.CoreAddr(j, i),
 					Receivers: refs,
 				}); err != nil {

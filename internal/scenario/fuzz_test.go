@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // FuzzDecodeSpecJSON is the robustness target for the spec file format: on
@@ -16,7 +17,13 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 	// Spec files written for the deleted multi-lane engine keep decoding.
 	legacy := DefaultSpec()
 	legacy.Engine, legacy.Partitions = EngineParallel, 2
-	seeds := []Spec{legacy}
+	// The localization experiment's faulty pass (experiments L1): every flow
+	// from one ToR, one hop-delay fault held for the whole run.
+	l1 := DefaultSpec()
+	l1.Workload = WorkloadSpec{Pattern: PatternHotspot, HotspotSkew: 1, LoadFrac: 0.6, DestPod: 3}
+	l1.Deploy.StaticN, l1.Deploy.Estimators = 40, []string{"rli"}
+	l1.Faults = []FaultSpec{{Kind: FaultHopDelay, AggPod: 3, Extra: 300 * time.Microsecond, End: l1.Duration}}
+	seeds := []Spec{legacy, l1}
 	for _, sc := range All() {
 		seeds = append(seeds, sc.Spec)
 	}

@@ -25,6 +25,9 @@ type RouterStats struct {
 	// Tails of the per-packet estimated and true delay distributions.
 	EstP50, EstP99   time.Duration
 	TrueP50, TrueP99 time.Duration
+	// EstMean is the mean per-packet estimated delay — what the localizer
+	// (core.Localizer) compares against a healthy run's.
+	EstMean time.Duration
 }
 
 // SegmentStats is one core->monitored-ToR path segment, grouped from a
@@ -202,4 +205,5 @@ func (rr *routerRec) fill(rs *RouterStats) {
 	rs.EstP99 = rr.estH.Quantile(0.99)
 	rs.TrueP50 = rr.trueH.Quantile(0.5)
 	rs.TrueP99 = rr.trueH.Quantile(0.99)
+	rs.EstMean = rr.estH.Mean()
 }

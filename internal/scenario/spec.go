@@ -63,8 +63,8 @@ const (
 	// aggregation switch for the window — a misbehaving lookup path.
 	// Aggregation switches sit inside the downstream measured segment
 	// (between the core's egress timestamp and the monitored ToR), so the
-	// added delay is visible to RLIR receivers — the same fault site the
-	// localization experiment (L1) uses.
+	// added delay is visible to RLIR receivers. The localization experiment
+	// (L1) is this fault held for a whole run.
 	FaultHopDelay = "hop-delay"
 )
 
@@ -77,7 +77,7 @@ const (
 // Downstream demultiplexing strategies (§3.1 names).
 const (
 	DemuxReverseECMP = "reverse-ecmp"
-	DemuxMark        = "mark"
+	DemuxMark        = "marking"
 	DemuxOracle      = "oracle"
 	DemuxNone        = "none"
 )

@@ -157,9 +157,14 @@ func (c *CDF) LogPoints(lo, hi float64, n int) []Point {
 }
 
 // Render draws an ASCII CDF table of the curve at logarithmic x ticks; it is
-// the textual stand-in for the paper's figures.
+// the textual stand-in for the paper's figures. An empty CDF has no median
+// and no curve: it renders as its n=0 header alone.
 func (c *CDF) Render(label string, lo, hi float64, n int) string {
 	var b strings.Builder
+	if c.N() == 0 {
+		fmt.Fprintf(&b, "%-28s n=0\n", label)
+		return b.String()
+	}
 	fmt.Fprintf(&b, "%-28s n=%d median=%.4g\n", label, c.N(), c.Median())
 	for _, p := range c.LogPoints(lo, hi, n) {
 		bar := strings.Repeat("#", int(p.Y*40+0.5))

@@ -147,6 +147,22 @@ func TestRenderSmokes(t *testing.T) {
 	}
 }
 
+// TestRenderEmptyCDF: a run that produced no estimates (rlirsim -scheme none)
+// still renders — the header with n=0, no median, no rows — while Quantile
+// keeps its panic for callers that index.
+func TestRenderEmptyCDF(t *testing.T) {
+	out := NewCDF(nil).Render("relative error", 1e-3, 1e1, 9)
+	if want := "relative error               n=0\n"; out != want {
+		t.Fatalf("empty render = %q, want %q", out, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Quantile of an empty CDF did not panic")
+		}
+	}()
+	NewCDF(nil).Median()
+}
+
 func TestCDFSortedInternally(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 100)

@@ -115,31 +115,12 @@ func ParseEstimator(s string) (core.Estimator, error) { return core.ParseEstimat
 
 // ---- Fat-tree RLIR deployment (paper Figure 1 / §3.1) ----
 
-// DemuxStrategy names the downstream demultiplexing options.
-type DemuxStrategy = experiments.DemuxStrategy
-
-// Downstream demultiplexing strategies of §3.1.
-const (
-	DemuxNone        = experiments.DemuxNone
-	DemuxMark        = experiments.DemuxMark
-	DemuxReverseECMP = experiments.DemuxReverseECMP
-	DemuxOracle      = experiments.DemuxOracle
-)
-
-// ParseDemuxStrategy parses a strategy's rendered name (none, marking,
-// reverse-ecmp, oracle); the error lists the valid names.
-func ParseDemuxStrategy(s string) (DemuxStrategy, error) { return experiments.ParseDemuxStrategy(s) }
-
-// DefaultFatTreeConfig returns a k=4 deployment at moderate load.
-func DefaultFatTreeConfig() experiments.FatTreeConfig { return experiments.DefaultFatTreeConfig() }
-
-// RunFatTree executes one fat-tree RLIR deployment: upstream senders at
-// source ToR uplinks, receivers at cores (prefix demux), downstream senders
-// at cores and a strategy-demultiplexed receiver at the destination ToR. It
-// is a converging-pattern ScenarioSpec run on the scenario engine.
-func RunFatTree(cfg experiments.FatTreeConfig) experiments.FatTreeResult {
-	return experiments.RunFatTree(cfg)
-}
+// DefaultFatTreeSpec returns the k=4 deployment at moderate load as a
+// ScenarioSpec: upstream senders at source ToR uplinks, receivers at cores
+// (prefix demux), downstream senders at cores and a receiver at the
+// destination ToR demultiplexing with Deploy.Demux (reverse-ecmp, marking,
+// oracle, none). RunScenario executes it.
+func DefaultFatTreeSpec() ScenarioSpec { return experiments.DefaultFatTreeSpec() }
 
 // ---- Placement planning (paper §3.1) ----
 
@@ -180,14 +161,14 @@ type Scalars = experiments.Scalars
 // RunScalars measures them.
 func RunScalars(scale Scale) Scalars { return experiments.RunScalars(scale) }
 
-// DemuxAblation is the A1 table, one RunFatTree result per strategy; Render
+// DemuxAblation is the A1 table, one ScenarioResult per strategy; Render
 // formats it.
 type DemuxAblation = experiments.DemuxAblation
 
 // AblationDemux runs every downstream demux strategy on an identical
-// fat-tree workload (DESIGN.md A1).
-func AblationDemux(cfg experiments.FatTreeConfig) DemuxAblation {
-	return experiments.AblationDemux(cfg)
+// fat-tree workload (DESIGN.md A1); the error is the spec's validation error.
+func AblationDemux(spec ScenarioSpec) (DemuxAblation, error) {
+	return experiments.AblationDemux(spec)
 }
 
 // EstimatorAblation is the A2 table; Render formats it.
@@ -219,23 +200,17 @@ func RunBaselines(scale Scale, util float64) BaselineResult {
 // LocalizationResult reports calibration, fault run and verdict.
 type LocalizationResult = experiments.LocalizationResult
 
-// Fault sites for RunLocalization.
-const (
-	AnomalyNone   = experiments.AnomalyNone
-	AnomalySrcAgg = experiments.AnomalySrcAgg
-	AnomalyDstAgg = experiments.AnomalyDstAgg
-)
-
-// DefaultLocalizationConfig returns the k=4 scenario with a fault at the
+// DefaultLocalizationConfig returns the k=4 scenario — a hotspot ScenarioSpec
+// sourcing every flow under one ToR — with a hop-delay fault at the
 // destination pod's aggregation layer.
 func DefaultLocalizationConfig() experiments.LocalizationConfig {
 	return experiments.DefaultLocalizationConfig()
 }
 
 // RunLocalization measures per-core segments of one ToR-to-ToR path twice
-// (healthy, then with an injected fault) and reports which segments the
-// localizer flags.
-func RunLocalization(cfg experiments.LocalizationConfig) LocalizationResult {
+// (the config's spec healthy, then with its fault held for the whole run)
+// and reports which segments the localizer flags.
+func RunLocalization(cfg experiments.LocalizationConfig) (LocalizationResult, error) {
 	return experiments.RunLocalization(cfg)
 }
 
@@ -276,14 +251,6 @@ func ParseExperimentTarget(id string) (ExperimentTarget, error) { return experim
 // is identical for any worker count.
 func Sweep(t ExperimentTarget, scale Scale, opts MultiOpts) (TableCI, error) {
 	return experiments.Sweep(t, scale, opts)
-}
-
-// MultiTandemResult aggregates one tandem configuration across seeds.
-type MultiTandemResult = experiments.MultiTandemResult
-
-// MultiTandem runs one tandem configuration at N derived seeds in parallel.
-func MultiTandem(cfg TandemConfig, opts MultiOpts) MultiTandemResult {
-	return experiments.MultiTandem(cfg, opts)
 }
 
 // ---- Unified estimator layer (internal/measure) ----

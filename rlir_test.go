@@ -95,18 +95,24 @@ func TestPublicAPIMicroseconds(t *testing.T) {
 }
 
 func TestPublicAPIFatTree(t *testing.T) {
-	cfg := rlir.DefaultFatTreeConfig()
-	cfg.Duration = 60 * time.Millisecond
-	res := rlir.RunFatTree(cfg)
-	if res.Downstream.Flows == 0 || res.Misattribution != 0 {
-		t.Fatalf("fat-tree via facade: %+v", res.Downstream)
+	spec := rlir.DefaultFatTreeSpec()
+	spec.Duration = 60 * time.Millisecond
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overall.Flows == 0 || res.Misattribution != 0 {
+		t.Fatalf("fat-tree via facade: %+v", res.Overall)
 	}
 }
 
 func TestPublicAPILocalization(t *testing.T) {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Duration = 80 * time.Millisecond
-	res := rlir.RunLocalization(cfg)
+	cfg.Spec.Duration = 80 * time.Millisecond
+	res, err := rlir.RunLocalization(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Localized() {
 		t.Fatalf("localization via facade failed: %v", res.Anomalies)
 	}
