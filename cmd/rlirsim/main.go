@@ -124,20 +124,21 @@ func parseArgs(args []string) (options, error) {
 		return o, fmt.Errorf("-n %d < 0", o.staticN)
 	}
 	if o.topology == "fattree" {
+		s := rlir.DefaultFatTreeSpec()
+		s.Topology.K = *k
+		s.Seed = o.seed
+		if o.duration > 0 {
+			s.Duration = o.duration
+		}
 		// -scheme none is the tandem's no-sender run; a fat-tree deployment
 		// has no such form and Validate says so.
-		o.fattree = rlir.DefaultFatTreeSpec()
-		o.fattree.Topology.K = *k
-		o.fattree.Seed = o.seed
-		if o.duration > 0 {
-			o.fattree.Duration = o.duration
-		}
-		o.fattree.Deploy.Scheme = *scheme
-		o.fattree.Deploy.StaticN = o.staticN
-		o.fattree.Deploy.Demux = *demux
-		if err = o.fattree.Validate(); err != nil {
+		s.Deploy.Scheme = *scheme
+		s.Deploy.StaticN = o.staticN
+		s.Deploy.Demux = *demux
+		if err := s.Validate(); err != nil {
 			return o, err
 		}
+		o.fattree = s
 	}
 	return o, nil
 }

@@ -220,8 +220,8 @@ func RunLocalization(cfg experiments.LocalizationConfig) (LocalizationResult, er
 // also a registered ExperimentTarget whose result exposes its metrics as a
 // Table; Sweep fans a target across N independent simulations (seeds derived
 // via SplitMix64) and folds the tables cell by cell into mean ± 95% CI.
-// MultiTandem is the one sweep that is more than a table: it also merges
-// per-run flow telemetry through the internal/collector plane.
+// RunScenarioMulti sweeps one spec and also merges the runs' per-flow
+// telemetry through the internal/collector plane.
 
 // MultiOpts sizes a multi-seed sweep (Seeds default 8, Workers default
 // GOMAXPROCS).
