@@ -25,6 +25,7 @@ import (
 
 	rlir "github.com/netmeasure/rlir"
 	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // benchScale keeps benchmark iterations affordable; cmd/experiments runs
@@ -105,17 +106,18 @@ func BenchmarkFig5(b *testing.B) {
 }
 
 func BenchmarkTablePlacement(b *testing.B) {
-	var rows []rlir.PlacementRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = rlir.PlacementTable([]int{4, 8, 16, 32, 48})
-		if err != nil {
-			b.Fatal(err)
-		}
+	target, err := rlir.ParseExperimentTarget("placement")
+	if err != nil {
+		b.Fatal(err)
 	}
-	renderOnce("placement", rlir.FormatPlacementTable(rows))
-	b.ReportMetric(float64(rows[0].PairOfInterfaces), "instances/k4-pair")
-	b.ReportMetric(rows[len(rows)-1].Reduction, "savings/k48")
+	var rows []stats.TableRow
+	for i := 0; i < b.N; i++ {
+		res := target.Run(benchScale())
+		rows = res.Table().Rows
+		renderOnce("placement", res.Render())
+	}
+	b.ReportMetric(rows[0].Cells[0], "instances/k4-pair")
+	b.ReportMetric(rows[len(rows)-1].Cells[4], "savings/k48")
 }
 
 func BenchmarkScalars(b *testing.B) {

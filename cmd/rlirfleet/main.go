@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -38,6 +37,7 @@ import (
 	"time"
 
 	rlir "github.com/netmeasure/rlir"
+	"github.com/netmeasure/rlir/internal/queryapi"
 )
 
 func main() {
@@ -118,7 +118,7 @@ func run(args []string, out io.Writer, ready chan<- net.Addr) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: front.Handler()}
+	srv := queryapi.NewServer(front.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(out, "rlirfleet: merged query API on http://%s (fleet of %d)\n", ln.Addr(), front.Instances())

@@ -1,19 +1,12 @@
 // Command tracegen generates the synthetic workloads that stand in for the
-// paper's CAIDA OC-192 traces, writing them in the repository's binary
-// trace format or as a nanosecond pcap, and summarizing whatever it wrote.
-//
-// Independent runs (statistically uncorrelated traces reproducible from
-// one base seed) are derived through trace/seed.go's SplitMix64 stream
-// derivation — never naive seed+i arithmetic, which hands neighbouring
-// runs nearly identical generator states.
+// paper's CAIDA OC-192 traces and prints their summary (packets, flows,
+// mean rate) — the workload itself is regenerated in-process by every
+// simulation, so no packet file is written.
 //
 // Usage:
 //
-//	tracegen -o regular.trc -duration 2s -rate 220e6
-//	tracegen -o cross.pcap -format pcap -seed 2 -src 172.16.0.0/16
-//	tracegen -o sweep.trc -runs 8          # sweep.run0.trc ... sweep.run7.trc
-//	tracegen -o run3.trc -run 3            # just stream 3 of the same sweep
-//	tracegen -summarize regular.trc
+//	tracegen -duration 2s -rate 220e6
+//	tracegen -seed 2 -src 172.16.0.0/16
 //
 // It also emits recorded-link stand-ins — per-link delay/loss time series
 // the scenario engine replays via -link-trace (trace.GenLinkTrace):
@@ -27,13 +20,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/pcapio"
 	"github.com/netmeasure/rlir/internal/trace"
 )
 
@@ -46,17 +36,13 @@ func main() {
 
 // options is the parsed command line.
 type options struct {
-	out       string
-	format    string
-	duration  time.Duration
-	bps       float64
-	seed      int64
-	src, dst  string
-	alpha     float64
-	maxFlow   int
-	runs      int
-	runIdx    int
-	summarize string
+	out      string
+	duration time.Duration
+	bps      float64
+	seed     int64
+	src, dst string
+	alpha    float64
+	maxFlow  int
 
 	emit          string
 	linkFormat    string
@@ -73,18 +59,14 @@ func parseArgs(args []string) (options, error) {
 	var rate string
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	fs.StringVar(&o.out, "o", "", "output file (empty: print summary only)")
-	fs.StringVar(&o.format, "format", "binary", "output format: binary | pcap")
+	fs.StringVar(&o.out, "o", "", "output file for -emit link (empty: stdout)")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "trace duration")
 	fs.StringVar(&rate, "rate", "220e6", "target offered load, bits/second")
-	fs.Int64Var(&o.seed, "seed", 1, "deterministic base seed")
+	fs.Int64Var(&o.seed, "seed", 1, "deterministic seed")
 	fs.StringVar(&o.src, "src", "10.1.0.0/16", "source address pool")
 	fs.StringVar(&o.dst, "dst", "10.200.0.0/16", "destination address pool")
 	fs.Float64Var(&o.alpha, "alpha", 1.15, "flow length tail index")
 	fs.IntVar(&o.maxFlow, "maxflow", 20000, "max packets per flow")
-	fs.IntVar(&o.runs, "runs", 1, "independent runs to generate (seeds derived via SplitMix64 streams)")
-	fs.IntVar(&o.runIdx, "run", -1, "generate only this derived stream index of the base seed")
-	fs.StringVar(&o.summarize, "summarize", "", "summarize an existing trace file and exit")
 	fs.StringVar(&o.emit, "emit", "packet", "what to generate: packet | link")
 	fs.StringVar(&o.linkFormat, "link-format", "json", "link trace encoding for -emit link: json | csv")
 	fs.DurationVar(&o.linkStep, "link-step", 10*time.Millisecond, "row spacing for -emit link")
@@ -97,29 +79,14 @@ func parseArgs(args []string) (options, error) {
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	if o.format != "binary" && o.format != "pcap" {
-		return o, fmt.Errorf("unknown -format %q (valid: binary, pcap)", o.format)
-	}
 	if o.emit != "packet" && o.emit != "link" {
 		return o, fmt.Errorf("unknown -emit %q (valid: packet, link)", o.emit)
 	}
 	if o.linkFormat != "json" && o.linkFormat != "csv" {
 		return o, fmt.Errorf("unknown -link-format %q (valid: json, csv)", o.linkFormat)
 	}
-	if o.emit == "link" && (o.runs > 1 || o.runIdx >= 0) {
-		return o, fmt.Errorf("-emit link generates one deterministic time series; -runs/-run apply to packet traces")
-	}
-	if o.runs < 1 {
-		return o, fmt.Errorf("-runs %d < 1", o.runs)
-	}
-	if o.runIdx < -1 {
-		return o, fmt.Errorf("-run %d is negative (valid: stream indices >= 0)", o.runIdx)
-	}
-	if o.runs > 1 && o.runIdx >= 0 {
-		return o, fmt.Errorf("-runs and -run are exclusive: a batch derives every stream, -run selects one")
-	}
-	if o.runs > 1 && o.out == "" {
-		return o, fmt.Errorf("-runs %d needs -o to name the per-run files", o.runs)
+	if o.emit == "packet" && o.out != "" {
+		return o, fmt.Errorf("-o applies to -emit link: a packet workload is summarised on stdout, not written")
 	}
 	bps, err := strconv.ParseFloat(rate, 64)
 	if err != nil {
@@ -129,16 +96,10 @@ func parseArgs(args []string) (options, error) {
 	return o, nil
 }
 
-// config builds the generator config for one derived stream. Stream index
-// < 0 uses the base seed directly (a single, stand-alone trace); >= 0
-// routes through trace.DeriveSeed so separate runs are independent yet
-// reproducible.
-func (o options) config(stream int) (trace.Config, error) {
+// config builds the generator config.
+func (o options) config() (trace.Config, error) {
 	cfg := trace.DefaultConfig()
 	cfg.Seed = o.seed
-	if stream >= 0 {
-		cfg.Seed = trace.DeriveSeed(o.seed, uint64(stream))
-	}
 	cfg.Duration = o.duration
 	cfg.TargetBps = o.bps
 	src, err := packet.ParsePrefix(o.src)
@@ -159,55 +120,20 @@ func (o options) config(stream int) (trace.Config, error) {
 	return cfg, nil
 }
 
-// runFile names run i of a batch: base.trc -> base.run0.trc.
-func runFile(out string, i int) string {
-	ext := filepath.Ext(out)
-	return fmt.Sprintf("%s.run%d%s", strings.TrimSuffix(out, ext), i, ext)
-}
-
 func run(args []string, out io.Writer) error {
 	o, err := parseArgs(args)
 	if err != nil {
 		return err
 	}
-
-	if o.summarize != "" {
-		f, err := os.Open(o.summarize)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		r := trace.NewReader(f)
-		fmt.Fprintln(out, trace.Summarize(r))
-		return r.Err()
-	}
-
 	if o.emit == "link" {
 		return emitLink(o, out)
 	}
-
-	if o.runs > 1 {
-		for i := 0; i < o.runs; i++ {
-			cfg, err := o.config(i)
-			if err != nil {
-				return err
-			}
-			if err := writeTrace(cfg, o.format, runFile(o.out, i), out); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	cfg, err := o.config(o.runIdx)
+	cfg, err := o.config()
 	if err != nil {
 		return err
 	}
-	if o.out == "" {
-		fmt.Fprintln(out, trace.Summarize(trace.NewGenerator(cfg)))
-		return nil
-	}
-	return writeTrace(cfg, o.format, o.out, out)
+	fmt.Fprintln(out, trace.Summarize(trace.NewGenerator(cfg)))
+	return nil
 }
 
 // emitLink generates one deterministic link trace (delay/loss time series)
@@ -241,52 +167,5 @@ func emitLink(o options, out io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(out, "wrote %d link samples to %s\n", len(lt.Samples), o.out)
-	return nil
-}
-
-// writeTrace generates one trace into path in the requested format.
-func writeTrace(cfg trace.Config, format, path string, out io.Writer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	gen := trace.NewGenerator(cfg)
-	var count uint64
-	switch format {
-	case "binary":
-		w := trace.NewWriter(f)
-		for {
-			rec, ok := gen.Next()
-			if !ok {
-				break
-			}
-			if err := w.Write(rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		count = w.Count()
-	case "pcap":
-		w := pcapio.NewWriter(f)
-		for {
-			rec, ok := gen.Next()
-			if !ok {
-				break
-			}
-			if err := w.Write(rec); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		count = w.Count()
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %d records to %s\n", count, path)
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -23,79 +22,25 @@ func readFile(t *testing.T, path string) []byte {
 	return data
 }
 
-// TestDerivedRunsDeterministic pins the independent-run contract: a batch
-// run's stream i is byte-identical to generating stream i alone (both
-// route through trace.DeriveSeed), regenerating is reproducible, and the
-// derivation is NOT naive seed+i arithmetic.
-func TestDerivedRunsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	batch := filepath.Join(dir, "batch.trc")
-	args := []string{"-o", batch, "-runs", "3", "-duration", "20ms", "-rate", "50e6"}
-	if err := run(args, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reproducible: the same batch again is byte-identical.
-	batch2 := filepath.Join(dir, "again.trc")
-	if err := run([]string{"-o", batch2, "-runs", "3", "-duration", "20ms", "-rate", "50e6"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		a := readFile(t, runFile(batch, i))
-		b := readFile(t, runFile(batch2, i))
-		if !bytes.Equal(a, b) {
-			t.Fatalf("batch regeneration changed run %d", i)
+// TestSummaryDeterministic pins the packet mode: the workload is
+// summarised on stdout, reproducibly per seed, and differently across seeds.
+func TestSummaryDeterministic(t *testing.T) {
+	summary := func(seed string) string {
+		var buf strings.Builder
+		if err := run([]string{"-seed", seed, "-duration", "20ms", "-rate", "50e6"}, &buf); err != nil {
+			t.Fatal(err)
 		}
+		return buf.String()
 	}
-
-	// Positional: -run i alone equals run i of the batch.
-	single := filepath.Join(dir, "single.trc")
-	if err := run([]string{"-o", single, "-run", "1", "-duration", "20ms", "-rate", "50e6"}, io.Discard); err != nil {
-		t.Fatal(err)
+	a := summary("1")
+	if !strings.Contains(a, "packets=") {
+		t.Fatalf("summary names no packet count:\n%s", a)
 	}
-	if !bytes.Equal(readFile(t, single), readFile(t, runFile(batch, 1))) {
-		t.Fatal("-run 1 diverges from run 1 of a -runs 3 batch")
+	if a != summary("1") {
+		t.Fatal("same seed, different summary")
 	}
-
-	// Independent: runs differ from each other...
-	if bytes.Equal(readFile(t, runFile(batch, 0)), readFile(t, runFile(batch, 1))) {
-		t.Fatal("derived runs 0 and 1 are identical")
-	}
-	// ...and stream 1 is NOT the naive seed+1 trace.
-	naive := filepath.Join(dir, "naive.trc")
-	if err := run([]string{"-o", naive, "-seed", "2", "-duration", "20ms", "-rate", "50e6"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(readFile(t, naive), readFile(t, runFile(batch, 1))) {
-		t.Fatal("stream 1 equals the seed+1 trace; derivation is not routed through SplitMix64")
-	}
-
-	// The derived seed is exactly trace.DeriveSeed: regenerating stream 2
-	// by passing its derived seed directly matches.
-	derived := filepath.Join(dir, "derived.trc")
-	seedArg := []string{"-o", derived, "-duration", "20ms", "-rate", "50e6",
-		"-seed", strconv.FormatInt(trace.DeriveSeed(1, 2), 10)}
-	if err := run(seedArg, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(readFile(t, derived), readFile(t, runFile(batch, 2))) {
-		t.Fatal("stream 2 does not use trace.DeriveSeed(base, 2)")
-	}
-}
-
-// TestSummarizeRoundTrip pins the write->summarize path.
-func TestSummarizeRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "t.trc")
-	if err := run([]string{"-o", out, "-duration", "20ms", "-rate", "50e6"}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := run([]string{"-summarize", out}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "pkts") && len(buf.String()) == 0 {
-		t.Fatalf("empty summary:\n%s", buf.String())
+	if a == summary("2") {
+		t.Fatal("seeds 1 and 2 summarise identically")
 	}
 }
 
@@ -174,12 +119,7 @@ func TestParseArgsValidation(t *testing.T) {
 		want string
 	}{
 		{"defaults", nil, ""},
-		{"batch", []string{"-o", "x.trc", "-runs", "4"}, ""},
-		{"bad format", []string{"-format", "csv"}, `-format "csv"`},
-		{"zero runs", []string{"-runs", "0"}, "-runs"},
-		{"runs and run", []string{"-o", "x.trc", "-runs", "2", "-run", "1"}, "exclusive"},
-		{"negative run", []string{"-o", "x.trc", "-run", "-3"}, "stream indices >= 0"},
-		{"batch without output", []string{"-runs", "2"}, "needs -o"},
+		{"packet output", []string{"-o", "x.trc"}, "-o applies to -emit link"},
 		{"bad rate", []string{"-rate", "fast"}, "-rate"},
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate"},
 		{"stray args", []string{"extra"}, "unexpected arguments"},
@@ -187,8 +127,6 @@ func TestParseArgsValidation(t *testing.T) {
 		{"emit link csv", []string{"-emit", "link", "-link-format", "csv"}, ""},
 		{"bad emit", []string{"-emit", "frames"}, "valid: packet, link"},
 		{"bad link format", []string{"-emit", "link", "-link-format", "yaml"}, "valid: json, csv"},
-		{"link with runs", []string{"-emit", "link", "-o", "x.json", "-runs", "2"}, "-runs"},
-		{"link with run index", []string{"-emit", "link", "-o", "x.json", "-run", "1"}, "-run"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -68,8 +68,9 @@
 //     scenario traffic at line rate, operators query HTTP endpoints.
 //
 // Command front-ends: cmd/rlirsim (single runs), cmd/experiments (figures
-// and ablations), cmd/scenario (the scenario registry), cmd/tracegen
-// (synthetic traces), cmd/placement (§3.1 deployment arithmetic),
-// cmd/rlird + cmd/loadgen (the streaming service and its load generator).
+// and ablations, the §3.1 placement table among them), cmd/scenario (the
+// scenario registry), cmd/tracegen (workload summaries and link traces),
+// cmd/rlird + cmd/loadgen (the streaming service and its load generator),
+// cmd/rlirfleet (the scatter-gather front-end over several rlird).
 // DESIGN.md explains the architecture layer by layer.
 package rlir

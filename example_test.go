@@ -69,16 +69,6 @@ func ExampleAdaptive() {
 	// gap at 93%: 258
 }
 
-// ExamplePlacementTable prints the §3.1 deployment-cost table.
-func ExamplePlacementTable() {
-	rows, _ := rlir.PlacementTable([]int{4})
-	r := rows[0]
-	fmt.Printf("k=4: %d instances for one interface pair, %d for all ToR pairs, %d for full deployment\n",
-		r.PairOfInterfaces, r.AllToRPairs, r.FullDeployment)
-	// Output:
-	// k=4: 6 instances for one interface pair, 20 for all ToR pairs, 240 for full deployment
-}
-
 // ExampleEstimatorNames looks up the measurement-mechanism registry: the
 // comparison set every scenario can attach to one simulation pass, with
 // "rli" (the mechanism under test) always first.

@@ -520,14 +520,16 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 		Est: time.Millisecond,
 	}})
 
+	// A peer old enough to answer only JSON is refused on its Content-Type;
+	// one that negotiates the binary rendering, on its schema version.
+	jsonRefusal := []string{`Content-Type "application/json"`, queryapi.SnapshotContentType}
 	for _, c := range []struct {
-		name    string
-		version int
-		peer    http.HandlerFunc
+		name string
+		want []string // what the lone-instance 502 must say
+		peer http.HandlerFunc
 	}{
-		// No "version" field existed, so the body decodes as version 0.
-		{"pre-versioning", 0, serveJSON([]byte(`{"samples":7,"records":0,"flows":[]}`))},
-		{"v2-negotiating", 2, func(w http.ResponseWriter, r *http.Request) {
+		{"pre-versioning", jsonRefusal, serveJSON([]byte(`{"samples":7,"records":0,"flows":[]}`))},
+		{"v2-negotiating", []string{"version 2 from peer", fmt.Sprintf("speaks version %d", queryapi.SnapshotVersion)}, func(w http.ResponseWriter, r *http.Request) {
 			if !strings.Contains(r.Header.Get("Accept"), queryapi.SnapshotContentType) {
 				serveJSON(v2json)(w, r)
 				return
@@ -535,7 +537,7 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 			w.Header().Set("Content-Type", queryapi.SnapshotContentType)
 			w.Write(v2bin)
 		}},
-		{"v2-json-only", 2, serveJSON(v2json)},
+		{"v2-json-only", jsonRefusal, serveJSON(v2json)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stale := httptest.NewServer(c.peer)
@@ -580,7 +582,7 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 			if resp.StatusCode != http.StatusBadGateway {
 				t.Fatalf("/flows status %d over an all-stale fleet, want 502", resp.StatusCode)
 			}
-			for _, want := range []string{fmt.Sprintf("version %d from peer", c.version), fmt.Sprintf("speaks version %d", queryapi.SnapshotVersion)} {
+			for _, want := range append([]string{stale.URL + "/snapshot"}, c.want...) {
 				if !strings.Contains(string(body), want) {
 					t.Fatalf("502 body must name %q, got:\n%s", want, body)
 				}
@@ -793,7 +795,8 @@ func TestFrontendBadLimitIssuesNoInstanceRequests(t *testing.T) {
 	for i := range urls {
 		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			requests.Add(1)
-			queryapi.WriteJSON(w, http.StatusOK, queryapi.SnapshotOf(nil, 0, 0))
+			w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+			w.Write(queryapi.AppendSnapshot(nil, nil, 0, 0))
 		}))
 		defer stub.Close()
 		urls[i] = stub.URL
@@ -818,10 +821,11 @@ func TestFrontendBadLimitIssuesNoInstanceRequests(t *testing.T) {
 	}
 }
 
-// TestFrontendMixedRenderings pins the front-end's one format branch: an
-// instance that ignores the Accept header (an older binary; here a proxy
-// that strips it) answers JSON, is decoded as JSON, and the merged /flows
-// is byte-identical to the one served from two binary-speaking instances.
+// TestFrontendMixedRenderings pins that the front-end reads the binary
+// snapshot rendering and nothing else: an rlird reached through a proxy that
+// strips the Accept header answers its JSON debug view, and that body is the
+// instance's gather error — skipped beside a healthy instance, a 502 naming
+// the instance and the Content-Type when it was the only one.
 func TestFrontendMixedRenderings(t *testing.T) {
 	tr := exportBaseline(t)
 	tf := startFleet(t, 2)
@@ -841,8 +845,8 @@ func TestFrontendMixedRenderings(t *testing.T) {
 
 	fronts := map[string]http.Handler{}
 	for name, instances := range map[string][]string{
-		"binary": urls,
-		"mixed":  {urls[0], jsonOnly.URL},
+		"mixed": {urls[0], jsonOnly.URL},
+		"lone":  {jsonOnly.URL},
 	} {
 		f, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: instances, Timeout: 10 * time.Second})
 		if err != nil {
@@ -851,33 +855,83 @@ func TestFrontendMixedRenderings(t *testing.T) {
 		fronts[name] = f.Handler()
 	}
 
-	binFlows, mixedFlows := serve(fronts["binary"], "/flows"), serve(fronts["mixed"], "/flows")
-	if binFlows.Code != http.StatusOK || mixedFlows.Code != http.StatusOK {
-		t.Fatalf("/flows status %d (binary fleet) / %d (mixed fleet)", binFlows.Code, mixedFlows.Code)
+	mixed := serve(fronts["mixed"], "/flows")
+	if mixed.Code != http.StatusOK {
+		t.Fatalf("/flows status %d with one JSON-only instance, want 200 degraded", mixed.Code)
 	}
 	var rows []queryapi.FlowJSON
-	if err := json.Unmarshal(binFlows.Body.Bytes(), &rows); err != nil || len(rows) != len(tr.Result.Fleet) {
-		t.Fatalf("binary fleet /flows: %d rows (err %v), batch has %d", len(rows), err, len(tr.Result.Fleet))
+	if err := json.Unmarshal(mixed.Body.Bytes(), &rows); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(binFlows.Body.Bytes(), mixedFlows.Body.Bytes()) {
-		t.Fatal("/flows differs between a binary-speaking fleet and one with a JSON-only instance")
+	if want := tf.servers[0].Snapshot(); len(rows) != len(want) || len(rows) == 0 {
+		t.Fatalf("/flows has %d rows, want the binary-speaking instance's %d", len(rows), len(want))
 	}
-	if b, m := serve(fronts["binary"], "/comparison"), serve(fronts["mixed"], "/comparison"); !bytes.Equal(b.Body.Bytes(), m.Body.Bytes()) {
-		t.Fatal("/comparison differs between a binary-speaking fleet and one with a JSON-only instance")
+	exposition := serve(fronts["mixed"], "/metrics").Body.String()
+	if n := metricValue(t, exposition, "rlirfleet_gather_errors_total"); n != 1 {
+		t.Fatalf("mixed fleet counted %v gather errors after one query, want 1", n)
+	}
+	if strings.Contains(exposition, "json_fallbacks") {
+		t.Fatal("/metrics still exposes the JSON-fallback counter")
 	}
 
-	// Two merged-table queries each: the mixed fleet fell back once per
-	// query, the binary fleet never, and both counted the bytes they moved.
-	binMetrics, mixedMetrics := serve(fronts["binary"], "/metrics").Body.String(), serve(fronts["mixed"], "/metrics").Body.String()
-	if n := metricValue(t, binMetrics, "rlirfleet_snapshot_json_fallbacks_total"); n != 0 {
-		t.Fatalf("binary fleet counted %v JSON fallbacks", n)
+	lone := serve(fronts["lone"], "/flows")
+	if lone.Code != http.StatusBadGateway {
+		t.Fatalf("/flows status %d over a JSON-only fleet, want 502", lone.Code)
 	}
-	if n := metricValue(t, mixedMetrics, "rlirfleet_snapshot_json_fallbacks_total"); n != 2 {
-		t.Fatalf("mixed fleet counted %v JSON fallbacks, want 2", n)
+	for _, want := range []string{jsonOnly.URL + "/snapshot", `Content-Type "application/json"`, queryapi.SnapshotContentType} {
+		if !strings.Contains(lone.Body.String(), want) {
+			t.Fatalf("502 body must name %q, got:\n%s", want, lone.Body.String())
+		}
 	}
-	binBytes, mixedBytes := metricValue(t, binMetrics, "rlirfleet_snapshot_bytes_total"), metricValue(t, mixedMetrics, "rlirfleet_snapshot_bytes_total")
-	if binBytes <= 0 || mixedBytes <= binBytes {
-		t.Fatalf("snapshot bytes: binary fleet %v, mixed fleet %v — the JSON body should be the bigger", binBytes, mixedBytes)
+}
+
+// fleetMetricFamilies is every HELP/TYPE line the front-end's /metrics
+// printed, in order, before the handler moved onto queryapi.Metrics —
+// captured from that commit, less the JSON-fallback counter that went with
+// the fallback — so dashboards keyed on names, help text or types see no
+// other change.
+const fleetMetricFamilies = `# HELP rlirfleet_instances Configured fleet instances.
+# TYPE rlirfleet_instances gauge
+# HELP rlirfleet_instances_up Instances that answered the last health fan-out.
+# TYPE rlirfleet_instances_up gauge
+# HELP rlirfleet_queries_total Front-end queries served.
+# TYPE rlirfleet_queries_total counter
+# HELP rlirfleet_gather_errors_total Instance fetches that failed or decoded badly.
+# TYPE rlirfleet_gather_errors_total counter
+# HELP rlirfleet_query_stage_seconds_total Time merged-table queries (/flows, /comparison) spent per stage; the stages do not overlap.
+# TYPE rlirfleet_query_stage_seconds_total counter
+# HELP rlirfleet_snapshot_bytes_total Instance /snapshot body bytes fetched.
+# TYPE rlirfleet_snapshot_bytes_total counter
+# HELP rlirfleet_flows Distinct flows across answering instances (exact under flow-disjoint partitioning).
+# TYPE rlirfleet_flows gauge
+# HELP rlirfleet_samples_total Samples ingested across answering instances.
+# TYPE rlirfleet_samples_total counter
+# HELP rlirfleet_records_total NetFlow records ingested across answering instances.
+# TYPE rlirfleet_records_total counter
+# HELP rlirfleet_uptime_seconds Time since the front-end started.
+# TYPE rlirfleet_uptime_seconds gauge
+# HELP rlirfleet_instance_up Per-instance reachability in the last health fan-out.
+# TYPE rlirfleet_instance_up gauge
+`
+
+func TestFrontendMetricsFamiliesUnchanged(t *testing.T) {
+	tf := startFleet(t, 2)
+	front, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: tf.instanceURLs(), Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exposition := serve(front.Handler(), "/metrics").Body.String()
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(exposition, "\n") {
+		if strings.HasPrefix(line, "#") {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != fleetMetricFamilies {
+		t.Fatalf("/metrics HELP/TYPE lines changed:\n%s\nwant:\n%s", got.String(), fleetMetricFamilies)
+	}
+	for _, sample := range []string{"rlirfleet_instances", `rlirfleet_query_stage_seconds_total{stage="merge"}`, fmt.Sprintf("rlirfleet_instance_up{instance=%q}", tf.instanceURLs()[1])} {
+		metricValue(t, exposition, sample)
 	}
 }
 

@@ -52,12 +52,10 @@ type Frontend struct {
 	gErrs   atomic.Uint64
 
 	// The front-end's own price list for a merged-table query (/flows,
-	// /comparison): nanoseconds spent per stage, snapshot bytes fetched, and
-	// instances that answered /snapshot in JSON although asked for binary.
+	// /comparison): nanoseconds spent per stage and snapshot bytes fetched.
 	// Plain counters, so pricing a query allocates nothing.
-	stageNs       [numStages]atomic.Int64
-	snapBytes     atomic.Uint64
-	jsonFallbacks atomic.Uint64
+	stageNs   [numStages]atomic.Int64
+	snapBytes atomic.Uint64
 }
 
 // The stages of a merged-table query, in the order they run. They do not
@@ -170,10 +168,10 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 // maxInstanceBody is the most the front-end reads of one instance's
 // response; a body that runs past it is that instance's gather error. The
 // binary /snapshot costs about 110 bytes per flow (2 x 121 kB for the
-// benchmark's 2 266 rows) and the JSON fallback about ten times that, so 64
-// MB carries some 600 000 individually tracked flows per instance — past
-// that an rlird is meant to run capped (-max-flows, the rollup tier keeps
-// the samples) or the fleet to gain an instance. It is a constant, not a
+// benchmark's 2 266 rows), so 64 MB carries some 600 000 individually
+// tracked flows per instance — past that an rlird is meant to run capped
+// (-max-flows, the rollup tier keeps the samples) or the fleet to gain an
+// instance. It is a constant, not a
 // setting: what it guards against is an instance URL that points at
 // something that is not an rlird, and one query's memory is then at most
 // instances x this (twice it, transiently, while the buffer of a body that
@@ -210,14 +208,14 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // Flow-disjoint partitioning makes the result bit-identical to a single
 // collector over the whole stream.
 //
-// The fan-out asks for the binary snapshot rendering and decodes each body
-// by the Content-Type it came back with — the front-end's only format
-// branch — so an instance that ignores the Accept header is read as JSON.
-// Either way an instance whose snapshot schema version differs from this
-// binary's is rejected (queryapi.Snapshot.Check): merging a stale instance
-// would silently drop its sketch tier rather than fail. An instance that
-// fails to answer or decode is skipped; the error is the first such failure
-// when no instance is left.
+// The fan-out asks for the binary snapshot rendering and reads nothing
+// else: a body labelled with any other Content-Type (an instance URL that
+// points at something that is not a current rlird) is that instance's
+// gather error. An instance whose snapshot schema version differs from this
+// binary's is rejected by the decoder: merging a stale instance would
+// silently drop its sketch tier rather than fail. An instance that fails to
+// answer or decode is skipped; the error is the first such failure when no
+// instance is left.
 func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error) {
 	t := time.Now()
 	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType)
@@ -230,7 +228,7 @@ func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error)
 		if err == nil {
 			f.snapBytes.Add(uint64(len(g.body)))
 			var aggs []collector.FlowAgg
-			if aggs, err = f.decodeSnapshot(g); err == nil {
+			if aggs, err = decodeSnapshot(g); err == nil {
 				parts = append(parts, aggs)
 				continue
 			}
@@ -251,21 +249,13 @@ func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error)
 }
 
 // decodeSnapshot turns one fetched /snapshot body into the instance's flow
-// aggregates, by the rendering its Content-Type names.
-func (f *Frontend) decodeSnapshot(g fetch) ([]collector.FlowAgg, error) {
-	if g.contentType == queryapi.SnapshotContentType {
-		aggs, _, _, err := queryapi.DecodeSnapshot(g.body)
-		return aggs, err
+// aggregates; only the binary rendering is accepted.
+func decodeSnapshot(g fetch) ([]collector.FlowAgg, error) {
+	if g.contentType != queryapi.SnapshotContentType {
+		return nil, fmt.Errorf("Content-Type %q, want %q", g.contentType, queryapi.SnapshotContentType)
 	}
-	f.jsonFallbacks.Add(1)
-	var s queryapi.Snapshot
-	if err := json.Unmarshal(g.body, &s); err != nil {
-		return nil, err
-	}
-	if err := s.Check(); err != nil {
-		return nil, err
-	}
-	return s.Aggs(), nil
+	aggs, _, _, err := queryapi.DecodeSnapshot(g.body)
+	return aggs, err
 }
 
 // Handler returns the fleet query API: the same five endpoints a single
@@ -476,40 +466,25 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f.queries.Add(1)
 	h := f.fleetHealth(r.Context())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	p("# HELP rlirfleet_instances Configured fleet instances.\n# TYPE rlirfleet_instances gauge\n")
-	p("rlirfleet_instances %d\n", h.Instances)
-	p("# HELP rlirfleet_instances_up Instances that answered the last health fan-out.\n# TYPE rlirfleet_instances_up gauge\n")
-	p("rlirfleet_instances_up %d\n", h.InstancesOK)
-	p("# HELP rlirfleet_queries_total Front-end queries served.\n# TYPE rlirfleet_queries_total counter\n")
-	p("rlirfleet_queries_total %d\n", f.queries.Load())
-	p("# HELP rlirfleet_gather_errors_total Instance fetches that failed or decoded badly.\n# TYPE rlirfleet_gather_errors_total counter\n")
-	p("rlirfleet_gather_errors_total %d\n", f.gErrs.Load())
-	p("# HELP rlirfleet_query_stage_seconds_total Time merged-table queries (/flows, /comparison) spent per stage; the stages do not overlap.\n# TYPE rlirfleet_query_stage_seconds_total counter\n")
+	m := queryapi.NewMetrics(w)
+	m.Gauge("rlirfleet_instances", "Configured fleet instances.", h.Instances)
+	m.Gauge("rlirfleet_instances_up", "Instances that answered the last health fan-out.", h.InstancesOK)
+	m.Counter("rlirfleet_queries_total", "Front-end queries served.", f.queries.Load())
+	m.Counter("rlirfleet_gather_errors_total", "Instance fetches that failed or decoded badly.", f.gErrs.Load())
 	for i, name := range stageNames {
-		p("rlirfleet_query_stage_seconds_total{stage=%q} %g\n", name, time.Duration(f.stageNs[i].Load()).Seconds())
+		m.Counter("rlirfleet_query_stage_seconds_total", "Time merged-table queries (/flows, /comparison) spent per stage; the stages do not overlap.",
+			time.Duration(f.stageNs[i].Load()).Seconds(), "stage", name)
 	}
-	p("# HELP rlirfleet_snapshot_bytes_total Instance /snapshot body bytes fetched.\n# TYPE rlirfleet_snapshot_bytes_total counter\n")
-	p("rlirfleet_snapshot_bytes_total %d\n", f.snapBytes.Load())
-	p("# HELP rlirfleet_snapshot_json_fallbacks_total Instances that answered /snapshot in JSON although asked for the binary rendering.\n# TYPE rlirfleet_snapshot_json_fallbacks_total counter\n")
-	p("rlirfleet_snapshot_json_fallbacks_total %d\n", f.jsonFallbacks.Load())
-	p("# HELP rlirfleet_flows Distinct flows across answering instances (exact under flow-disjoint partitioning).\n# TYPE rlirfleet_flows gauge\n")
-	p("rlirfleet_flows %d\n", h.Flows)
-	p("# HELP rlirfleet_samples_total Samples ingested across answering instances.\n# TYPE rlirfleet_samples_total counter\n")
-	p("rlirfleet_samples_total %d\n", h.Samples)
-	p("# HELP rlirfleet_records_total NetFlow records ingested across answering instances.\n# TYPE rlirfleet_records_total counter\n")
-	p("rlirfleet_records_total %d\n", h.Records)
-	p("# HELP rlirfleet_uptime_seconds Time since the front-end started.\n# TYPE rlirfleet_uptime_seconds gauge\n")
-	p("rlirfleet_uptime_seconds %g\n", time.Since(f.start).Seconds())
+	m.Counter("rlirfleet_snapshot_bytes_total", "Instance /snapshot body bytes fetched.", f.snapBytes.Load())
+	m.Gauge("rlirfleet_flows", "Distinct flows across answering instances (exact under flow-disjoint partitioning).", h.Flows)
+	m.Counter("rlirfleet_samples_total", "Samples ingested across answering instances.", h.Samples)
+	m.Counter("rlirfleet_records_total", "NetFlow records ingested across answering instances.", h.Records)
+	m.Gauge("rlirfleet_uptime_seconds", "Time since the front-end started.", time.Since(f.start).Seconds())
 	for i, in := range f.cfg.Instances {
 		up := 0
 		if i < len(h.PerInstance) && h.PerInstance[i].Status != "unreachable" {
 			up = 1
 		}
-		if i == 0 {
-			p("# HELP rlirfleet_instance_up Per-instance reachability in the last health fan-out.\n# TYPE rlirfleet_instance_up gauge\n")
-		}
-		p("rlirfleet_instance_up{instance=%q} %d\n", in, up)
+		m.Gauge("rlirfleet_instance_up", "Per-instance reachability in the last health fan-out.", up, "instance", in)
 	}
 }

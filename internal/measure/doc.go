@@ -2,7 +2,7 @@
 // that every per-flow latency measurement mechanism in the repository
 // implements — RLI interpolation (internal/core), the LDA aggregate sketch
 // (internal/lda), NetFlow-style packet sampling, and the Multiflow
-// two-timestamp estimator (internal/netflow + internal/multiflow).
+// two-timestamp estimator (mfest.go, over internal/netflow meters).
 //
 // The paper's central claim is comparative: RLI delivers per-flow latency
 // fidelity that aggregate sketches and NetFlow-derived baselines cannot, at

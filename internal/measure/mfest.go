@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/netmeasure/rlir/internal/multiflow"
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
@@ -21,10 +20,16 @@ const flowRecordBytes = 48
 // (idealized hardware-stamped records).
 const DefaultQuantize = time.Millisecond
 
-// Multiflow adapts the Lee et al. two-timestamp estimator (internal/
-// multiflow over internal/netflow meters) to the estimator layer: full
-// flow metering at both measurement points, per-flow delay from only the
-// first- and last-packet timestamp differences.
+// Multiflow is the estimator of Lee et al. (INFOCOM 2010, the paper's
+// reference [12]): per-flow latency from only the two timestamps NetFlow
+// already keeps. Both measurement points meter every flow
+// (internal/netflow); a flow's delay estimate is the average of its
+// first-packet delay and its last-packet delay,
+//
+//	est = ((first_down - first_up) + (last_down - last_up)) / 2
+//
+// It is the "crude" per-flow baseline RLI improves on: two samples per flow
+// regardless of flow length, no visibility inside the flow.
 type Multiflow struct {
 	up, down *netflow.Meter
 	quantize time.Duration
@@ -40,8 +45,8 @@ func NewMultiflow(quantize time.Duration) *Multiflow {
 		quantize = 0
 	}
 	return &Multiflow{
-		up:       netflow.NewMeter(netflow.Config{}),
-		down:     netflow.NewMeter(netflow.Config{}),
+		up:       netflow.NewMeter(),
+		down:     netflow.NewMeter(),
 		quantize: quantize,
 	}
 }
@@ -61,7 +66,7 @@ func (m *Multiflow) Tap(p *packet.Packet, now simtime.Time) {
 
 // Finalize implements Estimator.
 func (m *Multiflow) Finalize() Report {
-	ests := multiflow.Estimate(
+	ests := twoSampleEstimates(
 		m.quantizeRecords(m.up.Snapshot()),
 		m.quantizeRecords(m.down.Snapshot()))
 	// Meter snapshots iterate maps; sort for a deterministic report.
@@ -100,4 +105,36 @@ func (m *Multiflow) quantizeRecords(recs []netflow.Record) []netflow.Record {
 		recs[i].Last = simtime.Time((int64(recs[i].Last) + step/2) / step * step)
 	}
 	return recs
+}
+
+// twoSample is one flow's two-timestamp delay estimate and its downstream
+// packet count (the aggregate's weight).
+type twoSample struct {
+	Key     packet.FlowKey
+	Mean    time.Duration
+	Packets uint64
+}
+
+// twoSampleEstimates pairs upstream and downstream records by flow key.
+// Flows seen at only one point are skipped; flows whose packet counts differ
+// (loss crossed the flow, so first/last may not be the same packets) are
+// still estimated, as the original estimator does.
+func twoSampleEstimates(up, down []netflow.Record) []twoSample {
+	byKey := make(map[packet.FlowKey]netflow.Record, len(up))
+	for _, r := range up {
+		byKey[r.Key] = r
+	}
+	out := make([]twoSample, 0, len(down))
+	for _, d := range down {
+		u, ok := byKey[d.Key]
+		if !ok {
+			continue
+		}
+		out = append(out, twoSample{
+			Key:     d.Key,
+			Mean:    (d.First.Sub(u.First) + d.Last.Sub(u.Last)) / 2,
+			Packets: d.Packets,
+		})
+	}
+	return out
 }

@@ -4,37 +4,21 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/lda"
 	"github.com/netmeasure/rlir/internal/trace"
 )
 
-// Config parameterizes estimator construction. Zero values select the
-// documented defaults; each estimator reads only its own fields.
+// Config parameterizes estimator construction; everything else an
+// estimator needs is its documented default.
 type Config struct {
 	// Seed keys every hash an estimator derives (sampling decisions, LDA
 	// buckets). Harnesses pass the run seed so estimator state is
 	// reproducible with the run.
 	Seed int64
-	// Router names the measurement instance for per-router reports.
-	Router string
 	// Receiver configures the RLI receiver ("rli" only; Demux required).
 	Receiver core.ReceiverConfig
-	// LDA overrides the sketch shape ("lda" only; zero: lda.DefaultConfig
-	// keyed by Seed).
-	LDA lda.Config
-	// SampleRate is the sampling baselines' 1-in-N rate ("netflow-sample",
-	// "hash-sample", "periodic-sample"; 0: DefaultSampleRate).
-	SampleRate int
-	// SecretKey keys "hash-sample"'s ShouldSample hash. Zero derives a key
-	// from Seed — convenient for harnesses, but a deployment hiding the
-	// sample set from the routers it measures must set an explicit key.
-	SecretKey uint64
-	// Quantize is the flow-record timestamp resolution ("multiflow" only;
-	// 0: DefaultQuantize, negative: exact timestamps).
-	Quantize time.Duration
 }
 
 // Constructor builds a named estimator from a config.
@@ -89,35 +73,26 @@ func New(name string, cfg Config) (Estimator, error) {
 
 func init() {
 	Register("rli", func(cfg Config) (Estimator, error) {
-		router := cfg.Router
-		if router == "" {
-			router = "segment"
-		}
-		return NewRLI(router, cfg.Receiver)
+		return NewRLI("segment", cfg.Receiver)
 	})
 	Register("lda", func(cfg Config) (Estimator, error) {
-		lcfg := cfg.LDA
-		if lcfg == (lda.Config{}) {
-			lcfg = lda.DefaultConfig()
-			lcfg.Seed ^= uint64(cfg.Seed)
-		}
+		lcfg := lda.DefaultConfig()
+		lcfg.Seed ^= uint64(cfg.Seed)
 		return NewLDA(lcfg), nil
 	})
 	Register("netflow-sample", func(cfg Config) (Estimator, error) {
-		return NewSampled(cfg.SampleRate, cfg.Seed), nil
+		return NewSampled(DefaultSampleRate, cfg.Seed), nil
 	})
 	Register("hash-sample", func(cfg Config) (Estimator, error) {
-		key := cfg.SecretKey
-		if key == 0 {
-			key = trace.SplitMix64(uint64(cfg.Seed) ^ 0x5ec2e7_4b3a9d01)
-		}
-		return NewHashSampled(cfg.SampleRate, key), nil
+		// The secret key derives from the run seed; a deployment hiding the
+		// sample set from the routers it measures would provision its own.
+		return NewHashSampled(DefaultSampleRate, trace.SplitMix64(uint64(cfg.Seed)^0x5ec2e7_4b3a9d01)), nil
 	})
 	Register("periodic-sample", func(cfg Config) (Estimator, error) {
-		return NewPeriodicSampled(cfg.SampleRate), nil
+		return NewPeriodicSampled(DefaultSampleRate), nil
 	})
 	Register("multiflow", func(cfg Config) (Estimator, error) {
-		return NewMultiflow(cfg.Quantize), nil
+		return NewMultiflow(DefaultQuantize), nil
 	})
 }
 

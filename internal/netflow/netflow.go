@@ -5,8 +5,8 @@
 //
 // A Meter observes packets at one measurement point and maintains per-flow
 // records carrying first/last packet timestamps and packet/byte counts.
-// Records expire by idle timeout or active (maximum lifetime) timeout and
-// are handed to an export callback, as in a real flow exporter.
+// Records stay open for the whole measurement interval (a simulation run);
+// Snapshot reads them out at its end.
 package netflow
 
 import (
@@ -33,31 +33,16 @@ func (r Record) String() string {
 	return fmt.Sprintf("flow{%s pkts=%d bytes=%d span=[%v,%v]}", r.Key, r.Packets, r.Bytes, r.First, r.Last)
 }
 
-// Config sets the meter's expiry behaviour.
-type Config struct {
-	// IdleTimeout expires a flow with no traffic for this long. Zero
-	// disables idle expiry.
-	IdleTimeout time.Duration
-	// ActiveTimeout expires (and re-opens) a flow that has been active
-	// longer than this, as NetFlow does to bound record latency. Zero
-	// disables active expiry.
-	ActiveTimeout time.Duration
-	// Export receives expired records. May be nil.
-	Export func(Record)
-}
-
 // Meter accumulates flow records from observed packets.
 type Meter struct {
-	cfg    Config
-	flows  map[packet.FlowKey]*Record
-	slab   []Record // backing for new flows' records, carved in order
-	seen   uint64
-	expire uint64
+	flows map[packet.FlowKey]*Record
+	slab  []Record // backing for new flows' records, carved in order
+	seen  uint64
 }
 
 // NewMeter creates a meter.
-func NewMeter(cfg Config) *Meter {
-	return &Meter{cfg: cfg, flows: make(map[packet.FlowKey]*Record)}
+func NewMeter() *Meter {
+	return &Meter{flows: make(map[packet.FlowKey]*Record)}
 }
 
 // Observe feeds one packet observation.
@@ -81,69 +66,6 @@ func (m *Meter) Observe(key packet.FlowKey, size int, at simtime.Time) {
 	r.Bytes += uint64(size)
 }
 
-// Sweep expires flows per the configured timeouts as of instant now and
-// returns how many were expired. Call it periodically (e.g. from an
-// eventsim ticker).
-func (m *Meter) Sweep(now simtime.Time) int {
-	var expired int
-	for k, r := range m.flows {
-		idle := m.cfg.IdleTimeout > 0 && now.Sub(r.Last) >= m.cfg.IdleTimeout
-		active := m.cfg.ActiveTimeout > 0 && now.Sub(r.First) >= m.cfg.ActiveTimeout
-		if idle || active {
-			m.export(*r)
-			delete(m.flows, k)
-			expired++
-		}
-	}
-	m.expire += uint64(expired)
-	return expired
-}
-
-// FlushAll expires every remaining flow (end of measurement interval).
-func (m *Meter) FlushAll() int {
-	n := len(m.flows)
-	for k, r := range m.flows {
-		m.export(*r)
-		delete(m.flows, k)
-	}
-	m.expire += uint64(n)
-	return n
-}
-
-func (m *Meter) export(r Record) {
-	if m.cfg.Export != nil {
-		m.cfg.Export(r)
-	}
-}
-
-// BatchExport adapts a batch-oriented sink (the collector plane's natural
-// ingest unit, like a NetFlow export packet carrying many records) to the
-// Meter's per-record Export callback. Records buffer until n accumulate,
-// then sink receives the batch; flush hands over any partial batch — call it
-// after FlushAll ends the measurement interval. The slice passed to sink is
-// reused across batches, so the sink must copy or encode before returning
-// (collector.Ingest and the wire encoders both do).
-func BatchExport(n int, sink func([]Record)) (export func(Record), flush func()) {
-	if n < 1 {
-		n = 1
-	}
-	buf := make([]Record, 0, n)
-	export = func(r Record) {
-		buf = append(buf, r)
-		if len(buf) >= n {
-			sink(buf)
-			buf = buf[:0]
-		}
-	}
-	flush = func() {
-		if len(buf) > 0 {
-			sink(buf)
-			buf = buf[:0]
-		}
-	}
-	return export, flush
-}
-
 // Active returns the number of open flow records.
 func (m *Meter) Active() int { return len(m.flows) }
 
@@ -158,9 +80,6 @@ func (m *Meter) Lookup(key packet.FlowKey) (Record, bool) {
 
 // Seen returns total packets observed.
 func (m *Meter) Seen() uint64 { return m.seen }
-
-// Expired returns total records expired (including FlushAll).
-func (m *Meter) Expired() uint64 { return m.expire }
 
 // Snapshot returns copies of all open records, in unspecified order.
 func (m *Meter) Snapshot() []Record {

@@ -14,7 +14,7 @@ var k2 = packet.FlowKey{Src: packet.AddrFrom4(10, 0, 0, 3), Dst: packet.AddrFrom
 func at(ms int) simtime.Time { return simtime.FromDuration(time.Duration(ms) * time.Millisecond) }
 
 func TestObserveAccumulates(t *testing.T) {
-	m := NewMeter(Config{})
+	m := NewMeter()
 	m.Observe(k1, 100, at(1))
 	m.Observe(k1, 200, at(5))
 	m.Observe(k2, 50, at(3))
@@ -38,7 +38,7 @@ func TestObserveAccumulates(t *testing.T) {
 }
 
 func TestSinglePacketFlowTimestampsEqual(t *testing.T) {
-	m := NewMeter(Config{})
+	m := NewMeter()
 	m.Observe(k1, 64, at(7))
 	r, _ := m.Lookup(k1)
 	if r.First != r.Last || r.Duration() != 0 {
@@ -46,86 +46,8 @@ func TestSinglePacketFlowTimestampsEqual(t *testing.T) {
 	}
 }
 
-func TestIdleTimeout(t *testing.T) {
-	var exported []Record
-	m := NewMeter(Config{
-		IdleTimeout: 10 * time.Millisecond,
-		Export:      func(r Record) { exported = append(exported, r) },
-	})
-	m.Observe(k1, 100, at(0))
-	m.Observe(k2, 100, at(8))
-
-	if n := m.Sweep(at(9)); n != 0 {
-		t.Fatalf("premature expiry of %d", n)
-	}
-	if n := m.Sweep(at(12)); n != 1 {
-		t.Fatalf("expired %d, want 1 (k1 idle)", n)
-	}
-	if len(exported) != 1 || exported[0].Key != k1 {
-		t.Fatalf("exported = %+v", exported)
-	}
-	if _, ok := m.Lookup(k1); ok {
-		t.Fatal("k1 should be gone")
-	}
-	if _, ok := m.Lookup(k2); !ok {
-		t.Fatal("k2 should remain")
-	}
-}
-
-func TestActiveTimeout(t *testing.T) {
-	var exported []Record
-	m := NewMeter(Config{
-		ActiveTimeout: 20 * time.Millisecond,
-		Export:        func(r Record) { exported = append(exported, r) },
-	})
-	// Flow stays busy, never idle, but exceeds active lifetime.
-	for ms := 0; ms < 30; ms++ {
-		m.Observe(k1, 10, at(ms))
-		m.Sweep(at(ms))
-	}
-	if len(exported) == 0 {
-		t.Fatal("active timeout never fired")
-	}
-	// The flow re-opens after expiry; total packets across records plus the
-	// open record must equal 30.
-	var total uint64
-	for _, r := range exported {
-		total += r.Packets
-	}
-	if r, ok := m.Lookup(k1); ok {
-		total += r.Packets
-	}
-	if total != 30 {
-		t.Fatalf("packets accounted = %d, want 30", total)
-	}
-}
-
-func TestFlushAll(t *testing.T) {
-	var exported []Record
-	m := NewMeter(Config{Export: func(r Record) { exported = append(exported, r) }})
-	m.Observe(k1, 1500, at(1))
-	m.Observe(k2, 1500, at(2))
-	if n := m.FlushAll(); n != 2 {
-		t.Fatalf("flushed %d", n)
-	}
-	if m.Active() != 0 || len(exported) != 2 {
-		t.Fatalf("active=%d exported=%d", m.Active(), len(exported))
-	}
-	if m.Expired() != 2 {
-		t.Fatalf("Expired = %d", m.Expired())
-	}
-}
-
-func TestZeroTimeoutsNeverExpire(t *testing.T) {
-	m := NewMeter(Config{})
-	m.Observe(k1, 100, at(0))
-	if n := m.Sweep(at(1_000_000)); n != 0 {
-		t.Fatalf("zero timeouts expired %d flows", n)
-	}
-}
-
 func TestSnapshotIsCopy(t *testing.T) {
-	m := NewMeter(Config{})
+	m := NewMeter()
 	m.Observe(k1, 100, at(1))
 	snap := m.Snapshot()
 	if len(snap) != 1 {
@@ -138,57 +60,11 @@ func TestSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestNilExportSafe(t *testing.T) {
-	m := NewMeter(Config{IdleTimeout: time.Millisecond})
-	m.Observe(k1, 100, at(0))
-	m.Sweep(at(10)) // must not panic with nil Export
-	if m.Active() != 0 {
-		t.Fatal("flow not expired")
-	}
-}
-
 func TestRecordString(t *testing.T) {
-	m := NewMeter(Config{})
+	m := NewMeter()
 	m.Observe(k1, 100, at(1))
 	r, _ := m.Lookup(k1)
 	if r.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-// TestBatchExport pins batching boundaries: full batches of n, partial on
-// flush, nothing lost, nothing duplicated.
-func TestBatchExport(t *testing.T) {
-	var batches [][]Record
-	export, flush := BatchExport(3, func(recs []Record) {
-		cp := make([]Record, len(recs))
-		copy(cp, recs)
-		batches = append(batches, cp)
-	})
-	for i := 0; i < 7; i++ {
-		export(Record{Key: packet.FlowKey{SrcPort: uint16(i)}, Packets: 1})
-	}
-	if len(batches) != 2 {
-		t.Fatalf("before flush: %d batches, want 2", len(batches))
-	}
-	flush()
-	flush() // idempotent on empty buffer
-	if len(batches) != 3 || len(batches[0]) != 3 || len(batches[1]) != 3 || len(batches[2]) != 1 {
-		t.Fatalf("after flush: got batch sizes %v", func() []int {
-			var s []int
-			for _, b := range batches {
-				s = append(s, len(b))
-			}
-			return s
-		}())
-	}
-	seen := 0
-	for _, b := range batches {
-		for _, r := range b {
-			if r.Key.SrcPort != uint16(seen) {
-				t.Fatalf("record %d out of order: port %d", seen, r.Key.SrcPort)
-			}
-			seen++
-		}
 	}
 }

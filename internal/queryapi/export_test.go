@@ -1,0 +1,12 @@
+package queryapi
+
+import "time"
+
+// SetReadHeaderTimeout replaces the query-API servers' header deadline so a
+// test need not wait the production ten seconds; the returned func restores
+// it.
+func SetReadHeaderTimeout(d time.Duration) (restore func()) {
+	old := readHeaderTimeout
+	readHeaderTimeout = d
+	return func() { readHeaderTimeout = old }
+}

@@ -122,8 +122,7 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 // Binary rendering of a snapshot: the instance → front-end wire. An
 // instance answers GET /snapshot with it when the request's Accept header
 // names SnapshotContentType and labels the response with that Content-Type;
-// the front-end picks its decoder by the response label, so a peer that
-// ignores the header is still read as JSON. Same schema, same
+// the front-end refuses a response labelled otherwise. Same schema, same
 // SnapshotVersion, second rendering:
 //
 //	offset size field

@@ -19,9 +19,8 @@ import (
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
-// viaJSON carries a table through the JSON rendering exactly as the
-// fallback path of the fleet front-end does: marshal, unmarshal, Check,
-// Aggs.
+// viaJSON carries a table through the JSON rendering as a reader of rlird's
+// plain GET /snapshot does: marshal, unmarshal, Check, Aggs.
 func viaJSON(aggs []collector.FlowAgg, samples, records uint64) ([]collector.FlowAgg, uint64, uint64, error) {
 	data, err := json.Marshal(SnapshotOf(aggs, samples, records))
 	if err != nil {

@@ -56,7 +56,7 @@ type capture struct {
 }
 
 func newCapture() *capture {
-	return &capture{meter: netflow.NewMeter(netflow.Config{})}
+	return &capture{meter: netflow.NewMeter()}
 }
 
 // addSample records one streamed estimate.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -183,47 +182,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // rates.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sps, rps := s.window.rates()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-
-	p("# HELP rlird_samples_total Latency samples ingested.\n# TYPE rlird_samples_total counter\n")
-	p("rlird_samples_total %d\n", s.coll.SamplesIngested())
-	p("# HELP rlird_records_total NetFlow records ingested.\n# TYPE rlird_records_total counter\n")
-	p("rlird_records_total %d\n", s.coll.RecordsIngested())
-	p("# HELP rlird_frames_total Wire frames decoded.\n# TYPE rlird_frames_total counter\n")
-	p("rlird_frames_total %d\n", s.frames.Load())
-	p("# HELP rlird_decode_errors_total Connections ended by a codec error.\n# TYPE rlird_decode_errors_total counter\n")
-	p("rlird_decode_errors_total %d\n", s.decodeErrs.Load())
-	if by := s.decodeErrKinds(); len(by) > 0 {
-		keys := make([]decodeErrKey, 0, len(by))
-		for k := range by {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].router != keys[j].router {
-				return keys[i].router < keys[j].router
-			}
-			return keys[i].kind < keys[j].kind
-		})
-		p("# HELP rlird_decode_error_kinds_total Decode errors by exporter and corruption kind.\n# TYPE rlird_decode_error_kinds_total counter\n")
-		for _, k := range keys {
-			p("rlird_decode_error_kinds_total{router=%q,kind=%q} %d\n", k.router, k.kind, by[k])
-		}
+	m := queryapi.NewMetrics(w)
+	m.Counter("rlird_samples_total", "Latency samples ingested.", s.coll.SamplesIngested())
+	m.Counter("rlird_records_total", "NetFlow records ingested.", s.coll.RecordsIngested())
+	m.Counter("rlird_frames_total", "Wire frames decoded.", s.frames.Load())
+	m.Counter("rlird_decode_errors_total", "Connections ended by a codec error.", s.decodeErrs.Load())
+	by := s.decodeErrKinds()
+	keys := make([]decodeErrKey, 0, len(by))
+	for k := range by {
+		keys = append(keys, k)
 	}
-	p("# HELP rlird_connections_total Exporter connections accepted.\n# TYPE rlird_connections_total counter\n")
-	p("rlird_connections_total %d\n", s.connsTotal.Load())
-	p("# HELP rlird_connections_active Exporter connections currently streaming.\n# TYPE rlird_connections_active gauge\n")
-	p("rlird_connections_active %d\n", s.activeConns())
-	p("# HELP rlird_reliable_connections_total Connections that spoke the swp reliable framing.\n# TYPE rlird_reliable_connections_total counter\n")
-	p("rlird_reliable_connections_total %d\n", s.relConnsTotal.Load())
-	p("# HELP rlird_transport_segments_total Data segments received over reliable connections.\n# TYPE rlird_transport_segments_total counter\n")
-	p("rlird_transport_segments_total %d\n", s.tSegments.Load())
-	p("# HELP rlird_transport_duplicates_total Duplicate segments dropped (retransmissions whose original arrived).\n# TYPE rlird_transport_duplicates_total counter\n")
-	p("rlird_transport_duplicates_total %d\n", s.tDuplicates.Load())
-	p("# HELP rlird_transport_out_of_order_total Segments reorder-buffered before in-order delivery.\n# TYPE rlird_transport_out_of_order_total counter\n")
-	p("rlird_transport_out_of_order_total %d\n", s.tOutOfOrder.Load())
-	p("# HELP rlird_transport_gaps_total Sequence-gap episodes observed by reliable receivers.\n# TYPE rlird_transport_gaps_total counter\n")
-	p("rlird_transport_gaps_total %d\n", s.tGaps.Load())
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].router != keys[j].router {
+			return keys[i].router < keys[j].router
+		}
+		return keys[i].kind < keys[j].kind
+	})
+	for _, k := range keys {
+		m.Counter("rlird_decode_error_kinds_total", "Decode errors by exporter and corruption kind.", by[k], "router", k.router, "kind", k.kind)
+	}
+	m.Counter("rlird_connections_total", "Exporter connections accepted.", s.connsTotal.Load())
+	m.Gauge("rlird_connections_active", "Exporter connections currently streaming.", s.activeConns())
+	m.Counter("rlird_reliable_connections_total", "Connections that spoke the swp reliable framing.", s.relConnsTotal.Load())
+	m.Counter("rlird_transport_segments_total", "Data segments received over reliable connections.", s.tSegments.Load())
+	m.Counter("rlird_transport_duplicates_total", "Duplicate segments dropped (retransmissions whose original arrived).", s.tDuplicates.Load())
+	m.Counter("rlird_transport_out_of_order_total", "Segments reorder-buffered before in-order delivery.", s.tOutOfOrder.Load())
+	m.Counter("rlird_transport_gaps_total", "Sequence-gap episodes observed by reliable receivers.", s.tGaps.Load())
 	s.mu.Lock()
 	names := make([]string, 0, len(s.routers))
 	for n := range s.routers {
@@ -246,43 +230,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		agg.mu.Unlock()
 	}
 	s.mu.Unlock()
-	if len(perRouter) > 0 {
-		p("# HELP rlird_router_transport_segments_total Data segments received, by exporter.\n# TYPE rlird_router_transport_segments_total counter\n")
-		for _, r := range perRouter {
-			p("rlird_router_transport_segments_total{router=%q} %d\n", r.name, r.segs)
-		}
-		p("# HELP rlird_router_transport_duplicates_total Duplicate segments dropped, by exporter.\n# TYPE rlird_router_transport_duplicates_total counter\n")
-		for _, r := range perRouter {
-			p("rlird_router_transport_duplicates_total{router=%q} %d\n", r.name, r.dups)
-		}
-		p("# HELP rlird_router_transport_gaps_total Sequence-gap episodes, by exporter.\n# TYPE rlird_router_transport_gaps_total counter\n")
-		for _, r := range perRouter {
-			p("rlird_router_transport_gaps_total{router=%q} %d\n", r.name, r.gaps)
-		}
+	for _, r := range perRouter {
+		m.Counter("rlird_router_transport_segments_total", "Data segments received, by exporter.", r.segs, "router", r.name)
+	}
+	for _, r := range perRouter {
+		m.Counter("rlird_router_transport_duplicates_total", "Duplicate segments dropped, by exporter.", r.dups, "router", r.name)
+	}
+	for _, r := range perRouter {
+		m.Counter("rlird_router_transport_gaps_total", "Sequence-gap episodes, by exporter.", r.gaps, "router", r.name)
 	}
 	ts := s.coll.Stats()
-	p("# HELP rlird_flows Distinct flows aggregated.\n# TYPE rlird_flows gauge\n")
-	p("rlird_flows %d\n", ts.Flows)
-	p("# HELP rlird_flows_tracked Flows currently tracked individually (excludes rollup tiers).\n# TYPE rlird_flows_tracked gauge\n")
-	p("rlird_flows_tracked %d\n", ts.Flows)
-	p("# HELP rlird_flows_evicted_total Flows folded into rollup tiers by the max-flows cap.\n# TYPE rlird_flows_evicted_total counter\n")
-	p("rlird_flows_evicted_total %d\n", ts.Evicted)
-	p("# HELP rlird_flows_expired_total Flows folded into rollup tiers by idle-window expiry.\n# TYPE rlird_flows_expired_total counter\n")
-	p("rlird_flows_expired_total %d\n", ts.Expired)
-	p("# HELP rlird_flow_classes Class-tier rollup aggregates currently held.\n# TYPE rlird_flow_classes gauge\n")
-	p("rlird_flow_classes %d\n", ts.Classes)
-	p("# HELP rlird_flow_entries_recycled_total New flows that reused a displaced flow's table entry and sketch storage.\n# TYPE rlird_flow_entries_recycled_total counter\n")
-	p("rlird_flow_entries_recycled_total %d\n", ts.Recycled)
-	p("# HELP rlird_shards Collector shard goroutines.\n# TYPE rlird_shards gauge\n")
-	p("rlird_shards %d\n", s.coll.Shards())
-	p("# HELP rlird_shard_queue_depth Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.\n# TYPE rlird_shard_queue_depth gauge\n")
+	m.Gauge("rlird_flows", "Distinct flows aggregated.", ts.Flows)
+	m.Gauge("rlird_flows_tracked", "Flows currently tracked individually (excludes rollup tiers).", ts.Flows)
+	m.Counter("rlird_flows_evicted_total", "Flows folded into rollup tiers by the max-flows cap.", ts.Evicted)
+	m.Counter("rlird_flows_expired_total", "Flows folded into rollup tiers by idle-window expiry.", ts.Expired)
+	m.Gauge("rlird_flow_classes", "Class-tier rollup aggregates currently held.", ts.Classes)
+	m.Counter("rlird_flow_entries_recycled_total", "New flows that reused a displaced flow's table entry and sketch storage.", ts.Recycled)
+	m.Gauge("rlird_shards", "Collector shard goroutines.", s.coll.Shards())
 	for i, d := range s.coll.QueueDepths() {
-		p("rlird_shard_queue_depth{shard=\"%d\"} %d\n", i, d)
+		m.Gauge("rlird_shard_queue_depth", "Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.", d, "shard", strconv.Itoa(i))
 	}
-	p("# HELP rlird_ingest_samples_per_second Rolling-window sample ingest rate.\n# TYPE rlird_ingest_samples_per_second gauge\n")
-	p("rlird_ingest_samples_per_second %g\n", sps)
-	p("# HELP rlird_ingest_records_per_second Rolling-window record ingest rate.\n# TYPE rlird_ingest_records_per_second gauge\n")
-	p("rlird_ingest_records_per_second %g\n", rps)
-	p("# HELP rlird_uptime_seconds Time since the service started.\n# TYPE rlird_uptime_seconds gauge\n")
-	p("rlird_uptime_seconds %g\n", time.Since(s.start).Seconds())
+	m.Gauge("rlird_ingest_samples_per_second", "Rolling-window sample ingest rate.", sps)
+	m.Gauge("rlird_ingest_records_per_second", "Rolling-window record ingest rate.", rps)
+	m.Gauge("rlird_uptime_seconds", "Time since the service started.", time.Since(s.start).Seconds())
 }

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
+	"github.com/netmeasure/rlir/internal/queryapi"
 	"github.com/netmeasure/rlir/internal/stats"
 	"github.com/netmeasure/rlir/internal/swp"
 )
@@ -221,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		if s.httpLn, err = net.Listen("tcp", cfg.HTTP); err != nil {
 			return fail(err)
 		}
-		s.httpSrv = &http.Server{Handler: s.Handler()}
+		s.httpSrv = queryapi.NewServer(s.Handler())
 		go func() { _ = s.httpSrv.Serve(s.httpLn) }()
 	}
 	return s, nil

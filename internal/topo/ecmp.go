@@ -1,0 +1,70 @@
+package topo
+
+import "github.com/netmeasure/rlir/internal/packet"
+
+// Equal-cost multi-path forwarding. Switch vendors hash a packet's 5-tuple
+// to pick one of several equal-cost next hops. The hash functions are
+// deterministic but unpublished; the paper (§3.1, "reverse ECMP
+// computation") assumes vendors can be persuaded to reveal them, letting an
+// RLIR receiver re-run the hash of an upstream switch to work out which path
+// a regular packet took — and therefore which reference stream it belongs
+// to (FatTree.ResolveCore). Every switch here folds the tuple through
+// CRC-16/CCITT, the classic TCAM-era choice, keyed by a per-switch seed.
+
+var crcTable [256]uint16
+
+func init() {
+	const poly = 0x1021
+	for i := 0; i < 256; i++ {
+		crc := uint16(i) << 8
+		for b := 0; b < 8; b++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ poly
+			} else {
+				crc <<= 1
+			}
+		}
+		crcTable[i] = crc
+	}
+}
+
+// ecmpHash maps a flow key to the 32-bit ECMP hash of the switch seeded
+// with seed. Distinct seeds de-correlate hash decisions between switches,
+// which real deployments rely on to avoid traffic polarization.
+func ecmpHash(seed uint32, k packet.FlowKey) uint32 {
+	crc := uint16(0xFFFF)
+	update := func(v uint32) {
+		for i := 3; i >= 0; i-- {
+			b := byte(v >> (8 * uint(i)))
+			crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
+		}
+	}
+	// The 5-tuple packed into three 32-bit words.
+	update(uint32(k.Src))
+	update(uint32(k.Dst))
+	update(uint32(k.SrcPort)<<16 | uint32(k.DstPort)&0xFFFF ^ uint32(k.Proto)<<8)
+	// CRC is linear, so folding the seed into the message would only XOR a
+	// constant into every hash — two switches with different seeds would
+	// still make identical modulo-n choices. A seed-keyed multiplicative
+	// avalanche breaks that linearity while keeping the per-switch function
+	// deterministic.
+	v := uint32(crc) ^ seed
+	v *= 2654435761 // Knuth's multiplicative constant
+	v ^= v >> 16
+	v *= 0x45d9f3b
+	v ^= v >> 16
+	return v
+}
+
+// ecmpSelect maps key k to one of n next hops at the switch seeded with
+// seed. It panics if n <= 0. The modulo-n reduction matches how
+// fixed-next-hop-table ASICs behave.
+func ecmpSelect(seed uint32, k packet.FlowKey, n int) int {
+	if n <= 0 {
+		panic("topo: ecmpSelect with no next hops")
+	}
+	if n == 1 {
+		return 0
+	}
+	return int(ecmpHash(seed, k) % uint32(n))
+}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/netmeasure/rlir/internal/ecmp"
 	"github.com/netmeasure/rlir/internal/lpm"
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
@@ -32,11 +31,6 @@ type Config struct {
 	QueueBytes int
 	// ProcDelay is the per-switch packet processing delay.
 	ProcDelay time.Duration
-	// HashKind selects the ECMP hash family used by ToR and aggregation
-	// switches. Each switch gets a distinct seed.
-	HashKind ecmp.Kind
-	// HashSeed is the base seed; per-switch seeds derive from it.
-	HashSeed uint32
 	// MarkAtCores makes core switches overwrite the ToS byte of transiting
 	// packets with their core index + 1 — the packet-marking downstream
 	// demux option (§3.1, [13]).
@@ -51,8 +45,6 @@ func DefaultConfig() Config {
 		Propagation: time.Microsecond,
 		QueueBytes:  256 << 10,
 		ProcDelay:   500 * time.Nanosecond,
-		HashKind:    ecmp.KindCRC,
-		HashSeed:    0x5EED,
 	}
 }
 
@@ -85,8 +77,8 @@ type FatTree struct {
 	// Hosts[p][e][h] is host h under ToR e of pod p.
 	Hosts [][][]*netsim.Node
 
-	torHashers map[netsim.NodeID]ecmp.Hasher
-	aggHashers map[netsim.NodeID]ecmp.Hasher
+	// ecmpSeed[n] keys switch n's ECMP hash (ecmp.go); distinct per switch.
+	ecmpSeed map[netsim.NodeID]uint32
 	// torUp[tor][j] is the ToR port index leading to agg j; aggUp[agg][i]
 	// the agg port index to core (group, i).
 	torUp map[netsim.NodeID][]int
@@ -151,28 +143,17 @@ func (ft *FatTree) CoreDownPort(j, i, p int) *netsim.Port {
 	return ft.Cores[j][i].Port(p)
 }
 
-// ToRHasher returns the ECMP hasher of ToR e in pod p.
-func (ft *FatTree) ToRHasher(p, e int) ecmp.Hasher {
-	return ft.torHashers[ft.ToRs[p][e].ID()]
-}
-
-// AggHasher returns the ECMP hasher of aggregation switch a in pod p.
-func (ft *FatTree) AggHasher(p, a int) ecmp.Hasher {
-	return ft.aggHashers[ft.Aggs[p][a].ID()]
-}
-
 // Build constructs the fat-tree on a fresh Network bound to eng.
 func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ft := &FatTree{
-		Cfg:        cfg,
-		Net:        nw,
-		torHashers: make(map[netsim.NodeID]ecmp.Hasher),
-		aggHashers: make(map[netsim.NodeID]ecmp.Hasher),
-		torUp:      make(map[netsim.NodeID][]int),
-		aggUp:      make(map[netsim.NodeID][]int),
+		Cfg:      cfg,
+		Net:      nw,
+		ecmpSeed: make(map[netsim.NodeID]uint32),
+		torUp:    make(map[netsim.NodeID][]int),
+		aggUp:    make(map[netsim.NodeID][]int),
 	}
 	k, h := cfg.K, cfg.K/2
 	link := netsim.LinkConfig{RateBps: cfg.LinkBps, Propagation: cfg.Propagation, QueueBytes: cfg.QueueBytes}
@@ -267,9 +248,12 @@ type route []int
 func (ft *FatTree) installRouting() {
 	k, h := ft.Cfg.K, ft.Half()
 
+	base := uint32(0x5EED)
 	seed := func(n *netsim.Node) uint32 {
 		// Distinct, deterministic per-switch seeds.
-		return ft.Cfg.HashSeed*2654435761 + uint32(n.ID())*40503 + 0x9E37
+		s := base*2654435761 + uint32(n.ID())*40503 + 0x9E37
+		ft.ecmpSeed[n.ID()] = s
+		return s
 	}
 
 	// Cores: pure prefix routing down to pods, loopback local.
@@ -281,7 +265,7 @@ func (ft *FatTree) installRouting() {
 				tbl.Insert(ft.PodPrefix(p), route{p})
 			}
 			tbl.Insert(packet.Prefix{Addr: ft.CoreAddr(j, i), Len: 32}, route{})
-			core.SetForward(forwarder(core.Name(), tbl, nil))
+			core.SetForward(forwarder(tbl, seed(core)))
 		}
 	}
 
@@ -303,9 +287,7 @@ func (ft *FatTree) installRouting() {
 			def := make(route, h)
 			copy(def, up)
 			tbl.Insert(packet.Prefix{Len: 0}, def)
-			hasher := ecmp.New(ft.Cfg.HashKind, seed(agg))
-			ft.aggHashers[agg.ID()] = hasher
-			agg.SetForward(forwarder(agg.Name(), tbl, hasher))
+			agg.SetForward(forwarder(tbl, seed(agg)))
 		}
 	}
 
@@ -329,9 +311,7 @@ func (ft *FatTree) installRouting() {
 			def := make(route, h)
 			copy(def, up)
 			tbl.Insert(packet.Prefix{Len: 0}, def)
-			hasher := ecmp.New(ft.Cfg.HashKind, seed(tor))
-			ft.torHashers[tor.ID()] = hasher
-			tor.SetForward(forwarder(tor.Name(), tbl, hasher))
+			tor.SetForward(forwarder(tbl, seed(tor)))
 		}
 	}
 
@@ -352,22 +332,16 @@ func (ft *FatTree) installRouting() {
 	}
 }
 
-// forwarder builds a ForwardFunc from an LPM table and an optional ECMP
-// hasher. Unroutable packets are delivered locally (and thus visible via
+// forwarder builds a ForwardFunc from an LPM table and the switch's ECMP
+// seed. Unroutable packets are delivered locally (and thus visible via
 // the node's Delivered counter) rather than crashing the simulation.
-func forwarder(name string, tbl *lpm.Table[route], hasher ecmp.Hasher) netsim.ForwardFunc {
+func forwarder(tbl *lpm.Table[route], seed uint32) netsim.ForwardFunc {
 	return func(n *netsim.Node, p *packet.Packet) int {
 		ports, ok := tbl.Lookup(p.Key.Dst)
 		if !ok || len(ports) == 0 {
 			return -1
 		}
-		if len(ports) == 1 {
-			return ports[0]
-		}
-		if hasher == nil {
-			panic(fmt.Sprintf("topo: %s has multipath route but no hasher", name))
-		}
-		return ports[ecmp.Select(hasher, p.Key, len(ports))]
+		return ports[ecmpSelect(seed, p.Key, len(ports))]
 	}
 }
 
@@ -412,9 +386,9 @@ func (ft *FatTree) ResolveCore(key packet.FlowKey) (j, i int, err error) {
 	}
 	tor := ft.ToRs[p][e]
 	h := ft.Half()
-	j = ecmp.Select(ft.torHashers[tor.ID()], key, h)
+	j = ecmpSelect(ft.ecmpSeed[tor.ID()], key, h)
 	agg := ft.Aggs[p][j]
-	i = ecmp.Select(ft.aggHashers[agg.ID()], key, h)
+	i = ecmpSelect(ft.ecmpSeed[agg.ID()], key, h)
 	return j, i, nil
 }
 

@@ -439,10 +439,14 @@ func TestPortAccessors(t *testing.T) {
 
 func TestHashersDifferPerSwitch(t *testing.T) {
 	_, ft := build(t, DefaultConfig())
-	a := ft.ToRHasher(0, 0)
-	b := ft.ToRHasher(0, 1)
-	c := ft.AggHasher(0, 0)
-	if a.Name() == b.Name() || a.Name() == c.Name() {
-		t.Fatalf("hasher seeds collide: %s / %s / %s", a.Name(), b.Name(), c.Name())
+	seen := make(map[uint32]bool)
+	for _, s := range ft.ecmpSeed {
+		if seen[s] {
+			t.Fatalf("ECMP seed %#x used by two switches", s)
+		}
+		seen[s] = true
+	}
+	if want := 4 + 8 + 8; len(seen) != want { // k=4: cores, aggs, ToRs
+		t.Fatalf("%d seeded switches, want %d", len(seen), want)
 	}
 }

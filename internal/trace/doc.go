@@ -1,4 +1,4 @@
-// Package trace generates and stores packet traces.
+// Package trace generates packet traces and link delay/loss traces.
 //
 // The paper's evaluation replays two one-minute CAIDA OC-192 traces (one for
 // regular traffic, one for cross traffic). Those traces are proprietary, so
@@ -8,9 +8,10 @@
 // experiments actually depend on — a wide spread of per-flow packet counts
 // and a controllable offered load — are explicit knobs here.
 //
-// Traces stream in time order; they can be consumed directly, written to a
-// compact binary format, or exported as pcap (internal/pcapio) for
-// inspection with standard tools. cmd/tracegen is the CLI front-end.
+// Traces stream in time order and are consumed directly: every simulation
+// regenerates its workload from (Config, seed), so no packet file format
+// exists. The one stored format is the link trace (linktrace.go), which
+// cmd/tracegen -emit link writes and cmd/scenario -link-trace reads.
 //
 // Seeding discipline: DeriveSeed/DeriveSeeds (seed.go) produce independent
 // per-run seeds via SplitMix64 — use them instead of seed+i arithmetic

@@ -16,7 +16,6 @@ import (
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
 	"github.com/netmeasure/rlir/internal/swp"
-	"github.com/netmeasure/rlir/internal/topo"
 	"github.com/netmeasure/rlir/internal/trace"
 )
 
@@ -121,17 +120,6 @@ func ParseEstimator(s string) (core.Estimator, error) { return core.ParseEstimat
 // destination ToR demultiplexing with Deploy.Demux (reverse-ecmp, marking,
 // oracle, none). RunScenario executes it.
 func DefaultFatTreeSpec() ScenarioSpec { return experiments.DefaultFatTreeSpec() }
-
-// ---- Placement planning (paper §3.1) ----
-
-// PlacementRow is one line of the placement table.
-type PlacementRow = topo.Row
-
-// PlacementTable computes the §3.1 table for the given arities.
-func PlacementTable(ks []int) ([]PlacementRow, error) { return topo.Table(ks) }
-
-// FormatPlacementTable renders the table.
-func FormatPlacementTable(rows []PlacementRow) string { return topo.FormatTable(rows) }
 
 // ---- Figures and ablations (paper §4 + DESIGN.md) ----
 

@@ -76,15 +76,15 @@ func TestPublicAPITraceGenerator(t *testing.T) {
 }
 
 func TestPublicAPIPlacement(t *testing.T) {
-	rows, err := rlir.PlacementTable([]int{4, 8})
+	target, err := rlir.ParseExperimentTarget("placement")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].PairOfInterfaces != 6 || rows[1].AllToRPairs != 144 {
+	// Rows are k = 4, 8, ...; columns pair-of-ifaces, pair-of-ToRs,
+	// all-ToR-pairs, ...
+	rows := target.Run(rlir.SmallScale()).Table().Rows
+	if rows[0].Cells[0] != 6 || rows[1].Cells[2] != 144 {
 		t.Fatalf("rows = %+v", rows)
-	}
-	if _, err := rlir.PlacementTable([]int{3}); err == nil {
-		t.Fatal("odd arity should fail")
 	}
 }
 
