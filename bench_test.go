@@ -28,12 +28,6 @@ import (
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
-// benchScale keeps benchmark iterations affordable; cmd/experiments runs
-// the same harnesses at -scale default/full.
-func benchScale() rlir.Scale {
-	return rlir.SmallScale()
-}
-
 // printOnce guards the one-time rendering of each figure.
 var printOnce sync.Map
 
@@ -52,7 +46,7 @@ func metricUnit(prefix, label string) string {
 func BenchmarkFig4a(b *testing.B) {
 	var fig rlir.Figure
 	for i := 0; i < b.N; i++ {
-		fig = rlir.Fig4a(benchScale())
+		fig = rlir.Fig4a(smallTandem(b))
 	}
 	renderOnce("4a", fig.Render())
 	for _, s := range fig.Series {
@@ -65,7 +59,7 @@ func BenchmarkFig4a(b *testing.B) {
 func BenchmarkFig4b(b *testing.B) {
 	var fig rlir.Figure
 	for i := 0; i < b.N; i++ {
-		fig = rlir.Fig4b(benchScale())
+		fig = rlir.Fig4b(smallTandem(b))
 	}
 	renderOnce("4b", fig.Render())
 	for _, s := range fig.Series {
@@ -78,7 +72,7 @@ func BenchmarkFig4b(b *testing.B) {
 func BenchmarkFig4c(b *testing.B) {
 	var fig rlir.Figure
 	for i := 0; i < b.N; i++ {
-		fig = rlir.Fig4c(benchScale())
+		fig = rlir.Fig4c(smallTandem(b))
 	}
 	renderOnce("4c", fig.Render())
 	for _, s := range fig.Series {
@@ -92,12 +86,12 @@ func BenchmarkFig5(b *testing.B) {
 	// Interference is a ~1% systematic effect on top of chaotic queue
 	// noise; a longer trace with a tight queue gives enough drop events
 	// for the signal to dominate (same configuration the shape test uses).
-	scale := benchScale()
-	scale.Duration = time.Second
-	scale.QueueBytes = 32 << 10
+	base := smallTandem(b)
+	base.Duration = time.Second
+	base.Topology.QueueBytes = 32 << 10
 	var res rlir.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res = rlir.Fig5(scale, []float64{0.9, 0.98})
+		res = rlir.Fig5(base, []float64{0.9, 0.98})
 	}
 	renderOnce("5", res.Render())
 	last := res.Points[len(res.Points)-1]
@@ -112,7 +106,7 @@ func BenchmarkTablePlacement(b *testing.B) {
 	}
 	var rows []stats.TableRow
 	for i := 0; i < b.N; i++ {
-		res := target.Run(benchScale())
+		res := target.Run(smallTandem(b))
 		rows = res.Table().Rows
 		renderOnce("placement", res.Render())
 	}
@@ -123,7 +117,7 @@ func BenchmarkTablePlacement(b *testing.B) {
 func BenchmarkScalars(b *testing.B) {
 	var s rlir.Scalars
 	for i := 0; i < b.N; i++ {
-		s = rlir.RunScalars(benchScale())
+		s = rlir.RunScalars(smallTandem(b))
 	}
 	renderOnce("scalars", s.Render())
 	b.ReportMetric(s.BaseUtil, "baseUtil")
@@ -133,7 +127,7 @@ func BenchmarkScalars(b *testing.B) {
 
 func BenchmarkAblationDemux(b *testing.B) {
 	spec := rlir.DefaultFatTreeSpec()
-	spec.Duration = benchScale().Duration / 2
+	spec.Duration = smallTandem(b).Duration / 2
 	var results rlir.DemuxAblation
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -150,7 +144,7 @@ func BenchmarkAblationDemux(b *testing.B) {
 func BenchmarkAblationEstimators(b *testing.B) {
 	var rows rlir.EstimatorAblation
 	for i := 0; i < b.N; i++ {
-		rows = rlir.AblationEstimators(benchScale(), 0.8)
+		rows = rlir.AblationEstimators(smallTandem(b), 0.8)
 	}
 	renderOnce("A2", rows.Render())
 	for _, r := range rows {
@@ -161,7 +155,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 func BenchmarkAblationClocks(b *testing.B) {
 	var rows rlir.ClockAblation
 	for i := 0; i < b.N; i++ {
-		rows = rlir.AblationClocks(benchScale(), 0.8)
+		rows = rlir.AblationClocks(smallTandem(b), 0.8)
 	}
 	renderOnce("A3", rows.Render())
 	b.ReportMetric(rows[0].MedianRelErr, "medianRelErr/perfect")
@@ -171,7 +165,7 @@ func BenchmarkAblationClocks(b *testing.B) {
 func BenchmarkBaselines(b *testing.B) {
 	var r rlir.BaselineResult
 	for i := 0; i < b.N; i++ {
-		r = rlir.RunBaselines(benchScale(), 0.93)
+		r = rlir.RunBaselines(smallTandem(b), 0.93)
 	}
 	renderOnce("B1", r.Render())
 	b.ReportMetric(r.RLIRMedian, "medianRelErr/rlir")
@@ -181,7 +175,7 @@ func BenchmarkBaselines(b *testing.B) {
 
 func BenchmarkLocalization(b *testing.B) {
 	cfg := rlir.DefaultLocalizationConfig()
-	cfg.Spec.Duration = benchScale().Duration / 2
+	cfg.Spec.Duration = smallTandem(b).Duration / 2
 	var res rlir.LocalizationResult
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -210,7 +204,7 @@ func benchmarkRunnerSweep(b *testing.B, workers int) {
 	}
 	spec := sc.Spec
 	spec.Deploy.Estimators = []string{"rli"}
-	spec.Duration = benchScale().Duration
+	spec.Duration = smallTandem(b).Duration
 	var r *scenario.MultiResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,17 +245,15 @@ func BenchmarkScenarioFatTree(b *testing.B) {
 // through the instrumented tandem per second of wall clock — the
 // engineering metric that bounds how large a trace the harness can replay.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	scale := benchScale()
+	spec := smallTandem(b)
 	var packets uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := rlir.RunTandem(rlir.TandemConfig{
-			Scale:      scale,
-			Scheme:     rlir.DefaultStatic(),
-			Model:      rlir.CrossUniform,
-			TargetUtil: 0.93,
-		})
-		packets += r.RegularOffered + r.CrossAdmitted
+		r, err := rlir.RunScenario(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		packets += uint64(r.Injected) + r.CrossAdmitted
 	}
 	b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "pkts/s")
 }

@@ -53,11 +53,11 @@ func main() {
 	)
 	flag.Parse()
 
-	sc, err := rlir.ParseScale(*scale)
+	base, err := rlir.TandemSpec(*scale)
 	if err != nil {
 		log.Fatalf("-scale: %v", err)
 	}
-	sc.Seed = *seed
+	base.Seed = *seed
 	if *seeds < 1 {
 		log.Fatalf("-seeds %d < 1", *seeds)
 	}
@@ -86,7 +86,7 @@ func main() {
 
 	for _, t := range targets {
 		start := time.Now()
-		if err := run(os.Stdout, t, sc, opts, *csvDir); err != nil {
+		if err := run(os.Stdout, t, base, opts, *csvDir); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("[%s done in %v]\n\n", t.ID, time.Since(start).Round(time.Millisecond))
@@ -97,9 +97,9 @@ func main() {
 // target's across-seed table; a single seed — and a target that is always
 // reported from one run — prints its own rendering and, with -csv, writes
 // its series.
-func run(out io.Writer, t rlir.ExperimentTarget, sc rlir.Scale, opts rlir.MultiOpts, csvDir string) error {
+func run(out io.Writer, t rlir.ExperimentTarget, base rlir.ScenarioSpec, opts rlir.MultiOpts, csvDir string) error {
 	if opts.Seeds > 1 && !t.SingleSeed {
-		ci, err := rlir.Sweep(t, sc, opts)
+		ci, err := rlir.Sweep(t, base, opts)
 		if err != nil {
 			return err
 		}
@@ -109,7 +109,7 @@ func run(out io.Writer, t rlir.ExperimentTarget, sc rlir.Scale, opts rlir.MultiO
 	if opts.Seeds > 1 {
 		fmt.Fprintf(out, "%s is reported from a single run; -seeds does not apply\n", t.ID)
 	}
-	res := t.Run(sc)
+	res := t.Run(base)
 	fmt.Fprint(out, res.Render())
 	if csvDir == "" {
 		return nil

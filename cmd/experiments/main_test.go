@@ -11,6 +11,18 @@ import (
 	rlir "github.com/netmeasure/rlir"
 )
 
+// tinyBase is the small tandem spec cut to 120 ms, so every target runs in
+// test time.
+func tinyBase(t *testing.T) rlir.ScenarioSpec {
+	t.Helper()
+	base, err := rlir.TandemSpec("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Duration = 120 * time.Millisecond
+	return base
+}
+
 // TestUnknownTargetRejected pins the dispatch contract: an unknown -fig
 // value must produce an error that names every valid target. There is one
 // lookup in front of the one dispatch, so one path to pin.
@@ -38,19 +50,18 @@ func TestEveryTargetThroughTheDispatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every target; skipped in -short")
 	}
-	sc := rlir.SmallScale()
-	sc.Duration = 120 * time.Millisecond
+	base := tinyBase(t)
 	for _, target := range rlir.ExperimentTargets() {
 		t.Run(target.ID, func(t *testing.T) {
 			t.Parallel()
 			var single, swept bytes.Buffer
-			if err := run(&single, target, sc, rlir.MultiOpts{Seeds: 1}, ""); err != nil {
+			if err := run(&single, target, base, rlir.MultiOpts{Seeds: 1}, ""); err != nil {
 				t.Fatal(err)
 			}
-			if err := run(&swept, target, sc, rlir.MultiOpts{Seeds: 2}, ""); err != nil {
+			if err := run(&swept, target, base, rlir.MultiOpts{Seeds: 2}, ""); err != nil {
 				t.Fatal(err)
 			}
-			if want := target.Run(sc).Render(); single.String() != want {
+			if want := target.Run(base).Render(); single.String() != want {
 				t.Errorf("-seeds 1 printed:\n%s\nwant the target's own rendering:\n%s", single.String(), want)
 			}
 			if target.SingleSeed {
@@ -69,15 +80,13 @@ func TestEveryTargetThroughTheDispatch(t *testing.T) {
 // TestFigureCSV pins the -csv side of the dispatch: a figure's series land
 // in the directory and the run says so.
 func TestFigureCSV(t *testing.T) {
-	sc := rlir.SmallScale()
-	sc.Duration = 120 * time.Millisecond
 	target, err := rlir.ParseExperimentTarget("4a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	var out bytes.Buffer
-	if err := run(&out, target, sc, rlir.MultiOpts{Seeds: 1}, dir); err != nil {
+	if err := run(&out, target, tinyBase(t), rlir.MultiOpts{Seeds: 1}, dir); err != nil {
 		t.Fatal(err)
 	}
 	files, err := os.ReadDir(dir)
@@ -116,7 +125,7 @@ func TestPlacementTargetRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run(&out, target, rlir.SmallScale(), rlir.MultiOpts{Seeds: 1}, ""); err != nil {
+	if err := run(&out, target, tinyBase(t), rlir.MultiOpts{Seeds: 1}, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "deployment complexity") {

@@ -24,7 +24,7 @@ func TestParseArgsValidation(t *testing.T) {
 		{"bad scheme", []string{"-scheme", "exotic"}, `-scheme "exotic"`, validSchemes},
 		{"bad model", []string{"-model", "fractal"}, `-model "fractal"`, validModels},
 		{"bad scale", []string{"-scale", "galactic"}, `-scale "galactic"`, []string{"small", "default", "full"}},
-		{"bad estimator", []string{"-estimator", "cubic"}, `-estimator "cubic"`, []string{"linear", "left", "right", "nearest"}},
+		{"bad estimator", []string{"-estimator", "cubic"}, `estimator "cubic"`, []string{"linear", "left", "right", "nearest"}},
 		{"bad demux", []string{"-topology", "fattree", "-demux", "psychic"}, `demux strategy "psychic"`, []string{"none", "marking", "reverse-ecmp", "oracle"}},
 		{"fattree without a sender", []string{"-topology", "fattree", "-scheme", "none"}, `injection scheme "none"`, []string{"static", "adaptive"}},
 		{"fattree odd arity", []string{"-topology", "fattree", "-k", "3"}, "K", nil},
@@ -61,7 +61,7 @@ func TestFatTreeFlagsFillTheSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := o.fattree
+	s := o.spec
 	if s.Topology.K != 6 || s.Deploy.Demux != "marking" || s.Deploy.Scheme != "adaptive" ||
 		s.Deploy.StaticN != 40 || s.Seed != 7 || s.Duration.Milliseconds() != 30 {
 		t.Fatalf("flags filled %+v", s)

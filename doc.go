@@ -34,31 +34,29 @@
 // README.md for the repository tour and runnable quickstarts, the examples
 // directory for complete programs, or:
 //
-//	res := rlir.RunTandem(rlir.TandemConfig{
-//	    Scale:      rlir.DefaultScale(),
-//	    Scheme:     rlir.DefaultStatic(),
-//	    Model:      rlir.CrossUniform,
-//	    TargetUtil: 0.93,
-//	})
-//	fmt.Println(res.Summary)
+//	spec, _ := rlir.TandemSpec("default") // Figure 3: static 1-and-100, 93% bottleneck
+//	res, err := rlir.RunScenario(spec)
+//	if err == nil {
+//	    fmt.Println(res.Overall)
+//	}
 //
 // The API groups in rlir.go, in reading order:
 //
 //   - Packet and flow identity (FlowKey, Addr) and injection
 //     schemes (Static, Adaptive) — the paper's §3.2 mechanism surface.
-//   - Experiment harnesses (RunTandem, RunLocalization, the
-//     Fig4*/Fig5/Scalars/Ablation* reproductions) — every figure and table
-//     of §4 — and their seed sweeps: each is an ExperimentTarget, and Sweep
-//     folds any of them across seeds into a TableCI of mean ± 95% CI cells;
-//     EXPERIMENTS.md records the paper-vs-measured comparison. RunTandem is
-//     the scenario engine's Figure-3 harness; AblationDemux and
-//     RunLocalization run ScenarioSpecs (DefaultFatTreeSpec, a hotspot spec
-//     with a hop-delay fault) on its one fat-tree runner. Nothing outside
-//     the engine builds a network.
-//   - The unified estimator layer (MeasureEstimator, EstimatorNames,
-//     CompareEstimators): every measurement mechanism — RLI, LDA, NetFlow
-//     sampling, Multiflow — on one simulation pass, scored against shared
-//     ground truth.
+//   - Experiment harnesses (the Fig4*/Fig5/Scalars/Ablation* reproductions
+//     and RunLocalization) — every figure and table of §4 — and their seed
+//     sweeps: each is an ExperimentTarget, and Sweep folds any of them
+//     across seeds into a TableCI of mean ± 95% CI cells; EXPERIMENTS.md
+//     records the paper-vs-measured comparison. Every one of them runs
+//     ScenarioSpecs — tandem points derived from a TandemSpec base,
+//     DefaultFatTreeSpec, a hotspot spec with a hop-delay fault — on the
+//     scenario engine's tandem harness and its one fat-tree runner. Nothing
+//     outside the engine builds a network.
+//   - The unified estimator layer (EstimatorNames, ParseEstimatorList):
+//     every measurement mechanism — RLI, LDA, NetFlow sampling, Multiflow —
+//     a spec lists in Deploy.Estimators rides one simulation pass, scored
+//     against shared ground truth in ScenarioResult.Comparison.
 //   - The scenario engine (ScenarioSpec, Scenarios, RunScenario): named
 //     network-wide workload/fault scenarios with registry invariants;
 //     cmd/scenario is the CLI.

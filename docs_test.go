@@ -117,13 +117,15 @@ func TestReadmeDocumentsEveryCommand(t *testing.T) {
 // TestOneNetworkBuildSite is the architecture guard for "one event engine,
 // one builder per topology": outside tests and the benchmark's own module, a
 // simulated network is constructed only by the scenario engine's tandem and
-// fat-tree harnesses, and internal/experiments — a pure client of that engine
+// fat-tree harnesses, the estimator plane only by the engine's shared
+// measurement plane, and internal/experiments — a pure client of that engine
 // — imports neither the event engine nor the network simulator. Anything
 // that instruments "the simulator" therefore has one place to attach.
 func TestOneNetworkBuildSite(t *testing.T) {
 	allowed := map[string][]string{
-		"netsim.New(": {"internal/scenario/fattree.go", "internal/scenario/tandem.go"},
-		"topo.Build(": {"internal/scenario/fattree.go"},
+		"netsim.New(":          {"internal/scenario/fattree.go", "internal/scenario/tandem.go"},
+		"topo.Build(":          {"internal/scenario/fattree.go"},
+		"measure.NewDispatch(": {"internal/scenario/engine.go"},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {

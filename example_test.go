@@ -9,18 +9,22 @@ import (
 	rlir "github.com/netmeasure/rlir"
 )
 
-// ExampleRunTandem measures per-flow latency across the paper's two-switch
+// ExampleTandemSpec measures per-flow latency across the paper's two-switch
 // scenario: regular traffic through an instrumented switch, unseen cross
-// traffic congesting the downstream bottleneck to 93%.
-func ExampleRunTandem() {
-	res := rlir.RunTandem(rlir.TandemConfig{
-		Scale:      rlir.SmallScale(),
-		Scheme:     rlir.DefaultStatic(), // 1-and-100 worst-case injection
-		Model:      rlir.CrossUniform,
-		TargetUtil: 0.93,
-	})
+// traffic congesting the downstream bottleneck to 93%, static 1-and-100
+// worst-case injection.
+func ExampleTandemSpec() {
+	spec, err := rlir.TandemSpec("small")
+	if err != nil {
+		panic(err)
+	}
+	spec.Workload.CrossUtil = 0.93
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("measured %d flows with %d reference packets\n",
-		res.Summary.Flows, res.Receiver.RefsSeen)
+		res.Overall.Flows, res.Receiver.RefsSeen)
 	for _, fr := range res.Results[:1] {
 		fmt.Printf("flow %v: est %v vs true %v\n", fr.Key, fr.EstMean, fr.TrueMean)
 	}
@@ -76,7 +80,7 @@ func ExampleEstimatorNames() {
 	for _, name := range rlir.EstimatorNames() {
 		fmt.Println(name, rlir.EstimatorRegistered(name))
 	}
-	_, err := rlir.NewEstimator("bogus", rlir.MeasureConfig{})
+	_, err := rlir.ParseEstimatorList("rli, bogus")
 	fmt.Println(err != nil)
 	// Output:
 	// rli true

@@ -13,32 +13,35 @@ package main
 
 import (
 	"fmt"
+	"log"
+	"strings"
 
 	rlir "github.com/netmeasure/rlir"
 )
 
 func main() {
-	scale := rlir.DefaultScale()
+	spec, err := rlir.TandemSpec("default")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("scheme                    util   achieved  refs     medianErr  under10%  lossRate")
 	for _, util := range []float64{0.67, 0.93} {
-		for _, mode := range []string{"adaptive", "static"} {
-			cfg := rlir.TandemConfig{
-				Scale:      scale,
-				Model:      rlir.CrossUniform,
-				TargetUtil: util,
+		// The adaptive sender is driven by a meter on its own link, which
+		// sees ~22%; static is the paper's 1-and-100.
+		for _, scheme := range []string{"adaptive", "static"} {
+			spec.Deploy.Scheme = scheme
+			spec.Workload.CrossModel = rlir.CrossUniform
+			spec.Workload.CrossUtil = util
+			res, err := rlir.RunScenario(spec)
+			if err != nil {
+				log.Fatal(err)
 			}
-			if mode == "adaptive" {
-				cfg.Scheme = rlir.DefaultAdaptive()
-				cfg.AdaptiveLive = true // driven by the sender-side meter, which sees ~22%
-			} else {
-				cfg.Scheme = rlir.DefaultStatic()
-			}
-			res := rlir.RunTandem(cfg)
+			name, _, _ := strings.Cut(res.Spec.Label(), ",") // the legend's scheme field
 			fmt.Printf("%-25s %.2f   %.2f      %-8d %-10.4f %-9.1f %.6f\n",
-				cfg.Scheme.Name(), util, res.AchievedUtil,
-				res.Receiver.RefsSeen, res.Summary.MedianRelErr,
-				res.Summary.FracUnder10Pct*100, res.LossRate())
+				name, util, res.HotLinkUtil,
+				res.Receiver.RefsSeen, res.Overall.MedianRelErr,
+				res.Overall.FracUnder10Pct*100, res.LossRate())
 		}
 	}
 

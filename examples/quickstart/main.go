@@ -11,26 +11,31 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	rlir "github.com/netmeasure/rlir"
 )
 
 func main() {
-	cfg := rlir.TandemConfig{
-		Scale:      rlir.DefaultScale(),
-		Scheme:     rlir.DefaultStatic(), // the paper's 1-and-100 worst-case scheme
-		Model:      rlir.CrossUniform,
-		TargetUtil: 0.93,
+	spec, err := rlir.TandemSpec("default")
+	if err != nil {
+		log.Fatal(err)
 	}
-	res := rlir.RunTandem(cfg)
+	spec.Deploy.Scheme = "static" // the paper's 1-and-100 worst-case scheme
+	spec.Workload.CrossModel = rlir.CrossUniform
+	spec.Workload.CrossUtil = 0.93
+	res, err := rlir.RunScenario(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Printf("run:                  %s\n", res.Label())
-	fmt.Printf("bottleneck util:      %.1f%% (sender's own link saw only ~22%%)\n", res.AchievedUtil*100)
-	fmt.Printf("flows measured:       %d\n", res.Summary.Flows)
+	fmt.Printf("run:                  %s\n", res.Spec.Label())
+	fmt.Printf("bottleneck util:      %.1f%% (sender's own link saw only ~22%%)\n", res.HotLinkUtil*100)
+	fmt.Printf("flows measured:       %d\n", res.Overall.Flows)
 	fmt.Printf("per-packet estimates: %d from %d reference packets\n",
 		res.Receiver.Estimated, res.Receiver.RefsSeen)
-	fmt.Printf("median relative err:  %.1f%% (paper: ~4.5%% at 93%%)\n", res.Summary.MedianRelErr*100)
-	fmt.Printf("true mean delay:      %v\n", res.Summary.TrueMeanDelay)
+	fmt.Printf("median relative err:  %.1f%% (paper: ~4.5%% at 93%%)\n", res.Overall.MedianRelErr*100)
+	fmt.Printf("true mean delay:      %v\n", res.Overall.TrueMeanDelay)
 	fmt.Println()
 
 	// The CDF the paper plots in Figure 4(a), for this single run:

@@ -12,7 +12,7 @@ import (
 )
 
 // TestGoldenSweeps pins every across-seed statistic the repository reports:
-// each sweepable -fig target at SmallScale over 2 derived seeds, and the
+// each sweepable -fig target on the small tandem spec over 2 derived seeds, and the
 // comparison / telemetry-loss / detection sub-tables of a multi-seed
 // scenario run. Every cell is a stats.MetricCI compared bit for bit (Mean,
 // CI95, Min, Max, N). The fixture in testdata/golden_sweeps.json was
@@ -84,7 +84,7 @@ func captureGoldenSweeps(t *testing.T) []goldenSweepTable {
 		if target.SingleSeed {
 			continue
 		}
-		ci, err := rlir.Sweep(target, rlir.SmallScale(), opts)
+		ci, err := rlir.Sweep(target, smallTandem(t), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGoldenDeterminism pins the simulation output bit-for-bit: the same
-// seed must produce the identical RunTandem summaries and figure metrics
+// seed must produce the identical tandem-spec summaries and figure metrics
 // across engine rewrites. The fixture in testdata/golden_engine.json was
 // captured from the seed (container/heap, closure-event) engine; any change
 // to event ordering, trace generation, or estimator arithmetic shows up here
@@ -80,55 +80,51 @@ type goldenFile struct {
 	FatTrees []goldenFatTree `json:"fattrees"`
 }
 
-func goldenTandemConfigs() []struct {
-	name string
-	cfg  rlir.TandemConfig
-} {
-	scale := rlir.SmallScale()
-	return []struct {
-		name string
-		cfg  rlir.TandemConfig
-	}{
-		{"static-uniform-93", rlir.TandemConfig{
-			Scale: scale, Scheme: rlir.DefaultStatic(), Model: rlir.CrossUniform, TargetUtil: 0.93,
-		}},
-		{"adaptive-live-bursty-90", rlir.TandemConfig{
-			Scale: scale, Scheme: rlir.DefaultAdaptive(), AdaptiveLive: true,
-			Model: rlir.CrossBursty, TargetUtil: 0.90,
-		}},
-		{"noscheme-uniform-98", rlir.TandemConfig{
-			Scale: scale, Model: rlir.CrossUniform, TargetUtil: 0.98,
-		}},
-		{"static-none", rlir.TandemConfig{
-			Scale: scale, Scheme: rlir.DefaultStatic(), Model: rlir.CrossNone,
-		}},
+// goldenTandemSpecs are the four Figure-3 runs the fixture pins, named as
+// the fixture names them.
+func goldenTandemSpecs(t *testing.T) []rlir.ScenarioSpec {
+	spec := func(name, scheme string, model rlir.CrossModel, util float64) rlir.ScenarioSpec {
+		s := smallTandem(t)
+		s.Name = name
+		s.Deploy.Scheme = scheme
+		s.Workload.CrossModel, s.Workload.CrossUtil = model, util
+		return s
+	}
+	return []rlir.ScenarioSpec{
+		spec("static-uniform-93", "static", rlir.CrossUniform, 0.93),
+		spec("adaptive-live-bursty-90", "adaptive", rlir.CrossBursty, 0.90),
+		spec("noscheme-uniform-98", "none", rlir.CrossUniform, 0.98),
+		spec("static-none", "static", rlir.CrossNone, 0),
 	}
 }
 
 func captureGolden(t *testing.T) goldenFile {
 	t.Helper()
 	var out goldenFile
-	for _, tc := range goldenTandemConfigs() {
-		r := rlir.RunTandem(tc.cfg)
+	for _, spec := range goldenTandemSpecs(t) {
+		r, err := rlir.RunScenario(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out.Tandems = append(out.Tandems, goldenTandem{
-			Name:           tc.name,
-			RegularOffered: r.RegularOffered,
+			Name:           spec.Name,
+			RegularOffered: uint64(r.Injected),
 			RegularDropped: r.RegularDropped,
 			CrossAdmitted:  r.CrossAdmitted,
 			RefsSeen:       r.Receiver.RefsSeen,
 			RegularSeen:    r.Receiver.RegularSeen,
 			Estimated:      r.Receiver.Estimated,
 			SenderInjected: r.Sender.Injected,
-			Flows:          r.Summary.Flows,
-			Estimates:      r.Summary.Estimates,
-			MedianRelErr:   gf(r.Summary.MedianRelErr),
-			P90RelErr:      gf(r.Summary.P90RelErr),
-			FracUnder10Pct: gf(r.Summary.FracUnder10Pct),
-			TrueMeanDelay:  int64(r.Summary.TrueMeanDelay / time.Nanosecond),
-			AchievedUtil:   gf(r.AchievedUtil),
+			Flows:          r.Overall.Flows,
+			Estimates:      r.Overall.Estimates,
+			MedianRelErr:   gf(r.Overall.MedianRelErr),
+			P90RelErr:      gf(r.Overall.P90RelErr),
+			FracUnder10Pct: gf(r.Overall.FracUnder10Pct),
+			TrueMeanDelay:  int64(r.Overall.TrueMeanDelay / time.Nanosecond),
+			AchievedUtil:   gf(r.HotLinkUtil),
 		})
 	}
-	fig := rlir.Fig4a(rlir.SmallScale())
+	fig := rlir.Fig4a(smallTandem(t))
 	gfig := goldenFigure{ID: fig.ID}
 	for _, s := range fig.Series {
 		gfig.Labels = append(gfig.Labels, s.Label)

@@ -106,6 +106,18 @@ type ReceiverCounters struct {
 	Estimated      uint64 // per-packet estimates produced
 }
 
+// Add sums o into c (a deployment's receivers into one view).
+func (c *ReceiverCounters) Add(o ReceiverCounters) {
+	c.RefsSeen += o.RefsSeen
+	c.RefsForeign += o.RefsForeign
+	c.RegularSeen += o.RegularSeen
+	c.Filtered += o.Filtered
+	c.Unattributed += o.Unattributed
+	c.BeforeFirstRef += o.BeforeFirstRef
+	c.Evicted += o.Evicted
+	c.Estimated += o.Estimated
+}
+
 // FlowAcc accumulates one flow's estimated and true per-packet delays.
 type FlowAcc struct {
 	Est  stats.Welford // interpolated delays, in nanoseconds

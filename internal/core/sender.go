@@ -66,6 +66,13 @@ type SenderCounters struct {
 	Events   uint64 // injection events (one per gap expiry)
 }
 
+// Add sums o into c (a deployment's senders into one view).
+func (c *SenderCounters) Add(o SenderCounters) {
+	c.Counted += o.Counted
+	c.Injected += o.Injected
+	c.Events += o.Events
+}
+
 // Sender is an RLI sender instance attached to a netsim port.
 type Sender struct {
 	cfg      SenderConfig

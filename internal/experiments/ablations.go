@@ -7,11 +7,8 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
-	"github.com/netmeasure/rlir/internal/lda"
 	"github.com/netmeasure/rlir/internal/measure"
-	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/scenario"
-	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
@@ -26,21 +23,17 @@ type EstimatorRow struct {
 // AblationEstimators (A2) compares interpolation variants on an identical
 // workload: RLI's linear interpolation against the left/right/nearest
 // single-endpoint estimators.
-func AblationEstimators(scale scenario.Scale, targetUtil float64) EstimatorAblation {
+func AblationEstimators(base scenario.Spec, targetUtil float64) EstimatorAblation {
 	var out EstimatorAblation
 	for _, e := range []core.Estimator{core.Linear, core.LeftRef, core.RightRef, core.Nearest} {
-		r := scenario.RunTandem(scenario.TandemConfig{
-			Scale:      scale,
-			Scheme:     core.DefaultStatic(),
-			Model:      scenario.CrossUniform,
-			TargetUtil: targetUtil,
-			Estimator:  e,
-		})
+		s := point(base, scenario.SchemeStatic, scenario.CrossUniform, targetUtil)
+		s.Deploy.Interpolation = e.String()
+		r := run(s)
 		out = append(out, EstimatorRow{
 			Estimator:    e,
-			MedianRelErr: r.Summary.MedianRelErr,
-			P90RelErr:    r.Summary.P90RelErr,
-			Flows:        r.Summary.Flows,
+			MedianRelErr: r.Overall.MedianRelErr,
+			P90RelErr:    r.Overall.P90RelErr,
+			Flows:        r.Overall.Flows,
 		})
 	}
 	return out
@@ -49,10 +42,12 @@ func AblationEstimators(scale scenario.Scale, targetUtil float64) EstimatorAblat
 // EstimatorAblation is the A2 table.
 type EstimatorAblation []EstimatorRow
 
+const a2Title = "A2: interpolation estimator variants"
+
 // Render formats A2.
 func (rows EstimatorAblation) Render() string {
 	var b strings.Builder
-	b.WriteString("== A2: interpolation estimator variants ==\n")
+	b.WriteString("== " + a2Title + " ==\n")
 	fmt.Fprintf(&b, "%-10s %-8s %-14s %-12s\n", "estimator", "flows", "medianRelErr", "p90RelErr")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10s %-8d %-14.4f %-12.4f\n", r.Estimator, r.Flows, r.MedianRelErr, r.P90RelErr)
@@ -63,7 +58,7 @@ func (rows EstimatorAblation) Render() string {
 // Table is A2 in across-seed form.
 func (rows EstimatorAblation) Table() stats.Table {
 	t := stats.Table{
-		Title:     "A2: interpolation estimator variants",
+		Title:     a2Title,
 		RowHeader: "estimator",
 		Columns:   []string{"medianRelErr", "p90RelErr"},
 	}
@@ -83,28 +78,24 @@ type ClockRow struct {
 // AblationClocks (A3) sweeps receiver clock imperfections: RLI assumes
 // IEEE 1588/GPS sync; this quantifies how residual offset and drift bleed
 // into per-flow estimates.
-func AblationClocks(scale scenario.Scale, targetUtil float64) ClockAblation {
-	clocks := []simtime.Clock{
-		simtime.PerfectClock{},
-		simtime.FixedOffsetClock{Offset: time.Microsecond},
-		simtime.FixedOffsetClock{Offset: 10 * time.Microsecond},
-		simtime.FixedOffsetClock{Offset: 100 * time.Microsecond},
-		simtime.DriftingClock{DriftPPM: 10},
-		simtime.PTPClock{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond, Seed: 3},
+func AblationClocks(base scenario.Spec, targetUtil float64) ClockAblation {
+	clocks := []scenario.ClockSpec{
+		{}, // perfect
+		{Offset: time.Microsecond},
+		{Offset: 10 * time.Microsecond},
+		{Offset: 100 * time.Microsecond},
+		{DriftPPM: 10},
+		{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond},
 	}
 	var out ClockAblation
 	for _, c := range clocks {
-		r := scenario.RunTandem(scenario.TandemConfig{
-			Scale:         scale,
-			Scheme:        core.DefaultStatic(),
-			Model:         scenario.CrossUniform,
-			TargetUtil:    targetUtil,
-			ReceiverClock: c,
-		})
+		s := point(base, scenario.SchemeStatic, scenario.CrossUniform, targetUtil)
+		s.Deploy.ReceiverClock = &c
+		r := run(s)
 		out = append(out, ClockRow{
-			Clock:        c.Name(),
-			MedianRelErr: r.Summary.MedianRelErr,
-			TrueMean:     r.Summary.TrueMeanDelay,
+			Clock:        c.Clock().Name(),
+			MedianRelErr: r.Overall.MedianRelErr,
+			TrueMean:     r.Overall.TrueMeanDelay,
 		})
 	}
 	return out
@@ -113,10 +104,12 @@ func AblationClocks(scale scenario.Scale, targetUtil float64) ClockAblation {
 // ClockAblation is the A3 table.
 type ClockAblation []ClockRow
 
+const a3Title = "A3: clock synchronization sensitivity (receiver clock)"
+
 // Render formats A3.
 func (rows ClockAblation) Render() string {
 	var b strings.Builder
-	b.WriteString("== A3: clock synchronization sensitivity (receiver clock) ==\n")
+	b.WriteString("== " + a3Title + " ==\n")
 	fmt.Fprintf(&b, "%-40s %-14s %-12s\n", "clock", "medianRelErr", "trueMean")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-40s %-14.4f %-12v\n", r.Clock, r.MedianRelErr, r.TrueMean)
@@ -129,7 +122,7 @@ func (rows ClockAblation) Render() string {
 // Table is A3 in across-seed form.
 func (rows ClockAblation) Table() stats.Table {
 	t := stats.Table{
-		Title:     "A3: clock synchronization sensitivity (receiver clock)",
+		Title:     a3Title,
 		RowHeader: "clock",
 		Columns:   []string{"medianRelErr", "trueMean(µs)"},
 	}
@@ -141,9 +134,8 @@ func (rows ClockAblation) Table() stats.Table {
 
 // BaselineResult is B1: RLIR against LDA (aggregate), Multiflow
 // (two-sample NetFlow) and 1-in-N packet sampling on the identical tandem
-// run, wired through the unified estimator layer (internal/measure): one
-// shared tap dispatch at the two measurement points, one Compare against
-// shared ground truth.
+// run — one spec whose Deploy.Estimators attaches all four to the engine's
+// shared tap dispatch, scored against shared ground truth.
 type BaselineResult struct {
 	// RLIRMedian is RLIR's per-flow median relative error (the receiver's
 	// own summary metric, pinned by the golden fixture).
@@ -171,51 +163,24 @@ type BaselineResult struct {
 	Comparison []measure.Comparison
 }
 
-// RunBaselines (B1) co-locates all four mechanisms on one run through the
-// estimator layer's shared dispatch.
-func RunBaselines(scale scenario.Scale, targetUtil float64) BaselineResult {
+// RunBaselines (B1) co-locates all four mechanisms on one run.
+func RunBaselines(base scenario.Spec, targetUtil float64) BaselineResult {
 	// Multiflow runs on NetFlow-realistic millisecond (sysUpTime) stamps —
 	// the principal reason the two-sample estimator is crude for
-	// microsecond data-center latencies ([12]); measure.DefaultQuantize
+	// microsecond data-center latencies ([12]); the registry's multiflow
 	// models that. RLI's whole premise is hardware timestamping, so only
 	// the NetFlow side is quantized. The sampling baseline keeps exact
 	// stamps (its handicap is coverage, not resolution).
-	ldaEst := measure.NewLDA(lda.DefaultConfig())
-	mf := measure.NewMultiflow(0)
-	samp := measure.NewSampled(0, scale.Seed)
-	truth := measure.NewTruth()
-	shared := measure.NewDispatch(truth, ldaEst, mf, samp)
-
-	run := scenario.RunTandem(scenario.TandemConfig{
-		Scale:      scale,
-		Scheme:     core.DefaultStatic(),
-		Model:      scenario.CrossUniform,
-		TargetUtil: targetUtil,
-		OnSenderPoint: func(p *packet.Packet, now simtime.Time) {
-			if p.Kind == packet.Regular {
-				shared.TapStart(p, now)
-			}
-		},
-		OnReceiverPoint: func(p *packet.Packet, now simtime.Time) {
-			if p.Kind == packet.Regular {
-				shared.TapEnd(p, now)
-			}
-		},
-	})
-
-	rliRep := measure.ReportFromFlowResults("rli", "sw2", run.Results, measure.Overhead{
-		InjectedPkts:  run.Sender.Injected,
-		InjectedBytes: run.Sender.Injected * core.DefaultRefSize,
-	})
-	comps := measure.Compare(truth, rliRep, ldaEst.Finalize(), mf.Finalize(), samp.Finalize())
-
+	s := point(base, scenario.SchemeStatic, scenario.CrossUniform, targetUtil)
+	s.Deploy.Estimators = []string{"rli", "lda", "multiflow", "netflow-sample"}
+	r := run(s)
 	res := BaselineResult{
-		RLIRMedian:       run.Summary.MedianRelErr,
-		RLIROverheadPkts: run.Sender.Injected,
-		TrueAggregate:    truth.AggMean(),
-		Comparison:       comps,
+		RLIRMedian:       r.Overall.MedianRelErr,
+		RLIROverheadPkts: r.Sender.Injected,
+		TrueAggregate:    r.TrueAggMean,
+		Comparison:       r.Comparison,
 	}
-	for _, c := range comps {
+	for _, c := range r.Comparison {
 		switch c.Estimator {
 		case "multiflow":
 			res.MultiflowMedian = c.MedianRelErr
@@ -231,10 +196,12 @@ func RunBaselines(scale scenario.Scale, targetUtil float64) BaselineResult {
 	return res
 }
 
+const b1Title = "B1: RLIR vs Multiflow vs sampling vs LDA (same tandem run)"
+
 // Render formats B1.
 func (r BaselineResult) Render() string {
 	var b strings.Builder
-	b.WriteString("== B1: RLIR vs Multiflow vs sampling vs LDA (same tandem run) ==\n")
+	b.WriteString("== " + b1Title + " ==\n")
 	fmt.Fprintf(&b, "%-22s %-16s %-10s\n", "mechanism", "medianRelErr", "scope")
 	fmt.Fprintf(&b, "%-22s %-16.4f %-10s\n", "RLIR (per flow)", r.RLIRMedian, "per-flow")
 	fmt.Fprintf(&b, "%-22s %-16.4f %-10s (%d flows)\n", "Multiflow (2-sample)", r.MultiflowMedian, "per-flow", r.MultiflowFlows)
@@ -255,7 +222,7 @@ func (r BaselineResult) Render() string {
 func (r BaselineResult) Table() stats.Table {
 	nan := math.NaN()
 	return stats.Table{
-		Title:     "B1: RLIR vs Multiflow vs sampling vs LDA (same tandem run)",
+		Title:     b1Title,
 		RowHeader: "mechanism",
 		Columns:   []string{"medianRelErr", "aggRelErr"},
 		Rows: []stats.TableRow{

@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationEstimators(t *testing.T) {
-	rows := AblationEstimators(testScale(), 0.8)
+	rows := AblationEstimators(testBase(), 0.8)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -33,7 +33,7 @@ func TestAblationEstimators(t *testing.T) {
 }
 
 func TestAblationClocks(t *testing.T) {
-	rows := AblationClocks(testScale(), 0.8)
+	rows := AblationClocks(testBase(), 0.8)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -54,7 +54,7 @@ func TestAblationClocks(t *testing.T) {
 func TestRunBaselines(t *testing.T) {
 	// 93% utilization: RLI's intended operating regime, where delays are
 	// large enough for millisecond NetFlow stamps to be useless.
-	r := RunBaselines(testScale(), 0.93)
+	r := RunBaselines(testBase(), 0.93)
 	if r.MultiflowFlows == 0 {
 		t.Fatal("multiflow estimated no flows")
 	}
@@ -80,7 +80,7 @@ func TestRunBaselines(t *testing.T) {
 func TestBaselinesConsistentScale(t *testing.T) {
 	// Guard: the baseline run must finish quickly at test scale.
 	start := time.Now()
-	RunBaselines(testScale(), 0.5)
+	RunBaselines(testBase(), 0.5)
 	if elapsed := time.Since(start); elapsed > 2*time.Minute {
 		t.Fatalf("baseline run took %v", elapsed)
 	}

@@ -10,21 +10,19 @@ import (
 	"github.com/netmeasure/rlir/internal/scenario"
 )
 
-// testScale is small enough for CI but large enough for stable medians.
-func testScale() scenario.Scale {
-	s := scenario.SmallScale()
+// testBase is small enough for CI but large enough for stable medians.
+func testBase() scenario.Spec {
+	s, err := scenario.TandemSpec("small")
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 
 func TestRunTandemBasics(t *testing.T) {
-	r := scenario.RunTandem(scenario.TandemConfig{
-		Scale:      testScale(),
-		Scheme:     core.DefaultStatic(),
-		Model:      scenario.CrossUniform,
-		TargetUtil: 0.67,
-	})
-	if r.Summary.Flows < 20 {
-		t.Fatalf("flows = %d, workload too thin", r.Summary.Flows)
+	r := run(point(testBase(), scenario.SchemeStatic, scenario.CrossUniform, 0.67))
+	if r.Overall.Flows < 20 {
+		t.Fatalf("flows = %d, workload too thin", r.Overall.Flows)
 	}
 	if r.Receiver.RefsSeen == 0 || r.Receiver.Estimated == 0 {
 		t.Fatalf("receiver counters = %+v", r.Receiver)
@@ -36,11 +34,11 @@ func TestRunTandemBasics(t *testing.T) {
 		t.Fatal("no cross traffic admitted")
 	}
 	// Utilization should land near the target (cross calibration).
-	if math.Abs(r.AchievedUtil-0.67) > 0.12 {
-		t.Fatalf("achieved util %.2f, target 0.67", r.AchievedUtil)
+	if math.Abs(r.HotLinkUtil-0.67) > 0.12 {
+		t.Fatalf("achieved util %.2f, target 0.67", r.HotLinkUtil)
 	}
-	if r.Label() == "" {
-		t.Fatal("empty label")
+	if got := r.Spec.Label(); got != "static(1-and-100), random, 67%" {
+		t.Fatalf("label = %q", got)
 	}
 }
 
@@ -48,49 +46,41 @@ func TestTandemUtilizationCalibration(t *testing.T) {
 	// The injector must track different targets, including past the
 	// regular-only baseline.
 	for _, target := range []float64{0.34, 0.93} {
-		r := scenario.RunTandem(scenario.TandemConfig{
-			Scale: testScale(), Scheme: nil, Model: scenario.CrossUniform, TargetUtil: target,
-		})
-		if math.Abs(r.AchievedUtil-target) > 0.12 {
-			t.Fatalf("target %.2f achieved %.2f", target, r.AchievedUtil)
+		r := run(point(testBase(), scenario.SchemeNone, scenario.CrossUniform, target))
+		if math.Abs(r.HotLinkUtil-target) > 0.12 {
+			t.Fatalf("target %.2f achieved %.2f", target, r.HotLinkUtil)
 		}
 	}
 }
 
 func TestTandemNoCrossMatchesBaseUtil(t *testing.T) {
-	r := scenario.RunTandem(scenario.TandemConfig{Scale: testScale(), Model: scenario.CrossNone})
-	if math.Abs(r.AchievedUtil-testScale().BaseUtil) > 0.08 {
-		t.Fatalf("base util %.2f, want ~%.2f", r.AchievedUtil, testScale().BaseUtil)
+	r := run(point(testBase(), scenario.SchemeNone, scenario.CrossNone, 0))
+	if want := testBase().Workload.LoadFrac; math.Abs(r.HotLinkUtil-want) > 0.08 {
+		t.Fatalf("base util %.2f, want ~%.2f", r.HotLinkUtil, want)
 	}
 	if r.CrossAdmitted != 0 {
 		t.Fatal("cross admitted without a model")
 	}
+	if r.Sender != (core.SenderCounters{}) || r.Receiver.RefsSeen != 0 {
+		t.Fatalf("scheme none deployed a sender: %+v, %+v", r.Sender, r.Receiver)
+	}
 }
 
 func TestTandemDeterministicAcrossRuns(t *testing.T) {
-	cfg := scenario.TandemConfig{
-		Scale: testScale(), Scheme: core.DefaultStatic(),
-		Model: scenario.CrossUniform, TargetUtil: 0.8,
-	}
-	a, b := scenario.RunTandem(cfg), scenario.RunTandem(cfg)
-	if a.Summary.MedianRelErr != b.Summary.MedianRelErr ||
+	s := point(testBase(), scenario.SchemeStatic, scenario.CrossUniform, 0.8)
+	a, b := run(s), run(s)
+	if a.Overall.MedianRelErr != b.Overall.MedianRelErr ||
 		a.Receiver.Estimated != b.Receiver.Estimated ||
 		a.RegularDropped != b.RegularDropped {
 		t.Fatal("tandem run not deterministic")
 	}
 }
 
-func TestAdaptiveLivePinsAtMinGap(t *testing.T) {
+func TestAdaptiveSenderPinsAtMinGap(t *testing.T) {
 	// The paper's observation: the sender's own link sits at ~22%, so the
 	// live adaptive scheme injects at its maximum rate — ~10x static's.
-	adaptive := scenario.RunTandem(scenario.TandemConfig{
-		Scale: testScale(), Scheme: core.DefaultAdaptive(), AdaptiveLive: true,
-		Model: scenario.CrossUniform, TargetUtil: 0.67,
-	})
-	static := scenario.RunTandem(scenario.TandemConfig{
-		Scale: testScale(), Scheme: core.DefaultStatic(),
-		Model: scenario.CrossUniform, TargetUtil: 0.67,
-	})
+	adaptive := run(point(testBase(), scenario.SchemeAdaptive, scenario.CrossUniform, 0.67))
+	static := run(point(testBase(), scenario.SchemeStatic, scenario.CrossUniform, 0.67))
 	ratio := float64(adaptive.Sender.Injected) / float64(static.Sender.Injected)
 	if ratio < 7 || ratio > 13 {
 		t.Fatalf("adaptive/static injection ratio = %.1f, want ~10", ratio)
@@ -98,7 +88,7 @@ func TestAdaptiveLivePinsAtMinGap(t *testing.T) {
 }
 
 func TestFig4aShape(t *testing.T) {
-	f := Fig4a(testScale())
+	f := Fig4a(testBase())
 	if len(f.Series) != 4 {
 		t.Fatalf("series = %d", len(f.Series))
 	}
@@ -128,7 +118,7 @@ func TestFig4aShape(t *testing.T) {
 }
 
 func TestFig4bShape(t *testing.T) {
-	f := Fig4b(testScale())
+	f := Fig4b(testBase())
 	if len(f.Series) != 4 {
 		t.Fatalf("series = %d", len(f.Series))
 	}
@@ -152,7 +142,7 @@ func TestFig4bShape(t *testing.T) {
 }
 
 func TestFig4cShape(t *testing.T) {
-	f := Fig4c(testScale())
+	f := Fig4c(testBase())
 	if len(f.Series) != 4 {
 		t.Fatalf("series = %d", len(f.Series))
 	}
@@ -186,10 +176,10 @@ func TestFig5Shape(t *testing.T) {
 	// adaptive scheme) riding on chaotic queue noise, so this test runs a
 	// longer trace with a tight queue: enough drop events for the signal to
 	// dominate the run-to-run reshuffling.
-	scale := testScale()
-	scale.Duration = time.Second
-	scale.QueueBytes = 32 << 10
-	r := Fig5(scale, []float64{0.98})
+	base := testBase()
+	base.Duration = time.Second
+	base.Topology.QueueBytes = 32 << 10
+	r := Fig5(base, []float64{0.98})
 	if len(r.Points) != 1 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -212,7 +202,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestScalars(t *testing.T) {
-	s := RunScalars(testScale())
+	s := RunScalars(testBase())
 	if math.Abs(s.BaseUtil-0.22) > 0.08 {
 		t.Fatalf("base util %.2f, want ~0.22", s.BaseUtil)
 	}
@@ -239,24 +229,25 @@ func TestCrossModelString(t *testing.T) {
 	}
 }
 
+// TestScalesSane pins the three base specs behind the CLIs' -scale names.
 func TestScalesSane(t *testing.T) {
-	for _, s := range []scenario.Scale{scenario.SmallScale(), scenario.DefaultScale(), scenario.FullScale()} {
-		if s.LinkBps <= 0 || s.Duration <= 0 || s.BaseUtil <= 0 || s.CrossOfferedUtil <= s.BaseUtil {
-			t.Fatalf("scale %+v invalid", s)
+	for _, name := range []string{"small", "default", "full"} {
+		s, err := scenario.TandemSpec(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil || s.Topology.Kind != scenario.TopoTandem {
+			t.Fatalf("%s: %+v does not validate as a tandem: %v", name, s, err)
+		}
+		if s.Workload.LoadFrac != 0.22 || s.Deploy.StaticN != 100 || s.Seed != 1 {
+			t.Fatalf("%s: not the paper's operating point: %+v", name, s)
 		}
 	}
-	if scenario.FullScale().LinkBps != 10e9 || scenario.FullScale().Duration != 60*time.Second {
+	full, _ := scenario.TandemSpec("full")
+	if full.Topology.LinkBps != 10e9 || full.Duration != 60*time.Second {
 		t.Fatal("full scale should match the paper's OC-192 minute")
 	}
-	// ParseScale names exactly these three and lists them when it rejects.
-	for name, want := range map[string]scenario.Scale{
-		"small": scenario.SmallScale(), "default": scenario.DefaultScale(), "full": scenario.FullScale(),
-	} {
-		if got, err := scenario.ParseScale(name); err != nil || got != want {
-			t.Fatalf("ParseScale(%q) = %+v, %v", name, got, err)
-		}
-	}
-	if _, err := scenario.ParseScale("galactic"); err == nil || !strings.Contains(err.Error(), "small, default, full") {
-		t.Fatalf("ParseScale(galactic) = %v, want an error listing the valid scales", err)
+	if _, err := scenario.TandemSpec("galactic"); err == nil || !strings.Contains(err.Error(), "small, default, full") {
+		t.Fatalf("TandemSpec(galactic) = %v, want an error listing the valid scales", err)
 	}
 }

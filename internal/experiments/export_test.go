@@ -9,7 +9,7 @@ import (
 
 func TestFigureWriteCSV(t *testing.T) {
 	dir := t.TempDir()
-	f := Fig4c(testScale())
+	f := Fig4c(testBase())
 	files, err := f.WriteCSV(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +39,7 @@ func TestFigureWriteCSV(t *testing.T) {
 
 func TestFig5WriteCSV(t *testing.T) {
 	dir := t.TempDir()
-	scale := testScale()
-	r := Fig5(scale, []float64{0.9})
+	r := Fig5(testBase(), []float64{0.9})
 	path, err := r.WriteCSV(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -59,10 +59,12 @@ func AblationDemux(spec scenario.Spec) (DemuxAblation, error) {
 // aggregates the core-resident receivers (prefix demux).
 type DemuxAblation []*scenario.Result
 
+const a1Title = "A1: downstream demultiplexing strategies (k-ary fat-tree)"
+
 // Render formats A1 as a table.
 func (results DemuxAblation) Render() string {
 	var b strings.Builder
-	b.WriteString("== A1: downstream demultiplexing strategies (k-ary fat-tree) ==\n")
+	b.WriteString("== " + a1Title + " ==\n")
 	fmt.Fprintf(&b, "%-14s %-8s %-14s %-14s %-12s %-12s\n",
 		"strategy", "flows", "medianRelErr", "under10%", "misattrib", "upstreamMed")
 	for _, r := range results {
@@ -77,7 +79,7 @@ func (results DemuxAblation) Render() string {
 // Table is A1 in across-seed form.
 func (results DemuxAblation) Table() stats.Table {
 	t := stats.Table{
-		Title:     "A1: downstream demultiplexing strategies (k-ary fat-tree)",
+		Title:     a1Title,
 		RowHeader: "strategy",
 		Columns:   []string{"misattribution", "downstreamMedian"},
 		Notes:     []string{"paper §3.1 — without demux, estimates at multiplexed receivers 'can be totally wrong'"},

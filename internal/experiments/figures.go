@@ -27,11 +27,14 @@ type Figure struct {
 	Notes  []string
 }
 
+// title is the heading Render and Table share.
+func (f Figure) title() string { return f.ID + ": " + f.Title }
+
 // Render draws the figure as log-x CDF tables, the textual stand-in for
 // the paper's plots.
 func (f Figure) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", f.ID, f.Title)
+	b.WriteString("== " + f.title() + " ==\n")
 	for _, s := range f.Series {
 		if s.CDF.N() == 0 {
 			fmt.Fprintf(&b, "%-28s (no samples)\n", s.Label)
@@ -50,7 +53,7 @@ func (f Figure) Render() string {
 // "no value at this seed" — so the fold reports its effective n.
 func (f Figure) Table() stats.Table {
 	t := stats.Table{
-		Title:     f.ID + ": " + f.Title,
+		Title:     f.title(),
 		RowHeader: "series",
 		Columns:   []string{"medianRelErr", "p90RelErr", "fracUnder10%"},
 		Notes:     f.Notes,
@@ -65,39 +68,42 @@ func (f Figure) Table() stats.Table {
 	return t
 }
 
-// fig4Run executes the four runs shared by Figures 4(a) and 4(b): adaptive
+// point is one Figure-3 run of the figures: base's magnitudes (line rate,
+// queue, regular load, duration, seed) under the paper's injection scheme
+// (static 1-and-100, adaptive 1-and-10..300, or none), the given cross
+// model and target bottleneck utilization, measured by RLI alone.
+func point(base scenario.Spec, scheme string, model scenario.CrossModel, util float64) scenario.Spec {
+	s := base
+	s.Deploy = scenario.DeploymentSpec{Scheme: scheme, StaticN: core.DefaultStatic().N, Estimators: []string{"rli"}}
+	s.Workload.CrossModel, s.Workload.CrossUtil = model, util
+	return s
+}
+
+// run executes a spec derived from the target's base tandem spec.
+func run(s scenario.Spec) *scenario.Result { return must(scenario.Run(s)) }
+
+// fig4Runs executes the four runs shared by Figures 4(a) and 4(b): adaptive
 // and static schemes at two bottleneck utilizations under the random cross
 // traffic model.
-func fig4Runs(scale scenario.Scale, utils [2]float64) []scenario.TandemResult {
-	var out []scenario.TandemResult
+func fig4Runs(base scenario.Spec, utils [2]float64) []*scenario.Result {
+	var out []*scenario.Result
 	for _, u := range utils {
-		adaptive := scenario.RunTandem(scenario.TandemConfig{
-			Scale:        scale,
-			Scheme:       core.DefaultAdaptive(),
-			AdaptiveLive: true,
-			Model:        scenario.CrossUniform,
-			TargetUtil:   u,
-		})
-		static := scenario.RunTandem(scenario.TandemConfig{
-			Scale:      scale,
-			Scheme:     core.DefaultStatic(),
-			Model:      scenario.CrossUniform,
-			TargetUtil: u,
-		})
-		out = append(out, adaptive, static)
+		out = append(out,
+			run(point(base, scenario.SchemeAdaptive, scenario.CrossUniform, u)),
+			run(point(base, scenario.SchemeStatic, scenario.CrossUniform, u)))
 	}
 	return out
 }
 
-func seriesFrom(r scenario.TandemResult, cdf *stats.CDF) Series {
+func seriesFrom(r *scenario.Result, cdf *stats.CDF) Series {
 	return Series{
-		Label: r.Label(),
+		Label: r.Spec.Label(),
 		CDF:   cdf,
 		Meta: map[string]float64{
-			"achievedUtil": r.AchievedUtil,
-			"flows":        float64(r.Summary.Flows),
+			"achievedUtil": r.HotLinkUtil,
+			"flows":        float64(r.Overall.Flows),
 			"medianRelErr": safeMedian(cdf),
-			"trueMeanUs":   micros(r.Summary.TrueMeanDelay),
+			"trueMeanUs":   micros(r.Overall.TrueMeanDelay),
 			"refsSeen":     float64(r.Receiver.RefsSeen),
 		},
 	}
@@ -117,8 +123,8 @@ func safeMedian(c *stats.CDF) float64 {
 // Fig4a reproduces Figure 4(a): CDFs of the relative error of per-flow
 // MEAN latency estimates — adaptive vs static injection at ~67% and ~93%
 // bottleneck utilization under the random cross-traffic model.
-func Fig4a(scale scenario.Scale) Figure {
-	runs := fig4Runs(scale, [2]float64{0.93, 0.67})
+func Fig4a(base scenario.Spec) Figure {
+	runs := fig4Runs(base, [2]float64{0.93, 0.67})
 	f := Figure{ID: "fig4a", Title: "Mean estimates, random cross traffic model"}
 	for _, r := range runs {
 		f.Series = append(f.Series, seriesFrom(r, core.MeanErrCDF(r.Results)))
@@ -131,8 +137,8 @@ func Fig4a(scale scenario.Scale) Figure {
 
 // Fig4b reproduces Figure 4(b): the same four runs, CDFs of the relative
 // error of per-flow STANDARD DEVIATION estimates (flows with >= 2 packets).
-func Fig4b(scale scenario.Scale) Figure {
-	runs := fig4Runs(scale, [2]float64{0.93, 0.67})
+func Fig4b(base scenario.Spec) Figure {
+	runs := fig4Runs(base, [2]float64{0.93, 0.67})
 	f := Figure{ID: "fig4b", Title: "Standard deviation estimates, random cross traffic model"}
 	for _, r := range runs {
 		f.Series = append(f.Series, seriesFrom(r, core.StdErrCDF(r.Results)))
@@ -147,9 +153,9 @@ func Fig4b(scale scenario.Scale) Figure {
 // cross-traffic model vs the random model, at ~34% and ~67% utilization
 // (static injection is held fixed so the models are the only variable; the
 // paper uses the same workload logic).
-func Fig4c(scale scenario.Scale) Figure {
+func Fig4c(base scenario.Spec) Figure {
 	f := Figure{ID: "fig4c", Title: "Mean estimates: bursty vs random cross traffic"}
-	var runs []scenario.TandemResult
+	var runs []*scenario.Result
 	for _, cfg := range []struct {
 		model scenario.CrossModel
 		util  float64
@@ -159,12 +165,7 @@ func Fig4c(scale scenario.Scale) Figure {
 		{scenario.CrossUniform, 0.67},
 		{scenario.CrossUniform, 0.34},
 	} {
-		r := scenario.RunTandem(scenario.TandemConfig{
-			Scale:      scale,
-			Scheme:     core.DefaultStatic(),
-			Model:      cfg.model,
-			TargetUtil: cfg.util,
-		})
+		r := run(point(base, scenario.SchemeStatic, cfg.model, cfg.util))
 		runs = append(runs, r)
 		f.Series = append(f.Series, seriesFrom(r, core.MeanErrCDF(r.Results)))
 	}
@@ -174,10 +175,10 @@ func Fig4c(scale scenario.Scale) Figure {
 	return f
 }
 
-func achieved(runs []scenario.TandemResult) string {
+func achieved(runs []*scenario.Result) string {
 	parts := make([]string, len(runs))
 	for i, r := range runs {
-		parts[i] = fmt.Sprintf("%.0f%%->%.0f%%", r.Config.TargetUtil*100, r.AchievedUtil*100)
+		parts[i] = fmt.Sprintf("%.0f%%->%.0f%%", r.Spec.Workload.CrossUtil*100, r.HotLinkUtil*100)
 	}
 	return strings.Join(parts, " ")
 }
@@ -203,37 +204,32 @@ type Fig5Result struct {
 // bottleneck utilizations, the increase in regular-traffic loss rate caused
 // by reference packets, adaptive vs static. Each point runs the identical
 // workload three times: uninstrumented, static, adaptive.
-func Fig5(scale scenario.Scale, utils []float64) Fig5Result {
+func Fig5(base scenario.Spec, utils []float64) Fig5Result {
 	if len(utils) == 0 {
 		utils = []float64{0.82, 0.86, 0.90, 0.94, 0.98}
 	}
 	var out Fig5Result
 	for _, u := range utils {
-		base := scenario.RunTandem(scenario.TandemConfig{
-			Scale: scale, Scheme: nil, Model: scenario.CrossUniform, TargetUtil: u,
-		})
-		static := scenario.RunTandem(scenario.TandemConfig{
-			Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: u,
-		})
-		adaptive := scenario.RunTandem(scenario.TandemConfig{
-			Scale: scale, Scheme: core.DefaultAdaptive(), AdaptiveLive: true,
-			Model: scenario.CrossUniform, TargetUtil: u,
-		})
+		bare := run(point(base, scenario.SchemeNone, scenario.CrossUniform, u))
+		static := run(point(base, scenario.SchemeStatic, scenario.CrossUniform, u))
+		adaptive := run(point(base, scenario.SchemeAdaptive, scenario.CrossUniform, u))
 		out.Points = append(out.Points, Fig5Point{
 			TargetUtil:   u,
-			AchievedUtil: base.AchievedUtil,
-			BaseLoss:     base.LossRate(),
-			AdaptiveDiff: adaptive.LossRate() - base.LossRate(),
-			StaticDiff:   static.LossRate() - base.LossRate(),
+			AchievedUtil: bare.HotLinkUtil,
+			BaseLoss:     bare.LossRate(),
+			AdaptiveDiff: adaptive.LossRate() - bare.LossRate(),
+			StaticDiff:   static.LossRate() - bare.LossRate(),
 		})
 	}
 	return out
 }
 
+const fig5Title = "fig5: Reference packet interference (loss rate difference)"
+
 // Render draws Figure 5 as a table.
 func (r Fig5Result) Render() string {
 	var b strings.Builder
-	b.WriteString("== fig5: Reference packet interference (loss rate difference) ==\n")
+	b.WriteString("== " + fig5Title + " ==\n")
 	fmt.Fprintf(&b, "%-8s %-9s %-12s %-12s %-12s\n", "util", "achieved", "base-loss", "adaptive", "static")
 	for _, p := range r.Points {
 		fmt.Fprintf(&b, "%-8.2f %-9.2f %-12.6f %+-12.6f %+-12.6f\n",
@@ -246,7 +242,7 @@ func (r Fig5Result) Render() string {
 // Table is Figure 5 in across-seed form, one row per target utilization.
 func (r Fig5Result) Table() stats.Table {
 	t := stats.Table{
-		Title:     "fig5: Reference packet interference (loss rate difference)",
+		Title:     fig5Title,
 		RowHeader: "util",
 		Columns:   []string{"achieved", "base-loss", "adaptive", "static"},
 	}
@@ -272,25 +268,27 @@ type Scalars struct {
 }
 
 // RunScalars measures them.
-func RunScalars(scale scenario.Scale) Scalars {
-	base := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: nil, Model: scenario.CrossNone})
-	r67 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: 0.67})
-	r93 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossUniform, TargetUtil: 0.93})
-	b67 := scenario.RunTandem(scenario.TandemConfig{Scale: scale, Scheme: core.DefaultStatic(), Model: scenario.CrossBursty, TargetUtil: 0.67})
+func RunScalars(base scenario.Spec) Scalars {
+	bare := run(point(base, scenario.SchemeNone, scenario.CrossNone, 0))
+	r67 := run(point(base, scenario.SchemeStatic, scenario.CrossUniform, 0.67))
+	r93 := run(point(base, scenario.SchemeStatic, scenario.CrossUniform, 0.93))
+	b67 := run(point(base, scenario.SchemeStatic, scenario.CrossBursty, 0.67))
 	return Scalars{
-		BaseUtil:         base.AchievedUtil,
-		AdaptiveGap:      core.DefaultAdaptive().Gap(base.AchievedUtil),
-		TrueMean67Random: r67.Summary.TrueMeanDelay,
-		TrueMean93Random: r93.Summary.TrueMeanDelay,
-		TrueMean67Bursty: b67.Summary.TrueMeanDelay,
-		Median93Static:   r93.Summary.MedianRelErr,
+		BaseUtil:         bare.HotLinkUtil,
+		AdaptiveGap:      core.DefaultAdaptive().Gap(bare.HotLinkUtil),
+		TrueMean67Random: r67.Overall.TrueMeanDelay,
+		TrueMean93Random: r93.Overall.TrueMeanDelay,
+		TrueMean67Bursty: b67.Overall.TrueMeanDelay,
+		Median93Static:   r93.Overall.MedianRelErr,
 	}
 }
+
+const scalarsTitle = "scalars: §4.2 quoted numbers"
 
 // Render formats the scalars against the paper's quotes.
 func (s Scalars) Render() string {
 	var b strings.Builder
-	b.WriteString("== scalars: §4.2 quoted numbers ==\n")
+	b.WriteString("== " + scalarsTitle + " ==\n")
 	fmt.Fprintf(&b, "base utilization (regular only):   %.0f%%   (paper: ~22%%)\n", s.BaseUtil*100)
 	fmt.Fprintf(&b, "adaptive gap at base utilization:  1-and-%d (paper: 1-and-10)\n", s.AdaptiveGap)
 	fmt.Fprintf(&b, "true mean delay @67%% random:       %v (paper: ~3µs at OC-192 scale)\n", s.TrueMean67Random)
@@ -306,7 +304,7 @@ func (s Scalars) Table() stats.Table {
 		return stats.TableRow{Label: label, Cells: []float64{v}}
 	}
 	return stats.Table{
-		Title:     "scalars: §4.2 quoted numbers",
+		Title:     scalarsTitle,
 		RowHeader: "quantity",
 		Columns:   []string{"value"},
 		Rows: []stats.TableRow{

@@ -204,11 +204,13 @@ func (cfg LocalizationConfig) faultLabel() string {
 	return fmt.Sprintf("%s agg%d.%d +%v", f.Kind, f.AggPod, f.AggIdx, f.Extra)
 }
 
+const l1Title = "L1: latency anomaly localization across segments"
+
 // Render formats the localization scenario: both passes' segments and the
 // verdict.
 func (r LocalizationResult) Render() string {
 	var b strings.Builder
-	b.WriteString("== L1: latency anomaly localization across segments ==\n")
+	b.WriteString("== " + l1Title + " ==\n")
 	fmt.Fprintf(&b, "fault: %s\n", r.Config.faultLabel())
 	fmt.Fprintf(&b, "%-22s %12s %12s\n", "segment", "baseline", "faulty")
 	for i := range r.Baseline {
@@ -232,7 +234,7 @@ func (r LocalizationResult) Table() stats.Table {
 		localized = 1
 	}
 	return stats.Table{
-		Title:     "L1: latency anomaly localization across segments",
+		Title:     l1Title,
 		RowHeader: "fault",
 		Columns:   []string{"localized", "faultyInflation"},
 		Rows: []stats.TableRow{{

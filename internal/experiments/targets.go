@@ -27,35 +27,38 @@ type Target struct {
 	// asked for: placement is exact combinatorics, and Figure 5 is a
 	// within-run differential measurement.
 	SingleSeed bool
-	// Run regenerates the target at the given scale (and scale.Seed).
-	Run func(scale scenario.Scale) Result
+	// Run regenerates the target from base, a valid tandem spec
+	// (scenario.TandemSpec): the tandem figures take its magnitudes and
+	// seed, the fat-tree ones (A1, L1) its seed only. An invalid base
+	// panics with its validation error.
+	Run func(base scenario.Spec) Result
 }
 
 // targets is the registry, in cmd/experiments -all order.
 var targets = []Target{
-	{ID: "placement", SingleSeed: true, Run: func(scenario.Scale) Result { return runPlacement() }},
-	{ID: "scalars", Run: func(sc scenario.Scale) Result { return RunScalars(sc) }},
-	{ID: "4a", Run: func(sc scenario.Scale) Result { return Fig4a(sc) }},
-	{ID: "4b", Run: func(sc scenario.Scale) Result { return Fig4b(sc) }},
-	{ID: "4c", Run: func(sc scenario.Scale) Result { return Fig4c(sc) }},
-	{ID: "5", SingleSeed: true, Run: func(sc scenario.Scale) Result { return Fig5(sc, nil) }},
-	{ID: "A1", Run: func(sc scenario.Scale) Result {
+	{ID: "placement", SingleSeed: true, Run: func(scenario.Spec) Result { return runPlacement() }},
+	{ID: "scalars", Run: func(b scenario.Spec) Result { return RunScalars(b) }},
+	{ID: "4a", Run: func(b scenario.Spec) Result { return Fig4a(b) }},
+	{ID: "4b", Run: func(b scenario.Spec) Result { return Fig4b(b) }},
+	{ID: "4c", Run: func(b scenario.Spec) Result { return Fig4c(b) }},
+	{ID: "5", SingleSeed: true, Run: func(b scenario.Spec) Result { return Fig5(b, nil) }},
+	{ID: "A1", Run: func(b scenario.Spec) Result {
 		spec := DefaultFatTreeSpec()
-		spec.Seed = sc.Seed
+		spec.Seed = b.Seed
 		return must(AblationDemux(spec))
 	}},
-	{ID: "A2", Run: func(sc scenario.Scale) Result { return AblationEstimators(sc, 0.8) }},
-	{ID: "A3", Run: func(sc scenario.Scale) Result { return AblationClocks(sc, 0.8) }},
-	{ID: "B1", Run: func(sc scenario.Scale) Result { return RunBaselines(sc, 0.85) }},
-	{ID: "L1", Run: func(sc scenario.Scale) Result {
+	{ID: "A2", Run: func(b scenario.Spec) Result { return AblationEstimators(b, 0.8) }},
+	{ID: "A3", Run: func(b scenario.Spec) Result { return AblationClocks(b, 0.8) }},
+	{ID: "B1", Run: func(b scenario.Spec) Result { return RunBaselines(b, 0.85) }},
+	{ID: "L1", Run: func(b scenario.Spec) Result {
 		cfg := DefaultLocalizationConfig()
-		cfg.Spec.Seed = sc.Seed
+		cfg.Spec.Seed = b.Seed
 		return must(RunLocalization(cfg))
 	}},
 }
 
-// must unwraps a run of one of this package's own default specs: they
-// validate at any seed, so an error here is a bug.
+// must unwraps a run of a spec this package derived from a valid base or
+// its own defaults: those validate at any seed, so an error here is a bug.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
@@ -82,17 +85,17 @@ func ParseTarget(id string) (Target, error) {
 // Sweep regenerates the target at opts.Seeds SplitMix64-derived seeds,
 // fanned across opts.Workers, and folds the runs' tables cell by cell into
 // mean ± 95% CI. The result is identical for any worker count. A SingleSeed
-// target is its one run at scale.Seed, folded alone (N = 1). The error is
+// target is its one run at base.Seed, folded alone (N = 1). The error is
 // FoldTables': a target whose table shape depends on the seed.
-func Sweep(t Target, scale scenario.Scale, opts scenario.MultiOpts) (stats.TableCI, error) {
-	seeds := []int64{scale.Seed}
+func Sweep(t Target, base scenario.Spec, opts scenario.MultiOpts) (stats.TableCI, error) {
+	seeds := []int64{base.Seed}
 	if !t.SingleSeed {
-		seeds = opts.DeriveSeeds(scale.Seed)
+		seeds = opts.DeriveSeeds(base.Seed)
 	}
 	tables := runner.Map(seeds, opts.Workers, func(i int, seed int64) stats.Table {
-		sc := scale
-		sc.Seed = seed
-		return t.Run(sc).Table()
+		s := base
+		s.Seed = seed
+		return t.Run(s).Table()
 	})
 	ci, err := stats.FoldTables(tables)
 	if err != nil {

@@ -10,11 +10,11 @@ import (
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
-// tinyScale keeps multi-seed sweeps affordable in unit tests.
-func tinyScale() scenario.Scale {
-	sc := scenario.SmallScale()
-	sc.Duration = 120 * time.Millisecond
-	return sc
+// tinyBase keeps multi-seed sweeps affordable in unit tests.
+func tinyBase() scenario.Spec {
+	s := testBase()
+	s.Duration = 120 * time.Millisecond
+	return s
 }
 
 // TestSweepWorkerInvariance: every registered target's across-seed table
@@ -27,11 +27,11 @@ func TestSweepWorkerInvariance(t *testing.T) {
 	for _, target := range Targets() {
 		t.Run(target.ID, func(t *testing.T) {
 			t.Parallel()
-			seq, err := Sweep(target, tinyScale(), scenario.MultiOpts{Seeds: 3, Workers: 1})
+			seq, err := Sweep(target, tinyBase(), scenario.MultiOpts{Seeds: 3, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Sweep(target, tinyScale(), scenario.MultiOpts{Seeds: 3, Workers: 3})
+			par, err := Sweep(target, tinyBase(), scenario.MultiOpts{Seeds: 3, Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestSweepCarriesItsSeedCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, err := Sweep(target, tinyScale(), scenario.MultiOpts{})
+	ci, err := Sweep(target, tinyBase(), scenario.MultiOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,12 @@
 //
 //   - Run / RunSeed execute one spec; RunMulti sweeps derived seeds in
 //     parallel and reports mean ± 95% CI.
-//   - RunTandem (tandem.go) is the paper's Figure-3 harness, driven directly
-//     by internal/experiments' figures and by tandem specs; fattree.go is
-//     the one fat-tree runner (build -> instrument -> inject -> run ->
-//     harvest) behind every fat-tree spec, internal/experiments' A1
-//     ablation included. Nothing here imports internal/experiments.
+//   - tandem.go is the paper's Figure-3 harness behind every tandem spec;
+//     TandemSpec returns its small/default/full base specs, which every
+//     internal/experiments figure derives its runs from. fattree.go is the
+//     one fat-tree runner (build -> instrument -> inject -> run -> harvest)
+//     behind every fat-tree spec, internal/experiments' A1 ablation
+//     included. Nothing here imports internal/experiments.
 //   - Names / Get / All enumerate the registry; Scenario.RunCheck enforces
 //     a registered scenario's invariant.
 //   - DecodeJSON / Spec.EncodeJSON are the JSON front-end used by

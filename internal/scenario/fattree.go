@@ -290,6 +290,8 @@ func (r *fatTreeRun) demux() (strategy, oracle core.Demux) {
 // event is scheduled here.
 func (r *fatTreeRun) instrument(cap *capture) error {
 	ft, h := r.ft, r.spec.half()
+	interp, _ := r.spec.Deploy.interpolation() // validated
+	clock := r.spec.Deploy.ReceiverClock.Clock()
 
 	// Upstream: senders at source-ToR uplinks, receivers at cores (prefix
 	// demux on source subnets).
@@ -324,6 +326,8 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			rec := &routerRec{}
 			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
 				Demux:      pd,
+				Estimator:  interp,
+				Clock:      clock,
 				Accept:     func(p *packet.Packet) bool { return p.Kind == packet.Regular },
 				AcceptRef:  func(p *packet.Packet) bool { return p.Key.Dst == addr },
 				OnEstimate: func(_ packet.FlowKey, est, truth time.Duration) { rec.record(est, truth) },
@@ -414,8 +418,10 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			return pk.Kind == packet.Regular && ok && sp != p
 		}
 		rli, err := measure.NewRLI(ft.ToRs[p][e].Name(), core.ReceiverConfig{
-			Demux:  counting,
-			Accept: accept,
+			Demux:     counting,
+			Estimator: interp,
+			Clock:     clock,
+			Accept:    accept,
 			OnEstimate: func(key packet.FlowKey, est, truth time.Duration) {
 				rec.record(est, truth)
 				pl.estimate(key, est, truth)
@@ -586,7 +592,11 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 	var estAll, trueAll stats.Histogram
 	type segKey struct{ j, i, p, e int }
 	segFlows := map[segKey][]core.FlowResult{}
+	for _, s := range r.senders {
+		res.Sender.Add(s.Counters())
+	}
 	for _, rr := range r.routers {
+		res.Receiver.Add(rr.rx.Counters())
 		results := rr.rx.Results(1)
 		rs := RouterStats{Router: rr.name, Segment: rr.segment, Summary: core.Summarize(results)}
 		rr.rec.fill(&rs)
@@ -608,6 +618,7 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 		}
 	}
 	sort.Slice(res.Routers, func(a, b int) bool { return res.Routers[a].Router < res.Routers[b].Router })
+	res.Results = downResults
 	res.Overall = core.Summarize(downResults)
 	res.Upstream = core.Summarize(upResults)
 	res.EstP50, res.EstP99 = estAll.Quantile(0.5), estAll.Quantile(0.99)

@@ -27,6 +27,33 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 	for _, sc := range All() {
 		seeds = append(seeds, sc.Spec)
 	}
+	// The tandem's deployment values: each interpolation variant, each clock
+	// shape (A2, A3), the uninstrumented run, and "none" on a fat-tree, which
+	// Validate rejects.
+	tandem, err := TandemSpec("small")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range []string{"linear", "left", "right", "nearest"} {
+		s := tandem
+		s.Deploy.Interpolation = name
+		seeds = append(seeds, s)
+	}
+	for _, c := range []ClockSpec{
+		{},
+		{Offset: 10 * time.Microsecond},
+		{Offset: time.Microsecond, DriftPPM: 10},
+		{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond},
+	} {
+		s := tandem
+		s.Deploy.ReceiverClock = &c
+		seeds = append(seeds, s)
+	}
+	bare := tandem
+	bare.Deploy.Scheme = SchemeNone
+	ftNone := DefaultSpec()
+	ftNone.Deploy.Scheme = SchemeNone
+	seeds = append(seeds, bare, ftNone)
 	for _, s := range seeds {
 		data, err := s.EncodeJSON()
 		if err != nil {

@@ -52,10 +52,23 @@ type Result struct {
 	// Seed is the seed this run actually used (differs from Spec.Seed in
 	// multi-seed sweeps).
 	Seed int64
-	// Injected counts workload packets offered to the network.
+	// Injected counts workload packets offered to the network (tandem: the
+	// regular traffic; cross traffic is CrossAdmitted).
 	Injected int
 	// Overall aggregates every monitored downstream flow.
 	Overall core.Summary
+	// Results are the per-flow results Overall summarizes, sorted by flow
+	// key within each downstream receiver.
+	Results []core.FlowResult
+	// Receiver and Sender sum the counters of every RLI receiver and sender
+	// the run deployed.
+	Receiver core.ReceiverCounters
+	Sender   core.SenderCounters
+	// RegularDropped counts regular packets dropped at the tandem's
+	// bottleneck queue and CrossAdmitted the cross packets its injection
+	// model let through. Both are zero on fat-trees.
+	RegularDropped uint64
+	CrossAdmitted  uint64
 	// Upstream aggregates every core-resident receiver's flows (the
 	// ToR-uplink -> core segments). Zero on tandem topologies.
 	Upstream core.Summary
@@ -110,6 +123,15 @@ type Result struct {
 	// LinkTrace, when the spec sets Spec.LinkTrace, summarizes the replayed
 	// link time series and the drops it caused.
 	LinkTrace *LinkTraceReport
+}
+
+// LossRate is the regular traffic's loss rate at the tandem bottleneck
+// (zero on fat-trees).
+func (r *Result) LossRate() float64 {
+	if r.Injected == 0 {
+		return 0
+	}
+	return float64(r.RegularDropped) / float64(r.Injected)
 }
 
 // Estimator returns the named mechanism's comparison row.

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/topo"
 	"github.com/netmeasure/rlir/internal/trace"
 )
@@ -72,6 +74,9 @@ const (
 const (
 	SchemeStatic   = "static"
 	SchemeAdaptive = "adaptive"
+	// SchemeNone deploys no RLI sender: the uninstrumented baseline of
+	// Figure 5. Tandem only — a fat-tree deployment has no such form.
+	SchemeNone = "none"
 )
 
 // Downstream demultiplexing strategies (§3.1 names).
@@ -178,15 +183,53 @@ func (f FaultSpec) site() string {
 	return fmt.Sprintf("%s/agg%d.%d", f.Kind, f.AggPod, f.AggIdx)
 }
 
+// ClockSpec describes an RLI receiver's local clock (simtime's clock
+// models). All zero is perfect synchronization; an offset alone is a fixed
+// offset; drift without a sync interval is a free-running oscillator
+// starting at the offset; a sync interval makes it an IEEE 1588 (PTP)
+// clock resynchronized to within ±SyncJitter every SyncInterval.
+type ClockSpec struct {
+	Offset       time.Duration `json:"offset_ns,omitempty"`
+	DriftPPM     float64       `json:"drift_ppm,omitempty"`
+	SyncInterval time.Duration `json:"sync_interval_ns,omitempty"`
+	SyncJitter   time.Duration `json:"sync_jitter_ns,omitempty"`
+}
+
+// ptpJitterKey seeds every PTP clock's per-interval residuals: a fixed key,
+// so a clock spec names one reproducible clock at any run seed.
+const ptpJitterKey = 3
+
+// Clock returns the simtime clock c describes; a nil c is perfect.
+func (c *ClockSpec) Clock() simtime.Clock {
+	switch {
+	case c == nil || *c == ClockSpec{}:
+		return simtime.PerfectClock{}
+	case c.SyncInterval > 0:
+		return simtime.PTPClock{DriftPPM: c.DriftPPM, SyncInterval: c.SyncInterval, SyncJitter: c.SyncJitter, Seed: ptpJitterKey}
+	case c.DriftPPM != 0:
+		return simtime.DriftingClock{Offset: c.Offset, DriftPPM: c.DriftPPM}
+	default:
+		return simtime.FixedOffsetClock{Offset: c.Offset}
+	}
+}
+
 // DeploymentSpec describes the RLIR measurement deployment.
 type DeploymentSpec struct {
-	// Scheme is SchemeStatic or SchemeAdaptive.
+	// Scheme is SchemeStatic, SchemeAdaptive or (tandem only) SchemeNone. A
+	// tandem's adaptive sender reads a live utilization meter on its own
+	// link; a fat-tree's runs unmetered, at MinGap.
 	Scheme string `json:"scheme"`
 	// StaticN is the static scheme's 1-and-N gap (default 50).
 	StaticN int `json:"static_n,omitempty"`
 	// MinGap/MaxGap bound the adaptive scheme (defaults 10/300).
 	MinGap int `json:"min_gap,omitempty"`
 	MaxGap int `json:"max_gap,omitempty"`
+	// Interpolation selects every RLI receiver's estimator variant: linear
+	// (RLI's, the default), left, right or nearest (ablation A2).
+	Interpolation string `json:"interpolation,omitempty"`
+	// ReceiverClock, when set, replaces every RLI receiver's perfectly
+	// synchronized clock (ablation A3); senders keep perfect clocks.
+	ReceiverClock *ClockSpec `json:"receiver_clock,omitempty"`
 	// Demux selects the downstream demultiplexing strategy (default
 	// reverse-ecmp, the paper's computable option).
 	Demux string `json:"demux,omitempty"`
@@ -199,6 +242,14 @@ type DeploymentSpec struct {
 	// MaxInstances budgets the deployment: Validate fails when the spec
 	// needs more sender+receiver instances than this. 0 = unlimited.
 	MaxInstances int `json:"max_instances,omitempty"`
+}
+
+// interpolation resolves Interpolation; empty is linear.
+func (d DeploymentSpec) interpolation() (core.Estimator, error) {
+	if d.Interpolation == "" {
+		return core.Linear, nil
+	}
+	return core.ParseEstimator(d.Interpolation)
 }
 
 // TelemetrySpec models telemetry-export loss applied to a finished run's
@@ -426,9 +477,13 @@ func (s Spec) monitoredToRs() [][2]int {
 
 // Instances returns the number of measurement instances (RLI senders plus
 // receivers) the deployment needs — the quantity DeploymentSpec.MaxInstances
-// budgets. Tandem deployments always need two (one sender, one receiver).
+// budgets. A tandem needs one sender and one receiver, or the receiver
+// alone under SchemeNone.
 func (s Spec) Instances() int {
 	if s.Topology.Kind == TopoTandem {
+		if s.Deploy.Scheme == SchemeNone {
+			return 1
+		}
 		return 2
 	}
 	k, h := s.Topology.K, s.half()
@@ -680,8 +735,31 @@ func (s Spec) validateDeploy() error {
 		if d.MinGap < 0 || d.MaxGap < 0 || (d.MaxGap > 0 && d.MaxGap < d.MinGap) {
 			return fmt.Errorf("scenario: adaptive gaps [%d, %d] invalid", d.MinGap, d.MaxGap)
 		}
+	case SchemeNone:
+		if s.Topology.Kind == TopoTandem {
+			break
+		}
+		fallthrough
 	default:
-		return fmt.Errorf("scenario: unknown injection scheme %q (valid: %s, %s)", d.Scheme, SchemeStatic, SchemeAdaptive)
+		valid := SchemeStatic + ", " + SchemeAdaptive
+		if s.Topology.Kind == TopoTandem {
+			valid += ", " + SchemeNone
+		}
+		return fmt.Errorf("scenario: unknown injection scheme %q (valid: %s)", d.Scheme, valid)
+	}
+	if _, err := d.interpolation(); err != nil {
+		return fmt.Errorf("scenario: bad interpolation: %w", err)
+	}
+	if c := d.ReceiverClock; c != nil {
+		if c.SyncInterval < 0 || c.SyncJitter < 0 {
+			return fmt.Errorf("scenario: negative receiver clock sync interval %v or jitter %v", c.SyncInterval, c.SyncJitter)
+		}
+		if c.SyncInterval == 0 && c.SyncJitter != 0 {
+			return fmt.Errorf("scenario: receiver clock sync_jitter_ns %v needs a sync_interval_ns", c.SyncJitter)
+		}
+		if c.SyncInterval > 0 && c.Offset != 0 {
+			return fmt.Errorf("scenario: receiver clock offset_ns %v does not apply to a synced (PTP) clock", c.Offset)
+		}
 	}
 	switch d.Demux {
 	case "", DemuxReverseECMP, DemuxMark, DemuxOracle, DemuxNone:

@@ -67,6 +67,19 @@ func TestValidateRejections(t *testing.T) {
 			s.Deploy.MinGap, s.Deploy.MaxGap = 300, 10
 		}, "adaptive gaps"},
 		{"unknown demux", func(s *Spec) { s.Deploy.Demux = "clairvoyant" }, "demux"},
+		// A fat-tree has no uninstrumented form: same text as any unknown
+		// scheme, listing only the two it runs.
+		{"no sender on a fat-tree", func(s *Spec) { s.Deploy.Scheme = SchemeNone }, `injection scheme "none" (valid: static, adaptive)`},
+		{"unknown scheme on a tandem", func(s *Spec) {
+			s.Topology = TopologySpec{Kind: TopoTandem, LinkBps: 1e9}
+			s.Deploy.Scheme = "fibonacci"
+		}, "(valid: static, adaptive, none)"},
+		{"unknown interpolation", func(s *Spec) { s.Deploy.Interpolation = "cubic" }, `estimator "cubic" (valid: linear, left, right, nearest)`},
+		{"negative sync interval", func(s *Spec) { s.Deploy.ReceiverClock = &ClockSpec{SyncInterval: -1} }, "negative receiver clock"},
+		{"jitter without sync", func(s *Spec) { s.Deploy.ReceiverClock = &ClockSpec{SyncJitter: time.Microsecond} }, "needs a sync_interval_ns"},
+		{"offset on a PTP clock", func(s *Spec) {
+			s.Deploy.ReceiverClock = &ClockSpec{Offset: time.Microsecond, SyncInterval: time.Millisecond}
+		}, "does not apply"},
 		{"budget too small", func(s *Spec) { s.Deploy.MaxInstances = 3 }, "budget"},
 		{"unknown fault kind", func(s *Spec) {
 			s.Faults = []FaultSpec{{Kind: "power-cut", Start: 1, End: 2}}
@@ -136,6 +149,26 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestClockSpecShapes pins the ClockSpec -> simtime clock mapping A3's row
+// labels are read from.
+func TestClockSpecShapes(t *testing.T) {
+	for _, tc := range []struct {
+		c    *ClockSpec
+		want string
+	}{
+		{nil, "perfect"},
+		{&ClockSpec{}, "perfect"},
+		{&ClockSpec{Offset: 10 * time.Microsecond}, "offset(10µs)"},
+		{&ClockSpec{DriftPPM: 10}, "drift(0s,10.00ppm)"},
+		{&ClockSpec{Offset: time.Microsecond, DriftPPM: -5}, "drift(1µs,-5.00ppm)"},
+		{&ClockSpec{DriftPPM: 10, SyncInterval: 100 * time.Millisecond, SyncJitter: 500 * time.Nanosecond}, "ptp(10.00ppm,sync=100ms,jitter=500ns)"},
+	} {
+		if got := tc.c.Clock().Name(); got != tc.want {
+			t.Errorf("%+v.Clock() = %s, want %s", tc.c, got, tc.want)
+		}
 	}
 }
 

@@ -35,9 +35,6 @@ func MustParseAddr(s string) Addr { return packet.MustParseAddr(s) }
 
 // ---- Injection schemes (paper §3.2) ----
 
-// InjectionScheme maps the sender's utilization estimate to a 1-and-n gap.
-type InjectionScheme = core.InjectionScheme
-
 // Static is the fixed worst-case 1-and-N scheme.
 type Static = core.Static
 
@@ -76,21 +73,14 @@ func NewTraceGenerator(cfg trace.Config) *trace.Generator { return trace.NewGene
 
 // ---- The tandem experiment (paper Figure 3) ----
 
-// Scale sets experiment magnitude; see SmallScale, DefaultScale and
-// ParseScale ("full" approximates the paper's 60 s of OC-192).
-type Scale = scenario.Scale
+// TandemSpec returns the two-switch (Figure 3) base ScenarioSpec at the
+// named scale (small, default, full — "full" approximates the paper's 60 s
+// of OC-192): regular traffic through an instrumented switch, random cross
+// traffic congesting the downstream bottleneck to 93%, static 1-and-100
+// injection. RunScenario executes it; the error lists the valid names.
+func TandemSpec(scale string) (ScenarioSpec, error) { return scenario.TandemSpec(scale) }
 
-// SmallScale is CI-sized (sub-second traces).
-func SmallScale() Scale { return scenario.SmallScale() }
-
-// DefaultScale runs in seconds on a laptop.
-func DefaultScale() Scale { return scenario.DefaultScale() }
-
-// ParseScale returns the named scale (small, default, full); the error
-// lists the valid names.
-func ParseScale(name string) (Scale, error) { return scenario.ParseScale(name) }
-
-// CrossModel selects the cross-traffic model.
+// CrossModel selects the cross-traffic model (ScenarioSpec.Workload.CrossModel).
 type CrossModel = scenario.CrossModel
 
 // Cross-traffic models of §4.1.
@@ -99,18 +89,6 @@ const (
 	CrossBursty  = scenario.CrossBursty
 	CrossNone    = scenario.CrossNone
 )
-
-// TandemConfig is one two-switch (Figure 3) run.
-type TandemConfig = scenario.TandemConfig
-
-// RunTandem executes one Figure-3 simulation: regular traffic through an
-// instrumented switch, cross traffic merging at the downstream bottleneck,
-// per-flow latency estimated across both hops.
-func RunTandem(cfg TandemConfig) scenario.TandemResult { return scenario.RunTandem(cfg) }
-
-// ParseEstimator parses an estimator variant's rendered name (linear, left,
-// right, nearest); the error lists the valid names.
-func ParseEstimator(s string) (core.Estimator, error) { return core.ParseEstimator(s) }
 
 // ---- Fat-tree RLIR deployment (paper Figure 1 / §3.1) ----
 
@@ -127,13 +105,13 @@ func DefaultFatTreeSpec() ScenarioSpec { return experiments.DefaultFatTreeSpec()
 type Figure = experiments.Figure
 
 // Fig4a reproduces Figure 4(a): mean-estimate accuracy CDFs.
-func Fig4a(scale Scale) Figure { return experiments.Fig4a(scale) }
+func Fig4a(base ScenarioSpec) Figure { return experiments.Fig4a(base) }
 
 // Fig4b reproduces Figure 4(b): stddev-estimate accuracy CDFs.
-func Fig4b(scale Scale) Figure { return experiments.Fig4b(scale) }
+func Fig4b(base ScenarioSpec) Figure { return experiments.Fig4b(base) }
 
 // Fig4c reproduces Figure 4(c): bursty vs random cross traffic.
-func Fig4c(scale Scale) Figure { return experiments.Fig4c(scale) }
+func Fig4c(base ScenarioSpec) Figure { return experiments.Fig4c(base) }
 
 // Fig5Result is the reproduced Figure 5.
 type Fig5Result = experiments.Fig5Result
@@ -141,13 +119,13 @@ type Fig5Result = experiments.Fig5Result
 // Fig5 reproduces Figure 5: reference-packet interference with regular
 // traffic loss across a utilization sweep (nil utils uses the paper's
 // 0.82..0.98 range).
-func Fig5(scale Scale, utils []float64) Fig5Result { return experiments.Fig5(scale, utils) }
+func Fig5(base ScenarioSpec, utils []float64) Fig5Result { return experiments.Fig5(base, utils) }
 
 // Scalars reproduces the §4.2 quoted numbers.
 type Scalars = experiments.Scalars
 
 // RunScalars measures them.
-func RunScalars(scale Scale) Scalars { return experiments.RunScalars(scale) }
+func RunScalars(base ScenarioSpec) Scalars { return experiments.RunScalars(base) }
 
 // DemuxAblation is the A1 table, one ScenarioResult per strategy; Render
 // formats it.
@@ -163,24 +141,24 @@ func AblationDemux(spec ScenarioSpec) (DemuxAblation, error) {
 type EstimatorAblation = experiments.EstimatorAblation
 
 // AblationEstimators compares interpolation variants (A2).
-func AblationEstimators(scale Scale, util float64) EstimatorAblation {
-	return experiments.AblationEstimators(scale, util)
+func AblationEstimators(base ScenarioSpec, util float64) EstimatorAblation {
+	return experiments.AblationEstimators(base, util)
 }
 
 // ClockAblation is the A3 table; Render formats it.
 type ClockAblation = experiments.ClockAblation
 
 // AblationClocks sweeps clock imperfections (A3).
-func AblationClocks(scale Scale, util float64) ClockAblation {
-	return experiments.AblationClocks(scale, util)
+func AblationClocks(base ScenarioSpec, util float64) ClockAblation {
+	return experiments.AblationClocks(base, util)
 }
 
 // BaselineResult is B1: RLIR vs LDA vs Multiflow.
 type BaselineResult = experiments.BaselineResult
 
 // RunBaselines co-locates RLIR, LDA and Multiflow on one run (B1).
-func RunBaselines(scale Scale, util float64) BaselineResult {
-	return experiments.RunBaselines(scale, util)
+func RunBaselines(base ScenarioSpec, util float64) BaselineResult {
+	return experiments.RunBaselines(base, util)
 }
 
 // ---- Localization (DESIGN.md L1, the paper's Figure 1 narrative) ----
@@ -237,8 +215,8 @@ func ParseExperimentTarget(id string) (ExperimentTarget, error) { return experim
 // Sweep regenerates one target at N derived seeds in parallel and reports
 // every metric as mean ± 95% CI. The result carries its own seed count and
 // is identical for any worker count.
-func Sweep(t ExperimentTarget, scale Scale, opts MultiOpts) (TableCI, error) {
-	return experiments.Sweep(t, scale, opts)
+func Sweep(t ExperimentTarget, base ScenarioSpec, opts MultiOpts) (TableCI, error) {
+	return experiments.Sweep(t, base, opts)
 }
 
 // ---- Unified estimator layer (internal/measure) ----
@@ -248,22 +226,10 @@ func Sweep(t ExperimentTarget, scale Scale, opts MultiOpts) (TableCI, error) {
 // two-timestamp estimator — implements one pluggable API: a zero-alloc
 // per-packet Tap plus a Finalize returning a Report with per-flow and
 // per-router estimates and overhead accounting. A scenario spec declares
-// its estimator set and the engine attaches all of them to the same single
-// simulation pass through a shared tap dispatch, scoring every mechanism
-// against shared ground truth in one comparison table.
-
-// MeasureEstimator is one measurement mechanism attached to a segment.
-type MeasureEstimator = measure.Estimator
-
-// MeasureConfig parameterizes estimator construction.
-type MeasureConfig = measure.Config
-
-// MeasureReport is one estimator's deliverable for a finished run.
-type MeasureReport = measure.Report
-
-// MeasureOverhead accounts a mechanism's cost: injected wire bytes vs
-// sampled collection bytes.
-type MeasureOverhead = measure.Overhead
+// its estimator set (ScenarioSpec.Deploy.Estimators) and the engine attaches
+// all of them to the same single simulation pass through a shared tap
+// dispatch, scoring every mechanism against shared ground truth in one
+// comparison table (ScenarioResult.Comparison).
 
 // EstimatorNames returns the registered estimator names, "rli" first.
 func EstimatorNames() []string { return measure.Names() }
@@ -275,40 +241,6 @@ func EstimatorRegistered(name string) bool { return measure.Registered(name) }
 // list (the CLI -estimators flag format); unknown names fail listing the
 // registered ones.
 func ParseEstimatorList(s string) ([]string, error) { return measure.ParseList(s) }
-
-// NewEstimator builds a registered estimator by name.
-func NewEstimator(name string, cfg MeasureConfig) (MeasureEstimator, error) {
-	return measure.New(name, cfg)
-}
-
-// NewMeasureTruth returns an empty ground-truth table.
-func NewMeasureTruth() *measure.Truth { return measure.NewTruth() }
-
-// NewMeasureDispatch builds the shared tap for a measured segment.
-func NewMeasureDispatch(truth *measure.Truth, ests ...MeasureEstimator) *measure.Dispatch {
-	return measure.NewDispatch(truth, ests...)
-}
-
-// CompareEstimators scores reports against truth, one comparison row per
-// report.
-func CompareEstimators(truth *measure.Truth, reports ...MeasureReport) []measure.Comparison {
-	return measure.Compare(truth, reports...)
-}
-
-// ReportFromFlowResults builds an RLI-shaped report from per-flow receiver
-// results — for harnesses that own their receiver wiring (RunTandem).
-func ReportFromFlowResults(name, router string, results []core.FlowResult, overhead MeasureOverhead) MeasureReport {
-	return measure.ReportFromFlowResults(name, router, results, overhead)
-}
-
-// DefaultRefSize is the reference packet frame size in bytes (Ethernet
-// minimum — the per-probe unit of RLI's injected-bytes overhead).
-const DefaultRefSize = core.DefaultRefSize
-
-// RenderEstimatorComparison formats the comparison table.
-func RenderEstimatorComparison(rows []measure.Comparison) string {
-	return measure.RenderComparisons(rows)
-}
 
 // ---- Scenario engine (declarative network-wide workloads) ----
 //
@@ -455,7 +387,8 @@ func ExportScenarioTrace(spec ScenarioSpec, seed int64) (*ScenarioTrace, error) 
 }
 
 // CompareStreamedFlows scores a collector flow table against the ground
-// truth it carries in-band — the streaming counterpart of CompareEstimators.
+// truth it carries in-band — the streaming counterpart of a run's
+// ScenarioResult.Comparison rows.
 func CompareStreamedFlows(name string, aggs []collector.FlowAgg) measure.Comparison {
 	return measure.CompareFlowAggs(name, aggs)
 }

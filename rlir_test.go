@@ -1,32 +1,38 @@
 package rlir_test
 
 import (
-	"strings"
 	"testing"
 	"time"
 
 	rlir "github.com/netmeasure/rlir"
 )
 
+// smallTandem is the CI-sized Figure-3 base spec.
+func smallTandem(tb testing.TB) rlir.ScenarioSpec {
+	tb.Helper()
+	spec, err := rlir.TandemSpec("small")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return spec
+}
+
 // TestPublicAPITandem exercises the facade end to end the way README's
 // quickstart does.
 func TestPublicAPITandem(t *testing.T) {
-	scale := rlir.SmallScale()
-	res := rlir.RunTandem(rlir.TandemConfig{
-		Scale:      scale,
-		Scheme:     rlir.DefaultStatic(),
-		Model:      rlir.CrossUniform,
-		TargetUtil: 0.93,
-	})
-	if res.Summary.Flows == 0 {
+	res, err := rlir.RunScenario(smallTandem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Overall.Flows == 0 {
 		t.Fatal("no flows measured through public API")
 	}
 	cdf := rlir.MeanErrCDF(res.Results)
-	if cdf.N() != res.Summary.Flows {
+	if cdf.N() != res.Overall.Flows {
 		t.Fatal("CDF size mismatch")
 	}
-	if !strings.Contains(res.Label(), "static") {
-		t.Fatalf("label = %q", res.Label())
+	if got := res.Spec.Label(); got != "static(1-and-100), random, 93%" {
+		t.Fatalf("label = %q", got)
 	}
 }
 
@@ -82,7 +88,7 @@ func TestPublicAPIPlacement(t *testing.T) {
 	}
 	// Rows are k = 4, 8, ...; columns pair-of-ifaces, pair-of-ToRs,
 	// all-ToR-pairs, ...
-	rows := target.Run(rlir.SmallScale()).Table().Rows
+	rows := target.Run(smallTandem(t)).Table().Rows
 	if rows[0].Cells[0] != 6 || rows[1].Cells[2] != 144 {
 		t.Fatalf("rows = %+v", rows)
 	}
