@@ -1,7 +1,10 @@
-// Command scenario is the CLI front-end of the declarative scenario engine:
-// it lists the registry, runs named scenarios (single- or multi-seed, with
-// or without their invariant checks), runs ad-hoc JSON specs, and prints
-// spec templates to build new scenarios from.
+// Command scenario runs simulations: it lists the scenario registry, runs
+// named scenarios (single- or multi-seed, with or without their invariant
+// checks) and the library's base specs, runs ad-hoc JSON specs, and prints
+// spec templates to build new ones from. -run and -describe take a
+// registered name or a base spec's: the Figure-3 tandem at each scale
+// (tandem-small, tandem-default, tandem-full) and the Figure-1 fat-tree
+// (fattree). A run's knobs are spec fields: describe, edit, run with -spec.
 //
 // Usage:
 //
@@ -14,8 +17,10 @@
 //	scenario -run incast -estimators rli,lda   # override the comparison set
 //	scenario -run telemetry-loss -telemetry-loss 0.2  # override the export loss rate
 //	scenario -run trace-replay -link-trace link.json  # replay a recorded link trace file
+//	scenario -run tandem-small     # a base spec: the Figure-3 tandem
 //	scenario -describe incast      # print the spec as JSON
 //	scenario -spec my.json -seed 7 # run an ad-hoc spec file
+//	scenario -describe tandem-small | sed 's/"static"/"adaptive"/' > a.json && scenario -spec a.json
 package main
 
 import (
@@ -64,8 +69,8 @@ func parseArgs(args []string) (options, error) {
 	fs.BoolVar(&o.list, "list", false, "list registered scenarios")
 	fs.BoolVar(&o.listEsts, "list-estimators", false, "list registered measurement estimators")
 	fs.BoolVar(&o.jsonOut, "json", false, "with -list/-list-estimators: print names as a JSON array")
-	fs.StringVar(&o.runName, "run", "", "run a registered scenario by name")
-	fs.StringVar(&o.describe, "describe", "", "print a registered scenario's spec as JSON")
+	fs.StringVar(&o.runName, "run", "", "run a registered scenario or base spec by name")
+	fs.StringVar(&o.describe, "describe", "", "print a registered scenario's or base spec's spec as JSON")
 	fs.StringVar(&o.specFile, "spec", "", "run an ad-hoc spec from a JSON file")
 	fs.BoolVar(&o.check, "check", false, "apply the scenario's invariant; non-zero exit on violation")
 	fs.Int64Var(&o.seed, "seed", 0, "override the spec seed")
@@ -80,7 +85,9 @@ func parseArgs(args []string) (options, error) {
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
-	fs.Visit(func(f *flag.Flag) { o.haveSeed = o.haveSeed || f.Name == "seed" })
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	o.haveSeed = set["seed"]
 	modes := 0
 	for _, on := range []bool{o.list, o.listEsts, o.runName != "", o.describe != "", o.specFile != ""} {
 		if on {
@@ -90,27 +97,29 @@ func parseArgs(args []string) (options, error) {
 	if modes != 1 {
 		return o, fmt.Errorf("need exactly one of -list, -list-estimators, -run, -describe, -spec")
 	}
+	// A flag outside its mode is an error, not a silent no-op.
+	runs := o.runName != "" || o.specFile != ""
+	for _, name := range []string{"check", "seed", "seeds", "parallel", "estimators", "telemetry-loss", "link-trace"} {
+		if set[name] && !runs {
+			return o, fmt.Errorf("-%s applies to -run/-spec", name)
+		}
+	}
+	if set["json"] && !o.list && !o.listEsts {
+		return o, fmt.Errorf("-json applies to -list/-list-estimators")
+	}
 	if o.seeds < 1 {
 		return o, fmt.Errorf("-seeds %d < 1", o.seeds)
 	}
-	if o.check && o.specFile != "" {
-		return o, fmt.Errorf("-check needs a registered scenario (ad-hoc specs carry no invariant)")
+	if o.parallel < 0 {
+		return o, fmt.Errorf("-parallel %d < 0", o.parallel)
 	}
-	if o.telemetryLoss >= 0 {
-		if o.runName == "" && o.specFile == "" {
-			return o, fmt.Errorf("-telemetry-loss applies to -run/-spec")
-		}
-		if o.telemetryLoss >= 1 {
-			return o, fmt.Errorf("-telemetry-loss %v outside [0, 1)", o.telemetryLoss)
-		}
+	if _, base := baseSpec(o.runName); o.check && (o.specFile != "" || base) {
+		return o, fmt.Errorf("-check needs a registered scenario (ad-hoc and base specs carry no invariant)")
 	}
-	if o.linkTrace != "" && o.runName == "" && o.specFile == "" {
-		return o, fmt.Errorf("-link-trace applies to -run/-spec")
+	if o.telemetryLoss >= 1 {
+		return o, fmt.Errorf("-telemetry-loss %v outside [0, 1)", o.telemetryLoss)
 	}
 	if *ests != "" {
-		if o.runName == "" && o.specFile == "" {
-			return o, fmt.Errorf("-estimators applies to -run/-spec")
-		}
 		list, err := rlir.ParseEstimatorList(*ests)
 		if err != nil {
 			return o, err
@@ -131,22 +140,22 @@ func run(args []string, out io.Writer) error {
 	case o.listEsts:
 		return listEstimators(o, out)
 	case o.describe != "":
-		sc, ok := rlir.ScenarioByName(o.describe)
-		if !ok {
-			return unknownScenario(o.describe)
+		spec, _, err := lookup(o.describe)
+		if err != nil {
+			return err
 		}
-		data, err := sc.Spec.EncodeJSON()
+		data, err := spec.EncodeJSON()
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(out, string(data))
 		return nil
 	case o.runName != "":
-		sc, ok := rlir.ScenarioByName(o.runName)
-		if !ok {
-			return unknownScenario(o.runName)
+		spec, check, err := lookup(o.runName)
+		if err != nil {
+			return err
 		}
-		return execute(o, sc.Spec, sc.Check, out)
+		return execute(o, spec, check, out)
 	default:
 		data, err := os.ReadFile(o.specFile)
 		if err != nil {
@@ -267,6 +276,42 @@ func applyLinkTrace(spec *rlir.ScenarioSpec, path string) error {
 	return spec.Validate()
 }
 
-func unknownScenario(name string) error {
-	return fmt.Errorf("unknown scenario %q (registered: %s)", name, strings.Join(rlir.ScenarioNames(), ", "))
+// baseSpecs are the library's base specs, named by their Spec.Name.
+func baseSpecs() []rlir.ScenarioSpec {
+	var specs []rlir.ScenarioSpec
+	for _, scale := range []string{"small", "default", "full"} {
+		s, err := rlir.TandemSpec(scale)
+		if err != nil {
+			panic(err)
+		}
+		specs = append(specs, s)
+	}
+	return append(specs, rlir.DefaultFatTreeSpec())
+}
+
+// baseSpec returns the base spec with the given name.
+func baseSpec(name string) (rlir.ScenarioSpec, bool) {
+	for _, s := range baseSpecs() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return rlir.ScenarioSpec{}, false
+}
+
+// lookup resolves a -run/-describe name: a registered scenario with its
+// invariant, else a base spec, which has none.
+func lookup(name string) (rlir.ScenarioSpec, func(*rlir.ScenarioResult) error, error) {
+	if sc, ok := rlir.ScenarioByName(name); ok {
+		return sc.Spec, sc.Check, nil
+	}
+	if s, ok := baseSpec(name); ok {
+		return s, nil, nil
+	}
+	var bases []string
+	for _, s := range baseSpecs() {
+		bases = append(bases, s.Name)
+	}
+	return rlir.ScenarioSpec{}, nil, fmt.Errorf("unknown scenario %q (registered: %s; base specs: %s)",
+		name, strings.Join(rlir.ScenarioNames(), ", "), strings.Join(bases, ", "))
 }

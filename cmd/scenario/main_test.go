@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +43,17 @@ func TestParseArgs(t *testing.T) {
 		{"run with link trace", []string{"-run", "trace-replay", "-link-trace", "link.json"}, ""},
 		{"spec with link trace", []string{"-spec", "x.json", "-link-trace", "link.csv"}, ""},
 		{"link trace without run", []string{"-list", "-link-trace", "link.json"}, "-link-trace"},
+		{"run base spec", []string{"-run", "tandem-small", "-seed", "3"}, ""},
+		{"describe base spec", []string{"-describe", "fattree"}, ""},
+		{"base spec with check", []string{"-run", "fattree", "-check"}, "no invariant"},
+		{"describe with check", []string{"-describe", "incast", "-check"}, "-check"},
+		{"describe with seeds", []string{"-describe", "incast", "-seeds", "4"}, "-seeds"},
+		{"describe with parallel", []string{"-describe", "incast", "-parallel", "2"}, "-parallel"},
+		{"describe with json", []string{"-describe", "incast", "-json"}, "-json"},
+		{"list with seed", []string{"-list", "-seed", "9"}, "-seed"},
+		{"list with check", []string{"-list", "-check"}, "-check"},
+		{"run with json", []string{"-run", "incast", "-json"}, "-json"},
+		{"negative parallel", []string{"-run", "incast", "-seeds", "4", "-parallel", "-3"}, "-parallel"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,9 +147,151 @@ func TestRunUnknownScenarioListsRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	for _, name := range rlir.ScenarioNames() {
+	names := rlir.ScenarioNames()
+	for _, s := range baseSpecs() {
+		names = append(names, s.Name)
+	}
+	for _, name := range names {
 		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("error %q does not list registered scenario %q", err, name)
+			t.Fatalf("error %q does not list name %q", err, name)
+		}
+	}
+}
+
+// TestBaseSpecNamesAreFree: a base spec is reached only when no registered
+// scenario has its name, so none may.
+func TestBaseSpecNamesAreFree(t *testing.T) {
+	for _, s := range baseSpecs() {
+		if _, ok := rlir.ScenarioByName(s.Name); ok {
+			t.Errorf("base spec %q is shadowed by a registered scenario", s.Name)
+		}
+	}
+}
+
+// TestBaseSpecsRoundTrip: each base spec's -describe output reads back as a
+// -spec file unchanged.
+func TestBaseSpecsRoundTrip(t *testing.T) {
+	for _, want := range baseSpecs() {
+		var buf strings.Builder
+		if err := run([]string{"-describe", want.Name}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := rlir.DecodeScenarioSpec([]byte(buf.String()))
+		if err != nil {
+			t.Fatalf("-describe %s is not a valid spec: %v", want.Name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("-describe %s read back as\n%+v\nwant\n%+v", want.Name, got, want)
+		}
+	}
+}
+
+// TestRunWithoutSenderRendersEmptyCDF edits a base spec the way the README
+// does — -describe, replace a value, -spec — into the tandem's
+// uninstrumented run: no sender, no estimate, and an empty CDF that once
+// panicked on its median.
+func TestRunWithoutSenderRendersEmptyCDF(t *testing.T) {
+	path := editedBase(t, "tandem-small", `"scheme": "static"`, `"scheme": "none"`)
+	var out strings.Builder
+	if err := run([]string{"-spec", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "flows=0") || !strings.Contains(out.String(), "relative error (mean estimates) n=0\n") {
+		t.Fatalf("output:\n%s", out.String())
+	}
+}
+
+// editedBase writes base spec name's -describe output, with its first from
+// replaced by to, to a temporary -spec file and returns the file's path.
+func editedBase(t *testing.T, name, from, to string) string {
+	t.Helper()
+	var desc strings.Builder
+	if err := run([]string{"-describe", name}, &desc); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(desc.String(), from) {
+		t.Fatalf("-describe %s has no %q to edit:\n%s", name, from, desc.String())
+	}
+	path := filepath.Join(t.TempDir(), name+".json")
+	if err := os.WriteFile(path, []byte(strings.Replace(desc.String(), from, to, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestEditedSpecRejections pins the value checks now that a run's knobs are
+// spec fields: a base spec edited to an unknown value, or an unknown base
+// name, fails before any simulation with an error naming the value and
+// listing the valid ones; the simulation flags the spec fields replaced are
+// unknown to the parser.
+func TestEditedSpecRejections(t *testing.T) {
+	cases := []struct {
+		name     string
+		base     string // base spec to describe, edit and run with -spec; "" runs args alone
+		from, to string
+		args     []string
+		want     string   // substring of the expected error
+		lists    []string // values the error must enumerate
+	}{
+		{name: "bad topology", base: "tandem-small", from: `"kind": "tandem"`, to: `"kind": "ring"`,
+			want: `topology kind "ring"`, lists: []string{"tandem", "fattree"}},
+		{name: "bad scheme", base: "tandem-small", from: `"scheme": "static"`, to: `"scheme": "exotic"`,
+			want: `injection scheme "exotic"`, lists: []string{"static", "adaptive", "none"}},
+		{name: "bad model", base: "tandem-small", from: `"cross_model": "uniform"`, to: `"cross_model": "fractal"`,
+			want: `cross model "fractal"`, lists: []string{"uniform", "bursty", "none"}},
+		{name: "bad scale", args: []string{"-run", "tandem-galactic"},
+			want: `unknown scenario "tandem-galactic"`, lists: []string{"tandem-small", "tandem-default", "tandem-full"}},
+		{name: "bad estimator", base: "tandem-small", from: `"scheme": "static",`, to: `"scheme": "static", "interpolation": "cubic",`,
+			want: `estimator "cubic"`, lists: []string{"linear", "left", "right", "nearest"}},
+		{name: "bad demux", base: "fattree", from: `"demux": "reverse-ecmp"`, to: `"demux": "psychic"`,
+			want: `demux strategy "psychic"`, lists: []string{"none", "marking", "reverse-ecmp", "oracle"}},
+		{name: "fattree without a sender", base: "fattree", from: `"scheme": "static"`, to: `"scheme": "none"`,
+			want: `injection scheme "none"`, lists: []string{"static", "adaptive"}},
+		{name: "fattree odd arity", base: "fattree", from: `"k": 4`, to: `"k": 3`, want: "even"},
+		{name: "unknown flag", args: []string{"-run", "fattree", "-topology", "fattree"}, want: "-topology"},
+		{name: "stray args", args: []string{"-describe", "tandem-small", "fattree"}, want: "unexpected arguments"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			args := tc.args
+			if tc.base != "" {
+				args = append([]string{"-spec", editedBase(t, tc.base, tc.from, tc.to)}, args...)
+			}
+			err := run(args, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("run(%v) = %v, want error mentioning %q", args, err, tc.want)
+			}
+			for _, v := range tc.lists {
+				if !strings.Contains(err.Error(), v) {
+					t.Fatalf("error %q does not list valid value %q", err, v)
+				}
+			}
+		})
+	}
+}
+
+// TestMainExitsNonZeroOnUnknownValue re-executes the test binary as the
+// real main: a -spec file with an unknown topology kind must exit non-zero
+// with the valid kinds on stderr.
+func TestMainExitsNonZeroOnUnknownValue(t *testing.T) {
+	if path := os.Getenv("SCENARIO_MAIN_PROBE_VALUE"); path != "" {
+		os.Args = []string{"scenario", "-spec", path}
+		main()
+		return // unreachable: main must have exited non-zero
+	}
+	path := editedBase(t, "tandem-small", `"kind": "tandem"`, `"kind": "ring"`)
+	cmd := exec.Command(os.Args[0], "-test.run", "TestMainExitsNonZeroOnUnknownValue")
+	cmd.Env = append(os.Environ(), "SCENARIO_MAIN_PROBE_VALUE="+path)
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("main accepted an unknown topology kind; output:\n%s", out)
+	}
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
+		t.Fatalf("expected a non-zero exit, got %v; output:\n%s", err, out)
+	}
+	for _, v := range []string{`"ring"`, "tandem", "fattree"} {
+		if !strings.Contains(string(out), v) {
+			t.Fatalf("failure output does not list %s:\n%s", v, out)
 		}
 	}
 }
@@ -248,7 +402,8 @@ func TestLinkTraceFileOverride(t *testing.T) {
 
 // TestMainExitsNonZeroOnUnknownScenario re-executes the test binary as the
 // real main: an unknown -run name must exit non-zero with the registered
-// scenarios — including the adversarial/trace-driven family — on stderr.
+// scenarios — including the adversarial/trace-driven family — and the base
+// specs on stderr.
 func TestMainExitsNonZeroOnUnknownScenario(t *testing.T) {
 	if os.Getenv("SCENARIO_MAIN_PROBE") == "1" {
 		os.Args = []string{"scenario", "-run", "bogus"}
@@ -264,9 +419,9 @@ func TestMainExitsNonZeroOnUnknownScenario(t *testing.T) {
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() == 0 {
 		t.Fatalf("expected a non-zero exit, got %v; output:\n%s", err, out)
 	}
-	for _, name := range []string{"adversarial-delay", "trace-replay", "repflow"} {
+	for _, name := range []string{"adversarial-delay", "trace-replay", "repflow", "tandem-small", "fattree"} {
 		if !strings.Contains(string(out), name) {
-			t.Fatalf("failure output does not list scenario %q:\n%s", name, out)
+			t.Fatalf("failure output does not list name %q:\n%s", name, out)
 		}
 	}
 }

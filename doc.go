@@ -65,9 +65,10 @@
 //     stream wire frames into cmd/rlird, cmd/loadgen replays captured
 //     scenario traffic at line rate, operators query HTTP endpoints.
 //
-// Command front-ends: cmd/rlirsim (single runs), cmd/experiments (figures
-// and ablations, the §3.1 placement table among them), cmd/scenario (the
-// scenario registry), cmd/tracegen (workload summaries and link traces),
+// Command front-ends: cmd/scenario (single runs — the registered scenarios,
+// the tandem and fat-tree base specs, ad-hoc spec files), cmd/experiments
+// (figures and ablations, the §3.1 placement table among them),
+// cmd/tracegen (workload summaries and link traces),
 // cmd/rlird + cmd/loadgen (the streaming service and its load generator),
 // cmd/rlirfleet (the scatter-gather front-end over several rlird).
 // DESIGN.md explains the architecture layer by layer.

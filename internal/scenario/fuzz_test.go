@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/core"
 )
 
 // FuzzDecodeSpecJSON is the robustness target for the spec file format: on
@@ -12,7 +14,8 @@ import (
 // EncodeJSON -> DecodeJSON — the round trip `scenario -describe` followed by
 // `scenario -spec` makes. "The same" is compared on the encodings, which
 // carry every field, because an explicit empty list decodes to an empty
-// slice and re-decodes as a nil one.
+// slice and re-decodes as a nil one. An accepted spec must also build an
+// injection scheme its senders accept.
 func FuzzDecodeSpecJSON(f *testing.F) {
 	// Spec files written for the deleted multi-lane engine keep decoding.
 	legacy := DefaultSpec()
@@ -54,6 +57,15 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 	ftNone := DefaultSpec()
 	ftNone.Deploy.Scheme = SchemeNone
 	seeds = append(seeds, bare, ftNone)
+	// One adaptive gap set, the other left to its default: both validated
+	// and then panicked in the sender before Validate checked the built
+	// scheme.
+	for _, gaps := range [][2]int{{0, 5}, {400, 0}} {
+		s := tandem
+		s.Deploy.Scheme = SchemeAdaptive
+		s.Deploy.MinGap, s.Deploy.MaxGap = gaps[0], gaps[1]
+		seeds = append(seeds, s)
+	}
 	for _, s := range seeds {
 		data, err := s.EncodeJSON()
 		if err != nil {
@@ -86,6 +98,16 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("round trip changed the spec:\n%s\n%s", enc, enc2)
+		}
+		switch sch := s.scheme().(type) {
+		case core.Adaptive:
+			if err := sch.Validate(); err != nil {
+				t.Fatalf("accepted spec builds a bad scheme: %v\n%s", err, enc)
+			}
+		case core.Static:
+			if sch.N < 1 {
+				t.Fatalf("accepted spec builds static N=%d\n%s", sch.N, enc)
+			}
 		}
 	})
 }

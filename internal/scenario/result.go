@@ -164,7 +164,12 @@ func (r *Result) Segment(name string) (SegmentStats, bool) {
 	return SegmentStats{}, false
 }
 
-// Render formats the result as a text report.
+// renderFlows is how many per-flow rows Render prints.
+const renderFlows = 10
+
+// Render formats the result as a text report: headline, summaries and
+// counters, the first per-flow rows and the CDF of their errors, then
+// whatever tables the spec asked for.
 func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== scenario %s (seed %d) ==\n", r.Spec.Name, r.Seed)
@@ -174,6 +179,17 @@ func (r *Result) Render() string {
 		r.Overall.MedianRelErr, r.Overall.P90RelErr, r.Overall.FracUnder10Pct*100)
 	fmt.Fprintf(&b, "delay tails: est p50=%v p99=%v | true p50=%v p99=%v\n",
 		r.EstP50, r.EstP99, r.TrueP50, r.TrueP99)
+	fmt.Fprintf(&b, "downstream: %s\n", r.Overall)
+	tandem := r.Spec.Topology.Kind == TopoTandem
+	if !tandem {
+		fmt.Fprintf(&b, "upstream:   %s\n", r.Upstream)
+	}
+	fmt.Fprintf(&b, "receiver: %+v\nsender:   %+v\n", r.Receiver, r.Sender)
+	if tandem {
+		fmt.Fprintf(&b, "regular loss rate: %.6f\n", r.LossRate())
+	}
+	b.WriteString(core.FormatResults(r.Results, renderFlows))
+	b.WriteString(core.MeanErrCDF(r.Results).Render("relative error (mean estimates)", 1e-3, 1e1, 9))
 	if len(r.Routers) > 0 {
 		fmt.Fprintf(&b, "%-10s %-18s %8s %10s %12s %12s %12s\n",
 			"router", "segment", "flows", "medianErr", "estP50", "estP99", "trueP99")

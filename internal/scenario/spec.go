@@ -640,8 +640,9 @@ func (s Spec) validateWorkload() error {
 		switch w.CrossModel {
 		case "", CrossNone, CrossUniform, CrossBursty:
 		default:
+			// string(): String() gives the legend name, not the spec value.
 			return fmt.Errorf("scenario: unknown cross model %q (valid: %s, %s, %s)",
-				w.CrossModel, CrossUniform, CrossBursty, CrossNone)
+				string(w.CrossModel), string(CrossUniform), string(CrossBursty), string(CrossNone))
 		}
 		if w.CrossUtil < 0 || w.CrossUtil > 1 {
 			return fmt.Errorf("scenario: cross utilization %v outside [0, 1]", w.CrossUtil)
@@ -732,8 +733,10 @@ func (s Spec) validateDeploy() error {
 			return fmt.Errorf("scenario: negative static gap %d", d.StaticN)
 		}
 	case SchemeAdaptive:
-		if d.MinGap < 0 || d.MaxGap < 0 || (d.MaxGap > 0 && d.MaxGap < d.MinGap) {
-			return fmt.Errorf("scenario: adaptive gaps [%d, %d] invalid", d.MinGap, d.MaxGap)
+		// Check the scheme the run builds, where an unset gap takes its
+		// default: max_gap 5 alone is [10, 5].
+		if a := s.scheme().(core.Adaptive); d.MinGap < 0 || d.MaxGap < 0 || a.Validate() != nil {
+			return fmt.Errorf("scenario: adaptive gaps [%d, %d] invalid (built as [%d, %d])", d.MinGap, d.MaxGap, a.MinGap, a.MaxGap)
 		}
 	case SchemeNone:
 		if s.Topology.Kind == TopoTandem {

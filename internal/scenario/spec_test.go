@@ -66,6 +66,17 @@ func TestValidateRejections(t *testing.T) {
 			s.Deploy.Scheme = SchemeAdaptive
 			s.Deploy.MinGap, s.Deploy.MaxGap = 300, 10
 		}, "adaptive gaps"},
+		// An unset gap takes its default: each of these validated and then
+		// panicked in the sender.
+		{"max gap under the default min", func(s *Spec) {
+			s.Deploy.Scheme = SchemeAdaptive
+			s.Deploy.MaxGap = 5
+		}, "built as [10, 5]"},
+		{"min gap over the default max", func(s *Spec) {
+			s.Deploy.Scheme = SchemeAdaptive
+			s.Deploy.MinGap = 400
+		}, "built as [400, 300]"},
+		{"negative static gap", func(s *Spec) { s.Deploy.StaticN = -3 }, "negative static gap"},
 		{"unknown demux", func(s *Spec) { s.Deploy.Demux = "clairvoyant" }, "demux"},
 		// A fat-tree has no uninstrumented form: same text as any unknown
 		// scheme, listing only the two it runs.
@@ -121,7 +132,7 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown cross model", func(s *Spec) {
 			s.Topology = TopologySpec{Kind: TopoTandem, LinkBps: 1e9}
 			s.Workload.CrossModel = "fractal"
-		}, "cross model"},
+		}, `cross model "fractal" (valid: uniform, bursty, none)`},
 		{"cross util over 1", func(s *Spec) {
 			s.Topology = TopologySpec{Kind: TopoTandem, LinkBps: 1e9}
 			s.Workload.CrossUtil = 1.2

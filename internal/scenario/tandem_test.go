@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,6 +16,44 @@ func smallTandem(t *testing.T) Spec {
 	}
 	s.Duration = 200 * time.Millisecond
 	return s
+}
+
+// TestRenderShowsCountersAndFlows pins what Render prints beyond the
+// headline: the summed sender/receiver counters and first per-flow rows on
+// every topology, the error CDF, the bottleneck loss rate on a tandem and
+// the upstream summary on a fat-tree.
+func TestRenderShowsCountersAndFlows(t *testing.T) {
+	tandem := smallTandem(t)
+	fattree := quickSpec()
+	fattree.Duration = 20 * time.Millisecond
+	for _, tc := range []struct {
+		spec      Spec
+		want, not string
+	}{
+		{tandem, "regular loss rate: ", "upstream:"},
+		{fattree, "upstream:   flows=", "regular loss rate"},
+	} {
+		r, err := Run(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := r.Render()
+		for _, want := range []string{
+			tc.want,
+			"downstream: " + r.Overall.String() + "\n",
+			fmt.Sprintf("receiver: %+v\n", r.Receiver),
+			fmt.Sprintf("sender:   %+v\n", r.Sender),
+			fmt.Sprintf("... %d more\n", len(r.Results)-renderFlows),
+			fmt.Sprintf("relative error (mean estimates) n=%d ", len(r.Results)),
+		} {
+			if !strings.Contains(out, want) {
+				t.Fatalf("%s: render lacks %q:\n%s", tc.spec.Name, want, out)
+			}
+		}
+		if strings.Contains(out, tc.not) || r.Sender.Injected == 0 {
+			t.Fatalf("%s: render shows %q or no references were injected:\n%s", tc.spec.Name, tc.not, out)
+		}
+	}
 }
 
 // TestTandemAdaptiveReadsItsLink pins that a tandem spec's adaptive sender

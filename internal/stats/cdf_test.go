@@ -147,9 +147,9 @@ func TestRenderSmokes(t *testing.T) {
 	}
 }
 
-// TestRenderEmptyCDF: a run that produced no estimates (rlirsim -scheme none)
-// still renders — the header with n=0, no median, no rows — while Quantile
-// keeps its panic for callers that index.
+// TestRenderEmptyCDF: a run that produced no estimates (a tandem spec with
+// scheme none) still renders — the header with n=0, no median, no rows —
+// while Quantile keeps its panic for callers that index.
 func TestRenderEmptyCDF(t *testing.T) {
 	out := NewCDF(nil).Render("relative error", 1e-3, 1e1, 9)
 	if want := "relative error               n=0\n"; out != want {
