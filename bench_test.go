@@ -12,8 +12,8 @@
 //	BenchmarkScalars        — §4.2 quoted scalars
 //	BenchmarkAblation*      — DESIGN.md A1/A2/A3, B1
 //
-// The figures' textual renderings are printed once per benchmark (use
-// cmd/experiments for the full-scale versions).
+// Each result's table is printed once per benchmark (use cmd/experiments
+// for the full-scale versions and the figures' CDF curves).
 package rlir_test
 
 import (
@@ -48,7 +48,7 @@ func BenchmarkFig4a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig = rlir.Fig4a(smallTandem(b))
 	}
-	renderOnce("4a", fig.Render())
+	renderOnce("4a", fig.Table().Render())
 	for _, s := range fig.Series {
 		if s.CDF.N() > 0 {
 			b.ReportMetric(s.CDF.Median(), metricUnit("medianRelErr", s.Label))
@@ -61,7 +61,7 @@ func BenchmarkFig4b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig = rlir.Fig4b(smallTandem(b))
 	}
-	renderOnce("4b", fig.Render())
+	renderOnce("4b", fig.Table().Render())
 	for _, s := range fig.Series {
 		if s.CDF.N() > 0 {
 			b.ReportMetric(s.CDF.FracBelow(0.10), metricUnit("under10pct", s.Label))
@@ -74,7 +74,7 @@ func BenchmarkFig4c(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fig = rlir.Fig4c(smallTandem(b))
 	}
-	renderOnce("4c", fig.Render())
+	renderOnce("4c", fig.Table().Render())
 	for _, s := range fig.Series {
 		if s.CDF.N() > 0 {
 			b.ReportMetric(s.CDF.Median(), metricUnit("medianRelErr", s.Label))
@@ -93,7 +93,7 @@ func BenchmarkFig5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = rlir.Fig5(base, []float64{0.9, 0.98})
 	}
-	renderOnce("5", res.Render())
+	renderOnce("5", res.Table().Render())
 	last := res.Points[len(res.Points)-1]
 	b.ReportMetric(last.AdaptiveDiff, "adaptiveLossDiff@98")
 	b.ReportMetric(last.StaticDiff, "staticLossDiff@98")
@@ -108,7 +108,7 @@ func BenchmarkTablePlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := target.Run(smallTandem(b))
 		rows = res.Table().Rows
-		renderOnce("placement", res.Render())
+		renderOnce("placement", res.Table().Render())
 	}
 	b.ReportMetric(rows[0].Cells[0], "instances/k4-pair")
 	b.ReportMetric(rows[len(rows)-1].Cells[4], "savings/k48")
@@ -119,7 +119,7 @@ func BenchmarkScalars(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = rlir.RunScalars(smallTandem(b))
 	}
-	renderOnce("scalars", s.Render())
+	renderOnce("scalars", s.Table().Render())
 	b.ReportMetric(s.BaseUtil, "baseUtil")
 	b.ReportMetric(float64(s.AdaptiveGap), "adaptiveGap")
 	b.ReportMetric(s.Median93Static, "medianRelErr@93static")
@@ -135,7 +135,7 @@ func BenchmarkAblationDemux(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	renderOnce("A1", results.Render())
+	renderOnce("A1", results.Table().Render())
 	for _, r := range results {
 		b.ReportMetric(r.Misattribution, "misattrib/"+r.Spec.Deploy.Demux)
 	}
@@ -146,7 +146,7 @@ func BenchmarkAblationEstimators(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rlir.AblationEstimators(smallTandem(b), 0.8)
 	}
-	renderOnce("A2", rows.Render())
+	renderOnce("A2", rows.Table().Render())
 	for _, r := range rows {
 		b.ReportMetric(r.MedianRelErr, "medianRelErr/"+r.Estimator.String())
 	}
@@ -157,7 +157,7 @@ func BenchmarkAblationClocks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows = rlir.AblationClocks(smallTandem(b), 0.8)
 	}
-	renderOnce("A3", rows.Render())
+	renderOnce("A3", rows.Table().Render())
 	b.ReportMetric(rows[0].MedianRelErr, "medianRelErr/perfect")
 	b.ReportMetric(rows[3].MedianRelErr, "medianRelErr/offset100us")
 }
@@ -167,7 +167,7 @@ func BenchmarkBaselines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = rlir.RunBaselines(smallTandem(b), 0.93)
 	}
-	renderOnce("B1", r.Render())
+	renderOnce("B1", r.Table().Render())
 	b.ReportMetric(r.RLIRMedian, "medianRelErr/rlir")
 	b.ReportMetric(r.MultiflowMedian, "medianRelErr/multiflow")
 	b.ReportMetric(r.LDAMeanErr, "aggErr/lda")
@@ -183,7 +183,7 @@ func BenchmarkLocalization(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	renderOnce("L1", res.Render())
+	renderOnce("L1", res.Table().Render())
 	ok := 0.0
 	if res.Localized() {
 		ok = 1

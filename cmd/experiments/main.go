@@ -1,6 +1,6 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (and the repository's ablations) and prints them as text
-// tables and CDF renderings.
+// tables, and each figure's CDF curves.
 //
 // With -seeds N (N > 1) it instead runs each experiment at N independent
 // SplitMix64-derived seeds, fanned across -parallel workers, and reports
@@ -95,8 +95,8 @@ func main() {
 
 // run is the one dispatch every target goes through: a sweep prints the
 // target's across-seed table; a single seed — and a target that is always
-// reported from one run — prints its own rendering and, with -csv, writes
-// its series.
+// reported from one run — prints that run's table, a figure also its CDF
+// curves, and with -csv writes its series.
 func run(out io.Writer, t rlir.ExperimentTarget, base rlir.ScenarioSpec, opts rlir.MultiOpts, csvDir string) error {
 	if opts.Seeds > 1 && !t.SingleSeed {
 		ci, err := rlir.Sweep(t, base, opts)
@@ -110,20 +110,24 @@ func run(out io.Writer, t rlir.ExperimentTarget, base rlir.ScenarioSpec, opts rl
 		fmt.Fprintf(out, "%s is reported from a single run; -seeds does not apply\n", t.ID)
 	}
 	res := t.Run(base)
-	fmt.Fprint(out, res.Render())
-	if csvDir == "" {
-		return nil
-	}
+	fmt.Fprint(out, res.Table().Render())
 	switch r := res.(type) {
 	case rlir.Figure:
-		files, err := r.WriteCSV(csvDir)
-		if err != nil {
-			return err
+		for _, s := range r.Series {
+			fmt.Fprint(out, s.CDF.Render(s.Label, 1e-3, 1e1, 9))
 		}
-		fmt.Fprintf(out, "wrote %d CSV series to %s\n", len(files), csvDir)
+		if csvDir != "" {
+			files, err := r.WriteCSV(csvDir)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "wrote %d CSV series to %s\n", len(files), csvDir)
+		}
 	case rlir.Fig5Result:
-		if _, err := r.WriteCSV(csvDir); err != nil {
-			return err
+		if csvDir != "" {
+			if _, err := r.WriteCSV(csvDir); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -131,7 +131,7 @@ func parseArgs(args []string) (options, error) {
 	if o.cfg.Listen == "" && o.cfg.Unix == "" {
 		return o, fmt.Errorf("no ingest listener: set -listen and/or -unix")
 	}
-	return o, nil
+	return o, o.cfg.Validate()
 }
 
 // run starts the service and blocks until a shutdown signal. ready (may be

@@ -28,6 +28,13 @@ func TestParseArgs(t *testing.T) {
 		{"unknown flag", []string{"-frobnicate"}, "frobnicate"},
 		{"stray args", []string{"extra"}, "unexpected arguments"},
 		{"missing config", []string{"-config", "/nonexistent/rlird.json"}, "no such file"},
+		{"negative max-flows", []string{"-max-flows", "-5"}, "max_flows -5"},
+		{"negative shards", []string{"-shards", "-3"}, "shards -3"},
+		{"negative depth", []string{"-depth", "-1"}, "depth -1"},
+		{"negative max-frame-records", []string{"-max-frame-records", "-7"}, "max_frame_records -7"},
+		{"negative window", []string{"-window", "-1s"}, "window_ns"},
+		{"negative drain", []string{"-drain", "-1s"}, "drain_timeout_ns"},
+		{"negative check-config", []string{"-check-config", "-max-classes", "-1"}, "max_classes -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

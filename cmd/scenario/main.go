@@ -178,8 +178,13 @@ func list(o options, out io.Writer) error {
 		fmt.Fprintln(out, string(data))
 		return nil
 	}
+	// The name column is as wide as the longest registered name.
+	width := 0
+	for _, name := range rlir.ScenarioNames() {
+		width = max(width, len(name))
+	}
 	for _, sc := range rlir.Scenarios() {
-		fmt.Fprintf(out, "%-18s %s\n%-18s invariant: %s\n", sc.Name, sc.Stresses, "", sc.Invariant)
+		fmt.Fprintf(out, "%-*s %s\n%-*s invariant: %s\n", width, sc.Name, sc.Stresses, width, "", sc.Invariant)
 	}
 	return nil
 }

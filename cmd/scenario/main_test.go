@@ -142,6 +142,36 @@ func TestListShowsInvariants(t *testing.T) {
 	}
 }
 
+// TestListAligns: -list sizes its name column from the longest registered
+// name, so every description and every invariant line starts at one column
+// (a fixed width once shifted the rows of names that overflowed it).
+func TestListAligns(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"-list"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	scs := rlir.Scenarios()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 2*len(scs) {
+		t.Fatalf("%d lines for %d scenarios:\n%s", len(lines), len(scs), buf.String())
+	}
+	col := -1
+	for i, sc := range scs {
+		desc, inv := lines[2*i], lines[2*i+1]
+		at := strings.Index(desc, sc.Stresses)
+		if !strings.HasPrefix(desc, sc.Name+" ") || at <= len(sc.Name) {
+			t.Fatalf("description line %q does not start with %q", desc, sc.Name)
+		}
+		if col < 0 {
+			col = at
+		}
+		if at != col || strings.Index(inv, "invariant: ") != col {
+			t.Errorf("%s: description at column %d, invariant at %d, want both at %d:\n%s\n%s",
+				sc.Name, at, strings.Index(inv, "invariant: "), col, desc, inv)
+		}
+	}
+}
+
 func TestRunUnknownScenarioListsRegistry(t *testing.T) {
 	err := run([]string{"-run", "nonexistent"}, io.Discard)
 	if err == nil {

@@ -1,7 +1,8 @@
 package rlir_test
 
 // Documentation and architecture enforcement: these tests are the
-// repository's doc lint, plus TestOneNetworkBuildSite's structural guard.
+// repository's doc lint, plus two structural guards, TestOneNetworkBuildSite
+// and TestOneTableRenderer.
 // TestPublicAPIDocumented fails on any undocumented exported identifier in
 // the root package, and TestDocsCoverRegistries fails when a registered
 // scenario or estimator name is missing from the user-facing markdown —
@@ -17,6 +18,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -158,6 +160,42 @@ func TestOneNetworkBuildSite(t *testing.T) {
 				if strings.HasSuffix(imp.Path.Value, `/internal/eventsim"`) || strings.HasSuffix(imp.Path.Value, `/internal/netsim"`) {
 					t.Errorf("%s imports %s; experiments runs everything through internal/scenario", path, imp.Path.Value)
 				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneTableRenderer is the architecture guard for "one table renderer":
+// every report under internal/ prints its rows as a stats.Table through
+// stats.TableCI.Render, which sizes each column from its widest cell. A
+// width-padded verb (%-18s, %8d, %12v) anywhere else in non-test code is a
+// hand-written row renderer whose columns overflow on a long name.
+func TestOneTableRenderer(t *testing.T) {
+	padded := regexp.MustCompile(`%-?[0-9]+[sdv]`)
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "stats") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			if m := padded.FindString(line); m != "" {
+				t.Errorf("%s:%d uses %s; print rows as a stats.Table", path, i+1, m)
 			}
 		}
 		return nil

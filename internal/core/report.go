@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -110,19 +109,4 @@ func Summarize(results []FlowResult) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("flows=%d estimates=%d medianRelErr=%.3f p90=%.3f under10%%=%.1f%% trueMean=%v",
 		s.Flows, s.Estimates, s.MedianRelErr, s.P90RelErr, s.FracUnder10Pct*100, s.TrueMeanDelay)
-}
-
-// FormatResults renders the first n rows of a result set as a table.
-func FormatResults(results []FlowResult, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-44s %6s %12s %12s %8s %8s\n", "flow", "pkts", "est-mean", "true-mean", "err", "errStd")
-	for i, r := range results {
-		if i >= n {
-			fmt.Fprintf(&b, "... %d more\n", len(results)-n)
-			break
-		}
-		fmt.Fprintf(&b, "%-44s %6d %12v %12v %7.2f%% %7.2f%%\n",
-			r.Key, r.N, r.EstMean, r.TrueMean, r.RelErrMean*100, r.RelErrStd*100)
-	}
-	return b.String()
 }

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
@@ -44,26 +44,15 @@ type EstimatorAblation []EstimatorRow
 
 const a2Title = "A2: interpolation estimator variants"
 
-// Render formats A2.
-func (rows EstimatorAblation) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + a2Title + " ==\n")
-	fmt.Fprintf(&b, "%-10s %-8s %-14s %-12s\n", "estimator", "flows", "medianRelErr", "p90RelErr")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %-8d %-14.4f %-12.4f\n", r.Estimator, r.Flows, r.MedianRelErr, r.P90RelErr)
-	}
-	return b.String()
-}
-
-// Table is A2 in across-seed form.
+// Table is A2, one row per interpolation variant.
 func (rows EstimatorAblation) Table() stats.Table {
 	t := stats.Table{
 		Title:     a2Title,
 		RowHeader: "estimator",
-		Columns:   []string{"medianRelErr", "p90RelErr"},
+		Columns:   []string{"flows", "medianRelErr", "p90RelErr"},
 	}
 	for _, r := range rows {
-		t.Rows = append(t.Rows, stats.TableRow{Label: r.Estimator.String(), Cells: []float64{r.MedianRelErr, r.P90RelErr}})
+		t.Rows = append(t.Rows, stats.TableRow{Label: r.Estimator.String(), Cells: []float64{float64(r.Flows), r.MedianRelErr, r.P90RelErr}})
 	}
 	return t
 }
@@ -106,25 +95,14 @@ type ClockAblation []ClockRow
 
 const a3Title = "A3: clock synchronization sensitivity (receiver clock)"
 
-// Render formats A3.
-func (rows ClockAblation) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + a3Title + " ==\n")
-	fmt.Fprintf(&b, "%-40s %-14s %-12s\n", "clock", "medianRelErr", "trueMean")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-40s %-14.4f %-12v\n", r.Clock, r.MedianRelErr, r.TrueMean)
-	}
-	b.WriteString("note: one-way estimates absorb the sender-receiver offset directly;\n")
-	b.WriteString("      errors stay small while the offset is small versus true queueing delay\n")
-	return b.String()
-}
-
-// Table is A3 in across-seed form.
+// Table is A3, one row per receiver clock.
 func (rows ClockAblation) Table() stats.Table {
 	t := stats.Table{
 		Title:     a3Title,
 		RowHeader: "clock",
 		Columns:   []string{"medianRelErr", "trueMean(µs)"},
+		Notes: []string{"one-way estimates absorb the sender-receiver offset directly; " +
+			"errors stay small while the offset is small versus true queueing delay"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, stats.TableRow{Label: r.Clock, Cells: []float64{r.MedianRelErr, micros(r.TrueMean)}})
@@ -198,38 +176,52 @@ func RunBaselines(base scenario.Spec, targetUtil float64) BaselineResult {
 
 const b1Title = "B1: RLIR vs Multiflow vs sampling vs LDA (same tandem run)"
 
-// Render formats B1.
-func (r BaselineResult) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + b1Title + " ==\n")
-	fmt.Fprintf(&b, "%-22s %-16s %-10s\n", "mechanism", "medianRelErr", "scope")
-	fmt.Fprintf(&b, "%-22s %-16.4f %-10s\n", "RLIR (per flow)", r.RLIRMedian, "per-flow")
-	fmt.Fprintf(&b, "%-22s %-16.4f %-10s (%d flows)\n", "Multiflow (2-sample)", r.MultiflowMedian, "per-flow", r.MultiflowFlows)
-	fmt.Fprintf(&b, "%-22s %-16.4f %-10s (%d flows)\n", "NetFlow 1-in-32", r.SampledMedian, "per-flow", r.SampledFlows)
-	fmt.Fprintf(&b, "%-22s %-16.4f %-10s (est %v vs true %v)\n", "LDA", r.LDAMeanErr, "aggregate", r.LDAEstimate, r.TrueAggregate)
-	fmt.Fprintf(&b, "reference packets injected by RLIR: %d (LDA/NetFlow are passive)\n", r.RLIROverheadPkts)
-	b.WriteString("estimator-layer comparison table:\n")
-	b.WriteString(measure.RenderComparisons(r.Comparison))
-	b.WriteString("note: paper §5 — LDA is accurate but aggregate-only; Multiflow is per-flow but crude;\n")
-	b.WriteString("      sampling trades flow coverage for exactness; RLI(R) delivers per-flow fidelity\n")
-	b.WriteString("      at the cost of active probes\n")
-	return b.String()
-}
-
-// Table is B1 in across-seed form: the per-flow mechanisms fill medianRelErr,
-// the aggregate-only LDA fills aggRelErr, and the other cell is NaN — the
-// mechanism does not produce that metric.
+// Table is B1, one row per mechanism. The per-flow mechanisms fill
+// medianRelErr and the aggregate-only LDA fills aggRelErr; the other cell is
+// NaN, since the mechanism does not produce that metric. The remaining
+// columns are each mechanism's row of the run's estimator comparison
+// (measure.Comparison); aggRelErr(flows) is the aggregate a per-flow
+// mechanism's flow estimates imply.
 func (r BaselineResult) Table() stats.Table {
 	nan := math.NaN()
-	return stats.Table{
+	t := stats.Table{
 		Title:     b1Title,
 		RowHeader: "mechanism",
-		Columns:   []string{"medianRelErr", "aggRelErr"},
-		Rows: []stats.TableRow{
-			{Label: "RLIR", Cells: []float64{r.RLIRMedian, nan}},
-			{Label: "Multiflow (2-sample)", Cells: []float64{r.MultiflowMedian, nan}},
-			{Label: "NetFlow 1-in-32", Cells: []float64{r.SampledMedian, nan}},
-			{Label: "LDA", Cells: []float64{nan, r.LDAMeanErr}},
+		Columns: []string{"medianRelErr", "aggRelErr", "flows", "samples", "p99RelErr",
+			"aggRelErr(flows)", "misattr", "injBytes", "smpBytes"},
+		Notes: []string{
+			fmt.Sprintf("reference packets injected by RLIR: %d (LDA/NetFlow are passive)", r.RLIROverheadPkts),
+			fmt.Sprintf("LDA aggregate: est %v vs true %v", r.LDAEstimate, r.TrueAggregate),
+			"paper §5 — LDA is accurate but aggregate-only; Multiflow is per-flow but crude; " +
+				"sampling trades flow coverage for exactness; RLI(R) delivers per-flow fidelity at the cost of active probes",
 		},
 	}
+	for _, m := range []struct {
+		label, estimator string
+		median, agg      float64
+	}{
+		{"RLIR", "rli", r.RLIRMedian, nan},
+		{"Multiflow (2-sample)", "multiflow", r.MultiflowMedian, nan},
+		{"NetFlow 1-in-32", "netflow-sample", r.SampledMedian, nan},
+		{"LDA", "lda", nan, r.LDAMeanErr},
+	} {
+		cells := []float64{m.median, m.agg, nan, nan, nan, nan, nan, nan, nan}
+		if i := slices.IndexFunc(r.Comparison, func(c measure.Comparison) bool { return c.Estimator == m.estimator }); i >= 0 {
+			c := r.Comparison[i]
+			flowAgg := c.AggRelErr
+			if !math.IsNaN(m.agg) {
+				flowAgg = nan // an aggregate-only mechanism's one number is aggRelErr
+			}
+			copy(cells[2:], []float64{float64(c.Flows), float64(c.Samples), c.P99RelErr,
+				flowAgg, c.Misattribution, float64(c.Overhead.InjectedBytes), float64(c.Overhead.SampledBytes)})
+			if m.estimator == "rli" {
+				// RLIR's medianRelErr is its receiver's own summary; the
+				// estimator layer scores the same estimates against the
+				// shared ground truth, which can differ in the third digit.
+				t.Notes = append(t.Notes, fmt.Sprintf("estimator-layer rli medianRelErr: %.4f", c.MedianRelErr))
+			}
+		}
+		t.Rows = append(t.Rows, stats.TableRow{Label: m.label, Cells: cells})
+	}
+	return t
 }

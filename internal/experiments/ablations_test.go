@@ -27,7 +27,7 @@ func TestAblationEstimators(t *testing.T) {
 				lin.MedianRelErr, other, byName[other].MedianRelErr)
 		}
 	}
-	if rows.Render() == "" {
+	if rows.Table().Render() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -45,7 +45,7 @@ func TestAblationClocks(t *testing.T) {
 		t.Errorf("offset=100µs median %.4f should exceed perfect %.4f",
 			offset100.MedianRelErr, perfect.MedianRelErr)
 	}
-	out := rows.Render()
+	out := rows.Table().Render()
 	if !strings.Contains(out, "perfect") {
 		t.Fatal("render missing clocks")
 	}
@@ -72,7 +72,7 @@ func TestRunBaselines(t *testing.T) {
 	if r.RLIROverheadPkts == 0 {
 		t.Fatal("RLIR injected no reference packets")
 	}
-	if r.Render() == "" {
+	if r.Table().Render() == "" {
 		t.Fatal("empty render")
 	}
 }

@@ -112,7 +112,7 @@ func TestFig4aShape(t *testing.T) {
 		t.Errorf("adaptive median %.3f should be <= static %.3f at 93%%",
 			a93.CDF.Median(), s93.CDF.Median())
 	}
-	if f.Render() == "" {
+	if f.Table().Render() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -196,7 +196,7 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("adaptive diff %+.6f should be >= static diff %+.6f",
 			p.AdaptiveDiff, p.StaticDiff)
 	}
-	if r.Render() == "" {
+	if r.Table().Render() == "" {
 		t.Fatal("empty render")
 	}
 }
@@ -216,7 +216,7 @@ func TestScalars(t *testing.T) {
 	if s.TrueMean67Bursty <= s.TrueMean67Random {
 		t.Errorf("bursty mean %v should exceed random mean %v", s.TrueMean67Bursty, s.TrueMean67Random)
 	}
-	if !strings.Contains(s.Render(), "22%") {
+	if !strings.Contains(s.Table().Render(), "paper: ~0.22") {
 		t.Fatal("render missing paper reference")
 	}
 }

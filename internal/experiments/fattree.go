@@ -7,8 +7,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/scenario"
@@ -61,33 +59,21 @@ type DemuxAblation []*scenario.Result
 
 const a1Title = "A1: downstream demultiplexing strategies (k-ary fat-tree)"
 
-// Render formats A1 as a table.
-func (results DemuxAblation) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + a1Title + " ==\n")
-	fmt.Fprintf(&b, "%-14s %-8s %-14s %-14s %-12s %-12s\n",
-		"strategy", "flows", "medianRelErr", "under10%", "misattrib", "upstreamMed")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-14s %-8d %-14.4f %-14.1f %-12.4f %-12.4f\n",
-			r.Spec.Deploy.Demux, r.Overall.Flows, r.Overall.MedianRelErr,
-			r.Overall.FracUnder10Pct*100, r.Misattribution, r.Upstream.MedianRelErr)
-	}
-	b.WriteString("note: paper §3.1 — without demux, estimates at multiplexed receivers 'can be totally wrong'\n")
-	return b.String()
-}
-
-// Table is A1 in across-seed form.
+// Table is A1, one row per strategy: the destination ToR's flows and
+// accuracy, the demux's misattribution, and the upstream (core-resident)
+// receivers' median error.
 func (results DemuxAblation) Table() stats.Table {
 	t := stats.Table{
 		Title:     a1Title,
 		RowHeader: "strategy",
-		Columns:   []string{"misattribution", "downstreamMedian"},
+		Columns:   []string{"flows", "downstreamMedian", "fracUnder10%", "misattribution", "upstreamMedian"},
 		Notes:     []string{"paper §3.1 — without demux, estimates at multiplexed receivers 'can be totally wrong'"},
 	}
 	for _, r := range results {
 		t.Rows = append(t.Rows, stats.TableRow{
 			Label: r.Spec.Deploy.Demux,
-			Cells: []float64{r.Misattribution, r.Overall.MedianRelErr},
+			Cells: []float64{float64(r.Overall.Flows), r.Overall.MedianRelErr, r.Overall.FracUnder10Pct,
+				r.Misattribution, r.Upstream.MedianRelErr},
 		})
 	}
 	return t

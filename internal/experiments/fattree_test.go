@@ -92,7 +92,7 @@ func TestAblationDemuxShape(t *testing.T) {
 	}
 	// The A1 vocabulary is the spec's: the rendered rows carry the four names
 	// the -demux flag takes.
-	out := results.Render()
+	out := results.Table().Render()
 	for _, name := range []string{"oracle", "reverse-ecmp", "marking", "none"} {
 		if !strings.Contains(out, "\n"+name+" ") {
 			t.Fatalf("render has no %q row:\n%s", name, out)

@@ -27,33 +27,13 @@ type Figure struct {
 	Notes  []string
 }
 
-// title is the heading Render and Table share.
-func (f Figure) title() string { return f.ID + ": " + f.Title }
-
-// Render draws the figure as log-x CDF tables, the textual stand-in for
-// the paper's plots.
-func (f Figure) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + f.title() + " ==\n")
-	for _, s := range f.Series {
-		if s.CDF.N() == 0 {
-			fmt.Fprintf(&b, "%-28s (no samples)\n", s.Label)
-			continue
-		}
-		b.WriteString(s.CDF.Render(s.Label, 1e-3, 1e1, 9))
-	}
-	for _, n := range f.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
-	}
-	return b.String()
-}
-
-// Table summarizes the figure for the across-seed fold: each series'
-// headline quantiles. A series whose CDF came out empty contributes NaN —
-// "no value at this seed" — so the fold reports its effective n.
+// Table summarizes the figure: each series' headline quantiles. A series
+// whose CDF came out empty contributes NaN — "no value at this seed" — so
+// the fold reports its effective n. The curves themselves are the series'
+// CDFs (stats.CDF.Render draws one).
 func (f Figure) Table() stats.Table {
 	t := stats.Table{
-		Title:     f.title(),
+		Title:     f.ID + ": " + f.Title,
 		RowHeader: "series",
 		Columns:   []string{"medianRelErr", "p90RelErr", "fracUnder10%"},
 		Notes:     f.Notes,
@@ -226,25 +206,13 @@ func Fig5(base scenario.Spec, utils []float64) Fig5Result {
 
 const fig5Title = "fig5: Reference packet interference (loss rate difference)"
 
-// Render draws Figure 5 as a table.
-func (r Fig5Result) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + fig5Title + " ==\n")
-	fmt.Fprintf(&b, "%-8s %-9s %-12s %-12s %-12s\n", "util", "achieved", "base-loss", "adaptive", "static")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-8.2f %-9.2f %-12.6f %+-12.6f %+-12.6f\n",
-			p.TargetUtil, p.AchievedUtil, p.BaseLoss, p.AdaptiveDiff, p.StaticDiff)
-	}
-	b.WriteString("note: paper shape: static stays within ~4.2e-5; adaptive rises toward ~6e-4 near saturation\n")
-	return b.String()
-}
-
-// Table is Figure 5 in across-seed form, one row per target utilization.
+// Table is Figure 5, one row per target utilization.
 func (r Fig5Result) Table() stats.Table {
 	t := stats.Table{
 		Title:     fig5Title,
 		RowHeader: "util",
 		Columns:   []string{"achieved", "base-loss", "adaptive", "static"},
+		Notes:     []string{"paper shape: static stays within ~4.2e-5; adaptive rises toward ~6e-4 near saturation"},
 	}
 	for _, p := range r.Points {
 		t.Rows = append(t.Rows, stats.TableRow{
@@ -285,20 +253,8 @@ func RunScalars(base scenario.Spec) Scalars {
 
 const scalarsTitle = "scalars: §4.2 quoted numbers"
 
-// Render formats the scalars against the paper's quotes.
-func (s Scalars) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + scalarsTitle + " ==\n")
-	fmt.Fprintf(&b, "base utilization (regular only):   %.0f%%   (paper: ~22%%)\n", s.BaseUtil*100)
-	fmt.Fprintf(&b, "adaptive gap at base utilization:  1-and-%d (paper: 1-and-10)\n", s.AdaptiveGap)
-	fmt.Fprintf(&b, "true mean delay @67%% random:       %v (paper: ~3µs at OC-192 scale)\n", s.TrueMean67Random)
-	fmt.Fprintf(&b, "true mean delay @93%% random:       %v (paper: ~83µs)\n", s.TrueMean93Random)
-	fmt.Fprintf(&b, "true mean delay @67%% bursty:       %v (paper: ~117µs)\n", s.TrueMean67Bursty)
-	fmt.Fprintf(&b, "median rel err, static @93%%:       %.3f (paper: ~4.2%%-4.5%%)\n", s.Median93Static)
-	return b.String()
-}
-
-// Table lists the scalars one per row, durations in microseconds.
+// Table lists the scalars one per row, durations in microseconds, with the
+// paper's quoted delays as a note.
 func (s Scalars) Table() stats.Table {
 	row := func(label string, v float64) stats.TableRow {
 		return stats.TableRow{Label: label, Cells: []float64{v}}
@@ -307,6 +263,7 @@ func (s Scalars) Table() stats.Table {
 		Title:     scalarsTitle,
 		RowHeader: "quantity",
 		Columns:   []string{"value"},
+		Notes:     []string{"paper, at OC-192 scale: true mean delay ~3µs @67% random, ~83µs @93% random, ~117µs @67% bursty"},
 		Rows: []stats.TableRow{
 			row("base utilization, regular only (paper: ~0.22)", s.BaseUtil),
 			row("adaptive gap at base utilization (paper: 10)", float64(s.AdaptiveGap)),

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
@@ -195,7 +195,7 @@ func (cfg LocalizationConfig) segmentReports(r *scenario.Result) []core.SegmentR
 	return append(up, down...)
 }
 
-// faultLabel names the injected fault for the rendering and the table row.
+// faultLabel names the injected fault: the label of its table row.
 func (cfg LocalizationConfig) faultLabel() string {
 	f := cfg.Fault
 	if f == nil {
@@ -206,40 +206,34 @@ func (cfg LocalizationConfig) faultLabel() string {
 
 const l1Title = "L1: latency anomaly localization across segments"
 
-// Render formats the localization scenario: both passes' segments and the
-// verdict.
-func (r LocalizationResult) Render() string {
-	var b strings.Builder
-	b.WriteString("== " + l1Title + " ==\n")
-	fmt.Fprintf(&b, "fault: %s\n", r.Config.faultLabel())
-	fmt.Fprintf(&b, "%-22s %12s %12s\n", "segment", "baseline", "faulty")
-	for i := range r.Baseline {
-		fmt.Fprintf(&b, "%-22s %12v %12v\n", r.Baseline[i].Name, r.Baseline[i].Mean, r.Faulty[i].Mean)
-	}
-	if len(r.Anomalies) == 0 {
-		b.WriteString("verdict: no anomalies flagged\n")
-	}
-	for _, a := range r.Anomalies {
-		fmt.Fprintf(&b, "verdict: %s\n", a)
-	}
-	fmt.Fprintf(&b, "localized correctly: %v (expected %v)\n", r.Localized(), r.ExpectedSegments)
-	return b.String()
-}
-
-// Table is L1 in across-seed form: one row for the injected fault, with the
-// verdict as a 0/1 column so its across-seed mean is the success rate.
+// Table is L1: one row for the injected fault, with the verdict as a 0/1
+// column so its across-seed mean is the success rate, then one row per
+// segment with its mean estimated delay in both passes. The localizer's
+// verdicts are notes.
 func (r LocalizationResult) Table() stats.Table {
+	nan := math.NaN()
 	localized := 0.0
 	if r.Localized() {
 		localized = 1
 	}
-	return stats.Table{
+	t := stats.Table{
 		Title:     l1Title,
-		RowHeader: "fault",
-		Columns:   []string{"localized", "faultyInflation"},
+		RowHeader: "fault / segment",
+		Columns:   []string{"localized", "faultyInflation", "baseline(µs)", "faulty(µs)"},
 		Rows: []stats.TableRow{{
 			Label: r.Config.faultLabel(),
-			Cells: []float64{localized, r.FaultyInflation()},
+			Cells: []float64{localized, r.FaultyInflation(), nan, nan},
 		}},
 	}
+	for i, b := range r.Baseline {
+		t.Rows = append(t.Rows, stats.TableRow{Label: b.Name, Cells: []float64{nan, nan, micros(b.Mean), micros(r.Faulty[i].Mean)}})
+	}
+	if len(r.Anomalies) == 0 {
+		t.Notes = append(t.Notes, "verdict: no anomalies flagged")
+	}
+	for _, a := range r.Anomalies {
+		t.Notes = append(t.Notes, fmt.Sprintf("verdict: %s", a))
+	}
+	t.Notes = append(t.Notes, fmt.Sprintf("localized correctly: %v (expected %v)", r.Localized(), r.ExpectedSegments))
+	return t
 }

@@ -50,7 +50,7 @@ func TestLocalizationDstAggFault(t *testing.T) {
 	if infl := res.FaultyInflation(); infl < 5 {
 		t.Fatalf("a 300µs fault inflated its segments only %.1fx", infl)
 	}
-	if out := res.Render(); !strings.Contains(out, "hop-delay agg3.0 +300µs") || !strings.Contains(out, "localized correctly: true") {
+	if out := res.Table().Render(); !strings.Contains(out, "hop-delay agg3.0 +300µs") || !strings.Contains(out, "localized correctly: true") {
 		t.Fatalf("render:\n%s", out)
 	}
 }
@@ -110,7 +110,7 @@ func TestLocalizationPassesDifferOnlyInFaults(t *testing.T) {
 func TestLocalizationRunToRunIdentical(t *testing.T) {
 	a, b := runLoc(t, smallLoc()), runLoc(t, smallLoc())
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two runs at one seed differ:\n%s\n%s", a.Render(), b.Render())
+		t.Fatalf("two runs at one seed differ:\n%s\n%s", a.Table().Render(), b.Table().Render())
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 	"github.com/netmeasure/rlir/internal/topo"
 )
 
-// Result is what every target regenerates: its own single-run rendering
-// (the paper's figure or table) and the same metrics as a stats.Table, the
-// form Sweep folds across seeds.
+// Result is what every target regenerates: its metrics as a stats.Table,
+// which Render prints for one run and Sweep folds across seeds.
 type Result interface {
-	Render() string
 	Table() stats.Table
 }
 
@@ -118,17 +116,15 @@ func runPlacement() PlacementResult {
 
 const placementTitle = "§3.1: deployment complexity (measurement instances)"
 
-// Render formats the table with its closed forms.
-func (p PlacementResult) Render() string {
-	return "== " + placementTitle + " ==\n" + topo.FormatTable(p)
-}
-
-// Table is the placement table as metrics, one row per arity.
+// Table is the placement table, one row per arity, with the closed forms
+// as a note.
 func (p PlacementResult) Table() stats.Table {
 	t := stats.Table{
 		Title:     placementTitle,
 		RowHeader: "k",
 		Columns:   []string{"pair-of-ifaces", "pair-of-ToRs", "all-ToR-pairs", "full-deploy", "savings(x)"},
+		Notes: []string{"closed forms: pair-of-ifaces (k+2), pair-of-ToRs k(k+2)/2, all-ToR-pairs (k/2)^2(k+1), " +
+			"full-deploy (5/4)k^3(k-1), savings = full-deploy / all-ToR-pairs"},
 	}
 	for _, r := range p {
 		t.Rows = append(t.Rows, stats.TableRow{

@@ -263,19 +263,3 @@ func TestMergeReports(t *testing.T) {
 		t.Fatalf("merged routers %+v", m.Routers)
 	}
 }
-
-// TestRenderComparisons smoke-checks the table renderer, including the
-// NaN-as-dash convention for aggregate-only rows.
-func TestRenderComparisons(t *testing.T) {
-	rows := []Comparison{
-		{Estimator: "rli", Flows: 10, Samples: 100, MedianRelErr: 0.1, P99RelErr: 0.5, AggRelErr: 0.02},
-		{Estimator: "lda", MedianRelErr: math.NaN(), P99RelErr: math.NaN(), AggRelErr: 0.03},
-	}
-	out := RenderComparisons(rows)
-	if !strings.Contains(out, "rli") || !strings.Contains(out, "lda") {
-		t.Fatalf("render missing rows:\n%s", out)
-	}
-	if !strings.Contains(out, "-") {
-		t.Fatalf("aggregate-only NaNs not rendered as dashes:\n%s", out)
-	}
-}

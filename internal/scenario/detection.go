@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/stats"
@@ -64,24 +63,12 @@ func (d *DetectionReport) Row(name string) (DetectionRow, bool) {
 	return DetectionRow{}, false
 }
 
-// Render formats the report as a text table.
-func (d *DetectionReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "adversarial delay detection (hidden=%v window=%v trueShift=%v threshold=%.2f):\n",
-		d.HiddenDelay, d.Window, d.TrueShift, d.Threshold)
-	fmt.Fprintf(&b, "%-16s %14s %14s %14s %10s %9s\n",
-		"estimator", "cleanAgg", "advAgg", "shift", "exposure", "detected")
-	for _, r := range d.Rows {
-		fmt.Fprintf(&b, "%-16s %14v %14v %14v %10.3f %9v\n",
-			r.Estimator, r.CleanAgg, r.AdvAgg, r.Shift, r.Exposure, r.Detected)
-	}
-	return b.String()
-}
-
-// Table is the report in across-seed form: per mechanism, the exposed
-// fraction of the true shift and the verdict as a 0/1 column, so its
-// across-seed mean is the fraction of seeds the mechanism detected on. A nil
-// report — the spec ran without an adversary — is the empty table.
+// Table is the report as a table: per mechanism, its aggregate estimate on
+// the clean and adversarial runs and the shift between them, the exposed
+// fraction of the true shift, and the verdict as a 0/1 column, so its
+// across-seed mean is the fraction of seeds the mechanism detected on. The
+// window, threshold and true shift are notes. A nil report — the spec ran
+// without an adversary — is the empty table.
 func (d *DetectionReport) Table() stats.Table {
 	if d == nil {
 		return stats.Table{}
@@ -89,14 +76,16 @@ func (d *DetectionReport) Table() stats.Table {
 	out := stats.Table{
 		Title:     fmt.Sprintf("adversarial delay detection (hidden=%v)", d.HiddenDelay),
 		RowHeader: "estimator",
-		Columns:   []string{"exposure", "detected"},
+		Columns:   []string{"cleanAgg(µs)", "advAgg(µs)", "shift(µs)", "exposure", "detected"},
+		Notes: []string{
+			fmt.Sprintf("window=%v threshold=%.2f", d.Window, d.Threshold),
+			fmt.Sprintf("trueShift=%v", d.TrueShift),
+		},
 	}
 	for _, r := range d.Rows {
-		detected := 0.0
-		if r.Detected {
-			detected = 1
-		}
-		out.Rows = append(out.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{r.Exposure, detected}})
+		out.Rows = append(out.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{
+			micros(r.CleanAgg), micros(r.AdvAgg), micros(r.Shift), r.Exposure, flag01(r.Detected),
+		}})
 	}
 	return out
 }

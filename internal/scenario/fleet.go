@@ -3,12 +3,13 @@ package scenario
 import (
 	"fmt"
 	"reflect"
-	"strings"
+	"strconv"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/fleet"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // FleetInstance is one collection partition's share of the run.
@@ -75,35 +76,45 @@ func (f *FleetReport) Row(name string) (FleetEstimatorRow, bool) {
 	return FleetEstimatorRow{}, false
 }
 
-// Render formats the report as a text table.
-func (f *FleetReport) Render() string {
-	var b strings.Builder
-	exact := "EXACT"
+// Tables is the report as tables: each partition's share, with the merge
+// verdict as a note, and — when the spec killed an instance — every
+// estimator before and after the loss. A nil report (the spec ran no fleet)
+// has none.
+func (f *FleetReport) Tables() []stats.Table {
+	if f == nil {
+		return nil
+	}
+	verdict := "EXACT"
 	if !f.MergeExact {
-		exact = "DIVERGED"
+		verdict = "DIVERGED"
 	}
-	fmt.Fprintf(&b, "fleet collection (%d instances): merge %s, %d flows\n", f.Instances, exact, f.MergedFlows)
+	parts := stats.Table{
+		Title:     fmt.Sprintf("fleet collection (%d instances)", f.Instances),
+		RowHeader: "instance",
+		Columns:   []string{"flows", "samples", "failed"},
+		Notes:     []string{fmt.Sprintf("merge %s, %d flows", verdict, f.MergedFlows)},
+	}
 	for _, in := range f.PerInstance {
-		mark := ""
-		if in.Failed {
-			mark = "  [FAILED]"
-		}
-		fmt.Fprintf(&b, "  instance %d: %d flows, %d samples%s\n", in.Instance, in.Flows, in.Samples, mark)
+		parts.Rows = append(parts.Rows, stats.TableRow{Label: strconv.Itoa(in.Instance), Cells: []float64{
+			float64(in.Flows), float64(in.Samples), flag01(in.Failed),
+		}})
 	}
-	if f.FailInstance >= 0 {
-		fmt.Fprintf(&b, "after losing instance %d (%d of %d flows survive):\n",
-			f.FailInstance, f.DegradedFlows, f.MergedFlows)
-		fmt.Fprintf(&b, "%-16s %10s %14s %22s %22s\n",
-			"estimator", "flowsLost", "flows", "medianRelErr", "aggRelErr")
-		for _, r := range f.Rows {
-			fmt.Fprintf(&b, "%-16s %10d %6d -> %-5d %9.4f -> %-9.4f %9.4f -> %-9.4f\n",
-				r.Estimator, r.FlowsLost,
-				r.Baseline.Flows, r.Degraded.Flows,
-				r.Baseline.MedianRelErr, r.Degraded.MedianRelErr,
-				r.Baseline.AggRelErr, r.Degraded.AggRelErr)
-		}
+	if f.FailInstance < 0 {
+		return []stats.Table{parts}
 	}
-	return b.String()
+	loss := stats.Table{
+		Title: fmt.Sprintf("after losing instance %d (%d of %d flows survive)",
+			f.FailInstance, f.DegradedFlows, f.MergedFlows),
+		RowHeader: "estimator",
+		Columns:   []string{"flowsLost", "flows", "degradedFlows", "medianRelErr", "degradedMedian", "aggRelErr", "degradedAgg"},
+	}
+	for _, r := range f.Rows {
+		loss.Rows = append(loss.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{
+			float64(r.FlowsLost), float64(r.Baseline.Flows), float64(r.Degraded.Flows),
+			r.Baseline.MedianRelErr, r.Degraded.MedianRelErr, r.Baseline.AggRelErr, r.Degraded.AggRelErr,
+		}})
+	}
+	return []stats.Table{parts, loss}
 }
 
 // loseInstance thins one estimator's report to what survives when partition

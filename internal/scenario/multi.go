@@ -51,18 +51,20 @@ type MultiResult struct {
 	Fleet []collector.FlowAgg
 }
 
-// ComparisonTable is the run's estimator comparison (Result.Comparison) in
-// across-seed form: one row per mechanism, NaN where it does not produce the
-// metric.
+// ComparisonTable is the run's estimator comparison (Result.Comparison):
+// one row per mechanism, NaN where it does not produce the metric. It is
+// what the paper's §5 argument rests on: per-flow fidelity, attribution
+// quality, and what each mechanism costs (injected wire bytes vs sampled
+// collection bytes).
 func (r *Result) ComparisonTable() stats.Table {
 	t := stats.Table{
 		Title:     "estimator comparison",
 		RowHeader: "estimator",
-		Columns:   []string{"flows", "medianRelErr", "p99RelErr", "aggRelErr", "injBytes", "smpBytes"},
+		Columns:   []string{"flows", "samples", "medianRelErr", "p99RelErr", "aggRelErr", "misattr", "injBytes", "smpBytes"},
 	}
 	for _, c := range r.Comparison {
 		t.Rows = append(t.Rows, stats.TableRow{Label: c.Estimator, Cells: []float64{
-			float64(c.Flows), c.MedianRelErr, c.P99RelErr, c.AggRelErr,
+			float64(c.Flows), float64(c.Samples), c.MedianRelErr, c.P99RelErr, c.AggRelErr, c.Misattribution,
 			float64(c.Overhead.InjectedBytes), float64(c.Overhead.SampledBytes),
 		}})
 	}

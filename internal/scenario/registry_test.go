@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,9 @@ func TestScenarioRegistrySmoke(t *testing.T) {
 					t.Logf("result:\n%s", res.Render())
 				}
 				t.Fatal(err)
+			}
+			if out := res.Render(); strings.Contains(out, "NaN") {
+				t.Errorf("report prints a NaN:\n%s", out)
 			}
 			t.Logf("%s: flows=%d medianErr=%.4f estP99=%v hotUtil=%.2f misattr=%.4f samples=%d",
 				sc.Name, res.Overall.Flows, res.Overall.MedianRelErr, res.EstP99,

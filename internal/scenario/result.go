@@ -167,9 +167,10 @@ func (r *Result) Segment(name string) (SegmentStats, bool) {
 // renderFlows is how many per-flow rows Render prints.
 const renderFlows = 10
 
-// Render formats the result as a text report: headline, summaries and
-// counters, the first per-flow rows and the CDF of their errors, then
-// whatever tables the spec asked for.
+// Render formats the result as a text report: the headline counters and
+// summaries, the link-trace and replication summaries when the spec asked
+// for them, the CDF of the per-flow errors, then every table the run
+// produced, each drawn by stats.Table.Render.
 func (r *Result) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== scenario %s (seed %d) ==\n", r.Spec.Name, r.Seed)
@@ -188,43 +189,82 @@ func (r *Result) Render() string {
 	if tandem {
 		fmt.Fprintf(&b, "regular loss rate: %.6f\n", r.LossRate())
 	}
-	b.WriteString(core.FormatResults(r.Results, renderFlows))
-	b.WriteString(core.MeanErrCDF(r.Results).Render("relative error (mean estimates)", 1e-3, 1e1, 9))
-	if len(r.Routers) > 0 {
-		fmt.Fprintf(&b, "%-10s %-18s %8s %10s %12s %12s %12s\n",
-			"router", "segment", "flows", "medianErr", "estP50", "estP99", "trueP99")
-		for _, rs := range r.Routers {
-			fmt.Fprintf(&b, "%-10s %-18s %8d %10.4f %12v %12v %12v\n",
-				rs.Router, rs.Segment, rs.Summary.Flows, rs.Summary.MedianRelErr,
-				rs.EstP50, rs.EstP99, rs.TrueP99)
-		}
-	}
-	if len(r.Segments) > 0 {
-		fmt.Fprintf(&b, "%-22s %8s %10s %12s %12s\n", "segment", "flows", "medianErr", "estMean", "trueMean")
-		for _, s := range r.Segments {
-			fmt.Fprintf(&b, "%-22s %8d %10.4f %12v %12v\n", s.Name, s.Flows, s.MedianRelErr, s.EstMean, s.TrueMean)
-		}
-	}
-	if len(r.Comparison) > 0 {
-		b.WriteString("estimator comparison (single pass, shared ground truth):\n")
-		b.WriteString(measure.RenderComparisons(r.Comparison))
-	}
-	if r.Telemetry != nil {
-		b.WriteString(r.Telemetry.Render())
-	}
-	if r.FleetReport != nil {
-		b.WriteString(r.FleetReport.Render())
-	}
 	if r.LinkTrace != nil {
 		b.WriteString(r.LinkTrace.Render())
 	}
 	if r.RepFlow != nil {
 		b.WriteString(r.RepFlow.Render())
 	}
-	if r.Detection != nil {
-		b.WriteString(r.Detection.Render())
+	b.WriteString(core.MeanErrCDF(r.Results).Render("relative error (mean estimates)", 1e-3, 1e1, 9))
+	tables := []stats.Table{r.flowTable(), r.routerTable(), r.segmentTable(), r.ComparisonTable(), r.Telemetry.Table()}
+	tables = append(tables, r.FleetReport.Tables()...)
+	for _, t := range append(tables, r.Detection.Table()) {
+		if len(t.Rows) > 0 {
+			b.WriteString(t.Render())
+		}
 	}
 	return b.String()
+}
+
+// flowTable lists the first renderFlows per-flow results.
+func (r *Result) flowTable() stats.Table {
+	t := stats.Table{
+		Title:     "per-flow results",
+		RowHeader: "flow",
+		Columns:   []string{"pkts", "estMean(µs)", "trueMean(µs)", "relErr", "relErrStd"},
+	}
+	for _, f := range r.Results[:min(len(r.Results), renderFlows)] {
+		t.Rows = append(t.Rows, stats.TableRow{Label: f.Key.String(), Cells: []float64{
+			float64(f.N), micros(f.EstMean), micros(f.TrueMean), f.RelErrMean, f.RelErrStd,
+		}})
+	}
+	if more := len(r.Results) - renderFlows; more > 0 {
+		t.Notes = []string{fmt.Sprintf("%d more flows", more)}
+	}
+	return t
+}
+
+// routerTable is per-router accuracy and delay tails.
+func (r *Result) routerTable() stats.Table {
+	t := stats.Table{
+		Title:     "routers",
+		RowHeader: "router (segment)",
+		Columns:   []string{"flows", "medianRelErr", "estP50(µs)", "estP99(µs)", "trueP99(µs)"},
+	}
+	for _, rs := range r.Routers {
+		t.Rows = append(t.Rows, stats.TableRow{Label: rs.Router + " (" + rs.Segment + ")", Cells: []float64{
+			float64(rs.Summary.Flows), rs.Summary.MedianRelErr, micros(rs.EstP50), micros(rs.EstP99), micros(rs.TrueP99),
+		}})
+	}
+	return t
+}
+
+// segmentTable is per core->ToR segment accuracy and mean delays.
+func (r *Result) segmentTable() stats.Table {
+	t := stats.Table{
+		Title:     "segments",
+		RowHeader: "segment",
+		Columns:   []string{"flows", "medianRelErr", "estMean(µs)", "trueMean(µs)"},
+	}
+	for _, s := range r.Segments {
+		t.Rows = append(t.Rows, stats.TableRow{Label: s.Name, Cells: []float64{
+			float64(s.Flows), s.MedianRelErr, micros(s.EstMean), micros(s.TrueMean),
+		}})
+	}
+	return t
+}
+
+// micros converts a duration to float64 microseconds, the unit tables
+// print delays in.
+func micros(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+
+// flag01 is a yes/no outcome as a table cell: its across-seed mean is the
+// fraction of seeds it held on.
+func flag01(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // routerRec accumulates one receiver's per-packet estimate/truth tails while

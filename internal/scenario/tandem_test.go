@@ -2,9 +2,12 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/measure"
 )
 
 // smallTandem is the CI-sized Figure-3 spec, cut to 200 ms and RLI only.
@@ -43,7 +46,7 @@ func TestRenderShowsCountersAndFlows(t *testing.T) {
 			"downstream: " + r.Overall.String() + "\n",
 			fmt.Sprintf("receiver: %+v\n", r.Receiver),
 			fmt.Sprintf("sender:   %+v\n", r.Sender),
-			fmt.Sprintf("... %d more\n", len(r.Results)-renderFlows),
+			fmt.Sprintf("note: %d more flows\n", len(r.Results)-renderFlows),
 			fmt.Sprintf("relative error (mean estimates) n=%d ", len(r.Results)),
 		} {
 			if !strings.Contains(out, want) {
@@ -53,6 +56,83 @@ func TestRenderShowsCountersAndFlows(t *testing.T) {
 		if strings.Contains(out, tc.not) || r.Sender.Injected == 0 {
 			t.Fatalf("%s: render shows %q or no references were injected:\n%s", tc.spec.Name, tc.not, out)
 		}
+	}
+}
+
+// TestRenderAlignsLongNames pins the one table renderer's column alignment
+// on a run whose router row label, "sw2 (sw1-egress->bottleneck)", is far
+// longer than any fixed-width column the reports once used: every cell of
+// every row starts where its header does.
+func TestRenderAlignsLongNames(t *testing.T) {
+	r, err := Run(smallTandem(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := r.Render()
+	lines := tableLines(t, out, "routers")
+	if len(lines) < 2 || !strings.Contains(lines[1], "sw1-egress->bottleneck") {
+		t.Fatalf("routers table:\n%s", out)
+	}
+	checkAligned(t, lines)
+	checkAligned(t, tableLines(t, out, "per-flow results"))
+}
+
+// tableLines returns the header and row lines of the rendered table titled
+// title.
+func tableLines(t *testing.T, out, title string) []string {
+	t.Helper()
+	_, rest, ok := strings.Cut(out, "== "+title+" ==\n")
+	if !ok {
+		t.Fatalf("no %q table in:\n%s", title, out)
+	}
+	var lines []string
+	for _, l := range strings.Split(rest, "\n") {
+		if l == "" || strings.HasPrefix(l, "==") || strings.HasPrefix(l, "note: ") {
+			break
+		}
+		lines = append(lines, l)
+	}
+	return lines
+}
+
+// checkAligned fails unless every line has a cell starting at each column
+// start of the header (lines[0]), two or more spaces after the previous one.
+func checkAligned(t *testing.T, lines []string) {
+	t.Helper()
+	header := []rune(lines[0])
+	var starts []int
+	for i := 2; i < len(header); i++ {
+		if header[i] != ' ' && header[i-1] == ' ' && header[i-2] == ' ' {
+			starts = append(starts, i)
+		}
+	}
+	for _, l := range lines[1:] {
+		row := []rune(l)
+		for _, s := range starts {
+			if s >= len(row) || row[s] == ' ' || row[s-1] != ' ' || row[s-2] != ' ' {
+				t.Fatalf("row %q has no cell at rune %d (header %q)", l, s, lines[0])
+			}
+		}
+	}
+}
+
+// TestComparisonTableRenders: the estimator comparison prints every field
+// of measure.Comparison the report carries, and a metric a mechanism does
+// not produce as n/a, never NaN.
+func TestComparisonTableRenders(t *testing.T) {
+	nan := math.NaN()
+	r := &Result{Comparison: []measure.Comparison{
+		{Estimator: "rli", Flows: 10, Samples: 100, MedianRelErr: 0.1, P99RelErr: 0.5, AggRelErr: 0.02, Misattribution: 0.25},
+		{Estimator: "lda", MedianRelErr: nan, P99RelErr: nan, AggRelErr: 0.03, Overhead: measure.Overhead{SampledBytes: 8192}},
+	}}
+	out := r.ComparisonTable().Render()
+	for _, want := range []string{"samples", "misattr", "smpBytes", "\nrli  ", "100", "0.2500", "\nlda  ", "n/a", "8192"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("comparison render lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "NaN") {
+		t.Errorf("comparison render prints NaN:\n%s", out)
 	}
 }
 

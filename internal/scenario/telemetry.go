@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/measure"
@@ -68,26 +67,11 @@ func (t *TelemetryReport) Row(name string) (TelemetryRow, bool) {
 	return TelemetryRow{}, false
 }
 
-// Render formats the report as a text table.
-func (t *TelemetryReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "telemetry loss (frame=%d records, p(drop)=%.2f):\n", t.FrameRecords, t.LossRate)
-	fmt.Fprintf(&b, "%-16s %7s %8s %14s %22s %22s\n",
-		"estimator", "frames", "dropped", "flows", "medianRelErr", "aggRelErr")
-	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "%-16s %7d %8d %6d -> %-5d %9.4f -> %-9.4f %9.4f -> %-9.4f\n",
-			r.Estimator, r.FramesTotal, r.FramesDropped,
-			r.Baseline.Flows, r.Degraded.Flows,
-			r.Baseline.MedianRelErr, r.Degraded.MedianRelErr,
-			r.Baseline.AggRelErr, r.Degraded.AggRelErr)
-	}
-	return b.String()
-}
-
-// Table is the report in across-seed form: per mechanism, the dropped
-// frames, the surviving flow coverage and the error before and after loss
-// (NaN for the per-flow metrics of an aggregate-only mechanism). A nil
-// report — the spec ran without telemetry loss — is the empty table.
+// Table is the report as a table: per mechanism, its export frames and how
+// many were dropped, its scored flows before and after loss and their
+// coverage, and the error before and after loss (NaN for the per-flow
+// metrics of an aggregate-only mechanism). A nil report — the spec ran
+// without telemetry loss — is the empty table.
 func (t *TelemetryReport) Table() stats.Table {
 	if t == nil {
 		return stats.Table{}
@@ -95,11 +79,13 @@ func (t *TelemetryReport) Table() stats.Table {
 	out := stats.Table{
 		Title:     fmt.Sprintf("telemetry loss (frame=%d records, p(drop)=%.2f)", t.FrameRecords, t.LossRate),
 		RowHeader: "estimator",
-		Columns:   []string{"dropped", "coverage", "medianRelErr", "degradedMedian", "deltaMedian", "degradedAgg"},
+		Columns: []string{"frames", "dropped", "flows", "degradedFlows", "coverage",
+			"medianRelErr", "degradedMedian", "deltaMedian", "degradedAgg"},
 	}
 	for _, r := range t.Rows {
 		out.Rows = append(out.Rows, stats.TableRow{Label: r.Estimator, Cells: []float64{
-			float64(r.FramesDropped), r.FlowCoverage(),
+			float64(r.FramesTotal), float64(r.FramesDropped),
+			float64(r.Baseline.Flows), float64(r.Degraded.Flows), r.FlowCoverage(),
 			r.Baseline.MedianRelErr, r.Degraded.MedianRelErr, r.DeltaMedianRelErr(), r.Degraded.AggRelErr,
 		}})
 	}

@@ -95,19 +95,56 @@ func (c Config) withDefaults() Config {
 }
 
 // LoadConfig reads a JSON config file (the -config front-end of cmd/rlird).
-// Unknown fields are rejected so a misspelled knob fails loudly.
+// The file must hold exactly one JSON object: unknown fields, trailing data
+// and negative values are rejected so a mistyped knob fails loudly.
 func LoadConfig(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, err
 	}
+	c, err := decodeConfig(data)
+	if err != nil {
+		return Config{}, fmt.Errorf("service: bad config %s: %w", path, err)
+	}
+	return c, nil
+}
+
+// decodeConfig parses and validates one JSON config object.
+func decodeConfig(data []byte) (Config, error) {
 	var c Config
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("service: bad config %s: %w", path, err)
+		return Config{}, err
 	}
-	return c, nil
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, errors.New("data after the config object")
+	}
+	return c, c.Validate()
+}
+
+// Validate rejects a negative size or duration. Zero means "the default"
+// for every field, so no negative value has a meaning; left in, a negative
+// MaxFlows would silently mean "unbounded".
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"shards", int64(c.Shards)},
+		{"depth", int64(c.Depth)},
+		{"max_frame_records", int64(c.MaxFrameRecords)},
+		{"max_flows", int64(c.MaxFlows)},
+		{"flow_window_ns", int64(c.FlowWindow)},
+		{"max_classes", int64(c.MaxClasses)},
+		{"window_ns", int64(c.Window)},
+		{"drain_timeout_ns", int64(c.DrainTimeout)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("service: %s %d is negative (0 selects the default)", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // routerAgg is one exporter's rolling view, keyed by the name its hello
@@ -176,7 +213,11 @@ type Server struct {
 
 // New starts a server: collector shards, the configured ingest listeners,
 // the rolling-rate ticker, and (when cfg.HTTP is set) the query API server.
+// A config Validate rejects starts nothing.
 func New(cfg Config) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg: cfg,

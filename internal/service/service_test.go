@@ -369,3 +369,44 @@ func TestLoadConfig(t *testing.T) {
 		t.Fatal("misspelled config field accepted")
 	}
 }
+
+// TestLoadConfigRejectsMalformed: a config file is exactly one JSON object
+// with no negative size or duration. Trailing data, a second object and a
+// negative value (a negative max_flows once meant "unbounded") are errors
+// naming the file, and New refuses a negative field too.
+func TestLoadConfigRejectsMalformed(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ body, want string }{
+		{`{"shards":2} trailing junk`, "after the config object"},
+		{`{"shards":2}{"shards":9}`, "after the config object"},
+		{`{"max_flows": -5}`, "max_flows -5"},
+		{`{"shards": -3}`, "shards -3"},
+		{`{"depth": -1}`, "depth -1"},
+		{`{"max_frame_records": -7}`, "max_frame_records -7"},
+		{`{"flow_window_ns": -1}`, "flow_window_ns -1"},
+		{`{"drain_timeout_ns": -1}`, "drain_timeout_ns -1"},
+	} {
+		path := dir + "/c.json"
+		if err := writeFile(path, tc.body); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadConfig(path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), path) {
+			t.Errorf("LoadConfig(%s) = %+v, %v; want an error naming the file and %q", tc.body, cfg, err, tc.want)
+		}
+	}
+	// Whitespace after the object is not data.
+	path := dir + "/ok.json"
+	if err := writeFile(path, "{\"shards\": 2}\n\n"); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err := LoadConfig(path); err != nil || cfg.Shards != 2 {
+		t.Fatalf("LoadConfig(trailing newline) = %+v, %v", cfg, err)
+	}
+	for _, cfg := range []Config{{MaxFlows: -5}, {Shards: -3}, {Depth: -1}, {MaxFrameRecords: -7}, {Window: -1}} {
+		if s, err := New(cfg); err == nil {
+			s.Shutdown(context.Background())
+			t.Errorf("New(%+v) started", cfg)
+		}
+	}
+}

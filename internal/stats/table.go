@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
 
 // Table is one run's metrics in table form: labelled rows × named float64
 // columns. It is the single shape every figure, ablation and scenario
-// sub-table takes to be folded across seeds (FoldTables).
+// report takes, both to be printed for one run (Render) and to be folded
+// across seeds (FoldTables).
 //
 // A NaN cell means "this row does not produce the metric" (LDA has no
 // per-flow error; a series whose CDF came out empty has no quantiles): it
@@ -120,9 +122,21 @@ func (t TableCI) Cell(row, col string) (MetricCI, bool) {
 	return MetricCI{}, false
 }
 
-// Render draws the table: every cell as mean ±CI (a plain value when one
-// run was folded, "n/a" when no run produced the cell), and a cell fewer
-// runs produced than were folded marked with its effective n.
+// Render draws a single run's table: its N = 1 fold, drawn by
+// TableCI.Render. A table whose rows do not match its columns is a bug in
+// the code that built it, and panics.
+func (t Table) Render() string {
+	ci, err := FoldTables([]Table{t})
+	if err != nil {
+		panic(err)
+	}
+	return ci.Render()
+}
+
+// Render draws the table: every cell as mean ±CI, "n/a" when no run
+// produced the cell, and a cell fewer runs produced than were folded marked
+// with its effective n. A one-run fold prints plain values (see
+// singleValue).
 func (t TableCI) Render() string {
 	grid := make([][]string, 0, len(t.Rows)+1)
 	grid = append(grid, append([]string{t.RowHeader}, t.Columns...))
@@ -130,6 +144,9 @@ func (t TableCI) Render() string {
 		line := []string{r.Label}
 		for _, c := range r.Cells {
 			s := c.String()
+			if t.N == 1 && c.N == 1 {
+				s = singleValue(c.Mean)
+			}
 			if c.N > 0 && c.N < t.N {
 				s += fmt.Sprintf(" (n=%d)", c.N)
 			}
@@ -162,4 +179,19 @@ func (t TableCI) Render() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
+}
+
+// singleValue formats one run's cell: an integral value (a count, a 0/1
+// verdict) as an integer, a nonzero value below 1e-3 (a loss-rate delta)
+// with three significant digits, and anything else as MetricCI does.
+func singleValue(x float64) string {
+	switch abs := math.Abs(x); {
+	case x == 0:
+		return "0" // not "-0"
+	case x == math.Trunc(x) && abs < 1e15:
+		return strconv.FormatFloat(x, 'f', 0, 64)
+	case abs < 1e-3:
+		return strconv.FormatFloat(x, 'g', 3, 64)
+	}
+	return fmt.Sprintf("%.4f", x)
 }

@@ -83,6 +83,36 @@ func TestFoldTablesSingle(t *testing.T) {
 	}
 }
 
+// TestTableRender: a single run's table is its N = 1 fold, drawn by the one
+// renderer. Integral cells print as integers, nonzero cells below 1e-3 keep
+// three significant digits, a NaN cell prints n/a (never NaN, never -0), and
+// every column starts at one offset however long the labels are.
+func TestTableRender(t *testing.T) {
+	tbl := table(
+		row("flows", 9322, 0.5),
+		row("loss delta", 4.2e-5, -0.000609),
+		row("zero", math.Copysign(0, -1), math.NaN()),
+		row("sw2 (sw1-egress->bottleneck)", 1.25, -3),
+	)
+	ci, err := FoldTables([]Table{tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := tbl.Render()
+	if out != ci.Render() {
+		t.Fatalf("Table.Render differs from its N = 1 fold:\n%s\n%s", out, ci.Render())
+	}
+	want := "== t ==\n" +
+		"row                           a        b\n" +
+		"flows                         9322     0.5000\n" +
+		"loss delta                    4.2e-05  -0.000609\n" +
+		"zero                          0        n/a\n" +
+		"sw2 (sw1-egress->bottleneck)  1.2500   -3\n"
+	if out != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 func TestFoldTablesEmpty(t *testing.T) {
 	if ci, err := FoldTables(nil); err != nil || ci.N != 0 || len(ci.Rows) != 0 {
 		t.Fatalf("FoldTables(nil) = %+v, %v", ci, err)

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Placement computes the §3.1 deployment-complexity figures for a k-ary
 // fat-tree: how many RLI measurement instances each strategy needs. Each
@@ -84,20 +81,6 @@ func Table(ks []int) ([]Row, error) {
 		})
 	}
 	return rows, nil
-}
-
-// FormatTable renders rows as the §3.1 deployment-complexity table.
-func FormatTable(rows []Row) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %-16s %-14s %-14s %-16s %-9s\n",
-		"k", "pair-of-ifaces", "pair-of-ToRs", "all-ToR-pairs", "full-deploy", "savings")
-	fmt.Fprintf(&b, "%-5s %-16s %-14s %-14s %-16s %-9s\n",
-		"", "(k+2)", "k(k+2)/2", "(k/2)^2(k+1)", "(5/4)k^3(k-1)", "x")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-5d %-16d %-14d %-14d %-16d %-9.1f\n",
-			r.K, r.PairOfInterfaces, r.PairOfToRs, r.AllToRPairs, r.FullDeployment, r.Reduction)
-	}
-	return b.String()
 }
 
 // CountSwitches returns the switch counts of a k-ary fat-tree, used to

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -79,17 +78,13 @@ func TestPlacementValidate(t *testing.T) {
 	}
 }
 
-func TestTableAndFormat(t *testing.T) {
+func TestTable(t *testing.T) {
 	rows, err := Table([]int{4, 8, 16, 32, 48})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	out := FormatTable(rows)
-	if !strings.Contains(out, "48") || !strings.Contains(out, "full-deploy") {
-		t.Fatalf("table missing content:\n%s", out)
+	if len(rows) != 5 || rows[4].K != 48 || rows[4].FullDeployment != (Placement{K: 48}).FullDeployment() {
+		t.Fatalf("rows = %+v", rows)
 	}
 	if _, err := Table([]int{5}); err == nil {
 		t.Fatal("odd k should fail")

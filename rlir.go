@@ -127,8 +127,8 @@ type Scalars = experiments.Scalars
 // RunScalars measures them.
 func RunScalars(base ScenarioSpec) Scalars { return experiments.RunScalars(base) }
 
-// DemuxAblation is the A1 table, one ScenarioResult per strategy; Render
-// formats it.
+// DemuxAblation is the A1 table, one ScenarioResult per strategy; its
+// Table().Render() prints it.
 type DemuxAblation = experiments.DemuxAblation
 
 // AblationDemux runs every downstream demux strategy on an identical
@@ -137,7 +137,7 @@ func AblationDemux(spec ScenarioSpec) (DemuxAblation, error) {
 	return experiments.AblationDemux(spec)
 }
 
-// EstimatorAblation is the A2 table; Render formats it.
+// EstimatorAblation is the A2 table; its Table().Render() prints it.
 type EstimatorAblation = experiments.EstimatorAblation
 
 // AblationEstimators compares interpolation variants (A2).
@@ -145,7 +145,7 @@ func AblationEstimators(base ScenarioSpec, util float64) EstimatorAblation {
 	return experiments.AblationEstimators(base, util)
 }
 
-// ClockAblation is the A3 table; Render formats it.
+// ClockAblation is the A3 table; its Table().Render() prints it.
 type ClockAblation = experiments.ClockAblation
 
 // AblationClocks sweeps clock imperfections (A3).
@@ -197,12 +197,13 @@ type MultiOpts = scenario.MultiOpts
 type MetricCI = stats.MetricCI
 
 // TableCI is a result's Table folded across seeds: every cell a MetricCI, looked up
-// with Cell(row, column) and printed with Render.
+// with Cell(row, column) and printed with Render — the one table renderer,
+// which also prints a single run's Table as its N = 1 fold.
 type TableCI = stats.TableCI
 
 // ExperimentTarget is one regenerable figure, quoted table or ablation: its
-// cmd/experiments -fig ID and a Run whose result has the single-seed Render
-// and the Table that Sweep folds.
+// cmd/experiments -fig ID and a Run whose result's Table is printed for one
+// run (Table().Render()) and folded across seeds by Sweep.
 type ExperimentTarget = experiments.Target
 
 // ExperimentTargets returns every target in cmd/experiments -all order.
