@@ -81,8 +81,9 @@ func (a *FlowAgg) merge(o *FlowAgg) {
 // Config sizes the collector.
 type Config struct {
 	// Shards is the number of single-owner aggregation goroutines (default
-	// GOMAXPROCS, capped at 8 — aggregation is cheap relative to hashing, so
-	// more shards buy queue headroom, not throughput).
+	// GOMAXPROCS, capped at 8). The producer hashes each sample once, to pick
+	// its shard, and the shard probes its flow table with that same hash;
+	// shards beyond the cores buy queue headroom, not throughput.
 	Shards int
 	// Depth is each shard's bounded channel depth in batches (default 16).
 	// A full shard back-pressures Ingest, bounding collector memory.
@@ -147,7 +148,8 @@ type TableStats struct {
 	Recycled uint64
 }
 
-func (t *TableStats) add(o TableStats) {
+// Add folds another cut's stats into t: tier sizes and counters sum.
+func (t *TableStats) Add(o TableStats) {
 	t.Flows += o.Flows
 	t.Classes += o.Classes
 	t.Evicted += o.Evicted
@@ -173,18 +175,28 @@ type Rollup struct {
 // order, which is what makes Snapshot, Stats, Flows and RollupSnapshot
 // consistent cuts of everything the caller ingested before them.
 type req struct {
-	samples []Sample
+	samples []hashedSample
 	records []netflow.Record
 	snap    chan []FlowAgg
 	count   chan TableStats
 	roll    chan Rollup
 }
 
-// flowEntry is one tracked flow plus its recency bookkeeping: prev/next
-// link it into the shard's LRU ring while the flow is live, and next alone
-// chains it on the shard's free list once the flow has been folded away.
+// hashedSample is a sample as a shard receives it: beside its key's
+// FastHash, which Collector.place computed to pick the shard and the shard
+// reuses to probe its flow table.
+type hashedSample struct {
+	Sample
+	h uint64
+}
+
+// flowEntry is one tracked flow plus its table and recency bookkeeping: h is
+// its key's FastHash, prev/next link it into the shard's LRU ring while the
+// flow is live, and next alone chains it on the shard's free list once the
+// flow has been folded away.
 type flowEntry struct {
 	agg        FlowAgg
+	h          uint64
 	last       time.Time
 	prev, next *flowEntry
 }
@@ -195,13 +207,13 @@ type flowEntry struct {
 const uncappedFreeEntries = 1024
 
 // shard owns one partition of the flow space. Only its goroutine touches
-// its maps, LRU, free list and rollup tiers.
+// its flow table, LRU, free list and rollup tiers.
 type shard struct {
 	ch chan req
 	// bufs holds processed sample buffers for Ingest to refill, so a batch
 	// in steady state is partitioned into storage the shard already owns.
-	bufs  chan []Sample
-	flows map[packet.FlowKey]*flowEntry
+	bufs  chan []hashedSample
+	flows flowTable
 	// lru is the sentinel of the intrusive recency ring: lru.next is the
 	// most recently seen flow, lru.prev the eviction/expiry candidate.
 	lru flowEntry
@@ -223,8 +235,8 @@ type shard struct {
 func newShard(cfg Config) *shard {
 	s := &shard{
 		ch:         make(chan req, cfg.Depth),
-		bufs:       make(chan []Sample, cfg.Depth+2),
-		flows:      make(map[packet.FlowKey]*flowEntry),
+		bufs:       make(chan []hashedSample, cfg.Depth+2),
+		flows:      newFlowTable(),
 		classes:    make(map[packet.FlowKey]*FlowAgg),
 		maxFlows:   perShard(cfg.MaxFlows, cfg.Shards),
 		maxClasses: perShard(cfg.MaxClasses, cfg.Shards),
@@ -248,10 +260,10 @@ func (s *shard) run(wg *sync.WaitGroup) {
 		default:
 			now := s.clock()
 			for _, smp := range q.samples {
-				s.agg(smp.Key, now).addSample(smp)
+				s.agg(smp.Key, smp.h, now).addSample(smp.Sample)
 			}
 			for _, r := range q.records {
-				s.agg(r.Key, now).addRecord(r)
+				s.agg(r.Key, r.Key.FastHash(), now).addRecord(r)
 			}
 			s.expire(now)
 			if q.samples != nil && cap(q.samples) <= maxPooledSamples {
@@ -265,32 +277,34 @@ func (s *shard) run(wg *sync.WaitGroup) {
 }
 
 // maxPooledSamples is the largest sample buffer a shard keeps for reuse
-// (160 kB): a one-off whole-capture batch is not worth holding on to.
+// (160 KiB with the hashes): a one-off whole-capture batch is not worth
+// holding on to.
 const maxPooledSamples = 4096
 
 // buffer returns an empty sample buffer for Ingest to fill for this shard:
 // one the shard has finished with when there is one, a fresh one otherwise.
-func (s *shard) buffer() []Sample {
+func (s *shard) buffer() []hashedSample {
 	select {
 	case b := <-s.bufs:
 		return b
 	default:
-		return make([]Sample, 0, 64)
+		return make([]hashedSample, 0, 64)
 	}
 }
 
 // agg returns the flow's aggregate, inserting (and evicting, if the table
-// is at its cap) as needed, and refreshes the flow's LRU recency. A new
-// flow takes a recycled entry when the free list has one, so a table
-// churning at its cap allocates nothing per flow.
-func (s *shard) agg(key packet.FlowKey, now time.Time) *FlowAgg {
-	e, ok := s.flows[key]
+// is at its cap) as needed, and refreshes the flow's LRU recency. h is the
+// key's FastHash. A new flow takes a recycled entry when the free list has
+// one, so a table churning at its cap allocates nothing per flow.
+func (s *shard) agg(key packet.FlowKey, h uint64, now time.Time) *FlowAgg {
+	e, slot := s.flows.find(key, h)
 	switch {
-	case !ok:
-		if s.maxFlows > 0 {
-			for len(s.flows) >= s.maxFlows {
+	case e == nil:
+		if s.maxFlows > 0 && s.flows.n >= s.maxFlows {
+			for s.flows.n >= s.maxFlows {
 				s.foldOldest(&s.evicted)
 			}
+			_, slot = s.flows.find(key, h) // the folds shifted probe runs
 		}
 		if e = s.free; e != nil {
 			s.free, e.next = e.next, nil
@@ -299,8 +313,8 @@ func (s *shard) agg(key packet.FlowKey, now time.Time) *FlowAgg {
 		} else {
 			e = new(flowEntry)
 		}
-		e.agg.Key = key
-		s.flows[key] = e
+		e.agg.Key, e.h = key, h
+		s.flows.insert(e, slot)
 		s.pushFront(e)
 	case e != s.lru.next:
 		e.prev.next, e.next.prev = e.next, e.prev
@@ -341,7 +355,7 @@ func (s *shard) foldOldest(counter *uint64) {
 		return
 	}
 	e.prev.next, e.next.prev = e.next, e.prev
-	delete(s.flows, e.agg.Key)
+	s.flows.remove(e)
 	*counter++
 
 	dst := &s.root
@@ -380,7 +394,7 @@ func (s *shard) foldInto(dst, src *FlowAgg) {
 
 func (s *shard) stats() TableStats {
 	return TableStats{
-		Flows:    len(s.flows),
+		Flows:    s.flows.n,
 		Classes:  len(s.classes),
 		Evicted:  s.evicted,
 		Expired:  s.expired,
@@ -394,9 +408,11 @@ func compareKeys(a, b *FlowAgg) int { return a.Key.Compare(b.Key) }
 // liveRun returns pointers to the shard's live flow aggregates in flow-key
 // order.
 func (s *shard) liveRun() []*FlowAgg {
-	run := make([]*FlowAgg, 0, len(s.flows))
-	for _, e := range s.flows {
-		run = append(run, &e.agg)
+	run := make([]*FlowAgg, 0, s.flows.n)
+	for _, e := range s.flows.slots {
+		if e != nil {
+			run = append(run, &e.agg)
+		}
 	}
 	slices.SortFunc(run, compareKeys)
 	return run
@@ -455,10 +471,11 @@ func New(cfg Config) *Collector {
 	return c
 }
 
-// shardOf routes a flow to its owning shard. FastHash rather than the ECMP
-// hashes: sharding must be uniform and deterministic, not path-consistent.
-func (c *Collector) shardOf(key packet.FlowKey) int {
-	return int(key.FastHash() % uint64(len(c.shards)))
+// shardOf routes a flow to its owning shard by its key's FastHash h.
+// FastHash rather than the ECMP hashes: sharding must be uniform and
+// deterministic, not path-consistent.
+func (c *Collector) shardOf(h uint64) int {
+	return int(h % uint64(len(c.shards)))
 }
 
 // Ingest routes one batch of samples to the owning shards. The batch is
@@ -475,7 +492,7 @@ func (c *Collector) Ingest(batch []Sample) {
 	if c.closed {
 		panic("collector: Ingest after Close")
 	}
-	var stack [stackParts][]Sample
+	var stack [stackParts][]hashedSample
 	parts := c.parts(&stack)
 	for i := range batch {
 		c.place(parts, &batch[i])
@@ -483,14 +500,17 @@ func (c *Collector) Ingest(batch []Sample) {
 	c.dispatch(parts, len(batch))
 }
 
-// place appends one sample to its owning shard's partition, taking a buffer
-// from that shard's pool on the partition's first sample.
-func (c *Collector) place(parts [][]Sample, s *Sample) {
-	i := c.shardOf(s.Key)
+// place appends one sample and its key's hash to its owning shard's
+// partition, taking a buffer from that shard's pool on the partition's
+// first sample. The key is hashed here once: the shard probes its table
+// with the same hash.
+func (c *Collector) place(parts [][]hashedSample, s *Sample) {
+	h := s.Key.FastHash()
+	i := c.shardOf(h)
 	if parts[i] == nil {
 		parts[i] = c.shards[i].buffer()
 	}
-	parts[i] = append(parts[i], *s)
+	parts[i] = append(parts[i], hashedSample{*s, h})
 }
 
 // stackParts is the shard count up to which a partitioning call keeps its
@@ -499,16 +519,16 @@ const stackParts = 16
 
 // parts returns the zeroed per-shard slice headers one partitioning call
 // fills: the caller's stack array when the shards fit in it.
-func (c *Collector) parts(stack *[stackParts][]Sample) [][]Sample {
+func (c *Collector) parts(stack *[stackParts][]hashedSample) [][]hashedSample {
 	if n := len(c.shards); n <= stackParts {
 		return stack[:n]
 	}
-	return make([][]Sample, len(c.shards))
+	return make([][]hashedSample, len(c.shards))
 }
 
 // dispatch sends each shard its partition of an n-sample batch; the shard
 // returns the buffer to its pool once the samples are folded.
-func (c *Collector) dispatch(parts [][]Sample, n int) {
+func (c *Collector) dispatch(parts [][]hashedSample, n int) {
 	for i, p := range parts {
 		if p != nil {
 			c.shards[i].ch <- req{samples: p}
@@ -533,7 +553,7 @@ func (c *Collector) IngestRecords(recs []netflow.Record) {
 	}
 	parts := make([][]netflow.Record, len(c.shards))
 	for _, r := range recs {
-		i := c.shardOf(r.Key)
+		i := c.shardOf(r.Key.FastHash())
 		parts[i] = append(parts[i], r)
 	}
 	for i, p := range parts {
@@ -575,7 +595,7 @@ func (c *Collector) ingestWire(body []byte) {
 	if c.closed {
 		panic("collector: IngestFrame after Close")
 	}
-	var stack [stackParts][]Sample
+	var stack [stackParts][]hashedSample
 	parts := c.parts(&stack)
 	for off := 0; off < len(body); off += SampleWireSize {
 		s := decodeSample(body[off:])
@@ -645,28 +665,38 @@ func (c *Collector) Snapshot() []FlowAgg {
 }
 
 // Stats returns the bounded flow table's tier sizes and lifetime eviction
-// counters: a consistent cut, answered by requests that queue behind
-// pending batches — O(shards), never a table copy, so periodic
-// health/metrics scrapes stay cheap at millions of flows.
+// counters: the sum of ShardStats.
 func (c *Collector) Stats() TableStats {
+	var t TableStats
+	for _, st := range c.ShardStats() {
+		t.Add(st)
+	}
+	return t
+}
+
+// ShardStats returns each shard's tier sizes and lifetime eviction
+// counters, in shard order: a consistent cut, answered by requests that
+// queue behind pending batches — O(shards), never a table copy, so periodic
+// health/metrics scrapes stay cheap at millions of flows.
+func (c *Collector) ShardStats() []TableStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var t TableStats
+	out := make([]TableStats, len(c.shards))
 	if c.closed {
-		for _, s := range c.shards {
-			t.add(s.stats())
+		for i, s := range c.shards {
+			out[i] = s.stats()
 		}
-		return t
+		return out
 	}
 	replies := make([]chan TableStats, len(c.shards))
 	for i, s := range c.shards {
 		replies[i] = make(chan TableStats, 1)
 		s.ch <- req{count: replies[i]}
 	}
-	for _, ch := range replies {
-		t.add(<-ch)
+	for i, ch := range replies {
+		out[i] = <-ch
 	}
-	return t
+	return out
 }
 
 // Flows returns the number of distinct flows currently tracked (excludes
@@ -821,7 +851,7 @@ func MergeRollups(rolls ...Rollup) Rollup {
 	for i := range rolls {
 		classes[i] = rolls[i].Classes
 		out.Root.merge(&rolls[i].Root) // merge copies counters, never retains its argument's storage
-		out.Stats.add(rolls[i].Stats)
+		out.Stats.Add(rolls[i].Stats)
 	}
 	out.Classes = mergeRuns(keyRuns(classes), true)
 	return out

@@ -245,7 +245,7 @@ func TestZeroAllocChurnAtCap(t *testing.T) {
 	now := time.Unix(0, 0)
 	ingest := func(b []Sample) {
 		for _, smp := range b {
-			s.agg(smp.Key, now).addSample(smp)
+			s.agg(smp.Key, smp.Key.FastHash(), now).addSample(smp)
 		}
 	}
 	next := 0

@@ -81,8 +81,9 @@ func (k FlowKey) Compare(o FlowKey) int {
 func (k FlowKey) Less(o FlowKey) bool { return k.Compare(o) < 0 }
 
 // FastHash returns a 64-bit FNV-1a hash of the key. It is not the ECMP hash
-// (see internal/ecmp for those); it exists for sharding and sampling, and is
-// deliberately asymmetric: A->B and B->A hash differently.
+// (see internal/topo/ecmp.go for those); it exists for sharding, flow-table
+// probing and sampling, and is deliberately asymmetric: A->B and B->A hash
+// differently.
 func (k FlowKey) FastHash() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,23 @@ func TestServiceBoundedFlowTable(t *testing.T) {
 	}
 	if strings.Contains(body, "rlird_flow_entries_recycled_total 0\n") {
 		t.Fatal("/metrics reports no recycled entries after churning a full table")
+	}
+	// The per-shard gauges are the same cut as the total: they sum to it.
+	var tracked, sum, shards int
+	for _, line := range strings.Split(body, "\n") {
+		name, v, ok := strings.Cut(line, " ")
+		n, err := strconv.Atoi(v)
+		switch {
+		case !ok || err != nil:
+		case name == "rlird_flows_tracked":
+			tracked = n
+		case strings.HasPrefix(name, "rlird_shard_flows{"):
+			sum += n
+			shards++
+		}
+	}
+	if shards != 2 || tracked == 0 || sum != tracked {
+		t.Fatalf("%d rlird_shard_flows gauges sum to %d, rlird_flows_tracked is %d; want 2 gauges summing to it", shards, sum, tracked)
 	}
 }
 

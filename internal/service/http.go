@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/queryapi"
 )
@@ -239,7 +240,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, r := range perRouter {
 		m.Counter("rlird_router_transport_gaps_total", "Sequence-gap episodes, by exporter.", r.gaps, "router", r.name)
 	}
-	ts := s.coll.Stats()
+	perShard := s.coll.ShardStats()
+	var ts collector.TableStats
+	for _, st := range perShard {
+		ts.Add(st)
+	}
 	m.Gauge("rlird_flows", "Distinct flows aggregated.", ts.Flows)
 	m.Gauge("rlird_flows_tracked", "Flows currently tracked individually (excludes rollup tiers).", ts.Flows)
 	m.Counter("rlird_flows_evicted_total", "Flows folded into rollup tiers by the max-flows cap.", ts.Evicted)
@@ -249,6 +254,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Gauge("rlird_shards", "Collector shard goroutines.", s.coll.Shards())
 	for i, d := range s.coll.QueueDepths() {
 		m.Gauge("rlird_shard_queue_depth", "Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.", d, "shard", strconv.Itoa(i))
+	}
+	for i, st := range perShard {
+		m.Gauge("rlird_shard_flows", "Flows each shard tracks individually right now; an idle shard beside a full one means the flow hash leaves it without flows.", st.Flows, "shard", strconv.Itoa(i))
 	}
 	m.Gauge("rlird_ingest_samples_per_second", "Rolling-window sample ingest rate.", sps)
 	m.Gauge("rlird_ingest_records_per_second", "Rolling-window record ingest rate.", rps)

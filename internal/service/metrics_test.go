@@ -9,9 +9,10 @@ import (
 	"testing"
 )
 
-// rlirdMetricFamilies is every HELP/TYPE line rlird's /metrics printed, in
-// order, before the handler moved onto queryapi.Metrics — captured from that
-// commit so dashboards keyed on names, help text or types see no change.
+// rlirdMetricFamilies is every HELP/TYPE line rlird's /metrics prints, in
+// order: the families captured before the handler moved onto
+// queryapi.Metrics, so dashboards keyed on names, help text or types see no
+// change, plus rlird_shard_flows, added since.
 const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested.
 # TYPE rlird_samples_total counter
 # HELP rlird_records_total NetFlow records ingested.
@@ -58,6 +59,8 @@ const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested
 # TYPE rlird_shards gauge
 # HELP rlird_shard_queue_depth Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.
 # TYPE rlird_shard_queue_depth gauge
+# HELP rlird_shard_flows Flows each shard tracks individually right now; an idle shard beside a full one means the flow hash leaves it without flows.
+# TYPE rlird_shard_flows gauge
 # HELP rlird_ingest_samples_per_second Rolling-window sample ingest rate.
 # TYPE rlird_ingest_samples_per_second gauge
 # HELP rlird_ingest_records_per_second Rolling-window record ingest rate.
@@ -96,6 +99,7 @@ func TestMetricsFamiliesUnchanged(t *testing.T) {
 		`rlird_decode_error_kinds_total{router="exporter-1",kind="other"} 1`,
 		`rlird_router_transport_gaps_total{router="exporter-1"} 0`,
 		`rlird_shard_queue_depth{shard="0"} 0`,
+		`rlird_shard_flows{shard="0"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), sample+"\n") {
 			t.Errorf("/metrics missing sample line %q", sample)
