@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
@@ -421,7 +422,8 @@ func (s *shard) liveRun() []*FlowAgg {
 // snapshot deep-copies the shard's live flow aggregates in flow-key order:
 // the shard's own sorted run of a Collector.Snapshot.
 func (s *shard) snapshot() []FlowAgg {
-	return mergeRuns([][]*FlowAgg{s.liveRun()}, true)
+	var m Merger
+	return m.mergeRuns([][]*FlowAgg{s.liveRun()}, true)
 }
 
 // rollup deep-copies the shard's class and root tiers.
@@ -637,6 +639,7 @@ func (c *Collector) QueueDepths() []int {
 func (c *Collector) Snapshot() []FlowAgg {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	var m Merger
 	var runs [][]*FlowAgg
 	if c.closed {
 		for _, s := range c.shards {
@@ -652,12 +655,12 @@ func (c *Collector) Snapshot() []FlowAgg {
 		for i, ch := range replies {
 			parts[i] = <-ch
 		}
-		runs = keyRuns(parts)
+		runs = m.keyRuns(parts)
 	}
 	// Closed: the runs point into the shards' final state, so clone. Open:
 	// they point into the sorted copies the shards just made for this call,
 	// which the merge moves into place.
-	out := mergeRuns(runs, c.closed)
+	out := m.mergeRuns(runs, c.closed)
 	if len(out) == 0 {
 		return nil // an empty table renders as JSON null; the byte-identity pins hold that
 	}
@@ -753,21 +756,64 @@ func (c *Collector) Close() {
 // accumulators in argument order, so the result is deterministic for a fixed
 // argument order. The result is a deep copy: it shares no storage with any
 // input, and growing one of its sketches never writes into another's window.
+// It is Merger.Move's merge, into an empty Merger and cloning rows instead of
+// moving them.
 func Merge(snaps ...[]FlowAgg) []FlowAgg {
-	return mergeRuns(keyRuns(snaps), true)
+	var m Merger
+	return m.mergeRuns(m.keyRuns(snaps), true)
+}
+
+// Merger is the storage of a k-way merge — its pointer runs, its merge order
+// and its result table — kept for the next merge: once it has grown to the
+// tables it merges, merging allocates nothing. The zero value is ready to
+// use; a Merger is not safe for concurrent use.
+type Merger struct {
+	refs  []*FlowAgg
+	runs  [][]*FlowAgg
+	order []*FlowAgg
+	out   []FlowAgg
+	slab  []uint64 // the result's sketch windows, when it is a clone
+}
+
+// Move is Merge into m's storage, moving rows instead of copying them: the
+// result's sketch windows are the inputs' own (a fold into a row writes into
+// its first table's window, or widens it into a fresh one), so the inputs
+// must be the caller's to give up. The result is m's and is overwritten by
+// the next Move.
+func (m *Merger) Move(tables ...[]FlowAgg) []FlowAgg {
+	return m.mergeRuns(m.keyRuns(tables), false)
+}
+
+// Bytes is the storage m holds for reuse, in bytes.
+func (m *Merger) Bytes() int {
+	const ptr, row = int(unsafe.Sizeof((*FlowAgg)(nil))), int(unsafe.Sizeof(FlowAgg{}))
+	return (cap(m.refs)+cap(m.order))*ptr + cap(m.runs)*int(unsafe.Sizeof([]*FlowAgg(nil))) +
+		cap(m.out)*row + cap(m.slab)*8
+}
+
+// grow returns s emptied and with room for n elements. A nil s — a Merger's
+// first merge — gets exactly n, as a one-shot Merge always has; storage
+// being reused grows the way append does, so a slowly growing table
+// regrows it rarely.
+func grow[E any](s []E, n int) []E {
+	if s == nil {
+		return make([]E, 0, n)
+	}
+	return slices.Grow(s[:0], n)
 }
 
 // keyRuns returns one run of aggregate pointers per table, each in flow-key
 // order. Collector snapshots arrive sorted, which the gathering pass checks
 // as it goes; a table that is not gets its run sorted stably, so aggregates
 // that share a key keep their table order.
-func keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
+func (m *Merger) keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
 	total := 0
 	for _, t := range tables {
 		total += len(t)
 	}
-	refs := make([]*FlowAgg, total)
-	runs := make([][]*FlowAgg, len(tables))
+	m.refs = grow(m.refs, total)[:total]
+	m.runs = grow(m.runs, len(tables))[:len(tables)]
+	refs, runs := m.refs, m.runs
 	for i, t := range tables {
 		run := refs[:len(t):len(t)]
 		refs = refs[len(t):]
@@ -797,13 +843,14 @@ func keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
 // window capacity-limited from the slab (a window a later fold widens
 // reallocates; it cannot reach its neighbour). Without clone the aggregates
 // are moved: the pointees' sketch windows become the result's, so they must
-// be the caller's own copies.
-func mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
+// be the caller's own copies. The order, the result and the slab are m's
+// storage, reused.
+func (m *Merger) mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 	total := 0
 	for _, r := range runs {
 		total += len(r)
 	}
-	order := make([]*FlowAgg, 0, total)
+	order := grow(m.order, total)
 	flows, window := 0, 0
 	for len(order) < total {
 		first := -1
@@ -821,10 +868,11 @@ func mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 		order = append(order, a)
 	}
 
-	out := make([]FlowAgg, 0, flows)
+	out := grow(m.out, flows)
 	var slab []uint64
 	if clone {
-		slab = make([]uint64, window)
+		m.slab = grow(m.slab, window)[:window]
+		slab = m.slab
 	}
 	for _, a := range order {
 		if n := len(out); n > 0 && out[n-1].Key == a.Key {
@@ -836,6 +884,7 @@ func mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 			out[len(out)-1].Sketch, slab = a.Sketch.CloneIn(slab)
 		}
 	}
+	m.order, m.out = order, out
 	return out
 }
 
@@ -853,6 +902,7 @@ func MergeRollups(rolls ...Rollup) Rollup {
 		out.Root.merge(&rolls[i].Root) // merge copies counters, never retains its argument's storage
 		out.Stats.Add(rolls[i].Stats)
 	}
-	out.Classes = mergeRuns(keyRuns(classes), true)
+	var m Merger
+	out.Classes = m.mergeRuns(m.keyRuns(classes), true)
 	return out
 }

@@ -218,6 +218,39 @@ func TestMergeMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestMergerMoveMatchesMerge holds the moving merge the fleet front-end runs
+// to the cloning one: one Merger, reused across tables of changing size and
+// shape — disjoint, overlapping, unsorted, empty — moves copies of the inputs
+// into a result reflect.DeepEqual to Merge's, so its leftovers from one merge
+// never show in the next.
+func TestMergerMoveMatchesMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	keys := make([]packet.FlowKey, 60)
+	for i := range keys {
+		keys[i] = randKey(rng)
+	}
+	var m Merger
+	for trial := 0; trial < 60; trial++ {
+		tables := make([][]FlowAgg, rng.Intn(5))
+		for i := range tables {
+			switch tables[i] = randTable(rng, keys[:1+rng.Intn(len(keys))]); rng.Intn(4) {
+			case 0:
+				rng.Shuffle(len(tables[i]), func(a, b int) { tables[i][a], tables[i][b] = tables[i][b], tables[i][a] })
+			case 1:
+				tables[i] = nil
+			}
+		}
+		want := Merge(tables...)
+		moved := make([][]FlowAgg, len(tables))
+		for i := range tables {
+			moved[i] = cloneTable(tables[i])
+		}
+		if got := m.Move(moved...); !(len(got) == 0 && len(want) == 0) && !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Move of %d tables gives %d flows, Merge %d, or their values differ", trial, len(tables), len(got), len(want))
+		}
+	}
+}
+
 // TestMergeResultAliasesNothing pins Merge's deep-copy contract now that the
 // result's sketch windows are carved from one slab: folding more into any
 // result aggregate — in place, and past its window on both sides — changes

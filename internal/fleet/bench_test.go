@@ -170,8 +170,9 @@ func readPathFleet(b *testing.B) string {
 }
 
 // benchQuery issues b.N closed-loop GETs of base+path and reports ms/query,
-// the response size, and the front-end's own per-stage price of a query (its
-// rlirfleet_query_stage_seconds_total counters over b.N).
+// the response size, the front-end's own per-stage price of a query (its
+// rlirfleet_query_stage_seconds_total counters over b.N), and what its idle
+// query buffers retain afterwards (rlirfleet_query_buffer_bytes).
 func benchQuery(b *testing.B, base, path string) {
 	b.Helper()
 	url := base + path
@@ -202,9 +203,11 @@ func benchQuery(b *testing.B, base, path string) {
 	defer resp.Body.Close()
 	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
 		var stage string
-		var seconds float64
-		if n, _ := fmt.Sscanf(sc.Text(), "rlirfleet_query_stage_seconds_total{stage=%q} %g", &stage, &seconds); n == 2 {
-			b.ReportMetric(seconds*1e3/float64(b.N), stage+"-ms/query")
+		var v float64
+		if n, _ := fmt.Sscanf(sc.Text(), "rlirfleet_query_stage_seconds_total{stage=%q} %g", &stage, &v); n == 2 {
+			b.ReportMetric(v*1e3/float64(b.N), stage+"-ms/query")
+		} else if n, _ := fmt.Sscanf(sc.Text(), "rlirfleet_query_buffer_bytes %g", &v); n == 1 {
+			b.ReportMetric(v, "idle-buffer-bytes")
 		}
 	}
 }

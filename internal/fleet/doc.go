@@ -27,8 +27,10 @@
 //   - Frontend: the operator side. An http.Handler that scatter-gathers
 //     instance /snapshot (raw accumulator state, exact over the wire — see
 //     internal/queryapi), /routers and /healthz with a bounded per-fanout
-//     timeout, merges via collector.Merge, and renders through the same
-//     queryapi renderers a single rlird uses.
+//     timeout, merges via collector.Merge's k-way merge, and renders through
+//     the same queryapi renderers a single rlird uses — decoding, merging and
+//     rendering into buffers it keeps on a small bounded free list, so a
+//     merged query in steady state allocates nothing per row.
 //
 //   - Partition/SinkIndex: the hash contract itself, shared by the router,
 //     the scenario fleet harness, and any exporter that wants to agree

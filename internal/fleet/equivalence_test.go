@@ -888,8 +888,8 @@ func TestFrontendMixedRenderings(t *testing.T) {
 // fleetMetricFamilies is every HELP/TYPE line the front-end's /metrics
 // printed, in order, before the handler moved onto queryapi.Metrics —
 // captured from that commit, less the JSON-fallback counter that went with
-// the fallback — so dashboards keyed on names, help text or types see no
-// other change.
+// the fallback, plus the idle query-buffer gauge added since — so dashboards
+// keyed on names, help text or types see no other change.
 const fleetMetricFamilies = `# HELP rlirfleet_instances Configured fleet instances.
 # TYPE rlirfleet_instances gauge
 # HELP rlirfleet_instances_up Instances that answered the last health fan-out.
@@ -902,6 +902,8 @@ const fleetMetricFamilies = `# HELP rlirfleet_instances Configured fleet instanc
 # TYPE rlirfleet_query_stage_seconds_total counter
 # HELP rlirfleet_snapshot_bytes_total Instance /snapshot body bytes fetched.
 # TYPE rlirfleet_snapshot_bytes_total counter
+# HELP rlirfleet_query_buffer_bytes Bytes the idle merged-table query buffers hold for reuse.
+# TYPE rlirfleet_query_buffer_bytes gauge
 # HELP rlirfleet_flows Distinct flows across answering instances (exact under flow-disjoint partitioning).
 # TYPE rlirfleet_flows gauge
 # HELP rlirfleet_samples_total Samples ingested across answering instances.

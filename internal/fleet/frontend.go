@@ -38,7 +38,8 @@ type FrontendConfig struct {
 // scatter-gathers the partitioned instances with a bounded timeout and
 // merges their answers. The merge is exact, not approximate — /flows and
 // /comparison are computed from the instances' raw /snapshot state through
-// collector.Merge and the shared queryapi renderers, so a fleet-of-N
+// collector.Merge's k-way merge (collector.Merger, into reused storage) and
+// the shared queryapi renderers, so a fleet-of-N
 // response is field-for-field what a single rlird holding the whole stream
 // would serve. Instances that fail to answer are skipped (degraded mode,
 // visible in /healthz and /metrics); only a fully-unreachable fleet turns
@@ -56,6 +57,52 @@ type Frontend struct {
 	// Plain counters, so pricing a query allocates nothing.
 	stageNs   [numStages]atomic.Int64
 	snapBytes atomic.Uint64
+
+	// bufs are idle merged-table query buffers, kept for the next query.
+	bufs *queryapi.FreeList[queryBuffers]
+}
+
+// queryBuffers is the storage one merged-table query reads, decodes, merges
+// and renders into. A query takes a set off the front-end's free list and
+// hands it back once its response is written, so in steady state a query
+// allocates nothing per row.
+type queryBuffers struct {
+	bodies [][]byte                 // each instance's /snapshot body
+	tables []queryapi.SnapshotTable // each instance's decoded table
+	parts  [][]collector.FlowAgg    // the decoded tables that merge
+	merged collector.Merger
+	body   []byte    // the rendered /flows
+	errs   []float64 // /comparison's per-flow errors
+}
+
+// bytes is the storage q holds, the size the free list bounds.
+func (q *queryBuffers) bytes() int {
+	n := q.merged.Bytes() + cap(q.body) + 8*cap(q.errs)
+	for i := range q.tables {
+		n += cap(q.bodies[i]) + q.tables[i].Bytes()
+	}
+	return n
+}
+
+// Idle query buffers the front-end keeps: at most maxIdleQueryBuffers sets,
+// none over maxQueryBufferBytes, so between queries it retains at most
+// 64 MB — and nothing once a garbage collection finds them idle. The
+// benchmark's read_path query (two instances, 2 266 flows) takes a set of
+// about 3 MB; a set over the limit serves its query and is dropped.
+const (
+	maxIdleQueryBuffers = 2
+	maxQueryBufferBytes = 32 << 20
+)
+
+// takeBuffers takes an idle set of query buffers, or sizes a new one for
+// the fleet.
+func (f *Frontend) takeBuffers() *queryBuffers {
+	q := f.bufs.Get()
+	if q.tables == nil {
+		q.bodies = make([][]byte, len(f.cfg.Instances))
+		q.tables = make([]queryapi.SnapshotTable, len(f.cfg.Instances))
+	}
+	return q
 }
 
 // The stages of a merged-table query, in the order they run. They do not
@@ -99,7 +146,10 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Frontend{cfg: cfg, client: client, maxBody: maxInstanceBody, start: time.Now()}, nil
+	return &Frontend{
+		cfg: cfg, client: client, maxBody: maxInstanceBody, start: time.Now(),
+		bufs: queryapi.NewFreeList(maxIdleQueryBuffers, maxQueryBufferBytes, (*queryBuffers).bytes),
+	}, nil
 }
 
 // Instances returns the configured instance count.
@@ -117,8 +167,9 @@ type fetch struct {
 
 // gather fans path out to every instance under one Timeout and returns the
 // responses in instance order. A non-empty accept is sent as the requests'
-// Accept header.
-func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
+// Accept header. Instance i's body is read into bufs[i]'s storage when bufs
+// is not nil.
+func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byte) []fetch {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	out := make([]fetch, len(f.cfg.Instances))
@@ -142,7 +193,11 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 				return
 			}
 			defer resp.Body.Close()
-			body, err := readBody(resp, f.maxBody)
+			var buf []byte
+			if bufs != nil {
+				buf = bufs[i]
+			}
+			body, err := readBody(resp, f.maxBody, buf)
 			if err != nil {
 				out[i].err = fmt.Errorf("%s%s: %w", in, path, err)
 				return
@@ -178,35 +233,37 @@ func (f *Frontend) gather(ctx context.Context, path, accept string) []fetch {
 // declared no length doubles).
 const maxInstanceBody = 64 << 20
 
-// readBody reads an instance's response body whole, up to limit bytes. When
-// the instance declared a Content-Length (rlird does on /snapshot) the
-// buffer is sized once for it — io.ReadAll would regrow from 512 bytes,
-// copying a 120 kB snapshot body about four times over — with bytes.MinRead
-// to spare so the read that finds EOF does not regrow it either; a declared
-// length over the limit is refused before a byte is read. A body that stops
-// short of its declared length is the transport's error.
-func readBody(resp *http.Response, limit int64) ([]byte, error) {
+// readBody reads an instance's response body whole, up to limit bytes, into
+// buf's storage. When the instance declared a Content-Length (rlird does on
+// /snapshot) the buffer is grown at most once, for it — io.ReadAll would
+// regrow from 512 bytes, copying a 120 kB snapshot body about four times
+// over — with bytes.MinRead to spare so the read that finds EOF does not
+// regrow it either; a declared length over the limit is refused before a
+// byte is read. A body that stops short of its declared length is the
+// transport's error.
+func readBody(resp *http.Response, limit int64, buf []byte) ([]byte, error) {
 	if resp.ContentLength > limit {
 		return nil, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", resp.ContentLength, limit)
 	}
-	var buf bytes.Buffer
+	b := bytes.NewBuffer(buf[:0])
 	if n := resp.ContentLength; n > 0 {
-		buf.Grow(int(n) + bytes.MinRead)
+		b.Grow(int(n) + bytes.MinRead)
 	}
 	// One byte past the limit tells a body that fits from one that does not.
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
+	if _, err := b.ReadFrom(io.LimitReader(resp.Body, limit+1)); err != nil {
 		return nil, err
 	}
-	if int64(buf.Len()) > limit {
+	if int64(b.Len()) > limit {
 		return nil, fmt.Errorf("body exceeds the %d-byte limit", limit)
 	}
-	return buf.Bytes(), nil
+	return b.Bytes(), nil
 }
 
 // mergedTable is the exact fleet-wide flow table: every reachable
-// instance's raw flow-table state, gathered, decoded and merged.
-// Flow-disjoint partitioning makes the result bit-identical to a single
-// collector over the whole stream.
+// instance's raw flow-table state, gathered, decoded and merged in q's
+// storage. Flow-disjoint partitioning makes the result bit-identical to a
+// single collector over the whole stream; a flow two instances share folds
+// earliest instance first, as collector.Merge folds it.
 //
 // The fan-out asks for the binary snapshot rendering and reads nothing
 // else: a body labelled with any other Content-Type (an instance URL that
@@ -216,20 +273,26 @@ func readBody(resp *http.Response, limit int64) ([]byte, error) {
 // silently drop its sketch tier rather than fail. An instance that fails to
 // answer or decode is skipped; the error is the first such failure when no
 // instance is left.
-func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error) {
+func (f *Frontend) mergedTable(ctx context.Context, q *queryBuffers) ([]collector.FlowAgg, error) {
 	t := time.Now()
-	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType)
+	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType, q.bodies)
 	t = f.since(stageFetch, t)
+	return f.decodeMerge(q, fetched, t)
+}
 
-	var parts [][]collector.FlowAgg
+// decodeMerge is mergedTable after the fan-out, from t on: each fetched
+// body decoded into its instance's table, and the tables merged by moving
+// their rows into q's merged table.
+func (f *Frontend) decodeMerge(q *queryBuffers, fetched []fetch, t time.Time) ([]collector.FlowAgg, error) {
+	q.parts = q.parts[:0]
 	var firstErr error
-	for _, g := range fetched {
+	for i, g := range fetched {
 		err := g.err
 		if err == nil {
+			q.bodies[i] = g.body // the storage it was read into, grown or not
 			f.snapBytes.Add(uint64(len(g.body)))
-			var aggs []collector.FlowAgg
-			if aggs, err = decodeSnapshot(g); err == nil {
-				parts = append(parts, aggs)
+			if err = decodeSnapshot(g, &q.tables[i]); err == nil {
+				q.parts = append(q.parts, q.tables[i].Aggs)
 				continue
 			}
 			err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
@@ -240,22 +303,21 @@ func (f *Frontend) mergedTable(ctx context.Context) ([]collector.FlowAgg, error)
 		}
 	}
 	t = f.since(stageDecode, t)
-	if len(parts) == 0 {
+	if len(q.parts) == 0 {
 		return nil, fmt.Errorf("no instance reachable: %v", firstErr)
 	}
-	merged := collector.Merge(parts...)
+	merged := q.merged.Move(q.parts...)
 	f.since(stageMerge, t)
 	return merged, nil
 }
 
-// decodeSnapshot turns one fetched /snapshot body into the instance's flow
-// aggregates; only the binary rendering is accepted.
-func decodeSnapshot(g fetch) ([]collector.FlowAgg, error) {
+// decodeSnapshot decodes one fetched /snapshot body into table; only the
+// binary rendering is accepted.
+func decodeSnapshot(g fetch, table *queryapi.SnapshotTable) error {
 	if g.contentType != queryapi.SnapshotContentType {
-		return nil, fmt.Errorf("Content-Type %q, want %q", g.contentType, queryapi.SnapshotContentType)
+		return fmt.Errorf("Content-Type %q, want %q", g.contentType, queryapi.SnapshotContentType)
 	}
-	aggs, _, _, err := queryapi.DecodeSnapshot(g.body)
-	return aggs, err
+	return table.Decode(g.body)
 }
 
 // Handler returns the fleet query API: the same five endpoints a single
@@ -280,25 +342,30 @@ func (f *Frontend) handleFlows(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	aggs, err := f.mergedTable(r.Context())
+	q := f.takeBuffers()
+	defer f.bufs.Put(q)
+	aggs, err := f.mergedTable(r.Context(), q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	t := time.Now()
-	queryapi.WriteFlows(w, aggs, limit)
+	q.body = queryapi.WriteFlows(w, aggs, limit, q.body)
 	f.since(stageRender, t)
 }
 
 func (f *Frontend) handleComparison(w http.ResponseWriter, r *http.Request) {
 	f.queries.Add(1)
-	aggs, err := f.mergedTable(r.Context())
+	q := f.takeBuffers()
+	defer f.bufs.Put(q)
+	aggs, err := f.mergedTable(r.Context(), q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	t := time.Now()
-	cmp := measure.CompareFlowAggs("rli", aggs)
+	var cmp measure.Comparison
+	cmp, q.errs = measure.CompareFlowAggsIn("rli", aggs, q.errs)
 	queryapi.WriteJSON(w, http.StatusOK, []queryapi.ComparisonJSON{queryapi.ComparisonRow(cmp)})
 	f.since(stageRender, t)
 }
@@ -314,7 +381,7 @@ func (f *Frontend) handleRollup(w http.ResponseWriter, r *http.Request) {
 	var rows []queryapi.RollupJSON
 	anyOK := false
 	var firstErr error
-	for _, g := range f.gather(r.Context(), "/rollup", "") {
+	for _, g := range f.gather(r.Context(), "/rollup", "", nil) {
 		if g.err != nil {
 			if firstErr == nil {
 				firstErr = g.err
@@ -345,7 +412,7 @@ func (f *Frontend) handleRouters(w http.ResponseWriter, r *http.Request) {
 	var rows []queryapi.RouterJSON
 	anyOK := false
 	var firstErr error
-	for _, g := range f.gather(r.Context(), "/routers", "") {
+	for _, g := range f.gather(r.Context(), "/routers", "", nil) {
 		if g.err != nil {
 			if firstErr == nil {
 				firstErr = g.err
@@ -420,7 +487,7 @@ func (f *Frontend) fleetHealth(ctx context.Context) HealthJSON {
 		Instances: len(f.cfg.Instances),
 		UptimeS:   time.Since(f.start).Seconds(),
 	}
-	for _, g := range f.gather(ctx, "/healthz", "") {
+	for _, g := range f.gather(ctx, "/healthz", "", nil) {
 		row := InstanceHealth{Instance: g.instance, Status: "unreachable"}
 		if g.err != nil {
 			row.Error = g.err.Error()
@@ -476,6 +543,7 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			time.Duration(f.stageNs[i].Load()).Seconds(), "stage", name)
 	}
 	m.Counter("rlirfleet_snapshot_bytes_total", "Instance /snapshot body bytes fetched.", f.snapBytes.Load())
+	m.Gauge("rlirfleet_query_buffer_bytes", "Bytes the idle merged-table query buffers hold for reuse.", f.bufs.IdleBytes())
 	m.Gauge("rlirfleet_flows", "Distinct flows across answering instances (exact under flow-disjoint partitioning).", h.Flows)
 	m.Counter("rlirfleet_samples_total", "Samples ingested across answering instances.", h.Samples)
 	m.Counter("rlirfleet_records_total", "NetFlow records ingested across answering instances.", h.Records)

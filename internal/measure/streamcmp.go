@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -18,6 +19,14 @@ import (
 // same samples folded through the same Welford accumulators yield
 // bit-identical means whether they arrived in one batch or over a socket.
 func CompareFlowAggs(name string, aggs []collector.FlowAgg) Comparison {
+	c, _ := CompareFlowAggsIn(name, aggs, nil)
+	return c
+}
+
+// CompareFlowAggsIn is CompareFlowAggs with the per-flow errors collected and
+// sorted in errs' storage, which it returns for the next call: scoring a
+// table no larger than one scored before allocates nothing.
+func CompareFlowAggsIn(name string, aggs []collector.FlowAgg, errs []float64) (Comparison, []float64) {
 	c := Comparison{
 		Estimator:    name,
 		MedianRelErr: math.NaN(),
@@ -25,7 +34,7 @@ func CompareFlowAggs(name string, aggs []collector.FlowAgg) Comparison {
 		AggRelErr:    math.NaN(),
 	}
 	var estW, trueW float64
-	errs := make([]float64, 0, len(aggs))
+	errs = slices.Grow(errs[:0], len(aggs))
 	for i := range aggs {
 		a := &aggs[i]
 		n := a.Est.N()
@@ -48,9 +57,9 @@ func CompareFlowAggs(name string, aggs []collector.FlowAgg) Comparison {
 		}
 	}
 	if len(errs) > 0 {
-		cdf := stats.NewCDF(errs)
+		cdf := stats.CDFOver(errs)
 		c.MedianRelErr = cdf.Median()
 		c.P99RelErr = cdf.Quantile(0.99)
 	}
-	return c
+	return c, errs
 }

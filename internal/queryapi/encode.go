@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -24,13 +25,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // WriteFlows writes the /flows response for the first limit aggregates (all
-// of them when limit is negative or exceeds the table): AppendFlowRows into a
-// body sized once from the row count, with WriteJSON's rule for a table JSON
-// cannot carry.
-func WriteFlows(w http.ResponseWriter, aggs []collector.FlowAgg, limit int) {
-	size := flowRows(len(aggs), limit)*flowRowMaxLen + len("[]\n")
-	body, err := AppendFlowRows(make([]byte, 0, size), aggs, limit)
+// of them when limit is negative or exceeds the table) — AppendFlowRows into
+// body's storage, with WriteJSON's rule for a table JSON cannot carry — and
+// returns the body's storage for the caller's next response. A nil body is a
+// fresh one.
+func WriteFlows(w http.ResponseWriter, aggs []collector.FlowAgg, limit int, body []byte) []byte {
+	body, err := AppendFlowRows(body[:0], aggs, limit)
 	writeBody(w, http.StatusOK, body, err)
+	return body
 }
 
 // writeBody commits a fully encoded JSON body with its Content-Length, or a
@@ -67,11 +69,14 @@ const flowRowMaxLen = 276 + 2*15 + 2*5 + 3 + 3*25 + 7*20
 // are exactly what json.Encoder with SetIndent("", "  ") emits for the same
 // aggregates' FlowRow values — key order, omitempty on first_ns/last_ns,
 // encoding/json's float format, "[]\n" for no rows — written straight from
-// the aggregates with no intermediate rows and no allocation beyond dst's
-// growth. Like encoding/json it refuses a NaN or infinite float: the error
-// names the flow, and dst's new contents are then meaningless.
+// the aggregates with no intermediate rows. dst is grown once up front to
+// the rows' worst case (flowRowMaxLen each), so rendering into a buffer that
+// has held as many rows allocates nothing. Like encoding/json it refuses a
+// NaN or infinite float: the error names the flow, and dst's new contents
+// are then meaningless.
 func AppendFlowRows(dst []byte, aggs []collector.FlowAgg, limit int) ([]byte, error) {
 	aggs = aggs[:flowRows(len(aggs), limit)]
+	dst = slices.Grow(dst, len(aggs)*flowRowMaxLen+len("[]\n"))
 	if len(aggs) == 0 {
 		return append(dst, "[]\n"...), nil
 	}

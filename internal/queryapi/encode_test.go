@@ -143,7 +143,7 @@ func TestAppendFloatJSONMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestFlowRowMaxLen pins the bound WriteFlows sizes its body by, to the
+// TestFlowRowMaxLen pins the bound AppendFlowRows sizes its body by, to the
 // byte: two rows with every value at its widest — except the deviation,
 // which a one-sample flow renders as "0" — take 2*(flowRowMaxLen-24) bytes
 // plus the closing bracket.
@@ -206,7 +206,7 @@ func TestNonFiniteIsA500(t *testing.T) {
 				t.Fatalf("field %d = %v: a limit that excludes the row still fails: %v", field, bad, err)
 			}
 			rec := httptest.NewRecorder()
-			WriteFlows(rec, aggs, -1)
+			WriteFlows(rec, aggs, -1, nil)
 			if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "non-finite") {
 				t.Fatalf("field %d = %v: WriteFlows answered %d %q", field, bad, rec.Code, rec.Body.String())
 			}
@@ -220,7 +220,7 @@ func TestNonFiniteIsA500(t *testing.T) {
 
 	aggs := buildSnapshot(t, 5)
 	flows, health := httptest.NewRecorder(), httptest.NewRecorder()
-	WriteFlows(flows, aggs, -1)
+	WriteFlows(flows, aggs, -1, nil)
 	if flows.Code != http.StatusOK || !bytes.Equal(flows.Body.Bytes(), referenceFlows(t, aggs, -1)) {
 		t.Fatalf("WriteFlows answered %d with a body that is not the reference", flows.Code)
 	}

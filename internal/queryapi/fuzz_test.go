@@ -36,11 +36,30 @@ func hasNaN(aggs []collector.FlowAgg) bool {
 //     at most a fixed multiple of the input (an untrusted count never sizes
 //     an allocation the bytes present cannot back);
 //   - whatever either decoder accepts re-encodes to bytes that decode to the
-//     same table, bit for bit.
+//     same table, bit for bit;
+//   - one SnapshotTable reused across every input, holding a valid table
+//     when each input arrives, decodes it to what DecodeSnapshot returns or
+//     fails with it — then empty, nothing of its old table left — and the
+//     same table then decodes a valid body right.
 func FuzzDecodeSnapshot(f *testing.F) {
+	cases := snapshotCases(f)
+	// The valid table is wider than the seeds, so a reused decode of a
+	// shorter body has stale rows behind it that must not show.
+	valid := cases[0].aggs[:8]
+	prefill := AppendSnapshot(nil, valid, 5, 3)
+	var arena SnapshotTable
+	var again []byte
+	refill := func(t testing.TB) {
+		err := arena.Decode(prefill)
+		if again = AppendSnapshot(again[:0], arena.Aggs, arena.Samples, arena.Records); err != nil || !bytes.Equal(again, prefill) {
+			t.Fatalf("reused table decodes a valid %d-flow body wrong (%v)", len(valid), err)
+		}
+	}
+	refill(f)
+
 	// Seeds stay small (a few flows each) so the engine's minimizer spends
 	// a short smoke run mutating rather than shrinking one big input.
-	for _, c := range snapshotCases(f) {
+	for _, c := range cases {
 		aggs := c.aggs[:min(len(c.aggs), 3)]
 		bin := AppendSnapshot(nil, aggs, 11, 7)
 		f.Add(bin)
@@ -76,11 +95,36 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			requireStable(t, aggs, samples, records)
 		}
 
+		if reuseErr := arena.Decode(data); (reuseErr == nil) != (err == nil) {
+			t.Fatalf("reused table: error %v, fresh decoder: error %v", reuseErr, err)
+		}
+		if err != nil && (len(arena.Aggs) != 0 || arena.Samples != 0 || arena.Records != 0) {
+			t.Fatalf("reused table keeps %d flows, totals %d/%d beside error %v", len(arena.Aggs), arena.Samples, arena.Records, err)
+		}
+		if err == nil && !sameTable(arena.Aggs, aggs, arena.Samples, arena.Records, samples, records) {
+			t.Fatalf("reused table decodes %d flows (totals %d/%d), fresh decoder %d (%d/%d)",
+				len(arena.Aggs), arena.Samples, arena.Records, len(aggs), samples, records)
+		}
+		refill(t)
+
 		var s Snapshot
 		if json.Unmarshal(data, &s) == nil && s.Check() == nil {
 			requireStable(t, s.Aggs(), s.Samples, s.Records)
 		}
 	})
+}
+
+// sameTable reports whether two decoded tables and their totals are equal:
+// by value, or by their encoding when a NaN makes values incomparable. An
+// empty table equals nil.
+func sameTable(a, b []collector.FlowAgg, sa, ra, sb, rb uint64) bool {
+	if sa != sb || ra != rb || len(a) != len(b) {
+		return false
+	}
+	if hasNaN(a) || hasNaN(b) {
+		return bytes.Equal(AppendSnapshot(nil, a, sa, ra), AppendSnapshot(nil, b, sb, rb))
+	}
+	return len(a) == 0 || reflect.DeepEqual(a, b)
 }
 
 // requireStable asserts an accepted table survives the binary wire

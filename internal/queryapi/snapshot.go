@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/packet"
@@ -171,11 +172,10 @@ var (
 
 // AppendSnapshot appends the binary rendering of a collector snapshot and
 // its ingest totals to dst and returns the extended slice. The sketch
-// counters are encoded from read-only views of the aggregates, and dst is
-// grown once up front (snapshotSizeHint), so encoding a table costs at most
-// one allocation.
+// counters are encoded from read-only views of the aggregates, so encoding
+// into a buffer with room — rlird's reused response body — allocates
+// nothing.
 func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
-	dst = slices.Grow(dst, snapshotSizeHint(aggs))
 	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
 	dst = append(dst, SnapshotVersion)
 	dst = binary.AppendUvarint(dst, samples)
@@ -203,25 +203,6 @@ func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint6
 	return dst
 }
 
-// snapshotSizeHint estimates a table's encoded size from what is cheap to
-// read: per flow the shortest row plus snapshotRowSlack, and two bytes per
-// sketch counter, which holds counts up to 16 383. It errs high on real
-// tables (about 1.5x on the benchmark's 120 kB bodies, whose windows are
-// mostly zeros of one byte each); a table that beats it costs append's usual
-// regrowth, nothing else.
-func snapshotSizeHint(aggs []collector.FlowAgg) int {
-	n := snapshotHeaderSize + 3*binary.MaxVarintLen64 + len(aggs)*(snapshotMinFlowSize+snapshotRowSlack)
-	for i := range aggs {
-		n += 2 * aggs[i].Sketch.Buckets()
-	}
-	return n
-}
-
-// snapshotRowSlack is what the hint allows a row for scalar varints that run
-// past the one byte snapshotMinFlowSize counts them at: sample and packet
-// counts, byte totals, the window base and length, two nanosecond timestamps.
-const snapshotRowSlack = 24
-
 func appendFloat(dst []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
@@ -242,45 +223,90 @@ func appendBuckets(dst []byte, buckets []uint64) []byte {
 
 // DecodeSnapshot decodes the binary rendering straight into collector flow
 // aggregates (no intermediate FlowState table) and returns them in wire
-// order with the instance's ingest totals. src is untrusted: every count is
-// bounded by the bytes present before it sizes an allocation, a version
-// other than SnapshotVersion is Snapshot.Check's error, and a body that is
-// truncated, overlong or out of bounds anywhere is an error with no partial
-// table. An empty table decodes to nil, like Snapshot.Aggs.
+// order with the instance's ingest totals: SnapshotTable.Decode into an
+// empty table, so its contract is Decode's. An empty table decodes to nil,
+// like Snapshot.Aggs, and an error comes with no table at all.
 func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint64, err error) {
-	if len(src) < snapshotHeaderSize {
-		return nil, 0, 0, fmt.Errorf("%w: %d bytes, header needs %d", ErrSnapshotTruncated, len(src), snapshotHeaderSize)
-	}
-	if binary.BigEndian.Uint32(src) != snapshotMagic {
-		return nil, 0, 0, ErrSnapshotMagic
-	}
-	if err := (Snapshot{Version: int(src[4])}).Check(); err != nil {
+	var t SnapshotTable
+	if err := t.Decode(src); err != nil {
 		return nil, 0, 0, err
 	}
+	return t.Aggs, t.Samples, t.Records, nil
+}
+
+// SnapshotTable is a decoded binary snapshot in storage kept for the next
+// decode: the rows, the slab their sketch windows are carved from, and the
+// scratch window bucket runs are read into. Once that storage has grown to
+// the bodies it decodes, decoding allocates nothing. The zero value is an
+// empty table, ready to use.
+type SnapshotTable struct {
+	// Aggs are the flow rows in wire order. Their sketch windows are the
+	// table's, overwritten by the next Decode.
+	Aggs []collector.FlowAgg
+	// Samples and Records are the instance's ingest totals.
+	Samples, Records uint64
+
+	slab, scratch []uint64
+}
+
+// Bytes is the storage t holds for reuse, in bytes.
+func (t *SnapshotTable) Bytes() int {
+	return cap(t.Aggs)*int(unsafe.Sizeof(collector.FlowAgg{})) + (cap(t.slab)+cap(t.scratch))*8
+}
+
+// Decode replaces t's table with the one src encodes. src is untrusted:
+// every count is bounded by the bytes present before it sizes storage, a
+// version other than SnapshotVersion is Snapshot.Check's error, and a body
+// that is truncated, overlong or out of bounds anywhere is an error that
+// leaves t empty — no partial table, whatever t held before — with its
+// storage kept for the next Decode.
+func (t *SnapshotTable) Decode(src []byte) error {
+	err := t.decode(src)
+	if err != nil {
+		t.Aggs, t.Samples, t.Records = t.Aggs[:0], 0, 0
+	}
+	return err
+}
+
+func (t *SnapshotTable) decode(src []byte) error {
+	if len(src) < snapshotHeaderSize {
+		return fmt.Errorf("%w: %d bytes, header needs %d", ErrSnapshotTruncated, len(src), snapshotHeaderSize)
+	}
+	if binary.BigEndian.Uint32(src) != snapshotMagic {
+		return ErrSnapshotMagic
+	}
+	if err := (Snapshot{Version: int(src[4])}).Check(); err != nil {
+		return err
+	}
 	r := snapshotReader{b: src[snapshotHeaderSize:]}
-	samples, records = r.uvarint(), r.uvarint()
+	t.Samples, t.Records = r.uvarint(), r.uvarint()
 	count := r.uvarint()
 	if r.err == nil && count > uint64(len(r.b)/snapshotMinFlowSize) {
 		r.fail(fmt.Errorf("%w: %d flows need at least %d bytes each, have %d",
 			ErrSnapshotTruncated, count, snapshotMinFlowSize, len(r.b)))
 	}
 	if r.err != nil {
-		return nil, 0, 0, r.err
+		return r.err
 	}
 	// Every sketch window is carved from one slab. A counter takes at least a
 	// byte on the wire, so the bytes the shortest rows do not account for
-	// bound all the windows together — and the allocation by the body's size.
-	// With nothing else of variable length in a row the bound is tight: 3 %
-	// over the counters actually held on the benchmark's tables.
+	// bound all the windows together — and the slab by the body's size. With
+	// nothing else of variable length in a row the bound is tight: 3 % over
+	// the counters actually held on the benchmark's tables.
+	t.Aggs = t.Aggs[:0]
 	var slab []uint64
 	if count > 0 {
-		aggs = make([]collector.FlowAgg, count)
-		slab = make([]uint64, len(r.b)-int(count)*snapshotMinFlowSize)
+		t.Aggs = slices.Grow(t.Aggs, int(count))[:count]
+		n := len(r.b) - int(count)*snapshotMinFlowSize
+		t.slab = slices.Grow(t.slab[:0], n)[:n]
+		slab = t.slab
 	}
-	// One scratch window for every bucket run: SetState copies out of it.
-	scratch := make([]uint64, 0, stats.SketchMaxBuckets)
-	for i := range aggs {
-		a := &aggs[i]
+	// One scratch window for every bucket run: SetStateIn copies out of it.
+	if t.scratch == nil {
+		t.scratch = make([]uint64, 0, stats.SketchMaxBuckets)
+	}
+	for i := range t.Aggs {
+		a := &t.Aggs[i]
 		a.Key = r.key()
 		a.Est.SetState(r.welford())
 		a.True.SetState(r.welford())
@@ -291,19 +317,19 @@ func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint
 			r.fail(fmt.Errorf("%w: flow %d sketch window base %d outside [0, %d)", ErrSnapshotCorrupt, i, base, stats.SketchMaxBuckets))
 		}
 		s.Base = int32(base)
-		s.Buckets = r.buckets(scratch, stats.SketchMaxBuckets-int(s.Base))
+		s.Buckets = r.buckets(t.scratch, stats.SketchMaxBuckets-int(s.Base))
 		slab = a.Sketch.SetStateIn(s, slab)
 
 		a.Packets, a.Bytes = r.uvarint(), r.uvarint()
 		a.First, a.Last = simtime.Time(r.varint()), simtime.Time(r.varint())
 		if r.err != nil {
-			return nil, 0, 0, r.err
+			return r.err
 		}
 	}
 	if len(r.b) != 0 {
-		return nil, 0, 0, fmt.Errorf("%w: %d bytes after the last of %d flows", ErrSnapshotCorrupt, len(r.b), count)
+		return fmt.Errorf("%w: %d bytes after the last of %d flows", ErrSnapshotCorrupt, len(r.b), count)
 	}
-	return aggs, samples, records, nil
+	return nil
 }
 
 // snapshotReader consumes a binary snapshot body front to back. The first

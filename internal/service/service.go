@@ -209,7 +209,20 @@ type Server struct {
 
 	errsMu       sync.Mutex
 	decodeErrsBy map[decodeErrKey]uint64
+
+	// bodies are /snapshot and /flows response bodies kept for the next
+	// query to encode into.
+	bodies *queryapi.FreeList[[]byte]
 }
+
+// Idle response bodies rlird keeps for reuse: at most maxIdleBodies, none
+// over maxBodyBytes (a binary /snapshot of some 150 000 flows, a /flows body
+// of some 30 000 rows), so the query API retains at most 32 MB between
+// queries — and nothing once a garbage collection finds them idle.
+const (
+	maxIdleBodies = 2
+	maxBodyBytes  = 16 << 20
+)
 
 // New starts a server: collector shards, the configured ingest listeners,
 // the rolling-rate ticker, and (when cfg.HTTP is set) the query API server.
@@ -231,6 +244,7 @@ func New(cfg Config) (*Server, error) {
 		conns:        make(map[net.Conn]struct{}),
 		routers:      make(map[string]*routerAgg),
 		decodeErrsBy: make(map[decodeErrKey]uint64),
+		bodies:       queryapi.NewFreeList(maxIdleBodies, maxBodyBytes, func(b *[]byte) int { return cap(*b) }),
 		start:        time.Now(),
 	}
 	s.window = newRateWindow(cfg.Window, s.ingestTotals)

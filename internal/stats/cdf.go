@@ -26,10 +26,18 @@ type CDF struct {
 func NewCDF(samples []float64) *CDF {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	if !sortedFloats(s) {
-		sort.Float64s(s) // sort.Float64s orders NaNs first; treat below.
+	c := CDFOver(s)
+	return &c
+}
+
+// CDFOver is NewCDF without the copy: it sorts samples in place and keeps
+// them as the CDF's storage, allocating nothing, so the caller must leave
+// them alone while it uses the CDF.
+func CDFOver(samples []float64) CDF {
+	if !sortedFloats(samples) {
+		sort.Float64s(samples) // sort.Float64s orders NaNs first; treat below.
 	}
-	return &CDF{sorted: s}
+	return CDF{sorted: samples}
 }
 
 // sortedFloats reports whether s is already in sort.Float64s order (NaNs
