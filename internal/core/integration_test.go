@@ -46,13 +46,14 @@ func newTandem(t *testing.T, scheme InjectionScheme, linkBps float64, queueBytes
 	if err != nil {
 		t.Fatal(err)
 	}
-	td.receiver, err = AttachReceiverTx(td.sw2.Port(0), ReceiverConfig{
+	td.receiver, err = NewReceiver(ReceiverConfig{
 		Demux:  SingleDemux{ID: 1},
 		Accept: func(p *packet.Packet) bool { return p.Kind == packet.Regular },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	td.sw2.Port(0).OnTxStart(td.receiver.Observe)
 	return td
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
@@ -168,8 +167,10 @@ func (r *Receiver) newFlowAcc() *FlowAcc {
 	return &r.accSlab[len(r.accSlab)-1]
 }
 
-// NewReceiver builds a detached receiver; use Observe to feed it, or attach
-// it to simulation points with AttachReceiverTx / AttachReceiverIngress.
+// NewReceiver builds a detached receiver. Attach Observe as a tap where the
+// measured segment ends: a port's transmit start includes that port's queue
+// in the segment (port.OnTxStart), a node's ingress is a receiver hosted
+// "at" a router (node.OnReceive, §3.1).
 func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Demux == nil {
 		return nil, fmt.Errorf("core: receiver requires a demultiplexer")
@@ -188,29 +189,6 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 		streams: make(map[SenderID]*stream),
 		flows:   make(map[packet.FlowKey]*FlowAcc),
 	}, nil
-}
-
-// AttachReceiverTx installs a receiver at a port's transmit-start point:
-// the segment it measures ends after this port's queue, which is how a
-// bottleneck queue is included in the measured span.
-func AttachReceiverTx(port *netsim.Port, cfg ReceiverConfig) (*Receiver, error) {
-	r, err := NewReceiver(cfg)
-	if err != nil {
-		return nil, err
-	}
-	port.OnTxStart(r.Observe)
-	return r, nil
-}
-
-// AttachReceiverIngress installs a receiver at a node's ingress — the
-// natural placement for a receiver hosted "at" a core router (§3.1).
-func AttachReceiverIngress(node *netsim.Node, cfg ReceiverConfig) (*Receiver, error) {
-	r, err := NewReceiver(cfg)
-	if err != nil {
-		return nil, err
-	}
-	node.OnReceive(r.Observe)
-	return r, nil
 }
 
 // Counters returns a snapshot of the receiver's counters.

@@ -50,8 +50,11 @@ func (r *RLI) Tap(p *packet.Packet, now simtime.Time) {
 }
 
 // Finalize implements Estimator.
-func (r *RLI) Finalize() Report {
-	results := r.rx.Results(1)
+func (r *RLI) Finalize() Report { return r.ReportFrom(r.rx.Results(1)) }
+
+// ReportFrom is Finalize over per-flow results the caller already took with
+// Receiver().Results(1), so a harness that needs both sorts them once.
+func (r *RLI) ReportFrom(results []core.FlowResult) Report {
 	return ReportFromFlowResults("rli", r.router, results, r.refs)
 }
 

@@ -213,6 +213,22 @@ func (p *Packet) RecordHop(node int32) {
 	p.Hops = p.hopBuf[:n+1]
 }
 
+// CopyTo sets *dst to a copy of p that owns its path trace: up to
+// len(hopBuf) hops, dst.Hops is re-homed into dst's own hopBuf, so later
+// RecordHop calls on p, or p's reuse, never show through dst. A longer trace
+// is cloned to the heap.
+func (p *Packet) CopyTo(dst *Packet) {
+	*dst = *p
+	switch n := len(p.Hops); {
+	case n == 0:
+	case n <= len(dst.hopBuf):
+		copy(dst.hopBuf[:], p.Hops)
+		dst.Hops = dst.hopBuf[:n]
+	default:
+		dst.Hops = append([]int32(nil), p.Hops...)
+	}
+}
+
 // Traversed reports whether ground-truth tracing saw the packet pass node.
 func (p *Packet) Traversed(node int32) bool {
 	for _, h := range p.Hops {

@@ -179,6 +179,37 @@ func TestRecordHopAfterStructCopy(t *testing.T) {
 	}
 }
 
+// TestCopyToOwnsItsTrace: a CopyTo copy keeps the hops it was taken with
+// while the original records more, is overwritten, or is reused — inline
+// and spilled traces alike — and a traceless packet copies to a nil trace.
+func TestCopyToOwnsItsTrace(t *testing.T) {
+	for _, hops := range []int{0, 3, 8, 11} {
+		orig := &Packet{ID: 1, TOS: 2}
+		var want []int32
+		for h := 0; h < hops; h++ {
+			orig.RecordHop(int32(h))
+			want = append(want, int32(h))
+		}
+		var cp Packet
+		orig.CopyTo(&cp)
+		orig.RecordHop(99)
+		if hops > 0 {
+			orig.Hops[0] = -1
+		}
+		*orig = Packet{}
+		orig.RecordHop(42)
+		if !slices.Equal(cp.Hops, want) || cp.ID != 1 || cp.TOS != 2 {
+			t.Fatalf("%d hops: copy reads ID %d TOS %d Hops %v, want 1 2 %v", hops, cp.ID, cp.TOS, cp.Hops, want)
+		}
+		if hops == 0 && cp.Hops != nil {
+			t.Fatalf("traceless copy has Hops %v, want nil", cp.Hops)
+		}
+		if hops > 0 && hops <= len(cp.hopBuf) && &cp.Hops[0] != &cp.hopBuf[0] {
+			t.Fatalf("%d hops: copy's trace is not in its own hopBuf", hops)
+		}
+	}
+}
+
 // TestSlabCarvesDistinctZeroPackets crosses a chunk boundary: every packet
 // is zero, its own, and untouched by later carving.
 func TestSlabCarvesDistinctZeroPackets(t *testing.T) {

@@ -35,5 +35,8 @@
 //
 // Spec.Deploy.Estimators selects internal/measure mechanisms to ride the
 // run's single simulation pass; Result.Comparison scores all of them
-// against shared ground truth.
+// against shared ground truth. Those taps, the RLI receivers and the export
+// capture only watch, so they run on one consumer goroutine beside the
+// event loop, in the order the simulator saw their packets (engine.go,
+// plane.passive); a run is still a pure function of (spec, seed).
 package scenario

@@ -119,6 +119,11 @@ func (s Spec) dutyBoost() float64 {
 // A run hands it three things — segment-start observations, segment-end
 // observations and RLI estimates, each in global event order — and finish
 // folds it into the Result.
+//
+// Every tap that only watches — receivers, estimators, capture — attaches
+// through passive and runs on the plane's one consumer goroutine, in the
+// order the simulator pushed them; taps that act on the network (RLI
+// senders, core marking, the tandem's utilization meter) stay inline.
 type plane struct {
 	cap       *capture // nil unless the export stream is wanted
 	coll      *collector.Collector
@@ -126,6 +131,111 @@ type plane struct {
 	baselines []measure.Estimator
 	truth     *measure.Truth
 	shared    *measure.Dispatch
+
+	// The passive taps' queue: a passive tap fills cur; full chunks go to the
+	// consumer, which runs taps[rec.tap] for each record and hands the chunk
+	// back through free. done carries the consumer's exit: nil, or the value
+	// a passive tap panicked with.
+	taps       []measure.TapFunc
+	cur        *tapChunk
+	full, free chan *tapChunk
+	done       chan any
+}
+
+// A run owns planeChunks chunks of planeChunk records each (≈ 0.2 MB): enough
+// that the simulator rarely waits on the consumer, and few enough hand-offs
+// that the channel operations vanish beside the taps' own work.
+const (
+	planeChunk  = 256
+	planeChunks = 6
+)
+
+// tapRecord is one passive observation as the simulator saw it: the packet
+// is copied because the simulator goes on to re-stamp SegmentStart at core
+// down-ports, overwrite TOS at cores and append to Hops.
+type tapRecord struct {
+	pk  packet.Packet
+	at  simtime.Time
+	tap int
+}
+
+type tapChunk struct {
+	n    int
+	recs [planeChunk]tapRecord
+}
+
+// passive registers t as a passive tap and returns the hook to attach in its
+// place: it copies the packet and the instant into the queue, and t runs on
+// the consumer. Passive taps must not act on the network or read anything
+// the simulator writes during the run.
+func (p *plane) passive(t measure.TapFunc) measure.TapFunc {
+	i := len(p.taps)
+	p.taps = append(p.taps, t)
+	return func(pk *packet.Packet, at simtime.Time) {
+		c := p.cur
+		rec := &c.recs[c.n]
+		pk.CopyTo(&rec.pk)
+		rec.at, rec.tap = at, i
+		if c.n++; c.n == planeChunk {
+			p.full <- c
+			p.cur = <-p.free
+		}
+	}
+}
+
+// run is a run's stage four: sim drives the engine on the calling goroutine
+// while the consumer runs the passive taps. When run returns — normally or
+// by panic — the consumer has run every pushed record and exited; a passive
+// tap's panic is re-raised here, with its value.
+func (p *plane) run(sim func()) {
+	// Both channels can hold every chunk, so no send ever blocks: the
+	// simulator waits only for a free chunk, the consumer for a full one.
+	p.full = make(chan *tapChunk, planeChunks)
+	p.free = make(chan *tapChunk, planeChunks)
+	for range planeChunks - 1 {
+		p.free <- new(tapChunk)
+	}
+	p.cur = new(tapChunk)
+	p.done = make(chan any, 1)
+	go p.consume()
+	defer p.drain()
+	sim()
+}
+
+// consume replays full chunks in arrival order. After a tap panics it keeps
+// returning chunks unread, so the simulator never blocks on a dead consumer.
+func (p *plane) consume() {
+	var failure any
+	for c := range p.full {
+		if failure == nil {
+			failure = p.replay(c)
+		}
+		c.n = 0
+		p.free <- c
+	}
+	p.done <- failure
+}
+
+// replay runs one chunk's records through their taps, returning the value a
+// tap panicked with, if one did.
+func (p *plane) replay(c *tapChunk) (failure any) {
+	defer func() { failure = recover() }()
+	for i := range c.recs[:c.n] {
+		rec := &c.recs[i]
+		p.taps[rec.tap](&rec.pk, rec.at)
+	}
+	return nil
+}
+
+// drain hands the consumer the partial chunk, waits for it to exit and
+// re-raises a passive tap's panic on the caller.
+func (p *plane) drain() {
+	p.full <- p.cur
+	p.cur = nil
+	close(p.full)
+	if failure := <-p.done; failure != nil {
+		panic(failure)
+	}
 }
 
 func newPlane(spec Spec, seed int64, cap *capture) (*plane, error) {

@@ -75,9 +75,10 @@ type routerRx struct {
 	segment string
 	rx      *core.Receiver
 	rec     *routerRec
-	// tor is set for downstream receivers: the monitored (pod, tor).
-	tor  [2]int
-	down bool
+	// Downstream receivers carry their estimator and the monitored
+	// (pod, tor); rli is nil for the upstream ones.
+	tor [2]int
+	rli *measure.RLI
 }
 
 // fatTreeRun is one fat-tree scenario run's state, threaded through the
@@ -101,7 +102,6 @@ type fatTreeRun struct {
 	senders   []*core.Sender
 	routers   []*routerRx // cores in (j,i) order, then monitored ToRs
 	endPorts  []*netsim.Port
-	rlis      []*measure.RLI
 	countings []*countingDemux
 	plane     *plane
 
@@ -293,6 +293,22 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 	interp, _ := r.spec.Deploy.interpolation() // validated
 	clock := r.spec.Deploy.ReceiverClock.Clock()
 
+	// The measurement plane. Downstream estimates stream through its
+	// collector (upstream receivers keep local tails only, so one flow's
+	// fleet aggregate is not a mix of two different segments), and every
+	// mechanism the spec requests measures the same downstream (core ->
+	// monitored ToR) segment on this single pass: the RLI receivers below
+	// implement the measure API directly, and the baselines hang off the
+	// plane's dispatch fed from the segment-start (core down-ports) and
+	// segment-end (monitored ToR host ports) taps. Every receiver and
+	// baseline tap is passive, so the RLI results are bit-identical whether
+	// or not baselines attach.
+	pl, err := newPlane(r.spec, r.seed, cap)
+	if err != nil {
+		return err
+	}
+	r.plane = pl
+
 	// Upstream: senders at source-ToR uplinks, receivers at cores (prefix
 	// demux on source subnets).
 	for _, p := range r.sourcePods {
@@ -324,7 +340,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			}
 			addr := ft.CoreAddr(j, i)
 			rec := &routerRec{}
-			rx, err := core.AttachReceiverIngress(ft.Cores[j][i], core.ReceiverConfig{
+			rx, err := core.NewReceiver(core.ReceiverConfig{
 				Demux:      pd,
 				Estimator:  interp,
 				Clock:      clock,
@@ -335,6 +351,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			if err != nil {
 				return err
 			}
+			ft.Cores[j][i].OnReceive(pl.passive(rx.Observe))
 			r.routers = append(r.routers, &routerRx{
 				name:    ft.Cores[j][i].Name(),
 				segment: "tor-uplink->core",
@@ -343,21 +360,6 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			})
 		}
 	}
-
-	// The measurement plane. Downstream estimates stream through its
-	// collector (upstream receivers keep local tails only, so one flow's
-	// fleet aggregate is not a mix of two different segments), and every
-	// mechanism the spec requests measures the same downstream (core ->
-	// monitored ToR) segment on this single pass: the RLI receivers below
-	// implement the measure API directly, and the baselines hang off the
-	// plane's dispatch fed from the segment-start (core down-ports) and
-	// segment-end (monitored ToR host ports) taps. Baselines are passive, so
-	// the RLI results are bit-identical whether or not they attach.
-	pl, err := newPlane(r.spec, r.seed, cap)
-	if err != nil {
-		return err
-	}
-	r.plane = pl
 
 	// Downstream: a sender at each core down-port toward a monitored pod
 	// (references fanned to one anchor host per monitored ToR of that pod)
@@ -379,6 +381,11 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 		sp, _, _, sok := ft.LocateHost(pk.Key.Src)
 		return sok && sp != dp
 	}
+	segStart := pl.passive(func(pk *packet.Packet, now simtime.Time) {
+		if startAccept(pk) {
+			pl.tapStart(pk, now)
+		}
+	})
 	for _, p := range r.monPods {
 		var refs []packet.Addr
 		for _, m := range r.monitored {
@@ -396,11 +403,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 				}); err != nil {
 					return err
 				}
-				port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-					if startAccept(pk) {
-						pl.tapStart(pk, now)
-					}
-				})
+				port.OnTxStart(segStart)
 			}
 		}
 	}
@@ -430,18 +433,19 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 		if err != nil {
 			return err
 		}
-		r.rlis = append(r.rlis, rli)
+		// One record per packet serves both of the ToR's segment-end taps.
+		segEnd := pl.passive(func(pk *packet.Packet, now simtime.Time) {
+			rli.Tap(pk, now)
+			if accept(pk) {
+				pl.tapEnd(pk, now)
+				if r.repWanted[pk.ID] {
+					r.repArrivals[pk.ID] = now
+				}
+			}
+		})
 		for hh := 0; hh < h; hh++ {
 			port := ft.ToRHostPort(p, e, hh)
-			port.OnTxStart(rli.Tap)
-			port.OnTxStart(func(pk *packet.Packet, now simtime.Time) {
-				if accept(pk) {
-					pl.tapEnd(pk, now)
-					if r.repWanted[pk.ID] {
-						r.repArrivals[pk.ID] = now
-					}
-				}
-			})
+			port.OnTxStart(segEnd)
 			r.endPorts = append(r.endPorts, port)
 		}
 		r.routers = append(r.routers, &routerRx{
@@ -450,7 +454,7 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			rx:      rli.Receiver(),
 			rec:     rec,
 			tor:     m,
-			down:    true,
+			rli:     rli,
 		})
 	}
 	return nil
@@ -580,8 +584,9 @@ func (r *fatTreeRun) inject() {
 	}
 }
 
-// run is stage four.
-func (r *fatTreeRun) run() { r.nw.Engine().Run() }
+// run is stage four: the engine runs to empty beside the plane's passive
+// consumer, which has drained when run returns.
+func (r *fatTreeRun) run() { r.plane.run(func() { r.nw.Engine().Run() }) }
 
 // harvest is stage five: it folds the receivers, estimators and collector
 // into the Result.
@@ -589,6 +594,7 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 	spec := r.spec
 	res := &Result{Spec: spec, Seed: r.seed, Injected: r.injected}
 	var upResults, downResults []core.FlowResult
+	var rliReps []measure.Report
 	var estAll, trueAll stats.Histogram
 	type segKey struct{ j, i, p, e int }
 	segFlows := map[segKey][]core.FlowResult{}
@@ -601,11 +607,12 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 		rs := RouterStats{Router: rr.name, Segment: rr.segment, Summary: core.Summarize(results)}
 		rr.rec.fill(&rs)
 		res.Routers = append(res.Routers, rs)
-		if !rr.down {
+		if rr.rli == nil {
 			upResults = append(upResults, results...)
 			continue
 		}
 		downResults = append(downResults, results...)
+		rliReps = append(rliReps, rr.rli.ReportFrom(results))
 		estAll.Merge(&rr.rec.estH)
 		trueAll.Merge(&rr.rec.trueH)
 		for _, fr := range results {
@@ -627,10 +634,6 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 
 	// The comparison table's RLI row is the fleet merge of every monitored
 	// ToR's receiver.
-	rliReps := make([]measure.Report, 0, len(r.rlis))
-	for _, rli := range r.rlis {
-		rliReps = append(rliReps, rli.Finalize())
-	}
 	r.plane.finish(res, measure.MergeReports("rli", rliReps...))
 
 	for sk, frs := range segFlows {

@@ -1,0 +1,146 @@
+package scenario
+
+import (
+	"errors"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/simtime"
+)
+
+// waitGoroutines fails t unless the goroutine count falls back to base: a
+// goroutine that has signalled its exit may still be counted for a moment.
+func waitGoroutines(t *testing.T, base int, after string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, baseline %d", after, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPlanePassiveOrderAndCopy pins the passive queue's contract: two taps
+// interleaved across several chunk hand-offs see exactly the push order;
+// each sees the packet as it was at tap time although the caller re-stamps
+// SegmentStart, overwrites TOS, records and rewrites hops and then reuses
+// the packet; a tap's panic is re-raised on the caller at drain with its
+// value; and no run — drained, panicked or failed while instrumenting —
+// leaves a goroutine behind.
+func TestPlanePassiveOrderAndCopy(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	type obs struct {
+		tap     int
+		id      uint64
+		at, seg simtime.Time
+		tos     uint8
+		hops    []int32
+	}
+	var got, want []obs
+	p := &plane{}
+	observer := func(i int) measure.TapFunc {
+		return func(pk *packet.Packet, at simtime.Time) {
+			got = append(got, obs{i, pk.ID, at, pk.SegmentStart, pk.TOS, slices.Clone(pk.Hops)})
+		}
+	}
+	taps := []measure.TapFunc{p.passive(observer(0)), p.passive(observer(1))}
+	const n = 3*planeChunk + planeChunk/2 // three full hand-offs and a partial one at drain
+	p.run(func() {
+		var pk packet.Packet
+		for i := range n {
+			pk = packet.Packet{ID: uint64(i), TOS: uint8(i), SegmentStart: simtime.Time(i)}
+			for h := range i % 5 {
+				pk.RecordHop(int32(i + h))
+			}
+			tap := i % 3 % 2 // 0, 1, 0, 0, 1, 0, ...
+			at := simtime.Time(10 * i)
+			want = append(want, obs{tap, pk.ID, at, pk.SegmentStart, pk.TOS, slices.Clone(pk.Hops)})
+			taps[tap](&pk, at)
+			pk.SegmentStart, pk.TOS = -1, 0xff
+			pk.RecordHop(-1)
+			pk.Hops[0] = -2
+		}
+	})
+	if len(got) != n || !reflect.DeepEqual(got, want) {
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("record %d: tap saw %+v, pushed %+v", i, got[i], want[i])
+			}
+		}
+		t.Fatalf("taps saw %d records, %d were pushed", len(got), n)
+	}
+	waitGoroutines(t, base, "a drained run")
+
+	boom := errors.New("tap failed")
+	calls := 0
+	p = &plane{}
+	failing := p.passive(func(*packet.Packet, simtime.Time) {
+		if calls++; calls == planeChunk+3 {
+			panic(boom)
+		}
+	})
+	raised := func() (v any) {
+		defer func() { v = recover() }()
+		p.run(func() {
+			var pk packet.Packet
+			for range planeChunks * planeChunk * 3 { // more than the chunks a stuck consumer could hold
+				failing(&pk, 0)
+			}
+		})
+		return nil
+	}()
+	if raised != boom {
+		t.Fatalf("run re-raised %v, want the tap's panic %v", raised, boom)
+	}
+	if calls != planeChunk+3 {
+		t.Errorf("taps ran %d times, want %d: records after the panic must not run", calls, planeChunk+3)
+	}
+	waitGoroutines(t, base, "a tap panic")
+
+	ft := DefaultSpec()
+	ft.Deploy.Estimators = []string{"rli", "no-such-estimator"}
+	if _, err := runFatTree(ft, 1, nil); err == nil {
+		t.Fatal("fat-tree run with an unknown estimator succeeded")
+	}
+	tandem, err := TandemSpec("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tandem.Deploy.Estimators = ft.Deploy.Estimators
+	if _, err := runTandem(tandem, 1, nil); err == nil {
+		t.Fatal("tandem run with an unknown estimator succeeded")
+	}
+	waitGoroutines(t, base, "instrument errors")
+}
+
+// TestZeroAllocPlaneSteadyState: once every chunk has made a round trip, a
+// passive observation — copy, enqueue, hand-off, replay — allocates nothing.
+func TestZeroAllocPlaneSteadyState(t *testing.T) {
+	p := &plane{}
+	var hops int
+	observe := p.passive(func(pk *packet.Packet, _ simtime.Time) { hops += len(pk.Hops) })
+	pk := &packet.Packet{ID: 1, Kind: packet.Regular}
+	for h := range 7 { // a fat-tree path
+		pk.RecordHop(int32(h))
+	}
+	var allocs float64
+	p.run(func() {
+		for range 2 * planeChunks * planeChunk {
+			observe(pk, 0)
+		}
+		allocs = testing.AllocsPerRun(4*planeChunk, func() { observe(pk, 0) })
+	})
+	if hops == 0 {
+		t.Fatal("the passive tap never ran")
+	}
+	if allocs != 0 {
+		t.Fatalf("a passive observation allocates %.2f times, want 0", allocs)
+	}
+}

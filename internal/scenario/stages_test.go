@@ -15,7 +15,8 @@ import (
 // TestBuildInstrumentAttachesDeployment checks that build + instrument wire
 // exactly the deployment Spec.Instances budgets — §3.1's senders at ToR
 // uplinks and core down-ports, receivers at cores and monitored ToRs — as
-// taps only: no event is scheduled or run.
+// taps only, every receiver and estimator through the plane's passive queue:
+// no event is scheduled or run.
 func TestBuildInstrumentAttachesDeployment(t *testing.T) {
 	allpairs := DefaultSpec()
 	allpairs.Workload.Pattern = PatternAllPairs
@@ -45,9 +46,21 @@ func TestBuildInstrumentAttachesDeployment(t *testing.T) {
 		if got := len(r.senders) + len(r.routers); got != tc.spec.Instances() {
 			t.Errorf("%s: attached %d instances, Spec.Instances budgets %d", tc.name, got, tc.spec.Instances())
 		}
-		if len(r.rlis) != len(r.monitored) || len(r.countings) != len(r.monitored) {
+		rlis := 0
+		for _, rr := range r.routers {
+			if rr.rli != nil {
+				rlis++
+			}
+		}
+		if rlis != len(r.monitored) || len(r.countings) != len(r.monitored) {
 			t.Errorf("%s: %d RLI receivers / %d audits for %d monitored ToRs", tc.name,
-				len(r.rlis), len(r.countings), len(r.monitored))
+				rlis, len(r.countings), len(r.monitored))
+		}
+		// Every receiver and estimator tap is passive: one per core
+		// receiver, one shared by the segment-start ports, one per monitored
+		// ToR's segment end.
+		if want := len(r.routers) - rlis + 1 + len(r.monitored); len(r.plane.taps) != want {
+			t.Errorf("%s: %d passive taps, want %d", tc.name, len(r.plane.taps), want)
 		}
 		if eng := r.nw.Engine(); eng.Pending() != 0 || eng.Processed() != 0 {
 			t.Errorf("%s: instrumenting scheduled %d events and ran %d", tc.name, eng.Pending(), eng.Processed())

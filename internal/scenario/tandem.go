@@ -206,7 +206,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	}
 	interp, _ := spec.Deploy.interpolation() // validated
 	rec := &routerRec{}
-	receiver, err := core.AttachReceiverTx(bottleneck, core.ReceiverConfig{
+	receiver, err := core.NewReceiver(core.ReceiverConfig{
 		Demux:     core.SingleDemux{ID: 1},
 		Estimator: interp,
 		Clock:     spec.Deploy.ReceiverClock.Clock(),
@@ -222,27 +222,30 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		return nil, err
 	}
 
-	// Loss accounting for regular traffic at the bottleneck queue.
-	bottleneck.OnDrop(func(p *packet.Packet, _ simtime.Time) {
-		if p.Kind == packet.Regular {
-			res.RegularDropped++
-		}
-	})
-	sw1.Port(0).OnTxStart(func(p *packet.Packet, now simtime.Time) {
-		if p.Kind == packet.Regular {
-			pl.tapStart(p, now)
-		}
-	})
-	bottleneck.OnTxStart(func(p *packet.Packet, now simtime.Time) {
+	// Passive taps: the receiver and the segment end share the bottleneck's
+	// record, the segment start follows the sender at sw1, and the
+	// bottleneck queue's drops are regular traffic's loss accounting.
+	bottleneck.OnTxStart(pl.passive(func(p *packet.Packet, now simtime.Time) {
+		receiver.Observe(p, now)
 		if p.Kind == packet.Regular {
 			pl.tapEnd(p, now)
 		}
-	})
+	}))
+	bottleneck.OnDrop(pl.passive(func(p *packet.Packet, _ simtime.Time) {
+		if p.Kind == packet.Regular {
+			res.RegularDropped++
+		}
+	}))
+	sw1.Port(0).OnTxStart(pl.passive(func(p *packet.Packet, now simtime.Time) {
+		if p.Kind == packet.Regular {
+			pl.tapStart(p, now)
+		}
+	}))
 
 	// A bounded run rather than run-to-empty: the live utilization meter
 	// re-arms its sampling ticker forever, so the event queue never drains
 	// on its own. One extra second covers queue drain at any scale here.
-	eng.RunUntil(simtime.FromDuration(dur + time.Second))
+	pl.run(func() { eng.RunUntil(simtime.FromDuration(dur + time.Second)) })
 
 	res.Results = receiver.Results(1)
 	res.Overall = core.Summarize(res.Results)
