@@ -2,19 +2,10 @@
 // engine.
 //
 // Events are scheduled at nanosecond-resolution virtual instants
-// (simtime.Time). The engine pops events in (time, scheduling order): two
-// events scheduled for the same instant run in the order they were scheduled,
-// which makes simulations bit-for-bit reproducible across runs with the same
-// seed.
-//
-// Scheduling order is not stored as one global sequence number but as the
-// pair (ord, k): ord is the execution index of the event that did the
-// scheduling (0 for events scheduled during setup, before the run), and k
-// counts that cause's schedule calls. For events at the same instant the
-// lexicographic (ord, k) order equals call order — a cause that executed
-// earlier made all its schedule calls earlier — so the total order is
-// unchanged. The pair is what the queue's two-tier rule below is written
-// on: "scheduled by setup" is ord == 0, read off the event itself.
+// (simtime.Time). The engine pops events in (at, seq) order: seq numbers the
+// engine's schedule calls, so two events scheduled for the same instant run in
+// the order they were scheduled, which makes simulations bit-for-bit
+// reproducible across runs with the same seed.
 //
 // The engine offers two scheduling APIs:
 //
@@ -23,38 +14,50 @@
 //     allocation.
 //   - AtKind/AfterKind take a Kind registered via RegisterKind plus two
 //     payload words. Handlers are installed once per kind; the payload is
-//     carried by value inside the event heap slot, so scheduling allocates
-//     nothing as long as the payload words are pointer-shaped (pointers,
-//     funcs, channels, maps). This is the path the packet simulator's
-//     per-packet events use.
+//     carried by value inside the queue slot, so scheduling allocates nothing
+//     as long as the payload words are pointer-shaped (pointers, funcs,
+//     channels, maps). This is the path the packet simulator's per-packet
+//     events use.
 //
 // Internally the queue has two tiers holding one total order. Events that
-// events schedule go to a monomorphic 4-ary min-heap over a flat []event
-// slice: no container/heap indirection, no interface boxing per element, and
-// a branching factor that keeps parent/child slots on the same cache lines.
-// Events that setup schedules — ord 0: nothing has executed yet — go to the
-// backlog instead, a plain slice that is sorted once by the same (at, ord, k)
-// key (not at all when setup scheduled in time order, as a trace replay does)
-// and then consumed front to back. The next event is the smaller of the
-// backlog's head and the heap's root; keys are unique, so that is exactly the
-// order one heap holding everything would pop. What it buys is a heap whose
-// size is the number of events in flight, not the length of the workload: a
-// run that injects its whole trace up front no longer sifts every push and
-// pop through tens of thousands of events that are not due yet.
+// setup schedules — nothing has executed yet — go to the backlog, a plain
+// slice that is sorted once by (at, seq) (not at all when setup scheduled in
+// time order, as a trace replay does) and then consumed front to back. Every
+// other event goes to a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990):
+// an event at instant at is filed in bucket bits.Len64(at ^ last), where last
+// is the instant of the event the heap last released. Schedule calls never go
+// back in time, so every queued instant is at least last: bucket 0 holds the
+// events at last itself, and bucket b the ones whose highest bit differing
+// from last is b-1. A push is an append to its bucket, with no sift; each
+// bucket keeps its least instant as events are filed. A pop takes the front
+// of bucket 0; when that is empty, the lowest non-empty bucket's least instant
+// becomes last and the bucket's events are refiled, each into a strictly lower
+// bucket (a bucket of one event is popped as it is). Buckets are FIFO lists,
+// refiling walks them in order and only ever fills empty buckets, so every
+// bucket stays in schedule-call order and bucket 0 releases same-instant
+// events by seq. The lists are index-linked through one slot pool whose freed
+// slots are reused, so a run in steady state allocates nothing, however its
+// instants move.
 //
-// The rule is the cause word and nothing else. Once any event has executed,
-// ord is non-zero for good, so schedule calls made between two RunUntil
-// calls (or after a Step) go to the heap like any event-scheduled event;
-// there is no size threshold and no second queue kind to choose.
+// The next event is the smaller of the backlog's head and the heap's least
+// event; setup calls precede every event-scheduled call, so the backlog wins
+// ties. The heap's least instant is looked up without refiling: last advances
+// only when the heap releases an event, because a backlog event or a RunUntil
+// deadline before it sets a clock that later schedule calls may fill in
+// behind. What the two tiers buy is a heap whose size is the number of events
+// in flight, not the length of the workload. The rule is "has anything
+// executed" and nothing else: schedule calls made between two RunUntil calls
+// (or after a Step) go to the heap like any event-scheduled event.
 //
 // An Engine is single-goroutine: network simulation at packet granularity is
-// dominated by the event heap and cache behaviour, and a single timeline
+// dominated by the event queue and cache behaviour, and a single timeline
 // avoids cross-goroutine nondeterminism. Multi-core scale-out is across
 // independent runs (internal/runner); DESIGN.md "One event engine" records
 // why there is no multi-lane engine.
 package eventsim
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -78,40 +81,45 @@ type TypedHandler func(a, b any)
 // word a holds the Handler.
 const kindFunc Kind = 0
 
-// event is one heap slot. The payload words a and b are carried by value:
+// event is one queue slot. The payload words a and b are carried by value:
 // popping an event never allocates, and dispatch goes through the engine's
 // kind table rather than a captured closure.
 type event struct {
 	at   simtime.Time
-	ord  uint64 // execution index of the scheduling cause (0 = setup)
+	seq  uint64 // schedule-call index: the tie order among equal instants
 	kind Kind
-	k    uint32 // index among the cause's schedule calls
 	a, b any
 }
 
-// before reports whether x orders strictly ahead of y in (at, ord, k) order.
-func (x *event) before(y *event) bool {
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	if x.ord != y.ord {
-		return x.ord < y.ord
-	}
-	return x.k < y.k
+// link is a heap slot's key half, kept apart from its payload so that
+// finding and refiling a bucket walks 16-byte entries only.
+type link struct {
+	at   simtime.Time
+	next uint32 // next slot in the bucket or free list (0 = none)
 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with New.
 type Engine struct {
-	now       simtime.Time
-	ord       uint64  // cause word stamped on schedule calls (execution index of the running event)
-	k         uint32  // next schedule-call index of the running event
-	events    []event // 4-ary min-heap ordered by (at, ord, k): events scheduled by events
-	backlog   []event // events scheduled by setup (ord 0); sorted by (at, ord, k) before first use
-	head      int     // next unconsumed backlog slot
-	unsorted  bool    // a setup schedule call broke the backlog's append order
-	peakHeap  int     // largest len(events) so far
-	setup     int     // events the backlog was handed in total
+	now      simtime.Time
+	seq      uint64  // schedule calls made so far
+	backlog  []event // events scheduled before any executed; sorted by (at, seq) before first use
+	head     int     // next unconsumed backlog slot
+	unsorted bool    // a setup schedule call broke the backlog's append order
+	setup    int     // events the backlog was handed in total
+
+	// The radix heap of every other event: bucket b lists, in seq order, the
+	// slots whose instant first differs from last in bit b-1 (b = 0: equals it).
+	slots       []event          // slot pool; slot 0 is the null link
+	links       []link           // slots' instants and list links, index for index
+	free        uint32           // first free slot, linked through next (0 = none)
+	front, back [64]uint32       // each bucket's first and last slot
+	lo          [64]simtime.Time // each non-empty bucket's least instant
+	full        uint64           // bit b set: bucket b is non-empty
+	last        simtime.Time     // instant of the event the heap last released
+	queued      int              // events in the heap
+	peakHeap    int              // largest queued so far
+
 	kinds     []TypedHandler
 	processed uint64
 	stopped   bool
@@ -120,7 +128,8 @@ type Engine struct {
 // New returns an engine with its clock at the simulation epoch.
 func New() *Engine {
 	e := &Engine{}
-	e.events = make([]event, 0, 1024)
+	e.slots = make([]event, 1, 1024)
+	e.links = make([]link, 1, 1024)
 	e.kinds = []TypedHandler{func(a, _ any) { a.(Handler)() }}
 	return e
 }
@@ -140,11 +149,11 @@ func (e *Engine) RegisterKind(h TypedHandler) Kind {
 func (e *Engine) Now() simtime.Time { return e.now }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.backlog) - e.head + len(e.events) }
+func (e *Engine) Pending() int { return len(e.backlog) - e.head + e.queued }
 
 // PeakHeap returns the largest number of event-scheduled events that were
-// ever queued at once: the run's in-flight high-water mark, and the size the
-// heap's sifts actually worked on.
+// ever queued at once: the run's in-flight high-water mark, and the number of
+// slots the heap's pool ever held.
 func (e *Engine) PeakHeap() int { return e.peakHeap }
 
 // Backlog returns the number of events setup scheduled before the run — the
@@ -184,119 +193,144 @@ func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 	if t < e.now {
 		panic("eventsim: scheduling event in the past (" + t.String() + " < " + e.now.String() + ")")
 	}
-	ev := event{at: t, ord: e.ord, kind: kind, k: e.k, a: a, b: b}
-	e.k++
-	if e.ord == 0 {
+	seq := e.seq
+	e.seq++
+	if e.processed == 0 {
 		// Setup: nothing has executed, so nothing has been consumed either.
-		// Every backlog event has ord 0 and a smaller k than this one, so
-		// only an earlier instant puts it out of order.
+		// Every backlog event has a smaller seq than this one, so only an
+		// earlier instant puts it out of order.
 		if n := len(e.backlog); n > 0 && t < e.backlog[n-1].at {
 			e.unsorted = true
 		}
-		e.backlog = append(e.backlog, ev)
+		e.backlog = append(e.backlog, event{at: t, seq: seq, kind: kind, a: a, b: b})
 		e.setup++
 		return
 	}
-	e.push(ev)
+	e.push(t, seq, kind, a, b)
 }
 
-// push sifts a new event up the 4-ary heap.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !ev.before(&h[p]) {
-			break
+// push files a new event at the back of its bucket, in a freed slot if there
+// is one. The slot is written field by field: copying in a whole event built
+// by the caller would read it back across the caller's just-made stores.
+func (e *Engine) push(t simtime.Time, seq uint64, kind Kind, a, b any) {
+	i := e.free
+	if i != 0 {
+		e.free = e.links[i].next
+	} else {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, event{})
+		e.links = append(e.links, link{})
+	}
+	s := &e.slots[i]
+	s.at, s.seq, s.kind, s.a, s.b = t, seq, kind, a, b
+	e.links[i].at = t
+	e.file(i)
+	e.queued++
+	if e.queued > e.peakHeap {
+		e.peakHeap = e.queued
+	}
+}
+
+// file appends slot i to the list of bucket bits.Len64(at ^ last) and keeps
+// the bucket's least instant. Instants are never negative, so the bucket is
+// below 64.
+func (e *Engine) file(i uint32) {
+	l := &e.links[i]
+	l.next = 0
+	b := bits.Len64(uint64(l.at ^ e.last))
+	if e.full&(1<<b) == 0 {
+		e.full |= 1 << b
+		e.front[b] = i
+		e.lo[b] = l.at
+	} else {
+		e.links[e.back[b]].next = i
+		e.lo[b] = min(e.lo[b], l.at)
+	}
+	e.back[b] = i
+}
+
+// leastAt returns the least instant of the heap, which must hold events,
+// without moving last: the least instant of its lowest non-empty bucket.
+func (e *Engine) leastAt() simtime.Time {
+	return e.lo[bits.TrailingZeros64(e.full)]
+}
+
+// pop unlinks the heap's least event and returns its slot, already on the
+// free list: the caller copies the event out and zeroes the slot, so payload
+// pointers do not outlive their event. When bucket 0 is empty, the lowest
+// non-empty bucket's least instant becomes last and the bucket is refiled in
+// list order: its events at last land in bucket 0, in seq order, the rest in
+// the buckets between. A bucket of one event is its own least and is taken
+// as it is.
+func (e *Engine) pop() uint32 {
+	b := 0
+	if e.full&1 == 0 {
+		b = bits.TrailingZeros64(e.full)
+		e.last = e.lo[b]
+		if e.front[b] != e.back[b] {
+			e.full &^= 1 << b
+			for i := e.front[b]; i != 0; {
+				next := e.links[i].next
+				e.file(i)
+				i = next
+			}
+			b = 0
 		}
-		h[i] = h[p]
-		i = p
 	}
-	h[i] = ev
-	e.events = h
-	if len(h) > e.peakHeap {
-		e.peakHeap = len(h)
+	i := e.front[b]
+	next := e.links[i].next
+	e.front[b] = next
+	if next == 0 {
+		e.full &^= 1 << b
 	}
+	e.links[i].next = e.free
+	e.free = i
+	e.queued--
+	return i
 }
 
-// pop removes the minimum event, sifting the displaced tail element down.
-// The vacated tail slot is zeroed so payload pointers do not outlive their
-// event.
-func (e *Engine) pop() {
-	h := e.events
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if h[j].before(&h[m]) {
-					m = j
-				}
-			}
-			if !h[m].before(&last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	e.events = h
-}
-
-// peek returns the next event in (at, ord, k) order without removing it —
-// the smaller of the backlog's head and the heap's root — or nil when none
-// is pending. It sorts the backlog on first use if setup appended out of
-// order. The pointer is valid until the next schedule call or exec.
-func (e *Engine) peek() *event {
-	if e.head == len(e.backlog) {
-		if len(e.events) == 0 {
-			return nil
-		}
-		return &e.events[0]
-	}
-	if e.unsorted {
-		slices.SortFunc(e.backlog, func(x, y event) int {
-			if x.before(&y) {
-				return -1
-			}
-			return 1
-		})
-		e.unsorted = false
-	}
-	if b := &e.backlog[e.head]; len(e.events) == 0 || b.before(&e.events[0]) {
-		return b
-	}
-	return &e.events[0]
-}
-
-// exec runs the next event if there is one and it is due at or before limit,
-// and reports whether it did. It is the one place an event leaves the queue:
-// Run, RunUntil and Step all loop over it. The event is copied out of its
-// slot before the slot goes — the heap's root by pop, a backlog slot by
-// zeroing it, like pop zeroes the tail, so payload pointers do not outlive
-// their event; the drained backlog is released whole.
+// exec runs the next event in (at, seq) order if there is one and it is due
+// at or before limit, and reports whether it did. It is the one place an
+// event leaves the queue: Run, RunUntil and Step all loop over it. The next
+// event is the smaller of the backlog's head and the heap's least; a consumed
+// backlog slot is zeroed, like a freed heap slot, and the drained backlog is
+// released whole. The heap is popped only once its event is sure to run, so
+// last never passes the clock.
 func (e *Engine) exec(limit simtime.Time) bool {
-	p := e.peek()
-	if p == nil || p.at > limit {
+	heap := e.queued > 0
+	var at simtime.Time
+	if heap {
+		at = e.leastAt()
+	}
+	if e.head < len(e.backlog) {
+		if e.unsorted {
+			// seq is unique, so no two slots compare equal.
+			slices.SortFunc(e.backlog, func(x, y event) int {
+				if x.at < y.at || x.at == y.at && x.seq < y.seq {
+					return -1
+				}
+				return 1
+			})
+			e.unsorted = false
+		}
+		// Setup calls precede every event-scheduled call: the backlog wins ties.
+		if b := e.backlog[e.head].at; !heap || b <= at {
+			heap, at = false, b
+		}
+	} else if !heap {
 		return false
 	}
-	ev := *p
-	if len(e.events) > 0 && p == &e.events[0] {
-		e.pop()
+	if at > limit {
+		return false
+	}
+	var ev event
+	if heap {
+		i := e.pop()
+		ev = e.slots[i]
+		e.slots[i] = event{}
 	} else {
+		p := &e.backlog[e.head]
+		ev = *p
 		*p = event{}
 		e.head++
 		if e.head == len(e.backlog) {
@@ -305,8 +339,6 @@ func (e *Engine) exec(limit simtime.Time) bool {
 	}
 	e.now = ev.at
 	e.processed++
-	e.ord = e.processed
-	e.k = 0
 	e.kinds[ev.kind](ev.a, ev.b)
 	return true
 }

@@ -1,7 +1,7 @@
 package eventsim
 
 import (
-	"reflect"
+	"cmp"
 	"slices"
 	"testing"
 	"time"
@@ -9,28 +9,25 @@ import (
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
-// The two-tier queue's one property: splitting setup-scheduled events into a
-// sorted backlog changes nothing an observer can see. These tests run seeded
-// plans twice — once as is, once on the heap-only reference, where the
-// backlog is emptied into the heap before every run call — and require the
-// same execution log, clock, Pending and Processed at every checkpoint.
+// The queue's one property: whichever tier holds an event and however far
+// apart the instants are, events run in (instant, schedule-call index) order.
+// These tests run seeded plans against an independent reference — a stable
+// sort of every schedule call by instant — and check the clock, Pending and
+// Processed at every checkpoint against what the calls and the execution log
+// imply. Nothing in the reference goes through the engine's queue.
 
-// The plans derive everything from hashed labels, so both runs of a seed
-// compute the same schedule, and put every instant on a coarse grid — zero
-// delays included — so same-instant events pile up and the (ord, k) tie
-// order decides.
+// The plans derive everything from hashed labels. Half the delays fall on a
+// coarse grid — zero included — so same-instant events pile up and the
+// schedule order decides; the other half are log-uniform from 1 ns to 2^40 ns,
+// so the heap's instants differ from each other in low and high bits alike.
 const tieGrid = 250 * time.Nanosecond
 
-// tieNode is one planned event: a unique label and its remaining depth.
+// tieNode is one planned event: its schedule-call index, a label its
+// children's are hashed from, and its remaining depth.
 type tieNode struct {
+	id    int
 	label uint64
 	depth int
-}
-
-// tieEntry is one executed event as observed by the log.
-type tieEntry struct {
-	label uint64
-	at    simtime.Time
 }
 
 // tieMix is SplitMix64.
@@ -41,157 +38,231 @@ func tieMix(x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// tieActions derives the schedule calls an event makes: up to three
-// children, each 0 to 8 grid steps later.
-func tieActions(seed uint64, nd *tieNode, visit func(child *tieNode, d time.Duration)) {
+// tieDelay draws a delay from hash h: 0 to 8 grid steps, or log-uniform in
+// [1 ns, 2^40 ns).
+func tieDelay(h uint64) time.Duration {
+	if h&1 == 0 {
+		return time.Duration(h>>8%9) * tieGrid
+	}
+	exp := h >> 8 % 40
+	return time.Duration(1<<exp + h>>16&(1<<exp-1))
+}
+
+// queuePlan drives one bare Engine and records every schedule call and every
+// execution.
+type queuePlan struct {
+	t       *testing.T
+	seed    uint64
+	e       *Engine
+	kind    Kind
+	fanout  func(nd *tieNode, h uint64) int // schedule calls nd makes when it runs
+	calls   []simtime.Time                  // instant of each schedule call, in call order
+	done    []bool                          // done[i]: call i has executed
+	ran     []int                           // call index of each executed event, in order
+	marks   []uint64                        // Processed after each checkpoint
+	stopAt  int                             // Stop once this many events ran (-1: never)
+	stopped bool                            // Stop was called during the current checkpoint
+}
+
+func newQueuePlan(t *testing.T, seed uint64, fanout func(nd *tieNode, h uint64) int) *queuePlan {
+	p := &queuePlan{t: t, seed: seed, e: New(), fanout: fanout, stopAt: -1}
+	p.kind = p.e.RegisterKind(func(a, _ any) { p.exec(a.(*tieNode)) })
+	return p
+}
+
+// schedule makes one schedule call, a typed event or a closure by label.
+func (p *queuePlan) schedule(label uint64, depth int, at simtime.Time) {
+	nd := &tieNode{id: len(p.calls), label: label, depth: depth}
+	p.calls = append(p.calls, at)
+	p.done = append(p.done, false)
+	if label&1 == 0 {
+		p.e.AtKind(at, p.kind, nd, nil)
+	} else {
+		p.e.At(at, func() { p.exec(nd) })
+	}
+}
+
+func (p *queuePlan) exec(nd *tieNode) {
+	if now := p.e.Now(); now != p.calls[nd.id] {
+		p.t.Fatalf("seed %d: call %d ran with the clock at %v, scheduled for %v", p.seed, nd.id, now, p.calls[nd.id])
+	}
+	p.ran = append(p.ran, nd.id)
+	p.done[nd.id] = true
+	if len(p.ran) == p.stopAt {
+		p.e.Stop()
+		p.stopped = true
+	}
 	if nd.depth <= 0 {
 		return
 	}
-	h := tieMix(seed ^ nd.label)
-	n := int(h % 4)
-	for c := 0; c < n; c++ {
-		d := time.Duration(tieMix(h+uint64(c))>>8%9) * tieGrid
-		visit(&tieNode{label: tieMix(nd.label + uint64(c) + 1), depth: nd.depth - 1}, d)
+	h := tieMix(p.seed ^ nd.label)
+	for c := range p.fanout(nd, h) {
+		d := tieDelay(tieMix(h + uint64(c)))
+		p.schedule(tieMix(nd.label+uint64(c)+1), nd.depth-1, p.e.Now().Add(d))
 	}
 }
 
-// heapOnly moves e's backlog into its heap: the single-queue engine the
-// two-tier one must be indistinguishable from.
-func heapOnly(e *Engine) {
-	for _, ev := range e.backlog[e.head:] {
-		e.push(ev)
+// checkpoint runs one engine call — a RunUntil when deadline is not
+// simtime.Never — and checks what it left behind.
+func (p *queuePlan) checkpoint(deadline simtime.Time, run func()) {
+	p.t.Helper()
+	before, clock := len(p.ran), p.e.Now()
+	p.stopped = false
+	run()
+	p.marks = append(p.marks, p.e.Processed())
+	if p.e.Pending() != len(p.calls)-len(p.ran) || p.e.Processed() != uint64(len(p.ran)) {
+		p.t.Fatalf("seed %d: Pending/Processed = %d/%d with %d scheduled and %d executed",
+			p.seed, p.e.Pending(), p.e.Processed(), len(p.calls), len(p.ran))
 	}
-	e.backlog, e.head, e.unsorted = nil, 0, false
+	// The clock rests at the last executed instant, or at the deadline a
+	// RunUntil that was not stopped reached, which left nothing due by then.
+	want := clock
+	if len(p.ran) > before {
+		want = p.calls[p.ran[len(p.ran)-1]]
+	}
+	if deadline != simtime.Never && !p.stopped {
+		want = max(want, deadline)
+		for i, at := range p.calls {
+			if !p.done[i] && at <= deadline {
+				p.t.Fatalf("seed %d: call %d at %v still pending after RunUntil(%v)", p.seed, i, at, deadline)
+			}
+		}
+	}
+	if p.e.Now() != want {
+		p.t.Fatalf("seed %d: clock %v after a checkpoint, want %v", p.seed, p.e.Now(), want)
+	}
 }
 
-// queueTrace is everything one phased run lets an observer see.
-type queueTrace struct {
-	Log       []tieEntry
-	Pending   []int
-	Clock     []simtime.Time
-	Processed []uint64
+// verify requires an empty queue and the execution log to equal the calls
+// stably sorted by instant.
+func (p *queuePlan) verify() {
+	p.t.Helper()
+	if p.e.Pending() != 0 || len(p.ran) != len(p.calls) {
+		p.t.Fatalf("seed %d: %d of %d calls executed, %d pending", p.seed, len(p.ran), len(p.calls), p.e.Pending())
+	}
+	want := make([]int, len(p.calls))
+	for i := range want {
+		want[i] = i
+	}
+	slices.SortStableFunc(want, func(i, j int) int { return cmp.Compare(p.calls[i], p.calls[j]) })
+	for i := range want {
+		if p.ran[i] != want[i] {
+			p.t.Fatalf("seed %d: position %d ran call %d at %v, want call %d at %v",
+				p.seed, i, p.ran[i], p.calls[p.ran[i]], want[i], p.calls[want[i]])
+		}
+	}
 }
 
-// runQueuePlan drives one bare Engine through every way its queue is used:
-// setup in or out of time order with ties, a RunUntil that may execute
-// nothing, setup resumed after it, a Run cut short by Stop, Steps, schedule
-// calls between runs, and a final drain — closures and typed kinds mixed
-// throughout. ref selects the heap-only reference.
-func runQueuePlan(t *testing.T, seed uint64, ref bool) (queueTrace, *Engine) {
-	e := New()
-	var tr queueTrace
-	scheduled, stopAt, ctr := 0, -1, uint64(0)
+// ties counts executions at the same instant as the one before.
+func (p *queuePlan) ties() int {
+	n := 0
+	for i := 1; i < len(p.ran); i++ {
+		if p.calls[p.ran[i]] == p.calls[p.ran[i-1]] {
+			n++
+		}
+	}
+	return n
+}
+
+// runQueuePlan drives one Engine through every way its queue is used: setup
+// in or out of time order with ties, a RunUntil that may execute nothing,
+// setup resumed after it, a Run cut short by Stop, Steps, schedule calls
+// between runs, and a final drain — closures and typed kinds mixed
+// throughout; each event makes up to three schedule calls.
+func runQueuePlan(t *testing.T, seed uint64) *queuePlan {
+	p := newQueuePlan(t, seed, func(_ *tieNode, h uint64) int { return int(h % 4) })
+	ctr := uint64(0)
 	draw := func(n uint64) uint64 { ctr++; return tieMix(seed<<20+ctr) % n }
-
-	var kind Kind
-	var exec func(nd *tieNode)
-	schedule := func(nd *tieNode, at simtime.Time) {
-		scheduled++
-		if nd.label&1 == 0 {
-			e.AtKind(at, kind, nd, nil)
-		} else {
-			e.At(at, func() { exec(nd) })
-		}
-	}
-	exec = func(nd *tieNode) {
-		tr.Log = append(tr.Log, tieEntry{nd.label, e.Now()})
-		if len(tr.Log) == stopAt {
-			e.Stop()
-		}
-		tieActions(seed, nd, func(child *tieNode, d time.Duration) {
-			schedule(child, e.Now().Add(d))
-		})
-	}
-	kind = e.RegisterKind(func(a, _ any) { exec(a.(*tieNode)) })
 
 	// setup schedules n roots at grid instants offset from the clock.
 	setup := func(n int, offset uint64, sorted bool) {
 		ats := make([]simtime.Time, n)
 		for i := range ats {
-			ats[i] = e.Now().Add(time.Duration(offset+draw(10)) * tieGrid)
+			ats[i] = p.e.Now().Add(time.Duration(offset+draw(10)) * tieGrid)
 		}
 		if sorted {
 			slices.Sort(ats)
 		}
 		for _, at := range ats {
-			schedule(&tieNode{label: tieMix(seed ^ draw(1<<40)), depth: 4}, at)
-		}
-	}
-	// checkpoint runs one engine call and records what it left behind.
-	checkpoint := func(run func()) {
-		if ref {
-			heapOnly(e)
-		}
-		run()
-		tr.Pending = append(tr.Pending, e.Pending())
-		tr.Clock = append(tr.Clock, e.Now())
-		tr.Processed = append(tr.Processed, e.Processed())
-		if want := scheduled - len(tr.Log); e.Pending() != want {
-			t.Fatalf("seed %d ref=%v: Pending = %d with %d scheduled and %d executed", seed, ref, e.Pending(), scheduled, len(tr.Log))
+			p.schedule(tieMix(seed^draw(1<<40)), 4, at)
 		}
 	}
 
 	// Every third seed sets up in time order (the backlog is never sorted);
 	// every fifth starts late, so the first RunUntil executes nothing and the
-	// resumed setup is still setup (ord 0) with the clock already advanced.
+	// resumed setup is still setup with the clock already advanced.
 	var offset uint64
 	if seed%5 == 0 {
 		offset = 8
 	}
 	setup(30, offset, seed%3 == 0)
-	checkpoint(func() {}) // setup only: nothing has run
-	if !ref && (e.PeakHeap() != 0 || e.Backlog() != 30) {
-		t.Fatalf("seed %d: setup put %d events in the heap and %d in the backlog, want 0 and 30", seed, e.PeakHeap(), e.Backlog())
+	p.checkpoint(simtime.Never, func() {}) // setup only: nothing has run
+	if p.e.PeakHeap() != 0 || p.e.Backlog() != 30 {
+		t.Fatalf("seed %d: setup put %d events in the heap and %d in the backlog, want 0 and 30", seed, p.e.PeakHeap(), p.e.Backlog())
 	}
-	checkpoint(func() { e.RunUntil(e.Now().Add(time.Duration(draw(7)) * tieGrid)) })
+	deadline := p.e.Now().Add(time.Duration(draw(7)) * tieGrid)
+	p.checkpoint(deadline, func() { p.e.RunUntil(deadline) })
 	setup(10, 0, false)
-	stopAt = len(tr.Log) + 1 + int(draw(20))
-	checkpoint(func() { e.Run() }) // Stop cuts it short
-	stopAt = -1
-	checkpoint(func() { e.Step(); e.Step() })
+	p.stopAt = len(p.ran) + 1 + int(draw(20))
+	p.checkpoint(simtime.Never, func() { p.e.Run() }) // Stop cuts it short
+	p.stopAt = -1
+	p.checkpoint(simtime.Never, func() { p.e.Step(); p.e.Step() })
 	setup(5, 0, seed%2 == 0)
-	checkpoint(func() { e.Run() })
-	if e.Pending() != 0 {
-		t.Fatalf("seed %d ref=%v: %d events left after the final Run", seed, ref, e.Pending())
-	}
-	return tr, e
+	p.checkpoint(simtime.Never, func() { p.e.Run() })
+	p.verify()
+	return p
 }
 
-// TestPropertyTwoTierEqualsHeapOnly compares phased runs on one engine.
-func TestPropertyTwoTierEqualsHeapOnly(t *testing.T) {
+// TestPropertyQueueOrderMatchesSort runs the phased plans.
+func TestPropertyQueueOrderMatchesSort(t *testing.T) {
 	resumedAsSetup := 0
 	for seed := uint64(1); seed <= 60; seed++ {
-		got, e := runQueuePlan(t, seed, false)
-		want, _ := runQueuePlan(t, seed, true)
-		if !reflect.DeepEqual(got, want) {
-			for i := range min(len(got.Log), len(want.Log)) {
-				if got.Log[i] != want.Log[i] {
-					t.Fatalf("seed %d: order diverges at event %d: got %+v, heap-only %+v", seed, i, got.Log[i], want.Log[i])
-				}
-			}
-			t.Fatalf("seed %d: checkpoints differ:\n two-tier  %+v %v %v\n heap-only %+v %v %v", seed,
-				got.Pending, got.Clock, got.Processed, want.Pending, want.Clock, want.Processed)
+		p := runQueuePlan(t, seed)
+		if len(p.ran) < 50 || p.ties() == 0 {
+			t.Fatalf("seed %d: degenerate plan (%d events, %d ties)", seed, len(p.ran), p.ties())
 		}
-		ties := 0
-		for i := 1; i < len(got.Log); i++ {
-			if got.Log[i].at == got.Log[i-1].at {
-				ties++
-			}
-		}
-		if len(got.Log) < 50 || ties == 0 {
-			t.Fatalf("seed %d: degenerate plan (%d events, %d ties)", seed, len(got.Log), ties)
-		}
-		// Setup resumed after a RunUntil that executed something (ord != 0)
-		// must have gone to the heap, not the backlog.
-		switch {
-		case got.Processed[1] == 0 && e.Backlog() == 40:
+		// Setup resumed after a RunUntil that executed something must have
+		// gone to the heap, not the backlog.
+		switch ranFirst := p.marks[1] > 0; {
+		case !ranFirst && p.e.Backlog() == 40:
 			resumedAsSetup++
-		case got.Processed[1] == 0 || e.Backlog() != 30:
-			t.Fatalf("seed %d: backlog took %d events with %d executed before the resumed setup", seed, e.Backlog(), got.Processed[1])
+		case !ranFirst || p.e.Backlog() != 30:
+			t.Fatalf("seed %d: backlog took %d events with %d executed before the resumed setup", seed, p.e.Backlog(), p.marks[1])
 		}
 	}
 	if resumedAsSetup == 0 {
 		t.Fatal("no plan resumed setup before the first event ran; the test lost a case")
+	}
+}
+
+// TestPropertyManyInFlight holds more than 10 000 events in the heap at once:
+// one setup root schedules 12 000 children, each of which schedules up to
+// two more, beside a hundred setup roots spread log-uniformly up to 2^40 ns
+// that interleave the backlog with the heap. RunUntil checkpoints cut the run
+// at spread-out deadlines.
+func TestPropertyManyInFlight(t *testing.T) {
+	const wide = 12_000
+	for seed := uint64(1); seed <= 3; seed++ {
+		p := newQueuePlan(t, seed, func(nd *tieNode, h uint64) int {
+			if nd.depth == 2 {
+				return wide
+			}
+			return int(h % 3)
+		})
+		p.schedule(0, 2, 0)
+		for i := range 100 {
+			h := tieMix(seed<<32 + uint64(i))
+			p.schedule(h, 1, simtime.Time(tieDelay(h|1)))
+		}
+		for _, exp := range []int{10, 20, 30, 40} {
+			deadline := simtime.Time(1) << exp
+			p.checkpoint(deadline, func() { p.e.RunUntil(deadline) })
+		}
+		p.checkpoint(simtime.Never, func() { p.e.Run() })
+		p.verify()
+		if p.e.PeakHeap() < 10_000 || p.ties() == 0 {
+			t.Fatalf("seed %d: peak heap %d, %d ties; the plan lost its wide case", seed, p.e.PeakHeap(), p.ties())
+		}
 	}
 }
 
@@ -215,5 +286,35 @@ func TestBacklogSlotsReleased(t *testing.T) {
 	}
 	if e.PeakHeap() != 0 {
 		t.Fatalf("peak heap %d for a setup-only run, want 0", e.PeakHeap())
+	}
+}
+
+// TestHeapSlotsRecycled checks that a released heap slot keeps no payload
+// and is reused: the pool grows to the in-flight peak and no further, however
+// far apart the instants are.
+func TestHeapSlotsRecycled(t *testing.T) {
+	e := New()
+	hits := 0
+	var k Kind
+	k = e.RegisterKind(func(a, _ any) {
+		hits++
+		if hits < 1000 {
+			// Delays from 1 ns to 2^39 ns file events in every bucket.
+			e.AfterKind(time.Duration(1)<<(hits%40), k, a, nil)
+		}
+	})
+	e.AtKind(0, k, new(int), nil)
+	e.AtKind(1, k, new(int), nil)
+	e.Run()
+	if hits != 1001 || e.PeakHeap() != 2 {
+		t.Fatalf("ran %d events with peak heap %d, want 1001 and 2", hits, e.PeakHeap())
+	}
+	if len(e.slots) != 1+e.PeakHeap() {
+		t.Fatalf("slot pool holds %d slots for a peak of %d in flight", len(e.slots)-1, e.PeakHeap())
+	}
+	for i, s := range e.slots {
+		if s != (event{}) {
+			t.Fatalf("released slot %d still holds %+v", i, s)
+		}
 	}
 }

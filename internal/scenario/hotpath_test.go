@@ -42,6 +42,29 @@ func BenchmarkExportAllPairs(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
 }
 
+// BenchmarkExportK8 is the same export on a k = 8 fat-tree at 60 % load for
+// 30 ms: many more events in flight than BenchmarkExportAllPairs' tens, so an
+// event queue whose cost grows with its length shows here and not there.
+func BenchmarkExportK8(b *testing.B) {
+	spec := allPairsSpec(b, 30*time.Millisecond)
+	spec.Topology.K = 8
+	spec.Workload.LoadFrac = 0.6
+	if err := spec.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	var injected int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr, err := Export(spec, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		injected += tr.Result.Injected
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
+}
+
 // TestZeroAllocMarginalPerPacket gates the simulator's per-packet garbage
 // where it shows: the allocations a fat-tree run makes for each *additional*
 // injected packet, fixed costs (topology, routing tables, instruments)

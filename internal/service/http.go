@@ -211,6 +211,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Counter("rlird_reliable_connections_total", "Connections that spoke the swp reliable framing.", s.relConnsTotal.Load())
 	m.Counter("rlird_transport_segments_total", "Data segments received over reliable connections.", s.tSegments.Load())
 	m.Counter("rlird_transport_duplicates_total", "Duplicate segments dropped (retransmissions whose original arrived).", s.tDuplicates.Load())
+	m.Counter("rlird_transport_beyond_window_total", "Segments dropped for lying a window or more past the next expected one (no conforming sender sends them).", s.tBeyond.Load())
 	m.Counter("rlird_transport_out_of_order_total", "Segments reorder-buffered before in-order delivery.", s.tOutOfOrder.Load())
 	m.Counter("rlird_transport_gaps_total", "Sequence-gap episodes observed by reliable receivers.", s.tGaps.Load())
 	s.mu.Lock()

@@ -33,6 +33,8 @@ const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested
 # TYPE rlird_transport_segments_total counter
 # HELP rlird_transport_duplicates_total Duplicate segments dropped (retransmissions whose original arrived).
 # TYPE rlird_transport_duplicates_total counter
+# HELP rlird_transport_beyond_window_total Segments dropped for lying a window or more past the next expected one (no conforming sender sends them).
+# TYPE rlird_transport_beyond_window_total counter
 # HELP rlird_transport_out_of_order_total Segments reorder-buffered before in-order delivery.
 # TYPE rlird_transport_out_of_order_total counter
 # HELP rlird_transport_gaps_total Sequence-gap episodes observed by reliable receivers.

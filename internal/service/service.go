@@ -162,6 +162,7 @@ type routerAgg struct {
 	// connect with the swp framing: segments received, duplicates dropped
 	// (retransmissions whose original arrived — the receiver-side signature
 	// of upstream loss), segments reorder-buffered, and gap episodes.
+	// Segments dropped beyond the window are counted service-wide only.
 	reliable    bool
 	tSegments   uint64
 	tDuplicates uint64
@@ -206,6 +207,7 @@ type Server struct {
 	tDuplicates   atomic.Uint64
 	tOutOfOrder   atomic.Uint64
 	tGaps         atomic.Uint64
+	tBeyond       atomic.Uint64
 
 	errsMu       sync.Mutex
 	decodeErrsBy map[decodeErrKey]uint64
@@ -407,16 +409,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		cur := rel.Stats()
 		d := swp.ReceiverStats{
-			Segments:   cur.Segments - lastTS.Segments,
-			Duplicates: cur.Duplicates - lastTS.Duplicates,
-			OutOfOrder: cur.OutOfOrder - lastTS.OutOfOrder,
-			Gaps:       cur.Gaps - lastTS.Gaps,
+			Segments:     cur.Segments - lastTS.Segments,
+			Duplicates:   cur.Duplicates - lastTS.Duplicates,
+			BeyondWindow: cur.BeyondWindow - lastTS.BeyondWindow,
+			OutOfOrder:   cur.OutOfOrder - lastTS.OutOfOrder,
+			Gaps:         cur.Gaps - lastTS.Gaps,
 		}
 		lastTS = cur
 		s.tSegments.Add(d.Segments)
 		s.tDuplicates.Add(d.Duplicates)
 		s.tOutOfOrder.Add(d.OutOfOrder)
 		s.tGaps.Add(d.Gaps)
+		s.tBeyond.Add(d.BeyondWindow)
 		r := agg()
 		r.mu.Lock()
 		r.reliable = true

@@ -130,6 +130,33 @@ func TestDuplicateSegmentDelivery(t *testing.T) {
 	}
 }
 
+// TestHostilePeerNeverFillsGap plays a peer that opens a gap at the next
+// expected sequence number, never fills it, and streams ten windows of
+// segments past it. The reorder buffer must stop at Window-1 segments; every
+// segment beyond the window is dropped and counted as such, not as a
+// duplicate, and nothing is delivered.
+func TestHostilePeerNeverFillsGap(t *testing.T) {
+	const window = 8
+	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+	rcv := swp.NewReceiver(b, swp.Config{Window: window})
+	const sent = 10 * window
+	for seq := uint32(2); seq < 2+sent; seq++ { // seq 1 is the gap
+		if err := a.Send(swp.Segment{Type: swp.SegData, Seq: seq, Payload: []byte("x")}); err != nil {
+			t.Fatalf("Send seq %d: %v", seq, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for rcv.Stats().Segments != sent && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	st := rcv.Stats()
+	if st.Segments != sent || st.OutOfOrder != window-1 || st.BeyondWindow != sent-(window-1) ||
+		st.Duplicates != 0 || st.Gaps != 1 || st.Bytes != 0 {
+		t.Fatalf("stats = %+v, want %d segments: %d buffered, %d beyond the window, 0 duplicates, 1 gap, 0 bytes",
+			st, sent, window-1, sent-(window-1))
+	}
+}
+
 // TestRetryBudgetExhausted sends into a path that drops everything: after
 // MaxRetries retransmissions the connection must fail with the typed
 // ErrRetryBudgetExhausted, surfaced by Write, Close and Err alike.

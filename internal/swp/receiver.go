@@ -14,6 +14,10 @@ type ReceiverStats struct {
 	// Duplicates counts data segments already delivered or buffered —
 	// retransmissions whose original made it, or path-level duplication.
 	Duplicates uint64
+	// BeyondWindow counts data segments dropped for lying a window or more
+	// past the next expected sequence number: traffic no conforming sender
+	// could have in flight.
+	BeyondWindow uint64
 	// OutOfOrder counts segments that arrived ahead of the next expected
 	// sequence number and were reorder-buffered; Gaps counts the times
 	// such a segment opened a fresh hole (a new loss/reorder episode).
@@ -166,7 +170,7 @@ func (r *Receiver) handleData(seg Segment) Segment {
 		} else if seq-r.expected >= uint32(r.cfg.Window) {
 			// Beyond any window a conforming sender could have open:
 			// drop it, but still re-ack below.
-			r.stats.Duplicates++
+			r.stats.BeyondWindow++
 		} else {
 			if len(r.oo) == 0 {
 				r.stats.Gaps++
