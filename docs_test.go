@@ -169,6 +169,38 @@ func TestOneNetworkBuildSite(t *testing.T) {
 	}
 }
 
+// TestOneCollectionPath is the architecture guard for "one collection
+// path": a scenario's fleet report is the production chain's answer
+// (fleet.Router into rlird servers, gathered by a fleet.Frontend), never a
+// model of it. In non-test internal/scenario code a collector is built only
+// by the engine, for the run's single-node reference table, and tables are
+// merged only by the cross-seed fold.
+func TestOneCollectionPath(t *testing.T) {
+	allowed := map[string]string{
+		"collector.New(":   "engine.go",
+		"collector.Merge(": "multi.go",
+	}
+	dir := filepath.Join("internal", "scenario")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call, file := range allowed {
+			if strings.Contains(string(src), call) && e.Name() != file {
+				t.Errorf("%s calls %s; only %s may", filepath.Join(dir, e.Name()), call, file)
+			}
+		}
+	}
+}
+
 // TestOneTableRenderer is the architecture guard for "one table renderer":
 // every report under internal/ prints its rows as a stats.Table through
 // stats.TableCI.Render, which sizes each column from its widest cell. A

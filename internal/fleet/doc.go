@@ -33,11 +33,11 @@
 //     merged query in steady state allocates nothing per row.
 //
 //   - Partition/SinkIndex: the hash contract itself, shared by the router,
-//     the scenario fleet harness, and any exporter that wants to agree
-//     with them.
+//     the scenario fleet report's estimator re-scoring, and any exporter
+//     that wants to agree with them.
 //
-// The package deliberately does not import internal/service — the service's
-// own tests exercise scenario specs, which reach this package, and Go
-// forbids that cycle. cmd front-ends (and the root package) wire
-// service.Client in as the Router's DialFunc.
+// The package does not import internal/service: callers wire
+// service.Client in as the Router's DialFunc and so choose the transport —
+// cmd front-ends (and the root package) over sockets, a scenario's fleet
+// spec over in-memory pipes.
 package fleet

@@ -3,8 +3,8 @@ package fleet
 import "github.com/netmeasure/rlir/internal/packet"
 
 // Partition maps a flow to its owning instance among n. It is THE fleet
-// hash contract: exporters (Router), the scenario fleet harness, and any
-// re-sharding tool must agree on it, because the exact-merge theorem only
+// hash contract: exporters (Router), the scenario fleet report's estimator
+// re-scoring, and any re-sharding tool must agree on it, because the exact-merge theorem only
 // holds while every flow's traffic lands wholly on one instance.
 func Partition(key packet.FlowKey, n int) int {
 	return int(key.FastHash() % uint64(n))

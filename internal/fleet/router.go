@@ -444,8 +444,8 @@ func (w *sinkWorker) fail(err error) {
 }
 
 // deliver sends one batch, re-dialing with exponential backoff on failure.
-// Each attempt is a fresh connection carrying the whole batch, so a
-// delivered batch was delivered in one piece and in order.
+// Each attempt re-sends the whole batch on a fresh connection, so frames an
+// earlier failed attempt wrote may already be ingested and arrive twice.
 func (w *sinkWorker) deliver(m msg) error {
 	backoff := w.r.cfg.RedialBackoff
 	var lastErr error

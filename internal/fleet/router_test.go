@@ -322,8 +322,8 @@ func TestRouterConfigErrors(t *testing.T) {
 }
 
 // TestPartitionSinkIndexConsistent pins that SinkIndex's endpoint level IS
-// Partition — the router and the scenario fleet harness agree by
-// construction.
+// Partition — the router and anything that re-derives ownership with
+// Partition agree by construction.
 func TestPartitionSinkIndexConsistent(t *testing.T) {
 	for i := uint32(0); i < 1000; i++ {
 		k := key(i)

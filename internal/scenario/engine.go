@@ -265,7 +265,7 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 // finish builds the estimator comparison table — the run's RLI report plus
 // one report per baseline, all scored against the shared ground truth — with
 // its telemetry-loss and fleet re-scorings, and drains the collector.
-func (p *plane) finish(res *Result, rli measure.Report) {
+func (p *plane) finish(res *Result, rli measure.Report) error {
 	reports := append(make([]measure.Report, 0, 1+len(p.baselines)), rli)
 	for _, b := range p.baselines {
 		reports = append(reports, b.Finalize())
@@ -280,7 +280,9 @@ func (p *plane) finish(res *Result, rli measure.Report) {
 	p.coll.Close()
 	res.Fleet = p.coll.Snapshot()
 	res.Samples = p.coll.SamplesIngested()
+	var err error
 	if f := res.Spec.Fleet; f != nil {
-		res.FleetReport = applyFleet(*f, p.cap, p.truth, res.Comparison, reports, res)
+		res.FleetReport, err = applyFleet(*f, p.cap, p.truth, res.Comparison, reports, res)
 	}
+	return err
 }

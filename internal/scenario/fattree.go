@@ -634,7 +634,9 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 
 	// The comparison table's RLI row is the fleet merge of every monitored
 	// ToR's receiver.
-	r.plane.finish(res, measure.MergeReports("rli", rliReps...))
+	if err := r.plane.finish(res, measure.MergeReports("rli", rliReps...)); err != nil {
+		return nil, err
+	}
 
 	for sk, frs := range segFlows {
 		name := fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e)

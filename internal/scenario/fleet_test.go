@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,9 @@ func TestFleetSpecValidation(t *testing.T) {
 
 // TestFleetReportOnFatTree checks the fleet layer is topology-agnostic: a
 // fat-tree run with a fleet spec produces the same exact-merge proof and
-// failure accounting the tandem scenarios pin.
+// failure accounting the tandem scenarios pin. Losing the only instance of a
+// one-instance fleet is a run too, not an error: the front-end answers for
+// a fleet that is down, and every flow is lost.
 func TestFleetReportOnFatTree(t *testing.T) {
 	spec := Spec{
 		Version: SpecVersion,
@@ -52,31 +55,40 @@ func TestFleetReportOnFatTree(t *testing.T) {
 		},
 		Workload: WorkloadSpec{Pattern: PatternConverging, LoadFrac: 0.5, DestPod: -1},
 		Deploy:   DeploymentSpec{Scheme: SchemeStatic, StaticN: 50, Estimators: []string{"rli"}},
-		Fleet:    &FleetSpec{Instances: 3, FailInstance: intPtr(0)},
 		Duration: 100 * time.Millisecond,
 		Seed:     7,
 	}
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := res.FleetReport
-	if f == nil {
-		t.Fatal("no fleet report on a fat-tree run")
-	}
-	if !f.MergeExact {
-		t.Fatal("fat-tree fleet merge diverged from the single-node table")
-	}
-	if f.FailInstance != 0 || len(f.Rows) != len(res.Comparison) {
-		t.Fatalf("failure accounting off: fail=%d rows=%d comparison=%d",
-			f.FailInstance, len(f.Rows), len(res.Comparison))
-	}
-	rli, ok := f.Row("rli")
-	if !ok || rli.Degraded.Flows+rli.FlowsLost != rli.Baseline.Flows {
-		t.Fatalf("rli row inconsistent: %+v", rli)
-	}
-	if !strings.Contains(res.Render(), "fleet collection (3 instances)") {
-		t.Fatal("rendered result omits the fleet section")
+	for _, fl := range []FleetSpec{
+		{Instances: 3, FailInstance: intPtr(0)},
+		{Instances: 1, FailInstance: intPtr(0)},
+	} {
+		spec.Fleet = &fl
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatalf("%d instances: %v", fl.Instances, err)
+		}
+		f := res.FleetReport
+		if f == nil {
+			t.Fatal("no fleet report on a fat-tree run")
+		}
+		if !f.MergeExact {
+			t.Fatalf("%d instances: fat-tree fleet merge diverged from the single-node table", fl.Instances)
+		}
+		if f.FailInstance != 0 || len(f.Rows) != len(res.Comparison) {
+			t.Fatalf("failure accounting off: fail=%d rows=%d comparison=%d",
+				f.FailInstance, len(f.Rows), len(res.Comparison))
+		}
+		rli, ok := f.Row("rli")
+		if !ok || rli.Degraded.Flows+rli.FlowsLost != rli.Baseline.Flows {
+			t.Fatalf("rli row inconsistent: %+v", rli)
+		}
+		if fl.Instances == 1 && (f.DegradedFlows != 0 || rli.FlowsLost != rli.Baseline.Flows) {
+			t.Fatalf("whole fleet lost, yet %d flows survive and rli lost %d of %d",
+				f.DegradedFlows, rli.FlowsLost, rli.Baseline.Flows)
+		}
+		if want := fmt.Sprintf("fleet collection (%d instances)", fl.Instances); !strings.Contains(res.Render(), want) {
+			t.Fatal("rendered result omits the fleet section")
+		}
 	}
 }
 

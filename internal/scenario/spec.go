@@ -269,19 +269,19 @@ type TelemetrySpec struct {
 	FrameRecords int `json:"frame_records,omitempty"`
 }
 
-// FleetSpec replays the run's export stream across an in-process fleet of
-// Instances collection partitions, flow-partitioned exactly the way
-// fleet.Router shards traffic across rlird endpoints. The simulation is
-// untouched; the run gains a FleetReport proving the merged fleet flow table
-// bit-identical to the single-node one, and — when FailInstance is set —
-// quantifying what every estimator loses when that partition dies with its
+// FleetSpec replays the run's export stream through the production
+// collection chain, in process: fleet.Router shards it across Instances
+// rlird servers, and a fleet.Frontend answers for them. The simulation is
+// untouched; the run gains a FleetReport proving the front-end's /flows
+// byte-identical to the single-node table's, and — when FailInstance is set
+// — quantifying what every estimator loses when that instance dies with its
 // data (scored against the unchanged ground truth).
 type FleetSpec struct {
 	// Instances is the fleet size (>= 1).
 	Instances int `json:"instances"`
-	// FailInstance, when set, kills that partition: its share of the
-	// collected stream is absent from the degraded view and every estimator
-	// is re-scored on what the surviving instances hold.
+	// FailInstance, when set, kills that instance after ingest: the
+	// front-end no longer reaches it, and every estimator is re-scored on
+	// what the surviving instances hold.
 	FailInstance *int `json:"fail_instance,omitempty"`
 }
 
@@ -347,8 +347,8 @@ type Spec struct {
 	// Telemetry, when set, re-scores every estimator after seeded export
 	// loss (Result.Telemetry carries the degraded comparison).
 	Telemetry *TelemetrySpec `json:"telemetry,omitempty"`
-	// Fleet, when set, partitions the collected stream across an in-process
-	// fleet and verifies exact-merge equivalence (Result.FleetReport).
+	// Fleet, when set, runs the collected stream through an in-process
+	// router → rlird → front-end fleet (Result.FleetReport).
 	Fleet *FleetSpec `json:"fleet,omitempty"`
 	// Adversary, when set, compromises one aggregation switch with selective
 	// delay; the run gains a paired-clean-run DetectionReport scoring every

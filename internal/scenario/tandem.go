@@ -267,10 +267,12 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	// The harness owns its receiver, so the RLI row comes from the run's
 	// per-flow results; reference overhead from the sender's own injection
 	// counter.
-	pl.finish(res, measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
+	if err := pl.finish(res, measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
 		InjectedPkts:  res.Sender.Injected,
 		InjectedBytes: res.Sender.Injected * core.DefaultRefSize,
-	}))
+	})); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 

@@ -1,8 +1,13 @@
-package service
+// External test package: internal/scenario runs its fleet specs on this
+// package's Server, so a package-internal test importing scenario would be
+// an import cycle.
+package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +16,7 @@ import (
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/queryapi"
 	"github.com/netmeasure/rlir/internal/scenario"
+	"github.com/netmeasure/rlir/internal/service"
 )
 
 // partitionByFlow splits a sample stream across n connections by flow hash,
@@ -46,7 +52,7 @@ func TestServiceMatchesBatchEngine(t *testing.T) {
 		t.Fatal("empty export")
 	}
 
-	s, err := New(Config{Listen: "127.0.0.1:0", Shards: 4})
+	s, err := service.New(service.Config{Listen: "127.0.0.1:0", Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,12 +62,12 @@ func TestServiceMatchesBatchEngine(t *testing.T) {
 	parts := partitionByFlow(tr.Samples, conns)
 	var wg sync.WaitGroup
 	for i := 0; i < conns; i++ {
-		c, err := Dial("tcp", s.Addr().String(), 0)
+		c, err := service.Dial("tcp", s.Addr().String(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, c *Client) {
+		go func(i int, c *service.Client) {
 			defer wg.Done()
 			defer c.Close()
 			if err := c.Hello(fmt.Sprintf("replay-%d", i)); err != nil {
@@ -80,7 +86,7 @@ func TestServiceMatchesBatchEngine(t *testing.T) {
 	waitIngested(t, s, uint64(len(tr.Samples)))
 
 	// /flows ≡ the batch run's fleet table, field for field.
-	var flows []FlowJSON
+	var flows []service.FlowJSON
 	getJSON(t, s, "/flows", &flows)
 	fleet := tr.Result.Fleet
 	if len(flows) != len(fleet) {
@@ -94,9 +100,9 @@ func TestServiceMatchesBatchEngine(t *testing.T) {
 	}
 
 	// /comparison ≡ the streaming comparison of the batch fleet.
-	var got []ComparisonJSON
+	var got []service.ComparisonJSON
 	getJSON(t, s, "/comparison", &got)
-	want := comparisonJSON(measure.CompareFlowAggs("rli", fleet))
+	want := queryapi.ComparisonRow(measure.CompareFlowAggs("rli", fleet))
 	if len(got) != 1 {
 		t.Fatalf("/comparison has %d rows", len(got))
 	}
@@ -123,7 +129,7 @@ func floatPtrEq(a, b *float64) bool {
 	return a == nil || *a == *b
 }
 
-func cmpString(c ComparisonJSON) string {
+func cmpString(c service.ComparisonJSON) string {
 	f := func(p *float64) string {
 		if p == nil {
 			return "null"
@@ -134,72 +140,24 @@ func cmpString(c ComparisonJSON) string {
 		c.Estimator, c.Flows, c.Samples, f(c.MedianRelErr), f(c.P99RelErr), c.AggMeanNs, c.AggSamples, f(c.AggRelErr))
 }
 
-// BenchmarkServiceIngest4Conns is the service soak in isolation: four
-// concurrent connections streaming pre-encoded sample frames over loopback
-// TCP into the full service path (frame reader -> router aggregates ->
-// sharded collector), reported as samples/s.
-func BenchmarkServiceIngest4Conns(b *testing.B) {
-	s, err := New(Config{Listen: "127.0.0.1:0", Shards: 4, Depth: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Safety net for b.Fatal paths; the normal path shuts down explicitly
-	// below and this second call is an idempotent no-op.
-	defer s.Shutdown(context.Background())
-
-	const (
-		conns      = 4
-		batch      = 512
-		framesPerC = 8
-		perChunk   = batch * framesPerC
-	)
-	// Pre-encode each connection's wire chunk: 8 frames of 512 samples.
-	chunks := make([][]byte, conns)
-	for i := range chunks {
-		var wire []byte
-		samples := genSamples(perChunk, 256)
-		for f := 0; f < framesPerC; f++ {
-			wire = collector.AppendSamples(wire, samples[f*batch:(f+1)*batch])
+// waitIngested polls until the server has ingested want samples.
+func waitIngested(t *testing.T, s *service.Server, want uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Collector().SamplesIngested() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %d samples ingested", want)
 		}
-		chunks[i] = wire
+		time.Sleep(time.Millisecond)
 	}
+}
 
-	clients := make([]*Client, conns)
-	for i := range clients {
-		if clients[i], err = Dial("tcp", s.Addr().String(), 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for i := 0; i < conns; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for n := 0; n < b.N; n++ {
-				if _, err := clients[i].conn.Write(chunks[i]); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	total := uint64(b.N) * conns * uint64(perChunk)
-	for s.Collector().SamplesIngested() < total {
-		time.Sleep(50 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
-	// Close the connections before Shutdown or the drain window waits out
-	// its full timeout on four idle-but-open handlers — pure teardown sleep
-	// multiplied by every b.N scaling pass.
-	for _, c := range clients {
-		c.Close()
-	}
-	if err := s.Shutdown(context.Background()); err != nil {
-		b.Fatal(err)
+func getJSON(t *testing.T, s *service.Server, path string, v any) {
+	t.Helper()
+	req := httptest.NewRequest("GET", path, nil)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatalf("GET %s: bad JSON: %v\n%s", path, err, rec.Body.String())
 	}
 }

@@ -410,3 +410,73 @@ func TestLoadConfigRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkServiceIngest4Conns is the service soak in isolation: four
+// concurrent connections streaming pre-encoded sample frames over loopback
+// TCP into the full service path (frame reader -> router aggregates ->
+// sharded collector), reported as samples/s.
+func BenchmarkServiceIngest4Conns(b *testing.B) {
+	s, err := New(Config{Listen: "127.0.0.1:0", Shards: 4, Depth: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Safety net for b.Fatal paths; the normal path shuts down explicitly
+	// below and this second call is an idempotent no-op.
+	defer s.Shutdown(context.Background())
+
+	const (
+		conns      = 4
+		batch      = 512
+		framesPerC = 8
+		perChunk   = batch * framesPerC
+	)
+	// Pre-encode each connection's wire chunk: 8 frames of 512 samples.
+	chunks := make([][]byte, conns)
+	for i := range chunks {
+		var wire []byte
+		samples := genSamples(perChunk, 256)
+		for f := 0; f < framesPerC; f++ {
+			wire = collector.AppendSamples(wire, samples[f*batch:(f+1)*batch])
+		}
+		chunks[i] = wire
+	}
+
+	clients := make([]*Client, conns)
+	for i := range clients {
+		if clients[i], err = Dial("tcp", s.Addr().String(), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < b.N; n++ {
+				if _, err := clients[i].conn.Write(chunks[i]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	total := uint64(b.N) * conns * uint64(perChunk)
+	for s.Collector().SamplesIngested() < total {
+		time.Sleep(50 * time.Microsecond)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "samples/s")
+	// Close the connections before Shutdown or the drain window waits out
+	// its full timeout on four idle-but-open handlers — pure teardown sleep
+	// multiplied by every b.N scaling pass.
+	for _, c := range clients {
+		c.Close()
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+}

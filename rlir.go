@@ -424,7 +424,7 @@ type FleetFrontendConfig = fleet.FrontendConfig
 type FleetHealth = fleet.HealthJSON
 
 // FleetPartition returns which of n instances owns a flow — the consistent
-// assignment the fleet router, the scenario fleet layer and cmd/loadgen share.
+// assignment the fleet router (so cmd/loadgen and fleet specs) ships it by.
 func FleetPartition(key FlowKey, n int) int { return fleet.Partition(key, n) }
 
 // FleetSinkIndex maps a flow onto the (endpoint, connection) grid; with one
