@@ -16,10 +16,13 @@
 // zero-allocation (pinned by TestSteadyForwardingZeroAlloc); per-packet
 // work routes through monomorphic typed events rather than closures.
 //
-// Mid-run reconfiguration is part of the model: Port.SetRate and
-// Node.SetProcDelay change link rate and processing delay while packets
-// are in flight, which is how the scenario engine (internal/scenario)
-// schedules link-degrade and hop-delay faults. internal/topo builds k-ary
-// fat-trees on top of this package; internal/core attaches the RLI
-// instruments.
+// A packet reaching a node costs one event, keyed at its arrival plus the
+// node's processing delay: it runs the ingress taps with the arrival
+// instant and forwards inline. A node's processing delay is therefore fixed
+// for the run; a delay that varies with the packet or the instant is a
+// DelayFunc (Node.SetSelectiveDelay), which is how the scenario engine
+// (internal/scenario) models hop-delay faults and the compromised switch.
+// Links do change mid-run: Port.SetRate schedules the link-degrade fault.
+// internal/topo builds k-ary fat-trees on top of this package;
+// internal/core attaches the RLI instruments.
 package netsim

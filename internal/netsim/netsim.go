@@ -13,9 +13,11 @@ import (
 type NodeID int32
 
 // TapFunc observes a packet at an instrumentation point. Taps run
-// synchronously inside the event that triggered them; the packet pointer is
-// live simulation state, so taps must not retain it past the call unless
-// they copy what they need.
+// synchronously inside the event that triggered them and are handed the
+// instant they observe; for an ingress tap that is the packet's arrival,
+// which precedes the event's own instant by the node's processing delay.
+// The packet pointer is live simulation state, so taps must not retain it
+// past the call unless they copy what they need.
 type TapFunc func(p *packet.Packet, now simtime.Time)
 
 // ForwardFunc chooses the output port index for a packet arriving at a node,
@@ -24,11 +26,12 @@ type TapFunc func(p *packet.Packet, now simtime.Time)
 type ForwardFunc func(n *Node, p *packet.Packet) int
 
 // DelayFunc returns an extra per-packet delay a node adds on top of its
-// configured processing delay. It must be a pure function of the packet and
-// the instant, so what a node does to a packet never depends on which other
-// packets it saw first. Scenario fault injection uses it for the
-// compromised-switch mode — a router that games measurement by delaying only
-// the packets it predicts won't be sampled.
+// configured processing delay; now is the packet's arrival instant. It must
+// be a pure function of the packet and that instant, so what a node does to
+// a packet never depends on which other packets it saw first. Scenario fault
+// injection uses it for the hop-delay fault (every packet arriving in a
+// window) and the compromised-switch mode — a router that games measurement
+// by delaying only the packets it predicts won't be sampled.
 type DelayFunc func(p *packet.Packet, now simtime.Time) time.Duration
 
 // EmulateFunc drives one link from recorded behaviour: for a packet about to
@@ -46,20 +49,22 @@ type Network struct {
 	tracePaths bool
 	nextPktID  uint64
 
-	// Typed event kinds for the per-packet hot path. Every steady-state
-	// forwarding step — injection arrival, post-processing dispatch, wire
-	// transfer completion, propagation arrival — is a typed event whose
-	// payload (node or port, plus packet) lives by value in the heap slot,
-	// so forwarding a packet schedules no closures and allocates nothing.
-	kReceive  eventsim.Kind // a: *Node, b: *packet.Packet — ingress arrival
-	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — post-proc-delay forwarding
+	// Typed event kinds for the per-packet hot path. A packet costs two
+	// events per hop: one arrival event at a node, keyed at arrival + the
+	// node's processing delay, which runs the ingress work for the arrival
+	// instant and forwards inline, and one wire-transfer completion at the
+	// port. Each payload (node or port, plus packet) lives by value in the
+	// heap slot, so forwarding a packet schedules no closures and allocates
+	// nothing. Only a positive selective delay adds a third, the dispatch.
+	kArrive   eventsim.Kind // a: *Node, b: *packet.Packet — arrival + proc: ingress and forwarding
+	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — forwarding after a selective delay
 	kTxDone   eventsim.Kind // a: *Port, b: *packet.Packet — wire transfer complete
 }
 
 // New returns an empty network on the given engine.
 func New(eng *eventsim.Engine) *Network {
 	nw := &Network{eng: eng}
-	nw.kReceive = eng.RegisterKind(func(a, b any) { a.(*Node).receive(b.(*packet.Packet)) })
+	nw.kArrive = eng.RegisterKind(func(a, b any) { a.(*Node).arrive(b.(*packet.Packet)) })
 	nw.kDispatch = eng.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
 	nw.kTxDone = eng.RegisterKind(func(a, b any) { a.(*Port).txDone(b.(*packet.Packet)) })
 	return nw
@@ -85,14 +90,18 @@ func (nw *Network) NewPacketID() uint64 {
 type NodeConfig struct {
 	// Name is a human-readable label used in errors and dumps.
 	Name string
-	// ProcDelay is the fixed per-packet processing (lookup) delay applied
-	// between ingress and the forwarding decision.
+	// ProcDelay is the per-packet processing (lookup) delay applied between
+	// ingress and the forwarding decision, fixed for the node's lifetime: a
+	// packet's one arrival event is keyed at arrival + ProcDelay.
 	ProcDelay time.Duration
 }
 
 // AddNode creates a node. Nodes forward nothing until SetForward is called;
 // until then every packet is delivered locally (sink behaviour).
 func (nw *Network) AddNode(cfg NodeConfig) *Node {
+	if cfg.ProcDelay < 0 {
+		panic(fmt.Sprintf("netsim: node %q has negative processing delay", cfg.Name))
+	}
 	n := &Node{
 		net:  nw,
 		id:   NodeID(len(nw.nodes)),
@@ -120,7 +129,7 @@ func (nw *Network) Nodes() int { return len(nw.nodes) }
 // Inject schedules p to arrive at node n's ingress at instant at. It is how
 // workloads enter the network.
 func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
-	nw.eng.AtKind(at, nw.kReceive, n, p)
+	nw.eng.AtKind(at.Add(n.proc), nw.kArrive, n, p)
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding
@@ -203,23 +212,17 @@ func (n *Node) SetForward(f ForwardFunc) { n.forward = f }
 // ProcDelay returns the node's per-packet processing delay.
 func (n *Node) ProcDelay() time.Duration { return n.proc }
 
-// SetProcDelay changes the node's per-packet processing delay. Experiments
-// use it to inject latency anomalies into a running topology.
-func (n *Node) SetProcDelay(d time.Duration) {
-	if d < 0 {
-		panic("netsim: negative processing delay")
-	}
-	n.proc = d
-}
-
 // SetSelectiveDelay installs (or with nil removes) a per-packet extra-delay
-// hook evaluated at ingress, added on top of ProcDelay. Unlike SetProcDelay
-// it can discriminate packets — the compromised-switch fault uses it to
-// delay only traffic it predicts is unmeasured. A negative return panics.
+// hook evaluated with the arrival instant, added on top of ProcDelay. It is
+// the one way to vary a node's delay: the hop-delay fault's window and the
+// compromised switch, which delays only traffic it predicts is unmeasured,
+// are both terms of it. A negative return panics.
 func (n *Node) SetSelectiveDelay(f DelayFunc) { n.extra = f }
 
-// OnReceive registers a tap run at packet ingress, before processing delay.
-// Receiver instruments placed "at" a router attach here.
+// OnReceive registers an ingress tap. Ingress taps run at arrival + proc,
+// in the packet's one arrival event, and see the arrival instant; what they
+// write to the packet is visible to forwarding and egress. Receiver
+// instruments placed "at" a router attach here.
 func (n *Node) OnReceive(t TapFunc) { n.onReceive = append(n.onReceive, t) }
 
 // OnDeliver registers a tap run when a packet terminates at this node.
@@ -231,9 +234,12 @@ func (n *Node) Received() uint64 { return n.received }
 // Delivered returns the count of packets locally delivered at this node.
 func (n *Node) Delivered() uint64 { return n.delivered }
 
-// receive handles packet ingress.
-func (n *Node) receive(p *packet.Packet) {
-	now := n.net.eng.Now()
+// arrive handles a packet's arrival event, which fires proc after the packet
+// reached the node: ingress (path trace, count, taps and the selective-delay
+// hook, all at the arrival instant), then forwarding inline. Only a positive
+// selective delay defers forwarding to a dispatch event.
+func (n *Node) arrive(p *packet.Packet) {
+	now := n.net.eng.Now().Add(-n.proc)
 	n.received++
 	if n.net.tracePaths {
 		p.RecordHop(int32(n.id))
@@ -241,22 +247,18 @@ func (n *Node) receive(p *packet.Packet) {
 	for _, t := range n.onReceive {
 		t(p, now)
 	}
-	d := n.proc
 	if n.extra != nil {
-		e := n.extra(p, now)
-		if e < 0 {
+		if e := n.extra(p, now); e > 0 {
+			n.net.eng.AfterKind(e, n.net.kDispatch, n, p)
+			return
+		} else if e < 0 {
 			panic("netsim: negative selective delay")
 		}
-		d += e
-	}
-	if d > 0 {
-		n.net.eng.AfterKind(d, n.net.kDispatch, n, p)
-		return
 	}
 	n.dispatch(p)
 }
 
-// dispatch applies the forwarding decision after processing delay.
+// dispatch applies the forwarding decision after the processing delay.
 func (n *Node) dispatch(p *packet.Packet) {
 	out := n.forward(n, p)
 	if out < 0 {
@@ -426,10 +428,10 @@ func (pt *Port) txDone(p *packet.Packet) {
 		}
 		prop += extra
 	}
-	if prop > 0 {
-		nw.eng.AfterKind(prop, nw.kReceive, pt.dst, p)
+	if d := prop + pt.dst.proc; d > 0 {
+		nw.eng.AfterKind(d, nw.kArrive, pt.dst, p)
 	} else {
-		pt.dst.receive(p)
+		pt.dst.arrive(p)
 	}
 	pt.rearm()
 }

@@ -210,19 +210,36 @@ func TestGroundTruthPathTracing(t *testing.T) {
 	}
 }
 
+// TestOnReceiveTapSeesIngress pins ingress at a node with a processing
+// delay: the packet's one arrival event fires proc after it arrived, and
+// runs the tap with the arrival instant; a mark the tap writes is what
+// egress sees, and the node counts the packet.
 func TestOnReceiveTapSeesIngress(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9, Propagation: time.Microsecond}
 	eng, nw, src, sw, _ := buildLine(t, link, link)
+	sw.proc = 500 * time.Nanosecond
 
-	var at simtime.Time
-	sw.OnReceive(func(p *packet.Packet, now simtime.Time) { at = now })
+	var at, fired, txAt simtime.Time
+	var egressTOS uint8
+	sw.OnReceive(func(p *packet.Packet, now simtime.Time) {
+		at, fired = now, eng.Now()
+		p.TOS = 7
+	})
+	sw.Port(0).OnTxStart(func(p *packet.Packet, now simtime.Time) { txAt, egressTOS = now, p.TOS })
 	nw.Inject(src, mkpkt(1, 1000), simtime.Zero)
 	eng.Run()
 
 	// Ingress at sw: tx 8µs + prop 1µs after injection at src (src has no
 	// processing delay and empty queue).
-	if want := simtime.FromDuration(9 * time.Microsecond); at != want {
-		t.Fatalf("ingress at %v, want %v", at, want)
+	arrival := simtime.FromDuration(9 * time.Microsecond)
+	if at != arrival {
+		t.Fatalf("ingress tap saw %v, want the arrival %v", at, arrival)
+	}
+	if want := arrival.Add(sw.proc); fired != want || txAt != want {
+		t.Fatalf("arrival event at %v, tx start at %v; want both at arrival + proc = %v", fired, txAt, want)
+	}
+	if egressTOS != 7 {
+		t.Fatalf("egress saw TOS %d, want the 7 written at ingress", egressTOS)
 	}
 	if sw.Received() != 1 {
 		t.Fatalf("received = %d", sw.Received())

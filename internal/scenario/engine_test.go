@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/simtime"
 )
 
 // quickSpec is a fat-tree spec small enough for property tests.
@@ -266,5 +270,94 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 	}
 	if _, err := RunMulti(s, MultiOpts{Seeds: 2}); err == nil {
 		t.Fatal("RunMulti accepted an invalid spec")
+	}
+}
+
+// aggExtraDelay probes one aggregation switch of spec's fat-tree: a packet
+// with the given ID is injected at the switch at instant at, into an
+// otherwise idle network, and the extra delay the switch added is its tx
+// start minus the arrival and the processing delay.
+func aggExtraDelay(t *testing.T, spec Spec, pod, idx int, at time.Duration, id uint64) time.Duration {
+	t.Helper()
+	r, err := buildFatTree(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := r.ft.Aggs[pod][idx]
+	var tx simtime.Time
+	for _, pt := range agg.Ports() {
+		pt.OnTxStart(func(_ *packet.Packet, now simtime.Time) { tx = now })
+	}
+	r.nw.Inject(agg, &packet.Packet{
+		ID:   id,
+		Size: 100,
+		Kind: packet.Regular,
+		Key:  packet.FlowKey{Src: r.ft.HostAddr(0, 0, 0), Dst: r.ft.HostAddr(pod, 0, 0)},
+	}, simtime.FromDuration(at))
+	r.nw.Engine().Run()
+	if agg.Received() != 1 {
+		t.Fatalf("probe %d did not reach %s", id, agg.Name())
+	}
+	return tx.Sub(simtime.FromDuration(at)) - agg.ProcDelay()
+}
+
+// TestHopDelayWindowBoundaries pins the hop-delay fault's window on the
+// packet's arrival instant at the switch: an arrival at Start is delayed,
+// one at End is not — the boundaries of the processing-delay change it
+// replaced, whose start and end events both ran before a same-instant
+// arrival.
+func TestHopDelayWindowBoundaries(t *testing.T) {
+	s := quickSpec()
+	const start, end, extra = 20 * time.Microsecond, 40 * time.Microsecond, 3 * time.Microsecond
+	s.Faults = []FaultSpec{{Kind: FaultHopDelay, AggPod: 3, AggIdx: 0, Start: start, End: end, Extra: extra}}
+	for _, c := range []struct{ at, want time.Duration }{
+		{start - 1, 0}, {start, extra}, {end - 1, extra}, {end, 0},
+	} {
+		if got := aggExtraDelay(t, s, 3, 0, c.at, 1); got != c.want {
+			t.Errorf("arrival at %v: extra delay %v, want %v", c.at, got, c.want)
+		}
+	}
+}
+
+// TestHopDelayComposesWithAdversary puts a hop-delay fault and the
+// compromised switch on one aggregation switch: where the windows overlap a
+// packet pays both delays, and the adversary still spares the periodic
+// sampler's predicted subset.
+func TestHopDelayComposesWithAdversary(t *testing.T) {
+	s := quickSpec()
+	const faultExtra, advExtra = 3 * time.Microsecond, 5 * time.Microsecond
+	s.Faults = []FaultSpec{{Kind: FaultHopDelay, AggPod: 3, AggIdx: 1,
+		Start: 20 * time.Microsecond, End: 40 * time.Microsecond, Extra: faultExtra}}
+	s.Adversary = &AdversarySpec{AggPod: 3, AggIdx: 1,
+		Start: 30 * time.Microsecond, End: 50 * time.Microsecond, Extra: advExtra}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// One packet ID the adversary predicts the periodic sampler takes, and
+	// one it does not.
+	spared, hit := uint64(0), uint64(0)
+	for id := uint64(1); spared == 0 || hit == 0; id++ {
+		if measure.PredictPeriodic(id, 0) {
+			spared = id
+		} else {
+			hit = id
+		}
+	}
+	for _, c := range []struct {
+		at   time.Duration
+		id   uint64
+		want time.Duration
+	}{
+		{25 * time.Microsecond, hit, faultExtra},
+		{30 * time.Microsecond, hit, faultExtra + advExtra},
+		{30 * time.Microsecond, spared, faultExtra},
+		{40*time.Microsecond - 1, hit, faultExtra + advExtra},
+		{40 * time.Microsecond, hit, advExtra},
+		{40 * time.Microsecond, spared, 0},
+		{50 * time.Microsecond, hit, 0},
+	} {
+		if got := aggExtraDelay(t, s, 3, 1, c.at, c.id); got != c.want {
+			t.Errorf("packet %d arriving at %v: extra delay %v, want %v", c.id, c.at, got, c.want)
+		}
 	}
 }

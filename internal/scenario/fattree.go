@@ -181,7 +181,11 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		}
 	}
 
-	// Faults: scheduled state changes on the running topology.
+	// Faults. A link degrade is a scheduled state change on the running
+	// topology. A hop delay is a term of its aggregation switch's DelayFunc,
+	// a pure function of (packet, arrival instant): a packet arriving in
+	// [Start, End) pays Extra on top of the switch's processing delay.
+	delays := map[*netsim.Node][]netsim.DelayFunc{}
 	for _, f := range spec.sortedFaults() {
 		f := f
 		switch f.Kind {
@@ -192,20 +196,23 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 			eng.At(simtime.FromDuration(f.End), func() { port.SetRate(healthy) })
 		case FaultHopDelay:
 			node := ft.Aggs[f.AggPod][f.AggIdx]
-			base := node.ProcDelay()
-			eng.At(simtime.FromDuration(f.Start), func() { node.SetProcDelay(base + f.Extra) })
-			eng.At(simtime.FromDuration(f.End), func() { node.SetProcDelay(base) })
+			start, end := simtime.FromDuration(f.Start), simtime.FromDuration(f.End)
+			delays[node] = append(delays[node], func(_ *packet.Packet, now simtime.Time) time.Duration {
+				if now.Before(start) || !now.Before(end) {
+					return 0
+				}
+				return f.Extra
+			})
 		}
 	}
 
 	// Adversary: a compromised aggregation switch selectively delaying the
-	// packets it predicts will go unmeasured. The hook is a pure function of
-	// (packet, instant): the window test reads the tap-time clock instead of
-	// scheduling state changes.
+	// packets it predicts will go unmeasured, a term of the same DelayFunc.
 	if a := spec.Adversary; a != nil {
+		node := ft.Aggs[a.AggPod][a.AggIdx]
 		start, end := simtime.FromDuration(a.Start), simtime.FromDuration(a.End)
 		extra, rate := a.Extra, a.PredictRate
-		ft.Aggs[a.AggPod][a.AggIdx].SetSelectiveDelay(func(pk *packet.Packet, now simtime.Time) time.Duration {
+		delays[node] = append(delays[node], func(pk *packet.Packet, now simtime.Time) time.Duration {
 			if now.Before(start) || !now.Before(end) {
 				return 0
 			}
@@ -217,6 +224,9 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 			}
 			return extra
 		})
+	}
+	for node, terms := range delays {
+		node.SetSelectiveDelay(sumDelays(terms))
 	}
 
 	// Link-trace replay: one core down-link's extra delay and loss driven by
@@ -236,6 +246,20 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		})
 	}
 	return r, nil
+}
+
+// sumDelays composes the delay terms one switch is given into its DelayFunc.
+func sumDelays(terms []netsim.DelayFunc) netsim.DelayFunc {
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	return func(pk *packet.Packet, now simtime.Time) time.Duration {
+		var d time.Duration
+		for _, t := range terms {
+			d += t(pk, now)
+		}
+		return d
+	}
 }
 
 // attachSender adds one RLI sender to the deployment.

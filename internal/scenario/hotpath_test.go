@@ -104,7 +104,10 @@ func TestZeroAllocMarginalPerPacket(t *testing.T) {
 // TestPeakHeapIsInFlightOnly is the two-tier event queue's own proof on the
 // benchmark's capture spec: injection hands the whole workload to the
 // engine's backlog, and the heap never holds more than the events in flight —
-// a small fraction of the packet count, where it used to hold all of it.
+// a small fraction of the packet count, where it used to hold all of it. It
+// also gates the events a packet costs: two per hop (the arrival event at a
+// node, keyed at arrival + processing delay, and the port's tx-complete),
+// 13.4 per injected packet; three per hop was 18.6.
 func TestPeakHeapIsInFlightOnly(t *testing.T) {
 	r, err := buildFatTree(allPairsSpec(t, 200*time.Millisecond), 1)
 	if err != nil {
@@ -121,11 +124,15 @@ func TestPeakHeapIsInFlightOnly(t *testing.T) {
 	}
 	eng := r.nw.Engine()
 	backlog, peak := eng.Backlog(), eng.PeakHeap()
-	t.Logf("injected %d, backlog %d, peak heap %d, events %d", res.Injected, backlog, peak, eng.Processed())
+	perPkt := float64(eng.Processed()) / float64(res.Injected)
+	t.Logf("injected %d, backlog %d, peak heap %d, events %d (%.2f per packet)", res.Injected, backlog, peak, eng.Processed(), perPkt)
 	if backlog != res.Injected {
 		t.Errorf("backlog took %d events for %d injected packets", backlog, res.Injected)
 	}
 	if peak == 0 || peak >= res.Injected/10 {
 		t.Errorf("peak heap %d, want in (0, %d): the heap should hold in-flight events only", peak, res.Injected/10)
+	}
+	if perPkt > 14.0 {
+		t.Errorf("%.2f events per injected packet, want <= 14.0: a node hop should cost one arrival event", perPkt)
 	}
 }
