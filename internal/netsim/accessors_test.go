@@ -10,6 +10,18 @@ import (
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
+// TestAddNodeRejectsNegativeProcDelay: a node's processing delay is fixed
+// at creation, so creation is where a negative one is refused.
+func TestAddNodeRejectsNegativeProcDelay(t *testing.T) {
+	nw := New(eventsim.New())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	nw.AddNode(NodeConfig{Name: "sw", ProcDelay: -time.Nanosecond})
+}
+
 func TestSetPropagationChangesLatency(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
 	eng, nw, src, sw, dst := buildLine(t, link, link)

@@ -78,7 +78,6 @@ func TestPortsMatchLindley(t *testing.T) {
 		logs := map[*Port][]portEvent{}
 		expArrive := map[*packet.Packet]simtime.Time{}
 		expOffer := map[*packet.Packet]simtime.Time{}
-		extra := map[*Node]DelayFunc{}
 		for l, layer := range layers {
 			for _, n := range layer {
 				n.OnReceive(func(p *packet.Packet, now simtime.Time) {
@@ -86,8 +85,8 @@ func TestPortsMatchLindley(t *testing.T) {
 						t.Fatalf("trial %d: packet %d reached %s at %v, want %v", trial, p.ID, n.Name(), now, want)
 					}
 					off := now.Add(n.ProcDelay())
-					if f := extra[n]; f != nil {
-						if d := f(p, now); d > 0 {
+					if n.extra != nil {
+						if d := n.extra(p, now); d > 0 {
 							off = off.Add(d)
 							delayed++
 						}
@@ -110,15 +109,13 @@ func TestPortsMatchLindley(t *testing.T) {
 					// A pure selective delay: a packet-ID term and an
 					// arrival-window term, zero for most packets.
 					from := simtime.FromDuration(time.Duration(rng.Intn(200)) * time.Microsecond)
-					f := DelayFunc(func(p *packet.Packet, now simtime.Time) time.Duration {
+					n.SetSelectiveDelay(func(p *packet.Packet, now simtime.Time) time.Duration {
 						d := time.Duration(p.ID%3) * 300 * time.Nanosecond
 						if !now.Before(from) && now.Before(from.Add(50*time.Microsecond)) {
 							d += 2 * time.Microsecond
 						}
 						return d
 					})
-					extra[n] = f
-					n.SetSelectiveDelay(f)
 				}
 				for _, pt := range n.Ports() {
 					refEvery := 0

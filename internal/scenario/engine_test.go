@@ -303,9 +303,7 @@ func aggExtraDelay(t *testing.T, spec Spec, pod, idx int, at time.Duration, id u
 
 // TestHopDelayWindowBoundaries pins the hop-delay fault's window on the
 // packet's arrival instant at the switch: an arrival at Start is delayed,
-// one at End is not — the boundaries of the processing-delay change it
-// replaced, whose start and end events both ran before a same-instant
-// arrival.
+// one at End is not.
 func TestHopDelayWindowBoundaries(t *testing.T) {
 	s := quickSpec()
 	const start, end, extra = 20 * time.Microsecond, 40 * time.Microsecond, 3 * time.Microsecond

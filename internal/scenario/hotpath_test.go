@@ -105,9 +105,9 @@ func TestZeroAllocMarginalPerPacket(t *testing.T) {
 // benchmark's capture spec: injection hands the whole workload to the
 // engine's backlog, and the heap never holds more than the events in flight —
 // a small fraction of the packet count, where it used to hold all of it. It
-// also gates the events a packet costs: two per hop (the arrival event at a
-// node, keyed at arrival + processing delay, and the port's tx-complete),
-// 13.4 per injected packet; three per hop was 18.6.
+// also gates the events a packet costs: one arrival event per node, keyed
+// at arrival + processing delay, and one tx-complete per link hop, 13.4 per
+// injected packet.
 func TestPeakHeapIsInFlightOnly(t *testing.T) {
 	r, err := buildFatTree(allPairsSpec(t, 200*time.Millisecond), 1)
 	if err != nil {

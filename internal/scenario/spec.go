@@ -62,7 +62,8 @@ const (
 	// for the window — a renegotiated/dirty-optics link.
 	FaultLinkDegrade = "link-degrade"
 	// FaultHopDelay adds Extra per-packet processing delay at one
-	// aggregation switch for the window — a misbehaving lookup path.
+	// aggregation switch to every packet arriving in the window [Start,
+	// End) — a misbehaving lookup path.
 	// Aggregation switches sit inside the downstream measured segment
 	// (between the core's egress timestamp and the monitored ToR), so the
 	// added delay is visible to RLIR receivers. The localization experiment

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # profile.sh — capture CPU and allocation profiles of the simulator hot
-# path, the evidence base for allocation burn-down work (the kind that took
-# BenchmarkSimulatorThroughput from 812 to 166 allocs/op).
+# path: BenchmarkExportAllPairs in ./internal/scenario, scenario.Export of
+# fattree-allpairs at 0.2 s (the pipeline benchmark's sim stage, and the
+# run DESIGN.md's per-packet budget is read from).
 #
-#   scripts/profile.sh [dir]   # profile BenchmarkSimulatorThroughput
+#   scripts/profile.sh [dir]   # profile BenchmarkExportAllPairs
 #
-# It uses `go test -cpuprofile/-memprofile` with -memprofilerate=1 so every
-# allocation is attributed exactly (slower, but the per-op counts then match
-# -benchmem). Profiles land in <dir> (default ./profiles) as cpu.pprof /
-# mem.pprof plus a pre-rendered top-25 text summary; inspect interactively
-# with:
+# It takes two passes of `go test`. The CPU profile is taken at the default
+# memory profile rate: -memprofilerate=1 records every allocation's stack,
+# which inflates runtime.mallocgc in the CPU profile. The allocation profile
+# is taken in a second pass with -memprofilerate=1, so every allocation is
+# attributed exactly and the per-op counts match -benchmem. Profiles land in
+# <dir> (default ./profiles) as cpu.pprof / mem.pprof plus a pre-rendered
+# top-25 text summary; inspect interactively with:
 #
 #   go tool pprof -http=: profiles/cpu.pprof
 set -euo pipefail
@@ -17,14 +20,17 @@ cd "$(dirname "$0")/.."
 
 dir="${1:-profiles}"
 mkdir -p "$dir"
+bench='BenchmarkExportAllPairs$'
 
-echo "profile.sh: profiling BenchmarkSimulatorThroughput (exact alloc attribution)..." >&2
-go test -run '^$' -bench 'BenchmarkSimulatorThroughput$' -benchtime 5x \
-  -cpuprofile "$dir/cpu.pprof" -memprofile "$dir/mem.pprof" -memprofilerate=1 .
+echo "profile.sh: CPU profile of $bench..." >&2
+go test -run '^$' -bench "$bench" -benchtime 30x -benchmem \
+  -cpuprofile "$dir/cpu.pprof" -o "$dir/scenario.test" ./internal/scenario
+echo "profile.sh: allocation profile of $bench (exact alloc attribution)..." >&2
+go test -run '^$' -bench "$bench" -benchtime 5x \
+  -memprofile "$dir/mem.pprof" -memprofilerate=1 -o "$dir/scenario.test" ./internal/scenario
 
-go tool pprof -top -nodecount=25 "$dir/cpu.pprof" > "$dir/cpu.top.txt"
-go tool pprof -top -nodecount=25 -sample_index=alloc_objects "$dir/mem.pprof" > "$dir/mem.top.txt"
-rm -f rlir.test
+go tool pprof -top -nodecount=25 "$dir/scenario.test" "$dir/cpu.pprof" > "$dir/cpu.top.txt"
+go tool pprof -top -nodecount=25 -sample_index=alloc_objects "$dir/scenario.test" "$dir/mem.pprof" > "$dir/mem.top.txt"
 
 echo "profile.sh: wrote $dir/cpu.pprof, $dir/mem.pprof (+ .top.txt summaries)" >&2
 grep -m1 -A3 "flat  flat%" "$dir/cpu.top.txt" || true
