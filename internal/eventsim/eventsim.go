@@ -7,17 +7,12 @@
 // the order they were scheduled, which makes simulations bit-for-bit
 // reproducible across runs with the same seed.
 //
-// The engine offers two scheduling APIs:
-//
-//   - At/After take a closure. This is the convenient path for cold callers
-//     (experiment setup, tickers); each call captures its state in a heap
-//     allocation.
-//   - AtKind/AfterKind take a Kind registered via RegisterKind plus two
-//     payload words. Handlers are installed once per kind; the payload is
-//     carried by value inside the queue slot, so scheduling allocates nothing
-//     as long as the payload words are pointer-shaped (pointers, funcs,
-//     channels, maps). This is the path the packet simulator's per-packet
-//     events use.
+// Every event is typed: AtKind/AfterKind take a Kind registered via
+// RegisterKind plus two payload words. Handlers are installed once per kind;
+// the payload is carried by value inside the queue slot, so scheduling
+// allocates nothing as long as the payload words are pointer-shaped
+// (pointers, funcs, channels, maps). There is one run mode: setup schedules,
+// Run drains the queue.
 //
 // Internally the queue has two tiers holding one total order. Events that
 // setup schedules — nothing has executed yet — go to the backlog, a plain
@@ -42,12 +37,12 @@
 // The next event is the smaller of the backlog's head and the heap's least
 // event; setup calls precede every event-scheduled call, so the backlog wins
 // ties. The heap's least instant is looked up without refiling: last advances
-// only when the heap releases an event, because a backlog event or a RunUntil
-// deadline before it sets a clock that later schedule calls may fill in
-// behind. What the two tiers buy is a heap whose size is the number of events
-// in flight, not the length of the workload. The rule is "has anything
-// executed" and nothing else: schedule calls made between two RunUntil calls
-// (or after a Step) go to the heap like any event-scheduled event.
+// only when the heap releases an event, because a backlog event before it
+// sets a clock that later schedule calls may fill in behind. What the two
+// tiers buy is a heap whose size is the number of events in flight, not the
+// length of the workload. The rule is "has anything executed" and nothing
+// else: schedule calls made after a Run that executed anything go to the
+// heap like any event-scheduled event.
 //
 // An Engine is single-goroutine: network simulation at packet granularity is
 // dominated by the event queue and cache behaviour, and a single timeline
@@ -64,10 +59,6 @@ import (
 	"github.com/netmeasure/rlir/internal/simtime"
 )
 
-// Handler is a scheduled action. It runs with the engine clock set to the
-// instant it was scheduled for.
-type Handler func()
-
 // Kind identifies a typed-event handler registered with RegisterKind.
 type Kind uint32
 
@@ -76,10 +67,6 @@ type Kind uint32
 // node or port, and a packet); storing pointer-shaped values in the payload
 // words performs no allocation.
 type TypedHandler func(a, b any)
-
-// kindFunc is the built-in kind backing the At/After closure API: payload
-// word a holds the Handler.
-const kindFunc Kind = 0
 
 // event is one queue slot. The payload words a and b are carried by value:
 // popping an event never allocates, and dispatch goes through the engine's
@@ -122,7 +109,6 @@ type Engine struct {
 
 	kinds     []TypedHandler
 	processed uint64
-	stopped   bool
 }
 
 // New returns an engine with its clock at the simulation epoch.
@@ -130,7 +116,6 @@ func New() *Engine {
 	e := &Engine{}
 	e.slots = make([]event, 1, 1024)
 	e.links = make([]link, 1, 1024)
-	e.kinds = []TypedHandler{func(a, _ any) { a.(Handler)() }}
 	return e
 }
 
@@ -163,19 +148,9 @@ func (e *Engine) Backlog() int { return e.setup }
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// At schedules fn to run at instant t. Scheduling in the past (t earlier than
-// Now) panics: it would silently corrupt causality in a network simulation.
-func (e *Engine) At(t simtime.Time, fn Handler) {
-	e.schedule(t, kindFunc, fn, nil)
-}
-
-// After schedules fn to run d after the current instant. Negative d panics.
-func (e *Engine) After(d time.Duration, fn Handler) {
-	e.schedule(e.now.Add(d), kindFunc, fn, nil)
-}
-
 // AtKind schedules a typed event at instant t. Scheduling in the past
-// panics. The payload words a and b are handed to the kind's handler when
+// (t earlier than Now) panics: it would silently corrupt causality in a
+// network simulation. The payload words a and b are handed to the kind's handler when
 // the event fires.
 func (e *Engine) AtKind(t simtime.Time, k Kind, a, b any) {
 	if uint32(k) >= uint32(len(e.kinds)) {
@@ -184,7 +159,8 @@ func (e *Engine) AtKind(t simtime.Time, k Kind, a, b any) {
 	e.schedule(t, k, a, b)
 }
 
-// AfterKind schedules a typed event d after the current instant.
+// AfterKind schedules a typed event d after the current instant. Negative d
+// panics.
 func (e *Engine) AfterKind(d time.Duration, k Kind, a, b any) {
 	e.AtKind(e.now.Add(d), k, a, b)
 }
@@ -289,46 +265,36 @@ func (e *Engine) pop() uint32 {
 	return i
 }
 
-// exec runs the next event in (at, seq) order if there is one and it is due
-// at or before limit, and reports whether it did. It is the one place an
-// event leaves the queue: Run, RunUntil and Step all loop over it. The next
+// Run executes events in (at, seq) order until the queue is empty and
+// returns the number it executed. The backlog can only have grown since the
+// last Run that executed something, so it is sorted here, before anything
+// runs.
+func (e *Engine) Run() uint64 {
+	if e.unsorted {
+		// seq is unique, so no two slots compare equal.
+		slices.SortFunc(e.backlog, func(x, y event) int {
+			if x.at < y.at || x.at == y.at && x.seq < y.seq {
+				return -1
+			}
+			return 1
+		})
+		e.unsorted = false
+	}
+	start := e.processed
+	for e.exec() {
+	}
+	return e.processed - start
+}
+
+// exec runs the next event in (at, seq) order if there is one and reports
+// whether it did. It is the one place an event leaves the queue. The next
 // event is the smaller of the backlog's head and the heap's least; a consumed
 // backlog slot is zeroed, like a freed heap slot, and the drained backlog is
-// released whole. The heap is popped only once its event is sure to run, so
-// last never passes the clock.
-func (e *Engine) exec(limit simtime.Time) bool {
-	heap := e.queued > 0
-	var at simtime.Time
-	if heap {
-		at = e.leastAt()
-	}
-	if e.head < len(e.backlog) {
-		if e.unsorted {
-			// seq is unique, so no two slots compare equal.
-			slices.SortFunc(e.backlog, func(x, y event) int {
-				if x.at < y.at || x.at == y.at && x.seq < y.seq {
-					return -1
-				}
-				return 1
-			})
-			e.unsorted = false
-		}
-		// Setup calls precede every event-scheduled call: the backlog wins ties.
-		if b := e.backlog[e.head].at; !heap || b <= at {
-			heap, at = false, b
-		}
-	} else if !heap {
-		return false
-	}
-	if at > limit {
-		return false
-	}
+// released whole.
+func (e *Engine) exec() bool {
 	var ev event
-	if heap {
-		i := e.pop()
-		ev = e.slots[i]
-		e.slots[i] = event{}
-	} else {
+	if e.head < len(e.backlog) && (e.queued == 0 || e.backlog[e.head].at <= e.leastAt()) {
+		// Setup calls precede every event-scheduled call: the backlog wins ties.
 		p := &e.backlog[e.head]
 		ev = *p
 		*p = event{}
@@ -336,56 +302,15 @@ func (e *Engine) exec(limit simtime.Time) bool {
 		if e.head == len(e.backlog) {
 			e.backlog, e.head = nil, 0
 		}
+	} else if e.queued > 0 {
+		i := e.pop()
+		ev = e.slots[i]
+		e.slots[i] = event{}
+	} else {
+		return false
 	}
 	e.now = ev.at
 	e.processed++
 	e.kinds[ev.kind](ev.a, ev.b)
 	return true
-}
-
-// Stop makes the currently executing Run or RunUntil call return after the
-// current event finishes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called. It returns
-// the number of events executed by this call.
-func (e *Engine) Run() uint64 {
-	return e.RunUntil(simtime.Never)
-}
-
-// RunUntil executes events with timestamps <= deadline, advancing the clock
-// as it goes. When it returns, the clock rests at the later of its previous
-// value and the deadline (or at the last executed event when the deadline is
-// simtime.Never). It returns the number of events executed by this call.
-func (e *Engine) RunUntil(deadline simtime.Time) uint64 {
-	e.stopped = false
-	var n uint64
-	for !e.stopped && e.exec(deadline) {
-		n++
-	}
-	if deadline != simtime.Never && deadline > e.now && !e.stopped {
-		e.now = deadline
-	}
-	return n
-}
-
-// Step executes exactly one event if any is pending and reports whether it
-// did so.
-func (e *Engine) Step() bool { return e.exec(simtime.Never) }
-
-// Ticker invokes fn every period, starting at start, until fn returns false.
-// It is a convenience for periodic processes such as utilization sampling and
-// clock resynchronization.
-func (e *Engine) Ticker(start simtime.Time, period time.Duration, fn func(now simtime.Time) bool) {
-	if period <= 0 {
-		panic("eventsim: non-positive ticker period")
-	}
-	var tick Handler
-	tick = func() {
-		if !fn(e.now) {
-			return
-		}
-		e.After(period, tick)
-	}
-	e.At(start, tick)
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestPropertyScheduleOrder is the engine's ordering contract as a property
-// test: any random interleaving of At/After/AtKind schedules — including
-// duplicate instants — executes in exact (time, scheduling order). The
+// test: any random interleaving of AtKind/AfterKind schedules of a closure
+// kind and a record kind — including duplicate instants — executes in exact (time, scheduling order). The
 // expected order is computed independently with a stable sort, so the test
 // does not depend on any heap implementation detail.
 func TestPropertyScheduleOrder(t *testing.T) {
@@ -24,6 +24,7 @@ func TestPropertyScheduleOrder(t *testing.T) {
 		}
 		var planned []sched
 		var ran []int
+		fn := fnKind(e)
 		kRec := e.RegisterKind(func(a, _ any) { ran = append(ran, *a.(*int)) })
 
 		n := 50 + rng.Intn(200)
@@ -35,11 +36,9 @@ func TestPropertyScheduleOrder(t *testing.T) {
 			planned = append(planned, sched{at: at, id: i})
 			switch rng.Intn(3) {
 			case 0:
-				id := i
-				e.At(at, func() { ran = append(ran, id) })
+				e.AtKind(at, fn, func() { ran = append(ran, i) }, nil)
 			case 1:
-				id := i
-				e.After(at.Sub(e.Now()), func() { ran = append(ran, id) })
+				e.AfterKind(at.Sub(e.Now()), fn, func() { ran = append(ran, i) }, nil)
 			default:
 				e.AtKind(at, kRec, &ids[i], nil)
 			}
@@ -60,19 +59,19 @@ func TestPropertyScheduleOrder(t *testing.T) {
 }
 
 // TestPropertyFIFOAmongTiesAcrossAPIs verifies the FIFO tie-break holds when
-// closure and typed events are interleaved at one instant: scheduling order,
-// not scheduling API, decides execution order.
+// events of two kinds are interleaved at one instant: scheduling order, not
+// kind, decides execution order.
 func TestPropertyFIFOAmongTiesAcrossAPIs(t *testing.T) {
 	e := New()
 	var ran []int
 	ids := make([]int, 200)
+	fn := fnKind(e)
 	k := e.RegisterKind(func(a, _ any) { ran = append(ran, *a.(*int)) })
 	at := simtime.FromSeconds(1)
 	for i := range ids {
 		ids[i] = i
 		if i%2 == 0 {
-			id := i
-			e.At(at, func() { ran = append(ran, id) })
+			e.AtKind(at, fn, func() { ran = append(ran, i) }, nil)
 		} else {
 			e.AtKind(at, k, &ids[i], nil)
 		}
@@ -81,63 +80,6 @@ func TestPropertyFIFOAmongTiesAcrossAPIs(t *testing.T) {
 	for i, got := range ran {
 		if got != i {
 			t.Fatalf("tie order broken at %d: %v...", i, ran[:i+1])
-		}
-	}
-}
-
-// TestPropertyStopInsideRunUntil stops the engine at random points inside
-// RunUntil and checks the invariants the callers rely on: the clock rests at
-// the last executed event, no event past the stop has run, every unexecuted
-// event is still queued, and resuming executes the remainder in order.
-func TestPropertyStopInsideRunUntil(t *testing.T) {
-	for trial := 0; trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial + 100)))
-		e := New()
-		const n = 120
-		stopAfter := 1 + rng.Intn(n-1)
-		var ran []simtime.Time
-		times := make([]simtime.Time, n)
-		for i := 0; i < n; i++ {
-			times[i] = simtime.Time(rng.Int63n(1_000_000))
-			at := times[i]
-			e.At(at, func() {
-				ran = append(ran, at)
-				if len(ran) == stopAfter {
-					e.Stop()
-				}
-			})
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-
-		deadline := simtime.Time(2_000_000)
-		executed := e.RunUntil(deadline)
-		if int(executed) != stopAfter {
-			t.Fatalf("trial %d: RunUntil executed %d, want %d (Stop)", trial, executed, stopAfter)
-		}
-		if e.Pending() != n-stopAfter {
-			t.Fatalf("trial %d: pending %d after Stop, want %d", trial, e.Pending(), n-stopAfter)
-		}
-		if e.Now() != ran[len(ran)-1] {
-			t.Fatalf("trial %d: clock %v after Stop, want last executed instant %v",
-				trial, e.Now(), ran[len(ran)-1])
-		}
-		if e.Now() != times[stopAfter-1] {
-			t.Fatalf("trial %d: stopped clock %v, want %v", trial, e.Now(), times[stopAfter-1])
-		}
-		// Resume: the remainder must run, in order, and the clock must then
-		// advance to the deadline.
-		e.RunUntil(deadline)
-		if len(ran) != n || e.Pending() != 0 {
-			t.Fatalf("trial %d: resume ran %d total (pending %d), want %d/0",
-				trial, len(ran), e.Pending(), n)
-		}
-		for i := range ran {
-			if ran[i] != times[i] {
-				t.Fatalf("trial %d: position %d ran %v, want %v", trial, i, ran[i], times[i])
-			}
-		}
-		if e.Now() != deadline {
-			t.Fatalf("trial %d: final clock %v, want deadline %v", trial, e.Now(), deadline)
 		}
 	}
 }
@@ -160,18 +102,19 @@ func TestTypedEventPayload(t *testing.T) {
 	}
 }
 
-// TestTypedEventPastPanics mirrors the closure API's causality check.
+// TestTypedEventPastPanics checks causality from inside a typed event: a
+// kind scheduling another kind in the past panics.
 func TestTypedEventPastPanics(t *testing.T) {
 	e := New()
 	k := e.RegisterKind(func(a, b any) {})
-	e.At(simtime.FromSeconds(1), func() {
+	e.AtKind(simtime.FromSeconds(1), fnKind(e), func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling typed event in the past")
 			}
 		}()
 		e.AtKind(simtime.Zero, k, nil, nil)
-	})
+	}, nil)
 	e.Run()
 }
 
@@ -186,9 +129,9 @@ func TestUnregisteredKindPanics(t *testing.T) {
 	e.AtKind(simtime.Zero, Kind(99), nil, nil)
 }
 
-// TestTypedSchedulingZeroAlloc is the engine half of the PR's headline
-// claim: once the heap has grown, scheduling and draining typed events
-// allocates nothing.
+// TestTypedSchedulingZeroAlloc checks that once the heap has grown,
+// scheduling and draining typed events allocates nothing — a func payload
+// included, which is as pointer-shaped as a *int.
 func TestTypedSchedulingZeroAlloc(t *testing.T) {
 	e := New()
 	var fired int
@@ -199,9 +142,11 @@ func TestTypedSchedulingZeroAlloc(t *testing.T) {
 		e.AfterKind(time.Duration(i), k, target, nil)
 	}
 	e.Run()
+	fn, bump := fnKind(e), func() { fired++ }
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {
 			e.AfterKind(time.Duration(i), k, target, nil)
+			e.AfterKind(time.Duration(i), fn, bump, nil)
 		}
 		e.Run()
 	})
@@ -210,7 +155,8 @@ func TestTypedSchedulingZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkTypedScheduleAndRun is the closure benchmark's typed twin.
+// BenchmarkTypedScheduleAndRun schedules and drains typed events with up to
+// 1 024 in flight.
 func BenchmarkTypedScheduleAndRun(b *testing.B) {
 	e := New()
 	var sink int

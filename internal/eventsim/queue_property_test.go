@@ -13,8 +13,8 @@ import (
 // apart the instants are, events run in (instant, schedule-call index) order.
 // These tests run seeded plans against an independent reference — a stable
 // sort of every schedule call by instant — and check the clock, Pending and
-// Processed at every checkpoint against what the calls and the execution log
-// imply. Nothing in the reference goes through the engine's queue.
+// Processed at every event and after every Run against what the calls and
+// the execution log imply. Nothing in the reference goes through the engine's queue.
 
 // The plans derive everything from hashed labels. Half the delays fall on a
 // coarse grid — zero included — so same-instant events pile up and the
@@ -51,46 +51,44 @@ func tieDelay(h uint64) time.Duration {
 // queuePlan drives one bare Engine and records every schedule call and every
 // execution.
 type queuePlan struct {
-	t       *testing.T
-	seed    uint64
-	e       *Engine
-	kind    Kind
-	fanout  func(nd *tieNode, h uint64) int // schedule calls nd makes when it runs
-	calls   []simtime.Time                  // instant of each schedule call, in call order
-	done    []bool                          // done[i]: call i has executed
-	ran     []int                           // call index of each executed event, in order
-	marks   []uint64                        // Processed after each checkpoint
-	stopAt  int                             // Stop once this many events ran (-1: never)
-	stopped bool                            // Stop was called during the current checkpoint
+	t      *testing.T
+	seed   uint64
+	e      *Engine
+	kind   Kind                            // payload: the *tieNode
+	fn     Kind                            // payload: a func() closing over the *tieNode
+	fanout func(nd *tieNode, h uint64) int // schedule calls nd makes when it runs
+	calls  []simtime.Time                  // instant of each schedule call, in call order
+	ran    []int                           // call index of each executed event, in order
 }
 
 func newQueuePlan(t *testing.T, seed uint64, fanout func(nd *tieNode, h uint64) int) *queuePlan {
-	p := &queuePlan{t: t, seed: seed, e: New(), fanout: fanout, stopAt: -1}
+	p := &queuePlan{t: t, seed: seed, e: New(), fanout: fanout}
 	p.kind = p.e.RegisterKind(func(a, _ any) { p.exec(a.(*tieNode)) })
+	p.fn = fnKind(p.e)
 	return p
 }
 
-// schedule makes one schedule call, a typed event or a closure by label.
+// schedule makes one schedule call, of either kind by label.
 func (p *queuePlan) schedule(label uint64, depth int, at simtime.Time) {
 	nd := &tieNode{id: len(p.calls), label: label, depth: depth}
 	p.calls = append(p.calls, at)
-	p.done = append(p.done, false)
 	if label&1 == 0 {
 		p.e.AtKind(at, p.kind, nd, nil)
 	} else {
-		p.e.At(at, func() { p.exec(nd) })
+		p.e.AtKind(at, p.fn, func() { p.exec(nd) }, nil)
 	}
 }
 
+// exec runs one planned event: the clock must be at its instant, and Pending
+// and Processed must count the calls not yet run and the ones that have.
 func (p *queuePlan) exec(nd *tieNode) {
 	if now := p.e.Now(); now != p.calls[nd.id] {
 		p.t.Fatalf("seed %d: call %d ran with the clock at %v, scheduled for %v", p.seed, nd.id, now, p.calls[nd.id])
 	}
 	p.ran = append(p.ran, nd.id)
-	p.done[nd.id] = true
-	if len(p.ran) == p.stopAt {
-		p.e.Stop()
-		p.stopped = true
+	if p.e.Pending() != len(p.calls)-len(p.ran) || p.e.Processed() != uint64(len(p.ran)) {
+		p.t.Fatalf("seed %d: Pending/Processed = %d/%d with %d scheduled and %d executed",
+			p.seed, p.e.Pending(), p.e.Processed(), len(p.calls), len(p.ran))
 	}
 	if nd.depth <= 0 {
 		return
@@ -102,44 +100,30 @@ func (p *queuePlan) exec(nd *tieNode) {
 	}
 }
 
-// checkpoint runs one engine call — a RunUntil when deadline is not
-// simtime.Never — and checks what it left behind.
-func (p *queuePlan) checkpoint(deadline simtime.Time, run func()) {
+// run drains the engine with Run and checks what it left behind: an empty
+// queue, a count that matches the log, and the clock at the last executed
+// instant (where it was, if nothing ran).
+func (p *queuePlan) run() {
 	p.t.Helper()
 	before, clock := len(p.ran), p.e.Now()
-	p.stopped = false
-	run()
-	p.marks = append(p.marks, p.e.Processed())
-	if p.e.Pending() != len(p.calls)-len(p.ran) || p.e.Processed() != uint64(len(p.ran)) {
-		p.t.Fatalf("seed %d: Pending/Processed = %d/%d with %d scheduled and %d executed",
-			p.seed, p.e.Pending(), p.e.Processed(), len(p.calls), len(p.ran))
+	if n := p.e.Run(); n != uint64(len(p.ran)-before) {
+		p.t.Fatalf("seed %d: Run reported %d events, %d ran", p.seed, n, len(p.ran)-before)
 	}
-	// The clock rests at the last executed instant, or at the deadline a
-	// RunUntil that was not stopped reached, which left nothing due by then.
-	want := clock
-	if len(p.ran) > before {
-		want = p.calls[p.ran[len(p.ran)-1]]
-	}
-	if deadline != simtime.Never && !p.stopped {
-		want = max(want, deadline)
-		for i, at := range p.calls {
-			if !p.done[i] && at <= deadline {
-				p.t.Fatalf("seed %d: call %d at %v still pending after RunUntil(%v)", p.seed, i, at, deadline)
-			}
-		}
-	}
-	if p.e.Now() != want {
-		p.t.Fatalf("seed %d: clock %v after a checkpoint, want %v", p.seed, p.e.Now(), want)
-	}
-}
-
-// verify requires an empty queue and the execution log to equal the calls
-// stably sorted by instant.
-func (p *queuePlan) verify() {
-	p.t.Helper()
 	if p.e.Pending() != 0 || len(p.ran) != len(p.calls) {
 		p.t.Fatalf("seed %d: %d of %d calls executed, %d pending", p.seed, len(p.ran), len(p.calls), p.e.Pending())
 	}
+	if len(p.ran) > before {
+		clock = p.calls[p.ran[len(p.ran)-1]]
+	}
+	if p.e.Now() != clock {
+		p.t.Fatalf("seed %d: clock %v after Run, want %v", p.seed, p.e.Now(), clock)
+	}
+}
+
+// verify requires the execution log to equal the calls stably sorted by
+// instant.
+func (p *queuePlan) verify() {
+	p.t.Helper()
 	want := make([]int, len(p.calls))
 	for i := range want {
 		want[i] = i
@@ -165,20 +149,20 @@ func (p *queuePlan) ties() int {
 }
 
 // runQueuePlan drives one Engine through every way its queue is used: setup
-// in or out of time order with ties, a RunUntil that may execute nothing,
-// setup resumed after it, a Run cut short by Stop, Steps, schedule calls
-// between runs, and a final drain — closures and typed kinds mixed
-// throughout; each event makes up to three schedule calls.
+// in or out of time order with ties, after an idle Run or not, drained by a
+// Run that interleaves the backlog with the heap, then schedule calls between
+// runs, each drained by a Run of its own — both kinds mixed throughout; each
+// event makes up to three schedule calls.
 func runQueuePlan(t *testing.T, seed uint64) *queuePlan {
 	p := newQueuePlan(t, seed, func(_ *tieNode, h uint64) int { return int(h % 4) })
 	ctr := uint64(0)
 	draw := func(n uint64) uint64 { ctr++; return tieMix(seed<<20+ctr) % n }
 
 	// setup schedules n roots at grid instants offset from the clock.
-	setup := func(n int, offset uint64, sorted bool) {
+	setup := func(n int, sorted bool) {
 		ats := make([]simtime.Time, n)
 		for i := range ats {
-			ats[i] = p.e.Now().Add(time.Duration(offset+draw(10)) * tieGrid)
+			ats[i] = p.e.Now().Add(time.Duration(draw(10)) * tieGrid)
 		}
 		if sorted {
 			slices.Sort(ats)
@@ -188,58 +172,43 @@ func runQueuePlan(t *testing.T, seed uint64) *queuePlan {
 		}
 	}
 
-	// Every third seed sets up in time order (the backlog is never sorted);
-	// every fifth starts late, so the first RunUntil executes nothing and the
-	// resumed setup is still setup with the clock already advanced.
-	var offset uint64
+	// Every fifth seed runs the empty engine first: a Run that executes
+	// nothing leaves it in setup. Every third sets up in time order (the
+	// backlog is never sorted).
 	if seed%5 == 0 {
-		offset = 8
+		p.run()
 	}
-	setup(30, offset, seed%3 == 0)
-	p.checkpoint(simtime.Never, func() {}) // setup only: nothing has run
-	if p.e.PeakHeap() != 0 || p.e.Backlog() != 30 {
+	setup(30, seed%3 == 0)
+	if p.e.PeakHeap() != 0 || p.e.Backlog() != 30 || p.e.Pending() != 30 {
 		t.Fatalf("seed %d: setup put %d events in the heap and %d in the backlog, want 0 and 30", seed, p.e.PeakHeap(), p.e.Backlog())
 	}
-	deadline := p.e.Now().Add(time.Duration(draw(7)) * tieGrid)
-	p.checkpoint(deadline, func() { p.e.RunUntil(deadline) })
-	setup(10, 0, false)
-	p.stopAt = len(p.ran) + 1 + int(draw(20))
-	p.checkpoint(simtime.Never, func() { p.e.Run() }) // Stop cuts it short
-	p.stopAt = -1
-	p.checkpoint(simtime.Never, func() { p.e.Step(); p.e.Step() })
-	setup(5, 0, seed%2 == 0)
-	p.checkpoint(simtime.Never, func() { p.e.Run() })
+	p.run()
+	setup(10, false)
+	p.run()
+	setup(5, seed%2 == 0)
+	p.run()
 	p.verify()
 	return p
 }
 
 // TestPropertyQueueOrderMatchesSort runs the phased plans.
 func TestPropertyQueueOrderMatchesSort(t *testing.T) {
-	resumedAsSetup := 0
 	for seed := uint64(1); seed <= 60; seed++ {
 		p := runQueuePlan(t, seed)
 		if len(p.ran) < 50 || p.ties() == 0 {
 			t.Fatalf("seed %d: degenerate plan (%d events, %d ties)", seed, len(p.ran), p.ties())
 		}
-		// Setup resumed after a RunUntil that executed something must have
-		// gone to the heap, not the backlog.
-		switch ranFirst := p.marks[1] > 0; {
-		case !ranFirst && p.e.Backlog() == 40:
-			resumedAsSetup++
-		case !ranFirst || p.e.Backlog() != 30:
-			t.Fatalf("seed %d: backlog took %d events with %d executed before the resumed setup", seed, p.e.Backlog(), p.marks[1])
+		// Setup after a Run that executed something goes to the heap.
+		if p.e.Backlog() != 30 {
+			t.Fatalf("seed %d: backlog took %d events, want the 30 set up before the first Run", seed, p.e.Backlog())
 		}
-	}
-	if resumedAsSetup == 0 {
-		t.Fatal("no plan resumed setup before the first event ran; the test lost a case")
 	}
 }
 
 // TestPropertyManyInFlight holds more than 10 000 events in the heap at once:
 // one setup root schedules 12 000 children, each of which schedules up to
 // two more, beside a hundred setup roots spread log-uniformly up to 2^40 ns
-// that interleave the backlog with the heap. RunUntil checkpoints cut the run
-// at spread-out deadlines.
+// that interleave the backlog with the heap.
 func TestPropertyManyInFlight(t *testing.T) {
 	const wide = 12_000
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -254,11 +223,7 @@ func TestPropertyManyInFlight(t *testing.T) {
 			h := tieMix(seed<<32 + uint64(i))
 			p.schedule(h, 1, simtime.Time(tieDelay(h|1)))
 		}
-		for _, exp := range []int{10, 20, 30, 40} {
-			deadline := simtime.Time(1) << exp
-			p.checkpoint(deadline, func() { p.e.RunUntil(deadline) })
-		}
-		p.checkpoint(simtime.Never, func() { p.e.Run() })
+		p.run()
 		p.verify()
 		if p.e.PeakHeap() < 10_000 || p.ties() == 0 {
 			t.Fatalf("seed %d: peak heap %d, %d ties; the plan lost its wide case", seed, p.e.PeakHeap(), p.ties())
@@ -270,16 +235,22 @@ func TestPropertyManyInFlight(t *testing.T) {
 // its payload reachable and that the drained backlog is let go whole.
 func TestBacklogSlotsReleased(t *testing.T) {
 	e := New()
-	k := e.RegisterKind(func(_, _ any) {})
+	first := true
+	k := e.RegisterKind(func(_, _ any) {
+		if !first {
+			return
+		}
+		first = false
+		if e.backlog[0] != (event{}) {
+			t.Fatalf("consumed backlog slot still holds %+v", e.backlog[0])
+		}
+		if e.Pending() != 1 || e.Backlog() != 2 {
+			t.Fatalf("Pending/Backlog = %d/%d while the first of two setup events runs, want 1/2", e.Pending(), e.Backlog())
+		}
+	})
 	payload := new(int)
 	e.AtKind(1, k, payload, nil)
 	e.AtKind(2, k, payload, nil)
-	if !e.Step() || e.backlog[0] != (event{}) {
-		t.Fatalf("consumed backlog slot still holds %+v", e.backlog[0])
-	}
-	if e.Pending() != 1 || e.Backlog() != 2 {
-		t.Fatalf("Pending/Backlog = %d/%d after one of two setup events ran, want 1/2", e.Pending(), e.Backlog())
-	}
 	e.Run()
 	if e.backlog != nil || e.Pending() != 0 {
 		t.Fatalf("drained backlog not released (len %d, pending %d)", len(e.backlog), e.Pending())

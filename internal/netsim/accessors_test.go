@@ -106,45 +106,59 @@ func TestNewPacketIDUnique(t *testing.T) {
 	}
 }
 
+// TestSetRateChangesTxTime degrades the switch's output link to a tenth of
+// its rate for transmissions starting in [1ms, 3ms), the way the scenario
+// engine's link-degrade fault does: a packet starting inside the window
+// serializes at the degraded rate, one starting after it at the configured
+// rate again.
 func TestSetRateChangesTxTime(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
 	eng, nw, src, sw, dst := buildLine(t, link, link)
 
-	var arrivals []simtime.Time
-	dst.OnDeliver(func(p *packet.Packet, now simtime.Time) { arrivals = append(arrivals, now) })
-
-	nw.Inject(src, mkpkt(1, 1500), simtime.Zero)
-	// Degrade the switch's output link to a tenth of its rate mid-run, the
-	// way the scenario engine's link-degrade fault does.
-	eng.At(simtime.FromDuration(time.Millisecond), func() {
-		sw.Port(0).SetRate(1e8)
+	arrivals := map[uint64]simtime.Time{}
+	dst.OnDeliver(func(p *packet.Packet, now simtime.Time) { arrivals[p.ID] = now })
+	start, end := simtime.FromDuration(time.Millisecond), simtime.FromDuration(3*time.Millisecond)
+	sw.Port(0).SetRate(func(now simtime.Time) float64 {
+		if now >= start && now < end {
+			return 1e8
+		}
+		return 1e9
 	})
-	nw.Inject(src, mkpkt(2, 1500), simtime.FromDuration(2*time.Millisecond))
+	injectAt := []time.Duration{0, 2 * time.Millisecond, 4 * time.Millisecond}
+	for i, at := range injectAt {
+		nw.Inject(src, mkpkt(uint64(i+1), 1500), simtime.FromDuration(at))
+	}
 	eng.Run()
 
-	if len(arrivals) != 2 {
+	if len(arrivals) != 3 {
 		t.Fatalf("arrivals = %d", len(arrivals))
 	}
-	base := arrivals[0].Sub(simtime.Zero)
-	slow := arrivals[1].Sub(simtime.FromDuration(2 * time.Millisecond))
+	lat := func(id uint64) time.Duration { return arrivals[id].Sub(simtime.FromDuration(injectAt[id-1])) }
 	// The second packet's last hop serializes at 100 Mbps instead of 1 Gbps:
 	// 1500B costs 120µs instead of 12µs, a 108µs delta.
 	want := simtime.TxTime(1500, 1e8) - simtime.TxTime(1500, 1e9)
-	if slow-base != want {
-		t.Fatalf("degrade delta = %v, want %v", slow-base, want)
+	if d := lat(2) - lat(1); d != want {
+		t.Fatalf("degrade delta = %v, want %v", d, want)
 	}
-	if got := sw.Port(0).Rate(); got != 1e8 {
-		t.Fatalf("Rate = %v after SetRate", got)
+	if lat(3) != lat(1) {
+		t.Fatalf("latency after the window %v, before it %v", lat(3), lat(1))
+	}
+	if got := sw.Port(0).Rate(); got != 1e9 {
+		t.Fatalf("configured Rate = %v under a rate hook", got)
 	}
 }
 
+// TestSetRateRejectsNonPositive: the hook is read at transmission start, so
+// that is where a non-positive rate panics.
 func TestSetRateRejectsNonPositive(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
-	_, _, _, sw, _ := buildLine(t, link, link)
+	eng, nw, src, sw, _ := buildLine(t, link, link)
+	sw.Port(0).SetRate(func(simtime.Time) float64 { return 0 })
+	nw.Inject(src, mkpkt(1, 1500), simtime.Zero)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	sw.Port(0).SetRate(0)
+	eng.Run()
 }

@@ -22,7 +22,9 @@
 // for the run; a delay that varies with the packet or the instant is a
 // DelayFunc (Node.SetSelectiveDelay), which is how the scenario engine
 // (internal/scenario) models hop-delay faults and the compromised switch.
-// Links do change mid-run: Port.SetRate schedules the link-degrade fault.
+// Links are the same: a rate that varies with the instant is a RateFunc
+// (Port.SetRate), read at each transmission start, which is how the
+// link-degrade fault is modeled. Nothing but packets is ever scheduled.
 // internal/topo builds k-ary fat-trees on top of this package;
 // internal/core attaches the RLI instruments.
 package netsim

@@ -41,6 +41,12 @@ type DelayFunc func(p *packet.Packet, now simtime.Time) time.Duration
 // emulation (internal/trace.LinkTrace) plugs in here.
 type EmulateFunc func(p *packet.Packet, now simtime.Time) (extra time.Duration, drop bool)
 
+// RateFunc returns a link's line rate in bits per second for a packet
+// starting transmission at now. Like DelayFunc it must be a pure function of
+// that instant; scenario fault injection uses it for the link-degrade fault
+// (a reduced rate for every transmission starting in a window).
+type RateFunc func(now simtime.Time) float64
+
 // Network is a collection of nodes, ports and links sharing one event
 // engine. Create with New.
 type Network struct {
@@ -302,6 +308,7 @@ type Port struct {
 	queue  fifo
 	qBytes int
 	busy   bool
+	rate   RateFunc
 	emu    EmulateFunc
 
 	onTxStart []TapFunc
@@ -322,20 +329,23 @@ func (pt *Port) Dst() *Node { return pt.dst }
 // Rate returns the configured line rate in bits per second.
 func (pt *Port) Rate() float64 { return pt.cfg.RateBps }
 
+// rateAt returns the line rate in effect for a transmission starting at now.
+func (pt *Port) rateAt(now simtime.Time) float64 {
+	if pt.rate == nil {
+		return pt.cfg.RateBps
+	}
+	return pt.rate(now)
+}
+
 // Propagation returns the link's one-way propagation delay.
 func (pt *Port) Propagation() time.Duration { return pt.cfg.Propagation }
 
-// SetRate changes the link's line rate. A packet already in transmission
-// finishes at the rate it started with; packets starting transmission after
-// the call serialize at the new rate — the way a renegotiated or degraded
-// physical link behaves. Fault injection (scenario link-degrade) uses this
-// mid-run.
-func (pt *Port) SetRate(bps float64) {
-	if bps <= 0 {
-		panic(fmt.Sprintf("netsim: non-positive rate %v on %s port %d", bps, pt.node.name, pt.index))
-	}
-	pt.cfg.RateBps = bps
-}
+// SetRate installs (or with nil removes) a rate hook evaluated when a packet
+// starts transmission: the packet serializes at the rate the hook returns for
+// that instant instead of the configured one, and keeps it to the end of its
+// transmission — the way a renegotiated or degraded physical link behaves. A
+// non-positive rate panics (simtime.TxTime).
+func (pt *Port) SetRate(f RateFunc) { pt.rate = f }
 
 // SetPropagation changes the link's propagation delay. Experiments use it
 // to model heterogeneous path lengths.
@@ -403,7 +413,7 @@ func (pt *Port) startTx() {
 	for _, t := range pt.onTxStart {
 		t(p, now)
 	}
-	txDur := simtime.TxTime(p.Size, pt.cfg.RateBps)
+	txDur := simtime.TxTime(p.Size, pt.rateAt(now))
 	pt.ctr.TxPackets++
 	pt.ctr.TxBytes += uint64(p.Size)
 	eng.AfterKind(txDur, pt.node.net.kTxDone, pt, p)

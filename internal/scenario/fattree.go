@@ -129,8 +129,9 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 }
 
 // buildFatTree is stage one: the engine, the topology, and everything the
-// spec does to the network itself — path skew, scheduled faults, the
-// compromised switch, link-trace replay.
+// spec does to the network itself — path skew, fault windows, the
+// compromised switch, link-trace replay — all as hooks: no event is
+// scheduled here.
 func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 	r := &fatTreeRun{spec: spec, seed: seed}
 	eng := eventsim.New()
@@ -181,19 +182,19 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		}
 	}
 
-	// Faults. A link degrade is a scheduled state change on the running
-	// topology. A hop delay is a term of its aggregation switch's DelayFunc,
-	// a pure function of (packet, arrival instant): a packet arriving in
-	// [Start, End) pays Extra on top of the switch's processing delay.
+	// Faults, each a pure function of the instant a packet meets it. A link
+	// degrade is a term of its core down-port's RateFunc: a transmission
+	// starting in [Start, End) serializes at RateFactor times the healthy
+	// rate. A hop delay is a term of its aggregation switch's DelayFunc: a
+	// packet arriving in [Start, End) pays Extra on top of the switch's
+	// processing delay.
 	delays := map[*netsim.Node][]netsim.DelayFunc{}
+	degrades := map[*netsim.Port][]FaultSpec{}
 	for _, f := range spec.sortedFaults() {
-		f := f
 		switch f.Kind {
 		case FaultLinkDegrade:
 			port := ft.CoreDownPort(f.CoreJ, f.CoreI, f.DownPod)
-			healthy := spec.Topology.LinkBps
-			eng.At(simtime.FromDuration(f.Start), func() { port.SetRate(healthy * f.RateFactor) })
-			eng.At(simtime.FromDuration(f.End), func() { port.SetRate(healthy) })
+			degrades[port] = append(degrades[port], f)
 		case FaultHopDelay:
 			node := ft.Aggs[f.AggPod][f.AggIdx]
 			start, end := simtime.FromDuration(f.Start), simtime.FromDuration(f.End)
@@ -204,6 +205,17 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 				return f.Extra
 			})
 		}
+	}
+	healthy := spec.Topology.LinkBps
+	for port, fs := range degrades {
+		port.SetRate(func(now simtime.Time) float64 {
+			for _, f := range fs { // validated not to overlap
+				if t := now.Duration(); f.Start <= t && t < f.End {
+					return healthy * f.RateFactor
+				}
+			}
+			return healthy
+		})
 	}
 
 	// Adversary: a compromised aggregation switch selectively delaying the

@@ -68,6 +68,33 @@ func TestBuildInstrumentAttachesDeployment(t *testing.T) {
 	}
 }
 
+// TestBuildSchedulesNothing checks that every registered fat-tree scenario —
+// link-degrade and hop-delay fault windows, the compromised switch and
+// link-trace replay among them — is built and instrumented as hooks and
+// taps: the engine holds no event until the workload is injected.
+func TestBuildSchedulesNothing(t *testing.T) {
+	faults := 0
+	for _, sc := range All() {
+		if sc.Spec.Topology.Kind == TopoTandem {
+			continue
+		}
+		r, err := buildFatTree(sc.Spec, 1)
+		if err != nil {
+			t.Fatalf("%s: build: %v", sc.Name, err)
+		}
+		if err := r.instrument(nil); err != nil {
+			t.Fatalf("%s: instrument: %v", sc.Name, err)
+		}
+		if n := r.nw.Engine().Pending(); n != 0 {
+			t.Errorf("%s: build + instrument left %d events pending", sc.Name, n)
+		}
+		faults += len(sc.Spec.Faults)
+	}
+	if sc, ok := Get("degraded-link"); !ok || len(sc.Spec.Faults) == 0 || faults == 0 {
+		t.Fatal("degraded-link is no longer registered with a fault; the test lost its case")
+	}
+}
+
 // TestInjectSchedulesDenseIDs checks the inject stage on a replicated
 // workload: one pending event per injected packet, two packets per pair-log
 // entry, and packet IDs that are the network-wide dense counter in injection

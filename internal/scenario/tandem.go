@@ -242,10 +242,9 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		}
 	}))
 
-	// A bounded run rather than run-to-empty: the live utilization meter
-	// re-arms its sampling ticker forever, so the event queue never drains
-	// on its own. One extra second covers queue drain at any scale here.
-	pl.run(func() { eng.RunUntil(simtime.FromDuration(dur + time.Second)) })
+	// Run to empty: the utilization meter schedules nothing, so the queue
+	// drains once the last packet leaves.
+	pl.run(func() { eng.Run() })
 
 	res.Results = receiver.Results(1)
 	res.Overall = core.Summarize(res.Results)
