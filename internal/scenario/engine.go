@@ -7,6 +7,7 @@ import (
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/crossinject"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/runner"
 	"github.com/netmeasure/rlir/internal/simtime"
@@ -70,6 +71,19 @@ func (s Spec) scheme() core.InjectionScheme {
 		n = 50
 	}
 	return core.Static{N: n}
+}
+
+// utilization returns what a sender on port adapts to, in either topology:
+// for the adaptive scheme a started meter over the port's own link, a 10 ms
+// EWMA window smoothed by 0.3 (paper §3.2's "estimated link utilization at
+// the interface"); for the static scheme nothing.
+func (s Spec) utilization(port *netsim.Port) core.UtilizationSource {
+	if s.Deploy.Scheme != SchemeAdaptive {
+		return nil
+	}
+	m := netsim.NewUtilMeter(port, 10*time.Millisecond, 0.3)
+	m.Start()
+	return m
 }
 
 // traceConfig builds the workload generator config for the given target

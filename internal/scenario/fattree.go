@@ -274,9 +274,11 @@ func sumDelays(terms []netsim.DelayFunc) netsim.DelayFunc {
 	}
 }
 
-// attachSender adds one RLI sender to the deployment.
+// attachSender adds one RLI sender to the deployment; an adaptive one reads
+// a meter on its own port.
 func (r *fatTreeRun) attachSender(port *netsim.Port, cfg core.SenderConfig) error {
 	cfg.Scheme = r.spec.scheme()
+	cfg.Util = r.spec.utilization(port)
 	s, err := core.AttachSender(port, cfg)
 	if err != nil {
 		return err

@@ -57,6 +57,11 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 	ftNone := DefaultSpec()
 	ftNone.Deploy.Scheme = SchemeNone
 	seeds = append(seeds, bare, ftNone)
+	// A fat-tree whose adaptive senders each read a meter on their own port.
+	ftAdaptive := DefaultSpec()
+	ftAdaptive.Workload.LoadFrac = 0.95
+	ftAdaptive.Deploy.Scheme = SchemeAdaptive
+	seeds = append(seeds, ftAdaptive)
 	// One adaptive gap set, the other left to its default: both validated
 	// and then panicked in the sender before Validate checked the built
 	// scheme.

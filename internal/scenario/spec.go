@@ -216,9 +216,9 @@ func (c *ClockSpec) Clock() simtime.Clock {
 
 // DeploymentSpec describes the RLIR measurement deployment.
 type DeploymentSpec struct {
-	// Scheme is SchemeStatic, SchemeAdaptive or (tandem only) SchemeNone. A
-	// tandem's adaptive sender reads a live utilization meter on its own
-	// link; a fat-tree's runs unmetered, at MinGap.
+	// Scheme is SchemeStatic, SchemeAdaptive or (tandem only) SchemeNone.
+	// Every adaptive sender, in either topology, reads a utilization meter
+	// on its own link.
 	Scheme string `json:"scheme"`
 	// StaticN is the static scheme's 1-and-N gap (default 50).
 	StaticN int `json:"static_n,omitempty"`

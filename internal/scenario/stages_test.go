@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/trace"
@@ -92,6 +93,43 @@ func TestBuildSchedulesNothing(t *testing.T) {
 	}
 	if sc, ok := Get("degraded-link"); !ok || len(sc.Spec.Faults) == 0 || faults == 0 {
 		t.Fatal("degraded-link is no longer registered with a fault; the test lost its case")
+	}
+}
+
+// TestFatTreeAdaptiveSendersAreMetered runs the fat-tree base spec with
+// adaptive senders at 95% load: each sender reads a meter on its own port, so
+// a downstream sender on a busy core down-port widens its gap past MinGap
+// and injects fewer than Counted/MinGap references. An unmetered sender sits
+// at MinGap and injects exactly that many.
+func TestFatTreeAdaptiveSendersAreMetered(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Workload.LoadFrac = 0.95
+	spec.Deploy.Scheme = SchemeAdaptive
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := buildFatTree(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.instrument(nil); err != nil {
+		t.Fatal(err)
+	}
+	r.inject()
+	r.run()
+	if _, err := r.harvest(); err != nil {
+		t.Fatal(err)
+	}
+	minGap := uint64(spec.scheme().(core.Adaptive).MinGap)
+	widened := 0
+	for _, s := range r.senders {
+		c := s.Counters()
+		if s.ID() >= downstreamSenderID(spec.half(), 0, 0) && c.Events < c.Counted/minGap {
+			widened++
+		}
+	}
+	if widened == 0 {
+		t.Fatal("no downstream sender's gap ever exceeded MinGap: the adaptive senders are unmetered")
 	}
 }
 

@@ -187,20 +187,15 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	// Instruments.
 	var sender *core.Sender
 	if spec.Deploy.Scheme != SchemeNone {
-		sCfg := core.SenderConfig{
+		// An adaptive sender's meter sees only its own link — ~22% — which
+		// pins the gap at MinGap: the paper's observation.
+		if sender, err = core.AttachSender(sw1.Port(0), core.SenderConfig{
 			ID:        1,
 			Addr:      packet.MustParseAddr("10.1.255.254"),
 			Receivers: []packet.Addr{packet.MustParseAddr("10.200.255.254")},
 			Scheme:    spec.scheme(),
-		}
-		if spec.Deploy.Scheme == SchemeAdaptive {
-			// The live meter sees only the sender's own link — ~22% — which
-			// pins the gap at MinGap: the paper's observation.
-			m := netsim.NewUtilMeter(sw1.Port(0), 10*time.Millisecond, 0.3)
-			m.Start()
-			sCfg.Util = m
-		}
-		if sender, err = core.AttachSender(sw1.Port(0), sCfg); err != nil {
+			Util:      spec.utilization(sw1.Port(0)),
+		}); err != nil {
 			return nil, err
 		}
 	}

@@ -140,7 +140,8 @@ func TestComparisonTableRenders(t *testing.T) {
 // is driven by a live meter on its own link: at 80% load it backs off to a
 // wide gap and injects fewer references than at the paper's 22%, though it
 // sees ~3.6x the packets. An unmetered sender reads zero utilization and
-// stays at MinGap, injecting more.
+// stays at MinGap, injecting more. The meter schedules nothing, so each run
+// drains to an empty queue (Run returns) once the last packet has left.
 func TestTandemAdaptiveReadsItsLink(t *testing.T) {
 	injected := func(load float64) uint64 {
 		s := smallTandem(t)
