@@ -25,26 +25,44 @@ const (
 	evDrop
 )
 
+// rateWindow degrades a port to factor times its configured rate for
+// transmissions starting in [from, to).
+type rateWindow struct {
+	from, to simtime.Time
+	factor   float64
+}
+
+// rate is the line rate the window puts in effect at a start instant.
+func (w rateWindow) rate(pt *Port, start simtime.Time) float64 {
+	if !start.Before(w.from) && start.Before(w.to) {
+		return pt.Rate() * w.factor
+	}
+	return pt.Rate()
+}
+
 // TestPortsMatchLindley is the closed-form oracle for the forwarding model,
 // on seeded random layered topologies with processing delays (some zero),
 // selective delays, zero and non-zero propagation, bounded and unbounded
-// queues, and RLI-style references enqueued by OnTxStart taps.
+// queues, RLI-style references enqueued by OnTxStart taps, rate windows and
+// emulated links.
 //
 // Node side: every packet reaches a node at its previous tx start +
-// size/rate + propagation (its injection instant at the first node), the
-// ingress tap sees that instant, and the packet is offered to its output
+// size/rate + propagation + the link emulator's extra delay (its injection
+// instant at the first node), unless the emulator dropped it on the wire;
+// the ingress tap sees that instant, and the packet is offered to its output
 // port at arrival + processing delay + selective delay.
 //
-// Port side: a FIFO, fixed-rate, drop-tail port is Lindley's recursion.
-// Replaying each port's offers in order, an accepted packet starts at
-// max(offer, previous start + its size/rate), and an offer is dropped iff
+// Port side: a FIFO drop-tail port is Lindley's recursion, with the rate in
+// effect at each start. Replaying each port's offers in order, an accepted
+// packet starts at max(offer, previous start + its size/rate at that
+// previous start), and an offer is dropped iff
 // the bytes queued behind the packet in service, plus its own, exceed
 // QueueBytes. The queued bytes at an offer are the accepted packets whose
 // start is later; at a start equal to the offer instant the closed form
 // leaves the order to the events, so the recorded order decides. Every
 // recorded tx start and every drop must match.
 func TestPortsMatchLindley(t *testing.T) {
-	var starts, drops, refs, delayed int
+	var starts, drops, refs, delayed, degraded, emuDrops int
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial + 1)))
 		eng := eventsim.New()
@@ -76,6 +94,8 @@ func TestPortsMatchLindley(t *testing.T) {
 		// Observations: each port's log, and per packet where and when it
 		// must next show up.
 		logs := map[*Port][]portEvent{}
+		rates := map[*Port]rateWindow{}
+		wireDrops := map[*Port]uint64{}
 		expArrive := map[*packet.Packet]simtime.Time{}
 		expOffer := map[*packet.Packet]simtime.Time{}
 		for l, layer := range layers {
@@ -122,10 +142,43 @@ func TestPortsMatchLindley(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						refEvery = 2 + rng.Intn(4)
 					}
+					// A rate window on some ports: the hook is read at
+					// each start, so a packet queued before the window
+					// opens but starting inside it is degraded.
+					win := rateWindow{from: simtime.Never, to: simtime.Never, factor: 1}
+					if rng.Intn(3) == 0 {
+						from := simtime.FromDuration(time.Duration(rng.Intn(300)) * time.Microsecond)
+						win = rateWindow{from, from.Add(time.Duration(20+rng.Intn(80)) * time.Microsecond), []float64{0.25, 0.5}[rng.Intn(2)]}
+						pt.SetRate(func(now simtime.Time) float64 { return win.rate(pt, now) })
+					}
+					// A pure link emulator on some ports: extra delay and
+					// keyed drops, decided at transmission end.
+					if rng.Intn(3) == 0 {
+						pt.SetEmulator(func(p *packet.Packet, now simtime.Time) (time.Duration, bool) {
+							h := (p.ID ^ uint64(now)) * 0x9E3779B97F4A7C15 >> 40
+							return time.Duration(h%4) * 250 * time.Nanosecond, h%16 == 0
+						})
+					}
+					rates[pt] = win
 					sent := 0
 					pt.OnTxStart(func(p *packet.Packet, now simtime.Time) {
 						logs[pt] = append(logs[pt], portEvent{evStart, now, p})
-						expArrive[p] = now.Add(simtime.TxTime(p.Size, pt.Rate())).Add(pt.Propagation())
+						if win.rate(pt, now) != pt.Rate() {
+							degraded++
+						}
+						done := now.Add(simtime.TxTime(p.Size, win.rate(pt, now)))
+						var extra time.Duration
+						var drop bool
+						if pt.emu != nil {
+							extra, drop = pt.emu(p, done)
+						}
+						if drop {
+							// Dropped on the wire: it must never arrive.
+							delete(expArrive, p)
+							wireDrops[pt]++
+						} else {
+							expArrive[p] = done.Add(pt.Propagation() + extra)
+						}
 						if sent++; refEvery > 0 && sent%refEvery == 0 {
 							ref := &packet.Packet{ID: n.NewPacketID(), Size: 64, Kind: packet.Reference}
 							refs++
@@ -149,20 +202,25 @@ func TestPortsMatchLindley(t *testing.T) {
 		eng.Run()
 
 		for pt, log := range logs {
-			s, d := replayLindley(t, pt, log)
+			s, d := replayLindley(t, pt, log, rates[pt])
 			starts += s
 			drops += d
+			if got := pt.Counters().EmuDrops; got != wireDrops[pt] {
+				t.Fatalf("trial %d: %s port %d dropped %d packets on the wire, the emulator %d", trial, pt.node.Name(), pt.index, got, wireDrops[pt])
+			}
+			emuDrops += int(wireDrops[pt])
 		}
 	}
-	t.Logf("%d tx starts, %d drops, %d references, %d selectively delayed arrivals", starts, drops, refs, delayed)
-	if drops == 0 || refs == 0 || delayed == 0 {
+	t.Logf("%d tx starts (%d degraded), %d drops, %d emulated drops, %d references, %d selectively delayed arrivals",
+		starts, degraded, drops, emuDrops, refs, delayed)
+	if drops == 0 || refs == 0 || delayed == 0 || degraded == 0 || emuDrops == 0 {
 		t.Fatal("the random topologies exercised too little")
 	}
 }
 
 // replayLindley checks one port's log against the closed form and returns
 // the tx starts and drops it checked.
-func replayLindley(t *testing.T, pt *Port, log []portEvent) (starts, drops int) {
+func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (starts, drops int) {
 	t.Helper()
 	type accepted struct {
 		p     *packet.Packet
@@ -193,7 +251,7 @@ func replayLindley(t *testing.T, pt *Port, log []portEvent) (starts, drops int) 
 			if free.After(start) {
 				start = free
 			}
-			free = start.Add(simtime.TxTime(ev.p.Size, pt.Rate()))
+			free = start.Add(simtime.TxTime(ev.p.Size, win.rate(pt, start)))
 			fifo = append(fifo, accepted{ev.p, start})
 		case evStart:
 			if started >= len(fifo) || fifo[started].p != ev.p {
