@@ -15,9 +15,10 @@ import (
 // TestGoldenDeterminism pins the simulation output bit-for-bit: the same
 // seed must produce the identical tandem-spec summaries and figure metrics
 // across engine rewrites. The fixture in testdata/golden_engine.json was
-// captured from the seed (container/heap, closure-event) engine; any change
-// to event ordering, trace generation, or estimator arithmetic shows up here
-// as an exact-value mismatch.
+// captured from the first engine, a container/heap of closure events, and
+// still holds for the typed-event radix heap; any change to event ordering,
+// trace generation, or estimator arithmetic shows up here as an exact-value
+// mismatch.
 //
 // Regenerate (only when an intentional semantic change is made) with:
 //

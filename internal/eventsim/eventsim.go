@@ -266,9 +266,9 @@ func (e *Engine) pop() uint32 {
 }
 
 // Run executes events in (at, seq) order until the queue is empty and
-// returns the number it executed. The backlog can only have grown since the
-// last Run that executed something, so it is sorted here, before anything
-// runs.
+// returns the number it executed. Only setup — schedule calls made before
+// any event has run — fills the backlog, so it is sorted here, before the
+// first event runs.
 func (e *Engine) Run() uint64 {
 	if e.unsorted {
 		// seq is unique, so no two slots compare equal.
