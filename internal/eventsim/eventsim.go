@@ -148,10 +148,10 @@ func (e *Engine) Backlog() int { return e.setup }
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// AtKind schedules a typed event at instant t. Scheduling in the past
-// (t earlier than Now) panics: it would silently corrupt causality in a
-// network simulation. The payload words a and b are handed to the kind's handler when
-// the event fires.
+// AtKind schedules a typed event at instant t. Scheduling in the past (t
+// earlier than Now) panics: it would silently corrupt causality in a network
+// simulation. The payload words a and b are handed to the kind's handler
+// when the event fires.
 func (e *Engine) AtKind(t simtime.Time, k Kind, a, b any) {
 	if uint32(k) >= uint32(len(e.kinds)) {
 		panic("eventsim: AtKind with unregistered kind")
