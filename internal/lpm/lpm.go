@@ -1,157 +1,110 @@
 // Package lpm implements a longest-prefix-match table over IPv4 prefixes as
-// a binary trie.
+// a stride-8 multibit trie.
 //
 // RLIR receivers use LPM twice (paper §3.1): upstream, to identify which ToR
 // a regular packet originated from ("upstream RLI receivers need to perform
 // simple IP prefix matching"); downstream, to separate upstream senders from
 // core-facing ones before applying marking or reverse-ECMP resolution.
-// Switches also use it as their forwarding table.
+// Switches also use it as their forwarding table, once per packet per hop.
 package lpm
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/netmeasure/rlir/internal/packet"
 )
 
 // Table maps IPv4 prefixes to values of type V with longest-prefix-match
-// lookup. The zero value... is not usable; create one with New.
+// lookup. The zero value is not usable; create one with New.
+//
+// The trie consumes one address byte per level, so a lookup reads at most
+// four entries. A level is 256 entries, one per value of its byte, and all
+// levels live in one slice (level 0 is the root). A prefix of length L is
+// painted onto every entry it covers in level (L-1)/8 (level 0 for L = 0),
+// and an entry keeps the longest prefix covering it within that level's
+// stride, whatever the insertion order. A longer match found deeper always
+// beats a shallower one, so a lookup keeps the last value it passes.
 type Table[V any] struct {
-	root *node[V]
-	size int
+	ents []entry
+	vals []V
+	// idx maps each installed prefix to its slot in vals (1-based, as in
+	// entry.val); replacing a value rewrites the slot in place.
+	idx map[packet.Prefix]uint32
 }
 
-type node[V any] struct {
-	child [2]*node[V]
-	val   V
-	set   bool
+// entry is one slot of a level.
+type entry struct {
+	child uint32 // first entry of the next level; 0 = none (the root is never a child)
+	val   uint32 // 1 + index into vals; 0 = no prefix covers this slot in this stride
+	plen  uint8  // length of the prefix val came from
 }
+
+const stride = 256
 
 // New returns an empty table.
 func New[V any]() *Table[V] {
-	return &Table[V]{root: &node[V]{}}
+	return &Table[V]{ents: make([]entry, stride), idx: make(map[packet.Prefix]uint32)}
 }
 
 // Len returns the number of installed prefixes.
-func (t *Table[V]) Len() int { return t.size }
+func (t *Table[V]) Len() int { return len(t.idx) }
 
-func bit(a packet.Addr, i int) int {
-	return int(uint32(a)>>(31-uint(i))) & 1
-}
-
-// Insert installs or replaces the value for prefix p. It reports whether the
-// prefix was newly added (false means an existing entry was replaced).
+// Insert installs or replaces the value for prefix p (host bits are
+// ignored). It reports whether the prefix was newly added (false means an
+// existing entry was replaced).
 func (t *Table[V]) Insert(p packet.Prefix, v V) bool {
 	if p.Len < 0 || p.Len > 32 {
 		panic(fmt.Sprintf("lpm: invalid prefix length %d", p.Len))
 	}
-	n := t.root
-	for i := 0; i < p.Len; i++ {
-		b := bit(p.Addr, i)
-		if n.child[b] == nil {
-			n.child[b] = &node[V]{}
+	p = p.Canonical()
+	if i, ok := t.idx[p]; ok {
+		t.vals[i-1] = v
+		return false
+	}
+	t.vals = append(t.vals, v)
+	val := uint32(len(t.vals))
+	t.idx[p] = val
+
+	a := uint32(p.Addr)
+	depth := max(0, (p.Len-1)/8)
+	base := uint32(0)
+	for d := 0; d < depth; d++ {
+		i := base + a>>(24-8*d)&0xFF
+		if t.ents[i].child == 0 {
+			t.ents[i].child = uint32(len(t.ents))
+			t.ents = append(t.ents, make([]entry, stride)...)
 		}
-		n = n.child[b]
+		base = t.ents[i].child
 	}
-	added := !n.set
-	n.val, n.set = v, true
-	if added {
-		t.size++
+	// The prefix's bits inside this stride select a run of 2^(8(depth+1)-L)
+	// entries.
+	span := uint32(1) << (8*(depth+1) - p.Len)
+	first := base + a>>(24-8*depth)&0xFF&^(span-1)
+	for i := first; i < first+span; i++ {
+		if e := &t.ents[i]; e.val == 0 || int(e.plen) < p.Len {
+			e.val, e.plen = val, uint8(p.Len)
+		}
 	}
-	return added
+	return true
 }
 
 // Lookup returns the value of the longest installed prefix containing a.
 func (t *Table[V]) Lookup(a packet.Addr) (V, bool) {
-	var (
-		best  V
-		found bool
-	)
-	n := t.root
-	for i := 0; ; i++ {
-		if n.set {
-			best, found = n.val, true
+	var val uint32
+	base := uint32(0)
+	for shift := 24; ; shift -= 8 {
+		e := t.ents[base+uint32(a)>>shift&0xFF]
+		if e.val != 0 {
+			val = e.val
 		}
-		if i == 32 {
+		if e.child == 0 || shift == 0 {
 			break
 		}
-		n = n.child[bit(a, i)]
-		if n == nil {
-			break
-		}
+		base = e.child
 	}
-	return best, found
-}
-
-// LookupPrefix returns the value installed for exactly p, if any.
-func (t *Table[V]) LookupPrefix(p packet.Prefix) (V, bool) {
-	n := t.root
-	for i := 0; i < p.Len; i++ {
-		n = n.child[bit(p.Addr, i)]
-		if n == nil {
-			var zero V
-			return zero, false
-		}
-	}
-	if !n.set {
+	if val == 0 {
 		var zero V
 		return zero, false
 	}
-	return n.val, true
-}
-
-// Remove deletes the entry for exactly p and reports whether it existed.
-// Interior nodes are not pruned; tables in this codebase are built once and
-// queried millions of times, so reclaiming a handful of nodes is not worth
-// the code.
-func (t *Table[V]) Remove(p packet.Prefix) bool {
-	n := t.root
-	for i := 0; i < p.Len; i++ {
-		n = n.child[bit(p.Addr, i)]
-		if n == nil {
-			return false
-		}
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
-}
-
-// Walk visits every installed (prefix, value) pair in lexicographic bit
-// order. Returning false from fn stops the walk.
-func (t *Table[V]) Walk(fn func(p packet.Prefix, v V) bool) {
-	t.walk(t.root, 0, 0, fn)
-}
-
-func (t *Table[V]) walk(n *node[V], addr uint32, depth int, fn func(p packet.Prefix, v V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.set {
-		if !fn(packet.Prefix{Addr: packet.Addr(addr), Len: depth}, n.val) {
-			return false
-		}
-	}
-	if depth == 32 {
-		return true
-	}
-	if !t.walk(n.child[0], addr, depth+1, fn) {
-		return false
-	}
-	return t.walk(n.child[1], addr|1<<(31-uint(depth)), depth+1, fn)
-}
-
-// String lists the table contents, one prefix per line.
-func (t *Table[V]) String() string {
-	var b strings.Builder
-	t.Walk(func(p packet.Prefix, v V) bool {
-		fmt.Fprintf(&b, "%s -> %v\n", p, v)
-		return true
-	})
-	return b.String()
+	return t.vals[val-1], true
 }

@@ -60,42 +60,6 @@ func TestInsertReplace(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tb := New[int]()
-	tb.Insert(pfx("10.0.0.0/8"), 1)
-	tb.Insert(pfx("10.1.0.0/16"), 2)
-	if !tb.Remove(pfx("10.1.0.0/16")) {
-		t.Fatal("remove existing should report true")
-	}
-	if tb.Remove(pfx("10.1.0.0/16")) {
-		t.Fatal("remove twice should report false")
-	}
-	if tb.Remove(pfx("172.16.0.0/12")) {
-		t.Fatal("remove absent should report false")
-	}
-	got, ok := tb.Lookup(addr("10.1.2.3"))
-	if !ok || got != 1 {
-		t.Fatalf("after remove, Lookup = %d/%v, want 1", got, ok)
-	}
-	if tb.Len() != 1 {
-		t.Fatalf("Len = %d", tb.Len())
-	}
-}
-
-func TestLookupPrefixExact(t *testing.T) {
-	tb := New[int]()
-	tb.Insert(pfx("10.1.0.0/16"), 5)
-	if v, ok := tb.LookupPrefix(pfx("10.1.0.0/16")); !ok || v != 5 {
-		t.Fatalf("exact lookup = %d/%v", v, ok)
-	}
-	if _, ok := tb.LookupPrefix(pfx("10.1.0.0/17")); ok {
-		t.Fatal("longer prefix should miss exact lookup")
-	}
-	if _, ok := tb.LookupPrefix(pfx("10.0.0.0/8")); ok {
-		t.Fatal("shorter prefix should miss exact lookup")
-	}
-}
-
 func TestZeroLengthPrefixIsDefaultRoute(t *testing.T) {
 	tb := New[string]()
 	tb.Insert(packet.Prefix{Len: 0}, "everything")
@@ -117,49 +81,36 @@ func TestHostRoute(t *testing.T) {
 	}
 }
 
-func TestWalkOrderAndCompleteness(t *testing.T) {
-	tb := New[int]()
-	entries := []string{"10.0.0.0/8", "10.1.0.0/16", "192.168.0.0/24", "0.0.0.0/0"}
-	for i, s := range entries {
-		tb.Insert(pfx(s), i)
-	}
-	var seen []packet.Prefix
-	tb.Walk(func(p packet.Prefix, v int) bool {
-		seen = append(seen, p)
-		return true
-	})
-	if len(seen) != len(entries) {
-		t.Fatalf("walk visited %d entries, want %d", len(seen), len(entries))
-	}
-	// Early termination.
-	count := 0
-	tb.Walk(func(p packet.Prefix, v int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("early-stop walk visited %d", count)
-	}
-}
-
 // TestAgainstBruteForce cross-checks LPM against a linear scan over random
-// prefix sets: the table must always return the longest covering prefix.
+// prefix sets of every length 0–32: the table must always return the
+// longest covering prefix. Each set goes in shuffled, so within one stride
+// shorter prefixes often land after longer ones they must not overwrite.
 func TestAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 20; trial++ {
-		tb := New[int]()
+	for trial := 0; trial < 40; trial++ {
+		// Draw addresses near a few anchors so prefixes of different
+		// lengths overlap inside one stride.
+		anchors := []uint32{rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		idx := make(map[packet.Prefix]int)
 		var prefixes []packet.Prefix
-		for i := 0; i < 100; i++ {
-			p := packet.Prefix{Addr: packet.Addr(rng.Uint32()), Len: rng.Intn(33)}
-			p = p.Canonical()
-			if _, dup := tb.LookupPrefix(p); dup {
+		for i := 0; i < 150; i++ {
+			a := anchors[rng.Intn(len(anchors))] ^ rng.Uint32()>>rng.Intn(33)
+			p := packet.Prefix{Addr: packet.Addr(a), Len: rng.Intn(33)}.Canonical()
+			if _, dup := idx[p]; dup {
 				continue
 			}
-			tb.Insert(p, len(prefixes))
+			idx[p] = len(prefixes)
 			prefixes = append(prefixes, p)
 		}
+		tb := New[int]()
+		for _, i := range rng.Perm(len(prefixes)) {
+			tb.Insert(prefixes[i], i)
+		}
+		if tb.Len() != len(prefixes) {
+			t.Fatalf("Len = %d, want %d", tb.Len(), len(prefixes))
+		}
 		for probe := 0; probe < 500; probe++ {
-			a := packet.Addr(rng.Uint32())
+			a := packet.Addr(anchors[rng.Intn(len(anchors))] ^ rng.Uint32()>>rng.Intn(33))
 			bestIdx, bestLen, found := -1, -1, false
 			for i, p := range prefixes {
 				if p.Contains(a) && p.Len > bestLen {
@@ -196,27 +147,43 @@ func TestInsertLookupProperty(t *testing.T) {
 	}
 }
 
-func TestStringSmoke(t *testing.T) {
-	tb := New[int]()
-	tb.Insert(pfx("10.0.0.0/8"), 1)
-	if tb.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
+// BenchmarkLookup probes a random 1 000-prefix table and a fat-tree ToR's
+// table: host /32s, a subnet /24, pod /16s and the /0 default route (the
+// k = 8 shape), probed with the destinations of inter-pod traffic.
 func BenchmarkLookup(b *testing.B) {
-	tb := New[int]()
 	rng := rand.New(rand.NewSource(5))
+	random := New[int]()
 	for i := 0; i < 1000; i++ {
-		tb.Insert(packet.Prefix{Addr: packet.Addr(rng.Uint32()), Len: 8 + rng.Intn(25)}.Canonical(), i)
+		random.Insert(packet.Prefix{Addr: packet.Addr(rng.Uint32()), Len: 8 + rng.Intn(25)}.Canonical(), i)
 	}
-	probes := make([]packet.Addr, 1024)
-	for i := range probes {
-		probes[i] = packet.Addr(rng.Uint32())
+	randomProbes := make([]packet.Addr, 1024)
+	for i := range randomProbes {
+		randomProbes[i] = packet.Addr(rng.Uint32())
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Lookup(probes[i&1023])
+	const k = 8
+	fatTree := New[int]()
+	fatTree.Insert(packet.Prefix{Len: 0}, 0)
+	for p := 0; p < k; p++ {
+		fatTree.Insert(packet.Prefix{Addr: packet.AddrFrom4(10, byte(p), 0, 0), Len: 16}, 1)
+	}
+	fatTree.Insert(packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, 0), Len: 24}, 2)
+	for h := 0; h < k/2; h++ {
+		fatTree.Insert(packet.Prefix{Addr: packet.AddrFrom4(10, 0, 0, byte(2+h)), Len: 32}, 3+h)
+	}
+	fatTreeProbes := make([]packet.Addr, 1024)
+	for i := range fatTreeProbes {
+		fatTreeProbes[i] = packet.AddrFrom4(10, byte(rng.Intn(k)), byte(rng.Intn(k/2)), byte(2+rng.Intn(k/2)))
+	}
+	for _, c := range []struct {
+		name   string
+		tb     *Table[int]
+		probes []packet.Addr
+	}{{"random", random, randomProbes}, {"fattree", fatTree, fatTreeProbes}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.tb.Lookup(c.probes[i&1023])
+			}
+		})
 	}
 }

@@ -11,7 +11,10 @@ import "github.com/netmeasure/rlir/internal/packet"
 // to (FatTree.ResolveCore). Every switch here folds the tuple through
 // CRC-16/CCITT, the classic TCAM-era choice, keyed by a per-switch seed.
 
-var crcTable [256]uint16
+// crcTable[n][b] is the CRC state after byte b and then n zero bytes, from
+// state 0 ("slicing by 4"): a word's four bytes are four independent probes
+// instead of a chain of four dependent ones.
+var crcTable [4][256]uint16
 
 func init() {
 	const poly = 0x1021
@@ -24,7 +27,12 @@ func init() {
 				crc <<= 1
 			}
 		}
-		crcTable[i] = crc
+		crcTable[0][i] = crc
+	}
+	for n := 1; n < 4; n++ {
+		for i, c := range crcTable[n-1] {
+			crcTable[n][i] = c<<8 ^ crcTable[0][byte(c>>8)]
+		}
 	}
 }
 
@@ -32,17 +40,10 @@ func init() {
 // with seed. Distinct seeds de-correlate hash decisions between switches,
 // which real deployments rely on to avoid traffic polarization.
 func ecmpHash(seed uint32, k packet.FlowKey) uint32 {
-	crc := uint16(0xFFFF)
-	update := func(v uint32) {
-		for i := 3; i >= 0; i-- {
-			b := byte(v >> (8 * uint(i)))
-			crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
-		}
-	}
 	// The 5-tuple packed into three 32-bit words.
-	update(uint32(k.Src))
-	update(uint32(k.Dst))
-	update(uint32(k.SrcPort)<<16 | uint32(k.DstPort)&0xFFFF ^ uint32(k.Proto)<<8)
+	crc := crcWord(0xFFFF, uint32(k.Src))
+	crc = crcWord(crc, uint32(k.Dst))
+	crc = crcWord(crc, uint32(k.SrcPort)<<16|uint32(k.DstPort)&0xFFFF^uint32(k.Proto)<<8)
 	// CRC is linear, so folding the seed into the message would only XOR a
 	// constant into every hash — two switches with different seeds would
 	// still make identical modulo-n choices. A seed-keyed multiplicative
@@ -54,6 +55,12 @@ func ecmpHash(seed uint32, k packet.FlowKey) uint32 {
 	v *= 0x45d9f3b
 	v ^= v >> 16
 	return v
+}
+
+// crcWord folds the four bytes of v, most significant first, into crc.
+func crcWord(crc uint16, v uint32) uint16 {
+	x := uint32(crc)<<16 ^ v
+	return crcTable[3][byte(x>>24)] ^ crcTable[2][byte(x>>16)] ^ crcTable[1][byte(x>>8)] ^ crcTable[0][byte(x)]
 }
 
 // ecmpSelect maps key k to one of n next hops at the switch seeded with

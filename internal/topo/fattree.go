@@ -77,12 +77,12 @@ type FatTree struct {
 	// Hosts[p][e][h] is host h under ToR e of pod p.
 	Hosts [][][]*netsim.Node
 
-	// ecmpSeed[n] keys switch n's ECMP hash (ecmp.go); distinct per switch.
-	ecmpSeed map[netsim.NodeID]uint32
-	// torUp[tor][j] is the ToR port index leading to agg j; aggUp[agg][i]
-	// the agg port index to core (group, i).
-	torUp map[netsim.NodeID][]int
-	aggUp map[netsim.NodeID][]int
+	// Indexed by NodeID. ecmpSeed[n] keys switch n's ECMP hash (ecmp.go);
+	// distinct per switch. torUp[tor][j] is the ToR port index leading to
+	// agg j; aggUp[agg][i] the agg port index to core (group, i).
+	ecmpSeed []uint32
+	torUp    [][]int
+	aggUp    [][]int
 }
 
 // Half returns K/2.
@@ -148,13 +148,7 @@ func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ft := &FatTree{
-		Cfg:      cfg,
-		Net:      nw,
-		ecmpSeed: make(map[netsim.NodeID]uint32),
-		torUp:    make(map[netsim.NodeID][]int),
-		aggUp:    make(map[netsim.NodeID][]int),
-	}
+	ft := &FatTree{Cfg: cfg, Net: nw}
 	k, h := cfg.K, cfg.K/2
 	link := netsim.LinkConfig{RateBps: cfg.LinkBps, Propagation: cfg.Propagation, QueueBytes: cfg.QueueBytes}
 	sw := netsim.NodeConfig{ProcDelay: cfg.ProcDelay}
@@ -191,6 +185,9 @@ func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 			}
 		}
 	}
+
+	n := nw.Nodes()
+	ft.ecmpSeed, ft.torUp, ft.aggUp = make([]uint32, n), make([][]int, n), make([][]int, n)
 
 	// Links. Port creation order matters: routing below records indices.
 	// Core: port p -> pod p's agg of this core's group.

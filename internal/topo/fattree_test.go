@@ -440,7 +440,12 @@ func TestPortAccessors(t *testing.T) {
 func TestHashersDifferPerSwitch(t *testing.T) {
 	_, ft := build(t, DefaultConfig())
 	seen := make(map[uint32]bool)
-	for _, s := range ft.ecmpSeed {
+	var switches []*netsim.Node
+	for _, row := range append(append(ft.Cores, ft.Aggs...), ft.ToRs...) {
+		switches = append(switches, row...)
+	}
+	for _, n := range switches {
+		s := ft.ecmpSeed[n.ID()]
 		if seen[s] {
 			t.Fatalf("ECMP seed %#x used by two switches", s)
 		}
