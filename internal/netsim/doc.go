@@ -16,9 +16,12 @@
 // zero-allocation (pinned by TestSteadyForwardingZeroAlloc); per-packet
 // work routes through monomorphic typed events rather than closures.
 //
-// A packet reaching a node costs one event, keyed at its arrival plus the
-// node's processing delay: it runs the ingress taps with the arrival
-// instant and forwards inline. A node's processing delay is therefore fixed
+// A link hop costs one event: when a packet starts transmission the port
+// settles its whole hop — the end of serialization, the link emulator's
+// verdict — and schedules its arrival event at the next node, keyed at the
+// arrival plus that node's processing delay. The arrival event runs the
+// ingress taps with the arrival instant and forwards inline. A port wakes
+// again (txNext) only when a packet is queued behind the transmission. A node's processing delay is therefore fixed
 // for the run; a delay that varies with the packet or the instant is a
 // DelayFunc (Node.SetSelectiveDelay), which is how the scenario engine
 // (internal/scenario) models hop-delay faults and the compromised switch.

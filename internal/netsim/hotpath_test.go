@@ -11,8 +11,8 @@ import (
 
 // buildTandemLine is a src -> sw -> sink line with a rate-limited middle
 // link, the minimal topology exercising every typed-event site: injection
-// arrival, processing-delay dispatch, tx-complete chaining on a busy port,
-// and propagation arrival.
+// arrival, the arrival a port schedules at tx start, and the txNext that
+// starts a queued packet on a busy port.
 func buildTandemLine(nw *Network) (src, sw, sink *Node) {
 	src = nw.AddNode(NodeConfig{Name: "src"})
 	sw = nw.AddNode(NodeConfig{Name: "sw", ProcDelay: 500 * time.Nanosecond})
@@ -27,7 +27,7 @@ func buildTandemLine(nw *Network) (src, sw, sink *Node) {
 
 // TestSteadyForwardingZeroAlloc is the netsim half of the PR's headline
 // claim: forwarding a packet through injection, processing delay, queueing,
-// transmission and propagation — all four typed-event sites — allocates
+// transmission and propagation — every typed-event site — allocates
 // nothing once queues and the event heap have grown to steady state.
 func TestSteadyForwardingZeroAlloc(t *testing.T) {
 	eng := eventsim.New()
@@ -43,7 +43,7 @@ func TestSteadyForwardingZeroAlloc(t *testing.T) {
 		base := eng.Now()
 		for i := range pkts {
 			// Arrivals faster than the 1e8 bottleneck drains, so the output
-			// queue stays busy and tx-complete chains into the next startTx.
+			// queue stays busy and a txNext starts each queued packet.
 			nw.Inject(src, &pkts[i], base.Add(time.Duration(i)*10*time.Microsecond))
 		}
 		eng.Run()
@@ -98,6 +98,41 @@ func TestZeroAllocTracedForwarding(t *testing.T) {
 	}
 	if got := pkts[0].Hops; len(got) != hops || got[0] != 0 || got[hops-1] != hops-1 {
 		t.Fatalf("path trace = %v, want the %d node IDs in order", got, hops)
+	}
+}
+
+// TestTxEventOnlyWhenQueued pins what a link hop costs: a packet finding
+// every port idle costs one event per node it reaches (its arrival, which
+// the upstream port schedules at tx start), and a packet that waited behind
+// another at a port costs one more, the txNext that starts it.
+func TestTxEventOnlyWhenQueued(t *testing.T) {
+	const hops = 4
+	eng := eventsim.New()
+	nw := New(eng)
+	nodes := make([]*Node, hops+1)
+	for i := range nodes {
+		nodes[i] = nw.AddNode(NodeConfig{ProcDelay: 500 * time.Nanosecond})
+		if i > 0 {
+			nw.Connect(nodes[i-1], nodes[i], LinkConfig{RateBps: 1e9, Propagation: time.Microsecond})
+			nodes[i-1].SetForward(func(*Node, *packet.Packet) int { return 0 })
+		}
+	}
+
+	nw.Inject(nodes[0], &packet.Packet{ID: 1, Size: 1000}, simtime.Zero)
+	if got := eng.Run(); got != hops+1 {
+		t.Fatalf("a packet through %d idle ports took %d events, want %d", hops, got, hops+1)
+	}
+	// Two packets at once: the second waits behind the first at the first
+	// port only. It reaches every later node as the first one's transmission
+	// there ends, so it starts inline.
+	at := eng.Now().Add(time.Millisecond)
+	nw.Inject(nodes[0], &packet.Packet{ID: 2, Size: 1000}, at)
+	nw.Inject(nodes[0], &packet.Packet{ID: 3, Size: 1000}, at)
+	if got := eng.Run(); got != 2*(hops+1)+1 {
+		t.Fatalf("two packets, one wait, took %d events, want %d", got, 2*(hops+1)+1)
+	}
+	if got := nodes[hops].Delivered(); got != 3 {
+		t.Fatalf("delivered %d, want 3", got)
 	}
 }
 

@@ -55,16 +55,17 @@ type Network struct {
 	tracePaths bool
 	nextPktID  uint64
 
-	// Typed event kinds for the per-packet hot path. A packet costs two
-	// events per hop: one arrival event at a node, keyed at arrival + the
-	// node's processing delay, which runs the ingress work for the arrival
-	// instant and forwards inline, and one wire-transfer completion at the
-	// port. Each payload (node or port, plus packet) lives by value in the
-	// heap slot, so forwarding a packet schedules no closures and allocates
-	// nothing. Only a positive selective delay adds a third, the dispatch.
+	// Typed event kinds for the per-packet hot path. A packet costs one
+	// event per hop: its arrival at a node, keyed at arrival + the node's
+	// processing delay, which runs the ingress work for the arrival instant
+	// and forwards inline. The port schedules it when the packet starts
+	// transmission. A packet that queues behind another adds a txNext at
+	// the port, and a positive selective delay a dispatch. Each payload
+	// lives by value in the heap slot, so forwarding a packet schedules no
+	// closures and allocates nothing.
 	kArrive   eventsim.Kind // a: *Node, b: *packet.Packet — arrival + proc: ingress and forwarding
 	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — forwarding after a selective delay
-	kTxDone   eventsim.Kind // a: *Port, b: *packet.Packet — wire transfer complete
+	kTxNext   eventsim.Kind // a: *Port — the wire is free and a packet is queued
 }
 
 // New returns an empty network on the given engine.
@@ -72,7 +73,7 @@ func New(eng *eventsim.Engine) *Network {
 	nw := &Network{eng: eng}
 	nw.kArrive = eng.RegisterKind(func(a, b any) { a.(*Node).arrive(b.(*packet.Packet)) })
 	nw.kDispatch = eng.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
-	nw.kTxDone = eng.RegisterKind(func(a, b any) { a.(*Port).txDone(b.(*packet.Packet)) })
+	nw.kTxNext = eng.RegisterKind(func(a, _ any) { a.(*Port).startTx() })
 	return nw
 }
 
@@ -292,7 +293,7 @@ type PortCounters struct {
 	TxBytes    uint64
 	Drops      uint64
 	DropBytes  uint64
-	EmuDrops   uint64 // packets the link emulator dropped after transmission
+	EmuDrops   uint64 // packets the link emulator dropped on the wire, counted at tx start
 	QueueBytes int    // instantaneous backlog, excluding packet in service
 	QueueLen   int
 }
@@ -307,7 +308,8 @@ type Port struct {
 
 	queue  fifo
 	qBytes int
-	busy   bool
+	free   simtime.Time // end of the latest transmission
+	armed  bool         // the queue head has a server: a pending txNext, or startTx is running
 	rate   RateFunc
 	emu    EmulateFunc
 
@@ -356,8 +358,8 @@ func (pt *Port) SetPropagation(d time.Duration) {
 	pt.cfg.Propagation = d
 }
 
-// SetEmulator installs (or with nil removes) a link emulator evaluated when
-// a packet finishes transmission: extra delay is added on top of the
+// SetEmulator installs (or with nil removes) a link emulator evaluated with
+// the instant a packet finishes transmission: extra delay is added on top of the
 // configured propagation (never subtracted) and drops discard the packet on
 // the wire, counted in Counters().EmuDrops.
 // A negative extra delay panics.
@@ -398,60 +400,56 @@ func (pt *Port) Enqueue(p *packet.Packet) {
 	pt.queue.push(p)
 	pt.qBytes += p.Size
 	pt.ctr.Enqueued++
-	if !pt.busy {
-		pt.startTx()
+	if pt.armed {
+		return
 	}
+	if eng := pt.node.net.eng; eng.Now() < pt.free {
+		pt.armed = true
+		eng.AtKind(pt.free, pt.node.net.kTxNext, pt, nil)
+		return
+	}
+	pt.startTx()
 }
 
-// startTx begins transmitting the head-of-line packet.
+// startTx transmits the head-of-line packet. It settles the packet's whole
+// link hop at once: the transmission ends at end = now + size/rate(now),
+// and the downstream arrival event is scheduled at end + propagation +
+// emulated extra + the far node's processing delay. The port wakes at end
+// only if a packet is queued behind this one. A tap that enqueues on this
+// port (an RLI sender's reference) queues behind the packet even when its
+// transmission takes 0 ns: armed is held for the whole call.
 func (pt *Port) startTx() {
 	p := pt.queue.pop()
 	pt.qBytes -= p.Size
-	pt.busy = true
-	eng := pt.node.net.eng
-	now := eng.Now()
+	pt.armed = true
+	nw := pt.node.net
+	now := nw.eng.Now()
+	end := now.Add(simtime.TxTime(p.Size, pt.rateAt(now)))
+	pt.free = end
 	for _, t := range pt.onTxStart {
 		t(p, now)
 	}
-	txDur := simtime.TxTime(p.Size, pt.rateAt(now))
 	pt.ctr.TxPackets++
 	pt.ctr.TxBytes += uint64(p.Size)
-	eng.AfterKind(txDur, pt.node.net.kTxDone, pt, p)
-}
-
-// txDone handles wire transfer completion: hand off to propagation, then
-// serve the next queued packet. A busy port therefore has exactly one
-// pending event per in-flight packet — the tx-complete of the packet in
-// service — and re-arms itself from it.
-func (pt *Port) txDone(p *packet.Packet) {
-	nw := pt.node.net
-	prop := pt.cfg.Propagation
+	arrive, d := true, pt.cfg.Propagation+pt.dst.proc
 	if pt.emu != nil {
-		extra, drop := pt.emu(p, nw.eng.Now())
-		if drop {
+		extra, drop := pt.emu(p, end)
+		switch {
+		case drop:
 			pt.ctr.EmuDrops++
-			pt.rearm()
-			return
-		}
-		if extra < 0 {
+			arrive = false
+		case extra < 0:
 			panic("netsim: negative emulated link delay")
 		}
-		prop += extra
+		d += extra
 	}
-	if d := prop + pt.dst.proc; d > 0 {
-		nw.eng.AfterKind(d, nw.kArrive, pt.dst, p)
-	} else {
-		pt.dst.arrive(p)
+	if arrive {
+		nw.eng.AtKind(end.Add(d), nw.kArrive, pt.dst, p)
 	}
-	pt.rearm()
-}
-
-// rearm serves the next queued packet after a transfer completes.
-func (pt *Port) rearm() {
 	if pt.queue.len() > 0 {
-		pt.startTx()
+		nw.eng.AtKind(end, nw.kTxNext, pt, nil)
 	} else {
-		pt.busy = false
+		pt.armed = false
 	}
 }
 

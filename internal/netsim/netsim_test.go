@@ -190,6 +190,40 @@ func TestInjectionFromTap(t *testing.T) {
 	}
 }
 
+// TestInjectionFromTapAtZeroTxTime is the same sender in miniature on a link
+// fast enough that a 64-byte frame serializes in 0 ns (simtime.TxTime
+// truncates; any rate of 512 Gbps or more). The port is free again the
+// instant it starts, yet the reference a tap enqueues must still queue
+// behind the frame being started: its tx start comes after the frame's
+// taps have all run, and it reaches the next node after the frame.
+func TestInjectionFromTapAtZeroTxTime(t *testing.T) {
+	link := LinkConfig{RateBps: 1e12, Propagation: time.Microsecond}
+	if d := simtime.TxTime(64, link.RateBps); d != 0 {
+		t.Fatalf("64 B at %g bps serializes in %v; the test needs 0", link.RateBps, d)
+	}
+	eng, nw, src, sw, dst := buildLine(t, link, link)
+
+	injected := false
+	sw.Port(0).OnTxStart(func(p *packet.Packet, now simtime.Time) {
+		if !injected {
+			injected = true
+			sw.Port(0).Enqueue(&packet.Packet{ID: 999, Size: 64, Kind: packet.Reference})
+		}
+	})
+	var started, arrived []uint64
+	sw.Port(0).OnTxStart(func(p *packet.Packet, now simtime.Time) { started = append(started, p.ID) })
+	dst.OnDeliver(func(p *packet.Packet, now simtime.Time) { arrived = append(arrived, p.ID) })
+	nw.Inject(src, mkpkt(1, 64), simtime.Zero)
+	eng.Run()
+
+	if len(started) != 2 || started[0] != 1 || started[1] != 999 {
+		t.Fatalf("tx-start taps saw %v, want [1 999]", started)
+	}
+	if len(arrived) != 2 || arrived[0] != 1 || arrived[1] != 999 {
+		t.Fatalf("delivery order %v, want [1 999]", arrived)
+	}
+}
+
 func TestGroundTruthPathTracing(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
 	eng, nw, src, sw, dst := buildLine(t, link, link)
