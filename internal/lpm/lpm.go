@@ -39,11 +39,11 @@ type entry struct {
 	plen  uint8  // length of the prefix val came from
 }
 
-const stride = 256
+const fanout = 256 // entries per level: one per value of a byte
 
 // New returns an empty table.
 func New[V any]() *Table[V] {
-	return &Table[V]{ents: make([]entry, stride), idx: make(map[packet.Prefix]uint32)}
+	return &Table[V]{ents: make([]entry, fanout), idx: make(map[packet.Prefix]uint32)}
 }
 
 // Len returns the number of installed prefixes.
@@ -72,7 +72,7 @@ func (t *Table[V]) Insert(p packet.Prefix, v V) bool {
 		i := base + a>>(24-8*d)&0xFF
 		if t.ents[i].child == 0 {
 			t.ents[i].child = uint32(len(t.ents))
-			t.ents = append(t.ents, make([]entry, stride)...)
+			t.ents = append(t.ents, make([]entry, fanout)...)
 		}
 		base = t.ents[i].child
 	}

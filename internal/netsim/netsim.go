@@ -349,8 +349,9 @@ func (pt *Port) Propagation() time.Duration { return pt.cfg.Propagation }
 // non-positive rate panics (simtime.TxTime).
 func (pt *Port) SetRate(f RateFunc) { pt.rate = f }
 
-// SetPropagation changes the link's propagation delay. Experiments use it
-// to model heterogeneous path lengths.
+// SetPropagation changes the link's propagation delay for transmissions
+// starting after the call. Experiments use it at build time to model
+// heterogeneous path lengths.
 func (pt *Port) SetPropagation(d time.Duration) {
 	if d < 0 {
 		panic("netsim: negative propagation delay")
@@ -358,10 +359,10 @@ func (pt *Port) SetPropagation(d time.Duration) {
 	pt.cfg.Propagation = d
 }
 
-// SetEmulator installs (or with nil removes) a link emulator evaluated with
-// the instant a packet finishes transmission: extra delay is added on top of the
-// configured propagation (never subtracted) and drops discard the packet on
-// the wire, counted in Counters().EmuDrops.
+// SetEmulator installs (or with nil removes) a link emulator, asked at tx
+// start with the instant the packet's transmission ends: extra delay is
+// added on top of the configured propagation (never subtracted) and drops
+// discard the packet on the wire, counted in Counters().EmuDrops.
 // A negative extra delay panics.
 func (pt *Port) SetEmulator(f EmulateFunc) { pt.emu = f }
 
