@@ -2,10 +2,15 @@
 // engine.
 //
 // Events are scheduled at nanosecond-resolution virtual instants
-// (simtime.Time). The engine pops events in (at, seq) order: seq numbers the
-// engine's schedule calls, so two events scheduled for the same instant run in
-// the order they were scheduled, which makes simulations bit-for-bit
-// reproducible across runs with the same seed.
+// (simtime.Time), each with a 64-bit tie key. The engine runs the least
+// (instant, key) among the pending events; only events with equal instants
+// and equal keys run in the order they were scheduled. The caller derives
+// keys from its model (internal/netsim: an event class and a packet or port
+// id), so the order of same-instant events is a function of what is
+// simulated, not of when the engine was asked, and a run is bit-for-bit
+// reproducible from its seed. A handler may schedule at the current instant,
+// with any key: the rule is then "the least key among the events pending
+// now", whether or not it is below the key of the event that scheduled it.
 //
 // Every event is typed: AtKind/AfterKind take a Kind registered via
 // RegisterKind plus two payload words. Handlers are installed once per kind;
@@ -16,7 +21,7 @@
 //
 // Internally the queue has two tiers holding one total order. Events that
 // setup schedules — nothing has executed yet — go to the backlog, a plain
-// slice that is sorted once by (at, seq) (not at all when setup scheduled in
+// slice that is sorted once by (at, key) (not at all when setup scheduled in
 // time order, as a trace replay does) and then consumed front to back. Every
 // other event goes to a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990):
 // an event at instant at is filed in bucket bits.Len64(at ^ last), where last
@@ -24,13 +29,13 @@
 // back in time, so every queued instant is at least last: bucket 0 holds the
 // events at last itself, and bucket b the ones whose highest bit differing
 // from last is b-1. A push is an append to its bucket, with no sift; each
-// bucket keeps its least instant as events are filed. A pop takes the front
-// of bucket 0; when that is empty, the lowest non-empty bucket's least instant
+// bucket keeps its least instant as events are filed. A pop takes bucket 0's
+// least key; when that is empty, the lowest non-empty bucket's least instant
 // becomes last and the bucket's events are refiled, each into a strictly lower
 // bucket (a bucket of one event is popped as it is). Buckets are FIFO lists,
 // refiling walks them in order and only ever fills empty buckets, so every
-// bucket stays in schedule-call order and bucket 0 releases same-instant
-// events by seq. The lists are index-linked through one slot pool whose freed
+// bucket stays in schedule-call order, and bucket 0 releases its least key,
+// the first scheduled among equal keys. The lists are index-linked through one slot pool whose freed
 // slots are reused, so a run in steady state allocates nothing, however its
 // instants move.
 //
@@ -52,6 +57,7 @@
 package eventsim
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 	"time"
@@ -73,7 +79,7 @@ type TypedHandler func(a, b any)
 // kind table rather than a captured closure.
 type event struct {
 	at   simtime.Time
-	seq  uint64 // schedule-call index: the tie order among equal instants
+	key  uint64 // tie key: the order among equal instants
 	kind Kind
 	a, b any
 }
@@ -89,13 +95,12 @@ type link struct {
 // one with New.
 type Engine struct {
 	now      simtime.Time
-	seq      uint64  // schedule calls made so far
-	backlog  []event // events scheduled before any executed; sorted by (at, seq) before first use
+	backlog  []event // events scheduled before any executed; sorted by (at, key) before first use
 	head     int     // next unconsumed backlog slot
 	unsorted bool    // a setup schedule call broke the backlog's append order
 	setup    int     // events the backlog was handed in total
 
-	// The radix heap of every other event: bucket b lists, in seq order, the
+	// The radix heap of every other event: bucket b lists, in schedule order, the
 	// slots whose instant first differs from last in bit b-1 (b = 0: equals it).
 	slots       []event          // slot pool; slot 0 is the null link
 	links       []link           // slots' instants and list links, index for index
@@ -148,47 +153,40 @@ func (e *Engine) Backlog() int { return e.setup }
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// AtKind schedules a typed event at instant t. Scheduling in the past (t
-// earlier than Now) panics: it would silently corrupt causality in a network
-// simulation. The payload words a and b are handed to the kind's handler
-// when the event fires.
-func (e *Engine) AtKind(t simtime.Time, k Kind, a, b any) {
+// AtKind schedules a typed event at instant t with tie key key. Scheduling
+// in the past (t earlier than Now) panics: it would silently corrupt
+// causality in a network simulation. The payload words a and b are handed to
+// the kind's handler when the event fires.
+func (e *Engine) AtKind(t simtime.Time, key uint64, k Kind, a, b any) {
 	if uint32(k) >= uint32(len(e.kinds)) {
 		panic("eventsim: AtKind with unregistered kind")
 	}
-	e.schedule(t, k, a, b)
-}
-
-// AfterKind schedules a typed event d after the current instant. Negative d
-// panics.
-func (e *Engine) AfterKind(d time.Duration, k Kind, a, b any) {
-	e.AtKind(e.now.Add(d), k, a, b)
-}
-
-func (e *Engine) schedule(t simtime.Time, kind Kind, a, b any) {
 	if t < e.now {
 		panic("eventsim: scheduling event in the past (" + t.String() + " < " + e.now.String() + ")")
 	}
-	seq := e.seq
-	e.seq++
 	if e.processed == 0 {
 		// Setup: nothing has executed, so nothing has been consumed either.
-		// Every backlog event has a smaller seq than this one, so only an
-		// earlier instant puts it out of order.
-		if n := len(e.backlog); n > 0 && t < e.backlog[n-1].at {
+		// Only a smaller (instant, key) puts the backlog out of order.
+		if n := len(e.backlog); n > 0 && (t < e.backlog[n-1].at || t == e.backlog[n-1].at && key < e.backlog[n-1].key) {
 			e.unsorted = true
 		}
-		e.backlog = append(e.backlog, event{at: t, seq: seq, kind: kind, a: a, b: b})
+		e.backlog = append(e.backlog, event{at: t, key: key, kind: k, a: a, b: b})
 		e.setup++
 		return
 	}
-	e.push(t, seq, kind, a, b)
+	e.push(t, key, k, a, b)
+}
+
+// AfterKind schedules a typed event d after the current instant, with tie
+// key 0. Negative d panics.
+func (e *Engine) AfterKind(d time.Duration, k Kind, a, b any) {
+	e.AtKind(e.now.Add(d), 0, k, a, b)
 }
 
 // push files a new event at the back of its bucket, in a freed slot if there
 // is one. The slot is written field by field: copying in a whole event built
 // by the caller would read it back across the caller's just-made stores.
-func (e *Engine) push(t simtime.Time, seq uint64, kind Kind, a, b any) {
+func (e *Engine) push(t simtime.Time, key uint64, kind Kind, a, b any) {
 	i := e.free
 	if i != 0 {
 		e.free = e.links[i].next
@@ -198,7 +196,7 @@ func (e *Engine) push(t simtime.Time, seq uint64, kind Kind, a, b any) {
 		e.links = append(e.links, link{})
 	}
 	s := &e.slots[i]
-	s.at, s.seq, s.kind, s.a, s.b = t, seq, kind, a, b
+	s.at, s.key, s.kind, s.a, s.b = t, key, kind, a, b
 	e.links[i].at = t
 	e.file(i)
 	e.queued++
@@ -235,9 +233,10 @@ func (e *Engine) leastAt() simtime.Time {
 // free list: the caller copies the event out and zeroes the slot, so payload
 // pointers do not outlive their event. When bucket 0 is empty, the lowest
 // non-empty bucket's least instant becomes last and the bucket is refiled in
-// list order: its events at last land in bucket 0, in seq order, the rest in
-// the buckets between. A bucket of one event is its own least and is taken
-// as it is.
+// list order: its events at last land in bucket 0, in schedule order, the
+// rest in the buckets between. A bucket of one event is its own least and is
+// taken as it is. Bucket 0 holds every event at last; a scan releases its
+// least key, the first in schedule order among equal keys.
 func (e *Engine) pop() uint32 {
 	b := 0
 	if e.full&1 == 0 {
@@ -253,11 +252,27 @@ func (e *Engine) pop() uint32 {
 			b = 0
 		}
 	}
-	i := e.front[b]
+	i, prev := e.front[b], uint32(0)
+	if i != e.back[b] {
+		least := e.slots[i].key
+		for p, j := i, e.links[i].next; j != 0; p, j = j, e.links[j].next {
+			if k := e.slots[j].key; k < least {
+				i, prev, least = j, p, k
+			}
+		}
+	}
 	next := e.links[i].next
-	e.front[b] = next
+	if prev == 0 {
+		e.front[b] = next
+	} else {
+		e.links[prev].next = next
+	}
 	if next == 0 {
-		e.full &^= 1 << b
+		if prev == 0 {
+			e.full &^= 1 << b
+		} else {
+			e.back[b] = prev
+		}
 	}
 	e.links[i].next = e.free
 	e.free = i
@@ -265,18 +280,18 @@ func (e *Engine) pop() uint32 {
 	return i
 }
 
-// Run executes events in (at, seq) order until the queue is empty and
+// Run executes events in (at, key) order until the queue is empty and
 // returns the number it executed. Only setup — schedule calls made before
 // any event has run — fills the backlog, so it is sorted here, before the
 // first event runs.
 func (e *Engine) Run() uint64 {
 	if e.unsorted {
-		// seq is unique, so no two slots compare equal.
-		slices.SortFunc(e.backlog, func(x, y event) int {
-			if x.at < y.at || x.at == y.at && x.seq < y.seq {
-				return -1
+		// Stable: equal (at, key) slots keep their schedule order.
+		slices.SortStableFunc(e.backlog, func(x, y event) int {
+			if c := cmp.Compare(x.at, y.at); c != 0 {
+				return c
 			}
-			return 1
+			return cmp.Compare(x.key, y.key)
 		})
 		e.unsorted = false
 	}
@@ -286,7 +301,7 @@ func (e *Engine) Run() uint64 {
 	return e.processed - start
 }
 
-// exec runs the next event in (at, seq) order if there is one and reports
+// exec runs the next event in (at, key) order if there is one and reports
 // whether it did. It is the one place an event leaves the queue. The next
 // event is the smaller of the backlog's head and the heap's least; a consumed
 // backlog slot is zeroed, like a freed heap slot, and the drained backlog is
@@ -294,7 +309,9 @@ func (e *Engine) Run() uint64 {
 func (e *Engine) exec() bool {
 	var ev event
 	if e.head < len(e.backlog) && (e.queued == 0 || e.backlog[e.head].at <= e.leastAt()) {
-		// Setup calls precede every event-scheduled call: the backlog wins ties.
+		// Setup calls precede every event-scheduled call: the backlog wins
+		// ties of instant. Consistent with the key rule as long as setup
+		// schedules only the least keys, as every netsim run does.
 		p := &e.backlog[e.head]
 		ev = *p
 		*p = event{}

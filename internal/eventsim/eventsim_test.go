@@ -18,9 +18,9 @@ func TestRunExecutesInTimeOrder(t *testing.T) {
 	e := New()
 	fn := fnKind(e)
 	var got []int
-	e.AtKind(simtime.FromSeconds(3), fn, func() { got = append(got, 3) }, nil)
-	e.AtKind(simtime.FromSeconds(1), fn, func() { got = append(got, 1) }, nil)
-	e.AtKind(simtime.FromSeconds(2), fn, func() { got = append(got, 2) }, nil)
+	e.AtKind(simtime.FromSeconds(3), 0, fn, func() { got = append(got, 3) }, nil)
+	e.AtKind(simtime.FromSeconds(1), 0, fn, func() { got = append(got, 1) }, nil)
+	e.AtKind(simtime.FromSeconds(2), 0, fn, func() { got = append(got, 2) }, nil)
 	if n := e.Run(); n != 3 {
 		t.Fatalf("Run = %d events, want 3", n)
 	}
@@ -37,7 +37,7 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 	var got []int
 	at := simtime.FromSeconds(1)
 	for i := 0; i < 100; i++ {
-		e.AtKind(at, fn, func() { got = append(got, i) }, nil)
+		e.AtKind(at, 0, fn, func() { got = append(got, i) }, nil)
 	}
 	e.Run()
 	for i := 0; i < 100; i++ {
@@ -71,7 +71,7 @@ func TestSchedulingInsideHandler(t *testing.T) {
 			e.AfterKind(time.Microsecond, fn, chain, nil)
 		}
 	}
-	e.AtKind(simtime.Zero, fn, chain, nil)
+	e.AtKind(simtime.Zero, 0, fn, chain, nil)
 	e.Run()
 	if hits != 10 {
 		t.Fatalf("hits = %d, want 10", hits)
@@ -84,13 +84,13 @@ func TestSchedulingInsideHandler(t *testing.T) {
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
 	fn := fnKind(e)
-	e.AtKind(simtime.FromSeconds(1), fn, func() {
+	e.AtKind(simtime.FromSeconds(1), 0, fn, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling in the past")
 			}
 		}()
-		e.AtKind(simtime.Zero, fn, func() {}, nil)
+		e.AtKind(simtime.Zero, 0, fn, func() {}, nil)
 	}, nil)
 	e.Run()
 }
@@ -128,7 +128,7 @@ func TestDeterminismUnderRandomLoad(t *testing.T) {
 			}
 		}
 		for i := 0; i < 50; i++ {
-			e.AtKind(simtime.Time(rng.Int63n(1_000_000)), fn, func() { spawn(0) }, nil)
+			e.AtKind(simtime.Time(rng.Int63n(1_000_000)), 0, fn, func() { spawn(0) }, nil)
 		}
 		e.Run()
 		return trace

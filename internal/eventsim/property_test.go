@@ -36,11 +36,11 @@ func TestPropertyScheduleOrder(t *testing.T) {
 			planned = append(planned, sched{at: at, id: i})
 			switch rng.Intn(3) {
 			case 0:
-				e.AtKind(at, fn, func() { ran = append(ran, i) }, nil)
+				e.AtKind(at, 0, fn, func() { ran = append(ran, i) }, nil)
 			case 1:
 				e.AfterKind(at.Sub(e.Now()), fn, func() { ran = append(ran, i) }, nil)
 			default:
-				e.AtKind(at, kRec, &ids[i], nil)
+				e.AtKind(at, 0, kRec, &ids[i], nil)
 			}
 		}
 		e.Run()
@@ -71,9 +71,9 @@ func TestPropertyFIFOAmongTiesAcrossAPIs(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 		if i%2 == 0 {
-			e.AtKind(at, fn, func() { ran = append(ran, i) }, nil)
+			e.AtKind(at, 0, fn, func() { ran = append(ran, i) }, nil)
 		} else {
-			e.AtKind(at, k, &ids[i], nil)
+			e.AtKind(at, 0, k, &ids[i], nil)
 		}
 	}
 	e.Run()
@@ -107,13 +107,13 @@ func TestTypedEventPayload(t *testing.T) {
 func TestTypedEventPastPanics(t *testing.T) {
 	e := New()
 	k := e.RegisterKind(func(a, b any) {})
-	e.AtKind(simtime.FromSeconds(1), fnKind(e), func() {
+	e.AtKind(simtime.FromSeconds(1), 0, fnKind(e), func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic scheduling typed event in the past")
 			}
 		}()
-		e.AtKind(simtime.Zero, k, nil, nil)
+		e.AtKind(simtime.Zero, 0, k, nil, nil)
 	}, nil)
 	e.Run()
 }
@@ -126,7 +126,7 @@ func TestUnregisteredKindPanics(t *testing.T) {
 			t.Error("expected panic for unregistered kind")
 		}
 	}()
-	e.AtKind(simtime.Zero, Kind(99), nil, nil)
+	e.AtKind(simtime.Zero, 0, Kind(99), nil, nil)
 }
 
 // TestTypedSchedulingZeroAlloc checks that once the heap has grown,

@@ -52,6 +52,7 @@ type RateFunc func(now simtime.Time) float64
 type Network struct {
 	eng        *eventsim.Engine
 	nodes      []*Node
+	ports      uint64 // ports connected so far: the next network-wide port index
 	tracePaths bool
 	nextPktID  uint64
 
@@ -67,6 +68,29 @@ type Network struct {
 	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — forwarding after a selective delay
 	kTxNext   eventsim.Kind // a: *Port — the wire is free and a packet is queued
 }
+
+// The tie rule: events pending at one instant run in the order of their
+// eventsim tie key, a class in the top two bits and an id below it. Classes
+// run injection (by packet ID) < arrival (by the network-wide index of the
+// upstream port, as a switch's input arbiter orders its inputs) < dispatch
+// (by packet ID) < txNext (by port index). Every offer to a port at instant
+// t — an injection, an arrival or a dispatch forwards inline — therefore
+// runs before every departure at t: a head packet that starts by txNext at t
+// still counts as queued for the offers made at t. Three classes can be
+// scheduled at the current instant: an arrival after a 0 ns transmission
+// with zero propagation and processing delay, a txNext after a 0 ns
+// transmission, and an injection a workload source chains behind one at the
+// same instant. A dispatch never can: its selective delay is positive.
+const (
+	classInject uint64 = iota << 62
+	classArrive
+	classDispatch
+	classTxNext
+)
+
+// tie returns the key of an event of class c for id, which must fit in the
+// 62 bits below the class.
+func tie(c, id uint64) uint64 { return c | id&(1<<62-1) }
 
 // New returns an empty network on the given engine.
 func New(eng *eventsim.Engine) *Network {
@@ -136,7 +160,7 @@ func (nw *Network) Nodes() int { return len(nw.nodes) }
 // Inject schedules p to arrive at node n's ingress at instant at. It is how
 // workloads enter the network.
 func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
-	nw.eng.AtKind(at.Add(n.proc), nw.kArrive, n, p)
+	nw.eng.AtKind(at.Add(n.proc), tie(classInject, p.ID), nw.kArrive, n, p)
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding
@@ -160,9 +184,11 @@ func (nw *Network) Connect(from, to *Node, cfg LinkConfig) *Port {
 	p := &Port{
 		node:  from,
 		index: len(from.ports),
+		id:    nw.ports,
 		dst:   to,
 		cfg:   cfg,
 	}
+	nw.ports++
 	from.ports = append(from.ports, p)
 	return p
 }
@@ -256,7 +282,8 @@ func (n *Node) arrive(p *packet.Packet) {
 	}
 	if n.extra != nil {
 		if e := n.extra(p, now); e > 0 {
-			n.net.eng.AfterKind(e, n.net.kDispatch, n, p)
+			eng := n.net.eng
+			eng.AtKind(eng.Now().Add(e), tie(classDispatch, p.ID), n.net.kDispatch, n, p)
 			return
 		} else if e < 0 {
 			panic("netsim: negative selective delay")
@@ -303,6 +330,7 @@ type PortCounters struct {
 type Port struct {
 	node  *Node
 	index int
+	id    uint64 // network-wide port index, in Connect order: the tie id of its arrivals and txNexts
 	dst   *Node
 	cfg   LinkConfig
 
@@ -406,7 +434,7 @@ func (pt *Port) Enqueue(p *packet.Packet) {
 	}
 	if eng := pt.node.net.eng; eng.Now() < pt.free {
 		pt.armed = true
-		eng.AtKind(pt.free, pt.node.net.kTxNext, pt, nil)
+		eng.AtKind(pt.free, tie(classTxNext, pt.id), pt.node.net.kTxNext, pt, nil)
 		return
 	}
 	pt.startTx()
@@ -445,10 +473,10 @@ func (pt *Port) startTx() {
 		d += extra
 	}
 	if arrive {
-		nw.eng.AtKind(end.Add(d), nw.kArrive, pt.dst, p)
+		nw.eng.AtKind(end.Add(d), tie(classArrive, pt.id), nw.kArrive, pt.dst, p)
 	}
 	if pt.queue.len() > 0 {
-		nw.eng.AtKind(end, nw.kTxNext, pt, nil)
+		nw.eng.AtKind(end, tie(classTxNext, pt.id), nw.kTxNext, pt, nil)
 	} else {
 		pt.armed = false
 	}

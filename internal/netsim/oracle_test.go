@@ -11,16 +11,19 @@ import (
 )
 
 // portEvent is one observation at a port, in the order the simulator made
-// them: a packet offered to the queue (Enqueue called), a transmission
-// start, or a drop.
+// them: a packet offered to the queue by a node's event (Enqueue called from
+// forwarding, with the tie key of the event that offered it), offered by a
+// tx-start tap (an RLI-style reference), a transmission start, or a drop.
 type portEvent struct {
 	kind int
 	at   simtime.Time
 	p    *packet.Packet
+	key  uint64
 }
 
 const (
 	evOffer = iota
+	evTapOffer
 	evStart
 	evDrop
 )
@@ -55,14 +58,17 @@ func (w rateWindow) rate(pt *Port, start simtime.Time) float64 {
 // Port side: a FIFO drop-tail port is Lindley's recursion, with the rate in
 // effect at each start. Replaying each port's offers in order, an accepted
 // packet starts at max(offer, previous start + its size/rate at that
-// previous start), and an offer is dropped iff
-// the bytes queued behind the packet in service, plus its own, exceed
-// QueueBytes. The queued bytes at an offer are the accepted packets whose
-// start is later; at a start equal to the offer instant the closed form
-// leaves the order to the events, so the recorded order decides. Every
+// previous start), and an offer is dropped iff the bytes queued behind the
+// packet in service, plus its own, exceed QueueBytes. The tie rule fixes
+// which packets are queued at an offer at instant t: every offer a node's
+// event makes at t runs before the port's departure at t, so a packet that
+// starts at t when the wire frees (by txNext) still counts as queued, while
+// one that started inline at t — offered to an idle port — does not; for an
+// offer a tx-start tap makes at t, the packet starting then is in service.
+// Offers that events make at one instant arrive in tie-key order. Every
 // recorded tx start and every drop must match.
 func TestPortsMatchLindley(t *testing.T) {
-	var starts, drops, refs, delayed, degraded, emuDrops int
+	var starts, drops, held, refs, delayed, degraded, emuDrops int
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial + 1)))
 		eng := eventsim.New()
@@ -98,6 +104,8 @@ func TestPortsMatchLindley(t *testing.T) {
 		wireDrops := map[*Port]uint64{}
 		expArrive := map[*packet.Packet]simtime.Time{}
 		expOffer := map[*packet.Packet]simtime.Time{}
+		offerKey := map[*packet.Packet]uint64{} // tie key of the event that offers the packet at its node
+		via := map[*packet.Packet]*Port{}       // port the packet last started on
 		for l, layer := range layers {
 			for _, n := range layer {
 				n.OnReceive(func(p *packet.Packet, now simtime.Time) {
@@ -105,13 +113,19 @@ func TestPortsMatchLindley(t *testing.T) {
 						t.Fatalf("trial %d: packet %d reached %s at %v, want %v", trial, p.ID, n.Name(), now, want)
 					}
 					off := now.Add(n.ProcDelay())
+					key := tie(classInject, p.ID)
+					if pt, ok := via[p]; ok {
+						key = tie(classArrive, pt.id)
+					}
 					if n.extra != nil {
 						if d := n.extra(p, now); d > 0 {
 							off = off.Add(d)
+							key = tie(classDispatch, p.ID)
 							delayed++
 						}
 					}
 					expOffer[p] = off
+					offerKey[p] = key
 				})
 				n.SetForward(func(n *Node, p *packet.Packet) int {
 					if want := expOffer[p]; eng.Now() != want {
@@ -122,7 +136,7 @@ func TestPortsMatchLindley(t *testing.T) {
 					}
 					out := int((p.ID*0x9E3779B97F4A7C15 + uint64(n.ID())) >> 33 % uint64(len(n.Ports())))
 					pt := n.Port(out)
-					logs[pt] = append(logs[pt], portEvent{evOffer, eng.Now(), p})
+					logs[pt] = append(logs[pt], portEvent{evOffer, eng.Now(), p, offerKey[p]})
 					return out
 				})
 				if l > 0 && rng.Intn(2) == 0 {
@@ -162,7 +176,8 @@ func TestPortsMatchLindley(t *testing.T) {
 					rates[pt] = win
 					sent := 0
 					pt.OnTxStart(func(p *packet.Packet, now simtime.Time) {
-						logs[pt] = append(logs[pt], portEvent{evStart, now, p})
+						logs[pt] = append(logs[pt], portEvent{kind: evStart, at: now, p: p})
+						via[p] = pt
 						if win.rate(pt, now) != pt.Rate() {
 							degraded++
 						}
@@ -182,60 +197,84 @@ func TestPortsMatchLindley(t *testing.T) {
 						if sent++; refEvery > 0 && sent%refEvery == 0 {
 							ref := &packet.Packet{ID: n.NewPacketID(), Size: 64, Kind: packet.Reference}
 							refs++
-							logs[pt] = append(logs[pt], portEvent{evOffer, now, ref})
+							logs[pt] = append(logs[pt], portEvent{kind: evTapOffer, at: now, p: ref})
 							pt.Enqueue(ref)
 						}
 					})
 					pt.OnDrop(func(p *packet.Packet, now simtime.Time) {
-						logs[pt] = append(logs[pt], portEvent{evDrop, now, p})
+						logs[pt] = append(logs[pt], portEvent{kind: evDrop, at: now, p: p})
 					})
 				}
 			}
 		}
 
+		// Odd trials put sizes on a 125-byte grid and injections on a 1 µs
+		// grid, so offers often meet a start at the same nanosecond.
+		grid := trial%2 == 1
 		for range 200 + rng.Intn(200) {
 			p := &packet.Packet{ID: nw.NewPacketID(), Size: 64 + rng.Intn(1437), Kind: packet.Regular}
 			at := simtime.FromDuration(time.Duration(rng.Intn(300_000)) * time.Nanosecond)
+			if grid {
+				p.Size = 125 * (1 + rng.Intn(12))
+				at = simtime.FromDuration(time.Duration(rng.Intn(300)) * time.Microsecond)
+			}
 			expArrive[p] = at
 			nw.Inject(layers[0][rng.Intn(len(layers[0]))], p, at)
 		}
 		eng.Run()
 
 		for pt, log := range logs {
-			s, d := replayLindley(t, pt, log, rates[pt])
+			s, d, h := replayLindley(t, pt, log, rates[pt])
 			starts += s
 			drops += d
+			held += h
 			if got := pt.Counters().EmuDrops; got != wireDrops[pt] {
 				t.Fatalf("trial %d: %s port %d dropped %d packets on the wire, the emulator %d", trial, pt.node.Name(), pt.index, got, wireDrops[pt])
 			}
 			emuDrops += int(wireDrops[pt])
 		}
 	}
-	t.Logf("%d tx starts (%d degraded), %d drops, %d emulated drops, %d references, %d selectively delayed arrivals",
-		starts, degraded, drops, emuDrops, refs, delayed)
-	if drops == 0 || refs == 0 || delayed == 0 || degraded == 0 || emuDrops == 0 {
+	t.Logf("%d tx starts (%d degraded), %d drops, %d emulated drops, %d references, %d selectively delayed arrivals, %d offers meeting a head that starts at their instant",
+		starts, degraded, drops, emuDrops, refs, delayed, held)
+	if drops == 0 || refs == 0 || delayed == 0 || degraded == 0 || emuDrops == 0 || held == 0 {
 		t.Fatal("the random topologies exercised too little")
 	}
 }
 
 // replayLindley checks one port's log against the closed form and returns
-// the tx starts and drops it checked.
-func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (starts, drops int) {
+// the tx starts and drops it checked, and the offers that found a head
+// starting at their own instant still queued.
+func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (starts, drops, held int) {
 	t.Helper()
 	type accepted struct {
-		p     *packet.Packet
-		start simtime.Time
+		p          *packet.Packet
+		start, end simtime.Time
+		inline     bool // started inside its own offer: the port was idle
 	}
 	var fifo []accepted
-	var free simtime.Time // end of the last accepted packet's transmission
-	started := 0          // accepted packets whose start is recorded
+	started := 0    // accepted packets whose start is recorded
+	lastOffer := -1 // the latest event offer in the log
 	for i, ev := range log {
 		switch ev.kind {
-		case evOffer:
+		case evOffer, evTapOffer:
+			if ev.kind == evOffer {
+				if lastOffer >= 0 && log[lastOffer].at == ev.at && log[lastOffer].key > ev.key {
+					t.Fatalf("%s port %d: packet %d (key %#x) offered at %v after packet %d (key %#x)",
+						pt.node.Name(), pt.index, ev.p.ID, ev.key, ev.at, log[lastOffer].p.ID, log[lastOffer].key)
+				}
+				lastOffer = i
+				if started > 0 && fifo[started-1].start == ev.at && !fifo[started-1].inline {
+					t.Fatalf("%s port %d: packet %d offered at %v after the departure at that instant",
+						pt.node.Name(), pt.index, ev.p.ID, ev.at)
+				}
+			}
 			backlog := 0
-			for j, a := range fifo {
-				if a.start.After(ev.at) || a.start == ev.at && j >= started {
+			for _, a := range fifo {
+				if a.start.After(ev.at) {
 					backlog += a.p.Size
+				} else if a.start == ev.at && ev.kind == evOffer && !a.inline {
+					backlog += a.p.Size
+					held++
 				}
 			}
 			dropped := i+1 < len(log) && log[i+1].kind == evDrop && log[i+1].p == ev.p
@@ -247,12 +286,14 @@ func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (sta
 			if dropped {
 				continue
 			}
-			start := ev.at
-			if free.After(start) {
-				start = free
+			a := accepted{p: ev.p, start: ev.at, inline: true}
+			if n := len(fifo); n > 0 {
+				prev := fifo[n-1]
+				a.start = max(a.start, prev.end)
+				a.inline = prev.end <= ev.at && (prev.start.Before(ev.at) || prev.inline)
 			}
-			free = start.Add(simtime.TxTime(ev.p.Size, win.rate(pt, start)))
-			fifo = append(fifo, accepted{ev.p, start})
+			a.end = a.start.Add(simtime.TxTime(ev.p.Size, win.rate(pt, a.start)))
+			fifo = append(fifo, a)
 		case evStart:
 			if started >= len(fifo) || fifo[started].p != ev.p {
 				t.Fatalf("%s port %d: packet %d started out of FIFO order", pt.node.Name(), pt.index, ev.p.ID)
@@ -263,7 +304,7 @@ func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (sta
 			started++
 			starts++
 		case evDrop:
-			if i == 0 || log[i-1].kind != evOffer || log[i-1].p != ev.p {
+			if i == 0 || log[i-1].kind != evOffer && log[i-1].kind != evTapOffer || log[i-1].p != ev.p {
 				t.Fatalf("%s port %d: packet %d dropped without being offered", pt.node.Name(), pt.index, ev.p.ID)
 			}
 			drops++
@@ -272,5 +313,5 @@ func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (sta
 	if started != len(fifo) {
 		t.Fatalf("%s port %d: %d packets accepted, %d transmitted", pt.node.Name(), pt.index, len(fifo), started)
 	}
-	return starts, drops
+	return starts, drops, held
 }
