@@ -2,15 +2,12 @@
 // engine.
 //
 // Events are scheduled at nanosecond-resolution virtual instants
-// (simtime.Time), each with a 64-bit tie key. The engine runs the least
-// (instant, key) among the pending events; only events with equal instants
-// and equal keys run in the order they were scheduled. The caller derives
-// keys from its model (internal/netsim: an event class and a packet or port
-// id), so the order of same-instant events is a function of what is
-// simulated, not of when the engine was asked, and a run is bit-for-bit
-// reproducible from its seed. A handler may schedule at the current instant,
-// with any key: the rule is then "the least key among the events pending
-// now", whether or not it is below the key of the event that scheduled it.
+// (simtime.Time), each with a 64-bit tie key, and the engine runs the least
+// (instant, key) pending; only equal keys run in schedule order. Callers
+// derive keys from their model (internal/netsim: an event class and a packet
+// or port id), so same-instant order is a function of what is simulated,
+// not of when the engine was asked. A handler may schedule at the current
+// instant with any key, below its own or above.
 //
 // Every event is typed: AtKind/AfterKind take a Kind registered via
 // RegisterKind plus two payload words. Handlers are installed once per kind;
@@ -19,35 +16,20 @@
 // (pointers, funcs, channels, maps). There is one run mode: setup schedules,
 // Run drains the queue.
 //
-// Internally the queue has two tiers holding one total order. Events that
-// setup schedules — nothing has executed yet — go to the backlog, a plain
-// slice that is sorted once by (at, key) (not at all when setup scheduled in
-// time order, as a trace replay does) and then consumed front to back. Every
-// other event goes to a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990):
-// an event at instant at is filed in bucket bits.Len64(at ^ last), where last
-// is the instant of the event the heap last released. Schedule calls never go
-// back in time, so every queued instant is at least last: bucket 0 holds the
-// events at last itself, and bucket b the ones whose highest bit differing
-// from last is b-1. A push is an append to its bucket, with no sift; each
-// bucket keeps its least instant as events are filed. A pop takes bucket 0's
-// least key; when that is empty, the lowest non-empty bucket's least instant
-// becomes last and the bucket's events are refiled, each into a strictly lower
-// bucket (a bucket of one event is popped as it is). Buckets are FIFO lists,
-// refiling walks them in order and only ever fills empty buckets, so every
-// bucket stays in schedule-call order, and bucket 0 releases its least key,
-// the first scheduled among equal keys. The lists are index-linked through one slot pool whose freed
-// slots are reused, so a run in steady state allocates nothing, however its
-// instants move.
-//
-// The next event is the smaller of the backlog's head and the heap's least
-// event; setup calls precede every event-scheduled call, so the backlog wins
-// ties. The heap's least instant is looked up without refiling: last advances
-// only when the heap releases an event, because a backlog event before it
-// sets a clock that later schedule calls may fill in behind. What the two
-// tiers buy is a heap whose size is the number of events in flight, not the
-// length of the workload. The rule is "has anything executed" and nothing
-// else: schedule calls made after a Run that executed anything go to the
-// heap like any event-scheduled event.
+// The queue is one radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990): an
+// event at instant at is filed in bucket bits.Len64(at ^ last), where last is
+// the instant the heap last released. Schedule calls never go back in time,
+// so bucket 0 holds the events at last and bucket b those whose highest bit
+// differing from last is b-1. A push appends to its bucket, and each bucket
+// keeps its least instant. When bucket 0 is empty, the lowest non-empty
+// bucket's least instant becomes last and its events are refiled lower (a
+// bucket of one is popped as it is). Buckets are FIFO lists, refiled in order
+// into empty buckets only, so each stays in schedule order, and bucket 0
+// releases its least key by a linear scan (same-instant piles are small).
+// The lists are index-linked through one slot pool that reuses freed slots,
+// so a steady run allocates nothing. The heap holds every pending event; a
+// workload that schedules each packet when the one before it runs
+// (netsim.Source) keeps it at what is in flight.
 //
 // An Engine is single-goroutine: network simulation at packet granularity is
 // dominated by the event queue and cache behaviour, and a single timeline
@@ -57,9 +39,7 @@
 package eventsim
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/simtime"
@@ -94,14 +74,10 @@ type link struct {
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with New.
 type Engine struct {
-	now      simtime.Time
-	backlog  []event // events scheduled before any executed; sorted by (at, key) before first use
-	head     int     // next unconsumed backlog slot
-	unsorted bool    // a setup schedule call broke the backlog's append order
-	setup    int     // events the backlog was handed in total
+	now simtime.Time
 
-	// The radix heap of every other event: bucket b lists, in schedule order, the
-	// slots whose instant first differs from last in bit b-1 (b = 0: equals it).
+	// The radix heap: bucket b lists, in schedule order, the slots whose
+	// instant first differs from last in bit b-1 (b = 0: equals it).
 	slots       []event          // slot pool; slot 0 is the null link
 	links       []link           // slots' instants and list links, index for index
 	free        uint32           // first free slot, linked through next (0 = none)
@@ -118,10 +94,7 @@ type Engine struct {
 
 // New returns an engine with its clock at the simulation epoch.
 func New() *Engine {
-	e := &Engine{}
-	e.slots = make([]event, 1, 1024)
-	e.links = make([]link, 1, 1024)
-	return e
+	return &Engine{slots: make([]event, 1, 1024), links: make([]link, 1, 1024)}
 }
 
 // RegisterKind installs a typed-event handler and returns its Kind. Kinds
@@ -139,16 +112,12 @@ func (e *Engine) RegisterKind(h TypedHandler) Kind {
 func (e *Engine) Now() simtime.Time { return e.now }
 
 // Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.backlog) - e.head + e.queued }
+func (e *Engine) Pending() int { return e.queued }
 
-// PeakHeap returns the largest number of event-scheduled events that were
-// ever queued at once: the run's in-flight high-water mark, and the number of
-// slots the heap's pool ever held.
+// PeakHeap returns the largest number of events that were ever pending at
+// once: the run's high-water mark, and the number of slots the heap's pool
+// ever held.
 func (e *Engine) PeakHeap() int { return e.peakHeap }
-
-// Backlog returns the number of events setup scheduled before the run — the
-// workload the heap never had to hold.
-func (e *Engine) Backlog() int { return e.setup }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
@@ -163,16 +132,6 @@ func (e *Engine) AtKind(t simtime.Time, key uint64, k Kind, a, b any) {
 	}
 	if t < e.now {
 		panic("eventsim: scheduling event in the past (" + t.String() + " < " + e.now.String() + ")")
-	}
-	if e.processed == 0 {
-		// Setup: nothing has executed, so nothing has been consumed either.
-		// Only a smaller (instant, key) puts the backlog out of order.
-		if n := len(e.backlog); n > 0 && (t < e.backlog[n-1].at || t == e.backlog[n-1].at && key < e.backlog[n-1].key) {
-			e.unsorted = true
-		}
-		e.backlog = append(e.backlog, event{at: t, key: key, kind: k, a: a, b: b})
-		e.setup++
-		return
 	}
 	e.push(t, key, k, a, b)
 }
@@ -200,9 +159,7 @@ func (e *Engine) push(t simtime.Time, key uint64, kind Kind, a, b any) {
 	e.links[i].at = t
 	e.file(i)
 	e.queued++
-	if e.queued > e.peakHeap {
-		e.peakHeap = e.queued
-	}
+	e.peakHeap = max(e.peakHeap, e.queued)
 }
 
 // file appends slot i to the list of bucket bits.Len64(at ^ last) and keeps
@@ -221,12 +178,6 @@ func (e *Engine) file(i uint32) {
 		e.lo[b] = min(e.lo[b], l.at)
 	}
 	e.back[b] = i
-}
-
-// leastAt returns the least instant of the heap, which must hold events,
-// without moving last: the least instant of its lowest non-empty bucket.
-func (e *Engine) leastAt() simtime.Time {
-	return e.lo[bits.TrailingZeros64(e.full)]
 }
 
 // pop unlinks the heap's least event and returns its slot, already on the
@@ -268,10 +219,9 @@ func (e *Engine) pop() uint32 {
 		e.links[prev].next = next
 	}
 	if next == 0 {
+		e.back[b] = prev
 		if prev == 0 {
 			e.full &^= 1 << b
-		} else {
-			e.back[b] = prev
 		}
 	}
 	e.links[i].next = e.free
@@ -281,53 +231,16 @@ func (e *Engine) pop() uint32 {
 }
 
 // Run executes events in (at, key) order until the queue is empty and
-// returns the number it executed. Only setup — schedule calls made before
-// any event has run — fills the backlog, so it is sorted here, before the
-// first event runs.
+// returns the number it executed.
 func (e *Engine) Run() uint64 {
-	if e.unsorted {
-		// Stable: equal (at, key) slots keep their schedule order.
-		slices.SortStableFunc(e.backlog, func(x, y event) int {
-			if c := cmp.Compare(x.at, y.at); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.key, y.key)
-		})
-		e.unsorted = false
-	}
 	start := e.processed
-	for e.exec() {
+	for e.queued > 0 {
+		i := e.pop()
+		ev := e.slots[i]
+		e.slots[i] = event{}
+		e.now = ev.at
+		e.processed++
+		e.kinds[ev.kind](ev.a, ev.b)
 	}
 	return e.processed - start
-}
-
-// exec runs the next event in (at, key) order if there is one and reports
-// whether it did. It is the one place an event leaves the queue. The next
-// event is the smaller of the backlog's head and the heap's least; a consumed
-// backlog slot is zeroed, like a freed heap slot, and the drained backlog is
-// released whole.
-func (e *Engine) exec() bool {
-	var ev event
-	if e.head < len(e.backlog) && (e.queued == 0 || e.backlog[e.head].at <= e.leastAt()) {
-		// Setup calls precede every event-scheduled call: the backlog wins
-		// ties of instant. Consistent with the key rule as long as setup
-		// schedules only the least keys, as every netsim run does.
-		p := &e.backlog[e.head]
-		ev = *p
-		*p = event{}
-		e.head++
-		if e.head == len(e.backlog) {
-			e.backlog, e.head = nil, 0
-		}
-	} else if e.queued > 0 {
-		i := e.pop()
-		ev = e.slots[i]
-		e.slots[i] = event{}
-	} else {
-		return false
-	}
-	e.now = ev.at
-	e.processed++
-	e.kinds[ev.kind](ev.a, ev.b)
-	return true
 }

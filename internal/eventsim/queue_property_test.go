@@ -201,21 +201,10 @@ func (p *queuePlan) ties() int {
 	return n
 }
 
-// setupKey is the key a plan gives a root: k, except before anything has
-// executed, when the backlog holds the event and wins ties of instant, so
-// only the least key keeps the rule.
-func setupKey(e *Engine, k uint64) uint64 {
-	if e.Processed() == 0 {
-		return 0
-	}
-	return k
-}
-
 // runQueuePlan drives one Engine through every way its queue is used: setup
 // in or out of time order with ties, after an idle Run or not, drained by a
-// Run that interleaves the backlog with the heap, then schedule calls between
-// runs, each drained by a Run of its own — both kinds mixed throughout; each
-// event makes up to three schedule calls.
+// Run, then schedule calls between runs, each drained by a Run of its own —
+// both kinds mixed throughout; each event makes up to three schedule calls.
 func runQueuePlan(t *testing.T, seed uint64) *queuePlan {
 	p := newQueuePlan(t, seed, func(_ *tieNode, h uint64) int { return int(h % 4) })
 	ctr := uint64(0)
@@ -231,19 +220,18 @@ func runQueuePlan(t *testing.T, seed uint64) *queuePlan {
 			slices.Sort(ats)
 		}
 		for _, at := range ats {
-			p.schedule(tieMix(seed^draw(1<<40)), 4, at, setupKey(p.e, draw(tieKeys)))
+			p.schedule(tieMix(seed^draw(1<<40)), 4, at, draw(tieKeys))
 		}
 	}
 
-	// Every fifth seed runs the empty engine first: a Run that executes
-	// nothing leaves it in setup. Every third sets up in time order (the
-	// backlog is never sorted).
+	// Every fifth seed runs the empty engine first. Every third sets up in
+	// time order.
 	if seed%5 == 0 {
 		p.run()
 	}
 	setup(30, seed%3 == 0)
-	if p.e.PeakHeap() != 0 || p.e.Backlog() != 30 || p.e.Pending() != 30 {
-		t.Fatalf("seed %d: setup put %d events in the heap and %d in the backlog, want 0 and 30", seed, p.e.PeakHeap(), p.e.Backlog())
+	if p.e.PeakHeap() != 30 || p.e.Pending() != 30 {
+		t.Fatalf("seed %d: setup left %d events pending (peak %d), want 30", seed, p.e.Pending(), p.e.PeakHeap())
 	}
 	p.run()
 	setup(10, false)
@@ -261,17 +249,13 @@ func TestPropertyQueueOrderMatchesSort(t *testing.T) {
 		if len(p.ran) < 50 || p.ties() == 0 {
 			t.Fatalf("seed %d: degenerate plan (%d events, %d ties)", seed, len(p.ran), p.ties())
 		}
-		// Setup after a Run that executed something goes to the heap.
-		if p.e.Backlog() != 30 {
-			t.Fatalf("seed %d: backlog took %d events, want the 30 set up before the first Run", seed, p.e.Backlog())
-		}
 	}
 }
 
 // TestPropertyManyInFlight holds more than 10 000 events in the heap at once:
 // one setup root schedules 12 000 children, each of which schedules up to
 // two more, beside a hundred setup roots spread log-uniformly up to 2^40 ns
-// that interleave the backlog with the heap.
+// that interleave with them.
 func TestPropertyManyInFlight(t *testing.T) {
 	const wide = 12_000
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -284,42 +268,13 @@ func TestPropertyManyInFlight(t *testing.T) {
 		p.schedule(0, 2, 0, 0)
 		for i := range 100 {
 			h := tieMix(seed<<32 + uint64(i))
-			p.schedule(h, 1, simtime.Time(tieDelay(h|1)), setupKey(p.e, h>>48%tieKeys))
+			p.schedule(h, 1, simtime.Time(tieDelay(h|1)), h>>48%tieKeys)
 		}
 		p.run()
 		p.verify()
 		if p.e.PeakHeap() < 10_000 || p.ties() == 0 {
 			t.Fatalf("seed %d: peak heap %d, %d ties; the plan lost its wide case", seed, p.e.PeakHeap(), p.ties())
 		}
-	}
-}
-
-// TestBacklogSlotsReleased checks that a consumed backlog slot does not keep
-// its payload reachable and that the drained backlog is let go whole.
-func TestBacklogSlotsReleased(t *testing.T) {
-	e := New()
-	first := true
-	k := e.RegisterKind(func(_, _ any) {
-		if !first {
-			return
-		}
-		first = false
-		if e.backlog[0] != (event{}) {
-			t.Fatalf("consumed backlog slot still holds %+v", e.backlog[0])
-		}
-		if e.Pending() != 1 || e.Backlog() != 2 {
-			t.Fatalf("Pending/Backlog = %d/%d while the first of two setup events runs, want 1/2", e.Pending(), e.Backlog())
-		}
-	})
-	payload := new(int)
-	e.AtKind(1, 0, k, payload, nil)
-	e.AtKind(2, 0, k, payload, nil)
-	e.Run()
-	if e.backlog != nil || e.Pending() != 0 {
-		t.Fatalf("drained backlog not released (len %d, pending %d)", len(e.backlog), e.Pending())
-	}
-	if e.PeakHeap() != 0 {
-		t.Fatalf("peak heap %d for a setup-only run, want 0", e.PeakHeap())
 	}
 }
 
@@ -367,8 +322,7 @@ type canonEvent struct {
 // and one more 1 to 3 grid steps later (4r+3); the child keyed below
 // schedules a grandchild at its instant keyed 4r. No two events share an
 // (instant, key), so the rule leaves no choice to the call order: every
-// permutation must run the same order, the reference's. The roots are
-// scheduled by a starter event so that they go to the heap.
+// permutation must run the same order, the reference's.
 func TestScheduleOrderIsCanonical(t *testing.T) {
 	const roots = 120
 	rng := rand.New(rand.NewSource(7))
@@ -400,12 +354,9 @@ func TestScheduleOrderIsCanonical(t *testing.T) {
 				sched(now, ev.key-1, 0)
 			}
 		})
-		start := e.RegisterKind(func(_, _ any) {
-			for _, r := range order {
-				sched(ats[r], keys[r], 1)
-			}
-		})
-		e.AtKind(0, 0, start, nil, nil)
+		for _, r := range order {
+			sched(ats[r], keys[r], 1)
+		}
 		e.Run()
 		for _, i := range referenceOrder(calls, made) {
 			want = append(want, calls[i])

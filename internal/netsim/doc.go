@@ -28,6 +28,12 @@
 // Links are the same: a rate that varies with the instant is a RateFunc
 // (Port.SetRate), read at each transmission start, which is how the
 // link-degrade fault is modeled. Nothing but packets is ever scheduled.
+// Workloads enter through Network.Pull: a Source yields one packet at a time
+// and holds one pending injection event, so the engine holds what is in
+// flight, not the workload. Events due at one instant run in an order the
+// model defines — injections, then arrivals by upstream port, dispatches,
+// then departures (the tie rule in netsim.go) — never in the order the
+// engine happened to be asked.
 // internal/topo builds k-ary fat-trees on top of this package;
 // internal/core attaches the RLI instruments.
 package netsim

@@ -25,10 +25,10 @@ func buildTandemLine(nw *Network) (src, sw, sink *Node) {
 	return src, sw, sink
 }
 
-// TestSteadyForwardingZeroAlloc is the netsim half of the PR's headline
-// claim: forwarding a packet through injection, processing delay, queueing,
-// transmission and propagation — every typed-event site — allocates
-// nothing once queues and the event heap have grown to steady state.
+// TestSteadyForwardingZeroAlloc: forwarding a packet through a pulled
+// source's injection, processing delay, queueing, transmission and
+// propagation — every typed-event site — allocates nothing once queues and
+// the event heap have grown to steady state.
 func TestSteadyForwardingZeroAlloc(t *testing.T) {
 	eng := eventsim.New()
 	nw := New(eng)
@@ -39,13 +39,22 @@ func TestSteadyForwardingZeroAlloc(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = packet.Packet{ID: uint64(i + 1), Size: 1000}
 	}
-	inject := func() {
-		base := eng.Now()
-		for i := range pkts {
-			// Arrivals faster than the 1e8 bottleneck drains, so the output
-			// queue stays busy and a txNext starts each queued packet.
-			nw.Inject(src, &pkts[i], base.Add(time.Duration(i)*10*time.Microsecond))
+	// One pulled source replays the batch from the clock on: arrivals
+	// faster than the 1e8 bottleneck drains, so the output queue stays busy
+	// and a txNext starts each queued packet.
+	var base simtime.Time
+	next := 0
+	batchSrc := &Source{Next: func() (*Node, *packet.Packet, simtime.Time, bool) {
+		if next == len(pkts) {
+			return nil, nil, 0, false
 		}
+		i := next
+		next++
+		return src, &pkts[i], base.Add(time.Duration(i) * 10 * time.Microsecond), true
+	}}
+	inject := func() {
+		base, next = eng.Now(), 0
+		nw.Pull(batchSrc)
 		eng.Run()
 	}
 	inject() // warm-up: grows the event heap and the port fifos
@@ -80,12 +89,20 @@ func TestZeroAllocTracedForwarding(t *testing.T) {
 
 	const batch = 200
 	pkts := make([]packet.Packet, batch)
-	inject := func() {
-		base := eng.Now()
-		for i := range pkts {
-			pkts[i] = packet.Packet{ID: uint64(i + 1), Size: 1000} // a fresh packet: no hops yet
-			nw.Inject(nodes[0], &pkts[i], base.Add(time.Duration(i)*5*time.Microsecond))
+	var base simtime.Time
+	next := 0
+	src := &Source{Next: func() (*Node, *packet.Packet, simtime.Time, bool) {
+		if next == len(pkts) {
+			return nil, nil, 0, false
 		}
+		i := next
+		next++
+		pkts[i] = packet.Packet{ID: uint64(i + 1), Size: 1000} // a fresh packet: no hops yet
+		return nodes[0], &pkts[i], base.Add(time.Duration(i) * 5 * time.Microsecond), true
+	}}
+	inject := func() {
+		base, next = eng.Now(), 0
+		nw.Pull(src)
 		eng.Run()
 	}
 	inject() // warm-up: grows the event heap and the port fifos

@@ -64,23 +64,23 @@ type Network struct {
 	// the port, and a positive selective delay a dispatch. Each payload
 	// lives by value in the heap slot, so forwarding a packet schedules no
 	// closures and allocates nothing.
+	kInject   eventsim.Kind // a: *Source, b: *packet.Packet — a workload packet's arrival + proc, then the source's next packet
 	kArrive   eventsim.Kind // a: *Node, b: *packet.Packet — arrival + proc: ingress and forwarding
 	kDispatch eventsim.Kind // a: *Node, b: *packet.Packet — forwarding after a selective delay
 	kTxNext   eventsim.Kind // a: *Port — the wire is free and a packet is queued
 }
 
-// The tie rule: events pending at one instant run in the order of their
-// eventsim tie key, a class in the top two bits and an id below it. Classes
-// run injection (by packet ID) < arrival (by the network-wide index of the
-// upstream port, as a switch's input arbiter orders its inputs) < dispatch
-// (by packet ID) < txNext (by port index). Every offer to a port at instant
-// t — an injection, an arrival or a dispatch forwards inline — therefore
-// runs before every departure at t: a head packet that starts by txNext at t
-// still counts as queued for the offers made at t. Three classes can be
-// scheduled at the current instant: an arrival after a 0 ns transmission
-// with zero propagation and processing delay, a txNext after a 0 ns
-// transmission, and an injection a workload source chains behind one at the
-// same instant. A dispatch never can: its selective delay is positive.
+// The tie rule: events due at one instant run by their eventsim tie key, a
+// class in the top two bits and an id below (packet IDs and port indices
+// stay below 2^62): injection (by packet ID) < arrival (by the network-wide
+// index of the upstream port, as a switch's input arbiter orders its
+// inputs) < dispatch (by packet ID) < txNext (by port index). Every offer to
+// a port at t (injections, arrivals and dispatches forward inline) runs
+// before every departure at t, so a head packet that starts by txNext at t
+// still counts as queued for them. An arrival after a 0 ns transmission with
+// zero propagation and processing delay, a txNext after a 0 ns transmission,
+// and an injection a Source pulls behind one at its instant can be due now;
+// a dispatch cannot.
 const (
 	classInject uint64 = iota << 62
 	classArrive
@@ -88,13 +88,14 @@ const (
 	classTxNext
 )
 
-// tie returns the key of an event of class c for id, which must fit in the
-// 62 bits below the class.
-func tie(c, id uint64) uint64 { return c | id&(1<<62-1) }
-
 // New returns an empty network on the given engine.
 func New(eng *eventsim.Engine) *Network {
 	nw := &Network{eng: eng}
+	nw.kInject = eng.RegisterKind(func(a, b any) {
+		src := a.(*Source)
+		src.node.arrive(b.(*packet.Packet))
+		nw.Pull(src)
+	})
 	nw.kArrive = eng.RegisterKind(func(a, b any) { a.(*Node).arrive(b.(*packet.Packet)) })
 	nw.kDispatch = eng.RegisterKind(func(a, b any) { a.(*Node).dispatch(b.(*packet.Packet)) })
 	nw.kTxNext = eng.RegisterKind(func(a, _ any) { a.(*Port).startTx() })
@@ -110,7 +111,7 @@ func (nw *Network) Engine() *eventsim.Engine { return nw.eng }
 func (nw *Network) SetTracePaths(on bool) { nw.tracePaths = on }
 
 // NewPacketID returns the next ID of the network-wide dense counter: 1, 2, …
-// in call order. Workloads stamp injected packets from it; packets a node
+// in call order. A workload may stamp its packets from it; packets a node
 // originates mid-run use Node.NewPacketID.
 func (nw *Network) NewPacketID() uint64 {
 	nw.nextPktID++
@@ -157,10 +158,35 @@ func (nw *Network) Node(id NodeID) *Node {
 // Nodes returns the number of nodes.
 func (nw *Network) Nodes() int { return len(nw.nodes) }
 
-// Inject schedules p to arrive at node n's ingress at instant at. It is how
-// workloads enter the network.
+// Source is a workload the network pulls one packet at a time. Next returns
+// the next packet, the node whose ingress it reaches and the instant it gets
+// there, or ok = false once the workload is exhausted. Packets must come in
+// non-decreasing order of that instant plus the node's processing delay:
+// scheduling into the past panics. An exhausted Source may be pulled again.
+type Source struct {
+	Next func() (n *Node, p *packet.Packet, at simtime.Time, ok bool)
+	node *Node // the pending packet's ingress
+}
+
+// Pull attaches a workload: it schedules the injection event of src's next
+// packet at its arrival + the node's processing delay, keyed by its packet
+// ID. The event runs the packet's arrival inline, as an arrival event does,
+// and then pulls the next packet the same way, so a source holds one pending
+// event and the engine's queue holds what is in flight, not the workload.
+func (nw *Network) Pull(src *Source) {
+	if n, p, at, ok := src.Next(); ok {
+		src.node = n
+		nw.eng.AtKind(at.Add(n.proc), classInject|p.ID, nw.kInject, src, p)
+	}
+}
+
+// Inject is a one-packet Source: p reaches node n's ingress at instant at.
 func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
-	nw.eng.AtKind(at.Add(n.proc), tie(classInject, p.ID), nw.kArrive, n, p)
+	nw.Pull(&Source{Next: func() (*Node, *packet.Packet, simtime.Time, bool) {
+		q := p
+		p = nil
+		return n, q, at, q != nil
+	}})
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding
@@ -282,8 +308,7 @@ func (n *Node) arrive(p *packet.Packet) {
 	}
 	if n.extra != nil {
 		if e := n.extra(p, now); e > 0 {
-			eng := n.net.eng
-			eng.AtKind(eng.Now().Add(e), tie(classDispatch, p.ID), n.net.kDispatch, n, p)
+			n.net.eng.AtKind(now.Add(n.proc+e), classDispatch|p.ID, n.net.kDispatch, n, p)
 			return
 		} else if e < 0 {
 			panic("netsim: negative selective delay")
@@ -434,7 +459,7 @@ func (pt *Port) Enqueue(p *packet.Packet) {
 	}
 	if eng := pt.node.net.eng; eng.Now() < pt.free {
 		pt.armed = true
-		eng.AtKind(pt.free, tie(classTxNext, pt.id), pt.node.net.kTxNext, pt, nil)
+		eng.AtKind(pt.free, classTxNext|pt.id, pt.node.net.kTxNext, pt, nil)
 		return
 	}
 	pt.startTx()
@@ -473,10 +498,10 @@ func (pt *Port) startTx() {
 		d += extra
 	}
 	if arrive {
-		nw.eng.AtKind(end.Add(d), tie(classArrive, pt.id), nw.kArrive, pt.dst, p)
+		nw.eng.AtKind(end.Add(d), classArrive|pt.id, nw.kArrive, pt.dst, p)
 	}
 	if pt.queue.len() > 0 {
-		nw.eng.AtKind(end, tie(classTxNext, pt.id), nw.kTxNext, pt, nil)
+		nw.eng.AtKind(end, classTxNext|pt.id, nw.kTxNext, pt, nil)
 	} else {
 		pt.armed = false
 	}

@@ -113,14 +113,14 @@ func TestPortsMatchLindley(t *testing.T) {
 						t.Fatalf("trial %d: packet %d reached %s at %v, want %v", trial, p.ID, n.Name(), now, want)
 					}
 					off := now.Add(n.ProcDelay())
-					key := tie(classInject, p.ID)
+					key := classInject | p.ID
 					if pt, ok := via[p]; ok {
-						key = tie(classArrive, pt.id)
+						key = classArrive | pt.id
 					}
 					if n.extra != nil {
 						if d := n.extra(p, now); d > 0 {
 							off = off.Add(d)
-							key = tie(classDispatch, p.ID)
+							key = classDispatch | p.ID
 							delayed++
 						}
 					}

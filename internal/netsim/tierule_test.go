@@ -47,6 +47,41 @@ func TestSameInstantTieRule(t *testing.T) {
 		}
 	})
 
+	t.Run("injection at now runs first, by packet ID", func(t *testing.T) {
+		eng := eventsim.New()
+		nw := New(eng)
+		a, b := nw.AddNode(NodeConfig{Name: "a"}), nw.AddNode(NodeConfig{Name: "b"})
+		nw.Connect(a, b, instantLink)
+		a.SetForward(port0)
+		var order []uint64
+		b.OnReceive(func(p *packet.Packet, now simtime.Time) {
+			if now != 0 {
+				t.Fatalf("packet %d reached b at %v, want 0", p.ID, now)
+			}
+			order = append(order, p.ID)
+		})
+		// Source one injects packet 1 at a, which reaches b over a 0 ns link
+		// at 0, then pulls packet 4, injected at b at 0; source two injects
+		// packet 5 at b at 0. Packet 4's injection is scheduled last but is
+		// the least key pending once packet 1's event has run.
+		seq := func(steps ...func() (*Node, *packet.Packet)) *Source {
+			return &Source{Next: func() (*Node, *packet.Packet, simtime.Time, bool) {
+				if len(steps) == 0 {
+					return nil, nil, 0, false
+				}
+				n, p := steps[0]()
+				steps = steps[1:]
+				return n, p, 0, true
+			}}
+		}
+		nw.Pull(seq(func() (*Node, *packet.Packet) { return a, mkpkt(1, 64) }, func() (*Node, *packet.Packet) { return b, mkpkt(4, 64) }))
+		nw.Pull(seq(func() (*Node, *packet.Packet) { return b, mkpkt(5, 64) }))
+		eng.Run()
+		if len(order) != 3 || order[0] != 4 || order[1] != 5 || order[2] != 1 {
+			t.Fatalf("b received %v, want [4 5 1]", order)
+		}
+	})
+
 	// A tap on a's port enqueues a reference behind packet 1, which started
 	// inline at 0 over a 0 ns link, so the port's txNext is due at 0 — and
 	// scheduled before packet 2's arrival at a, also due at 0. The arrival

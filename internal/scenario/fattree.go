@@ -105,12 +105,11 @@ type fatTreeRun struct {
 	countings []*countingDemux
 	plane     *plane
 
-	// inject: the offered workload. Replicated workloads record each copy's
-	// edge arrival by packet ID: repWanted is filled at injection time and
-	// repArrivals by the segment-end tap.
+	// inject: the offered workload, pulled as the run goes. A replicated
+	// one logs its pairs as it generates them, and the segment-end tap
+	// records each copy's edge arrival by packet ID.
 	injected    int
 	repPairs    []repPair
-	repWanted   map[uint64]bool
 	repArrivals map[uint64]simtime.Time
 }
 
@@ -476,7 +475,8 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 			rli.Tap(pk, now)
 			if accept(pk) {
 				pl.tapEnd(pk, now)
-				if r.repWanted[pk.ID] {
+				if r.repArrivals != nil {
+					// Every regular packet is a copy of a pair.
 					r.repArrivals[pk.ID] = now
 				}
 			}
@@ -498,10 +498,10 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 	return nil
 }
 
-// inject is stage three: it generates the spec's traffic pattern and
-// schedules it into the network, recording the packet count and, for
-// replicated workloads, the injection-time pair log. Packet IDs are the
-// network-wide dense counter, in injection order.
+// inject is stage three: the spec's traffic pattern as one pulled source,
+// which generates each packet when the one before it is injected. Packet IDs
+// are the network-wide dense counter, in generation order. The map the
+// consumer fills is made here, before the run.
 func (r *fatTreeRun) inject() {
 	spec, nw, ft := r.spec, r.nw, r.ft
 	k, h := spec.Topology.K, spec.half()
@@ -536,11 +536,21 @@ func (r *fatTreeRun) inject() {
 	}
 	hotPod := (q + 1) % k // hotspot: every skewed flow sources under this pod's ToR 0
 	var slab packet.Slab
+	var replica *packet.Packet // injected next, at the same instant and host as its original
+	var host *netsim.Node
+	var at simtime.Time
+	if spec.Workload.Replicate {
+		r.repArrivals = map[uint64]simtime.Time{}
+	}
 
-	for {
+	nw.Pull(&netsim.Source{Next: func() (*netsim.Node, *packet.Packet, simtime.Time, bool) {
+		if rp := replica; rp != nil {
+			replica = nil
+			return host, rp, at, true
+		}
 		rec, ok := gen.Next()
 		if !ok {
-			break
+			return nil, nil, 0, false
 		}
 		hash := rec.Key.FastHash()
 		key := rec.Key
@@ -588,9 +598,9 @@ func (r *fatTreeRun) inject() {
 		if !ok {
 			panic(fmt.Sprintf("scenario: remapped source %v is not a fat-tree host", key.Src))
 		}
+		host, at = ft.Hosts[sp][se][sh], rec.At
 		pk := slab.New()
 		*pk = packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
-		nw.Inject(ft.Hosts[sp][se][sh], pk, rec.At)
 		r.injected++
 		if spec.Workload.Replicate {
 			// RepFlow-style replica: the same payload under a source port
@@ -600,7 +610,7 @@ func (r *fatTreeRun) inject() {
 			rkey.SrcPort ^= 1
 			rp := slab.New()
 			*rp = packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
-			nw.Inject(ft.Hosts[sp][se][sh], rp, rec.At)
+			replica = rp
 			r.injected++
 			oj, oi, oerr := ft.ResolveCore(key)
 			rj, ri, rerr := ft.ResolveCore(rkey)
@@ -611,15 +621,8 @@ func (r *fatTreeRun) inject() {
 				distinct: oerr == nil && rerr == nil && (oj != rj || oi != ri),
 			})
 		}
-	}
-	if spec.Workload.Replicate {
-		r.repArrivals = make(map[uint64]simtime.Time, 2*len(r.repPairs))
-		r.repWanted = make(map[uint64]bool, 2*len(r.repPairs))
-		for _, pr := range r.repPairs {
-			r.repWanted[pr.orig] = true
-			r.repWanted[pr.rep] = true
-		}
-	}
+		return host, pk, at, true
+	}})
 }
 
 // run is stage four: the engine runs to empty beside the plane's passive

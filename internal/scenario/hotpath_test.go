@@ -101,39 +101,55 @@ func TestZeroAllocMarginalPerPacket(t *testing.T) {
 	}
 }
 
-// TestPeakHeapIsInFlightOnly is the two-tier event queue's own proof on the
-// benchmark's capture spec: injection hands the whole workload to the
-// engine's backlog, and the heap never holds more than the events in flight —
-// a small fraction of the packet count, where it used to hold all of it. It
-// also gates the events a packet costs: one arrival event per node, keyed
-// at arrival + processing delay and scheduled by the upstream port at tx
-// start, plus a txNext only where a packet waited behind another — 9.49 per
-// injected packet (13.40 when every link hop also paid a tx-complete).
+// TestPeakHeapIsInFlightOnly is the one-tier event queue's own proof on the
+// benchmark's capture spec: the workload is one pulled source, so the engine
+// holds one pending injection beside the events in flight — a small fraction
+// of the packet count, where it used to hold all of it — and the run's
+// memory is what is in flight plus what the export keeps. It also gates the
+// events a packet costs: its injection, one arrival event per further node,
+// keyed at arrival + processing delay and scheduled by the upstream port at
+// tx start, plus a txNext only where a packet waited behind another — 9.49
+// per injected packet (13.40 when every link hop also paid a tx-complete) —
+// and the bytes an export allocates per injected packet: ≈ 1 380 while
+// setup handed the engine the whole workload, whose slice regrowth alone
+// was ≈ 320.
 func TestPeakHeapIsInFlightOnly(t *testing.T) {
-	r, err := buildFatTree(allPairsSpec(t, 200*time.Millisecond), 1)
+	spec := allPairsSpec(t, 200*time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cap := newCapture()
+	r, err := buildFatTree(spec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.instrument(nil); err != nil {
+	if err := r.instrument(cap); err != nil {
 		t.Fatal(err)
 	}
 	r.inject()
+	eng := r.nw.Engine()
+	if n := eng.Pending(); n != 1 {
+		t.Fatalf("the workload left %d events pending before the run, want its one injection", n)
+	}
 	r.run()
 	res, err := r.harvest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := r.nw.Engine()
-	backlog, peak := eng.Backlog(), eng.PeakHeap()
+	cap.finish(spec.Name, 1, res)
+	runtime.ReadMemStats(&after)
+	peak := eng.PeakHeap()
 	perPkt := float64(eng.Processed()) / float64(res.Injected)
-	t.Logf("injected %d, backlog %d, peak heap %d, events %d (%.2f per packet)", res.Injected, backlog, peak, eng.Processed(), perPkt)
-	if backlog != res.Injected {
-		t.Errorf("backlog took %d events for %d injected packets", backlog, res.Injected)
-	}
+	bytesPerPkt := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Injected)
+	t.Logf("injected %d, peak heap %d, events %d (%.2f per packet), %.0f bytes allocated per packet",
+		res.Injected, peak, eng.Processed(), perPkt, bytesPerPkt)
 	if peak == 0 || peak >= res.Injected/10 {
-		t.Errorf("peak heap %d, want in (0, %d): the heap should hold in-flight events only", peak, res.Injected/10)
+		t.Errorf("peak heap %d, want in (0, %d): the heap should hold the pending injection and in-flight events only", peak, res.Injected/10)
 	}
 	if perPkt > 10.0 {
 		t.Errorf("%.2f events per injected packet, want <= 10.0: a link hop should cost one arrival event, plus a txNext only after a wait", perPkt)
+	}
+	if bytesPerPkt > 1200 {
+		t.Errorf("%.0f bytes allocated per injected packet, want <= 1200: the engine should not hold the workload", bytesPerPkt)
 	}
 }

@@ -132,9 +132,10 @@ func TestFatTreeAdaptiveSendersAreMetered(t *testing.T) {
 }
 
 // TestInjectSchedulesDenseIDs checks the inject stage on a replicated
-// workload: one pending event per injected packet, two packets per pair-log
-// entry, and packet IDs that are the network-wide dense counter in injection
-// order (the adversary's PredictPeriodic and the pair log both read them).
+// workload: one pending event, the source's, until the run pulls the rest;
+// two packets per pair-log entry; and packet IDs that are the network-wide
+// dense counter in generation order (the adversary's PredictPeriodic and the
+// pair log both read them).
 func TestInjectSchedulesDenseIDs(t *testing.T) {
 	sc, ok := Get("repflow")
 	if !ok {
@@ -145,15 +146,16 @@ func TestInjectSchedulesDenseIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.inject()
-	if len(r.repPairs) == 0 || r.injected != 2*len(r.repPairs) || len(r.repWanted) != r.injected {
-		t.Fatalf("injected %d packets, %d wanted arrivals, for %d replicated pairs", r.injected, len(r.repWanted), len(r.repPairs))
+	if pending := r.nw.Engine().Pending(); pending != 1 || r.injected != 2 {
+		t.Fatalf("inject left %d events pending and generated %d packets, want the source's one event and the first pair", pending, r.injected)
 	}
-	if pending := r.nw.Engine().Pending(); pending != r.injected {
-		t.Errorf("%d events pending for %d injected packets", pending, r.injected)
+	r.nw.Engine().Run()
+	if len(r.repPairs) == 0 || r.injected != 2*len(r.repPairs) {
+		t.Fatalf("injected %d packets for %d replicated pairs", r.injected, len(r.repPairs))
 	}
 	for i, pr := range r.repPairs {
 		if pr.orig != uint64(2*i+1) || pr.rep != uint64(2*i+2) {
-			t.Fatalf("pair %d carries IDs %d/%d, want %d/%d: IDs are not the dense injection order", i, pr.orig, pr.rep, 2*i+1, 2*i+2)
+			t.Fatalf("pair %d carries IDs %d/%d, want %d/%d: IDs are not the dense generation order", i, pr.orig, pr.rep, 2*i+1, 2*i+2)
 		}
 	}
 	if next := r.nw.NewPacketID(); next != uint64(r.injected)+1 {

@@ -145,13 +145,16 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	regCfg.DstPrefix = regularDst
 	regCfg.CapFlowLen()
 	var regBps float64
-	res.Injected, regBps = replay(nw, sw1, trace.NewGenerator(regCfg), packet.Regular, dur)
+	res.Injected, regBps = offered(regCfg)
+	nw.Pull(replay(sw1, trace.NewGenerator(regCfg), packet.Regular, 0))
 
 	// Cross workload into sw2, thinned to hit the target utilization. The
 	// keep probability is calibrated against the cross trace's MEASURED
 	// rate (a dry pass over the same seed), not its configured target, so
 	// truncation bias cannot shift the achieved utilization. The cross
 	// trace offers 1.5x the line rate (~3x the regular one, as the paper's).
+	// Its packet IDs follow the regular ones, whose count the regular
+	// trace's dry pass gave.
 	var crossSource *crossinject.Source
 	if w.CrossModel != CrossNone && w.CrossModel != "" {
 		crossCfg := trace.DefaultConfig()
@@ -161,7 +164,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		crossCfg.SrcPrefix = crossSrc
 		crossCfg.DstPrefix = crossDst
 		crossCfg.CapFlowLen()
-		crossBps := measuredRate(crossCfg)
+		_, crossBps := offered(crossCfg)
 		var model crossinject.Model
 		if w.CrossModel == CrossBursty {
 			// Defaults: period = Duration/3 with on = period/2 — the paper's
@@ -181,7 +184,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 			model = crossinject.NewUniform(p, seed+104729)
 		}
 		crossSource = crossinject.NewSource(trace.NewGenerator(crossCfg), model)
-		replay(nw, sw2, crossSource, packet.Cross, dur)
+		nw.Pull(replay(sw2, crossSource, packet.Cross, uint64(res.Injected)))
 	}
 
 	// Instruments.
@@ -270,37 +273,35 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	return res, nil
 }
 
-// measuredRate dry-runs a generator config and returns its actual offered
-// rate over the configured duration.
-func measuredRate(cfg trace.Config) float64 {
+// offered dry-runs a generator config and returns its packet count and
+// actual offered rate over the configured duration.
+func offered(cfg trace.Config) (int, float64) {
 	gen := trace.NewGenerator(cfg)
+	var n int
 	var bytes uint64
 	for {
 		rec, ok := gen.Next()
 		if !ok {
 			break
 		}
+		n++
 		bytes += uint64(rec.Size)
 	}
-	return float64(bytes*8) / cfg.Duration.Seconds()
+	return n, float64(bytes*8) / cfg.Duration.Seconds()
 }
 
-// replay schedules a trace into a node and returns its packet count and
-// mean offered rate over the window.
-func replay(nw *netsim.Network, into *netsim.Node, src trace.Source, kind packet.Kind, window time.Duration) (int, float64) {
-	var n int
-	var bytes uint64
+// replay is a trace pulled into a node as a workload source; its packet
+// IDs count on from after.
+func replay(into *netsim.Node, src trace.Source, kind packet.Kind, after uint64) *netsim.Source {
 	var slab packet.Slab
-	for {
+	return &netsim.Source{Next: func() (*netsim.Node, *packet.Packet, simtime.Time, bool) {
 		rec, ok := src.Next()
 		if !ok {
-			break
+			return nil, nil, 0, false
 		}
-		bytes += uint64(rec.Size)
-		n++
+		after++
 		p := slab.New()
-		*p = packet.Packet{ID: nw.NewPacketID(), Key: rec.Key, Size: rec.Size, Kind: kind}
-		nw.Inject(into, p, rec.At)
-	}
-	return n, float64(bytes*8) / window.Seconds()
+		*p = packet.Packet{ID: after, Key: rec.Key, Size: rec.Size, Kind: kind}
+		return into, p, rec.At, true
+	}}
 }

@@ -186,3 +186,56 @@ func TestTandemReadsTopologyDelays(t *testing.T) {
 		t.Errorf("propagation_ns 10000: true mean %v, default %v", got, base)
 	}
 }
+
+// TestPropagationShiftsEveryFlow is a metamorphic relation that needs no
+// reference implementation: with no cross traffic, raising the tandem's
+// propagation delay by Δ delays every packet's arrival at the bottleneck
+// switch — and every event there — by exactly Δ, so every flow's true and
+// estimated mean move by Δ and neither standard deviation moves, under the
+// static and the adaptive scheme alike. It holds only if the order of
+// same-instant events follows the model: shifting one switch's timeline
+// against the other's must not reorder anything either one does.
+func TestPropagationShiftsEveryFlow(t *testing.T) {
+	const delta = 10 * time.Microsecond
+	abs := func(d time.Duration) time.Duration { return max(d, -d) }
+	for _, scheme := range []string{SchemeStatic, SchemeAdaptive} {
+		base, err := TandemSpec("small")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Workload.CrossModel = CrossNone
+		base.Deploy.Scheme = scheme
+		shifted := base
+		shifted.Topology.Propagation = time.Microsecond + delta // the tandem's default is 1 µs
+		var runs [2]*Result
+		for i, s := range []Spec{base, shifted} {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if runs[i], err = Run(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a, b := runs[0].Results, runs[1].Results
+		if len(a) < 100 || len(a) != len(b) {
+			t.Fatalf("%s: %d and %d flows", scheme, len(a), len(b))
+		}
+		var worst time.Duration
+		for i := range a {
+			x, y := a[i], b[i]
+			if x.Key != y.Key || x.N != y.N {
+				t.Fatalf("%s: flow %d is %v with %d estimates, then %v with %d", scheme, i, x.Key, x.N, y.Key, y.N)
+			}
+			for _, dev := range []time.Duration{
+				y.TrueMean - x.TrueMean - delta, y.EstMean - x.EstMean - delta,
+				y.TrueStd - x.TrueStd, y.EstStd - x.EstStd,
+			} {
+				worst = max(worst, abs(dev))
+			}
+		}
+		t.Logf("%s: %d flows, largest deviation %v", scheme, len(a), worst)
+		if worst > time.Nanosecond {
+			t.Errorf("%s: a flow's statistics moved %v away from a shift of %v", scheme, worst, delta)
+		}
+	}
+}
