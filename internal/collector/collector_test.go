@@ -46,7 +46,7 @@ func sequentialAggregate(stream []Sample, recs []netflow.Record) []FlowAgg {
 	out := s.snapshot()
 	// Canonical order, as Snapshot produces.
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Key.Less(out[j-1].Key); j-- {
+		for j := i; j > 0 && out[j].Key.Compare(out[j-1].Key) < 0; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

@@ -120,7 +120,7 @@ func referenceMerge(snaps ...[]FlowAgg) []FlowAgg {
 	for _, a := range m {
 		out = append(out, *a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
 	return out
 }
 

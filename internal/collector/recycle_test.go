@@ -78,7 +78,7 @@ func (o *oracleTable) snapshot() []FlowAgg {
 	for _, f := range o.live {
 		out = append(out, cloneAgg(&f.agg))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Compare(out[j].Key) < 0 })
 	return out
 }
 
@@ -87,7 +87,7 @@ func (o *oracleTable) rollup() Rollup {
 	for _, a := range o.classes {
 		r.Classes = append(r.Classes, cloneAgg(a))
 	}
-	sort.Slice(r.Classes, func(i, j int) bool { return r.Classes[i].Key.Less(r.Classes[j].Key) })
+	sort.Slice(r.Classes, func(i, j int) bool { return r.Classes[i].Key.Compare(r.Classes[j].Key) < 0 })
 	r.Stats = o.stats
 	r.Stats.Flows, r.Stats.Classes = len(o.live), len(o.classes)
 	return r

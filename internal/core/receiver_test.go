@@ -364,7 +364,7 @@ func TestResultsDeterministicOrder(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(a); i++ {
-		if !a[i-1].Key.Less(a[i].Key) {
+		if a[i-1].Key.Compare(a[i].Key) >= 0 {
 			t.Fatal("Results not sorted")
 		}
 	}

@@ -2,7 +2,7 @@ package measure
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -100,7 +100,11 @@ type Report struct {
 // the inputs must be disjoint (each flow terminates at one instance); the
 // merged flow list is re-sorted by key.
 func MergeReports(name string, reports ...Report) Report {
-	out := Report{Estimator: name}
+	n := 0
+	for _, r := range reports {
+		n += len(r.Flows)
+	}
+	out := Report{Estimator: name, Flows: make([]FlowEstimate, 0, n)}
 	var aggW float64
 	for _, r := range reports {
 		out.Flows = append(out.Flows, r.Flows...)
@@ -112,7 +116,7 @@ func MergeReports(name string, reports ...Report) Report {
 	if out.AggSamples > 0 {
 		out.AggMean = time.Duration(aggW / float64(out.AggSamples))
 	}
-	sort.Slice(out.Flows, func(i, j int) bool { return out.Flows[i].Key.Less(out.Flows[j].Key) })
+	slices.SortFunc(out.Flows, func(a, b FlowEstimate) int { return a.Key.Compare(b.Key) })
 	return out
 }
 

@@ -250,7 +250,7 @@ func TestMergeReports(t *testing.T) {
 		Overhead: Overhead{InjectedPkts: 5, InjectedBytes: 320},
 	}
 	m := MergeReports("rli", a, b)
-	if len(m.Flows) != 2 || !m.Flows[0].Key.Less(m.Flows[1].Key) {
+	if len(m.Flows) != 2 || m.Flows[0].Key.Compare(m.Flows[1].Key) >= 0 {
 		t.Fatalf("merged flows not sorted: %+v", m.Flows)
 	}
 	if m.AggSamples != 4 || m.AggMean != 250 {

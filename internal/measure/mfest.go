@@ -1,7 +1,7 @@
 package measure
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/netflow"
@@ -70,8 +70,8 @@ func (m *Multiflow) Finalize() Report {
 		m.quantizeRecords(m.up.Snapshot()),
 		m.quantizeRecords(m.down.Snapshot()))
 	// Meter snapshots iterate maps; sort for a deterministic report.
-	sort.Slice(ests, func(i, j int) bool { return ests[i].Key.Less(ests[j].Key) })
-	rep := Report{Estimator: m.Name()}
+	slices.SortFunc(ests, func(a, b twoSample) int { return a.Key.Compare(b.Key) })
+	rep := Report{Estimator: m.Name(), Flows: make([]FlowEstimate, 0, len(ests))}
 	var aggW float64
 	var aggN int64
 	for _, e := range ests {

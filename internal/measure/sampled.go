@@ -1,7 +1,7 @@
 package measure
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -176,12 +176,12 @@ func (c *pairCore) end(p *packet.Packet, now simtime.Time) {
 // float merge in map-iteration order would differ by a rounding step between
 // two identical runs.
 func (c *pairCore) finalize(name string) Report {
-	rep := Report{Estimator: name, Overhead: c.overhead}
+	rep := Report{Estimator: name, Overhead: c.overhead, Flows: make([]FlowEstimate, 0, len(c.flows))}
 	keys := make([]packet.FlowKey, 0, len(c.flows))
 	for key := range c.flows {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+	slices.SortFunc(keys, packet.FlowKey.Compare)
 	var agg stats.Welford
 	for _, key := range keys {
 		w := c.flows[key]

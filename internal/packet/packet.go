@@ -77,9 +77,6 @@ func (k FlowKey) Compare(o FlowKey) int {
 	return cmp.Compare(k.Proto, o.Proto)
 }
 
-// Less reports whether k sorts before o in Compare's order.
-func (k FlowKey) Less(o FlowKey) bool { return k.Compare(o) < 0 }
-
 // FastHash returns a 64-bit FNV-1a hash of the key. It is not the ECMP hash
 // (see internal/topo/ecmp.go for those); it exists for sharding, flow-table
 // probing and sampling, and is deliberately asymmetric: A->B and B->A hash

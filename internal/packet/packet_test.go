@@ -99,11 +99,12 @@ func TestStringersSmoke(t *testing.T) {
 	}
 }
 
-// TestFlowKeyLess pins the canonical ordering: strict weak, field by field.
-func TestFlowKeyLess(t *testing.T) {
+// TestFlowKeyCompare pins the canonical ordering: a total order, field by
+// field, with a key equal only to itself.
+func TestFlowKeyCompare(t *testing.T) {
 	base := FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP}
-	if base.Less(base) {
-		t.Fatal("key < itself")
+	if c := base.Compare(base); c != 0 {
+		t.Fatalf("key compared with itself = %d, want 0", c)
 	}
 	bump := []FlowKey{
 		{Src: 2, Dst: 2, SrcPort: 3, DstPort: 4, Proto: ProtoTCP},
@@ -113,14 +114,14 @@ func TestFlowKeyLess(t *testing.T) {
 		{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: ProtoUDP},
 	}
 	for i, hi := range bump {
-		if !base.Less(hi) || hi.Less(base) {
+		if base.Compare(hi) >= 0 || hi.Compare(base) <= 0 {
 			t.Fatalf("field %d: ordering wrong for %v vs %v", i, base, hi)
 		}
 	}
 	// Earlier fields dominate later ones.
 	lo := FlowKey{Src: 1, Dst: 9, SrcPort: 9, DstPort: 9, Proto: ProtoUDP}
 	hi := FlowKey{Src: 2}
-	if !lo.Less(hi) || hi.Less(lo) {
+	if lo.Compare(hi) >= 0 || hi.Compare(lo) <= 0 {
 		t.Fatal("Src must dominate later fields")
 	}
 }

@@ -131,8 +131,8 @@ func (s Spec) dutyBoost() float64 {
 // the RLI estimates stream through, the baseline estimators on one shared
 // dispatch scored against one ground truth, and the optional export capture.
 // A run hands it three things — segment-start observations, segment-end
-// observations and RLI estimates, each in global event order — and finish
-// folds it into the Result.
+// observations and RLI estimates, each in global event order — and harvest
+// folds it into the Result beside the run's receivers.
 //
 // Every tap that only watches — receivers, estimators, capture — attaches
 // through passive and runs on the plane's one consumer goroutine, in the
@@ -276,27 +276,55 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 	p.cap.addSample(key, est, truth)
 }
 
-// finish builds the estimator comparison table — the run's RLI report plus
-// one report per baseline, all scored against the shared ground truth — with
-// its telemetry-loss and fleet re-scorings, and drains the collector.
-func (p *plane) finish(res *Result, rli measure.Report) error {
-	reports := append(make([]measure.Report, 0, 1+len(p.baselines)), rli)
-	for _, b := range p.baselines {
-		reports = append(reports, b.Finalize())
+// harvest is a run's last stage on two cores: the plane folds its own state
+// on a goroutine of its own while receivers folds the run's receivers into
+// res on the caller's and returns the RLI report. Both halves read only what
+// the drained consumer finished writing, and they share nothing, so the
+// join — before the comparison table — leaves every output as a serial fold
+// would. A panic on the plane's goroutine is re-raised here, with its value.
+func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
+	var finals []measure.Report
+	var flows []collector.FlowAgg
+	folded := make(chan any, 1)
+	go func() {
+		defer func() { folded <- recover() }()
+		finals, flows = p.fold()
+	}()
+	rli := receivers()
+	if failure := <-folded; failure != nil {
+		panic(failure)
 	}
+
+	// The estimator comparison table: the run's RLI report plus one report
+	// per baseline, all scored against the shared ground truth, with its
+	// telemetry-loss and fleet re-scorings.
+	reports := append([]measure.Report{rli}, finals...)
 	res.Comparison = measure.Compare(p.truth, reports...)
 	res.Comparison[0].Misattribution = res.Misattribution
 	res.TrueAggMean = p.truth.AggMean()
 	if t := res.Spec.Telemetry; t != nil {
 		res.Telemetry = applyTelemetry(*t, res.Seed, p.truth, res.Comparison, reports)
 	}
-	p.sink.Flush()
-	p.coll.Close()
-	res.Fleet = p.coll.Snapshot()
-	res.Samples = p.coll.SamplesIngested()
+	res.Fleet, res.Samples = flows, p.coll.SamplesIngested()
 	var err error
 	if f := res.Spec.Fleet; f != nil {
 		res.FleetReport, err = applyFleet(*f, p.cap, p.truth, res.Comparison, reports, res)
 	}
 	return err
+}
+
+// fold is the plane's half of harvest: it drains and closes the collector
+// and takes its flow table, seals the capture's NetFlow records, then
+// finalizes every baseline, in order. The collector closes first, so a
+// baseline that panics leaves no shard goroutine behind.
+func (p *plane) fold() (finals []measure.Report, flows []collector.FlowAgg) {
+	p.sink.Flush()
+	p.coll.Close()
+	flows = p.coll.Snapshot()
+	p.cap.seal()
+	finals = make([]measure.Report, 0, len(p.baselines))
+	for _, b := range p.baselines {
+		finals = append(finals, b.Finalize())
+	}
+	return finals, flows
 }

@@ -1,7 +1,7 @@
 package scenario
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -53,6 +53,7 @@ func Export(spec Spec, seed int64) (*Trace, error) {
 type capture struct {
 	samples []collector.Sample
 	meter   *netflow.Meter
+	records []netflow.Record // the meter's records, sorted by seal
 }
 
 func newCapture() *capture {
@@ -75,11 +76,18 @@ func (c *capture) observe(p *packet.Packet, now simtime.Time) {
 	c.meter.Observe(p.Key, p.Size, now)
 }
 
-// finish flushes the meter and assembles the trace. Records are sorted by
-// flow key: the meter's map iteration order must not leak into the
-// deterministic artifact.
+// seal copies the meter's records and sorts them by flow key: the meter's
+// map iteration order must not leak into the deterministic artifact. The
+// plane's fold calls it once the run has drained.
+func (c *capture) seal() {
+	if c == nil {
+		return
+	}
+	c.records = c.meter.Snapshot()
+	slices.SortFunc(c.records, func(a, b netflow.Record) int { return a.Key.Compare(b.Key) })
+}
+
+// finish assembles the trace from the sealed capture and the run's result.
 func (c *capture) finish(name string, seed int64, res *Result) *Trace {
-	recs := c.meter.Snapshot()
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key.Less(recs[j].Key) })
-	return &Trace{Scenario: name, Seed: seed, Samples: c.samples, Records: recs, Result: res}
+	return &Trace{Scenario: name, Seed: seed, Samples: c.samples, Records: c.records, Result: res}
 }

@@ -52,7 +52,7 @@ func TestExportMatchesRun(t *testing.T) {
 		t.Fatal("no NetFlow records captured")
 	}
 	for i := 1; i < len(tr.Records); i++ {
-		if !tr.Records[i-1].Key.Less(tr.Records[i].Key) {
+		if tr.Records[i-1].Key.Compare(tr.Records[i].Key) >= 0 {
 			t.Fatalf("records not strictly sorted at %d", i)
 		}
 	}

@@ -629,11 +629,37 @@ func (r *fatTreeRun) inject() {
 // consumer, which has drained when run returns.
 func (r *fatTreeRun) run() { r.plane.run(func() { r.nw.Engine().Run() }) }
 
-// harvest is stage five: it folds the receivers, estimators and collector
-// into the Result.
+// harvest is stage five: it folds the receivers into the Result while the
+// plane folds its estimators, collector and capture beside them.
 func (r *fatTreeRun) harvest() (*Result, error) {
+	res := &Result{Spec: r.spec, Seed: r.seed, Injected: r.injected}
+	if err := r.plane.harvest(res, func() measure.Report { return r.foldReceivers(res) }); err != nil {
+		return nil, err
+	}
+	if spec := r.spec; spec.Adversary != nil {
+		// Detection needs a paired clean run: the same spec and seed minus
+		// the adversary, so every difference between the two results is the
+		// compromised switch's doing. Telemetry and fleet re-scoring do not
+		// move the comparison table, so the clean run skips them.
+		clean := spec
+		clean.Adversary = nil
+		clean.Telemetry = nil
+		clean.Fleet = nil
+		cleanRes, err := runFatTree(clean, r.seed, nil)
+		if err != nil {
+			return nil, err
+		}
+		res.Detection = buildDetection(*spec.Adversary, res, cleanRes)
+	}
+	return res, nil
+}
+
+// foldReceivers is harvest's half on the caller's goroutine: the senders'
+// and receivers' counters, per-router and per-segment accuracy, and the
+// run's link reports. It returns the comparison table's RLI row, the fleet
+// merge of every monitored ToR's receiver.
+func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
 	spec := r.spec
-	res := &Result{Spec: spec, Seed: r.seed, Injected: r.injected}
 	var upResults, downResults []core.FlowResult
 	var rliReps []measure.Report
 	var estAll, trueAll stats.Histogram
@@ -673,12 +699,6 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 	res.TrueP50, res.TrueP99 = trueAll.Quantile(0.5), trueAll.Quantile(0.99)
 	res.Misattribution = misattribution(r.countings)
 
-	// The comparison table's RLI row is the fleet merge of every monitored
-	// ToR's receiver.
-	if err := r.plane.finish(res, measure.MergeReports("rli", rliReps...)); err != nil {
-		return nil, err
-	}
-
 	for sk, frs := range segFlows {
 		name := fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e)
 		res.Segments = append(res.Segments, segmentStats(name, frs))
@@ -700,22 +720,7 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 	if spec.Workload.Replicate {
 		res.RepFlow = buildRepFlow(r.repPairs, r.repArrivals)
 	}
-	if spec.Adversary != nil {
-		// Detection needs a paired clean run: the same spec and seed minus
-		// the adversary, so every difference between the two results is the
-		// compromised switch's doing. Telemetry and fleet re-scoring do not
-		// move the comparison table, so the clean run skips them.
-		clean := spec
-		clean.Adversary = nil
-		clean.Telemetry = nil
-		clean.Fleet = nil
-		cleanRes, err := runFatTree(clean, r.seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		res.Detection = buildDetection(*spec.Adversary, res, cleanRes)
-	}
-	return res, nil
+	return measure.MergeReports("rli", rliReps...)
 }
 
 // segmentStats folds one core->ToR segment's flows.

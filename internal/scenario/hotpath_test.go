@@ -42,6 +42,39 @@ func BenchmarkExportAllPairs(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
 }
 
+// BenchmarkHarvestAllPairs is BenchmarkExportAllPairs' last stage alone:
+// build, instrument, inject and run with the timer stopped, then harvest —
+// the caller's receiver fold beside the plane's fold, and their join — and
+// the capture's trace. Its ns/pkt is the harvest row of DESIGN.md's
+// per-packet budget.
+func BenchmarkHarvestAllPairs(b *testing.B) {
+	spec := allPairsSpec(b, 200*time.Millisecond)
+	var injected int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cap := newCapture()
+		r, err := buildFatTree(spec, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.instrument(cap); err != nil {
+			b.Fatal(err)
+		}
+		r.inject()
+		r.run()
+		b.StartTimer()
+		res, err := r.harvest()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cap.finish(spec.Name, 1, res)
+		injected += res.Injected
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
+}
+
 // BenchmarkExportK8 is the same export on a k = 8 fat-tree at 60 % load for
 // 30 ms: many more events in flight than BenchmarkExportAllPairs' tens, so an
 // event queue whose cost grows with its length shows here and not there.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -143,4 +144,60 @@ func TestZeroAllocPlaneSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a passive observation allocates %.2f times, want 0", allocs)
 	}
+}
+
+// panicky is a baseline whose Finalize panics with its own value.
+type panicky struct{ value any }
+
+func (panicky) Name() string                     { return "panicky" }
+func (panicky) Tap(*packet.Packet, simtime.Time) {}
+func (b panicky) Finalize() measure.Report       { panic(b.value) }
+
+// TestPlaneFoldJoins pins harvest's join: a baseline whose Finalize panics
+// on the plane's fold goroutine is re-raised on the harvest's caller with
+// its value, a fleet re-scoring that fails after the join returns its
+// error, and neither leaves a goroutine behind — the fold's, the
+// collector's shards' or the fleet's.
+func TestPlaneFoldJoins(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	spec := DefaultSpec()
+	spec.Duration = 20 * time.Millisecond
+	r, err := buildFatTree(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.instrument(newCapture()); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("finalize failed")
+	r.plane.baselines = append(r.plane.baselines, panicky{boom})
+	r.inject()
+	r.run()
+	raised := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = r.harvest()
+		return nil
+	}()
+	if raised != boom {
+		t.Fatalf("harvest re-raised %v, want the baseline's panic %v", raised, boom)
+	}
+	waitGoroutines(t, base, "a Finalize panic")
+
+	// Zero instances passes no Validate; the runners do not validate, so
+	// the fleet's router refuses it after the join.
+	spec.Fleet = &FleetSpec{Instances: 0}
+	const refusal = "no endpoints"
+	if _, err := runFatTree(spec, 1, newCapture()); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("fat-tree run with a failing fleet re-scoring returned %v, want the router's %q", err, refusal)
+	}
+	tandem, err := TandemSpec("small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tandem.Fleet = spec.Fleet
+	if _, err := runTandem(tandem, 1, newCapture()); err == nil || !strings.Contains(err.Error(), refusal) {
+		t.Fatalf("tandem run with a failing fleet re-scoring returned %v, want the router's %q", err, refusal)
+	}
+	waitGoroutines(t, base, "fleet errors")
 }

@@ -244,30 +244,33 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	// drains once the last packet leaves.
 	pl.run(func() { eng.Run() })
 
-	res.Results = receiver.Results(1)
-	res.Overall = core.Summarize(res.Results)
-	res.Receiver = receiver.Counters()
-	if sender != nil {
-		res.Sender = sender.Counters()
-	}
-	if crossSource != nil {
-		res.CrossAdmitted = crossSource.Admitted()
-	}
-	c := bottleneck.Counters()
-	res.HotLinkUtil = simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(dur)) / t.LinkBps
-	rs := RouterStats{Router: "sw2", Segment: "sw1-egress->bottleneck", Summary: res.Overall}
-	rec.fill(&rs)
-	res.Routers = []RouterStats{rs}
-	res.EstP50, res.EstP99 = rs.EstP50, rs.EstP99
-	res.TrueP50, res.TrueP99 = rs.TrueP50, rs.TrueP99
+	// Harvest: the receiver's half here, the plane's beside it.
+	if err := pl.harvest(res, func() measure.Report {
+		res.Results = receiver.Results(1)
+		res.Overall = core.Summarize(res.Results)
+		res.Receiver = receiver.Counters()
+		if sender != nil {
+			res.Sender = sender.Counters()
+		}
+		if crossSource != nil {
+			res.CrossAdmitted = crossSource.Admitted()
+		}
+		c := bottleneck.Counters()
+		res.HotLinkUtil = simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(dur)) / t.LinkBps
+		rs := RouterStats{Router: "sw2", Segment: "sw1-egress->bottleneck", Summary: res.Overall}
+		rec.fill(&rs)
+		res.Routers = []RouterStats{rs}
+		res.EstP50, res.EstP99 = rs.EstP50, rs.EstP99
+		res.TrueP50, res.TrueP99 = rs.TrueP50, rs.TrueP99
 
-	// The harness owns its receiver, so the RLI row comes from the run's
-	// per-flow results; reference overhead from the sender's own injection
-	// counter.
-	if err := pl.finish(res, measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
-		InjectedPkts:  res.Sender.Injected,
-		InjectedBytes: res.Sender.Injected * core.DefaultRefSize,
-	})); err != nil {
+		// The harness owns its receiver, so the RLI row comes from the run's
+		// per-flow results; reference overhead from the sender's own
+		// injection counter.
+		return measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
+			InjectedPkts:  res.Sender.Injected,
+			InjectedBytes: res.Sender.Injected * core.DefaultRefSize,
+		})
+	}); err != nil {
 		return nil, err
 	}
 	return res, nil
