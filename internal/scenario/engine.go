@@ -285,6 +285,8 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
 	var finals []measure.Report
 	var flows []collector.FlowAgg
+	// folded carries fold's exit, nil or its panic value; its one slot lets
+	// the goroutine exit even if receivers panics and nothing receives.
 	folded := make(chan any, 1)
 	go func() {
 		defer func() { folded <- recover() }()
