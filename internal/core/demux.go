@@ -108,29 +108,44 @@ func (d FuncDemux) Name() string {
 // upper bound any real demux strategy can reach. It is a validation tool,
 // clearly not implementable in a deployment.
 type OracleDemux struct {
-	byNode map[netsim.NodeID]SenderID
+	// byNode is indexed by node ID: a slice, since it is probed once per hop
+	// of every packet a receiver sees.
+	byNode []oracleEntry
+	nodes  int // nodes added
+}
+
+type oracleEntry struct {
+	id    SenderID
+	added bool
 }
 
 // NewOracleDemux builds an empty oracle.
-func NewOracleDemux() *OracleDemux {
-	return &OracleDemux{byNode: make(map[netsim.NodeID]SenderID)}
-}
+func NewOracleDemux() *OracleDemux { return &OracleDemux{} }
 
 // Add maps "the packet traversed node" to a sender.
 func (d *OracleDemux) Add(node netsim.NodeID, id SenderID) *OracleDemux {
-	d.byNode[node] = id
+	if node < 0 {
+		panic(fmt.Sprintf("core: oracle demux given node %d", node))
+	}
+	if int(node) >= len(d.byNode) {
+		d.byNode = append(d.byNode, make([]oracleEntry, int(node)+1-len(d.byNode))...)
+	}
+	if !d.byNode[node].added {
+		d.nodes++
+	}
+	d.byNode[node] = oracleEntry{id: id, added: true}
 	return d
 }
 
 // Classify implements Demux.
 func (d *OracleDemux) Classify(p *packet.Packet) (SenderID, bool) {
 	for _, hop := range p.Hops {
-		if id, ok := d.byNode[netsim.NodeID(hop)]; ok {
-			return id, true
+		if uint(hop) < uint(len(d.byNode)) && d.byNode[hop].added {
+			return d.byNode[hop].id, true
 		}
 	}
 	return 0, false
 }
 
 // Name implements Demux.
-func (d *OracleDemux) Name() string { return fmt.Sprintf("oracle(%d)", len(d.byNode)) }
+func (d *OracleDemux) Name() string { return fmt.Sprintf("oracle(%d)", d.nodes) }

@@ -64,6 +64,11 @@ func (m *Multiflow) Tap(p *packet.Packet, now simtime.Time) {
 	m.down.Observe(p.Key, p.Size, now)
 }
 
+// Down returns the segment-end meter, live: a harness that exports the
+// segment end's flow records reads them here instead of metering the same
+// packets a second time.
+func (m *Multiflow) Down() *netflow.Meter { return m.down }
+
 // Finalize implements Estimator.
 func (m *Multiflow) Finalize() Report {
 	ests := twoSampleEstimates(

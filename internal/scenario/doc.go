@@ -38,5 +38,6 @@
 // against shared ground truth. Those taps, the RLI receivers and the export
 // capture only watch, so they run on one consumer goroutine beside the
 // event loop, in the order the simulator saw their packets (engine.go,
-// plane.passive); a run is still a pure function of (spec, seed).
+// plane.passive), and the workload is generated ahead on a producer
+// goroutine (plane.pull); a run is still a pure function of (spec, seed).
 package scenario

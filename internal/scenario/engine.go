@@ -7,6 +7,7 @@ import (
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/crossinject"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/runner"
@@ -134,34 +135,44 @@ func (s Spec) dutyBoost() float64 {
 // observations and RLI estimates, each in global event order — and harvest
 // folds it into the Result beside the run's receivers.
 //
-// Every tap that only watches — receivers, estimators, capture — attaches
-// through passive and runs on the plane's one consumer goroutine, in the
-// order the simulator pushed them; taps that act on the network (RLI
-// senders, core marking, the tandem's utilization meter) stay inline.
+// The plane also runs the simulator's two neighbours beside its goroutine,
+// each behind a pipe: every tap that only watches — receivers, estimators,
+// capture — attaches through passive and runs on the plane's one consumer
+// goroutine, in the order the simulator pushed them; every workload attaches
+// through pull and is generated ahead on a producer goroutine of its own.
+// Taps that act on the network (RLI senders, core marking, the tandem's
+// utilization meter) stay inline.
 type plane struct {
-	cap       *capture // nil unless the export stream is wanted
+	cap       *capture       // nil unless the export stream is wanted
+	meter     *netflow.Meter // the capture's meter when no baseline feeds it
 	coll      *collector.Collector
 	sink      *runner.Sink
 	baselines []measure.Estimator
 	truth     *measure.Truth
 	shared    *measure.Dispatch
 
-	// The passive taps' queue: a passive tap fills cur; full chunks go to the
-	// consumer, which runs taps[rec.tap] for each record and hands the chunk
-	// back through free. done carries the consumer's exit: nil, or the value
-	// a passive tap panicked with.
-	taps       []measure.TapFunc
-	cur        *tapChunk
-	full, free chan *tapChunk
-	done       chan any
+	// The passive taps' pipe: a passive tap writes one record, and the
+	// consumer runs taps[rec.tap] on each in push order.
+	taps []measure.TapFunc
+	tapq *pipe[tapRecord]
+	// The workloads' pipes, one producer each, read by their netsim.Source.
+	work []*pipe[workRec]
 }
 
-// A run owns planeChunks chunks of planeChunk records each (≈ 0.2 MB): enough
-// that the simulator rarely waits on the consumer, and few enough hand-offs
-// that the channel operations vanish beside the taps' own work.
+// A run's consumer owns planeChunks chunks of planeChunk records each
+// (≈ 0.5 MB with the records' hop lists): deep enough to ride out the
+// stretches when the consumer shares its core with the producer, the
+// collector and the GC — six chunks left the simulator waiting twice as
+// long — and few enough hand-offs that the channel operations vanish beside
+// the taps' own work. A workload's producer owns workChunks chunks of
+// workChunk records (≈ 160 KB): the producer is several times faster than
+// the simulator, so it waits with every chunk full, and the simulator
+// waits only for the first one, which holds the generator's warm-up.
 const (
 	planeChunk  = 256
-	planeChunks = 6
+	planeChunks = 12
+	workChunk   = 512
+	workChunks  = 8
 )
 
 // tapRecord is one passive observation as the simulator saw it: the packet
@@ -173,82 +184,107 @@ type tapRecord struct {
 	tap int
 }
 
-type tapChunk struct {
-	n    int
-	recs [planeChunk]tapRecord
-}
-
 // passive registers t as a passive tap and returns the hook to attach in its
-// place: it copies the packet and the instant into the queue, and t runs on
+// place: it copies the packet and the instant into the pipe, and t runs on
 // the consumer. Passive taps must not act on the network or read anything
 // the simulator writes during the run.
 func (p *plane) passive(t measure.TapFunc) measure.TapFunc {
 	i := len(p.taps)
 	p.taps = append(p.taps, t)
 	return func(pk *packet.Packet, at simtime.Time) {
-		c := p.cur
-		rec := &c.recs[c.n]
+		rec := p.tapq.slot()
 		pk.CopyTo(&rec.pk)
 		rec.at, rec.tap = at, i
-		if c.n++; c.n == planeChunk {
-			p.full <- c
-			p.cur = <-p.free
-		}
 	}
+}
+
+// workRec is one workload packet as its producer generated it: the instant
+// it reaches the ingress of host, and its flow key and size. The simulator
+// turns each record into a packet.
+type workRec struct {
+	at   simtime.Time
+	host *netsim.Node
+	key  packet.FlowKey
+	size int
+}
+
+// pull attaches a workload generated ahead: produce runs on a goroutine of
+// its own, filling one record at a time until it reports the workload
+// exhausted, and build, on the simulator's goroutine, makes each record's
+// packet as the network pulls it, plus optionally a duplicate that the
+// network pulls next, at the same instant and host. The producer starts
+// here, so call pull once nothing before the run can fail; the pull that
+// finds the workload exhausted joins it.
+func (p *plane) pull(nw *netsim.Network, produce func(*workRec) bool, build func(*workRec) (pk, dup *packet.Packet)) {
+	q := newPipe[workRec](workChunks)
+	q.produce(workChunk, produce)
+	p.work = append(p.work, q)
+	var host *netsim.Node
+	var at simtime.Time
+	var dup *packet.Packet
+	defer p.releaseOnPanic() // the first pull waits for the producer's first chunk
+	nw.Pull(&netsim.Source{Next: func() (*netsim.Node, *packet.Packet, simtime.Time, bool) {
+		if d := dup; d != nil {
+			dup = nil
+			return host, d, at, true
+		}
+		rec, ok := q.read()
+		if !ok {
+			return nil, nil, 0, false
+		}
+		var pk *packet.Packet
+		pk, dup = build(rec)
+		host, at = rec.host, rec.at
+		return host, pk, at, true
+	}})
 }
 
 // run is a run's stage four: sim drives the engine on the calling goroutine
-// while the consumer runs the passive taps. When run returns — normally or
-// by panic — the consumer has run every pushed record and exited; a passive
-// tap's panic is re-raised here, with its value.
+// while the consumer runs the passive taps and the producers generate the
+// workloads. When run returns — normally or by panic — every pipe is joined:
+// the consumer has run every pushed record, and no goroutine is left. A
+// panic on the far side of a pipe is re-raised here, with its value, as is
+// the simulator's own, once the plane is released.
 func (p *plane) run(sim func()) {
-	// Both channels can hold every chunk, so no send ever blocks: the
-	// simulator waits only for a free chunk, the consumer for a full one.
-	p.full = make(chan *tapChunk, planeChunks)
-	p.free = make(chan *tapChunk, planeChunks)
-	for range planeChunks - 1 {
-		p.free <- new(tapChunk)
-	}
-	p.cur = new(tapChunk)
-	p.done = make(chan any, 1)
-	go p.consume()
-	defer p.drain()
+	p.tapq = newPipe[tapRecord](planeChunks)
+	p.tapq.consume(planeChunk, p.replay)
+	defer p.releaseOnPanic()
+	// The consumer gets the partial chunk and finishes. Each producer has
+	// been joined already: the network pulls its source until exhausted.
+	defer p.tapq.close()
 	sim()
 }
 
-// consume replays full chunks in arrival order. After a tap panics it keeps
-// returning chunks unread, so the simulator never blocks on a dead consumer.
-func (p *plane) consume() {
-	var failure any
-	for c := range p.full {
-		if failure == nil {
-			failure = p.replay(c)
-		}
-		c.n = 0
-		p.free <- c
+// release stops everything a plane that will not be harvested holds — its
+// run or a workload's first pull panicked, or instrumenting failed after
+// the plane was made: every pipe's goroutine and the collector's shards. It
+// raises nothing, so the failure that ended the run is the one reported.
+func (p *plane) release() {
+	if p.tapq != nil {
+		p.tapq.stop()
 	}
-	p.done <- failure
+	for _, q := range p.work {
+		q.stop()
+	}
+	if p.coll != nil {
+		p.coll.Close()
+	}
 }
 
-// replay runs one chunk's records through their taps, returning the value a
-// tap panicked with, if one did.
-func (p *plane) replay(c *tapChunk) (failure any) {
-	defer func() { failure = recover() }()
-	for i := range c.recs[:c.n] {
-		rec := &c.recs[i]
-		p.taps[rec.tap](&rec.pk, rec.at)
-	}
-	return nil
-}
-
-// drain hands the consumer the partial chunk, waits for it to exit and
-// re-raises a passive tap's panic on the caller.
-func (p *plane) drain() {
-	p.full <- p.cur
-	p.cur = nil
-	close(p.full)
-	if failure := <-p.done; failure != nil {
+// releaseOnPanic, deferred, releases the plane when the function it guards
+// panics, and re-raises the panic.
+func (p *plane) releaseOnPanic() {
+	if failure := recover(); failure != nil {
+		p.release()
 		panic(failure)
+	}
+}
+
+// replay runs one chunk's records through their taps.
+func (p *plane) replay(recs []tapRecord) {
+	for i := range recs {
+		rec := &recs[i]
+		p.taps[rec.tap](&rec.pk, rec.at)
 	}
 }
 
@@ -261,6 +297,20 @@ func newPlane(spec Spec, seed int64, cap *capture) (*plane, error) {
 	p.coll = collector.New(collector.Config{Shards: 4})
 	p.sink = runner.NewSink(p.coll, 0)
 	p.shared = measure.NewDispatch(p.truth, baselines...)
+	if cap != nil {
+		// The capture's records meter the segment end's regular traffic:
+		// the Multiflow baseline's own segment-end meter when it runs, since
+		// it sees exactly those packets, or else one the plane feeds.
+		for _, b := range baselines {
+			if mf, ok := b.(*measure.Multiflow); ok {
+				cap.meter = mf.Down()
+			}
+		}
+		if cap.meter == nil {
+			cap.meter = netflow.NewMeter()
+			p.meter = cap.meter
+		}
+	}
 	return p, nil
 }
 
@@ -268,7 +318,9 @@ func (p *plane) tapStart(pk *packet.Packet, at simtime.Time) { p.shared.TapStart
 
 func (p *plane) tapEnd(pk *packet.Packet, at simtime.Time) {
 	p.shared.TapEnd(pk, at)
-	p.cap.observe(pk, at)
+	if p.meter != nil {
+		p.meter.Observe(pk.Key, pk.Size, at)
+	}
 }
 
 func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
@@ -283,6 +335,12 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 // join — before the comparison table — leaves every output as a serial fold
 // would. A panic on the plane's goroutine is re-raised here, with its value.
 func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
+	if c := p.cap; c != nil {
+		c.taps = p.tapq.stats
+		for _, q := range p.work {
+			c.work.add(q.stats)
+		}
+	}
 	var finals []measure.Report
 	var flows []collector.FlowAgg
 	// folded carries fold's exit, nil or its panic value; its one slot lets

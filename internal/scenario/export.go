@@ -7,7 +7,6 @@ import (
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
-	"github.com/netmeasure/rlir/internal/simtime"
 )
 
 // Trace is one scenario run's captured export stream: exactly what the
@@ -33,6 +32,11 @@ type Trace struct {
 	// Result is the run's full batch outcome, for comparing a replay
 	// consumer against the engine that produced the stream.
 	Result *Result
+
+	// taps and work are the run's hand-offs with its passive consumer and
+	// its workload producers. They depend on thread scheduling, so they are
+	// reported by the export benchmark and kept out of Result.
+	taps, work pipeStats
 }
 
 // Export runs the scenario once, capturing its export stream alongside the
@@ -51,43 +55,51 @@ func Export(spec Spec, seed int64) (*Trace, error) {
 // valid and records nothing, so the engine's hot-path hooks call its
 // methods unconditionally.
 type capture struct {
-	samples []collector.Sample
-	meter   *netflow.Meter
-	records []netflow.Record // the meter's records, sorted by seal
+	// blocks holds the streamed estimates in fixed-size blocks, so a run's
+	// samples are allocated once, not re-copied by every append regrowth;
+	// seal joins them into samples.
+	blocks     [][]collector.Sample
+	samples    []collector.Sample
+	meter      *netflow.Meter   // the segment end's flow meter, set by the plane
+	records    []netflow.Record // the meter's records, sorted by seal
+	taps, work pipeStats        // the run's hand-offs, set by harvest
 }
 
-func newCapture() *capture {
-	return &capture{meter: netflow.NewMeter()}
-}
+// sampleBlock is the capture's block size in samples (32 KiB): small beside
+// a 0.2 s all-pairs run's ≈ 38 000 samples, so the blocks and the joined
+// slice together allocate about twice the samples' size.
+const sampleBlock = 1024
+
+func newCapture() *capture { return &capture{} }
 
 // addSample records one streamed estimate.
 func (c *capture) addSample(key packet.FlowKey, est, truth time.Duration) {
 	if c == nil {
 		return
 	}
-	c.samples = append(c.samples, collector.Sample{Key: key, Est: est, True: truth})
-}
-
-// observe meters one delivered regular packet at a segment-end point.
-func (c *capture) observe(p *packet.Packet, now simtime.Time) {
-	if c == nil {
-		return
+	n := len(c.blocks)
+	if n == 0 || len(c.blocks[n-1]) == sampleBlock {
+		c.blocks = append(c.blocks, make([]collector.Sample, 0, sampleBlock))
+		n++
 	}
-	c.meter.Observe(p.Key, p.Size, now)
+	c.blocks[n-1] = append(c.blocks[n-1], collector.Sample{Key: key, Est: est, True: truth})
 }
 
-// seal copies the meter's records and sorts them by flow key: the meter's
-// map iteration order must not leak into the deterministic artifact. The
-// plane's fold calls it once the run has drained.
+// seal joins the streamed samples, and copies the meter's records and
+// sorts them by flow key: the meter's map iteration order must not leak into
+// the deterministic artifact. The plane's fold calls it once the run has
+// drained.
 func (c *capture) seal() {
 	if c == nil {
 		return
 	}
+	c.samples = slices.Concat(c.blocks...)
+	c.blocks = nil
 	c.records = c.meter.Snapshot()
 	slices.SortFunc(c.records, func(a, b netflow.Record) int { return a.Key.Compare(b.Key) })
 }
 
 // finish assembles the trace from the sealed capture and the run's result.
 func (c *capture) finish(name string, seed int64, res *Result) *Trace {
-	return &Trace{Scenario: name, Seed: seed, Samples: c.samples, Records: c.records, Result: res}
+	return &Trace{Scenario: name, Seed: seed, Samples: c.samples, Records: c.records, Result: res, taps: c.taps, work: c.work}
 }

@@ -325,7 +325,7 @@ func (r *fatTreeRun) demux() (strategy, oracle core.Demux) {
 // instrument is stage two: the §3.1 deployment plus the measurement plane
 // (streaming cap's export capture when non-nil), all attached as taps — no
 // event is scheduled here.
-func (r *fatTreeRun) instrument(cap *capture) error {
+func (r *fatTreeRun) instrument(cap *capture) (err error) {
 	ft, h := r.ft, r.spec.half()
 	interp, _ := r.spec.Deploy.interpolation() // validated
 	clock := r.spec.Deploy.ReceiverClock.Clock()
@@ -345,6 +345,11 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 		return err
 	}
 	r.plane = pl
+	defer func() {
+		if err != nil {
+			pl.release()
+		}
+	}()
 
 	// Upstream: senders at source-ToR uplinks, receivers at cores (prefix
 	// demux on source subnets).
@@ -403,16 +408,16 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 	// with the segment-start tap beside it, and one receiver per monitored
 	// ToR spanning its host ports, demultiplexing with the strategy under
 	// test.
-	monSet := make(map[[2]int]bool, len(r.monitored))
+	monitored := make([]bool, r.spec.Topology.K*h) // by pod*h + tor
 	for _, m := range r.monitored {
-		monSet[m] = true
+		monitored[m[0]*h+m[1]] = true
 	}
 	startAccept := func(pk *packet.Packet) bool {
 		if pk.Kind != packet.Regular {
 			return false
 		}
 		dp, de, _, ok := ft.LocateHost(pk.Key.Dst)
-		if !ok || !monSet[[2]int{dp, de}] {
+		if !ok || !monitored[dp*h+de] {
 			return false
 		}
 		sp, _, _, sok := ft.LocateHost(pk.Key.Src)
@@ -499,10 +504,23 @@ func (r *fatTreeRun) instrument(cap *capture) error {
 }
 
 // inject is stage three: the spec's traffic pattern as one pulled source,
-// which generates each packet when the one before it is injected. Packet IDs
-// are the network-wide dense counter, in generation order. The map the
-// consumer fills is made here, before the run.
+// generated ahead on the plane's producer while the simulator makes each
+// packet as the network pulls it. The map the consumer fills is made here,
+// before the run.
 func (r *fatTreeRun) inject() {
+	if r.spec.Workload.Replicate {
+		r.repArrivals = map[uint64]simtime.Time{}
+	}
+	produce, build := r.workload()
+	r.plane.pull(r.nw, produce, build)
+}
+
+// workload returns the run's workload as its two halves. produce generates
+// the trace and remaps each record onto fat-tree hosts; it runs on the
+// producer. build makes each record's packet — and a replicated workload's
+// copy — on the simulator, where packet IDs are the network-wide dense
+// counter, in generation order.
+func (r *fatTreeRun) workload() (produce func(*workRec) bool, build func(*workRec) (pk, dup *packet.Packet)) {
 	spec, nw, ft := r.spec, r.nw, r.ft
 	k, h := spec.Topology.K, spec.half()
 	q, e0 := spec.destPod(), spec.Workload.DestToR
@@ -535,22 +553,11 @@ func (r *fatTreeRun) inject() {
 		}
 	}
 	hotPod := (q + 1) % k // hotspot: every skewed flow sources under this pod's ToR 0
-	var slab packet.Slab
-	var replica *packet.Packet // injected next, at the same instant and host as its original
-	var host *netsim.Node
-	var at simtime.Time
-	if spec.Workload.Replicate {
-		r.repArrivals = map[uint64]simtime.Time{}
-	}
 
-	nw.Pull(&netsim.Source{Next: func() (*netsim.Node, *packet.Packet, simtime.Time, bool) {
-		if rp := replica; rp != nil {
-			replica = nil
-			return host, rp, at, true
-		}
+	produce = func(w *workRec) bool {
 		rec, ok := gen.Next()
 		if !ok {
-			return nil, nil, 0, false
+			return false
 		}
 		hash := rec.Key.FastHash()
 		key := rec.Key
@@ -598,31 +605,37 @@ func (r *fatTreeRun) inject() {
 		if !ok {
 			panic(fmt.Sprintf("scenario: remapped source %v is not a fat-tree host", key.Src))
 		}
-		host, at = ft.Hosts[sp][se][sh], rec.At
+		*w = workRec{at: rec.At, host: ft.Hosts[sp][se][sh], key: key, size: rec.Size}
+		return true
+	}
+
+	var slab packet.Slab
+	build = func(w *workRec) (*packet.Packet, *packet.Packet) {
 		pk := slab.New()
-		*pk = packet.Packet{ID: nw.NewPacketID(), Key: key, Size: rec.Size, Kind: packet.Regular}
+		*pk = packet.Packet{ID: nw.NewPacketID(), Key: w.key, Size: w.size, Kind: packet.Regular}
 		r.injected++
-		if spec.Workload.Replicate {
-			// RepFlow-style replica: the same payload under a source port
-			// differing in one bit, so ECMP usually hashes the copy onto a
-			// different core path. First arrival wins at harvest.
-			rkey := key
-			rkey.SrcPort ^= 1
-			rp := slab.New()
-			*rp = packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: rec.Size, Kind: packet.Regular}
-			replica = rp
-			r.injected++
-			oj, oi, oerr := ft.ResolveCore(key)
-			rj, ri, rerr := ft.ResolveCore(rkey)
-			r.repPairs = append(r.repPairs, repPair{
-				orig:     pk.ID,
-				rep:      rp.ID,
-				at:       rec.At,
-				distinct: oerr == nil && rerr == nil && (oj != rj || oi != ri),
-			})
+		if !spec.Workload.Replicate {
+			return pk, nil
 		}
-		return host, pk, at, true
-	}})
+		// RepFlow-style replica: the same payload under a source port
+		// differing in one bit, so ECMP usually hashes the copy onto a
+		// different core path. First arrival wins at harvest.
+		rkey := w.key
+		rkey.SrcPort ^= 1
+		rp := slab.New()
+		*rp = packet.Packet{ID: nw.NewPacketID(), Key: rkey, Size: w.size, Kind: packet.Regular}
+		r.injected++
+		oj, oi, oerr := ft.ResolveCore(w.key)
+		rj, ri, rerr := ft.ResolveCore(rkey)
+		r.repPairs = append(r.repPairs, repPair{
+			orig:     pk.ID,
+			rep:      rp.ID,
+			at:       w.at,
+			distinct: oerr == nil && rerr == nil && (oj != rj || oi != ri),
+		})
+		return pk, rp
+	}
+	return produce, build
 }
 
 // run is stage four: the engine runs to empty beside the plane's passive

@@ -25,10 +25,15 @@ func allPairsSpec(tb testing.TB, d time.Duration) Spec {
 // BenchmarkExportAllPairs is the simulator stage of the pipeline benchmark's
 // write_path workload in isolation: scenario.Export of fattree-allpairs at
 // 0.2 s. DESIGN.md's per-packet budget table is read off it (-benchmem for
-// allocs and bytes, -cpuprofile for the shares).
+// allocs and bytes, -cpuprofile for the shares). It also reports how often
+// the simulator waited on the goroutines beside it, per export: blocked/op
+// and blocked-ms/op over both pipes, and the passive consumer's share alone
+// as tap-blocked/op and tap-blocked-ms/op. The workload producer's share
+// includes the wait for its first chunk, the generator's warm-up.
 func BenchmarkExportAllPairs(b *testing.B) {
 	spec := allPairsSpec(b, 200*time.Millisecond)
 	var injected int
+	var taps, all pipeStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,9 +42,18 @@ func BenchmarkExportAllPairs(b *testing.B) {
 			b.Fatal(err)
 		}
 		injected += tr.Result.Injected
+		taps.add(tr.taps)
+		all.add(tr.taps)
+		all.add(tr.work)
 	}
 	b.ReportMetric(float64(injected)/b.Elapsed().Seconds(), "pkts/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
+	n := float64(b.N)
+	b.ReportMetric(float64(all.handoffs)/n, "handoffs/op")
+	b.ReportMetric(float64(all.blocked)/n, "blocked/op")
+	b.ReportMetric(all.wait.Seconds()*1e3/n, "blocked-ms/op")
+	b.ReportMetric(float64(taps.blocked)/n, "tap-blocked/op")
+	b.ReportMetric(taps.wait.Seconds()*1e3/n, "tap-blocked-ms/op")
 }
 
 // BenchmarkHarvestAllPairs is BenchmarkExportAllPairs' last stage alone:

@@ -201,3 +201,156 @@ func TestPlaneFoldJoins(t *testing.T) {
 	}
 	waitGoroutines(t, base, "fleet errors")
 }
+
+// TestWorkloadAheadJoins pins the workload producer's lifetime: no run
+// leaves a goroutine behind — one that drains normally, one whose
+// instrument stage fails before the producer could start, one whose passive
+// tap panics while the producer is still generating ahead, and one whose
+// source panics on the producer. That panic is re-raised on the caller with
+// its value at the pull that needed the record, whether it fails filling the
+// first chunk (inside the first pull) or mid-run, so no run goes on with a
+// truncated workload.
+func TestWorkloadAheadJoins(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	spec := DefaultSpec()
+	spec.Duration = 50 * time.Millisecond
+	full, err := runFatTree(spec, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base, "a drained run")
+
+	bad := spec
+	bad.Deploy.Estimators = []string{"rli", "no-such-estimator"}
+	if _, err := runFatTree(bad, 1, nil); err == nil {
+		t.Fatal("fat-tree run with an unknown estimator succeeded")
+	}
+	waitGoroutines(t, base, "an instrument error")
+
+	boom := errors.New("tap failed")
+	r, err := buildFatTree(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.instrument(nil); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	r.ft.Cores[0][0].OnReceive(r.plane.passive(func(*packet.Packet, simtime.Time) {
+		if calls++; calls == 100 {
+			panic(boom)
+		}
+	}))
+	r.inject()
+	raised := func() (v any) {
+		defer func() { v = recover() }()
+		r.run()
+		return nil
+	}()
+	if raised != boom {
+		t.Fatalf("run re-raised %v, want the tap's panic %v", raised, boom)
+	}
+	if ahead := workChunks * workChunk; r.injected+ahead >= full.Injected {
+		t.Fatalf("the run injected %d of %d packets before the tap's panic ended it: with %d records ahead, the producer may have finished", r.injected, full.Injected, ahead)
+	}
+	waitGoroutines(t, base, "a passive-tap panic mid-run")
+
+	for _, failAt := range []int{10, 3*workChunk + 10} {
+		r, err := buildFatTree(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.instrument(nil); err != nil {
+			t.Fatal(err)
+		}
+		produce, build := r.workload()
+		produced := 0 // the producer's own count
+		drained := false
+		raised := func() (v any) {
+			defer func() { v = recover() }()
+			r.plane.pull(r.nw, func(w *workRec) bool {
+				if produced++; produced == failAt {
+					panic(boom)
+				}
+				return produce(w)
+			}, build)
+			r.run()
+			drained = true
+			return nil
+		}()
+		if raised != boom {
+			t.Fatalf("source failing at record %d: re-raised %v, want its panic %v", failAt, raised, boom)
+		}
+		if drained || r.injected >= failAt {
+			t.Errorf("source failing at record %d: the run injected %d packets and drained %v: it went on with a truncated workload", failAt, r.injected, drained)
+		}
+		waitGoroutines(t, base, "a source panic")
+	}
+}
+
+// TestWorkloadAheadMatchesInline holds the producer to the workload the
+// simulator used to generate inline: for every fat-tree traffic pattern,
+// with microbursts and with replicas, the records the network pulls through
+// the plane's producer — instant, ingress host, flow key and size, in order
+// — are those the workload's producer half yields when called directly.
+func TestWorkloadAheadMatchesInline(t *testing.T) {
+	type pulled struct {
+		at   simtime.Time
+		host string
+		key  packet.FlowKey
+		size int
+	}
+	for _, name := range []string{"fattree-allpairs", "incast", "hotspot", "degraded-link", "microburst", "repflow"} {
+		t.Run(name, func(t *testing.T) {
+			sc, ok := Get(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
+			}
+			spec := sc.Spec
+			inline, err := buildFatTree(spec, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			produce, _ := inline.workload()
+			var want []pulled
+			for w := (workRec{}); produce(&w); {
+				want = append(want, pulled{w.at, w.host.Name(), w.key, w.size})
+			}
+
+			r, err := buildFatTree(spec, spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.instrument(nil); err != nil {
+				t.Fatal(err)
+			}
+			produce, build := r.workload()
+			var got []pulled
+			r.plane.pull(r.nw, produce, func(w *workRec) (*packet.Packet, *packet.Packet) {
+				got = append(got, pulled{w.at, w.host.Name(), w.key, w.size})
+				return build(w)
+			})
+			r.run()
+
+			if len(want) == 0 {
+				t.Fatal("the workload is empty")
+			}
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("record %d: pulled %+v, inline %+v", i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("pulled %d records, inline %d", len(got), len(want))
+			}
+			perRecord := 1
+			if spec.Workload.Replicate {
+				perRecord = 2
+			}
+			if r.injected != perRecord*len(want) {
+				t.Errorf("injected %d packets for %d records", r.injected, len(want))
+			}
+		})
+	}
+}

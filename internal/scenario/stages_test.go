@@ -145,11 +145,14 @@ func TestInjectSchedulesDenseIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := r.instrument(nil); err != nil {
+		t.Fatal(err)
+	}
 	r.inject()
 	if pending := r.nw.Engine().Pending(); pending != 1 || r.injected != 2 {
 		t.Fatalf("inject left %d events pending and generated %d packets, want the source's one event and the first pair", pending, r.injected)
 	}
-	r.nw.Engine().Run()
+	r.run()
 	if len(r.repPairs) == 0 || r.injected != 2*len(r.repPairs) {
 		t.Fatalf("injected %d packets for %d replicated pairs", r.injected, len(r.repPairs))
 	}

@@ -146,14 +146,13 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	regCfg.CapFlowLen()
 	var regBps float64
 	res.Injected, regBps = offered(regCfg)
-	nw.Pull(replay(sw1, trace.NewGenerator(regCfg), packet.Regular, 0))
 
 	// Cross workload into sw2, thinned to hit the target utilization. The
 	// keep probability is calibrated against the cross trace's MEASURED
 	// rate (a dry pass over the same seed), not its configured target, so
 	// truncation bias cannot shift the achieved utilization. The cross
 	// trace offers 1.5x the line rate (~3x the regular one, as the paper's).
-	// Its packet IDs follow the regular ones, whose count the regular
+	// Its packet IDs will follow the regular ones, whose count the regular
 	// trace's dry pass gave.
 	var crossSource *crossinject.Source
 	if w.CrossModel != CrossNone && w.CrossModel != "" {
@@ -184,7 +183,6 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 			model = crossinject.NewUniform(p, seed+104729)
 		}
 		crossSource = crossinject.NewSource(trace.NewGenerator(crossCfg), model)
-		nw.Pull(replay(sw2, crossSource, packet.Cross, uint64(res.Injected)))
 	}
 
 	// Instruments.
@@ -199,6 +197,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 			Scheme:    spec.scheme(),
 			Util:      spec.utilization(sw1.Port(0)),
 		}); err != nil {
+			pl.release()
 			return nil, err
 		}
 	}
@@ -217,6 +216,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		},
 	})
 	if err != nil {
+		pl.release()
 		return nil, err
 	}
 
@@ -240,8 +240,13 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		}
 	}))
 
-	// Run to empty: the utilization meter schedules nothing, so the queue
-	// drains once the last packet leaves.
+	// Both workloads start generating ahead only now that nothing can fail
+	// before the run. Run to empty: the utilization meter schedules nothing,
+	// so the queue drains once the last packet leaves.
+	replay(pl, sw1, trace.NewGenerator(regCfg), packet.Regular, 0)
+	if crossSource != nil {
+		replay(pl, sw2, crossSource, packet.Cross, uint64(res.Injected))
+	}
 	pl.run(func() { eng.Run() })
 
 	// Harvest: the receiver's half here, the plane's beside it.
@@ -293,18 +298,18 @@ func offered(cfg trace.Config) (int, float64) {
 	return n, float64(bytes*8) / cfg.Duration.Seconds()
 }
 
-// replay is a trace pulled into a node as a workload source; its packet
-// IDs count on from after.
-func replay(into *netsim.Node, src trace.Source, kind packet.Kind, after uint64) *netsim.Source {
+// replay pulls a trace into a node as a workload, generated ahead on the
+// plane's producer; its packet IDs count on from after.
+func replay(pl *plane, into *netsim.Node, src trace.Source, kind packet.Kind, after uint64) {
 	var slab packet.Slab
-	return &netsim.Source{Next: func() (*netsim.Node, *packet.Packet, simtime.Time, bool) {
+	pl.pull(into.Network(), func(w *workRec) bool {
 		rec, ok := src.Next()
-		if !ok {
-			return nil, nil, 0, false
-		}
+		*w = workRec{at: rec.At, host: into, key: rec.Key, size: rec.Size}
+		return ok
+	}, func(w *workRec) (*packet.Packet, *packet.Packet) {
 		after++
 		p := slab.New()
-		*p = packet.Packet{ID: after, Key: rec.Key, Size: rec.Size, Kind: kind}
-		return into, p, rec.At, true
-	}}
+		*p = packet.Packet{ID: after, Key: w.key, Size: w.size, Kind: kind}
+		return p, nil
+	})
 }
