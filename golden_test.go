@@ -16,7 +16,7 @@ import (
 // seed must produce the identical tandem-spec summaries and figure metrics
 // across engine rewrites. The fixture in testdata/golden_engine.json was
 // captured from the first engine, a container/heap of closure events, and
-// still holds for the typed-event radix heap; any change to event ordering,
+// still holds for the typed-event timing wheel; any change to event ordering,
 // trace generation, or estimator arithmetic shows up here as an exact-value
 // mismatch.
 //

@@ -16,18 +16,30 @@
 // (pointers, funcs, channels, maps). There is one run mode: setup schedules,
 // Run drains the queue.
 //
-// The queue is one radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, 1990): an
-// event at instant at is filed in bucket bits.Len64(at ^ last), where last is
-// the instant the heap last released. Schedule calls never go back in time,
-// so bucket 0 holds the events at last and bucket b those whose highest bit
-// differing from last is b-1. A push appends to its bucket, and each bucket
-// keeps its least instant. When bucket 0 is empty, the lowest non-empty
-// bucket's least instant becomes last and its events are refiled lower (a
-// bucket of one is popped as it is). Buckets are FIFO lists, refiled in order
-// into empty buckets only, so each stays in schedule order, and bucket 0
-// releases its least key by a linear scan (same-instant piles are small).
+// The queue has two tiers. The near one is a timing wheel (Varghese and
+// Lauck, 1987) of wheelSlots slots, each 2^slotShift ns wide, covering the
+// instants from the clock's slot up to its horizon, one span later: an event
+// before the horizon is filed once, at the back of its slot's list, and an
+// occupancy bitmap finds the first non-empty slot from the clock's. When pop
+// first takes from a slot, a stable insertion sort puts its list in
+// (instant, key) order, so the next event is the list's head; a later event
+// appended behind one it is less than marks the list for sorting again.
+// Events at or past the horizon go to the overflow tier, a radix heap
+// (Ahuja, Mehlhorn, Orlin and Tarjan, 1990): an event at instant at is filed
+// in bucket bits.Len64(at ^ last), where last is the instant the heap last
+// released, so bucket 0 holds the events at last and bucket b those whose
+// highest bit differing from last is b-1; when bucket 0 is empty, the lowest
+// non-empty bucket's least instant becomes last and its events are refiled
+// lower. Each time the clock enters a later slot, the horizon moves with it
+// and the overflow events now before it migrate into the wheel in instant
+// order, into slots the clock has just emptied. So every list holds its
+// equal-(instant, key) events in schedule order, and the stable sort keeps
+// them so: among equals, the first scheduled runs first. On a packet network
+// few events are more than a frame time and a propagation delay ahead, so
+// most are filed once and never touch the heap.
+//
 // The lists are index-linked through one slot pool that reuses freed slots,
-// so a steady run allocates nothing. The heap holds every pending event; a
+// so a steady run allocates nothing. The queue holds every pending event; a
 // workload that schedules each packet when the one before it runs
 // (netsim.Source) keeps it at what is in flight.
 //
@@ -64,29 +76,54 @@ type event struct {
 	a, b any
 }
 
-// link is a heap slot's key half, kept apart from its payload so that
-// finding and refiling a bucket walks 16-byte entries only.
+// link is a queue slot's key half, kept apart from its payload so that
+// scanning and refiling a list walks 16-byte entries only.
 type link struct {
 	at   simtime.Time
-	next uint32 // next slot in the bucket or free list (0 = none)
+	next uint32 // next slot in the list or free list (0 = none)
 }
+
+// The wheel's geometry, chosen from a census of the fat-tree benchmark
+// capture: no event there is scheduled more than 65 µs ahead (a 1 518-byte
+// frame at 200 Mb/s plus propagation and processing), so a span of 512
+// slots, 131 µs, files every one of them once, and a 256 ns slot holds 1.3
+// events on average when it releases one.
+const (
+	slotShift  = 8 // a slot is 2^slotShift ns
+	wheelSlots = 512
+	wheelMask  = wheelSlots - 1
+)
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with New.
 type Engine struct {
 	now simtime.Time
 
-	// The radix heap: bucket b lists, in schedule order, the slots whose
-	// instant first differs from last in bit b-1 (b = 0: equals it).
-	slots       []event          // slot pool; slot 0 is the null link
-	links       []link           // slots' instants and list links, index for index
-	free        uint32           // first free slot, linked through next (0 = none)
+	slots []event // slot pool; slot 0 is the null link
+	links []link  // slots' instants and list links, index for index
+	free  uint32  // first free slot, linked through next (0 = none)
+
+	// The wheel: slot s lists the events whose instant's slot number
+	// (instant >> slotShift) is congruent to s, from cursor, the clock's slot
+	// number, up to the horizon, cursor + wheelSlots; in filing order until
+	// pop sorts the list.
+	cursor     uint64
+	head, tail [wheelSlots]uint32
+	occ        [wheelSlots / 64]uint64 // bit s set: slot s is non-empty
+	sorted     [wheelSlots / 64]uint64 // bit s set: slot s is in (at, key) order
+	inWheel    int
+
+	// The overflow tier, a radix heap: bucket b lists, in filing order, the
+	// slots whose instant first differs from last in bit b-1 (b = 0: equals
+	// it). Every instant in it is at or past the horizon.
 	front, back [64]uint32       // each bucket's first and last slot
 	lo          [64]simtime.Time // each non-empty bucket's least instant
 	full        uint64           // bit b set: bucket b is non-empty
 	last        simtime.Time     // instant of the event the heap last released
-	queued      int              // events in the heap
-	peakHeap    int              // largest queued so far
+
+	queued   int    // events pending, in either tier
+	peakHeap int    // largest queued so far
+	filed    uint64 // list insertions: pushes, refiles and migrations
 
 	kinds     []TypedHandler
 	processed uint64
@@ -115,12 +152,18 @@ func (e *Engine) Now() simtime.Time { return e.now }
 func (e *Engine) Pending() int { return e.queued }
 
 // PeakHeap returns the largest number of events that were ever pending at
-// once: the run's high-water mark, and the number of slots the heap's pool
+// once: the run's high-water mark, and the number of slots the queue's pool
 // ever held.
 func (e *Engine) PeakHeap() int { return e.peakHeap }
 
 // Processed returns the total number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Filed returns how many times an event was put on one of the queue's lists
+// so far: once when it is scheduled, plus once per refile inside the
+// overflow heap and once per migration into the wheel. Filed per Processed
+// is how many times the queue handles an event before it releases it.
+func (e *Engine) Filed() uint64 { return e.filed }
 
 // AtKind schedules a typed event at instant t with tie key key. Scheduling
 // in the past (t earlier than Now) panics: it would silently corrupt
@@ -142,9 +185,10 @@ func (e *Engine) AfterKind(d time.Duration, k Kind, a, b any) {
 	e.AtKind(e.now.Add(d), 0, k, a, b)
 }
 
-// push files a new event at the back of its bucket, in a freed slot if there
-// is one. The slot is written field by field: copying in a whole event built
-// by the caller would read it back across the caller's just-made stores.
+// push files a new event in its wheel slot, or in the overflow heap if it is
+// at or past the horizon, in a freed slot if there is one. The slot is
+// written field by field: copying in a whole event built by the caller would
+// read it back across the caller's just-made stores.
 func (e *Engine) push(t simtime.Time, key uint64, kind Kind, a, b any) {
 	i := e.free
 	if i != 0 {
@@ -157,14 +201,38 @@ func (e *Engine) push(t simtime.Time, key uint64, kind Kind, a, b any) {
 	s := &e.slots[i]
 	s.at, s.key, s.kind, s.a, s.b = t, key, kind, a, b
 	e.links[i].at = t
-	e.file(i)
+	if uint64(t)>>slotShift < e.cursor+wheelSlots {
+		e.fileWheel(i)
+	} else {
+		e.file(i)
+	}
 	e.queued++
 	e.peakHeap = max(e.peakHeap, e.queued)
 }
 
-// file appends slot i to the list of bucket bits.Len64(at ^ last) and keeps
-// the bucket's least instant. Instants are never negative, so the bucket is
-// below 64.
+// fileWheel appends slot i to its wheel slot's list. A list in order stays
+// so while each event appended is not less than the list's last.
+func (e *Engine) fileWheel(i uint32) {
+	l := &e.links[i]
+	l.next = 0
+	s := uint64(l.at) >> slotShift & wheelMask
+	if w, bit := s>>6, uint64(1)<<(s&63); e.occ[w]&bit == 0 {
+		e.occ[w] |= bit
+		e.head[s] = i
+	} else {
+		if e.sorted[w]&bit != 0 && e.less(i, e.tail[s]) {
+			e.sorted[w] &^= bit
+		}
+		e.links[e.tail[s]].next = i
+	}
+	e.tail[s] = i
+	e.inWheel++
+	e.filed++
+}
+
+// file appends slot i to the list of overflow bucket bits.Len64(at ^ last)
+// and keeps the bucket's least instant. Instants are never negative, so the
+// bucket is below 64.
 func (e *Engine) file(i uint32) {
 	l := &e.links[i]
 	l.next = 0
@@ -178,20 +246,84 @@ func (e *Engine) file(i uint32) {
 		e.lo[b] = min(e.lo[b], l.at)
 	}
 	e.back[b] = i
+	e.filed++
 }
 
-// pop unlinks the heap's least event and returns its slot, already on the
+// pop unlinks the queue's least event and returns its slot, already on the
 // free list: the caller copies the event out and zeroes the slot, so payload
-// pointers do not outlive their event. When bucket 0 is empty, the lowest
-// non-empty bucket's least instant becomes last and the bucket is refiled in
-// list order: its events at last land in bucket 0, in schedule order, the
-// rest in the buckets between. A bucket of one event is its own least and is
-// taken as it is. Bucket 0 holds every event at last; a scan releases its
-// least key, the first in schedule order among equal keys.
+// pointers do not outlive their event. The first non-empty wheel slot from
+// the cursor holds it, at the head of its list once the list is in order;
+// if that slot is past the cursor, the cursor moves to it and the overflow
+// events the horizon now covers migrate into the wheel. With the wheel
+// empty, the cursor jumps to the overflow heap's least instant first.
 func (e *Engine) pop() uint32 {
-	b := 0
-	if e.full&1 == 0 {
-		b = bits.TrailingZeros64(e.full)
+	if e.inWheel == 0 {
+		e.cursor = uint64(e.lo[bits.TrailingZeros64(e.full)]) >> slotShift
+		e.migrate()
+	}
+	s := e.firstSlot()
+	if c := e.cursor + (s-e.cursor)&wheelMask; c != e.cursor {
+		e.cursor = c
+		if e.full != 0 { // the heap is nearly always empty: skip the call
+			e.migrate()
+		}
+	}
+	w, bit := s>>6, uint64(1)<<(s&63)
+	if e.sorted[w]&bit == 0 {
+		e.sorted[w] |= bit
+		e.head[s], e.tail[s] = e.sortList(e.head[s])
+	}
+	i := e.head[s]
+	if e.head[s] = e.links[i].next; e.head[s] == 0 {
+		e.occ[w] &^= bit
+	}
+	e.inWheel--
+	e.links[i].next = e.free
+	e.free = i
+	e.queued--
+	return i
+}
+
+// firstSlot returns the first non-empty wheel slot at or after the cursor's,
+// wrapping round; the wheel must hold an event.
+func (e *Engine) firstSlot() uint64 {
+	c := e.cursor & wheelMask
+	w := c >> 6
+	if m := e.occ[w] >> (c & 63); m != 0 {
+		return c + uint64(bits.TrailingZeros64(m))
+	}
+	for {
+		w = (w + 1) % uint64(len(e.occ))
+		if m := e.occ[w]; m != 0 {
+			return w<<6 + uint64(bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// migrate moves every overflow event before the horizon into the wheel, in
+// the heap's release order. The slots they land in lie past every slot the
+// wheel still holds events in, so each list stays in schedule order among
+// equal instants, and pop's stable sort orders the rest.
+func (e *Engine) migrate() {
+	for e.full != 0 {
+		b := bits.TrailingZeros64(e.full)
+		if uint64(e.lo[b])>>slotShift >= e.cursor+wheelSlots {
+			return
+		}
+		e.fileWheel(e.popHeap())
+	}
+}
+
+// popHeap unlinks the overflow heap's first event, least in instant and
+// first in schedule order among equal instants, and returns its slot. When
+// bucket 0 is empty, the lowest non-empty bucket's least instant becomes
+// last and the bucket is refiled in list order: its events at last land in
+// bucket 0, in filing order, the rest in the buckets between. A bucket of
+// one event is its own least and is taken as it is. Buckets are refiled
+// into empty buckets only, so each lists its events in schedule order.
+func (e *Engine) popHeap() uint32 {
+	b := bits.TrailingZeros64(e.full)
+	if b != 0 {
 		e.last = e.lo[b]
 		if e.front[b] != e.back[b] {
 			e.full &^= 1 << b
@@ -203,31 +335,43 @@ func (e *Engine) pop() uint32 {
 			b = 0
 		}
 	}
-	i, prev := e.front[b], uint32(0)
-	if i != e.back[b] {
-		least := e.slots[i].key
-		for p, j := i, e.links[i].next; j != 0; p, j = j, e.links[j].next {
-			if k := e.slots[j].key; k < least {
-				i, prev, least = j, p, k
-			}
-		}
+	i := e.front[b]
+	if e.front[b] = e.links[i].next; e.front[b] == 0 {
+		e.full &^= 1 << b
 	}
-	next := e.links[i].next
-	if prev == 0 {
-		e.front[b] = next
-	} else {
-		e.links[prev].next = next
-	}
-	if next == 0 {
-		e.back[b] = prev
-		if prev == 0 {
-			e.full &^= 1 << b
-		}
-	}
-	e.links[i].next = e.free
-	e.free = i
-	e.queued--
 	return i
+}
+
+// less orders slots i and j by (at, key).
+func (e *Engine) less(i, j uint32) bool {
+	a, b := e.links[i].at, e.links[j].at
+	return a < b || a == b && e.slots[i].key < e.slots[j].key
+}
+
+// sortList puts the list that starts at h in (at, key) order, keeping list
+// order among equals, and returns its head and tail. It is an insertion
+// sort that appends in O(1) what is not less than the sorted part's tail:
+// a slot's list is short, and mostly in order.
+func (e *Engine) sortList(h uint32) (head, tail uint32) {
+	head, tail = h, h
+	for i := e.links[h].next; i != 0; {
+		next := e.links[i].next
+		switch {
+		case !e.less(i, tail):
+			e.links[tail].next, tail = i, i
+		case e.less(i, head):
+			e.links[i].next, head = head, i
+		default:
+			p := head
+			for !e.less(i, e.links[p].next) {
+				p = e.links[p].next
+			}
+			e.links[i].next, e.links[p].next = e.links[p].next, i
+		}
+		i = next
+	}
+	e.links[tail].next = 0
+	return head, tail
 }
 
 // Run executes events in (at, key) order until the queue is empty and

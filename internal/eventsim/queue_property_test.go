@@ -72,9 +72,12 @@ type queuePlan struct {
 	kind   Kind                            // payload: the *tieNode
 	fn     Kind                            // payload: a func() closing over the *tieNode
 	fanout func(nd *tieNode, h uint64) int // schedule calls nd makes when it runs
-	calls  []planCall                      // every schedule call, in call order
-	ran    []int                           // call index of each executed event, in order
-	made   []int                           // schedule calls made before each executed event ran
+	// place, if set, picks a call's instant and key from its hash in place
+	// of tieDelay and a key drawn from tieKeys.
+	place func(nd *tieNode, h uint64) (simtime.Time, uint64)
+	calls []planCall // every schedule call, in call order
+	ran   []int      // call index of each executed event, in order
+	made  []int      // schedule calls made before each executed event ran
 }
 
 func newQueuePlan(t *testing.T, seed uint64, fanout func(nd *tieNode, h uint64) int) *queuePlan {
@@ -113,7 +116,11 @@ func (p *queuePlan) exec(nd *tieNode) {
 	h := tieMix(p.seed ^ nd.label)
 	for c := range p.fanout(nd, h) {
 		hc := tieMix(h + uint64(c))
-		p.schedule(tieMix(nd.label+uint64(c)+1), nd.depth-1, p.e.Now().Add(tieDelay(hc)), hc>>48%tieKeys)
+		at, key := p.e.Now().Add(tieDelay(hc)), hc>>48%tieKeys
+		if p.place != nil {
+			at, key = p.place(nd, hc)
+		}
+		p.schedule(tieMix(nd.label+uint64(c)+1), nd.depth-1, at, key)
 	}
 }
 

@@ -62,7 +62,7 @@ type Network struct {
 	// and forwards inline. The port schedules it when the packet starts
 	// transmission. A packet that queues behind another adds a txNext at
 	// the port, and a positive selective delay a dispatch. Each payload
-	// lives by value in the heap slot, so forwarding a packet schedules no
+	// lives by value in the queue slot, so forwarding a packet schedules no
 	// closures and allocates nothing.
 	kInject   eventsim.Kind // a: *Source, b: *packet.Packet — a workload packet's arrival + proc, then the source's next packet
 	kArrive   eventsim.Kind // a: *Node, b: *packet.Packet — arrival + proc: ingress and forwarding
