@@ -5,7 +5,10 @@
 // a regular packet originated from ("upstream RLI receivers need to perform
 // simple IP prefix matching"); downstream, to separate upstream senders from
 // core-facing ones before applying marking or reverse-ECMP resolution.
-// Switches also use it as their forwarding table, once per packet per hop.
+// A fat-tree switch's table is also its routing spec: internal/topo compiles
+// it at install time into a dense route table for host destinations, so a
+// per-hop lookup is left to packets for switch loopbacks and foreign
+// addresses.
 package lpm
 
 import (

@@ -22,7 +22,8 @@ type TapFunc func(p *packet.Packet, now simtime.Time)
 
 // ForwardFunc chooses the output port index for a packet arriving at a node,
 // or a negative value to deliver the packet locally (the node is the
-// packet's destination). It runs after the node's processing delay.
+// packet's destination). It runs after the node's processing delay, and
+// never for a packet addressed to the node's own NodeConfig.Addr.
 type ForwardFunc func(n *Node, p *packet.Packet) int
 
 // DelayFunc returns an extra per-packet delay a node adds on top of its
@@ -60,8 +61,9 @@ type Network struct {
 	// event per hop: its arrival at a node, keyed at arrival + the node's
 	// processing delay, which runs the ingress work for the arrival instant
 	// and forwards inline. The port schedules it when the packet starts
-	// transmission. A packet that queues behind another adds a txNext at
-	// the port, and a positive selective delay a dispatch. Each payload
+	// transmission, unless the packet ends at a node nothing observes
+	// (Node.quietSink). A packet that queues behind another adds a txNext
+	// at the port, and a positive selective delay a dispatch. Each payload
 	// lives by value in the queue slot, so forwarding a packet schedules no
 	// closures and allocates nothing.
 	kInject   eventsim.Kind // a: *Source, b: *packet.Packet — a workload packet's arrival + proc, then the source's next packet
@@ -126,6 +128,14 @@ type NodeConfig struct {
 	// ingress and the forwarding decision, fixed for the node's lifetime: a
 	// packet's one arrival event is keyed at arrival + ProcDelay.
 	ProcDelay time.Duration
+	// Addr is the address the node owns; the zero Addr owns none. A packet
+	// whose destination is Addr is delivered at the node without asking its
+	// ForwardFunc. If the node also has no OnReceive or OnDeliver tap and no
+	// selective delay when the packet starts transmission towards it,
+	// nothing can observe its arrival, so the upstream port settles the
+	// delivery (counters and path trace) then instead of scheduling an
+	// arrival event.
+	Addr packet.Addr
 }
 
 // AddNode creates a node. Nodes forward nothing until SetForward is called;
@@ -139,6 +149,7 @@ func (nw *Network) AddNode(cfg NodeConfig) *Node {
 		id:   NodeID(len(nw.nodes)),
 		name: cfg.Name,
 		proc: cfg.ProcDelay,
+		addr: cfg.Addr,
 		forward: func(*Node, *packet.Packet) int {
 			return -1
 		},
@@ -225,6 +236,7 @@ type Node struct {
 	id      NodeID
 	name    string
 	proc    time.Duration
+	addr    packet.Addr // NodeConfig.Addr; 0 = none
 	extra   DelayFunc
 	ports   []*Port
 	forward ForwardFunc
@@ -317,8 +329,13 @@ func (n *Node) arrive(p *packet.Packet) {
 	n.dispatch(p)
 }
 
-// dispatch applies the forwarding decision after the processing delay.
+// dispatch applies the forwarding decision after the processing delay: a
+// packet addressed to the node is delivered, any other is forwarded.
 func (n *Node) dispatch(p *packet.Packet) {
+	if n.owns(p) {
+		n.deliver(p)
+		return
+	}
 	out := n.forward(n, p)
 	if out < 0 {
 		n.deliver(p)
@@ -328,6 +345,16 @@ func (n *Node) dispatch(p *packet.Packet) {
 		panic(fmt.Sprintf("netsim: %s forwarded %v to nonexistent port %d", n.name, p, out))
 	}
 	n.ports[out].Enqueue(p)
+}
+
+// owns reports whether p is addressed to n.
+func (n *Node) owns(p *packet.Packet) bool { return n.addr != 0 && p.Key.Dst == n.addr }
+
+// quietSink reports whether p ends at n without anything observing its
+// arrival: n owns it and has no ingress or delivery tap and no selective
+// delay.
+func (n *Node) quietSink(p *packet.Packet) bool {
+	return n.owns(p) && len(n.onReceive) == 0 && len(n.onDeliver) == 0 && n.extra == nil
 }
 
 func (n *Node) deliver(p *packet.Packet) {
@@ -362,7 +389,7 @@ type Port struct {
 	queue  fifo
 	qBytes int
 	free   simtime.Time // end of the latest transmission
-	armed  bool         // the queue head has a server: a pending txNext, or startTx is running
+	armed  bool         // the queue head has a server: a pending txNext, or transmit is running
 	rate   RateFunc
 	emu    EmulateFunc
 
@@ -451,30 +478,36 @@ func (pt *Port) Enqueue(p *packet.Packet) {
 		}
 		return
 	}
-	pt.queue.push(p)
-	pt.qBytes += p.Size
 	pt.ctr.Enqueued++
-	if pt.armed {
-		return
-	}
-	if eng := pt.node.net.eng; eng.Now() < pt.free {
+	if !pt.armed { // nothing is queued: an unserved head would hold armed
+		eng := pt.node.net.eng
+		if eng.Now() >= pt.free {
+			pt.transmit(p) // the wire is idle: straight on, past the queue
+			return
+		}
 		pt.armed = true
 		eng.AtKind(pt.free, classTxNext|pt.id, pt.node.net.kTxNext, pt, nil)
-		return
 	}
-	pt.startTx()
+	pt.queue.push(p)
+	pt.qBytes += p.Size
 }
 
-// startTx transmits the head-of-line packet. It settles the packet's whole
-// link hop at once: the transmission ends at end = now + size/rate(now),
-// and the downstream arrival event is scheduled at end + propagation +
-// emulated extra + the far node's processing delay. The port wakes at end
-// only if a packet is queued behind this one. A tap that enqueues on this
-// port (an RLI sender's reference) queues behind the packet even when its
-// transmission takes 0 ns: armed is held for the whole call.
+// startTx transmits the head-of-line packet.
 func (pt *Port) startTx() {
 	p := pt.queue.pop()
 	pt.qBytes -= p.Size
+	pt.transmit(p)
+}
+
+// transmit puts p on the wire and settles its whole link hop at once: the
+// transmission ends at end = now + size/rate(now), and the downstream
+// arrival event is scheduled at end + propagation + emulated extra + the far
+// node's processing delay — or, for a packet ending at a quiet far node,
+// its delivery is counted now. The port wakes at end only if a packet is
+// queued behind this one. A tap that enqueues on this port (an RLI sender's
+// reference) queues behind the packet even when its transmission takes 0 ns:
+// armed is held for the whole call.
+func (pt *Port) transmit(p *packet.Packet) {
 	pt.armed = true
 	nw := pt.node.net
 	now := nw.eng.Now()
@@ -497,8 +530,16 @@ func (pt *Port) startTx() {
 		}
 		d += extra
 	}
-	if arrive {
-		nw.eng.AtKind(end.Add(d), classArrive|pt.id, nw.kArrive, pt.dst, p)
+	switch dst := pt.dst; {
+	case !arrive:
+	case dst.quietSink(p):
+		dst.received++
+		dst.delivered++
+		if nw.tracePaths {
+			p.RecordHop(int32(dst.id))
+		}
+	default:
+		nw.eng.AtKind(end.Add(d), classArrive|pt.id, nw.kArrive, dst, p)
 	}
 	if pt.queue.len() > 0 {
 		nw.eng.AtKind(end, classTxNext|pt.id, nw.kTxNext, pt, nil)

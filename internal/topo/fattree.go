@@ -77,12 +77,12 @@ type FatTree struct {
 	// Hosts[p][e][h] is host h under ToR e of pod p.
 	Hosts [][][]*netsim.Node
 
-	// Indexed by NodeID. ecmpSeed[n] keys switch n's ECMP hash (ecmp.go);
-	// distinct per switch. torUp[tor][j] is the ToR port index leading to
-	// agg j; aggUp[agg][i] the agg port index to core (group, i).
-	ecmpSeed []uint32
-	torUp    [][]int
-	aggUp    [][]int
+	// Indexed by NodeID. routers[n] is switch n's forwarding state (nil for
+	// a host). torUp[tor][j] is the ToR port index leading to agg j;
+	// aggUp[agg][i] the agg port index to core (group, i).
+	routers []*router
+	torUp   [][]int
+	aggUp   [][]int
 }
 
 // Half returns K/2.
@@ -181,13 +181,16 @@ func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 			ft.ToRs[p][e] = nw.AddNode(c)
 			ft.Hosts[p][e] = make([]*netsim.Node, h)
 			for hh := 0; hh < h; hh++ {
-				ft.Hosts[p][e][hh] = nw.AddNode(netsim.NodeConfig{Name: fmt.Sprintf("host%d.%d.%d", p, e, hh)})
+				ft.Hosts[p][e][hh] = nw.AddNode(netsim.NodeConfig{
+					Name: fmt.Sprintf("host%d.%d.%d", p, e, hh),
+					Addr: ft.HostAddr(p, e, hh),
+				})
 			}
 		}
 	}
 
 	n := nw.Nodes()
-	ft.ecmpSeed, ft.torUp, ft.aggUp = make([]uint32, n), make([][]int, n), make([][]int, n)
+	ft.routers, ft.torUp, ft.aggUp = make([]*router, n), make([][]int, n), make([][]int, n)
 
 	// Links. Port creation order matters: routing below records indices.
 	// Core: port p -> pod p's agg of this core's group.
@@ -241,28 +244,78 @@ func Build(cfg Config, nw *netsim.Network) (*FatTree, error) {
 // route is an LPM value: candidate output ports (empty = deliver locally).
 type route []int
 
-// installRouting builds per-switch LPM tables and forwarding closures.
+// router is one switch's forwarding state. Its LPM table is the one routing
+// spec; hosts is that table compiled for host destinations, indexed by
+// hostIndex of LocateHost's coordinates, so forwarding to a host reads one
+// entry instead of walking up to four trie levels.
+type router struct {
+	ft    *FatTree
+	tbl   *lpm.Table[route]
+	hosts []route
+	seed  uint32 // keys the switch's ECMP hash (ecmp.go); distinct per switch
+}
+
+// candidates returns the ports a packet for dst may leave by (empty =
+// deliver locally, as for an address no prefix covers).
+func (r *router) candidates(dst packet.Addr) route {
+	if p, e, h, ok := r.ft.LocateHost(dst); ok {
+		return r.hosts[r.ft.hostIndex(p, e, h)]
+	}
+	ports, _ := r.tbl.Lookup(dst)
+	return ports
+}
+
+// forward is the switch's ForwardFunc: one of the candidate ports by ECMP.
+// Unroutable packets are delivered locally (and thus visible via the node's
+// Delivered counter) rather than crashing the simulation.
+func (r *router) forward(_ *netsim.Node, p *packet.Packet) int {
+	ports := r.candidates(p.Key.Dst)
+	if len(ports) == 0 {
+		return -1
+	}
+	return ports[ecmpSelect(r.seed, p.Key, len(ports))]
+}
+
+// hostIndex is the dense index of host h under ToR e of pod p.
+func (ft *FatTree) hostIndex(p, e, h int) int { return (p*ft.Half()+e)*ft.Half() + h }
+
+// install compiles sw's LPM table into its host routes and makes it the
+// switch's forwarding state.
+func (ft *FatTree) install(sw *netsim.Node, tbl *lpm.Table[route]) {
+	k, h := ft.Cfg.K, ft.Half()
+	base := uint32(0x5EED)
+	r := &router{
+		ft:    ft,
+		tbl:   tbl,
+		hosts: make([]route, k*h*h),
+		seed:  base*2654435761 + uint32(sw.ID())*40503 + 0x9E37, // distinct, deterministic per switch
+	}
+	for p := 0; p < k; p++ {
+		for e := 0; e < h; e++ {
+			for hh := 0; hh < h; hh++ {
+				r.hosts[ft.hostIndex(p, e, hh)], _ = tbl.Lookup(ft.HostAddr(p, e, hh))
+			}
+		}
+	}
+	ft.routers[sw.ID()] = r
+	sw.SetForward(r.forward)
+}
+
+// installRouting builds per-switch LPM tables and installs their routers.
+// A host owns its address (netsim.NodeConfig.Addr), so it forwards
+// everything else up its one link.
 func (ft *FatTree) installRouting() {
 	k, h := ft.Cfg.K, ft.Half()
-
-	base := uint32(0x5EED)
-	seed := func(n *netsim.Node) uint32 {
-		// Distinct, deterministic per-switch seeds.
-		s := base*2654435761 + uint32(n.ID())*40503 + 0x9E37
-		ft.ecmpSeed[n.ID()] = s
-		return s
-	}
 
 	// Cores: pure prefix routing down to pods, loopback local.
 	for j := 0; j < h; j++ {
 		for i := 0; i < h; i++ {
-			core := ft.Cores[j][i]
 			tbl := lpm.New[route]()
 			for p := 0; p < k; p++ {
 				tbl.Insert(ft.PodPrefix(p), route{p})
 			}
 			tbl.Insert(packet.Prefix{Addr: ft.CoreAddr(j, i), Len: 32}, route{})
-			core.SetForward(forwarder(tbl, seed(core)))
+			ft.install(ft.Cores[j][i], tbl)
 		}
 	}
 
@@ -284,7 +337,7 @@ func (ft *FatTree) installRouting() {
 			def := make(route, h)
 			copy(def, up)
 			tbl.Insert(packet.Prefix{Len: 0}, def)
-			agg.SetForward(forwarder(tbl, seed(agg)))
+			ft.install(agg, tbl)
 		}
 	}
 
@@ -308,37 +361,17 @@ func (ft *FatTree) installRouting() {
 			def := make(route, h)
 			copy(def, up)
 			tbl.Insert(packet.Prefix{Len: 0}, def)
-			tor.SetForward(forwarder(tbl, seed(tor)))
+			ft.install(tor, tbl)
 		}
 	}
 
-	// Hosts: single uplink for everything except themselves.
-	for p := 0; p < k; p++ {
-		for e := 0; e < h; e++ {
-			for hh := 0; hh < h; hh++ {
-				host := ft.Hosts[p][e][hh]
-				self := ft.HostAddr(p, e, hh)
-				host.SetForward(func(n *netsim.Node, pk *packet.Packet) int {
-					if pk.Key.Dst == self {
-						return -1
-					}
-					return 0
-				})
+	uplink := func(*netsim.Node, *packet.Packet) int { return 0 }
+	for _, pod := range ft.Hosts {
+		for _, tor := range pod {
+			for _, host := range tor {
+				host.SetForward(uplink)
 			}
 		}
-	}
-}
-
-// forwarder builds a ForwardFunc from an LPM table and the switch's ECMP
-// seed. Unroutable packets are delivered locally (and thus visible via
-// the node's Delivered counter) rather than crashing the simulation.
-func forwarder(tbl *lpm.Table[route], seed uint32) netsim.ForwardFunc {
-	return func(n *netsim.Node, p *packet.Packet) int {
-		ports, ok := tbl.Lookup(p.Key.Dst)
-		if !ok || len(ports) == 0 {
-			return -1
-		}
-		return ports[ecmpSelect(seed, p.Key, len(ports))]
 	}
 }
 
@@ -383,9 +416,9 @@ func (ft *FatTree) ResolveCore(key packet.FlowKey) (j, i int, err error) {
 	}
 	tor := ft.ToRs[p][e]
 	h := ft.Half()
-	j = ecmpSelect(ft.ecmpSeed[tor.ID()], key, h)
+	j = ecmpSelect(ft.routers[tor.ID()].seed, key, h)
 	agg := ft.Aggs[p][j]
-	i = ecmpSelect(ft.ecmpSeed[agg.ID()], key, h)
+	i = ecmpSelect(ft.routers[agg.ID()].seed, key, h)
 	return j, i, nil
 }
 
@@ -396,7 +429,8 @@ func (ft *FatTree) ResolveCore(key packet.FlowKey) (j, i int, err error) {
 // engine) depend on it instead of re-deriving octet arithmetic.
 func (ft *FatTree) LocateHost(a packet.Addr) (p, e, h int, ok bool) {
 	o1, o2, o3, o4 := a.Octets()
-	if o1 != 10 || int(o2) >= ft.Cfg.K || int(o3) >= ft.Half() || o4 < 2 || int(o4) >= 2+ft.Half() {
+	half := ft.Cfg.K / 2
+	if o1 != 10 || int(o2) >= ft.Cfg.K || int(o3) >= half || uint(o4-2) >= uint(half) {
 		return 0, 0, 0, false
 	}
 	return int(o2), int(o3), int(o4) - 2, true

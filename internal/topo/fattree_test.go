@@ -445,7 +445,7 @@ func TestHashersDifferPerSwitch(t *testing.T) {
 		switches = append(switches, row...)
 	}
 	for _, n := range switches {
-		s := ft.ecmpSeed[n.ID()]
+		s := ft.routers[n.ID()].seed
 		if seen[s] {
 			t.Fatalf("ECMP seed %#x used by two switches", s)
 		}
