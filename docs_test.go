@@ -20,8 +20,10 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	rlir "github.com/netmeasure/rlir"
 )
@@ -235,4 +237,43 @@ func TestOneTableRenderer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestChangesEntryBudget keeps CHANGES.md a log rather than a lab notebook:
+// from PR 41 on, an entry — its "- **PR N**" line and the indented lines
+// under it — holds at most 2 000 characters, in lines of at most 100.
+// Measurements belong in EXPERIMENTS.md, which the entry can point to.
+func TestChangesEntryBudget(t *testing.T) {
+	const firstBudgeted, maxEntry, maxLine = 41, 2000, 100
+	data, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := regexp.MustCompile(`^- (\*\*)?PR (\d+)\b`)
+	pr, size := 0, 0 // the budgeted entry being read, 0 outside one
+	end := func() {
+		if pr > 0 && size > maxEntry {
+			t.Errorf("CHANGES.md: the PR %d entry holds %d characters, want <= %d", pr, size, maxEntry)
+		}
+		pr, size = 0, 0
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		if m := head.FindStringSubmatch(line); m != nil {
+			end()
+			if n, _ := strconv.Atoi(m[2]); n >= firstBudgeted {
+				pr = n
+			}
+		} else if !strings.HasPrefix(line, "  ") {
+			end()
+		}
+		if pr == 0 {
+			continue
+		}
+		n := utf8.RuneCountInString(line)
+		size += n + 1
+		if n > maxLine {
+			t.Errorf("CHANGES.md:%d: a PR %d line of %d characters, want <= %d", i+1, pr, n, maxLine)
+		}
+	}
+	end()
 }

@@ -65,11 +65,10 @@ func main() {
 	for i := range res.Fleet {
 		all.Merge(&res.Fleet[i].Sketch)
 	}
-	hist := all.Log2Histogram()
 	fmt.Fprintf(os.Stderr, "collector: %d flows, %d samples over %d shards\n",
 		len(res.Fleet), res.Samples, collectorShards)
-	fmt.Fprintf(os.Stderr, "segment latency: p50<=%v p99<=%v max=%v\n",
-		hist.Quantile(0.5), hist.Quantile(0.99), hist.Max())
+	fmt.Fprintf(os.Stderr, "segment latency: p50=%v p99=%v max=%v\n",
+		all.QuantileDuration(0.5), all.QuantileDuration(0.99), time.Duration(all.Max()))
 	fmt.Fprintf(os.Stderr, "bottleneck utilization: %.1f%%, regular loss: %.6f\n",
 		res.HotLinkUtil*100, res.LossRate())
 	fmt.Fprint(os.Stderr, res.ComparisonTable().Render())

@@ -35,8 +35,7 @@ type FlowAgg struct {
 	// Est / True accumulate per-packet estimated and ground-truth delays.
 	Est, True stats.Welford
 	// Sketch is the bounded-memory quantile sketch of estimated delays: the
-	// field quantile queries read, and the row's only distribution state (a
-	// coarse log2 histogram is derived from it, stats.Sketch.Log2Histogram).
+	// field quantile queries read, and the row's only distribution state.
 	// Its merges are bit-exact under any order.
 	Sketch stats.Sketch
 	// Packets / Bytes / First / Last mirror NetFlow record fields, summed

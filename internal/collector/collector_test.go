@@ -236,7 +236,7 @@ func TestSnapshotCloseConcurrent(t *testing.T) {
 // the table — shard run, Collector.Snapshot, snapshot decode, Merge, the
 // eviction fold — moves and zeroes whole rows, so the row's size is a factor
 // in every query and in ingest under churn. At 704 bytes (544 of them a
-// fixed 64-bucket stats.Histogram no query read, whose counts the sketch
+// fixed 64-bucket log2 histogram no query read, whose counts the sketch
 // already held) one merged /flows over 2 266 flows allocated 12.1 MB and
 // spent 16 % of its CPU clearing rows; at 160 it allocates under half that.
 func TestFlowAggSize(t *testing.T) {

@@ -10,3 +10,11 @@ func SetReadHeaderTimeout(d time.Duration) (restore func()) {
 	readHeaderTimeout = d
 	return func() { readHeaderTimeout = old }
 }
+
+// SetIdleTimeout replaces the query-API servers' keep-alive idle deadline;
+// the returned func restores it.
+func SetIdleTimeout(d time.Duration) (restore func()) {
+	old := idleTimeout
+	idleTimeout = d
+	return func() { idleTimeout = old }
+}

@@ -57,8 +57,16 @@ func (m *Metrics) sample(typ, name, help string, v any, labels []string) {
 // (A variable only so the slow-header test can shorten it.)
 var readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may wait for its next
+// request. Without it an idle client holds a goroutine and its connection
+// for ever. It is longer than a Go client's own idle-connection timeout
+// (90 s by default), so a well-behaved pooled client closes first. Fixed
+// policy, like readHeaderTimeout, and a variable only so the idle-connection
+// test can shorten it.
+var idleTimeout = 2 * time.Minute
+
 // NewServer returns the HTTP server both query-API processes (rlird and the
 // fleet front-end) serve h with.
 func NewServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

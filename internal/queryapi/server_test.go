@@ -1,6 +1,7 @@
 package queryapi_test
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"net/http"
@@ -45,6 +46,53 @@ func TestServerClosesSlowHeader(t *testing.T) {
 	rest, err := io.ReadAll(conn)
 	if err != nil {
 		t.Fatalf("server kept the stalled connection open for %v (%v); read %q", time.Since(start), err, rest)
+	}
+}
+
+// TestServerClosesIdleKeepAlive: a client that finishes one request on a
+// keep-alive connection and then sends nothing must be disconnected once the
+// idle deadline passes, not keep its connection and goroutine for ever.
+func TestServerClosesIdleKeepAlive(t *testing.T) {
+	defer queryapi.SetIdleTimeout(50 * time.Millisecond)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := queryapi.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	}))
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /flows HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || string(body) != "ok" || resp.Close {
+		t.Fatalf("first request: body %q, err %v, close %v; want a kept-alive ok", body, err, resp.Close)
+	}
+	// As in the slow-header case: the read ends because the server closed
+	// the idle connection, not because the test gave up.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatalf("server kept the idle keep-alive connection open for %v (%v); read %q", time.Since(start), err, rest)
 	}
 }
 

@@ -38,10 +38,10 @@ type FlowState struct {
 
 // SnapshotVersion is the current /snapshot schema version, shared by both
 // renderings. Version 2 added the per-flow quantile sketch state; version 3
-// dropped the per-flow log2 histogram (stats.Sketch.Log2Histogram derives
-// it). Rows of different versions do not line up, and reading one as another
-// would merge garbage or silently empty tiers — so Check rejects any version
-// mismatch outright instead.
+// dropped the per-flow log2 histogram, leaving the sketch the row's only
+// distribution. Rows of different versions do not line up, and reading one
+// as another would merge garbage or silently empty tiers — so Check rejects
+// any version mismatch outright instead.
 const SnapshotVersion = 3
 
 // Snapshot is the /snapshot response in its JSON rendering: the full flow

@@ -675,7 +675,7 @@ func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
 	spec := r.spec
 	var upResults, downResults []core.FlowResult
 	var rliReps []measure.Report
-	var estAll, trueAll stats.Histogram
+	var estAll, trueAll stats.Sketch
 	type segKey struct{ j, i, p, e int }
 	segFlows := map[segKey][]core.FlowResult{}
 	for _, s := range r.senders {
@@ -693,8 +693,8 @@ func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
 		}
 		downResults = append(downResults, results...)
 		rliReps = append(rliReps, rr.rli.ReportFrom(results))
-		estAll.Merge(&rr.rec.estH)
-		trueAll.Merge(&rr.rec.trueH)
+		estAll.Merge(&rr.rec.est)
+		trueAll.Merge(&rr.rec.truth)
 		for _, fr := range results {
 			j, i, err := r.ft.ResolveCore(fr.Key)
 			if err != nil {
@@ -708,8 +708,8 @@ func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
 	res.Results = downResults
 	res.Overall = core.Summarize(downResults)
 	res.Upstream = core.Summarize(upResults)
-	res.EstP50, res.EstP99 = estAll.Quantile(0.5), estAll.Quantile(0.99)
-	res.TrueP50, res.TrueP99 = trueAll.Quantile(0.5), trueAll.Quantile(0.99)
+	res.EstP50, res.EstP99 = estAll.QuantileDuration(0.5), estAll.QuantileDuration(0.99)
+	res.TrueP50, res.TrueP99 = trueAll.QuantileDuration(0.5), trueAll.QuantileDuration(0.99)
 	res.Misattribution = misattribution(r.countings)
 
 	for sk, frs := range segFlows {

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // TestScenarioRegistrySmoke runs every registered scenario at its CI-sized
@@ -58,5 +60,33 @@ func TestRegistryMetadata(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("Names() not sorted: %v", names)
 		}
+	}
+}
+
+// TestResultQuantilesMatchFleet pins the run's delay tails to the
+// collector's view: both fold the same per-packet estimate stream into the
+// same sketch layout, and sketch merges are bit-exact, so Result.EstP50 and
+// EstP99 equal the quantiles of the merged Fleet sketches exactly.
+func TestResultQuantilesMatchFleet(t *testing.T) {
+	for _, sc := range All() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			res, err := Run(sc.Spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var all stats.Sketch
+			for i := range res.Fleet {
+				all.Merge(&res.Fleet[i].Sketch)
+			}
+			if all.Count() == 0 {
+				t.Fatal("the collector saw no estimate")
+			}
+			p50, p99 := all.QuantileDuration(0.5), all.QuantileDuration(0.99)
+			if res.EstP50 != p50 || res.EstP99 != p99 {
+				t.Fatalf("EstP50/EstP99 = %v/%v, the fleet's sketch reads %v/%v",
+					res.EstP50, res.EstP99, p50, p99)
+			}
+		})
 	}
 }

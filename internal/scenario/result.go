@@ -22,7 +22,8 @@ type RouterStats struct {
 	Segment string
 	// Summary is the per-flow accuracy at this router.
 	Summary core.Summary
-	// Tails of the per-packet estimated and true delay distributions.
+	// Tails of the per-packet estimated and true delay distributions, read
+	// from a stats.Sketch: within stats.SketchRelErrBound of exact.
 	EstP50, EstP99   time.Duration
 	TrueP50, TrueP99 time.Duration
 	// EstMean is the mean per-packet estimated delay — what the localizer
@@ -73,7 +74,8 @@ type Result struct {
 	// ToR-uplink -> core segments). Zero on tandem topologies.
 	Upstream core.Summary
 	// EstP50/EstP99/TrueP50/TrueP99 are the downstream per-packet delay
-	// tails across all monitored routers.
+	// tails across all monitored routers, read like RouterStats' from the
+	// merge of their sketches.
 	EstP50, EstP99   time.Duration
 	TrueP50, TrueP99 time.Duration
 	// TrueAggMean is the ground-truth aggregate mean delay over every
@@ -268,20 +270,25 @@ func flag01(b bool) float64 {
 }
 
 // routerRec accumulates one receiver's per-packet estimate/truth tails while
-// the run streams them into the collector.
+// the run streams them into the collector. estSum is the exact sum of the
+// estimates, clamped at zero as the sketch clamps them, for EstMean.
 type routerRec struct {
-	estH, trueH stats.Histogram
+	est, truth stats.Sketch
+	estSum     int64
 }
 
 func (rr *routerRec) record(est, truth time.Duration) {
-	rr.estH.Record(est)
-	rr.trueH.Record(truth)
+	rr.est.Record(est)
+	rr.truth.Record(truth)
+	rr.estSum += int64(max(est, 0))
 }
 
 func (rr *routerRec) fill(rs *RouterStats) {
-	rs.EstP50 = rr.estH.Quantile(0.5)
-	rs.EstP99 = rr.estH.Quantile(0.99)
-	rs.TrueP50 = rr.trueH.Quantile(0.5)
-	rs.TrueP99 = rr.trueH.Quantile(0.99)
-	rs.EstMean = rr.estH.Mean()
+	rs.EstP50 = rr.est.QuantileDuration(0.5)
+	rs.EstP99 = rr.est.QuantileDuration(0.99)
+	rs.TrueP50 = rr.truth.QuantileDuration(0.5)
+	rs.TrueP99 = rr.truth.QuantileDuration(0.99)
+	if n := rr.est.Count(); n > 0 {
+		rs.EstMean = time.Duration(rr.estSum / int64(n))
+	}
 }

@@ -87,8 +87,8 @@ func (s *Server) handleRouters(w http.ResponseWriter, r *http.Request) {
 			Records:             agg.records,
 			Bytes:               agg.bytes,
 			EstMeanNs:           agg.est.Mean(),
-			EstP50Ns:            int64(agg.hist.Quantile(0.5)),
-			EstP99Ns:            int64(agg.hist.Quantile(0.99)),
+			EstP50Ns:            int64(agg.sketch.Quantile(0.5)),
+			EstP99Ns:            int64(agg.sketch.Quantile(0.99)),
 			TrueMeanNs:          agg.truth.Mean(),
 			Reliable:            agg.reliable,
 			TransportSegments:   agg.tSegments,

@@ -157,7 +157,7 @@ type routerAgg struct {
 	bytes   uint64
 	est     stats.Welford
 	truth   stats.Welford
-	hist    stats.Histogram
+	sketch  stats.Sketch
 	// Reliable-transport accounting, populated only for exporters that
 	// connect with the swp framing: segments received, duplicates dropped
 	// (retransmissions whose original arrived — the receiver-side signature
@@ -459,7 +459,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				est, truth := raw.Delays(i)
 				r.est.Add(float64(est))
 				r.truth.Add(float64(truth))
-				r.hist.Record(est)
+				r.sketch.Record(est)
 			}
 			r.mu.Unlock()
 		case collector.MsgHello:

@@ -17,6 +17,7 @@ import (
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 func writeFile(path, content string) error {
@@ -147,6 +148,15 @@ func TestServiceEndToEnd(t *testing.T) {
 	named := routers[0]
 	if named.Router != "tor3.0" || named.Samples != uint64(len(samples)) || named.Records != 1 {
 		t.Fatalf("named router row wrong: %+v", named)
+	}
+	// The row's tails are a sketch's quantiles over the router's estimates.
+	var want stats.Sketch
+	for _, smp := range samples {
+		want.Record(smp.Est)
+	}
+	if named.EstP50Ns != int64(want.Quantile(0.5)) || named.EstP99Ns != int64(want.Quantile(0.99)) {
+		t.Fatalf("/routers est_p50_ns/est_p99_ns = %d/%d, want the sketch's %d/%d",
+			named.EstP50Ns, named.EstP99Ns, int64(want.Quantile(0.5)), int64(want.Quantile(0.99)))
 	}
 
 	var cmp []ComparisonJSON

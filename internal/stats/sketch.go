@@ -80,8 +80,8 @@ func sketchValue(idx int) float64 {
 
 // Add folds one observation. Negative and NaN values are clamped to zero
 // (they can only arise from clock desynchronization, tracked separately by
-// callers), matching Histogram.Record; values in [0, 1) collapse to exactly
-// 0 — min/max included — since latencies are integer nanoseconds.
+// callers); values in [0, 1) collapse to exactly 0 — min/max included —
+// since latencies are integer nanoseconds.
 func (s *Sketch) Add(x float64) {
 	if x < 1 || math.IsNaN(x) {
 		x = 0 // sub-1ns values are represented exactly as 0 (the zero bucket)
@@ -302,25 +302,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 // QuantileDuration returns Quantile as a duration, rounded down.
 func (s *Sketch) QuantileDuration(q float64) time.Duration {
 	return time.Duration(s.Quantile(q))
-}
-
-// Log2Histogram returns the log2 histogram of what the sketch holds, so no
-// aggregate needs to carry a Histogram beside its Sketch: a sketch octave is
-// a histogram bucket split 32 ways, so bucket i is the sum of octave i's
-// counters, plus the zero bucket for i = 0 (Histogram's bucket 0 holds 0 and
-// 1 ns). For integer-nanosecond observations below 2^53 ns (104 days) —
-// where float64 still holds every integer — the buckets, Count, Min and Max
-// equal those of a Histogram fed the same Record calls, under any merge
-// order; beyond that a duration may round up into the next octave. The sum
-// of the observations is not derivable from bucket counters, so the view's
-// Mean is zero: means come from a Welford.
-func (s *Sketch) Log2Histogram() Histogram {
-	h := Histogram{count: s.count, min: int64(s.min), max: int64(s.max)}
-	h.buckets[0] = s.zero
-	for i, c := range s.buckets {
-		h.buckets[(int(s.base)+i)>>sketchSubBits] += c
-	}
-	return h
 }
 
 // SketchState is the exported internal state of a Sketch: the counter

@@ -37,65 +37,6 @@ func TestWelfordStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHistogramStateRoundTrip pins the histogram state round-trip, direct
-// and through JSON, for random streams including the empty histogram.
-func TestHistogramStateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 50; trial++ {
-		var h Histogram
-		n := rng.Intn(300)
-		for i := 0; i < n; i++ {
-			h.Record(time.Duration(rng.Int63n(int64(10 * time.Second))))
-		}
-		got := HistogramFromState(h.State())
-		if got != h {
-			t.Fatalf("trial %d: State round-trip diverged", trial)
-		}
-		data, err := json.Marshal(h.State())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s HistogramState
-		if err := json.Unmarshal(data, &s); err != nil {
-			t.Fatal(err)
-		}
-		if HistogramFromState(s) != h {
-			t.Fatalf("trial %d: JSON round-trip diverged", trial)
-		}
-	}
-}
-
-// TestHistogramStateTrimsTrailingZeros checks the sparse encoding: the
-// bucket slice stops at the last non-empty bucket, and absent buckets decode
-// as zero.
-func TestHistogramStateTrimsTrailingZeros(t *testing.T) {
-	var h Histogram
-	h.Record(3) // bucket 1
-	s := h.State()
-	if len(s.Buckets) != 2 {
-		t.Fatalf("Buckets = %v, want length 2 (trimmed at last non-zero)", s.Buckets)
-	}
-	var empty Histogram
-	if got := empty.State(); got.Buckets != nil {
-		t.Fatalf("empty histogram state has buckets %v", got.Buckets)
-	}
-	if HistogramFromState(HistogramState{}) != empty {
-		t.Fatal("zero state does not decode to zero histogram")
-	}
-}
-
-// TestHistogramFromStateTruncatesOversizedBuckets guards the decoder against
-// a wire peer sending more than 64 buckets.
-func TestHistogramFromStateTruncatesOversizedBuckets(t *testing.T) {
-	s := HistogramState{Buckets: make([]uint64, 100), Count: 1}
-	s.Buckets[0] = 1
-	s.Buckets[99] = 7 // out of range; must be dropped, not panic
-	h := HistogramFromState(s)
-	if h.Count() != 1 {
-		t.Fatalf("count = %d, want 1", h.Count())
-	}
-}
-
 // TestStateViewsMatchState pins the read-only view an encoder serializes
 // from: field for field the State copy, with Buckets aliasing the sketch's
 // own counters instead of copying them.

@@ -1,7 +1,7 @@
 // Package stats provides the statistical primitives used throughout the RLIR
 // reproduction: single-pass mean/variance accumulators, empirical CDFs,
-// log-bucketed latency histograms, and the relative-error metric the paper
-// reports.
+// a bounded-memory latency quantile sketch, and the relative-error metric
+// the paper reports.
 package stats
 
 import "math"
