@@ -22,12 +22,18 @@ func TestAddNodeRejectsNegativeProcDelay(t *testing.T) {
 	nw.AddNode(NodeConfig{Name: "sw", ProcDelay: -time.Nanosecond})
 }
 
+// TestSetPropagationChangesLatency lengthens the switch's output link by
+// installing a Wire with a longer propagation: Link reads it back, and the
+// packet's flight takes it.
 func TestSetPropagationChangesLatency(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
 	eng, nw, src, sw, dst := buildLine(t, link, link)
 
-	sw.Port(0).SetPropagation(450 * time.Microsecond)
-	if got := sw.Port(0).Propagation(); got != 450*time.Microsecond {
+	if got := sw.Port(0).Link(); got != (Wire{RateBps: 1e9}) {
+		t.Fatalf("Link = %+v before SetLink, want the configured Wire", got)
+	}
+	sw.Port(0).SetLink(Wire{RateBps: 1e9, Propagation: 450 * time.Microsecond})
+	if got, _ := sw.Port(0).Link().Flight(nil, simtime.Zero); got != 450*time.Microsecond {
 		t.Fatalf("Propagation = %v", got)
 	}
 
@@ -42,15 +48,20 @@ func TestSetPropagationChangesLatency(t *testing.T) {
 	}
 }
 
+// TestSetPropagationRejectsNegative: a link's flight is read at
+// transmission start, so that is where a negative one panics — an arrival
+// before the transmission ends.
 func TestSetPropagationRejectsNegative(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
-	_, _, _, sw, _ := buildLine(t, link, link)
+	eng, nw, src, sw, _ := buildLine(t, link, link)
+	sw.Port(0).SetLink(Wire{RateBps: 1e9, Propagation: -time.Microsecond})
+	nw.Inject(src, mkpkt(1, 1500), simtime.Zero)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	sw.Port(0).SetPropagation(-time.Microsecond)
+	eng.Run()
 }
 
 func TestNodeNetworkAccessor(t *testing.T) {
@@ -118,12 +129,7 @@ func TestSetRateChangesTxTime(t *testing.T) {
 	arrivals := map[uint64]simtime.Time{}
 	dst.OnDeliver(func(p *packet.Packet, now simtime.Time) { arrivals[p.ID] = now })
 	start, end := simtime.FromDuration(time.Millisecond), simtime.FromDuration(3*time.Millisecond)
-	sw.Port(0).SetRate(func(now simtime.Time) float64 {
-		if now >= start && now < end {
-			return 1e8
-		}
-		return 1e9
-	})
+	sw.Port(0).SetLink(windowed{sw.Port(0).Link(), rateWindow{start, end, 0.1}})
 	injectAt := []time.Duration{0, 2 * time.Millisecond, 4 * time.Millisecond}
 	for i, at := range injectAt {
 		nw.Inject(src, mkpkt(uint64(i+1), 1500), simtime.FromDuration(at))
@@ -143,17 +149,17 @@ func TestSetRateChangesTxTime(t *testing.T) {
 	if lat(3) != lat(1) {
 		t.Fatalf("latency after the window %v, before it %v", lat(3), lat(1))
 	}
-	if got := sw.Port(0).Rate(); got != 1e9 {
-		t.Fatalf("configured Rate = %v under a rate hook", got)
+	if got := sw.Port(0).Link().(windowed).Link; got != (Wire{RateBps: 1e9}) {
+		t.Fatalf("the degraded link wraps %+v, want the configured Wire", got)
 	}
 }
 
-// TestSetRateRejectsNonPositive: the hook is read at transmission start, so
-// that is where a non-positive rate panics.
+// TestSetRateRejectsNonPositive: a link's rate is read at transmission
+// start, so that is where a non-positive rate panics.
 func TestSetRateRejectsNonPositive(t *testing.T) {
 	link := LinkConfig{RateBps: 1e9}
 	eng, nw, src, sw, _ := buildLine(t, link, link)
-	sw.Port(0).SetRate(func(simtime.Time) float64 { return 0 })
+	sw.Port(0).SetLink(Wire{})
 	nw.Inject(src, mkpkt(1, 1500), simtime.Zero)
 	defer func() {
 		if recover() == nil {

@@ -17,22 +17,23 @@
 // work routes through monomorphic typed events rather than closures.
 //
 // A link hop costs at most one event: when a packet starts transmission the
-// port settles its whole hop — the end of serialization, the link
-// emulator's verdict — and schedules its arrival event at the next node,
+// port settles its whole hop — the end of serialization, the link's flight
+// time or loss — and schedules its arrival event at the next node,
 // keyed at the arrival plus that node's processing delay. The arrival event
 // runs the ingress taps with the arrival instant and forwards inline. A node
 // may own an address (NodeConfig.Addr): a packet addressed to it is
-// delivered without consulting its ForwardFunc, and when no tap or
-// selective delay observes the node, the port settles that delivery at tx
-// start and schedules nothing. A packet offered to an idle port starts
+// delivered without consulting its ForwardFunc, and until a tap or a
+// selective delay registers on the node, the port settles that delivery at
+// tx start and schedules nothing. A packet offered to an idle port starts
 // transmission at once; a port wakes again (txNext) only when a packet is
 // queued behind the transmission. A node's processing delay is therefore
 // fixed for the run; a delay that varies with the packet or the instant is
 // a DelayFunc (Node.SetSelectiveDelay), which is how the scenario engine
 // (internal/scenario) models hop-delay faults and the compromised switch.
-// Links are the same: a rate that varies with the instant is a RateFunc
-// (Port.SetRate), read at each transmission start, which is how the
-// link-degrade fault is modeled. Nothing but packets is ever scheduled.
+// A port's wire is a Link (Port.SetLink), read at each tx start; a
+// perturbation wraps the Link beneath it, which is how the link-degrade
+// fault and link-trace replay are modeled. Nothing but packets is ever
+// scheduled.
 // Workloads enter through Network.Pull: a Source yields one packet at a time
 // and holds one pending injection event, so the engine holds what is in
 // flight, not the workload. Events due at one instant run in an order the

@@ -124,7 +124,7 @@ type txLog struct {
 // — so boundary T counts the bytes of every start strictly before T, and
 // normalizes by the rate in effect at T. ewma[k-1] is the estimate after
 // boundary k.
-func tickerEWMA(log []txLog, start simtime.Time, period time.Duration, alpha float64, rate RateFunc, n int) []float64 {
+func tickerEWMA(log []txLog, start simtime.Time, period time.Duration, alpha float64, rate func(simtime.Time) float64, n int) []float64 {
 	ewma := make([]float64, n)
 	var cur, lastBytes uint64
 	lastAt := start
@@ -150,7 +150,7 @@ func tickerEWMA(log []txLog, start simtime.Time, period time.Duration, alpha flo
 
 // TestUtilMeterMatchesTicker checks the tickless meter against tickerEWMA bit
 // for bit on seeded random loads: bursts and idle gaps spanning many periods,
-// transmissions starting exactly on boundaries, and a rate hook degrading the
+// transmissions starting exactly on boundaries, and a rate Link degrading the
 // link in windows. The meter is read at every transmission start on its port
 // (where a sender reads it, after its own tap) and at every delivery
 // downstream (instants that are not transmission starts), and at the end.
@@ -171,7 +171,7 @@ func TestUtilMeterMatchesTicker(t *testing.T) {
 			}
 			return 1e9
 		}
-		port.SetRate(rate)
+		port.SetLink(rated{port.Link(), rate})
 
 		alpha := []float64{0.3, 0.5, 1}[trial%3]
 		m := NewUtilMeter(port, period, alpha)
@@ -237,3 +237,12 @@ func TestUtilMeterMatchesTicker(t *testing.T) {
 		t.Fatal("no transmission started on a period boundary; the test lost its tie case")
 	}
 }
+
+// rated replaces the rate of the link beneath with a function of the start
+// instant.
+type rated struct {
+	Link
+	rate func(simtime.Time) float64
+}
+
+func (r rated) Rate(start simtime.Time) float64 { return r.rate(start) }

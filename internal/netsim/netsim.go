@@ -35,18 +35,31 @@ type ForwardFunc func(n *Node, p *packet.Packet) int
 // by delaying only the packets it predicts won't be sampled.
 type DelayFunc func(p *packet.Packet, now simtime.Time) time.Duration
 
-// EmulateFunc drives one link from recorded behaviour: for a packet about to
-// propagate it returns extra one-way delay to add on top of the configured
-// propagation, and whether the link drops the packet outright. Like
-// DelayFunc it must be pure per (packet, instant). Trace-driven link
-// emulation (internal/trace.LinkTrace) plugs in here.
-type EmulateFunc func(p *packet.Packet, now simtime.Time) (extra time.Duration, drop bool)
+// Link is a port's wire, asked once per packet when its transmission starts.
+// Rate is the line rate in bits per second for a transmission starting at
+// start, kept to its end; a non-positive rate panics (simtime.TxTime).
+// Flight is how long p takes from the end of its transmission to the far
+// node's ingress, or drop = true when the wire loses it (EmuDrops); a
+// negative flight panics. Like DelayFunc both must be pure. A perturbation
+// wraps the Link beneath it (Port.Link): path skew, the link-degrade fault
+// and trace-driven link emulation are all Links.
+type Link interface {
+	Rate(start simtime.Time) float64
+	Flight(p *packet.Packet, end simtime.Time) (flight time.Duration, drop bool)
+}
 
-// RateFunc returns a link's line rate in bits per second for a packet
-// starting transmission at now. Like DelayFunc it must be a pure function of
-// that instant; scenario fault injection uses it for the link-degrade fault
-// (a reduced rate for every transmission starting in a window).
-type RateFunc func(now simtime.Time) float64
+// Wire is the Link a port is connected with: LinkConfig's rate and
+// propagation, and no loss.
+type Wire struct {
+	RateBps     float64
+	Propagation time.Duration
+}
+
+// Rate returns the configured line rate.
+func (w Wire) Rate(simtime.Time) float64 { return w.RateBps }
+
+// Flight returns the configured propagation delay.
+func (w Wire) Flight(*packet.Packet, simtime.Time) (time.Duration, bool) { return w.Propagation, false }
 
 // Network is a collection of nodes, ports and links sharing one event
 // engine. Create with New.
@@ -62,7 +75,7 @@ type Network struct {
 	// processing delay, which runs the ingress work for the arrival instant
 	// and forwards inline. The port schedules it when the packet starts
 	// transmission, unless the packet ends at a node nothing observes
-	// (Node.quietSink). A packet that queues behind another adds a txNext
+	// (Node.quiet). A packet that queues behind another adds a txNext
 	// at the port, and a positive selective delay a dispatch. Each payload
 	// lives by value in the queue slot, so forwarding a packet schedules no
 	// closures and allocates nothing.
@@ -130,11 +143,10 @@ type NodeConfig struct {
 	ProcDelay time.Duration
 	// Addr is the address the node owns; the zero Addr owns none. A packet
 	// whose destination is Addr is delivered at the node without asking its
-	// ForwardFunc. If the node also has no OnReceive or OnDeliver tap and no
-	// selective delay when the packet starts transmission towards it,
-	// nothing can observe its arrival, so the upstream port settles the
-	// delivery (counters and path trace) then instead of scheduling an
-	// arrival event.
+	// ForwardFunc. Until an OnReceive or OnDeliver tap or a selective delay
+	// registers on the node, nothing can observe such a packet's arrival, so
+	// the upstream port settles its delivery (counters and path trace) when
+	// it starts transmission instead of scheduling an arrival event.
 	Addr packet.Addr
 }
 
@@ -145,11 +157,12 @@ func (nw *Network) AddNode(cfg NodeConfig) *Node {
 		panic(fmt.Sprintf("netsim: node %q has negative processing delay", cfg.Name))
 	}
 	n := &Node{
-		net:  nw,
-		id:   NodeID(len(nw.nodes)),
-		name: cfg.Name,
-		proc: cfg.ProcDelay,
-		addr: cfg.Addr,
+		net:   nw,
+		id:    NodeID(len(nw.nodes)),
+		name:  cfg.Name,
+		proc:  cfg.ProcDelay,
+		addr:  cfg.Addr,
+		quiet: cfg.Addr,
 		forward: func(*Node, *packet.Packet) int {
 			return -1
 		},
@@ -237,6 +250,7 @@ type Node struct {
 	name    string
 	proc    time.Duration
 	addr    packet.Addr // NodeConfig.Addr; 0 = none
+	quiet   packet.Addr // addr until a tap or selective delay registers: deliveries settled at tx start
 	extra   DelayFunc
 	ports   []*Port
 	forward ForwardFunc
@@ -283,21 +297,21 @@ func (n *Node) SetForward(f ForwardFunc) { n.forward = f }
 // ProcDelay returns the node's per-packet processing delay.
 func (n *Node) ProcDelay() time.Duration { return n.proc }
 
-// SetSelectiveDelay installs (or with nil removes) a per-packet extra-delay
-// hook evaluated with the arrival instant, added on top of ProcDelay. It is
+// SetSelectiveDelay installs a per-packet extra-delay hook evaluated with
+// the arrival instant, added on top of ProcDelay. It is
 // the one way to vary a node's delay: the hop-delay fault's window and the
 // compromised switch, which delays only traffic it predicts is unmeasured,
 // are both terms of it. A negative return panics.
-func (n *Node) SetSelectiveDelay(f DelayFunc) { n.extra = f }
+func (n *Node) SetSelectiveDelay(f DelayFunc) { n.extra, n.quiet = f, 0 }
 
 // OnReceive registers an ingress tap. Ingress taps run at arrival + proc,
 // in the packet's one arrival event, and see the arrival instant; what they
 // write to the packet is visible to forwarding and egress. Receiver
 // instruments placed "at" a router attach here.
-func (n *Node) OnReceive(t TapFunc) { n.onReceive = append(n.onReceive, t) }
+func (n *Node) OnReceive(t TapFunc) { n.onReceive, n.quiet = append(n.onReceive, t), 0 }
 
 // OnDeliver registers a tap run when a packet terminates at this node.
-func (n *Node) OnDeliver(t TapFunc) { n.onDeliver = append(n.onDeliver, t) }
+func (n *Node) OnDeliver(t TapFunc) { n.onDeliver, n.quiet = append(n.onDeliver, t), 0 }
 
 // Received returns the count of packets that entered this node.
 func (n *Node) Received() uint64 { return n.received }
@@ -350,13 +364,6 @@ func (n *Node) dispatch(p *packet.Packet) {
 // owns reports whether p is addressed to n.
 func (n *Node) owns(p *packet.Packet) bool { return n.addr != 0 && p.Key.Dst == n.addr }
 
-// quietSink reports whether p ends at n without anything observing its
-// arrival: n owns it and has no ingress or delivery tap and no selective
-// delay.
-func (n *Node) quietSink(p *packet.Packet) bool {
-	return n.owns(p) && len(n.onReceive) == 0 && len(n.onDeliver) == 0 && n.extra == nil
-}
-
 func (n *Node) deliver(p *packet.Packet) {
 	now := n.net.eng.Now()
 	n.delivered++
@@ -372,7 +379,7 @@ type PortCounters struct {
 	TxBytes    uint64
 	Drops      uint64
 	DropBytes  uint64
-	EmuDrops   uint64 // packets the link emulator dropped on the wire, counted at tx start
+	EmuDrops   uint64 // packets the port's Link dropped on the wire, counted at tx start
 	QueueBytes int    // instantaneous backlog, excluding packet in service
 	QueueLen   int
 }
@@ -390,8 +397,7 @@ type Port struct {
 	qBytes int
 	free   simtime.Time // end of the latest transmission
 	armed  bool         // the queue head has a server: a pending txNext, or transmit is running
-	rate   RateFunc
-	emu    EmulateFunc
+	link   Link         // nil: the configured Wire, read without a dynamic call
 
 	onTxStart []TapFunc
 	onDrop    []TapFunc
@@ -408,43 +414,25 @@ func (pt *Port) Index() int { return pt.index }
 // Dst returns the node at the far end of the link.
 func (pt *Port) Dst() *Node { return pt.dst }
 
-// Rate returns the configured line rate in bits per second.
-func (pt *Port) Rate() float64 { return pt.cfg.RateBps }
+// Link returns the port's wire: the Link SetLink installed, or the
+// configured Wire.
+func (pt *Port) Link() Link {
+	if pt.link == nil {
+		return Wire{pt.cfg.RateBps, pt.cfg.Propagation}
+	}
+	return pt.link
+}
 
-// rateAt returns the line rate in effect for a transmission starting at now.
-func (pt *Port) rateAt(now simtime.Time) float64 {
-	if pt.rate == nil {
+// SetLink installs l as the port's wire; nil restores the configured Wire.
+func (pt *Port) SetLink(l Link) { pt.link = l }
+
+// rateAt is Link().Rate(start) without boxing the configured Wire.
+func (pt *Port) rateAt(start simtime.Time) float64 {
+	if pt.link == nil {
 		return pt.cfg.RateBps
 	}
-	return pt.rate(now)
+	return pt.link.Rate(start)
 }
-
-// Propagation returns the link's one-way propagation delay.
-func (pt *Port) Propagation() time.Duration { return pt.cfg.Propagation }
-
-// SetRate installs (or with nil removes) a rate hook evaluated when a packet
-// starts transmission: the packet serializes at the rate the hook returns for
-// that instant instead of the configured one, and keeps it to the end of its
-// transmission — the way a renegotiated or degraded physical link behaves. A
-// non-positive rate panics (simtime.TxTime).
-func (pt *Port) SetRate(f RateFunc) { pt.rate = f }
-
-// SetPropagation changes the link's propagation delay for transmissions
-// starting after the call. Experiments use it at build time to model
-// heterogeneous path lengths.
-func (pt *Port) SetPropagation(d time.Duration) {
-	if d < 0 {
-		panic("netsim: negative propagation delay")
-	}
-	pt.cfg.Propagation = d
-}
-
-// SetEmulator installs (or with nil removes) a link emulator, asked at tx
-// start with the instant the packet's transmission ends: extra delay is
-// added on top of the configured propagation (never subtracted) and drops
-// discard the packet on the wire, counted in Counters().EmuDrops.
-// A negative extra delay panics.
-func (pt *Port) SetEmulator(f EmulateFunc) { pt.emu = f }
 
 // Counters returns a snapshot of the port's statistics.
 func (pt *Port) Counters() PortCounters {
@@ -501,7 +489,7 @@ func (pt *Port) startTx() {
 
 // transmit puts p on the wire and settles its whole link hop at once: the
 // transmission ends at end = now + size/rate(now), and the downstream
-// arrival event is scheduled at end + propagation + emulated extra + the far
+// arrival event is scheduled at end + the link's flight time + the far
 // node's processing delay — or, for a packet ending at a quiet far node,
 // its delivery is counted now. The port wakes at end only if a packet is
 // queued behind this one. A tap that enqueues on this port (an RLI sender's
@@ -511,35 +499,33 @@ func (pt *Port) transmit(p *packet.Packet) {
 	pt.armed = true
 	nw := pt.node.net
 	now := nw.eng.Now()
-	end := now.Add(simtime.TxTime(p.Size, pt.rateAt(now)))
+	var end simtime.Time
+	flight, drop := pt.cfg.Propagation, false
+	if l := pt.link; l == nil {
+		end = now.Add(simtime.TxTime(p.Size, pt.cfg.RateBps))
+	} else {
+		end = now.Add(simtime.TxTime(p.Size, l.Rate(now)))
+		if flight, drop = l.Flight(p, end); flight < 0 {
+			panic("netsim: negative link flight time")
+		}
+	}
 	pt.free = end
 	for _, t := range pt.onTxStart {
 		t(p, now)
 	}
 	pt.ctr.TxPackets++
 	pt.ctr.TxBytes += uint64(p.Size)
-	arrive, d := true, pt.cfg.Propagation+pt.dst.proc
-	if pt.emu != nil {
-		extra, drop := pt.emu(p, end)
-		switch {
-		case drop:
-			pt.ctr.EmuDrops++
-			arrive = false
-		case extra < 0:
-			panic("netsim: negative emulated link delay")
-		}
-		d += extra
-	}
 	switch dst := pt.dst; {
-	case !arrive:
-	case dst.quietSink(p):
+	case drop:
+		pt.ctr.EmuDrops++
+	case dst.quiet != 0 && p.Key.Dst == dst.quiet:
 		dst.received++
 		dst.delivered++
 		if nw.tracePaths {
 			p.RecordHop(int32(dst.id))
 		}
 	default:
-		nw.eng.AtKind(end.Add(d), classArrive|pt.id, nw.kArrive, dst, p)
+		nw.eng.AtKind(end.Add(flight+dst.proc), classArrive|pt.id, nw.kArrive, dst, p)
 	}
 	if pt.queue.len() > 0 {
 		nw.eng.AtKind(end, classTxNext|pt.id, nw.kTxNext, pt, nil)

@@ -35,12 +35,37 @@ type rateWindow struct {
 	factor   float64
 }
 
-// rate is the line rate the window puts in effect at a start instant.
-func (w rateWindow) rate(pt *Port, start simtime.Time) float64 {
+// rate is the line rate the window puts in effect at a start instant on a
+// link whose rate is otherwise base.
+func (w rateWindow) rate(base float64, start simtime.Time) float64 {
 	if !start.Before(w.from) && start.Before(w.to) {
-		return pt.Rate() * w.factor
+		return base * w.factor
 	}
-	return pt.Rate()
+	return base
+}
+
+// windowed is a rate window as a Link over the one beneath.
+type windowed struct {
+	Link
+	win rateWindow
+}
+
+func (w windowed) Rate(start simtime.Time) float64 { return w.win.rate(w.Link.Rate(start), start) }
+
+// emulate is a pure link emulation: extra delay and keyed drops, a function
+// of the packet ID and the instant its transmission ends.
+func emulate(p *packet.Packet, end simtime.Time) (extra time.Duration, drop bool) {
+	h := (p.ID ^ uint64(end)) * 0x9E3779B97F4A7C15 >> 40
+	return time.Duration(h%4) * 250 * time.Nanosecond, h%16 == 0
+}
+
+// emulated adds emulate to the flight of the link beneath.
+type emulated struct{ Link }
+
+func (e emulated) Flight(p *packet.Packet, end simtime.Time) (time.Duration, bool) {
+	d, drop := e.Link.Flight(p, end)
+	extra, lost := emulate(p, end)
+	return d + extra, drop || lost
 }
 
 // TestPortsMatchLindley is the closed-form oracle for the forwarding model,
@@ -156,43 +181,42 @@ func TestPortsMatchLindley(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						refEvery = 2 + rng.Intn(4)
 					}
-					// A rate window on some ports: the hook is read at
-					// each start, so a packet queued before the window
+					// A rate window on some ports: the link's rate is read
+					// at each start, so a packet queued before the window
 					// opens but starting inside it is degraded.
 					win := rateWindow{from: simtime.Never, to: simtime.Never, factor: 1}
 					if rng.Intn(3) == 0 {
 						from := simtime.FromDuration(time.Duration(rng.Intn(300)) * time.Microsecond)
 						win = rateWindow{from, from.Add(time.Duration(20+rng.Intn(80)) * time.Microsecond), []float64{0.25, 0.5}[rng.Intn(2)]}
-						pt.SetRate(func(now simtime.Time) float64 { return win.rate(pt, now) })
+						pt.SetLink(windowed{pt.Link(), win})
 					}
-					// A pure link emulator on some ports: extra delay and
-					// keyed drops, decided at transmission end.
-					if rng.Intn(3) == 0 {
-						pt.SetEmulator(func(p *packet.Packet, now simtime.Time) (time.Duration, bool) {
-							h := (p.ID ^ uint64(now)) * 0x9E3779B97F4A7C15 >> 40
-							return time.Duration(h%4) * 250 * time.Nanosecond, h%16 == 0
-						})
+					// A pure link emulator wrapping it on some ports: extra
+					// delay and keyed drops, decided at transmission end.
+					emu := rng.Intn(3) == 0
+					if emu {
+						pt.SetLink(emulated{pt.Link()})
 					}
 					rates[pt] = win
+					base := pt.cfg.RateBps
 					sent := 0
 					pt.OnTxStart(func(p *packet.Packet, now simtime.Time) {
 						logs[pt] = append(logs[pt], portEvent{kind: evStart, at: now, p: p})
 						via[p] = pt
-						if win.rate(pt, now) != pt.Rate() {
+						if win.rate(base, now) != base {
 							degraded++
 						}
-						done := now.Add(simtime.TxTime(p.Size, win.rate(pt, now)))
+						done := now.Add(simtime.TxTime(p.Size, win.rate(base, now)))
 						var extra time.Duration
 						var drop bool
-						if pt.emu != nil {
-							extra, drop = pt.emu(p, done)
+						if emu {
+							extra, drop = emulate(p, done)
 						}
 						if drop {
 							// Dropped on the wire: it must never arrive.
 							delete(expArrive, p)
 							wireDrops[pt]++
 						} else {
-							expArrive[p] = done.Add(pt.Propagation() + extra)
+							expArrive[p] = done.Add(pt.cfg.Propagation + extra)
 						}
 						if sent++; refEvery > 0 && sent%refEvery == 0 {
 							ref := &packet.Packet{ID: n.NewPacketID(), Size: 64, Kind: packet.Reference}
@@ -292,7 +316,7 @@ func replayLindley(t *testing.T, pt *Port, log []portEvent, win rateWindow) (sta
 				a.start = max(a.start, prev.end)
 				a.inline = prev.end <= ev.at && (prev.start.Before(ev.at) || prev.inline)
 			}
-			a.end = a.start.Add(simtime.TxTime(ev.p.Size, win.rate(pt, a.start)))
+			a.end = a.start.Add(simtime.TxTime(ev.p.Size, win.rate(pt.cfg.RateBps, a.start)))
 			fifo = append(fifo, a)
 		case evStart:
 			if started >= len(fifo) || fifo[started].p != ev.p {

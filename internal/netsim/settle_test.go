@@ -84,7 +84,7 @@ func TestDeliveryWithoutEvent(t *testing.T) {
 			})
 		}, false, n},
 		{"emulator drop", addr, func(_ *Node, last *Port, _ *[]simtime.Time) {
-			last.SetEmulator(func(*packet.Packet, simtime.Time) (time.Duration, bool) { return 0, true })
+			last.SetLink(lossyWire{last.Link()})
 		}, false, 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -116,4 +116,12 @@ func TestDeliveryWithoutEvent(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lossyWire drops every packet on the wire.
+type lossyWire struct{ Link }
+
+func (l lossyWire) Flight(p *packet.Packet, end simtime.Time) (time.Duration, bool) {
+	d, _ := l.Link.Flight(p, end)
+	return d, true
 }

@@ -128,9 +128,9 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 }
 
 // buildFatTree is stage one: the engine, the topology, and everything the
-// spec does to the network itself — path skew, fault windows, the
-// compromised switch, link-trace replay — all as hooks: no event is
-// scheduled here.
+// spec does to the network itself — path skew, fault windows and link-trace
+// replay as port Links, the hop-delay fault and the compromised switch as
+// selective delays: no event is scheduled here.
 func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 	r := &fatTreeRun{spec: spec, seed: seed}
 	eng := eventsim.New()
@@ -174,26 +174,25 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		for _, p := range r.monPods {
 			for j := 0; j < h; j++ {
 				for i := 0; i < h; i++ {
-					port := ft.CoreDownPort(j, i, p)
-					port.SetPropagation(port.Propagation() + time.Duration(j*h+i)*skew)
+					extra := time.Duration(j*h+i) * skew
+					ft.CoreDownPort(j, i, p).SetLink(netsim.Wire{RateBps: tc.LinkBps, Propagation: tc.Propagation + extra})
 				}
 			}
 		}
 	}
 
 	// Faults, each a pure function of the instant a packet meets it. A link
-	// degrade is a term of its core down-port's RateFunc: a transmission
-	// starting in [Start, End) serializes at RateFactor times the healthy
-	// rate. A hop delay is a term of its aggregation switch's DelayFunc: a
-	// packet arriving in [Start, End) pays Extra on top of the switch's
-	// processing delay.
+	// degrade wraps its core down-port's Link (windows validated not to
+	// overlap): a transmission starting in [Start, End) serializes at
+	// RateFactor times the rate beneath. A hop delay is a term of its
+	// aggregation switch's DelayFunc: a packet arriving in [Start, End) pays
+	// Extra on top of the switch's processing delay.
 	delays := map[*netsim.Node][]netsim.DelayFunc{}
-	degrades := map[*netsim.Port][]FaultSpec{}
 	for _, f := range spec.sortedFaults() {
 		switch f.Kind {
 		case FaultLinkDegrade:
 			port := ft.CoreDownPort(f.CoreJ, f.CoreI, f.DownPod)
-			degrades[port] = append(degrades[port], f)
+			port.SetLink(degraded{port.Link(), f})
 		case FaultHopDelay:
 			node := ft.Aggs[f.AggPod][f.AggIdx]
 			start, end := simtime.FromDuration(f.Start), simtime.FromDuration(f.End)
@@ -205,18 +204,6 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 			})
 		}
 	}
-	healthy := spec.Topology.LinkBps
-	for port, fs := range degrades {
-		port.SetRate(func(now simtime.Time) float64 {
-			for _, f := range fs { // validated not to overlap
-				if t := now.Duration(); f.Start <= t && t < f.End {
-					return healthy * f.RateFactor
-				}
-			}
-			return healthy
-		})
-	}
-
 	// Adversary: a compromised aggregation switch selectively delaying the
 	// packets it predicts will go unmeasured, a term of the same DelayFunc.
 	if a := spec.Adversary; a != nil {
@@ -251,12 +238,35 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		}
 		r.emuTrace = lt
 		r.emuPort = ft.CoreDownPort(l.CoreJ, l.CoreI, l.DownPod)
-		emuSeed := trace.SplitMix64(uint64(seed) ^ linkTraceSeedSalt)
-		r.emuPort.SetEmulator(func(pk *packet.Packet, now simtime.Time) (time.Duration, bool) {
-			return lt.Emulate(pk.ID, emuSeed, now.Duration())
-		})
+		r.emuPort.SetLink(traced{r.emuPort.Link(), lt, trace.SplitMix64(uint64(seed) ^ linkTraceSeedSalt)})
 	}
 	return r, nil
+}
+
+// degraded is one link-degrade fault over the link beneath.
+type degraded struct {
+	netsim.Link
+	f FaultSpec
+}
+
+func (d degraded) Rate(start simtime.Time) float64 {
+	if t := start.Duration(); d.f.Start <= t && t < d.f.End {
+		return d.Link.Rate(start) * d.f.RateFactor
+	}
+	return d.Link.Rate(start)
+}
+
+// traced is link-trace replay over the link beneath.
+type traced struct {
+	netsim.Link
+	lt   *trace.LinkTrace
+	seed uint64
+}
+
+func (t traced) Flight(p *packet.Packet, end simtime.Time) (time.Duration, bool) {
+	d, drop := t.Link.Flight(p, end)
+	extra, lost := t.lt.Emulate(p.ID, t.seed, end.Duration())
+	return d + extra, drop || lost
 }
 
 // sumDelays composes the delay terms one switch is given into its DelayFunc.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
+	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/trace"
@@ -185,16 +186,9 @@ func TestLinkTraceDropsArePureInPacketID(t *testing.T) {
 	if err := r.instrument(nil); err != nil {
 		t.Fatal(err)
 	}
-	type ask struct {
-		id uint64
-		at time.Duration
-	}
 	var asks []ask
 	emuSeed := trace.SplitMix64(uint64(seed) ^ linkTraceSeedSalt)
-	r.emuPort.SetEmulator(func(pk *packet.Packet, now simtime.Time) (time.Duration, bool) {
-		asks = append(asks, ask{pk.ID, now.Duration()})
-		return r.emuTrace.Emulate(pk.ID, emuSeed, now.Duration())
-	})
+	r.emuPort.SetLink(askLog{r.emuPort.Link(), &asks})
 	r.inject()
 	r.run()
 	res, err := r.harvest()
@@ -221,4 +215,22 @@ func TestLinkTraceDropsArePureInPacketID(t *testing.T) {
 	if refDrops == 0 || regular == 0 {
 		t.Errorf("link saw %d regular packets and dropped %d reference packets; the seed no longer exercises both ID spaces", regular, refDrops)
 	}
+}
+
+// ask is one question a link was asked: the packet ID and the instant its
+// transmission ends.
+type ask struct {
+	id uint64
+	at time.Duration
+}
+
+// askLog logs every packet its link beneath carries.
+type askLog struct {
+	netsim.Link
+	asks *[]ask
+}
+
+func (l askLog) Flight(pk *packet.Packet, end simtime.Time) (time.Duration, bool) {
+	*l.asks = append(*l.asks, ask{pk.ID, end.Duration()})
+	return l.Link.Flight(pk, end)
 }
