@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -69,6 +70,9 @@ func TestPacketConservation(t *testing.T) {
 		if sink.Delivered() != delivered {
 			t.Fatalf("trial %d: node delivered %d != tap %d", trial, sink.Delivered(), delivered)
 		}
+		if err := nw.Audit(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 	}
 }
 
@@ -89,5 +93,57 @@ func TestByteConservation(t *testing.T) {
 
 	if got := sw.Port(0).Counters().TxBytes; got != arrivedBytes {
 		t.Fatalf("TxBytes %d != arrived bytes %d", got, arrivedBytes)
+	}
+}
+
+// TestAuditNamesTheUnbalanced breaks the books three ways on a src -> sw ->
+// dst line and checks that Audit names where: a tap that enqueues a packet
+// a second time and one that mints a reference it never sends unbalance
+// their node, and a port that loses its server strands its queue.
+func TestAuditNamesTheUnbalanced(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		setup func(src, sw *Node)
+		want  []string // substrings of the error
+	}{
+		{"tap duplicates a packet", func(_, sw *Node) {
+			twice := true
+			sw.Port(0).OnTxStart(func(p *packet.Packet, _ simtime.Time) {
+				if twice {
+					twice = false
+					sw.Port(0).Enqueue(p)
+				}
+			})
+		}, []string{"node sw: received 4 + minted 0 != delivered 0 + offered to its ports 5", "network: injected 4 + minted 0 != delivered 5"}},
+		{"minted packet goes missing", func(src, _ *Node) {
+			src.Port(0).OnTxStart(func(*packet.Packet, simtime.Time) { src.NewPacketID() })
+		}, []string{"node src: received 4 + minted 4 != delivered 0 + offered to its ports 4", "network: injected 4 + minted 4 != delivered 4"}},
+		{"queue loses its server", func(_, sw *Node) { sw.Port(0).armed = true }, []string{
+			"port sw[0]->dst: 4 packets left queued, 4 enqueued, 0 transmitted", "network: injected 4 + minted 0 != delivered 0"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			link := LinkConfig{RateBps: 1e9}
+			eng, nw, src, sw, _ := buildLine(t, link, link)
+			if err := nw.Audit(); err != nil {
+				t.Fatalf("an empty network does not balance: %v", err)
+			}
+			c.setup(src, sw)
+			for i := range 4 {
+				nw.Inject(src, mkpkt(uint64(i+1), 1000), simtime.Zero)
+			}
+			eng.Run()
+			err := nw.Audit()
+			if err == nil {
+				t.Fatal("Audit passed")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("Audit error %q does not say %q", err, w)
+				}
+			}
+			if n := strings.Count(err.Error(), "\n") + 1; n != len(c.want) {
+				t.Errorf("Audit reported %d imbalances, want %d: %v", n, len(c.want), err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -69,6 +70,7 @@ type Network struct {
 	ports      uint64 // ports connected so far: the next network-wide port index
 	tracePaths bool
 	nextPktID  uint64
+	injected   uint64 // packets the workloads have yielded (Pull)
 
 	// Typed event kinds for the per-packet hot path. A packet costs one
 	// event per hop: its arrival at a node, keyed at arrival + the node's
@@ -199,6 +201,7 @@ type Source struct {
 // event and the engine's queue holds what is in flight, not the workload.
 func (nw *Network) Pull(src *Source) {
 	if n, p, at, ok := src.Next(); ok {
+		nw.injected++
 		src.node = n
 		nw.eng.AtKind(at.Add(n.proc), classInject|p.ID, nw.kInject, src, p)
 	}
@@ -211,6 +214,44 @@ func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
 		p = nil
 		return n, q, at, q != nil
 	}})
+}
+
+// Audit balances the books of a network whose engine has run to empty: every
+// packet a workload injected (Pull) or a node minted (Node.NewPacketID)
+// ended exactly once — delivered at a node, dropped at a queue or lost on a
+// wire. Per port, the queue is empty and every packet it accepted was
+// transmitted; per node, the packets it received or minted equal those it
+// delivered plus those it offered its own ports; network-wide, injected plus
+// minted equals delivered plus queue and wire drops. It names every port and
+// node whose books do not balance, so a tap that enqueues a packet twice, or
+// mints one it never sends, shows at its node. It costs O(ports).
+func (nw *Network) Audit() error {
+	var errs []error
+	var minted, delivered, drops, lost uint64
+	for _, n := range nw.nodes {
+		var offered uint64
+		for _, pt := range n.ports {
+			c := pt.ctr
+			if q := pt.queue.len(); q > 0 || c.Enqueued != c.TxPackets {
+				errs = append(errs, fmt.Errorf("netsim: port %s[%d]->%s: %d packets left queued, %d enqueued, %d transmitted",
+					n.name, pt.index, pt.dst.name, q, c.Enqueued, c.TxPackets))
+			}
+			offered += c.Enqueued + c.Drops
+			drops += c.Drops
+			lost += c.EmuDrops
+		}
+		if n.received+n.refID != n.delivered+offered {
+			errs = append(errs, fmt.Errorf("netsim: node %s: received %d + minted %d != delivered %d + offered to its ports %d",
+				n.name, n.received, n.refID, n.delivered, offered))
+		}
+		minted += n.refID
+		delivered += n.delivered
+	}
+	if nw.injected+minted != delivered+drops+lost {
+		errs = append(errs, fmt.Errorf("netsim: network: injected %d + minted %d != delivered %d + queue drops %d + wire drops %d",
+			nw.injected, minted, delivered, drops, lost))
+	}
+	return errors.Join(errs...)
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding

@@ -246,6 +246,9 @@ func TestPortsMatchLindley(t *testing.T) {
 			nw.Inject(layers[0][rng.Intn(len(layers[0]))], p, at)
 		}
 		eng.Run()
+		if err := nw.Audit(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 
 		for pt, log := range logs {
 			s, d, h := replayLindley(t, pt, log, rates[pt])

@@ -124,7 +124,14 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 	}
 	r.inject()
 	r.run()
-	return r.harvest()
+	res, err := r.harvest()
+	if err == nil {
+		err = r.nw.Audit()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // buildFatTree is stage one: the engine, the topology, and everything the

@@ -278,6 +278,9 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
+	if err := nw.Audit(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
