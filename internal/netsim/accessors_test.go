@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,6 +63,27 @@ func TestSetPropagationRejectsNegative(t *testing.T) {
 		}
 	}()
 	eng.Run()
+}
+
+// TestConnectRejectsNegativeConfig: a link's propagation and its queue bound
+// are fixed when it is connected, so Connect refuses a negative one, naming
+// the link.
+func TestConnectRejectsNegativeConfig(t *testing.T) {
+	for _, cfg := range []LinkConfig{
+		{RateBps: 1e9, Propagation: -time.Nanosecond},
+		{RateBps: 1e9, QueueBytes: -1},
+	} {
+		func() {
+			nw := New(eventsim.New())
+			a, b := nw.AddNode(NodeConfig{Name: "a"}), nw.AddNode(NodeConfig{Name: "b"})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "a->b") {
+					t.Errorf("Connect(%+v) panicked with %q, want a panic naming the link a->b", cfg, msg)
+				}
+			}()
+			nw.Connect(a, b, cfg)
+		}()
+	}
 }
 
 func TestNodeNetworkAccessor(t *testing.T) {

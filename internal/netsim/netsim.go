@@ -269,8 +269,13 @@ type LinkConfig struct {
 // Connect attaches a new output port on from, linked to to's ingress, and
 // returns the port. Links are unidirectional; call twice for a duplex pair.
 func (nw *Network) Connect(from, to *Node, cfg LinkConfig) *Port {
-	if cfg.RateBps <= 0 {
+	switch {
+	case cfg.RateBps <= 0:
 		panic(fmt.Sprintf("netsim: link %s->%s has non-positive rate", from.name, to.name))
+	case cfg.Propagation < 0:
+		panic(fmt.Sprintf("netsim: link %s->%s has negative propagation delay", from.name, to.name))
+	case cfg.QueueBytes < 0:
+		panic(fmt.Sprintf("netsim: link %s->%s has a negative queue bound", from.name, to.name))
 	}
 	p := &Port{
 		node:  from,

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/netmeasure/rlir/internal/netsim"
+	"github.com/netmeasure/rlir/internal/packet"
+	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
@@ -88,5 +92,64 @@ func TestResultQuantilesMatchFleet(t *testing.T) {
 					res.EstP50, res.EstP99, p50, p99)
 			}
 		})
+	}
+}
+
+// TestRegistryWiresCarryOnePacket is the departure half of a Lindley
+// replay, run on every registered fat-tree spec: a tx-start tap on every
+// port checks that no transmission starts before the port's previous one
+// has ended, at the rate the port's Link gave it — degrade windows, path
+// skew and link-trace replay included.
+func TestRegistryWiresCarryOnePacket(t *testing.T) {
+	degraded := 0
+	for _, sc := range All() {
+		if sc.Spec.Topology.Kind == TopoTandem {
+			continue
+		}
+		t.Run(sc.Name, func(t *testing.T) {
+			r, err := buildFatTree(sc.Spec, sc.Spec.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.instrument(nil); err != nil {
+				t.Fatal(err)
+			}
+			var starts int
+			var overlap string // the first violation; the simulator's goroutine must not stop
+			for id := range r.nw.Nodes() {
+				for _, pt := range r.nw.Node(netsim.NodeID(id)).Ports() {
+					var prevAt simtime.Time
+					prevSize := 0
+					pt.OnTxStart(func(p *packet.Packet, now simtime.Time) {
+						if prevSize > 0 {
+							rate := pt.Link().Rate(prevAt)
+							if rate != sc.Spec.Topology.LinkBps {
+								degraded++
+							}
+							if free := prevAt.Add(simtime.TxTime(prevSize, rate)); now.Before(free) && overlap == "" {
+								overlap = fmt.Sprintf("%s port %d: packet %d starts at %v, the wire is busy until %v",
+									pt.Node().Name(), pt.Index(), p.ID, now, free)
+							}
+						}
+						prevAt, prevSize = now, p.Size
+						starts++
+					})
+				}
+			}
+			r.inject()
+			r.run()
+			if _, err := r.harvest(); err != nil {
+				t.Fatal(err)
+			}
+			if overlap != "" {
+				t.Fatal(overlap)
+			}
+			if starts == 0 {
+				t.Fatal("no transmission started")
+			}
+		})
+	}
+	if degraded == 0 {
+		t.Fatal("no registry spec started a packet on a degraded link; the test lost its rate case")
 	}
 }

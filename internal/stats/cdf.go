@@ -170,10 +170,10 @@ func (c *CDF) LogPoints(lo, hi float64, n int) []Point {
 func (c *CDF) Render(label string, lo, hi float64, n int) string {
 	var b strings.Builder
 	if c.N() == 0 {
-		fmt.Fprintf(&b, "%-28s n=0\n", label)
+		fmt.Fprintf(&b, "%s n=0\n", label)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%-28s n=%d median=%.4g\n", label, c.N(), c.Median())
+	fmt.Fprintf(&b, "%s n=%d median=%.4g\n", label, c.N(), c.Median())
 	for _, p := range c.LogPoints(lo, hi, n) {
 		bar := strings.Repeat("#", int(p.Y*40+0.5))
 		fmt.Fprintf(&b, "  x<=%-10.3g %6.1f%% %s\n", p.X, p.Y*100, bar)

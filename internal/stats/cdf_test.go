@@ -152,7 +152,7 @@ func TestRenderSmokes(t *testing.T) {
 // while Quantile keeps its panic for callers that index.
 func TestRenderEmptyCDF(t *testing.T) {
 	out := NewCDF(nil).Render("relative error", 1e-3, 1e1, 9)
-	if want := "relative error               n=0\n"; out != want {
+	if want := "relative error n=0\n"; out != want {
 		t.Fatalf("empty render = %q, want %q", out, want)
 	}
 	defer func() {
