@@ -65,6 +65,33 @@ func TestSetPropagationRejectsNegative(t *testing.T) {
 	eng.Run()
 }
 
+// marksSeen is a Link recording the TOS byte each Flight call sees.
+type marksSeen struct {
+	Link
+	seen *[]uint8
+}
+
+func (l marksSeen) Flight(p *packet.Packet, end simtime.Time) (time.Duration, bool) {
+	*l.seen = append(*l.seen, p.TOS)
+	return l.Link.Flight(p, end)
+}
+
+// TestFlightSeesTxStartTaps: a port's tx-start taps run before its Link is
+// asked for the flight, so Flight reads a field a tap writes (a core
+// switch's TOS mark).
+func TestFlightSeesTxStartTaps(t *testing.T) {
+	link := LinkConfig{RateBps: 1e9}
+	eng, nw, src, sw, _ := buildLine(t, link, link)
+	var seen []uint8
+	sw.Port(0).SetLink(marksSeen{sw.Port(0).Link(), &seen})
+	sw.Port(0).OnTxStart(func(p *packet.Packet, _ simtime.Time) { p.TOS = 7 })
+	nw.Inject(src, mkpkt(1, 1500), simtime.Zero)
+	eng.Run()
+	if !reflect.DeepEqual(seen, []uint8{7}) {
+		t.Fatalf("Flight saw TOS %v, want [7]", seen)
+	}
+}
+
 // TestConnectRejectsNegativeConfig: a link's propagation and its queue bound
 // are fixed when it is connected, so Connect refuses a negative one, naming
 // the link.

@@ -58,7 +58,7 @@ func (m *UtilMeter) Start() {
 func (m *UtilMeter) fold(now simtime.Time) {
 	for ; m.next <= now; m.next = m.next.Add(m.period) {
 		cur := m.port.ctr.TxBytes
-		inst := simtime.Rate(int64(cur-m.lastBytes), m.lastAt, m.next) / m.port.rateAt(m.next)
+		inst := simtime.Rate(int64(cur-m.lastBytes), m.lastAt, m.next) / m.port.link.Rate(m.next)
 		if inst > 1 {
 			inst = 1
 		}

@@ -41,9 +41,11 @@ type DelayFunc func(p *packet.Packet, now simtime.Time) time.Duration
 // start, kept to its end; a non-positive rate panics (simtime.TxTime).
 // Flight is how long p takes from the end of its transmission to the far
 // node's ingress, or drop = true when the wire loses it (EmuDrops); a
-// negative flight panics. Like DelayFunc both must be pure. A perturbation
-// wraps the Link beneath it (Port.Link): path skew, the link-degrade fault
-// and trace-driven link emulation are all Links.
+// negative flight panics. Rate is asked before the port's tx-start taps run
+// and Flight after them, so Flight sees the packet as the taps left it.
+// Like DelayFunc both must be pure. A perturbation wraps the Link beneath it
+// (Port.Link): path skew, the link-degrade fault and trace-driven link
+// emulation are all Links.
 type Link interface {
 	Rate(start simtime.Time) float64
 	Flight(p *packet.Packet, end simtime.Time) (flight time.Duration, drop bool)
@@ -283,6 +285,7 @@ func (nw *Network) Connect(from, to *Node, cfg LinkConfig) *Port {
 		id:    nw.ports,
 		dst:   to,
 		cfg:   cfg,
+		link:  Wire{cfg.RateBps, cfg.Propagation},
 	}
 	nw.ports++
 	from.ports = append(from.ports, p)
@@ -443,7 +446,7 @@ type Port struct {
 	qBytes int
 	free   simtime.Time // end of the latest transmission
 	armed  bool         // the queue head has a server: a pending txNext, or transmit is running
-	link   Link         // nil: the configured Wire, read without a dynamic call
+	link   Link
 
 	onTxStart []TapFunc
 	onDrop    []TapFunc
@@ -460,25 +463,12 @@ func (pt *Port) Index() int { return pt.index }
 // Dst returns the node at the far end of the link.
 func (pt *Port) Dst() *Node { return pt.dst }
 
-// Link returns the port's wire: the Link SetLink installed, or the
-// configured Wire.
-func (pt *Port) Link() Link {
-	if pt.link == nil {
-		return Wire{pt.cfg.RateBps, pt.cfg.Propagation}
-	}
-	return pt.link
-}
+// Link returns the port's wire: the Link SetLink installed last, or the
+// Wire it was connected with.
+func (pt *Port) Link() Link { return pt.link }
 
-// SetLink installs l as the port's wire; nil restores the configured Wire.
+// SetLink installs l as the port's wire.
 func (pt *Port) SetLink(l Link) { pt.link = l }
-
-// rateAt is Link().Rate(start) without boxing the configured Wire.
-func (pt *Port) rateAt(start simtime.Time) float64 {
-	if pt.link == nil {
-		return pt.cfg.RateBps
-	}
-	return pt.link.Rate(start)
-}
 
 // Counters returns a snapshot of the port's statistics.
 func (pt *Port) Counters() PortCounters {
@@ -545,25 +535,19 @@ func (pt *Port) transmit(p *packet.Packet) {
 	pt.armed = true
 	nw := pt.node.net
 	now := nw.eng.Now()
-	var end simtime.Time
-	flight, drop := pt.cfg.Propagation, false
-	if l := pt.link; l == nil {
-		end = now.Add(simtime.TxTime(p.Size, pt.cfg.RateBps))
-	} else {
-		end = now.Add(simtime.TxTime(p.Size, l.Rate(now)))
-		if flight, drop = l.Flight(p, end); flight < 0 {
-			panic("netsim: negative link flight time")
-		}
-	}
+	end := now.Add(simtime.TxTime(p.Size, pt.link.Rate(now)))
 	pt.free = end
 	for _, t := range pt.onTxStart {
 		t(p, now)
 	}
 	pt.ctr.TxPackets++
 	pt.ctr.TxBytes += uint64(p.Size)
+	flight, drop := pt.link.Flight(p, end)
 	switch dst := pt.dst; {
 	case drop:
 		pt.ctr.EmuDrops++
+	case flight < 0:
+		panic("netsim: negative link flight time")
 	case dst.quiet != 0 && p.Key.Dst == dst.quiet:
 		dst.received++
 		dst.delivered++

@@ -181,8 +181,10 @@ func buildFatTree(spec Spec, seed int64) (*fatTreeRun, error) {
 		for _, p := range r.monPods {
 			for j := 0; j < h; j++ {
 				for i := 0; i < h; i++ {
-					extra := time.Duration(j*h+i) * skew
-					ft.CoreDownPort(j, i, p).SetLink(netsim.Wire{RateBps: tc.LinkBps, Propagation: tc.Propagation + extra})
+					port := ft.CoreDownPort(j, i, p)
+					w := port.Link().(netsim.Wire)
+					w.Propagation += time.Duration(j*h+i) * skew
+					port.SetLink(w)
 				}
 			}
 		}
