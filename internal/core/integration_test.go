@@ -20,7 +20,7 @@ type tandem struct {
 	sw1, sw2 *netsim.Node
 	sink     *netsim.Node
 	sender   *Sender
-	receiver *Receiver
+	receiver *testRx
 }
 
 func newTandem(t *testing.T, scheme InjectionScheme, linkBps float64, queueBytes int) *tandem {
@@ -46,13 +46,9 @@ func newTandem(t *testing.T, scheme InjectionScheme, linkBps float64, queueBytes
 	if err != nil {
 		t.Fatal(err)
 	}
-	td.receiver, err = NewReceiver(ReceiverConfig{
-		Demux:  SingleDemux{ID: 1},
+	td.receiver = newRx(t, ReceiverConfig{
 		Accept: func(p *packet.Packet) bool { return p.Kind == packet.Regular },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	td.sw2.Port(0).OnTxStart(td.receiver.Observe)
 	return td
 }

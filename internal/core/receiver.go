@@ -7,7 +7,6 @@ import (
 
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
-	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // Estimator selects how a regular packet's delay is derived from the
@@ -70,9 +69,6 @@ type ReceiverConfig struct {
 	Estimator Estimator
 	// Clock is the receiver's local clock (default perfect sync).
 	Clock simtime.Clock
-	// MaxPending caps each stream's interpolation buffer (default
-	// DefaultMaxPending; negative means unbounded).
-	MaxPending int
 	// Accept filters which non-reference packets this receiver estimates;
 	// nil accepts everything. The paper's receiver estimates regular
 	// traffic only, identified by source prefix.
@@ -82,9 +78,9 @@ type ReceiverConfig struct {
 	// streams (RLIR fan-out) must filter by destination address.
 	AcceptRef func(*packet.Packet) bool
 	// OnEstimate, when non-nil, observes every per-packet estimate as it is
-	// produced — the receiver's export hook. A deployment streams these to a
-	// collection plane (see internal/collector); estimates still fold into
-	// the receiver's own per-flow accumulators regardless.
+	// produced — the receiver's one output, as it keeps no per-flow state: a
+	// deployment streams these to a collection plane (internal/collector),
+	// which folds each flow's statistics.
 	OnEstimate EstimateFunc
 }
 
@@ -117,12 +113,6 @@ func (c *ReceiverCounters) Add(o ReceiverCounters) {
 	c.Estimated += o.Estimated
 }
 
-// FlowAcc accumulates one flow's estimated and true per-packet delays.
-type FlowAcc struct {
-	Est  stats.Welford // interpolated delays, in nanoseconds
-	True stats.Welford // ground-truth delays, in nanoseconds
-}
-
 // refSample is a consumed reference observation.
 type refSample struct {
 	arrival simtime.Time // receiver-clock arrival instant
@@ -145,26 +135,13 @@ type stream struct {
 	pending []pendingPkt
 }
 
-// Receiver is an RLI receiver instance.
+// Receiver is an RLI receiver instance: Figure 2's interpolation buffer and
+// estimator. Each estimate leaves through OnEstimate; attributing it to its
+// flow is the consumer's fold.
 type Receiver struct {
 	cfg     ReceiverConfig
 	streams map[SenderID]*stream
-	flows   map[packet.FlowKey]*FlowAcc
-	accSlab []FlowAcc // slab the flow accumulators are carved from
 	ctr     ReceiverCounters
-}
-
-// newFlowAcc carves one accumulator from the slab: first-packet-of-flow is
-// a hot event (hundreds of flows per run), and one heap object per flow was
-// the simulator's largest remaining allocation source. A full slab is
-// abandoned to the map's pointers and replaced, so carved addresses never
-// move.
-func (r *Receiver) newFlowAcc() *FlowAcc {
-	if len(r.accSlab) == cap(r.accSlab) {
-		r.accSlab = make([]FlowAcc, 0, 128)
-	}
-	r.accSlab = append(r.accSlab, FlowAcc{})
-	return &r.accSlab[len(r.accSlab)-1]
 }
 
 // NewReceiver builds a detached receiver. Attach Observe as a tap where the
@@ -181,14 +158,7 @@ func NewReceiver(cfg ReceiverConfig) (*Receiver, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simtime.PerfectClock{}
 	}
-	if cfg.MaxPending == 0 {
-		cfg.MaxPending = DefaultMaxPending
-	}
-	return &Receiver{
-		cfg:     cfg,
-		streams: make(map[SenderID]*stream),
-		flows:   make(map[packet.FlowKey]*FlowAcc),
-	}, nil
+	return &Receiver{cfg: cfg, streams: make(map[SenderID]*stream)}, nil
 }
 
 // Counters returns a snapshot of the receiver's counters.
@@ -223,11 +193,11 @@ func (r *Receiver) Observe(p *packet.Packet, now simtime.Time) {
 		r.ctr.BeforeFirstRef++
 		return
 	}
-	if r.cfg.MaxPending > 0 && len(st.pending) >= r.cfg.MaxPending {
+	if len(st.pending) >= DefaultMaxPending {
 		// Evict oldest: freshest packets are the ones the next reference
-		// brackets most tightly.
-		copy(st.pending, st.pending[1:])
-		st.pending = st.pending[:len(st.pending)-1]
+		// brackets most tightly. Reslicing drops it in O(1); append moves
+		// the buffer to a fresh array once the old one's tail is used up.
+		st.pending = st.pending[1:]
 		r.ctr.Evicted++
 	}
 	st.pending = append(st.pending, pendingPkt{
@@ -252,12 +222,10 @@ func (r *Receiver) consumeRef(p *packet.Packet, local simtime.Time) {
 	right := refSample{arrival: local, delay: local.Sub(p.Ref.Timestamp)}
 	st := r.stream(p.Ref.Sender)
 	for _, pp := range st.pending {
-		est, ok := r.estimate(st, right, pp)
-		if !ok {
-			r.ctr.BeforeFirstRef++
-			continue
+		r.ctr.Estimated++
+		if r.cfg.OnEstimate != nil {
+			r.cfg.OnEstimate(pp.key, r.estimate(st, right, pp), pp.trueDelay)
 		}
-		r.record(pp, est)
 	}
 	st.pending = st.pending[:0]
 	st.last = right
@@ -265,29 +233,21 @@ func (r *Receiver) consumeRef(p *packet.Packet, local simtime.Time) {
 }
 
 // estimate applies the configured estimator for a packet bracketed by
-// st.last (possibly absent) and right.
-func (r *Receiver) estimate(st *stream, right refSample, pp pendingPkt) (time.Duration, bool) {
+// st.last and right. Linear and LeftRef buffer a packet only once its
+// stream has a left reference; the others also place one without.
+func (r *Receiver) estimate(st *stream, right refSample, pp pendingPkt) time.Duration {
 	switch r.cfg.Estimator {
 	case RightRef:
-		return right.delay, true
+		return right.delay
 	case LeftRef:
-		if !st.hasLast {
-			return 0, false
-		}
-		return st.last.delay, true
+		return st.last.delay
 	case Nearest:
-		if !st.hasLast {
-			return right.delay, true
+		if st.hasLast && pp.arrival.Sub(st.last.arrival) <= right.arrival.Sub(pp.arrival) {
+			return st.last.delay
 		}
-		if pp.arrival.Sub(st.last.arrival) <= right.arrival.Sub(pp.arrival) {
-			return st.last.delay, true
-		}
-		return right.delay, true
+		return right.delay
 	default: // Linear
-		if !st.hasLast {
-			return 0, false
-		}
-		return interpolate(st.last, right, pp.arrival), true
+		return interpolate(st.last, right, pp.arrival)
 	}
 }
 
@@ -309,30 +269,3 @@ func interpolate(left, right refSample, at simtime.Time) time.Duration {
 	}
 	return left.delay + time.Duration(frac*float64(right.delay-left.delay))
 }
-
-// record folds one per-packet estimate into the flow state.
-func (r *Receiver) record(pp pendingPkt, est time.Duration) {
-	acc, ok := r.flows[pp.key]
-	if !ok {
-		acc = r.newFlowAcc()
-		r.flows[pp.key] = acc
-	}
-	acc.Est.Add(float64(est))
-	acc.True.Add(float64(pp.trueDelay))
-	r.ctr.Estimated++
-	if r.cfg.OnEstimate != nil {
-		r.cfg.OnEstimate(pp.key, est, pp.trueDelay)
-	}
-}
-
-// Flows returns the receiver's per-flow accumulators, live (not copies).
-func (r *Receiver) Flows() map[packet.FlowKey]*FlowAcc { return r.flows }
-
-// Flow returns one flow's accumulator.
-func (r *Receiver) Flow(key packet.FlowKey) (*FlowAcc, bool) {
-	acc, ok := r.flows[key]
-	return acc, ok
-}
-
-// Streams returns the number of reference streams seen.
-func (r *Receiver) Streams() int { return len(r.streams) }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 var testKey = packet.FlowKey{
@@ -30,16 +32,62 @@ func regPkt(id uint64, key packet.FlowKey, start simtime.Time) *packet.Packet {
 	return &packet.Packet{ID: id, Kind: packet.Regular, Size: 1000, Key: key, SegmentStart: start}
 }
 
-func newRx(t *testing.T, cfg ReceiverConfig) *Receiver {
+// testRx is a receiver with a test-only per-flow fold over its estimates:
+// what a collector does with the stream.
+type testRx struct {
+	*Receiver
+	flows map[packet.FlowKey]*flowAcc
+}
+
+// flowAcc accumulates one flow's estimated and true per-packet delays.
+type flowAcc struct{ Est, True stats.Welford }
+
+// newRx builds a receiver whose estimates fold into the returned testRx's
+// flows before reaching cfg.OnEstimate, if set.
+func newRx(t *testing.T, cfg ReceiverConfig) *testRx {
 	t.Helper()
 	if cfg.Demux == nil {
 		cfg.Demux = SingleDemux{ID: 1}
+	}
+	tr := &testRx{flows: map[packet.FlowKey]*flowAcc{}}
+	next := cfg.OnEstimate
+	cfg.OnEstimate = func(key packet.FlowKey, est, truth time.Duration) {
+		acc, ok := tr.flows[key]
+		if !ok {
+			acc = &flowAcc{}
+			tr.flows[key] = acc
+		}
+		acc.Est.Add(float64(est))
+		acc.True.Add(float64(truth))
+		if next != nil {
+			next(key, est, truth)
+		}
 	}
 	r, err := NewReceiver(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	tr.Receiver = r
+	return tr
+}
+
+// Flow returns one flow's folded estimates.
+func (r *testRx) Flow(key packet.FlowKey) (*flowAcc, bool) {
+	acc, ok := r.flows[key]
+	return acc, ok
+}
+
+// Results is every folded flow with at least minPackets estimates, sorted
+// by flow key.
+func (r *testRx) Results(minPackets int64) []FlowResult {
+	var out []FlowResult
+	for key, acc := range r.flows {
+		if acc.Est.N() >= minPackets {
+			out = append(out, FlowResultOf(key, &acc.Est, &acc.True))
+		}
+	}
+	slices.SortFunc(out, func(a, b FlowResult) int { return a.Key.Compare(b.Key) })
+	return out
 }
 
 func at(us int) simtime.Time { return simtime.FromDuration(time.Duration(us) * time.Microsecond) }
@@ -91,7 +139,7 @@ func TestInterpolationAtEndpoints(t *testing.T) {
 	}
 }
 
-func mustFlow(t *testing.T, r *Receiver, k packet.FlowKey) *FlowAcc {
+func mustFlow(t *testing.T, r *testRx, k packet.FlowKey) *flowAcc {
 	t.Helper()
 	acc, ok := r.Flow(k)
 	if !ok {
@@ -222,8 +270,14 @@ func TestStreamsIsolatedBySender(t *testing.T) {
 	if got2 != 1000*time.Microsecond {
 		t.Fatalf("sender-2 flow = %v, want 1000µs", got2)
 	}
-	if r.Streams() != 2 {
-		t.Fatalf("streams = %d", r.Streams())
+	// Each stream closed its own window: one estimate per sender.
+	perSender := map[SenderID]int64{}
+	for key, acc := range r.flows {
+		sid, _ := d.Classify(&packet.Packet{Key: key})
+		perSender[sid] += acc.Est.N()
+	}
+	if len(perSender) != 2 || perSender[1] != 1 || perSender[2] != 1 {
+		t.Fatalf("estimates per sender = %v, want one each from senders 1 and 2", perSender)
 	}
 }
 
@@ -273,25 +327,55 @@ func TestAcceptRefFilter(t *testing.T) {
 }
 
 func TestInterpolationBufferEviction(t *testing.T) {
-	r := newRx(t, ReceiverConfig{MaxPending: 4})
+	var truths []time.Duration
+	r := newRx(t, ReceiverConfig{
+		OnEstimate: func(_ packet.FlowKey, _, truth time.Duration) { truths = append(truths, truth) },
+	})
 	r.Observe(refPkt(1, 1, at(0)), at(100))
-	for i := 0; i < 10; i++ {
-		k := testKey
-		k.SrcPort = uint16(3000 + i)
-		r.Observe(regPkt(uint64(i), k, at(100)), at(110+i))
+	const n = DefaultMaxPending + 6
+	for i := 0; i < n; i++ {
+		// Packet i's true delay, i ns, names it in the estimate stream.
+		r.Observe(regPkt(uint64(i), testKey, at(100)), at(100).Add(time.Duration(i)))
 	}
 	if got := r.Counters().Evicted; got != 6 {
 		t.Fatalf("Evicted = %d, want 6", got)
 	}
 	r.Observe(refPkt(1, 2, at(100)), at(200))
-	if got := r.Counters().Estimated; got != 4 {
-		t.Fatalf("Estimated = %d, want the 4 freshest", got)
+	if got := r.Counters().Estimated; got != DefaultMaxPending {
+		t.Fatalf("Estimated = %d, want the %d freshest", got, DefaultMaxPending)
 	}
-	// The freshest (highest ports) survived.
-	k := testKey
-	k.SrcPort = 3009
-	if _, ok := r.Flow(k); !ok {
-		t.Fatal("freshest packet was evicted; eviction should drop oldest")
+	// The freshest survived, oldest first.
+	if len(truths) != DefaultMaxPending {
+		t.Fatalf("%d estimates streamed, want %d", len(truths), DefaultMaxPending)
+	}
+	for i, truth := range truths {
+		if want := time.Duration(i + 6); truth != want {
+			t.Fatalf("estimate %d is packet %d's, want packet %d's: eviction should drop oldest", i, truth, want)
+		}
+	}
+}
+
+// BenchmarkReceiverEviction times Observe on a stream whose references
+// stopped: the buffer is full, so every op evicts the oldest packet, and
+// ns/op is ns per evicted packet.
+func BenchmarkReceiverEviction(b *testing.B) {
+	r, err := NewReceiver(ReceiverConfig{Demux: SingleDemux{ID: 1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.Observe(refPkt(1, 1, at(0)), at(100))
+	p := regPkt(1, testKey, at(100))
+	for range DefaultMaxPending {
+		r.Observe(p, at(110))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		r.Observe(p, at(110))
+	}
+	b.StopTimer()
+	if got := r.Counters().Evicted; got != uint64(b.N) {
+		b.Fatalf("Evicted = %d after %d full-buffer observations", got, b.N)
 	}
 }
 
@@ -421,9 +505,9 @@ func TestParseEstimator(t *testing.T) {
 	}
 }
 
-// TestOnEstimateHook pins the export hook: every produced estimate is
-// surfaced exactly once, with the same values folded into the accumulators,
-// and a nil hook changes nothing.
+// TestOnEstimateHook pins the export hook, the receiver's one output: every
+// produced estimate is surfaced exactly once, and a second consumer chained
+// behind the test fold sees the same values the fold accumulated.
 func TestOnEstimateHook(t *testing.T) {
 	type sample struct {
 		key        packet.FlowKey

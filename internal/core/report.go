@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -26,30 +25,19 @@ type FlowResult struct {
 	RelErrStd float64
 }
 
-// Results extracts per-flow results from a receiver, keeping flows with at
-// least minPackets estimates (the paper evaluates all estimated flows;
-// thresholds > 1 are useful when studying dense flows separately). Results
-// are sorted by flow key for determinism.
-func (r *Receiver) Results(minPackets int64) []FlowResult {
-	out := make([]FlowResult, 0, len(r.flows))
-	for key, acc := range r.flows {
-		if acc.Est.N() < minPackets {
-			continue
-		}
-		fr := FlowResult{
-			Key:      key,
-			N:        acc.Est.N(),
-			EstMean:  time.Duration(acc.Est.Mean()),
-			TrueMean: time.Duration(acc.True.Mean()),
-			EstStd:   time.Duration(acc.Est.Std()),
-			TrueStd:  time.Duration(acc.True.Std()),
-		}
-		fr.RelErrMean = stats.RelErr(acc.Est.Mean(), acc.True.Mean())
-		fr.RelErrStd = stats.RelErr(acc.Est.Std(), acc.True.Std())
-		out = append(out, fr)
+// FlowResultOf is one flow's result from its folded estimated and true
+// per-packet delays, in nanoseconds.
+func FlowResultOf(key packet.FlowKey, est, truth *stats.Welford) FlowResult {
+	return FlowResult{
+		Key:        key,
+		N:          est.N(),
+		EstMean:    time.Duration(est.Mean()),
+		TrueMean:   time.Duration(truth.Mean()),
+		EstStd:     time.Duration(est.Std()),
+		TrueStd:    time.Duration(truth.Std()),
+		RelErrMean: stats.RelErr(est.Mean(), truth.Mean()),
+		RelErrStd:  stats.RelErr(est.Std(), truth.Std()),
 	}
-	slices.SortFunc(out, func(a, b FlowResult) int { return a.Key.Compare(b.Key) })
-	return out
 }
 
 // MeanErrCDF builds the CDF of per-flow mean relative errors.

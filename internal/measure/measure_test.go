@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/netmeasure/rlir/internal/lda"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // key returns a distinct flow key per index.
@@ -139,13 +141,30 @@ func TestRegistryNamesAndErrors(t *testing.T) {
 
 // TestRLITapMatchesReceiverObserve pins the refactor's equivalence
 // contract: feeding packets through the RLI estimator's Tap produces the
-// identical receiver state as calling Observe directly.
+// identical receiver state as calling Observe directly, its Results are a
+// per-flow fold of the bare receiver's estimate stream, and the caller's own
+// OnEstimate still sees every estimate.
 func TestRLITapMatchesReceiverObserve(t *testing.T) {
+	type acc struct{ est, truth stats.Welford }
+	folded := map[packet.FlowKey]*acc{}
+	var chained uint64
 	mk := func() (*RLI, *core.Receiver) {
 		cfg := core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}}
-		est, err := NewRLI("seg", cfg)
+		est, err := NewRLI("seg", core.ReceiverConfig{
+			Demux:      cfg.Demux,
+			OnEstimate: func(packet.FlowKey, time.Duration, time.Duration) { chained++ },
+		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		cfg.OnEstimate = func(key packet.FlowKey, est, truth time.Duration) {
+			a, ok := folded[key]
+			if !ok {
+				a = &acc{}
+				folded[key] = a
+			}
+			a.est.Add(float64(est))
+			a.truth.Add(float64(truth))
 		}
 		rx, err := core.NewReceiver(cfg)
 		if err != nil {
@@ -177,9 +196,17 @@ func TestRLITapMatchesReceiverObserve(t *testing.T) {
 	if est.Receiver().Counters() != rx.Counters() {
 		t.Fatalf("counters diverge: %+v vs %+v", est.Receiver().Counters(), rx.Counters())
 	}
-	a, b := est.Receiver().Results(1), rx.Results(1)
-	if len(a) != len(b) {
-		t.Fatalf("result lengths diverge: %d vs %d", len(a), len(b))
+	var b []core.FlowResult
+	for key, f := range folded {
+		b = append(b, core.FlowResultOf(key, &f.est, &f.truth))
+	}
+	slices.SortFunc(b, func(x, y core.FlowResult) int { return x.Key.Compare(y.Key) })
+	a := est.Results()
+	if len(a) != 3 || len(a) != len(b) {
+		t.Fatalf("result lengths: %d from RLI, %d folded, want 3", len(a), len(b))
+	}
+	if chained != rx.Counters().Estimated {
+		t.Fatalf("the caller's OnEstimate saw %d of %d estimates", chained, rx.Counters().Estimated)
 	}
 	for i := range a {
 		if a[i] != b[i] {

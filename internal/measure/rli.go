@@ -1,45 +1,70 @@
 package measure
 
 import (
+	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
+	"github.com/netmeasure/rlir/internal/stats"
 )
 
 // RLI adapts an RLI receiver (internal/core) to the estimator layer: Tap is
-// the receiver's Observe hook, and Finalize extracts the per-flow mean
-// estimates from the receiver's accumulators. Reference-packet overhead is
-// accounted at the tap — every reference frame crossing the segment-end
-// point is injected bandwidth this mechanism (and only this mechanism)
-// spends.
+// the receiver's Observe hook, and the receiver's estimates fold per flow
+// here, for Results and Finalize. Reference-packet overhead is accounted at
+// the tap — every reference frame crossing the segment-end point is
+// injected bandwidth this mechanism (and only this mechanism) spends.
 type RLI struct {
 	rx     *core.Receiver
 	router string
 	refs   Overhead
+	flows  map[packet.FlowKey]int // index into accs
+	accs   []rliFlow
+}
+
+// rliFlow accumulates one flow's estimated and true per-packet delays (ns).
+type rliFlow struct {
+	key        packet.FlowKey
+	est, truth stats.Welford
 }
 
 // NewRLI builds an RLI estimator around a fresh receiver. router names the
-// measurement instance in the report ("tor3.0", "sw2").
+// measurement instance in the report ("tor3.0", "core0.1"); cfg.OnEstimate,
+// when set, still sees every estimate, after the fold.
 func NewRLI(router string, cfg core.ReceiverConfig) (*RLI, error) {
+	r := &RLI{router: router, flows: make(map[packet.FlowKey]int)}
+	next := cfg.OnEstimate
+	cfg.OnEstimate = func(key packet.FlowKey, est, truth time.Duration) {
+		i, ok := r.flows[key]
+		if !ok {
+			i = len(r.accs)
+			r.flows[key] = i
+			r.accs = append(r.accs, rliFlow{key: key})
+		}
+		r.accs[i].est.Add(float64(est))
+		r.accs[i].truth.Add(float64(truth))
+		if next != nil {
+			next(key, est, truth)
+		}
+	}
 	rx, err := core.NewReceiver(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &RLI{rx: rx, router: router}, nil
+	r.rx = rx
+	return r, nil
 }
 
 // Name implements Estimator.
 func (r *RLI) Name() string { return "rli" }
 
-// Receiver exposes the wrapped receiver so harnesses can keep their
-// existing counter, per-flow and streaming plumbing.
+// Receiver exposes the wrapped receiver for its counters.
 func (r *RLI) Receiver() *core.Receiver { return r.rx }
 
 // Tap implements Estimator. It is exactly the receiver's Observe hook plus
 // overhead accounting, so attaching an RLI estimator instead of a bare
-// receiver leaves the simulation — and the receiver's results —
+// receiver leaves the simulation — and the receiver's estimates —
 // bit-identical.
 func (r *RLI) Tap(p *packet.Packet, now simtime.Time) {
 	if p.Kind == packet.Reference {
@@ -49,19 +74,25 @@ func (r *RLI) Tap(p *packet.Packet, now simtime.Time) {
 	r.rx.Observe(p, now)
 }
 
-// Finalize implements Estimator.
-func (r *RLI) Finalize() Report { return r.ReportFrom(r.rx.Results(1)) }
+// Results returns every estimated flow's result, sorted by flow key.
+func (r *RLI) Results() []core.FlowResult {
+	out := make([]core.FlowResult, len(r.accs))
+	for i := range r.accs {
+		f := &r.accs[i]
+		out[i] = core.FlowResultOf(f.key, &f.est, &f.truth)
+	}
+	slices.SortFunc(out, func(a, b core.FlowResult) int { return a.Key.Compare(b.Key) })
+	return out
+}
 
-// ReportFrom is Finalize over per-flow results the caller already took with
-// Receiver().Results(1), so a harness that needs both sorts them once.
-func (r *RLI) ReportFrom(results []core.FlowResult) Report {
-	return ReportFromFlowResults("rli", r.router, results, r.refs)
+// Finalize implements Estimator.
+func (r *RLI) Finalize() Report {
+	return ReportFromFlowResults("rli", r.router, r.Results(), r.refs)
 }
 
 // ReportFromFlowResults builds an RLI-shaped report from per-flow receiver
-// results. Harnesses that own their receiver wiring (the tandem experiment)
-// use it to produce the comparison row without re-attaching a second
-// receiver.
+// results. Harnesses whose receivers stream to a collector build the
+// comparison row from its rows with it.
 func ReportFromFlowResults(name, router string, results []core.FlowResult, overhead Overhead) Report {
 	rep := Report{Estimator: name, Overhead: overhead}
 	var aggW float64

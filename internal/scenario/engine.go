@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"sync"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -330,11 +331,13 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 
 // harvest is a run's last stage on two cores: the plane folds its own state
 // on a goroutine of its own while receivers folds the run's receivers into
-// res on the caller's and returns the RLI report. Both halves read only what
-// the drained consumer finished writing, and they share nothing, so the
-// join — before the comparison table — leaves every output as a serial fold
-// would. A panic on the plane's goroutine is re-raised here, with its value.
-func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
+// res on the caller's and returns the RLI report; rows waits for the
+// collector's flow table, sorted by key, which the goroutine takes first.
+// Both halves read only what the drained consumer finished writing and share
+// only the rows, so the join — before the comparison table — leaves every
+// output as a serial fold would. A panic on the plane's goroutine is
+// re-raised here with its value, by rows if it struck before the snapshot.
+func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []collector.FlowAgg) measure.Report) error {
 	if c := p.cap; c != nil {
 		c.taps = p.tapq.stats
 		for _, q := range p.work {
@@ -342,15 +345,28 @@ func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
 		}
 	}
 	var finals []measure.Report
-	var flows []collector.FlowAgg
-	// folded carries fold's exit, nil or its panic value; its one slot lets
-	// the goroutine exit even if receivers panics and nothing receives.
+	// snap carries the flow table, closed empty if fold panicked before the
+	// snapshot; folded carries fold's exit, nil or its panic value. One slot
+	// each lets the goroutine exit even if receivers panics.
+	snap := make(chan []collector.FlowAgg, 1)
 	folded := make(chan any, 1)
 	go func() {
-		defer func() { folded <- recover() }()
-		finals, flows = p.fold()
+		defer func() {
+			failure := recover()
+			close(snap)
+			folded <- failure
+		}()
+		finals = p.fold(snap)
 	}()
-	rli := receivers()
+	rows := sync.OnceValue(func() []collector.FlowAgg {
+		flows, ok := <-snap
+		if !ok {
+			panic(<-folded)
+		}
+		return flows
+	})
+	rli := receivers(res, rows)
+	flows := rows()
 	if failure := <-folded; failure != nil {
 		panic(failure)
 	}
@@ -374,17 +390,17 @@ func (p *plane) harvest(res *Result, receivers func() measure.Report) error {
 }
 
 // fold is the plane's half of harvest: it drains and closes the collector
-// and takes its flow table, seals the capture's NetFlow records, then
+// and sends its flow table on snap, seals the capture's NetFlow records, then
 // finalizes every baseline, in order. The collector closes first, so a
 // baseline that panics leaves no shard goroutine behind.
-func (p *plane) fold() (finals []measure.Report, flows []collector.FlowAgg) {
+func (p *plane) fold(snap chan<- []collector.FlowAgg) []measure.Report {
 	p.sink.Flush()
 	p.coll.Close()
-	flows = p.coll.Snapshot()
+	snap <- p.coll.Snapshot()
 	p.cap.seal()
-	finals = make([]measure.Report, 0, len(p.baselines))
+	finals := make([]measure.Report, 0, len(p.baselines))
 	for _, b := range p.baselines {
 		finals = append(finals, b.Finalize())
 	}
-	return finals, flows
+	return finals
 }

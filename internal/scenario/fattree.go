@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/eventsim"
 	"github.com/netmeasure/rlir/internal/measure"
@@ -69,16 +70,16 @@ func misattribution(cs []*countingDemux) float64 {
 	return 1 - float64(agree)/float64(total)
 }
 
-// routerRx pairs a receiver with its identity and tail accumulators.
+// routerRx pairs a receiver with its identity and tail accumulators. A core
+// folds its flows in up; a monitored ToR streams them to the plane's
+// collector, and its segment-end tap counts the references in refs.
 type routerRx struct {
-	name    string
-	segment string
-	rx      *core.Receiver
-	rec     *routerRec
-	// Downstream receivers carry their estimator and the monitored
-	// (pod, tor); rli is nil for the upstream ones.
-	tor [2]int
-	rli *measure.RLI
+	name string
+	rx   *core.Receiver
+	rec  *routerRec
+	up   *measure.RLI // nil on the monitored ToRs
+	tor  [2]int
+	refs measure.Overhead
 }
 
 // fatTreeRun is one fat-tree scenario run's state, threaded through the
@@ -350,13 +351,13 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 	clock := r.spec.Deploy.ReceiverClock.Clock()
 
 	// The measurement plane. Downstream estimates stream through its
-	// collector (upstream receivers keep local tails only, so one flow's
-	// fleet aggregate is not a mix of two different segments), and every
-	// mechanism the spec requests measures the same downstream (core ->
-	// monitored ToR) segment on this single pass: the RLI receivers below
-	// implement the measure API directly, and the baselines hang off the
-	// plane's dispatch fed from the segment-start (core down-ports) and
-	// segment-end (monitored ToR host ports) taps. Every receiver and
+	// collector, the one fold of their flows (upstream receivers fold their
+	// own, so one flow's fleet aggregate is not a mix of two different
+	// segments), and every mechanism the spec requests measures the same
+	// downstream (core -> monitored ToR) segment on this single pass: the
+	// RLI row is built from the collector's flows, and the baselines hang
+	// off the plane's dispatch fed from the segment-start (core down-ports)
+	// and segment-end (monitored ToR host ports) taps. Every receiver and
 	// baseline tap is passive, so the RLI results are bit-identical whether
 	// or not baselines attach.
 	pl, err := newPlane(r.spec, r.seed, cap)
@@ -401,7 +402,7 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 			}
 			addr := ft.CoreAddr(j, i)
 			rec := &routerRec{}
-			rx, err := core.NewReceiver(core.ReceiverConfig{
+			up, err := measure.NewRLI(ft.Cores[j][i].Name(), core.ReceiverConfig{
 				Demux:      pd,
 				Estimator:  interp,
 				Clock:      clock,
@@ -412,13 +413,8 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 			if err != nil {
 				return err
 			}
-			ft.Cores[j][i].OnReceive(pl.passive(rx.Observe))
-			r.routers = append(r.routers, &routerRx{
-				name:    ft.Cores[j][i].Name(),
-				segment: "tor-uplink->core",
-				rx:      rx,
-				rec:     rec,
-			})
+			ft.Cores[j][i].OnReceive(pl.passive(up.Receiver().Observe))
+			r.routers = append(r.routers, &routerRx{name: ft.Cores[j][i].Name(), rx: up.Receiver(), rec: rec, up: up})
 		}
 	}
 
@@ -472,7 +468,7 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 	strategy, oracle := r.demux()
 	for _, m := range r.monitored {
 		p, e := m[0], m[1]
-		rec := &routerRec{}
+		rr := &routerRx{name: ft.ToRs[p][e].Name(), rec: &routerRec{}, tor: m}
 		counting := &countingDemux{inner: strategy, oracle: oracle}
 		r.countings = append(r.countings, counting)
 		accept := func(pk *packet.Packet) bool {
@@ -481,22 +477,27 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 			sp, _, _, ok := ft.LocateHost(pk.Key.Src)
 			return pk.Kind == packet.Regular && ok && sp != p
 		}
-		rli, err := measure.NewRLI(ft.ToRs[p][e].Name(), core.ReceiverConfig{
+		rx, err := core.NewReceiver(core.ReceiverConfig{
 			Demux:     counting,
 			Estimator: interp,
 			Clock:     clock,
 			Accept:    accept,
 			OnEstimate: func(key packet.FlowKey, est, truth time.Duration) {
-				rec.record(est, truth)
+				rr.rec.record(est, truth)
 				pl.estimate(key, est, truth)
 			},
 		})
 		if err != nil {
 			return err
 		}
+		rr.rx = rx
 		// One record per packet serves both of the ToR's segment-end taps.
 		segEnd := pl.passive(func(pk *packet.Packet, now simtime.Time) {
-			rli.Tap(pk, now)
+			if pk.Kind == packet.Reference {
+				rr.refs.InjectedPkts++
+				rr.refs.InjectedBytes += uint64(pk.Size)
+			}
+			rx.Observe(pk, now)
 			if accept(pk) {
 				pl.tapEnd(pk, now)
 				if r.repArrivals != nil {
@@ -510,14 +511,7 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 			port.OnTxStart(segEnd)
 			r.endPorts = append(r.endPorts, port)
 		}
-		r.routers = append(r.routers, &routerRx{
-			name:    ft.ToRs[p][e].Name(),
-			segment: "core->tor",
-			rx:      rli.Receiver(),
-			rec:     rec,
-			tor:     m,
-			rli:     rli,
-		})
+		r.routers = append(r.routers, rr)
 	}
 	return nil
 }
@@ -665,7 +659,7 @@ func (r *fatTreeRun) run() { r.plane.run(func() { r.nw.Engine().Run() }) }
 // plane folds its estimators, collector and capture beside them.
 func (r *fatTreeRun) harvest() (*Result, error) {
 	res := &Result{Spec: r.spec, Seed: r.seed, Injected: r.injected}
-	if err := r.plane.harvest(res, func() measure.Report { return r.foldReceivers(res) }); err != nil {
+	if err := r.plane.harvest(res, r.foldReceivers); err != nil {
 		return nil, err
 	}
 	if spec := r.spec; spec.Adversary != nil {
@@ -686,32 +680,83 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 	return res, nil
 }
 
-// foldReceivers is harvest's half on the caller's goroutine: the senders'
-// and receivers' counters, per-router and per-segment accuracy, and the
-// run's link reports. It returns the comparison table's RLI row, the fleet
-// merge of every monitored ToR's receiver.
-func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
+// foldReceivers is harvest's half on the caller's goroutine: counters, the
+// cores' upstream flows and the run's link reports, then, from the
+// collector's rows, per-router and per-segment downstream accuracy. It
+// returns the comparison table's RLI row, the monitored ToRs' merged.
+func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg) measure.Report {
 	spec := r.spec
-	var upResults, downResults []core.FlowResult
+	for _, s := range r.senders {
+		res.Sender.Add(s.Counters())
+	}
+	var upResults []core.FlowResult
+	down := r.routers[len(r.routers)-len(r.monitored):] // in r.monitored order
+	for _, rr := range r.routers {
+		res.Receiver.Add(rr.rx.Counters())
+		if rr.up == nil {
+			continue
+		}
+		results := rr.up.Results()
+		rs := RouterStats{Router: rr.name, Segment: "tor-uplink->core", Summary: core.Summarize(results)}
+		rr.rec.fill(&rs)
+		res.Routers = append(res.Routers, rs)
+		upResults = append(upResults, results...)
+	}
+	res.Upstream = core.Summarize(upResults)
+	res.Misattribution = misattribution(r.countings)
+
+	// Hottest monitored access link.
+	for _, port := range r.endPorts {
+		c := port.Counters()
+		u := simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(spec.Duration)) / spec.Topology.LinkBps
+		if u > res.HotLinkUtil {
+			res.HotLinkUtil = u
+		}
+	}
+	if spec.LinkTrace != nil {
+		res.LinkTrace = buildLinkTraceReport(*spec.LinkTrace, r.emuTrace, r.emuPort.Counters().EmuDrops)
+	}
+	if spec.Workload.Replicate {
+		res.RepFlow = buildRepFlow(r.repPairs, r.repArrivals)
+	}
+
+	// Group the collector's key-sorted rows by the monitored ToR each flow
+	// ends under, in down's order; the counting sort is stable, so each
+	// ToR's share stays in key order.
+	flows, h := rows(), spec.half()
+	slot := make([]int, spec.Topology.K*h) // down's index by pod*h + tor
+	for t, rr := range down {
+		slot[rr.tor[0]*h+rr.tor[1]] = t
+	}
+	torOf := func(key packet.FlowKey) int {
+		p, e, _, _ := r.ft.LocateHost(key.Dst)
+		return slot[p*h+e]
+	}
+	end := make([]int, len(down)+1) // ToR t's next slot; its share's end once placed
+	for i := range flows {
+		end[torOf(flows[i].Key)+1]++
+	}
+	for t := range down {
+		end[t+1] += end[t]
+	}
+	downResults := make([]core.FlowResult, len(flows))
+	for i := range flows {
+		t := torOf(flows[i].Key)
+		downResults[end[t]] = core.FlowResultOf(flows[i].Key, &flows[i].Est, &flows[i].True)
+		end[t]++
+	}
 	var rliReps []measure.Report
 	var estAll, trueAll stats.Sketch
 	type segKey struct{ j, i, p, e int }
 	segFlows := map[segKey][]core.FlowResult{}
-	for _, s := range r.senders {
-		res.Sender.Add(s.Counters())
-	}
-	for _, rr := range r.routers {
-		res.Receiver.Add(rr.rx.Counters())
-		results := rr.rx.Results(1)
-		rs := RouterStats{Router: rr.name, Segment: rr.segment, Summary: core.Summarize(results)}
+	start := 0
+	for t, rr := range down {
+		results := downResults[start:end[t]]
+		start = end[t]
+		rs := RouterStats{Router: rr.name, Segment: "core->tor", Summary: core.Summarize(results)}
 		rr.rec.fill(&rs)
 		res.Routers = append(res.Routers, rs)
-		if rr.rli == nil {
-			upResults = append(upResults, results...)
-			continue
-		}
-		downResults = append(downResults, results...)
-		rliReps = append(rliReps, rr.rli.ReportFrom(results))
+		rliReps = append(rliReps, measure.ReportFromFlowResults("rli", rr.name, results, rr.refs))
 		estAll.Merge(&rr.rec.est)
 		trueAll.Merge(&rr.rec.truth)
 		for _, fr := range results {
@@ -726,32 +771,14 @@ func (r *fatTreeRun) foldReceivers(res *Result) measure.Report {
 	sort.Slice(res.Routers, func(a, b int) bool { return res.Routers[a].Router < res.Routers[b].Router })
 	res.Results = downResults
 	res.Overall = core.Summarize(downResults)
-	res.Upstream = core.Summarize(upResults)
 	res.EstP50, res.EstP99 = estAll.QuantileDuration(0.5), estAll.QuantileDuration(0.99)
 	res.TrueP50, res.TrueP99 = trueAll.QuantileDuration(0.5), trueAll.QuantileDuration(0.99)
-	res.Misattribution = misattribution(r.countings)
 
 	for sk, frs := range segFlows {
 		name := fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e)
 		res.Segments = append(res.Segments, segmentStats(name, frs))
 	}
 	sort.Slice(res.Segments, func(a, b int) bool { return res.Segments[a].Name < res.Segments[b].Name })
-
-	// Hottest monitored access link.
-	for _, port := range r.endPorts {
-		c := port.Counters()
-		u := simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(spec.Duration)) / spec.Topology.LinkBps
-		if u > res.HotLinkUtil {
-			res.HotLinkUtil = u
-		}
-	}
-
-	if spec.LinkTrace != nil {
-		res.LinkTrace = buildLinkTraceReport(*spec.LinkTrace, r.emuTrace, r.emuPort.Counters().EmuDrops)
-	}
-	if spec.Workload.Replicate {
-		res.RepFlow = buildRepFlow(r.repPairs, r.repArrivals)
-	}
 	return measure.MergeReports("rli", rliReps...)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
@@ -155,34 +156,74 @@ func (b panicky) Finalize() measure.Report       { panic(b.value) }
 
 // TestPlaneFoldJoins pins harvest's join: a baseline whose Finalize panics
 // on the plane's fold goroutine is re-raised on the harvest's caller with
-// its value, a fleet re-scoring that fails after the join returns its
-// error, and neither leaves a goroutine behind — the fold's, the
-// collector's shards' or the fleet's.
+// its value; a panic there before the collector's snapshot is re-raised by
+// the caller's request for the rows instead of blocking it; a panic in the
+// caller's half leaves the goroutine to exit on its own; a fleet re-scoring
+// that fails after the join returns its error; and none leaves a goroutine
+// behind — the fold's, the collector's shards' or the fleet's.
 func TestPlaneFoldJoins(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	spec := DefaultSpec()
 	spec.Duration = 20 * time.Millisecond
-	r, err := buildFatTree(spec, 1)
-	if err != nil {
-		t.Fatal(err)
+	ran := func() *fatTreeRun {
+		r, err := buildFatTree(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.instrument(newCapture()); err != nil {
+			t.Fatal(err)
+		}
+		r.inject()
+		r.run()
+		return r
 	}
-	if err := r.instrument(newCapture()); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("finalize failed")
-	r.plane.baselines = append(r.plane.baselines, panicky{boom})
-	r.inject()
-	r.run()
-	raised := func() (v any) {
+	catch := func(f func()) (v any) {
 		defer func() { v = recover() }()
-		_, _ = r.harvest()
+		f()
 		return nil
-	}()
-	if raised != boom {
+	}
+
+	boom := errors.New("finalize failed")
+	r := ran()
+	r.plane.baselines = append(r.plane.baselines, panicky{boom})
+	if raised := catch(func() { _, _ = r.harvest() }); raised != boom {
 		t.Fatalf("harvest re-raised %v, want the baseline's panic %v", raised, boom)
 	}
 	waitGoroutines(t, base, "a Finalize panic")
+
+	// The collector closed under the sink: the fold's first flush panics.
+	r = ran()
+	r.plane.sink.Flush()
+	r.plane.coll.Close()
+	r.plane.sink.Add(packet.FlowKey{}, 1, 1)
+	var fromRows any
+	raised := catch(func() {
+		r.plane.harvest(&Result{Spec: spec}, func(_ *Result, rows func() []collector.FlowAgg) measure.Report {
+			defer func() {
+				if fromRows = recover(); fromRows != nil {
+					panic(fromRows)
+				}
+			}()
+			rows()
+			return measure.Report{}
+		})
+	})
+	const closed = "collector: Ingest after Close"
+	if fromRows != closed || raised != closed {
+		t.Fatalf("rows raised %v and harvest %v, want the fold's panic %q from both", fromRows, raised, closed)
+	}
+	waitGoroutines(t, base, "a panic before the snapshot")
+
+	r = ran()
+	caller := errors.New("receiver fold failed")
+	raised = catch(func() {
+		r.plane.harvest(&Result{Spec: spec}, func(*Result, func() []collector.FlowAgg) measure.Report { panic(caller) })
+	})
+	if raised != caller {
+		t.Fatalf("harvest raised %v, want the caller's half's panic %v", raised, caller)
+	}
+	waitGoroutines(t, base, "a panic in the caller's half")
 
 	// Zero instances passes no Validate; the runners do not validate, so
 	// the fleet's router refuses it after the join.

@@ -48,20 +48,20 @@ func TestBuildInstrumentAttachesDeployment(t *testing.T) {
 		if got := len(r.senders) + len(r.routers); got != tc.spec.Instances() {
 			t.Errorf("%s: attached %d instances, Spec.Instances budgets %d", tc.name, got, tc.spec.Instances())
 		}
-		rlis := 0
+		streamed := 0 // receivers streaming to the collector: the monitored ToRs'
 		for _, rr := range r.routers {
-			if rr.rli != nil {
-				rlis++
+			if rr.up == nil {
+				streamed++
 			}
 		}
-		if rlis != len(r.monitored) || len(r.countings) != len(r.monitored) {
-			t.Errorf("%s: %d RLI receivers / %d audits for %d monitored ToRs", tc.name,
-				rlis, len(r.countings), len(r.monitored))
+		if streamed != len(r.monitored) || len(r.countings) != len(r.monitored) {
+			t.Errorf("%s: %d streaming receivers / %d audits for %d monitored ToRs", tc.name,
+				streamed, len(r.countings), len(r.monitored))
 		}
 		// Every receiver and estimator tap is passive: one per core
 		// receiver, one shared by the segment-start ports, one per monitored
 		// ToR's segment end.
-		if want := len(r.routers) - rlis + 1 + len(r.monitored); len(r.plane.taps) != want {
+		if want := len(r.routers) - streamed + 1 + len(r.monitored); len(r.plane.taps) != want {
 			t.Errorf("%s: %d passive taps, want %d", tc.name, len(r.plane.taps), want)
 		}
 		if eng := r.nw.Engine(); eng.Pending() != 0 || eng.Processed() != 0 {

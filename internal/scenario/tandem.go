@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/crossinject"
 	"github.com/netmeasure/rlir/internal/eventsim"
@@ -250,9 +251,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	pl.run(func() { eng.Run() })
 
 	// Harvest: the receiver's half here, the plane's beside it.
-	if err := pl.harvest(res, func() measure.Report {
-		res.Results = receiver.Results(1)
-		res.Overall = core.Summarize(res.Results)
+	if err := pl.harvest(res, func(res *Result, rows func() []collector.FlowAgg) measure.Report {
 		res.Receiver = receiver.Counters()
 		if sender != nil {
 			res.Sender = sender.Counters()
@@ -262,15 +261,19 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		}
 		c := bottleneck.Counters()
 		res.HotLinkUtil = simtime.Rate(int64(c.TxBytes), 0, simtime.FromDuration(dur)) / t.LinkBps
+		// The receiver's flows are the collector's rows; the RLI row's
+		// reference overhead is the sender's own injection counter.
+		flows := rows()
+		res.Results = make([]core.FlowResult, len(flows))
+		for i := range flows {
+			res.Results[i] = core.FlowResultOf(flows[i].Key, &flows[i].Est, &flows[i].True)
+		}
+		res.Overall = core.Summarize(res.Results)
 		rs := RouterStats{Router: "sw2", Segment: "sw1-egress->bottleneck", Summary: res.Overall}
 		rec.fill(&rs)
 		res.Routers = []RouterStats{rs}
 		res.EstP50, res.EstP99 = rs.EstP50, rs.EstP99
 		res.TrueP50, res.TrueP99 = rs.TrueP50, rs.TrueP99
-
-		// The harness owns its receiver, so the RLI row comes from the run's
-		// per-flow results; reference overhead from the sender's own
-		// injection counter.
 		return measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
 			InjectedPkts:  res.Sender.Injected,
 			InjectedBytes: res.Sender.Injected * core.DefaultRefSize,
