@@ -1,8 +1,8 @@
 package rlir_test
 
 // Documentation and architecture enforcement: these tests are the
-// repository's doc lint, plus two structural guards, TestOneNetworkBuildSite
-// and TestOneTableRenderer.
+// repository's doc lint, plus structural guards: TestOneNetworkBuildSite,
+// TestOneCollectionPath, TestOneReportFold and TestOneTableRenderer.
 // TestPublicAPIDocumented fails on any undocumented exported identifier in
 // the root package, and TestDocsCoverRegistries fails when a registered
 // scenario or estimator name is missing from the user-facing markdown —
@@ -204,6 +204,87 @@ func TestOneCollectionPath(t *testing.T) {
 				t.Errorf("%s calls %s; only %s may", filepath.Join(dir, e.Name()), call, file)
 			}
 		}
+	}
+}
+
+// TestOneReportFold is the architecture guard for "one fold per summary":
+// a per-flow report's aggregate is derived by measure.Report.WithFlows, and
+// an aggregate-only one by its estimator, so no non-test file outside
+// internal/measure (and the benchmark's own module) assigns AggMean or
+// AggSamples — by =, op=, ++/-- or a measure.Report literal's key. A second
+// hand-written re-derivation drifts from the first by a rounding step.
+func TestOneReportFold(t *testing.T) {
+	aggField := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		return ok && (sel.Sel.Name == "AggMean" || sel.Sel.Name == "AggSamples")
+	}
+	isReport := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == "measure" && sel.Sel.Name == "Report"
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "measure") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		// lit checks one report literal: a typed one, or an elided element
+		// of a []measure.Report.
+		lit := func(cl *ast.CompositeLit) {
+			for _, el := range cl.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					if k, ok := kv.Key.(*ast.Ident); ok && (k.Name == "AggMean" || k.Name == "AggSamples") {
+						t.Errorf("%s sets a report's %s; derive it with measure.Report.WithFlows", pos(fset, kv), k.Name)
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, l := range n.Lhs {
+					if aggField(l) {
+						t.Errorf("%s assigns %s; derive it with measure.Report.WithFlows", pos(fset, l), l.(*ast.SelectorExpr).Sel.Name)
+					}
+				}
+			case *ast.IncDecStmt:
+				if aggField(n.X) {
+					t.Errorf("%s steps %s; derive it with measure.Report.WithFlows", pos(fset, n), n.X.(*ast.SelectorExpr).Sel.Name)
+				}
+			case *ast.CompositeLit:
+				if isReport(n.Type) {
+					lit(n)
+				}
+				if at, ok := n.Type.(*ast.ArrayType); ok && isReport(at.Elt) {
+					for _, el := range n.Elts {
+						if cl, ok := el.(*ast.CompositeLit); ok && cl.Type == nil {
+							lit(cl)
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

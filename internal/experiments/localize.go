@@ -189,7 +189,7 @@ func (cfg LocalizationConfig) segmentReports(r *scenario.Result) []core.SegmentR
 			up = append(up, core.SegmentReport{Name: upSegName(j, i), Packets: uint64(rs.Summary.Estimates), Mean: rs.EstMean})
 			name := downSegName(j, i, destPod, destToR)
 			ss, _ := r.Segment(name)
-			down = append(down, core.SegmentReport{Name: name, Packets: uint64(ss.Estimates), Mean: ss.EstMean})
+			down = append(down, core.SegmentReport{Name: name, Packets: uint64(ss.Summary.Estimates), Mean: ss.EstMean})
 		}
 	}
 	return append(up, down...)

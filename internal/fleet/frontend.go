@@ -370,6 +370,38 @@ func (f *Frontend) handleComparison(w http.ResponseWriter, r *http.Request) {
 	f.since(stageRender, t)
 }
 
+// gatherJSON is /routers' and /rollup's gather: it fans path out, decodes
+// each answering instance's body as a T and annotates it with its instance
+// URL. When no instance answers it writes the 502 itself and returns false.
+func gatherJSON[T any](f *Frontend, w http.ResponseWriter, r *http.Request, path string, annotate func(part *T, instance string)) ([]T, bool) {
+	f.queries.Add(1)
+	var parts []T
+	var firstErr error
+	for _, g := range f.gather(r.Context(), path, "", nil) {
+		var part T
+		err := g.err
+		if err == nil {
+			if err = json.Unmarshal(g.body, &part); err != nil {
+				err = fmt.Errorf("%s%s: %w", g.instance, path, err)
+				f.gErrs.Add(1)
+			}
+		}
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		annotate(&part, g.instance)
+		parts = append(parts, part)
+	}
+	if parts == nil {
+		http.Error(w, fmt.Sprintf("no instance reachable: %v", firstErr), http.StatusBadGateway)
+		return nil, false
+	}
+	return parts, true
+}
+
 // handleRollup gathers each instance's /rollup and returns the per-instance
 // views annotated with their instance URL, like /routers. The rollup tiers
 // are NOT cross-instance merged: which flows a bounded instance evicted
@@ -377,65 +409,24 @@ func (f *Frontend) handleComparison(w http.ResponseWriter, r *http.Request) {
 // operational view, not part of the exact-merge surface (/flows,
 // /comparison — those merge live per-flow state, which stays exact).
 func (f *Frontend) handleRollup(w http.ResponseWriter, r *http.Request) {
-	f.queries.Add(1)
-	var rows []queryapi.RollupJSON
-	anyOK := false
-	var firstErr error
-	for _, g := range f.gather(r.Context(), "/rollup", "", nil) {
-		if g.err != nil {
-			if firstErr == nil {
-				firstErr = g.err
-			}
-			continue
-		}
-		var part queryapi.RollupJSON
-		if err := json.Unmarshal(g.body, &part); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s/rollup: %w", g.instance, err)
-			}
-			f.gErrs.Add(1)
-			continue
-		}
-		anyOK = true
-		part.Instance = g.instance
-		rows = append(rows, part)
+	rows, ok := gatherJSON(f, w, r, "/rollup", func(part *queryapi.RollupJSON, in string) { part.Instance = in })
+	if ok {
+		queryapi.WriteJSON(w, http.StatusOK, rows)
 	}
-	if !anyOK {
-		http.Error(w, fmt.Sprintf("no instance reachable: %v", firstErr), http.StatusBadGateway)
-		return
-	}
-	queryapi.WriteJSON(w, http.StatusOK, rows)
 }
 
 func (f *Frontend) handleRouters(w http.ResponseWriter, r *http.Request) {
-	f.queries.Add(1)
-	var rows []queryapi.RouterJSON
-	anyOK := false
-	var firstErr error
-	for _, g := range f.gather(r.Context(), "/routers", "", nil) {
-		if g.err != nil {
-			if firstErr == nil {
-				firstErr = g.err
-			}
-			continue
+	parts, ok := gatherJSON(f, w, r, "/routers", func(part *[]queryapi.RouterJSON, in string) {
+		for i := range *part {
+			(*part)[i].Instance = in
 		}
-		var part []queryapi.RouterJSON
-		if err := json.Unmarshal(g.body, &part); err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s/routers: %w", g.instance, err)
-			}
-			f.gErrs.Add(1)
-			continue
-		}
-		anyOK = true
-		for i := range part {
-			part[i].Instance = g.instance
-		}
-		rows = append(rows, part...)
-	}
-	if !anyOK {
-		http.Error(w, fmt.Sprintf("no instance reachable: %v", firstErr), http.StatusBadGateway)
+	})
+	if !ok {
 		return
+	}
+	rows := []queryapi.RouterJSON{}
+	for _, part := range parts {
+		rows = append(rows, part...)
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Router != rows[j].Router {
@@ -443,9 +434,6 @@ func (f *Frontend) handleRouters(w http.ResponseWriter, r *http.Request) {
 		}
 		return rows[i].Instance < rows[j].Instance
 	})
-	if rows == nil {
-		rows = []queryapi.RouterJSON{}
-	}
 	queryapi.WriteJSON(w, http.StatusOK, rows)
 }
 

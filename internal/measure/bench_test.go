@@ -18,7 +18,7 @@ import (
 // TestZeroAllocDispatchSteadyState holds it at 0 allocs per packet).
 func BenchmarkSharedTap(b *testing.B) {
 	truth := NewTruth()
-	rli, err := NewRLI("seg", core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}})
+	rli, err := NewRLI(core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}

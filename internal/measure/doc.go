@@ -12,7 +12,7 @@
 // into:
 //
 //   - Estimator: a zero-alloc per-packet Tap at the segment end plus a
-//     Finalize returning a Report (per-flow and per-router estimates and an
+//     Finalize returning a Report (per-flow estimates, an aggregate and an
 //     Overhead accounting of injected/sampled bytes). Mechanisms that also
 //     observe the segment start (LDA's sender sketch, the sampling and
 //     NetFlow baselines' upstream timestamps) additionally implement

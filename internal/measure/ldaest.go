@@ -57,7 +57,6 @@ func (l *LDAEstimator) Finalize() Report {
 		Estimator:  "lda",
 		AggMean:    est.MeanDelay,
 		AggSamples: int64(est.UsablePackets),
-		Routers:    []RouterReport{{Router: "segment", Flows: 0, Estimates: int64(est.UsablePackets)}},
 		Overhead: Overhead{
 			SampledRecords: buckets,
 			SampledBytes:   buckets * ldaBucketBytes,

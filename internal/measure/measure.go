@@ -2,7 +2,6 @@ package measure
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -67,16 +66,6 @@ type FlowEstimate struct {
 	N int64
 }
 
-// RouterReport is one measurement instance's share of a report — the
-// per-router granularity the scenario engine's comparison table groups by.
-type RouterReport struct {
-	// Router names the instance's location ("tor3.0", "sw2", "fleet").
-	Router string
-	// Flows / Estimates count what the instance measured.
-	Flows     int
-	Estimates int64
-}
-
 // Report is one estimator's deliverable for a finished run.
 type Report struct {
 	// Estimator is the registry name of the mechanism that produced it.
@@ -89,35 +78,26 @@ type Report struct {
 	// aggregate-only mechanisms this is the entire deliverable.
 	AggMean    time.Duration
 	AggSamples int64
-	// Routers breaks the report down per measurement instance.
-	Routers []RouterReport
 	// Overhead accounts the mechanism's cost on this run.
 	Overhead Overhead
 }
 
-// MergeReports combines per-instance reports of one mechanism (e.g. the
-// per-monitored-ToR RLI receivers) into a single fleet report. Flow sets of
-// the inputs must be disjoint (each flow terminates at one instance); the
-// merged flow list is re-sorted by key.
-func MergeReports(name string, reports ...Report) Report {
-	n := 0
-	for _, r := range reports {
-		n += len(r.Flows)
-	}
-	out := Report{Estimator: name, Flows: make([]FlowEstimate, 0, n)}
+// WithFlows returns r carrying flows, with its aggregate re-derived from
+// them: AggSamples is the flows' summed N and AggMean their N-weighted mean
+// (zero over no samples). Every per-flow report whose aggregate is its
+// flows' — RLI's, and any report thinned to the flows a lossy collection
+// path kept — derives it here.
+func (r Report) WithFlows(flows []FlowEstimate) Report {
+	r.Flows, r.AggMean, r.AggSamples = flows, 0, 0
 	var aggW float64
-	for _, r := range reports {
-		out.Flows = append(out.Flows, r.Flows...)
-		out.Routers = append(out.Routers, r.Routers...)
-		out.Overhead.Add(r.Overhead)
-		aggW += float64(r.AggMean) * float64(r.AggSamples)
-		out.AggSamples += r.AggSamples
+	for _, f := range flows {
+		aggW += float64(f.Mean) * float64(f.N)
+		r.AggSamples += f.N
 	}
-	if out.AggSamples > 0 {
-		out.AggMean = time.Duration(aggW / float64(out.AggSamples))
+	if r.AggSamples > 0 {
+		r.AggMean = time.Duration(aggW / float64(r.AggSamples))
 	}
-	slices.SortFunc(out.Flows, func(a, b FlowEstimate) int { return a.Key.Compare(b.Key) })
-	return out
+	return r
 }
 
 // Truth is the harness-owned ground-truth table: per-flow and aggregate
@@ -224,7 +204,7 @@ func Compare(truth *Truth, reports ...Report) []Comparison {
 			errs = append(errs, stats.RelErr(float64(f.Mean), float64(trueMean)))
 		}
 		if len(errs) > 0 {
-			cdf := stats.NewCDF(errs)
+			cdf := stats.CDFOver(errs)
 			c.MedianRelErr = cdf.Median()
 			c.P99RelErr = cdf.Quantile(0.99)
 		}

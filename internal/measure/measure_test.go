@@ -150,7 +150,7 @@ func TestRLITapMatchesReceiverObserve(t *testing.T) {
 	var chained uint64
 	mk := func() (*RLI, *core.Receiver) {
 		cfg := core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}}
-		est, err := NewRLI("seg", core.ReceiverConfig{
+		est, err := NewRLI(core.ReceiverConfig{
 			Demux:      cfg.Demux,
 			OnEstimate: func(packet.FlowKey, time.Duration, time.Duration) { chained++ },
 		})
@@ -228,7 +228,7 @@ func TestRLITapMatchesReceiverObserve(t *testing.T) {
 // evaluations and out).
 func TestZeroAllocDispatchSteadyState(t *testing.T) {
 	truth := NewTruth()
-	rli, err := NewRLI("seg", core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}})
+	rli, err := NewRLI(core.ReceiverConfig{Demux: core.SingleDemux{ID: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,32 +261,19 @@ func TestZeroAllocDispatchSteadyState(t *testing.T) {
 	}
 }
 
-// TestMergeReports pins fleet merging: disjoint per-instance reports
-// concatenate, re-sort, and packet-weight the aggregate.
-func TestMergeReports(t *testing.T) {
-	a := Report{Estimator: "rli",
-		Flows:   []FlowEstimate{{Key: key(3), Mean: 300, N: 3}},
-		AggMean: 300, AggSamples: 3,
-		Routers:  []RouterReport{{Router: "tor3.0", Flows: 1, Estimates: 3}},
-		Overhead: Overhead{InjectedPkts: 10, InjectedBytes: 640},
+// TestReportWithFlows pins the one per-flow aggregate rule: the flows'
+// N-weighted mean over their summed N, replacing whatever aggregate the
+// report carried, and zero when no flow is left.
+func TestReportWithFlows(t *testing.T) {
+	r := Report{Estimator: "rli", AggMean: 7, AggSamples: 9, Overhead: Overhead{InjectedPkts: 10}}
+	m := r.WithFlows([]FlowEstimate{{Key: key(1), Mean: 100, N: 1}, {Key: key(3), Mean: 300, N: 3}})
+	if len(m.Flows) != 2 || m.AggSamples != 4 || m.AggMean != 250 {
+		t.Fatalf("aggregate %v over %d of %d flows, want 250 over 4 of 2", m.AggMean, m.AggSamples, len(m.Flows))
 	}
-	b := Report{Estimator: "rli",
-		Flows:   []FlowEstimate{{Key: key(1), Mean: 100, N: 1}},
-		AggMean: 100, AggSamples: 1,
-		Routers:  []RouterReport{{Router: "tor3.1", Flows: 1, Estimates: 1}},
-		Overhead: Overhead{InjectedPkts: 5, InjectedBytes: 320},
+	if m.Estimator != "rli" || m.Overhead.InjectedPkts != 10 {
+		t.Fatalf("WithFlows moved a field it does not derive: %+v", m)
 	}
-	m := MergeReports("rli", a, b)
-	if len(m.Flows) != 2 || m.Flows[0].Key.Compare(m.Flows[1].Key) >= 0 {
-		t.Fatalf("merged flows not sorted: %+v", m.Flows)
-	}
-	if m.AggSamples != 4 || m.AggMean != 250 {
-		t.Fatalf("merged aggregate %v over %d, want 250 over 4", m.AggMean, m.AggSamples)
-	}
-	if m.Overhead.InjectedPkts != 15 || m.Overhead.InjectedBytes != 960 {
-		t.Fatalf("merged overhead %+v", m.Overhead)
-	}
-	if len(m.Routers) != 2 {
-		t.Fatalf("merged routers %+v", m.Routers)
+	if e := r.WithFlows(nil); e.AggMean != 0 || e.AggSamples != 0 {
+		t.Fatalf("no flows: aggregate %v over %d, want 0 over 0", e.AggMean, e.AggSamples)
 	}
 }

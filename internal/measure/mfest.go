@@ -96,7 +96,6 @@ func (m *Multiflow) Finalize() Report {
 		SampledRecords: exported,
 		SampledBytes:   exported * flowRecordBytes,
 	}
-	rep.Routers = []RouterReport{{Router: "segment", Flows: len(rep.Flows), Estimates: int64(len(rep.Flows)) * 2}}
 	return rep
 }
 

@@ -73,7 +73,7 @@ func New(name string, cfg Config) (Estimator, error) {
 
 func init() {
 	Register("rli", func(cfg Config) (Estimator, error) {
-		return NewRLI("segment", cfg.Receiver)
+		return NewRLI(cfg.Receiver)
 	})
 	Register("lda", func(cfg Config) (Estimator, error) {
 		lcfg := lda.DefaultConfig()

@@ -16,11 +16,10 @@ import (
 // the tap — every reference frame crossing the segment-end point is
 // injected bandwidth this mechanism (and only this mechanism) spends.
 type RLI struct {
-	rx     *core.Receiver
-	router string
-	refs   Overhead
-	flows  map[packet.FlowKey]int // index into accs
-	accs   []rliFlow
+	rx    *core.Receiver
+	refs  Overhead
+	flows map[packet.FlowKey]int // index into accs
+	accs  []rliFlow
 }
 
 // rliFlow accumulates one flow's estimated and true per-packet delays (ns).
@@ -29,11 +28,10 @@ type rliFlow struct {
 	est, truth stats.Welford
 }
 
-// NewRLI builds an RLI estimator around a fresh receiver. router names the
-// measurement instance in the report ("tor3.0", "core0.1"); cfg.OnEstimate,
+// NewRLI builds an RLI estimator around a fresh receiver. cfg.OnEstimate,
 // when set, still sees every estimate, after the fold.
-func NewRLI(router string, cfg core.ReceiverConfig) (*RLI, error) {
-	r := &RLI{router: router, flows: make(map[packet.FlowKey]int)}
+func NewRLI(cfg core.ReceiverConfig) (*RLI, error) {
+	r := &RLI{flows: make(map[packet.FlowKey]int)}
 	next := cfg.OnEstimate
 	cfg.OnEstimate = func(key packet.FlowKey, est, truth time.Duration) {
 		i, ok := r.flows[key]
@@ -87,23 +85,10 @@ func (r *RLI) Results() []core.FlowResult {
 
 // Finalize implements Estimator.
 func (r *RLI) Finalize() Report {
-	return ReportFromFlowResults("rli", r.router, r.Results(), r.refs)
-}
-
-// ReportFromFlowResults builds an RLI-shaped report from per-flow receiver
-// results. Harnesses whose receivers stream to a collector build the
-// comparison row from its rows with it.
-func ReportFromFlowResults(name, router string, results []core.FlowResult, overhead Overhead) Report {
-	rep := Report{Estimator: name, Overhead: overhead}
-	var aggW float64
-	for _, fr := range results {
-		rep.Flows = append(rep.Flows, FlowEstimate{Key: fr.Key, Mean: fr.EstMean, N: fr.N})
-		aggW += float64(fr.EstMean) * float64(fr.N)
-		rep.AggSamples += fr.N
+	results := r.Results()
+	flows := make([]FlowEstimate, len(results))
+	for i, fr := range results {
+		flows[i] = FlowEstimate{Key: fr.Key, Mean: fr.EstMean, N: fr.N}
 	}
-	if rep.AggSamples > 0 {
-		rep.AggMean = time.Duration(aggW / float64(rep.AggSamples))
-	}
-	rep.Routers = []RouterReport{{Router: router, Flows: len(rep.Flows), Estimates: rep.AggSamples}}
-	return rep
+	return Report{Estimator: r.Name(), Overhead: r.refs}.WithFlows(flows)
 }

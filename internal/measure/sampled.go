@@ -190,6 +190,5 @@ func (c *pairCore) finalize(name string) Report {
 	}
 	rep.AggMean = time.Duration(agg.Mean())
 	rep.AggSamples = agg.N()
-	rep.Routers = []RouterReport{{Router: "segment", Flows: len(rep.Flows), Estimates: agg.N()}}
 	return rep
 }

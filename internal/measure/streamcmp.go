@@ -23,6 +23,17 @@ func CompareFlowAggs(name string, aggs []collector.FlowAgg) Comparison {
 	return c
 }
 
+// ReportFlowAggs is a collector flow table as an estimator's report, one
+// flow estimate per row in the table's order: what a harness whose receivers
+// stream to a collector scores with Compare beside its baselines.
+func ReportFlowAggs(name string, aggs []collector.FlowAgg, overhead Overhead) Report {
+	flows := make([]FlowEstimate, len(aggs))
+	for i := range aggs {
+		flows[i] = FlowEstimate{Key: aggs[i].Key, Mean: time.Duration(aggs[i].Est.Mean()), N: aggs[i].Est.N()}
+	}
+	return Report{Estimator: name, Overhead: overhead}.WithFlows(flows)
+}
+
 // CompareFlowAggsIn is CompareFlowAggs with the per-flow errors collected and
 // sorted in errs' storage, which it returns for the next call: scoring a
 // table no larger than one scored before allocates nothing.

@@ -331,13 +331,13 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 
 // harvest is a run's last stage on two cores: the plane folds its own state
 // on a goroutine of its own while receivers folds the run's receivers into
-// res on the caller's and returns the RLI report; rows waits for the
-// collector's flow table, sorted by key, which the goroutine takes first.
+// res on the caller's and returns RLI's reference overhead; rows waits for
+// the collector's flow table, sorted by key, which the goroutine takes first.
 // Both halves read only what the drained consumer finished writing and share
 // only the rows, so the join — before the comparison table — leaves every
 // output as a serial fold would. A panic on the plane's goroutine is
 // re-raised here with its value, by rows if it struck before the snapshot.
-func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []collector.FlowAgg) measure.Report) error {
+func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []collector.FlowAgg) measure.Overhead) error {
 	if c := p.cap; c != nil {
 		c.taps = p.tapq.stats
 		for _, q := range p.work {
@@ -365,16 +365,16 @@ func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []c
 		}
 		return flows
 	})
-	rli := receivers(res, rows)
+	refs := receivers(res, rows)
 	flows := rows()
 	if failure := <-folded; failure != nil {
 		panic(failure)
 	}
 
-	// The estimator comparison table: the run's RLI report plus one report
-	// per baseline, all scored against the shared ground truth, with its
-	// telemetry-loss and fleet re-scorings.
-	reports := append([]measure.Report{rli}, finals...)
+	// The estimator comparison table: the run's RLI report — the collector's
+	// flow table — plus one report per baseline, all scored against the
+	// shared ground truth, with its telemetry-loss and fleet re-scorings.
+	reports := append([]measure.Report{measure.ReportFlowAggs("rli", flows, refs)}, finals...)
 	res.Comparison = measure.Compare(p.truth, reports...)
 	res.Comparison[0].Misattribution = res.Misattribution
 	res.TrueAggMean = p.truth.AggMean()

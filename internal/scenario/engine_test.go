@@ -93,9 +93,9 @@ func TestHopDelayFaultRaisesSegment(t *testing.T) {
 			if !ok {
 				t.Fatalf("no flows through healthy segment %s", healthyName)
 			}
-			if slow.TrueMean < seg.TrueMean+300*time.Microsecond {
+			if slow.Summary.TrueMeanDelay < seg.Summary.TrueMeanDelay+300*time.Microsecond {
 				t.Fatalf("delayed segment %s true mean %v not ~400µs above healthy %s (%v)",
-					slowName, slow.TrueMean, healthyName, seg.TrueMean)
+					slowName, slow.Summary.TrueMeanDelay, healthyName, seg.Summary.TrueMeanDelay)
 			}
 			if slow.EstMean < seg.EstMean+200*time.Microsecond {
 				t.Fatalf("estimates did not track the injected delay: %v vs %v", slow.EstMean, seg.EstMean)
@@ -129,8 +129,8 @@ func TestFaultWindowRestores(t *testing.T) {
 	if !ok1 || !ok2 {
 		t.Fatal("no flows through the delayed core")
 	}
-	if sh.TrueMean >= sw.TrueMean {
-		t.Fatalf("half-run fault (%v) should hurt less than whole-run fault (%v)", sh.TrueMean, sw.TrueMean)
+	if sh.Summary.TrueMeanDelay >= sw.Summary.TrueMeanDelay {
+		t.Fatalf("half-run fault (%v) should hurt less than whole-run fault (%v)", sh.Summary.TrueMeanDelay, sw.Summary.TrueMeanDelay)
 	}
 }
 

@@ -72,14 +72,13 @@ func misattribution(cs []*countingDemux) float64 {
 
 // routerRx pairs a receiver with its identity and tail accumulators. A core
 // folds its flows in up; a monitored ToR streams them to the plane's
-// collector, and its segment-end tap counts the references in refs.
+// collector.
 type routerRx struct {
 	name string
 	rx   *core.Receiver
 	rec  *routerRec
 	up   *measure.RLI // nil on the monitored ToRs
 	tor  [2]int
-	refs measure.Overhead
 }
 
 // fatTreeRun is one fat-tree scenario run's state, threaded through the
@@ -105,6 +104,9 @@ type fatTreeRun struct {
 	endPorts  []*netsim.Port
 	countings []*countingDemux
 	plane     *plane
+	// refs counts the reference packets the monitored ToRs' segment-end
+	// taps saw: the RLI row's overhead.
+	refs measure.Overhead
 
 	// inject: the offered workload, pulled as the run goes. A replicated
 	// one logs its pairs as it generates them, and the segment-end tap
@@ -402,7 +404,7 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 			}
 			addr := ft.CoreAddr(j, i)
 			rec := &routerRec{}
-			up, err := measure.NewRLI(ft.Cores[j][i].Name(), core.ReceiverConfig{
+			up, err := measure.NewRLI(core.ReceiverConfig{
 				Demux:      pd,
 				Estimator:  interp,
 				Clock:      clock,
@@ -494,8 +496,8 @@ func (r *fatTreeRun) instrument(cap *capture) (err error) {
 		// One record per packet serves both of the ToR's segment-end taps.
 		segEnd := pl.passive(func(pk *packet.Packet, now simtime.Time) {
 			if pk.Kind == packet.Reference {
-				rr.refs.InjectedPkts++
-				rr.refs.InjectedBytes += uint64(pk.Size)
+				r.refs.InjectedPkts++
+				r.refs.InjectedBytes += uint64(pk.Size)
 			}
 			rx.Observe(pk, now)
 			if accept(pk) {
@@ -683,8 +685,8 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 // foldReceivers is harvest's half on the caller's goroutine: counters, the
 // cores' upstream flows and the run's link reports, then, from the
 // collector's rows, per-router and per-segment downstream accuracy. It
-// returns the comparison table's RLI row, the monitored ToRs' merged.
-func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg) measure.Report {
+// returns the references the monitored ToRs saw, the RLI row's overhead.
+func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg) measure.Overhead {
 	spec := r.spec
 	for _, s := range r.senders {
 		res.Sender.Add(s.Counters())
@@ -745,7 +747,6 @@ func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg)
 		downResults[end[t]] = core.FlowResultOf(flows[i].Key, &flows[i].Est, &flows[i].True)
 		end[t]++
 	}
-	var rliReps []measure.Report
 	var estAll, trueAll stats.Sketch
 	type segKey struct{ j, i, p, e int }
 	segFlows := map[segKey][]core.FlowResult{}
@@ -756,7 +757,6 @@ func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg)
 		rs := RouterStats{Router: rr.name, Segment: "core->tor", Summary: core.Summarize(results)}
 		rr.rec.fill(&rs)
 		res.Routers = append(res.Routers, rs)
-		rliReps = append(rliReps, measure.ReportFromFlowResults("rli", rr.name, results, rr.refs))
 		estAll.Merge(&rr.rec.est)
 		trueAll.Merge(&rr.rec.truth)
 		for _, fr := range results {
@@ -776,27 +776,14 @@ func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg)
 
 	for sk, frs := range segFlows {
 		name := fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e)
-		res.Segments = append(res.Segments, segmentStats(name, frs))
+		seg := SegmentStats{Name: name, Summary: core.Summarize(frs)}
+		var estW float64
+		for _, fr := range frs {
+			estW += float64(fr.EstMean) * float64(fr.N)
+		}
+		seg.EstMean = time.Duration(estW / float64(seg.Summary.Estimates))
+		res.Segments = append(res.Segments, seg)
 	}
 	sort.Slice(res.Segments, func(a, b int) bool { return res.Segments[a].Name < res.Segments[b].Name })
-	return measure.MergeReports("rli", rliReps...)
-}
-
-// segmentStats folds one core->ToR segment's flows.
-func segmentStats(name string, frs []core.FlowResult) SegmentStats {
-	seg := SegmentStats{Name: name, Flows: len(frs)}
-	var estW, trueW float64
-	errs := make([]float64, 0, len(frs))
-	for _, fr := range frs {
-		seg.Estimates += fr.N
-		estW += float64(fr.EstMean) * float64(fr.N)
-		trueW += float64(fr.TrueMean) * float64(fr.N)
-		errs = append(errs, fr.RelErrMean)
-	}
-	if seg.Estimates > 0 {
-		seg.EstMean = time.Duration(estW / float64(seg.Estimates))
-		seg.TrueMean = time.Duration(trueW / float64(seg.Estimates))
-	}
-	seg.MedianRelErr = stats.NewCDF(errs).Median()
-	return seg
+	return r.refs
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"time"
 
 	"github.com/netmeasure/rlir/internal/fleet"
 	"github.com/netmeasure/rlir/internal/measure"
@@ -133,26 +132,13 @@ func loseInstance(r measure.Report, n, fail int) (measure.Report, int) {
 	if len(r.Flows) == 0 {
 		return r, 0
 	}
-	out := r
 	kept := make([]measure.FlowEstimate, 0, len(r.Flows))
 	for _, fe := range r.Flows {
 		if fleet.Partition(fe.Key, n) != fail {
 			kept = append(kept, fe)
 		}
 	}
-	out.Flows = kept
-	var aggW float64
-	var aggN int64
-	for _, fe := range kept {
-		aggW += float64(fe.Mean) * float64(fe.N)
-		aggN += fe.N
-	}
-	out.AggSamples = aggN
-	out.AggMean = 0
-	if aggN > 0 {
-		out.AggMean = time.Duration(aggW / float64(aggN))
-	}
-	return out, len(r.Flows) - len(kept)
+	return r.WithFlows(kept), len(r.Flows) - len(kept)
 }
 
 // applyFleet runs the production collection chain over the run's captured

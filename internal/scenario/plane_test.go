@@ -199,14 +199,14 @@ func TestPlaneFoldJoins(t *testing.T) {
 	r.plane.sink.Add(packet.FlowKey{}, 1, 1)
 	var fromRows any
 	raised := catch(func() {
-		r.plane.harvest(&Result{Spec: spec}, func(_ *Result, rows func() []collector.FlowAgg) measure.Report {
+		r.plane.harvest(&Result{Spec: spec}, func(_ *Result, rows func() []collector.FlowAgg) measure.Overhead {
 			defer func() {
 				if fromRows = recover(); fromRows != nil {
 					panic(fromRows)
 				}
 			}()
 			rows()
-			return measure.Report{}
+			return measure.Overhead{}
 		})
 	})
 	const closed = "collector: Ingest after Close"
@@ -218,7 +218,7 @@ func TestPlaneFoldJoins(t *testing.T) {
 	r = ran()
 	caller := errors.New("receiver fold failed")
 	raised = catch(func() {
-		r.plane.harvest(&Result{Spec: spec}, func(*Result, func() []collector.FlowAgg) measure.Report { panic(caller) })
+		r.plane.harvest(&Result{Spec: spec}, func(*Result, func() []collector.FlowAgg) measure.Overhead { panic(caller) })
 	})
 	if raised != caller {
 		t.Fatalf("harvest raised %v, want the caller's half's panic %v", raised, caller)

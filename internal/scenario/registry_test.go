@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/packet"
@@ -90,6 +91,48 @@ func TestResultQuantilesMatchFleet(t *testing.T) {
 			if res.EstP50 != p50 || res.EstP99 != p99 {
 				t.Fatalf("EstP50/EstP99 = %v/%v, the fleet's sketch reads %v/%v",
 					res.EstP50, res.EstP99, p50, p99)
+			}
+		})
+	}
+}
+
+// TestRLIRowIsTheCollectorTable pins the comparison table's RLI row to the
+// collector's flow table on every registered spec, and on fattree-allpairs
+// at seed 12, where splitting the table per monitored ToR and merging the
+// parts back truncated the aggregate twice: AggSamples is the rows' summed
+// estimate count and AggMean the one N-weighted mean of their truncated
+// estimated means, folded in key order.
+func TestRLIRowIsTheCollectorTable(t *testing.T) {
+	type seeded struct {
+		name string
+		spec Spec
+		seed int64
+	}
+	allPairs, _ := Get("fattree-allpairs")
+	runs := []seeded{{"fattree-allpairs-seed12", allPairs.Spec, 12}}
+	for _, sc := range All() {
+		runs = append(runs, seeded{sc.Name, sc.Spec, sc.Spec.Seed})
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			res, err := RunSeed(run.spec, run.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var w float64
+			var n int64
+			for i := range res.Fleet {
+				est := &res.Fleet[i].Est
+				w += float64(time.Duration(est.Mean())) * float64(est.N())
+				n += est.N()
+			}
+			if n == 0 {
+				t.Fatal("the collector saw no estimate")
+			}
+			rli := res.Comparison[0]
+			if want := time.Duration(w / float64(n)); rli.Estimator != "rli" || rli.AggSamples != n || rli.AggMean != want {
+				t.Fatalf("%s row: AggMean %v over %d samples; the collector table reads %v over %d",
+					rli.Estimator, rli.AggMean, rli.AggSamples, want, n)
 			}
 		})
 	}

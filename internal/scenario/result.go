@@ -37,14 +37,11 @@ type RouterStats struct {
 type SegmentStats struct {
 	// Name is "coreJ.I->torP.E".
 	Name string
-	// Flows and Estimates count the segment's traffic.
-	Flows     int
-	Estimates int64
-	// EstMean / TrueMean are estimate-weighted mean delays over the
-	// segment's flows.
-	EstMean, TrueMean time.Duration
-	// MedianRelErr is the median per-flow relative error.
-	MedianRelErr float64
+	// Summary is the per-flow accuracy over the segment's flows; its
+	// TrueMeanDelay is their estimate-weighted true mean delay.
+	Summary core.Summary
+	// EstMean is the estimate-weighted mean estimated delay.
+	EstMean time.Duration
 }
 
 // Result is one scenario run's outcome.
@@ -250,7 +247,7 @@ func (r *Result) segmentTable() stats.Table {
 	}
 	for _, s := range r.Segments {
 		t.Rows = append(t.Rows, stats.TableRow{Label: s.Name, Cells: []float64{
-			float64(s.Flows), s.MedianRelErr, micros(s.EstMean), micros(s.TrueMean),
+			float64(s.Summary.Flows), s.Summary.MedianRelErr, micros(s.EstMean), micros(s.Summary.TrueMeanDelay),
 		}})
 	}
 	return t

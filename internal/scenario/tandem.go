@@ -251,7 +251,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	pl.run(func() { eng.Run() })
 
 	// Harvest: the receiver's half here, the plane's beside it.
-	if err := pl.harvest(res, func(res *Result, rows func() []collector.FlowAgg) measure.Report {
+	if err := pl.harvest(res, func(res *Result, rows func() []collector.FlowAgg) measure.Overhead {
 		res.Receiver = receiver.Counters()
 		if sender != nil {
 			res.Sender = sender.Counters()
@@ -274,10 +274,10 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 		res.Routers = []RouterStats{rs}
 		res.EstP50, res.EstP99 = rs.EstP50, rs.EstP99
 		res.TrueP50, res.TrueP99 = rs.TrueP50, rs.TrueP99
-		return measure.ReportFromFlowResults("rli", "sw2", res.Results, measure.Overhead{
+		return measure.Overhead{
 			InjectedPkts:  res.Sender.Injected,
 			InjectedBytes: res.Sender.Injected * core.DefaultRefSize,
-		})
+		}
 	}); err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"time"
 
 	"github.com/netmeasure/rlir/internal/measure"
 	"github.com/netmeasure/rlir/internal/stats"
@@ -108,16 +107,14 @@ func telemetryRNG(seed int64, estimator string) *rand.Rand {
 // from them; an aggregate-only report travels as a single frame and is kept
 // or lost whole.
 func thinReport(r measure.Report, loss float64, frameRecords int, rng *rand.Rand) (measure.Report, int, int) {
-	out := r
 	if len(r.Flows) == 0 {
 		if r.AggSamples == 0 {
-			return out, 0, 0
+			return r, 0, 0
 		}
 		if rng.Float64() < loss {
-			out.AggMean, out.AggSamples = 0, 0
-			return out, 1, 1
+			return r.WithFlows(nil), 1, 1
 		}
-		return out, 1, 0
+		return r, 1, 0
 	}
 	var kept []measure.FlowEstimate
 	total, dropped := 0, 0
@@ -130,19 +127,7 @@ func thinReport(r measure.Report, loss float64, frameRecords int, rng *rand.Rand
 		}
 		kept = append(kept, r.Flows[off:end]...)
 	}
-	out.Flows = kept
-	var aggW float64
-	var aggN int64
-	for _, f := range kept {
-		aggW += float64(f.Mean) * float64(f.N)
-		aggN += f.N
-	}
-	out.AggSamples = aggN
-	out.AggMean = 0
-	if aggN > 0 {
-		out.AggMean = time.Duration(aggW / float64(aggN))
-	}
-	return out, total, dropped
+	return r.WithFlows(kept), total, dropped
 }
 
 // applyTelemetry scores every report with and without export loss against

@@ -23,9 +23,10 @@
 // surfaces per-exporter telemetry-loss accounting in /metrics.
 //
 // Segments move over a SegmentConn. StreamConn adapts any byte-stream
-// connection (TCP, Unix sockets); SimNet is an in-process pair whose
-// directions drop, duplicate and reorder segments deterministically from a
-// seed — the harness the delivery-equivalence property tests run on. The
-// same impairment model (Impair) wraps any SegmentConn, which is how
-// cmd/loadgen -loss soaks a real rlird across an emulated lossy path.
+// connection (TCP, Unix sockets). Impair wraps any SegmentConn in a seeded
+// loss model that drops, duplicates, reorders and delays its outbound
+// segments deterministically — how cmd/loadgen -loss soaks a real rlird
+// across an emulated lossy path. SimNet is Impair on both ends of an
+// in-process pair: the harness the delivery-equivalence property tests run
+// on.
 package swp

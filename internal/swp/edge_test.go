@@ -31,7 +31,7 @@ func waitErr(t *testing.T, errOf func() error, want error) error {
 // the connection with ErrAckUnsent.
 func TestAckOfNeverSentSeq(t *testing.T) {
 	t.Run("cumulative", func(t *testing.T) {
-		a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+		a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 		snd := swp.NewSender(a, swp.Config{RTO: time.Hour})
 		if err := b.Send(swp.Segment{Type: swp.SegAck, Ack: 100}); err != nil {
 			t.Fatalf("Send: %v", err)
@@ -42,7 +42,7 @@ func TestAckOfNeverSentSeq(t *testing.T) {
 		}
 	})
 	t.Run("selective", func(t *testing.T) {
-		a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+		a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 		snd := swp.NewSender(a, swp.Config{RTO: time.Hour})
 		if _, err := snd.Write([]byte("x")); err != nil {
 			t.Fatalf("Write: %v", err)
@@ -61,7 +61,7 @@ func TestAckOfNeverSentSeq(t *testing.T) {
 // arithmetic must keep ordering, dedup and acking correct across it.
 func TestSeqWraparound(t *testing.T) {
 	payload := bytes.Repeat([]byte("wraparound-payload-"), 200) // 3800 B
-	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 11, Drop: 0.1, Dup: 0.1, Reorder: 0.1})
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 11, Drop: 0.1, Dup: 0.1, Reorder: 0.1})
 	cfg := swp.Config{
 		InitialSeq: ^uint32(0) - 40, // wraps ~40 segments in
 		Window:     16,
@@ -96,7 +96,7 @@ func TestSeqWraparound(t *testing.T) {
 // segment and of a reorder-buffered one — and checks they are counted and
 // delivered exactly once.
 func TestDuplicateSegmentDelivery(t *testing.T) {
-	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 	rcv := swp.NewReceiver(b, swp.Config{})
 	send := func(seq uint32, payload string) {
 		t.Helper()
@@ -137,7 +137,7 @@ func TestDuplicateSegmentDelivery(t *testing.T) {
 // duplicate, and nothing is delivered.
 func TestHostilePeerNeverFillsGap(t *testing.T) {
 	const window = 8
-	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 	rcv := swp.NewReceiver(b, swp.Config{Window: window})
 	const sent = 10 * window
 	for seq := uint32(2); seq < 2+sent; seq++ { // seq 1 is the gap
@@ -161,7 +161,7 @@ func TestHostilePeerNeverFillsGap(t *testing.T) {
 // MaxRetries retransmissions the connection must fail with the typed
 // ErrRetryBudgetExhausted, surfaced by Write, Close and Err alike.
 func TestRetryBudgetExhausted(t *testing.T) {
-	a, _ := swp.NewSimNet(swp.SimNetConfig{Seed: 1, Drop: 1.0})
+	a, _ := swp.NewSimNet(swp.ImpairConfig{Seed: 1, Drop: 1.0})
 	snd := swp.NewSender(a, swp.Config{
 		RTO:        time.Millisecond,
 		MaxRTO:     2 * time.Millisecond,
@@ -186,7 +186,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 // outstanding: delivered bytes stay a strict prefix and the receiver
 // reports ErrMissingSegments, not a clean EOF.
 func TestTransportCloseWithHoles(t *testing.T) {
-	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 	rcv := swp.NewReceiver(b, swp.Config{})
 	if err := a.Send(swp.Segment{Type: swp.SegData, Seq: 2, Payload: []byte("cd")}); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -254,7 +254,7 @@ func TestSegmentCodec(t *testing.T) {
 // TestReceiverCloseUnblocksRead verifies a blocked Read wakes with
 // ErrClosed when the receiver is torn down locally.
 func TestReceiverCloseUnblocksRead(t *testing.T) {
-	_, b := swp.NewSimNet(swp.SimNetConfig{Seed: 1})
+	_, b := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
 	rcv := swp.NewReceiver(b, swp.Config{})
 	readErr := make(chan error, 1)
 	go func() {
@@ -272,5 +272,28 @@ func TestReceiverCloseUnblocksRead(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Read still blocked after Close")
+	}
+}
+
+// TestSimNetSendAfterClose pins a closed SimNet's refusals: a send after
+// Close fails with ErrClosed, and a delayed segment that comes due after
+// Close is refused the same way instead of reaching a closed queue.
+func TestSimNetSendAfterClose(t *testing.T) {
+	// Seed 3's first delay is 14ms of the 20ms bound.
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 3, Delay: 20 * time.Millisecond})
+	if err := a.Send(swp.Segment{Type: swp.SegData, Seq: 1, Payload: []byte("late")}); err != nil {
+		t.Fatalf("Send before Close: %v", err)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if seg, err := b.Recv(); err != io.EOF {
+		t.Fatalf("Recv after Close = %+v, %v; want io.EOF", seg, err)
+	}
+	time.Sleep(30 * time.Millisecond) // the delayed send comes due
+	c, _ := swp.NewSimNet(swp.ImpairConfig{Seed: 1})
+	c.Close()
+	if err := c.Send(swp.Segment{Type: swp.SegData, Seq: 1}); !errors.Is(err, swp.ErrClosed) {
+		t.Fatalf("Send after Close = %v, want ErrClosed", err)
 	}
 }

@@ -7,110 +7,57 @@ import (
 	"time"
 )
 
-// SimNetConfig shapes the loss model of an in-process segment path. All
-// randomness derives from Seed, so a run's drop/duplicate/reorder decisions
-// are reproducible (Delay adds real scheduling nondeterminism to arrival
-// order, which the ARQ layer must absorb anyway).
-type SimNetConfig struct {
-	// Seed fixes the impairment random streams; each direction gets an
-	// independent stream derived from it.
-	Seed int64
-	// Drop, Dup and Reorder are per-segment probabilities in [0, 1].
-	// Reorder holds a segment back until the next one passes, swapping
-	// their arrival order.
-	Drop    float64
-	Dup     float64
-	Reorder float64
-	// Delay is the maximum extra per-segment latency; each delayed
-	// segment sleeps a uniform fraction of it in its own goroutine.
-	Delay time.Duration
-	// Queue bounds each direction's in-flight segments (default 256);
-	// segments arriving at a full queue are tail-dropped.
-	Queue int
-}
-
 // NewSimNet builds an in-process lossy segment path and returns its two
-// endpoints. Segments sent on one endpoint arrive at the other — except
-// when the configured impairments drop, duplicate, reorder or delay them.
-// Closing either endpoint closes the whole path.
-func NewSimNet(cfg SimNetConfig) (SegmentConn, SegmentConn) {
-	queue := cfg.Queue
-	if queue <= 0 {
-		queue = 256
-	}
-	ab := &simDir{ch: make(chan Segment, queue), imp: newImpairState(cfg, cfg.Seed)}
-	ba := &simDir{ch: make(chan Segment, queue), imp: newImpairState(cfg, cfg.Seed+1)}
-	return &simEnd{out: ab, in: ba}, &simEnd{out: ba, in: ab}
+// endpoints: a lossless in-memory pair with each endpoint's outbound
+// segments passed through Impair — the first endpoint's stream seeded with
+// cfg.Seed, the second's with cfg.Seed+1. Each direction buffers 256
+// segments and tail-drops beyond. Closing either endpoint closes the whole
+// path; a segment still owed to it afterwards is refused with ErrClosed.
+func NewSimNet(cfg ImpairConfig) (SegmentConn, SegmentConn) {
+	ab, ba := &memDir{ch: make(chan Segment, 256)}, &memDir{ch: make(chan Segment, 256)}
+	rev := cfg
+	rev.Seed++
+	return Impair(&memEnd{out: ab, in: ba}, cfg), Impair(&memEnd{out: ba, in: ab}, rev)
 }
 
-// simDir is one direction of a SimNet: a bounded queue with an impairment
-// stage in front of it.
-type simDir struct {
+// memDir is one direction of a SimNet: a bounded queue that refuses sends
+// once closed.
+type memDir struct {
 	mu     sync.Mutex
 	ch     chan Segment
 	closed bool
-	imp    *impairState
 }
 
-func (d *simDir) enqueue(seg Segment) {
+func (d *memDir) send(seg Segment) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return
+		return ErrClosed
 	}
 	select {
 	case d.ch <- seg:
 	default: // full queue: tail drop
 	}
-}
-
-func (d *simDir) send(seg Segment) error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return ErrClosed
-	}
-	out := d.imp.apply(seg)
-	d.mu.Unlock()
-	for _, dv := range out {
-		if dv.delay > 0 {
-			go func(seg Segment, delay time.Duration) {
-				time.Sleep(delay)
-				d.enqueue(seg)
-			}(dv.seg, dv.delay)
-			continue
-		}
-		d.enqueue(dv.seg)
-	}
 	return nil
 }
 
-func (d *simDir) close() {
+func (d *memDir) close() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return
+	if !d.closed {
+		d.closed = true
+		close(d.ch)
 	}
-	// Flush a held-back reordered segment so close doesn't turn a swap
-	// into a loss.
-	if seg, ok := d.imp.flush(); ok {
-		select {
-		case d.ch <- seg:
-		default:
-		}
-	}
-	d.closed = true
-	close(d.ch)
 }
 
-type simEnd struct {
-	out *simDir
-	in  *simDir
+type memEnd struct {
+	out *memDir
+	in  *memDir
 }
 
-func (e *simEnd) Send(seg Segment) error { return e.out.send(seg) }
+func (e *memEnd) Send(seg Segment) error { return e.out.send(seg) }
 
-func (e *simEnd) Recv() (Segment, error) {
+func (e *memEnd) Recv() (Segment, error) {
 	seg, ok := <-e.in.ch
 	if !ok {
 		return Segment{}, io.EOF
@@ -118,7 +65,7 @@ func (e *simEnd) Recv() (Segment, error) {
 	return seg, nil
 }
 
-func (e *simEnd) Close() error {
+func (e *memEnd) Close() error {
 	e.out.close()
 	e.in.close()
 	return nil
@@ -130,18 +77,18 @@ type delivery struct {
 	delay time.Duration
 }
 
-// impairState applies a SimNetConfig's loss model to a stream of segments.
-// Callers must serialize apply/flush (SimNet and Impair guard it with the
-// direction lock).
+// impairState applies an ImpairConfig's loss model to a stream of
+// segments. Callers must serialize apply/flush (Impair guards it with its
+// lock).
 type impairState struct {
-	cfg        SimNetConfig
+	cfg        ImpairConfig
 	rng        *rand.Rand
 	pocket     Segment
 	havePocket bool
 }
 
-func newImpairState(cfg SimNetConfig, seed int64) *impairState {
-	return &impairState{cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+func newImpairState(cfg ImpairConfig) *impairState {
+	return &impairState{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 func (im *impairState) apply(seg Segment) []delivery {
@@ -192,16 +139,22 @@ func copySegment(seg Segment) Segment {
 	return seg
 }
 
-// ImpairConfig shapes an Impair wrapper: the same loss model as
-// SimNetConfig, applied to one endpoint's outbound segments.
+// ImpairConfig shapes a seeded loss model, applied to one endpoint's
+// outbound segments. All randomness derives from Seed, so a run's
+// drop/duplicate/reorder decisions are reproducible (Delay adds real
+// scheduling nondeterminism to arrival order, which the ARQ layer must
+// absorb anyway).
 type ImpairConfig struct {
 	// Seed fixes the impairment random stream.
 	Seed int64
 	// Drop, Dup and Reorder are per-segment probabilities in [0, 1].
+	// Reorder holds a segment back until the next one passes, swapping
+	// their arrival order.
 	Drop    float64
 	Dup     float64
 	Reorder float64
-	// Delay is the maximum extra latency added to a sent segment.
+	// Delay is the maximum extra latency added to a sent segment; each
+	// delayed segment sleeps a uniform fraction of it in its own goroutine.
 	Delay time.Duration
 }
 
@@ -211,15 +164,7 @@ type ImpairConfig struct {
 // reach the wire, and the ARQ layer has to recover against a live rlird.
 // Inbound segments are untouched.
 func Impair(c SegmentConn, cfg ImpairConfig) SegmentConn {
-	return &impairConn{
-		inner: c,
-		imp: newImpairState(SimNetConfig{
-			Drop:    cfg.Drop,
-			Dup:     cfg.Dup,
-			Reorder: cfg.Reorder,
-			Delay:   cfg.Delay,
-		}, cfg.Seed),
-	}
+	return &impairConn{inner: c, imp: newImpairState(cfg)}
 }
 
 type impairConn struct {

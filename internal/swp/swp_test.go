@@ -76,7 +76,7 @@ func TestLossyDeliveryBitIdenticalCollector(t *testing.T) {
 			stream := sampleStream(seed, 200, 8)
 			want := ingestStream(t, bytes.NewReader(stream))
 
-			a, b := swp.NewSimNet(swp.SimNetConfig{
+			a, b := swp.NewSimNet(swp.ImpairConfig{
 				Seed:    seed,
 				Drop:    0.05,
 				Dup:     0.05,
@@ -147,7 +147,7 @@ func TestLossyDeliveryBitIdenticalCollector(t *testing.T) {
 // over a clean SimNet every byte arrives in one transmission.
 func TestLosslessTransferNoRetransmits(t *testing.T) {
 	stream := sampleStream(3, 50, 4)
-	a, b := swp.NewSimNet(swp.SimNetConfig{Seed: 3})
+	a, b := swp.NewSimNet(swp.ImpairConfig{Seed: 3})
 	cfg := swp.Config{MaxPayload: 256}
 	snd := swp.NewSender(a, cfg)
 	rcv := swp.NewReceiver(b, cfg)

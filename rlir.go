@@ -225,8 +225,8 @@ func Sweep(t ExperimentTarget, base ScenarioSpec, opts MultiOpts) (TableCI, erro
 // Every latency-measurement mechanism — RLI interpolation, the LDA
 // aggregate sketch, NetFlow-style packet sampling, the Multiflow
 // two-timestamp estimator — implements one pluggable API: a zero-alloc
-// per-packet Tap plus a Finalize returning a Report with per-flow and
-// per-router estimates and overhead accounting. A scenario spec declares
+// per-packet Tap plus a Finalize returning a Report with per-flow
+// estimates, an aggregate and overhead accounting. A scenario spec declares
 // its estimator set (ScenarioSpec.Deploy.Estimators) and the engine attaches
 // all of them to the same single simulation pass through a shared tap
 // dispatch, scoring every mechanism against shared ground truth in one
