@@ -13,6 +13,7 @@
 //	scenario -list-estimators      # registered measurement estimators
 //	scenario -list-estimators -json  # name array (the CI estimator-matrix input)
 //	scenario -run incast -check    # run one scenario, enforce its invariant
+//	scenario -run incast -stats    # add its diagnostics, wall time and waits
 //	scenario -run incast -seeds 8 -parallel 4
 //	scenario -run incast -estimators rli,lda   # override the comparison set
 //	scenario -run telemetry-loss -telemetry-loss 0.2  # override the export loss rate
@@ -30,6 +31,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	rlir "github.com/netmeasure/rlir"
 )
@@ -57,6 +59,7 @@ type options struct {
 	estimators    []string
 	telemetryLoss float64
 	linkTrace     string
+	stats         bool
 }
 
 // parseArgs parses the command line into options, validating the
@@ -78,6 +81,7 @@ func parseArgs(args []string) (options, error) {
 	fs.IntVar(&o.parallel, "parallel", 0, "max concurrent runs for multi-seed sweeps (0 = GOMAXPROCS)")
 	ests := fs.String("estimators", "", "comma-separated estimator set for -run/-spec (rli is always included; empty keeps the spec's)")
 	fs.Float64Var(&o.telemetryLoss, "telemetry-loss", -1, "override (or enable) the spec's telemetry export loss rate in [0, 1) for -run/-spec (-1 keeps the spec's)")
+	fs.BoolVar(&o.stats, "stats", false, "with a single-seed -run/-spec: print the run's diagnostics, its wall time and how often the simulator waited on its neighbours")
 	fs.StringVar(&o.linkTrace, "link-trace", "", "replay a recorded link trace file (JSON or CSV, see cmd/tracegen -emit link) on a core down-link for -run/-spec (replaces the spec's inline rows)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -99,7 +103,7 @@ func parseArgs(args []string) (options, error) {
 	}
 	// A flag outside its mode is an error, not a silent no-op.
 	runs := o.runName != "" || o.specFile != ""
-	for _, name := range []string{"check", "seed", "seeds", "parallel", "estimators", "telemetry-loss", "link-trace"} {
+	for _, name := range []string{"check", "seed", "seeds", "parallel", "estimators", "telemetry-loss", "link-trace", "stats"} {
 		if set[name] && !runs {
 			return o, fmt.Errorf("-%s applies to -run/-spec", name)
 		}
@@ -109,6 +113,9 @@ func parseArgs(args []string) (options, error) {
 	}
 	if o.seeds < 1 {
 		return o, fmt.Errorf("-seeds %d < 1", o.seeds)
+	}
+	if o.stats && o.seeds > 1 {
+		return o, fmt.Errorf("-stats applies to a single-seed run")
 	}
 	if o.parallel < 0 {
 		return o, fmt.Errorf("-parallel %d < 0", o.parallel)
@@ -242,17 +249,45 @@ func execute(o options, spec rlir.ScenarioSpec, check func(*rlir.ScenarioResult)
 		}
 		return nil
 	}
+	if o.stats {
+		return executeStats(spec, check, o.check, out)
+	}
 	res, err := rlir.RunScenario(spec)
 	if err != nil {
 		return err
 	}
+	return report(res, check, o.check, out)
+}
+
+// report prints a single run and, when asked, checks its invariant.
+func report(res *rlir.ScenarioResult, check func(*rlir.ScenarioResult) error, checked bool, out io.Writer) error {
 	fmt.Fprint(out, res.Render())
-	if o.check && check != nil {
+	if checked && check != nil {
 		if err := check(res); err != nil {
 			return fmt.Errorf("invariant violated: %w", err)
 		}
 		fmt.Fprintln(out, "invariant held")
 	}
+	return nil
+}
+
+// executeStats runs one spec through the export path, whose Result is the
+// plain run's bit for bit, and prints the run, its diagnostics, its wall
+// time and how often the simulator waited on its neighbours.
+func executeStats(spec rlir.ScenarioSpec, check func(*rlir.ScenarioResult) error, checked bool, out io.Writer) error {
+	start := time.Now()
+	tr, err := rlir.ExportScenarioTrace(spec, spec.Seed)
+	if err != nil {
+		return err
+	}
+	wall := time.Since(start)
+	if err := report(tr.Result, check, checked, out); err != nil {
+		return err
+	}
+	fmt.Fprint(out, "\n", tr.Result.Diagnostics.Table().Render())
+	w := tr.Waits()
+	fmt.Fprintf(out, "wall %v; blocked on the passive consumer %d times (%v), on the workload producers %d times (%v)\n",
+		wall.Round(time.Microsecond), w.TapBlocked, w.TapWait.Round(time.Microsecond), w.WorkBlocked, w.WorkWait.Round(time.Microsecond))
 	return nil
 }
 

@@ -41,6 +41,9 @@ func TestParseArgs(t *testing.T) {
 		{"estimators without run", []string{"-list", "-estimators", "lda"}, "-estimators"},
 		{"unknown estimator", []string{"-run", "incast", "-estimators", "bogus"}, "bogus"},
 		{"run with link trace", []string{"-run", "trace-replay", "-link-trace", "link.json"}, ""},
+		{"run with stats", []string{"-run", "incast", "-stats", "-check"}, ""},
+		{"stats without run", []string{"-list", "-stats"}, "-stats"},
+		{"stats multi-seed", []string{"-run", "incast", "-stats", "-seeds", "2"}, "single-seed"},
 		{"spec with link trace", []string{"-spec", "x.json", "-link-trace", "link.csv"}, ""},
 		{"link trace without run", []string{"-list", "-link-trace", "link.json"}, "-link-trace"},
 		{"run base spec", []string{"-run", "tandem-small", "-seed", "3"}, ""},

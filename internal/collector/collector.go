@@ -408,13 +408,19 @@ func compareKeys(a, b *FlowAgg) int { return a.Key.Compare(b.Key) }
 // liveRun returns pointers to the shard's live flow aggregates in flow-key
 // order.
 func (s *shard) liveRun() []*FlowAgg {
-	run := make([]*FlowAgg, 0, s.flows.n)
+	run := s.appendLive(make([]*FlowAgg, 0, s.flows.n))
+	slices.SortFunc(run, compareKeys)
+	return run
+}
+
+// appendLive appends pointers to the shard's live flow aggregates to run,
+// in table order.
+func (s *shard) appendLive(run []*FlowAgg) []*FlowAgg {
 	for _, e := range s.flows.slots {
 		if e != nil {
 			run = append(run, &e.agg)
 		}
 	}
-	slices.SortFunc(run, compareKeys)
 	return run
 }
 
@@ -662,6 +668,45 @@ func (c *Collector) Snapshot() []FlowAgg {
 	out := m.mergeRuns(runs, c.closed)
 	if len(out) == 0 {
 		return nil // an empty table renders as JSON null; the byte-identity pins hold that
+	}
+	return out
+}
+
+// Take hands a closed collector's flow table over, sorted by flow key: the
+// rows Snapshot would return, moved instead of cloned. No key lives in two
+// shards, so the shards' live flows form one run, sorted once by their
+// packed keys (packet.SortByKey) rather than per shard and merged. The rows
+// take over the shards' sketch windows, so the shards give their tables up:
+// a later Take or Snapshot finds no flows. The rollup tiers, the eviction
+// counters and the ingest counts stay.
+func (c *Collector) Take() []FlowAgg {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		panic("collector: Take before Close")
+	}
+	n := 0
+	for _, s := range c.shards {
+		n += s.flows.n
+	}
+	run := make([]*FlowAgg, 0, n)
+	for _, s := range c.shards {
+		run = s.appendLive(run)
+		s.flows = flowTable{}
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+	}
+	if n == 0 {
+		return nil // as Snapshot returns an empty table
+	}
+	packet.SortByKey(run, func(a **FlowAgg) packet.FlowKey { return (*a).Key })
+	out := make([]FlowAgg, n)
+	for i, a := range run {
+		out[i] = *a
+		if a.Sketch.Buckets() == 0 {
+			// A recycled entry's empty window keeps its storage; a
+			// clone's is the canonical nil, as Snapshot's rows have it.
+			out[i].Sketch = a.Sketch.Clone()
+		}
 	}
 	return out
 }

@@ -73,24 +73,68 @@ type Summary struct {
 
 // Summarize computes a Summary over results.
 func Summarize(results []FlowResult) Summary {
-	if len(results) == 0 {
+	run := RunOf(results)
+	return run.Summary()
+}
+
+// Run is a result set's Summary kept open for unions: the flows' mean
+// relative errors, sorted once, and the sums the summary's counts and
+// weighted delay read. A summary over a union of result sets merges its
+// parts' runs instead of sorting their errors again. Quantiles are
+// nearest-rank, so the merged run's are exactly those of the whole, and the
+// weighted delay is a sum of integers, so parts add up in any order.
+type Run struct {
+	errs      *stats.CDF
+	flows     int
+	estimates int64
+	trueW     int64 // Σ TrueMean·N
+}
+
+// RunOf folds results into a Run, sorting their mean relative errors.
+func RunOf(results []FlowResult) Run {
+	return RunFunc(len(results), func(i int) *FlowResult { return &results[i] })
+}
+
+// RunFunc is RunOf over the n results result returns, for i in [0, n):
+// the results need not be gathered in one slice first.
+func RunFunc(n int, result func(i int) *FlowResult) Run {
+	r := Run{flows: n}
+	errs := make([]float64, n)
+	for i := range errs {
+		fr := result(i)
+		errs[i] = fr.RelErrMean
+		r.estimates += fr.N
+		r.trueW += int64(fr.TrueMean) * fr.N
+	}
+	cdf := stats.CDFOver(errs)
+	r.errs = &cdf
+	return r
+}
+
+// Merge returns the run of both result sets together; neither is modified.
+func (r Run) Merge(o Run) Run {
+	switch {
+	case o.flows == 0:
+		return r
+	case r.flows == 0:
+		return o
+	}
+	return Run{errs: r.errs.Merge(o.errs), flows: r.flows + o.flows,
+		estimates: r.estimates + o.estimates, trueW: r.trueW + o.trueW}
+}
+
+// Summary is the run's Summary: Summarize over its result sets' union.
+func (r Run) Summary() Summary {
+	if r.flows == 0 {
 		return Summary{}
 	}
-	cdf := MeanErrCDF(results)
-	var estimates, wsum int64
-	var trueWeighted float64
-	for _, r := range results {
-		estimates += r.N
-		trueWeighted += float64(r.TrueMean) * float64(r.N)
-		wsum += r.N
-	}
 	return Summary{
-		Flows:          len(results),
-		Estimates:      estimates,
-		MedianRelErr:   cdf.Median(),
-		P90RelErr:      cdf.Quantile(0.9),
-		FracUnder10Pct: cdf.FracBelow(0.10),
-		TrueMeanDelay:  time.Duration(trueWeighted / float64(wsum)),
+		Flows:          r.flows,
+		Estimates:      r.estimates,
+		MedianRelErr:   r.errs.Median(),
+		P90RelErr:      r.errs.Quantile(0.9),
+		FracUnder10Pct: r.errs.FracBelow(0.10),
+		TrueMeanDelay:  time.Duration(float64(r.trueW) / float64(r.estimates)),
 	}
 }
 

@@ -64,6 +64,18 @@ type FlowEstimate struct {
 	// N counts the samples behind the estimate (per-packet estimates for
 	// RLI, sampled packets for the sampling baseline, 2 for Multiflow).
 	N int64
+	// Weight, when positive, is the flow's weight in its report's aggregate
+	// in N's place: Multiflow's two samples stand for every packet the flow
+	// carried.
+	Weight int64
+}
+
+// weight is the flow's weight in its report's aggregate.
+func (f *FlowEstimate) weight() int64 {
+	if f.Weight > 0 {
+		return f.Weight
+	}
+	return f.N
 }
 
 // Report is one estimator's deliverable for a finished run.
@@ -83,16 +95,18 @@ type Report struct {
 }
 
 // WithFlows returns r carrying flows, with its aggregate re-derived from
-// them: AggSamples is the flows' summed N and AggMean their N-weighted mean
-// (zero over no samples). Every per-flow report whose aggregate is its
-// flows' — RLI's, and any report thinned to the flows a lossy collection
-// path kept — derives it here.
+// them: AggSamples is the flows' summed weight and AggMean their
+// weight-weighted mean (zero over no samples), where a flow's weight is its
+// Weight if set and its N otherwise. Every per-flow report whose aggregate is
+// its flows' — RLI's, Multiflow's, and any report thinned to the flows a
+// lossy collection path kept — derives it here.
 func (r Report) WithFlows(flows []FlowEstimate) Report {
 	r.Flows, r.AggMean, r.AggSamples = flows, 0, 0
 	var aggW float64
-	for _, f := range flows {
-		aggW += float64(f.Mean) * float64(f.N)
-		r.AggSamples += f.N
+	for i := range flows {
+		w := flows[i].weight()
+		aggW += float64(flows[i].Mean) * float64(w)
+		r.AggSamples += w
 	}
 	if r.AggSamples > 0 {
 		r.AggMean = time.Duration(aggW / float64(r.AggSamples))
@@ -179,38 +193,44 @@ type Comparison struct {
 // Compare scores reports against truth, one row per report, in input
 // order.
 func Compare(truth *Truth, reports ...Report) []Comparison {
-	out := make([]Comparison, 0, len(reports))
-	for _, r := range reports {
-		c := Comparison{
-			Estimator:    r.Estimator,
-			AggMean:      r.AggMean,
-			AggSamples:   r.AggSamples,
-			Overhead:     r.Overhead,
-			MedianRelErr: math.NaN(),
-			P99RelErr:    math.NaN(),
-			AggRelErr:    math.NaN(),
-		}
-		if trueAgg := truth.AggMean(); trueAgg > 0 && r.AggSamples > 0 {
-			c.AggRelErr = stats.RelErr(float64(r.AggMean), float64(trueAgg))
-		}
-		errs := make([]float64, 0, len(r.Flows))
-		for _, f := range r.Flows {
-			trueMean, ok := truth.FlowMean(f.Key)
-			if !ok || trueMean <= 0 {
-				continue
-			}
-			c.Flows++
-			c.Samples += f.N
-			errs = append(errs, stats.RelErr(float64(f.Mean), float64(trueMean)))
-		}
-		if len(errs) > 0 {
-			cdf := stats.CDFOver(errs)
-			c.MedianRelErr = cdf.Median()
-			c.P99RelErr = cdf.Quantile(0.99)
-		}
-		out = append(out, c)
+	out := make([]Comparison, len(reports))
+	for i := range reports {
+		out[i] = Score(truth, &reports[i])
 	}
 	return out
+}
+
+// Score is one report's Compare row. It only reads truth, so reports may be
+// scored concurrently.
+func Score(truth *Truth, r *Report) Comparison {
+	c := Comparison{
+		Estimator:    r.Estimator,
+		AggMean:      r.AggMean,
+		AggSamples:   r.AggSamples,
+		Overhead:     r.Overhead,
+		MedianRelErr: math.NaN(),
+		P99RelErr:    math.NaN(),
+		AggRelErr:    math.NaN(),
+	}
+	if trueAgg := truth.AggMean(); trueAgg > 0 && r.AggSamples > 0 {
+		c.AggRelErr = stats.RelErr(float64(r.AggMean), float64(trueAgg))
+	}
+	errs := make([]float64, 0, len(r.Flows))
+	for _, f := range r.Flows {
+		trueMean, ok := truth.FlowMean(f.Key)
+		if !ok || trueMean <= 0 {
+			continue
+		}
+		c.Flows++
+		c.Samples += f.N
+		errs = append(errs, stats.RelErr(float64(f.Mean), float64(trueMean)))
+	}
+	if len(errs) > 0 {
+		cdf := stats.CDFOver(errs)
+		c.MedianRelErr = cdf.Median()
+		c.P99RelErr = cdf.Quantile(0.99)
+	}
+	return c
 }
 
 // TapFunc is a per-packet observation callback. It has the same signature

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/netflow"
@@ -64,81 +63,57 @@ func (m *Multiflow) Tap(p *packet.Packet, now simtime.Time) {
 	m.down.Observe(p.Key, p.Size, now)
 }
 
+// Up returns the segment-start meter, live.
+func (m *Multiflow) Up() *netflow.Meter { return m.up }
+
 // Down returns the segment-end meter, live: a harness that exports the
 // segment end's flow records reads them here instead of metering the same
 // packets a second time.
 func (m *Multiflow) Down() *netflow.Meter { return m.down }
 
-// Finalize implements Estimator.
+// Finalize implements Estimator. Both meters' key-sorted runs pair by a
+// merge-join, so the estimates come out in key order; the segment end's run
+// is the one the meter shares with any other reader of its records.
 func (m *Multiflow) Finalize() Report {
-	ests := twoSampleEstimates(
-		m.quantizeRecords(m.up.Snapshot()),
-		m.quantizeRecords(m.down.Snapshot()))
-	// Meter snapshots iterate maps; sort for a deterministic report.
-	slices.SortFunc(ests, func(a, b twoSample) int { return a.Key.Compare(b.Key) })
-	rep := Report{Estimator: m.Name(), Flows: make([]FlowEstimate, 0, len(ests))}
-	var aggW float64
-	var aggN int64
-	for _, e := range ests {
-		// Two timestamps per flow regardless of length — N documents that.
-		rep.Flows = append(rep.Flows, FlowEstimate{Key: e.Key, Mean: e.Mean, N: 2})
-		aggW += float64(e.Mean) * float64(e.Packets)
-		aggN += int64(e.Packets)
-	}
-	if aggN > 0 {
-		rep.AggMean = time.Duration(aggW / float64(aggN))
-	}
-	rep.AggSamples = aggN
+	flows := twoSampleEstimates(m.up.Sorted(), m.down.Sorted(), m.quantize)
 	// Every open record at either point is state the exporter carries,
 	// whether or not the flow matched across points.
 	exported := uint64(m.up.Active() + m.down.Active())
-	rep.Overhead = Overhead{
+	return Report{Estimator: m.Name(), Overhead: Overhead{
 		SampledRecords: exported,
 		SampledBytes:   exported * flowRecordBytes,
-	}
-	return rep
+	}}.WithFlows(flows)
 }
 
-func (m *Multiflow) quantizeRecords(recs []netflow.Record) []netflow.Record {
-	if m.quantize <= 0 {
-		return recs
-	}
-	step := int64(m.quantize)
-	for i := range recs {
-		recs[i].First = simtime.Time((int64(recs[i].First) + step/2) / step * step)
-		recs[i].Last = simtime.Time((int64(recs[i].Last) + step/2) / step * step)
-	}
-	return recs
-}
-
-// twoSample is one flow's two-timestamp delay estimate and its downstream
-// packet count (the aggregate's weight).
-type twoSample struct {
-	Key     packet.FlowKey
-	Mean    time.Duration
-	Packets uint64
-}
-
-// twoSampleEstimates pairs upstream and downstream records by flow key.
-// Flows seen at only one point are skipped; flows whose packet counts differ
-// (loss crossed the flow, so first/last may not be the same packets) are
-// still estimated, as the original estimator does.
-func twoSampleEstimates(up, down []netflow.Record) []twoSample {
-	byKey := make(map[packet.FlowKey]netflow.Record, len(up))
-	for _, r := range up {
-		byKey[r.Key] = r
-	}
-	out := make([]twoSample, 0, len(down))
-	for _, d := range down {
-		u, ok := byKey[d.Key]
-		if !ok {
-			continue
+// twoSampleEstimates pairs upstream and downstream records, each run sorted
+// by flow key, with their timestamps rounded to the nearest multiple of
+// quantize (none when quantize is 0). Flows seen at only one point are
+// skipped; flows whose packet counts differ (loss crossed the flow, so
+// first/last may not be the same packets) are still estimated, as the
+// original estimator does. Each estimate weighs in the aggregate by the
+// flow's downstream packets: two timestamps stand for the whole flow.
+func twoSampleEstimates(up, down []netflow.Record, quantize time.Duration) []FlowEstimate {
+	round := func(t simtime.Time) simtime.Time {
+		if quantize <= 0 {
+			return t
 		}
-		out = append(out, twoSample{
-			Key:     d.Key,
-			Mean:    (d.First.Sub(u.First) + d.Last.Sub(u.Last)) / 2,
-			Packets: d.Packets,
-		})
+		step := int64(quantize)
+		return simtime.Time((int64(t) + step/2) / step * step)
+	}
+	out := make([]FlowEstimate, 0, min(len(up), len(down)))
+	i := 0
+	for _, d := range down {
+		for i < len(up) && up[i].Key.Compare(d.Key) < 0 {
+			i++
+		}
+		if i == len(up) {
+			break
+		}
+		if u := &up[i]; u.Key == d.Key {
+			// Two timestamps per flow regardless of length — N documents that.
+			mean := (round(d.First).Sub(round(u.First)) + round(d.Last).Sub(round(u.Last))) / 2
+			out = append(out, FlowEstimate{Key: d.Key, Mean: mean, N: 2, Weight: int64(d.Packets)})
+		}
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package measure
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,7 +22,7 @@ func rec(k packet.FlowKey, first, last simtime.Time, pkts uint64) netflow.Record
 func TestTwoSampleAverage(t *testing.T) {
 	up := []netflow.Record{rec(mfKey, atUS(0), atUS(100), 10)}
 	down := []netflow.Record{rec(mfKey, atUS(40), atUS(160), 10)}
-	got := twoSampleEstimates(up, down)
+	got := twoSampleEstimates(up, down, 0)
 	if len(got) != 1 {
 		t.Fatalf("estimates = %d", len(got))
 	}
@@ -28,8 +30,8 @@ func TestTwoSampleAverage(t *testing.T) {
 	if e.Mean != 50*time.Microsecond { // first delay 40µs, last 60µs
 		t.Fatalf("mean = %v, want 50µs", e.Mean)
 	}
-	if e.Packets != 10 {
-		t.Fatalf("packets = %d", e.Packets)
+	if e.Weight != 10 {
+		t.Fatalf("weight = %d", e.Weight)
 	}
 }
 
@@ -38,7 +40,7 @@ func TestUnpairedFlowsSkipped(t *testing.T) {
 	other.SrcPort = 99
 	up := []netflow.Record{rec(mfKey, atUS(0), atUS(10), 1)}
 	down := []netflow.Record{rec(other, atUS(5), atUS(15), 1)}
-	if got := twoSampleEstimates(up, down); len(got) != 0 {
+	if got := twoSampleEstimates(up, down, 0); len(got) != 0 {
 		t.Fatalf("unpaired flows estimated: %v", got)
 	}
 }
@@ -48,8 +50,8 @@ func TestUnpairedFlowsSkipped(t *testing.T) {
 func TestLossyFlowStillEstimated(t *testing.T) {
 	up := []netflow.Record{rec(mfKey, atUS(0), atUS(100), 12)}
 	down := []netflow.Record{rec(mfKey, atUS(40), atUS(150), 10)} // 2 lost
-	got := twoSampleEstimates(up, down)
-	if len(got) != 1 || got[0].Mean != 45*time.Microsecond || got[0].Packets != 10 {
+	got := twoSampleEstimates(up, down, 0)
+	if len(got) != 1 || got[0].Mean != 45*time.Microsecond || got[0].Weight != 10 {
 		t.Fatalf("lossy flow: %+v", got)
 	}
 }
@@ -59,7 +61,7 @@ func TestSinglePacketFlow(t *testing.T) {
 	// estimate is its exact delay.
 	up := []netflow.Record{rec(mfKey, atUS(10), atUS(10), 1)}
 	down := []netflow.Record{rec(mfKey, atUS(35), atUS(35), 1)}
-	got := twoSampleEstimates(up, down)
+	got := twoSampleEstimates(up, down, 0)
 	if got[0].Mean != 25*time.Microsecond {
 		t.Fatalf("mean = %v, want 25µs", got[0].Mean)
 	}
@@ -73,13 +75,75 @@ func TestManyFlows(t *testing.T) {
 		up = append(up, rec(k, atUS(i*10), atUS(i*10+500), 5))
 		down = append(down, rec(k, atUS(i*10+20), atUS(i*10+520), 5))
 	}
-	got := twoSampleEstimates(up, down)
+	got := twoSampleEstimates(up, down, 0)
 	if len(got) != 100 {
 		t.Fatalf("estimates = %d", len(got))
 	}
 	for _, e := range got {
 		if e.Mean != 20*time.Microsecond {
 			t.Fatalf("mean = %v, want 20µs", e.Mean)
+		}
+	}
+}
+
+// TestMergeJoinMatchesMapJoin pins Finalize's merge-join over key-sorted
+// runs to the map join it replaced, followed by a key sort of the
+// estimates: random records at both points, with keys seen at one point
+// only on either side, exact and millisecond-quantized timestamps, give
+// the same estimates and weights in the same order.
+func TestMergeJoinMatchesMapJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 100 {
+		quantize := time.Duration(0)
+		if trial%2 == 1 {
+			quantize = DefaultQuantize
+		}
+		round := func(t simtime.Time) simtime.Time {
+			if quantize == 0 {
+				return t
+			}
+			step := int64(quantize)
+			return simtime.Time((int64(t) + step/2) / step * step)
+		}
+		var up, down []netflow.Record
+		for i := range rng.Intn(300) {
+			k := mfKey
+			k.Src = packet.AddrFrom4(10, uint8(rng.Intn(4)), 0, 2)
+			k.SrcPort = uint16(i)
+			first := simtime.Time(rng.Int63n(int64(5 * time.Millisecond)))
+			u := rec(k, first, first+simtime.Time(rng.Int63n(int64(time.Millisecond))), 1+uint64(rng.Intn(50)))
+			d := rec(k, u.First+simtime.Time(rng.Intn(3e5)), u.Last+simtime.Time(rng.Intn(3e5)), u.Packets-uint64(rng.Intn(int(u.Packets))))
+			switch rng.Intn(5) {
+			case 0:
+				up = append(up, u)
+			case 1:
+				down = append(down, d)
+			default:
+				up, down = append(up, u), append(down, d)
+			}
+		}
+		byKey := map[packet.FlowKey]netflow.Record{}
+		for _, u := range up {
+			byKey[u.Key] = u
+		}
+		var want []FlowEstimate
+		for _, d := range down {
+			if u, ok := byKey[d.Key]; ok {
+				mean := (round(d.First).Sub(round(u.First)) + round(d.Last).Sub(round(u.Last))) / 2
+				want = append(want, FlowEstimate{Key: d.Key, Mean: mean, N: 2, Weight: int64(d.Packets)})
+			}
+		}
+		slices.SortFunc(want, func(a, b FlowEstimate) int { return a.Key.Compare(b.Key) })
+
+		sorted := func(rs []netflow.Record) []netflow.Record {
+			rs = slices.Clone(rs)
+			rng.Shuffle(len(rs), func(i, j int) { rs[i], rs[j] = rs[j], rs[i] })
+			slices.SortFunc(rs, func(a, b netflow.Record) int { return a.Key.Compare(b.Key) })
+			return rs
+		}
+		got := twoSampleEstimates(sorted(up), sorted(down), quantize)
+		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			t.Fatalf("trial %d (quantize %v): merge-join gave %d estimates, map join %d", trial, quantize, len(got), len(want))
 		}
 	}
 }

@@ -83,6 +83,17 @@ func (r *RLI) Results() []core.FlowResult {
 	return out
 }
 
+// Run is the summary fold of every estimated flow's result; it reads no
+// order, so the results are neither gathered nor sorted first.
+func (r *RLI) Run() core.Run {
+	var fr core.FlowResult
+	return core.RunFunc(len(r.accs), func(i int) *core.FlowResult {
+		f := &r.accs[i]
+		fr = core.FlowResultOf(f.key, &f.est, &f.truth)
+		return &fr
+	})
+}
+
 // Finalize implements Estimator.
 func (r *RLI) Finalize() Report {
 	results := r.Results()

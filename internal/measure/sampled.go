@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -177,16 +176,19 @@ func (c *pairCore) end(p *packet.Packet, now simtime.Time) {
 // two identical runs.
 func (c *pairCore) finalize(name string) Report {
 	rep := Report{Estimator: name, Overhead: c.overhead, Flows: make([]FlowEstimate, 0, len(c.flows))}
-	keys := make([]packet.FlowKey, 0, len(c.flows))
-	for key := range c.flows {
-		keys = append(keys, key)
+	type flow struct {
+		key packet.FlowKey
+		w   *stats.Welford
 	}
-	slices.SortFunc(keys, packet.FlowKey.Compare)
+	flows := make([]flow, 0, len(c.flows))
+	for key, w := range c.flows {
+		flows = append(flows, flow{key, w})
+	}
+	packet.SortByKey(flows, func(f *flow) packet.FlowKey { return f.key })
 	var agg stats.Welford
-	for _, key := range keys {
-		w := c.flows[key]
-		rep.Flows = append(rep.Flows, FlowEstimate{Key: key, Mean: time.Duration(w.Mean()), N: w.N()})
-		agg.Merge(w)
+	for _, f := range flows {
+		rep.Flows = append(rep.Flows, FlowEstimate{Key: f.key, Mean: time.Duration(f.w.Mean()), N: f.w.N()})
+		agg.Merge(f.w)
 	}
 	rep.AggMean = time.Duration(agg.Mean())
 	rep.AggSamples = agg.N()

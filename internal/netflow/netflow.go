@@ -11,6 +11,7 @@ package netflow
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/packet"
@@ -33,11 +34,17 @@ func (r Record) String() string {
 	return fmt.Sprintf("flow{%s pkts=%d bytes=%d span=[%v,%v]}", r.Key, r.Packets, r.Bytes, r.First, r.Last)
 }
 
-// Meter accumulates flow records from observed packets.
+// Meter accumulates flow records from observed packets. One goroutine
+// observes; Sorted may then be called from any number of goroutines.
 type Meter struct {
 	flows map[packet.FlowKey]*Record
-	slab  []Record // backing for new flows' records, carved in order
+	slabs [][]Record // backing for new flows' records, carved in order
 	seen  uint64
+
+	// sorted is the key-sorted run Sorted built when seen was sortedAt.
+	mu       sync.Mutex
+	sorted   []Record
+	sortedAt uint64
 }
 
 // NewMeter creates a meter.
@@ -52,13 +59,16 @@ func (m *Meter) Observe(key packet.FlowKey, size int, at simtime.Time) {
 	if !ok {
 		// First packet of a flow is a hot event (tens of thousands per run
 		// across a deployment's meters), so records are carved from a slab
-		// instead of allocated one by one. A full slab is abandoned to the
-		// map's pointers and replaced, so carved addresses never move.
-		if len(m.slab) == cap(m.slab) {
-			m.slab = make([]Record, 0, 128)
+		// instead of allocated one by one. A full slab is followed by a new
+		// one, so carved addresses never move, and the slabs hold every
+		// record in first-packet order.
+		n := len(m.slabs)
+		if n == 0 || len(m.slabs[n-1]) == cap(m.slabs[n-1]) {
+			m.slabs = append(m.slabs, make([]Record, 0, 128))
+			n++
 		}
-		m.slab = append(m.slab, Record{Key: key, First: at})
-		r = &m.slab[len(m.slab)-1]
+		m.slabs[n-1] = append(m.slabs[n-1], Record{Key: key, First: at})
+		r = &m.slabs[n-1][len(m.slabs[n-1])-1]
 		m.flows[key] = r
 	}
 	r.Last = at
@@ -84,8 +94,22 @@ func (m *Meter) Seen() uint64 { return m.seen }
 // Snapshot returns copies of all open records, in unspecified order.
 func (m *Meter) Snapshot() []Record {
 	out := make([]Record, 0, len(m.flows))
-	for _, r := range m.flows {
-		out = append(out, *r)
+	for _, slab := range m.slabs {
+		out = append(out, slab...)
 	}
 	return out
+}
+
+// Sorted returns copies of all open records sorted by flow key. The run is
+// built once per observed state and shared: every call until the next
+// Observe returns the same slice, which callers must not modify.
+func (m *Meter) Sorted() []Record {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.sorted == nil || m.sortedAt != m.seen {
+		m.sorted = m.Snapshot()
+		packet.SortByKey(m.sorted, func(r *Record) packet.FlowKey { return r.Key })
+		m.sortedAt = m.seen
+	}
+	return m.sorted
 }

@@ -1,6 +1,7 @@
 package netflow
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -66,5 +67,38 @@ func TestRecordString(t *testing.T) {
 	r, _ := m.Lookup(k1)
 	if r.String() == "" {
 		t.Fatal("empty String")
+	}
+}
+
+// TestSortedRunIsShared pins Meter.Sorted: the run holds every open record,
+// sorted by key; concurrent callers get the one slice it builds; and the
+// next Observe makes the following call build a new run.
+func TestSortedRunIsShared(t *testing.T) {
+	m := NewMeter()
+	for i := range 500 {
+		k := packet.FlowKey{Src: packet.Addr(i % 7), Dst: packet.Addr(i % 3), SrcPort: uint16(i * 7919 % 1000), Proto: packet.ProtoTCP}
+		m.Observe(k, 100, simtime.Time(i))
+	}
+	runs := make(chan []Record, 4)
+	for range cap(runs) {
+		go func() { runs <- m.Sorted() }()
+	}
+	first := <-runs
+	for range cap(runs) - 1 {
+		if run := <-runs; &run[0] != &first[0] {
+			t.Fatal("concurrent Sorted calls built separate runs")
+		}
+	}
+	if len(first) != m.Active() || !slices.IsSortedFunc(first, func(a, b Record) int { return a.Key.Compare(b.Key) }) {
+		t.Fatalf("Sorted returned %d records, %d open, sorted %v", len(first), m.Active(), slices.IsSortedFunc(first, func(a, b Record) int { return a.Key.Compare(b.Key) }))
+	}
+	for _, r := range first {
+		if want, _ := m.Lookup(r.Key); r != want {
+			t.Fatalf("run record %v, meter holds %v", r, want)
+		}
+	}
+	m.Observe(first[0].Key, 1, 1000)
+	if again := m.Sorted(); &again[0] == &first[0] || again[0].Packets != first[0].Packets+1 {
+		t.Fatal("Sorted after Observe returned the stale run")
 	}
 }

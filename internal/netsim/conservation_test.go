@@ -70,7 +70,7 @@ func TestPacketConservation(t *testing.T) {
 		if sink.Delivered() != delivered {
 			t.Fatalf("trial %d: node delivered %d != tap %d", trial, sink.Delivered(), delivered)
 		}
-		if err := nw.Audit(); err != nil {
+		if _, err := nw.Audit(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -124,7 +124,7 @@ func TestAuditNamesTheUnbalanced(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			link := LinkConfig{RateBps: 1e9}
 			eng, nw, src, sw, _ := buildLine(t, link, link)
-			if err := nw.Audit(); err != nil {
+			if _, err := nw.Audit(); err != nil {
 				t.Fatalf("an empty network does not balance: %v", err)
 			}
 			c.setup(src, sw)
@@ -132,7 +132,7 @@ func TestAuditNamesTheUnbalanced(t *testing.T) {
 				nw.Inject(src, mkpkt(uint64(i+1), 1000), simtime.Zero)
 			}
 			eng.Run()
-			err := nw.Audit()
+			_, err := nw.Audit()
 			if err == nil {
 				t.Fatal("Audit passed")
 			}

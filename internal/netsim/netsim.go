@@ -226,8 +226,9 @@ func (nw *Network) Inject(n *Node, p *packet.Packet, at simtime.Time) {
 // delivered plus those it offered its own ports; network-wide, injected plus
 // minted equals delivered plus queue and wire drops. It names every port and
 // node whose books do not balance, so a tap that enqueues a packet twice, or
-// mints one it never sends, shows at its node. It costs O(ports).
-func (nw *Network) Audit() error {
+// mints one it never sends, shows at its node. It returns the network-wide
+// totals beside any error. It costs O(ports).
+func (nw *Network) Audit() (Totals, error) {
 	var errs []error
 	var minted, delivered, drops, lost uint64
 	for _, n := range nw.nodes {
@@ -253,7 +254,14 @@ func (nw *Network) Audit() error {
 		errs = append(errs, fmt.Errorf("netsim: network: injected %d + minted %d != delivered %d + queue drops %d + wire drops %d",
 			nw.injected, minted, delivered, drops, lost))
 	}
-	return errors.Join(errs...)
+	return Totals{Injected: nw.injected, Minted: minted, Delivered: delivered, Dropped: drops, Lost: lost}, errors.Join(errs...)
+}
+
+// Totals are a network's books as Audit sums them: the packets workloads
+// injected and nodes minted, and where they ended — delivered at a node,
+// dropped at a queue or lost on a wire.
+type Totals struct {
+	Injected, Minted, Delivered, Dropped, Lost uint64
 }
 
 // LinkConfig configures a unidirectional link and the output queue feeding

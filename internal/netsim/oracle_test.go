@@ -246,7 +246,7 @@ func TestPortsMatchLindley(t *testing.T) {
 			nw.Inject(layers[0][rng.Intn(len(layers[0]))], p, at)
 		}
 		eng.Run()
-		if err := nw.Audit(); err != nil {
+		if _, err := nw.Audit(); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 

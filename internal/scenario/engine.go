@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -333,10 +334,12 @@ func (p *plane) estimate(key packet.FlowKey, est, truth time.Duration) {
 // on a goroutine of its own while receivers folds the run's receivers into
 // res on the caller's and returns RLI's reference overhead; rows waits for
 // the collector's flow table, sorted by key, which the goroutine takes first.
-// Both halves read only what the drained consumer finished writing and share
-// only the rows, so the join — before the comparison table — leaves every
-// output as a serial fold would. A panic on the plane's goroutine is
-// re-raised here with its value, by rows if it struck before the snapshot.
+// The baselines' Finalize calls then go to whichever side is free first, one
+// at a time, each into its own slot. Every piece reads only what the drained
+// consumer finished writing, and the halves share only the rows, so the
+// join — before the comparison table — leaves every output as a serial fold
+// would. A panic on the plane's goroutine is re-raised here with its value,
+// by rows if it struck before the rows were sent.
 func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []collector.FlowAgg) measure.Overhead) error {
 	if c := p.cap; c != nil {
 		c.taps = p.tapq.stats
@@ -344,10 +347,29 @@ func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []c
 			c.work.add(q.stats)
 		}
 	}
-	var finals []measure.Report
-	// snap carries the flow table, closed empty if fold panicked before the
-	// snapshot; folded carries fold's exit, nil or its panic value. One slot
-	// each lets the goroutine exit even if receivers panics.
+	// Slot i+1 of reports and scores is baseline i's; slot 0 is RLI's.
+	reports := make([]measure.Report, 1+len(p.baselines))
+	scores := make([]measure.Comparison, len(reports))
+	var next atomic.Int64 // the next baseline to finalize
+	// finalizeOne finalizes and scores the next baseline nobody has taken,
+	// if any.
+	finalizeOne := func() bool {
+		i := next.Add(1)
+		if i >= int64(len(reports)) {
+			return false
+		}
+		reports[i] = p.baselines[i-1].Finalize()
+		scores[i] = measure.Score(p.truth, &reports[i])
+		return true
+	}
+	finalize := func() {
+		for finalizeOne() {
+		}
+	}
+	// snap carries the flow table, closed empty if fold panicked before
+	// sending it; folded carries the goroutine's exit, nil or its panic
+	// value. One slot each lets the goroutine exit even if the caller's half
+	// panics.
 	snap := make(chan []collector.FlowAgg, 1)
 	folded := make(chan any, 1)
 	go func() {
@@ -356,7 +378,8 @@ func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []c
 			close(snap)
 			folded <- failure
 		}()
-		finals = p.fold(snap)
+		p.fold(snap)
+		finalize()
 	}()
 	rows := sync.OnceValue(func() []collector.FlowAgg {
 		flows, ok := <-snap
@@ -367,21 +390,37 @@ func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []c
 	})
 	refs := receivers(res, rows)
 	flows := rows()
+	// The RLI row is the collector's flow table.
+	reports[0] = measure.ReportFlowAggs("rli", flows, refs)
+	scores[0] = measure.Score(p.truth, &reports[0])
+	finalize()
 	if failure := <-folded; failure != nil {
 		panic(failure)
 	}
+	samples := p.coll.SamplesIngested()
+	p.coll = nil // its rows are the caller's now
+	d := &res.Diagnostics
+	d.TapHandoffs = p.tapq.stats.handoffs
+	for _, q := range p.work {
+		d.WorkHandoffs += q.stats.handoffs
+	}
+	d.Estimates, d.Samples, d.Rows = res.Receiver.Estimated, samples, len(flows)
+	for _, b := range p.baselines {
+		if mf, ok := b.(*measure.Multiflow); ok {
+			d.StartRecords, d.EndRecords = mf.Up().Active(), mf.Down().Active()
+		}
+	}
+	d.UpstreamFlows = res.Upstream.Flows
 
-	// The estimator comparison table: the run's RLI report — the collector's
-	// flow table — plus one report per baseline, all scored against the
+	// The estimator comparison table: every report scored against the
 	// shared ground truth, with its telemetry-loss and fleet re-scorings.
-	reports := append([]measure.Report{measure.ReportFlowAggs("rli", flows, refs)}, finals...)
-	res.Comparison = measure.Compare(p.truth, reports...)
+	res.Comparison = scores
 	res.Comparison[0].Misattribution = res.Misattribution
 	res.TrueAggMean = p.truth.AggMean()
 	if t := res.Spec.Telemetry; t != nil {
 		res.Telemetry = applyTelemetry(*t, res.Seed, p.truth, res.Comparison, reports)
 	}
-	res.Fleet, res.Samples = flows, p.coll.SamplesIngested()
+	res.Fleet, res.Samples = flows, samples
 	var err error
 	if f := res.Spec.Fleet; f != nil {
 		res.FleetReport, err = applyFleet(*f, p.cap, p.truth, res.Comparison, reports, res)
@@ -389,18 +428,23 @@ func (p *plane) harvest(res *Result, receivers func(res *Result, rows func() []c
 	return err
 }
 
-// fold is the plane's half of harvest: it drains and closes the collector
-// and sends its flow table on snap, seals the capture's NetFlow records, then
-// finalizes every baseline, in order. The collector closes first, so a
-// baseline that panics leaves no shard goroutine behind.
-func (p *plane) fold(snap chan<- []collector.FlowAgg) []measure.Report {
+// fold is the plane's own half of harvest: it drains and closes the
+// collector and sends its flow table on snap, then seals the capture. The
+// collector closes first, so a panic after it leaves no shard goroutine
+// behind.
+func (p *plane) fold(snap chan<- []collector.FlowAgg) {
 	p.sink.Flush()
 	p.coll.Close()
-	snap <- p.coll.Snapshot()
+	snap <- p.coll.Take()
 	p.cap.seal()
-	finals := make([]measure.Report, 0, len(p.baselines))
-	for _, b := range p.baselines {
-		finals = append(finals, b.Finalize())
-	}
-	return finals
+}
+
+// count fills the diagnostics only the finished run has: the engine's
+// counts and the network's books, which it audits.
+func (d *Diagnostics) count(nw *netsim.Network) error {
+	eng := nw.Engine()
+	d.Events, d.Filings, d.PeakHeap = eng.Processed(), eng.Filed(), eng.PeakHeap()
+	var err error
+	d.Network, err = nw.Audit()
+	return err
 }

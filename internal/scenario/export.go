@@ -39,6 +39,20 @@ type Trace struct {
 	taps, work pipeStats
 }
 
+// Waits is how often, and for how long, the simulator waited on its
+// neighbours during one run: on the passive consumer (taps) and on the
+// workload producers (work). Thread scheduling decides both, so they are
+// reported beside Result, not in it.
+type Waits struct {
+	TapBlocked, WorkBlocked int
+	TapWait, WorkWait       time.Duration
+}
+
+// Waits returns the run's waits on its neighbours.
+func (t *Trace) Waits() Waits {
+	return Waits{TapBlocked: t.taps.blocked, WorkBlocked: t.work.blocked, TapWait: t.taps.wait, WorkWait: t.work.wait}
+}
+
 // Export runs the scenario once, capturing its export stream alongside the
 // normal result. The run is bit-identical to RunSeed(spec, seed) — capture
 // taps only copy what existing hooks already observe.
@@ -85,18 +99,17 @@ func (c *capture) addSample(key packet.FlowKey, est, truth time.Duration) {
 	c.blocks[n-1] = append(c.blocks[n-1], collector.Sample{Key: key, Est: est, True: truth})
 }
 
-// seal joins the streamed samples, and copies the meter's records and
-// sorts them by flow key: the meter's map iteration order must not leak into
-// the deterministic artifact. The plane's fold calls it once the run has
-// drained.
+// seal joins the streamed samples and takes the meter's records sorted by
+// flow key — the run the meter shares with the Multiflow baseline's
+// Finalize — so its map iteration order does not leak into the deterministic
+// artifact. The plane's fold calls it once the run has drained.
 func (c *capture) seal() {
 	if c == nil {
 		return
 	}
 	c.samples = slices.Concat(c.blocks...)
 	c.blocks = nil
-	c.records = c.meter.Snapshot()
-	slices.SortFunc(c.records, func(a, b netflow.Record) int { return a.Key.Compare(b.Key) })
+	c.records = c.meter.Sorted()
 }
 
 // finish assembles the trace from the sealed capture and the run's result.

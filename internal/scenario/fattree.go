@@ -129,7 +129,7 @@ func runFatTree(spec Spec, seed int64, cap *capture) (*Result, error) {
 	r.run()
 	res, err := r.harvest()
 	if err == nil {
-		err = r.nw.Audit()
+		err = res.Diagnostics.count(r.nw)
 	}
 	if err != nil {
 		return nil, err
@@ -684,27 +684,29 @@ func (r *fatTreeRun) harvest() (*Result, error) {
 
 // foldReceivers is harvest's half on the caller's goroutine: counters, the
 // cores' upstream flows and the run's link reports, then, from the
-// collector's rows, per-router and per-segment downstream accuracy. It
-// returns the references the monitored ToRs saw, the RLI row's overhead.
+// collector's rows, per-segment, per-router and overall downstream accuracy.
+// Each flow's error is sorted once, in its finest group; a summary over a
+// union merges its parts' sorted runs. It returns the references the
+// monitored ToRs saw, the RLI row's overhead.
 func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg) measure.Overhead {
 	spec := r.spec
 	for _, s := range r.senders {
 		res.Sender.Add(s.Counters())
 	}
-	var upResults []core.FlowResult
+	var upstream core.Run
 	down := r.routers[len(r.routers)-len(r.monitored):] // in r.monitored order
 	for _, rr := range r.routers {
 		res.Receiver.Add(rr.rx.Counters())
 		if rr.up == nil {
 			continue
 		}
-		results := rr.up.Results()
-		rs := RouterStats{Router: rr.name, Segment: "tor-uplink->core", Summary: core.Summarize(results)}
+		run := rr.up.Run()
+		rs := RouterStats{Router: rr.name, Segment: "tor-uplink->core", Summary: run.Summary()}
 		rr.rec.fill(&rs)
 		res.Routers = append(res.Routers, rs)
-		upResults = append(upResults, results...)
+		upstream = upstream.Merge(run)
 	}
-	res.Upstream = core.Summarize(upResults)
+	res.Upstream = upstream.Summary()
 	res.Misattribution = misattribution(r.countings)
 
 	// Hottest monitored access link.
@@ -722,68 +724,85 @@ func (r *fatTreeRun) foldReceivers(res *Result, rows func() []collector.FlowAgg)
 		res.RepFlow = buildRepFlow(r.repPairs, r.repArrivals)
 	}
 
-	// Group the collector's key-sorted rows by the monitored ToR each flow
-	// ends under, in down's order; the counting sort is stable, so each
-	// ToR's share stays in key order.
+	// Group the collector's key-sorted rows twice with stable counting
+	// sorts, so every group stays in key order: by the monitored ToR each
+	// flow ends under, in down's order, for Results; and within each ToR by
+	// the core its path came down, the segment, with the flows no core
+	// resolves in a last part of their own.
 	flows, h := rows(), spec.half()
+	cores := h * h
+	parts := cores + 1                     // per ToR
 	slot := make([]int, spec.Topology.K*h) // down's index by pod*h + tor
 	for t, rr := range down {
 		slot[rr.tor[0]*h+rr.tor[1]] = t
 	}
-	torOf := func(key packet.FlowKey) int {
-		p, e, _, _ := r.ft.LocateHost(key.Dst)
-		return slot[p*h+e]
-	}
-	end := make([]int, len(down)+1) // ToR t's next slot; its share's end once placed
+	partOf := make([]int32, len(flows)) // ToR t's part c is t*parts + c
+	torEnd := make([]int, len(down)+1)  // ToR t's next slot; its share's end once placed
+	partEnd := make([]int, len(down)*parts+1)
 	for i := range flows {
-		end[torOf(flows[i].Key)+1]++
+		key := flows[i].Key
+		p, e, _, _ := r.ft.LocateHost(key.Dst)
+		t, c := slot[p*h+e], cores
+		if j, ci, err := r.ft.ResolveCore(key); err == nil {
+			c = j*h + ci
+		}
+		partOf[i] = int32(t*parts + c)
+		torEnd[t+1]++
+		partEnd[t*parts+c+1]++
 	}
 	for t := range down {
-		end[t+1] += end[t]
+		torEnd[t+1] += torEnd[t]
+	}
+	for p := range len(down) * parts {
+		partEnd[p+1] += partEnd[p]
 	}
 	downResults := make([]core.FlowResult, len(flows))
+	byPart := make([]int32, len(flows)) // indexes into downResults
 	for i := range flows {
-		t := torOf(flows[i].Key)
-		downResults[end[t]] = core.FlowResultOf(flows[i].Key, &flows[i].Est, &flows[i].True)
-		end[t]++
+		p := partOf[i]
+		t := p / int32(parts)
+		downResults[torEnd[t]] = core.FlowResultOf(flows[i].Key, &flows[i].Est, &flows[i].True)
+		byPart[partEnd[p]] = int32(torEnd[t])
+		torEnd[t]++
+		partEnd[p]++
 	}
+
+	var overall core.Run
 	var estAll, trueAll stats.Sketch
-	type segKey struct{ j, i, p, e int }
-	segFlows := map[segKey][]core.FlowResult{}
 	start := 0
 	for t, rr := range down {
-		results := downResults[start:end[t]]
-		start = end[t]
-		rs := RouterStats{Router: rr.name, Segment: "core->tor", Summary: core.Summarize(results)}
+		var run core.Run
+		for c := range parts {
+			idx := byPart[start:partEnd[t*parts+c]]
+			start += len(idx)
+			if len(idx) == 0 {
+				continue
+			}
+			part := core.RunFunc(len(idx), func(i int) *core.FlowResult { return &downResults[idx[i]] })
+			run = run.Merge(part)
+			if c == cores {
+				continue
+			}
+			seg := SegmentStats{Name: fmt.Sprintf("core%d.%d->tor%d.%d", c/h, c%h, rr.tor[0], rr.tor[1]), Summary: part.Summary()}
+			var estW float64
+			for _, i := range idx {
+				estW += float64(downResults[i].EstMean) * float64(downResults[i].N)
+			}
+			seg.EstMean = time.Duration(estW / float64(seg.Summary.Estimates))
+			res.Segments = append(res.Segments, seg)
+		}
+		rs := RouterStats{Router: rr.name, Segment: "core->tor", Summary: run.Summary()}
 		rr.rec.fill(&rs)
 		res.Routers = append(res.Routers, rs)
 		estAll.Merge(&rr.rec.est)
 		trueAll.Merge(&rr.rec.truth)
-		for _, fr := range results {
-			j, i, err := r.ft.ResolveCore(fr.Key)
-			if err != nil {
-				continue
-			}
-			sk := segKey{j, i, rr.tor[0], rr.tor[1]}
-			segFlows[sk] = append(segFlows[sk], fr)
-		}
+		overall = overall.Merge(run)
 	}
 	sort.Slice(res.Routers, func(a, b int) bool { return res.Routers[a].Router < res.Routers[b].Router })
+	sort.Slice(res.Segments, func(a, b int) bool { return res.Segments[a].Name < res.Segments[b].Name })
 	res.Results = downResults
-	res.Overall = core.Summarize(downResults)
+	res.Overall = overall.Summary()
 	res.EstP50, res.EstP99 = estAll.QuantileDuration(0.5), estAll.QuantileDuration(0.99)
 	res.TrueP50, res.TrueP99 = trueAll.QuantileDuration(0.5), trueAll.QuantileDuration(0.99)
-
-	for sk, frs := range segFlows {
-		name := fmt.Sprintf("core%d.%d->tor%d.%d", sk.j, sk.i, sk.p, sk.e)
-		seg := SegmentStats{Name: name, Summary: core.Summarize(frs)}
-		var estW float64
-		for _, fr := range frs {
-			estW += float64(fr.EstMean) * float64(fr.N)
-		}
-		seg.EstMean = time.Duration(estW / float64(seg.Summary.Estimates))
-		res.Segments = append(res.Segments, seg)
-	}
-	sort.Slice(res.Segments, func(a, b int) bool { return res.Segments[a].Name < res.Segments[b].Name })
 	return r.refs
 }

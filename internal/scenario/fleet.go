@@ -125,9 +125,10 @@ func (f *FleetReport) Tables() []stats.Table {
 
 // loseInstance thins one estimator's report to what survives when instance
 // fail of n dies: per-flow records that hashed onto the dead instance are
-// gone, and the aggregate is re-derived from the survivors — the same
-// re-derivation a collection tier would do. Aggregate-only reports pass
-// through untouched: their single deliverable is not flow-partitioned.
+// gone, and the aggregate is re-derived from the survivors, by the report's
+// own weights — the same re-derivation a collection tier would do.
+// Aggregate-only reports pass through untouched: their single deliverable is
+// not flow-partitioned.
 func loseInstance(r measure.Report, n, fail int) (measure.Report, int) {
 	if len(r.Flows) == 0 {
 		return r, 0

@@ -89,6 +89,39 @@ func BenchmarkHarvestAllPairs(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(injected), "ns/pkt")
 }
 
+// TestHarvestAllocBudget gates harvest's garbage: one fattree-allpairs 0.2 s
+// harvest — both halves, their join, the comparison table and the capture's
+// trace, as BenchmarkHarvestAllPairs times them — allocates at most 8 MB.
+// Bytes are counted process-wide (the plane's half runs on a goroutine of
+// its own), so CI runs this in a process of its own.
+func TestHarvestAllocBudget(t *testing.T) {
+	const budget = 8_000_000
+	spec := allPairsSpec(t, 200*time.Millisecond)
+	cap := newCapture()
+	r, err := buildFatTree(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.instrument(cap); err != nil {
+		t.Fatal(err)
+	}
+	r.inject()
+	r.run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := r.harvest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap.finish(spec.Name, 1, res)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("harvest allocated %d bytes (%d flows, %d samples)", got, len(res.Fleet), res.Samples)
+	if got > budget {
+		t.Fatalf("harvest allocated %d bytes, budget %d", got, budget)
+	}
+}
+
 // BenchmarkExportK8 is the same export on a k = 8 fat-tree at 60 % load for
 // 30 ms: many more events in flight than BenchmarkExportAllPairs' tens, so an
 // event queue whose cost grows with its length shows here and not there.

@@ -154,9 +154,20 @@ func (panicky) Name() string                     { return "panicky" }
 func (panicky) Tap(*packet.Packet, simtime.Time) {}
 func (b panicky) Finalize() measure.Report       { panic(b.value) }
 
+// slow is a baseline whose Finalize takes a while, so the other side of
+// harvest finalizes the baselines queued behind it.
+type slow struct{}
+
+func (slow) Name() string                     { return "slow" }
+func (slow) Tap(*packet.Packet, simtime.Time) {}
+func (slow) Finalize() measure.Report {
+	time.Sleep(20 * time.Millisecond)
+	return measure.Report{Estimator: "slow"}
+}
+
 // TestPlaneFoldJoins pins harvest's join: a baseline whose Finalize panics
-// on the plane's fold goroutine is re-raised on the harvest's caller with
-// its value; a panic there before the collector's snapshot is re-raised by
+// on either side of harvest — the plane's fold goroutine or the caller's —
+// is re-raised on the harvest's caller with its value; a panic there before the collector's snapshot is re-raised by
 // the caller's request for the rows instead of blocking it; a panic in the
 // caller's half leaves the goroutine to exit on its own; a fleet re-scoring
 // that fails after the join returns its error; and none leaves a goroutine
@@ -184,13 +195,27 @@ func TestPlaneFoldJoins(t *testing.T) {
 		return nil
 	}
 
+	// Either side of harvest may finalize a baseline: the one behind a slow
+	// baseline goes to whichever side the slow one does not hold, and the
+	// panic is re-raised with its value from either.
 	boom := errors.New("finalize failed")
-	r := ran()
-	r.plane.baselines = append(r.plane.baselines, panicky{boom})
-	if raised := catch(func() { _, _ = r.harvest() }); raised != boom {
-		t.Fatalf("harvest re-raised %v, want the baseline's panic %v", raised, boom)
+	for _, queue := range [][]measure.Estimator{{panicky{boom}}, {slow{}, panicky{boom}}, {panicky{boom}, slow{}}, {slow{}, slow{}, panicky{boom}}} {
+		r := ran()
+		r.plane.baselines = append(r.plane.baselines, queue...)
+		if raised := catch(func() { _, _ = r.harvest() }); raised != boom {
+			t.Fatalf("harvest re-raised %v, want the baseline's panic %v", raised, boom)
+		}
+		waitGoroutines(t, base, "a Finalize panic")
 	}
-	waitGoroutines(t, base, "a Finalize panic")
+	// Both sides panicking: each goroutine ends, and one of the values is
+	// re-raised.
+	other := errors.New("second finalize failed")
+	r := ran()
+	r.plane.baselines = []measure.Estimator{slow{}, panicky{boom}, panicky{other}}
+	if raised := catch(func() { _, _ = r.harvest() }); raised != boom && raised != other {
+		t.Fatalf("harvest re-raised %v, want one of the baselines' panics", raised)
+	}
+	waitGoroutines(t, base, "two Finalize panics")
 
 	// The collector closed under the sink: the fold's first flush panics.
 	r = ran()

@@ -8,6 +8,7 @@ import (
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/core"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/netsim"
 	"github.com/netmeasure/rlir/internal/stats"
 )
 
@@ -122,6 +123,57 @@ type Result struct {
 	// LinkTrace, when the spec sets Spec.LinkTrace, summarizes the replayed
 	// link time series and the drops it caused.
 	LinkTrace *LinkTraceReport
+	// Diagnostics counts the work the run's machinery did.
+	Diagnostics Diagnostics
+}
+
+// Diagnostics is what a run's machinery did, counted. Every field is a pure
+// function of (spec, seed), so testdata/golden_costs.json pins each registry
+// scenario's like an output; how long anything took, or how often the
+// simulator waited on its neighbours, depends on scheduling and is not here.
+type Diagnostics struct {
+	// Events, Filings and PeakHeap are the event engine's Processed, Filed
+	// and PeakHeap.
+	Events, Filings uint64
+	PeakHeap        int
+	// Network is the network's books as Network.Audit summed them.
+	Network netsim.Totals
+	// TapHandoffs and WorkHandoffs count the chunks the simulator handed the
+	// passive consumer and took from the workload producers, plus each far
+	// side's exit.
+	TapHandoffs, WorkHandoffs int
+	// Estimates counts every receiver's per-packet estimates; Samples those
+	// the collector ingested and Rows its flow table's rows.
+	Estimates uint64
+	Samples   uint64
+	Rows      int
+	// StartRecords and EndRecords count the flow records metered at the
+	// segment start and end: the Multiflow baseline's meters, zero without
+	// it.
+	StartRecords, EndRecords int
+	// UpstreamFlows counts the flows the core receivers folded (zero on a
+	// tandem).
+	UpstreamFlows int
+}
+
+// Table is the diagnostics as one value per row.
+func (d Diagnostics) Table() stats.Table {
+	t := stats.Table{Title: "diagnostics", RowHeader: "count", Columns: []string{"value"}}
+	for _, row := range []struct {
+		label string
+		v     float64
+	}{
+		{"events", float64(d.Events)}, {"filings", float64(d.Filings)}, {"peakHeap", float64(d.PeakHeap)},
+		{"injected", float64(d.Network.Injected)}, {"minted", float64(d.Network.Minted)},
+		{"delivered", float64(d.Network.Delivered)}, {"dropped", float64(d.Network.Dropped)},
+		{"lost", float64(d.Network.Lost)}, {"tapHandoffs", float64(d.TapHandoffs)},
+		{"workHandoffs", float64(d.WorkHandoffs)}, {"estimates", float64(d.Estimates)},
+		{"samples", float64(d.Samples)}, {"rows", float64(d.Rows)}, {"startRecords", float64(d.StartRecords)},
+		{"endRecords", float64(d.EndRecords)}, {"upstreamFlows", float64(d.UpstreamFlows)},
+	} {
+		t.Rows = append(t.Rows, stats.TableRow{Label: row.label, Cells: []float64{row.v}})
+	}
+	return t
 }
 
 // LossRate is the regular traffic's loss rate at the tandem bottleneck

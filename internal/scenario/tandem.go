@@ -281,7 +281,7 @@ func runTandem(spec Spec, seed int64, cap *capture) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := nw.Audit(); err != nil {
+	if err := res.Diagnostics.count(nw); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -103,9 +103,10 @@ func telemetryRNG(seed int64, estimator string) *rand.Rand {
 // thinReport applies frame loss to one report: the per-flow estimates are
 // chunked into export frames of frameRecords consecutive records and each
 // frame is dropped independently with probability loss. The surviving
-// records are all the collection point has, so the aggregate is re-derived
-// from them; an aggregate-only report travels as a single frame and is kept
-// or lost whole.
+// records are all the collection point has, so after a drop the aggregate
+// is re-derived from them, by the report's own weights; with no frame
+// dropped the report arrives as sent. An aggregate-only report travels as a
+// single frame and is kept or lost whole.
 func thinReport(r measure.Report, loss float64, frameRecords int, rng *rand.Rand) (measure.Report, int, int) {
 	if len(r.Flows) == 0 {
 		if r.AggSamples == 0 {
@@ -126,6 +127,9 @@ func thinReport(r measure.Report, loss float64, frameRecords int, rng *rand.Rand
 			continue
 		}
 		kept = append(kept, r.Flows[off:end]...)
+	}
+	if dropped == 0 {
+		return r, total, 0
 	}
 	return r.WithFlows(kept), total, dropped
 }

@@ -165,3 +165,44 @@ func TestTelemetryLossScenarioMulti(t *testing.T) {
 		t.Fatal("multi-seed render omits the telemetry section")
 	}
 }
+
+// TestLosslessTelemetryKeepsEveryAggregate pins the degraded aggregate to
+// the estimator's own rule: with no frame dropped, every estimator's
+// degraded row carries its lossless aggregate bit for bit — Multiflow's
+// packet-weighted one and the samplers' Welford folds included — and a
+// Multiflow report re-derived after an instance loss that takes none of its
+// flows is the report it was.
+func TestLosslessTelemetryKeepsEveryAggregate(t *testing.T) {
+	sc, ok := Get("telemetry-loss")
+	if !ok {
+		t.Fatal("telemetry-loss not registered")
+	}
+	spec := sc.Spec
+	spec.Telemetry = &TelemetrySpec{LossRate: 0, FrameRecords: spec.Telemetry.FrameRecords}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Telemetry.Rows) != len(res.Comparison) {
+		t.Fatalf("%d telemetry rows for %d estimators", len(res.Telemetry.Rows), len(res.Comparison))
+	}
+	for _, row := range res.Telemetry.Rows {
+		b, d := row.Baseline, row.Degraded
+		if row.FramesDropped != 0 || d.AggMean != b.AggMean || d.AggSamples != b.AggSamples ||
+			math.Float64bits(d.AggRelErr) != math.Float64bits(b.AggRelErr) {
+			t.Errorf("%s: %d frames dropped; degraded aggregate %v over %d (rel err %v), lossless %v over %d (rel err %v)",
+				row.Estimator, row.FramesDropped, d.AggMean, d.AggSamples, d.AggRelErr, b.AggMean, b.AggSamples, b.AggRelErr)
+		}
+	}
+
+	mf := measure.Report{Estimator: "multiflow"}.WithFlows([]measure.FlowEstimate{
+		{Key: packet.FlowKey{SrcPort: 1}, Mean: 10, N: 2, Weight: 90},
+		{Key: packet.FlowKey{SrcPort: 2}, Mean: 40, N: 2, Weight: 10},
+	})
+	if mf.AggMean != 13 || mf.AggSamples != 100 {
+		t.Fatalf("packet-weighted aggregate %v over %d, want 13ns over 100", mf.AggMean, mf.AggSamples)
+	}
+	if kept, lost := loseInstance(mf, 1, 1); lost != 0 || !reflect.DeepEqual(kept, mf) {
+		t.Fatalf("an instance loss that takes no flow changed the report: %+v, %d lost", kept, lost)
+	}
+}
