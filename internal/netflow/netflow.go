@@ -6,7 +6,7 @@
 // A Meter observes packets at one measurement point and maintains per-flow
 // records carrying first/last packet timestamps and packet/byte counts.
 // Records stay open for the whole measurement interval (a simulation run);
-// Snapshot reads them out at its end.
+// Sorted reads them out at its end.
 package netflow
 
 import (
@@ -91,15 +91,6 @@ func (m *Meter) Lookup(key packet.FlowKey) (Record, bool) {
 // Seen returns total packets observed.
 func (m *Meter) Seen() uint64 { return m.seen }
 
-// Snapshot returns copies of all open records, in unspecified order.
-func (m *Meter) Snapshot() []Record {
-	out := make([]Record, 0, len(m.flows))
-	for _, slab := range m.slabs {
-		out = append(out, slab...)
-	}
-	return out
-}
-
 // Sorted returns copies of all open records sorted by flow key. The run is
 // built once per observed state and shared: every call until the next
 // Observe returns the same slice, which callers must not modify.
@@ -107,7 +98,10 @@ func (m *Meter) Sorted() []Record {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.sorted == nil || m.sortedAt != m.seen {
-		m.sorted = m.Snapshot()
+		m.sorted = make([]Record, 0, len(m.flows))
+		for _, slab := range m.slabs {
+			m.sorted = append(m.sorted, slab...)
+		}
 		packet.SortByKey(m.sorted, func(r *Record) packet.FlowKey { return r.Key })
 		m.sortedAt = m.seen
 	}

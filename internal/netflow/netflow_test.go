@@ -47,16 +47,20 @@ func TestSinglePacketFlowTimestampsEqual(t *testing.T) {
 	}
 }
 
+// TestSnapshotIsCopy pins that the run Sorted returns is a snapshot: a
+// later Observe moves the live record, not the run already handed out.
 func TestSnapshotIsCopy(t *testing.T) {
 	m := NewMeter()
 	m.Observe(k1, 100, at(1))
-	snap := m.Snapshot()
+	snap := m.Sorted()
 	if len(snap) != 1 {
 		t.Fatalf("snapshot = %d records", len(snap))
 	}
-	snap[0].Packets = 999
-	r, _ := m.Lookup(k1)
-	if r.Packets != 1 {
+	m.Observe(k1, 100, at(2))
+	if r, _ := m.Lookup(k1); r.Packets != 2 {
+		t.Fatalf("live record = %+v", r)
+	}
+	if snap[0].Packets != 1 || snap[0].Last != at(1) {
 		t.Fatal("snapshot aliases live record")
 	}
 }

@@ -1,18 +1,11 @@
 package packet
 
-import "slices"
-
 // SortByKey sorts s into FlowKey.Compare order of key(&s[i]), stably. It is
 // a least-significant-digit radix sort over the key's packed words that
 // skips every byte all the keys share — a fat tree's addresses differ in a
 // few bits, so a table of flows sorts in a handful of linear passes — and it
-// calls key once per element, not once per comparison. Short slices take a
-// comparison sort instead.
+// calls key once per element, not once per comparison.
 func SortByKey[E any](s []E, key func(*E) FlowKey) {
-	if len(s) < radixMin {
-		slices.SortStableFunc(s, func(a, b E) int { return key(&a).Compare(key(&b)) })
-		return
-	}
 	ord := make([]packedKey, 2*len(s))
 	ord, tmp := ord[:len(s)], ord[len(s):]
 	var diff [2]uint64 // the bits in which some key differs from the first
@@ -49,10 +42,6 @@ func SortByKey[E any](s []E, key func(*E) FlowKey) {
 	}
 	permute(s, ord)
 }
-
-// radixMin is the length below which SortByKey's passes cost more than a
-// comparison sort.
-const radixMin = 64
 
 // packedKey is a FlowKey as two words that order as it does — (Src, Dst)
 // in w[1], (SrcPort, DstPort, Proto) in w[0] — beside its element's index.

@@ -37,9 +37,10 @@ type chunk[T any] struct {
 
 // pipeStats counts a pipe's hand-offs as the simulator's goroutine saw them:
 // the chunks it received and the far side's exit, how many of those were not
-// ready when it asked, and the wall time it spent waiting for them. They
-// depend on thread scheduling, not on (spec, seed), so they stay out of
-// Result.
+// ready when it asked, and the wall time it spent waiting for them. The
+// hand-offs are fixed by the simulator's own calls and appear in
+// Result.Diagnostics; blocked and wait depend on thread scheduling, so they
+// stay out of Result (Trace.Waits, -stats).
 type pipeStats struct {
 	handoffs, blocked int
 	wait              time.Duration
