@@ -402,14 +402,15 @@ func (s *shard) stats() TableStats {
 	}
 }
 
-// compareKeys orders aggregates by flow key, the canonical table order.
-func compareKeys(a, b *FlowAgg) int { return a.Key.Compare(b.Key) }
+// aggKey is the sort key of a run of aggregate pointers, for
+// packet.SortByKey: the flow key, the canonical table order.
+func aggKey(a **FlowAgg) packet.FlowKey { return (*a).Key }
 
 // liveRun returns pointers to the shard's live flow aggregates in flow-key
 // order.
 func (s *shard) liveRun() []*FlowAgg {
 	run := s.appendLive(make([]*FlowAgg, 0, s.flows.n))
-	slices.SortFunc(run, compareKeys)
+	packet.SortByKey(run, aggKey)
 	return run
 }
 
@@ -698,7 +699,7 @@ func (c *Collector) Take() []FlowAgg {
 	if n == 0 {
 		return nil // as Snapshot returns an empty table
 	}
-	packet.SortByKey(run, func(a **FlowAgg) packet.FlowKey { return (*a).Key })
+	packet.SortByKey(run, aggKey)
 	out := make([]FlowAgg, n)
 	for i, a := range run {
 		out[i] = *a
@@ -867,7 +868,7 @@ func (m *Merger) keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
 			sorted = sorted && (j == 0 || t[j-1].Key.Compare(t[j].Key) <= 0)
 		}
 		if !sorted {
-			slices.SortStableFunc(run, compareKeys)
+			packet.SortByKey(run, aggKey)
 		}
 		runs[i] = run
 	}

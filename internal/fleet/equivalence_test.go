@@ -423,6 +423,61 @@ func TestFrontendDegradedMode(t *testing.T) {
 	}
 }
 
+// TestFrontendHealthCountsOnlyOK: an instance that answers /healthz
+// "draining" or "stopped" (with rlird's 503) is reachable but not ok, so a
+// fleet holding one is degraded, and one holding nothing else is down;
+// rlirfleet_instance_up still reports every such instance reachable.
+func TestFrontendHealthCountsOnlyOK(t *testing.T) {
+	stub := func(status string) string {
+		code := http.StatusOK
+		if status != "ok" {
+			code = http.StatusServiceUnavailable
+		}
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			queryapi.WriteJSON(w, code, queryapi.HealthJSON{Status: status, Flows: 3})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	for _, c := range []struct {
+		statuses []string
+		want     string
+		ok       int
+		code     int
+	}{
+		{[]string{"ok", "ok"}, "ok", 2, http.StatusOK},
+		{[]string{"ok", "draining"}, "degraded", 1, http.StatusOK},
+		{[]string{"stopped", "ok", "draining"}, "degraded", 1, http.StatusOK},
+		{[]string{"draining", "stopped"}, "down", 0, http.StatusServiceUnavailable},
+	} {
+		urls := make([]string, len(c.statuses))
+		for i, st := range c.statuses {
+			urls[i] = stub(st)
+		}
+		front, err := fleet.NewFrontend(fleet.FrontendConfig{Instances: urls, Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := serve(front.Handler(), "/healthz")
+		var h fleet.HealthJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != c.code || h.Status != c.want || h.InstancesOK != c.ok || h.Instances != len(urls) || h.Flows != 3*len(urls) {
+			t.Fatalf("instances %v: /healthz %d %+v, want %d %q with %d ok", c.statuses, rec.Code, h, c.code, c.want, c.ok)
+		}
+		exposition := serve(front.Handler(), "/metrics").Body.String()
+		if up := metricValue(t, exposition, "rlirfleet_instances_up"); up != float64(len(urls)) {
+			t.Fatalf("instances %v: rlirfleet_instances_up %g, want every instance reachable", c.statuses, up)
+		}
+		for _, u := range urls {
+			if up := metricValue(t, exposition, fmt.Sprintf("rlirfleet_instance_up{instance=%q}", u)); up != 1 {
+				t.Fatalf("instances %v: %s reported down", c.statuses, u)
+			}
+		}
+	}
+}
+
 // TestFrontendConfigErrors pins NewFrontend's validation.
 func TestFrontendConfigErrors(t *testing.T) {
 	if _, err := fleet.NewFrontend(fleet.FrontendConfig{}); err == nil {

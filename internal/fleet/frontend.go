@@ -71,13 +71,13 @@ type queryBuffers struct {
 	tables []queryapi.SnapshotTable // each instance's decoded table
 	parts  [][]collector.FlowAgg    // the decoded tables that merge
 	merged collector.Merger
-	body   []byte    // the rendered /flows
-	errs   []float64 // /comparison's per-flow errors
+	flows  queryapi.FlowsBody // the rendered /flows
+	errs   []float64          // /comparison's per-flow errors
 }
 
 // bytes is the storage q holds, the size the free list bounds.
 func (q *queryBuffers) bytes() int {
-	n := q.merged.Bytes() + cap(q.body) + 8*cap(q.errs)
+	n := q.merged.Bytes() + q.flows.Size() + 8*cap(q.errs)
 	for i := range q.tables {
 		n += cap(q.bodies[i]) + q.tables[i].Bytes()
 	}
@@ -106,10 +106,12 @@ func (f *Frontend) takeBuffers() *queryBuffers {
 }
 
 // The stages of a merged-table query, in the order they run. They do not
-// overlap, so their sum is at most the handler's wall time.
+// overlap, so their sum is at most the handler's wall time. Each body is
+// decoded on its fetch goroutine as soon as it is read, so the decoding of
+// all but the slowest body overlaps the fan-out and is priced as fetch.
 const (
 	stageFetch  = iota // fan-out to /snapshot until the slowest body is read
-	stageDecode        // bodies to per-instance aggregates, version-checked
+	stageDecode        // the decoding still running once it is: bodies to per-instance aggregates, version-checked
 	stageMerge         // collector.Merge of the per-instance tables
 	stageRender        // the encoded rows (or the comparison) and the response write
 	numStages
@@ -156,20 +158,23 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 func (f *Frontend) Instances() int { return len(f.cfg.Instances) }
 
 // fetch is one instance's response to a fan-out: the body and the
-// Content-Type it came labelled with, or the transport error that kept it
-// out of the merge.
+// Content-Type it came labelled with, or the error that kept it out of the
+// answer, and when the fetch ended.
 type fetch struct {
 	instance    string
 	body        []byte
 	contentType string
 	err         error
+	read        time.Time // when the body was read, or the fetch failed
 }
 
 // gather fans path out to every instance under one Timeout and returns the
-// responses in instance order. A non-empty accept is sent as the requests'
-// Accept header. Instance i's body is read into bufs[i]'s storage when bufs
-// is not nil.
-func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byte) []fetch {
+// responses in instance order, with the time the last of them ended.
+// A non-empty accept is sent as the requests' Accept header. Instance i's
+// body is read into bufs[i]'s storage when bufs is not nil, and land, when
+// not nil, is called with each body on its instance's goroutine as soon as
+// it is read; an error it sets counts as that instance's gather error.
+func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byte, land func(i int, g *fetch)) ([]fetch, time.Time) {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	out := make([]fetch, len(f.cfg.Instances))
@@ -178,46 +183,57 @@ func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byt
 		wg.Add(1)
 		go func(i int, in string) {
 			defer wg.Done()
-			out[i] = fetch{instance: in}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(in, "/")+path, nil)
-			if err != nil {
-				out[i].err = err
-				return
+			g := &out[i]
+			*g = fetch{instance: in}
+			g.body, g.contentType, g.err = f.get(ctx, in, path, accept, bufs, i)
+			g.read = time.Now()
+			if g.err == nil && land != nil {
+				land(i, g)
 			}
-			if accept != "" {
-				req.Header.Set("Accept", accept)
-			}
-			resp, err := f.client.Do(req)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			var buf []byte
-			if bufs != nil {
-				buf = bufs[i]
-			}
-			body, err := readBody(resp, f.maxBody, buf)
-			if err != nil {
-				out[i].err = fmt.Errorf("%s%s: %w", in, path, err)
-				return
-			}
-			// /healthz deliberately answers 503 while draining with a valid
-			// body; anything else non-2xx is a failure.
-			if resp.StatusCode >= 300 && path != "/healthz" {
-				out[i].err = fmt.Errorf("%s%s: %s", in, path, resp.Status)
-				return
-			}
-			out[i].body, out[i].contentType = body, resp.Header.Get("Content-Type")
 		}(i, in)
 	}
 	wg.Wait()
+	var last time.Time
 	for _, g := range out {
 		if g.err != nil {
 			f.gErrs.Add(1)
 		}
+		if g.read.After(last) {
+			last = g.read
+		}
 	}
-	return out
+	return out, last
+}
+
+// get is one instance's request of a fan-out: its body, read into bufs[i]'s
+// storage when bufs is not nil, and the Content-Type it came labelled with.
+func (f *Frontend) get(ctx context.Context, in, path, accept string, bufs [][]byte, i int) ([]byte, string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimRight(in, "/")+path, nil)
+	if err != nil {
+		return nil, "", err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := f.client.Do(req)
+	if err != nil {
+		return nil, "", err
+	}
+	defer resp.Body.Close()
+	var buf []byte
+	if bufs != nil {
+		buf = bufs[i]
+	}
+	body, err := readBody(resp, f.maxBody, buf)
+	if err != nil {
+		return nil, "", fmt.Errorf("%s%s: %w", in, path, err)
+	}
+	// /healthz deliberately answers 503 while draining with a valid body;
+	// anything else non-2xx is a failure.
+	if resp.StatusCode >= 300 && path != "/healthz" {
+		return nil, "", fmt.Errorf("%s%s: %s", in, path, resp.Status)
+	}
+	return body, resp.Header.Get("Content-Type"), nil
 }
 
 // maxInstanceBody is the most the front-end reads of one instance's
@@ -275,49 +291,42 @@ func readBody(resp *http.Response, limit int64, buf []byte) ([]byte, error) {
 // instance is left.
 func (f *Frontend) mergedTable(ctx context.Context, q *queryBuffers) ([]collector.FlowAgg, error) {
 	t := time.Now()
-	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType, q.bodies)
-	t = f.since(stageFetch, t)
-	return f.decodeMerge(q, fetched, t)
+	fetched, read := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType, q.bodies, func(i int, g *fetch) { f.decode(q, i, g) })
+	f.stageNs[stageFetch].Add(int64(read.Sub(t)))
+	return f.merge(q, fetched, f.since(stageDecode, read))
 }
 
-// decodeMerge is mergedTable after the fan-out, from t on: each fetched
-// body decoded into its instance's table, and the tables merged by moving
-// their rows into q's merged table.
-func (f *Frontend) decodeMerge(q *queryBuffers, fetched []fetch, t time.Time) ([]collector.FlowAgg, error) {
+// decode decodes instance i's fetched /snapshot body into its table in q;
+// only the binary rendering is accepted, and a body that does not decode is
+// the fetch's error.
+func (f *Frontend) decode(q *queryBuffers, i int, g *fetch) {
+	q.bodies[i] = g.body // the storage it was read into, grown or not
+	f.snapBytes.Add(uint64(len(g.body)))
+	if g.contentType != queryapi.SnapshotContentType {
+		g.err = fmt.Errorf("%s/snapshot: Content-Type %q, want %q", g.instance, g.contentType, queryapi.SnapshotContentType)
+	} else if err := q.tables[i].Decode(g.body); err != nil {
+		g.err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
+	}
+}
+
+// merge is mergedTable after the decoding, from t on: the decoded tables
+// merged by moving their rows into q's merged table.
+func (f *Frontend) merge(q *queryBuffers, fetched []fetch, t time.Time) ([]collector.FlowAgg, error) {
 	q.parts = q.parts[:0]
 	var firstErr error
 	for i, g := range fetched {
-		err := g.err
-		if err == nil {
-			q.bodies[i] = g.body // the storage it was read into, grown or not
-			f.snapBytes.Add(uint64(len(g.body)))
-			if err = decodeSnapshot(g, &q.tables[i]); err == nil {
-				q.parts = append(q.parts, q.tables[i].Aggs)
-				continue
-			}
-			err = fmt.Errorf("%s/snapshot: %w", g.instance, err)
-			f.gErrs.Add(1)
-		}
-		if firstErr == nil {
-			firstErr = err
+		if g.err == nil {
+			q.parts = append(q.parts, q.tables[i].Aggs)
+		} else if firstErr == nil {
+			firstErr = g.err
 		}
 	}
-	t = f.since(stageDecode, t)
 	if len(q.parts) == 0 {
 		return nil, fmt.Errorf("no instance reachable: %v", firstErr)
 	}
 	merged := q.merged.Move(q.parts...)
 	f.since(stageMerge, t)
 	return merged, nil
-}
-
-// decodeSnapshot decodes one fetched /snapshot body into table; only the
-// binary rendering is accepted.
-func decodeSnapshot(g fetch, table *queryapi.SnapshotTable) error {
-	if g.contentType != queryapi.SnapshotContentType {
-		return fmt.Errorf("Content-Type %q, want %q", g.contentType, queryapi.SnapshotContentType)
-	}
-	return table.Decode(g.body)
 }
 
 // Handler returns the fleet query API: the same five endpoints a single
@@ -350,7 +359,7 @@ func (f *Frontend) handleFlows(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t := time.Now()
-	q.body = queryapi.WriteFlows(w, aggs, limit, q.body)
+	queryapi.WriteFlows(w, aggs, limit, &q.flows)
 	f.since(stageRender, t)
 }
 
@@ -377,7 +386,8 @@ func gatherJSON[T any](f *Frontend, w http.ResponseWriter, r *http.Request, path
 	f.queries.Add(1)
 	var parts []T
 	var firstErr error
-	for _, g := range f.gather(r.Context(), path, "", nil) {
+	fetched, _ := f.gather(r.Context(), path, "", nil, nil)
+	for _, g := range fetched {
 		var part T
 		err := g.err
 		if err == nil {
@@ -442,7 +452,8 @@ func (f *Frontend) handleRouters(w http.ResponseWriter, r *http.Request) {
 // front-end's own health is "how much of the fleet answers".
 type HealthJSON struct {
 	// Status is "ok" (every instance answered ok), "degraded" (some did),
-	// or "down" (none did — served with a 503).
+	// or "down" (none did — served with a 503). An instance that answers
+	// "draining" or "stopped" is reachable but not ok.
 	Status      string  `json:"status"`
 	Instances   int     `json:"instances"`
 	InstancesOK int     `json:"instances_ok"`
@@ -475,7 +486,8 @@ func (f *Frontend) fleetHealth(ctx context.Context) HealthJSON {
 		Instances: len(f.cfg.Instances),
 		UptimeS:   time.Since(f.start).Seconds(),
 	}
-	for _, g := range f.gather(ctx, "/healthz", "", nil) {
+	fetched, _ := f.gather(ctx, "/healthz", "", nil, nil)
+	for _, g := range fetched {
 		row := InstanceHealth{Instance: g.instance, Status: "unreachable"}
 		if g.err != nil {
 			row.Error = g.err.Error()
@@ -487,7 +499,9 @@ func (f *Frontend) fleetHealth(ctx context.Context) HealthJSON {
 			} else {
 				row.Status = ih.Status
 				row.Flows, row.Samples, row.Records = ih.Flows, ih.Samples, ih.Records
-				h.InstancesOK++
+				if ih.Status == "ok" {
+					h.InstancesOK++
+				}
 				h.Flows += ih.Flows
 				h.Samples += ih.Samples
 				h.Records += ih.Records
@@ -521,9 +535,17 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f.queries.Add(1)
 	h := f.fleetHealth(r.Context())
+	up := make([]int, len(f.cfg.Instances))
+	reachable := 0
+	for i := range up {
+		if i < len(h.PerInstance) && h.PerInstance[i].Status != "unreachable" {
+			up[i] = 1
+			reachable++
+		}
+	}
 	m := queryapi.NewMetrics(w)
 	m.Gauge("rlirfleet_instances", "Configured fleet instances.", h.Instances)
-	m.Gauge("rlirfleet_instances_up", "Instances that answered the last health fan-out.", h.InstancesOK)
+	m.Gauge("rlirfleet_instances_up", "Instances that answered the last health fan-out.", reachable)
 	m.Counter("rlirfleet_queries_total", "Front-end queries served.", f.queries.Load())
 	m.Counter("rlirfleet_gather_errors_total", "Instance fetches that failed or decoded badly.", f.gErrs.Load())
 	for i, name := range stageNames {
@@ -537,10 +559,6 @@ func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Counter("rlirfleet_records_total", "NetFlow records ingested across answering instances.", h.Records)
 	m.Gauge("rlirfleet_uptime_seconds", "Time since the front-end started.", time.Since(f.start).Seconds())
 	for i, in := range f.cfg.Instances {
-		up := 0
-		if i < len(h.PerInstance) && h.PerInstance[i].Status != "unreachable" {
-			up = 1
-		}
-		m.Gauge("rlirfleet_instance_up", "Per-instance reachability in the last health fan-out.", up, "instance", in)
+		m.Gauge("rlirfleet_instance_up", "Per-instance reachability in the last health fan-out.", up[i], "instance", in)
 	}
 }

@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"slices"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/core"
@@ -79,7 +78,7 @@ func (r *RLI) Results() []core.FlowResult {
 		f := &r.accs[i]
 		out[i] = core.FlowResultOf(f.key, &f.est, &f.truth)
 	}
-	slices.SortFunc(out, func(a, b core.FlowResult) int { return a.Key.Compare(b.Key) })
+	packet.SortByKey(out, func(r *core.FlowResult) packet.FlowKey { return r.Key })
 	return out
 }
 

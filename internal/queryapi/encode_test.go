@@ -3,10 +3,13 @@ package queryapi
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -169,7 +172,9 @@ func TestFlowRowMaxLen(t *testing.T) {
 }
 
 // TestZeroAllocAppendFlowRows gates the encoder's garbage: rendering a table
-// into a buffer with room allocates nothing, per row or per call.
+// into a buffer with room allocates nothing, per row or per call; nor does
+// rendering one in four parts, three of them on helper goroutines, into a
+// FlowsBody that has held as many rows.
 func TestZeroAllocAppendFlowRows(t *testing.T) {
 	aggs := append(buildSnapshot(t, 5), cornerTable()...)
 	buf := make([]byte, 0, len(aggs)*flowRowMaxLen+8)
@@ -181,6 +186,37 @@ func TestZeroAllocAppendFlowRows(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("AppendFlowRows allocates %v times per %d-row table", n, len(aggs))
 	}
+
+	for seed := int64(6); len(aggs) < 4*minPartRows; seed++ {
+		aggs = append(aggs, buildSnapshot(t, seed)...)
+	}
+	var b FlowsBody
+	if n := mallocsPerRun(4, 200, func() {
+		if err := b.Render(aggs, -1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 || len(b.parts) != 4 {
+		t.Fatalf("Render allocates %v times per %d-row table in %d parts", n, len(aggs), len(b.parts))
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs rather than 1,
+// where Render never splits: the mallocs of runs calls of f, per call and
+// rounded down. It warms up with as many calls first: the runtime allocates
+// a goroutine descriptor until every P's free list holds some, and Render's
+// helpers start on one P and exit on another.
+func mallocsPerRun(procs, runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for range runs {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // TestNonFiniteIsA500 pins what a value JSON cannot carry turns into: a 500
@@ -234,6 +270,73 @@ func TestNonFiniteIsA500(t *testing.T) {
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("Content-Type %q", ct)
+		}
+	}
+}
+
+// TestWriteFlowsMatchesAppendFlowRows pins the split render to the one-part
+// encoder: at GOMAXPROCS 1, 2 and 4, for tables of no rows, one row, just
+// under, at and over one and two part minimums and odd counts, and for every
+// shape of limit, WriteFlows answers AppendFlowRows' bytes under their
+// Content-Length, in as many parts as the rule gives. One FlowsBody serves
+// every response, so parts are regrown, shrunk and reused in turn.
+func TestWriteFlowsMatchesAppendFlowRows(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	big := cornerTable()
+	for seed := int64(1); len(big) < 5*minPartRows+1; seed++ {
+		big = append(big, buildSnapshot(t, seed)...)
+	}
+	var b FlowsBody
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, minPartRows - 1, minPartRows, minPartRows + 1, 2*minPartRows - 1, 2 * minPartRows, 2*minPartRows + 1, 4*minPartRows + 3, 5*minPartRows + 1} {
+			aggs := big[:n]
+			for _, limit := range []int{-1, 0, 1, n / 2, n - 1, n, n + 1} {
+				if limit < -1 {
+					continue
+				}
+				want, err := AppendFlowRows(nil, aggs, limit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				WriteFlows(rec, aggs, limit, &b)
+				if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Fatalf("GOMAXPROCS %d, %d rows, limit %d: WriteFlows answered %d with %d bytes, AppendFlowRows %d (first difference at byte %d)",
+						procs, n, limit, rec.Code, rec.Body.Len(), len(want), firstDiff(rec.Body.Bytes(), want))
+				}
+				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+					t.Fatalf("GOMAXPROCS %d, %d rows, limit %d: Content-Length %q for a %d-byte body", procs, n, limit, cl, len(want))
+				}
+				if parts, rows := len(b.parts), flowRows(n, limit); parts != max(1, min(procs, rows/minPartRows)) {
+					t.Fatalf("GOMAXPROCS %d: %d rows rendered in %d parts", procs, rows, parts)
+				}
+			}
+		}
+	}
+}
+
+// TestSplitRenderNamesFirstBadFlow: a value JSON cannot carry is found in
+// whichever part holds it, and the 500 names the first such flow in key
+// order however the parts finish — a bad row alone in the last part, and
+// bad rows in a middle part and the last one.
+func TestSplitRenderNamesFirstBadFlow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var aggs []collector.FlowAgg
+	for seed := int64(1); len(aggs) < 4*minPartRows+3; seed++ {
+		aggs = append(aggs, buildSnapshot(t, seed)...)
+	}
+	aggs = aggs[:4*minPartRows+3]
+	n := len(aggs)
+	for _, bad := range [][]int{{n - 1}, {n - 2, n - 1}, {n / 2, n - 1}} {
+		table := slices.Clone(aggs)
+		for _, i := range bad {
+			table[i].Est.SetState(stats.WelfordState{N: 2, Mean: math.NaN()})
+		}
+		rec := httptest.NewRecorder()
+		WriteFlows(rec, table, -1, nil)
+		if first := fmt.Sprint(table[bad[0]].Key); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "flow "+first+" has") {
+			t.Fatalf("bad rows %v: WriteFlows answered %d %q, want a 500 naming flow %s", bad, rec.Code, rec.Body.String(), first)
 		}
 	}
 }

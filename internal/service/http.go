@@ -59,9 +59,9 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body := s.bodies.Get()
-	*body = queryapi.WriteFlows(w, s.coll.Snapshot(), limit, *body)
-	s.bodies.Put(body)
+	b := s.bodies.Get()
+	queryapi.WriteFlows(w, s.coll.Snapshot(), limit, &b.flows)
+	s.bodies.Put(b)
 }
 
 func (s *Server) handleRouters(w http.ResponseWriter, r *http.Request) {
@@ -133,12 +133,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, queryapi.SnapshotOf(snap, samples, records))
 		return
 	}
-	body := s.bodies.Get()
-	*body = queryapi.AppendSnapshot((*body)[:0], snap, samples, records)
+	b := s.bodies.Get()
+	b.snapshot = queryapi.AppendSnapshot(b.snapshot[:0], snap, samples, records)
 	w.Header().Set("Content-Type", queryapi.SnapshotContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(*body)))
-	_, _ = w.Write(*body) // a failed write is the client's disconnect
-	s.bodies.Put(body)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b.snapshot)))
+	_, _ = w.Write(b.snapshot) // a failed write is the client's disconnect
+	s.bodies.Put(b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

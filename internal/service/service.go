@@ -214,8 +214,17 @@ type Server struct {
 
 	// bodies are /snapshot and /flows response bodies kept for the next
 	// query to encode into.
-	bodies *queryapi.FreeList[[]byte]
+	bodies *queryapi.FreeList[body]
 }
+
+// body is the storage of the query responses rlird renders itself, kept for
+// the next: a binary /snapshot's bytes and a /flows rendering's parts.
+type body struct {
+	snapshot []byte
+	flows    queryapi.FlowsBody
+}
+
+func (b *body) size() int { return cap(b.snapshot) + b.flows.Size() }
 
 // Idle response bodies rlird keeps for reuse: at most maxIdleBodies, none
 // over maxBodyBytes (a binary /snapshot of some 150 000 flows, a /flows body
@@ -246,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 		conns:        make(map[net.Conn]struct{}),
 		routers:      make(map[string]*routerAgg),
 		decodeErrsBy: make(map[decodeErrKey]uint64),
-		bodies:       queryapi.NewFreeList(maxIdleBodies, maxBodyBytes, func(b *[]byte) int { return cap(*b) }),
+		bodies:       queryapi.NewFreeList(maxIdleBodies, maxBodyBytes, (*body).size),
 		start:        time.Now(),
 	}
 	s.window = newRateWindow(cfg.Window, s.ingestTotals)
