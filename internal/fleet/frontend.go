@@ -111,7 +111,7 @@ func (f *Frontend) takeBuffers() *queryBuffers {
 // all but the slowest body overlaps the fan-out and is priced as fetch.
 const (
 	stageFetch  = iota // fan-out to /snapshot until the slowest body is read
-	stageDecode        // the decoding still running once it is: bodies to per-instance aggregates, version-checked
+	stageDecode        // decoding left once it is: bodies to per-instance aggregates, version-checked
 	stageMerge         // collector.Merge of the per-instance tables
 	stageRender        // the encoded rows (or the comparison) and the response write
 	numStages
@@ -169,12 +169,12 @@ type fetch struct {
 }
 
 // gather fans path out to every instance under one Timeout and returns the
-// responses in instance order, with the time the last of them ended.
-// A non-empty accept is sent as the requests' Accept header. Instance i's
-// body is read into bufs[i]'s storage when bufs is not nil, and land, when
-// not nil, is called with each body on its instance's goroutine as soon as
-// it is read; an error it sets counts as that instance's gather error.
-func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byte, land func(i int, g *fetch)) ([]fetch, time.Time) {
+// responses in instance order. A non-empty accept is sent as the requests'
+// Accept header. Instance i's body is read into bufs[i]'s storage when bufs
+// is not nil, and land, when not nil, is called with each body on its
+// instance's goroutine as soon as it is read; an error it sets counts as
+// that instance's gather error.
+func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byte, land func(i int, g *fetch)) []fetch {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	out := make([]fetch, len(f.cfg.Instances))
@@ -193,16 +193,12 @@ func (f *Frontend) gather(ctx context.Context, path, accept string, bufs [][]byt
 		}(i, in)
 	}
 	wg.Wait()
-	var last time.Time
 	for _, g := range out {
 		if g.err != nil {
 			f.gErrs.Add(1)
 		}
-		if g.read.After(last) {
-			last = g.read
-		}
 	}
-	return out, last
+	return out
 }
 
 // get is one instance's request of a fan-out: its body, read into bufs[i]'s
@@ -277,7 +273,9 @@ func readBody(resp *http.Response, limit int64, buf []byte) ([]byte, error) {
 
 // mergedTable is the exact fleet-wide flow table: every reachable
 // instance's raw flow-table state, gathered, decoded and merged in q's
-// storage. Flow-disjoint partitioning makes the result bit-identical to a
+// storage, each body decoded on its fetch goroutine as soon as it is read
+// (so one instance's decode runs beside another's fetch and decode), the
+// merge once every body is in. Flow-disjoint partitioning makes the result bit-identical to a
 // single collector over the whole stream; a flow two instances share folds
 // earliest instance first, as collector.Merge folds it.
 //
@@ -291,7 +289,13 @@ func readBody(resp *http.Response, limit int64, buf []byte) ([]byte, error) {
 // instance is left.
 func (f *Frontend) mergedTable(ctx context.Context, q *queryBuffers) ([]collector.FlowAgg, error) {
 	t := time.Now()
-	fetched, read := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType, q.bodies, func(i int, g *fetch) { f.decode(q, i, g) })
+	fetched := f.gather(ctx, "/snapshot", queryapi.SnapshotContentType, q.bodies, func(i int, g *fetch) { f.decode(q, i, g) })
+	read := t // when the slowest body was read
+	for _, g := range fetched {
+		if g.read.After(read) {
+			read = g.read
+		}
+	}
 	f.stageNs[stageFetch].Add(int64(read.Sub(t)))
 	return f.merge(q, fetched, f.since(stageDecode, read))
 }
@@ -386,8 +390,7 @@ func gatherJSON[T any](f *Frontend, w http.ResponseWriter, r *http.Request, path
 	f.queries.Add(1)
 	var parts []T
 	var firstErr error
-	fetched, _ := f.gather(r.Context(), path, "", nil, nil)
-	for _, g := range fetched {
+	for _, g := range f.gather(r.Context(), path, "", nil, nil) {
 		var part T
 		err := g.err
 		if err == nil {
@@ -486,8 +489,7 @@ func (f *Frontend) fleetHealth(ctx context.Context) HealthJSON {
 		Instances: len(f.cfg.Instances),
 		UptimeS:   time.Since(f.start).Seconds(),
 	}
-	fetched, _ := f.gather(ctx, "/healthz", "", nil, nil)
-	for _, g := range fetched {
+	for _, g := range f.gather(ctx, "/healthz", "", nil, nil) {
 		row := InstanceHealth{Instance: g.instance, Status: "unreachable"}
 		if g.err != nil {
 			row.Error = g.err.Error()

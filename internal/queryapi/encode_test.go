@@ -278,8 +278,9 @@ func TestNonFiniteIsA500(t *testing.T) {
 // encoder: at GOMAXPROCS 1, 2 and 4, for tables of no rows, one row, just
 // under, at and over one and two part minimums and odd counts, and for every
 // shape of limit, WriteFlows answers AppendFlowRows' bytes under their
-// Content-Length, in as many parts as the rule gives. One FlowsBody serves
-// every response, so parts are regrown, shrunk and reused in turn.
+// Content-Length, in as many parts as the rule gives; a non-finite value in
+// any part is a 500 naming the first bad flow. One FlowsBody serves every
+// response, so parts are regrown, shrunk and reused in turn.
 func TestWriteFlowsMatchesAppendFlowRows(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	big := cornerTable()
@@ -312,6 +313,23 @@ func TestWriteFlowsMatchesAppendFlowRows(t *testing.T) {
 					t.Fatalf("GOMAXPROCS %d: %d rows rendered in %d parts", procs, rows, parts)
 				}
 			}
+		}
+	}
+
+	// At GOMAXPROCS 4 a value JSON cannot carry is found in whichever part
+	// holds it, and the 500 names the first such flow in key order however
+	// the parts finish: a bad row alone in the last part, two there, and
+	// one in a middle part beside one in the last.
+	n := 4*minPartRows + 3
+	for _, bad := range [][]int{{n - 1}, {n - 2, n - 1}, {n / 2, n - 1}} {
+		table := slices.Clone(big[:n])
+		for _, i := range bad {
+			table[i].Est.SetState(stats.WelfordState{N: 2, Mean: math.NaN()})
+		}
+		rec := httptest.NewRecorder()
+		WriteFlows(rec, table, -1, &b)
+		if first := fmt.Sprint(table[bad[0]].Key); rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "flow "+first+" has") {
+			t.Fatalf("bad rows %v: WriteFlows answered %d %q, want a 500 naming flow %s", bad, rec.Code, rec.Body.String(), first)
 		}
 	}
 }

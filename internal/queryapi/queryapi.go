@@ -8,8 +8,9 @@
 // single-node answer not by convention but because both call these
 // functions. /flows is written by an append encoder (AppendFlowRows,
 // encode.go) that tests hold byte for byte to encoding/json's indented
-// rendering of FlowRow rows; every other response goes through encoding/json
-// itself (WriteJSON). The snapshot codec is the exact half: a snapshot
+// rendering of FlowRow rows, in contiguous parts on as many cores as the
+// table keeps busy (WriteFlows); every other response goes through
+// encoding/json itself (WriteJSON). The snapshot codec is the exact half: a snapshot
 // carries every flow's full internal accumulator state (stats.WelfordState,
 // stats.SketchState) rather than derived summaries, in one schema
 // (SnapshotVersion) with two renderings. The binary one
