@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
+	"weak"
 
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/packet"
@@ -169,15 +170,15 @@ type Rollup struct {
 	Stats   TableStats
 }
 
-// req is one message to a shard: a data batch, a snapshot request when snap
-// is non-nil, a table-stats request when count is non-nil, or a rollup
-// request when roll is non-nil. Requests are processed strictly in channel
-// order, which is what makes Snapshot, Stats, Flows and RollupSnapshot
-// consistent cuts of everything the caller ingested before them.
+// req is one message to a shard: a data batch, a hold for a read when hold
+// is set, a table-stats request when count is non-nil, or a rollup request
+// when roll is non-nil. Requests are processed strictly in channel order,
+// which is what makes View, Stats, Flows and RollupSnapshot consistent cuts
+// of everything the caller ingested before them.
 type req struct {
 	samples []hashedSample
 	records []netflow.Record
-	snap    chan []FlowAgg
+	hold    bool
 	count   chan TableStats
 	roll    chan Rollup
 }
@@ -207,9 +208,17 @@ type flowEntry struct {
 const uncappedFreeEntries = 1024
 
 // shard owns one partition of the flow space. Only its goroutine touches
-// its flow table, LRU, free list and rollup tiers.
+// its flow table, LRU, free list and rollup tiers — and, while it holds
+// still for a read, the read's goroutine reads its live flows.
 type shard struct {
 	ch chan req
+	// held is where the shard hands a read its sorted run once it holds
+	// still; resume is where the read lets it go on (Collector.View).
+	held   chan []*FlowAgg
+	resume chan struct{}
+	// scratch is the storage of the shard's per-read sort, held weakly
+	// between reads.
+	scratch weak.Pointer[scratch]
 	// bufs holds processed sample buffers for Ingest to refill, so a batch
 	// in steady state is partitioned into storage the shard already owns.
 	bufs  chan []hashedSample
@@ -235,6 +244,8 @@ type shard struct {
 func newShard(cfg Config) *shard {
 	s := &shard{
 		ch:         make(chan req, cfg.Depth),
+		held:       make(chan []*FlowAgg, 1),
+		resume:     make(chan struct{}, 1),
 		bufs:       make(chan []hashedSample, cfg.Depth+2),
 		flows:      newFlowTable(),
 		classes:    make(map[packet.FlowKey]*FlowAgg),
@@ -251,8 +262,11 @@ func (s *shard) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for q := range s.ch {
 		switch {
-		case q.snap != nil:
-			q.snap <- s.snapshot()
+		case q.hold:
+			sc := loadScratch(&s.scratch)
+			s.held <- s.sortedRun(sc)
+			<-s.resume
+			runtime.KeepAlive(sc) // the read used it: a collection mid-read must not free it
 		case q.count != nil:
 			q.count <- s.stats()
 		case q.roll != nil:
@@ -406,12 +420,32 @@ func (s *shard) stats() TableStats {
 // packet.SortByKey: the flow key, the canonical table order.
 func aggKey(a **FlowAgg) packet.FlowKey { return (*a).Key }
 
-// liveRun returns pointers to the shard's live flow aggregates in flow-key
-// order.
-func (s *shard) liveRun() []*FlowAgg {
-	run := s.appendLive(make([]*FlowAgg, 0, s.flows.n))
-	packet.SortByKey(run, aggKey)
-	return run
+// scratch is the storage of one read kept for the next: a shard's run of
+// live-flow pointers and its sort's scratch, or the collector's merged
+// order. A read's storage is held weakly in between (loadScratch), so a
+// collector no one reads pins none of it.
+type scratch struct {
+	rows []*FlowAgg
+	keys packet.KeyScratch
+}
+
+// loadScratch returns the scratch p points to, or a new one p then points
+// to when a garbage collection has freed the last.
+func loadScratch(p *weak.Pointer[scratch]) *scratch {
+	sc := p.Value()
+	if sc == nil {
+		sc = new(scratch)
+		*p = weak.Make(sc)
+	}
+	return sc
+}
+
+// sortedRun returns pointers to the shard's live flow aggregates in
+// flow-key order, in sc's storage.
+func (s *shard) sortedRun(sc *scratch) []*FlowAgg {
+	sc.rows = s.appendLive(slices.Grow(sc.rows[:0], s.flows.n))
+	packet.SortByKeyIn(sc.rows, aggKey, &sc.keys)
+	return sc.rows
 }
 
 // appendLive appends pointers to the shard's live flow aggregates to run,
@@ -423,13 +457,6 @@ func (s *shard) appendLive(run []*FlowAgg) []*FlowAgg {
 		}
 	}
 	return run
-}
-
-// snapshot deep-copies the shard's live flow aggregates in flow-key order:
-// the shard's own sorted run of a Collector.Snapshot.
-func (s *shard) snapshot() []FlowAgg {
-	var m Merger
-	return m.mergeRuns([][]*FlowAgg{s.liveRun()}, true)
 }
 
 // rollup deep-copies the shard's class and root tiers.
@@ -452,25 +479,33 @@ func cloneAgg(a *FlowAgg) FlowAgg {
 }
 
 // Collector is the sharded aggregation plane. Ingest* methods are safe for
-// concurrent use by multiple producers; Snapshot may run concurrently with
-// ingestion and reflects at least everything the calling goroutine ingested
-// beforehand.
+// concurrent use by multiple producers; View and Snapshot may run
+// concurrently with ingestion and reflect at least everything the calling
+// goroutine ingested beforehand.
 type Collector struct {
 	shards []*shard
 	wg     sync.WaitGroup
-	// mu serializes Close against Ingest*/Snapshot: senders hold it shared,
+	// mu serializes Close against Ingest*/View: senders hold it shared,
 	// Close holds it exclusively, so no send can race a channel close and
 	// reads of closed are properly synchronized.
 	mu      sync.RWMutex
 	closed  bool
 	samples atomic.Uint64
 	records atomic.Uint64
+
+	// readMu serializes View: two reads that each held some of the shards
+	// would wait on each other for the rest. It guards runs and order.
+	readMu sync.Mutex
+	runs   [][]*FlowAgg
+	order  weak.Pointer[scratch]
+	reads  atomic.Uint64
+	heldNs atomic.Int64
 }
 
 // New starts a collector and its shard goroutines. Call Close to stop them.
 func New(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
-	c := &Collector{shards: make([]*shard, cfg.Shards)}
+	c := &Collector{shards: make([]*shard, cfg.Shards), runs: make([][]*FlowAgg, 0, cfg.Shards)}
 	for i := range c.shards {
 		c.shards[i] = newShard(cfg)
 		c.wg.Add(1)
@@ -637,36 +672,71 @@ func (c *Collector) QueueDepths() []int {
 	return depths
 }
 
-// Snapshot returns a deep copy of every flow aggregate, sorted by flow key.
-// Before Close it is a consistent cut: each shard answers after draining
-// everything queued ahead of the request, so all batches ingested by the
-// calling goroutine are included. After Close it reads the final state
-// directly.
-func (c *Collector) Snapshot() []FlowAgg {
+// View holds the flow table still at one cut and calls fn with every live
+// flow aggregate, in flow-key order. Before Close the cut is consistent
+// across all shards at once: each shard drains everything queued ahead of
+// the read, so all batches ingested by the calling goroutine are included,
+// then sorts its live flows on its own goroutine and holds still — ingesting
+// nothing — until fn returns. After Close it reads the final state in
+// place. The rows are the shards' own: fn must not modify them, keep them
+// or call back into the collector, and should return promptly, since
+// ingest waits for it. Reads are serialized.
+func (c *Collector) View(fn func(rows []*FlowAgg)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var m Merger
-	var runs [][]*FlowAgg
+	c.readMu.Lock()
+	defer c.readMu.Unlock()
+	c.reads.Add(1)
+	runs := c.runs[:0]
 	if c.closed {
 		for _, s := range c.shards {
-			runs = append(runs, s.liveRun())
+			runs = append(runs, s.sortedRun(loadScratch(&s.scratch)))
 		}
 	} else {
-		replies := make([]chan []FlowAgg, len(c.shards))
-		for i, s := range c.shards {
-			replies[i] = make(chan []FlowAgg, 1)
-			s.ch <- req{snap: replies[i]}
+		start := time.Now()
+		for _, s := range c.shards {
+			s.ch <- req{hold: true}
 		}
-		parts := make([][]FlowAgg, len(c.shards))
-		for i, ch := range replies {
-			parts[i] = <-ch
+		defer func() {
+			for _, s := range c.shards {
+				s.resume <- struct{}{}
+			}
+			c.heldNs.Add(int64(time.Since(start)))
+		}()
+		for _, s := range c.shards {
+			runs = append(runs, <-s.held)
 		}
-		runs = m.keyRuns(parts)
 	}
-	// Closed: the runs point into the shards' final state, so clone. Open:
-	// they point into the sorted copies the shards just made for this call,
-	// which the merge moves into place.
-	out := m.mergeRuns(runs, c.closed)
+	if len(runs) == 1 {
+		fn(runs[0])
+		return
+	}
+	sc := loadScratch(&c.order)
+	total := 0
+	for _, r := range runs {
+		total += len(r)
+	}
+	sc.rows = mergeOrder(slices.Grow(sc.rows[:0], total), runs)
+	fn(sc.rows)
+	runtime.KeepAlive(sc)
+}
+
+// Reads returns how many reads View has made of the flow table and, of an
+// open collector, how long its shards held still for them in all: from each
+// read's first hold request to its release.
+func (c *Collector) Reads() (n uint64, held time.Duration) {
+	return c.reads.Load(), time.Duration(c.heldNs.Load())
+}
+
+// Snapshot returns a deep copy of every flow aggregate, sorted by flow key:
+// View's rows, cloned once into one table whose sketch windows share one
+// slab.
+func (c *Collector) Snapshot() []FlowAgg {
+	var out []FlowAgg
+	c.View(func(rows []*FlowAgg) {
+		var m Merger
+		out = m.mergeRuns([][]*FlowAgg{rows}, true)
+	})
 	if len(out) == 0 {
 		return nil // an empty table renders as JSON null; the byte-identity pins hold that
 	}
@@ -875,12 +945,30 @@ func (m *Merger) keyRuns(tables [][]FlowAgg) [][]*FlowAgg {
 	return runs
 }
 
+// mergeOrder appends the aggregates of runs, each in flow-key order, to
+// order in flow-key order — equal keys earliest run first, run order within
+// a run, which is the order a loop over the runs would fold them in — and
+// consumes the runs.
+func mergeOrder(order []*FlowAgg, runs [][]*FlowAgg) []*FlowAgg {
+	for {
+		first := -1
+		for i, r := range runs {
+			if len(r) > 0 && (first < 0 || r[0].Key.Compare(runs[first][0].Key) < 0) {
+				first = i // strictly smaller only: a tie stays with the earlier run
+			}
+		}
+		if first < 0 {
+			return order
+		}
+		order = append(order, runs[first][0])
+		runs[first] = runs[first][1:]
+	}
+}
+
 // mergeRuns is the k-way merge behind Merge, MergeRollups and
-// Collector.Snapshot: it consumes runs, each in flow-key order, and returns
-// their aggregates in flow-key order with every group of equal keys folded
-// into one — earliest run first, run order within a run, which is the order
-// a loop over the runs would fold them in, so Welford float bits come out
-// the same.
+// Collector.Snapshot: it consumes runs, each in flow-key order, and returns their aggregates in flow-key
+// order (mergeOrder's) with every group of equal keys folded into one, so
+// Welford float bits come out as a loop over the runs would make them.
 //
 // With clone the result is a deep copy, paid once: the first pass fixes the
 // merge order and sizes the result and one slab for all its sketch windows,
@@ -895,22 +983,13 @@ func (m *Merger) mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 	for _, r := range runs {
 		total += len(r)
 	}
-	order := grow(m.order, total)
+	order := mergeOrder(grow(m.order, total), runs)
 	flows, window := 0, 0
-	for len(order) < total {
-		first := -1
-		for i, r := range runs {
-			if len(r) > 0 && (first < 0 || r[0].Key.Compare(runs[first][0].Key) < 0) {
-				first = i // strictly smaller only: a tie stays with the earlier run
-			}
-		}
-		a := runs[first][0]
-		runs[first] = runs[first][1:]
-		if n := len(order); n == 0 || order[n-1].Key != a.Key {
+	for i, a := range order {
+		if i == 0 || order[i-1].Key != a.Key {
 			flows++
 			window += a.Sketch.Buckets()
 		}
-		order = append(order, a)
 	}
 
 	out := grow(m.out, flows)

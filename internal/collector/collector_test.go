@@ -43,7 +43,7 @@ func sequentialAggregate(stream []Sample, recs []netflow.Record) []FlowAgg {
 	for _, r := range recs {
 		s.agg(r.Key, r.Key.FastHash(), now).addRecord(r)
 	}
-	out := s.snapshot()
+	out := s.rows()
 	// Canonical order, as Snapshot produces.
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j].Key.Compare(out[j-1].Key) < 0; j-- {
@@ -51,6 +51,13 @@ func sequentialAggregate(stream []Sample, recs []netflow.Record) []FlowAgg {
 		}
 	}
 	return out
+}
+
+// rows deep-copies the shard's live flows in flow-key order, as Snapshot
+// clones them.
+func (s *shard) rows() []FlowAgg {
+	var m Merger
+	return m.mergeRuns([][]*FlowAgg{s.sortedRun(new(scratch))}, true)
 }
 
 // TestShardedEqualsSequential is the acceptance-criteria test: a 2-shard

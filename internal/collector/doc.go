@@ -18,6 +18,15 @@
 //     a multi-seed sweep) with Merge is associative over disjoint flows and
 //     uses the stats package's mergeable accumulators otherwise.
 //
+// # Reads
+//
+// View is the one read of the live table: every shard holds still at one
+// cut, sorts pointers to its live flows on its own goroutine and hands them
+// over, and the caller reads the rows in place, in flow-key order, until it
+// returns. Snapshot is one copy of those rows; rlird encodes its binary
+// /snapshot from them with no copy at all. Reads are serialized, and ingest
+// waits while one holds the shards.
+//
 // # Wire format
 //
 // Ingestion accepts native batches ([]Sample, []netflow.Record) or the

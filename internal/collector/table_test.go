@@ -108,7 +108,7 @@ func TestFlowTableCollisions(t *testing.T) {
 				now = now.Add(time.Duration(rng.Intn(8)) * time.Millisecond)
 
 				wrapped = checkTable(t, s) || wrapped
-				if got, want := s.snapshot(), oracle.snapshot(); !reflect.DeepEqual(got, want) {
+				if got, want := s.rows(), oracle.snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("batch %d: live rows differ from the oracle (%d vs %d rows)", batch, len(got), len(want))
 				}
 				got, want := MergeRollups(s.rollup()), oracle.rollup()
@@ -157,7 +157,7 @@ func TestFlowTableCollisions(t *testing.T) {
 					t.Fatalf("lost %v after growing to %d slots", k, len(s.flows.slots))
 				}
 			}
-			if got, want := s.snapshot(), oracle.snapshot(); !reflect.DeepEqual(got, want) {
+			if got, want := s.rows(), oracle.snapshot(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("live rows differ from the oracle (%d vs %d rows)", len(got), len(want))
 			}
 		})

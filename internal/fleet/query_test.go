@@ -7,12 +7,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
 	"github.com/netmeasure/rlir/internal/fleet"
 	"github.com/netmeasure/rlir/internal/measure"
+	"github.com/netmeasure/rlir/internal/memtest"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/queryapi"
 	"github.com/netmeasure/rlir/internal/service"
@@ -143,7 +145,9 @@ func firstDiff(a, b []byte) int {
 // TestZeroAllocMergedTable gates a merged-table query's garbage after the
 // fan-out: over two captured /snapshot bodies, with buffers warmed by one
 // query, decode + merge + the /flows row encoder, and decode + merge + the
-// /comparison fold, each allocate nothing — per row or per query.
+// /comparison fold, each allocate nothing — per row or per query. It counts
+// at GOMAXPROCS 2 or more, where the /flows body renders in parts on helper
+// goroutines; testing.AllocsPerRun would pin it to one part.
 func TestZeroAllocMergedTable(t *testing.T) {
 	tr := exportBaseline(t)
 	tf := startFleet(t, 2)
@@ -175,7 +179,7 @@ func TestZeroAllocMergedTable(t *testing.T) {
 		"flows":      func() { _, _ = flows() },
 		"comparison": func() { _, _ = compare() },
 	} {
-		if n := testing.AllocsPerRun(20, query); n != 0 {
+		if n := memtest.MallocsPerRun(max(2, runtime.GOMAXPROCS(0)), 20, query); n != 0 {
 			t.Errorf("%s over %d flows: decode, merge and render allocate %v times per query, want 0", name, len(tr.Result.Fleet), n)
 		}
 	}

@@ -1,12 +1,41 @@
 package packet
 
+import "unsafe"
+
 // SortByKey sorts s into FlowKey.Compare order of key(&s[i]), stably. It is
 // a least-significant-digit radix sort over the key's packed words that
 // skips every byte all the keys share — a fat tree's addresses differ in a
 // few bits, so a table of flows sorts in a handful of linear passes — and it
-// calls key once per element, not once per comparison.
+// calls key once per element, not once per comparison. Its scratch, 48 bytes
+// per element, is allocated per call; SortByKeyIn sorts in kept scratch.
 func SortByKey[E any](s []E, key func(*E) FlowKey) {
-	ord := make([]packedKey, 2*len(s))
+	SortByKeyIn(s, key, nil)
+}
+
+// KeyScratch is the working storage of SortByKeyIn, kept by a caller that
+// sorts again and again: once it has grown to the longest slice sorted, a
+// sort in it allocates nothing. The zero value is ready to use.
+type KeyScratch struct {
+	ord []packedKey
+}
+
+// Bytes is the storage sc holds, in bytes.
+func (sc *KeyScratch) Bytes() int {
+	return cap(sc.ord) * int(unsafe.Sizeof(packedKey{}))
+}
+
+// SortByKeyIn is SortByKey with its scratch taken from sc, grown as needed;
+// a nil sc sorts in fresh scratch, as SortByKey does.
+func SortByKeyIn[E any](s []E, key func(*E) FlowKey, sc *KeyScratch) {
+	var ord []packedKey
+	if sc == nil || cap(sc.ord) < 2*len(s) {
+		ord = make([]packedKey, 2*len(s))
+		if sc != nil {
+			sc.ord = ord
+		}
+	} else {
+		ord = sc.ord[:2*len(s)]
+	}
 	ord, tmp := ord[:len(s)], ord[len(s):]
 	var diff [2]uint64 // the bits in which some key differs from the first
 	for i := range s {

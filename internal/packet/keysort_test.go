@@ -9,13 +9,19 @@ import (
 // TestSortByKeyMatchesStableSort pins SortByKey to a stable comparison sort
 // on random keys: short and long slices, keys drawn from a few values per
 // field (so most bytes are shared and duplicates are common) or from the
-// whole range, with each element's input position as its payload.
+// whole range, with each element's input position as its payload. The same
+// keys sorted by SortByKeyIn in one KeyScratch, regrown and reused across
+// trials, come out the same, and once it has grown a sort in it allocates
+// nothing.
 func TestSortByKeyMatchesStableSort(t *testing.T) {
 	type elem struct {
 		key FlowKey
 		pos int
 	}
 	rng := rand.New(rand.NewSource(1))
+	key := func(e *elem) FlowKey { return e.key }
+	var sc KeyScratch
+	var last []elem
 	for trial := range 200 {
 		n := rng.Intn(200)
 		if trial%10 == 0 {
@@ -37,9 +43,18 @@ func TestSortByKeyMatchesStableSort(t *testing.T) {
 		}
 		want := slices.Clone(s)
 		slices.SortStableFunc(want, func(a, b elem) int { return a.key.Compare(b.key) })
-		SortByKey(s, func(e *elem) FlowKey { return e.key })
+		kept := slices.Clone(s)
+		SortByKey(s, key)
 		if !slices.Equal(s, want) {
 			t.Fatalf("trial %d (n=%d, narrow=%v): SortByKey differs from a stable sort", trial, n, narrow)
 		}
+		SortByKeyIn(kept, key, &sc)
+		if !slices.Equal(kept, want) {
+			t.Fatalf("trial %d (n=%d, narrow=%v): SortByKeyIn differs from a stable sort", trial, n, narrow)
+		}
+		last = kept
+	}
+	if n := testing.AllocsPerRun(10, func() { SortByKeyIn(last, key, &sc) }); n != 0 {
+		t.Fatalf("SortByKeyIn in grown scratch allocates %v times per sort, want 0", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"github.com/netmeasure/rlir/internal/collector"
+	"github.com/netmeasure/rlir/internal/memtest"
 	"github.com/netmeasure/rlir/internal/packet"
 	"github.com/netmeasure/rlir/internal/simtime"
 	"github.com/netmeasure/rlir/internal/stats"
@@ -191,32 +192,13 @@ func TestZeroAllocAppendFlowRows(t *testing.T) {
 		aggs = append(aggs, buildSnapshot(t, seed)...)
 	}
 	var b FlowsBody
-	if n := mallocsPerRun(4, 200, func() {
+	if n := memtest.MallocsPerRun(4, 200, func() {
 		if err := b.Render(aggs, -1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 || len(b.parts) != 4 {
 		t.Fatalf("Render allocates %v times per %d-row table in %d parts", n, len(aggs), len(b.parts))
 	}
-}
-
-// mallocsPerRun is testing.AllocsPerRun at GOMAXPROCS procs rather than 1,
-// where Render never splits: the mallocs of runs calls of f, per call and
-// rounded down. It warms up with as many calls first: the runtime allocates
-// a goroutine descriptor until every P's free list holds some, and Render's
-// helpers start on one P and exit on another.
-func mallocsPerRun(procs, runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	for range runs {
-		f()
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // TestNonFiniteIsA500 pins what a value JSON cannot carry turns into: a 500

@@ -173,34 +173,52 @@ var (
 // AppendSnapshot appends the binary rendering of a collector snapshot and
 // its ingest totals to dst and returns the extended slice. The sketch
 // counters are encoded from read-only views of the aggregates, so encoding
-// into a buffer with room — rlird's reused response body — allocates
-// nothing.
+// into a buffer with room allocates nothing.
 func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
+	dst = appendSnapshotHeader(dst, samples, records, len(aggs))
+	for i := range aggs {
+		dst = appendFlowState(dst, &aggs[i])
+	}
+	return dst
+}
+
+// AppendSnapshotRows is AppendSnapshot over rows read in place — the rows
+// collector.Collector.View holds still — rather than a copied table: rlird
+// encodes its binary /snapshot straight from its shards into a reused body.
+func AppendSnapshotRows(dst []byte, rows []*collector.FlowAgg, samples, records uint64) []byte {
+	dst = appendSnapshotHeader(dst, samples, records, len(rows))
+	for _, a := range rows {
+		dst = appendFlowState(dst, a)
+	}
+	return dst
+}
+
+func appendSnapshotHeader(dst []byte, samples, records uint64, flows int) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, snapshotMagic)
 	dst = append(dst, SnapshotVersion)
 	dst = binary.AppendUvarint(dst, samples)
 	dst = binary.AppendUvarint(dst, records)
-	dst = binary.AppendUvarint(dst, uint64(len(aggs)))
-	for i := range aggs {
-		a := &aggs[i]
-		dst = collector.AppendKey(dst, a.Key)
-		dst = appendWelford(dst, a.Est.State())
-		dst = appendWelford(dst, a.True.State())
+	return binary.AppendUvarint(dst, uint64(flows))
+}
 
-		s := a.Sketch.StateView()
-		dst = binary.AppendUvarint(dst, s.Zero)
-		dst = binary.AppendUvarint(dst, s.Count)
-		dst = appendFloat(dst, s.Min)
-		dst = appendFloat(dst, s.Max)
-		dst = binary.AppendVarint(dst, int64(s.Base))
-		dst = appendBuckets(dst, s.Buckets)
+// appendFlowState appends one flow row.
+func appendFlowState(dst []byte, a *collector.FlowAgg) []byte {
+	dst = collector.AppendKey(dst, a.Key)
+	dst = appendWelford(dst, a.Est.State())
+	dst = appendWelford(dst, a.True.State())
 
-		dst = binary.AppendUvarint(dst, a.Packets)
-		dst = binary.AppendUvarint(dst, a.Bytes)
-		dst = binary.AppendVarint(dst, int64(a.First))
-		dst = binary.AppendVarint(dst, int64(a.Last))
-	}
-	return dst
+	s := a.Sketch.StateView()
+	dst = binary.AppendUvarint(dst, s.Zero)
+	dst = binary.AppendUvarint(dst, s.Count)
+	dst = appendFloat(dst, s.Min)
+	dst = appendFloat(dst, s.Max)
+	dst = binary.AppendVarint(dst, int64(s.Base))
+	dst = appendBuckets(dst, s.Buckets)
+
+	dst = binary.AppendUvarint(dst, a.Packets)
+	dst = binary.AppendUvarint(dst, a.Bytes)
+	dst = binary.AppendVarint(dst, int64(a.First))
+	return binary.AppendVarint(dst, int64(a.Last))
 }
 
 func appendFloat(dst []byte, v float64) []byte {

@@ -121,6 +121,10 @@ func (s *Server) handleComparison(w http.ResponseWriter, r *http.Request) {
 // with that Content-Type; any other request gets indented JSON, the
 // human/debug view of the same value (see queryapi.Snapshot).
 //
+// The binary body is encoded from the rows the collector holds still
+// (collector.Collector.View), with no copy of the table, and the shards go
+// back to ingest before the body is written to the socket.
+//
 // The ingest totals are read BEFORE the table is cut: SamplesIngested
 // advances only after a batch is queued to its shards, and the cut drains
 // everything queued ahead of it, so the shipped rows hold at least the
@@ -128,13 +132,14 @@ func (s *Server) handleComparison(w http.ResponseWriter, r *http.Request) {
 // make the totals exceed what the rows explain.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	samples, records := s.ingestTotals()
-	snap := s.coll.Snapshot()
 	if !strings.Contains(r.Header.Get("Accept"), queryapi.SnapshotContentType) {
-		writeJSON(w, http.StatusOK, queryapi.SnapshotOf(snap, samples, records))
+		writeJSON(w, http.StatusOK, queryapi.SnapshotOf(s.coll.Snapshot(), samples, records))
 		return
 	}
 	b := s.bodies.Get()
-	b.snapshot = queryapi.AppendSnapshot(b.snapshot[:0], snap, samples, records)
+	s.coll.View(func(rows []*collector.FlowAgg) {
+		b.snapshot = queryapi.AppendSnapshotRows(b.snapshot[:0], rows, samples, records)
+	})
 	w.Header().Set("Content-Type", queryapi.SnapshotContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b.snapshot)))
 	_, _ = w.Write(b.snapshot) // a failed write is the client's disconnect
@@ -257,6 +262,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Gauge("rlird_flow_classes", "Class-tier rollup aggregates currently held.", ts.Classes)
 	m.Counter("rlird_flow_entries_recycled_total", "New flows that reused a displaced flow's table entry and sketch storage.", ts.Recycled)
 	m.Gauge("rlird_shards", "Collector shard goroutines.", s.coll.Shards())
+	reads, held := s.coll.Reads()
+	m.Counter("rlird_snapshots_total", "Consistent cuts of the flow table read (/snapshot, /flows, /comparison).", reads)
+	m.Counter("rlird_snapshot_hold_seconds_total", "Time the shards held still for reads, ingesting nothing.", held.Seconds())
 	for i, d := range s.coll.QueueDepths() {
 		m.Gauge("rlird_shard_queue_depth", "Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.", d, "shard", strconv.Itoa(i))
 	}

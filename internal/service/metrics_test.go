@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,8 @@ import (
 // rlirdMetricFamilies is every HELP/TYPE line rlird's /metrics prints, in
 // order: the families captured before the handler moved onto
 // queryapi.Metrics, so dashboards keyed on names, help text or types see no
-// change, plus rlird_shard_flows, added since.
+// change, plus rlird_shard_flows and the two read families
+// (rlird_snapshots_total, rlird_snapshot_hold_seconds_total), added since.
 const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested.
 # TYPE rlird_samples_total counter
 # HELP rlird_records_total NetFlow records ingested.
@@ -59,6 +61,10 @@ const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested
 # TYPE rlird_flow_entries_recycled_total counter
 # HELP rlird_shards Collector shard goroutines.
 # TYPE rlird_shards gauge
+# HELP rlird_snapshots_total Consistent cuts of the flow table read (/snapshot, /flows, /comparison).
+# TYPE rlird_snapshots_total counter
+# HELP rlird_snapshot_hold_seconds_total Time the shards held still for reads, ingesting nothing.
+# TYPE rlird_snapshot_hold_seconds_total counter
 # HELP rlird_shard_queue_depth Batches queued for each shard right now; pinned at the configured depth means the shards, not the connection loops, bound ingest.
 # TYPE rlird_shard_queue_depth gauge
 # HELP rlird_shard_flows Flows each shard tracks individually right now; an idle shard beside a full one means the flow hash leaves it without flows.
@@ -106,5 +112,56 @@ func TestMetricsFamiliesUnchanged(t *testing.T) {
 		if !strings.Contains(rec.Body.String(), sample+"\n") {
 			t.Errorf("/metrics missing sample line %q", sample)
 		}
+	}
+}
+
+// TestMetricsCountReads pins the two read families: every cut of the flow
+// table — binary and JSON /snapshot, /flows, /comparison — counts once in
+// rlird_snapshots_total, and only a running collector's shards hold still,
+// so reads of the closed one add no hold time.
+func TestMetricsCountReads(t *testing.T) {
+	s, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	s.Collector().Ingest(genSamples(2000, 50))
+	metric := func(name string) float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("/metrics has no %s sample", name)
+		return 0
+	}
+	read := func() {
+		getSnapshot(t, s, true)
+		getSnapshot(t, s, false)
+		for _, path := range []string{"/flows", "/comparison"} {
+			s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+		}
+	}
+	if n := metric("rlird_snapshots_total"); n != 0 {
+		t.Fatalf("rlird_snapshots_total %v before any read", n)
+	}
+	read()
+	held := metric("rlird_snapshot_hold_seconds_total")
+	if n := metric("rlird_snapshots_total"); n != 4 || held <= 0 {
+		t.Fatalf("after four reads: rlird_snapshots_total %v, rlird_snapshot_hold_seconds_total %v", n, held)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	read()
+	if n, h := metric("rlird_snapshots_total"), metric("rlird_snapshot_hold_seconds_total"); n != 8 || h != held {
+		t.Fatalf("after four reads of the closed collector: rlird_snapshots_total %v, hold seconds %v (was %v)", n, h, held)
 	}
 }

@@ -1,17 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/netmeasure/rlir/internal/collector"
+	"github.com/netmeasure/rlir/internal/memtest"
 	"github.com/netmeasure/rlir/internal/netflow"
 	"github.com/netmeasure/rlir/internal/queryapi"
 )
@@ -150,5 +155,201 @@ func TestFlowsBadLimit(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("limit=%q: status %d, want 400", q, rec.Code)
 		}
+	}
+}
+
+// binaryBody serves one binary GET /snapshot in-process and returns its
+// body.
+func binaryBody(t *testing.T, s *Server) []byte {
+	t.Helper()
+	_, _, _, rec := getSnapshot(t, s, true)
+	return rec.Body.Bytes()
+}
+
+// plainBody renders the binary /snapshot the plain way: the collector's
+// copied table, encoded by queryapi.AppendSnapshot.
+func plainBody(s *Server) []byte {
+	samples, records := s.ingestTotals()
+	return queryapi.AppendSnapshot(nil, s.Snapshot(), samples, records)
+}
+
+// TestHeldSnapshotMatchesAppendSnapshot pins the binary /snapshot, encoded
+// from rows the shards hold still, to AppendSnapshot over a copied table,
+// byte for byte: at 1 to 4 shards, every shard holding flows, on a running
+// collector and again on the closed one, which is read in place.
+func TestHeldSnapshotMatchesAppendSnapshot(t *testing.T) {
+	for shards := 1; shards <= 4; shards++ {
+		s, err := New(Config{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		smps := genSamples(6000, 90)
+		s.Collector().Ingest(smps)
+		s.Collector().IngestRecords([]netflow.Record{{Key: smps[1].Key, Packets: 3, Bytes: 300, First: 7, Last: 70}})
+		for i, st := range s.Collector().ShardStats() {
+			if st.Flows == 0 {
+				t.Fatalf("%d shards: shard %d holds no flows", shards, i)
+			}
+		}
+		for _, state := range []string{"open", "closed"} {
+			if state == "closed" {
+				if err := s.Shutdown(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := binaryBody(t, s), plainBody(s)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d shards, %s: held /snapshot is %d bytes, AppendSnapshot %d (first difference at byte %d)",
+					shards, state, len(got), len(want), firstDiff(got, want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestConcurrentSnapshotsUnderIngest runs six binary /snapshot readers at
+// once: first beside four ingesting producers, where every body must decode
+// sorted with its totals inside its rows; then on the quiesced collector,
+// where every body must equal the plain rendering; then while Shutdown
+// closes the collector under them, where bodies from before the close and
+// after it must all still equal it. Reads that each held some shards
+// waiting for the rest would deadlock; the test fails if it does not finish
+// in time.
+func TestConcurrentSnapshotsUnderIngest(t *testing.T) {
+	s, err := New(Config{Shards: 3, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	fetch := func() ([]byte, error) {
+		req := httptest.NewRequest(http.MethodGet, "/snapshot", nil)
+		req.Header.Set("Accept", queryapi.SnapshotContentType)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return nil, fmt.Errorf("status %d", rec.Code)
+		}
+		return rec.Body.Bytes(), nil
+	}
+	// each runs check over 25 bodies read by each of the readers at once.
+	each := func(phase string, check func([]byte) error) {
+		var wg sync.WaitGroup
+		for r := 0; r < 6; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 25; i++ {
+					body, err := fetch()
+					if err == nil {
+						err = check(body)
+					}
+					if err != nil {
+						t.Errorf("%s: reader %d, read %d: %v", phase, r, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		stop := make(chan struct{})
+		var producers sync.WaitGroup
+		for p := 0; p < 4; p++ {
+			producers.Add(1)
+			go func() {
+				defer producers.Done()
+				batch := genSamples(256, 40+p*50)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						s.Collector().Ingest(batch)
+					}
+				}
+			}()
+		}
+		each("under ingest", func(body []byte) error {
+			aggs, samples, _, err := queryapi.DecodeSnapshot(body)
+			if err != nil {
+				return err
+			}
+			var inRows uint64
+			for j := range aggs {
+				inRows += uint64(aggs[j].Est.N())
+				if j > 0 && aggs[j-1].Key.Compare(aggs[j].Key) >= 0 {
+					return fmt.Errorf("rows %d and %d out of flow-key order", j-1, j)
+				}
+			}
+			if inRows < samples {
+				return fmt.Errorf("totals count %d samples, rows hold only %d", samples, inRows)
+			}
+			return nil
+		})
+		close(stop)
+		producers.Wait()
+
+		want := plainBody(s)
+		same := func(body []byte) error {
+			if !bytes.Equal(body, want) {
+				return fmt.Errorf("%d-byte body, the plain rendering %d (first difference at byte %d)", len(body), len(want), firstDiff(body, want))
+			}
+			return nil
+		}
+		each("quiesced", same)
+		closed := make(chan error, 1)
+		go func() { closed <- s.Shutdown(context.Background()) }()
+		each("closing", same)
+		if err := <-closed; err != nil {
+			t.Error(err)
+		}
+		each("closed", same)
+	}()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent /snapshot readers did not finish in 60 s: deadlocked")
+	}
+}
+
+// reusedWriter is a ResponseWriter that keeps its header map and discards
+// the body, so a measured request allocates only what the handler does.
+type reusedWriter struct{ h http.Header }
+
+func (w reusedWriter) Header() http.Header         { return w.h }
+func (w reusedWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w reusedWriter) WriteHeader(int)             {}
+
+// TestZeroAllocSnapshotBody gates the binary /snapshot's garbage in steady
+// state at GOMAXPROCS 2 or more, with the shards holding still on their own
+// goroutines: at most maxSnapshotMallocs per body over a 4 000-flow table —
+// its Content-Type and Content-Length values and the length's digits, and
+// nothing per row or per shard. A copy of the table, or sort scratch the
+// shards did not keep, allocates on every query.
+func TestZeroAllocSnapshotBody(t *testing.T) {
+	const maxSnapshotMallocs = 3
+	s, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	s.Collector().Ingest(genSamples(40000, 4000))
+	w := reusedWriter{h: http.Header{}}
+	req := httptest.NewRequest(http.MethodGet, "/snapshot", nil)
+	req.Header.Set("Accept", queryapi.SnapshotContentType)
+	if n := memtest.MallocsPerRun(max(2, runtime.GOMAXPROCS(0)), 50, func() { s.handleSnapshot(w, req) }); n > maxSnapshotMallocs {
+		t.Fatalf("a binary /snapshot of %d flows allocates %d times, want at most %d", s.Collector().Flows(), n, maxSnapshotMallocs)
 	}
 }
