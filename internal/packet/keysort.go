@@ -1,7 +1,5 @@
 package packet
 
-import "unsafe"
-
 // SortByKey sorts s into FlowKey.Compare order of key(&s[i]), stably. It is
 // a least-significant-digit radix sort over the key's packed words that
 // skips every byte all the keys share — a fat tree's addresses differ in a
@@ -19,24 +17,16 @@ type KeyScratch struct {
 	ord []packedKey
 }
 
-// Bytes is the storage sc holds, in bytes.
-func (sc *KeyScratch) Bytes() int {
-	return cap(sc.ord) * int(unsafe.Sizeof(packedKey{}))
-}
-
 // SortByKeyIn is SortByKey with its scratch taken from sc, grown as needed;
 // a nil sc sorts in fresh scratch, as SortByKey does.
 func SortByKeyIn[E any](s []E, key func(*E) FlowKey, sc *KeyScratch) {
-	var ord []packedKey
-	if sc == nil || cap(sc.ord) < 2*len(s) {
-		ord = make([]packedKey, 2*len(s))
-		if sc != nil {
-			sc.ord = ord
-		}
-	} else {
-		ord = sc.ord[:2*len(s)]
+	if sc == nil {
+		sc = new(KeyScratch)
 	}
-	ord, tmp := ord[:len(s)], ord[len(s):]
+	if cap(sc.ord) < 2*len(s) {
+		sc.ord = make([]packedKey, 2*len(s))
+	}
+	ord, tmp := sc.ord[:len(s)], sc.ord[len(s):2*len(s)]
 	var diff [2]uint64 // the bits in which some key differs from the first
 	for i := range s {
 		k := key(&s[i])
