@@ -216,15 +216,16 @@ func firstDiff(a, b []byte) int {
 }
 
 // TestConcurrentSnapshotsUnderIngest runs six binary /snapshot readers at
-// once: first beside four ingesting producers, where every body must decode
-// sorted with its totals inside its rows; then on the quiesced collector,
-// where every body must equal the plain rendering; then while Shutdown
-// closes the collector under them, where bodies from before the close and
-// after it must all still equal it. Reads that each held some shards
-// waiting for the rest would deadlock; the test fails if it does not finish
-// in time.
+// once: beside four ingesting producers, where every body must decode sorted
+// with its totals inside its rows; on the quiesced collector, where every
+// body must equal the plain rendering; beside an exporter streaming over TCP
+// while Shutdown drains it and closes the collector under the readers, where
+// every body must again hold together; and on the closed collector, where
+// every body must equal the plain rendering of its final state. Reads that
+// each held some shards waiting for the rest would deadlock; the test fails
+// if it does not finish in time.
 func TestConcurrentSnapshotsUnderIngest(t *testing.T) {
-	s, err := New(Config{Shards: 3, Depth: 2})
+	s, err := New(Config{Listen: "127.0.0.1:0", Shards: 3, Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +240,23 @@ func TestConcurrentSnapshotsUnderIngest(t *testing.T) {
 		}
 		return rec.Body.Bytes(), nil
 	}
-	// each runs check over 25 bodies read by each of the readers at once.
-	each := func(phase string, check func([]byte) error) {
+	done := func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+	// each runs check over the bodies six readers read at once, each at
+	// least 25 and on until until is closed.
+	each := func(phase string, until <-chan struct{}, check func([]byte) error) {
 		var wg sync.WaitGroup
 		for r := 0; r < 6; r++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := 0; i < 25; i++ {
+				for i := 0; ; i++ {
+					if i >= 25 {
+						select {
+						case <-until:
+							return
+						default:
+						}
+					}
 					body, err := fetch()
 					if err == nil {
 						err = check(body)
@@ -260,10 +270,36 @@ func TestConcurrentSnapshotsUnderIngest(t *testing.T) {
 		}
 		wg.Wait()
 	}
+	whole := func(body []byte) error {
+		aggs, samples, _, err := queryapi.DecodeSnapshot(body)
+		if err != nil {
+			return err
+		}
+		var inRows uint64
+		for j := range aggs {
+			inRows += uint64(aggs[j].Est.N())
+			if j > 0 && aggs[j-1].Key.Compare(aggs[j].Key) >= 0 {
+				return fmt.Errorf("rows %d and %d out of flow-key order", j-1, j)
+			}
+		}
+		if inRows < samples {
+			return fmt.Errorf("totals count %d samples, rows hold only %d", samples, inRows)
+		}
+		return nil
+	}
+	plain := func() func([]byte) error {
+		want := plainBody(s)
+		return func(body []byte) error {
+			if !bytes.Equal(body, want) {
+				return fmt.Errorf("%d-byte body, the plain rendering %d (first difference at byte %d)", len(body), len(want), firstDiff(body, want))
+			}
+			return nil
+		}
+	}
 
-	done := make(chan struct{})
+	finished := make(chan struct{})
 	go func() {
-		defer close(done)
+		defer close(finished)
 		stop := make(chan struct{})
 		var producers sync.WaitGroup
 		for p := 0; p < 4; p++ {
@@ -281,44 +317,42 @@ func TestConcurrentSnapshotsUnderIngest(t *testing.T) {
 				}
 			}()
 		}
-		each("under ingest", func(body []byte) error {
-			aggs, samples, _, err := queryapi.DecodeSnapshot(body)
-			if err != nil {
-				return err
-			}
-			var inRows uint64
-			for j := range aggs {
-				inRows += uint64(aggs[j].Est.N())
-				if j > 0 && aggs[j-1].Key.Compare(aggs[j].Key) >= 0 {
-					return fmt.Errorf("rows %d and %d out of flow-key order", j-1, j)
-				}
-			}
-			if inRows < samples {
-				return fmt.Errorf("totals count %d samples, rows hold only %d", samples, inRows)
-			}
-			return nil
-		})
+		each("under ingest", done, whole)
 		close(stop)
 		producers.Wait()
+		each("quiesced", done, plain())
+		quiet := s.Collector().SamplesIngested()
 
-		want := plainBody(s)
-		same := func(body []byte) error {
-			if !bytes.Equal(body, want) {
-				return fmt.Errorf("%d-byte body, the plain rendering %d (first difference at byte %d)", len(body), len(want), firstDiff(body, want))
-			}
-			return nil
-		}
-		each("quiesced", same)
-		closed := make(chan error, 1)
-		go func() { closed <- s.Shutdown(context.Background()) }()
-		each("closing", same)
-		if err := <-closed; err != nil {
+		cl, err := Dial("tcp", s.Addr().String(), 0)
+		if err != nil {
 			t.Error(err)
+			return
 		}
-		each("closed", same)
+		const batches, perBatch = 200, 256
+		go func() {
+			defer cl.Close()
+			batch := genSamples(perBatch, 400)
+			for i := 0; i < batches && cl.SendSamples(batch) == nil; i++ {
+			}
+		}()
+		for s.Collector().SamplesIngested() == quiet { // accepted: Shutdown drains it
+			time.Sleep(time.Millisecond)
+		}
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}()
+		each("closing under ingest", closed, whole)
+		if got, want := s.Collector().SamplesIngested(), quiet+batches*perBatch; got != want {
+			t.Errorf("Shutdown drained %d samples from the exporter, want %d", got-quiet, want-quiet)
+		}
+		each("closed", done, plain())
 	}()
 	select {
-	case <-done:
+	case <-finished:
 	case <-time.After(60 * time.Second):
 		t.Fatal("concurrent /snapshot readers did not finish in 60 s: deadlocked")
 	}
