@@ -158,14 +158,6 @@ func TestFlowsBadLimit(t *testing.T) {
 	}
 }
 
-// binaryBody serves one binary GET /snapshot in-process and returns its
-// body.
-func binaryBody(t *testing.T, s *Server) []byte {
-	t.Helper()
-	_, _, _, rec := getSnapshot(t, s, true)
-	return rec.Body.Bytes()
-}
-
 // plainBody renders the binary /snapshot the plain way: the collector's
 // copied table, encoded by queryapi.AppendSnapshot.
 func plainBody(s *Server) []byte {
@@ -197,7 +189,8 @@ func TestHeldSnapshotMatchesAppendSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			got, want := binaryBody(t, s), plainBody(s)
+			_, _, _, rec := getSnapshot(t, s, true)
+			got, want := rec.Body.Bytes(), plainBody(s)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%d shards, %s: held /snapshot is %d bytes, AppendSnapshot %d (first difference at byte %d)",
 					shards, state, len(got), len(want), firstDiff(got, want))
