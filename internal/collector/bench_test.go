@@ -49,7 +49,7 @@ func BenchmarkIngestSequentialBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := (i * batch) % (len(stream) - batch)
 		for _, smp := range stream[off : off+batch] {
-			s.agg(smp.Key, smp.h, now).addSample(smp.Sample)
+			s.agg(smp.Key, smp.h, now).addSample(smp.Sample, &s.spares)
 		}
 	}
 	b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "samples/s")
@@ -71,14 +71,14 @@ func BenchmarkEvictionChurn(b *testing.B) {
 	// steady churn state, even at b.N = 1.
 	warm := s.maxFlows
 	for _, smp := range stream[:warm] {
-		s.agg(smp.Key, smp.h, now).addSample(smp.Sample)
+		s.agg(smp.Key, smp.h, now).addSample(smp.Sample, &s.spares)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := warm + (i*batch)%(len(stream)-batch-warm)
 		for _, smp := range stream[off : off+batch] {
-			s.agg(smp.Key, smp.h, now).addSample(smp.Sample)
+			s.agg(smp.Key, smp.h, now).addSample(smp.Sample, &s.spares)
 		}
 	}
 	b.StopTimer()

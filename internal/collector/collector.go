@@ -45,10 +45,11 @@ type FlowAgg struct {
 	First, Last    simtime.Time
 }
 
-func (a *FlowAgg) addSample(s Sample) {
+// addSample folds one sample in; the sketch grows from sp (nil allocates).
+func (a *FlowAgg) addSample(s Sample, sp *stats.SketchSpares) {
 	a.Est.Add(float64(s.Est))
 	a.True.Add(float64(s.True))
-	a.Sketch.Record(s.Est)
+	a.Sketch.AddFrom(float64(s.Est), sp)
 }
 
 func (a *FlowAgg) addRecord(r netflow.Record) {
@@ -62,11 +63,12 @@ func (a *FlowAgg) addRecord(r netflow.Record) {
 	a.Bytes += r.Bytes
 }
 
-// merge folds o into a (same-key aggregates from different planes).
-func (a *FlowAgg) merge(o *FlowAgg) {
+// merge folds o into a (same-key aggregates from different planes); a's
+// sketch grows from sp (nil allocates).
+func (a *FlowAgg) merge(o *FlowAgg, sp *stats.SketchSpares) {
 	a.Est.Merge(&o.Est)
 	a.True.Merge(&o.True)
-	a.Sketch.Merge(&o.Sketch)
+	a.Sketch.MergeFrom(&o.Sketch, sp)
 	if o.Packets > 0 {
 		if a.Packets == 0 || o.First < a.First {
 			a.First = o.First
@@ -171,15 +173,17 @@ type Rollup struct {
 }
 
 // req is one message to a shard: a data batch, a hold for a read when hold
-// is set, a table-stats request when count is non-nil, or a rollup request
-// when roll is non-nil. Requests are processed strictly in channel order,
-// which is what makes View, Stats, Flows and RollupSnapshot consistent cuts
-// of everything the caller ingested before them.
+// is set, a table-stats request when count is non-nil, a sketch-storage
+// request when mem is non-nil, or a rollup request when roll is non-nil.
+// Requests are processed strictly in channel order, which is what makes
+// View, Stats, Flows and RollupSnapshot consistent cuts of everything the
+// caller ingested before them.
 type req struct {
 	samples []hashedSample
 	records []netflow.Record
 	hold    bool
 	count   chan TableStats
+	mem     chan int
 	roll    chan Rollup
 }
 
@@ -226,10 +230,13 @@ type shard struct {
 	// lru is the sentinel of the intrusive recency ring: lru.next is the
 	// most recently seen flow, lru.prev the eviction/expiry candidate.
 	lru flowEntry
-	// free chains displaced entries, reset but still holding their sketch
-	// storage, for agg to hand to the next new flow.
-	free       *flowEntry
-	nfree      int
+	// free chains displaced entries, reset to at most a sparse sketch's
+	// cache line, for agg to hand to the next new flow.
+	free  *flowEntry
+	nfree int
+	// spares holds the dense sketch windows released entries gave up, for
+	// the next sketch of this shard that outgrows its sparse form.
+	spares     stats.SketchSpares
 	classes    map[packet.FlowKey]*FlowAgg
 	root       FlowAgg
 	maxFlows   int
@@ -269,12 +276,14 @@ func (s *shard) run(wg *sync.WaitGroup) {
 			runtime.KeepAlive(sc) // the read used it: a collection mid-read must not free it
 		case q.count != nil:
 			q.count <- s.stats()
+		case q.mem != nil:
+			q.mem <- s.sketchBytes()
 		case q.roll != nil:
 			q.roll <- s.rollup()
 		default:
 			now := s.clock()
 			for _, smp := range q.samples {
-				s.agg(smp.Key, smp.h, now).addSample(smp.Sample)
+				s.agg(smp.Key, smp.h, now).addSample(smp.Sample, &s.spares)
 			}
 			for _, r := range q.records {
 				s.agg(r.Key, r.Key.FastHash(), now).addRecord(r)
@@ -385,14 +394,16 @@ func (s *shard) foldOldest(counter *uint64) {
 }
 
 // release resets a displaced entry and chains it on the free list. The
-// sketch keeps its counter storage across the reset (stats.Sketch.Reset),
-// which is most of what a new flow would otherwise allocate.
+// sketch keeps a sparse form's cache line across the reset and hands a dense
+// window to the shard's spares (stats.Sketch.ResetTo), so the entry is ready
+// for a typical flow without allocating and pins no window its next tenant
+// may never need.
 func (s *shard) release(e *flowEntry) {
 	if s.maxFlows <= 0 && s.nfree >= uncappedFreeEntries {
 		return
 	}
 	sk := e.agg.Sketch
-	sk.Reset()
+	sk.ResetTo(&s.spares)
 	*e = flowEntry{agg: FlowAgg{Sketch: sk}, next: s.free}
 	s.free = e
 	s.nfree++
@@ -402,7 +413,7 @@ func (s *shard) release(e *flowEntry) {
 // which keeps its own key.
 func (s *shard) foldInto(dst, src *FlowAgg) {
 	key := dst.Key
-	dst.merge(src)
+	dst.merge(src, &s.spares)
 	dst.Key = key
 }
 
@@ -414,6 +425,24 @@ func (s *shard) stats() TableStats {
 		Expired:  s.expired,
 		Recycled: s.recycled,
 	}
+}
+
+// sketchBytes is the sketch storage the shard holds, in bytes: the windows
+// of its live and free flow entries, of its rollup tiers, and its spares.
+func (s *shard) sketchBytes() int {
+	n := s.spares.Bytes() + s.root.Sketch.Bytes()
+	for _, e := range s.flows.slots {
+		if e != nil {
+			n += e.agg.Sketch.Bytes()
+		}
+	}
+	for e := s.free; e != nil; e = e.next {
+		n += e.agg.Sketch.Bytes()
+	}
+	for _, a := range s.classes {
+		n += a.Sketch.Bytes()
+	}
+	return n
 }
 
 // aggKey is the sort key of a run of aggregate pointers, for
@@ -817,6 +846,32 @@ func (c *Collector) ShardStats() []TableStats {
 	return out
 }
 
+// ShardSketchBytes returns the sketch storage each shard holds, in bytes
+// and shard order: the capacity of its flow entries' windows, its rollup
+// tiers' windows and its spare stack. Like ShardStats it is a consistent
+// cut answered by a request behind pending batches; the shard walks its
+// table for it, so it costs a scrape O(flows) and a sample nothing.
+func (c *Collector) ShardSketchBytes() []int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]int, len(c.shards))
+	if c.closed {
+		for i, s := range c.shards {
+			out[i] = s.sketchBytes()
+		}
+		return out
+	}
+	replies := make([]chan int, len(c.shards))
+	for i, s := range c.shards {
+		replies[i] = make(chan int, 1)
+		s.ch <- req{mem: replies[i]}
+	}
+	for i, ch := range replies {
+		out[i] = <-ch
+	}
+	return out
+}
+
 // Flows returns the number of distinct flows currently tracked (excludes
 // flows already folded into the rollup tiers).
 func (c *Collector) Flows() int { return c.Stats().Flows }
@@ -1000,7 +1055,7 @@ func (m *Merger) mergeRuns(runs [][]*FlowAgg, clone bool) []FlowAgg {
 	}
 	for _, a := range order {
 		if n := len(out); n > 0 && out[n-1].Key == a.Key {
-			out[n-1].merge(a)
+			out[n-1].merge(a, nil)
 			continue
 		}
 		out = append(out, *a)
@@ -1023,7 +1078,7 @@ func MergeRollups(rolls ...Rollup) Rollup {
 	classes := make([][]FlowAgg, len(rolls))
 	for i := range rolls {
 		classes[i] = rolls[i].Classes
-		out.Root.merge(&rolls[i].Root) // merge copies counters, never retains its argument's storage
+		out.Root.merge(&rolls[i].Root, nil) // merge copies counters, never retains its argument's storage
 		out.Stats.Add(rolls[i].Stats)
 	}
 	var m Merger

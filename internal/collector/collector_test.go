@@ -38,7 +38,7 @@ func sequentialAggregate(stream []Sample, recs []netflow.Record) []FlowAgg {
 	s := newShard(Config{Shards: 1})
 	var now time.Time
 	for _, smp := range stream {
-		s.agg(smp.Key, smp.Key.FastHash(), now).addSample(smp)
+		s.agg(smp.Key, smp.Key.FastHash(), now).addSample(smp, &s.spares)
 	}
 	for _, r := range recs {
 		s.agg(r.Key, r.Key.FastHash(), now).addRecord(r)

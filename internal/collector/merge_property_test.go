@@ -109,7 +109,7 @@ func referenceMerge(snaps ...[]FlowAgg) []FlowAgg {
 		for i := range snap {
 			a := &snap[i]
 			if dst, ok := m[a.Key]; ok {
-				dst.merge(a)
+				dst.merge(a, nil)
 			} else {
 				cp := cloneAgg(a)
 				m[a.Key] = &cp
@@ -266,7 +266,7 @@ func TestMergeResultAliasesNothing(t *testing.T) {
 
 	var wide FlowAgg // a sketch window wider than any flow's, on both sides
 	for _, d := range []time.Duration{1, time.Millisecond, time.Hour} {
-		wide.addSample(Sample{Est: d, True: d})
+		wide.addSample(Sample{Est: d, True: d}, nil)
 	}
 	for _, how := range []string{"in place", "widened"} {
 		res := Merge(a, b)
@@ -277,8 +277,8 @@ func TestMergeResultAliasesNothing(t *testing.T) {
 				cp := cloneAgg(&res[i]) // same window: every add lands in existing counters
 				other = &cp
 			}
-			res[i].merge(other)
-			want[i].merge(other)
+			res[i].merge(other, nil)
+			want[i].merge(other, nil)
 			if !reflect.DeepEqual(res, want) {
 				t.Fatalf("%s: folding into result %d of %d disturbed another result", how, i, len(res))
 			}
@@ -350,7 +350,7 @@ func TestMergeRollupsMatchesMapReference(t *testing.T) {
 	}
 	var root FlowAgg
 	for i := range rolls {
-		root.merge(&rolls[i].Root)
+		root.merge(&rolls[i].Root, nil)
 	}
 	if !reflect.DeepEqual(got.Root, root) {
 		t.Fatal("MergeRollups root diverges from folding the roots in order")

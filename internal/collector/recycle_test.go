@@ -63,7 +63,7 @@ func (o *oracleTable) foldOldest(counter *uint64) {
 		dst = &o.root
 	}
 	key := dst.Key
-	dst.merge(&f.agg)
+	dst.merge(&f.agg, nil)
 	dst.Key = key
 }
 
@@ -155,7 +155,7 @@ func TestRecyclingIsInvisible(t *testing.T) {
 		}
 		now := clk.Now()
 		for _, s := range batch {
-			oracle.agg(s.Key, now).addSample(s)
+			oracle.agg(s.Key, now).addSample(s, nil)
 		}
 		oracle.expire(now)
 		c.Ingest(batch)
@@ -245,7 +245,7 @@ func TestZeroAllocChurnAtCap(t *testing.T) {
 	now := time.Unix(0, 0)
 	ingest := func(b []Sample) {
 		for _, smp := range b {
-			s.agg(smp.Key, smp.Key.FastHash(), now).addSample(smp)
+			s.agg(smp.Key, smp.Key.FastHash(), now).addSample(smp, &s.spares)
 		}
 	}
 	next := 0
@@ -325,5 +325,77 @@ func TestQueueDepths(t *testing.T) {
 	c.Close()
 	if d := c.QueueDepths(); d[0] != 0 || d[1] != 0 {
 		t.Fatalf("depths %v after Close, want [0 0]", d)
+	}
+}
+
+// TestRecycledEntriesPinNoWindow pins where a displaced flow's sketch
+// storage goes. A capped shard filled with wide dense flows, then churned
+// by one-sample flows, keeps one cache line per entry: the dense windows sit
+// on the shard's spare stack, not pinned to entries whose tenants will
+// never fill them. The next dense flows take those windows back, allocating
+// nothing, and sketchBytes (rlird_sketch_bytes) counts entries, rollups and
+// spares alike.
+func TestRecycledEntriesPinNoWindow(t *testing.T) {
+	const maxFlows, wide, line = 64, 12, 64
+	s := newShard(Config{Shards: 1, MaxFlows: maxFlows, MaxClasses: 1})
+	now := time.Unix(0, 0)
+	id := 0
+	flow := func(samples int) {
+		id++
+		key := packet.FlowKey{Src: packet.Addr(id), Dst: 1, Proto: packet.ProtoUDP}
+		for k := range samples { // one octave apart: every sample its own bucket
+			s.agg(key, key.FastHash(), now).addSample(Sample{Key: key, Est: time.Duration(1000 << k)}, &s.spares)
+		}
+	}
+	entries := func() (bytes, n int) {
+		for _, e := range s.flows.slots {
+			if e != nil {
+				bytes, n = bytes+e.agg.Sketch.Bytes(), n+1
+			}
+		}
+		for e := s.free; e != nil; e = e.next {
+			bytes, n = bytes+e.agg.Sketch.Bytes(), n+1
+		}
+		return bytes, n
+	}
+	rollups := func() int {
+		n := s.root.Sketch.Bytes()
+		for _, a := range s.classes {
+			n += a.Sketch.Bytes()
+		}
+		return n
+	}
+
+	for range maxFlows {
+		flow(wide)
+	}
+	if held, n := entries(); held < n*wide*8 {
+		t.Fatalf("%d dense entries hold %d bytes, less than their windows", n, held)
+	}
+	for range 4 * maxFlows {
+		flow(1)
+	}
+	held, n := entries()
+	if n != maxFlows || held != n*line {
+		t.Fatalf("%d entries churned by one-sample flows hold %d bytes, want one %d-byte line each", n, held, line)
+	}
+	if s.spares.Bytes() < maxFlows*wide*8 {
+		t.Fatalf("the spare stack holds %d bytes, less than the %d dense windows it was handed", s.spares.Bytes(), maxFlows)
+	}
+	if got, want := s.sketchBytes(), held+rollups()+s.spares.Bytes(); got != want {
+		t.Fatalf("sketchBytes = %d, entries + rollups + spares = %d", got, want)
+	}
+
+	spare := s.spares.Bytes()
+	allocs := testing.AllocsPerRun(10, func() {
+		for range maxFlows {
+			flow(wide)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("dense flows replacing sparse ones at the cap allocated %.1f times per table, want 0", allocs)
+	}
+	if s.spares.Bytes() >= spare {
+		t.Fatalf("the spare stack still holds %d of %d bytes with every entry dense again", s.spares.Bytes(), spare)
 	}
 }

@@ -100,8 +100,8 @@ func TestFlowTableCollisions(t *testing.T) {
 					}
 					est := time.Duration(100 * math.Pow(10, 5*rng.Float64()))
 					smp := Sample{Key: k, Est: est, True: est / 2}
-					s.agg(k, tc.hash(k), now).addSample(smp)
-					oracle.agg(k, now).addSample(smp)
+					s.agg(k, tc.hash(k), now).addSample(smp, &s.spares)
+					oracle.agg(k, now).addSample(smp, nil)
 				}
 				s.expire(now)
 				oracle.expire(now)
@@ -142,8 +142,8 @@ func TestFlowTableCollisions(t *testing.T) {
 				// interleave with inserts across every doubling.
 				k := keys[(i/3+i%3*37)%len(keys)]
 				smp := Sample{Key: k, Est: time.Duration(1 + rng.Intn(1e6))}
-				s.agg(k, tc.hash(k), now).addSample(smp)
-				oracle.agg(k, now).addSample(smp)
+				s.agg(k, tc.hash(k), now).addSample(smp, &s.spares)
+				oracle.agg(k, now).addSample(smp, nil)
 				if i%16 == 0 {
 					checkTable(t, s)
 				}

@@ -546,9 +546,10 @@ func TestRouterOverReliableTransport(t *testing.T) {
 // fleet boundary: an instance speaking an older snapshot version is skipped
 // like an unreachable one (degraded service, never silently-wrong merges),
 // and a fleet made only of stale instances turns /flows into a 502 whose
-// body names both versions. The stale peers are a pre-versioning one and a
+// body names both versions. The stale peers are a pre-versioning one, a
 // version-2 one (rows still carrying the per-flow histogram) answering in
-// either rendering, its bodies captured from the last commit that spoke it.
+// either rendering, and a version-3 one (sketches sent as whole counter
+// windows), their bodies captured from the last commit that spoke each.
 func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 	fixture := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("..", "queryapi", "testdata", name))
@@ -558,6 +559,7 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 		return data
 	}
 	v2bin, v2json := fixture("snapshot_v2.bin"), fixture("snapshot_v2.json")
+	v3bin, v3json := fixture("snapshot_v3.bin"), fixture("snapshot_v3.json")
 	serveJSON := func(body []byte) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -593,6 +595,14 @@ func TestFrontendRejectsStaleSnapshot(t *testing.T) {
 			w.Write(v2bin)
 		}},
 		{"v2-json-only", jsonRefusal, serveJSON(v2json)},
+		{"v3-negotiating", []string{"version 3 from peer", fmt.Sprintf("speaks version %d", queryapi.SnapshotVersion)}, func(w http.ResponseWriter, r *http.Request) {
+			if !strings.Contains(r.Header.Get("Accept"), queryapi.SnapshotContentType) {
+				serveJSON(v3json)(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", queryapi.SnapshotContentType)
+			w.Write(v3bin)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			stale := httptest.NewServer(c.peer)

@@ -70,10 +70,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte(`{"samples":7,"records":0,"flows":[]}`))
-	// A version-2 peer's body in both renderings (captured from the last
-	// commit that spoke it): valid then, a version error now.
-	for _, name := range []string{"snapshot_v2.bin", "snapshot_v2.json"} {
+	// Version-2 and version-3 peers' bodies in both renderings (captured
+	// from the last commit that spoke each): valid then, a version error now.
+	for _, name := range []string{"snapshot_v2.bin", "snapshot_v2.json", "snapshot_v3.bin", "snapshot_v3.json"} {
 		f.Add(readFixture(f, name))
+	}
+	// Hand-built sketch runs: valid ones, and every way runs can lie —
+	// out of order, overlapping, holding no count, past the last bucket.
+	f.Add(oneFlowWithRuns(validRuns))
+	for _, c := range corruptRuns {
+		f.Add(oneFlowWithRuns(c.runs))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

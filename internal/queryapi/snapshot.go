@@ -39,10 +39,12 @@ type FlowState struct {
 // SnapshotVersion is the current /snapshot schema version, shared by both
 // renderings. Version 2 added the per-flow quantile sketch state; version 3
 // dropped the per-flow log2 histogram, leaving the sketch the row's only
-// distribution. Rows of different versions do not line up, and reading one
-// as another would merge garbage or silently empty tiers — so Check rejects
-// any version mismatch outright instead.
-const SnapshotVersion = 3
+// distribution; version 4 sends the binary rendering's sketch as its
+// non-empty bucket runs instead of its whole counter window (the JSON
+// rendering's rows did not change). Rows of different versions do not line
+// up, and reading one as another would merge garbage or silently empty
+// tiers — so Check rejects any version mismatch outright instead.
+const SnapshotVersion = 4
 
 // Snapshot is the /snapshot response in its JSON rendering: the full flow
 // table as raw state plus the instance's ingest totals, tagged with the
@@ -134,14 +136,22 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 //	...    uv   flow count
 //	...    ...  count flow rows
 //
-// Flow row (snapshotMinFlowSize = 71 bytes when every varint is one byte):
+// Flow row (snapshotMinFlowSize = 70 bytes when every varint is one byte):
 //
 //	key 13  collector wire layout: src 4 | dst 4 | srcPort 2 | dstPort 2 | proto 1
 //	est     n sv | mean f8 | m2 f8
 //	true    n sv | mean f8 | m2 f8
-//	sketch  zero uv | count uv | min f8 | max f8 | base sv | k uv | k x bucket uv
-//	        (0 <= base < stats.SketchMaxBuckets, base+k <= stats.SketchMaxBuckets)
+//	sketch  zero uv | count uv | min f8 | max f8 | r uv | r x run
 //	netflow packets uv | bytes uv | first ns sv | last ns sv
+//
+// A run is a maximal stretch of adjacent non-empty buckets, in ascending
+// bucket order: skip sv | count uv ... | 0. skip is the number of empty
+// buckets between the previous run's last bucket and this run's first (or
+// the first's index), so it is at least 1 after the first run; the counts
+// are all non-zero, and the 0 ends the run. A run out of order or
+// overlapping its predecessor (skip < 1), one holding no count, or one
+// reaching bucket stats.SketchMaxBuckets is corrupt: every sketch has one
+// encoding.
 //
 // uv is an unsigned LEB128 varint (encoding/binary's Uvarint), sv its
 // zig-zag signed form, f8 the float64's IEEE-754 bits, big endian, verbatim
@@ -156,10 +166,10 @@ const (
 	snapshotMagic      = 0x524C5353
 	snapshotHeaderSize = 5
 	// snapshotMinFlowSize is the shortest possible flow row: key, two
-	// Welfords (1+8+8 each), sketch (4 varints, two floats), four NetFlow
+	// Welfords (1+8+8 each), sketch (3 varints, two floats), four NetFlow
 	// varints. It bounds an untrusted flow count by the bytes present before
 	// anything is allocated.
-	snapshotMinFlowSize = collector.KeyWireSize + 2*17 + (4 + 16) + 4
+	snapshotMinFlowSize = collector.KeyWireSize + 2*17 + (3 + 16) + 4
 )
 
 // Errors returned by DecodeSnapshot (a schema version mismatch is
@@ -172,8 +182,8 @@ var (
 
 // AppendSnapshot appends the binary rendering of a collector snapshot and
 // its ingest totals to dst and returns the extended slice. The sketch
-// counters are encoded from read-only views of the aggregates, so encoding
-// into a buffer with room allocates nothing.
+// buckets are read in place (stats.Sketch.Bins), so encoding into a buffer
+// with room allocates nothing.
 func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
 	dst = appendSnapshotHeader(dst, samples, records, len(aggs))
 	for i := range aggs {
@@ -207,13 +217,12 @@ func appendFlowState(dst []byte, a *collector.FlowAgg) []byte {
 	dst = appendWelford(dst, a.Est.State())
 	dst = appendWelford(dst, a.True.State())
 
-	s := a.Sketch.StateView()
-	dst = binary.AppendUvarint(dst, s.Zero)
-	dst = binary.AppendUvarint(dst, s.Count)
-	dst = appendFloat(dst, s.Min)
-	dst = appendFloat(dst, s.Max)
-	dst = binary.AppendVarint(dst, int64(s.Base))
-	dst = appendBuckets(dst, s.Buckets)
+	s := &a.Sketch
+	dst = binary.AppendUvarint(dst, s.Zero())
+	dst = binary.AppendUvarint(dst, s.Count())
+	dst = appendFloat(dst, s.Min())
+	dst = appendFloat(dst, s.Max())
+	dst = appendRuns(dst, s)
 
 	dst = binary.AppendUvarint(dst, a.Packets)
 	dst = binary.AppendUvarint(dst, a.Bytes)
@@ -231,11 +240,34 @@ func appendWelford(dst []byte, w stats.WelfordState) []byte {
 	return appendFloat(dst, w.M2)
 }
 
-func appendBuckets(dst []byte, buckets []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(buckets)))
-	for _, c := range buckets {
+// appendRuns appends a sketch's non-empty buckets as the row's run count
+// and runs, in one pass over them: the count, known only at the end, is
+// written into the byte kept for it, or two bytes once it reaches 128 (a
+// sketch has at most SketchMaxBuckets/2 runs).
+func appendRuns(dst []byte, s *stats.Sketch) []byte {
+	at := len(dst)
+	dst = append(dst, 0)
+	runs, next := 0, -1 // next: the bucket after the last one written
+	for idx, c := range s.Bins {
+		if idx != next {
+			if next >= 0 {
+				dst = append(dst, 0) // the previous run ends
+			}
+			dst = binary.AppendVarint(dst, int64(idx-max(next, 0)))
+			runs++
+		}
 		dst = binary.AppendUvarint(dst, c)
+		next = idx + 1
 	}
+	if runs == 0 {
+		return dst
+	}
+	dst = append(dst, 0)
+	if runs >= 0x80 {
+		dst = append(dst, 0)
+		copy(dst[at+2:], dst[at+1:len(dst)-1])
+	}
+	binary.PutUvarint(dst[at:], uint64(runs))
 	return dst
 }
 
@@ -253,7 +285,7 @@ func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint
 }
 
 // SnapshotTable is a decoded binary snapshot in storage kept for the next
-// decode: the rows, the slab their sketch windows are carved from, and the
+// decode: the rows, the slab their sketches' storage is carved from, and the
 // scratch window bucket runs are read into. Once that storage has grown to
 // the bodies it decodes, decoding allocates nothing. The zero value is an
 // empty table, ready to use.
@@ -264,12 +296,16 @@ type SnapshotTable struct {
 	// Samples and Records are the instance's ingest totals.
 	Samples, Records uint64
 
-	slab, scratch []uint64
+	slab []uint64
+	bins []stats.SketchBin
+	// words is the sketch storage the last decode carved, the slab's size
+	// for the next.
+	words int
 }
 
 // Bytes is the storage t holds for reuse, in bytes.
 func (t *SnapshotTable) Bytes() int {
-	return cap(t.Aggs)*int(unsafe.Sizeof(collector.FlowAgg{})) + (cap(t.slab)+cap(t.scratch))*8
+	return cap(t.Aggs)*int(unsafe.Sizeof(collector.FlowAgg{})) + cap(t.slab)*8 + cap(t.bins)*int(unsafe.Sizeof(stats.SketchBin{}))
 }
 
 // Decode replaces t's table with the one src encodes. src is untrusted:
@@ -306,23 +342,27 @@ func (t *SnapshotTable) decode(src []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	// Every sketch window is carved from one slab. A counter takes at least a
-	// byte on the wire, so the bytes the shortest rows do not account for
-	// bound all the windows together — and the slab by the body's size. With
-	// nothing else of variable length in a row the bound is tight: 3 % over
-	// the counters actually held on the benchmark's tables.
+	// Every sketch's storage is carved from one slab: as large as the last
+	// decode's storage, or — on a table's first decode — as the bytes the
+	// shortest rows do not account for, since a sparse sketch's word takes
+	// at least a byte on the wire. A dense window can be wider than its
+	// bytes (runs skip empty buckets), so one that finds the slab used up is
+	// allocated; and all of them together may take no more than
+	// sketchWordsPerByte words for each byte of the body, so no body
+	// decodes to more memory than a fixed multiple of its size.
 	t.Aggs = t.Aggs[:0]
 	var slab []uint64
 	if count > 0 {
 		t.Aggs = slices.Grow(t.Aggs, int(count))[:count]
-		n := len(r.b) - int(count)*snapshotMinFlowSize
+		n := max(len(r.b)-int(count)*snapshotMinFlowSize, t.words)
 		t.slab = slices.Grow(t.slab[:0], n)[:n]
 		slab = t.slab
 	}
-	// One scratch window for every bucket run: SetStateIn copies out of it.
-	if t.scratch == nil {
-		t.scratch = make([]uint64, 0, stats.SketchMaxBuckets)
+	// One scratch list for every sketch's buckets: SetBinsIn copies out of it.
+	if t.bins == nil {
+		t.bins = make([]stats.SketchBin, 0, stats.SketchMaxBuckets)
 	}
+	words, budget := 0, sketchWordsPerByte*len(src)+stats.SketchMaxBuckets
 	for i := range t.Aggs {
 		a := &t.Aggs[i]
 		a.Key = r.key()
@@ -330,13 +370,10 @@ func (t *SnapshotTable) decode(src []byte) error {
 		a.True.SetState(r.welford())
 
 		s := stats.SketchState{Zero: r.uvarint(), Count: r.uvarint(), Min: r.float(), Max: r.float()}
-		base := r.varint()
-		if r.err == nil && (base < 0 || base >= stats.SketchMaxBuckets) {
-			r.fail(fmt.Errorf("%w: flow %d sketch window base %d outside [0, %d)", ErrSnapshotCorrupt, i, base, stats.SketchMaxBuckets))
+		slab = a.Sketch.SetBinsIn(s, r.runs(t.bins), slab)
+		if words += a.Sketch.Buckets(); words > budget && r.err == nil {
+			r.fail(fmt.Errorf("%w: sketches of %d flows take %d counters, more than a %d-byte body may", ErrSnapshotCorrupt, i+1, words, len(src)))
 		}
-		s.Base = int32(base)
-		s.Buckets = r.buckets(t.scratch, stats.SketchMaxBuckets-int(s.Base))
-		slab = a.Sketch.SetStateIn(s, slab)
 
 		a.Packets, a.Bytes = r.uvarint(), r.uvarint()
 		a.First, a.Last = simtime.Time(r.varint()), simtime.Time(r.varint())
@@ -347,8 +384,16 @@ func (t *SnapshotTable) decode(src []byte) error {
 	if len(r.b) != 0 {
 		return fmt.Errorf("%w: %d bytes after the last of %d flows", ErrSnapshotCorrupt, len(r.b), count)
 	}
+	t.words = words
 	return nil
 }
+
+// sketchWordsPerByte bounds the sketch storage a binary body decodes to, in
+// counters per body byte (beyond one widest window). The benchmark's tables
+// hold about a quarter of a counter per byte; a row whose few buckets span
+// most of the structural range holds more, which the one window of slack
+// admits on its own.
+const sketchWordsPerByte = 2
 
 // snapshotReader consumes a binary snapshot body front to back. The first
 // failure sticks in err and empties b, so every later read fails fast and
@@ -426,26 +471,51 @@ func (r *snapshotReader) welford() stats.WelfordState {
 	return stats.WelfordState{N: r.varint(), Mean: r.float(), M2: r.float()}
 }
 
-// buckets reads one counted bucket run of at most limit counters into
-// scratch's backing array (nil for an empty run). The count is also bounded
-// by the bytes left — a bucket is at least one byte — so a lying count
-// fails before the loop runs.
-func (r *snapshotReader) buckets(scratch []uint64, limit int) []uint64 {
+// runs reads a sketch's counted bucket runs into bins' backing array as its
+// non-empty buckets, in index order (none for no runs). The run count is
+// bounded by the bytes left — a run is at least three — and every run by the
+// structural bucket range, so a lying count fails before the loop runs and
+// the buckets never outgrow bins.
+func (r *snapshotReader) runs(bins []stats.SketchBin) []stats.SketchBin {
+	bins = bins[:0]
 	k := r.uvarint()
 	if r.err != nil || k == 0 {
-		return nil
+		return bins
 	}
-	if k > uint64(limit) {
-		r.fail(fmt.Errorf("%w: bucket run of %d, limit %d", ErrSnapshotCorrupt, k, limit))
-		return nil
-	}
-	if k > uint64(len(r.b)) {
+	if k > uint64(len(r.b)/3) {
 		r.fail(ErrSnapshotTruncated)
-		return nil
+		return bins
 	}
-	out := scratch[:k]
-	for i := range out {
-		out[i] = r.uvarint()
+	next := 0 // the bucket after the previous run's last
+	for run := range int(k) {
+		skip := r.varint()
+		if r.err != nil {
+			return bins
+		}
+		if skip < 1 && (run > 0 || skip < 0) || skip >= int64(stats.SketchMaxBuckets-next) {
+			r.fail(fmt.Errorf("%w: sketch run %d starts %d buckets past bucket %d", ErrSnapshotCorrupt, run, skip, next))
+			return bins
+		}
+		next += int(skip)
+		for n := 0; ; n++ {
+			c := r.uvarint()
+			if r.err != nil {
+				return bins
+			}
+			if c == 0 {
+				if n == 0 {
+					r.fail(fmt.Errorf("%w: sketch run %d holds no count", ErrSnapshotCorrupt, run))
+					return bins
+				}
+				break
+			}
+			if next == stats.SketchMaxBuckets {
+				r.fail(fmt.Errorf("%w: sketch run %d runs past bucket %d", ErrSnapshotCorrupt, run, stats.SketchMaxBuckets-1))
+				return bins
+			}
+			bins = append(bins, stats.SketchBin{Index: next, Count: c})
+			next++
+		}
 	}
-	return out
+	return bins
 }

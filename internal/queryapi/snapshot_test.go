@@ -74,16 +74,32 @@ func snapshotCases(t testing.TB) []snapshotCase {
 	recOnly.Close()
 	cases = append(cases, snapshotCase{"record-only-flows", recOnly.Snapshot(), true})
 
-	// A sketch whose window spans every structural bucket: 1 ns lands in
-	// bucket 0, a value past 2^64 in the last one.
+	// A dense sketch whose window spans every structural bucket: 1 ns lands
+	// in bucket 0, a value past 2^64 in the last one, and seven octaves
+	// between them make nine buckets, one more than the sparse form holds —
+	// the widest window on the fewest bytes the binary rendering carries.
 	var widest collector.FlowAgg
 	widest.Key = packet.FlowKey{Src: 1, Dst: 2, Proto: packet.ProtoTCP}
 	widest.Sketch.Add(1)
+	for o := 1; o <= 7; o++ {
+		widest.Sketch.Add(math.Ldexp(1, 8*o))
+	}
 	widest.Sketch.Add(1e300)
 	if widest.Sketch.Buckets() != stats.SketchMaxBuckets {
 		t.Fatalf("widest sketch holds %d buckets, want %d", widest.Sketch.Buckets(), stats.SketchMaxBuckets)
 	}
 	cases = append(cases, snapshotCase{"sketch-at-max-buckets", []collector.FlowAgg{widest}, true})
+
+	// A sketch of 300 runs, every other bucket: a run count past one
+	// varint byte, which the encoder writes into the row after its runs.
+	var gappy collector.FlowAgg
+	gappy.Key = packet.FlowKey{Src: 5, Dst: 6, Proto: packet.ProtoUDP}
+	st := stats.SketchState{Count: 300, Base: 100, Buckets: make([]uint64, 599)}
+	for i := 0; i < 599; i += 2 {
+		st.Buckets[i] = uint64(1 + i)
+	}
+	gappy.Sketch.SetState(st)
+	cases = append(cases, snapshotCase{"sketch-of-300-runs", []collector.FlowAgg{widest, gappy}, true})
 
 	negZero, subnormal := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	cases = append(cases, snapshotCase{"negative-zero-and-subnormal", []collector.FlowAgg{{
@@ -214,7 +230,7 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 		bad[i] ^= 0x40
 		mustFail(fmt.Sprintf("magic byte %d flipped", i), bad, ErrSnapshotMagic)
 	}
-	for _, v := range []byte{0, 1, 2, SnapshotVersion + 1, 255} {
+	for _, v := range []byte{0, 1, 2, 3, SnapshotVersion + 1, 255} {
 		bad := append([]byte(nil), valid...)
 		bad[4] = v
 		err := mustFail(fmt.Sprintf("version %d", v), bad, nil)
@@ -237,29 +253,43 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 	huge := append(append([]byte(nil), one[:flowCount]...), binary.AppendUvarint(nil, math.MaxUint64)...)
 	mustFail("flow count 2^64-1", huge, ErrSnapshotTruncated)
 
-	row := flowCount + 1
-	sketchBase := row + collector.KeyWireSize + 2*17 + 2 + 16
-	// The same row with a one-bucket sketch window ending at the last
-	// structural bucket: base takes two bytes, then k, then the bucket.
-	last := AppendSnapshot(nil, []collector.FlowAgg{{
-		Key:    packet.FlowKey{Src: 1},
-		Sketch: stats.SketchFromState(stats.SketchState{Count: 1, Base: stats.SketchMaxBuckets - 1, Buckets: []uint64{1}}),
-	}}, 0, 0)
-	for _, c := range []struct {
-		what string
-		body []byte
-		at   int
-		v    byte
-	}{
-		{"negative sketch base", one, sketchBase, 1}, // zig-zag 1 = -1
-		{"sketch run past the last bucket", last, sketchBase + 2, 2},
-	} {
-		bad := append([]byte(nil), c.body...)
-		bad[c.at] = c.v
-		// Pad so the run is not merely truncated.
-		bad = append(bad, make([]byte, 4096)...)
-		mustFail(c.what, bad, ErrSnapshotCorrupt)
+	for _, c := range corruptRuns {
+		mustFail(c.what, oneFlowWithRuns(c.runs), c.want)
 	}
+	if _, _, _, err := DecodeSnapshot(oneFlowWithRuns(validRuns)); err != nil {
+		t.Fatalf("the hand-built valid runs are rejected: %v", err)
+	}
+}
+
+// oneFlowWithRuns is a one-flow body, all its fields zero, whose sketch
+// carries runs as its encoded run count and runs.
+func oneFlowWithRuns(runs []byte) []byte {
+	body := AppendSnapshot(nil, []collector.FlowAgg{{Key: packet.FlowKey{Src: 1}}}, 0, 0)
+	at := len(body) - 4 - 1 // the run count of 0 before the four NetFlow varints
+	return append(append(append([]byte(nil), body[:at]...), runs...), body[at+1:]...)
+}
+
+// sv is a run's zig-zag skip byte.
+func sv(skip int64) byte { return binary.AppendVarint(nil, skip)[0] }
+
+// validRuns are two runs: buckets 5 and 6, then bucket 10.
+var validRuns = []byte{2, sv(5), 1, 2, 0, sv(3), 4, 0}
+
+// corruptRuns are the ways a sketch's runs can lie, each one a corruption
+// and not a truncation: the decoder refuses every one.
+var corruptRuns = []struct {
+	what string
+	runs []byte
+	want error
+}{
+	{"a run out of order", []byte{2, sv(9), 1, 0, sv(-5), 1, 0}, ErrSnapshotCorrupt},
+	{"a run overlapping its predecessor", []byte{2, sv(9), 1, 1, 0, sv(-1), 1, 0}, ErrSnapshotCorrupt},
+	{"a run continuing its predecessor", []byte{2, sv(9), 1, 0, sv(0), 1, 0}, ErrSnapshotCorrupt},
+	{"a first run before bucket 0", []byte{1, sv(-1), 1, 0}, ErrSnapshotCorrupt},
+	{"a run holding no count", []byte{1, sv(9), 0, 0, 0}, ErrSnapshotCorrupt},
+	{"a run past the last bucket", append(append([]byte{1}, binary.AppendVarint(nil, stats.SketchMaxBuckets-1)...), 1, 1, 0), ErrSnapshotCorrupt},
+	{"a run starting past the last bucket", append(append([]byte{1}, binary.AppendVarint(nil, stats.SketchMaxBuckets)...), 1, 0), ErrSnapshotCorrupt},
+	{"more runs than bytes", []byte{100, sv(1), 1, 0}, ErrSnapshotTruncated},
 }
 
 // readFixture returns a file of testdata/: the bodies of peers this binary
@@ -271,6 +301,42 @@ func readFixture(t testing.TB, name string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestSnapshotRejectsV3Peer pins the run-encoded sketch's version bump on
+// real version-3 bodies (two flows, one with a 353-counter window sent
+// whole): the binary rendering is refused with an error naming both
+// versions — a v3 window read as v4 runs would misplace every bucket. The
+// JSON rows did not change, but the version gate is the schema's, so that
+// rendering is refused too.
+func TestSnapshotRejectsV3Peer(t *testing.T) {
+	wantNamed := func(err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "version 3 from peer") ||
+			!strings.Contains(err.Error(), fmt.Sprintf("speaks version %d", SnapshotVersion)) {
+			t.Fatalf("version error must name both versions, got: %v", err)
+		}
+	}
+	aggs, samples, records, err := DecodeSnapshot(readFixture(t, "snapshot_v3.bin"))
+	if aggs != nil || samples != 0 || records != 0 {
+		t.Fatalf("partial result beside error %v", err)
+	}
+	wantNamed(err)
+
+	var s Snapshot
+	if err := json.Unmarshal(readFixture(t, "snapshot_v3.json"), &s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.Flows) != 2 {
+		t.Fatalf("fixture decodes to %d flows, want 2", len(s.Flows))
+	}
+	wantNamed(s.Check())
+	// Read as this version's JSON, the rows are whole: only the gate refuses.
+	s.Version = SnapshotVersion
+	if got := s.Aggs(); got[0].Sketch.Count() != 12 || got[0].Sketch.Buckets() != 353 {
+		t.Fatalf("v3 JSON row's sketch holds %d samples in %d words, want 12 in a 353-counter window",
+			got[0].Sketch.Count(), got[0].Sketch.Buckets())
+	}
 }
 
 // TestSnapshotRejectsV2Peer pins the version bump on real version-2 bodies
@@ -314,7 +380,7 @@ func TestSnapshotVersionCheck(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"samples":1,"records":0,"flows":[]}`), &stale); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{stale.Version, 1, 2, SnapshotVersion + 1} {
+	for _, v := range []int{stale.Version, 1, 2, 3, SnapshotVersion + 1} {
 		s := Snapshot{Version: v}
 		err := s.Check()
 		if err == nil {

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"github.com/netmeasure/rlir/internal/collector"
 )
 
 // allPairsSpec is the pipeline benchmark's capture spec (bench/workloads.go):
@@ -119,6 +121,46 @@ func TestHarvestAllocBudget(t *testing.T) {
 	t.Logf("harvest allocated %d bytes (%d flows, %d samples)", got, len(res.Fleet), res.Samples)
 	if got > budget {
 		t.Fatalf("harvest allocated %d bytes, budget %d", got, budget)
+	}
+}
+
+// TestCappedTableBytesPerEntry is the collection side's per-flow memory
+// gate: a one-shard collector capped at 512 flows, fed 31 replays of the
+// pipeline benchmark's 0.2 s capture in 512-sample batches, holds at most
+// bytesPerEntry of live heap per tracked flow — entries, table, sketch
+// storage, rollup tiers and pooled buffers together — read from
+// runtime.MemStats after a collection. It read ≈ 4 480 B while a recycled
+// entry kept the widest sketch window any tenant reached and ≈ 2 910 B since
+// sketches keep only what they hold; the bound is that plus 20 %. The heap
+// is counted process-wide, so CI runs it in a process of its own.
+func TestCappedTableBytesPerEntry(t *testing.T) {
+	const maxFlows, replays, batch = 512, 31, 512
+	const bytesPerEntry = 3500
+	tr, err := Export(allPairsSpec(t, 200*time.Millisecond), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := collector.New(collector.Config{Shards: 1, MaxFlows: maxFlows})
+	for range replays {
+		for off := 0; off < len(tr.Samples); off += batch {
+			c.Ingest(tr.Samples[off:min(off+batch, len(tr.Samples))])
+		}
+	}
+	flows := c.Flows() // every batch folded
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	got := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / maxFlows
+	t.Logf("%d B per entry (%d flows tracked, %d evicted, %d B of sketch storage)", got, flows, c.Stats().Evicted, c.ShardSketchBytes()[0])
+	runtime.KeepAlive(tr)
+	c.Close()
+	if flows != maxFlows {
+		t.Fatalf("the capture filled %d of %d entries", flows, maxFlows)
+	}
+	if got > bytesPerEntry {
+		t.Fatalf("a table capped at %d flows holds %d B per entry, bound %d", maxFlows, got, bytesPerEntry)
 	}
 }
 

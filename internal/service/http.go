@@ -271,6 +271,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for i, st := range perShard {
 		m.Gauge("rlird_shard_flows", "Flows each shard tracks individually right now; an idle shard beside a full one means the flow hash leaves it without flows.", st.Flows, "shard", strconv.Itoa(i))
 	}
+	for i, n := range s.coll.ShardSketchBytes() {
+		m.Gauge("rlird_sketch_bytes", "Sketch storage each shard holds: its flow entries' and rollup tiers' windows and its spare windows.", n, "shard", strconv.Itoa(i))
+	}
 	m.Gauge("rlird_ingest_samples_per_second", "Rolling-window sample ingest rate.", sps)
 	m.Gauge("rlird_ingest_records_per_second", "Rolling-window record ingest rate.", rps)
 	m.Gauge("rlird_uptime_seconds", "Time since the service started.", time.Since(s.start).Seconds())

@@ -13,8 +13,9 @@ import (
 // rlirdMetricFamilies is every HELP/TYPE line rlird's /metrics prints, in
 // order: the families captured before the handler moved onto
 // queryapi.Metrics, so dashboards keyed on names, help text or types see no
-// change, plus rlird_shard_flows and the two read families
-// (rlird_snapshots_total, rlird_snapshot_hold_seconds_total), added since.
+// change, plus rlird_shard_flows, the two read families
+// (rlird_snapshots_total, rlird_snapshot_hold_seconds_total) and
+// rlird_sketch_bytes, added since.
 const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested.
 # TYPE rlird_samples_total counter
 # HELP rlird_records_total NetFlow records ingested.
@@ -69,6 +70,8 @@ const rlirdMetricFamilies = `# HELP rlird_samples_total Latency samples ingested
 # TYPE rlird_shard_queue_depth gauge
 # HELP rlird_shard_flows Flows each shard tracks individually right now; an idle shard beside a full one means the flow hash leaves it without flows.
 # TYPE rlird_shard_flows gauge
+# HELP rlird_sketch_bytes Sketch storage each shard holds: its flow entries' and rollup tiers' windows and its spare windows.
+# TYPE rlird_sketch_bytes gauge
 # HELP rlird_ingest_samples_per_second Rolling-window sample ingest rate.
 # TYPE rlird_ingest_samples_per_second gauge
 # HELP rlird_ingest_records_per_second Rolling-window record ingest rate.
@@ -108,6 +111,7 @@ func TestMetricsFamiliesUnchanged(t *testing.T) {
 		`rlird_router_transport_gaps_total{router="exporter-1"} 0`,
 		`rlird_shard_queue_depth{shard="0"} 0`,
 		`rlird_shard_flows{shard="0"} 0`,
+		`rlird_sketch_bytes{shard="0"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), sample+"\n") {
 			t.Errorf("/metrics missing sample line %q", sample)

@@ -38,24 +38,40 @@ func TestWelfordStateRoundTrip(t *testing.T) {
 }
 
 // TestStateViewsMatchState pins the read-only view an encoder serializes
-// from: field for field the State copy, with Buckets aliasing the sketch's
-// own counters instead of copying them.
+// from: Bins yields exactly the non-empty counters of the State window, in
+// index order, whichever form holds them, and stops when told to.
 func TestStateViewsMatchState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		var s Sketch
-		for i, n := 0, rng.Intn(200); i < n; i++ { // n == 0: the empty view
+		for i, n := 0, rng.Intn(1+trial); i < n; i++ { // n == 0: the empty view
 			s.Record(time.Duration(rng.Int63n(int64(time.Second))))
 		}
-		if sv := s.StateView(); !reflect.DeepEqual(sv, s.State()) {
-			t.Fatalf("trial %d: sketch view %+v != state %+v", trial, sv, s.State())
-		} else if len(sv.Buckets) > 0 && &sv.Buckets[0] != &s.buckets[0] {
-			t.Fatalf("trial %d: sketch view copied its window", trial)
+		st := s.State()
+		var want, got [][2]uint64
+		for i, c := range st.Buckets {
+			if c != 0 {
+				want = append(want, [2]uint64{uint64(int(st.Base) + i), c})
+			}
+		}
+		for idx, c := range s.Bins {
+			got = append(got, [2]uint64{uint64(idx), c})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: bins %v, state window holds %v", trial, got, want)
+		}
+		if len(want) > 1 {
+			n := 0
+			for range s.Bins {
+				if n++; n == 1 {
+					break
+				}
+			}
 		}
 	}
 }
 
-// TestSketchWindowsCarvedFromSlab pins CloneIn and SetStateIn: the copies
+// TestSketchWindowsCarvedFromSlab pins CloneIn and SetBinsIn: the copies
 // equal Clone's and SetState's, sit back to back in the slab with capacity
 // equal to length — so widening one reallocates instead of writing into the
 // next — and fall back to allocation when the slab runs out.
@@ -69,7 +85,7 @@ func TestSketchWindowsCarvedFromSlab(t *testing.T) {
 		}
 		total += src[i].Buckets()
 	}
-	for _, via := range []string{"CloneIn", "SetStateIn"} {
+	for _, via := range []string{"CloneIn", "SetBinsIn"} {
 		slab := make([]uint64, total)
 		rest := slab
 		got := make([]Sketch, len(src))
@@ -77,7 +93,7 @@ func TestSketchWindowsCarvedFromSlab(t *testing.T) {
 			if via == "CloneIn" {
 				got[i], rest = src[i].CloneIn(rest)
 			} else {
-				rest = got[i].SetStateIn(src[i].StateView(), rest)
+				rest = got[i].SetBinsIn(src[i].State(), binsOf(&src[i]), rest)
 			}
 			if want := src[i].Clone(); !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("%s: sketch %d = %+v, want %+v", via, i, got[i], want)

@@ -33,6 +33,14 @@ type ReceiverStats struct {
 // acknowledged cumulatively plus selectively. A transport that closes while
 // sequence holes remain yields ErrMissingSegments; a clean close yields
 // io.EOF.
+//
+// Delivered bytes wait for Read in a buffer bounded to one window of full
+// segments (Window × MaxPayload): while it has no room for another segment
+// the receiver reads nothing from the transport, so it acknowledges nothing
+// and the sender's window, then its Write, blocks until the reader catches
+// up. (Releasing the reorder buffer can overshoot the bound by what it
+// held, at most a window.) Storage above the bound is dropped once Read
+// drains the buffer, so an idle connection does not keep what a burst grew.
 type Receiver struct {
 	t   SegmentConn
 	cfg Config
@@ -41,8 +49,9 @@ type Receiver struct {
 	cond     *sync.Cond
 	expected uint32            // next in-order seq
 	oo       map[uint32][]byte // reorder buffer: seq -> payload
-	buf      []byte            // delivered bytes awaiting Read
+	buf      []byte            // delivered bytes awaiting Read, from off
 	off      int
+	limit    int // bound on delivered bytes awaiting Read: one window
 	err      error
 	stats    ReceiverStats
 }
@@ -56,6 +65,7 @@ func NewReceiver(t SegmentConn, cfg Config) *Receiver {
 		cfg:      cfg,
 		expected: cfg.InitialSeq,
 		oo:       make(map[uint32][]byte),
+		limit:    cfg.Window * cfg.MaxPayload,
 	}
 	r.cond = sync.NewCond(&r.mu)
 	go r.readLoop()
@@ -75,7 +85,15 @@ func (r *Receiver) Read(p []byte) (int, error) {
 		r.off += n
 		if r.off == len(r.buf) {
 			r.buf = r.buf[:0]
+			if cap(r.buf) > r.limit {
+				r.buf = nil
+			}
 			r.off = 0
+		}
+		if len(r.buf)-r.off <= r.limit/2 {
+			// Room for the read loop, if it waits for some: half the bound,
+			// so it takes in many segments per wake-up, not one.
+			r.cond.Broadcast()
 		}
 		return n, nil
 	}
@@ -114,6 +132,11 @@ func (r *Receiver) Stats() ReceiverStats {
 
 func (r *Receiver) readLoop() {
 	for {
+		r.mu.Lock()
+		for r.err == nil && len(r.buf)-r.off > r.limit-r.cfg.MaxPayload {
+			r.cond.Wait() // no room for another segment until Read drains some
+		}
+		r.mu.Unlock()
 		seg, err := r.t.Recv()
 		if err != nil {
 			r.mu.Lock()
@@ -189,7 +212,20 @@ func (r *Receiver) handleData(seg Segment) Segment {
 	return Segment{Type: SegAck, Ack: r.expected, Sack: sack}
 }
 
+// deliver appends an in-order payload to the bytes awaiting Read. Out of
+// room, it first moves the unread bytes to the front, and grows the buffer
+// only when that is not enough — doubling, but not past the bound unless
+// the payload needs it, so the storage Read keeps stays within one window.
 func (r *Receiver) deliver(payload []byte) {
+	if len(r.buf)+len(payload) > cap(r.buf) {
+		unread := r.buf[r.off:]
+		if need := len(unread) + len(payload); need <= cap(r.buf) {
+			r.buf = r.buf[:copy(r.buf, unread)]
+		} else {
+			r.buf = append(make([]byte, 0, max(min(2*cap(r.buf), r.limit), need)), unread...)
+		}
+		r.off = 0
+	}
 	r.buf = append(r.buf, payload...)
 	r.stats.Bytes += uint64(len(payload))
 }
