@@ -75,11 +75,14 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	for _, name := range []string{"snapshot_v2.bin", "snapshot_v2.json", "snapshot_v3.bin", "snapshot_v3.json"} {
 		f.Add(readFixture(f, name))
 	}
-	// Hand-built sketch runs: valid ones, and every way runs can lie —
-	// out of order, overlapping, holding no count, past the last bucket.
-	f.Add(oneFlowWithRuns(validRuns))
-	for _, c := range corruptRuns {
-		f.Add(oneFlowWithRuns(c.runs))
+	// Hand-built sketch buckets: valid ones in both forms, and every way
+	// they can lie — holding no count, past the last bucket, a window with
+	// an empty end, the form the counts do not take.
+	for _, b := range validBuckets {
+		f.Add(oneFlowWithBuckets(b))
+	}
+	for _, c := range corruptBuckets {
+		f.Add(oneFlowWithBuckets(c.buckets))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 
 	"github.com/netmeasure/rlir/internal/collector"
@@ -39,9 +38,10 @@ type FlowState struct {
 // SnapshotVersion is the current /snapshot schema version, shared by both
 // renderings. Version 2 added the per-flow quantile sketch state; version 3
 // dropped the per-flow log2 histogram, leaving the sketch the row's only
-// distribution; version 4 sends the binary rendering's sketch as its
-// non-empty bucket runs instead of its whole counter window (the JSON
-// rendering's rows did not change). Rows of different versions do not line
+// distribution; version 4 sends the binary rendering's sketch in the form
+// it is held in — a sparse sketch as its non-empty buckets, a dense one as
+// its counter window — instead of always as a window (the JSON rendering's
+// rows did not change). Rows of different versions do not line
 // up, and reading one as another would merge garbage or silently empty
 // tiers — so Check rejects any version mismatch outright instead.
 const SnapshotVersion = 4
@@ -141,17 +141,22 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 //	key 13  collector wire layout: src 4 | dst 4 | srcPort 2 | dstPort 2 | proto 1
 //	est     n sv | mean f8 | m2 f8
 //	true    n sv | mean f8 | m2 f8
-//	sketch  zero uv | count uv | min f8 | max f8 | r uv | r x run
+//	sketch  zero uv | count uv | min f8 | max f8 | form uv | buckets
 //	netflow packets uv | bytes uv | first ns sv | last ns sv
 //
-// A run is a maximal stretch of adjacent non-empty buckets, in ascending
-// bucket order: skip sv | count uv ... | 0. skip is the number of empty
-// buckets between the previous run's last bucket and this run's first (or
-// the first's index), so it is at least 1 after the first run; the counts
-// are all non-zero, and the 0 ends the run. A run out of order or
-// overlapping its predecessor (skip < 1), one holding no count, or one
-// reaching bucket stats.SketchMaxBuckets is corrupt: every sketch has one
-// encoding.
+// form is n<<1 | dense, n the words the sketch holds its buckets in
+// (stats.Sketch.Buckets), dense its form (stats.Sketch.Dense):
+//
+//	sparse  n x (gap uv | count uv)    the non-empty buckets, ascending
+//	dense   base uv | n x count uv     the window from bucket base
+//
+// A sparse bucket's gap is the number of empty buckets between it and the
+// previous one (bucket -1 for the first), its count non-zero, and there are
+// at most 8 of them. A dense window's first and last counters are non-zero.
+// Every bucket lies below stats.SketchMaxBuckets, and the form must be the
+// one the counts take in memory (stats.SketchBinsDense): every sketch has
+// one encoding. Each counter a row decodes to takes at least a byte of it,
+// so a body's sketches never need more storage than its bytes bound.
 //
 // uv is an unsigned LEB128 varint (encoding/binary's Uvarint), sv its
 // zig-zag signed form, f8 the float64's IEEE-754 bits, big endian, verbatim
@@ -222,7 +227,7 @@ func appendFlowState(dst []byte, a *collector.FlowAgg) []byte {
 	dst = binary.AppendUvarint(dst, s.Count())
 	dst = appendFloat(dst, s.Min())
 	dst = appendFloat(dst, s.Max())
-	dst = appendRuns(dst, s)
+	dst = appendBuckets(dst, s)
 
 	dst = binary.AppendUvarint(dst, a.Packets)
 	dst = binary.AppendUvarint(dst, a.Bytes)
@@ -240,34 +245,33 @@ func appendWelford(dst []byte, w stats.WelfordState) []byte {
 	return appendFloat(dst, w.M2)
 }
 
-// appendRuns appends a sketch's non-empty buckets as the row's run count
-// and runs, in one pass over them: the count, known only at the end, is
-// written into the byte kept for it, or two bytes once it reaches 128 (a
-// sketch has at most SketchMaxBuckets/2 runs).
-func appendRuns(dst []byte, s *stats.Sketch) []byte {
-	at := len(dst)
-	dst = append(dst, 0)
-	runs, next := 0, -1 // next: the bucket after the last one written
-	for idx, c := range s.Bins {
-		if idx != next {
-			if next >= 0 {
-				dst = append(dst, 0) // the previous run ends
-			}
-			dst = binary.AppendVarint(dst, int64(idx-max(next, 0)))
-			runs++
+// appendBuckets appends a sketch's form word and buckets, in the form the
+// sketch holds them.
+func appendBuckets(dst []byte, s *stats.Sketch) []byte {
+	n := uint64(s.Buckets())
+	if !s.Dense() {
+		dst = binary.AppendUvarint(dst, n<<1)
+		next := 0 // the bucket after the previous one written
+		for idx, c := range s.Bins {
+			dst = binary.AppendUvarint(dst, uint64(idx-next))
+			dst = binary.AppendUvarint(dst, c)
+			next = idx + 1
 		}
-		dst = binary.AppendUvarint(dst, c)
-		next = idx + 1
-	}
-	if runs == 0 {
 		return dst
 	}
-	dst = append(dst, 0)
-	if runs >= 0x80 {
-		dst = append(dst, 0)
-		copy(dst[at+2:], dst[at+1:len(dst)-1])
+	dst = binary.AppendUvarint(dst, n<<1|1)
+	next := -1 // the window's next bucket once its base is written
+	for idx, c := range s.Bins {
+		if next < 0 {
+			dst = binary.AppendUvarint(dst, uint64(idx))
+			next = idx
+		}
+		for ; next < idx; next++ {
+			dst = append(dst, 0)
+		}
+		dst = binary.AppendUvarint(dst, c)
+		next++
 	}
-	binary.PutUvarint(dst[at:], uint64(runs))
 	return dst
 }
 
@@ -286,7 +290,7 @@ func DecodeSnapshot(src []byte) (aggs []collector.FlowAgg, samples, records uint
 
 // SnapshotTable is a decoded binary snapshot in storage kept for the next
 // decode: the rows, the slab their sketches' storage is carved from, and the
-// scratch window bucket runs are read into. Once that storage has grown to
+// scratch list each sketch's buckets are read into. Once that storage has grown to
 // the bodies it decodes, decoding allocates nothing. The zero value is an
 // empty table, ready to use.
 type SnapshotTable struct {
@@ -298,9 +302,6 @@ type SnapshotTable struct {
 
 	slab []uint64
 	bins []stats.SketchBin
-	// words is the sketch storage the last decode carved, the slab's size
-	// for the next.
-	words int
 }
 
 // Bytes is the storage t holds for reuse, in bytes.
@@ -342,27 +343,27 @@ func (t *SnapshotTable) decode(src []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	// Every sketch's storage is carved from one slab: as large as the last
-	// decode's storage, or — on a table's first decode — as the bytes the
-	// shortest rows do not account for, since a sparse sketch's word takes
-	// at least a byte on the wire. A dense window can be wider than its
-	// bytes (runs skip empty buckets), so one that finds the slab used up is
-	// allocated; and all of them together may take no more than
-	// sketchWordsPerByte words for each byte of the body, so no body
-	// decodes to more memory than a fixed multiple of its size.
+	// Every sketch's storage is carved from one slab. A stored word takes at
+	// least a byte on the wire (see the row layout), so the bytes the
+	// shortest rows do not account for bound all of it together — and the
+	// slab by the body's size.
 	t.Aggs = t.Aggs[:0]
 	var slab []uint64
 	if count > 0 {
-		t.Aggs = slices.Grow(t.Aggs, int(count))[:count]
-		n := max(len(r.b)-int(count)*snapshotMinFlowSize, t.words)
-		t.slab = slices.Grow(t.slab[:0], n)[:n]
-		slab = t.slab
+		if cap(t.Aggs) < int(count) {
+			t.Aggs = make([]collector.FlowAgg, count)
+		}
+		t.Aggs = t.Aggs[:count]
+		n := len(r.b) - int(count)*snapshotMinFlowSize
+		if cap(t.slab) < n {
+			t.slab = make([]uint64, n)
+		}
+		slab = t.slab[:n]
 	}
 	// One scratch list for every sketch's buckets: SetBinsIn copies out of it.
 	if t.bins == nil {
 		t.bins = make([]stats.SketchBin, 0, stats.SketchMaxBuckets)
 	}
-	words, budget := 0, sketchWordsPerByte*len(src)+stats.SketchMaxBuckets
 	for i := range t.Aggs {
 		a := &t.Aggs[i]
 		a.Key = r.key()
@@ -370,10 +371,7 @@ func (t *SnapshotTable) decode(src []byte) error {
 		a.True.SetState(r.welford())
 
 		s := stats.SketchState{Zero: r.uvarint(), Count: r.uvarint(), Min: r.float(), Max: r.float()}
-		slab = a.Sketch.SetBinsIn(s, r.runs(t.bins), slab)
-		if words += a.Sketch.Buckets(); words > budget && r.err == nil {
-			r.fail(fmt.Errorf("%w: sketches of %d flows take %d counters, more than a %d-byte body may", ErrSnapshotCorrupt, i+1, words, len(src)))
-		}
+		slab = a.Sketch.SetBinsIn(s, r.buckets(t.bins), slab)
 
 		a.Packets, a.Bytes = r.uvarint(), r.uvarint()
 		a.First, a.Last = simtime.Time(r.varint()), simtime.Time(r.varint())
@@ -384,16 +382,8 @@ func (t *SnapshotTable) decode(src []byte) error {
 	if len(r.b) != 0 {
 		return fmt.Errorf("%w: %d bytes after the last of %d flows", ErrSnapshotCorrupt, len(r.b), count)
 	}
-	t.words = words
 	return nil
 }
-
-// sketchWordsPerByte bounds the sketch storage a binary body decodes to, in
-// counters per body byte (beyond one widest window). The benchmark's tables
-// hold about a quarter of a counter per byte; a row whose few buckets span
-// most of the structural range holds more, which the one window of slack
-// admits on its own.
-const sketchWordsPerByte = 2
 
 // snapshotReader consumes a binary snapshot body front to back. The first
 // failure sticks in err and empties b, so every later read fails fast and
@@ -471,51 +461,92 @@ func (r *snapshotReader) welford() stats.WelfordState {
 	return stats.WelfordState{N: r.varint(), Mean: r.float(), M2: r.float()}
 }
 
-// runs reads a sketch's counted bucket runs into bins' backing array as its
-// non-empty buckets, in index order (none for no runs). The run count is
-// bounded by the bytes left — a run is at least three — and every run by the
-// structural bucket range, so a lying count fails before the loop runs and
-// the buckets never outgrow bins.
-func (r *snapshotReader) runs(bins []stats.SketchBin) []stats.SketchBin {
+// buckets reads a sketch's form word and buckets into bins' backing array
+// as its non-empty buckets, in index order (none for an empty sketch). Every
+// bucket is checked against the structural range and the form's limits
+// before it is stored, so the buckets never outgrow bins; a body claiming
+// the form its counts do not take is refused before the sketch is built.
+func (r *snapshotReader) buckets(bins []stats.SketchBin) []stats.SketchBin {
 	bins = bins[:0]
-	k := r.uvarint()
-	if r.err != nil || k == 0 {
+	form := r.uvarint()
+	n, dense := form>>1, form&1 == 1
+	if r.err != nil || form == 0 {
 		return bins
 	}
-	if k > uint64(len(r.b)/3) {
+	if n == 0 {
+		r.fail(fmt.Errorf("%w: a dense sketch of no buckets", ErrSnapshotCorrupt))
+		return bins
+	}
+	if dense {
+		bins = r.window(bins, n)
+	} else {
+		bins = r.sparse(bins, n)
+	}
+	if r.err == nil && stats.SketchBinsDense(bins) != dense {
+		r.fail(fmt.Errorf("%w: a sketch of %d non-empty buckets sent in the other form", ErrSnapshotCorrupt, len(bins)))
+	}
+	if r.err != nil {
+		return bins[:0]
+	}
+	return bins
+}
+
+// sparse reads n (gap, count) buckets. More than the bytes left hold (two
+// each) or bins has room for are refused before any is read; more than a
+// sparse sketch holds, by the form check after.
+func (r *snapshotReader) sparse(bins []stats.SketchBin, n uint64) []stats.SketchBin {
+	switch {
+	case n > uint64(len(r.b)/2):
 		r.fail(ErrSnapshotTruncated)
 		return bins
+	case n > uint64(cap(bins)):
+		r.fail(fmt.Errorf("%w: a sparse sketch of %d buckets", ErrSnapshotCorrupt, n))
+		return bins
 	}
-	next := 0 // the bucket after the previous run's last
-	for run := range int(k) {
-		skip := r.varint()
+	next := uint64(0) // the bucket after the previous one
+	for range n {
+		gap, c := r.uvarint(), r.uvarint()
 		if r.err != nil {
 			return bins
 		}
-		if skip < 1 && (run > 0 || skip < 0) || skip >= int64(stats.SketchMaxBuckets-next) {
-			r.fail(fmt.Errorf("%w: sketch run %d starts %d buckets past bucket %d", ErrSnapshotCorrupt, run, skip, next))
+		if gap >= stats.SketchMaxBuckets-next || c == 0 {
+			r.fail(fmt.Errorf("%w: sparse sketch bucket %d+%d holds %d", ErrSnapshotCorrupt, next, gap, c))
 			return bins
 		}
-		next += int(skip)
-		for n := 0; ; n++ {
-			c := r.uvarint()
-			if r.err != nil {
-				return bins
-			}
-			if c == 0 {
-				if n == 0 {
-					r.fail(fmt.Errorf("%w: sketch run %d holds no count", ErrSnapshotCorrupt, run))
-					return bins
-				}
-				break
-			}
-			if next == stats.SketchMaxBuckets {
-				r.fail(fmt.Errorf("%w: sketch run %d runs past bucket %d", ErrSnapshotCorrupt, run, stats.SketchMaxBuckets-1))
-				return bins
-			}
-			bins = append(bins, stats.SketchBin{Index: next, Count: c})
-			next++
+		next += gap
+		bins = append(bins, stats.SketchBin{Index: int(next), Count: c})
+		next++
+	}
+	return bins
+}
+
+// window reads a base and n counters, keeping the non-empty ones.
+func (r *snapshotReader) window(bins []stats.SketchBin, n uint64) []stats.SketchBin {
+	base := r.uvarint()
+	if r.err != nil {
+		return bins
+	}
+	switch {
+	case base >= stats.SketchMaxBuckets || n > stats.SketchMaxBuckets-base:
+		r.fail(fmt.Errorf("%w: sketch window of %d counters from bucket %d", ErrSnapshotCorrupt, n, base))
+		return bins
+	case n > uint64(len(r.b)):
+		r.fail(ErrSnapshotTruncated)
+		return bins
+	}
+	for i := range n {
+		c := r.uvarint()
+		if r.err != nil {
+			return bins
 		}
+		if c == 0 {
+			if i == 0 || i == n-1 {
+				r.fail(fmt.Errorf("%w: sketch window of %d counters from bucket %d ends empty", ErrSnapshotCorrupt, n, base))
+				return bins
+			}
+			continue
+		}
+		bins = append(bins, stats.SketchBin{Index: int(base + i), Count: c})
 	}
 	return bins
 }

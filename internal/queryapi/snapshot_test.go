@@ -1,6 +1,7 @@
 package queryapi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,8 +92,8 @@ func snapshotCases(t testing.TB) []snapshotCase {
 	}
 	cases = append(cases, snapshotCase{"sketch-at-max-buckets", []collector.FlowAgg{widest}, true})
 
-	// A sketch of 300 runs, every other bucket: a run count past one
-	// varint byte, which the encoder writes into the row after its runs.
+	// A window of 599 counters, every other one empty: a dense sketch's
+	// empty buckets travel inside its window.
 	var gappy collector.FlowAgg
 	gappy.Key = packet.FlowKey{Src: 5, Dst: 6, Proto: packet.ProtoUDP}
 	st := stats.SketchState{Count: 300, Base: 100, Buckets: make([]uint64, 599)}
@@ -99,7 +101,26 @@ func snapshotCases(t testing.TB) []snapshotCase {
 		st.Buckets[i] = uint64(1 + i)
 	}
 	gappy.Sketch.SetState(st)
-	cases = append(cases, snapshotCase{"sketch-of-300-runs", []collector.FlowAgg{widest, gappy}, true})
+	cases = append(cases, snapshotCase{"sketch-of-300-gaps", []collector.FlowAgg{widest, gappy}, true})
+
+	// Two widest windows in one body, and a table of rows whose nine
+	// samples, one an octave, make 257-counter windows: rows with far more
+	// window than samples, each of which must still decode.
+	widest2 := widest
+	widest2.Key.Src, widest2.Sketch = 9, widest.Sketch.Clone()
+	cases = append(cases, snapshotCase{"two-widest-sketches", []collector.FlowAgg{widest, widest2}, true})
+	octaves := make([]collector.FlowAgg, 300)
+	for i := range octaves {
+		octaves[i].Key = packet.FlowKey{Src: packet.Addr(100 + i), Dst: 7, Proto: packet.ProtoTCP}
+		for o := 0; o <= 8; o++ {
+			octaves[i].Sketch.Add(math.Ldexp(1, o))
+		}
+		octaves[i].Est.Add(float64(i))
+	}
+	if octaves[0].Sketch.Buckets() != 257 {
+		t.Fatalf("nine-octave sketch holds %d counters, want 257", octaves[0].Sketch.Buckets())
+	}
+	cases = append(cases, snapshotCase{"nine-octave-sketches", octaves, true})
 
 	negZero, subnormal := math.Copysign(0, -1), math.SmallestNonzeroFloat64
 	cases = append(cases, snapshotCase{"negative-zero-and-subnormal", []collector.FlowAgg{{
@@ -168,6 +189,28 @@ func TestSnapshotRoundTripExact(t *testing.T) {
 				t.Fatal("the two renderings decode to different tables")
 			}
 		})
+	}
+}
+
+// TestDecodeCarvesEverySketchFromTheSlab pins the decoder's storage bound
+// on every case of the corpus, the widest windows on the fewest bytes
+// included: a fresh table's decode makes its rows, its slab and its bucket
+// scratch and nothing else, so every sketch fits the slab the body's bytes
+// size.
+func TestDecodeCarvesEverySketchFromTheSlab(t *testing.T) {
+	for _, c := range snapshotCases(t) {
+		body := AppendSnapshot(nil, c.aggs, 1, 2)
+		var err error
+		allocs := testing.AllocsPerRun(5, func() {
+			var table SnapshotTable
+			err = table.Decode(body)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if allocs > 3 {
+			t.Fatalf("%s: a fresh decode allocated %.0f times, want at most 3 (rows, slab, scratch)", c.name, allocs)
+		}
 	}
 }
 
@@ -253,43 +296,63 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 	huge := append(append([]byte(nil), one[:flowCount]...), binary.AppendUvarint(nil, math.MaxUint64)...)
 	mustFail("flow count 2^64-1", huge, ErrSnapshotTruncated)
 
-	for _, c := range corruptRuns {
-		mustFail(c.what, oneFlowWithRuns(c.runs), c.want)
+	for _, c := range corruptBuckets {
+		mustFail(c.what, oneFlowWithBuckets(c.buckets), c.want)
 	}
-	if _, _, _, err := DecodeSnapshot(oneFlowWithRuns(validRuns)); err != nil {
-		t.Fatalf("the hand-built valid runs are rejected: %v", err)
+	for _, b := range validBuckets {
+		if _, _, _, err := DecodeSnapshot(oneFlowWithBuckets(b)); err != nil {
+			t.Fatalf("the hand-built valid buckets %v are rejected: %v", b, err)
+		}
 	}
 }
 
-// oneFlowWithRuns is a one-flow body, all its fields zero, whose sketch
-// carries runs as its encoded run count and runs.
-func oneFlowWithRuns(runs []byte) []byte {
+// oneFlowWithBuckets is a one-flow body, all its fields zero, whose sketch
+// carries buckets as its encoded form word and buckets.
+func oneFlowWithBuckets(buckets []byte) []byte {
 	body := AppendSnapshot(nil, []collector.FlowAgg{{Key: packet.FlowKey{Src: 1}}}, 0, 0)
-	at := len(body) - 4 - 1 // the run count of 0 before the four NetFlow varints
-	return append(append(append([]byte(nil), body[:at]...), runs...), body[at+1:]...)
+	at := len(body) - 4 - 1 // the form word of 0 before the four NetFlow varints
+	return append(append(append([]byte(nil), body[:at]...), buckets...), body[at+1:]...)
 }
 
-// sv is a run's zig-zag skip byte.
-func sv(skip int64) byte { return binary.AppendVarint(nil, skip)[0] }
+// uv is a uvarint's bytes.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 
-// validRuns are two runs: buckets 5 and 6, then bucket 10.
-var validRuns = []byte{2, sv(5), 1, 2, 0, sv(3), 4, 0}
+// cat joins byte strings.
+func cat(parts ...[]byte) []byte { return slices.Concat(parts...) }
 
-// corruptRuns are the ways a sketch's runs can lie, each one a corruption
-// and not a truncation: the decoder refuses every one.
-var corruptRuns = []struct {
-	what string
-	runs []byte
-	want error
+// ones is n counters of 1.
+func ones(n int) []byte { return bytes.Repeat([]byte{1}, n) }
+
+// validBuckets are a sparse sketch of buckets 5, 6 and 10, and a dense one
+// of a ten-counter window from bucket 5 with a hole in it.
+var validBuckets = [][]byte{
+	{3 << 1, 5, 1, 0, 2, 3, 4},
+	cat([]byte{10<<1 | 1, 5}, ones(4), []byte{0}, ones(5)),
+}
+
+// corruptBuckets are the ways a sketch's buckets can lie, each one a
+// corruption and not a truncation: the decoder refuses every one. (A sparse
+// sketch's buckets cannot come out of order or overlap: each gap is
+// unsigned.)
+var corruptBuckets = []struct {
+	what    string
+	buckets []byte
+	want    error
 }{
-	{"a run out of order", []byte{2, sv(9), 1, 0, sv(-5), 1, 0}, ErrSnapshotCorrupt},
-	{"a run overlapping its predecessor", []byte{2, sv(9), 1, 1, 0, sv(-1), 1, 0}, ErrSnapshotCorrupt},
-	{"a run continuing its predecessor", []byte{2, sv(9), 1, 0, sv(0), 1, 0}, ErrSnapshotCorrupt},
-	{"a first run before bucket 0", []byte{1, sv(-1), 1, 0}, ErrSnapshotCorrupt},
-	{"a run holding no count", []byte{1, sv(9), 0, 0, 0}, ErrSnapshotCorrupt},
-	{"a run past the last bucket", append(append([]byte{1}, binary.AppendVarint(nil, stats.SketchMaxBuckets-1)...), 1, 1, 0), ErrSnapshotCorrupt},
-	{"a run starting past the last bucket", append(append([]byte{1}, binary.AppendVarint(nil, stats.SketchMaxBuckets)...), 1, 0), ErrSnapshotCorrupt},
-	{"more runs than bytes", []byte{100, sv(1), 1, 0}, ErrSnapshotTruncated},
+	{"a dense sketch of no buckets", []byte{1}, ErrSnapshotCorrupt},
+	{"a sparse bucket holding no count", []byte{1 << 1, 5, 0}, ErrSnapshotCorrupt},
+	{"a sparse bucket past the last", cat([]byte{1 << 1}, uv(stats.SketchMaxBuckets), []byte{1}), ErrSnapshotCorrupt},
+	{"a second sparse bucket past the last", cat([]byte{2 << 1}, uv(stats.SketchMaxBuckets-1), []byte{1, 0, 1}), ErrSnapshotCorrupt},
+	{"a gap of 2^64-1", cat([]byte{2 << 1, 3, 1}, uv(math.MaxUint64), []byte{1}), ErrSnapshotCorrupt},
+	{"nine sparse buckets", cat([]byte{9 << 1}, bytes.Repeat([]byte{0, 1}, 9)), ErrSnapshotCorrupt},
+	{"a sparse count no bin holds", cat([]byte{1 << 1, 5}, uv(1<<53)), ErrSnapshotCorrupt},
+	{"a dense window of eight buckets", cat([]byte{8<<1 | 1, 5}, ones(8)), ErrSnapshotCorrupt},
+	{"a dense window starting empty", cat([]byte{10<<1 | 1, 5, 0}, ones(9)), ErrSnapshotCorrupt},
+	{"a dense window ending empty", cat([]byte{10<<1 | 1, 5}, ones(9), []byte{0}), ErrSnapshotCorrupt},
+	{"a dense window past the last bucket", cat([]byte{10<<1 | 1}, uv(stats.SketchMaxBuckets-9), ones(10)), ErrSnapshotCorrupt},
+	{"a dense window based past the last bucket", cat([]byte{10<<1 | 1}, uv(stats.SketchMaxBuckets), ones(10)), ErrSnapshotCorrupt},
+	{"more sparse buckets than bytes", cat(uv(100<<1), []byte{1, 1}), ErrSnapshotTruncated},
+	{"a window wider than the bytes", cat(uv(100<<1|1), []byte{5, 1}), ErrSnapshotTruncated},
 }
 
 // readFixture returns a file of testdata/: the bodies of peers this binary
@@ -304,9 +367,9 @@ func readFixture(t testing.TB, name string) []byte {
 }
 
 // TestSnapshotRejectsV3Peer pins the run-encoded sketch's version bump on
-// real version-3 bodies (two flows, one with a 353-counter window sent
-// whole): the binary rendering is refused with an error naming both
-// versions — a v3 window read as v4 runs would misplace every bucket. The
+// real version-3 bodies (two flows, one with a 353-counter window): the
+// binary rendering is refused with an error naming both versions — a v3
+// window base read as a v4 form word would misplace every bucket. The
 // JSON rows did not change, but the version gate is the schema's, so that
 // rendering is refused too.
 func TestSnapshotRejectsV3Peer(t *testing.T) {

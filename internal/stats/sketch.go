@@ -124,7 +124,22 @@ func (s *Sketch) AddFrom(x float64, sp *SketchSpares) {
 	}
 	idx := sketchIndex(x)
 	if !s.dense {
-		s.addSparse(idx, 1, sp)
+		// Most samples land in a bucket that already has a bin, or add one
+		// past the last: count them here, and leave an insertion or a
+		// promotion to addSparse.
+		bins, key := s.buckets, packBin(idx, 0)
+		i := 0
+		for i < len(bins) && bins[i] < key {
+			i++
+		}
+		switch {
+		case i < len(bins) && bins[i]-key < binMaxCount: // bucket idx, with room
+			bins[i]++
+		case i == len(bins) && i < min(cap(bins), sketchMinCap):
+			s.buckets = append(bins, key|1)
+		default:
+			s.addSparse(idx, 1, sp)
+		}
 		return
 	}
 	i := idx - int(s.base)
@@ -203,7 +218,7 @@ func (s *Sketch) promote(lo, hi int, sp *SketchSpares) {
 // backing array whose capacity is rounded up (sketchCap), so most widenings
 // reslice instead of allocating: a high-side widening exposes more of the
 // array, a low-side one first shifts the counters up within it. Storage
-// past len is kept zero (see Reset), so an exposed counter needs no
+// past len is kept zero (see ResetTo), so an exposed counter needs no
 // clearing. A widening past the capacity takes its window from sp and hands
 // the old one back.
 func (s *Sketch) ensure(lo, hi int, sp *SketchSpares) {
@@ -315,32 +330,39 @@ func (sp *SketchSpares) put(buf []uint64) {
 // Bytes is the storage sp holds for reuse, in bytes.
 func (sp *SketchSpares) Bytes() int { return sp.words * 8 }
 
-// Reset empties the sketch for reuse, as if freshly declared, but keeps its
-// storage (cleared), so a recycled sketch refills without allocating. The
-// storage only ever grows — a sketch handed from tenant to tenant settles at
-// the widest window any of them reached, rounded up — but never past
-// SketchMaxBuckets counters; ResetTo is the reset that gives it back.
+// ResetTo empties the sketch for reuse, as if freshly declared, keeping at
+// most one sparse form's worth of storage (cleared): a wider array goes to
+// sp and the sketch takes a cache line from it, so a recycled sketch holds
+// what its next tenant is most likely to need rather than what its widest
+// tenant needed, and refills without allocating.
+//
+// A nil sp keeps all the storage instead: a sketch reset that way and handed
+// from tenant to tenant settles at the widest window any of them reached,
+// rounded up — never past SketchMaxBuckets counters.
 //
 // A reset sketch that has since observed at least one value >= 1 is
 // reflect.DeepEqual to a fresh sketch fed the same values; before that its
 // empty storage is non-nil where a fresh sketch's is nil — State and Clone
 // render both as nil.
-func (s *Sketch) Reset() {
+func (s *Sketch) ResetTo(sp *SketchSpares) {
+	if cap(s.buckets) > sketchMinCap {
+		s.resetWide(sp)
+		return
+	}
 	clear(s.buckets)
 	*s = Sketch{buckets: s.buckets[:0]}
 }
 
-// ResetTo is Reset keeping at most one sparse form's worth of storage: a
-// wider array goes to sp and the sketch takes a cache line from it, so a
-// recycled sketch holds what its next tenant is most likely to need rather
-// than what its widest tenant needed. A nil sp resets as Reset does.
-func (s *Sketch) ResetTo(sp *SketchSpares) {
-	if sp == nil || cap(s.buckets) <= sketchMinCap {
-		s.Reset()
-		return
+// resetWide is ResetTo of a sketch whose storage is wider than a cache
+// line, kept apart so that the common reset stays small enough to inline.
+func (s *Sketch) resetWide(sp *SketchSpares) {
+	buf := s.buckets
+	if sp != nil {
+		sp.put(buf)
+		buf = sp.get(0)
 	}
-	sp.put(s.buckets)
-	*s = Sketch{buckets: sp.get(0)}
+	clear(buf)
+	*s = Sketch{buckets: buf[:0]}
 }
 
 // Clone returns an independent copy of the sketch in canonical form: one
@@ -417,8 +439,15 @@ func (s *Sketch) MergeFrom(o *Sketch, sp *SketchSpares) {
 	s.zero += o.zero
 	s.count += o.count
 	if !o.dense {
-		for _, b := range o.buckets {
-			s.addBin(binIndex(b), binCount(b), sp)
+		bins := o.buckets
+		for ; len(bins) > 0 && !s.dense; bins = bins[1:] {
+			s.addSparse(binIndex(bins[0]), binCount(bins[0]), sp)
+		}
+		if len(bins) > 0 { // s is dense, and one widening covers the sorted rest
+			s.ensure(binIndex(bins[0]), binIndex(bins[len(bins)-1]), sp)
+			for _, b := range bins {
+				s.buckets[binIndex(b)-int(s.base)] += binCount(b)
+			}
 		}
 		return
 	}
@@ -432,16 +461,6 @@ func (s *Sketch) MergeFrom(o *Sketch, sp *SketchSpares) {
 	for i, c := range o.buckets {
 		s.buckets[off+i] += c
 	}
-}
-
-// addBin adds c counts to bucket idx, in either form.
-func (s *Sketch) addBin(idx int, c uint64, sp *SketchSpares) {
-	if !s.dense {
-		s.addSparse(idx, c, sp)
-		return
-	}
-	s.ensure(idx, idx, sp)
-	s.buckets[idx-int(s.base)] += c
 }
 
 // Count returns the number of observations.
@@ -461,8 +480,12 @@ func (s *Sketch) Max() float64 { return s.max }
 // SketchMaxBuckets either way). It is what CloneIn carves.
 func (s *Sketch) Buckets() int { return len(s.buckets) }
 
-// Bytes is the storage the sketch holds, in bytes: its capacity, which
-// Reset keeps and ResetTo gives back.
+// Dense reports whether the sketch holds its buckets as a counter window
+// (Buckets counters from the lowest non-empty bucket to the highest) rather
+// than as its non-empty buckets alone.
+func (s *Sketch) Dense() bool { return s.dense }
+
+// Bytes is the storage the sketch holds, in bytes: its capacity.
 func (s *Sketch) Bytes() int { return cap(s.buckets) * 8 }
 
 // Bins is an iterator (an iter.Seq2) over the sketch's non-empty buckets in
@@ -595,11 +618,7 @@ type SketchBin struct {
 // slab.
 func (s *Sketch) SetBinsIn(st SketchState, bins []SketchBin, slab []uint64) []uint64 {
 	*s = Sketch{zero: st.Zero, count: st.Count, min: st.Min, max: st.Max}
-	fits := len(bins) <= sketchMinCap
-	for i := 0; fits && i < len(bins); i++ {
-		fits = bins[i].Count <= binMaxCount
-	}
-	if fits {
+	if !SketchBinsDense(bins) {
 		s.buckets, slab = carveWindow(slab, len(bins))
 		for i, b := range bins {
 			s.buckets[i] = packBin(b.Index, b.Count)
@@ -614,6 +633,23 @@ func (s *Sketch) SetBinsIn(st SketchState, bins []SketchBin, slab []uint64) []ui
 		s.buckets[b.Index-lo] = b.Count
 	}
 	return slab
+}
+
+// SketchBinsDense reports whether a sketch whose non-empty buckets are bins
+// holds them in its dense form: more of them than the sparse form has room
+// for, or a count its packed bin cannot hold. It is the form SetBinsIn
+// builds and Dense reports, so a decoder can refuse a body that claims the
+// other one before it sizes anything.
+func SketchBinsDense(bins []SketchBin) bool {
+	if len(bins) > sketchMinCap {
+		return true
+	}
+	for _, b := range bins {
+		if b.Count > binMaxCount {
+			return true
+		}
+	}
+	return false
 }
 
 // SketchFromState rebuilds a sketch from exported state (the generic

@@ -139,7 +139,7 @@ func runSketchOps(t *testing.T, ops []byte) {
 			}
 			sk[i].MergeFrom(&sk[j], spares(i))
 		case 3:
-			sk[i].Reset()
+			sk[i].ResetTo(nil)
 			ref[i] = denseSketch{}
 		case 4:
 			sk[i].ResetTo(spares(i))
@@ -218,9 +218,10 @@ func checkSketchForm(t *testing.T, s *Sketch, r *denseSketch) {
 }
 
 // TestSketchFormsMatchDenseReference is the property behind the sparse
-// form: random Add, Merge, Reset, ResetTo, SetState and Clone sequences
-// across the 8-bucket boundary leave every sketch indistinguishable from a
-// dense-only reference, and in the one form its counts decide.
+// form: random Add, Merge, ResetTo (with spares and without), SetState and
+// Clone sequences across the 8-bucket boundary leave every sketch
+// indistinguishable from a dense-only reference, and in the one form its
+// counts decide.
 func TestSketchFormsMatchDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 300; trial++ {

@@ -49,7 +49,7 @@ func checkSketchStorage(t *testing.T, what string, s *Sketch) {
 }
 
 // TestSketchCapacityIsNotRepresentation is the property in-place growth and
-// Reset must keep: whatever order a multiset arrives in (ascending widens
+// ResetTo(nil) must keep: whatever order a multiset arrives in (ascending widens
 // only the high side, descending only the low side), however often the
 // sketch was reset and refilled before, and whether it was built by Add,
 // Merge, SetState or Clone, the result is reflect.DeepEqual to the sketch a
@@ -71,15 +71,15 @@ func TestSketchCapacityIsNotRepresentation(t *testing.T) {
 		// Interleave resets with partial refills of unrelated data before
 		// the fill that counts.
 		for i, n := 0, rng.Intn(3); i < n; i++ {
-			recycled.Reset()
+			recycled.ResetTo(nil)
 			for _, x := range sketchMultiset(rng) {
 				recycled.Add(x)
 			}
 			checkSketchStorage(t, "recycled junk fill", &recycled)
 		}
-		recycled.Reset()
+		recycled.ResetTo(nil)
 		if recycled.Count() != 0 || recycled.Buckets() != 0 || recycled.Quantile(0.5) != 0 {
-			t.Fatalf("trial %d: Reset left count %d, window %d", trial, recycled.Count(), recycled.Buckets())
+			t.Fatalf("trial %d: ResetTo(nil) left count %d, window %d", trial, recycled.Count(), recycled.Buckets())
 		}
 		for _, x := range desc {
 			recycled.Add(x)
@@ -92,7 +92,7 @@ func TestSketchCapacityIsNotRepresentation(t *testing.T) {
 		merged, tail := sketchOf(xs[:cut]), sketchOf(xs[cut:])
 		merged.Merge(&tail)
 		mergedIntoRecycled := sketchOf(sketchMultiset(rng))
-		mergedIntoRecycled.Reset()
+		mergedIntoRecycled.ResetTo(nil)
 		mergedIntoRecycled.Merge(&want)
 
 		built := map[string]Sketch{
@@ -125,7 +125,7 @@ func TestSketchCapacityIsNotRepresentation(t *testing.T) {
 
 // TestSketchCloneNeverAliases pins what snapshots rely on: a clone is
 // untouched by anything that later happens to the original's storage —
-// counting in place, widening in place, or a Reset and a different tenant.
+// counting in place, widening in place, or a ResetTo(nil) and a different tenant.
 func TestSketchCloneNeverAliases(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 100; trial++ {
@@ -134,7 +134,7 @@ func TestSketchCloneNeverAliases(t *testing.T) {
 		for _, x := range sketchMultiset(rng) {
 			s.Add(x)
 		}
-		s.Reset()
+		s.ResetTo(nil)
 		for _, x := range sketchMultiset(rng) {
 			s.Add(x)
 		}
@@ -145,7 +145,7 @@ func TestSketchCloneNeverAliases(t *testing.T) {
 }
 
 // TestZeroAllocSketchWidenInCapacity is the sketch's garbage gate: once
-// storage covers a window, refilling it after Reset — first bucket, low-side
+// storage covers a window, refilling it after ResetTo(nil) — first bucket, low-side
 // shifts, high-side reslices — allocates nothing.
 func TestZeroAllocSketchWidenInCapacity(t *testing.T) {
 	xs := []float64{5e5, 9e5, 3e5, 4e6, 1e5, 2e7, 7e4, 1e8, 0.5, 6e5}
@@ -155,13 +155,13 @@ func TestZeroAllocSketchWidenInCapacity(t *testing.T) {
 	}
 	want := sketchOf(xs)
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Reset()
+		s.ResetTo(nil)
 		for _, x := range xs {
 			s.Add(x)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reset + refill inside existing capacity allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("ResetTo(nil) + refill inside existing capacity allocated %.1f times per run, want 0", allocs)
 	}
 	if !reflect.DeepEqual(s, want) {
 		t.Fatal("recycled sketch differs from a fresh one after the gate's refills")

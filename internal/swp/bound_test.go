@@ -110,3 +110,59 @@ func TestReceiverBufferBoundedWhileReaderStalls(t *testing.T) {
 		t.Fatalf("receiver delivered %d bytes, sent %d", st.Bytes, total)
 	}
 }
+
+// TestStalledReaderHoldsTheSender pins what a lagging reader costs the
+// sender at a short RTO: with a 1 ms RTO and a budget of three retransmits,
+// a reader stalled for 100 ms — a hundred RTOs — still gets every byte once,
+// in order, because the receiver's hold acks keep the sender from spending
+// its budget on segments the receiver has not read yet.
+func TestStalledReaderHoldsTheSender(t *testing.T) {
+	const total = 8 << 20
+	a, b := net.Pipe()
+	cfg := Config{RTO: time.Millisecond, MaxRetries: 3}
+	snd := NewSender(NewStreamConn(a), cfg)
+	rcv := NewReceiver(NewStreamConn(b), cfg)
+
+	sent := make(chan error, 1)
+	go func() {
+		chunk := make([]byte, 256<<10)
+		for off := 0; off < total; off += len(chunk) {
+			for i := range chunk {
+				chunk[i] = patternByte(off + i)
+			}
+			if _, err := snd.Write(chunk); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- snd.Close()
+	}()
+
+	time.Sleep(100 * time.Millisecond)
+	buf := make([]byte, 100<<10)
+	n := 0
+	for {
+		k, err := rcv.Read(buf)
+		for i := range buf[:k] {
+			if buf[i] != patternByte(n+i) {
+				t.Fatalf("byte %d arrived as %#x, want %#x", n+i, buf[i], patternByte(n+i))
+			}
+		}
+		n += k
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Read after %d bytes: %v (sender: %v)", n, err, snd.Err())
+		}
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("sender: %v", err)
+	}
+	if n != total {
+		t.Fatalf("read %d bytes, sent %d", n, total)
+	}
+	if h := rcv.Stats().Holds; h < 10 {
+		t.Fatalf("receiver sent %d holds over a 100 ms stall at a 1 ms RTO, want at least 10", h)
+	}
+}

@@ -3,6 +3,7 @@ package swp
 import (
 	"io"
 	"sync"
+	"time"
 )
 
 // ReceiverStats counts what the path did to a receiving endpoint.
@@ -23,8 +24,10 @@ type ReceiverStats struct {
 	// such a segment opened a fresh hole (a new loss/reorder episode).
 	OutOfOrder uint64
 	Gaps       uint64
-	// AcksSent counts ack segments transmitted.
+	// AcksSent counts ack segments transmitted, holds included; Holds
+	// counts the hold acks sent while the reader lagged.
 	AcksSent uint64
+	Holds    uint64
 }
 
 // Receiver is the receiving half of a reliable connection. It implements
@@ -36,11 +39,15 @@ type ReceiverStats struct {
 //
 // Delivered bytes wait for Read in a buffer bounded to one window of full
 // segments (Window × MaxPayload): while it has no room for another segment
-// the receiver reads nothing from the transport, so it acknowledges nothing
-// and the sender's window, then its Write, blocks until the reader catches
-// up. (Releasing the reorder buffer can overshoot the bound by what it
-// held, at most a window.) Storage above the bound is dropped once Read
-// drains the buffer, so an idle connection does not keep what a burst grew.
+// the receiver reads nothing from the transport, so it acknowledges no new
+// data and the sender's window, then its Write, blocks until the reader
+// catches up. (Releasing the reorder buffer can overshoot the bound by what
+// it held, at most a window.) So that the sender does not take that wait for
+// loss, the receiver sends a hold ack on entering it and every half RTO
+// while it lasts: a sender that has seen one since its last timeout waits
+// another RTO without retransmitting or spending retry budget, however long
+// the reader lags. Storage above the bound is dropped once Read drains the
+// buffer, so an idle connection does not keep what a burst grew.
 type Receiver struct {
 	t   SegmentConn
 	cfg Config
@@ -57,7 +64,9 @@ type Receiver struct {
 }
 
 // NewReceiver starts the receiving state machine over t. cfg.InitialSeq and
-// cfg.Window must match the peer sender's.
+// cfg.Window must match the peer sender's, and cfg.RTO should not exceed
+// it, or a lagging reader's holds come too seldom to save the sender's
+// retry budget.
 func NewReceiver(t SegmentConn, cfg Config) *Receiver {
 	cfg = cfg.withDefaults()
 	r := &Receiver{
@@ -132,11 +141,7 @@ func (r *Receiver) Stats() ReceiverStats {
 
 func (r *Receiver) readLoop() {
 	for {
-		r.mu.Lock()
-		for r.err == nil && len(r.buf)-r.off > r.limit-r.cfg.MaxPayload {
-			r.cond.Wait() // no room for another segment until Read drains some
-		}
-		r.mu.Unlock()
+		r.waitForRoom()
 		seg, err := r.t.Recv()
 		if err != nil {
 			r.mu.Lock()
@@ -162,6 +167,40 @@ func (r *Receiver) readLoop() {
 		// surface through Recv on the next iteration.
 		_ = r.t.Send(ack)
 	}
+}
+
+// waitForRoom blocks while the bytes awaiting Read leave no room for
+// another segment, sending a hold ack on entry and every half RTO after.
+// Transport failures surface through Recv once there is room, or through
+// Close.
+func (r *Receiver) waitForRoom() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for r.full() {
+		hold := r.ack()
+		hold.Seq = ackHold
+		r.stats.Holds++
+		r.mu.Unlock()
+		_ = r.t.Send(hold)
+		r.mu.Lock()
+		if !r.full() {
+			return
+		}
+		// Armed under mu, the wake-up cannot broadcast before Wait.
+		wake := time.AfterFunc(r.cfg.RTO/2, func() {
+			r.mu.Lock()
+			r.cond.Broadcast()
+			r.mu.Unlock()
+		})
+		r.cond.Wait() // until Read drains some, Close, or the next hold is due
+		wake.Stop()
+	}
+}
+
+// full reports whether a healthy receiver has no room for another segment.
+// The caller holds mu.
+func (r *Receiver) full() bool {
+	return r.err == nil && len(r.buf)-r.off > r.limit-r.cfg.MaxPayload
 }
 
 // handleData applies one data segment to the reassembly state and returns
@@ -202,6 +241,12 @@ func (r *Receiver) handleData(seg Segment) Segment {
 			r.stats.OutOfOrder++
 		}
 	}
+	return r.ack()
+}
+
+// ack returns the ack of the receiver's reassembly state, counted as sent.
+// The caller holds mu.
+func (r *Receiver) ack() Segment {
 	var sack uint32
 	for i := uint32(0); i < 32; i++ {
 		if _, ok := r.oo[r.expected+1+i]; ok {

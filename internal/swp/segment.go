@@ -13,7 +13,8 @@ import (
 //	0      2    magic 0x5357 ("SW")
 //	2      1    version (1)
 //	3      1    segment type (1 = data, 2 = ack)
-//	4      4    seq (data: this segment's sequence number; ack: unused)
+//	4      4    seq (data: this segment's sequence number; ack: 1 for a
+//	            hold — the receiver is alive, its reader lags — else 0)
 //	8      4    cumulative ack: the receiver's next expected seq — every
 //	            seq before it has been received
 //	12     4    SACK bitmap: bit i set means seq ack+1+i was received
@@ -61,11 +62,16 @@ var (
 	ErrClosed = errors.New("swp: endpoint closed")
 )
 
+// ackHold is an ack's Seq when it is a hold: sent by a receiver whose
+// unread bytes fill its buffer, so the sender waits instead of treating the
+// silence as loss. A receiver that never sends holds leaves Seq 0.
+const ackHold = 1
+
 // Segment is one decoded transport segment.
 type Segment struct {
 	// Type is SegData or SegAck.
 	Type byte
-	// Seq is a data segment's sequence number.
+	// Seq is a data segment's sequence number, or ackHold on a hold ack.
 	Seq uint32
 	// Ack is the cumulative acknowledgment: the next expected seq.
 	Ack uint32

@@ -45,9 +45,12 @@ type Sender struct {
 	pending map[uint32]*pendingSeg
 	rto     time.Duration
 	timer   *time.Timer
-	err     error
-	closed  bool
-	stats   SenderStats
+	// held is set by a hold ack and cleared by any other ack or a timeout:
+	// the receiver is alive but its reader lags.
+	held   bool
+	err    error
+	closed bool
+	stats  SenderStats
 }
 
 // NewSender starts the transmitting state machine over t.
@@ -169,6 +172,7 @@ func (s *Sender) handleAck(seg Segment) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.AcksReceived++
+	s.held = seg.Seq == ackHold
 	if seqLT(s.next, seg.Ack) {
 		return fmt.Errorf("%w: cumulative ack %d beyond next seq %d",
 			ErrAckUnsent, seg.Ack, s.next)
@@ -219,6 +223,14 @@ func (s *Sender) onTimeout() {
 	s.mu.Lock()
 	if s.err != nil || len(s.pending) == 0 {
 		s.timer = nil
+		s.mu.Unlock()
+		return
+	}
+	if s.held {
+		// The receiver has not read what is outstanding yet, not lost it:
+		// wait another RTO, spending nothing, until it has room again.
+		s.held = false
+		s.timer = time.AfterFunc(s.rto, s.onTimeout)
 		s.mu.Unlock()
 		return
 	}
