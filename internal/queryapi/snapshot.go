@@ -145,7 +145,7 @@ func (s Snapshot) Aggs() []collector.FlowAgg {
 //	netflow packets uv | bytes uv | first ns sv | last ns sv
 //
 // form is n<<1 | dense, n the words the sketch holds its buckets in
-// (stats.Sketch.Buckets), dense its form (stats.Sketch.Dense):
+// (stats.Sketch.Buckets), dense its form (a stats.Sketch.Window or not):
 //
 //	sparse  n x (gap uv | count uv)    the non-empty buckets, ascending
 //	dense   base uv | n x count uv     the window from bucket base
@@ -187,8 +187,8 @@ var (
 
 // AppendSnapshot appends the binary rendering of a collector snapshot and
 // its ingest totals to dst and returns the extended slice. The sketch
-// buckets are read in place (stats.Sketch.Bins), so encoding into a buffer
-// with room allocates nothing.
+// buckets are read in place (stats.Sketch.Window and Bins), so encoding
+// into a buffer with room allocates nothing.
 func AppendSnapshot(dst []byte, aggs []collector.FlowAgg, samples, records uint64) []byte {
 	dst = appendSnapshotHeader(dst, samples, records, len(aggs))
 	for i := range aggs {
@@ -248,29 +248,20 @@ func appendWelford(dst []byte, w stats.WelfordState) []byte {
 // appendBuckets appends a sketch's form word and buckets, in the form the
 // sketch holds them.
 func appendBuckets(dst []byte, s *stats.Sketch) []byte {
-	n := uint64(s.Buckets())
-	if !s.Dense() {
-		dst = binary.AppendUvarint(dst, n<<1)
-		next := 0 // the bucket after the previous one written
-		for idx, c := range s.Bins {
-			dst = binary.AppendUvarint(dst, uint64(idx-next))
+	if base, win := s.Window(); win != nil {
+		dst = binary.AppendUvarint(dst, uint64(len(win))<<1|1)
+		dst = binary.AppendUvarint(dst, uint64(base))
+		for _, c := range win {
 			dst = binary.AppendUvarint(dst, c)
-			next = idx + 1
 		}
 		return dst
 	}
-	dst = binary.AppendUvarint(dst, n<<1|1)
-	next := -1 // the window's next bucket once its base is written
+	dst = binary.AppendUvarint(dst, uint64(s.Buckets())<<1)
+	next := 0 // the bucket after the previous one written
 	for idx, c := range s.Bins {
-		if next < 0 {
-			dst = binary.AppendUvarint(dst, uint64(idx))
-			next = idx
-		}
-		for ; next < idx; next++ {
-			dst = append(dst, 0)
-		}
+		dst = binary.AppendUvarint(dst, uint64(idx-next))
 		dst = binary.AppendUvarint(dst, c)
-		next++
+		next = idx + 1
 	}
 	return dst
 }

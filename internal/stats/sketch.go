@@ -480,10 +480,16 @@ func (s *Sketch) Max() float64 { return s.max }
 // SketchMaxBuckets either way). It is what CloneIn carves.
 func (s *Sketch) Buckets() int { return len(s.buckets) }
 
-// Dense reports whether the sketch holds its buckets as a counter window
-// (Buckets counters from the lowest non-empty bucket to the highest) rather
-// than as its non-empty buckets alone.
-func (s *Sketch) Dense() bool { return s.dense }
+// Window returns a dense sketch's counter window, from its lowest non-empty
+// bucket to its highest, and the first counter's bucket index — read in
+// place, so the caller must neither modify nor retain it. A sparse sketch
+// returns a nil window: Bins yields its buckets.
+func (s *Sketch) Window() (base int, counters []uint64) {
+	if !s.dense {
+		return 0, nil
+	}
+	return int(s.base), s.buckets
+}
 
 // Bytes is the storage the sketch holds, in bytes: its capacity.
 func (s *Sketch) Bytes() int { return cap(s.buckets) * 8 }
@@ -638,8 +644,8 @@ func (s *Sketch) SetBinsIn(st SketchState, bins []SketchBin, slab []uint64) []ui
 // SketchBinsDense reports whether a sketch whose non-empty buckets are bins
 // holds them in its dense form: more of them than the sparse form has room
 // for, or a count its packed bin cannot hold. It is the form SetBinsIn
-// builds and Dense reports, so a decoder can refuse a body that claims the
-// other one before it sizes anything.
+// builds, so a decoder can refuse a body that claims the other one before
+// it sizes anything.
 func SketchBinsDense(bins []SketchBin) bool {
 	if len(bins) > sketchMinCap {
 		return true
