@@ -112,14 +112,16 @@ func TestReceiverBufferBoundedWhileReaderStalls(t *testing.T) {
 }
 
 // TestStalledReaderHoldsTheSender pins what a lagging reader costs the
-// sender at a short RTO: with a 1 ms RTO and a budget of three retransmits,
-// a reader stalled for 100 ms — a hundred RTOs — still gets every byte once,
-// in order, because the receiver's hold acks keep the sender from spending
-// its budget on segments the receiver has not read yet.
+// sender at a short RTO: with a 10 ms RTO and a budget of three
+// retransmits, used up after 150 ms without progress, a reader stalled for
+// 500 ms still gets every byte once, in order, because the receiver's hold
+// acks keep the sender from spending its budget on segments the receiver
+// has not read yet. (An RTO much shorter than a window's round trip under
+// the race detector times out with no stall at all.)
 func TestStalledReaderHoldsTheSender(t *testing.T) {
 	const total = 8 << 20
 	a, b := net.Pipe()
-	cfg := Config{RTO: time.Millisecond, MaxRetries: 3}
+	cfg := Config{RTO: 10 * time.Millisecond, MaxRetries: 3}
 	snd := NewSender(NewStreamConn(a), cfg)
 	rcv := NewReceiver(NewStreamConn(b), cfg)
 
@@ -138,7 +140,7 @@ func TestStalledReaderHoldsTheSender(t *testing.T) {
 		sent <- snd.Close()
 	}()
 
-	time.Sleep(100 * time.Millisecond)
+	time.Sleep(500 * time.Millisecond)
 	buf := make([]byte, 100<<10)
 	n := 0
 	for {
@@ -163,6 +165,6 @@ func TestStalledReaderHoldsTheSender(t *testing.T) {
 		t.Fatalf("read %d bytes, sent %d", n, total)
 	}
 	if h := rcv.Stats().Holds; h < 10 {
-		t.Fatalf("receiver sent %d holds over a 100 ms stall at a 1 ms RTO, want at least 10", h)
+		t.Fatalf("receiver sent %d holds over a 500 ms stall at a 10 ms RTO, want at least 10", h)
 	}
 }

@@ -44,9 +44,9 @@ type ReceiverStats struct {
 // catches up. (Releasing the reorder buffer can overshoot the bound by what
 // it held, at most a window.) So that the sender does not take that wait for
 // loss, the receiver sends a hold ack on entering it and every half RTO
-// while it lasts: a sender that has seen one since its last timeout waits
-// another RTO without retransmitting or spending retry budget, however long
-// the reader lags. Storage above the bound is dropped once Read drains the
+// while it lasts: a sender that has seen one since its last timeout backs
+// its timer off without retransmitting or spending retry budget, however
+// long the reader lags. Storage above the bound is dropped once Read drains the
 // buffer, so an idle connection does not keep what a burst grew.
 type Receiver struct {
 	t   SegmentConn

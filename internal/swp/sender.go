@@ -226,32 +226,31 @@ func (s *Sender) onTimeout() {
 		s.mu.Unlock()
 		return
 	}
-	if s.held {
-		// The receiver has not read what is outstanding yet, not lost it:
-		// wait another RTO, spending nothing, until it has room again.
-		s.held = false
-		s.timer = time.AfterFunc(s.rto, s.onTimeout)
-		s.mu.Unlock()
-		return
-	}
-	s.stats.Timeouts++
+	// A hold since the last timeout means the receiver has not read what is
+	// outstanding yet, not lost it: back off as a retransmission would, but
+	// resend nothing and spend no budget.
+	held := s.held
+	s.held = false
 	var resend []Segment
-	for seq := s.base; seqLT(seq, s.next); seq++ {
-		p := s.pending[seq]
-		if p == nil || p.sacked {
-			continue
+	if !held {
+		s.stats.Timeouts++
+		for seq := s.base; seqLT(seq, s.next); seq++ {
+			p := s.pending[seq]
+			if p == nil || p.sacked {
+				continue
+			}
+			p.retries++
+			if p.retries > s.cfg.MaxRetries {
+				s.err = fmt.Errorf("%w: seq %d unacknowledged after %d transmissions",
+					ErrRetryBudgetExhausted, seq, p.retries)
+				s.timer = nil
+				s.cond.Broadcast()
+				s.mu.Unlock()
+				s.t.Close()
+				return
+			}
+			resend = append(resend, Segment{Type: SegData, Seq: seq, Payload: p.payload})
 		}
-		p.retries++
-		if p.retries > s.cfg.MaxRetries {
-			s.err = fmt.Errorf("%w: seq %d unacknowledged after %d transmissions",
-				ErrRetryBudgetExhausted, seq, p.retries)
-			s.timer = nil
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			s.t.Close()
-			return
-		}
-		resend = append(resend, Segment{Type: SegData, Seq: seq, Payload: p.payload})
 	}
 	s.rto *= 2
 	if s.rto > s.cfg.MaxRTO {
