@@ -37,9 +37,10 @@ func TestWelfordStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateViewsMatchState pins the read-only view an encoder serializes
+// TestStateViewsMatchState pins the read-only views an encoder serializes
 // from: Bins yields exactly the non-empty counters of the State window, in
-// index order, whichever form holds them, and stops when told to.
+// index order, whichever form holds them, and stops when told to; Window is
+// the State window itself for a dense sketch and nil for a sparse one.
 func TestStateViewsMatchState(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {
@@ -59,6 +60,10 @@ func TestStateViewsMatchState(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: bins %v, state window holds %v", trial, got, want)
+		}
+		if base, win := s.Window(); (win != nil) != s.dense ||
+			win != nil && (int32(base) != st.Base || !reflect.DeepEqual(win, st.Buckets)) {
+			t.Fatalf("trial %d: window %d+%v of a sketch dense=%v, state %d+%v", trial, base, win, s.dense, st.Base, st.Buckets)
 		}
 		if len(want) > 1 {
 			n := 0
